@@ -7,10 +7,13 @@
 //!   coarsening inner products).
 //! * **Best-of-N coarse attempts** (1 vs 8).
 //!
-//! Criterion reports throughput; quality deltas print to stderr once per
-//! bench so both dimensions are visible in `cargo bench` output.
+//! Each case prints its quality (objective, imbalance) to stderr and
+//! its wall clock — one warmup, then mean / min / max over ten timed
+//! runs — to stdout, so both dimensions are visible in
+//! `cargo bench --bench ablations` output.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::{Duration, Instant};
+
 use dlb_core::RepartitionHypergraph;
 use dlb_graphpart::{partition_kway, GraphConfig};
 use dlb_partitioner::{partition_hypergraph_fixed, Config, Scheme};
@@ -38,71 +41,46 @@ fn instance() -> Instance {
     Instance { model, k }
 }
 
-fn report_quality(label: &str, inst: &Instance, cfg: &Config) {
-    let r = partition_hypergraph_fixed(&inst.model.augmented, inst.k, &inst.model.fixed, cfg);
+const SAMPLES: u32 = 10;
+
+/// Reports one configuration: quality of the (warmup) run, then the
+/// wall clock of `SAMPLES` further runs.
+fn ablate(group: &str, label: &str, inst: &Instance, cfg: &Config) {
+    let run = || partition_hypergraph_fixed(&inst.model.augmented, inst.k, &inst.model.fixed, cfg);
+    let r = run();
     let obj = inst.model.objective(&inst.model.decode(&r.part));
     eprintln!("[ablation quality] {label}: objective {obj:.1}, imbalance {:.3}", r.imbalance);
+    let samples: Vec<Duration> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(run());
+            start.elapsed()
+        })
+        .collect();
+    let mean = samples.iter().sum::<Duration>() / SAMPLES;
+    let min = samples.iter().min().expect("SAMPLES > 0");
+    let max = samples.iter().max().expect("SAMPLES > 0");
+    println!("ablation/{group}/{label}: mean {mean:?} min {min:?} max {max:?} ({SAMPLES} samples)");
 }
 
-fn ablation_rb_vs_kway(c: &mut Criterion) {
+fn main() {
     let inst = instance();
-    let mut group = c.benchmark_group("ablation/scheme");
-    group.sample_size(10);
     for (label, scheme) in [
         ("recursive_bisection", Scheme::RecursiveBisection),
         ("direct_kway", Scheme::DirectKway),
     ] {
         let mut cfg = Config::seeded(1);
         cfg.scheme = scheme;
-        report_quality(label, &inst, &cfg);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                partition_hypergraph_fixed(&inst.model.augmented, inst.k, &inst.model.fixed, &cfg)
-            })
-        });
+        ablate("scheme", label, &inst, &cfg);
     }
-    group.finish();
-}
-
-fn ablation_ipm_scaling(c: &mut Criterion) {
-    let inst = instance();
-    let mut group = c.benchmark_group("ablation/ipm_scaling");
-    group.sample_size(10);
     for (label, scaled) in [("scaled", true), ("unscaled", false)] {
         let mut cfg = Config::seeded(1);
         cfg.coarsening.scaled_ipm = scaled;
-        report_quality(label, &inst, &cfg);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                partition_hypergraph_fixed(&inst.model.augmented, inst.k, &inst.model.fixed, &cfg)
-            })
-        });
+        ablate("ipm_scaling", label, &inst, &cfg);
     }
-    group.finish();
-}
-
-fn ablation_initial_attempts(c: &mut Criterion) {
-    let inst = instance();
-    let mut group = c.benchmark_group("ablation/initial_attempts");
-    group.sample_size(10);
     for attempts in [1usize, 8] {
         let mut cfg = Config::seeded(1);
         cfg.initial.num_attempts = attempts;
-        let label = format!("attempts_{attempts}");
-        report_quality(&label, &inst, &cfg);
-        group.bench_function(&*label, |b| {
-            b.iter(|| {
-                partition_hypergraph_fixed(&inst.model.augmented, inst.k, &inst.model.fixed, &cfg)
-            })
-        });
+        ablate("initial_attempts", &format!("attempts_{attempts}"), &inst, &cfg);
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    ablation_rb_vs_kway,
-    ablation_ipm_scaling,
-    ablation_initial_attempts
-);
-criterion_main!(benches);

@@ -26,16 +26,9 @@ use std::fmt::Write as _;
 
 use dlb_amr::AmrConfig;
 use dlb_bench::chart::{render_makespan_chart, to_csv};
-use dlb_bench::{run_sweep, Row, SweepConfig};
+use dlb_bench::{run_sweep, Flags, Row, SweepConfig};
 use dlb_core::Algorithm;
 use dlb_workloads::{DatasetKind, PerturbKind};
-
-fn parse_flag(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 /// Sum of `f` over the rows of one algorithm at one k, α ≥ `min_alpha`.
 fn sum_over(
@@ -52,12 +45,14 @@ fn sum_over(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = parse_flag(&args, "--scale").unwrap_or(0.0) as u8;
-    let seed = parse_flag(&args, "--seed").unwrap_or(42.0) as u64;
-    let epochs = parse_flag(&args, "--epochs").unwrap_or(4.0) as usize;
-    let trials = parse_flag(&args, "--trials").unwrap_or(2.0) as usize;
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut flags =
+        Flags::from_env("amr [--scale S] [--seed N] [--epochs E] [--trials T] [--quick]");
+    let scale: u8 = flags.value("--scale").unwrap_or(0);
+    let seed: u64 = flags.value("--seed").unwrap_or(42);
+    let epochs: usize = flags.value("--epochs").unwrap_or(4);
+    let trials: usize = flags.value("--trials").unwrap_or(2);
+    let quick = flags.switch("--quick");
+    flags.finish();
 
     let amr_cfg = if quick { AmrConfig::small() } else { AmrConfig::for_scale(scale) };
     let mut cfg = SweepConfig::amr(amr_cfg);

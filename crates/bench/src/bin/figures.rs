@@ -24,7 +24,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use dlb_bench::chart::{render_cost_chart, render_runtime_chart, to_csv};
-use dlb_bench::{run_sweep, Row, SweepConfig, TimingMode};
+use dlb_bench::{run_sweep, Flags, Row, SweepConfig, TimingMode};
 use dlb_workloads::{DatasetKind, PerturbKind};
 
 struct Args {
@@ -41,31 +41,25 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
-    };
-    let fig = get("--fig")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("usage: figures --fig <2..8> [--scale S] [--trials T] [--epochs E] [--quick] [--ks ...] [--alphas ...] [--out DIR] [--ranks R] [--seed N]");
-            std::process::exit(2);
-        });
-    Args {
+    let mut flags = Flags::from_env(
+        "figures --fig <2..8> [--scale S] [--trials T] [--epochs E] [--quick] [--ks ...] \
+         [--alphas ...] [--out DIR] [--ranks R] [--seed N]",
+    );
+    let Some(fig) = flags.value("--fig") else { flags.fail("--fig is required") };
+    let args = Args {
         fig,
-        scale: get("--scale").and_then(|v| v.parse().ok()),
-        trials: get("--trials").and_then(|v| v.parse().ok()),
-        epochs: get("--epochs").and_then(|v| v.parse().ok()),
-        ks: get("--ks").map(|v| v.split(',').filter_map(|t| t.parse().ok()).collect()),
-        alphas: get("--alphas").map(|v| v.split(',').filter_map(|t| t.parse().ok()).collect()),
-        quick: argv.iter().any(|a| a == "--quick"),
-        out: get("--out").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("results")),
-        ranks: get("--ranks").and_then(|v| v.parse().ok()).unwrap_or(4),
-        seed: get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42),
-    }
+        scale: flags.value("--scale"),
+        trials: flags.value("--trials"),
+        epochs: flags.value("--epochs"),
+        ks: flags.list("--ks"),
+        alphas: flags.list("--alphas"),
+        quick: flags.switch("--quick"),
+        out: flags.value("--out").unwrap_or_else(|| PathBuf::from("results")),
+        ranks: flags.value("--ranks").unwrap_or(4),
+        seed: flags.value("--seed").unwrap_or(42),
+    };
+    flags.finish();
+    args
 }
 
 /// Default dataset scales chosen so a full figure runs in minutes on one

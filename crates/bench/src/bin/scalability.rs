@@ -16,22 +16,20 @@
 
 use std::time::Instant;
 
+use dlb_bench::Flags;
 use dlb_core::{repartition_parallel, Algorithm, RepartConfig, RepartProblem};
 use dlb_graphpart::{partition_kway, GraphConfig};
 use dlb_mpisim::run_spmd;
 use dlb_workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter().position(|a| a == flag).and_then(|i| argv.get(i + 1)).cloned()
-    };
-    let scale: f64 = get("--scale").and_then(|v| v.parse().ok()).unwrap_or(0.005);
-    let k: usize = get("--k").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let ranks_list: Vec<usize> = get("--ranks")
-        .map(|v| v.split(',').filter_map(|t| t.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let local_ipm = argv.iter().any(|a| a == "--local-ipm");
+    let mut flags =
+        Flags::from_env("scalability [--scale S] [--k K] [--ranks 1,2,4,8] [--local-ipm]");
+    let scale: f64 = flags.value("--scale").unwrap_or(0.005);
+    let k: usize = flags.value("--k").unwrap_or(8);
+    let ranks_list: Vec<usize> = flags.list("--ranks").unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let local_ipm = flags.switch("--local-ipm");
+    flags.finish();
     let seed = 42;
 
     let dataset = Dataset::generate(DatasetKind::Auto, scale, seed);

@@ -7,19 +7,14 @@
 //!
 //! Usage: `table1 [--scale S] [--seed N]` (default scale 0.01).
 
+use dlb_bench::Flags;
 use dlb_workloads::{Dataset, DatasetKind};
 
-fn parse_flag(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = parse_flag(&args, "--scale").unwrap_or(0.01);
-    let seed = parse_flag(&args, "--seed").unwrap_or(42.0) as u64;
+    let mut flags = Flags::from_env("table1 [--scale S] [--seed N]");
+    let scale: f64 = flags.value("--scale").unwrap_or(0.01);
+    let seed: u64 = flags.value("--seed").unwrap_or(42);
+    flags.finish();
 
     println!("Table 1. Properties of the test datasets (generated at scale {scale})");
     println!(

@@ -109,7 +109,7 @@ impl SweepConfig {
         }
     }
 
-    /// A minutes-scale smoke grid for CI and Criterion.
+    /// A minutes-scale smoke grid for CI.
     pub fn quick(dataset: DatasetKind, perturb: PerturbKind, scale: f64) -> Self {
         SweepConfig {
             ks: vec![8],

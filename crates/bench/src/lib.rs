@@ -7,9 +7,19 @@
 //! * [`chart`] — text renderers: the paper's grouped stacked bars
 //!   (communication bottom, migration top) as horizontal ASCII bars, and
 //!   CSV output for downstream plotting.
+//! * [`rmat`] — the power-law RMAT hypergraph generator the repo
+//!   benchmark's `rmat_static` workload partitions.
+//! * [`flags`] — the strict flag parser the binaries share (bad input
+//!   exits 2).
 //! * Binaries: `table1` prints Table 1 (paper values vs generated
 //!   datasets); `figures` regenerates any of Figures 2–8; `amr` runs the
-//!   measured-makespan AMR sweep and writes `BENCH_amr.json`.
+//!   measured-makespan AMR sweep and writes `BENCH_amr.json`;
+//!   `scalability` probes message counts over simulated rank counts.
+//! * `benches/ablations.rs` — the design-choice ablations of DESIGN.md
+//!   §7 (`cargo bench --bench ablations`).
+//!
+//! Nothing here gates performance: wall-clock and per-layer figures
+//! come from the repo benchmark (`benchmark/`, BENCHMARK.json).
 //!
 //! Absolute numbers differ from the paper (synthetic datasets, simulated
 //! ranks on one host) — the *shapes* are the reproduction target; see
@@ -22,7 +32,9 @@
 
 pub mod chart;
 pub mod experiment;
+pub mod flags;
 pub mod rmat;
 
 pub use experiment::{run_sweep, Row, SweepConfig, TimingMode, Workload};
+pub use flags::Flags;
 pub use rmat::rmat_hypergraph;

@@ -99,12 +99,12 @@ impl RepartConfig {
         // Direct k-way consistently beats recursive bisection on the
         // augmented repartitioning hypergraph (the migration tethers and
         // the k fixed seeds are all visible to one global V-cycle);
-        // Zoltan's RB remains available via `cfg.hypergraph.scheme` and
-        // the `ablations` bench compares the two.
+        // Zoltan's RB remains available via `cfg.hypergraph.scheme`;
+        // `cargo bench --bench ablations` (crates/bench) compares the two.
         hypergraph.scheme = dlb_partitioner::Scheme::DirectKway;
         // A second, part-restricted V-cycle recovers most of the quality
-        // gap to unconstrained partitioning at large α (see the
-        // `ablations` bench) for ~40% more partitioning time.
+        // gap to unconstrained partitioning at large α for ~40% more
+        // partitioning time (figures in EXPERIMENTS.md, "Ablations").
         hypergraph.num_vcycles = 2;
         let mut graph = GraphConfig::seeded(seed);
         graph.epsilon = epsilon;

@@ -127,10 +127,12 @@ impl Default for RefinementConfig {
 /// Distributed-memory execution parameters (DESIGN.md §9).
 #[derive(Clone, Debug)]
 pub struct DistConfig {
-    /// Route the parallel V-cycle through the memory-scalable
-    /// distributed driver: pin storage is block-distributed across
-    /// ranks (owner/ghost layout) instead of replicated. Results are
-    /// bit-identical to the replicated driver at any rank count.
+    /// Hold the levels of the parallel V-cycle above
+    /// `gather_threshold` in memory-scalable distributed form: pin
+    /// storage is block-distributed across ranks (owner/ghost layout)
+    /// instead of replicated. Off means no level is ever distributed
+    /// (an infinite threshold). Results are bit-identical either way at
+    /// any rank count.
     pub distributed: bool,
     /// Once the (distributed) hypergraph has at most this many
     /// vertices, it is gathered onto every rank and the remaining

@@ -1,20 +1,20 @@
-//! Memory-scalable distributed V-cycle over [`dlb_disthg`].
+//! The SPMD V-cycle: memory-scalable distributed levels over
+//! [`dlb_disthg`], replicated levels once the hypergraph is small.
 //!
-//! The replicated SPMD driver ([`super::driver::par_multilevel`]) keeps
-//! the whole hypergraph on every rank; this module runs the same
-//! V-cycle with **owner-computes** storage: each net's full pin list
-//! lives only on its owner rank, other pin-owning ranks hold compact
-//! stubs, and every per-vertex array — partition vector, primary and
-//! auxiliary loads, vertex sizes, fixed assignments, and the
-//! fine→coarse projection maps — is block-distributed alongside the
-//! vertex blocks (see DESIGN.md §9). Remote state crosses the wire only
+//! A replicated level keeps the whole hypergraph on every rank; a
+//! distributed level runs the same V-cycle step with **owner-computes**
+//! storage: each net's full pin list lives only on its owner rank,
+//! other pin-owning ranks hold compact stubs, and every per-vertex
+//! array — partition vector, primary and auxiliary loads, vertex sizes,
+//! fixed assignments, and the fine→coarse projection maps — is
+//! block-distributed alongside the vertex blocks (see DESIGN.md §9). Remote state crosses the wire only
 //! through explicit ghost halos ([`dlb_disthg::GhostExchange`]), and
 //! after the first full pull each FM round pushes only the vertices
 //! that actually moved (the dirty-bitmap incremental exchange of
 //! DESIGN.md §17). Per-rank residency is `O((n + |pins|)/p + halo)`
 //! with no term proportional to the global instance.
 //!
-//! Bit-identity with the replicated driver is preserved:
+//! Bit-identity with the replicated levels is preserved:
 //!
 //! * **Matching** — a stub stores this rank's own pins *in net order*,
 //!   so per-candidate scoring sweeps exactly the elements the
@@ -40,6 +40,9 @@
 //! Once the current level has at most `cfg.dist.gather_threshold`
 //! vertices it is gathered onto every rank and the remaining levels run
 //! the replicated code paths verbatim (coarse hypergraphs are tiny).
+//! With `cfg.dist.distributed` off nothing is ever distributed: the
+//! threshold is effectively infinite and every level is a replicated
+//! one, so "replicated" is this driver with zero distributed levels.
 
 use std::collections::{HashMap, HashSet};
 
@@ -1249,7 +1252,7 @@ fn dist_pass(
 /// `part_owned` is this rank's owned partition slice; it is refined in
 /// place. Note: the auxiliary-feasibility `greedy_repair` step of the
 /// replicated path has no distributed mirror — multi-constraint runs
-/// must stay on the replicated driver (the CLI rejects `--constraints`
+/// must stay on replicated levels (the CLI rejects `--constraints`
 /// together with `--distributed`).
 fn dist_refine(
     comm: &mut Comm,
@@ -1354,6 +1357,39 @@ fn project_to_fine(
         .collect()
 }
 
+/// Attaches this rank's [`CommStats`](dlb_mpisim::CommStats) deltas for
+/// a traced region to its span (inert off the recording rank). The
+/// ledger is rank 0's view.
+fn attr_comm_delta(
+    span: &dlb_trace::SpanGuard,
+    before: dlb_mpisim::CommStats,
+    after: dlb_mpisim::CommStats,
+) {
+    span.attr("msgs_sent", after.messages_sent - before.messages_sent);
+    span.attr("msgs_recv", after.messages_received - before.messages_received);
+    span.attr("bytes_sent", after.bytes_sent - before.bytes_sent);
+    span.attr("bytes_recv", after.bytes_received - before.bytes_received);
+}
+
+/// Records the number of vertices a replicated refinement level actually
+/// moved (an outcome diff, so the value is identical at any rank count —
+/// partitions are bit-identical) as both a span attribute and the
+/// [`ParRefineMovesCommitted`](dlb_trace::Counter) counter.
+fn record_committed_moves(
+    span: &dlb_trace::SpanGuard,
+    before: Option<&[PartId]>,
+    after: &[PartId],
+) {
+    let Some(before) = before else { return };
+    let moved = before
+        .iter()
+        .zip(after)
+        .filter(|(a, b)| a != b)
+        .count() as u64;
+    span.attr("moves_committed", moved);
+    dlb_trace::count(dlb_trace::Counter::ParRefineMovesCommitted, moved);
+}
+
 /// Distributed mirror of `record_committed_moves`: each rank diffs only
 /// its owned slice, so the global count is an allreduce sum
 /// (collective whenever a trace session is active anywhere in the
@@ -1372,9 +1408,11 @@ fn record_committed_moves_owned(
     dlb_trace::count(dlb_trace::Counter::ParRefineMovesCommitted, moved);
 }
 
-/// One distributed multilevel V-cycle. Collective; every rank returns
-/// the identical assignment — bit-identical to
-/// [`super::driver::par_multilevel`] at the same rank count.
+/// One SPMD multilevel V-cycle — the single entry point the
+/// recursive-bisection stack uses. Collective; every rank returns the
+/// identical assignment, and the assignment is the same whether or not
+/// `cfg.dist.distributed` holds any level in distributed form (the two
+/// settings differ only in per-rank memory and communication).
 pub fn dist_multilevel(
     comm: &mut Comm,
     h: &Hypergraph,
@@ -1403,11 +1441,18 @@ pub fn dist_multilevel_stats(
     if h.num_vertices() == 0 {
         return (Vec::new(), stats);
     }
+    // The simulator runs every rank as its own OS thread, so the shared
+    // worker budget is split evenly across ranks: each rank gets
+    // `total / size` (at least 1) threads for its local kernels. The
+    // thread count never changes results, only timing.
     let threads = (parallel::resolve_threads(cfg.threads) / comm.size()).max(1);
     let mut scratch = RefineScratch::new();
     let coarse_target =
         (cfg.coarsening.coarse_to_factor * k).max(cfg.coarsening.min_coarse_vertices);
-    let gather_threshold = cfg.dist.gather_threshold;
+    // Replicated execution is the distributed driver with nothing over
+    // the threshold: every level takes the `View::Repl` branches below.
+    let gather_threshold =
+        if cfg.dist.distributed { cfg.dist.gather_threshold } else { usize::MAX };
     let ml_span = dlb_trace::span!(
         "dist.multilevel",
         vertices = h.num_vertices(),
@@ -1431,7 +1476,8 @@ pub fn dist_multilevel_stats(
 
     enum Step {
         Gather(Hypergraph, FixedAssignment, usize),
-        Push(Level),
+        /// A coarser level and the number of matched pairs behind it.
+        Push(Level, usize),
         Stop,
     }
     loop {
@@ -1457,7 +1503,7 @@ pub fn dist_multilevel_stats(
                         } else {
                             let (coarse, fine_to_coarse) = dist_contract(comm, d, &matching);
                             stats.observe(&coarse);
-                            Step::Push(Level::Dist(coarse, fine_to_coarse))
+                            Step::Push(Level::Dist(coarse, fine_to_coarse), matching.num_pairs)
                         }
                     }
                     View::Repl(ch, cf) => {
@@ -1469,21 +1515,28 @@ pub fn dist_multilevel_stats(
                         {
                             Step::Stop
                         } else {
-                            Step::Push(Level::Repl(contract_threads(ch, &matching, cf, threads)))
+                            // With the level replicated, contraction is a
+                            // deterministic function of the (identical)
+                            // matching, so every rank builds the same
+                            // coarse hypergraph locally.
+                            let level = contract_threads(ch, &matching, cf, threads);
+                            Step::Push(Level::Repl(level), matching.num_pairs)
                         }
                     }
                 }
             }
         };
-        crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+        attr_comm_delta(&span, stats_before, comm.stats());
         match step {
             Step::Gather(gh, gf, n) => {
                 span.attr("gathered", true);
                 stats.gathered_vertices = n;
                 gathered = Some((gh, gf));
             }
-            Step::Push(level) => {
+            Step::Push(level, matches) => {
+                span.attr("matches", matches);
                 dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
+                dlb_trace::count(dlb_trace::Counter::CoarsenMatchesAccepted, matches as u64);
                 gathered = None;
                 levels.push(level);
             }
@@ -1500,7 +1553,8 @@ pub fn dist_multilevel_stats(
         }
     }
 
-    // --- Coarse partitioning: identical to the replicated driver. ---
+    // --- Coarse partitioning: one randomized attempt per rank (plus the
+    // configured serial attempts), globally best wins (Section 4.2). ---
     let (coarsest_h, coarsest_fixed): (&Hypergraph, &FixedAssignment) =
         match current_view(h, fixed, &finest_dist, &levels, &gathered) {
             View::Repl(ch, cf) => (ch, cf),
@@ -1540,7 +1594,7 @@ pub fn dist_multilevel_stats(
         }
     });
     let mut part = PartRep::Full(comm.broadcast(winner, my_part));
-    crate::par::driver::attr_comm_delta(&init_span, init_stats, comm.stats());
+    attr_comm_delta(&init_span, init_stats, comm.stats());
     drop(init_span);
 
     // --- Uncoarsening: refine in whichever form each level is held. ---
@@ -1557,8 +1611,8 @@ pub fn dist_multilevel_stats(
                 };
                 let before_part = dlb_trace::enabled().then(|| full.clone());
                 par_refine(comm, &l.coarse, targets, &l.coarse_fixed, full, &cfg.refinement, rng);
-                crate::par::driver::record_committed_moves(&span, before_part.as_deref(), full);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                record_committed_moves(&span, before_part.as_deref(), full);
+                attr_comm_delta(&span, stats_before, comm.stats());
                 drop(span);
                 let mut finer = vec![0usize; l.fine_to_coarse.len()];
                 for (v, &c) in l.fine_to_coarse.iter().enumerate() {
@@ -1575,7 +1629,7 @@ pub fn dist_multilevel_stats(
                 let before_part = dlb_trace::session_active().then(|| owned_part.clone());
                 dist_refine(comm, d, targets, &mut owned_part, &cfg.refinement, rng);
                 record_committed_moves_owned(comm, &span, before_part.as_deref(), &owned_part);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                attr_comm_delta(&span, stats_before, comm.stats());
                 drop(span);
                 // `d` is the *coarse* level of this projection step:
                 // the finer level's owned f2c entries point into `d`'s
@@ -1602,7 +1656,7 @@ pub fn dist_multilevel_stats(
                 let before_part = dlb_trace::session_active().then(|| owned_part.clone());
                 dist_refine(comm, d, targets, &mut owned_part, &cfg.refinement, rng);
                 record_committed_moves_owned(comm, &span, before_part.as_deref(), &owned_part);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                attr_comm_delta(&span, stats_before, comm.stats());
                 // The public contract returns the full assignment on
                 // every rank.
                 comm.allgather(owned_part).into_iter().flatten().collect()
@@ -1613,8 +1667,8 @@ pub fn dist_multilevel_stats(
                 };
                 let before_part = dlb_trace::enabled().then(|| full.clone());
                 par_refine(comm, h, targets, fixed, &mut full, &cfg.refinement, rng);
-                crate::par::driver::record_committed_moves(&span, before_part.as_deref(), &full);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                record_committed_moves(&span, before_part.as_deref(), &full);
+                attr_comm_delta(&span, stats_before, comm.stats());
                 full
             }
         }
@@ -1635,18 +1689,27 @@ mod tests {
         cfg
     }
 
-    /// The distributed V-cycle must be bit-identical to the replicated
-    /// driver at the same rank count, for every rank count.
+    /// The same configuration with every level replicated — the oracle
+    /// the distributed levels must reproduce bit for bit.
+    fn replicated(cfg: &Config) -> Config {
+        let mut cfg = cfg.clone();
+        cfg.dist.distributed = false;
+        cfg
+    }
+
+    /// The distributed levels must be bit-identical to the replicated
+    /// levels at the same rank count, for every rank count.
     #[test]
-    fn dist_multilevel_matches_replicated_driver() {
+    fn dist_multilevel_matches_replicated_levels() {
         let h = crate::tests::grid_hypergraph(16, 16);
         let targets = PartTargets::uniform(h.total_vertex_weight(), 4, 0.05);
         let fixed = FixedAssignment::free(h.num_vertices());
         for ranks in [1usize, 2, 4] {
             let cfg = dist_cfg(11, 60);
+            let repl_cfg = replicated(&cfg);
             let repl = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(2);
-                super::super::driver::par_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+                dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
             });
             let dist = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(2);
@@ -1673,9 +1736,10 @@ mod tests {
             for ranks in [1usize, 2, 3] {
                 let mut cfg = dist_cfg(7, 100);
                 cfg.coarsening.local_ipm = local_ipm;
+                let repl_cfg = replicated(&cfg);
                 let repl = run_spmd(ranks, |comm| {
                     let mut rng = StdRng::seed_from_u64(5);
-                    super::super::driver::par_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+                    dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
                 });
                 let dist = run_spmd(ranks, |comm| {
                     let mut rng = StdRng::seed_from_u64(5);
@@ -1684,6 +1748,53 @@ mod tests {
                 assert_eq!(dist, repl, "ranks={ranks} local_ipm={local_ipm}");
             }
         }
+    }
+
+    /// The identity the single driver rests on: `distributed = false`
+    /// *is* `distributed = true` with nothing over the threshold — no
+    /// level is ever held in distributed form, and the partition is the
+    /// same one.
+    #[test]
+    fn replicated_is_distributed_with_nothing_distributed() {
+        let h = crate::tests::random_hypergraph(300, 600, 5, 41);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), 2, 0.05);
+        let fixed = FixedAssignment::free(h.num_vertices());
+        let unbounded = dist_cfg(27, usize::MAX);
+        let off = replicated(&dist_cfg(27, 60));
+        for ranks in [1usize, 2, 4] {
+            let run = |cfg: &Config| {
+                run_spmd(ranks, |comm| {
+                    let mut rng = StdRng::seed_from_u64(3);
+                    dist_multilevel_stats(comm, &h, &targets, &fixed, cfg, &mut rng)
+                })
+            };
+            for ((part, stats), (unbounded_part, _)) in run(&off).iter().zip(&run(&unbounded)) {
+                assert_eq!(stats.dist_levels, 0, "ranks={ranks}");
+                assert_eq!(stats.gathered_vertices, 0, "ranks={ranks}");
+                assert_eq!(part, unbounded_part, "ranks={ranks}");
+            }
+        }
+    }
+
+    /// A replicated bisection on four ranks finds a near-ideal cut.
+    #[test]
+    fn replicated_bisection_quality() {
+        let h = crate::tests::grid_hypergraph(14, 14);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), 2, 0.05);
+        let fixed = FixedAssignment::free(h.num_vertices());
+        let cfg = Config::seeded(17);
+        let results = run_spmd(4, |comm| {
+            let mut rng = StdRng::seed_from_u64(1);
+            dist_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+        });
+        for r in &results[1..] {
+            assert_eq!(*r, results[0]);
+        }
+        let part = &results[0];
+        let cut = dlb_hypergraph::metrics::cutsize_connectivity(&h, part, 2);
+        // Ideal vertical split of a 14x14 grid cuts 14 edges.
+        assert!(cut <= 32.0, "cut {cut}");
+        assert!(dlb_hypergraph::metrics::imbalance(&h, part, 2) <= 1.06);
     }
 
     /// With the threshold above the input size the distributed driver
@@ -1704,8 +1815,7 @@ mod tests {
         }
     }
 
-    /// Pin storage must shrink with the rank count while the partition
-    /// stays the same as the replicated driver's.
+    /// Pin storage must shrink with the rank count.
     #[test]
     fn local_pins_scale_down_with_ranks() {
         let h = crate::tests::grid_hypergraph(20, 20);
@@ -1739,8 +1849,8 @@ mod tests {
         );
     }
 
-    /// The `cfg.dist.distributed` flag routes the whole recursive
-    /// bisection stack through this driver with unchanged results.
+    /// The `cfg.dist.distributed` flag distributes the levels of the
+    /// whole recursive bisection stack with unchanged results.
     #[test]
     fn config_flag_routes_partition_identically() {
         let h = crate::tests::random_hypergraph(250, 500, 4, 31);
@@ -1762,19 +1872,20 @@ mod tests {
 
     /// More ranks than vertices: some ranks own nothing at every level.
     /// The cycle must neither panic nor diverge from the replicated
-    /// driver.
+    /// levels.
     #[test]
-    fn empty_ranks_match_replicated_driver() {
+    fn empty_ranks_match_replicated_levels() {
         let h = crate::tests::grid_hypergraph(3, 4); // 12 vertices
         let targets = PartTargets::uniform(h.total_vertex_weight(), 2, 0.05);
         let fixed = FixedAssignment::free(h.num_vertices());
         let mut cfg = dist_cfg(17, 4);
         cfg.coarsening.min_coarse_vertices = 2;
         cfg.coarsening.coarse_to_factor = 1;
+        let repl_cfg = replicated(&cfg);
         for ranks in [13usize, 16] {
             let repl = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(6);
-                super::super::driver::par_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+                dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
             });
             let dist = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(6);

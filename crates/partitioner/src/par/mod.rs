@@ -3,8 +3,10 @@
 //!
 //! Each rank owns a block of vertices (1D distribution — see DESIGN.md §4
 //! for why this simplification of Zoltan's 2D layout preserves the
-//! paper's algorithmic behaviour) while replicating the hypergraph
-//! structure. The three phases communicate exactly where the paper's
+//! paper's algorithmic behaviour). One V-cycle driver ([`dist`]) runs
+//! every level either replicated (the hypergraph structure on every
+//! rank) or, with `cfg.dist.distributed`, block-distributed while it is
+//! large. The three phases communicate exactly where the paper's
 //! implementation does:
 //!
 //! * **Coarsening** ([`matching`]): IPM runs in *rounds*. Each round,
@@ -14,7 +16,7 @@
 //!   (scores for constraint-infeasible pairs are computed but discarded
 //!   at selection, as in Section 4.1); a global best match per candidate
 //!   is selected by an all-reduce.
-//! * **Coarse partitioning** ([`driver`]): the coarsest hypergraph is
+//! * **Coarse partitioning** ([`dist`]): the coarsest hypergraph is
 //!   replicated; each rank runs randomized greedy hypergraph growing
 //!   with a different seed and the best partition wins (Section 4.2).
 //! * **Refinement** ([`refine`]): a localized FM — each rank proposes
@@ -27,7 +29,6 @@
 //! vector.
 
 pub mod dist;
-pub mod driver;
 pub mod matching;
 pub mod refine;
 
@@ -102,7 +103,7 @@ fn recurse(
     let side_fixed = fixed.bisection_sides(k0);
     let mut targets = PartTargets::proportional(h.total_vertex_weight(), &[k0, k1], eps);
     // Auxiliary constraints ride along with side targets proportional to
-    // the final part counts (the SPMD drivers support aux epsilons but
+    // the final part counts (the SPMD driver supports aux epsilons but
     // not per-part capacities). Never reached at arity 1.
     let arity = h.load_arity();
     if arity > 1 {
@@ -117,7 +118,7 @@ fn recurse(
             .collect();
         targets = targets.with_aux(aux);
     }
-    let sides = driver::multilevel(comm, h, &targets, &side_fixed, cfg, &mut rng);
+    let sides = dist::dist_multilevel(comm, h, &targets, &side_fixed, cfg, &mut rng);
 
     let keep0: Vec<bool> = sides.iter().map(|&s| s == 0).collect();
     let keep1: Vec<bool> = sides.iter().map(|&s| s == 1).collect();

@@ -32,7 +32,7 @@
 //!   --distributed     with --ranks: owner-computes pin storage and
 //!                     block-distributed per-vertex arrays across ranks
 //!                     (memory-scalable V-cycle; results are
-//!                     bit-identical to the replicated driver). Rejected
+//!                     bit-identical to a run without it). Rejected
 //!                     together with --world-plan, --fault-plan,
 //!                     --incremental, or --constraints > 1 (exit 2)
 //!   --trace FILE      record a phase-level trace of the run and write it

@@ -119,7 +119,7 @@ fn distributed_matches_replicated() {
             assert_eq!(
                 fingerprint(s),
                 replicated,
-                "distributed rank {rank}/{ranks} diverged from the replicated driver"
+                "distributed rank {rank}/{ranks} diverged from the replicated run"
             );
         }
     }

@@ -1,8 +1,9 @@
-//! Regression test for the distributed-memory driver (DESIGN.md §9):
-//! with `cfg.hypergraph.dist.distributed` set, the memory-scalable
-//! V-cycle must produce the *bit-identical* partition — and therefore
-//! identical cost-model values — as the replicated SPMD driver at the
-//! same rank count, on cage-style workloads, for k ∈ {4, 8} and both
+//! Regression test for the distributed-memory levels of the SPMD
+//! V-cycle (DESIGN.md §9): with `cfg.hypergraph.dist.distributed` set,
+//! the large levels are held block-distributed and must produce the
+//! *bit-identical* partition — and therefore identical cost-model
+//! values — as the same driver with every level replicated, at the same
+//! rank count, on cage-style workloads, for k ∈ {4, 8} and both
 //! dynamics (structure and weight perturbations).
 
 use dlb::core::{repartition_parallel, Algorithm, RepartConfig, RepartProblem, RepartResult};
@@ -100,4 +101,58 @@ fn distributed_repart_is_reproducible_run_to_run() {
         let second = run(&snap, 4, Algorithm::ZoltanRepart, ranks, true);
         assert_equivalent(&first, &second, &format!("repeat ranks={ranks}"));
     }
+}
+
+/// The capability replicated levels cannot offer at any rank count: an
+/// instance whose single-rank residency exceeds an 8 MiB budget is
+/// partitioned at 16 and 64 simulated ranks with every rank's total
+/// residency (pins + metadata + per-vertex arrays) under the budget,
+/// strictly less at 64 ranks than at 16. Minutes in release on one
+/// core, so CI runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "64 simulated ranks; run in release"]
+fn over_budget_instance_fits_every_rank_at_16_and_64_ranks() {
+    use dlb::hypergraph::convert::column_net_model_unit;
+    use dlb::partitioner::par::dist::dist_multilevel_stats;
+    use dlb::partitioner::{Config, FixedAssignment, PartTargets};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const BUDGET_BYTES: usize = 8 << 20;
+    const SEED: u64 = 42;
+    let h = column_net_model_unit(&Dataset::generate(DatasetKind::Cage14, 0.003, SEED).graph);
+    let fixed = FixedAssignment::free(h.num_vertices());
+    let targets = PartTargets::uniform(h.total_vertex_weight(), 8, 0.05);
+    let mut cfg = Config::seeded(SEED);
+    cfg.threads = 1;
+    cfg.dist.distributed = true;
+    // A small gather point keeps the redundant per-rank coarse solve
+    // cheap: at 64 ranks on an oversubscribed host those solves
+    // serialize, and they are the test's wall-clock floor.
+    cfg.dist.gather_threshold = 256;
+
+    // Max over ranks of the cycle's total residency.
+    let max_rank_bytes = |ranks: usize| -> usize {
+        let results = run_spmd(ranks, |comm| {
+            // A rank can sit in the winner allreduce for minutes while
+            // its peers' serialized coarse solves run; widen the
+            // deadlock guard so it cannot misfire.
+            comm.set_recv_timeout(std::time::Duration::from_secs(600));
+            let mut rng = StdRng::seed_from_u64(SEED);
+            dist_multilevel_stats(comm, &h, &targets, &fixed, &cfg, &mut rng)
+        });
+        for (part, stats) in &results {
+            assert_eq!(*part, results[0].0, "ranks={ranks}: ranks disagree");
+            assert!(stats.dist_levels > 0, "ranks={ranks}: nothing was distributed");
+        }
+        results.iter().map(|(_, s)| s.total_resident_bytes).max().unwrap()
+    };
+
+    // At one rank, owner-computes storage *is* the whole instance: its
+    // residency is what every rank of a replicated run would hold.
+    let replicated = max_rank_bytes(1);
+    assert!(replicated > BUDGET_BYTES, "instance ({replicated} B) is not over the budget");
+    let (at16, at64) = (max_rank_bytes(16), max_rank_bytes(64));
+    assert!(at16 <= BUDGET_BYTES, "16 ranks: {at16} B per rank exceeds the budget");
+    assert!(at64 < at16, "residency must shrink with the rank count: {at16} -> {at64}");
 }

@@ -87,3 +87,39 @@ fn zero_threshold_reproduces_full_rebuilds() {
         );
     }
 }
+
+/// Warm starts may trade nothing away: on the default AMR stream at
+/// α = 10, the online competitive ratio (cumulative measured
+/// α·comm + migration volume vs. a full lowering + V-cycle every epoch)
+/// stays at or below 1.0. Drift threshold 1.0 is the maximal exercise
+/// of the warm path: every delta epoch warm-starts, so no full-V-cycle
+/// fallback can mask a quality gap.
+#[test]
+fn warm_starts_stay_competitive_with_full_vcycles() {
+    const SEED: u64 = 42;
+    let run = |incremental: bool| {
+        let stream = AmrStream::new(AmrConfig::default(), 8, SEED);
+        let low = stream.initial_lowering();
+        let initial = partition_kway(&low.graph, 8, &GraphConfig::seeded(SEED)).part;
+        let mut source = AmrSource::new(stream, &initial);
+        let mut session = Session::new(RepartConfig::seeded(SEED))
+            .algorithm(Algorithm::ZoltanRepart)
+            .alpha(10.0)
+            .epochs(6)
+            .measured(true);
+        if incremental {
+            session = session.incremental(true).drift_threshold(1.0);
+        }
+        session.workload(&mut source).run().unwrap()
+    };
+    let cr = run(true)
+        .competitive_ratio_vs(&run(false))
+        .expect("both runs measured the same epoch count");
+    let ratio = cr.ratio().expect("nonzero baseline cost");
+    assert!(
+        ratio <= 1.0 + 1e-9,
+        "incremental competitive ratio {ratio:.4} exceeds 1.0 ({} vs {})",
+        cr.policy_cost,
+        cr.baseline_cost
+    );
+}

@@ -273,3 +273,50 @@ fn per_part_capacity_vectors_steer_recursive_bisection() {
         "constraint-1 loads ignore the 3:1 capacities: {aux:?}"
     );
 }
+
+/// The same two contracts on the real flops-vs-bytes divergence: the
+/// two-constraint AMR lowering (flops grow with the refinement level,
+/// bytes are uniform per cell). The cold pipeline must land feasible on
+/// both constraints, and a warm start from a seed that piles half the
+/// cells onto part 0 — the byte constraint is violated at entry — must
+/// engage the repair pass and end feasible.
+#[test]
+fn amr_two_constraint_lowering_is_feasible_cold_and_after_a_skewed_warm_start() {
+    use dlb::amr::{AmrConfig, AmrStream};
+    const K: usize = 8;
+    const SEED: u64 = 42;
+    let amr_cfg = AmrConfig { multi_constraint: true, ..AmrConfig::default() };
+    let h = AmrStream::new(amr_cfg, K, SEED).initial_lowering().hypergraph;
+    assert_eq!(h.load_arity(), 2);
+    let n = h.num_vertices();
+    let mut cfg = Config::builder().seed(SEED).epsilons(&[0.05, 0.10]).build().unwrap();
+    cfg.threads = 1;
+    let targets = targets_for(&h, K, &cfg);
+    let feasible = |part: &[usize]| {
+        targets.feasible(
+            &metrics::part_weights(&h, part, K),
+            &metrics::aux_part_loads(&h, part, K),
+        )
+    };
+
+    let cold = partition_hypergraph(&h, K, &cfg);
+    assert!(
+        feasible(&cold.part),
+        "cold partition violates a constraint: {:?}",
+        metrics::imbalance_per_constraint(&h, &cold.part, K)
+    );
+
+    cfg.warm_start = true;
+    let seed_part: Vec<usize> = (0..n).map(|v| if v < n / 2 { 0 } else { v * K / n }).collect();
+    assert!(!feasible(&seed_part), "the skewed seed must start infeasible");
+    let session = dlb::trace::session();
+    let warm = refine_partition_fixed(&h, K, &FixedAssignment::free(n), &seed_part, &cfg);
+    let report = session.finish();
+    assert!(feasible(&warm.part), "warm-started refinement left a constraint violated");
+    if dlb::trace::COMPILED_IN {
+        assert!(
+            report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
+            "aux-skewed warm start never engaged the repair pass"
+        );
+    }
+}

@@ -65,12 +65,13 @@ fn counters_invariant_across_thread_counts() {
 
 /// Rank-family counters: at every rank count, a traced SPMD run is
 /// bit-reproducible (rerunning the identical configuration reproduces
-/// the identical counters and span structure), and the memory-scalable
-/// distributed driver agrees with the replicated driver on the
-/// partition at the same rank count. (Different rank counts legitimately
-/// choose different partitions — the parallel matching block-distributes
-/// work and decorrelates per-rank RNG streams — so outcome-derived
-/// counters are compared within one rank count, not across.)
+/// the identical counters and span structure), and holding the large
+/// levels in memory-scalable distributed form changes neither the
+/// partition nor any counter value at the same rank count. (Different
+/// rank counts legitimately choose different partitions — the parallel
+/// matching block-distributes work and decorrelates per-rank RNG
+/// streams — so outcome-derived counters are compared within one rank
+/// count, not across.)
 #[test]
 fn spmd_counters_reproduce_at_every_rank_count() {
     let h = test_hypergraph();
@@ -112,9 +113,16 @@ fn spmd_counters_reproduce_at_every_rank_count() {
         for (rank, part) in dist_parts.iter().enumerate() {
             assert_eq!(
                 *part, repl_parts[0],
-                "distributed rank {rank}/{ranks} diverged from the replicated driver"
+                "distributed rank {rank}/{ranks} diverged from the replicated run"
             );
         }
+        // One driver, one counter vocabulary: holding levels in
+        // distributed form changes no counter value.
+        assert_eq!(
+            counters(&dist_report),
+            counters(&repl_report),
+            "ranks={ranks}: distributed levels changed counter values"
+        );
         let (dist_again, _) = run(ranks, true);
         assert_eq!(
             counters(&dist_again),
@@ -197,4 +205,28 @@ fn unenrolled_threads_stay_muted() {
     let report = session.finish();
     assert!(report.spans.is_empty(), "unenrolled thread recorded spans");
     assert!(report.counters.is_empty(), "unenrolled thread recorded counters");
+}
+
+/// The attribution invariant (DESIGN.md §11): the leaf spans of a
+/// traced serial partition cover at least 95 % of the root `partition`
+/// span's wall time, so a phase breakdown read off the trace accounts
+/// for (nearly) the whole call.
+#[test]
+fn leaf_spans_cover_the_partition_wall() {
+    let d = Dataset::generate(DatasetKind::Cage14, 0.002, SEED);
+    let h = column_net_model_unit(&d.graph);
+    let mut cfg = Config::seeded(SEED);
+    cfg.threads = 1;
+    let session = dlb::trace::session();
+    let r = partition_hypergraph(&h, 8, &cfg);
+    let report = session.finish();
+    assert!(r.cut >= 0.0);
+    if dlb::trace::COMPILED_IN {
+        let coverage = report.leaf_coverage("partition").expect("a root partition span");
+        assert!(
+            coverage >= 0.95,
+            "leaf spans cover only {:.1}% of the partition wall",
+            coverage * 1e2
+        );
+    }
 }
