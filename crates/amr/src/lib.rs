@@ -9,7 +9,7 @@
 //! square. Moving Gaussian [`Feature`]s drive an error indicator; each
 //! epoch the mesh refines where the indicator is high and coarsens
 //! where it has dropped, always restoring the standard 2:1 face-balance
-//! invariant. Each epoch's leaf set is lowered ([`lower`]) to the face
+//! invariant. Each epoch's leaf set is lowered ([`lower()`]) to the face
 //! adjacency graph and its column-net hypergraph — vertex weight = time
 //! sub-cycling work `2^(level − base)`, vertex size = migration payload
 //! in bytes, net cost = ghost-exchange volume — and emitted through
@@ -54,7 +54,7 @@ pub struct AmrConfig {
     pub coarsen_threshold: f64,
     /// Migration payload per cell in bytes (vertex size and net cost).
     pub state_bytes: f64,
-    /// Emit two-constraint load vectors from [`lower`]: constraint 0
+    /// Emit two-constraint load vectors from [`lower()`]: constraint 0
     /// stays the sub-cycling flops weight `2^(level − base)`, constraint
     /// 1 is the cell's resident state in bytes (`state_bytes`). Off by
     /// default — the scalar lowering is bitwise unchanged, and flops

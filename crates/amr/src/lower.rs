@@ -6,7 +6,7 @@
 //!   `2^(ℓ − base)` sub-timesteps per epoch step (standard AMR time
 //!   sub-cycling), so finer cells are proportionally heavier.
 //! * **Vertex size** — migration payload: the cell's state vector in
-//!   bytes (`AmrConfig::state_bytes`), the volume [`dlb_core`]'s
+//!   bytes (`AmrConfig::state_bytes`), the volume `dlb_core`'s
 //!   migration service moves when the cell changes owner.
 //! * **Graph edges** — one per face-adjacent leaf pair (the stencil
 //!   couplings a finite-volume scheme exchanges fluxes over).

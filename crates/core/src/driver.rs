@@ -5,8 +5,7 @@ use std::time::{Duration, Instant};
 use dlb_graphpart::{adaptive_repart, partition_kway, AdaptiveConfig, GraphConfig};
 use dlb_hypergraph::{metrics, CsrGraph, Hypergraph, PartId};
 use dlb_mpisim::Comm;
-use dlb_partitioner::par::parallel_partition_fixed;
-use dlb_partitioner::{partition_hypergraph_fixed, Config as HgConfig, FixedAssignment};
+use dlb_partitioner::{partition_fixed_on, Config as HgConfig, FixedAssignment};
 
 use crate::cost::CostBreakdown;
 use crate::model::RepartitionHypergraph;
@@ -169,33 +168,98 @@ pub fn repartition(
     algorithm: Algorithm,
     cfg: &RepartConfig,
 ) -> RepartResult {
+    repartition_on(None, problem, algorithm, cfg, None)
+}
+
+/// Runs one of the four algorithms collectively on an SPMD communicator.
+///
+/// The hypergraph methods run the genuinely parallel partitioner of
+/// [`dlb_partitioner::par`]; the graph baselines execute their
+/// deterministic serial algorithm redundantly on every rank (they are
+/// communication-free by construction here — see DESIGN.md §4), so all
+/// ranks return identical results either way.
+pub fn repartition_parallel(
+    comm: &mut Comm,
+    problem: &RepartProblem,
+    algorithm: Algorithm,
+    cfg: &RepartConfig,
+) -> RepartResult {
+    repartition_on(Some(comm), problem, algorithm, cfg, None)
+}
+
+/// A repartitioning model the caller already holds — the incremental
+/// path ([`crate::delta`]). It must be the lowering of the problem it is
+/// passed with (the patch invariant guarantees bitwise equality with
+/// [`RepartitionHypergraph::build`] on it, so a cold solve returns
+/// exactly what [`repartition`] would).
+#[derive(Clone, Copy)]
+pub(crate) struct Prebuilt<'a> {
+    pub model: &'a RepartitionHypergraph,
+    /// Seed the partitioner from the previous assignment
+    /// ([`RepartitionHypergraph::solve_warm`]) instead of running the
+    /// full pipeline on the model. Serial only: there is no SPMD warm
+    /// start.
+    pub warm: bool,
+}
+
+/// The one body behind [`repartition`] and [`repartition_parallel`]:
+/// `comm` selects serial or collective hypergraph partitioning;
+/// `prebuilt` hands [`Algorithm::ZoltanRepart`] its model instead of
+/// lowering `problem` again (the other three algorithms ignore it).
+pub(crate) fn repartition_on(
+    mut comm: Option<&mut Comm>,
+    problem: &RepartProblem,
+    algorithm: Algorithm,
+    cfg: &RepartConfig,
+    prebuilt: Option<Prebuilt<'_>>,
+) -> RepartResult {
     validate(problem);
-    let _span = dlb_trace::span!(
+    let span = dlb_trace::span!(
         "repartition",
         algorithm = algorithm.name(),
         k = problem.k,
         alpha = problem.alpha,
     );
+    if let Some(comm) = comm.as_deref() {
+        span.attr("ranks", comm.size());
+    }
+    if let Some(p) = prebuilt {
+        span.attr("warm", p.warm as usize);
+    }
     let start = Instant::now();
     let new_part = match algorithm {
         Algorithm::ZoltanRepart => {
-            let model = RepartitionHypergraph::build(
-                problem.hypergraph,
-                problem.old_part,
-                problem.k,
-                problem.alpha,
-            );
-            let r = partition_hypergraph_fixed(
-                &model.augmented,
-                problem.k,
-                &model.fixed,
-                &cfg.hypergraph,
-            );
-            model.decode(&r.part)
+            let built;
+            let model = match prebuilt {
+                Some(p) => p.model,
+                None => {
+                    built = RepartitionHypergraph::build(
+                        problem.hypergraph,
+                        problem.old_part,
+                        problem.k,
+                        problem.alpha,
+                    );
+                    &built
+                }
+            };
+            assert_eq!(model.num_computation_vertices, problem.hypergraph.num_vertices());
+            assert_eq!(model.k, problem.k);
+            if prebuilt.is_some_and(|p| p.warm) {
+                assert!(comm.is_none(), "warm starts are serial-only");
+                model.solve_warm(problem.old_part, &cfg.hypergraph)
+            } else {
+                model.solve(comm.as_deref_mut(), &cfg.hypergraph)
+            }
         }
         Algorithm::ZoltanScratch => {
             let free = FixedAssignment::free(problem.hypergraph.num_vertices());
-            let r = partition_hypergraph_fixed(problem.hypergraph, problem.k, &free, &cfg.hypergraph);
+            let r = partition_fixed_on(
+                comm.as_deref_mut(),
+                problem.hypergraph,
+                problem.k,
+                &free,
+                &cfg.hypergraph,
+            );
             remap_to_minimize_migration(
                 &r.part,
                 problem.old_part,
@@ -217,118 +281,11 @@ pub fn repartition(
             )
         }
     };
-    finish(problem, new_part, start)
-}
-
-/// [`Algorithm::ZoltanRepart`] on a **pre-built** repartitioning model
-/// — the incremental path ([`crate::delta`]). The model must be the
-/// lowering of `problem` (the patch invariant guarantees bitwise
-/// equality with [`RepartitionHypergraph::build`] on it, so the cold
-/// path here returns exactly what [`repartition`] would).
-///
-/// `warm` seeds the partitioner from the previous assignment via
-/// [`dlb_partitioner::refine_partition_fixed`] — rebalance + refine +
-/// part-restricted V-cycles, no from-scratch coarsening; otherwise the
-/// full pipeline runs on the patched model.
-pub(crate) fn repartition_patched(
-    problem: &RepartProblem,
-    model: &RepartitionHypergraph,
-    warm: bool,
-    cfg: &RepartConfig,
-) -> RepartResult {
-    validate(problem);
-    assert_eq!(model.num_computation_vertices, problem.hypergraph.num_vertices());
-    assert_eq!(model.k, problem.k);
-    let _span = dlb_trace::span!(
-        "repartition",
-        algorithm = "Zoltan-repart",
-        k = problem.k,
-        alpha = problem.alpha,
-        warm = warm as usize,
-    );
-    let start = Instant::now();
-    let r = if warm {
-        let mut hcfg = cfg.hypergraph.clone();
-        hcfg.warm_start = true;
-        // At least one part-restricted keep-if-better V-cycle after the
-        // flat polish — that cycle is the warm seed's only chance to
-        // escape the previous epoch's basin.
-        hcfg.num_vcycles = hcfg.num_vcycles.max(2);
-        let seed = model.extend_assignment(problem.old_part);
-        dlb_partitioner::refine_partition_fixed(
-            &model.augmented,
-            problem.k,
-            &model.fixed,
-            &seed,
-            &hcfg,
-        )
-    } else {
-        partition_hypergraph_fixed(&model.augmented, problem.k, &model.fixed, &cfg.hypergraph)
-    };
-    let new_part = model.decode(&r.part);
-    finish(problem, new_part, start)
-}
-
-/// Runs one of the four algorithms collectively on an SPMD communicator.
-///
-/// The hypergraph methods run the genuinely parallel partitioner of
-/// [`dlb_partitioner::par`]; the graph baselines execute their
-/// deterministic serial algorithm redundantly on every rank (they are
-/// communication-free by construction here — see DESIGN.md §4), so all
-/// ranks return identical results either way.
-pub fn repartition_parallel(
-    comm: &mut Comm,
-    problem: &RepartProblem,
-    algorithm: Algorithm,
-    cfg: &RepartConfig,
-) -> RepartResult {
-    validate(problem);
-    let _span = dlb_trace::span!(
-        "repartition",
-        algorithm = algorithm.name(),
-        k = problem.k,
-        alpha = problem.alpha,
-        ranks = comm.size(),
-    );
-    let start = Instant::now();
-    let new_part = match algorithm {
-        Algorithm::ZoltanRepart => {
-            let model = RepartitionHypergraph::build(
-                problem.hypergraph,
-                problem.old_part,
-                problem.k,
-                problem.alpha,
-            );
-            let r = parallel_partition_fixed(
-                comm,
-                &model.augmented,
-                problem.k,
-                &model.fixed,
-                &cfg.hypergraph,
-            );
-            model.decode(&r.part)
-        }
-        Algorithm::ZoltanScratch => {
-            let free = FixedAssignment::free(problem.hypergraph.num_vertices());
-            let r =
-                parallel_partition_fixed(comm, problem.hypergraph, problem.k, &free, &cfg.hypergraph);
-            remap_to_minimize_migration(
-                &r.part,
-                problem.old_part,
-                problem.hypergraph.vertex_sizes(),
-                problem.k,
-            )
-        }
-        Algorithm::ParmetisRepart | Algorithm::ParmetisScratch => {
-            return {
-                let mut r = repartition(problem, algorithm, cfg);
-                // Keep ranks in lockstep for fair timing comparisons.
-                comm.barrier();
-                r.elapsed = start.elapsed();
-                r
-            };
-        }
-    };
+    // The graph baselines never touch the communicator; keep ranks in
+    // lockstep for fair timing comparisons.
+    if let (false, Some(comm)) = (algorithm.is_hypergraph(), comm) {
+        comm.barrier();
+    }
     finish(problem, new_part, start)
 }
 
@@ -449,11 +406,12 @@ mod tests {
         let cfg = RepartConfig::seeded(7);
         let model = RepartitionHypergraph::build(&h, &old, 4, 10.0);
         let a = repartition(&problem, Algorithm::ZoltanRepart, &cfg);
-        let b = repartition_patched(&problem, &model, false, &cfg);
+        let prebuilt = |warm| Some(Prebuilt { model: &model, warm });
+        let b = repartition_on(None, &problem, Algorithm::ZoltanRepart, &cfg, prebuilt(false));
         assert_eq!(a.new_part, b.new_part, "cold patched path must equal the standard driver");
         // The warm path optimizes the same objective under the same
         // constraints, just from a warm seed.
-        let w = repartition_patched(&problem, &model, true, &cfg);
+        let w = repartition_on(None, &problem, Algorithm::ZoltanRepart, &cfg, prebuilt(true));
         assert!(w.new_part.iter().all(|&p| p < 4));
         assert!(w.imbalance <= 1.0 + cfg.epsilon + 1e-9, "imbalance {}", w.imbalance);
     }

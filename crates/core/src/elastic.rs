@@ -41,8 +41,7 @@ use std::sync::{Arc, Mutex};
 
 use dlb_hypergraph::{metrics, Hypergraph, PartId};
 use dlb_mpisim::{spec, Comm, FaultPlan, WorldMembership};
-use dlb_partitioner::par::parallel_partition_fixed;
-use dlb_partitioner::{partition_hypergraph_fixed, FixedAssignment};
+use dlb_partitioner::{partition_fixed_on, FixedAssignment};
 use dlb_workloads::{EpochSnapshot, EpochSource, EpochUpdate};
 
 use crate::cost::CostBreakdown;
@@ -380,21 +379,12 @@ pub(crate) fn perform_resize(
 
     // Candidate 1: fixed-vertex repartition of the partial model.
     let model = RepartitionHypergraph::build_partial(h, &partial, k_after, alpha);
-    let repart = match comm.as_deref_mut() {
-        Some(comm) => {
-            parallel_partition_fixed(comm, &model.augmented, k_after, &model.fixed, &cfg.hypergraph)
-        }
-        None => partition_hypergraph_fixed(&model.augmented, k_after, &model.fixed, &cfg.hypergraph),
-    };
-    let part_repart = model.decode(&repart.part);
+    let part_repart = model.solve(comm.as_deref_mut(), &cfg.hypergraph);
 
     // Candidate 2: scratch partition + maximal-matching remap against
     // the surviving old labels.
     let free = FixedAssignment::free(h.num_vertices());
-    let scratch = match comm {
-        Some(comm) => parallel_partition_fixed(comm, h, k_after, &free, &cfg.hypergraph),
-        None => partition_hypergraph_fixed(h, k_after, &free, &cfg.hypergraph),
-    };
+    let scratch = partition_fixed_on(comm, h, k_after, &free, &cfg.hypergraph);
     let part_scratch =
         remap_to_minimize_migration_partial(&scratch.part, &partial, h.vertex_sizes(), k_after);
 

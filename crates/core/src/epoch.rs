@@ -10,7 +10,8 @@
 //! [`crate::exec`] execution model each epoch, so the summary carries
 //! observed makespans next to the model costs; incremental sessions
 //! pull [`EpochUpdate`] deltas and patch the repartitioning model in
-//! place ([`crate::delta`]) under the [`IncrementalPolicy`] drift rule.
+//! place ([`crate::delta`]) under the session's drift-threshold rule
+//! ([`crate::Session::drift_threshold`]).
 
 use std::time::{Duration, Instant};
 
@@ -19,10 +20,7 @@ use dlb_workloads::{EpochSource, EpochUpdate};
 
 use crate::cost::CostBreakdown;
 use crate::delta::ModelPatcher;
-use crate::driver::{
-    repartition, repartition_parallel, repartition_patched, Algorithm, RepartConfig,
-    RepartProblem,
-};
+use crate::driver::{repartition_on, Algorithm, Prebuilt, RepartConfig, RepartProblem};
 use crate::elastic::{perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
 use crate::exec::{measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel};
 use crate::recover::recover_from_failure;
@@ -233,39 +231,44 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// What one epoch loop runs: everything [`run_epochs`] needs besides
+/// the execution context (`comm`) and the workload. Built once by
+/// [`crate::session::Session`].
+pub(crate) struct EpochParams<'a> {
+    pub num_epochs: usize,
+    pub algorithm: Algorithm,
+    pub alpha: f64,
+    pub cfg: &'a RepartConfig,
+    /// Turns on the measured execution model.
+    pub network: Option<&'a NetworkModel>,
+    /// Rank failures recovered at epoch boundaries, message drop/delay
+    /// injected into the measured migration world.
+    pub faults: Option<&'a FaultPlan>,
+    /// Planned rank arrivals and departures, applied as elastic resizes
+    /// at epoch boundaries, after any failures.
+    pub world: Option<&'a WorldPlan>,
+    /// Delta-driven model patching with warm starts (serial only).
+    pub incremental: Option<IncrementalPolicy>,
+}
+
 /// The shared epoch loop: `comm` selects serial vs collective
-/// repartitioning; `network` turns on the measured execution model;
-/// `faults` installs a [`FaultPlan`] (rank failures recovered at epoch
-/// boundaries, message drop/delay injected into the measured migration
-/// world); `world` installs a [`WorldPlan`] (planned rank arrivals and
-/// departures applied as elastic resizes at epoch boundaries, after any
-/// failures). Public API: [`crate::session::Session`].
+/// repartitioning. Public API: [`crate::session::Session`].
 ///
 /// Failure detection is plan-driven: every driver rank consults the
 /// shared plan at the epoch boundary (a perfect failure detector), so
 /// no extra collectives run and fault-free trials stay bit-identical
 /// to a build without this feature. World plans are consumed the same
 /// way, so plan-free (and net-no-op) epochs are bitwise unaffected.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     mut comm: Option<&mut Comm>,
     source: &mut S,
-    num_epochs: usize,
-    algorithm: Algorithm,
-    alpha: f64,
-    cfg: &RepartConfig,
-    network: Option<&NetworkModel>,
-    faults: Option<&FaultPlan>,
-    world: Option<&WorldPlan>,
-    incremental: Option<IncrementalPolicy>,
+    params: &EpochParams<'_>,
 ) -> SimulationSummary {
+    let &EpochParams { num_epochs, algorithm, alpha, cfg, network, faults, world, incremental } =
+        params;
     assert!(
         incremental.is_none() || comm.is_none(),
-        "incremental repartitioning is serial-only (Session validates this)"
-    );
-    assert!(
-        incremental.is_none() || world.is_none(),
-        "world plans are incompatible with incremental repartitioning (Session validates this)"
+        "incremental repartitioning has no SPMD warm start (Session validates this)"
     );
     let mut patcher = incremental.map(|_| ModelPatcher::new());
     let k0 = source.k();
@@ -340,34 +343,31 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 k: cur_k,
                 alpha,
             };
-            let result = match comm.as_deref_mut() {
-                Some(comm) => repartition_parallel(comm, &problem, algorithm, cfg),
-                None => match &patched {
-                    // Drift policy: a lightly-touched epoch reuses the
-                    // patched model and warm-starts refinement from the
-                    // old assignment; a heavily-drifted one runs the
-                    // full V-cycle pipeline on the (bit-identical)
-                    // patched model.
-                    Some((model, frac)) if algorithm == Algorithm::ZoltanRepart => {
-                        let policy = incremental.expect("patched implies incremental");
-                        let warm = *frac < policy.drift_threshold;
-                        if warm {
-                            dlb_trace::count(dlb_trace::Counter::DeltaEpochs, 1);
-                        } else {
-                            dlb_trace::count(dlb_trace::Counter::FullRebuilds, 1);
-                        }
-                        span.attr("touched_fraction", *frac);
-                        span.attr("warm_start", warm as usize);
-                        repartition_patched(&problem, model, warm, cfg)
+            // Drift policy: a lightly-touched epoch reuses the patched
+            // model and warm-starts refinement from the old assignment;
+            // a heavily-drifted one runs the full V-cycle pipeline on
+            // the (bit-identical) patched model.
+            let prebuilt = match &patched {
+                Some((model, frac)) if algorithm == Algorithm::ZoltanRepart => {
+                    let policy = incremental.expect("patched implies incremental");
+                    let warm = *frac < policy.drift_threshold;
+                    if warm {
+                        dlb_trace::count(dlb_trace::Counter::DeltaEpochs, 1);
+                    } else {
+                        dlb_trace::count(dlb_trace::Counter::FullRebuilds, 1);
                     }
-                    _ => {
-                        if patcher.is_some() {
-                            dlb_trace::count(dlb_trace::Counter::FullRebuilds, 1);
-                        }
-                        repartition(&problem, algorithm, cfg)
+                    span.attr("touched_fraction", *frac);
+                    span.attr("warm_start", warm as usize);
+                    Some(Prebuilt { model, warm })
+                }
+                _ => {
+                    if patcher.is_some() {
+                        dlb_trace::count(dlb_trace::Counter::FullRebuilds, 1);
                     }
-                },
+                    None
+                }
             };
+            let result = repartition_on(comm.as_deref_mut(), &problem, algorithm, cfg, prebuilt);
             let execution = network.map(|net| {
                 measure_epoch_with_faults(
                     &snapshot.hypergraph,

@@ -1,7 +1,10 @@
 //! The repartitioning hypergraph (Section 3).
 
 use dlb_hypergraph::{metrics, Hypergraph, HypergraphBuilder, PartId};
-use dlb_partitioner::FixedAssignment;
+use dlb_mpisim::Comm;
+use dlb_partitioner::{
+    partition_fixed_on, refine_partition_fixed, Config as HgConfig, FixedAssignment,
+};
 
 /// The augmented hypergraph `H̄^j`: the epoch hypergraph `H^j` with its
 /// communication nets scaled by `α`, plus `k` fixed partition vertices
@@ -141,6 +144,35 @@ impl RepartitionHypergraph {
             );
         }
         augmented_part[..self.num_computation_vertices].to_vec()
+    }
+
+    /// Solves the model — one fixed-vertex partitioning call onto its
+    /// `k` parts — and decodes the new assignment of the computation
+    /// vertices. With `comm` the partitioner runs collectively (every
+    /// rank must call with identical inputs; all get the same answer),
+    /// without it serially. Every epoch kind ends here: plain
+    /// repartitioning, failure recovery and elastic resizes differ only
+    /// in how they *build* the (partial) model.
+    pub fn solve(&self, comm: Option<&mut Comm>, cfg: &HgConfig) -> Vec<PartId> {
+        let r = partition_fixed_on(comm, &self.augmented, self.k, &self.fixed, cfg);
+        self.decode(&r.part)
+    }
+
+    /// [`solve`](Self::solve) seeded from `old_part` instead of from
+    /// scratch: [`dlb_partitioner::refine_partition_fixed`] rebalances
+    /// and refines the previous assignment and runs part-restricted
+    /// V-cycles, with no from-scratch coarsening. Serial only — the SPMD
+    /// partitioner has no warm start.
+    pub fn solve_warm(&self, old_part: &[PartId], cfg: &HgConfig) -> Vec<PartId> {
+        let mut cfg = cfg.clone();
+        cfg.warm_start = true;
+        // At least one part-restricted keep-if-better V-cycle after the
+        // flat polish — that cycle is the warm seed's only chance to
+        // escape the previous epoch's basin.
+        cfg.num_vcycles = cfg.num_vcycles.max(2);
+        let seed = self.extend_assignment(old_part);
+        let r = refine_partition_fixed(&self.augmented, self.k, &self.fixed, &seed, &cfg);
+        self.decode(&r.part)
     }
 
     /// The k-1 cut of the augmented hypergraph under an assignment of

@@ -24,8 +24,6 @@
 
 use dlb_hypergraph::{metrics, Hypergraph, PartId};
 use dlb_mpisim::Comm;
-use dlb_partitioner::par::parallel_partition_fixed;
-use dlb_partitioner::partition_hypergraph_fixed;
 
 use crate::cost::CostBreakdown;
 use crate::driver::RepartConfig;
@@ -90,13 +88,7 @@ pub fn recover_from_failure(
     let orphans = partial.iter().filter(|p| p.is_none()).count();
 
     let model = RepartitionHypergraph::build_partial(h, &partial, survivors, alpha);
-    let r = match comm {
-        Some(comm) => {
-            parallel_partition_fixed(comm, &model.augmented, survivors, &model.fixed, &cfg.hypergraph)
-        }
-        None => partition_hypergraph_fixed(&model.augmented, survivors, &model.fixed, &cfg.hypergraph),
-    };
-    let part = model.decode(&r.part);
+    let part = model.solve(comm, &cfg.hypergraph);
 
     // Back into the pre-failure label space for execution/accounting:
     // the dead label is vacated, never reassigned.

@@ -1,9 +1,5 @@
-//! The unified entry point for multi-epoch simulations.
-//!
-//! Historically the epoch loop was reachable through four near-identical
-//! free functions (`simulate_epochs` and its measured/parallel variants)
-//! whose argument lists grew with every feature; they are gone, and
-//! [`Session`] is the only way in:
+//! The entry point for multi-epoch simulations: [`Session`] is the only
+//! way into the epoch loop.
 //!
 //! ```
 //! use dlb_core::{Algorithm, RepartConfig, Session};
@@ -29,11 +25,22 @@
 //! identically seeded source, multi-rank sessions take a
 //! [`workload_factory`](Session::workload_factory) instead of a borrowed
 //! source. `.measured(true)` (or [`network`](Session::network)) turns on
-//! the measured execution model, [`incremental`](Session::incremental)
-//! switches to delta-driven model patching with warm-started V-cycles
-//! (serial-only; see [`crate::delta`]), and
-//! [`trace_to`](Session::trace_to) / [`run_traced`](Session::run_traced)
-//! wrap the run in a [`dlb_trace`] session.
+//! the measured execution model, [`fault_plan`](Session::fault_plan) and
+//! [`world_plan`](Session::world_plan) schedule rank failures and
+//! planned resizes, [`incremental`](Session::incremental) switches to
+//! delta-driven model patching with warm-started V-cycles (see
+//! [`crate::delta`]), and [`trace_to`](Session::trace_to) /
+//! [`run_traced`](Session::run_traced) wrap the run in a [`dlb_trace`]
+//! session.
+//!
+//! Every epoch kind — plain, recovery, resize — is one fixed-vertex
+//! solve of a (partial) repartitioning model on whichever execution
+//! context the session runs on, so the knobs compose freely: plans,
+//! multi-constraint loads and `dist.distributed` work at any rank
+//! count, and plans work with incremental sessions. The one refusal is
+//! incremental × SPMD ([`SessionError::IncrementalNeedsSerial`]): the
+//! warm start is a serial refinement of the previous assignment, and
+//! the SPMD partitioner has no counterpart to seed.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -44,7 +51,7 @@ use dlb_workloads::EpochSource;
 
 use crate::driver::{Algorithm, RepartConfig};
 use crate::elastic::WorldPlan;
-use crate::epoch::{run_epochs, IncrementalPolicy, SimulationSummary};
+use crate::epoch::{run_epochs, EpochParams, IncrementalPolicy, SimulationSummary};
 use crate::exec::NetworkModel;
 
 /// Default drift threshold for [`Session::incremental`] runs: epochs
@@ -72,14 +79,11 @@ pub enum SessionError {
     /// `ranks == 0` — an SPMD world needs at least one rank.
     ZeroRanks,
     /// [`Session::incremental`] was combined with a multi-rank or
-    /// distributed configuration; the delta patcher keeps serial state,
-    /// so incremental sessions must run on one rank.
+    /// distributed configuration. Low-drift epochs warm-start the
+    /// serial refiner from the previous assignment; the SPMD
+    /// partitioner has no warm start, so incremental sessions must run
+    /// on one rank.
     IncrementalNeedsSerial,
-    /// [`Session::incremental`] was combined with
-    /// [`Session::world_plan`]; a resize changes `k` under the patched
-    /// model's embedded partition vertices, so elastic sessions must
-    /// re-lower per epoch.
-    IncrementalElastic,
     /// Tracing was requested on [`Session::run_on`]; a per-rank trace
     /// session would deadlock the collective, so open the trace around
     /// the whole SPMD world instead (e.g. via [`Session::ranks`]).
@@ -106,11 +110,8 @@ impl fmt::Display for SessionError {
             SessionError::ZeroRanks => write!(f, "ranks must be at least 1"),
             SessionError::IncrementalNeedsSerial => write!(
                 f,
-                "incremental repartitioning is serial-only: drop .ranks()/.run_on() or .incremental()"
-            ),
-            SessionError::IncrementalElastic => write!(
-                f,
-                "world plans are incompatible with incremental repartitioning: drop .world_plan() or .incremental()"
+                "incremental repartitioning is serial-only (there is no SPMD warm start): \
+                 drop .ranks()/.run_on() or .incremental()"
             ),
             SessionError::TraceInsideSpmd => write!(
                 f,
@@ -230,7 +231,10 @@ impl<'a> Session<'a> {
     /// and warm-starts the partitioner when the epoch's drift is below
     /// the [`drift_threshold`](Session::drift_threshold). Sources
     /// without native delta support transparently fall back to full
-    /// snapshots. Serial-only.
+    /// snapshots. Epochs with a boundary event (a recovery or a resize)
+    /// re-lower and solve cold; the patcher picks the new world size up
+    /// at the next delta. Serial-only: the SPMD partitioner has no warm
+    /// start.
     pub fn incremental(mut self, on: bool) -> Self {
         self.incremental = on;
         self
@@ -262,8 +266,7 @@ impl<'a> Session<'a> {
     /// fixed-vertex repartition, with the cost model arbitrating
     /// repartition-vs-scratch per resize (DESIGN.md §15). Like fault
     /// plans, the schedule speaks logical part ids, so results are
-    /// identical at any [`ranks`](Session::ranks) setting. Incompatible
-    /// with [`incremental`](Session::incremental).
+    /// identical at any [`ranks`](Session::ranks) setting.
     pub fn world_plan(mut self, plan: WorldPlan) -> Self {
         self.world = Some(plan);
         self
@@ -338,18 +341,7 @@ impl<'a> Session<'a> {
             return Err(SessionError::IncrementalNeedsSerial);
         }
         let source = self.source.take().ok_or(SessionError::NoWorkload)?;
-        Ok(run_epochs(
-            Some(comm),
-            source,
-            self.epochs,
-            self.algorithm,
-            self.alpha,
-            &self.cfg,
-            self.network.as_ref(),
-            self.faults.as_ref(),
-            self.world.as_ref(),
-            None,
-        ))
+        Ok(run_epochs(Some(comm), source, &self.params()))
     }
 
     fn validate(self) -> Result<Self, SessionError> {
@@ -365,69 +357,44 @@ impl<'a> Session<'a> {
         if self.incremental && (self.ranks > 1 || self.cfg.hypergraph.dist.distributed) {
             return Err(SessionError::IncrementalNeedsSerial);
         }
-        if self.incremental && self.world.is_some() {
-            return Err(SessionError::IncrementalElastic);
-        }
         Ok(self)
     }
 
-    fn policy(&self) -> Option<IncrementalPolicy> {
-        self.incremental.then_some(IncrementalPolicy { drift_threshold: self.drift_threshold })
+    fn params(&self) -> EpochParams<'_> {
+        EpochParams {
+            num_epochs: self.epochs,
+            algorithm: self.algorithm,
+            alpha: self.alpha,
+            cfg: &self.cfg,
+            network: self.network.as_ref(),
+            faults: self.faults.as_ref(),
+            world: self.world.as_ref(),
+            incremental: self
+                .incremental
+                .then_some(IncrementalPolicy { drift_threshold: self.drift_threshold }),
+        }
     }
 
     fn execute(mut self) -> Result<SimulationSummary, SessionError> {
+        let factory = self.factory.take();
+        let source = self.source.take();
+        let params = self.params();
         // The SPMD drivers (including the distributed one, which is
         // collective even at one rank) move sources across threads, so
         // they require a factory; a borrowed source runs the serial
         // driver.
-        if let Some(factory) = self.factory.take() {
-            let spmd = self.ranks > 1 || self.cfg.hypergraph.dist.distributed;
-            if spmd {
-                let summaries = run_spmd(self.ranks, |comm| {
-                    let mut source = factory(comm.rank());
-                    run_epochs(
-                        Some(comm),
-                        &mut *source,
-                        self.epochs,
-                        self.algorithm,
-                        self.alpha,
-                        &self.cfg,
-                        self.network.as_ref(),
-                        self.faults.as_ref(),
-                        self.world.as_ref(),
-                        None,
-                    )
-                });
-                return Ok(summaries.into_iter().next().expect("at least one rank"));
-            }
-            let mut source = factory(0);
-            return Ok(run_epochs(
-                None,
-                &mut *source,
-                self.epochs,
-                self.algorithm,
-                self.alpha,
-                &self.cfg,
-                self.network.as_ref(),
-                self.faults.as_ref(),
-                self.world.as_ref(),
-                self.policy(),
-            ));
+        let Some(factory) = factory else {
+            let source = source.ok_or(SessionError::NoWorkload)?;
+            return Ok(run_epochs(None, source, &params));
+        };
+        if self.ranks > 1 || self.cfg.hypergraph.dist.distributed {
+            let summaries = run_spmd(self.ranks, |comm| {
+                let mut source = factory(comm.rank());
+                run_epochs(Some(comm), &mut *source, &params)
+            });
+            return Ok(summaries.into_iter().next().expect("at least one rank"));
         }
-        let policy = self.policy();
-        let source = self.source.take().ok_or(SessionError::NoWorkload)?;
-        Ok(run_epochs(
-            None,
-            source,
-            self.epochs,
-            self.algorithm,
-            self.alpha,
-            &self.cfg,
-            self.network.as_ref(),
-            self.faults.as_ref(),
-            self.world.as_ref(),
-            policy,
-        ))
+        Ok(run_epochs(None, &mut *factory(0), &params))
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use dlb_hypergraph::{parallel, Hypergraph, HypergraphBuilder};
+use dlb_hypergraph::{parallel, Hypergraph, HypergraphBuilder, PartId};
 use rand::rngs::StdRng;
 
 use crate::config::{CoarseningConfig, Determinism};
@@ -26,6 +26,19 @@ pub struct CoarseLevel {
     pub fine_to_coarse: Vec<usize>,
     /// Fixed constraint translated to coarse vertices.
     pub coarse_fixed: FixedAssignment,
+}
+
+impl CoarseLevel {
+    /// Pushes a partition of this level's fine vertices down to its
+    /// coarse vertices (siblings must agree, as they do under a matching
+    /// restricted to that partition).
+    fn coarsen_part(&self, fine_part: &[PartId]) -> Vec<PartId> {
+        let mut coarse_part = vec![0usize; self.coarse.num_vertices()];
+        for (v, &c) in self.fine_to_coarse.iter().enumerate() {
+            coarse_part[c] = fine_part[v];
+        }
+        coarse_part
+    }
 }
 
 /// Contracts `h` along `matching`.
@@ -198,6 +211,20 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
+    /// The coarsest hypergraph and its fixed assignment: the last
+    /// level's, or the hierarchy's input `(h, fixed)` if no level was
+    /// built.
+    pub fn coarsest<'a>(
+        &'a self,
+        h: &'a Hypergraph,
+        fixed: &'a FixedAssignment,
+    ) -> (&'a Hypergraph, &'a FixedAssignment) {
+        match self.levels.last() {
+            Some(level) => (&level.coarse, &level.coarse_fixed),
+            None => (h, fixed),
+        }
+    }
+
     /// Projects a partition of the coarsest hypergraph up to the finest
     /// (original) vertices, without refinement.
     pub fn project_to_finest(&self, coarsest_part: &[usize]) -> Vec<usize> {
@@ -211,6 +238,13 @@ impl Hierarchy {
         }
         part
     }
+
+    /// Pushes a partition of the finest vertices down to the coarsest
+    /// hypergraph. Only meaningful for a hierarchy coarsened with that
+    /// partition as its `restrict` (siblings then always agree).
+    pub fn restrict_to_coarsest(&self, finest_part: &[usize]) -> Vec<usize> {
+        self.levels.iter().fold(finest_part.to_vec(), |part, level| level.coarsen_part(&part))
+    }
 }
 
 /// Repeatedly matches and contracts `h` until it has at most
@@ -223,31 +257,22 @@ pub fn coarsen_to(
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Hierarchy {
-    coarsen_to_threads(h, fixed, target_vertices, cfg, rng, 1)
+    coarsen_to_mode(h, fixed, None, target_vertices, cfg, rng, 1, Determinism::Strict)
 }
 
-/// [`coarsen_to`] with an explicit worker-thread count for matching and
-/// contraction. Identical hierarchies at any thread count.
-pub fn coarsen_to_threads(
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    target_vertices: usize,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-    threads: usize,
-) -> Hierarchy {
-    coarsen_to_mode(h, fixed, target_vertices, cfg, rng, threads, Determinism::Strict)
-}
-
-/// [`coarsen_to_threads`] with an explicit [`Determinism`] mode for the
-/// matcher. `Strict` keeps hierarchies bit-identical at any thread
-/// count; `Fast` (with `threads > 1`) matches concurrently, so the
-/// hierarchy depends on scheduling — contraction itself stays a
+/// [`coarsen_to`] with an explicit worker-thread count and
+/// [`Determinism`] mode for matching and contraction, and an optional
+/// `restrict` partition: only vertices of the same part may match, so
+/// the partition stays exactly representable at every level (the
+/// iterated V-cycle). `Strict` keeps hierarchies bit-identical at any
+/// thread count; `Fast` (with `threads > 1`) matches concurrently, so
+/// the hierarchy depends on scheduling — contraction itself stays a
 /// deterministic function of whatever matching it is given.
 #[allow(clippy::too_many_arguments)]
 pub fn coarsen_to_mode(
     h: &Hypergraph,
     fixed: &FixedAssignment,
+    restrict: Option<&[PartId]>,
     target_vertices: usize,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
@@ -255,10 +280,14 @@ pub fn coarsen_to_mode(
     determinism: Determinism,
 ) -> Hierarchy {
     let mut hierarchy = Hierarchy::default();
-    let mut current = h.clone();
-    let mut current_fixed = fixed.clone();
+    // The restriction at the current (coarsest so far) level.
+    let mut restrict = restrict.map(<[PartId]>::to_vec);
 
-    while current.num_vertices() > target_vertices && hierarchy.levels.len() < cfg.max_levels {
+    while hierarchy.levels.len() < cfg.max_levels {
+        let (current, current_fixed) = hierarchy.coarsest(h, fixed);
+        if current.num_vertices() <= target_vertices {
+            break;
+        }
         let span = dlb_trace::span!(
             "coarsen.level",
             level = hierarchy.levels.len(),
@@ -266,8 +295,15 @@ pub fn coarsen_to_mode(
             nets = current.num_nets(),
             pins = current.num_pins(),
         );
-        let matching =
-            ipm_matching_mode(&current, &current_fixed, None, cfg, rng, threads, determinism);
+        let matching = ipm_matching_mode(
+            current,
+            current_fixed,
+            restrict.as_deref(),
+            cfg,
+            rng,
+            threads,
+            determinism,
+        );
         let before = current.num_vertices();
         let after = matching.coarse_count();
         // Unsuccessful coarsening: the paper stops when a step fails to
@@ -275,12 +311,13 @@ pub fn coarsen_to_mode(
         if ((before - after) as f64) < before as f64 * cfg.min_reduction {
             break;
         }
-        let level = contract_threads(&current, &matching, &current_fixed, threads);
+        let level = contract_threads(current, &matching, current_fixed, threads);
         span.attr("matches", matching.num_pairs);
         span.attr("coarse_vertices", level.coarse.num_vertices());
         dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
-        current = level.coarse.clone();
-        current_fixed = level.coarse_fixed.clone();
+        if let Some(part) = restrict.as_mut() {
+            *part = level.coarsen_part(part);
+        }
         hierarchy.levels.push(level);
     }
     hierarchy

@@ -23,8 +23,8 @@ pub enum Scheme {
 /// id within each candidate list), dropping the serial selection
 /// barrier; the outcome depends on thread scheduling, so runs are not
 /// bitwise-reproducible, but quality is bounded instead: the cut stays
-/// within [`Config::fast_cut_factor`] of a Strict run and the imbalance
-/// cap ε is enforced exactly as in Strict.
+/// within 10% of a Strict run (asserted by `tests/determinism_modes.rs`)
+/// and the imbalance cap ε is enforced exactly as in Strict.
 ///
 /// `Fast` with an effective thread count of 1 dispatches to the exact
 /// Strict code path, so `Fast` at one thread *equals* Strict. The SPMD
@@ -140,15 +140,11 @@ pub struct DistConfig {
     /// small, so this trades negligible memory for cheaper, local
     /// coarse-level work.
     pub gather_threshold: usize,
-    /// Simulated SPMD ranks for drivers that spawn their own world
-    /// (e.g. the CLI). `1` = serial. Library entry points that take a
-    /// `Comm` use the communicator's size instead.
-    pub ranks: usize,
 }
 
 impl Default for DistConfig {
     fn default() -> Self {
-        DistConfig { distributed: false, gather_threshold: 1024, ranks: 1 }
+        DistConfig { distributed: false, gather_threshold: 1024 }
     }
 }
 
@@ -167,9 +163,7 @@ pub struct Config {
     /// `part_capacities[p][c]` is part `p`'s capacity share of
     /// constraint `c`. Targets become proportional to the capacity
     /// column instead of uniform. `None` (the default) keeps uniform
-    /// targets. Honored by the serial recursive-bisection and
-    /// direct-k-way drivers; the SPMD drivers support auxiliary
-    /// epsilons but not per-part capacities.
+    /// targets.
     pub part_capacities: Option<Vec<Vec<f64>>>,
     /// RNG seed; equal seeds give identical partitions.
     pub seed: u64,
@@ -198,11 +192,6 @@ pub struct Config {
     /// bit-identical at any thread count; `Fast` trades that for
     /// concurrent matching with quality bounds.
     pub determinism: Determinism,
-    /// Quality bound asserted by the Fast-mode benchmarks and tests:
-    /// a Fast run's cut must stay within this factor of the Strict cut
-    /// on the same input (`1.1` = within 10%). The partitioner itself
-    /// never reads it — it parameterizes the Fast-mode contract checks.
-    pub fast_cut_factor: f64,
     /// Allow [`crate::refine_partition_fixed`] to seed from a caller
     /// partition and run refine-only (part-restricted) V-cycles instead
     /// of the full coarsen→initial→refine pipeline. When `false` the
@@ -227,7 +216,6 @@ impl Default for Config {
             num_vcycles: 1,
             threads: 0,
             determinism: Determinism::default(),
-            fast_cut_factor: 1.1,
             warm_start: false,
             dist: DistConfig::default(),
         }
@@ -271,9 +259,6 @@ pub enum ConfigError {
     /// `k < 2`: partitioning into fewer than two parts is a no-op the
     /// drivers are not meant for.
     InvalidK(usize),
-    /// `ranks == 0`: an SPMD world needs at least one rank (the SPMD
-    /// driver would otherwise panic on world construction).
-    ZeroRanks,
     /// `gather_threshold == 0`: the distributed driver could then never
     /// gather, and degenerate coarse hypergraphs would stay distributed.
     ZeroGatherThreshold,
@@ -286,9 +271,6 @@ pub enum ConfigError {
     /// `num_vcycles == 0`: the first V-cycle builds the partition, so at
     /// least one is required.
     ZeroVcycles,
-    /// `fast_cut_factor < 1` or non-finite: the Fast-mode quality bound
-    /// is relative to Strict, so a factor below 1 is unsatisfiable.
-    InvalidFastCutFactor(f64),
     /// Constraint-arity mismatch: capacity rows disagree in length, or
     /// the capacity row count does not match the part count `k`.
     ArityMismatch {
@@ -315,7 +297,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::InvalidK(k) => write!(f, "k must be at least 2, got {k}"),
-            ConfigError::ZeroRanks => write!(f, "ranks must be at least 1"),
             ConfigError::ZeroGatherThreshold => {
                 write!(f, "gather-threshold must be at least 1")
             }
@@ -324,9 +305,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroAttempts => write!(f, "initial attempts must be at least 1"),
             ConfigError::ZeroVcycles => write!(f, "num_vcycles must be at least 1"),
-            ConfigError::InvalidFastCutFactor(x) => {
-                write!(f, "fast-cut-factor must be finite and at least 1, got {x}")
-            }
             ConfigError::ArityMismatch { expected, got } => {
                 write!(f, "constraint arity mismatch: expected {expected}, got {got}")
             }
@@ -355,10 +333,13 @@ impl std::error::Error for ConfigError {}
 /// ```
 /// use dlb_partitioner::config::{Config, ConfigError};
 ///
-/// let cfg = Config::builder().k(4).epsilon(0.03).ranks(2).build().unwrap();
-/// assert_eq!(cfg.dist.ranks, 2);
+/// let cfg = Config::builder().k(4).epsilon(0.03).gather_threshold(256).build().unwrap();
+/// assert_eq!(cfg.dist.gather_threshold, 256);
 /// assert_eq!(Config::builder().k(1).build().unwrap_err(), ConfigError::InvalidK(1));
-/// assert_eq!(Config::builder().ranks(0).build().unwrap_err(), ConfigError::ZeroRanks);
+/// assert_eq!(
+///     Config::builder().gather_threshold(0).build().unwrap_err(),
+///     ConfigError::ZeroGatherThreshold
+/// );
 /// ```
 #[derive(Clone, Debug)]
 pub struct ConfigBuilder {
@@ -430,23 +411,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Fast-mode cut bound relative to Strict
-    /// ([`Config::fast_cut_factor`]).
-    pub fn fast_cut_factor(mut self, factor: f64) -> Self {
-        self.cfg.fast_cut_factor = factor;
-        self
-    }
-
     /// Enable warm-started refine-only partitioning
     /// ([`Config::warm_start`]).
     pub fn warm_start(mut self, on: bool) -> Self {
         self.cfg.warm_start = on;
-        self
-    }
-
-    /// Simulated SPMD ranks ([`DistConfig::ranks`]).
-    pub fn ranks(mut self, ranks: usize) -> Self {
-        self.cfg.dist.ranks = ranks;
         self
     }
 
@@ -471,9 +439,6 @@ impl ConfigBuilder {
                 return Err(ConfigError::InvalidK(k));
             }
         }
-        if self.cfg.dist.ranks == 0 {
-            return Err(ConfigError::ZeroRanks);
-        }
         if self.cfg.dist.gather_threshold == 0 {
             return Err(ConfigError::ZeroGatherThreshold);
         }
@@ -485,9 +450,6 @@ impl ConfigBuilder {
         }
         if self.cfg.num_vcycles == 0 {
             return Err(ConfigError::ZeroVcycles);
-        }
-        if !(self.cfg.fast_cut_factor.is_finite() && self.cfg.fast_cut_factor >= 1.0) {
-            return Err(ConfigError::InvalidFastCutFactor(self.cfg.fast_cut_factor));
         }
         for &e in &self.cfg.aux_epsilons {
             if !(e.is_finite() && e > 0.0) {
@@ -596,14 +558,12 @@ mod tests {
             .epsilon(0.03)
             .seed(7)
             .threads(2)
-            .ranks(4)
             .distributed(true)
             .gather_threshold(256)
             .build()
             .unwrap();
         assert_eq!(c.seed, 7);
         assert_eq!(c.threads, 2);
-        assert_eq!(c.dist.ranks, 4);
         assert!(c.dist.distributed);
         assert_eq!(c.dist.gather_threshold, 256);
     }
@@ -612,7 +572,6 @@ mod tests {
     fn builder_rejects_invalid_knobs() {
         assert_eq!(Config::builder().k(0).build().unwrap_err(), ConfigError::InvalidK(0));
         assert_eq!(Config::builder().k(1).build().unwrap_err(), ConfigError::InvalidK(1));
-        assert_eq!(Config::builder().ranks(0).build().unwrap_err(), ConfigError::ZeroRanks);
         assert_eq!(
             Config::builder().gather_threshold(0).build().unwrap_err(),
             ConfigError::ZeroGatherThreshold
@@ -634,22 +593,8 @@ mod tests {
     #[test]
     fn determinism_defaults_to_strict() {
         assert_eq!(Config::default().determinism, Determinism::Strict);
-        assert!((Config::default().fast_cut_factor - 1.1).abs() < 1e-12);
-        let c = Config::builder()
-            .determinism(Determinism::Fast)
-            .fast_cut_factor(1.25)
-            .build()
-            .unwrap();
+        let c = Config::builder().determinism(Determinism::Fast).build().unwrap();
         assert_eq!(c.determinism, Determinism::Fast);
-        assert!((c.fast_cut_factor - 1.25).abs() < 1e-12);
-        assert_eq!(
-            Config::builder().fast_cut_factor(0.9).build().unwrap_err(),
-            ConfigError::InvalidFastCutFactor(0.9)
-        );
-        assert!(matches!(
-            Config::builder().fast_cut_factor(f64::INFINITY).build().unwrap_err(),
-            ConfigError::InvalidFastCutFactor(_)
-        ));
     }
 
     #[test]
@@ -718,6 +663,6 @@ mod tests {
     #[test]
     fn error_messages_are_actionable() {
         assert!(ConfigError::InvalidK(1).to_string().contains("at least 2"));
-        assert!(ConfigError::ZeroRanks.to_string().contains("at least 1"));
+        assert!(ConfigError::ZeroGatherThreshold.to_string().contains("at least 1"));
     }
 }

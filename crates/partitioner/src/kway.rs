@@ -11,11 +11,10 @@ use dlb_hypergraph::{metrics, parallel, Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::coarsen::{coarsen_to_mode, contract_threads, CoarseLevel};
+use crate::coarsen::{coarsen_to_mode, Hierarchy};
 use crate::config::{Config, PartTargets};
 use crate::fixed::FixedAssignment;
 use crate::initial::initial_partition;
-use crate::matching::ipm_matching_mode;
 use crate::refine::{refine_threads, RefineScratch};
 
 /// Runs one multilevel V-cycle on `h` for the given targets (any number
@@ -42,43 +41,16 @@ pub(crate) fn multilevel(
     }
     let ml_span = dlb_trace::span!("multilevel", vertices = h.num_vertices(), k = k);
 
-    let coarse_target = (cfg.coarsening.coarse_to_factor * k).max(cfg.coarsening.min_coarse_vertices);
-    let hierarchy =
-        coarsen_to_mode(h, fixed, coarse_target, &cfg.coarsening, rng, threads, cfg.determinism);
+    let hierarchy = coarsen(h, targets, fixed, None, cfg, rng, threads);
     ml_span.attr("levels", hierarchy.levels.len());
 
     // Partition the coarsest hypergraph.
-    let (coarsest_h, coarsest_fixed): (&Hypergraph, &FixedAssignment) = match hierarchy.levels.last()
-    {
-        Some(level) => (&level.coarse, &level.coarse_fixed),
-        None => (h, fixed),
-    };
+    let (coarsest_h, coarsest_fixed) = hierarchy.coarsest(h, fixed);
     dlb_trace::count(dlb_trace::Counter::CoarseVertices, coarsest_h.num_vertices() as u64);
     dlb_trace::count(dlb_trace::Counter::CoarseNets, coarsest_h.num_nets() as u64);
     dlb_trace::count(dlb_trace::Counter::CoarsePins, coarsest_h.num_pins() as u64);
-    let mut part = initial_partition(coarsest_h, targets, coarsest_fixed, &cfg.initial, rng);
-    {
-        let _span = dlb_trace::span!("refine.level", level = hierarchy.levels.len());
-        refine_threads(coarsest_h, targets, coarsest_fixed, &mut part, &cfg.refinement, rng, threads, scratch);
-    }
-
-    // Uncoarsen: project to each finer level and refine there.
-    for i in (0..hierarchy.levels.len()).rev() {
-        let _span = dlb_trace::span!("refine.level", level = i);
-        let level = &hierarchy.levels[i];
-        let (finer_h, finer_fixed): (&Hypergraph, &FixedAssignment) = if i == 0 {
-            (h, fixed)
-        } else {
-            (&hierarchy.levels[i - 1].coarse, &hierarchy.levels[i - 1].coarse_fixed)
-        };
-        let mut finer_part = vec![0usize; finer_h.num_vertices()];
-        for (v, &c) in level.fine_to_coarse.iter().enumerate() {
-            finer_part[v] = part[c];
-        }
-        refine_threads(finer_h, targets, finer_fixed, &mut finer_part, &cfg.refinement, rng, threads, scratch);
-        part = finer_part;
-    }
-    part
+    let part = initial_partition(coarsest_h, targets, coarsest_fixed, &cfg.initial, rng);
+    uncoarsen(h, targets, fixed, &hierarchy, part, cfg, rng, threads, scratch)
 }
 
 /// One *iterated* V-cycle: re-coarsens `h` with matching restricted to
@@ -96,53 +68,57 @@ pub(crate) fn vcycle_refine(
     threads: usize,
     scratch: &mut RefineScratch,
 ) -> Vec<PartId> {
-    let k = targets.k();
-    let coarse_target = (cfg.coarsening.coarse_to_factor * k).max(cfg.coarsening.min_coarse_vertices);
+    let hierarchy = coarsen(h, targets, fixed, Some(part), cfg, rng, threads);
+    let coarsest_part = hierarchy.restrict_to_coarsest(part);
+    uncoarsen(h, targets, fixed, &hierarchy, coarsest_part, cfg, rng, threads, scratch)
+}
 
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut cur_h = h.clone();
-    let mut cur_fixed = fixed.clone();
-    let mut cur_part = part.to_vec();
-    while cur_h.num_vertices() > coarse_target && levels.len() < cfg.coarsening.max_levels {
-        let _span = dlb_trace::span!(
-            "coarsen.level",
-            level = levels.len(),
-            vertices = cur_h.num_vertices(),
-        );
-        let m = ipm_matching_mode(
-            &cur_h,
-            &cur_fixed,
-            Some(&cur_part),
-            &cfg.coarsening,
-            rng,
-            threads,
-            cfg.determinism,
-        );
-        let before = cur_h.num_vertices();
-        if ((before - m.coarse_count()) as f64) < before as f64 * cfg.coarsening.min_reduction {
-            break;
-        }
-        dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
-        let level = contract_threads(&cur_h, &m, &cur_fixed, threads);
-        let mut coarse_part = vec![0usize; level.coarse.num_vertices()];
-        for (v, &c) in level.fine_to_coarse.iter().enumerate() {
-            coarse_part[c] = cur_part[v];
-        }
-        cur_h = level.coarse.clone();
-        cur_fixed = level.coarse_fixed.clone();
-        cur_part = coarse_part;
-        levels.push(level);
-    }
+/// The coarsening half of a V-cycle: down to `coarse_to_factor * k`
+/// vertices (but no fewer than `min_coarse_vertices`), matching only
+/// within the parts of `restrict` when one is given.
+fn coarsen(
+    h: &Hypergraph,
+    targets: &PartTargets,
+    fixed: &FixedAssignment,
+    restrict: Option<&[PartId]>,
+    cfg: &Config,
+    rng: &mut StdRng,
+    threads: usize,
+) -> Hierarchy {
+    let coarse_target =
+        (cfg.coarsening.coarse_to_factor * targets.k()).max(cfg.coarsening.min_coarse_vertices);
+    coarsen_to_mode(
+        h,
+        fixed,
+        restrict,
+        coarse_target,
+        &cfg.coarsening,
+        rng,
+        threads,
+        cfg.determinism,
+    )
+}
 
-    // Refine at the coarsest level, then project upward, refining at
-    // each level (same uncoarsening walk as the primary cycle).
+/// The uncoarsening half of a V-cycle: refines `part` (a partition of
+/// the coarsest hypergraph) there, then projects it to each finer level
+/// and refines again.
+#[allow(clippy::too_many_arguments)]
+fn uncoarsen(
+    h: &Hypergraph,
+    targets: &PartTargets,
+    fixed: &FixedAssignment,
+    hierarchy: &Hierarchy,
+    mut part: Vec<PartId>,
+    cfg: &Config,
+    rng: &mut StdRng,
+    threads: usize,
+    scratch: &mut RefineScratch,
+) -> Vec<PartId> {
+    let levels = &hierarchy.levels;
     {
         let _span = dlb_trace::span!("refine.level", level = levels.len());
-        let (coarsest_h, coarsest_fixed): (&Hypergraph, &FixedAssignment) = match levels.last() {
-            Some(level) => (&level.coarse, &level.coarse_fixed),
-            None => (h, fixed),
-        };
-        refine_threads(coarsest_h, targets, coarsest_fixed, &mut cur_part, &cfg.refinement, rng, threads, scratch);
+        let (coarsest_h, coarsest_fixed) = hierarchy.coarsest(h, fixed);
+        refine_threads(coarsest_h, targets, coarsest_fixed, &mut part, &cfg.refinement, rng, threads, scratch);
     }
     for i in (0..levels.len()).rev() {
         let _span = dlb_trace::span!("refine.level", level = i);
@@ -154,12 +130,12 @@ pub(crate) fn vcycle_refine(
         };
         let mut finer_part = vec![0usize; finer_h.num_vertices()];
         for (v, &c) in level.fine_to_coarse.iter().enumerate() {
-            finer_part[v] = cur_part[c];
+            finer_part[v] = part[c];
         }
         refine_threads(finer_h, targets, finer_fixed, &mut finer_part, &cfg.refinement, rng, threads, scratch);
-        cur_part = finer_part;
+        part = finer_part;
     }
-    cur_part
+    part
 }
 
 /// Runs the configured number of extra V-cycles on `part`, keeping each

@@ -168,6 +168,24 @@ pub fn partition_hypergraph_fixed(
     result
 }
 
+/// [`partition_hypergraph_fixed`] on a caller-chosen execution context:
+/// collectively over `comm` ([`par::parallel_partition_fixed`] — every
+/// rank calls with identical arguments and gets the identical result),
+/// or serially when there is none. The one place callers that may or
+/// may not hold a communicator choose between the two.
+pub fn partition_fixed_on(
+    comm: Option<&mut dlb_mpisim::Comm>,
+    h: &Hypergraph,
+    k: usize,
+    fixed: &FixedAssignment,
+    cfg: &Config,
+) -> PartitionResult {
+    match comm {
+        Some(comm) => par::parallel_partition_fixed(comm, h, k, fixed, cfg),
+        None => partition_hypergraph_fixed(h, k, fixed, cfg),
+    }
+}
+
 /// Warm-started, refine-only partitioning: seeds from `seed_part` (the
 /// previous epoch's assignment in the repartitioning loop) and improves
 /// it with an FM pass plus part-restricted V-cycles, skipping the

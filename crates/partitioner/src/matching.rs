@@ -329,7 +329,7 @@ fn ipm_matching_parallel(
 /// `Strict` (or any run at one effective thread) is exactly
 /// [`ipm_matching_threads`]: bit-identical matchings at every thread
 /// count. `Fast` with more than one thread of *real* concurrency runs
-/// [CAS-based concurrent matching](ipm_matching_cas) instead: vertices
+/// CAS-based concurrent matching (`ipm_matching_cas`) instead: vertices
 /// pair concurrently on a shared atomic mate array with candidates
 /// selected in `(score desc, id asc)` order — a deterministic
 /// *preference* order, though the realized matching still depends on

@@ -24,22 +24,22 @@
 //!   state; proposals are exchanged and applied deterministically, and
 //!   part weights stay synchronized (Section 4.3).
 //!
-//! K-way partitions use the same recursive-bisection relabeling as the
-//! serial path (Section 4.4). All ranks return the identical partition
-//! vector.
+//! K-way partitions run the serial path's recursive bisection
+//! ([`crate::rb`], Section 4.4) with [`dist::dist_multilevel`] as the
+//! bisector. All ranks return the identical partition vector.
 
 pub mod dist;
 pub mod matching;
 pub mod refine;
 
-use dlb_hypergraph::subset::induced_subhypergraph;
-use dlb_hypergraph::{Hypergraph, PartId};
+use dlb_hypergraph::Hypergraph;
 use dlb_mpisim::Comm;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{Config, PartTargets};
+use crate::config::Config;
 use crate::fixed::FixedAssignment;
+use crate::rb::recursive_bisection;
 use crate::PartitionResult;
 
 /// Parallel k-way partitioning with fixed vertices via recursive
@@ -54,13 +54,17 @@ pub fn parallel_partition_fixed(
 ) -> PartitionResult {
     assert!(k > 0, "k must be positive");
     assert_eq!(fixed.len(), h.num_vertices());
-    let depth = (k.max(2) as f64).log2().ceil().max(1.0);
-    let eps = (1.0 + cfg.epsilon).powf(1.0 / depth) - 1.0;
-    let aux_eps: Vec<f64> = (1..h.load_arity())
-        .map(|c| (1.0 + cfg.epsilon_for(c)).powf(1.0 / depth) - 1.0)
-        .collect();
     let mut salt = 0u64;
-    let part = recurse(comm, h, k, fixed, cfg, eps, &aux_eps, &mut salt);
+    let part =
+        recursive_bisection(h, &vec![1; k], fixed, cfg, false, &mut |h, targets, side_fixed| {
+            salt += 1;
+            // Every rank derives the same base seed for this bisection;
+            // ranks decorrelate internally where the algorithm calls for
+            // it.
+            let mut rng =
+                StdRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(salt)));
+            dist::dist_multilevel(comm, h, targets, side_fixed, cfg, &mut rng)
+        });
     debug_assert!(fixed.is_respected_by(&part));
     PartitionResult::evaluate(h, part, k)
 }
@@ -73,79 +77,6 @@ pub fn parallel_partition(
     cfg: &Config,
 ) -> PartitionResult {
     parallel_partition_fixed(comm, h, k, &FixedAssignment::free(h.num_vertices()), cfg)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    comm: &mut Comm,
-    h: &Hypergraph,
-    k: usize,
-    fixed: &FixedAssignment,
-    cfg: &Config,
-    eps: f64,
-    aux_eps: &[f64],
-    salt: &mut u64,
-) -> Vec<PartId> {
-    if k == 1 {
-        return vec![0; h.num_vertices()];
-    }
-    if h.num_vertices() == 0 {
-        return Vec::new();
-    }
-
-    let k0 = k.div_ceil(2);
-    let k1 = k - k0;
-    *salt += 1;
-    // Every rank derives the same base seed for this bisection; ranks
-    // decorrelate internally where the algorithm calls for it.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(*salt)));
-
-    let side_fixed = fixed.bisection_sides(k0);
-    let mut targets = PartTargets::proportional(h.total_vertex_weight(), &[k0, k1], eps);
-    // Auxiliary constraints ride along with side targets proportional to
-    // the final part counts (the SPMD driver supports aux epsilons but
-    // not per-part capacities). Never reached at arity 1.
-    let arity = h.load_arity();
-    if arity > 1 {
-        let aux = (1..arity)
-            .map(|c| {
-                crate::config::AuxTargets::proportional(
-                    h.total_load(c),
-                    &[k0 as f64, k1 as f64],
-                    aux_eps.get(c - 1).copied().unwrap_or(eps),
-                )
-            })
-            .collect();
-        targets = targets.with_aux(aux);
-    }
-    let sides = dist::dist_multilevel(comm, h, &targets, &side_fixed, cfg, &mut rng);
-
-    let keep0: Vec<bool> = sides.iter().map(|&s| s == 0).collect();
-    let keep1: Vec<bool> = sides.iter().map(|&s| s == 1).collect();
-    let side0 = induced_subhypergraph(h, &keep0);
-    let side1 = induced_subhypergraph(h, &keep1);
-    let fixed0 = FixedAssignment::from_options(
-        &side0.to_base.iter().map(|&v| fixed.get(v)).collect::<Vec<_>>(),
-    );
-    let fixed1 = FixedAssignment::from_options(
-        &side1
-            .to_base
-            .iter()
-            .map(|&v| fixed.get(v).map(|p| p - k0))
-            .collect::<Vec<_>>(),
-    );
-
-    let part0 = recurse(comm, &side0.hypergraph, k0, &fixed0, cfg, eps, aux_eps, salt);
-    let part1 = recurse(comm, &side1.hypergraph, k1, &fixed1, cfg, eps, aux_eps, salt);
-
-    let mut part = vec![0usize; h.num_vertices()];
-    for (new_v, &old_v) in side0.to_base.iter().enumerate() {
-        part[old_v] = part0[new_v];
-    }
-    for (new_v, &old_v) in side1.to_base.iter().enumerate() {
-        part[old_v] = k0 + part1[new_v];
-    }
-    part
 }
 
 #[cfg(test)]
@@ -173,6 +104,60 @@ mod tests {
         assert_eq!(r.part[143], 3);
         let imb = metrics::imbalance(&h, &r.part, 4);
         assert!(imb <= 1.0 + cfg.epsilon + 0.05, "imbalance {imb}");
+    }
+
+    /// Per-part capacities reach the SPMD bisector through the shared
+    /// recursion exactly as they reach the serial one: the root
+    /// bisection is handed the same side caps on both paths, and every
+    /// final part lands under its capacity-proportional cap.
+    #[test]
+    fn part_capacities_steer_the_spmd_recursion_like_the_serial_one() {
+        use crate::refine::RefineScratch;
+        let h = crate::tests::grid_hypergraph(12, 12);
+        let fixed = FixedAssignment::free(144);
+        let mut cfg = Config::seeded(13);
+        cfg.part_capacities = Some(vec![vec![3.0], vec![1.0], vec![2.0], vec![2.0]]);
+        let shares = [1usize; 4];
+        let side_caps = |t: &crate::PartTargets| [t.cap(0), t.cap(1)];
+
+        let mut serial_caps = Vec::new();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut scratch = RefineScratch::new();
+        let serial = recursive_bisection(&h, &shares, &fixed, &cfg, false, &mut |h, t, f| {
+            serial_caps.push(side_caps(t));
+            crate::kway::multilevel(h, t, f, &cfg, &mut rng, 1, &mut scratch)
+        });
+        let (spmd_caps, spmd) = run_spmd(2, |comm| {
+            let mut caps = Vec::new();
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let part = recursive_bisection(&h, &shares, &fixed, &cfg, false, &mut |h, t, f| {
+                caps.push(side_caps(t));
+                dist::dist_multilevel(comm, h, t, f, &cfg, &mut rng)
+            });
+            (caps, part)
+        })
+        .pop()
+        .unwrap();
+        // Parts {0, 1} vs {2, 3}: capacity 4 vs 4 of 8, so 72 each.
+        for cap in serial_caps[0] {
+            assert!((cap - 72.0 * 1.05f64.sqrt()).abs() < 1e-9, "root side cap {cap}");
+        }
+        assert_eq!(spmd_caps[0], serial_caps[0]);
+        assert_eq!(spmd_caps.len(), serial_caps.len());
+
+        let targets = crate::targets_for(&h, 4, &cfg);
+        for part in [&serial, &spmd] {
+            let w = metrics::part_weights(&h, part, 4);
+            for p in 0..4 {
+                assert!(w[p] <= targets.cap(p) + 1e-9, "part {p}: {w:?}");
+            }
+            assert!(w[0] > 2.0 * w[1], "3:1 capacities ignored: {w:?}");
+        }
+        // The public entry point goes through the same recursion.
+        let via_entry =
+            run_spmd(2, |comm| parallel_partition_fixed(comm, &h, 4, &fixed, &cfg)).pop().unwrap();
+        let w = metrics::part_weights(&h, &via_entry.part, 4);
+        assert!((0..4).all(|p| w[p] <= targets.cap(p) + 1e-9), "{w:?}");
     }
 
     #[test]

@@ -69,12 +69,40 @@ pub fn partition_recursive_shares(
     fixed: &FixedAssignment,
     cfg: &Config,
 ) -> Vec<PartId> {
-    let k = shares.len();
-    assert!(k > 0, "need at least one part");
-    assert!(shares.iter().all(|&s| s > 0), "shares must be positive");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let threads = parallel::resolve_threads(cfg.threads);
     let mut scratch = RefineScratch::new();
+    recursive_bisection(h, shares, fixed, cfg, true, &mut |h, targets, side_fixed| {
+        multilevel(h, targets, side_fixed, cfg, &mut rng, threads, &mut scratch)
+    })
+}
+
+/// The recursion behind every recursive-bisection entry point, serial
+/// ([`partition_recursive_shares`]) and SPMD
+/// ([`crate::par::parallel_partition_fixed`]): `bisect` runs one
+/// two-way multilevel V-cycle on a sub-hypergraph for the given side
+/// targets and side-fixed vertices; it is called once per bisection, in
+/// pre-order. Everything else — share/capacity side targets, per-level
+/// tolerances, the fixed-part relabeling, the split and the reassembly —
+/// is the same code on both paths.
+///
+/// `split_span` records an `rb.split` span around each split. The SPMD
+/// path turns it off: its traces (rank 0's) have never carried one, and
+/// span counts are compared exactly across commits.
+pub(crate) fn recursive_bisection<B>(
+    h: &Hypergraph,
+    shares: &[usize],
+    fixed: &FixedAssignment,
+    cfg: &Config,
+    split_span: bool,
+    bisect: &mut B,
+) -> Vec<PartId>
+where
+    B: FnMut(&Hypergraph, &PartTargets, &FixedAssignment) -> Vec<PartId>,
+{
+    let k = shares.len();
+    assert!(k > 0, "need at least one part");
+    assert!(shares.iter().all(|&s| s > 0), "shares must be positive");
     let caps = cfg.part_capacities.as_deref();
     if let Some(c) = caps {
         assert_eq!(c.len(), k, "part_capacities must have one row per part");
@@ -86,20 +114,20 @@ pub fn partition_recursive_shares(
             .collect(),
         caps,
     };
-    recurse(h, shares, fixed, cfg, &side, &mut rng, threads, &mut scratch)
+    recurse(h, shares, fixed, &side, split_span, bisect)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse(
+fn recurse<B>(
     h: &Hypergraph,
     shares: &[usize],
     fixed: &FixedAssignment,
-    cfg: &Config,
     side: &SideTargets<'_>,
-    rng: &mut StdRng,
-    threads: usize,
-    scratch: &mut RefineScratch,
-) -> Vec<PartId> {
+    split_span: bool,
+    bisect: &mut B,
+) -> Vec<PartId>
+where
+    B: FnMut(&Hypergraph, &PartTargets, &FixedAssignment) -> Vec<PartId>,
+{
     let k = shares.len();
     if k == 1 {
         return vec![0; h.num_vertices()];
@@ -143,18 +171,19 @@ fn recurse(
             .collect();
         targets = targets.with_aux(aux);
     }
-    let sides = multilevel(h, &targets, &side_fixed, cfg, rng, threads, scratch);
+    let sides = bisect(h, &targets, &side_fixed);
     debug_assert_eq!(sides.len(), h.num_vertices());
 
     // Split into the two induced sub-hypergraphs. Cut nets survive on
     // each side restricted to that side's pins (if at least two remain),
     // the standard way recursive bisection keeps accounting for them.
-    let split_span = dlb_trace::span!("rb.split", vertices = h.num_vertices(), k = k);
+    let span = split_span
+        .then(|| dlb_trace::span!("rb.split", vertices = h.num_vertices(), k = k));
     let keep0: Vec<bool> = sides.iter().map(|&s| s == 0).collect();
     let keep1: Vec<bool> = sides.iter().map(|&s| s == 1).collect();
     let side0 = induced_subhypergraph(h, &keep0);
     let side1 = induced_subhypergraph(h, &keep1);
-    drop(split_span);
+    drop(span);
 
     let fixed0 = FixedAssignment::from_options(
         &side0.to_base.iter().map(|&v| fixed.get(v)).collect::<Vec<_>>(),
@@ -172,12 +201,10 @@ fn recurse(
         aux_eps: side.aux_eps.clone(),
         caps: side.caps.map(|c| &c[lo..hi]),
     };
-    let side_a = sub(0, k0);
-    let side_b = sub(k0, k);
     let part0 =
-        recurse(&side0.hypergraph, &shares[..k0], &fixed0, cfg, &side_a, rng, threads, scratch);
+        recurse(&side0.hypergraph, &shares[..k0], &fixed0, &sub(0, k0), split_span, bisect);
     let part1 =
-        recurse(&side1.hypergraph, &shares[k0..], &fixed1, cfg, &side_b, rng, threads, scratch);
+        recurse(&side1.hypergraph, &shares[k0..], &fixed1, &sub(k0, k), split_span, bisect);
 
     let mut part = vec![0usize; h.num_vertices()];
     for (new_v, &old_v) in side0.to_base.iter().enumerate() {

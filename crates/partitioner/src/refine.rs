@@ -15,7 +15,7 @@
 //!
 //! With multi-constraint loads every move is additionally capped on each
 //! auxiliary constraint, and a separate **greedy repair** pass
-//! ([`greedy_repair`]) recovers feasibility when FM stalls: it moves the
+//! (`greedy_repair`) recovers feasibility when FM stalls: it moves the
 //! highest-gain vertices out of the most-violated constraint's heaviest
 //! part, accepting only moves that strictly shrink the largest relative
 //! overshoot. At arity 1 neither the aux checks nor the repair pass

@@ -32,9 +32,7 @@
 //!   --distributed     with --ranks: owner-computes pin storage and
 //!                     block-distributed per-vertex arrays across ranks
 //!                     (memory-scalable V-cycle; results are
-//!                     bit-identical to a run without it). Rejected
-//!                     together with --world-plan, --fault-plan,
-//!                     --incremental, or --constraints > 1 (exit 2)
+//!                     bit-identical to a run without it)
 //!   --trace FILE      record a phase-level trace of the run and write it
 //!                     as chrome://tracing JSON (open in about:tracing or
 //!                     https://ui.perfetto.dev)
@@ -59,18 +57,22 @@
 //!                     leaveR@E (rank R departs; its vertices migrate
 //!                     out). Each resize repartitions onto the new
 //!                     world, with the measured cost model choosing
-//!                     repartition-vs-scratch per resize. Composable
-//!                     with --fault-plan. Example:
+//!                     repartition-vs-scratch per resize. Example:
 //!                     --world-plan 42:join4@2,leave0@3
-//!   --incremental     simulate only (serial): pull structural deltas
-//!                     from the workload, patch the repartitioning
-//!                     model in place, and warm-start the partitioner
-//!                     on low-drift epochs; a from-scratch baseline run
+//!   --incremental     simulate only: pull structural deltas from the
+//!                     workload, patch the repartitioning model in
+//!                     place, and warm-start the partitioner on
+//!                     low-drift epochs; a from-scratch baseline run
 //!                     follows and the competitive ratio is printed
 //!   --drift-threshold T  with --incremental: warm-start epochs whose
 //!                     touched fraction is < T (default 0.6; 0 keeps
 //!                     every epoch on the full-rebuild path, which
 //!                     reproduces the non-incremental outputs exactly)
+//!
+//! The simulate options compose freely, with two exceptions (exit 2):
+//! --incremental with --ranks > 1 or --distributed (the SPMD partitioner
+//! has no warm start) and --incremental with --constraints > 1 (the
+//! delta patcher maintains scalar weights).
 //! ```
 //!
 //! `partition`/`repartition` write one part id per line, one line per
@@ -220,6 +222,9 @@ fn parse_cli() -> Cli {
             }
             "--ranks" => {
                 ranks = parse_value(&argv, i, "--ranks");
+                if ranks == 0 {
+                    fail("--ranks must be at least 1");
+                }
                 i += 2;
             }
             "--threads" => {
@@ -352,9 +357,9 @@ fn effective_epsilons(cli: &Cli) -> Vec<f64> {
 }
 
 /// Validates the numeric knobs through the partitioner's checked builder
-/// and returns the assembled config. Rejects `k < 2`, `ranks == 0`, bad
-/// ε, etc. with exit code 2 *before* any driver runs (the drivers would
-/// otherwise panic deep inside the SPMD machinery).
+/// and returns the assembled config. Rejects `k < 2`, bad ε, etc. with
+/// exit code 2 *before* any driver runs (the drivers would otherwise
+/// panic deep inside the SPMD machinery).
 fn validated_hg_config(cli: &Cli) -> HgConfig {
     HgConfig::builder()
         .k(cli.k)
@@ -362,7 +367,6 @@ fn validated_hg_config(cli: &Cli) -> HgConfig {
         .seed(cli.seed)
         .threads(cli.threads)
         .determinism(cli.determinism)
-        .ranks(cli.ranks)
         .distributed(cli.distributed)
         .build()
         .unwrap_or_else(|e| fail(e))
@@ -559,26 +563,8 @@ fn print_simulation(summary: &SimulationSummary, alpha: f64) {
 
 fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
     if cli.incremental && (cli.ranks > 1 || cli.distributed) {
-        fail("--incremental is serial-only; drop --ranks/--distributed");
-    }
-    if cli.distributed {
-        // Owner-computes pin storage partitions under a fixed rank set
-        // and a scalar feasibility contract; these combinations would
-        // otherwise run but quietly fall short of what the flags promise.
-        if cli.world_plan.is_some() {
-            fail("--world-plan is incompatible with --distributed \
-                  (elastic resizes reshape the rank set; distributed pin storage \
-                  assumes a fixed world — drop --distributed)");
-        }
-        if cli.fault_plan.is_some() {
-            fail("--fault-plan is incompatible with --distributed \
-                  (fault recovery re-partitions on the replicated path — \
-                  drop --distributed)");
-        }
-        if cli.constraints > 1 {
-            fail("--constraints > 1 is incompatible with --distributed \
-                  (the distributed refiner has no auxiliary-feasibility repair pass)");
-        }
+        fail("--incremental is serial-only (the SPMD partitioner has no warm start); \
+              drop --ranks/--distributed");
     }
     if cli.constraints > 1 {
         match cli.workload.as_deref() {
@@ -615,9 +601,6 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
         }
     }
     if let Some(plan) = &cli.world_plan {
-        if cli.incremental {
-            fail("--world-plan is incompatible with --incremental");
-        }
         if let Err(e) = plan.validate(cli.k, cli.epochs, cli.fault_plan.as_ref()) {
             fail(format!("bad --world-plan: {e}"));
         }

@@ -145,7 +145,11 @@ fn rejects_invalid_k_up_front() {
 
 #[test]
 fn rejects_invalid_ranks_and_threads_up_front() {
-    assert_rejected(&["partition", "-k", "2", "--ranks", "0", "x.mtx"], "ranks");
+    assert_rejected(&["partition", "-k", "2", "--ranks", "0", "x.mtx"], "--ranks must be at least 1");
+    assert_rejected(
+        &["repartition", "-k", "2", "--ranks", "0", "--old", "p", "x.mtx"],
+        "--ranks must be at least 1",
+    );
     assert_rejected(
         &["partition", "-k", "2", "--ranks", "-3", "x.mtx"],
         "--ranks expects a valid value",
@@ -192,32 +196,10 @@ fn rejects_invalid_multi_constraint_flags_up_front() {
 
 #[test]
 fn rejects_distributed_flag_conflicts_up_front() {
-    // Elastic resizes and fault recovery run on the replicated path;
-    // combining them with owner-computes storage must exit 2 instead of
-    // quietly running without the promised behavior.
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "structure", "--ranks", "2",
-            "--distributed", "--world-plan", "42:join4@2",
-        ],
-        "--world-plan is incompatible with --distributed",
-    );
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "structure", "--ranks", "2",
-            "--distributed", "--fault-plan", "7:drop0.05",
-        ],
-        "--fault-plan is incompatible with --distributed",
-    );
-    // The distributed refiner has no auxiliary-feasibility repair.
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "amr", "--constraints", "2", "--ranks",
-            "2", "--distributed",
-        ],
-        "--constraints > 1 is incompatible with --distributed",
-    );
-    // Already-covered serial-only check keeps firing with --distributed.
+    // The one --distributed conflict left: warm starts have no SPMD
+    // counterpart. (World plans, fault plans and multi-constraint loads
+    // run on the distributed path; their combined-path tests live in
+    // tests/{elastic_worlds,fault_injection,multi_constraint}.rs.)
     assert_rejected(
         &[
             "simulate", "-k", "2", "--workload", "structure", "--distributed",

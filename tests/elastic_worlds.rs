@@ -9,7 +9,9 @@
 //!    evacuate the leavers, the records carry both candidate costs, and
 //!    the world timeline tracks every change.
 //! 2. **Determinism**: chained shrink→grow→shrink schedules reproduce
-//!    bit-identical outputs run to run at driver rank counts 1, 2, 4.
+//!    bit-identical outputs run to run at driver rank counts 1, 2, 4 —
+//!    and whether or not the SPMD V-cycle holds its large levels
+//!    block-distributed.
 //! 3. **Plan-free purity**: an empty plan — and a plan whose every
 //!    epoch nets to no change — is bitwise identical to no plan at all.
 //! 4. **Chaos-soak determinism**: composing a WorldPlan with a
@@ -27,6 +29,7 @@ use dlb::core::{
     WorldPlan,
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
+use dlb::mpisim::run_spmd;
 use dlb::workloads::{AmrSource, Dataset, DatasetKind, EpochStream, Perturbation};
 
 const ALPHA: f64 = 50.0;
@@ -38,13 +41,39 @@ fn make_stream(k: usize) -> EpochStream {
     EpochStream::new(d.graph, Perturbation::weights(), k, init, SEED)
 }
 
-fn session(k: usize, epochs: usize) -> Session<'static> {
-    Session::new(RepartConfig::seeded(SEED))
+fn session<'a>(k: usize, epochs: usize) -> Session<'a> {
+    session_with(RepartConfig::seeded(SEED), k, epochs)
+}
+
+fn session_with<'a>(cfg: RepartConfig, k: usize, epochs: usize) -> Session<'a> {
+    Session::new(cfg)
         .algorithm(Algorithm::ZoltanRepart)
         .alpha(ALPHA)
         .epochs(epochs)
         .measured(true)
         .workload_factory(move |_| make_stream(k))
+}
+
+/// `dist.distributed` on or off, with the gather threshold far below
+/// the epoch model's vertex count so that, when on, the fine levels of
+/// every V-cycle really are block-distributed.
+fn dist_config(distributed: bool) -> RepartConfig {
+    let mut cfg = RepartConfig::seeded(SEED);
+    cfg.hypergraph.dist.distributed = distributed;
+    cfg.hypergraph.dist.gather_threshold = 64;
+    cfg
+}
+
+/// Runs `session` collectively on a hand-made `ranks`-rank world. A
+/// one-rank [`Session`] without `dist.distributed` is the serial driver,
+/// so this is the only way to the one-rank *replicated* twin of a
+/// distributed run.
+fn run_on_world(
+    ranks: usize,
+    k: usize,
+    session: impl for<'a> Fn(&'a mut EpochStream) -> Session<'a> + Sync,
+) -> SimulationSummary {
+    run_spmd(ranks, |comm| session(&mut make_stream(k)).run_on(comm).unwrap()).pop().unwrap()
 }
 
 /// The deterministic fingerprint of a run: per-epoch model costs,
@@ -129,10 +158,9 @@ fn faults_and_resizes_compose_at_one_boundary() {
 /// bit-identical run to run at each driver rank count in {1, 2, 4}.
 #[test]
 fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
-    let run = |ranks: usize| {
-        let plan = WorldPlan::parse("9:leave2@2,join4@3,join5@3,leave0@4").unwrap();
-        session(4, 5).ranks(ranks).world_plan(plan).run().unwrap()
-    };
+    let plan = || WorldPlan::parse("9:leave2@2,join4@3,join5@3,leave0@4").unwrap();
+    let run = |ranks: usize| session(4, 5).ranks(ranks).world_plan(plan()).run().unwrap();
+    assert!(make_stream(4).next_epoch().graph.num_vertices() > 64, "nothing would be distributed");
     for ranks in [1usize, 2, 4] {
         let a = run(ranks);
         let b = run(ranks);
@@ -146,6 +174,19 @@ fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
                 assert_eq!(x.scratch_cost, y.scratch_cost, "ranks = {ranks}");
                 assert_eq!(x.migration, y.migration, "ranks = {ranks}");
             }
+        }
+        // One epoch path: resizes solve on whatever execution context
+        // the session has, so block-distributing the large levels
+        // changes where the pins live and nothing in the reports.
+        let [replicated, distributed] = [false, true].map(|on| {
+            run_on_world(ranks, 4, |source| {
+                session_with(dist_config(on), 4, 5).world_plan(plan()).workload(source)
+            })
+        });
+        assert_eq!(fingerprint(&distributed), fingerprint(&replicated), "ranks = {ranks}");
+        assert_eq!(distributed.total_resizes(), 3, "ranks = {ranks}");
+        if ranks > 1 {
+            assert_eq!(fingerprint(&replicated), fingerprint(&a), "ranks = {ranks}");
         }
     }
 }

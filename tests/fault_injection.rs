@@ -12,13 +12,15 @@
 //!    plan seed reproduces bit-identical recovered partitions and
 //!    makespans run to run (fault "ranks" live in the workload's
 //!    logical `k`-part world, so the plan means the same thing at any
-//!    driver world size).
+//!    driver world size), whether or not the SPMD V-cycle holds its
+//!    large levels block-distributed.
 //! 3. **Fault-free purity**: an empty plan — and a drop/delay-only plan,
 //!    for the deterministic outputs — is bit-identical to no plan at
 //!    all. No extra collectives, no RNG draws on the fast path.
 
 use dlb::core::{Algorithm, FaultPlan, RepartConfig, Session, SimulationSummary};
 use dlb::graphpart::{partition_kway, GraphConfig};
+use dlb::mpisim::run_spmd;
 use dlb::workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
 
 const ALPHA: f64 = 50.0;
@@ -30,13 +32,39 @@ fn make_stream(k: usize) -> EpochStream {
     EpochStream::new(d.graph, Perturbation::weights(), k, init, SEED)
 }
 
-fn session(k: usize, epochs: usize) -> Session<'static> {
-    Session::new(RepartConfig::seeded(SEED))
+fn session<'a>(k: usize, epochs: usize) -> Session<'a> {
+    session_with(RepartConfig::seeded(SEED), k, epochs)
+}
+
+fn session_with<'a>(cfg: RepartConfig, k: usize, epochs: usize) -> Session<'a> {
+    Session::new(cfg)
         .algorithm(Algorithm::ZoltanRepart)
         .alpha(ALPHA)
         .epochs(epochs)
         .measured(true)
         .workload_factory(move |_| make_stream(k))
+}
+
+/// `dist.distributed` on or off, with the gather threshold far below
+/// the epoch model's vertex count so that, when on, the fine levels of
+/// every V-cycle really are block-distributed.
+fn dist_config(distributed: bool) -> RepartConfig {
+    let mut cfg = RepartConfig::seeded(SEED);
+    cfg.hypergraph.dist.distributed = distributed;
+    cfg.hypergraph.dist.gather_threshold = 64;
+    cfg
+}
+
+/// Runs `session` collectively on a hand-made `ranks`-rank world. A
+/// one-rank [`Session`] without `dist.distributed` is the serial driver,
+/// so this is the only way to the one-rank *replicated* twin of a
+/// distributed run.
+fn run_on_world(
+    ranks: usize,
+    k: usize,
+    session: impl for<'a> Fn(&'a mut EpochStream) -> Session<'a> + Sync,
+) -> SimulationSummary {
+    run_spmd(ranks, |comm| session(&mut make_stream(k)).run_on(comm).unwrap()).pop().unwrap()
 }
 
 /// The deterministic fingerprint of a run: per-epoch model costs and
@@ -112,10 +140,8 @@ fn two_failures_shrink_the_world_twice() {
 /// plan-driven and adds no collectives at any rank count.)
 #[test]
 fn recovery_is_reproducible_at_ranks_2_and_4() {
-    let run = |ranks: usize| {
-        let plan = FaultPlan::parse("7:rank1@2").unwrap();
-        session(4, 3).ranks(ranks).fault_plan(plan).run().unwrap()
-    };
+    let plan = || FaultPlan::parse("7:rank1@2").unwrap();
+    let run = |ranks: usize| session(4, 3).ranks(ranks).fault_plan(plan()).run().unwrap();
     for ranks in [2usize, 4] {
         let a = run(ranks);
         let b = run(ranks);
@@ -127,6 +153,22 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
         assert_eq!(ra.migration, rb.migration, "ranks = {ranks}");
         assert_eq!(ra.t_mig, rb.t_mig, "ranks = {ranks}");
         assert_eq!((ra.k_before, ra.k_after), (4, 3));
+    }
+    // One epoch path: a recovery solves on whatever execution context
+    // the session has, so block-distributing the large levels changes
+    // where the pins live and nothing in the reports — at one rank too.
+    assert!(make_stream(4).next_epoch().graph.num_vertices() > 64, "nothing would be distributed");
+    for ranks in [1usize, 2, 4] {
+        let [replicated, distributed] = [false, true].map(|on| {
+            run_on_world(ranks, 4, |source| {
+                session_with(dist_config(on), 4, 3).fault_plan(plan()).workload(source)
+            })
+        });
+        assert_eq!(fingerprint(&distributed), fingerprint(&replicated), "ranks = {ranks}");
+        assert_eq!(distributed.total_recoveries(), 1, "ranks = {ranks}");
+        if ranks > 1 {
+            assert_eq!(fingerprint(&replicated), fingerprint(&run(ranks)), "ranks = {ranks}");
+        }
     }
 }
 

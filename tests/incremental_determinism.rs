@@ -6,7 +6,7 @@
 //! patched model that is itself bitwise equal to a fresh lowering.
 
 use dlb::amr::{AmrConfig, AmrStream};
-use dlb::core::{Algorithm, RepartConfig, Session, SimulationSummary};
+use dlb::core::{Algorithm, RepartConfig, Session, SimulationSummary, WorldPlan};
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::workloads::AmrSource;
 
@@ -32,6 +32,16 @@ fn fingerprint(s: &SimulationSummary) -> Vec<(usize, usize, f64, f64, f64, f64)>
 }
 
 fn run(seed: u64, threads: usize, incremental: bool, drift_threshold: f64) -> SimulationSummary {
+    run_with_plan(seed, threads, incremental.then_some(drift_threshold), None)
+}
+
+/// `incremental` carries the drift threshold of an incremental session.
+fn run_with_plan(
+    seed: u64,
+    threads: usize,
+    incremental: Option<f64>,
+    plan: Option<WorldPlan>,
+) -> SimulationSummary {
     let mut cfg = RepartConfig::seeded(seed);
     cfg.hypergraph.threads = threads;
     let mut source = amr_source(seed);
@@ -40,8 +50,11 @@ fn run(seed: u64, threads: usize, incremental: bool, drift_threshold: f64) -> Si
         .alpha(10.0)
         .epochs(EPOCHS)
         .measured(true);
-    if incremental {
+    if let Some(drift_threshold) = incremental {
         session = session.incremental(true).drift_threshold(drift_threshold);
+    }
+    if let Some(plan) = plan {
+        session = session.world_plan(plan);
     }
     session.workload(&mut source).run().unwrap()
 }
@@ -85,6 +98,38 @@ fn zero_threshold_reproduces_full_rebuilds() {
             incremental, scratch,
             "seed {seed}: drift_threshold=0 diverged from the non-incremental session"
         );
+    }
+}
+
+/// World plans compose with incremental sessions: a resize epoch
+/// discards its patched model and solves cold, and the patcher picks
+/// the new world size up at the next delta. With the threshold at zero
+/// that is again the non-incremental session bit for bit; at the
+/// default threshold (warm starts on the resized worlds) every epoch
+/// still lands within ε on the planned world timeline.
+#[test]
+fn world_plans_compose_with_incremental_sessions() {
+    let plan = || Some(WorldPlan::parse("5:join4@2,leave0@3").unwrap());
+    let timeline = vec![(1, K), (2, K + 1), (3, K), (4, K)];
+    for seed in [7u64, 23] {
+        let scratch = run_with_plan(seed, 2, None, plan());
+        let zero = run_with_plan(seed, 2, Some(0.0), plan());
+        assert_eq!(fingerprint(&zero), fingerprint(&scratch), "seed {seed}");
+        assert_eq!(zero.world_timeline(), timeline);
+        assert_eq!(zero.total_resizes(), 2);
+
+        let warm = run_with_plan(seed, 2, Some(dlb::core::DEFAULT_DRIFT_THRESHOLD), plan());
+        assert_eq!(warm.world_timeline(), timeline, "seed {seed}");
+        let epsilon = RepartConfig::seeded(seed).epsilon;
+        for r in &warm.reports {
+            assert!(
+                r.imbalance <= 1.0 + epsilon + 1e-9,
+                "seed {seed} epoch {}: imbalance {} on {} parts",
+                r.epoch,
+                r.imbalance,
+                r.world_k
+            );
+        }
     }
 }
 

@@ -15,6 +15,10 @@
 //!    plain FM stalls (every move has negative cut gain), and the
 //!    greedy rebalancing repair pass must engage to reach feasibility
 //!    on every constraint.
+//!
+//! 3. **One epoch path.** A two-constraint AMR session reports the same
+//!    epochs whether the SPMD V-cycle holds its large levels replicated
+//!    or block-distributed, at ranks 1, 2 and 4.
 
 use dlb::hypergraph::{metrics, Hypergraph, HypergraphBuilder, VertexLoads};
 use dlb::mpisim::run_spmd;
@@ -318,5 +322,62 @@ fn amr_two_constraint_lowering_is_feasible_cold_and_after_a_skewed_warm_start() 
             report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
             "aux-skewed warm start never engaged the repair pass"
         );
+    }
+}
+
+/// Multi-constraint epochs take the one epoch path on every execution
+/// context: with the fine levels block-distributed, a two-constraint
+/// AMR session reports exactly what the replicated run reports, at
+/// ranks 1, 2 and 4. (A one-rank [`Session`] without `dist.distributed`
+/// is the serial driver, so the worlds are entered by hand to get the
+/// one-rank replicated twin.)
+///
+/// [`Session`]: dlb::core::Session
+#[test]
+fn two_constraint_amr_session_is_identical_distributed_and_replicated() {
+    use dlb::amr::{AmrConfig, AmrStream};
+    use dlb::core::{RepartConfig, Session};
+    use dlb::workloads::AmrSource;
+    const K: usize = 4;
+    const SEED: u64 = 42;
+    const GATHER_THRESHOLD: usize = 64;
+    let source = || {
+        let amr_cfg = AmrConfig { multi_constraint: true, ..AmrConfig::small() };
+        let stream = AmrStream::new(amr_cfg, K, SEED);
+        let low = stream.initial_lowering();
+        assert_eq!(low.hypergraph.load_arity(), 2);
+        assert!(low.hypergraph.num_vertices() > GATHER_THRESHOLD, "nothing would be distributed");
+        let init: Vec<usize> = (0..low.graph.num_vertices()).map(|v| v % K).collect();
+        AmrSource::new(stream, &init)
+    };
+    let run = |ranks: usize, distributed: bool| {
+        let mut cfg = RepartConfig::seeded(SEED).with_epsilons(&[0.05, 0.10]);
+        cfg.hypergraph.dist.distributed = distributed;
+        cfg.hypergraph.dist.gather_threshold = GATHER_THRESHOLD;
+        run_spmd(ranks, |comm| {
+            Session::new(cfg.clone())
+                .alpha(10.0)
+                .epochs(3)
+                .measured(true)
+                .workload(&mut source())
+                .run_on(comm)
+                .unwrap()
+        })
+        .pop()
+        .unwrap()
+    };
+    for ranks in [1usize, 2, 4] {
+        let [replicated, distributed] = [false, true].map(|on| {
+            run(ranks, on)
+                .reports
+                .iter()
+                .map(|r| {
+                    let makespan = r.execution.as_ref().expect("measured run").makespan();
+                    (r.cost.comm, r.cost.migration, r.moved, r.imbalance, makespan)
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(distributed, replicated, "ranks = {ranks}");
+        assert_eq!(distributed.len(), 3);
     }
 }
