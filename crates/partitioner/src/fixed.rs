@@ -10,6 +10,15 @@ use dlb_hypergraph::PartId;
 
 const FREE: i64 = -1;
 
+/// The matching constraint of Section 4.1 on two fixed parts (`None` =
+/// free): vertices may merge unless they are fixed to different parts.
+/// [`FixedAssignment::compatible`] for callers that hold the parts, not
+/// the assignment.
+#[inline]
+pub(crate) fn compatible_parts(a: Option<PartId>, b: Option<PartId>) -> bool {
+    a.is_none() || b.is_none() || a == b
+}
+
 /// Per-vertex fixed-part constraint. `None` means free.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixedAssignment {

@@ -57,6 +57,7 @@ pub mod matching;
 pub mod par;
 pub mod rb;
 pub mod refine;
+mod view;
 
 pub use config::{
     targets_for, AuxTargets, CoarseningConfig, Config, ConfigBuilder, ConfigError, Determinism,

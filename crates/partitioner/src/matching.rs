@@ -36,6 +36,7 @@ use rand::seq::SliceRandom;
 
 use crate::config::{CoarseningConfig, Determinism};
 use crate::fixed::FixedAssignment;
+use crate::view::{LevelView, Replicated};
 
 /// A matching: `mate[v] == v` for unmatched vertices, otherwise the
 /// partner (symmetric: `mate[mate[v]] == v`).
@@ -78,6 +79,57 @@ impl Matching {
         }
         Ok(())
     }
+}
+
+/// The IPM scoring kernel, the one copy every matcher runs: accumulates
+/// `u`'s inner products over `nets` against the stored pins `admit` lets
+/// through, into `scores` (indexed by [`LevelView::slot`], all-zero on
+/// entry and wherever `touched` does not list). `touched` receives the
+/// scored vertices in first-touch order; the caller reads their scores
+/// and resets them to zero. Returns the pins walked.
+///
+/// Net order and pin order are the storage's, and a distributed level
+/// stores a rank's own pins in net order, so restricted to the vertices
+/// a rank stores the float accumulation and the first-touch order are
+/// the same on both storage forms.
+#[inline]
+pub(crate) fn accumulate_scores<V: LevelView>(
+    view: &V,
+    u: usize,
+    nets: &[usize],
+    cfg: &CoarseningConfig,
+    mut admit: impl FnMut(usize) -> bool,
+    scores: &mut [f64],
+    touched: &mut Vec<usize>,
+) -> u64 {
+    touched.clear();
+    let mut pins_scanned = 0u64;
+    for &j in nets {
+        let size = view.net_size(j);
+        if size < 2 || size > cfg.max_net_size_for_matching {
+            continue;
+        }
+        let contrib = if cfg.scaled_ipm {
+            view.net_cost(j) / (size - 1) as f64
+        } else {
+            view.net_cost(j)
+        };
+        if contrib <= 0.0 {
+            continue;
+        }
+        pins_scanned += size as u64;
+        for &w in view.pins(j) {
+            if w == u || !admit(w) {
+                continue;
+            }
+            let s = view.slot(w);
+            if scores[s] == 0.0 {
+                touched.push(w);
+            }
+            scores[s] += contrib;
+        }
+    }
+    pins_scanned
 }
 
 /// Computes a greedy first-choice IPM matching of `h` honoring `fixed`.
@@ -148,35 +200,20 @@ pub fn ipm_matching_threads(
     let mut scores = parallel::scratch_vec_filled::<f64>(n, 0.0);
     let mut touched = parallel::scratch_vec::<usize>();
 
+    let view = Replicated::whole(h, fixed);
     for &u in &order {
         if mate[u] != u {
             continue;
         }
-        touched.clear();
-        for &j in h.vertex_nets(u) {
-            let size = h.net_size(j);
-            if size < 2 || size > cfg.max_net_size_for_matching {
-                continue;
-            }
-            let contrib = if cfg.scaled_ipm {
-                h.net_cost(j) / (size - 1) as f64
-            } else {
-                h.net_cost(j)
-            };
-            if contrib <= 0.0 {
-                continue;
-            }
-            pins_scanned += size as u64;
-            for &w in h.net(j) {
-                if w == u || mate[w] != w {
-                    continue;
-                }
-                if scores[w] == 0.0 {
-                    touched.push(w);
-                }
-                scores[w] += contrib;
-            }
-        }
+        pins_scanned += accumulate_scores(
+            &view,
+            u,
+            h.vertex_nets(u),
+            cfg,
+            |w| mate[w] == w,
+            &mut scores,
+            &mut touched,
+        );
         // Select the best *compatible* candidate (infeasible scores were
         // computed but are skipped here, as in the paper).
         let mut best: Option<usize> = None;
@@ -222,6 +259,7 @@ fn ipm_matching_parallel(
     threads: usize,
 ) -> Matching {
     let n = h.num_vertices();
+    let view = Replicated::whole(h, fixed);
 
     // Per-vertex candidate lists (partner, inner-product score) in
     // first-touch order — exactly the order the serial matcher's
@@ -239,32 +277,15 @@ fn ipm_matching_parallel(
         |(scores, touched), _, range| {
             let mut lists: Vec<(Vec<(usize, f64)>, u64)> = Vec::with_capacity(range.len());
             for u in range {
-                touched.clear();
-                let mut pins_u = 0u64;
-                for &j in h.vertex_nets(u) {
-                    let size = h.net_size(j);
-                    if size < 2 || size > cfg.max_net_size_for_matching {
-                        continue;
-                    }
-                    let contrib = if cfg.scaled_ipm {
-                        h.net_cost(j) / (size - 1) as f64
-                    } else {
-                        h.net_cost(j)
-                    };
-                    if contrib <= 0.0 {
-                        continue;
-                    }
-                    pins_u += size as u64;
-                    for &w in h.net(j) {
-                        if w == u {
-                            continue;
-                        }
-                        if scores[w] == 0.0 {
-                            touched.push(w);
-                        }
-                        scores[w] += contrib;
-                    }
-                }
+                let pins_u = accumulate_scores(
+                    &view,
+                    u,
+                    h.vertex_nets(u),
+                    cfg,
+                    |_| true,
+                    scores,
+                    touched,
+                );
                 let list: Vec<(usize, f64)> = touched.iter().map(|&w| {
                     let s = scores[w];
                     scores[w] = 0.0;
@@ -448,6 +469,7 @@ fn ipm_matching_cas(
 ) -> Matching {
     let n = h.num_vertices();
     let slots: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(FREE)).collect();
+    let view = Replicated::whole(h, fixed);
     let pins_scanned = AtomicU64::new(0);
     let refused_fixed = AtomicU64::new(0);
 
@@ -477,36 +499,20 @@ fn ipm_matching_cas(
                 if slots[u].load(Ordering::Acquire) != FREE {
                     continue;
                 }
-                touched.clear();
-                for &j in h.vertex_nets(u) {
-                    let size = h.net_size(j);
-                    if size < 2 || size > cfg.max_net_size_for_matching {
-                        continue;
-                    }
-                    let contrib = if cfg.scaled_ipm {
-                        h.net_cost(j) / (size - 1) as f64
-                    } else {
-                        h.net_cost(j)
-                    };
-                    if contrib <= 0.0 {
-                        continue;
-                    }
-                    local_pins += size as u64;
-                    for &w in h.net(j) {
-                        // Skip neighbors already claimed — the same
-                        // pruning the serial matcher gets from `mate[w]`.
-                        // The relaxed load is advisory (a racing worker
-                        // may claim `w` right after); staleness only
-                        // costs a failed lock attempt below.
-                        if w == u || slots[w].load(Ordering::Relaxed) < HELD {
-                            continue;
-                        }
-                        if scores[w] == 0.0 {
-                            touched.push(w);
-                        }
-                        scores[w] += contrib;
-                    }
-                }
+                // Neighbors already claimed are skipped — the same
+                // pruning the serial matcher gets from `mate[w]`. The
+                // relaxed load is advisory (a racing worker may claim
+                // `w` right after); staleness only costs a failed lock
+                // attempt below.
+                local_pins += accumulate_scores(
+                    &view,
+                    u,
+                    h.vertex_nets(u),
+                    cfg,
+                    |w| slots[w].load(Ordering::Relaxed) >= HELD,
+                    scores,
+                    touched,
+                );
                 cands.clear();
                 for &w in touched.iter() {
                     let s = scores[w];

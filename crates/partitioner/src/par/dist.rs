@@ -14,6 +14,10 @@
 //! DESIGN.md §17). Per-rank residency is `O((n + |pins|)/p + halo)`
 //! with no term proportional to the global instance.
 //!
+//! Both kinds of level run the same per-vertex kernels (IPM scoring,
+//! candidate rounds, move gains, FM proposals, the rebalance step),
+//! written once over the crate's storage view; this module supplies the
+//! distributed storage, its wire formats, and what keeps its state exact.
 //! Bit-identity with the replicated levels is preserved:
 //!
 //! * **Matching** — a stub stores this rank's own pins *in net order*,
@@ -44,22 +48,25 @@
 //! threshold is effectively infinite and every level is a replicated
 //! one, so "replicated" is this driver with zero distributed levels.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use dlb_disthg::{DistHypergraph, GhostExchange, GhostHalo, NetShare};
 use dlb_hypergraph::{parallel, Hypergraph, PartId};
 use dlb_mpisim::{BlockDist, Comm};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::coarsen::{contract_threads, CoarseLevel};
 use crate::config::{CoarseningConfig, Config, PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
 use crate::initial::{initial_partition, score};
-use crate::par::matching::{draw_candidates, par_ipm_matching_threads, Proposal, MAX_ROUNDS};
-use crate::par::refine::{accepts_proposal, accepts_revalidated, par_refine};
-use crate::refine::{refine_threads, RefineScratch};
+use crate::par::matching::{candidate_matching, local_matching, par_ipm_matching_threads};
+use crate::par::refine::{par_refine, propose_moves};
+use crate::refine::{
+    rebalance, refine_threads, CommitMove, MoveScratch, PartitionState, RefineScratch,
+};
+use crate::view::LevelView;
 
 /// Per-rank memory/communication figures of one distributed V-cycle.
 #[derive(Clone, Copy, Debug, Default)]
@@ -112,6 +119,9 @@ impl DistStats {
 #[derive(Clone)]
 struct DistLevel {
     dh: DistHypergraph,
+    /// First owned vertex (`dh.my_range().start`, which costs a division
+    /// to recompute — too much for the per-pin kernels).
+    start: usize,
     /// Owned auxiliary load columns (`aux[c-1][off]` is constraint `c`
     /// of owned vertex `start + off`); empty in the scalar pipeline.
     aux: Vec<Vec<f64>>,
@@ -126,6 +136,7 @@ impl DistLevel {
         let dh = DistHypergraph::from_replicated(h, rank, size);
         let my_range = dh.my_range();
         DistLevel {
+            start: my_range.start,
             aux: (1..h.load_arity())
                 .map(|c| h.loads().constraint(c)[my_range.clone()].to_vec())
                 .collect(),
@@ -140,6 +151,11 @@ impl DistLevel {
     #[inline]
     fn fixed_i64(&self, off: usize) -> i64 {
         self.fixed[off].map_or(-1, |p| p as i64)
+    }
+
+    /// Auxiliary loads of owned vertex `v`, one per auxiliary column.
+    fn aux_of(&self, v: usize) -> Vec<f64> {
+        self.aux.iter().map(|col| col[v - self.start]).collect()
     }
 
     /// Total bytes this rank keeps resident for the level: the
@@ -177,17 +193,53 @@ impl DistLevel {
     }
 }
 
-/// A matching over block-distributed vertices: `mate[off]` is the
-/// global mate of owned vertex `start + off` (itself if unmatched).
-struct DistMatching {
-    mate: Vec<usize>,
-    /// Global pair count (identical on every rank).
-    num_pairs: usize,
-}
-
-impl DistMatching {
-    fn coarse_count(&self, n: usize) -> usize {
-        n - self.num_pairs
+/// A distributed level as the shared kernels see it: a rank stores
+/// exactly the vertex block it owns, and a net's locally stored pins are
+/// the full list on its owner and this rank's own pins elsewhere.
+impl LevelView for &DistLevel {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.dh.num_vertices()
+    }
+    #[inline]
+    fn stored(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.fixed.len()
+    }
+    #[inline]
+    fn owned(&self) -> std::ops::Range<usize> {
+        self.stored()
+    }
+    #[inline]
+    fn num_nets(&self) -> usize {
+        self.dh.num_local_nets()
+    }
+    #[inline]
+    fn nets_of(&self, v: usize) -> &[usize] {
+        self.dh.vertex_local_nets(v)
+    }
+    #[inline]
+    fn pins(&self, j: usize) -> &[usize] {
+        self.dh.net_pins(j)
+    }
+    #[inline]
+    fn net_size(&self, j: usize) -> usize {
+        self.dh.net_size(j)
+    }
+    #[inline]
+    fn net_cost(&self, j: usize) -> f64 {
+        self.dh.net_cost(j)
+    }
+    #[inline]
+    fn weight(&self, v: usize) -> f64 {
+        self.dh.owned_weights()[self.slot(v)]
+    }
+    #[inline]
+    fn aux_load(&self, v: usize, i: usize) -> f64 {
+        self.aux[i][self.slot(v)]
+    }
+    #[inline]
+    fn fixed(&self, v: usize) -> Option<PartId> {
+        self.fixed[self.slot(v)]
     }
 }
 
@@ -197,229 +249,39 @@ impl DistMatching {
 /// owned vertices.
 type CandRecord = (usize, i64, Vec<usize>);
 
-/// One level of distributed matching — the exact mirror of the serial
-/// selection path of [`par_ipm_matching_threads`], reading net structure
-/// through the owner-computes storage. A net this rank cannot see
-/// contains none of its owned vertices, so its proposals are unchanged.
+/// One level of distributed matching (collective): the mates of this
+/// rank's owned vertices (global ids, self if unmatched) and the global
+/// pair count. The same rounds as [`par_ipm_matching_threads`] run, over
+/// the owner-computes storage; with local IPM both endpoints of every
+/// pair are owned, so the only communication is the pair count.
 fn dist_ipm_matching(
     comm: &mut Comm,
     d: &DistLevel,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
-) -> DistMatching {
+    threads: usize,
+) -> (Vec<usize>, usize) {
     if cfg.local_ipm {
-        return dist_local_ipm_matching(comm, d, cfg, rng);
+        let mate = local_matching(comm.rank(), &d, cfg, rng);
+        let my_pairs = d.dh.my_range().zip(&mate).filter(|&(v, &m)| m > v).count();
+        return (mate, comm.allreduce(my_pairs, |a, b| a + b));
     }
-    let my_range = d.dh.my_range();
-    let start = my_range.start;
-    let owned = my_range.len();
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng = StdRng::seed_from_u64(
-        shared_draw ^ (comm.rank() as u64).wrapping_mul(0xA5A5_5A5A_DEAD_BEEF),
-    );
-
-    let mut mate: Vec<usize> = my_range.clone().collect();
-    let mut num_pairs = 0usize;
-    let mut scores = vec![0.0f64; owned];
-    let mut touched: Vec<usize> = Vec::new();
-
-    for _round in 0..MAX_ROUNDS {
-        let my_unmatched: Vec<usize> =
-            my_range.clone().filter(|&v| mate[v - start] == v).collect();
-        let my_cands = draw_candidates(my_unmatched, &mut my_rng);
-        let my_records: Vec<CandRecord> = my_cands
-            .iter()
-            .map(|&u| {
-                let gids: Vec<usize> = d
-                    .dh
-                    .vertex_local_nets(u)
-                    .iter()
-                    .map(|&lj| d.dh.net_global_id(lj))
-                    .collect();
-                (u, d.fixed_i64(u - start), gids)
-            })
-            .collect();
-        let records: Vec<CandRecord> =
-            comm.allgather(my_records).into_iter().flatten().collect();
-        if records.is_empty() {
-            break;
-        }
-        let cand_ids: Vec<usize> = records.iter().map(|r| r.0).collect();
-
-        let mut taken = vec![false; owned];
-        let proposals: Vec<(f64, usize, usize)> = records
-            .iter()
-            .map(|(u, u_fixed, gids)| {
-                let best = dist_best_owned_partner(
-                    d,
-                    *u,
-                    *u_fixed,
-                    gids.iter().filter_map(|&g| d.dh.local_net_index(g)),
-                    &mate,
-                    &taken,
-                    cfg,
-                    &mut scores,
-                    &mut touched,
-                );
-                match best {
-                    Some((w, s)) if !cand_ids.contains(&w) || w > *u => {
-                        taken[w - start] = true;
-                        (s, comm.rank(), w)
-                    }
-                    _ => (Proposal::NONE.score, Proposal::NONE.rank, Proposal::NONE.partner),
-                }
-            })
-            .collect();
-
-        let winners = comm.allreduce_vec(proposals, |a, b| {
-            let pa = Proposal { score: a.0, rank: a.1, partner: a.2 };
-            let pb = Proposal { score: b.0, rank: b.1, partner: b.2 };
-            let w = Proposal::better_of(&pa, &pb);
-            (w.score, w.rank, w.partner)
-        });
-
-        // Candidates and their scored partners are all unmatched at
-        // round start, so "mate[x] != x by now" (the replicated apply
-        // guard) is exactly "x was matched earlier in this loop".
-        let mut newly: HashSet<usize> = HashSet::new();
-        let mut matched_this_round = 0usize;
-        for (rec, &(win_score, win_rank, partner)) in records.iter().zip(&winners) {
-            let u = rec.0;
-            if win_rank == usize::MAX || win_score <= 0.0 {
-                continue;
-            }
-            if newly.contains(&u) || newly.contains(&partner) || u == partner {
-                continue;
-            }
-            newly.insert(u);
-            newly.insert(partner);
-            if my_range.contains(&u) {
-                mate[u - start] = partner;
-            }
-            if my_range.contains(&partner) {
-                mate[partner - start] = u;
-            }
-            num_pairs += 1;
-            matched_this_round += 1;
-        }
-        if matched_this_round == 0 {
-            break;
-        }
-    }
-
-    DistMatching { mate, num_pairs }
-}
-
-/// Mirror of `best_owned_partner` over owner-computes storage. The
-/// caller supplies `u`'s incidence as an iterator of *local* net
-/// indices (for a global candidate: its net-id list filtered through
-/// [`DistHypergraph::local_net_index`] — absent nets contain none of
-/// this rank's vertices and contribute nothing). Stub pin lists hold
-/// this rank's pins in net order, so accumulation and first-touch
-/// order match the replicated loop restricted to the owned range
-/// exactly. `mate`, `taken` and `scores` are indexed by owned offset.
-#[allow(clippy::too_many_arguments)]
-fn dist_best_owned_partner(
-    d: &DistLevel,
-    u: usize,
-    u_fixed: i64,
-    net_iter: impl Iterator<Item = usize>,
-    mate: &[usize],
-    taken: &[bool],
-    cfg: &CoarseningConfig,
-    scores: &mut [f64],
-    touched: &mut Vec<usize>,
-) -> Option<(usize, f64)> {
-    let my_range = d.dh.my_range();
-    let start = my_range.start;
-    touched.clear();
-    for lj in net_iter {
-        let size = d.dh.net_size(lj);
-        if size < 2 || size > cfg.max_net_size_for_matching {
-            continue;
-        }
-        let contrib = if cfg.scaled_ipm {
-            d.dh.net_cost(lj) / (size - 1) as f64
-        } else {
-            d.dh.net_cost(lj)
-        };
-        if contrib <= 0.0 {
-            continue;
-        }
-        for &w in d.dh.net_pins(lj) {
-            if w == u || !my_range.contains(&w) {
-                continue;
-            }
-            let off = w - start;
-            if mate[off] != w || taken[off] {
-                continue;
-            }
-            if scores[off] == 0.0 {
-                touched.push(off);
-            }
-            scores[off] += contrib;
-        }
-    }
-    let mut best: Option<(usize, f64)> = None;
-    for &off in touched.iter() {
-        let s = scores[off];
-        scores[off] = 0.0;
-        let w_fixed = d.fixed_i64(off);
-        let compatible = u_fixed < 0 || w_fixed < 0 || u_fixed == w_fixed;
-        if compatible && best.is_none_or(|(_, bs)| s > bs) {
-            best = Some((start + off, s));
-        }
-    }
-    best
-}
-
-/// Mirror of `par_local_ipm_matching` over owner-computes storage:
-/// greedy rank-local matching. Both endpoints of every pair are owned,
-/// so the only communication is the global pair count.
-fn dist_local_ipm_matching(
-    comm: &mut Comm,
-    d: &DistLevel,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-) -> DistMatching {
-    let my_range = d.dh.my_range();
-    let start = my_range.start;
-    let owned = my_range.len();
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng = StdRng::seed_from_u64(
-        shared_draw ^ (comm.rank() as u64).wrapping_mul(0x0BAD_CAFE_F00D_BEEF),
-    );
-
-    let mut mate: Vec<usize> = my_range.clone().collect();
-    let mut scores = vec![0.0f64; owned];
-    let mut touched: Vec<usize> = Vec::new();
-    let taken = vec![false; owned];
-
-    let mut order: Vec<usize> = my_range.clone().collect();
-    order.shuffle(&mut my_rng);
-    let mut local_pairs = 0usize;
-    for &u in &order {
-        if mate[u - start] != u {
-            continue;
-        }
-        if let Some((w, _)) = dist_best_owned_partner(
-            d,
-            u,
-            d.fixed_i64(u - start),
-            d.dh.vertex_local_nets(u).iter().copied(),
-            &mate,
-            &taken,
-            cfg,
-            &mut scores,
-            &mut touched,
-        ) {
-            mate[u - start] = w;
-            mate[w - start] = u;
-            local_pairs += 1;
-        }
-    }
-    let num_pairs = comm.allreduce(local_pairs, |a, b| a + b);
-    DistMatching { mate, num_pairs }
+    let dh = &d.dh;
+    let start = dh.my_range().start;
+    let pack = |u: usize| -> CandRecord {
+        let gids = dh.vertex_local_nets(u).iter().map(|&lj| dh.net_global_id(lj)).collect();
+        (u, d.fixed_i64(u - start), gids)
+    };
+    // A net this rank cannot see contains none of its owned vertices, so
+    // dropping it leaves this rank's proposals unchanged.
+    let unpack = |(u, u_fixed, mut nets): CandRecord| {
+        nets.retain_mut(|g| dh.local_net_index(*g).map(|lj| *g = lj).is_some());
+        (u, (u_fixed >= 0).then_some(u_fixed as PartId), Cow::Owned(nets))
+    };
+    candidate_matching(comm, &d, cfg, rng, threads, |comm, mine| {
+        let records: Vec<CandRecord> = mine.into_iter().map(pack).collect();
+        comm.allgather(records).into_iter().flatten().map(unpack).collect()
+    })
 }
 
 /// Deterministic shard rank for a coarse pin-set: every copy of an
@@ -496,11 +358,7 @@ fn pin_owner_ranks(dh: &DistHypergraph, lj: usize, owners: &mut Vec<usize>) {
 ///    list to its owner rank, a stub (that rank's own pins, which form
 ///    one contiguous run of the sorted list) to every other pin-owning
 ///    rank.
-fn dist_contract(
-    comm: &mut Comm,
-    d: &DistLevel,
-    matching: &DistMatching,
-) -> (DistLevel, Vec<usize>) {
+fn dist_contract(comm: &mut Comm, d: &DistLevel, mate: &[usize]) -> (DistLevel, Vec<usize>) {
     let dh = &d.dh;
     let my_range = dh.my_range();
     let start = my_range.start;
@@ -509,21 +367,21 @@ fn dist_contract(
     let vdist = dh.vertex_dist();
 
     // --- Global coarse numbering. ---
-    let my_reps = (0..owned).filter(|&i| matching.mate[i] >= start + i).count();
+    let my_reps = (0..owned).filter(|&i| mate[i] >= start + i).count();
     let rep_counts = comm.allgather(my_reps);
     let nc: usize = rep_counts.iter().sum();
     let my_base: usize = rep_counts[..comm.rank()].iter().sum();
     let mut f2c = vec![usize::MAX; owned];
     let mut next = my_base;
     for i in 0..owned {
-        if matching.mate[i] >= start + i {
+        if mate[i] >= start + i {
             f2c[i] = next;
             next += 1;
         }
     }
     let mut remote_mates: Vec<usize> = (0..owned)
-        .filter(|&i| matching.mate[i] < start + i && !my_range.contains(&matching.mate[i]))
-        .map(|i| matching.mate[i])
+        .filter(|&i| mate[i] < start + i && !my_range.contains(&mate[i]))
+        .map(|i| mate[i])
         .collect();
     remote_mates.sort_unstable();
     remote_mates.dedup();
@@ -531,7 +389,7 @@ fn dist_contract(
     // id is already assigned there.
     let mate_lookup = pull_remote(comm, &vdist, remote_mates, &f2c);
     for i in 0..owned {
-        let m = matching.mate[i];
+        let m = mate[i];
         if m < start + i {
             f2c[i] = if my_range.contains(&m) { f2c[m - start] } else { mate_lookup.get(m) };
         }
@@ -547,8 +405,14 @@ fn dist_contract(
     let mut contrib: Vec<Vec<CoarseContribution>> = (0..nranks).map(|_| Vec::new()).collect();
     for i in 0..owned {
         let c = f2c[i];
-        let aux_vals: Vec<f64> = d.aux.iter().map(|col| col[i]).collect();
-        contrib[cdist.owner(c)].push((c, start + i, vwgt[i], d.vsize[i], d.fixed_i64(i), aux_vals));
+        contrib[cdist.owner(c)].push((
+            c,
+            start + i,
+            vwgt[i],
+            d.vsize[i],
+            d.fixed_i64(i),
+            d.aux_of(start + i),
+        ));
     }
     let mut incoming: Vec<CoarseContribution> =
         comm.alltoallv(contrib).into_iter().flatten().collect();
@@ -653,22 +517,9 @@ fn dist_contract(
     shares.sort_unstable_by_key(|s| s.gid);
     let dh_coarse =
         DistHypergraph::from_local_nets(nc, num_coarse_nets, comm.rank(), nranks, shares, cw);
-    let coarse = DistLevel { dh: dh_coarse, aux: caux, vsize: cs, fixed: cfixed };
+    let coarse =
+        DistLevel { dh: dh_coarse, start: crange.start, aux: caux, vsize: cs, fixed: cfixed };
     (coarse, f2c)
-}
-
-/// Mirror of `MoveScratch` (its fields are private to `refine`).
-struct DistMoveScratch {
-    mark: Vec<u64>,
-    present: Vec<f64>,
-    cands: Vec<usize>,
-    stamp: u64,
-}
-
-impl DistMoveScratch {
-    fn new(k: usize) -> Self {
-        DistMoveScratch { mark: vec![0; k], present: vec![0.0; k], cands: Vec::new(), stamp: 0 }
-    }
 }
 
 /// Replicated part-weight vectors from distributed per-vertex data
@@ -698,26 +549,15 @@ fn fold_part_weights(
     (weights, aux_weights)
 }
 
-/// Partition state over owner-computes storage. Sigma rows exist for
+/// [`PartitionState`] over owner-computes storage. Sigma rows exist for
 /// every locally visible net and always hold the net's **global** part
 /// distribution (owned nets count their ghost pins through the halo
 /// cache; stub rows are seeded by the owner and patched by per-move
-/// delta events). The O(k) part-weight vectors are replicated and kept
+/// delta events), which is what makes the shared move kernels exact for
+/// an owned vertex. The O(k) part-weight vectors are replicated and kept
 /// in bitwise lockstep on every rank; the partition vector itself is
 /// owned-block only.
-struct DistState<'a> {
-    level: &'a DistLevel,
-    k: usize,
-    /// `sigma[lj*k + p]` = pins of local net `lj` in part `p`
-    /// (global count, including pins this rank does not store).
-    sigma: Vec<u32>,
-    weights: Vec<f64>,
-    /// Per-part auxiliary loads, `aux_weights[(c-1)*k + p]`; empty when
-    /// the level carries no auxiliary columns.
-    aux_weights: Vec<f64>,
-    /// Parts of this rank's owned vertices (indexed by owned offset).
-    part: Vec<PartId>,
-}
+type DistState<'a> = PartitionState<&'a DistLevel>;
 
 impl<'a> DistState<'a> {
     /// Builds the shared state (collective): first halo pull seeds the
@@ -764,7 +604,7 @@ impl<'a> DistState<'a> {
             }
         }
         let (weights, aux_weights) = fold_part_weights(comm, level, k, &part);
-        DistState { level, k, sigma, weights, aux_weights, part }
+        PartitionState { view: level, k, threads: 1, sigma, weights, aux_weights, part }
     }
 
     /// A private working copy for proposal generation (collective: the
@@ -773,53 +613,19 @@ impl<'a> DistState<'a> {
     /// copies of the incrementally maintained shared vectors — the two
     /// can differ in the last ulp).
     fn private_copy(&self, comm: &mut Comm) -> DistState<'a> {
-        let (weights, aux_weights) = fold_part_weights(comm, self.level, self.k, &self.part);
-        DistState {
-            level: self.level,
-            k: self.k,
+        let (weights, aux_weights) = fold_part_weights(comm, self.view, self.k, &self.part);
+        PartitionState {
             sigma: self.sigma.clone(),
             weights,
             aux_weights,
             part: self.part.clone(),
+            ..*self
         }
-    }
-
-    #[inline]
-    fn sigma(&self, lj: usize, p: usize) -> u32 {
-        self.sigma[lj * self.k + p]
-    }
-
-    #[inline]
-    fn my_start(&self) -> usize {
-        self.level.dh.my_range().start
-    }
-
-    /// Applies a move of owned vertex `v` to `q`, updating every local
-    /// sigma row (an owned vertex's incidence list is complete), the
-    /// replicated weight vectors, and the owned part slice. Returns the
-    /// source part.
-    fn apply_owned(&mut self, v: usize, q: PartId) -> PartId {
-        let off = v - self.my_start();
-        let p = self.part[off];
-        debug_assert_ne!(p, q);
-        for &lj in self.level.dh.vertex_local_nets(v) {
-            self.sigma[lj * self.k + p] -= 1;
-            self.sigma[lj * self.k + q] += 1;
-        }
-        let w = self.level.dh.owned_weights()[off];
-        self.weights[p] -= w;
-        self.weights[q] += w;
-        for (i, col) in self.level.aux.iter().enumerate() {
-            self.aux_weights[i * self.k + p] -= col[off];
-            self.aux_weights[i * self.k + q] += col[off];
-        }
-        self.part[off] = q;
-        p
     }
 
     /// Applies the replicated (O(k)) share of a remote vertex's move:
     /// the weight vectors shift by the payload values in the same
-    /// arithmetic order as [`DistState::apply_owned`] on the owner, so
+    /// arithmetic order as [`PartitionState::apply`] on the owner, so
     /// the vectors stay bitwise identical across ranks. Sigma rows are
     /// reconciled separately by [`sync_moves`].
     fn apply_remote(&mut self, from: PartId, to: PartId, w: f64, aux_vals: &[f64]) {
@@ -830,112 +636,6 @@ impl<'a> DistState<'a> {
             self.aux_weights[i * self.k + to] += a;
         }
     }
-
-    /// Mirror of `PartitionState::aux_fits` for owned offset `off`.
-    #[inline]
-    fn aux_fits(&self, off: usize, q: PartId, targets: &PartTargets) -> bool {
-        for (i, a) in targets.aux.iter().enumerate() {
-            if self.aux_weights[i * self.k + q] + self.level.aux[i][off] > a.cap(q) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Exact gain of moving owned vertex `v` to `q` (an owned vertex's
-    /// nets are all local and their rows are globally exact, so this
-    /// equals `PartitionState::gain`).
-    fn gain(&self, v: usize, q: PartId) -> f64 {
-        let p = self.part[v - self.my_start()];
-        if p == q {
-            return 0.0;
-        }
-        let mut g = 0.0;
-        for &lj in self.level.dh.vertex_local_nets(v) {
-            let c = self.level.dh.net_cost(lj);
-            if self.sigma(lj, p) == 1 {
-                g += c;
-            }
-            if self.sigma(lj, q) == 0 {
-                g -= c;
-            }
-        }
-        g
-    }
-
-    /// Mirror of `PartitionState::best_move` for an owned vertex.
-    fn best_move(
-        &self,
-        v: usize,
-        targets: &PartTargets,
-        scratch: &mut DistMoveScratch,
-    ) -> Option<(PartId, f64)> {
-        let off = v - self.my_start();
-        let p = self.part[off];
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-
-        let mut base = 0.0;
-        let mut total = 0.0;
-        for &lj in self.level.dh.vertex_local_nets(v) {
-            let c = self.level.dh.net_cost(lj);
-            total += c;
-            if self.sigma(lj, p) == 1 {
-                base += c;
-            }
-            for q in 0..self.k {
-                if q != p && self.sigma(lj, q) > 0 {
-                    if scratch.mark[q] != stamp {
-                        scratch.mark[q] = stamp;
-                        scratch.present[q] = 0.0;
-                        scratch.cands.push(q);
-                    }
-                    scratch.present[q] += c;
-                }
-            }
-        }
-
-        let w = self.level.dh.owned_weights()[off];
-        let mut best: Option<(PartId, f64)> = None;
-        for &q in &scratch.cands {
-            if self.weights[q] + w > targets.cap(q) || !self.aux_fits(off, q, targets) {
-                continue;
-            }
-            let gain = base - (total - scratch.present[q]);
-            match best {
-                Some((bq, bg)) => {
-                    if gain > bg + 1e-12 || (gain > bg - 1e-12 && self.weights[q] < self.weights[bq])
-                    {
-                        best = Some((q, gain));
-                    }
-                }
-                None => best = Some((q, gain)),
-            }
-        }
-        scratch.cands.clear();
-        best
-    }
-
-    /// Owned boundary vertices, ascending — the replicated boundary
-    /// list restricted to the owned range. Every net of an owned vertex
-    /// is locally visible with a globally exact sigma row, and a stub's
-    /// pin list is exactly this rank's pins, so no boundary vertex is
-    /// missed and none is spurious.
-    fn owned_boundary(&self) -> Vec<usize> {
-        let range = self.level.dh.my_range();
-        let mut flag = vec![false; range.len()];
-        for lj in 0..self.level.dh.num_local_nets() {
-            let cut = (0..self.k).filter(|&p| self.sigma(lj, p) > 0).count() > 1;
-            if cut {
-                for &v in self.level.dh.net_pins(lj) {
-                    if range.contains(&v) {
-                        flag[v - range.start] = true;
-                    }
-                }
-            }
-        }
-        range.clone().filter(|&v| flag[v - range.start]).collect()
-    }
 }
 
 /// Reconciles sigma rows after a batch of committed moves (collective).
@@ -943,7 +643,7 @@ impl<'a> DistState<'a> {
 /// Three disjoint row families update:
 ///
 /// * **Owned-net rows for owned movers** — already updated inside
-///   [`DistState::apply_owned`] (an owned vertex's incidence list is
+///   [`PartitionState::apply`] (an owned vertex's incidence list is
 ///   complete), nothing to do here.
 /// * **Owned-net rows for ghost movers** — the incremental halo push
 ///   delivers `(slot, old, new)` triples for exactly the ghosts whose
@@ -960,8 +660,7 @@ fn sync_moves(
     halo: &mut GhostHalo<PartId>,
     own_moves: &[(usize, PartId, PartId)],
 ) {
-    let level = state.level;
-    let dh = &level.dh;
+    let dh = &state.view.dh;
     let k = state.k;
     let me = dh.rank();
     let vdist = dh.vertex_dist();
@@ -1034,12 +733,11 @@ fn apply_global(
     w: f64,
     aux_vals: &[f64],
 ) {
-    let range = state.level.dh.my_range();
+    let range = state.view.dh.my_range();
     if range.contains(&v) {
-        let off = v - range.start;
-        let actual = state.apply_owned(v, to);
-        debug_assert_eq!(actual, from);
-        halo.mark_dirty(off);
+        debug_assert_eq!(state.part_of(v), from);
+        state.apply(v, to);
+        halo.mark_dirty(v - range.start);
         sync_moves(comm, state, halo, &[(v, from, to)]);
     } else {
         state.apply_remote(from, to, w, aux_vals);
@@ -1047,85 +745,38 @@ fn apply_global(
     }
 }
 
-fn total_violation(weights: &[f64], targets: &PartTargets) -> f64 {
-    weights.iter().enumerate().map(|(p, &w)| (w - targets.cap(p)).max(0.0)).sum()
+/// One move on the wire: (vertex, from, to, weight, auxiliary loads). The
+/// payload lets non-owner ranks shift the replicated weight vectors
+/// without holding the mover's per-vertex data.
+type MoveProp = (usize, PartId, PartId, f64, Vec<f64>);
+
+/// [`CommitMove`] for a distributed level: each rank's best evacuation
+/// covers only the block it stores (ascending, like the replicated
+/// scan), so the level-wide best is the allreduce maximum with the
+/// replicated tie-break (higher gain, then lower vertex id), applied
+/// collectively.
+struct Collective<'c> {
+    comm: &'c mut Comm,
+    halo: &'c mut GhostHalo<PartId>,
 }
 
-/// Distributed mirror of `refine::rebalance`: repeatedly move the best
-/// candidate out of the most-overweight part. Candidates are scanned
-/// owner-blocked (ascending vertex id across ranks, matching the
-/// replicated scan order) and the global winner is the allreduce
-/// maximum with the replicated tie-break (higher gain, then lower
-/// vertex id).
-fn dist_rebalance(
-    comm: &mut Comm,
-    state: &mut DistState<'_>,
-    halo: &mut GhostHalo<PartId>,
-    targets: &PartTargets,
-    scratch: &mut DistMoveScratch,
-) {
-    dlb_trace::count(dlb_trace::Counter::RebalanceInvocations, 1);
-    let k = state.k;
-    let range = state.level.dh.my_range();
-    let start = range.start;
-    let max_moves = 2 * state.level.dh.num_vertices() + 16;
-    for _ in 0..max_moves {
-        let violation_before = total_violation(&state.weights, targets);
-        // Most-overweight part by absolute overshoot (replicated
-        // weights: identical choice on every rank).
-        let mut over: Option<(usize, f64)> = None;
-        for p in 0..k {
-            let excess = state.weights[p] - targets.cap(p);
-            if excess > 1e-9 && over.is_none_or(|(_, e)| excess > e) {
-                over = Some((p, excess));
-            }
-        }
-        let Some((p, _)) = over else { return };
+impl<'a> CommitMove<&'a DistLevel> for Collective<'_> {
+    type Move = MoveProp;
 
-        // Best owned candidate to evacuate from `p`.
-        let mut best: Option<(usize, PartId, f64)> = None; // (v, to, gain)
-        for off in 0..range.len() {
-            if state.part[off] != p || state.level.fixed[off].is_some() {
-                continue;
-            }
-            let v = start + off;
-            let (q, g) = match state.best_move(v, targets, scratch) {
-                Some((q, g)) => (q, g),
-                None => {
-                    // No underweight destination admits the vertex:
-                    // fall back to the minimum relative spare capacity,
-                    // like the replicated rebalance.
-                    let w = state.level.dh.owned_weights()[off];
-                    let mut fq: Option<(PartId, f64)> = None;
-                    for q in 0..k {
-                        if q == p {
-                            continue;
-                        }
-                        let rel = (state.weights[q] + w) / targets.target[q].max(1e-12);
-                        if fq.is_none_or(|(_, r)| rel < r) {
-                            fq = Some((q, rel));
-                        }
-                    }
-                    let Some((q, _)) = fq else { continue };
-                    (q, state.gain(v, q))
-                }
-            };
-            // Strict improvement keeps the earliest (lowest-id) vertex,
-            // matching the replicated ascending scan.
-            if best.is_none_or(|(_, _, bg)| g > bg) {
-                best = Some((v, q, g));
-            }
-        }
-        let entry: (f64, usize, usize, f64, Vec<f64>) = match best {
-            Some((v, q, g)) => {
-                let off = v - start;
-                let aux_vals: Vec<f64> = state.level.aux.iter().map(|col| col[off]).collect();
-                (g, v, q, state.level.dh.owned_weights()[off], aux_vals)
-            }
+    fn commit(
+        &mut self,
+        state: &mut DistState<'a>,
+        from: PartId,
+        local: Option<(usize, PartId, f64)>,
+    ) -> Option<MoveProp> {
+        let level = state.view;
+        let entry: (f64, usize, usize, f64, Vec<f64>) = match local {
+            Some((v, q, g)) => (g, v, q, level.weight(v), level.aux_of(v)),
             None => (f64::NEG_INFINITY, usize::MAX, usize::MAX, 0.0, Vec::new()),
         };
-        let (_g, v, q, w, aux_vals) = comm.allreduce_vec(vec![entry], |a, b| {
-            match a.0.total_cmp(&b.0) {
+        let (_, v, q, w, aux_vals) = self
+            .comm
+            .allreduce_vec(vec![entry], |a, b| match a.0.total_cmp(&b.0) {
                 std::cmp::Ordering::Greater => a.clone(),
                 std::cmp::Ordering::Less => b.clone(),
                 std::cmp::Ordering::Equal => {
@@ -1135,34 +786,29 @@ fn dist_rebalance(
                         b.clone()
                     }
                 }
-            }
-        })
-        .pop()
-        .expect("allreduce keeps the element");
+            })
+            .pop()
+            .expect("allreduce keeps the element");
         if v == usize::MAX {
-            return;
+            return None;
         }
-        apply_global(comm, state, halo, v, p, q, w, &aux_vals);
-        if total_violation(&state.weights, targets) >= violation_before - 1e-12 {
-            // No progress: undo and stop, like the replicated rebalance.
-            apply_global(comm, state, halo, v, q, p, w, &aux_vals);
-            return;
-        }
+        apply_global(self.comm, state, self.halo, v, from, q, w, &aux_vals);
+        Some((v, from, q, w, aux_vals))
+    }
+
+    fn revert(&mut self, state: &mut DistState<'a>, (v, from, to, w, aux_vals): MoveProp) {
+        apply_global(self.comm, state, self.halo, v, to, from, w, &aux_vals);
     }
 }
 
-/// One proposed move: (vertex, from, to, weight, auxiliary loads). The
-/// payload lets non-owner ranks shift the replicated weight vectors
-/// without holding the mover's per-vertex data.
-type MoveProp = (usize, PartId, PartId, f64, Vec<f64>);
-
-/// One distributed FM pass (collective). Mirrors `par_pass`: each rank
-/// proposes for its owned boundary on a private copy, proposals are
-/// all-gathered, and each batch is revalidated *by its owner rank*
-/// against the exact evolving state; the verdict bitmap is broadcast
-/// and every rank applies the surviving moves' O(k) weight shifts.
-/// Sigma rows and the ghost-part cache reconcile after every batch via
-/// the incremental (dirty-subset) halo push.
+/// One distributed FM pass (collective), the owner-computes form of
+/// `par_pass`: each rank proposes for its owned boundary on a private
+/// copy ([`propose_moves`]), proposals are all-gathered, and each batch
+/// is revalidated ([`PartitionState::revalidates`]) *by its owner rank*
+/// against the exact evolving state; the verdict bitmap is broadcast and
+/// every rank applies the surviving moves' O(k) weight shifts. Sigma rows
+/// and the ghost-part cache reconcile after every batch via the
+/// incremental (dirty-subset) halo push.
 fn dist_pass(
     comm: &mut Comm,
     state: &mut DistState<'_>,
@@ -1170,34 +816,14 @@ fn dist_pass(
     targets: &PartTargets,
     rng: &mut StdRng,
 ) -> usize {
-    let start = state.my_start();
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng = StdRng::seed_from_u64(
-        shared_draw ^ (comm.rank() as u64).wrapping_mul(0xC0FF_EE00_1234_5678),
-    );
-
+    let level = state.view;
+    let start = level.dh.my_range().start;
     let my_moves: Vec<MoveProp> = {
         let mut private = state.private_copy(comm);
-        let mut scratch = DistMoveScratch::new(targets.k());
-        let mut boundary: Vec<usize> = private
-            .owned_boundary()
+        propose_moves(comm.rank(), &mut private, targets, rng)
             .into_iter()
-            .filter(|&v| state.level.fixed[v - start].is_none())
-            .collect();
-        boundary.shuffle(&mut my_rng);
-        let mut moves = Vec::new();
-        for v in boundary {
-            if let Some((to, gain)) = private.best_move(v, targets, &mut scratch) {
-                let p = private.part[v - start];
-                if accepts_proposal(gain, private.weights[p], targets.target[p]) {
-                    private.apply_owned(v, to);
-                    let aux_vals: Vec<f64> =
-                        state.level.aux.iter().map(|col| col[v - start]).collect();
-                    moves.push((v, p, to, state.level.dh.owned_weights()[v - start], aux_vals));
-                }
-            }
-        }
-        moves
+            .map(|(v, from, to)| (v, from, to, level.weight(v), level.aux_of(v)))
+            .collect()
     };
 
     let all_moves: Vec<Vec<MoveProp>> = comm.allgather(my_moves);
@@ -1208,27 +834,19 @@ fn dist_pass(
             // Decide sequentially against the exact evolving state —
             // every vertex in the batch is owned here, so gains are
             // exact and `from == part[v]` (one proposal per vertex).
-            let mut v_out = Vec::with_capacity(batch.len());
-            for &(v, from, to, w, ref aux_vals) in batch {
-                let _ = aux_vals;
-                let off = v - start;
-                let ok = state.level.fixed[off].is_none()
-                    && state.part[off] != to
-                    && state.weights[to] + w <= targets.cap(to)
-                    && state.aux_fits(off, to, targets)
-                    && {
-                        let gain = state.gain(v, to);
-                        accepts_revalidated(gain, state.weights[state.part[off]], state.weights[to], w)
-                    };
-                if ok {
-                    debug_assert_eq!(state.part[off], from);
-                    state.apply_owned(v, to);
-                    halo.mark_dirty(off);
-                    own_applied.push((v, from, to));
-                }
-                v_out.push(ok);
-            }
-            v_out
+            batch
+                .iter()
+                .map(|&(v, from, to, ..)| {
+                    let ok = state.revalidates(v, to, targets);
+                    if ok {
+                        debug_assert_eq!(state.part_of(v), from);
+                        state.apply(v, to);
+                        halo.mark_dirty(v - start);
+                        own_applied.push((v, from, to));
+                    }
+                    ok
+                })
+                .collect()
         } else {
             vec![false; batch.len()]
         };
@@ -1250,10 +868,17 @@ fn dist_pass(
 
 /// Distributed refinement over an owner-computes level (collective).
 /// `part_owned` is this rank's owned partition slice; it is refined in
-/// place. Note: the auxiliary-feasibility `greedy_repair` step of the
-/// replicated path has no distributed mirror — multi-constraint runs
-/// must stay on replicated levels (the CLI rejects `--constraints`
-/// together with `--distributed`).
+/// place.
+///
+/// The replicated path's auxiliary-feasibility step (`greedy_repair`)
+/// has no distributed form. A distributed level starts exactly as
+/// aux-feasible as the coarser level left it — the coarsest level is
+/// always replicated (and repaired there), and projection preserves
+/// every part load — and FM moves respect the auxiliary caps, so the
+/// one way a multi-constraint run can lose feasibility here is the
+/// rebalance fallback destination, which is chosen on primary load
+/// alone; such a violation stays until a replicated level (or the
+/// caller's final repair) sees it.
 fn dist_refine(
     comm: &mut Comm,
     level: &DistLevel,
@@ -1268,8 +893,8 @@ fn dist_refine(
     }
     let mut halo = GhostHalo::new(GhostExchange::build(comm, &level.dh), level.dh.my_range().len());
     let mut state = DistState::new(comm, &mut halo, level, k, std::mem::take(part_owned));
-    let mut scratch = DistMoveScratch::new(k);
-    dist_rebalance(comm, &mut state, &mut halo, targets, &mut scratch);
+    let mut collective = Collective { comm: &mut *comm, halo: &mut halo };
+    rebalance(&mut state, targets, &mut MoveScratch::new(k), &mut collective);
     for _ in 0..cfg.max_passes {
         let moved = dist_pass(comm, &mut state, &mut halo, targets, rng);
         if moved == 0 {
@@ -1495,15 +1120,16 @@ pub fn dist_multilevel_stats(
                         Step::Gather(gh, gf, before)
                     }
                     View::Dist(d) => {
-                        let matching = dist_ipm_matching(comm, d, &cfg.coarsening, rng);
-                        let after = matching.coarse_count(before);
+                        let (mate, num_pairs) =
+                            dist_ipm_matching(comm, d, &cfg.coarsening, rng, threads);
+                        let after = before - num_pairs;
                         if ((before - after) as f64) < before as f64 * cfg.coarsening.min_reduction
                         {
                             Step::Stop // unsuccessful coarsening (10% rule)
                         } else {
-                            let (coarse, fine_to_coarse) = dist_contract(comm, d, &matching);
+                            let (coarse, fine_to_coarse) = dist_contract(comm, d, &mate);
                             stats.observe(&coarse);
-                            Step::Push(Level::Dist(coarse, fine_to_coarse), matching.num_pairs)
+                            Step::Push(Level::Dist(coarse, fine_to_coarse), num_pairs)
                         }
                     }
                     View::Repl(ch, cf) => {
@@ -1698,27 +1324,118 @@ mod tests {
     }
 
     /// The distributed levels must be bit-identical to the replicated
-    /// levels at the same rank count, for every rank count.
+    /// levels at the same rank count, for every rank count — also in a
+    /// direct k-way call with k > 2, where rebalance ties between equally
+    /// overweight parts occur (recursive bisection only ever passes
+    /// k = 2, where they cannot).
     #[test]
     fn dist_multilevel_matches_replicated_levels() {
-        let h = crate::tests::grid_hypergraph(16, 16);
-        let targets = PartTargets::uniform(h.total_vertex_weight(), 4, 0.05);
-        let fixed = FixedAssignment::free(h.num_vertices());
-        for ranks in [1usize, 2, 4] {
-            let cfg = dist_cfg(11, 60);
+        let check = |h: &Hypergraph, k: usize, eps: f64, cfg: Config, rng_seed: u64, ranks: usize| {
+            let targets = PartTargets::uniform(h.total_vertex_weight(), k, eps);
+            let fixed = FixedAssignment::free(h.num_vertices());
             let repl_cfg = replicated(&cfg);
-            let repl = run_spmd(ranks, |comm| {
-                let mut rng = StdRng::seed_from_u64(2);
-                dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
-            });
-            let dist = run_spmd(ranks, |comm| {
-                let mut rng = StdRng::seed_from_u64(2);
-                dist_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
-            });
-            assert_eq!(dist, repl, "ranks={ranks}");
+            let run = |cfg: &Config| {
+                run_spmd(ranks, |comm| {
+                    let mut rng = StdRng::seed_from_u64(rng_seed);
+                    dist_multilevel(comm, h, &targets, &fixed, cfg, &mut rng)
+                })
+            };
+            let (repl, dist) = (run(&repl_cfg), run(&cfg));
+            assert_eq!(dist, repl, "k={k} ranks={ranks} cfg seed {}", cfg.seed);
             for r in &dist[1..] {
                 assert_eq!(*r, dist[0], "ranks themselves disagree at {ranks}");
             }
+        };
+        let grid = crate::tests::grid_hypergraph(16, 16);
+        for ranks in [1usize, 2, 4] {
+            check(&grid, 4, 0.05, dist_cfg(11, 60), 2, ranks);
+        }
+        for seed in [0u64, 9, 17, 23, 31] {
+            let h = crate::tests::random_hypergraph(240, 500, 5, seed);
+            for k in [2usize, 4, 8] {
+                for ranks in [1usize, 2, 3, 4] {
+                    check(&h, k, 0.03, dist_cfg(seed, 40), 5, ranks);
+                }
+            }
+        }
+    }
+
+    /// What the whole-V-cycle oracles above cannot localise: the state
+    /// the shared move kernels read. After the collective build and
+    /// after every owner's batch of moves has been reconciled, each
+    /// locally visible net's sigma row (stub rows included), the
+    /// replicated weight vector and each owned vertex's `best_move`
+    /// equal those of the replicated `PartitionState`.
+    #[test]
+    fn dist_state_matches_replicated_state() {
+        use crate::view::Replicated;
+        let (n, k) = (120usize, 4usize);
+        let h = crate::tests::random_hypergraph(n, 260, 5, 3);
+        let fixed = FixedAssignment::free(n);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.25);
+        let part0: Vec<PartId> = (0..n).map(|v| (v * 7 + v / 5) % k).collect();
+        let moves: Vec<(usize, PartId)> =
+            (0..n).step_by(9).map(|v| (v, (part0[v] + 1 + v % 3) % k)).collect();
+
+        for ranks in [1usize, 2, 3] {
+            run_spmd(ranks, |comm| {
+                let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), comm.size());
+                let dh = &level.dh;
+                let owned = dh.my_range();
+                if ranks > 1 {
+                    assert!((0..dh.num_local_nets()).any(|lj| !dh.owns_net(lj)), "no stub held");
+                }
+                let mut reference = PartitionState::<Replicated<'_>>::new(
+                    Replicated::whole(&h, &fixed),
+                    k,
+                    part0.clone(),
+                );
+                let mut halo = GhostHalo::new(GhostExchange::build(comm, dh), owned.len());
+                let mut state =
+                    DistState::new(comm, &mut halo, &level, k, part0[owned.clone()].to_vec());
+
+                let agree = |state: &DistState<'_>, reference: &PartitionState<Replicated<'_>>| {
+                    for lj in 0..dh.num_local_nets() {
+                        let j = dh.net_global_id(lj);
+                        assert_eq!(
+                            state.sigma[lj * k..(lj + 1) * k],
+                            reference.sigma[j * k..(j + 1) * k],
+                            "ranks={ranks} net {j} (owned: {})",
+                            dh.owns_net(lj)
+                        );
+                    }
+                    assert_eq!(state.weights, reference.weights, "ranks={ranks}");
+                    let (mut a, mut b) = (MoveScratch::new(k), MoveScratch::new(k));
+                    for v in owned.clone() {
+                        assert_eq!(
+                            state.best_move(v, &targets, &mut a),
+                            reference.best_move(v, &targets, &mut b),
+                            "ranks={ranks} vertex {v}"
+                        );
+                    }
+                };
+                agree(&state, &reference);
+
+                // One batch per owner rank, reconciled after each — the
+                // cadence of `dist_pass`.
+                for r in 0..comm.size() {
+                    let batch = dh.vertex_dist().range(r);
+                    let mut own: Vec<(usize, PartId, PartId)> = Vec::new();
+                    for &(v, to) in moves.iter().filter(|(v, _)| batch.contains(v)) {
+                        let from = reference.part[v];
+                        reference.apply(v, to);
+                        if owned.contains(&v) {
+                            state.apply(v, to);
+                            halo.mark_dirty(v - owned.start);
+                            own.push((v, from, to));
+                        } else {
+                            state.apply_remote(from, to, h.vertex_weight(v), &[]);
+                        }
+                    }
+                    sync_moves(comm, &mut state, &mut halo, &own);
+                    agree(&state, &reference);
+                }
+            });
         }
     }
 

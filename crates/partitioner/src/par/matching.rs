@@ -10,56 +10,58 @@
 //! the winning matches identically, so the coarse hypergraph is built
 //! consistently everywhere without further communication.
 
-use dlb_hypergraph::{parallel, Hypergraph};
-use dlb_mpisim::{BlockDist, Comm};
+use std::borrow::Cow;
+use std::collections::HashSet;
+
+use dlb_hypergraph::{parallel, Hypergraph, PartId};
+use dlb_mpisim::Comm;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::config::CoarseningConfig;
-use crate::fixed::FixedAssignment;
-use crate::matching::Matching;
+use crate::fixed::{compatible_parts, FixedAssignment};
+use crate::matching::{accumulate_scores, Matching};
+use crate::view::{LevelView, Replicated};
 
 /// Fraction of a rank's unmatched owned vertices nominated per round.
-pub(crate) const CANDIDATE_FRACTION: f64 = 0.5;
+const CANDIDATE_FRACTION: f64 = 0.5;
 /// Maximum candidate rounds per coarsening level.
-pub(crate) const MAX_ROUNDS: usize = 4;
+const MAX_ROUNDS: usize = 4;
 
 /// A rank's proposal for one candidate: (score, proposing rank, partner).
-/// Reduced by lexicographic max on (score, -rank) so ties resolve to the
-/// lowest rank deterministically.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Proposal {
-    pub(crate) score: f64,
-    pub(crate) rank: usize,
-    pub(crate) partner: usize,
-}
+type Proposal = (f64, usize, usize);
 
-impl Proposal {
-    pub(crate) const NONE: Proposal =
-        Proposal { score: 0.0, rank: usize::MAX, partner: usize::MAX };
+const NO_PROPOSAL: Proposal = (0.0, usize::MAX, usize::MAX);
 
-    pub(crate) fn better_of(a: &Proposal, b: &Proposal) -> Proposal {
-        match a.score.total_cmp(&b.score) {
-            std::cmp::Ordering::Greater => *a,
-            std::cmp::Ordering::Less => *b,
-            std::cmp::Ordering::Equal => {
-                if a.rank <= b.rank {
-                    *a
-                } else {
-                    *b
-                }
+/// Lexicographic max on (score, -rank), so ties resolve to the lowest
+/// rank deterministically.
+fn better_of(a: &Proposal, b: &Proposal) -> Proposal {
+    match a.0.total_cmp(&b.0) {
+        std::cmp::Ordering::Greater => *a,
+        std::cmp::Ordering::Less => *b,
+        std::cmp::Ordering::Equal => {
+            if a.1 <= b.1 {
+                *a
+            } else {
+                *b
             }
         }
     }
 }
 
+/// A matching candidate as a rank scores it: the vertex, the part it is
+/// fixed to, and those of its nets this rank stores (ascending). How it
+/// got there is the level's wire format: a replicated level ships the
+/// bare id — every rank can look the vertex up — while a distributed
+/// level ships what only the owner holds.
+pub(crate) type Candidate<'v> = (usize, Option<PartId>, Cow<'v, [usize]>);
+
 /// Draws this round's candidate subset from a rank's unmatched owned
 /// vertices: shuffle with the rank-decorrelated stream, keep the ceil
 /// fraction, and sort ascending so the all-gathered candidate order is
-/// deterministic. Shared by the replicated and distributed matchers so
-/// both draw bit-identical candidate sets from the same RNG state.
-pub(crate) fn draw_candidates(mut unmatched: Vec<usize>, rng: &mut StdRng) -> Vec<usize> {
+/// deterministic.
+fn draw_candidates(mut unmatched: Vec<usize>, rng: &mut StdRng) -> Vec<usize> {
     unmatched.shuffle(rng);
     let ncand =
         ((unmatched.len() as f64 * CANDIDATE_FRACTION).ceil() as usize).min(unmatched.len());
@@ -68,106 +70,221 @@ pub(crate) fn draw_candidates(mut unmatched: Vec<usize>, rng: &mut StdRng) -> Ve
     cands
 }
 
-/// Computes IPM scores of `u` against all unmatched vertices in the
-/// owned range `range`, returning the best feasible partner.
-#[allow(clippy::too_many_arguments)]
-fn best_owned_partner(
-    h: &Hypergraph,
-    u: usize,
-    mate: &[usize],
-    taken: &[bool],
-    fixed: &FixedAssignment,
-    cfg: &CoarseningConfig,
-    range: &std::ops::Range<usize>,
-    scores: &mut [f64],
-    touched: &mut Vec<usize>,
+/// Reads out (and zeroes) the scores [`accumulate_scores`] left, in
+/// first-touch order. Must be consumed to the end.
+fn drain_scores<'a, V: LevelView>(
+    view: &'a V,
+    scores: &'a mut [f64],
+    touched: &'a [usize],
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    touched.iter().map(move |&w| (w, std::mem::take(&mut scores[view.slot(w)])))
+}
+
+/// The best-scoring of `partners` (first wins on ties) that is not
+/// `skip`ped and may merge with a vertex fixed to `u_fixed`. The
+/// feasibility check happens here, after scoring (Section 4.1).
+fn select_partner<V: LevelView>(
+    view: &V,
+    u_fixed: Option<PartId>,
+    partners: impl Iterator<Item = (usize, f64)>,
+    skip: impl Fn(usize) -> bool,
 ) -> Option<(usize, f64)> {
-    touched.clear();
-    for &j in h.vertex_nets(u) {
-        let size = h.net_size(j);
-        if size < 2 || size > cfg.max_net_size_for_matching {
-            continue;
-        }
-        let contrib = if cfg.scaled_ipm {
-            h.net_cost(j) / (size - 1) as f64
-        } else {
-            h.net_cost(j)
-        };
-        if contrib <= 0.0 {
-            continue;
-        }
-        for &w in h.net(j) {
-            if w == u || !range.contains(&w) || mate[w] != w || taken[w] {
-                continue;
-            }
-            if scores[w] == 0.0 {
-                touched.push(w);
-            }
-            scores[w] += contrib;
-        }
-    }
     let mut best: Option<(usize, f64)> = None;
-    for &w in touched.iter() {
-        let s = scores[w];
-        scores[w] = 0.0;
-        // Feasibility check happens here, after scoring (Section 4.1).
-        if fixed.compatible(u, w) && best.is_none_or(|(_, bs)| s > bs) {
+    for (w, s) in partners {
+        if !skip(w) && compatible_parts(u_fixed, view.fixed(w)) && best.is_none_or(|(_, bs)| s > bs) {
             best = Some((w, s));
         }
     }
     best
 }
 
+/// This rank's proposal for candidate `c` among its scored `partners`: the
+/// best one not yet `taken` this round, which it then takes. Of two
+/// candidates that prefer each other only the lower id proposes.
+fn propose<V: LevelView>(
+    view: &V,
+    rank: usize,
+    ids: &[usize],
+    c: &Candidate<'_>,
+    partners: impl Iterator<Item = (usize, f64)>,
+    taken: &mut [bool],
+) -> Proposal {
+    match select_partner(view, c.1, partners, |w| taken[view.slot(w)]) {
+        Some((w, s)) if !ids.contains(&w) || w > c.0 => {
+            taken[view.slot(w)] = true;
+            (s, rank, w)
+        }
+        _ => NO_PROPOSAL,
+    }
+}
+
 /// Per-candidate chunk size for the parallel scoring stage: candidate
 /// scoring is heavier per item than vertex scoring, so chunks are small.
 const CAND_CHUNK: usize = 64;
 
-/// Like [`best_owned_partner`] but returns the *full* partner list in
-/// first-touch order, without the `taken` filter. The IPM score of a pair
-/// is independent of the matching state, so the list can be computed
-/// concurrently for many candidates; the serial selection then applies
-/// the `taken` and fixed-compatibility filters. Filtering a subsequence
-/// preserves first-touch order, so selection over the filtered list is
-/// identical to [`best_owned_partner`]'s.
-fn owned_partner_list(
-    h: &Hypergraph,
-    u: usize,
-    mate: &[usize],
+/// The candidate rounds of one matching level, on either storage form.
+/// Collective. `exchange` sends this rank's nominated vertices to every
+/// rank and returns all ranks' candidates in rank order. Returns the
+/// mates of the stored vertices (indexed by [`LevelView::slot`], self for
+/// unmatched) and the global pair count; every rank agrees on the mate of
+/// every vertex it stores.
+///
+/// The IPM score of a pair does not depend on the matching state, so with
+/// several `threads` every candidate's partners are scored concurrently
+/// against everything unmatched at round start, and the `taken` filter is
+/// applied at selection, in candidate order. Filtering a
+/// first-touch-ordered list preserves its order, so the proposals are the
+/// same at every thread count.
+pub(crate) fn candidate_matching<'v, V: LevelView + Sync>(
+    comm: &mut Comm,
+    view: &'v V,
     cfg: &CoarseningConfig,
-    range: &std::ops::Range<usize>,
-    scores: &mut [f64],
-    touched: &mut Vec<usize>,
-) -> Vec<(usize, f64)> {
-    touched.clear();
-    for &j in h.vertex_nets(u) {
-        let size = h.net_size(j);
-        if size < 2 || size > cfg.max_net_size_for_matching {
-            continue;
+    rng: &mut StdRng,
+    threads: usize,
+    mut exchange: impl FnMut(&mut Comm, Vec<usize>) -> Vec<Candidate<'v>>,
+) -> (Vec<usize>, usize) {
+    let rank = comm.rank();
+    let owned = view.owned();
+    let stored = view.stored();
+    // Per-rank decorrelated RNG derived from the shared stream so all
+    // ranks advance their shared `rng` identically.
+    let shared_draw: u64 = rng.gen();
+    let mut my_rng = StdRng::seed_from_u64(
+        shared_draw ^ (rank as u64).wrapping_mul(0xA5A5_5A5A_DEAD_BEEF),
+    );
+
+    let mut mate: Vec<usize> = stored.clone().collect();
+    let mut num_pairs = 0usize;
+    let mut scores = vec![0.0f64; stored.len()];
+    let mut touched: Vec<usize> = Vec::new();
+
+    for _round in 0..MAX_ROUNDS {
+        // Nominate candidates among owned unmatched vertices; they
+        // travel to every rank.
+        let my_unmatched: Vec<usize> =
+            owned.clone().filter(|&v| mate[view.slot(v)] == v).collect();
+        let cands = exchange(comm, draw_candidates(my_unmatched, &mut my_rng));
+        if cands.is_empty() {
+            break;
         }
-        let contrib = if cfg.scaled_ipm {
-            h.net_cost(j) / (size - 1) as f64
-        } else {
-            h.net_cost(j)
+        let ids: Vec<usize> = cands.iter().map(|c| c.0).collect();
+
+        // Every rank proposes its best owned partner per candidate. A
+        // candidate cannot partner itself; candidates owned by this rank
+        // may still be proposed as partners of others.
+        // `taken` keeps one owned vertex from being proposed to two
+        // candidates in the same round. The serial path skips taken
+        // vertices while scoring; the threaded path scores every
+        // candidate before the first is taken, so there the filter acts
+        // at selection only.
+        let mut taken = vec![false; stored.len()];
+        let score = |c: &Candidate<'_>, taken: &[bool], scores: &mut [f64], touched: &mut _| {
+            let free = |w: usize| {
+                owned.contains(&w) && mate[view.slot(w)] == w && !taken[view.slot(w)]
+            };
+            accumulate_scores(view, c.0, &c.2, cfg, free, scores, touched);
         };
-        if contrib <= 0.0 {
-            continue;
-        }
-        for &w in h.net(j) {
-            if w == u || !range.contains(&w) || mate[w] != w {
+        let proposals: Vec<Proposal> = if threads > 1 {
+            let lists = parallel::map_chunks_with(
+                threads,
+                cands.len(),
+                CAND_CHUNK,
+                || (vec![0.0f64; stored.len()], Vec::<usize>::new()),
+                |(scores, touched), _, chunk| {
+                    chunk
+                        .map(|i| {
+                            score(&cands[i], &taken, scores, touched);
+                            drain_scores(view, scores, touched).collect::<Vec<_>>()
+                        })
+                        .collect::<Vec<_>>()
+                },
+            );
+            cands
+                .iter()
+                .zip(lists.into_iter().flatten())
+                .map(|(c, list)| propose(view, rank, &ids, c, list.into_iter(), &mut taken))
+                .collect()
+        } else {
+            cands
+                .iter()
+                .map(|c| {
+                    score(c, &taken, &mut scores, &mut touched);
+                    let partners = drain_scores(view, &mut scores, &touched);
+                    propose(view, rank, &ids, c, partners, &mut taken)
+                })
+                .collect()
+        };
+
+        // Global best proposal per candidate.
+        let winners = comm.allreduce_vec(proposals, better_of);
+
+        // Apply winners in deterministic candidate order; identical on
+        // all ranks. Candidates and their scored partners are all
+        // unmatched at round start, so a conflict is exactly "matched
+        // earlier in this loop" — which a rank can tell without seeing
+        // the mates it does not store.
+        let mut newly: HashSet<usize> = HashSet::new();
+        for (&u, &(best_score, proposer, partner)) in ids.iter().zip(&winners) {
+            if proposer == usize::MAX || best_score <= 0.0 {
                 continue;
             }
-            if scores[w] == 0.0 {
-                touched.push(w);
+            if u == partner || newly.contains(&u) || newly.contains(&partner) {
+                continue;
             }
-            scores[w] += contrib;
+            newly.insert(u);
+            newly.insert(partner);
+            if stored.contains(&u) {
+                mate[view.slot(u)] = partner;
+            }
+            if stored.contains(&partner) {
+                mate[view.slot(partner)] = u;
+            }
+        }
+        if newly.is_empty() {
+            break;
+        }
+        num_pairs += newly.len() / 2;
+    }
+    (mate, num_pairs)
+}
+
+/// Local IPM (the paper's proposed speedup, Section 5/6: "using local
+/// IPM instead of global IPM"): a rank greedily matches its owned
+/// vertices against *owned* partners only — no candidate broadcast, no
+/// best-match reduction. Cross-rank pairs are lost (the quality trade).
+/// Purely local; returns the mates of the stored vertices (this rank's
+/// pairs only; self for unmatched).
+pub(crate) fn local_matching<V: LevelView>(
+    rank: usize,
+    view: &V,
+    cfg: &CoarseningConfig,
+    rng: &mut StdRng,
+) -> Vec<usize> {
+    let owned = view.owned();
+    let stored = view.stored();
+    let shared_draw: u64 = rng.gen();
+    let mut my_rng =
+        StdRng::seed_from_u64(shared_draw ^ (rank as u64).wrapping_mul(0x0BAD_CAFE_F00D_BEEF));
+
+    let mut mate: Vec<usize> = stored.clone().collect();
+    let mut scores = vec![0.0f64; stored.len()];
+    let mut touched: Vec<usize> = Vec::new();
+
+    let mut order: Vec<usize> = owned.clone().collect();
+    order.shuffle(&mut my_rng);
+    for &u in &order {
+        if mate[view.slot(u)] != u {
+            continue;
+        }
+        let free = |w: usize| owned.contains(&w) && mate[view.slot(w)] == w;
+        accumulate_scores(view, u, view.nets_of(u), cfg, free, &mut scores, &mut touched);
+        let partners = drain_scores(view, &mut scores, &touched);
+        if let Some((w, _)) = select_partner(view, view.fixed(u), partners, |_| false) {
+            mate[view.slot(u)] = w;
+            mate[view.slot(w)] = u;
         }
     }
-    let mut list = Vec::with_capacity(touched.len());
-    for &w in touched.iter() {
-        list.push((w, scores[w]));
-        scores[w] = 0.0;
-    }
-    list
+    mate
 }
 
 /// One level of parallel matching. Collective: all ranks must call with
@@ -196,185 +313,22 @@ pub fn par_ipm_matching_threads(
     rng: &mut StdRng,
     threads: usize,
 ) -> Matching {
-    if cfg.local_ipm {
-        return par_local_ipm_matching(comm, h, fixed, cfg, rng);
-    }
-    let n = h.num_vertices();
-    let dist = BlockDist::new(n, comm.size());
-    let my_range = dist.range(comm.rank());
-    // Per-rank decorrelated RNG derived from the shared stream so all
-    // ranks advance their shared `rng` identically.
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng = StdRng::seed_from_u64(shared_draw ^ (comm.rank() as u64).wrapping_mul(0xA5A5_5A5A_DEAD_BEEF));
-
-    let mut mate: Vec<usize> = (0..n).collect();
-    let mut num_pairs = 0usize;
-    let mut scores = vec![0.0f64; n];
-    let mut touched: Vec<usize> = Vec::new();
-
-    for _round in 0..MAX_ROUNDS {
-        // Nominate candidates among owned unmatched vertices.
-        let my_unmatched: Vec<usize> = my_range.clone().filter(|&v| mate[v] == v).collect();
-        let my_cands = draw_candidates(my_unmatched, &mut my_rng);
-
-        // Candidates travel to every rank.
-        let all_cands: Vec<usize> = comm
-            .allgather(my_cands)
-            .into_iter()
-            .flatten()
-            .collect();
-        if all_cands.is_empty() {
-            break;
-        }
-
-        // Every rank proposes its best owned partner per candidate.
-        // `taken` prevents one owned vertex from being proposed to two
-        // candidates in the same round.
-        let mut taken = vec![false; n];
-        let proposals: Vec<(f64, usize, usize)> = if threads > 1 {
-            // Parallel scoring: partner lists per candidate (chunked over
-            // the candidate array, per-worker score buffers), then serial
-            // selection applying the `taken` filter in candidate order —
-            // identical to the serial loop, since pair scores do not
-            // depend on `taken`.
-            let lists: Vec<Vec<(usize, f64)>> = parallel::map_chunks_with(
-                threads,
-                all_cands.len(),
-                CAND_CHUNK,
-                || (vec![0.0f64; n], Vec::<usize>::new()),
-                |(scores, touched), _, chunk| {
-                    chunk
-                        .map(|i| {
-                            owned_partner_list(
-                                h, all_cands[i], &mate, cfg, &my_range, scores, touched,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                },
-            )
-            .into_iter()
-            .flatten()
-            .collect();
-            all_cands
-                .iter()
-                .zip(&lists)
-                .map(|(&u, list)| {
-                    let mut best: Option<(usize, f64)> = None;
-                    for &(w, s) in list {
-                        if taken[w] {
-                            continue;
-                        }
-                        if fixed.compatible(u, w) && best.is_none_or(|(_, bs)| s > bs) {
-                            best = Some((w, s));
-                        }
-                    }
-                    match best {
-                        Some((w, s)) if !all_cands.contains(&w) || w > u => {
-                            taken[w] = true;
-                            (s, comm.rank(), w)
-                        }
-                        _ => (Proposal::NONE.score, Proposal::NONE.rank, Proposal::NONE.partner),
-                    }
-                })
-                .collect()
-        } else {
-            all_cands
-                .iter()
-                .map(|&u| {
-                    // A candidate cannot partner itself; candidates owned by
-                    // this rank may still be proposed as partners of others.
-                    let best = best_owned_partner(
-                        h, u, &mate, &taken, fixed, cfg, &my_range, &mut scores, &mut touched,
-                    );
-                    match best {
-                        Some((w, s)) if !all_cands.contains(&w) || w > u => {
-                            taken[w] = true;
-                            (s, comm.rank(), w)
-                        }
-                        _ => (Proposal::NONE.score, Proposal::NONE.rank, Proposal::NONE.partner),
-                    }
-                })
-                .collect()
-        };
-
-        // Global best proposal per candidate.
-        let winners = comm.allreduce_vec(proposals, |a, b| {
-            let pa = Proposal { score: a.0, rank: a.1, partner: a.2 };
-            let pb = Proposal { score: b.0, rank: b.1, partner: b.2 };
-            let w = Proposal::better_of(&pa, &pb);
-            (w.score, w.rank, w.partner)
+    let view = Replicated::block(h, fixed, comm.rank(), comm.size());
+    if !cfg.local_ipm {
+        let lookup = |u: usize| (u, view.fixed(u), Cow::Borrowed(view.nets_of(u)));
+        let (mate, num_pairs) = candidate_matching(comm, &view, cfg, rng, threads, |comm, mine| {
+            comm.allgather(mine).into_iter().flatten().map(lookup).collect()
         });
-
-        // Apply winners in deterministic candidate order; identical on
-        // all ranks. Conflicts (partner matched earlier this loop) skip.
-        let mut matched_this_round = 0usize;
-        for (&u, &(score, rank, partner)) in all_cands.iter().zip(&winners) {
-            if rank == usize::MAX || score <= 0.0 {
-                continue;
-            }
-            if mate[u] != u || mate[partner] != partner || u == partner {
-                continue;
-            }
-            debug_assert!(fixed.compatible(u, partner));
-            mate[u] = partner;
-            mate[partner] = u;
-            num_pairs += 1;
-            matched_this_round += 1;
-        }
-        if matched_this_round == 0 {
-            break;
-        }
+        return Matching { mate, num_pairs };
     }
-
-    Matching { mate, num_pairs }
-}
-
-/// Local IPM (the paper's proposed speedup, Section 5/6: "using local
-/// IPM instead of global IPM"): every rank greedily matches its owned
-/// vertices against *owned* partners only — no candidate broadcast, no
-/// best-match reduction — then the disjoint per-rank matchings are
-/// merged with a single all-gather. Cross-rank pairs are lost (the
-/// quality trade), but per-level communication drops from `O(rounds)`
-/// collectives to one.
-fn par_local_ipm_matching(
-    comm: &mut Comm,
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-) -> Matching {
-    let n = h.num_vertices();
-    let dist = BlockDist::new(n, comm.size());
-    let my_range = dist.range(comm.rank());
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng = StdRng::seed_from_u64(
-        shared_draw ^ (comm.rank() as u64).wrapping_mul(0x0BAD_CAFE_F00D_BEEF),
-    );
-
-    let mut mate: Vec<usize> = (0..n).collect();
-    let mut scores = vec![0.0f64; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let taken = vec![false; n];
-
-    let mut order: Vec<usize> = my_range.clone().collect();
-    order.shuffle(&mut my_rng);
-    let mut my_pairs: Vec<(usize, usize)> = Vec::new();
-    for &u in &order {
-        if mate[u] != u {
-            continue;
-        }
-        if let Some((w, _)) = best_owned_partner(
-            h, u, &mate, &taken, fixed, cfg, &my_range, &mut scores, &mut touched,
-        ) {
-            mate[u] = w;
-            mate[w] = u;
-            my_pairs.push((u.min(w), u.max(w)));
-        }
-    }
-
-    // Merge the per-rank matchings; ownership makes them disjoint.
+    // The disjoint per-rank matchings are merged with a single
+    // all-gather: per-level communication drops from `O(rounds)`
+    // collectives to one.
+    let mine = local_matching(comm.rank(), &view, cfg, rng);
+    let my_pairs: Vec<(usize, usize)> =
+        view.owned().filter(|&v| mine[v] > v).map(|v| (v, mine[v])).collect();
     let all_pairs: Vec<(usize, usize)> = comm.allgather(my_pairs).into_iter().flatten().collect();
-    let mut mate: Vec<usize> = (0..n).collect();
+    let mut mate: Vec<usize> = (0..h.num_vertices()).collect();
     for &(u, w) in &all_pairs {
         debug_assert!(mate[u] == u && mate[w] == w, "ranks produced overlapping pairs");
         mate[u] = w;
@@ -386,8 +340,7 @@ fn par_local_ipm_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_mpisim::run_spmd;
-    use rand::SeedableRng;
+    use dlb_mpisim::{run_spmd, BlockDist};
 
     #[test]
     fn all_ranks_agree_on_matching() {

@@ -6,7 +6,11 @@
 //! paper's algorithmic behaviour). One V-cycle driver ([`dist`]) runs
 //! every level either replicated (the hypergraph structure on every
 //! rank) or, with `cfg.dist.distributed`, block-distributed while it is
-//! large. The three phases communicate exactly where the paper's
+//! large. Both forms run the same per-vertex kernels — written once over
+//! the crate's private storage view, together with the serial
+//! partitioner's (DESIGN.md §9) — and differ in the storage, in what
+//! travels on the wire, and in how the distributed form keeps its state
+//! exact. The three phases communicate exactly where the paper's
 //! implementation does:
 //!
 //! * **Coarsening** ([`matching`]): IPM runs in *rounds*. Each round,

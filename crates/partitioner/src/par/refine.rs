@@ -10,57 +10,48 @@
 //! the paper describes.
 
 use dlb_hypergraph::{Hypergraph, PartId};
-use dlb_mpisim::{BlockDist, Comm};
+use dlb_mpisim::Comm;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
-use crate::refine::{MoveScratch, PartitionState};
+use crate::refine::{greedy_repair, rebalance, Lockstep, MoveScratch, PartitionState};
+use crate::view::{LevelView, Replicated};
 
 /// One rank's proposed move.
 type Move = (usize, PartId); // (vertex, destination part)
 
-/// Proposal accept rule, shared with the distributed driver: strictly
-/// improving moves, or zero-gain moves away from an over-target part.
-pub(crate) fn accepts_proposal(gain: f64, source_weight: f64, source_target: f64) -> bool {
-    gain > 0.0 || (gain == 0.0 && source_weight > source_target)
-}
-
-/// Revalidation accept rule applied against the evolving shared state,
-/// shared with the distributed driver: strictly improving, or zero-gain
-/// moves that shift weight from the heavier to the lighter side.
-pub(crate) fn accepts_revalidated(gain: f64, from_weight: f64, to_weight: f64, w: f64) -> bool {
-    gain > 0.0 || (gain == 0.0 && from_weight > to_weight + w)
-}
-
-/// Proposes moves for owned boundary vertices on a private state copy.
-fn propose_local_moves(
-    h: &Hypergraph,
-    state: &mut PartitionState,
+/// Proposes moves for this rank's owned boundary vertices on `private`,
+/// its private copy of the state (so a rank's own proposals compose),
+/// visiting them in a rank-decorrelated random order. A proposal is a
+/// strictly improving move, or a zero-gain move away from an over-target
+/// part. Returns `(vertex, from, to)` per proposal, in proposal order.
+pub(crate) fn propose_moves<V: LevelView + Sync>(
+    rank: usize,
+    private: &mut PartitionState<V>,
     targets: &PartTargets,
-    fixed: &FixedAssignment,
-    range: &std::ops::Range<usize>,
     rng: &mut StdRng,
-) -> Vec<Move> {
+) -> Vec<(usize, PartId, PartId)> {
+    let shared_draw: u64 = rng.gen();
+    let mut my_rng =
+        StdRng::seed_from_u64(shared_draw ^ (rank as u64).wrapping_mul(0xC0FF_EE00_1234_5678));
     let mut scratch = MoveScratch::new(targets.k());
-    let mut boundary: Vec<usize> = state
-        .boundary_vertices()
-        .into_iter()
-        .filter(|v| range.contains(v) && !fixed.is_fixed(*v))
-        .collect();
-    boundary.shuffle(rng);
+    let mut boundary = Vec::new();
+    private.owned_boundary_into(&mut boundary);
+    boundary.retain(|&v| private.view.fixed(v).is_none());
+    boundary.shuffle(&mut my_rng);
 
     let mut moves = Vec::new();
     for v in boundary {
-        if let Some((to, gain)) = state.best_move(v, targets, &mut scratch) {
-            if accepts_proposal(gain, state.weights[state.part[v]], targets.target[state.part[v]]) {
-                state.apply(v, to);
-                moves.push((v, to));
+        if let Some((to, gain)) = private.best_move(v, targets, &mut scratch) {
+            let from = private.part_of(v);
+            if gain > 0.0 || (gain == 0.0 && private.weights[from] > targets.target[from]) {
+                private.apply(v, to);
+                moves.push((v, from, to));
             }
         }
-        let _ = h; // structure is read through `state`
     }
     moves
 }
@@ -69,44 +60,25 @@ fn propose_local_moves(
 /// (identical on every rank).
 fn par_pass(
     comm: &mut Comm,
-    state: &mut PartitionState,
+    state: &mut PartitionState<Replicated<'_>>,
     targets: &PartTargets,
-    fixed: &FixedAssignment,
-    h: &Hypergraph,
     rng: &mut StdRng,
 ) -> usize {
-    let dist = BlockDist::new(h.num_vertices(), comm.size());
-    let my_range = dist.range(comm.rank());
-
-    // Propose on a private copy so a rank's own proposals compose.
-    let mut private = PartitionState::new(h, targets.k(), state.part.clone());
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng =
-        StdRng::seed_from_u64(shared_draw ^ (comm.rank() as u64).wrapping_mul(0xC0FF_EE00_1234_5678));
-    let my_moves = propose_local_moves(h, &mut private, targets, fixed, &my_range, &mut my_rng);
+    let mut private = PartitionState::new(state.view, targets.k(), state.part.clone());
+    let my_moves: Vec<Move> = propose_moves(comm.rank(), &mut private, targets, rng)
+        .into_iter()
+        .map(|(v, _, to)| (v, to))
+        .collect();
 
     // Exchange and apply deterministically (rank order, proposal order),
     // revalidating against the evolving shared state.
-    let all_moves: Vec<Vec<Move>> = comm.allgather(my_moves);
-    let mut scratch = MoveScratch::new(targets.k());
     let mut applied = 0usize;
-    for rank_moves in &all_moves {
-        for &(v, to) in rank_moves {
-            if fixed.is_fixed(v) || state.part[v] == to {
-                continue;
-            }
-            let w = h.vertex_weight(v);
-            if state.weights[to] + w > targets.cap(to) || !state.aux_fits(v, to, targets) {
-                continue;
-            }
-            let gain = state.gain(v, to);
-            if accepts_revalidated(gain, state.weights[state.part[v]], state.weights[to], w) {
-                state.apply(v, to);
-                applied += 1;
-            }
+    for (v, to) in comm.allgather(my_moves).into_iter().flatten() {
+        if state.revalidates(v, to, targets) {
+            state.apply(v, to);
+            applied += 1;
         }
     }
-    let _ = &mut scratch;
     applied
 }
 
@@ -126,22 +98,22 @@ pub fn par_refine(
     if k < 2 || h.num_vertices() == 0 {
         return;
     }
-    let mut state = PartitionState::new(h, k, std::mem::take(part));
+    let view = Replicated::block(h, fixed, comm.rank(), comm.size());
+    let mut state = PartitionState::new(view, k, std::mem::take(part));
 
     // Balance restoration is deterministic given identical state, so all
     // ranks perform it redundantly without communication (it is rare and
     // cheap relative to FM).
-    let mut scratch = MoveScratch::new(k);
-    crate::refine::rebalance(&mut state, targets, fixed, &mut scratch);
+    rebalance(&mut state, targets, &mut MoveScratch::new(k), &mut Lockstep);
     // Auxiliary feasibility repair: deterministic given identical state,
     // so ranks run it redundantly in lockstep like `rebalance`. Never
     // reached at arity 1.
     if !targets.aux.is_empty() && !state.feasible(targets) {
-        crate::refine::greedy_repair(&mut state, targets, fixed);
+        greedy_repair(&mut state, targets);
     }
 
     for _ in 0..cfg.max_passes {
-        let moved = par_pass(comm, &mut state, targets, fixed, h, rng);
+        let moved = par_pass(comm, &mut state, targets, rng);
         if moved == 0 {
             break;
         }

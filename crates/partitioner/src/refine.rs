@@ -32,6 +32,7 @@ use rand::seq::SliceRandom;
 
 use crate::config::{PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
+use crate::view::{LevelView, Replicated};
 
 /// Nets larger than this do not trigger neighbor re-queues after a move;
 /// their pins' gains drift slightly until popped (and are then
@@ -43,38 +44,50 @@ const MAX_NET_SIZE_FOR_UPDATES: usize = 400;
 /// to keep workers even on skewed boundaries.
 const SEED_CHUNK: usize = 1024;
 
-/// Incrementally maintained partition state: per-net-per-part pin counts
-/// and part weights.
-pub struct PartitionState<'a> {
-    h: &'a Hypergraph,
-    k: usize,
+/// Incrementally maintained partition state of one rank's share of a
+/// level: per-net-per-part pin counts and part weights. The move
+/// kernels (`gain`, `best_move`, `apply`, …) are the same code on both
+/// storage forms; what differs is how the sigma rows are seeded and kept
+/// exact (`new` here for a replicated level, `par::dist` for a
+/// distributed one).
+pub(crate) struct PartitionState<V> {
+    pub(crate) view: V,
+    pub(crate) k: usize,
     /// Worker threads for state builds and whole-partition scans
-    /// (`cut`, `boundary_vertices`). Any value gives bit-identical
+    /// (`owned_boundary_into`). Any value gives bit-identical
     /// results — all reductions follow the chunked-reduction rule.
-    threads: usize,
-    /// `sigma[j*k + p]` = number of net `j`'s pins in part `p`.
-    sigma: Vec<u32>,
-    /// Total vertex weight per part.
-    pub weights: Vec<f64>,
+    pub(crate) threads: usize,
+    /// `sigma[j*k + p]` = number of net `j`'s pins in part `p` — the
+    /// net's **global** count, also for a net whose pins this rank
+    /// stores only partly.
+    pub(crate) sigma: Vec<u32>,
+    /// Total vertex weight per part (of the whole level).
+    pub(crate) weights: Vec<f64>,
     /// Per-part totals of the auxiliary load constraints, flattened as
     /// `aux_weights[(c-1)*k + p]`. Empty when the hypergraph is scalar
     /// (arity 1), so the scalar pipeline never touches it.
-    pub aux_weights: Vec<f64>,
-    /// Current assignment.
-    pub part: Vec<PartId>,
+    pub(crate) aux_weights: Vec<f64>,
+    /// Current parts of the stored vertices, by [`LevelView::slot`].
+    pub(crate) part: Vec<PartId>,
 }
 
-impl<'a> PartitionState<'a> {
-    /// Builds the state for `part` on `h`.
-    pub fn new(h: &'a Hypergraph, k: usize, part: Vec<PartId>) -> Self {
-        Self::new_threads(h, k, part, 1)
+impl<'a> PartitionState<Replicated<'a>> {
+    /// Builds the state for `part` on a replicated level.
+    pub(crate) fn new(view: Replicated<'a>, k: usize, part: Vec<PartId>) -> Self {
+        Self::new_threads(view, k, part, 1)
     }
 
     /// [`Self::new`] with an explicit worker-thread count. The sigma
     /// table is built per net chunk and concatenated in chunk order; the
     /// part weights are per-chunk partial sums folded in chunk order —
     /// so the state is bit-identical at every thread count.
-    pub fn new_threads(h: &'a Hypergraph, k: usize, part: Vec<PartId>, threads: usize) -> Self {
+    fn new_threads(
+        view: Replicated<'a>,
+        k: usize,
+        part: Vec<PartId>,
+        threads: usize,
+    ) -> Self {
+        let h = view.h;
         assert_eq!(part.len(), h.num_vertices());
         let threads = threads.max(1);
         // Sigma table: each chunk of nets owns the `k`-strided window of
@@ -135,49 +148,117 @@ impl<'a> PartitionState<'a> {
                 }
             }
         }
-        PartitionState { h, k, threads, sigma, weights, aux_weights, part }
+        PartitionState { view, k, threads, sigma, weights, aux_weights, part }
     }
 
+    /// Per-part load of auxiliary constraint `c` (1-based, `c ∈ 1..arity`).
+    #[inline]
+    fn aux_weight(&self, c: usize, p: usize) -> f64 {
+        self.aux_weights[(c - 1) * self.k + p]
+    }
+
+    /// The gain of moving `v` to `q` under the chosen metric. For
+    /// [`CutMetric::CutNet`], a net only contributes when the move makes
+    /// it entirely internal to `q` (+cost) or splits a net that was
+    /// entirely internal to `p` (−cost).
+    fn gain_metric(&self, v: usize, q: PartId, metric: CutMetric) -> f64 {
+        match metric {
+            CutMetric::Connectivity => self.gain(v, q),
+            CutMetric::CutNet => {
+                let h = self.view.h;
+                let p = self.part[v];
+                if p == q {
+                    return 0.0;
+                }
+                let mut g = 0.0;
+                for &j in h.vertex_nets(v) {
+                    let size = h.net_size(j) as u32;
+                    let c = h.net_cost(j);
+                    if self.sigma(j, q) == size - 1 {
+                        g += c; // net becomes internal to q
+                    }
+                    if self.sigma(j, p) == size {
+                        g -= c; // net was internal to p; move cuts it
+                    }
+                }
+                g
+            }
+        }
+    }
+
+    /// [`Self::best_move`] under the chosen metric (the k-1 path uses the
+    /// specialized decomposition; cut-net evaluates candidates directly).
+    fn best_move_metric(
+        &self,
+        v: usize,
+        targets: &PartTargets,
+        metric: CutMetric,
+        scratch: &mut MoveScratch,
+    ) -> Option<(PartId, f64)> {
+        if metric == CutMetric::Connectivity {
+            return self.best_move(v, targets, scratch);
+        }
+        let p = self.part[v];
+        scratch.stamp += 1;
+        let stamp = scratch.stamp;
+        scratch.cands.clear();
+        for &j in self.view.h.vertex_nets(v) {
+            for q in 0..self.k {
+                if q != p && self.sigma(j, q) > 0 && scratch.mark[q] != stamp {
+                    scratch.mark[q] = stamp;
+                    scratch.cands.push(q);
+                }
+            }
+        }
+        let gain_to = |q: PartId| self.gain_metric(v, q, metric);
+        let best = self.best_feasible(v, targets, &scratch.cands, gain_to);
+        scratch.cands.clear();
+        best
+    }
+}
+
+impl<V: LevelView> PartitionState<V> {
     #[inline]
     fn sigma(&self, j: usize, p: usize) -> u32 {
         self.sigma[j * self.k + p]
     }
 
-    /// Moves `v` to part `q`, updating pin counts and weights.
-    pub fn apply(&mut self, v: usize, q: PartId) {
-        let p = self.part[v];
+    /// Current part of stored vertex `v`.
+    #[inline]
+    pub(crate) fn part_of(&self, v: usize) -> PartId {
+        self.part[self.view.slot(v)]
+    }
+
+    /// Moves stored vertex `v` to part `q`, updating pin counts (a
+    /// stored vertex's net list is complete, so every row this rank
+    /// keeps is updated) and weights.
+    pub(crate) fn apply(&mut self, v: usize, q: PartId) {
+        let view = self.view;
+        let p = self.part_of(v);
         if p == q {
             return;
         }
-        for &j in self.h.vertex_nets(v) {
+        for &j in view.nets_of(v) {
             self.sigma[j * self.k + p] -= 1;
             self.sigma[j * self.k + q] += 1;
         }
-        let w = self.h.vertex_weight(v);
+        let w = view.weight(v);
         self.weights[p] -= w;
         self.weights[q] += w;
-        if !self.aux_weights.is_empty() {
-            for c in 1..self.h.load_arity() {
-                let l = self.h.vertex_load(v, c);
-                self.aux_weights[(c - 1) * self.k + p] -= l;
-                self.aux_weights[(c - 1) * self.k + q] += l;
-            }
+        for (i, row) in self.aux_weights.chunks_exact_mut(self.k).enumerate() {
+            let l = view.aux_load(v, i);
+            row[p] -= l;
+            row[q] += l;
         }
-        self.part[v] = q;
-    }
-
-    /// Per-part load of auxiliary constraint `c` (1-based, `c ∈ 1..arity`).
-    #[inline]
-    pub fn aux_weight(&self, c: usize, p: usize) -> f64 {
-        self.aux_weights[(c - 1) * self.k + p]
+        self.part[view.slot(v)] = q;
     }
 
     /// True when moving `v` into `q` respects every auxiliary cap. A
     /// no-op (empty loop, no float ops) when `targets` is scalar.
     #[inline]
-    pub fn aux_fits(&self, v: usize, q: PartId, targets: &PartTargets) -> bool {
+    fn aux_fits(&self, v: usize, q: PartId, targets: &PartTargets) -> bool {
         for (i, a) in targets.aux.iter().enumerate() {
-            if self.aux_weights[i * self.k + q] + self.h.vertex_load(v, i + 1) > a.cap(q) {
+            if self.aux_weights[i * self.k + q] + self.view.aux_load(v, i) > a.cap(q) {
                 return false;
             }
         }
@@ -186,7 +267,7 @@ impl<'a> PartitionState<'a> {
 
     /// True iff every part is within its cap on every constraint of
     /// `targets` (with a tiny slack for float noise).
-    pub fn feasible(&self, targets: &PartTargets) -> bool {
+    pub(crate) fn feasible(&self, targets: &PartTargets) -> bool {
         let slack = 1e-9;
         for p in 0..self.k {
             if self.weights[p] > targets.cap(p) + slack {
@@ -203,15 +284,17 @@ impl<'a> PartitionState<'a> {
         true
     }
 
-    /// The gain (cut decrease) of moving `v` to `q` under the k-1 metric.
-    pub fn gain(&self, v: usize, q: PartId) -> f64 {
-        let p = self.part[v];
+    /// The gain (cut decrease) of moving stored vertex `v` to `q` under
+    /// the k-1 metric. Exact on either storage form: every net of a
+    /// stored vertex has a row, and rows hold global counts.
+    fn gain(&self, v: usize, q: PartId) -> f64 {
+        let p = self.part_of(v);
         if p == q {
             return 0.0;
         }
         let mut g = 0.0;
-        for &j in self.h.vertex_nets(v) {
-            let c = self.h.net_cost(j);
+        for &j in self.view.nets_of(v) {
+            let c = self.view.net_cost(j);
             if self.sigma(j, p) == 1 {
                 g += c;
             }
@@ -222,52 +305,86 @@ impl<'a> PartitionState<'a> {
         g
     }
 
-    /// The gain of moving `v` to `q` under the chosen metric. For
-    /// [`CutMetric::CutNet`], a net only contributes when the move makes
-    /// it entirely internal to `q` (+cost) or splits a net that was
-    /// entirely internal to `p` (−cost).
-    pub fn gain_metric(&self, v: usize, q: PartId, metric: CutMetric) -> f64 {
-        match metric {
-            CutMetric::Connectivity => self.gain(v, q),
-            CutMetric::CutNet => {
-                let p = self.part[v];
-                if p == q {
-                    return 0.0;
+    /// Owned vertices on the cut boundary — incident to at least one net
+    /// that touches more than one part — ascending, into a caller-owned
+    /// buffer (cleared first) so refinement passes can reuse the
+    /// allocation. Every net of an owned vertex has a globally exact row
+    /// here and lists the vertex among its stored pins, so none is missed
+    /// and none is spurious. The expensive per-net part scan runs chunked
+    /// over the nets; the cheap pin-marking pass stays serial, so the
+    /// result is order-identical at every thread count.
+    pub(crate) fn owned_boundary_into(&self, out: &mut Vec<usize>)
+    where
+        V: Sync,
+    {
+        let owned = self.view.owned();
+        let num_nets = self.view.num_nets();
+        // Cut-net flags straight into an arena-backed buffer: one write
+        // per net, no per-chunk vectors (the buffer itself is reused
+        // across passes on this thread).
+        let mut cut_net = parallel::scratch_vec_filled::<bool>(num_nets, false);
+        parallel::fill_chunks(
+            self.threads,
+            num_nets,
+            parallel::DEFAULT_CHUNK,
+            1,
+            &mut cut_net,
+            |_, range, window| {
+                for j in range.clone() {
+                    window[j - range.start] =
+                        (0..self.k).filter(|&p| self.sigma(j, p) > 0).count() > 1;
                 }
-                let mut g = 0.0;
-                for &j in self.h.vertex_nets(v) {
-                    let size = self.h.net_size(j) as u32;
-                    let c = self.h.net_cost(j);
-                    if self.sigma(j, q) == size - 1 {
-                        g += c; // net becomes internal to q
-                    }
-                    if self.sigma(j, p) == size {
-                        g -= c; // net was internal to p; move cuts it
+            },
+        );
+        let mut boundary = parallel::scratch_vec_filled::<bool>(owned.len(), false);
+        for (j, &is_cut) in cut_net.iter().enumerate() {
+            if is_cut {
+                for &v in self.view.pins(j) {
+                    if owned.contains(&v) {
+                        boundary[v - owned.start] = true;
                     }
                 }
-                g
             }
         }
+        out.clear();
+        out.extend(owned.clone().filter(|&v| boundary[v - owned.start]));
+    }
+
+    /// Whether a move proposed against a private copy still holds
+    /// against this (the evolving shared) state: the vertex is free and
+    /// not there already, fits, and the move strictly improves the cut
+    /// or, at zero gain, shifts weight from the heavier to the lighter
+    /// side.
+    pub(crate) fn revalidates(&self, v: usize, to: PartId, targets: &PartTargets) -> bool {
+        let from = self.part_of(v);
+        if self.view.fixed(v).is_some() || from == to {
+            return false;
+        }
+        let w = self.view.weight(v);
+        if self.weights[to] + w > targets.cap(to) || !self.aux_fits(v, to, targets) {
+            return false;
+        }
+        let gain = self.gain(v, to);
+        gain > 0.0 || (gain == 0.0 && self.weights[from] > self.weights[to] + w)
     }
 
     /// The best feasible move for `v`: the highest-gain target part among
     /// the parts `v`'s nets already touch (ties → lighter part), subject
-    /// to the weight cap. `scratch` must be a `k`-length pair of arrays
-    /// used as a stamped accumulator.
-    pub fn best_move(
+    /// to the weight cap.
+    pub(crate) fn best_move(
         &self,
         v: usize,
         targets: &PartTargets,
         scratch: &mut MoveScratch,
     ) -> Option<(PartId, f64)> {
-        let p = self.part[v];
+        let p = self.part_of(v);
         scratch.stamp += 1;
         let stamp = scratch.stamp;
 
         let mut base = 0.0; // gain component from leaving p
         let mut total = 0.0;
-        for &j in self.h.vertex_nets(v) {
-            let c = self.h.net_cost(j);
+        for &j in self.view.nets_of(v) {
+            let c = self.view.net_cost(j);
             total += c;
             if self.sigma(j, p) == 1 {
                 base += c;
@@ -285,59 +402,29 @@ impl<'a> PartitionState<'a> {
             }
         }
 
-        let w = self.h.vertex_weight(v);
-        let mut best: Option<(PartId, f64)> = None;
-        for &q in &scratch.cands {
-            if self.weights[q] + w > targets.cap(q) || !self.aux_fits(v, q, targets) {
-                continue;
-            }
-            let gain = base - (total - scratch.present[q]);
-            match best {
-                Some((bq, bg)) => {
-                    if gain > bg + 1e-12
-                        || (gain > bg - 1e-12 && self.weights[q] < self.weights[bq])
-                    {
-                        best = Some((q, gain));
-                    }
-                }
-                None => best = Some((q, gain)),
-            }
-        }
+        let gain_to = |q: PartId| base - (total - scratch.present[q]);
+        let best = self.best_feasible(v, targets, &scratch.cands, gain_to);
         scratch.cands.clear();
         best
     }
 
-    /// [`Self::best_move`] under the chosen metric (the k-1 path uses the
-    /// specialized decomposition; cut-net evaluates candidates directly).
-    pub fn best_move_metric(
+    /// Among `cands`, the part `v` fits into with the highest `gain_to`
+    /// (ties → lighter part).
+    #[inline]
+    fn best_feasible(
         &self,
         v: usize,
         targets: &PartTargets,
-        metric: CutMetric,
-        scratch: &mut MoveScratch,
+        cands: &[PartId],
+        gain_to: impl Fn(PartId) -> f64,
     ) -> Option<(PartId, f64)> {
-        if metric == CutMetric::Connectivity {
-            return self.best_move(v, targets, scratch);
-        }
-        let p = self.part[v];
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.cands.clear();
-        for &j in self.h.vertex_nets(v) {
-            for q in 0..self.k {
-                if q != p && self.sigma(j, q) > 0 && scratch.mark[q] != stamp {
-                    scratch.mark[q] = stamp;
-                    scratch.cands.push(q);
-                }
-            }
-        }
-        let w = self.h.vertex_weight(v);
+        let w = self.view.weight(v);
         let mut best: Option<(PartId, f64)> = None;
-        for &q in &scratch.cands {
+        for &q in cands {
             if self.weights[q] + w > targets.cap(q) || !self.aux_fits(v, q, targets) {
                 continue;
             }
-            let gain = self.gain_metric(v, q, metric);
+            let gain = gain_to(q);
             match best {
                 Some((bq, bg)) => {
                     if gain > bg + 1e-12
@@ -349,82 +436,12 @@ impl<'a> PartitionState<'a> {
                 None => best = Some((q, gain)),
             }
         }
-        scratch.cands.clear();
         best
-    }
-
-    /// Vertices on the cut boundary: incident to at least one net that
-    /// touches more than one part.
-    pub fn boundary_vertices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.boundary_vertices_into(&mut out);
-        out
-    }
-
-    /// [`Self::boundary_vertices`] into a caller-owned buffer (cleared
-    /// first), so refinement passes can reuse the allocation. The
-    /// expensive per-net part scan runs chunked over the nets; the cheap
-    /// pin-marking pass stays serial, so the result is order-identical
-    /// at every thread count.
-    pub fn boundary_vertices_into(&self, out: &mut Vec<usize>) {
-        // Cut-net flags straight into an arena-backed buffer: one write
-        // per net, no per-chunk vectors (the buffer itself is reused
-        // across passes on this thread).
-        let mut cut_net = parallel::scratch_vec_filled::<bool>(self.h.num_nets(), false);
-        parallel::fill_chunks(
-            self.threads,
-            self.h.num_nets(),
-            parallel::DEFAULT_CHUNK,
-            1,
-            &mut cut_net,
-            |_, range, window| {
-                for j in range.clone() {
-                    window[j - range.start] =
-                        (0..self.k).filter(|&p| self.sigma(j, p) > 0).count() > 1;
-                }
-            },
-        );
-        let mut boundary = parallel::scratch_vec_filled::<bool>(self.h.num_vertices(), false);
-        for (j, &is_cut) in cut_net.iter().enumerate() {
-            if is_cut {
-                for &v in self.h.net(j) {
-                    boundary[v] = true;
-                }
-            }
-        }
-        out.clear();
-        out.extend(
-            boundary
-                .iter()
-                .enumerate()
-                .filter_map(|(v, &b)| b.then_some(v)),
-        );
-    }
-
-    /// Current k-1 cut computed from the maintained pin counts: per-chunk
-    /// partial sums over the nets folded in chunk order (bit-identical at
-    /// every thread count).
-    pub fn cut(&self) -> f64 {
-        parallel::sum_chunks(
-            self.threads,
-            self.h.num_nets(),
-            parallel::DEFAULT_CHUNK,
-            |range| {
-                let mut cut = 0.0;
-                for j in range {
-                    let touched = (0..self.k).filter(|&p| self.sigma(j, p) > 0).count();
-                    if touched > 1 {
-                        cut += self.h.net_cost(j) * (touched - 1) as f64;
-                    }
-                }
-                cut
-            },
-        )
     }
 }
 
 /// Reusable per-call scratch for [`PartitionState::best_move`].
-pub struct MoveScratch {
+pub(crate) struct MoveScratch {
     mark: Vec<u64>,
     present: Vec<f64>,
     cands: Vec<usize>,
@@ -433,7 +450,7 @@ pub struct MoveScratch {
 
 impl MoveScratch {
     /// Scratch for `k` parts.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         MoveScratch {
             mark: vec![0; k],
             present: vec![0.0; k],
@@ -444,7 +461,7 @@ impl MoveScratch {
 
     /// Grows the scratch to cover `k` parts (never shrinks; the stamp
     /// counter survives, so stale marks are ignored automatically).
-    pub fn ensure(&mut self, k: usize) {
+    fn ensure(&mut self, k: usize) {
         if self.mark.len() < k {
             self.mark.resize(k, 0);
             self.present.resize(k, 0.0);
@@ -524,6 +541,96 @@ impl Ord for Cand {
     }
 }
 
+/// Total primary load above the caps.
+fn total_violation(weights: &[f64], targets: &PartTargets) -> f64 {
+    weights
+        .iter()
+        .enumerate()
+        .map(|(p, &w)| (w - targets.cap(p)).max(0.0))
+        .sum()
+}
+
+/// The part a rebalance step relieves: the one furthest above its cap
+/// (the last such on ties), if any is above by more than float noise.
+fn most_overweight(weights: &[f64], targets: &PartTargets) -> Option<PartId> {
+    (0..weights.len())
+        .filter(|&p| weights[p] > targets.cap(p) + 1e-9)
+        .max_by(|&a, &b| (weights[a] - targets.cap(a)).total_cmp(&(weights[b] - targets.cap(b))))
+}
+
+/// The cheapest vertex to evacuate from `p` among those this rank
+/// stores, as `(vertex, destination, gain)`: best gain to any part with
+/// spare capacity, falling back to the relatively lightest part; the
+/// lowest id among equals. `None` when only fixed vertices are left.
+fn best_evacuation<V: LevelView>(
+    state: &PartitionState<V>,
+    p: PartId,
+    targets: &PartTargets,
+    scratch: &mut MoveScratch,
+) -> Option<(usize, PartId, f64)> {
+    let mut best: Option<(usize, PartId, f64)> = None;
+    for v in state.view.stored() {
+        if state.part_of(v) != p || state.view.fixed(v).is_some() {
+            continue;
+        }
+        let (q, g) = state.best_move(v, targets, scratch).unwrap_or_else(|| {
+            // No adjacent feasible part: move toward the part with the
+            // most spare relative capacity.
+            let w = state.view.weight(v);
+            let rel = |q: PartId| (state.weights[q] + w) / targets.target[q].max(1e-12);
+            let q = (0..state.k)
+                .filter(|&q| q != p)
+                .min_by(|&a, &b| rel(a).total_cmp(&rel(b)))
+                .expect("rebalancing needs a second part");
+            (q, state.gain(v, q))
+        });
+        if best.is_none_or(|(_, _, bg)| g > bg) {
+            best = Some((v, q, g));
+        }
+    }
+    best
+}
+
+/// How a level makes the move a rebalance step chose — the one thing
+/// the storage forms do differently there. A replicated level is
+/// rebalanced redundantly (every rank stores every vertex, picks the same
+/// move and applies it: [`Lockstep`]); on a distributed level the ranks'
+/// picks are reduced to one and the move is applied collectively.
+pub(crate) trait CommitMove<V> {
+    /// What `revert` needs to take a committed move back.
+    type Move;
+    /// Makes the level-wide best of the ranks' `local` evacuations out
+    /// of `from`; `None` (nothing made) when no rank has one.
+    fn commit(
+        &mut self,
+        state: &mut PartitionState<V>,
+        from: PartId,
+        local: Option<(usize, PartId, f64)>,
+    ) -> Option<Self::Move>;
+    /// Takes `made` back.
+    fn revert(&mut self, state: &mut PartitionState<V>, made: Self::Move);
+}
+
+/// [`CommitMove`] for a level every rank stores whole.
+pub(crate) struct Lockstep;
+
+impl<V: LevelView> CommitMove<V> for Lockstep {
+    type Move = (usize, PartId);
+    fn commit(
+        &mut self,
+        state: &mut PartitionState<V>,
+        from: PartId,
+        local: Option<(usize, PartId, f64)>,
+    ) -> Option<(usize, PartId)> {
+        let (v, q, _) = local?;
+        state.apply(v, q);
+        Some((v, from))
+    }
+    fn revert(&mut self, state: &mut PartitionState<V>, (v, from): (usize, PartId)) {
+        state.apply(v, from);
+    }
+}
+
 /// Restores balance greedily: while a part exceeds its cap, move the
 /// cheapest (highest-gain, i.e. least cut damage) movable vertex out of
 /// the most-overweight part into the part with the most spare capacity.
@@ -531,76 +638,26 @@ impl Ord for Cand {
 /// Needed when projection or fixed-vertex constraints leave the coarse
 /// partition overweight; plain FM cannot fix imbalance because it only
 /// makes cap-respecting moves.
-pub(crate) fn rebalance(
-    state: &mut PartitionState,
+pub(crate) fn rebalance<V: LevelView>(
+    state: &mut PartitionState<V>,
     targets: &PartTargets,
-    fixed: &FixedAssignment,
     scratch: &mut MoveScratch,
+    commit: &mut impl CommitMove<V>,
 ) {
     dlb_trace::count(dlb_trace::Counter::RebalanceInvocations, 1);
-    let n = state.h.num_vertices();
-    let max_moves = 2 * n + 16;
-    let total_violation = |weights: &[f64]| -> f64 {
-        weights
-            .iter()
-            .enumerate()
-            .map(|(p, &w)| (w - targets.cap(p)).max(0.0))
-            .sum()
-    };
+    let max_moves = 2 * state.view.num_vertices() + 16;
     for _ in 0..max_moves {
-        let violation_before = total_violation(&state.weights);
-        // Most-overweight part (relative to cap).
-        let over = (0..state.k)
-            .filter(|&p| state.weights[p] > targets.cap(p) + 1e-9)
-            .max_by(|&a, &b| {
-                (state.weights[a] - targets.cap(a)).total_cmp(&(state.weights[b] - targets.cap(b)))
-            });
-        let p = match over {
-            Some(p) => p,
-            None => return,
-        };
-        // Cheapest movable vertex in p: best gain to any part with spare
-        // capacity; fall back to the relatively lightest part.
-        let mut best: Option<(usize, PartId, f64)> = None;
-        for v in 0..n {
-            if state.part[v] != p || fixed.is_fixed(v) {
-                continue;
-            }
-            let w = state.h.vertex_weight(v);
-            let candidate = match state.best_move(v, targets, scratch) {
-                Some((q, g)) => Some((q, g)),
-                None => {
-                    // No adjacent feasible part: move toward the part with
-                    // the most spare relative capacity.
-                    let q = (0..state.k)
-                        .filter(|&q| q != p)
-                        .min_by(|&a, &b| {
-                            ((state.weights[a] + w) / targets.target[a].max(1e-12)).total_cmp(
-                                &((state.weights[b] + w) / targets.target[b].max(1e-12)),
-                            )
-                        })
-                        .unwrap();
-                    Some((q, state.gain(v, q)))
-                }
-            };
-            if let Some((q, g)) = candidate {
-                if best.is_none_or(|(_, _, bg)| g > bg) {
-                    best = Some((v, q, g));
-                }
-            }
-        }
-        match best {
-            Some((v, q, _)) => {
-                state.apply(v, q);
-                // Keep only moves that strictly reduce total violation;
-                // otherwise we are ping-ponging load between parts that
-                // can never fit under their caps — stop.
-                if total_violation(&state.weights) >= violation_before - 1e-12 {
-                    state.apply(v, p);
-                    return;
-                }
-            }
-            None => return, // only fixed vertices left in p; nothing to do
+        let violation_before = total_violation(&state.weights, targets);
+        let Some(p) = most_overweight(&state.weights, targets) else { return };
+        let local = best_evacuation(state, p, targets, scratch);
+        // Nothing made: only fixed vertices are left in `p`.
+        let Some(made) = commit.commit(state, p, local) else { return };
+        // Keep only moves that strictly reduce total violation;
+        // otherwise we are ping-ponging load between parts that can
+        // never fit under their caps — undo and stop.
+        if total_violation(&state.weights, targets) >= violation_before - 1e-12 {
+            commit.revert(state, made);
+            return;
         }
     }
 }
@@ -623,16 +680,16 @@ pub(crate) fn rebalance(
 /// (whose moves all respect the caps) cannot restore feasibility; the
 /// scalar pipeline never reaches it.
 pub(crate) fn greedy_repair(
-    state: &mut PartitionState,
+    state: &mut PartitionState<Replicated<'_>>,
     targets: &PartTargets,
-    fixed: &FixedAssignment,
 ) -> usize {
     dlb_trace::count(dlb_trace::Counter::RepairInvocations, 1);
-    let n = state.h.num_vertices();
+    let Replicated { h, fixed, .. } = state.view;
+    let n = h.num_vertices();
     let k = state.k;
     let arity = targets.arity();
     assert!(
-        arity <= state.h.load_arity(),
+        arity <= h.load_arity(),
         "balance targets reference more constraints than the hypergraph carries"
     );
     let cap = |c: usize, p: usize| -> f64 {
@@ -642,7 +699,7 @@ pub(crate) fn greedy_repair(
             targets.aux_cap(c, p)
         }
     };
-    let load_of = |state: &PartitionState, c: usize, p: usize| -> f64 {
+    let load_of = |state: &PartitionState<Replicated<'_>>, c: usize, p: usize| -> f64 {
         if c == 0 {
             state.weights[p]
         } else {
@@ -651,7 +708,7 @@ pub(crate) fn greedy_repair(
     };
     // Largest relative overshoot over all (constraint, part) pairs, with
     // its argmax. Zero-capacity parts count as violated when loaded.
-    let max_violation = |state: &PartitionState| -> (f64, usize, usize) {
+    let max_violation = |state: &PartitionState<Replicated<'_>>| -> (f64, usize, usize) {
         let mut best = (0.0, 0, 0);
         for c in 0..arity {
             for p in 0..k {
@@ -756,7 +813,7 @@ pub(crate) fn greedy_repair(
             if violated[a].is_empty() || fixed.is_fixed(v) {
                 continue;
             }
-            if !violated[a].iter().any(|&c| state.h.vertex_load(v, c) > 0.0) {
+            if !violated[a].iter().any(|&c| h.vertex_load(v, c) > 0.0) {
                 continue;
             }
             for q in 0..k {
@@ -766,7 +823,7 @@ pub(crate) fn greedy_repair(
                 let mut after = 0.0f64;
                 let mut touched = f64::NEG_INFINITY;
                 for c in 0..arity {
-                    let lv = state.h.vertex_load(v, c);
+                    let lv = h.vertex_load(v, c);
                     let from = over_of(load_of(state, c, a) - lv, cap(c, a));
                     let to = over_of(load_of(state, c, q) + lv, cap(c, q));
                     old_t[2 * c] = over[c][a];
@@ -817,7 +874,7 @@ pub(crate) fn greedy_repair(
                 if state.part[v] != a || fixed.is_fixed(v) {
                     continue;
                 }
-                if !violated[a].iter().any(|&c| state.h.vertex_load(v, c) > 0.0) {
+                if !violated[a].iter().any(|&c| h.vertex_load(v, c) > 0.0) {
                     continue;
                 }
                 for u in 0..n {
@@ -828,7 +885,7 @@ pub(crate) fn greedy_repair(
                     let mut after = 0.0f64;
                     let mut touched = f64::NEG_INFINITY;
                     for c in 0..arity {
-                        let d = state.h.vertex_load(v, c) - state.h.vertex_load(u, c);
+                        let d = h.vertex_load(v, c) - h.vertex_load(u, c);
                         let from = over_of(load_of(state, c, a) - d, cap(c, a));
                         let to = over_of(load_of(state, c, q) + d, cap(c, q));
                         old_t[2 * c] = over[c][a];
@@ -873,28 +930,28 @@ pub(crate) fn greedy_repair(
 
 /// One FM pass with rollback. Returns the cut improvement kept.
 fn fm_pass(
-    state: &mut PartitionState,
+    state: &mut PartitionState<Replicated<'_>>,
     targets: &PartTargets,
-    fixed: &FixedAssignment,
     cfg: &RefinementConfig,
     scratch: &mut RefineScratch,
     rng: &mut StdRng,
 ) -> f64 {
-    let n = state.h.num_vertices();
+    let Replicated { h, fixed, .. } = state.view;
+    let n = h.num_vertices();
     // At most one live heap entry per vertex: pops revalidate gains, so
     // extra pushes only add churn. `queued` dedupes; it is cleared on pop
     // so later gain changes can re-queue the vertex.
     scratch.prepare_pass(state.k, n);
 
     let mut boundary = std::mem::take(&mut scratch.boundary);
-    state.boundary_vertices_into(&mut boundary);
+    state.owned_boundary_into(&mut boundary);
     boundary.shuffle(rng);
     // Parallel gain seeding: the partition is frozen here, so
     // `best_move_metric` is a pure function of (state, v) — computing
     // seeds across workers (per-worker MoveScratch) and pushing them in
     // boundary order is bit-identical to the serial loop in both
     // determinism modes.
-    let state_ref: &PartitionState = state;
+    let state_ref: &PartitionState<_> = state;
     let seeds = parallel::map_chunks_with(
         state_ref.threads,
         boundary.len(),
@@ -955,11 +1012,11 @@ fn fm_pass(
                     }
                 }
                 // Re-queue neighbors whose gains changed (deduped).
-                for &j in state.h.vertex_nets(c.v) {
-                    if state.h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
+                for &j in h.vertex_nets(c.v) {
+                    if h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
                         continue;
                     }
-                    for &w in state.h.net(j) {
+                    for &w in h.net(j) {
                         if !scratch.locked[w] && !scratch.queued[w] && !fixed.is_fixed(w) {
                             if let Some((to, gain)) =
                                 state.best_move_metric(w, targets, cfg.metric, &mut scratch.mv)
@@ -1031,19 +1088,20 @@ pub fn refine_threads(
             "balance targets reference more constraints than the hypergraph carries"
         );
     }
-    let mut state = PartitionState::new_threads(h, k, std::mem::take(part), threads);
+    let view = Replicated::whole(h, fixed);
+    let mut state = PartitionState::new_threads(view, k, std::mem::take(part), threads);
     scratch.mv.ensure(k);
 
-    rebalance(&mut state, targets, fixed, &mut scratch.mv);
+    rebalance(&mut state, targets, &mut scratch.mv, &mut Lockstep);
     // Primary-only rebalancing cannot see auxiliary violations; repair
     // them before FM so the pass starts from a feasible assignment.
     if multi && !state.feasible(targets) {
-        greedy_repair(&mut state, targets, fixed);
+        greedy_repair(&mut state, targets);
     }
 
     let mut total = 0.0;
     for _ in 0..cfg.max_passes {
-        let improvement = fm_pass(&mut state, targets, fixed, cfg, scratch, rng);
+        let improvement = fm_pass(&mut state, targets, cfg, scratch, rng);
         total += improvement;
         if improvement <= 1e-12 {
             break;
@@ -1052,8 +1110,8 @@ pub fn refine_threads(
     // FM only makes cap-respecting moves, so it preserves feasibility —
     // but if repair could not finish above, try once more now that FM
     // has untangled the cut, and let one extra pass recover cut quality.
-    if multi && !state.feasible(targets) && greedy_repair(&mut state, targets, fixed) > 0 {
-        total += fm_pass(&mut state, targets, fixed, cfg, scratch, rng);
+    if multi && !state.feasible(targets) && greedy_repair(&mut state, targets) > 0 {
+        total += fm_pass(&mut state, targets, cfg, scratch, rng);
     }
     *part = state.part;
     total
@@ -1073,29 +1131,34 @@ mod tests {
     fn state_tracks_cut_incrementally() {
         let h = crate::tests::grid_hypergraph(4, 4);
         let part: Vec<usize> = (0..16).map(|v| v % 2).collect();
-        let mut state = PartitionState::new(&h, 2, part.clone());
-        assert_eq!(state.cut(), metrics::cutsize_connectivity(&h, &part, 2));
+        let fixed = FixedAssignment::free(16);
+        let view = Replicated::whole(&h, &fixed);
+        let mut state = PartitionState::new(view, 2, part.clone());
         state.apply(3, 0);
         let mut moved = part;
         moved[3] = 0;
-        assert_eq!(state.cut(), metrics::cutsize_connectivity(&h, &moved, 2));
+        let fresh = PartitionState::new(view, 2, moved);
+        assert_eq!(state.sigma, fresh.sigma);
+        assert_eq!(state.weights, fresh.weights);
+        assert_eq!(state.part, fresh.part);
     }
 
     #[test]
     fn gain_matches_recomputed_cut_delta() {
         let h = crate::tests::random_hypergraph(30, 60, 5, 11);
         let part: Vec<usize> = (0..30).map(|v| v % 3).collect();
-        let mut state = PartitionState::new(&h, 3, part);
+        let fixed = FixedAssignment::free(30);
+        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, part);
         for v in [0usize, 7, 13, 29] {
             for q in 0..3 {
                 if q == state.part[v] {
                     continue;
                 }
-                let before = state.cut();
+                let before = metrics::cutsize_connectivity(&h, &state.part, 3);
                 let gain = state.gain(v, q);
                 let from = state.part[v];
                 state.apply(v, q);
-                let after = state.cut();
+                let after = metrics::cutsize_connectivity(&h, &state.part, 3);
                 assert!(
                     (before - after - gain).abs() < 1e-9,
                     "v={v} q={q}: predicted {gain}, actual {}",
@@ -1111,7 +1174,8 @@ mod tests {
         use dlb_hypergraph::metrics::cutsize;
         let h = crate::tests::random_hypergraph(25, 50, 5, 19);
         let part: Vec<usize> = (0..25).map(|v| v % 3).collect();
-        let mut state = PartitionState::new(&h, 3, part);
+        let fixed = FixedAssignment::free(25);
+        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, part);
         for v in [0usize, 6, 12, 24] {
             for q in 0..3 {
                 if q == state.part[v] {
@@ -1211,9 +1275,11 @@ mod tests {
         let h = crate::tests::grid_hypergraph(4, 4);
         // Left half vs right half: boundary is columns 1 and 2.
         let part: Vec<usize> = (0..16).map(|v| if v % 4 < 2 { 0 } else { 1 }).collect();
-        let state = PartitionState::new(&h, 2, part);
-        let boundary = state.boundary_vertices();
+        let fixed = FixedAssignment::free(16);
+        let state = PartitionState::new(Replicated::whole(&h, &fixed), 2, part);
         let expected: Vec<usize> = (0..16).filter(|v| v % 4 == 1 || v % 4 == 2).collect();
+        let mut boundary = Vec::new();
+        state.owned_boundary_into(&mut boundary);
         assert_eq!(boundary, expected);
     }
 

@@ -89,6 +89,38 @@ fn distributed_scratch_matches_replicated() {
     }
 }
 
+/// The SPMD stack reaches the V-cycle through recursive bisection, so the
+/// tests above only ever run it at k = 2. A direct k-way call exercises
+/// what k = 2 cannot: the greedy rebalance choosing among several
+/// overweight parts, ties included, identically on both storage forms.
+#[test]
+fn distributed_direct_kway_matches_replicated() {
+    use dlb::partitioner::par::dist::dist_multilevel;
+    use dlb::partitioner::{Config, FixedAssignment, PartTargets};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let k = 8;
+    let snap = snapshot(k, Perturbation::structure(), 23);
+    let h = &snap.hypergraph;
+    let fixed = FixedAssignment::free(h.num_vertices());
+    // A tight tolerance and a low gather point: small distributed
+    // levels arrive overweight in several parts at once.
+    let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.01);
+    for ranks in [1usize, 2, 3, 4] {
+        let run = |distributed: bool| {
+            let mut cfg = Config::seeded(11);
+            cfg.dist.distributed = distributed;
+            cfg.dist.gather_threshold = 48;
+            run_spmd(ranks, |comm| {
+                let mut rng = StdRng::seed_from_u64(5);
+                dist_multilevel(comm, h, &targets, &fixed, &cfg, &mut rng)
+            })
+        };
+        assert_eq!(run(true), run(false), "direct k-way diverged: ranks={ranks}");
+    }
+}
+
 /// Run-to-run reproducibility: the owner-computes driver must give the
 /// same bits on a repeated invocation of the same problem — the
 /// incremental ghost exchange and delta sigma events (DESIGN.md §17)
