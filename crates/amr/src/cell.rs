@@ -149,20 +149,22 @@ impl Cell {
             Direction::North => [c[2], c[3]], // top row
         }
     }
-
-    /// True if `self` lies inside (or equals) `ancestor`.
-    pub fn descends_from(self, ancestor: Cell) -> bool {
-        if self.level < ancestor.level {
-            return false;
-        }
-        let shift = self.level - ancestor.level;
-        (self.x >> shift) == ancestor.x && (self.y >> shift) == ancestor.y
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cell {
+        /// True if `self` lies inside (or equals) `ancestor`.
+        pub(crate) fn descends_from(self, ancestor: Cell) -> bool {
+            if self.level < ancestor.level {
+                return false;
+            }
+            let shift = self.level - ancestor.level;
+            (self.x >> shift) == ancestor.x && (self.y >> shift) == ancestor.y
+        }
+    }
 
     #[test]
     fn geometry() {

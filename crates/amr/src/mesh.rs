@@ -57,11 +57,6 @@ impl QuadMesh {
         self.base_level
     }
 
-    /// The finest admissible level.
-    pub fn max_level(&self) -> u8 {
-        self.max_level
-    }
-
     /// The leaves in canonical order (level-major, then row, column).
     pub fn leaves(&self) -> impl Iterator<Item = Cell> + '_ {
         self.leaves.iter().copied()

@@ -95,11 +95,6 @@ impl ModelPatcher {
         Self::default()
     }
 
-    /// Whether a full snapshot has been loaded.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-
     fn ensure(&mut self, base: usize) {
         if base >= self.alive.len() {
             let len = base + 1;

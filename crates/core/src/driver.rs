@@ -48,11 +48,6 @@ impl Algorithm {
     pub fn is_hypergraph(self) -> bool {
         matches!(self, Algorithm::ZoltanRepart | Algorithm::ZoltanScratch)
     }
-
-    /// True for the repartitioning (migration-aware) methods.
-    pub fn is_repartitioner(self) -> bool {
-        matches!(self, Algorithm::ZoltanRepart | Algorithm::ParmetisRepart)
-    }
 }
 
 /// One epoch's repartitioning problem.

@@ -147,11 +147,6 @@ impl WorldPlan {
         self.seed
     }
 
-    /// All scheduled events, in insertion order.
-    pub fn events(&self) -> &[WorldEvent] {
-        &self.events
-    }
-
     /// Whether the plan schedules no changes at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -545,7 +540,7 @@ mod tests {
     fn parse_full_grammar() {
         let plan = WorldPlan::parse("7:join4@2,leave1@2,leave0@5").unwrap();
         assert_eq!(plan.seed(), 7);
-        assert_eq!(plan.events().len(), 3);
+        assert_eq!(plan.events.len(), 3);
         assert_eq!(plan.resize_at(2), (vec![4], vec![1]));
         assert_eq!(plan.resize_at(5), (vec![], vec![0]));
         assert_eq!(plan.resize_at(1), (vec![], vec![]));

@@ -24,6 +24,7 @@ use crate::driver::{repartition_on, Algorithm, Prebuilt, RepartConfig, RepartPro
 use crate::elastic::{perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
 use crate::exec::{measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel};
 use crate::recover::recover_from_failure;
+use crate::session::SessionError;
 
 /// The per-epoch drift policy of an incremental run: epochs whose delta
 /// touched less than `drift_threshold` of the mesh are patched and
@@ -200,16 +201,6 @@ impl SimulationSummary {
         Some(mean(self.reports.iter().map(|r| f(r.execution.as_ref().unwrap()))))
     }
 
-    /// Summed measured cost volume `α·comm + mig` (bytes) over the
-    /// trial — the objective the competitive ratio compares. `None`
-    /// unless every epoch was measured.
-    pub fn total_cost_volume(&self) -> Option<f64> {
-        if self.reports.is_empty() || self.reports.iter().any(|r| r.execution.is_none()) {
-            return None;
-        }
-        Some(self.reports.iter().map(|r| r.execution.as_ref().unwrap().cost_volume()).sum())
-    }
-
     /// The online [`CompetitiveRatio`] of this (policy) run against a
     /// `baseline` run of the same measured workload. `None` unless both
     /// runs are measured over the same number of epochs.
@@ -254,6 +245,11 @@ pub(crate) struct EpochParams<'a> {
 /// The shared epoch loop: `comm` selects serial vs collective
 /// repartitioning. Public API: [`crate::session::Session`].
 ///
+/// A fault or world plan that cannot run on the source's `k`-part world
+/// is refused with [`SessionError::InvalidPlan`] before the first epoch:
+/// the check reads only the shared plans and `source.k()`, so every rank
+/// of an SPMD world returns the same error before any collective.
+///
 /// Failure detection is plan-driven: every driver rank consults the
 /// shared plan at the epoch boundary (a perfect failure detector), so
 /// no extra collectives run and fault-free trials stay bit-identical
@@ -263,7 +259,7 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     mut comm: Option<&mut Comm>,
     source: &mut S,
     params: &EpochParams<'_>,
-) -> SimulationSummary {
+) -> Result<SimulationSummary, SessionError> {
     let &EpochParams { num_epochs, algorithm, alpha, cfg, network, faults, world, incremental } =
         params;
     assert!(
@@ -274,18 +270,17 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     let k0 = source.k();
     if let Some(plan) = faults {
         let joinable = world.map(|w| w.join_ranks()).unwrap_or_default();
-        for f in plan.failures() {
-            assert!(
-                f.rank < k0 || joinable.contains(&f.rank),
+        let out_of_range = |rank: usize| rank >= k0 && !joinable.contains(&rank);
+        if let Some(f) = plan.failures().iter().find(|f| out_of_range(f.rank)) {
+            return Err(SessionError::InvalidPlan(format!(
                 "fault plan rank {} out of range for k = {k0}",
                 f.rank
-            );
+            )));
         }
     }
     if let Some(plan) = world {
-        if let Err(e) = plan.validate(k0, num_epochs, faults) {
-            panic!("invalid world plan: {e}");
-        }
+        plan.validate(k0, num_epochs, faults)
+            .map_err(|e| SessionError::InvalidPlan(format!("invalid world plan: {e}")))?;
     }
     // The membership of the live world: original rank ids (what the
     // plans speak) in current-label order (where the partitions live).
@@ -553,7 +548,7 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
         };
         reports.push(report);
     }
-    SimulationSummary { algorithm, alpha, k: k0, reports }
+    Ok(SimulationSummary { algorithm, alpha, k: k0, reports })
 }
 
 #[cfg(test)]
@@ -725,6 +720,6 @@ mod tests {
         }
         let cr = inc.competitive_ratio_vs(&full).expect("both measured");
         assert_eq!(cr.ratio(), Some(1.0), "identical runs have ratio exactly 1");
-        assert_eq!(inc.total_cost_volume(), full.total_cost_volume());
+        assert_eq!(cr.policy_cost, cr.baseline_cost);
     }
 }

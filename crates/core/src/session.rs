@@ -40,7 +40,10 @@
 //! count, and plans work with incremental sessions. The one refusal is
 //! incremental × SPMD ([`SessionError::IncrementalNeedsSerial`]): the
 //! warm start is a serial refinement of the previous assignment, and
-//! the SPMD partitioner has no counterpart to seed.
+//! the SPMD partitioner has no counterpart to seed. A plan that cannot
+//! run on the workload's world (a fault rank outside it, a world plan
+//! that would empty it) is an error too, not a panic:
+//! [`SessionError::InvalidPlan`], returned before the first epoch.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -84,6 +87,12 @@ pub enum SessionError {
     /// partitioner has no warm start, so incremental sessions must run
     /// on one rank.
     IncrementalNeedsSerial,
+    /// The [`fault_plan`](Session::fault_plan) names a rank outside the
+    /// workload's world (and outside the world plan's joins), or the
+    /// [`world_plan`](Session::world_plan) does not validate against it
+    /// (e.g. it would empty the world). Carries the plan message;
+    /// reported before the first epoch runs.
+    InvalidPlan(String),
     /// Tracing was requested on [`Session::run_on`]; a per-rank trace
     /// session would deadlock the collective, so open the trace around
     /// the whole SPMD world instead (e.g. via [`Session::ranks`]).
@@ -113,6 +122,7 @@ impl fmt::Display for SessionError {
                 "incremental repartitioning is serial-only (there is no SPMD warm start): \
                  drop .ranks()/.run_on() or .incremental()"
             ),
+            SessionError::InvalidPlan(message) => write!(f, "{message}"),
             SessionError::TraceInsideSpmd => write!(
                 f,
                 "cannot open a trace session per rank; trace the world opener instead"
@@ -279,13 +289,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Like [`workload`](Session::workload), but for callers that only
-    /// hold the source behind a trait object.
-    pub fn workload_dyn(mut self, source: &'a mut dyn EpochSource) -> Self {
-        self.source = Some(source);
-        self
-    }
-
     /// Supplies a per-rank source constructor (`rank -> source`) for
     /// multi-rank sessions. Every rank must construct an identically
     /// seeded source. Also usable for serial sessions (rank 0 only).
@@ -341,7 +344,7 @@ impl<'a> Session<'a> {
             return Err(SessionError::IncrementalNeedsSerial);
         }
         let source = self.source.take().ok_or(SessionError::NoWorkload)?;
-        Ok(run_epochs(Some(comm), source, &self.params()))
+        run_epochs(Some(comm), source, &self.params())
     }
 
     fn validate(self) -> Result<Self, SessionError> {
@@ -385,16 +388,16 @@ impl<'a> Session<'a> {
         // driver.
         let Some(factory) = factory else {
             let source = source.ok_or(SessionError::NoWorkload)?;
-            return Ok(run_epochs(None, source, &params));
+            return run_epochs(None, source, &params);
         };
         if self.ranks > 1 || self.cfg.hypergraph.dist.distributed {
             let summaries = run_spmd(self.ranks, |comm| {
                 let mut source = factory(comm.rank());
                 run_epochs(Some(comm), &mut *source, &params)
             });
-            return Ok(summaries.into_iter().next().expect("at least one rank"));
+            return summaries.into_iter().next().expect("at least one rank");
         }
-        Ok(run_epochs(None, &mut *factory(0), &params))
+        run_epochs(None, &mut *factory(0), &params)
     }
 }
 
@@ -545,15 +548,13 @@ mod tests {
             .unwrap();
         let report = trace.finish();
         assert_eq!(s.reports.len(), 4);
-        if dlb_trace::COMPILED_IN {
-            // Epoch 1 primes from the full snapshot; with the threshold
-            // at 1.0 every later epoch warm-starts from its delta.
-            assert_eq!(report.counter(dlb_trace::Counter::DeltaEpochs), 3);
-            assert_eq!(report.counter(dlb_trace::Counter::FullRebuilds), 1);
-            assert!(report.counter(dlb_trace::Counter::CellsPatched) > 0);
-            assert!(report.find("delta.patch").is_some());
-            assert!(report.find("partition.warm").is_some());
-        }
+        // Epoch 1 primes from the full snapshot; with the threshold
+        // at 1.0 every later epoch warm-starts from its delta.
+        assert_eq!(report.counter(dlb_trace::Counter::DeltaEpochs), 3);
+        assert_eq!(report.counter(dlb_trace::Counter::FullRebuilds), 1);
+        assert!(report.counter(dlb_trace::Counter::CellsPatched) > 0);
+        assert!(report.find("delta.patch").is_some());
+        assert!(report.find("partition.warm").is_some());
     }
 
     #[test]
@@ -565,12 +566,8 @@ mod tests {
             .run_traced()
             .unwrap();
         assert_eq!(s.reports.len(), 1);
-        if dlb_trace::COMPILED_IN {
-            assert_eq!(report.counter(dlb_trace::Counter::Epochs), 1);
-            assert!(report.find("repartition").is_some());
-        } else {
-            assert!(report.spans.is_empty());
-        }
+        assert_eq!(report.counter(dlb_trace::Counter::Epochs), 1);
+        assert!(report.find("repartition").is_some());
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //!   a quiet FM round costs bytes proportional to the moved vertices,
 //!   not to the halo (PMondriaan-style dirty push; the delta bytes are
 //!   charged to `CommStats` like any other exchange).
-//! * Distributed metrics — `cut_k1`, part weights and imbalance
-//!   computed from owned data plus an `allreduce`.
 //!
 //! Per-vertex state in the algorithms above (part vector, loads, sizes,
 //! fixed assignments, contraction maps) is block-distributed alongside
@@ -40,7 +38,7 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-use dlb_hypergraph::{Hypergraph, PartId};
+use dlb_hypergraph::Hypergraph;
 use dlb_mpisim::{BlockDist, Comm, CommPlan};
 
 /// One rank's share of one net, as routed during distributed
@@ -72,7 +70,6 @@ pub struct NetShare {
 pub struct DistHypergraph {
     rank: usize,
     vdist: BlockDist,
-    num_nets_global: usize,
     /// Global ids of local nets, strictly ascending.
     net_ids: Vec<usize>,
     /// Per local net: does this rank store the full pin list?
@@ -133,7 +130,7 @@ impl DistHypergraph {
             });
         }
         let owned_wgt = h.loads().scalar()[my_range].to_vec();
-        Self::from_local_nets(h.num_vertices(), h.num_nets(), rank, size, shares, owned_wgt)
+        Self::from_local_nets(h.num_vertices(), rank, size, shares, owned_wgt)
     }
 
     /// Builds a rank's share directly from its net shares — used by
@@ -143,7 +140,6 @@ impl DistHypergraph {
     /// list, stubs only the receiver's own pins in net order.
     pub fn from_local_nets(
         num_vertices: usize,
-        num_nets_global: usize,
         rank: usize,
         size: usize,
         shares: Vec<NetShare>,
@@ -191,7 +187,6 @@ impl DistHypergraph {
         let mut dh = DistHypergraph {
             rank,
             vdist,
-            num_nets_global,
             net_ids,
             owned,
             owner_rank,
@@ -239,12 +234,6 @@ impl DistHypergraph {
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.vdist.len()
-    }
-
-    /// Global net count.
-    #[inline]
-    pub fn num_nets_global(&self) -> usize {
-        self.num_nets_global
     }
 
     /// This rank.
@@ -337,13 +326,6 @@ impl DistHypergraph {
             .sum()
     }
 
-    /// Stub pin entries (halo incidence): `local_pin_count() -
-    /// owned_pin_count()`. Each entry is one of this rank's own pins
-    /// listed under a remotely owned net.
-    pub fn halo_pin_count(&self) -> usize {
-        self.local_pin_count() - self.owned_pin_count()
-    }
-
     /// Ghost vertices (sorted ascending global ids): the distinct
     /// remote pins of this rank's owned nets.
     #[inline]
@@ -355,13 +337,6 @@ impl DistHypergraph {
     #[inline]
     pub fn owned_weights(&self) -> &[f64] {
         &self.owned_wgt
-    }
-
-    /// Position of global vertex `v` in [`DistHypergraph::ghosts`], if
-    /// it is a ghost of this rank.
-    #[inline]
-    pub fn ghost_index(&self, v: usize) -> Option<usize> {
-        self.ghosts.binary_search(&v).ok()
     }
 
     /// Resident bytes of this rank's share of the *hypergraph* itself:
@@ -432,69 +407,6 @@ impl DistHypergraph {
         }
         b.build()
     }
-
-    /// Distributed connectivity−1 cut (collective): each net is counted
-    /// once, by its owner (which stores its full pin list), and partial
-    /// sums are combined with an `allreduce`. `owned_part` holds the
-    /// parts of this rank's owned vertices; ghost parts are fetched
-    /// through `exch`.
-    pub fn cut_k1(
-        &self,
-        comm: &mut Comm,
-        exch: &GhostExchange,
-        owned_part: &[PartId],
-        k: usize,
-    ) -> f64 {
-        assert_eq!(owned_part.len(), self.my_range().len());
-        let ghost_part = exch.pull(comm, owned_part);
-        let my_range = self.my_range();
-        let owned = my_range.len();
-        let mut seen = vec![false; k];
-        let mut local = 0.0;
-        for lj in 0..self.num_local_nets() {
-            if !self.owned[lj] {
-                continue;
-            }
-            let mut lambda = 0usize;
-            let mut marked: Vec<PartId> = Vec::new();
-            for &v in self.net_pins(lj) {
-                let s = self.slot(v).expect("pin has a slot");
-                let p = if s < owned { owned_part[s] } else { ghost_part[s - owned] };
-                if !seen[p] {
-                    seen[p] = true;
-                    marked.push(p);
-                    lambda += 1;
-                }
-            }
-            for p in marked {
-                seen[p] = false;
-            }
-            local += self.cost[lj] * (lambda.saturating_sub(1)) as f64;
-        }
-        comm.allreduce_sum(local)
-    }
-
-    /// Distributed part weights (collective): owned partial sums
-    /// combined element-wise with an `allreduce`.
-    pub fn part_weights(&self, comm: &mut Comm, owned_part: &[PartId], k: usize) -> Vec<f64> {
-        assert_eq!(owned_part.len(), self.my_range().len());
-        let mut local = vec![0.0f64; k];
-        for (i, &p) in owned_part.iter().enumerate() {
-            local[p] += self.owned_wgt[i];
-        }
-        comm.allreduce_vec(local, |a, b| a + b)
-    }
-
-    /// Distributed load imbalance (collective): `max_p W_p / (W / k)`.
-    pub fn imbalance(&self, comm: &mut Comm, owned_part: &[PartId], k: usize) -> f64 {
-        let weights = self.part_weights(comm, owned_part, k);
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return 1.0;
-        }
-        let avg = total / k.max(1) as f64;
-        weights.iter().fold(0.0f64, |m, &w| m.max(w)) / avg
-    }
 }
 
 /// A reusable halo update: pulls per-vertex values from owner ranks
@@ -544,11 +456,6 @@ impl GhostExchange {
             serve,
             num_ghosts: ids.len(),
         }
-    }
-
-    /// Number of ghost values a pull produces.
-    pub fn num_ghosts(&self) -> usize {
-        self.num_ghosts
     }
 
     /// Fetches `owned[offset]` from each ghost's owner (collective).
@@ -644,11 +551,6 @@ impl<T: Clone + Send + 'static> GhostHalo<T> {
         }
     }
 
-    /// The underlying exchange.
-    pub fn exchange(&self) -> &GhostExchange {
-        &self.exch
-    }
-
     /// Flags an owned offset as changed since the last sync; the next
     /// [`GhostHalo::sync`] will push it to every rank ghosting it.
     pub fn mark_dirty(&mut self, owned_offset: usize) {
@@ -682,18 +584,12 @@ impl<T: Clone + Send + 'static> GhostHalo<T> {
         }
         updates
     }
-
-    /// The ghost values as of the last sync.
-    pub fn values(&self) -> &[T] {
-        debug_assert!(self.synced, "GhostHalo read before first sync");
-        &self.cache
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_hypergraph::{metrics, HypergraphBuilder};
+    use dlb_hypergraph::{metrics, HypergraphBuilder, PartId};
     use dlb_mpisim::run_spmd;
 
     /// A small deterministic hypergraph with cross-rank nets.
@@ -709,6 +605,35 @@ mod tests {
             b.add_net(1.0 + (j % 4) as f64, [a, c, d]);
         }
         b.build()
+    }
+
+    /// Distributed connectivity−1 cut (collective): each net is counted
+    /// once, by its owner (which stores its full pin list), with ghost
+    /// parts pulled through `exch` — exercises the owner/stub layout
+    /// and the halo together.
+    fn cut_k1(
+        dh: &DistHypergraph,
+        comm: &mut Comm,
+        exch: &GhostExchange,
+        owned_part: &[PartId],
+    ) -> f64 {
+        let ghost_part = exch.pull(comm, owned_part);
+        let owned = dh.my_range().len();
+        let mut local = 0.0;
+        for lj in (0..dh.num_local_nets()).filter(|&lj| dh.owns_net(lj)) {
+            let mut parts: Vec<PartId> = dh
+                .net_pins(lj)
+                .iter()
+                .map(|&v| {
+                    let s = dh.slot(v).expect("pin has a slot");
+                    if s < owned { owned_part[s] } else { ghost_part[s - owned] }
+                })
+                .collect();
+            parts.sort_unstable();
+            parts.dedup();
+            local += dh.net_cost(lj) * (parts.len() - 1) as f64;
+        }
+        comm.allreduce_sum(local)
     }
 
     #[test]
@@ -763,10 +688,7 @@ mod tests {
                 for &g in dh.ghosts() {
                     assert!(!my_range.contains(&g));
                 }
-                assert_eq!(
-                    dh.halo_pin_count() + dh.owned_pin_count(),
-                    dh.local_pin_count()
-                );
+                assert!(dh.owned_pin_count() <= dh.local_pin_count());
             }
             assert_eq!(owner_count, vec![1; h.num_nets()], "size={size}");
             // Owned (canonical) pin storage partitions the global pins.
@@ -879,24 +801,15 @@ mod tests {
         let k = 4;
         let part: Vec<usize> = (0..h.num_vertices()).map(|v| (v * 3 + 1) % k).collect();
         let expect_cut = metrics::cutsize_connectivity(&h, &part, k);
-        let expect_weights = metrics::part_weights(&h, &part, k);
-        let expect_imb = metrics::imbalance(&h, &part, k);
         for size in [1usize, 2, 3] {
             let results = run_spmd(size, |comm| {
                 let dh = DistHypergraph::from_replicated(&h, comm.rank(), comm.size());
                 let exch = GhostExchange::build(comm, &dh);
                 let owned: Vec<usize> = part[dh.my_range()].to_vec();
-                let cut = dh.cut_k1(comm, &exch, &owned, k);
-                let weights = dh.part_weights(comm, &owned, k);
-                let imb = dh.imbalance(comm, &owned, k);
-                (cut, weights, imb)
+                cut_k1(&dh, comm, &exch, &owned)
             });
-            for (cut, weights, imb) in results {
+            for cut in results {
                 assert!((cut - expect_cut).abs() < 1e-9, "size={size}");
-                for (a, b) in weights.iter().zip(&expect_weights) {
-                    assert!((a - b).abs() < 1e-9, "size={size}");
-                }
-                assert!((imb - expect_imb).abs() < 1e-9, "size={size}");
             }
         }
     }
@@ -939,7 +852,7 @@ mod tests {
                 halo.sync(comm, &owned);
                 // Dirty-push round on a world with empty ranks.
                 halo.sync(comm, &owned);
-                let cut = dh.cut_k1(comm, &exch, &owned, k);
+                let cut = cut_k1(&dh, comm, &exch, &owned);
                 let g = dh.gather_replicated(comm);
                 (dh.my_range().len(), cut, g.num_nets(), g.num_pins())
             });

@@ -23,16 +23,15 @@ use dlb_hypergraph::{CsrGraph, PartTargets, PartId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::coarsen::{contract_graph, project_labels_to_coarse, GraphLevel};
+use crate::coarsen::coarsen_graph;
 use crate::config::GraphConfig;
-use crate::matching::heavy_edge_matching;
 use crate::refine::{refine_graph, Objective};
 use crate::GraphPartitionResult;
 
 /// Parameters for adaptive repartitioning.
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
-    /// Base multilevel knobs (ε, seed, coarsening limits, pass counts).
+    /// Base multilevel knobs (ε, seed, coarse-solve attempts).
     pub base: GraphConfig,
     /// The communication-vs-migration trade-off: iterations per epoch
     /// (paper's α, ParMETIS's ITR). Larger values emphasize edge cut.
@@ -40,12 +39,8 @@ pub struct AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    /// Adaptive configuration with the given α and default base knobs.
-    pub fn with_alpha(alpha: f64) -> Self {
-        AdaptiveConfig { base: GraphConfig::default(), alpha }
-    }
-
-    /// Same, with a specific seed.
+    /// Adaptive configuration with the given α and seed, default base
+    /// knobs otherwise.
     pub fn seeded(alpha: f64, seed: u64) -> Self {
         AdaptiveConfig { base: GraphConfig::seeded(seed), alpha }
     }
@@ -70,22 +65,7 @@ pub fn adaptive_repart(
     let targets = PartTargets::uniform(g.total_vertex_weight(), k, cfg.base.epsilon);
 
     // --- Local coarsening, carrying old-part labels down. ---
-    let coarse_target = (cfg.base.coarse_to_factor * k).max(cfg.base.min_coarse_vertices);
-    let mut levels: Vec<(GraphLevel, Vec<PartId>)> = Vec::new();
-    let mut current = g.clone();
-    let mut current_old = old_part.to_vec();
-    while current.num_vertices() > coarse_target && levels.len() < cfg.base.max_levels {
-        let m = heavy_edge_matching(&current, Some(&current_old), &mut rng);
-        let before = current.num_vertices();
-        if ((before - m.coarse_count()) as f64) < before as f64 * cfg.base.min_reduction {
-            break;
-        }
-        let level = contract_graph(&current, &m);
-        let coarse_old = project_labels_to_coarse(&level, &current_old);
-        current = level.coarse.clone();
-        current_old = coarse_old.clone();
-        levels.push((level, coarse_old));
-    }
+    let levels = coarsen_graph(g, k, Some(old_part), &mut rng);
 
     // --- Coarse solution: the old partition, rebalanced + refined under
     // the combined objective. ---
@@ -95,7 +75,7 @@ pub fn adaptive_repart(
     };
     let obj = Objective { alpha: cfg.alpha, old_part: Some(coarsest_old) };
     let mut part = coarsest_old.to_vec();
-    refine_graph(coarsest, &targets, &obj, &mut part, cfg.base.max_refine_passes, &mut rng);
+    refine_graph(coarsest, &targets, &obj, &mut part, &mut rng);
 
     // --- Uncoarsen with combined-objective refinement per level. ---
     for i in (0..levels.len()).rev() {
@@ -110,7 +90,7 @@ pub fn adaptive_repart(
             finer_part[v] = part[c];
         }
         let obj = Objective { alpha: cfg.alpha, old_part: Some(finer_old) };
-        refine_graph(finer, &targets, &obj, &mut finer_part, cfg.base.max_refine_passes, &mut rng);
+        refine_graph(finer, &targets, &obj, &mut finer_part, &mut rng);
         part = finer_part;
     }
 

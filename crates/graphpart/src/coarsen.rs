@@ -2,9 +2,19 @@
 //! drop collapsed self-edges, and (for adaptive repartitioning) carry
 //! part labels down to the coarse graph.
 
-use dlb_hypergraph::{CsrGraph, GraphBuilder};
+use dlb_hypergraph::{CsrGraph, GraphBuilder, PartId};
+use rand::rngs::StdRng;
 
-use crate::matching::GraphMatching;
+use crate::matching::{heavy_edge_matching, GraphMatching};
+
+/// Stop coarsening at roughly this many vertices per part.
+const COARSE_TO_FACTOR: usize = 20;
+/// Hard floor on coarse size regardless of `k`.
+const MIN_COARSE_VERTICES: usize = 80;
+/// Abort coarsening when a level shrinks by less than this fraction.
+const MIN_REDUCTION: f64 = 0.10;
+/// Safety cap on coarsening levels.
+const MAX_LEVELS: usize = 40;
 
 /// One graph coarsening level.
 #[derive(Clone, Debug)]
@@ -58,6 +68,37 @@ pub fn contract_graph(g: &CsrGraph, matching: &GraphMatching) -> GraphLevel {
         }
     }
     GraphLevel { coarse: b.build(), fine_to_coarse }
+}
+
+/// The coarsening half of a V-cycle for `k` parts: heavy-edge matching
+/// and contraction until the graph is down to
+/// `max(COARSE_TO_FACTOR·k, MIN_COARSE_VERTICES)` vertices, a level
+/// shrinks by less than [`MIN_REDUCTION`], or [`MAX_LEVELS`] is hit.
+/// With `labels` (the old parts, for adaptive repartitioning) only
+/// same-label pairs match, and each level comes with the labels carried
+/// down to its coarse graph; without, that vector is empty.
+pub(crate) fn coarsen_graph(
+    g: &CsrGraph,
+    k: usize,
+    labels: Option<&[PartId]>,
+    rng: &mut StdRng,
+) -> Vec<(GraphLevel, Vec<PartId>)> {
+    let coarse_target = (COARSE_TO_FACTOR * k).max(MIN_COARSE_VERTICES);
+    let mut levels: Vec<(GraphLevel, Vec<PartId>)> = Vec::new();
+    let mut current = g.clone();
+    let mut current_labels = labels.map(<[PartId]>::to_vec);
+    while current.num_vertices() > coarse_target && levels.len() < MAX_LEVELS {
+        let m = heavy_edge_matching(&current, current_labels.as_deref(), rng);
+        let before = current.num_vertices();
+        if ((before - m.coarse_count()) as f64) < before as f64 * MIN_REDUCTION {
+            break;
+        }
+        let level = contract_graph(&current, &m);
+        current_labels = current_labels.map(|l| project_labels_to_coarse(&level, &l));
+        current = level.coarse.clone();
+        levels.push((level, current_labels.clone().unwrap_or_default()));
+    }
+    levels
 }
 
 /// Projects per-fine-vertex labels onto the coarse graph (all fine

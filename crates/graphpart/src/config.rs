@@ -1,38 +1,24 @@
 //! Graph-partitioner configuration.
 
 /// Configuration for the ParMETIS-like graph partitioner.
+///
+/// Coarsening limits and the FM pass cap are fixed (`coarsen_graph`'s
+/// constants and `refine::MAX_REFINE_PASSES`), at the values the
+/// hypergraph partitioner defaults to, so the two partitioners the
+/// experiments compare run the same multilevel schedule.
 #[derive(Clone, Debug)]
 pub struct GraphConfig {
     /// Allowed imbalance ε: every part must satisfy `W_p ≤ (1+ε) W_avg`.
     pub epsilon: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Stop coarsening at roughly `coarse_to_factor * k` vertices.
-    pub coarse_to_factor: usize,
-    /// Hard floor on coarse size regardless of `k`.
-    pub min_coarse_vertices: usize,
-    /// Abort coarsening when a level shrinks by less than this fraction.
-    pub min_reduction: f64,
-    /// Safety cap on coarsening levels.
-    pub max_levels: usize,
     /// Randomized greedy-graph-growing attempts for the coarse partition.
     pub initial_attempts: usize,
-    /// Maximum FM passes per level.
-    pub max_refine_passes: usize,
 }
 
 impl Default for GraphConfig {
     fn default() -> Self {
-        GraphConfig {
-            epsilon: 0.05,
-            seed: 0,
-            coarse_to_factor: 20,
-            min_coarse_vertices: 80,
-            min_reduction: 0.10,
-            max_levels: 40,
-            initial_attempts: 8,
-            max_refine_passes: 4,
-        }
+        GraphConfig { epsilon: 0.05, seed: 0, initial_attempts: 8 }
     }
 }
 
@@ -51,7 +37,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = GraphConfig::default();
         assert!(c.epsilon > 0.0 && c.epsilon < 1.0);
-        assert!(c.min_reduction > 0.0);
         assert!(c.initial_attempts >= 1);
     }
 }

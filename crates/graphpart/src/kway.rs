@@ -7,10 +7,9 @@ use dlb_hypergraph::{CsrGraph, PartTargets, PartId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::coarsen::{contract_graph, GraphLevel};
+use crate::coarsen::coarsen_graph;
 use crate::config::GraphConfig;
 use crate::initial::initial_graph_partition;
-use crate::matching::heavy_edge_matching;
 use crate::refine::{refine_graph, Objective};
 use crate::GraphPartitionResult;
 
@@ -29,35 +28,22 @@ pub(crate) fn multilevel_graph(
         return Vec::new();
     }
 
-    // Coarsen.
-    let coarse_target = (cfg.coarse_to_factor * k).max(cfg.min_coarse_vertices);
-    let mut levels: Vec<GraphLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.num_vertices() > coarse_target && levels.len() < cfg.max_levels {
-        let m = heavy_edge_matching(&current, None, rng);
-        let before = current.num_vertices();
-        if ((before - m.coarse_count()) as f64) < before as f64 * cfg.min_reduction {
-            break;
-        }
-        let level = contract_graph(&current, &m);
-        current = level.coarse.clone();
-        levels.push(level);
-    }
+    let levels = coarsen_graph(g, k, None, rng);
 
     // Coarse partition + refine.
-    let coarsest: &CsrGraph = levels.last().map(|l| &l.coarse).unwrap_or(g);
+    let coarsest: &CsrGraph = levels.last().map(|(l, _)| &l.coarse).unwrap_or(g);
     let mut part = initial_graph_partition(coarsest, targets, cfg.initial_attempts, rng);
-    refine_graph(coarsest, targets, &Objective::CUT_ONLY, &mut part, cfg.max_refine_passes, rng);
+    refine_graph(coarsest, targets, &Objective::CUT_ONLY, &mut part, rng);
 
     // Uncoarsen.
     for i in (0..levels.len()).rev() {
-        let level = &levels[i];
-        let finer: &CsrGraph = if i == 0 { g } else { &levels[i - 1].coarse };
+        let (level, _) = &levels[i];
+        let finer: &CsrGraph = if i == 0 { g } else { &levels[i - 1].0.coarse };
         let mut finer_part = vec![0usize; finer.num_vertices()];
         for (v, &c) in level.fine_to_coarse.iter().enumerate() {
             finer_part[v] = part[c];
         }
-        refine_graph(finer, targets, &Objective::CUT_ONLY, &mut finer_part, cfg.max_refine_passes, rng);
+        refine_graph(finer, targets, &Objective::CUT_ONLY, &mut finer_part, rng);
         part = finer_part;
     }
     part

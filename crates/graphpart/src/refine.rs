@@ -325,14 +325,18 @@ fn fm_pass(
     best_cum
 }
 
+/// Maximum FM passes per level; passes stop early when one yields no
+/// improvement.
+const MAX_REFINE_PASSES: usize = 4;
+
 /// Refines `part` in place: rebalance, then FM passes until no
-/// improvement (or `max_passes`). Returns total objective improvement.
+/// improvement (or `MAX_REFINE_PASSES`). Returns total objective
+/// improvement.
 pub fn refine_graph(
     g: &CsrGraph,
     targets: &PartTargets,
     obj: &Objective,
     part: &mut Vec<PartId>,
-    max_passes: usize,
     rng: &mut StdRng,
 ) -> f64 {
     let k = targets.k();
@@ -343,7 +347,7 @@ pub fn refine_graph(
     let mut scratch = GraphMoveScratch::new(k);
     rebalance_graph(&mut state, targets, obj, &mut scratch);
     let mut total = 0.0;
-    for _ in 0..max_passes {
+    for _ in 0..MAX_REFINE_PASSES {
         let improvement = fm_pass(&mut state, targets, obj, &mut scratch, rng);
         total += improvement;
         if improvement <= 1e-12 {
@@ -412,7 +416,7 @@ mod tests {
         let before = metrics::edge_cut(&g, &part, 2);
         let t = PartTargets::uniform(64.0, 2, 0.05);
         let mut rng = StdRng::seed_from_u64(0);
-        refine_graph(&g, &t, &Objective::CUT_ONLY, &mut part, 4, &mut rng);
+        refine_graph(&g, &t, &Objective::CUT_ONLY, &mut part, &mut rng);
         let after = metrics::edge_cut(&g, &part, 2);
         assert!(after < before / 2.0, "{before} -> {after}");
         assert!(metrics::graph_imbalance(&g, &part, 2) <= 1.05 + 1e-9);
@@ -424,7 +428,7 @@ mod tests {
         let mut part = vec![0usize; 36];
         let t = PartTargets::uniform(36.0, 3, 0.05);
         let mut rng = StdRng::seed_from_u64(1);
-        refine_graph(&g, &t, &Objective::CUT_ONLY, &mut part, 4, &mut rng);
+        refine_graph(&g, &t, &Objective::CUT_ONLY, &mut part, &mut rng);
         let w = metrics::graph_part_weights(&g, &part, 3);
         for p in 0..3 {
             assert!(w[p] <= t.cap(p) + 1e-9, "part {p}: {}", w[p]);

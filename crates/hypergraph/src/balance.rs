@@ -131,12 +131,6 @@ impl PartTargets {
         1 + self.aux.len()
     }
 
-    /// True when only the primary constraint is active.
-    #[inline]
-    pub fn is_scalar(&self) -> bool {
-        self.aux.is_empty()
-    }
-
     /// The hard cap for part `p`: `target[p] * (1 + ε)`.
     #[inline]
     pub fn cap(&self, p: usize) -> f64 {
@@ -189,7 +183,7 @@ mod tests {
         assert_eq!(t.target, vec![25.0; 4]);
         assert!((t.cap(0) - 26.25).abs() < 1e-12);
         assert_eq!(t.arity(), 1);
-        assert!(t.is_scalar());
+        assert_eq!(t.arity(), 1);
     }
 
     #[test]
@@ -222,7 +216,7 @@ mod tests {
         let t = PartTargets::uniform(100.0, 2, 0.05)
             .with_aux(vec![AuxTargets::uniform(800.0, 2, 0.10)]);
         assert_eq!(t.arity(), 2);
-        assert!(!t.is_scalar());
+        assert_eq!(t.arity(), 2);
         assert!((t.aux_cap(1, 0) - 440.0).abs() < 1e-12);
         assert!(t.feasible(&[52.0, 48.0], &[vec![420.0, 380.0]]));
         // Primary fine, aux violated.

@@ -35,25 +35,6 @@ pub fn column_net_model_unit(g: &CsrGraph) -> Hypergraph {
     column_net_model(g, |_| 1.0)
 }
 
-/// Edge-net model: one two-pin net per undirected edge, with net cost
-/// equal to the edge weight. The k-1 cut of this hypergraph equals the
-/// weighted edge cut of the graph; useful for apples-to-apples tests
-/// between the hypergraph partitioner and the graph partitioner.
-pub fn edge_net_model(g: &CsrGraph) -> Hypergraph {
-    let n = g.num_vertices();
-    let mut b = HypergraphBuilder::new(n);
-    for v in 0..n {
-        b.set_vertex_weight(v, g.vertex_weight(v));
-        b.set_vertex_size(v, g.vertex_size(v));
-        for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
-            if u > v {
-                b.add_net(w, [v, u]);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Clique expansion of a hypergraph into a graph: every net of size `s ≥ 2`
 /// becomes a clique whose edges carry weight `c / (s − 1)`.
 ///
@@ -91,6 +72,21 @@ mod tests {
     fn triangle_plus_tail() -> CsrGraph {
         // 0-1-2 triangle, 2-3 tail.
         CsrGraph::from_edges_unit(4, &[(0, 1), (1, 2), (0, 2), (2, 3)])
+    }
+
+    /// Edge-net model: one two-pin net per undirected edge, with net
+    /// cost equal to the edge weight, so the k-1 cut of the hypergraph
+    /// equals the weighted edge cut of the graph.
+    fn edge_net_model(g: &CsrGraph) -> Hypergraph {
+        let mut b = HypergraphBuilder::new(g.num_vertices());
+        for v in 0..g.num_vertices() {
+            for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
+                if u > v {
+                    b.add_net(w, [v, u]);
+                }
+            }
+        }
+        b.build()
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl CsrGraph {
         self.vwgt.iter().sum()
     }
 
-    /// Raw CSR access: `(xadj, adjncy, adjwgt)`.
-    pub fn csr(&self) -> (&[usize], &[usize], &[f64]) {
-        (&self.xadj, &self.adjncy, &self.adjwgt)
-    }
-
     /// Degree statistics as reported in Table 1 of the paper.
     pub fn degree_stats(&self) -> DegreeStats {
         let n = self.num_vertices();
@@ -248,11 +243,6 @@ impl GraphBuilder {
     pub fn set_vertex_size(&mut self, v: usize, s: f64) {
         assert!(s >= 0.0);
         self.vsize[v] = s;
-    }
-
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalizes the CSR structure.

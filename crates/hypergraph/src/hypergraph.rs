@@ -163,20 +163,10 @@ impl Hypergraph {
         self.loads.total(c)
     }
 
-    /// Sum of all vertex sizes.
-    pub fn total_vertex_size(&self) -> f64 {
-        self.vsize.iter().sum()
-    }
-
     /// Sets the weight (primary load) of vertex `v`.
     pub fn set_vertex_weight(&mut self, v: usize, w: f64) {
         assert!(w >= 0.0, "vertex weight must be non-negative");
         self.loads.set(v, 0, w);
-    }
-
-    /// Sets constraint `c` of vertex `v`.
-    pub fn set_vertex_load(&mut self, v: usize, c: usize, w: f64) {
-        self.loads.set(v, c, w);
     }
 
     /// Sets the migration size of vertex `v`.
@@ -204,18 +194,6 @@ impl Hypergraph {
     pub fn set_vertex_sizes(&mut self, s: Vec<f64>) {
         assert_eq!(s.len(), self.num_vertices);
         self.vsize = s;
-    }
-
-    /// Returns a copy with every net cost multiplied by `factor`.
-    ///
-    /// The repartitioning model scales communication-net costs by the
-    /// epoch length `α` (Section 3 of the paper).
-    pub fn with_scaled_net_costs(&self, factor: f64) -> Self {
-        let mut h = self.clone();
-        for c in &mut h.ncost {
-            *c *= factor;
-        }
-        h
     }
 
     /// Checks structural invariants; returns a description of the first
@@ -279,19 +257,6 @@ impl Hypergraph {
         (&self.xpins, &self.pins)
     }
 
-    /// Raw transpose access for partitioner internals: `(xnets, vnets)`.
-    pub fn net_csr(&self) -> (&[usize], &[usize]) {
-        (&self.xnets, &self.vnets)
-    }
-
-    /// Average net size (pins per net); `0.0` for a net-less hypergraph.
-    pub fn avg_net_size(&self) -> f64 {
-        if self.num_nets() == 0 {
-            0.0
-        } else {
-            self.num_pins() as f64 / self.num_nets() as f64
-        }
-    }
 }
 
 impl fmt::Debug for Hypergraph {
@@ -490,7 +455,10 @@ mod tests {
 
     #[test]
     fn scaled_net_costs() {
-        let h = sample().with_scaled_net_costs(10.0);
+        let mut h = sample();
+        for j in 0..h.num_nets() {
+            h.set_net_cost(j, 10.0 * h.net_cost(j));
+        }
         assert_eq!(h.net_cost(0), 10.0);
         assert_eq!(h.net_cost(3), 40.0);
     }
@@ -533,7 +501,9 @@ mod tests {
         assert_eq!(h.total_load(1), 200.0);
         h.set_vertex_weight(2, 9.0);
         assert_eq!(h.loads().get(2, 0), 9.0);
-        h.set_vertex_load(0, 1, 80.0);
+        let mut loads = h.loads().clone();
+        loads.set(0, 1, 80.0);
+        h.set_loads(loads);
         assert_eq!(h.loads().constraint(1), &[80.0, 40.0, 40.0, 40.0, 40.0]);
         h.validate().unwrap();
     }

@@ -11,27 +11,11 @@
 //!   as the adjacency structure of an undirected graph (the way the
 //!   paper's Table 1 datasets are distributed).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 use crate::{CsrGraph, GraphBuilder, Hypergraph, HypergraphBuilder};
 
-/// Writes `h` in the PaToH-like text format.
-pub fn write_hypergraph<W: Write>(h: &Hypergraph, mut w: W) -> io::Result<()> {
-    writeln!(w, "{} {} {}", h.num_vertices(), h.num_nets(), h.num_pins())?;
-    for j in 0..h.num_nets() {
-        write!(w, "{}", h.net_cost(j))?;
-        for &p in h.net(j) {
-            write!(w, " {p}")?;
-        }
-        writeln!(w)?;
-    }
-    for v in 0..h.num_vertices() {
-        writeln!(w, "{} {}", h.vertex_weight(v), h.vertex_size(v))?;
-    }
-    Ok(())
-}
-
-/// Reads a hypergraph written by [`write_hypergraph`].
+/// Reads a hypergraph in the PaToH-like text format.
 pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut lines = r.lines();
@@ -141,7 +125,23 @@ pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{Cursor, Write};
+
+    /// Writes `h` in the PaToH-like text format.
+    fn write_hypergraph<W: Write>(h: &Hypergraph, mut w: W) -> io::Result<()> {
+        writeln!(w, "{} {} {}", h.num_vertices(), h.num_nets(), h.num_pins())?;
+        for j in 0..h.num_nets() {
+            write!(w, "{}", h.net_cost(j))?;
+            for &p in h.net(j) {
+                write!(w, " {p}")?;
+            }
+            writeln!(w)?;
+        }
+        for v in 0..h.num_vertices() {
+            writeln!(w, "{} {}", h.vertex_weight(v), h.vertex_size(v))?;
+        }
+        Ok(())
+    }
 
     #[test]
     fn hypergraph_roundtrip() {

@@ -31,15 +31,6 @@ impl VertexLoads {
         VertexLoads { arity: 1, n, data: vec![1.0; n] }
     }
 
-    /// Zero loads at the given arity.
-    ///
-    /// # Panics
-    /// Panics if `arity == 0`.
-    pub fn zeros(arity: usize, n: usize) -> Self {
-        assert!(arity >= 1, "load arity must be at least 1");
-        VertexLoads { arity, n, data: vec![0.0; arity * n] }
-    }
-
     /// Wraps a scalar weight vector as arity-1 loads (zero-copy).
     ///
     /// # Panics
@@ -186,7 +177,7 @@ mod tests {
 
     #[test]
     fn set_and_get() {
-        let mut loads = VertexLoads::zeros(2, 3);
+        let mut loads = VertexLoads::from_columns(vec![vec![0.0; 3]; 2]);
         loads.set(1, 1, 5.0);
         assert_eq!(loads.get(1, 1), 5.0);
         assert_eq!(loads.get(1, 0), 0.0);

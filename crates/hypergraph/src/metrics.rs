@@ -197,11 +197,6 @@ pub fn cutsize_par(
     partials.into_iter().fold(0.0, |acc, x| acc + x)
 }
 
-/// [`cutsize_connectivity`] evaluated in parallel ([`cutsize_par`]).
-pub fn cutsize_connectivity_par(h: &Hypergraph, part: &[PartId], k: usize, threads: usize) -> f64 {
-    cutsize_par(h, part, k, CutMetric::Connectivity, threads)
-}
-
 /// [`part_weights`] evaluated in parallel over vertex chunks; per-chunk
 /// weight vectors are combined in chunk order, so the result is
 /// bit-identical at every `threads` value.
@@ -428,7 +423,7 @@ mod tests {
         assert_eq!(connectivities(&h, &part, 2), vec![0, 2, 0]);
         assert_eq!(cutsize_connectivity(&h, &part, 2), 1.0);
         for threads in [1usize, 2, 4] {
-            assert_eq!(cutsize_connectivity_par(&h, &part, 2, threads), 1.0);
+            assert_eq!(cutsize_par(&h, &part, 2, CutMetric::Connectivity, threads), 1.0);
             assert_eq!(cutsize_par(&h, &part, 2, CutMetric::CutNet, threads), 1.0);
         }
     }
@@ -442,7 +437,7 @@ mod tests {
         assert_eq!(cutsize_connectivity(&h, &part, 3), 0.0);
         assert_eq!(cutsize(&h, &part, 3, CutMetric::CutNet), 0.0);
         for threads in [1usize, 2, 4] {
-            assert_eq!(cutsize_connectivity_par(&h, &part, 3, threads), 0.0);
+            assert_eq!(cutsize_par(&h, &part, 3, CutMetric::Connectivity, threads), 0.0);
             assert_eq!(cutsize_par(&h, &part, 3, CutMetric::CutNet, threads), 0.0);
         }
     }
@@ -462,7 +457,7 @@ mod tests {
             assert_eq!(w, vec![0.0, 0.0]);
             assert_eq!(imbalance_of_weights(&w), 1.0);
             // The cut is still well-defined with weightless vertices.
-            assert!(cutsize_connectivity_par(&h, &part, 2, threads) > 0.0);
+            assert!(cutsize_par(&h, &part, 2, CutMetric::Connectivity, threads) > 0.0);
         }
     }
 
@@ -473,7 +468,7 @@ mod tests {
         let part = vec![0, 1, 0, 1, 0];
         assert_eq!(cutsize_connectivity(&h, &part, 2), 0.0);
         for threads in [1usize, 2, 4] {
-            assert_eq!(cutsize_connectivity_par(&h, &part, 2, threads), 0.0);
+            assert_eq!(cutsize_par(&h, &part, 2, CutMetric::Connectivity, threads), 0.0);
         }
     }
 }

@@ -494,18 +494,6 @@ where
     map_chunks_with(threads, len, chunk, || (), |(), i, range| f(i, range))
 }
 
-/// Deterministic parallel `f64` sum: per-chunk partial sums folded in
-/// chunk order (the chunked-reduction rule), so the result is
-/// bit-identical at every thread count.
-pub fn sum_chunks<F>(threads: usize, len: usize, chunk: usize, partial: F) -> f64
-where
-    F: Fn(Range<usize>) -> f64 + Sync,
-{
-    map_chunks(threads, len, chunk, |_, range| partial(range))
-        .into_iter()
-        .fold(0.0, |acc, x| acc + x)
-}
-
 /// Fills a caller-owned buffer in parallel: chunk `i` covering items
 /// `range` gets the exclusive window `out[range.start*stride ..
 /// range.end*stride]` — `stride` output elements per item. The windows
@@ -705,9 +693,11 @@ mod tests {
             .map(|i| 1.0 / (i as f64 + 1.0) * if i % 3 == 0 { 1e10 } else { 1e-10 })
             .collect();
         let sum_at = |threads: usize| {
-            sum_chunks(threads, values.len(), 1024, |range| {
+            map_chunks(threads, values.len(), 1024, |_, range| {
                 values[range].iter().fold(0.0, |a, &x| a + x)
             })
+            .into_iter()
+            .fold(0.0, |acc, x| acc + x)
         };
         let reference = sum_at(1);
         for threads in [2, 3, 4, 8] {

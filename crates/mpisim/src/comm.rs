@@ -202,25 +202,10 @@ impl Comm {
     /// eager protocol for small messages.
     ///
     /// # Panics
-    /// Panics if the send fails (see [`Comm::try_send`] for the
-    /// fallible variant).
+    /// Panics with the [`CommError`] if the send fails.
     pub fn send<T: Send + 'static>(&mut self, to: usize, tag: u64, value: T) {
         assert!(tag < COLL_TAG_BASE, "user tags must be below 2^48");
         self.send_raw(to, tag, value);
-    }
-
-    /// Fallible [`Comm::send`]: returns a [`CommError`] when the peer is
-    /// dead or an injected fault drops the message past the bounded
-    /// retransmit budget, instead of panicking.
-    pub fn try_send<T: Send + 'static>(
-        &mut self,
-        to: usize,
-        tag: u64,
-        value: T,
-    ) -> Result<(), CommError> {
-        assert!(tag < COLL_TAG_BASE, "user tags must be below 2^48");
-        let bytes = std::mem::size_of::<T>() as u64;
-        self.try_send_raw_sized(to, tag, value, bytes)
     }
 
     fn send_raw<T: Send + 'static>(&mut self, to: usize, tag: u64, value: T) {
@@ -284,13 +269,6 @@ impl Comm {
     pub fn recv<T: Send + 'static>(&mut self, from: usize, tag: u64) -> T {
         assert!(tag < COLL_TAG_BASE, "user tags must be below 2^48");
         self.recv_raw(from, tag)
-    }
-
-    /// Fallible [`Comm::recv`]: returns a [`CommError`] on timeout, dead
-    /// peer, or payload type mismatch instead of panicking.
-    pub fn try_recv<T: Send + 'static>(&mut self, from: usize, tag: u64) -> Result<T, CommError> {
-        assert!(tag < COLL_TAG_BASE, "user tags must be below 2^48");
-        self.try_recv_raw(from, tag)
     }
 
     fn recv_raw<T: Send + 'static>(&mut self, from: usize, tag: u64) -> T {
@@ -775,7 +753,7 @@ mod tests {
         let results = run_spmd(2, |comm| {
             if comm.rank() == 0 {
                 comm.set_recv_timeout(std::time::Duration::from_millis(20));
-                comm.try_recv::<u8>(1, 5).err()
+                comm.try_recv_raw::<u8>(1, 5).err()
             } else {
                 None
             }
@@ -790,7 +768,7 @@ mod tests {
                 comm.send(1, 2, 42u32);
                 None
             } else {
-                comm.try_recv::<String>(0, 2).err()
+                comm.try_recv_raw::<String>(0, 2).err()
             }
         });
         assert_eq!(results[1], Some(crate::CommError::TypeMismatch { rank: 1, from: 0, tag: 2 }));
@@ -799,13 +777,13 @@ mod tests {
     #[test]
     fn certain_drop_exhausts_retransmit_budget() {
         use crate::{run_spmd_with_faults, CommError, FaultPlan};
-        let plan = FaultPlan::new(3).with_drop(1.0);
+        let plan = FaultPlan::parse("3:drop1.0").unwrap();
         let results = run_spmd_with_faults(2, Some(&plan), |comm| {
             if comm.rank() == 0 {
-                comm.try_send(1, 1, 1u8).err()
+                comm.try_send_raw_sized(1, 1, 1u8, 1).err()
             } else {
                 comm.set_recv_timeout(std::time::Duration::from_millis(50));
-                let _ = comm.try_recv::<u8>(0, 1);
+                let _ = comm.try_recv_raw::<u8>(0, 1);
                 None
             }
         });
@@ -819,7 +797,7 @@ mod tests {
     #[test]
     fn dropped_messages_are_retransmitted_and_delivered() {
         use crate::{run_spmd_with_faults, FaultPlan};
-        let plan = FaultPlan::new(17).with_drop(0.5);
+        let plan = FaultPlan::parse("17:drop0.5").unwrap();
         let results = run_spmd_with_faults(4, Some(&plan), |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();

@@ -33,12 +33,6 @@ impl BlockDist {
         self.n == 0
     }
 
-    /// Number of ranks.
-    #[inline]
-    pub fn num_ranks(&self) -> usize {
-        self.p
-    }
-
     /// The half-open index range owned by `rank`.
     pub fn range(&self, rank: usize) -> std::ops::Range<usize> {
         assert!(rank < self.p, "rank out of range");

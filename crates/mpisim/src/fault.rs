@@ -12,7 +12,7 @@
 //! * `mpisim` (this module + [`crate::Comm`]) owns *message-level*
 //!   faults: per-send drop and delay decisions drawn from a per-rank
 //!   deterministic RNG, retransmitted or slept through inside the
-//!   fallible `try_send`/`try_recv` paths.
+//!   send and receive paths.
 //! * `dlb-core`'s epoch driver owns *rank-level* faults: a scheduled
 //!   failure is consumed at the epoch boundary and turned into a forced
 //!   repartition onto the surviving parts. The plan is shared by every
@@ -84,22 +84,6 @@ impl FaultPlan {
         self
     }
 
-    /// Drops each injected-world message with probability `p`, forcing
-    /// the sender through its bounded retransmit loop.
-    pub fn with_drop(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.drop_prob = p;
-        self
-    }
-
-    /// Delays each injected-world message with probability `p` (by a
-    /// fixed short deterministic amount).
-    pub fn with_delay(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.delay_prob = p;
-        self
-    }
-
     /// Parses the `SEED:spec` grammar (see the type docs). Returns a
     /// human-readable error for malformed specs.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
@@ -145,11 +129,6 @@ impl FaultPlan {
         ranks.sort_unstable();
         ranks.dedup();
         ranks
-    }
-
-    /// Whether the plan injects message-level faults (drop or delay).
-    pub fn has_message_faults(&self) -> bool {
-        self.drop_prob > 0.0 || self.delay_prob > 0.0
     }
 
     /// The per-rank mutable fault state installed on a world's [`crate::Comm`].
@@ -225,7 +204,7 @@ mod tests {
         assert_eq!(plan.seed(), 42);
         assert_eq!(plan.ranks_failing_at(2), vec![1, 3]);
         assert_eq!(plan.ranks_failing_at(1), Vec::<usize>::new());
-        assert!(plan.has_message_faults());
+        assert_eq!((plan.drop_prob, plan.delay_prob), (0.01, 0.5));
     }
 
     #[test]
@@ -233,7 +212,7 @@ mod tests {
         let plan = FaultPlan::parse("7:").unwrap();
         assert_eq!(plan.seed(), 7);
         assert!(plan.failures().is_empty());
-        assert!(!plan.has_message_faults());
+        assert_eq!((plan.drop_prob, plan.delay_prob), (0.0, 0.0));
     }
 
     #[test]
@@ -260,7 +239,7 @@ mod tests {
 
     #[test]
     fn fault_state_is_deterministic_per_rank() {
-        let plan = FaultPlan::new(99).with_drop(0.5);
+        let plan = FaultPlan::parse("99:drop0.5").unwrap();
         let draws = |rank: usize| {
             let mut s = plan.state_for(rank);
             (0..64).map(|_| s.should_drop()).collect::<Vec<_>>()
@@ -281,7 +260,7 @@ mod tests {
 
     #[test]
     fn probabilities_are_roughly_respected() {
-        let mut s = FaultPlan::new(11).with_drop(0.25).state_for(2);
+        let mut s = FaultPlan::parse("11:drop0.25").unwrap().state_for(2);
         let hits = (0..10_000).filter(|_| s.should_drop()).count();
         assert!((2_000..3_000).contains(&hits), "hits = {hits}");
     }

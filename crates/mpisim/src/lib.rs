@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod comm;
-pub mod directory;
 mod dist;
 pub mod fault;
 pub mod membership;
@@ -49,9 +48,8 @@ pub mod spec;
 mod world;
 
 pub use comm::{Comm, CommError, CommStats};
-pub use directory::DistDirectory;
 pub use dist::BlockDist;
 pub use fault::{FaultPlan, FaultState, RankFailure};
 pub use membership::WorldMembership;
 pub use plan::CommPlan;
-pub use world::{run_spmd, run_spmd_with_faults, try_run_spmd, RankPanic, SpmdError};
+pub use world::{run_spmd, run_spmd_with_faults, RankPanic, SpmdError};

@@ -52,11 +52,6 @@ impl CommPlan {
         CommPlan { send_counts, recv_counts, send_order }
     }
 
-    /// Total items this rank sends.
-    pub fn num_sends(&self) -> usize {
-        self.send_order.len()
-    }
-
     /// Items sent to each destination rank (`send_counts()[r]` items go
     /// to rank `r`). Together with [`CommPlan::send_positions`] this
     /// exposes the per-destination grouping, letting callers address a
@@ -238,8 +233,8 @@ mod tests {
                 let received = plan.execute(comm, &queries);
                 let replies: Vec<u64> = received.iter().map(|q| q * 10).collect();
                 let inverse = plan.invert();
-                assert_eq!(inverse.num_sends(), plan.num_receives());
-                assert_eq!(inverse.num_receives(), plan.num_sends());
+                assert_eq!(inverse.send_positions().len(), plan.num_receives());
+                assert_eq!(inverse.num_receives(), plan.send_positions().len());
                 let back = inverse.execute(comm, &replies);
                 // Replies arrive in send order; scatter them home.
                 let mut answers = vec![0u64; n_items];
@@ -341,7 +336,7 @@ mod tests {
                 let plan = CommPlan::build(comm, &[]);
                 let inverse = plan.invert();
                 let out = inverse.execute(comm, &Vec::<u8>::new());
-                (plan.num_receives(), inverse.num_sends(), out.len())
+                (plan.num_receives(), inverse.send_positions().len(), out.len())
             });
             assert_eq!(results, vec![(0, 0, 0); ranks]);
 

@@ -18,7 +18,7 @@ pub struct RankPanic {
     pub message: String,
 }
 
-/// Failure report from [`try_run_spmd`]: the originating rank's panic,
+/// Failure report of an SPMD launch: the originating rank's panic,
 /// separated from the secondary panics it provoked.
 ///
 /// When one rank dies mid-protocol its peers starve in `recv` and die
@@ -77,27 +77,15 @@ where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    match try_run_spmd_impl(nranks, plan, f) {
+    match try_run_spmd(nranks, plan, f) {
         Ok(values) => values,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Fallible [`run_spmd`]: joins *all* ranks and reports the originating
-/// failure instead of rethrowing whichever panic a rank-order join
-/// happens to see first.
-///
-/// # Panics
-/// Panics if `nranks == 0` (a malformed launch, not a rank failure).
-pub fn try_run_spmd<T, F>(nranks: usize, f: F) -> Result<Vec<T>, SpmdError>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    try_run_spmd_impl(nranks, None, f)
-}
-
-fn try_run_spmd_impl<T, F>(
+/// Joins *all* ranks and reports the originating failure instead of
+/// whichever panic a rank-order join happens to see first.
+fn try_run_spmd<T, F>(
     nranks: usize,
     plan: Option<&FaultPlan>,
     f: F,
@@ -225,7 +213,7 @@ mod tests {
 
     #[test]
     fn try_run_spmd_collects_results() {
-        let r = try_run_spmd(4, |c| c.rank() + 10).unwrap();
+        let r = try_run_spmd(4, None, |c| c.rank() + 10).unwrap();
         assert_eq!(r, vec![10, 11, 12, 13]);
     }
 
@@ -235,7 +223,7 @@ mod tests {
     /// timeout; attribution must surface rank 2's original panic.
     #[test]
     fn originating_panic_beats_cascading_timeout() {
-        let err = try_run_spmd(3, |c| {
+        let err = try_run_spmd(3, None, |c| {
             if c.rank() == 2 {
                 panic!("original failure on rank 2");
             }
@@ -256,7 +244,7 @@ mod tests {
     /// earliest panic wins and nothing is misattributed.
     #[test]
     fn all_cascade_panics_fall_back_to_earliest() {
-        let err = try_run_spmd(2, |c| {
+        let err = try_run_spmd(2, None, |c| {
             c.set_recv_timeout(std::time::Duration::from_millis(50));
             // Both ranks wait for a message nobody sends.
             let _: u8 = c.recv(1 - c.rank(), 9);

@@ -16,6 +16,33 @@ use crate::config::{CoarseningConfig, Determinism};
 use crate::fixed::FixedAssignment;
 use crate::matching::{ipm_matching_mode, Matching};
 
+/// Coarsening is unsuccessful — and stops — when a level shrinks the
+/// vertex count by less than this fraction (the paper's "typically 10%"
+/// threshold, Section 4.1).
+pub(crate) const MIN_REDUCTION: f64 = 0.10;
+
+/// Safety cap on the number of coarsening levels. Every level shrinks
+/// by at least [`MIN_REDUCTION`], so 40 levels are out of reach for any
+/// input that fits in memory; the cap only bounds the loop.
+pub(crate) const MAX_LEVELS: usize = 40;
+
+/// The coarsening stop rule (Section 4.1), shared by the serial and the
+/// SPMD driver: no further level once the `before` vertices of the
+/// current one are down to `target`, after [`MAX_LEVELS`] levels, or —
+/// asked again with the `matched_pairs` its matching found — when
+/// contracting them would shrink the level by less than
+/// [`MIN_REDUCTION`].
+pub(crate) fn coarsening_stops(
+    levels: usize,
+    before: usize,
+    target: usize,
+    matched_pairs: Option<usize>,
+) -> bool {
+    before <= target
+        || levels >= MAX_LEVELS
+        || matched_pairs.is_some_and(|pairs| (pairs as f64) < before as f64 * MIN_REDUCTION)
+}
+
 /// One coarsening level: the coarse hypergraph, the fine→coarse vertex
 /// map, and the coarse fixed assignment.
 #[derive(Clone, Debug)]
@@ -41,16 +68,11 @@ impl CoarseLevel {
     }
 }
 
-/// Contracts `h` along `matching`.
-pub fn contract(h: &Hypergraph, matching: &Matching, fixed: &FixedAssignment) -> CoarseLevel {
-    contract_threads(h, matching, fixed, 1)
-}
-
-/// [`contract`] with an explicit worker-thread count. With `threads > 1`
-/// the pin remapping (translate, sort, dedup per net) runs across
-/// workers over fixed net chunks; the duplicate-net merge then consumes
-/// the per-chunk results in net order, so the coarse hypergraph is
-/// identical to the serial construction at any thread count.
+/// Contracts `h` along `matching`. With `threads > 1` the pin remapping
+/// (translate, sort, dedup per net) runs across workers over fixed net
+/// chunks; the duplicate-net merge then consumes the per-chunk results
+/// in net order, so the coarse hypergraph is identical to the serial
+/// construction at any thread count.
 pub fn contract_threads(
     h: &Hypergraph,
     matching: &Matching,
@@ -248,8 +270,8 @@ impl Hierarchy {
 }
 
 /// Repeatedly matches and contracts `h` until it has at most
-/// `target_vertices` vertices, a level shrinks by less than
-/// `cfg.min_reduction`, or `cfg.max_levels` is hit.
+/// `target_vertices` vertices, a level shrinks by less than 10 %, or
+/// the level cap is hit (the stop rule, `coarsening_stops`).
 pub fn coarsen_to(
     h: &Hypergraph,
     fixed: &FixedAssignment,
@@ -283,9 +305,10 @@ pub fn coarsen_to_mode(
     // The restriction at the current (coarsest so far) level.
     let mut restrict = restrict.map(<[PartId]>::to_vec);
 
-    while hierarchy.levels.len() < cfg.max_levels {
+    loop {
         let (current, current_fixed) = hierarchy.coarsest(h, fixed);
-        if current.num_vertices() <= target_vertices {
+        let before = current.num_vertices();
+        if coarsening_stops(hierarchy.levels.len(), before, target_vertices, None) {
             break;
         }
         let span = dlb_trace::span!(
@@ -304,11 +327,8 @@ pub fn coarsen_to_mode(
             threads,
             determinism,
         );
-        let before = current.num_vertices();
-        let after = matching.coarse_count();
-        // Unsuccessful coarsening: the paper stops when a step fails to
-        // shrink the hypergraph by the threshold (typically 10%).
-        if ((before - after) as f64) < before as f64 * cfg.min_reduction {
+        let pairs = Some(matching.num_pairs);
+        if coarsening_stops(hierarchy.levels.len(), before, target_vertices, pairs) {
             break;
         }
         let level = contract_threads(current, &matching, current_fixed, threads);
@@ -354,7 +374,7 @@ mod tests {
             Matching { mate, num_pairs: 60 }
         };
         let fixed = FixedAssignment::free(120);
-        let lvl = contract(&h, &m, &fixed);
+        let lvl = contract_threads(&h, &m, &fixed, 1);
 
         let mut serial: Vec<(Box<[usize]>, f64)> = Vec::new();
         let mut pins: Vec<usize> = Vec::new();
@@ -384,7 +404,7 @@ mod tests {
         h.set_vertex_size(1, 3.0);
         let m = pair_matching(4, &[(0, 1), (2, 3)]);
         let fixed = FixedAssignment::free(4);
-        let lvl = contract(&h, &m, &fixed);
+        let lvl = contract_threads(&h, &m, &fixed, 1);
         assert_eq!(lvl.coarse.num_vertices(), 2);
         assert_eq!(lvl.coarse.vertex_weight(0), 3.0); // 2 + 1
         assert_eq!(lvl.coarse.vertex_size(0), 4.0); // 1 + 3
@@ -395,7 +415,7 @@ mod tests {
     fn contract_drops_internal_nets_and_keeps_cut_nets() {
         let h = Hypergraph::from_nets_unit(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
         let m = pair_matching(4, &[(0, 1), (2, 3)]);
-        let lvl = contract(&h, &m, &FixedAssignment::free(4));
+        let lvl = contract_threads(&h, &m, &FixedAssignment::free(4), 1);
         // Nets {0,1} and {2,3} become single-pin and vanish; {1,2} survives.
         assert_eq!(lvl.coarse.num_nets(), 1);
         assert_eq!(lvl.coarse.net(0), &[0, 1]);
@@ -410,7 +430,7 @@ mod tests {
         );
         // Merge 0+1 and 2+3: nets {0,2} and {1,3} both become {c0, c1}.
         let m = pair_matching(6, &[(0, 1), (2, 3)]);
-        let lvl = contract(&h, &m, &FixedAssignment::free(6));
+        let lvl = contract_threads(&h, &m, &FixedAssignment::free(6), 1);
         assert_eq!(lvl.coarse.num_nets(), 2);
         // The collapsed net carries the summed cost 3.0.
         let costs: Vec<f64> = (0..2).map(|j| lvl.coarse.net_cost(j)).collect();
@@ -424,7 +444,7 @@ mod tests {
         let mut fixed = FixedAssignment::free(4);
         fixed.fix(1, 2);
         let m = pair_matching(4, &[(0, 1)]);
-        let lvl = contract(&h, &m, &fixed);
+        let lvl = contract_threads(&h, &m, &fixed, 1);
         // Coarse vertex of {0,1} is fixed to 2; coarse singletons 2,3 free.
         let c01 = lvl.fine_to_coarse[0];
         assert_eq!(lvl.coarse_fixed.get(c01), Some(2));

@@ -41,6 +41,11 @@ pub enum Determinism {
 }
 
 /// Coarsening-phase parameters (Section 4.1).
+///
+/// The rest of the phase is fixed: the stop rule's shrink threshold and
+/// level cap are `coarsen::MIN_REDUCTION` and `coarsen::MAX_LEVELS`, and
+/// the matcher skips nets over `matching::MAX_NET_SIZE_FOR_MATCHING`
+/// pins.
 #[derive(Clone, Debug)]
 pub struct CoarseningConfig {
     /// Stop coarsening once the hypergraph has at most
@@ -49,19 +54,9 @@ pub struct CoarseningConfig {
     pub coarse_to_factor: usize,
     /// Hard floor on coarse size regardless of `k`.
     pub min_coarse_vertices: usize,
-    /// Abort coarsening when a level shrinks the vertex count by less
-    /// than this fraction (the paper's "typically 10%" threshold:
-    /// `0.10`).
-    pub min_reduction: f64,
-    /// Safety cap on the number of levels.
-    pub max_levels: usize,
     /// Scale each net's contribution to the inner product by
     /// `1/(|n|-1)` (PaToH-style heavy connectivity). Ablation toggle.
     pub scaled_ipm: bool,
-    /// Nets with more pins than this are skipped when computing match
-    /// scores: huge nets make IPM quadratic and carry little similarity
-    /// signal (standard practice in PaToH/hMETIS/Zoltan).
-    pub max_net_size_for_matching: usize,
     /// Parallel matching only: restrict each rank's candidates to
     /// rank-local partners, skipping the global candidate broadcast and
     /// best-match reduction. This is the speedup the paper proposes as
@@ -75,10 +70,7 @@ impl Default for CoarseningConfig {
         CoarseningConfig {
             coarse_to_factor: 20,
             min_coarse_vertices: 80,
-            min_reduction: 0.10,
-            max_levels: 40,
             scaled_ipm: true,
-            max_net_size_for_matching: 300,
             local_ipm: false,
         }
     }
@@ -100,27 +92,22 @@ impl Default for InitialConfig {
 }
 
 /// Refinement-phase parameters (Section 4.3).
+///
+/// FM optimizes the connectivity-1 objective of Eq. (2) — the paper's
+/// communication volume — and only that: the gains are written for it.
+/// (`dlb_hypergraph::metrics::CutMetric` remains as an *evaluation*
+/// metric.) A pass ends after `refine::MAX_NEGATIVE_STREAK` consecutive
+/// non-improving moves.
 #[derive(Clone, Debug)]
 pub struct RefinementConfig {
     /// Maximum FM pass-pairs per level; passes stop early when a pass
     /// yields no improvement.
     pub max_passes: usize,
-    /// Stop a pass after this many consecutive non-improving moves
-    /// (limits tail wandering; `0` disables the limit).
-    pub max_negative_streak: usize,
-    /// Objective the FM gains optimize. The paper uses connectivity-1
-    /// (Eq. (2)), which models true communication volume; cut-net is
-    /// offered for VLSI-style workloads (PaToH supports both).
-    pub metric: dlb_hypergraph::metrics::CutMetric,
 }
 
 impl Default for RefinementConfig {
     fn default() -> Self {
-        RefinementConfig {
-            max_passes: 4,
-            max_negative_streak: 200,
-            metric: dlb_hypergraph::metrics::CutMetric::Connectivity,
-        }
+        RefinementConfig { max_passes: 4 }
     }
 }
 
@@ -226,12 +213,6 @@ impl Config {
     /// The default configuration with a specific seed.
     pub fn seeded(seed: u64) -> Self {
         Config { seed, ..Config::default() }
-    }
-
-    /// Number of balance constraints this configuration specifies
-    /// tolerances for (1 + auxiliary epsilons).
-    pub fn arity(&self) -> usize {
-        1 + self.aux_epsilons.len()
     }
 
     /// The tolerance of constraint `c` (0 = primary). Constraints with
@@ -386,12 +367,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// K-way scheme.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.cfg.scheme = scheme;
-        self
-    }
-
     /// Total V-cycles (see [`Config::num_vcycles`]).
     pub fn num_vcycles(mut self, num_vcycles: usize) -> Self {
         self.cfg.num_vcycles = num_vcycles;
@@ -408,13 +383,6 @@ impl ConfigBuilder {
     /// Reproducibility contract ([`Config::determinism`]).
     pub fn determinism(mut self, determinism: Determinism) -> Self {
         self.cfg.determinism = determinism;
-        self
-    }
-
-    /// Enable warm-started refine-only partitioning
-    /// ([`Config::warm_start`]).
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.cfg.warm_start = on;
         self
     }
 
@@ -540,7 +508,7 @@ mod tests {
     fn defaults_match_paper_parameters() {
         let c = Config::default();
         assert_eq!(c.scheme, Scheme::RecursiveBisection);
-        assert!((c.coarsening.min_reduction - 0.10).abs() < 1e-12);
+        assert!((crate::coarsen::MIN_REDUCTION - 0.10).abs() < 1e-12);
         assert!(c.epsilon > 0.0);
     }
 
@@ -605,7 +573,6 @@ mod tests {
             .part_capacities(vec![vec![2.0, 16.0], vec![1.0, 8.0]])
             .build()
             .unwrap();
-        assert_eq!(c.arity(), 2);
         assert_eq!(c.epsilon, 0.05);
         assert_eq!(c.aux_epsilons, vec![0.10]);
         assert_eq!(c.epsilon_for(0), 0.05);

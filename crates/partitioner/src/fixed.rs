@@ -69,11 +69,6 @@ impl FixedAssignment {
         self.fixed[v] = p as i64;
     }
 
-    /// Frees `v`.
-    pub fn unfix(&mut self, v: usize) {
-        self.fixed[v] = FREE;
-    }
-
     /// Number of fixed vertices.
     pub fn num_fixed(&self) -> usize {
         self.fixed.iter().filter(|&&f| f >= 0).count()
@@ -140,8 +135,7 @@ mod tests {
         assert_eq!(f.get(1), Some(2));
         assert_eq!(f.num_fixed(), 1);
         assert_eq!(f.max_part(), Some(2));
-        f.unfix(1);
-        assert_eq!(f.get(1), None);
+        assert_eq!(f.get(0), None);
     }
 
     #[test]

@@ -246,7 +246,10 @@ pub fn refine_partition_fixed(
     let mut scratch = refine::RefineScratch::new();
     // One flat FM pass first: restores balance (greedy rebalance runs
     // inside) and polishes the seed locally...
-    refine::refine_threads(h, &targets, fixed, &mut part, &cfg.refinement, &mut rng, threads, &mut scratch);
+    {
+        let _span = dlb_trace::span!("refine.level", level = 0usize);
+        refine::refine_threads(h, &targets, fixed, &mut part, &cfg.refinement, &mut rng, threads, &mut scratch);
+    }
     // ...then the part-restricted V-cycles of the iterated pipeline,
     // kept only when they improve the cut.
     let part = kway::iterate_vcycles(h, &targets, fixed, part, cfg, &mut rng, threads, &mut scratch);

@@ -38,6 +38,11 @@ use crate::config::{CoarseningConfig, Determinism};
 use crate::fixed::FixedAssignment;
 use crate::view::{LevelView, Replicated};
 
+/// Nets with more pins than this are skipped when computing match
+/// scores: huge nets make IPM quadratic and carry little similarity
+/// signal (standard practice in PaToH/hMETIS/Zoltan).
+const MAX_NET_SIZE_FOR_MATCHING: usize = 300;
+
 /// A matching: `mate[v] == v` for unmatched vertices, otherwise the
 /// partner (symmetric: `mate[mate[v]] == v`).
 #[derive(Clone, Debug)]
@@ -49,11 +54,6 @@ pub struct Matching {
 }
 
 impl Matching {
-    /// Number of coarse vertices this matching produces.
-    pub fn coarse_count(&self) -> usize {
-        self.mate.len() - self.num_pairs
-    }
-
     /// Validates symmetry and fixed-compatibility.
     pub fn validate(&self, fixed: &FixedAssignment) -> Result<(), String> {
         if self.mate.len() != fixed.len() {
@@ -106,7 +106,7 @@ pub(crate) fn accumulate_scores<V: LevelView>(
     let mut pins_scanned = 0u64;
     for &j in nets {
         let size = view.net_size(j);
-        if size < 2 || size > cfg.max_net_size_for_matching {
+        if !(2..=MAX_NET_SIZE_FOR_MATCHING).contains(&size) {
             continue;
         }
         let contrib = if cfg.scaled_ipm {
@@ -141,24 +141,14 @@ pub fn ipm_matching(
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Matching {
-    ipm_matching_restricted(h, fixed, None, cfg, rng)
+    ipm_matching_threads(h, fixed, None, cfg, rng, 1)
 }
 
-/// [`ipm_matching`] with an optional part restriction: when `parts` is
-/// `Some`, two vertices may only match if they currently share a part.
-/// Used by V-cycle iterations (re-coarsening must keep the current
-/// partition representable, exactly like adaptive graph coarsening).
-pub fn ipm_matching_restricted(
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    parts: Option<&[usize]>,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-) -> Matching {
-    ipm_matching_threads(h, fixed, parts, cfg, rng, 1)
-}
-
-/// [`ipm_matching_restricted`] with an explicit worker-thread count.
+/// [`ipm_matching`] with an explicit worker-thread count and an
+/// optional part restriction: when `parts` is `Some`, two vertices may
+/// only match if they currently share a part. Used by V-cycle
+/// iterations (re-coarsening must keep the current partition
+/// representable, exactly like adaptive graph coarsening).
 ///
 /// `threads == 1` runs the exact serial greedy matcher; `threads > 1`
 /// precomputes candidate scores in parallel and selects serially, which
@@ -635,13 +625,13 @@ mod tests {
 
     #[test]
     fn huge_nets_are_ignored_for_scores() {
-        let mut c = cfg();
-        c.max_net_size_for_matching = 3;
-        // Only a size-4 net connects anything: no matches possible.
-        let h = Hypergraph::from_nets_unit(4, &[vec![0, 1, 2, 3]]);
-        let fixed = FixedAssignment::free(4);
+        // Only a net one pin over the limit connects anything: no
+        // matches possible.
+        let n = MAX_NET_SIZE_FOR_MATCHING + 1;
+        let h = Hypergraph::from_nets_unit(n, &[(0..n).collect()]);
+        let fixed = FixedAssignment::free(n);
         let mut rng = StdRng::seed_from_u64(2);
-        let m = ipm_matching(&h, &fixed, &c, &mut rng);
+        let m = ipm_matching(&h, &fixed, &cfg(), &mut rng);
         assert_eq!(m.num_pairs, 0);
     }
 
@@ -670,7 +660,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let m = ipm_matching(&h, &fixed, &cfg(), &mut rng);
         assert_eq!(m.mate[2], 2);
-        assert!(m.coarse_count() >= 2);
+        assert!(m.mate.len() - m.num_pairs >= 2);
     }
 
     #[test]

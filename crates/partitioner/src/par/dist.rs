@@ -57,7 +57,7 @@ use dlb_mpisim::{BlockDist, Comm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coarsen::{contract_threads, CoarseLevel};
+use crate::coarsen::{coarsening_stops, contract_threads, CoarseLevel};
 use crate::config::{CoarseningConfig, Config, PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
 use crate::initial::{initial_partition, score};
@@ -482,7 +482,6 @@ fn dist_contract(comm: &mut Comm, d: &DistLevel, mate: &[usize]) -> (DistLevel, 
     let my_keys: Vec<usize> = groups.iter().map(|g| g.0).collect();
     let mut all_keys: Vec<usize> = comm.allgather(my_keys).into_iter().flatten().collect();
     all_keys.sort_unstable();
-    let num_coarse_nets = all_keys.len();
 
     // --- Owner-computes share routing. The pin list is sorted, so
     // each rank's pins form one contiguous run. ---
@@ -515,8 +514,7 @@ fn dist_contract(comm: &mut Comm, d: &DistLevel, mate: &[usize]) -> (DistLevel, 
     }
     let mut shares: Vec<NetShare> = comm.alltoallv(routed).into_iter().flatten().collect();
     shares.sort_unstable_by_key(|s| s.gid);
-    let dh_coarse =
-        DistHypergraph::from_local_nets(nc, num_coarse_nets, comm.rank(), nranks, shares, cw);
+    let dh_coarse = DistHypergraph::from_local_nets(nc, comm.rank(), nranks, shares, cw);
     let coarse =
         DistLevel { dh: dh_coarse, start: crange.start, aux: caux, vsize: cs, fixed: cfixed };
     (coarse, f2c)
@@ -1111,7 +1109,7 @@ pub fn dist_multilevel_stats(
         let step = {
             let view = current_view(h, fixed, &finest_dist, &levels, &gathered);
             let before = view.num_vertices();
-            if before <= coarse_target || levels.len() >= cfg.coarsening.max_levels {
+            if coarsening_stops(levels.len(), before, coarse_target, None) {
                 Step::Stop
             } else {
                 match view {
@@ -1122,10 +1120,8 @@ pub fn dist_multilevel_stats(
                     View::Dist(d) => {
                         let (mate, num_pairs) =
                             dist_ipm_matching(comm, d, &cfg.coarsening, rng, threads);
-                        let after = before - num_pairs;
-                        if ((before - after) as f64) < before as f64 * cfg.coarsening.min_reduction
-                        {
-                            Step::Stop // unsuccessful coarsening (10% rule)
+                        if coarsening_stops(levels.len(), before, coarse_target, Some(num_pairs)) {
+                            Step::Stop
                         } else {
                             let (coarse, fine_to_coarse) = dist_contract(comm, d, &mate);
                             stats.observe(&coarse);
@@ -1136,9 +1132,8 @@ pub fn dist_multilevel_stats(
                         let matching = par_ipm_matching_threads(
                             comm, ch, cf, &cfg.coarsening, rng, threads,
                         );
-                        let after = matching.coarse_count();
-                        if ((before - after) as f64) < before as f64 * cfg.coarsening.min_reduction
-                        {
+                        let pairs = Some(matching.num_pairs);
+                        if coarsening_stops(levels.len(), before, coarse_target, pairs) {
                             Step::Stop
                         } else {
                             // With the level replicated, contraction is a

@@ -290,21 +290,9 @@ pub(crate) fn local_matching<V: LevelView>(
 /// One level of parallel matching. Collective: all ranks must call with
 /// identical `h`, `fixed`, `cfg`; `rng` seeds may differ per rank only
 /// through `comm.rank()` (handled internally). Returns the same matching
-/// on every rank.
-pub fn par_ipm_matching(
-    comm: &mut Comm,
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-) -> Matching {
-    par_ipm_matching_threads(comm, h, fixed, cfg, rng, 1)
-}
-
-/// [`par_ipm_matching`] with rank-local worker threads for the candidate
-/// scoring stage (each rank scores its share of candidates over
-/// `threads` threads). Bit-identical to the single-threaded matcher at
-/// every thread count.
+/// on every rank. The candidate scoring stage runs over `threads`
+/// rank-local worker threads (each rank scores its share of
+/// candidates); the result is bit-identical at every thread count.
 pub fn par_ipm_matching_threads(
     comm: &mut Comm,
     h: &Hypergraph,
@@ -349,7 +337,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(4, |comm| {
             let mut rng = StdRng::seed_from_u64(7);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng).mate
+            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1).mate
         });
         for r in &results[1..] {
             assert_eq!(*r, results[0]);
@@ -363,7 +351,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(3, |comm| {
             let mut rng = StdRng::seed_from_u64(9);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng)
+            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1)
         });
         let m = &results[0];
         m.validate(&fixed).unwrap();
@@ -383,7 +371,7 @@ mod tests {
         let results = run_spmd(4, |comm| {
             let mut rng = StdRng::seed_from_u64(5);
             let dist = BlockDist::new(100, comm.size());
-            let m = par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng);
+            let m = par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1);
             (m, dist)
         });
         let (m, dist) = &results[0];
@@ -454,7 +442,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(2, |comm| {
             let mut rng = StdRng::seed_from_u64(11);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng)
+            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1)
         });
         results[0].validate(&fixed).unwrap();
     }

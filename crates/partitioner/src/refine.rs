@@ -25,7 +25,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dlb_hypergraph::metrics::CutMetric;
 use dlb_hypergraph::{parallel, Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -38,6 +37,11 @@ use crate::view::{LevelView, Replicated};
 /// their pins' gains drift slightly until popped (and are then
 /// recomputed exactly). Keeps huge nets from making passes quadratic.
 const MAX_NET_SIZE_FOR_UPDATES: usize = 400;
+
+/// An FM pass stops after this many consecutive non-improving moves:
+/// past that the pass is wandering the tail of the move sequence, which
+/// the rollback to the best prefix discards anyway.
+const MAX_NEGATIVE_STREAK: usize = 200;
 
 /// Chunk size for parallel FM gain seeding: a `best_move` walks all of a
 /// vertex's nets, so chunks are smaller than [`parallel::DEFAULT_CHUNK`]
@@ -155,65 +159,6 @@ impl<'a> PartitionState<Replicated<'a>> {
     #[inline]
     fn aux_weight(&self, c: usize, p: usize) -> f64 {
         self.aux_weights[(c - 1) * self.k + p]
-    }
-
-    /// The gain of moving `v` to `q` under the chosen metric. For
-    /// [`CutMetric::CutNet`], a net only contributes when the move makes
-    /// it entirely internal to `q` (+cost) or splits a net that was
-    /// entirely internal to `p` (−cost).
-    fn gain_metric(&self, v: usize, q: PartId, metric: CutMetric) -> f64 {
-        match metric {
-            CutMetric::Connectivity => self.gain(v, q),
-            CutMetric::CutNet => {
-                let h = self.view.h;
-                let p = self.part[v];
-                if p == q {
-                    return 0.0;
-                }
-                let mut g = 0.0;
-                for &j in h.vertex_nets(v) {
-                    let size = h.net_size(j) as u32;
-                    let c = h.net_cost(j);
-                    if self.sigma(j, q) == size - 1 {
-                        g += c; // net becomes internal to q
-                    }
-                    if self.sigma(j, p) == size {
-                        g -= c; // net was internal to p; move cuts it
-                    }
-                }
-                g
-            }
-        }
-    }
-
-    /// [`Self::best_move`] under the chosen metric (the k-1 path uses the
-    /// specialized decomposition; cut-net evaluates candidates directly).
-    fn best_move_metric(
-        &self,
-        v: usize,
-        targets: &PartTargets,
-        metric: CutMetric,
-        scratch: &mut MoveScratch,
-    ) -> Option<(PartId, f64)> {
-        if metric == CutMetric::Connectivity {
-            return self.best_move(v, targets, scratch);
-        }
-        let p = self.part[v];
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.cands.clear();
-        for &j in self.view.h.vertex_nets(v) {
-            for q in 0..self.k {
-                if q != p && self.sigma(j, q) > 0 && scratch.mark[q] != stamp {
-                    scratch.mark[q] = stamp;
-                    scratch.cands.push(q);
-                }
-            }
-        }
-        let gain_to = |q: PartId| self.gain_metric(v, q, metric);
-        let best = self.best_feasible(v, targets, &scratch.cands, gain_to);
-        scratch.cands.clear();
-        best
     }
 }
 
@@ -932,7 +877,6 @@ pub(crate) fn greedy_repair(
 fn fm_pass(
     state: &mut PartitionState<Replicated<'_>>,
     targets: &PartTargets,
-    cfg: &RefinementConfig,
     scratch: &mut RefineScratch,
     rng: &mut StdRng,
 ) -> f64 {
@@ -947,7 +891,7 @@ fn fm_pass(
     state.owned_boundary_into(&mut boundary);
     boundary.shuffle(rng);
     // Parallel gain seeding: the partition is frozen here, so
-    // `best_move_metric` is a pure function of (state, v) — computing
+    // `best_move` is a pure function of (state, v) — computing
     // seeds across workers (per-worker MoveScratch) and pushing them in
     // boundary order is bit-identical to the serial loop in both
     // determinism modes.
@@ -963,7 +907,7 @@ fn fm_pass(
                 if fixed.is_fixed(v) {
                     continue;
                 }
-                if let Some((to, gain)) = state_ref.best_move_metric(v, targets, cfg.metric, mv) {
+                if let Some((to, gain)) = state_ref.best_move(v, targets, mv) {
                     out.push((v, to, gain));
                 }
             }
@@ -987,7 +931,7 @@ fn fm_pass(
             continue;
         }
         // Lazy revalidation: the stored move may be stale.
-        let current = state.best_move_metric(c.v, targets, cfg.metric, &mut scratch.mv);
+        let current = state.best_move(c.v, targets, &mut scratch.mv);
         match current {
             None => continue,
             Some((to, gain)) => {
@@ -1007,7 +951,7 @@ fn fm_pass(
                     neg_streak = 0;
                 } else {
                     neg_streak += 1;
-                    if cfg.max_negative_streak > 0 && neg_streak >= cfg.max_negative_streak {
+                    if neg_streak >= MAX_NEGATIVE_STREAK {
                         break;
                     }
                 }
@@ -1018,9 +962,7 @@ fn fm_pass(
                     }
                     for &w in h.net(j) {
                         if !scratch.locked[w] && !scratch.queued[w] && !fixed.is_fixed(w) {
-                            if let Some((to, gain)) =
-                                state.best_move_metric(w, targets, cfg.metric, &mut scratch.mv)
-                            {
+                            if let Some((to, gain)) = state.best_move(w, targets, &mut scratch.mv) {
                                 scratch.heap.push(Cand { gain, v: w, to });
                                 scratch.queued[w] = true;
                             }
@@ -1101,7 +1043,7 @@ pub fn refine_threads(
 
     let mut total = 0.0;
     for _ in 0..cfg.max_passes {
-        let improvement = fm_pass(&mut state, targets, cfg, scratch, rng);
+        let improvement = fm_pass(&mut state, targets, scratch, rng);
         total += improvement;
         if improvement <= 1e-12 {
             break;
@@ -1111,7 +1053,7 @@ pub fn refine_threads(
     // but if repair could not finish above, try once more now that FM
     // has untangled the cut, and let one extra pass recover cut quality.
     if multi && !state.feasible(targets) && greedy_repair(&mut state, targets) > 0 {
-        total += fm_pass(&mut state, targets, cfg, scratch, rng);
+        total += fm_pass(&mut state, targets, scratch, rng);
     }
     *part = state.part;
     total
@@ -1167,48 +1109,6 @@ mod tests {
                 state.apply(v, from);
             }
         }
-    }
-
-    #[test]
-    fn cutnet_gain_matches_recomputed_delta() {
-        use dlb_hypergraph::metrics::cutsize;
-        let h = crate::tests::random_hypergraph(25, 50, 5, 19);
-        let part: Vec<usize> = (0..25).map(|v| v % 3).collect();
-        let fixed = FixedAssignment::free(25);
-        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, part);
-        for v in [0usize, 6, 12, 24] {
-            for q in 0..3 {
-                if q == state.part[v] {
-                    continue;
-                }
-                let before = cutsize(&h, &state.part, 3, CutMetric::CutNet);
-                let gain = state.gain_metric(v, q, CutMetric::CutNet);
-                let from = state.part[v];
-                state.apply(v, q);
-                let after = cutsize(&h, &state.part, 3, CutMetric::CutNet);
-                assert!(
-                    (before - after - gain).abs() < 1e-9,
-                    "v={v} q={q}: predicted {gain}, actual {}",
-                    before - after
-                );
-                state.apply(v, from);
-            }
-        }
-    }
-
-    #[test]
-    fn refine_with_cutnet_objective_improves_cutnet() {
-        use dlb_hypergraph::metrics::cutsize;
-        let h = crate::tests::grid_hypergraph(8, 8);
-        let mut part: Vec<usize> = (0..64).map(|v| v % 2).collect();
-        let before = cutsize(&h, &part, 2, CutMetric::CutNet);
-        let t = uniform_targets(&h, 2);
-        let fixed = FixedAssignment::free(64);
-        let cfg = RefinementConfig { metric: CutMetric::CutNet, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(8);
-        refine(&h, &t, &fixed, &mut part, &cfg, &mut rng);
-        let after = cutsize(&h, &part, 2, CutMetric::CutNet);
-        assert!(after < before, "cut-net {before} -> {after}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Live implementation (compiled when the `enabled` feature is on).
+//! Recording: sessions, thread enrollment, span guards and counters.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

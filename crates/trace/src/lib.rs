@@ -32,38 +32,23 @@
 //! unrelated tests are never enrolled and can neither pollute the span
 //! tree nor the counters.
 //!
-//! # Zero cost when disabled
+//! # Cost with no session open
 //!
-//! Building with `default-features = false` (dropping the `enabled`
-//! feature) compiles every entry point to an inert no-op; call sites
-//! need no `cfg` guards. Even with the feature on, the fast path when
-//! no session is active is a single relaxed atomic load.
+//! The crate has one build. With no session active every entry point
+//! returns after a single relaxed atomic load, so call sites need no
+//! guards and untraced runs (every benchmark workload's default) pay
+//! one load per span or counter.
 
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-#[cfg(feature = "enabled")]
 mod imp;
-#[cfg(feature = "enabled")]
 pub use imp::{
     adopt, count, enabled, fork, session, session_active, span_start, ForkCtx, SpanGuard,
     TraceSession,
 };
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    adopt, count, enabled, fork, session, session_active, span_start, ForkCtx, SpanGuard,
-    TraceSession,
-};
-
-/// `true` when the crate was built with the `enabled` feature (the
-/// default); `false` for the inert no-op build. Lets downstream tests
-/// branch without repeating the feature gate.
-pub const COMPILED_IN: bool = cfg!(feature = "enabled");
 
 /// Opens a timed span; returns a guard that records the duration when
 /// dropped. Bind it (`let _span = span!(...)`) — an unbound guard drops
@@ -75,8 +60,7 @@ pub const COMPILED_IN: bool = cfg!(feature = "enabled");
 ///     let _span = dlb_trace::span!("coarsen.level", level = 3usize);
 /// }
 /// let report = session.finish();
-/// // One span with the `enabled` feature (the default), none without.
-/// assert_eq!(report.spans.len(), usize::from(cfg!(feature = "enabled")));
+/// assert_eq!(report.spans.len(), 1);
 /// ```
 #[macro_export]
 macro_rules! span {

@@ -107,19 +107,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Loads a real dataset from a MatrixMarket file, tagging it with the
-    /// regime it stands in for. Use this to run the experiments on the
-    /// actual Table 1 matrices when you have them (they are not
-    /// redistributable with this workspace).
-    pub fn from_matrix_market(
-        kind: DatasetKind,
-        path: &std::path::Path,
-    ) -> std::io::Result<Dataset> {
-        let file = std::fs::File::open(path)?;
-        let graph = dlb_hypergraph::io::read_matrix_market_graph(std::io::BufReader::new(file))?;
-        Ok(Dataset { kind, scale: 1.0, graph })
-    }
-
     /// Generates the dataset at `scale ∈ (0, 1]` with the given seed.
     ///
     /// # Panics
@@ -382,13 +369,12 @@ mod tests {
 
     #[test]
     fn from_matrix_market_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("dlb-ds-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.mtx");
-        std::fs::write(&path, "3 3 2\n1 2\n2 3\n").unwrap();
-        let d = Dataset::from_matrix_market(DatasetKind::Auto, &path).unwrap();
+        // A real Table 1 matrix enters as a `Dataset` through the
+        // MatrixMarket reader, tagged with the regime it stands in for.
+        let graph =
+            dlb_hypergraph::io::read_matrix_market_graph("3 3 2\n1 2\n2 3\n".as_bytes()).unwrap();
+        let d = Dataset { kind: DatasetKind::Auto, scale: 1.0, graph };
         assert_eq!(d.graph.num_vertices(), 3);
         assert_eq!(d.graph.num_edges(), 2);
-        assert_eq!(d.scale, 1.0);
     }
 }

@@ -89,11 +89,6 @@ impl EpochStream {
         }
     }
 
-    /// The base dataset.
-    pub fn base(&self) -> &CsrGraph {
-        &self.base
-    }
-
     /// Number of parts in the decomposition.
     pub fn k(&self) -> usize {
         self.k

@@ -224,11 +224,6 @@ impl AmrSource {
         self.id_cell.get(base).copied()
     }
 
-    /// Number of base ids handed out so far (registry size).
-    pub fn num_base_ids(&self) -> usize {
-        self.id_cell.len()
-    }
-
     fn register(&mut self, c: Cell) -> usize {
         if let Some(&id) = self.base_id.get(&c) {
             return id;

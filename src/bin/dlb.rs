@@ -562,10 +562,6 @@ fn print_simulation(summary: &SimulationSummary, alpha: f64) {
 }
 
 fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
-    if cli.incremental && (cli.ranks > 1 || cli.distributed) {
-        fail("--incremental is serial-only (the SPMD partitioner has no warm start); \
-              drop --ranks/--distributed");
-    }
     if cli.constraints > 1 {
         match cli.workload.as_deref() {
             Some("amr") if cli.constraints == 2 => {}
@@ -588,23 +584,6 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
     cfg.hypergraph.threads = hg_cfg.threads;
     cfg.hypergraph.determinism = hg_cfg.determinism;
     cfg.hypergraph.dist = hg_cfg.dist;
-    if let Some(plan) = &cli.fault_plan {
-        let joinable =
-            cli.world_plan.as_ref().map(WorldPlan::join_ranks).unwrap_or_default();
-        for f in plan.failures() {
-            if f.rank >= cli.k && !joinable.contains(&f.rank) {
-                fail(format!(
-                    "--fault-plan rank {} out of range for -k {}",
-                    f.rank, cli.k
-                ));
-            }
-        }
-    }
-    if let Some(plan) = &cli.world_plan {
-        if let Err(e) = plan.validate(cli.k, cli.epochs, cli.fault_plan.as_ref()) {
-            fail(format!("bad --world-plan: {e}"));
-        }
-    }
     let build = |incremental: bool| {
         let mut session = Session::new(cfg.clone())
             .algorithm(cli.algorithm)

@@ -205,7 +205,7 @@ fn rejects_distributed_flag_conflicts_up_front() {
             "simulate", "-k", "2", "--workload", "structure", "--distributed",
             "--incremental",
         ],
-        "--incremental is serial-only",
+        "incremental repartitioning is serial-only",
     );
 }
 

@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex};
 
 use dlb::amr::{AmrConfig, AmrStream};
 use dlb::core::{
-    Algorithm, AuditLedger, AuditedSource, FaultPlan, RepartConfig, Session, SimulationSummary,
-    WorldPlan,
+    Algorithm, AuditLedger, AuditedSource, FaultPlan, RepartConfig, Session, SessionError,
+    SimulationSummary, WorldPlan,
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
@@ -212,34 +212,44 @@ fn noop_plans_are_bit_identical_to_no_plan() {
 /// tallies, and exactly one of the `resize_chose_*` counters.
 #[test]
 fn resize_counters_reflect_the_plan() {
+    use dlb::trace::Counter;
     let plan = WorldPlan::parse("3:join4@2,leave0@3").unwrap();
     let (s, report) = session(4, 3).world_plan(plan).run_traced().unwrap();
     assert_eq!(s.total_resizes(), 2);
-    if dlb::trace::COMPILED_IN {
-        use dlb::trace::Counter;
-        assert_eq!(report.counter(Counter::ResizesRun), 2);
-        assert_eq!(report.counter(Counter::RanksJoined), 1);
-        assert_eq!(report.counter(Counter::RanksDeparted), 1);
-        assert_eq!(
-            report.counter(Counter::ResizeChoseRepart)
-                + report.counter(Counter::ResizeChoseScratch),
-            2,
-            "every resize records its arbitration"
-        );
-        assert!(report.find("resize.epoch").is_some());
-    }
+    assert_eq!(report.counter(Counter::ResizesRun), 2);
+    assert_eq!(report.counter(Counter::RanksJoined), 1);
+    assert_eq!(report.counter(Counter::RanksDeparted), 1);
+    assert_eq!(
+        report.counter(Counter::ResizeChoseRepart)
+            + report.counter(Counter::ResizeChoseScratch),
+        2,
+        "every resize records its arbitration"
+    );
+    assert!(report.find("resize.epoch").is_some());
 
     let (_, clean) = session(4, 2).run_traced().unwrap();
-    assert_eq!(clean.counter(dlb::trace::Counter::ResizesRun), 0);
+    assert_eq!(clean.counter(Counter::ResizesRun), 0);
 }
 
 /// A schedule that would ever empty the world is rejected up front, not
-/// discovered mid-run.
+/// discovered mid-run: the session returns the error (the library used
+/// to panic here, through `run_spmd` at ranks > 1).
+#[test]
+fn world_exhausting_plan_is_an_error_at_ranks_1_and_2() {
+    for ranks in [1usize, 2] {
+        let plan = WorldPlan::parse("3:leave0@1,leave1@2").unwrap();
+        let err = session(2, 3).ranks(ranks).world_plan(plan).run().unwrap_err();
+        assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
+        assert!(err.to_string().contains("empties the world"), "ranks={ranks}: {err}");
+    }
+}
+
+/// ...so a caller that unwraps sees the plan message.
 #[test]
 #[should_panic(expected = "empties the world")]
 fn world_exhausting_plan_panics_up_front() {
     let plan = WorldPlan::parse("3:leave0@1,leave1@2").unwrap();
-    let _ = session(2, 3).world_plan(plan).run();
+    session(2, 3).world_plan(plan).run().unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -18,7 +18,7 @@
 //!    for the deterministic outputs — is bit-identical to no plan at
 //!    all. No extra collectives, no RNG draws on the fast path.
 
-use dlb::core::{Algorithm, FaultPlan, RepartConfig, Session, SimulationSummary};
+use dlb::core::{Algorithm, FaultPlan, RepartConfig, Session, SessionError, SimulationSummary};
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
 use dlb::workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
@@ -207,12 +207,10 @@ fn fault_counters_reflect_the_plan() {
     let plan = FaultPlan::parse("13:rank1@2,drop0.3").unwrap();
     let (s, report) = session(3, 3).fault_plan(plan).run_traced().unwrap();
     assert_eq!(s.total_recoveries(), 1);
-    if dlb::trace::COMPILED_IN {
-        assert_eq!(report.counter(dlb::trace::Counter::RecoveriesRun), 1);
-        // One scheduled failure, plus every injected drop/delay in the
-        // measured migration worlds.
-        assert!(report.counter(dlb::trace::Counter::FaultsInjected) >= 1);
-    }
+    assert_eq!(report.counter(dlb::trace::Counter::RecoveriesRun), 1);
+    // One scheduled failure, plus every injected drop/delay in the
+    // measured migration worlds.
+    assert!(report.counter(dlb::trace::Counter::FaultsInjected) >= 1);
 
     let (_, clean) = session(3, 3).run_traced().unwrap();
     assert_eq!(clean.counter(dlb::trace::Counter::RecoveriesRun), 0);
@@ -220,10 +218,23 @@ fn fault_counters_reflect_the_plan() {
 }
 
 /// A plan naming a rank outside the workload's `0..k` world is rejected
-/// up front, not discovered mid-run.
+/// up front, not discovered mid-run: the session returns the error (the
+/// library used to panic here, through `run_spmd` at ranks > 1, while
+/// the CLI re-implemented the check to exit 2).
+#[test]
+fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
+    for ranks in [1usize, 2] {
+        let plan = FaultPlan::parse("3:rank9@1").unwrap();
+        let err = session(4, 2).ranks(ranks).fault_plan(plan).run().unwrap_err();
+        assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
+        assert!(err.to_string().contains("rank 9 out of range for k = 4"), "ranks={ranks}: {err}");
+    }
+}
+
+/// ...so a caller that unwraps sees the plan message.
 #[test]
 #[should_panic(expected = "out of range")]
 fn out_of_range_plan_rank_panics_up_front() {
     let plan = FaultPlan::parse("3:rank9@1").unwrap();
-    let _ = session(4, 2).fault_plan(plan).run();
+    session(4, 2).fault_plan(plan).run().unwrap();
 }

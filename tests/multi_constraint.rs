@@ -192,16 +192,14 @@ fn greedy_repair_recovers_feasibility_where_fm_stalls() {
         "partition infeasible: primary {w:?}, aux {aux:?}, part {:?}",
         r.part
     );
-    if dlb::trace::COMPILED_IN {
-        assert!(
-            report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
-            "repair pass never engaged"
-        );
-        assert!(
-            report.counter(dlb::trace::Counter::RepairMovesApplied) >= 1,
-            "repair pass applied no moves"
-        );
-    }
+    assert!(
+        report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
+        "repair pass never engaged"
+    );
+    assert!(
+        report.counter(dlb::trace::Counter::RepairMovesApplied) >= 1,
+        "repair pass applied no moves"
+    );
 }
 
 /// The full cold pipeline on the same instance also lands on a
@@ -317,12 +315,10 @@ fn amr_two_constraint_lowering_is_feasible_cold_and_after_a_skewed_warm_start() 
     let warm = refine_partition_fixed(&h, K, &FixedAssignment::free(n), &seed_part, &cfg);
     let report = session.finish();
     assert!(feasible(&warm.part), "warm-started refinement left a constraint violated");
-    if dlb::trace::COMPILED_IN {
-        assert!(
-            report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
-            "aux-skewed warm start never engaged the repair pass"
-        );
-    }
+    assert!(
+        report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
+        "aux-skewed warm start never engaged the repair pass"
+    );
 }
 
 /// Multi-constraint epochs take the one epoch path on every execution

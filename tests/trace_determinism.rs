@@ -2,10 +2,6 @@
 //! instrumented kernels only count work that is invariant across thread
 //! counts, and in SPMD worlds only rank 0 records — so one configuration
 //! has one set of counter values, no matter how it is executed.
-//!
-//! All content assertions are gated on [`dlb::trace::COMPILED_IN`]: the
-//! no-op build (`--no-default-features` on `dlb-trace`) records nothing,
-//! and these tests then only check that everything stays empty.
 
 use std::collections::BTreeMap;
 
@@ -43,10 +39,8 @@ fn counters_invariant_across_thread_counts() {
         (session.finish(), r.part)
     };
     let (base_report, base_part) = run(1);
-    if dlb::trace::COMPILED_IN {
-        assert!(!base_report.spans.is_empty(), "instrumented run recorded no spans");
-        assert!(base_report.counter(dlb::trace::Counter::CoarsenLevels) > 0);
-    }
+    assert!(!base_report.spans.is_empty(), "instrumented run recorded no spans");
+    assert!(base_report.counter(dlb::trace::Counter::CoarsenLevels) > 0);
     for threads in [2usize, 8] {
         let (report, part) = run(threads);
         assert_eq!(part, base_part, "threads={threads} changed the partition");
@@ -87,9 +81,7 @@ fn spmd_counters_reproduce_at_every_rank_count() {
     };
     for ranks in [1usize, 2, 4] {
         let (repl_report, repl_parts) = run(ranks, false);
-        if dlb::trace::COMPILED_IN {
-            assert!(!repl_report.spans.is_empty(), "SPMD run recorded no spans");
-        }
+        assert!(!repl_report.spans.is_empty(), "SPMD run recorded no spans");
         // All ranks of the world agree on the partition.
         for (rank, part) in repl_parts.iter().enumerate() {
             assert_eq!(*part, repl_parts[0], "rank {rank}/{ranks} disagrees");
@@ -160,13 +152,11 @@ fn epoch_counter_invariant_across_rank_counts() {
             .unwrap();
         let report = trace.finish();
         assert_eq!(summary.reports.len(), EPOCHS);
-        if dlb::trace::COMPILED_IN {
-            assert_eq!(
-                report.counter(dlb::trace::Counter::Epochs),
-                EPOCHS as u64,
-                "ranks={ranks}: epoch counter must equal the configured epoch count"
-            );
-        }
+        assert_eq!(
+            report.counter(dlb::trace::Counter::Epochs),
+            EPOCHS as u64,
+            "ranks={ranks}: epoch counter must equal the configured epoch count"
+        );
     }
 }
 
@@ -221,12 +211,48 @@ fn leaf_spans_cover_the_partition_wall() {
     let r = partition_hypergraph(&h, 8, &cfg);
     let report = session.finish();
     assert!(r.cut >= 0.0);
-    if dlb::trace::COMPILED_IN {
-        let coverage = report.leaf_coverage("partition").expect("a root partition span");
+    let coverage = report.leaf_coverage("partition").expect("a root partition span");
+    assert!(
+        coverage >= 0.95,
+        "leaf spans cover only {:.1}% of the partition wall",
+        coverage * 1e2
+    );
+}
+
+/// The same invariant on the warm path: an incremental session's
+/// warm-started epochs run their flat refine under a `refine.level`
+/// span, so the leaf spans of `partition.warm` account for (nearly) the
+/// whole call instead of leaving the refine unattributed.
+#[test]
+fn leaf_spans_cover_the_warm_partition_wall() {
+    use dlb::amr::{AmrConfig, AmrStream};
+    use dlb::core::{RepartConfig, Session};
+    use dlb::workloads::AmrSource;
+
+    let stream = AmrStream::new(AmrConfig::default(), 8, SEED);
+    let low = stream.initial_lowering();
+    let init: Vec<usize> = (0..low.graph.num_vertices()).map(|v| v % 8).collect();
+    let mut source = AmrSource::new(stream, &init);
+    let mut cfg = RepartConfig::seeded(SEED);
+    cfg.hypergraph.threads = 1;
+    let (_, report) = Session::new(cfg)
+        .alpha(10.0)
+        .epochs(3)
+        .incremental(true)
+        .drift_threshold(1.0)
+        .workload(&mut source)
+        .run_traced()
+        .unwrap();
+    let warm: Vec<usize> =
+        (0..report.spans.len()).filter(|&i| report.spans[i].name == "partition.warm").collect();
+    assert_eq!(warm.len(), 2, "epochs 2 and 3 warm-start from their deltas");
+    for i in warm {
+        let span = &report.spans[i];
         assert!(
-            coverage >= 0.95,
-            "leaf spans cover only {:.1}% of the partition wall",
-            coverage * 1e2
+            span.children.iter().any(|&c| report.spans[c].name == "refine.level"),
+            "partition.warm has no refine.level child"
         );
+        let coverage = report.leaf_duration_ns(i) as f64 / span.dur_ns as f64;
+        assert!(coverage >= 0.9, "leaf spans cover only {:.1}% of the warm wall", coverage * 1e2);
     }
 }
