@@ -11,7 +11,7 @@ use dlb_hypergraph::{metrics, parallel, Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::coarsen::{coarsen_to_mode, Hierarchy};
+use crate::coarsen::{coarsen_to_mode, CoarseLevel, Hierarchy};
 use crate::config::{Config, PartTargets};
 use crate::fixed::FixedAssignment;
 use crate::initial::initial_partition;
@@ -50,7 +50,7 @@ pub(crate) fn multilevel(
     dlb_trace::count(dlb_trace::Counter::CoarseNets, coarsest_h.num_nets() as u64);
     dlb_trace::count(dlb_trace::Counter::CoarsePins, coarsest_h.num_pins() as u64);
     let part = initial_partition(coarsest_h, targets, coarsest_fixed, &cfg.initial, rng);
-    uncoarsen(h, targets, fixed, &hierarchy, part, cfg, rng, threads, scratch)
+    uncoarsen(h, targets, fixed, hierarchy, part, cfg, rng, threads, scratch)
 }
 
 /// One *iterated* V-cycle: re-coarsens `h` with matching restricted to
@@ -70,7 +70,7 @@ pub(crate) fn vcycle_refine(
 ) -> Vec<PartId> {
     let hierarchy = coarsen(h, targets, fixed, Some(part), cfg, rng, threads);
     let coarsest_part = hierarchy.restrict_to_coarsest(part);
-    uncoarsen(h, targets, fixed, &hierarchy, coarsest_part, cfg, rng, threads, scratch)
+    uncoarsen(h, targets, fixed, hierarchy, coarsest_part, cfg, rng, threads, scratch)
 }
 
 /// The coarsening half of a V-cycle: down to `coarse_to_factor * k`
@@ -101,41 +101,29 @@ fn coarsen(
 
 /// The uncoarsening half of a V-cycle: refines `part` (a partition of
 /// the coarsest hypergraph) there, then projects it to each finer level
-/// and refines again.
+/// and refines again. Consumes the hierarchy: a level's hypergraph is
+/// dropped as soon as its partition has been projected through its
+/// `fine_to_coarse`, so the finest refine — where the state is largest —
+/// holds no coarse level at all.
 #[allow(clippy::too_many_arguments)]
 fn uncoarsen(
     h: &Hypergraph,
     targets: &PartTargets,
     fixed: &FixedAssignment,
-    hierarchy: &Hierarchy,
+    mut hierarchy: Hierarchy,
     mut part: Vec<PartId>,
     cfg: &Config,
     rng: &mut StdRng,
     threads: usize,
     scratch: &mut RefineScratch,
 ) -> Vec<PartId> {
-    let levels = &hierarchy.levels;
-    {
-        let _span = dlb_trace::span!("refine.level", level = levels.len());
-        let (coarsest_h, coarsest_fixed) = hierarchy.coarsest(h, fixed);
-        refine_threads(coarsest_h, targets, coarsest_fixed, &mut part, &cfg.refinement, rng, threads, scratch);
+    loop {
+        let _span = dlb_trace::span!("refine.level", level = hierarchy.levels.len());
+        let (level_h, level_fixed) = hierarchy.coarsest(h, fixed);
+        refine_threads(level_h, targets, level_fixed, &mut part, &cfg.refinement, rng, threads, scratch);
+        let Some(CoarseLevel { fine_to_coarse, .. }) = hierarchy.levels.pop() else { return part };
+        part = fine_to_coarse.iter().map(|&c| part[c]).collect();
     }
-    for i in (0..levels.len()).rev() {
-        let _span = dlb_trace::span!("refine.level", level = i);
-        let level = &levels[i];
-        let (finer_h, finer_fixed): (&Hypergraph, &FixedAssignment) = if i == 0 {
-            (h, fixed)
-        } else {
-            (&levels[i - 1].coarse, &levels[i - 1].coarse_fixed)
-        };
-        let mut finer_part = vec![0usize; finer_h.num_vertices()];
-        for (v, &c) in level.fine_to_coarse.iter().enumerate() {
-            finer_part[v] = part[c];
-        }
-        refine_threads(finer_h, targets, finer_fixed, &mut finer_part, &cfg.refinement, rng, threads, scratch);
-        part = finer_part;
-    }
-    part
 }
 
 /// Runs the configured number of extra V-cycles on `part`, keeping each

@@ -602,23 +602,7 @@ impl<'a> DistState<'a> {
             }
         }
         let (weights, aux_weights) = fold_part_weights(comm, level, k, &part);
-        PartitionState { view: level, k, threads: 1, sigma, weights, aux_weights, part }
-    }
-
-    /// A private working copy for proposal generation (collective: the
-    /// replicated reference rebuilds its private state from the part
-    /// vector each pass, so the weights must be *fresh folds*, not
-    /// copies of the incrementally maintained shared vectors — the two
-    /// can differ in the last ulp).
-    fn private_copy(&self, comm: &mut Comm) -> DistState<'a> {
-        let (weights, aux_weights) = fold_part_weights(comm, self.view, self.k, &self.part);
-        PartitionState {
-            sigma: self.sigma.clone(),
-            weights,
-            aux_weights,
-            part: self.part.clone(),
-            ..*self
-        }
+        PartitionState::assemble(level, k, 1, sigma, weights, aux_weights, part, Vec::new())
     }
 
     /// Applies the replicated (O(k)) share of a remote vertex's move:
@@ -637,6 +621,9 @@ impl<'a> DistState<'a> {
 }
 
 /// Reconciles sigma rows after a batch of committed moves (collective).
+/// Every row change goes through [`PartitionState::shift`], which also
+/// carries it into the gain-table rows of the net's locally stored pins,
+/// so a rank's table sees exactly the events its rows see.
 ///
 /// Three disjoint row families update:
 ///
@@ -658,8 +645,8 @@ fn sync_moves(
     halo: &mut GhostHalo<PartId>,
     own_moves: &[(usize, PartId, PartId)],
 ) {
-    let dh = &state.view.dh;
-    let k = state.k;
+    let level = state.view;
+    let dh = &level.dh;
     let me = dh.rank();
     let vdist = dh.vertex_dist();
     let mut outgoing: Vec<Vec<(usize, u32, u32)>> = (0..comm.size()).map(|_| Vec::new()).collect();
@@ -671,8 +658,7 @@ fn sync_moves(
         // A ghost's local incidence list holds exactly the owned nets
         // that pin it, so these are all owned-net rows.
         for &lj in dh.vertex_local_nets(v) {
-            state.sigma[lj * k + old] -= 1;
-            state.sigma[lj * k + new] += 1;
+            state.shift(lj, old, new, v);
             stub_events(dh, lj, old, new, vdist.owner(v), me, &mut outgoing, &mut owners);
         }
     }
@@ -687,8 +673,8 @@ fn sync_moves(
         for (gid, from, to) in batch {
             let lj = dh.local_net_index(gid).expect("stub event for a non-local net");
             debug_assert!(!dh.owns_net(lj));
-            state.sigma[lj * k + from as usize] -= 1;
-            state.sigma[lj * k + to as usize] += 1;
+            // The mover lives on another rank (its owner is skipped).
+            state.shift(lj, from as usize, to as usize, usize::MAX);
         }
     }
 }
@@ -817,7 +803,11 @@ fn dist_pass(
     let level = state.view;
     let start = level.dh.my_range().start;
     let my_moves: Vec<MoveProp> = {
-        let mut private = state.private_copy(comm);
+        // The replicated reference folds its private weights from the
+        // part vector each pass, so these must be fresh folds too, not
+        // the incrementally maintained shared vectors.
+        let (weights, aux_weights) = fold_part_weights(comm, level, state.k, &state.part);
+        let mut private = state.private_copy(weights, aux_weights);
         propose_moves(comm.rank(), &mut private, targets, rng)
             .into_iter()
             .map(|(v, from, to)| (v, from, to, level.weight(v), level.aux_of(v)))
@@ -1301,6 +1291,7 @@ pub fn dist_multilevel_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::refine::VertexReads;
     use dlb_mpisim::run_spmd;
 
     fn dist_cfg(seed: u64, gather_threshold: usize) -> Config {
@@ -1357,39 +1348,60 @@ mod tests {
 
     /// What the whole-V-cycle oracles above cannot localise: the state
     /// the shared move kernels read. After the collective build and
-    /// after every owner's batch of moves has been reconciled, each
-    /// locally visible net's sigma row (stub rows included), the
-    /// replicated weight vector and each owned vertex's `best_move`
-    /// equal those of the replicated `PartitionState`.
+    /// after every owner's batch of moves has been reconciled
+    /// (`sync_moves`), each locally visible net's sigma row (stub rows
+    /// included) and the replicated weight vector equal the replicated
+    /// `PartitionState`'s, and everything readable of the owned
+    /// vertices — best move, gain to every part, boundary — equals,
+    /// bitwise, both the replicated state that made the same moves and
+    /// one built from scratch; so does a private copy. On integer costs
+    /// (table entries updated in place) and fractional ones (marked and
+    /// re-summed), with fixed vertices present.
     #[test]
     fn dist_state_matches_replicated_state() {
         use crate::view::Replicated;
         let (n, k) = (120usize, 4usize);
-        let h = crate::tests::random_hypergraph(n, 260, 5, 3);
-        let fixed = FixedAssignment::free(n);
-        let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.25);
+        let integer = crate::tests::random_hypergraph(n, 260, 5, 3);
+        let fractional = {
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+            for j in 0..integer.num_nets() {
+                b.add_net(rng.gen_range(0.5f64..4.0), integer.net(j).iter().copied());
+            }
+            b.build()
+        };
+        let mut fixed = FixedAssignment::free(n);
         let part0: Vec<PartId> = (0..n).map(|v| (v * 7 + v / 5) % k).collect();
-        let moves: Vec<(usize, PartId)> =
-            (0..n).step_by(9).map(|v| (v, (part0[v] + 1 + v % 3) % k)).collect();
+        for v in (4..n).step_by(9) {
+            fixed.fix(v, part0[v]);
+        }
+        // Three rounds of batches; a vertex moves again in each.
+        let moves = |round: usize| -> Vec<(usize, PartId)> {
+            (round..n).step_by(9 - 2 * round).map(|v| (v, (part0[v] + 1 + v % 3) % k)).collect()
+        };
 
-        for ranks in [1usize, 2, 3] {
+        for (h, ranks) in [&integer, &fractional]
+            .into_iter()
+            .flat_map(|h| [1usize, 2, 3, 4].map(|ranks| (h, ranks)))
+        {
+            let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.25);
             run_spmd(ranks, |comm| {
-                let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), comm.size());
+                let level = DistLevel::from_replicated(h, &fixed, comm.rank(), comm.size());
                 let dh = &level.dh;
                 let owned = dh.my_range();
                 if ranks > 1 {
                     assert!((0..dh.num_local_nets()).any(|lj| !dh.owns_net(lj)), "no stub held");
                 }
-                let mut reference = PartitionState::<Replicated<'_>>::new(
-                    Replicated::whole(&h, &fixed),
-                    k,
-                    part0.clone(),
-                );
+                let whole = Replicated::whole(h, &fixed);
+                let mut reference =
+                    PartitionState::<Replicated<'_>>::new(whole, k, part0.clone());
                 let mut halo = GhostHalo::new(GhostExchange::build(comm, dh), owned.len());
                 let mut state =
                     DistState::new(comm, &mut halo, &level, k, part0[owned.clone()].to_vec());
 
-                let agree = |state: &DistState<'_>, reference: &PartitionState<Replicated<'_>>| {
+                let agree = |comm: &mut Comm,
+                                 state: &mut DistState<'_>,
+                                 reference: &mut PartitionState<Replicated<'_>>| {
                     for lj in 0..dh.num_local_nets() {
                         let j = dh.net_global_id(lj);
                         assert_eq!(
@@ -1400,38 +1412,107 @@ mod tests {
                         );
                     }
                     assert_eq!(state.weights, reference.weights, "ranks={ranks}");
-                    let (mut a, mut b) = (MoveScratch::new(k), MoveScratch::new(k));
-                    for v in owned.clone() {
-                        assert_eq!(
-                            state.best_move(v, &targets, &mut a),
-                            reference.best_move(v, &targets, &mut b),
-                            "ranks={ranks} vertex {v}"
-                        );
-                    }
+                    let mine = |(per_vertex, boundary): (Vec<VertexReads>, Vec<usize>)| {
+                        let per_vertex: Vec<VertexReads> =
+                            per_vertex.into_iter().filter(|r| owned.contains(&r.0)).collect();
+                        let boundary: Vec<usize> =
+                            boundary.into_iter().filter(|v| owned.contains(v)).collect();
+                        (per_vertex, boundary)
+                    };
+                    let reads = state.reads(&targets);
+                    assert_eq!(reads, mine(reference.reads(&targets)), "ranks={ranks}");
+                    let mut fresh =
+                        PartitionState::<Replicated<'_>>::new(whole, k, reference.part.clone());
+                    let fresh_reads = mine(fresh.reads(&targets));
+                    assert_eq!(reads, fresh_reads, "ranks={ranks}: stale entry");
+                    // A private copy, given the folded weights a fresh
+                    // build computes, reads like one.
+                    let (weights, aux) = fold_part_weights(comm, &level, k, &state.part);
+                    assert_eq!(weights, fresh.weights, "ranks={ranks}");
+                    assert_eq!(state.private_copy(weights, aux).reads(&targets), fresh_reads);
                 };
-                agree(&state, &reference);
+                agree(comm, &mut state, &mut reference);
 
                 // One batch per owner rank, reconciled after each — the
                 // cadence of `dist_pass`.
-                for r in 0..comm.size() {
-                    let batch = dh.vertex_dist().range(r);
-                    let mut own: Vec<(usize, PartId, PartId)> = Vec::new();
-                    for &(v, to) in moves.iter().filter(|(v, _)| batch.contains(v)) {
-                        let from = reference.part[v];
-                        reference.apply(v, to);
-                        if owned.contains(&v) {
-                            state.apply(v, to);
-                            halo.mark_dirty(v - owned.start);
-                            own.push((v, from, to));
-                        } else {
-                            state.apply_remote(from, to, h.vertex_weight(v), &[]);
+                for round in 0..3 {
+                    for r in 0..comm.size() {
+                        let batch = dh.vertex_dist().range(r);
+                        let mut own: Vec<(usize, PartId, PartId)> = Vec::new();
+                        for (v, to) in moves(round) {
+                            let from = reference.part[v];
+                            if !batch.contains(&v) || fixed.is_fixed(v) || from == to {
+                                continue;
+                            }
+                            reference.apply(v, to);
+                            if owned.contains(&v) {
+                                state.apply(v, to);
+                                halo.mark_dirty(v - owned.start);
+                                own.push((v, from, to));
+                            } else {
+                                state.apply_remote(from, to, h.vertex_weight(v), &[]);
+                            }
                         }
+                        sync_moves(comm, &mut state, &mut halo, &own);
+                        agree(comm, &mut state, &mut reference);
                     }
-                    sync_moves(comm, &mut state, &mut halo, &own);
-                    agree(&state, &reference);
                 }
             });
         }
+    }
+
+    /// The pin a 2→1 or 1→2 transition singles out may be a ghost of the
+    /// rank that applies the move: that rank has no row for it, and the
+    /// pin's owner — which receives the same delta on its copy of the
+    /// sigma row — updates the entry. Net {0, 2, 3} spans both ranks;
+    /// vertex 2 (rank 1) leaves vertex 0 (rank 0) alone in part 0 and
+    /// comes back.
+    #[test]
+    fn transition_singling_out_a_ghost_updates_it_at_its_owner() {
+        use crate::view::Replicated;
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(4);
+        b.add_net(3.0, [0, 2, 3]);
+        b.add_net(1.0, [0, 1]);
+        b.add_net(1.0, [2, 3]);
+        let h = b.build();
+        let fixed = FixedAssignment::free(4);
+        let targets = PartTargets::uniform(4.0, 2, 1.0);
+        let part0: Vec<PartId> = vec![0, 1, 0, 1];
+        run_spmd(2, |comm| {
+            let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), 2);
+            let owned = level.dh.my_range();
+            assert_eq!(owned, 2 * comm.rank()..2 * comm.rank() + 2);
+            let mut halo = GhostHalo::new(GhostExchange::build(comm, &level.dh), 2);
+            let mut state = DistState::new(comm, &mut halo, &level, 2, part0[owned.clone()].to_vec());
+            let mut part = part0.clone();
+            let mut gains_of_0 = Vec::new();
+            for to in [1usize, 0] {
+                let from = part[2];
+                part[2] = to;
+                let own = if comm.rank() == 1 {
+                    state.apply(2, to);
+                    halo.mark_dirty(0);
+                    vec![(2, from, to)]
+                } else {
+                    state.apply_remote(from, to, 1.0, &[]);
+                    Vec::new()
+                };
+                sync_moves(comm, &mut state, &mut halo, &own);
+                let whole = Replicated::whole(&h, &fixed);
+                let mut fresh = PartitionState::<Replicated<'_>>::new(whole, 2, part.clone());
+                let (per_vertex, _) = fresh.reads(&targets);
+                let mine = state.reads(&targets).0;
+                assert_eq!(mine, per_vertex[owned.clone()]);
+                if comm.rank() == 0 {
+                    // Vertex 0's gain to part 1, as bits.
+                    gains_of_0.push(f64::from_bits(mine[0].2[1]));
+                }
+            }
+            // Alone in part 0 on the big net, then not: rank 0 saw both.
+            if comm.rank() == 0 {
+                assert_eq!(gains_of_0, [3.0 + 1.0, 1.0]);
+            }
+        });
     }
 
     /// Same check on an irregular hypergraph with fixed vertices and a

@@ -17,7 +17,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
-use crate::refine::{greedy_repair, rebalance, Lockstep, MoveScratch, PartitionState};
+use crate::refine::{
+    fold_weights, greedy_repair, rebalance, Lockstep, MoveScratch, PartitionState,
+};
 use crate::view::{LevelView, Replicated};
 
 /// One rank's proposed move.
@@ -28,7 +30,7 @@ type Move = (usize, PartId); // (vertex, destination part)
 /// visiting them in a rank-decorrelated random order. A proposal is a
 /// strictly improving move, or a zero-gain move away from an over-target
 /// part. Returns `(vertex, from, to)` per proposal, in proposal order.
-pub(crate) fn propose_moves<V: LevelView + Sync>(
+pub(crate) fn propose_moves<V: LevelView>(
     rank: usize,
     private: &mut PartitionState<V>,
     targets: &PartTargets,
@@ -64,7 +66,10 @@ fn par_pass(
     targets: &PartTargets,
     rng: &mut StdRng,
 ) -> usize {
-    let mut private = PartitionState::new(state.view, targets.k(), state.part.clone());
+    // The private state is the shared one with freshly folded weights —
+    // what a state built from scratch on `state.part` would hold.
+    let (weights, aux_weights) = fold_weights(state.view.h, targets.k(), &state.part, 1);
+    let mut private = state.private_copy(weights, aux_weights);
     let my_moves: Vec<Move> = propose_moves(comm.rank(), &mut private, targets, rng)
         .into_iter()
         .map(|(v, _, to)| (v, to))

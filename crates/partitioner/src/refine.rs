@@ -13,6 +13,49 @@
 //! the cut by `Σ_{n ∋ v} c_n·([σ(n,p)=1] − [σ(n,q)=0])`, where `σ(n,p)`
 //! is the number of `n`'s pins in part `p`.
 //!
+//! # The gain table
+//!
+//! `PartitionState` keeps that sum per stored vertex instead of
+//! rescanning the vertex's nets against all `k` parts for every question
+//! (Gottesbüren et al., *Scalable Shared-Memory Hypergraph
+//! Partitioning*): `present(v,q) = Σ c_n·[σ(n,q) > 0]` for every part
+//! and `benefit(v) = Σ c_n·[σ(n,Π(v)) = 1]`. `v`'s total net cost is
+//! `present(v, Π(v))`, the penalty of a move to `q` is
+//! `total − present(v,q)`, so `gain(v,q) = benefit − (total − present)`
+//! is O(1), `best_move` O(k), and a part is a candidate target iff
+//! `present > 0`. Sigma changes in one function, `shift`, and a pin move
+//! changes table entries only when a count crosses 0↔1 (the net's
+//! `present` contribution, for all its pins) or 1↔2 (the `benefit` of the
+//! one pin left alone, or no longer alone); the same crossings keep each
+//! net's connectivity λ, which is what finds the boundary.
+//!
+//! **Entries are exact or marked.** Refinement compares gains with
+//! `== 0.0`, and a distributed level must answer bit for bit what a
+//! replicated one does although it receives the same deltas in another
+//! order — so an entry may never hold a sum that depends on the order of
+//! the updates. On a level whose net costs are all integer-valued (and
+//! whose per-vertex totals stay below 2^53: the model's α-scaled unit
+//! costs, sizes and 2^level weights) `±= c` is exact and transitions
+//! update entries in place. On any other level a transition only *marks*
+//! the entry (NaN), and the next read of a marked row re-sums it over the
+//! vertex's nets in net order — the scan's order, hence the scan's bits.
+//! There is one read path (`row`) and no choice between table and scan.
+//!
+//! **The scan** (`scan_best_move`) survives in two roles. It ranks
+//! candidate parts in the order the vertex's nets first reach them, and
+//! when two feasible targets tie on gain *and* part weight that order
+//! decides — which the table, ascending by part, cannot know. So the
+//! table's winner stands only if it beats every other candidate (then
+//! every order elects it); otherwise the evaluation goes to the scan
+//! (under 0.1 % of evaluations on the cage workload). And under
+//! `debug_assertions` every table answer is checked against it.
+//!
+//! On a distributed level (`par::dist`) a rank keeps rows for the block
+//! it stores; `shift` runs for its own moves, for ghost movers on the
+//! nets it owns (halo triples) and for the stub events net owners send —
+//! exactly the events that already kept its sigma rows exact — and
+//! updates the entries of the pins it stores. No message is added.
+//!
 //! With multi-constraint loads every move is additionally capped on each
 //! auxiliary constraint, and a separate **greedy repair** pass
 //! (`greedy_repair`) recovers feasibility when FM stalls: it moves the
@@ -43,28 +86,29 @@ const MAX_NET_SIZE_FOR_UPDATES: usize = 400;
 /// the rollback to the best prefix discards anyway.
 const MAX_NEGATIVE_STREAK: usize = 200;
 
-/// Chunk size for parallel FM gain seeding: a `best_move` walks all of a
-/// vertex's nets, so chunks are smaller than [`parallel::DEFAULT_CHUNK`]
-/// to keep workers even on skewed boundaries.
-const SEED_CHUNK: usize = 1024;
+/// Largest integer below which every integer is an `f64`: sums of
+/// integer-valued costs under it are exact in any order.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
 
 /// Incrementally maintained partition state of one rank's share of a
-/// level: per-net-per-part pin counts and part weights. The move
-/// kernels (`gain`, `best_move`, `apply`, …) are the same code on both
-/// storage forms; what differs is how the sigma rows are seeded and kept
-/// exact (`new` here for a replicated level, `par::dist` for a
+/// level: per-net-per-part pin counts, part weights, and the gain table
+/// the move kernels read (module docs). The kernels (`gain`,
+/// `best_move`, `apply`, …) are the same code on both storage forms;
+/// what differs is how the sigma rows are seeded and which events reach
+/// [`Self::shift`] (`new` here for a replicated level, `par::dist` for a
 /// distributed one).
+#[derive(Clone)]
 pub(crate) struct PartitionState<V> {
     pub(crate) view: V,
     pub(crate) k: usize,
-    /// Worker threads for state builds and whole-partition scans
-    /// (`owned_boundary_into`). Any value gives bit-identical
-    /// results — all reductions follow the chunked-reduction rule.
-    pub(crate) threads: usize,
     /// `sigma[j*k + p]` = number of net `j`'s pins in part `p` — the
     /// net's **global** count, also for a net whose pins this rank
-    /// stores only partly.
+    /// stores only partly. Written by the two builders and by
+    /// [`Self::shift`], nowhere else.
     pub(crate) sigma: Vec<u32>,
+    /// `lambda[j]` = number of parts net `j` touches (non-zero sigma
+    /// entries of its row); the net is cut iff `lambda[j] > 1`.
+    lambda: Vec<u32>,
     /// Total vertex weight per part (of the whole level).
     pub(crate) weights: Vec<f64>,
     /// Per-part totals of the auxiliary load constraints, flattened as
@@ -73,29 +117,112 @@ pub(crate) struct PartitionState<V> {
     pub(crate) aux_weights: Vec<f64>,
     /// Current parts of the stored vertices, by [`LevelView::slot`].
     pub(crate) part: Vec<PartId>,
+    /// The gain table, `k + 1` entries per stored vertex `v` at slot
+    /// `s`: `table[s*(k+1) + q]` = `present(v, q)` = Σ c_j over `v`'s
+    /// nets with a pin in `q`, and `table[s*(k+1) + k]` = `benefit(v)` =
+    /// Σ c_j over `v`'s nets whose only pin in `v`'s part is `v`. Every
+    /// entry holds either exactly the bits of that sum taken in net
+    /// order, or NaN — the mark of an entry a transition invalidated.
+    table: Vec<f64>,
+    /// Whether a transition may update an entry by `±= c` (every net
+    /// cost integer-valued and every vertex's total below 2^53, so every
+    /// partial sum is an exactly represented integer whatever the order
+    /// of the updates) instead of marking it.
+    exact: bool,
+    /// Table work since the build, for whoever reports it.
+    pub(crate) tally: GainTally,
+}
+
+/// Exact work counts of one state's gain table. Kept on the state and
+/// flushed to `dlb_trace` once per [`refine_threads`] call — not by the
+/// SPMD passes, where a rank's share depends on the storage form.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub(crate) struct GainTally {
+    /// `best_move` answers read from the table.
+    pub(crate) evaluations: u64,
+    /// Marked entries re-summed by a read.
+    pub(crate) resums: u64,
+    /// Evaluations whose winner depended on candidate order and went to
+    /// the scan.
+    pub(crate) scan_fallbacks: u64,
+    /// Vertices `rebalance` evaluated as evacuation candidates.
+    pub(crate) rebalance_candidates: u64,
+}
+
+impl GainTally {
+    fn flush(self) {
+        use dlb_trace::Counter;
+        dlb_trace::count(Counter::GainEvaluations, self.evaluations);
+        dlb_trace::count(Counter::GainResums, self.resums);
+        dlb_trace::count(Counter::GainScanFallbacks, self.scan_fallbacks);
+        dlb_trace::count(Counter::RebalanceCandidatesScanned, self.rebalance_candidates);
+    }
+}
+
+/// Part weights of `part` on a replicated level: per-chunk partial
+/// vectors (one arena-backed flat buffer, chunk `i` owns window `i`)
+/// folded in chunk order — bit-identical at every thread count — and
+/// the auxiliary columns accumulated serially (arity 1 skips them).
+pub(crate) fn fold_weights(
+    h: &Hypergraph,
+    k: usize,
+    part: &[PartId],
+    threads: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let n_chunks = parallel::num_chunks(h.num_vertices(), parallel::DEFAULT_CHUNK);
+    let mut partials = parallel::scratch_vec_filled::<f64>(n_chunks * k, 0.0);
+    parallel::fill_per_chunk(
+        threads,
+        h.num_vertices(),
+        parallel::DEFAULT_CHUNK,
+        k,
+        &mut partials,
+        |_, range, window| {
+            for v in range {
+                window[part[v]] += h.vertex_weight(v);
+            }
+        },
+    );
+    let mut weights = vec![0.0f64; k];
+    for local in partials.chunks(k) {
+        for p in 0..k {
+            weights[p] += local[p];
+        }
+    }
+    let arity = h.load_arity();
+    let mut aux_weights = vec![0.0f64; (arity - 1) * k];
+    for c in 1..arity {
+        let col = h.loads().constraint(c);
+        let row = &mut aux_weights[(c - 1) * k..c * k];
+        for (v, &p) in part.iter().enumerate() {
+            row[p] += col[v];
+        }
+    }
+    (weights, aux_weights)
 }
 
 impl<'a> PartitionState<Replicated<'a>> {
     /// Builds the state for `part` on a replicated level.
     pub(crate) fn new(view: Replicated<'a>, k: usize, part: Vec<PartId>) -> Self {
-        Self::new_threads(view, k, part, 1)
+        Self::new_threads(view, k, part, 1, Vec::new())
     }
 
-    /// [`Self::new`] with an explicit worker-thread count. The sigma
-    /// table is built per net chunk and concatenated in chunk order; the
-    /// part weights are per-chunk partial sums folded in chunk order —
-    /// so the state is bit-identical at every thread count.
+    /// [`Self::new`] with an explicit worker-thread count and a buffer
+    /// for the gain table to reuse. The sigma table is built per net
+    /// chunk in place and the part weights fold in chunk order, so the
+    /// state is bit-identical at every thread count.
     fn new_threads(
         view: Replicated<'a>,
         k: usize,
         part: Vec<PartId>,
         threads: usize,
+        table: Vec<f64>,
     ) -> Self {
         let h = view.h;
         assert_eq!(part.len(), h.num_vertices());
         let threads = threads.max(1);
-        // Sigma table: each chunk of nets owns the `k`-strided window of
-        // the destination buffer directly — no per-chunk vectors, no
+        // Each chunk of nets owns the `k`-strided window of the
+        // destination buffer directly — no per-chunk vectors, no
         // concatenation pass.
         let mut sigma = vec![0u32; h.num_nets() * k];
         let part_ref = &part;
@@ -114,45 +241,8 @@ impl<'a> PartitionState<Replicated<'a>> {
                 }
             },
         );
-        // Part weights: per-chunk partial vectors live in one arena-backed
-        // flat buffer (chunk i owns window i), folded in chunk order —
-        // bit-identical at every thread count.
-        let n_chunks = parallel::num_chunks(h.num_vertices(), parallel::DEFAULT_CHUNK);
-        let mut partials = parallel::scratch_vec_filled::<f64>(n_chunks * k, 0.0);
-        parallel::fill_per_chunk(
-            threads,
-            h.num_vertices(),
-            parallel::DEFAULT_CHUNK,
-            k,
-            &mut partials,
-            |_, range, window| {
-                for v in range {
-                    window[part_ref[v]] += h.vertex_weight(v);
-                }
-            },
-        );
-        let mut weights = vec![0.0f64; k];
-        for local in partials.chunks(k) {
-            for p in 0..k {
-                weights[p] += local[p];
-            }
-        }
-        // Auxiliary constraints are new behavior, so a serial (and hence
-        // thread-count-independent) accumulation suffices; arity 1 skips
-        // this entirely.
-        let arity = h.load_arity();
-        let mut aux_weights = Vec::new();
-        if arity > 1 {
-            aux_weights = vec![0.0f64; (arity - 1) * k];
-            for c in 1..arity {
-                let col = h.loads().constraint(c);
-                let row = &mut aux_weights[(c - 1) * k..c * k];
-                for (v, &p) in part.iter().enumerate() {
-                    row[p] += col[v];
-                }
-            }
-        }
-        PartitionState { view, k, threads, sigma, weights, aux_weights, part }
+        let (weights, aux_weights) = fold_weights(h, k, &part, threads);
+        Self::assemble(view, k, threads, sigma, weights, aux_weights, part, table)
     }
 
     /// Per-part load of auxiliary constraint `c` (1-based, `c ∈ 1..arity`).
@@ -162,7 +252,92 @@ impl<'a> PartitionState<Replicated<'a>> {
     }
 }
 
+/// Sums stored vertex `v`'s table row from the sigma rows, in net order
+/// — the one summation order every table entry reproduces (the state
+/// build, every re-sum of a marked row, and `scan_best_move` all add a
+/// vertex's net costs in this order).
+fn sum_row<V: LevelView>(view: V, k: usize, sigma: &[u32], p: PartId, v: usize, row: &mut [f64]) {
+    row.fill(0.0);
+    for &j in view.nets_of(v) {
+        let c = view.net_cost(j);
+        let counts = &sigma[j * k..(j + 1) * k];
+        // Branch-free: `x + 0.0` is `x` bit for bit (no sum here is -0.0).
+        for (entry, &count) in row[..k].iter_mut().zip(counts) {
+            *entry += if count > 0 { c } else { 0.0 };
+        }
+        if counts[p] == 1 {
+            row[k] += c;
+        }
+    }
+}
+
 impl<V: LevelView> PartitionState<V> {
+    /// Completes a state whose sigma rows and weights a builder has
+    /// seeded: derives each net's connectivity and every stored vertex's
+    /// table row (chunked over the vertices into `table`, whose
+    /// allocation is reused), and decides once whether the level's costs
+    /// let transitions update entries in place.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn assemble(
+        view: V,
+        k: usize,
+        threads: usize,
+        sigma: Vec<u32>,
+        weights: Vec<f64>,
+        aux_weights: Vec<f64>,
+        part: Vec<PartId>,
+        mut table: Vec<f64>,
+    ) -> Self
+    where
+        V: Sync,
+    {
+        let lambda: Vec<u32> =
+            sigma.chunks_exact(k).map(|row| row.iter().filter(|&&c| c > 0).count() as u32).collect();
+        let stored = view.stored();
+        table.clear();
+        table.resize(stored.len() * (k + 1), 0.0);
+        let (sigma_ref, part_ref) = (&sigma, &part);
+        parallel::fill_chunks(
+            threads,
+            stored.len(),
+            parallel::DEFAULT_CHUNK,
+            k + 1,
+            &mut table,
+            |_, range, window| {
+                for (s, row) in range.zip(window.chunks_exact_mut(k + 1)) {
+                    sum_row(view, k, sigma_ref, part_ref[s], stored.start + s, row);
+                }
+            },
+        );
+        // A vertex's total is its `present` entry for its own part.
+        let exact = (0..view.num_nets()).all(|j| view.net_cost(j).fract() == 0.0)
+            && table
+                .chunks_exact(k + 1)
+                .zip(&part)
+                .all(|(row, &p)| row[p] < EXACT_INT_LIMIT);
+        PartitionState {
+            view,
+            k,
+            sigma,
+            lambda,
+            weights,
+            aux_weights,
+            part,
+            table,
+            exact,
+            tally: GainTally::default(),
+        }
+    }
+
+    /// A private working copy for proposal generation, with the given
+    /// freshly folded weights (the incrementally maintained ones can
+    /// differ from a fold in the last ulp). Rows and table are clones:
+    /// an entry is exact or marked, so every read of the copy returns
+    /// the bits a state built from scratch on `part` would.
+    pub(crate) fn private_copy(&self, weights: Vec<f64>, aux_weights: Vec<f64>) -> Self {
+        PartitionState { weights, aux_weights, tally: GainTally::default(), ..self.clone() }
+    }
+
     #[inline]
     fn sigma(&self, j: usize, p: usize) -> u32 {
         self.sigma[j * self.k + p]
@@ -174,19 +349,99 @@ impl<V: LevelView> PartitionState<V> {
         self.part[self.view.slot(v)]
     }
 
+    /// Moves one pin of net `j` from part `from` to part `to` — the one
+    /// place a sigma row changes after the build — and carries the
+    /// change into the net's connectivity and the table rows of the
+    /// net's **stored** pins. Only four pin-count transitions touch the
+    /// table (`c` = the net's cost):
+    ///
+    /// * `from` 1→0: the net left `from`; `present(u, from) -= c` for
+    ///   every pin `u`.
+    /// * `to` 0→1: the net reached `to`; `present(u, to) += c` for every
+    ///   pin `u`.
+    /// * `from` 2→1: the one pin left in `from` is now alone there;
+    ///   its `benefit += c`.
+    /// * `to` 1→2: the pin that was alone in `to` no longer is; its
+    ///   `benefit -= c`.
+    ///
+    /// "`-=`/`+=`" is literal on a level with exact costs and a mark
+    /// otherwise. `mover` is the vertex whose pin moves if this rank
+    /// stores it (any id it does not store otherwise): the last two
+    /// rules single out a pin *other* than the mover, whose own benefit
+    /// [`Self::apply`] re-sums. That pin may be a ghost here, or, under
+    /// a stub, not held at all: then there is nothing to update on this
+    /// rank — the pin's owner sees the same event on its copy of the row
+    /// and updates the entry there.
+    pub(crate) fn shift(&mut self, j: usize, from: PartId, to: PartId, mover: usize) {
+        let (k, view) = (self.k, self.view);
+        self.sigma[j * k + from] -= 1;
+        self.sigma[j * k + to] += 1;
+        let (left, arrived) = (self.sigma[j * k + from], self.sigma[j * k + to]);
+        self.lambda[j] = self.lambda[j] + u32::from(arrived == 1) - u32::from(left == 0);
+        let c = view.net_cost(j);
+        // No transition, or a free net: no entry changes.
+        if (left > 1 && arrived > 2) || c == 0.0 {
+            return;
+        }
+        let stored = view.stored();
+        let exact = self.exact;
+        // In place when that is exact, a mark (NaN) when it is not.
+        let bump = |entry: &mut f64, delta: f64| {
+            *entry = if exact { *entry + delta } else { f64::NAN };
+        };
+        if left == 0 || arrived == 1 {
+            for &u in view.pins(j) {
+                if !stored.contains(&u) {
+                    continue;
+                }
+                let row = &mut self.table[view.slot(u) * (k + 1)..][..k];
+                if left == 0 {
+                    bump(&mut row[from], -c);
+                }
+                if arrived == 1 {
+                    bump(&mut row[to], c);
+                }
+            }
+        }
+        let mut singled_out = u32::from(left == 1) + u32::from(arrived == 2);
+        for &u in view.pins(j) {
+            if singled_out == 0 {
+                break;
+            }
+            if u == mover || !stored.contains(&u) {
+                continue;
+            }
+            let s = view.slot(u);
+            let delta = match self.part[s] {
+                p if p == from && left == 1 => c,
+                p if p == to && arrived == 2 => -c,
+                _ => continue,
+            };
+            bump(&mut self.table[s * (k + 1) + k], delta);
+            singled_out -= 1;
+        }
+    }
+
     /// Moves stored vertex `v` to part `q`, updating pin counts (a
     /// stored vertex's net list is complete, so every row this rank
-    /// keeps is updated) and weights.
+    /// keeps is updated), the table and the weights.
     pub(crate) fn apply(&mut self, v: usize, q: PartId) {
         let view = self.view;
-        let p = self.part_of(v);
+        let s = view.slot(v);
+        let p = self.part[s];
         if p == q {
             return;
         }
+        // The mover's benefit in its new part, summed in net order.
+        let mut benefit = 0.0;
         for &j in view.nets_of(v) {
-            self.sigma[j * self.k + p] -= 1;
-            self.sigma[j * self.k + q] += 1;
+            self.shift(j, p, q, v);
+            if self.sigma(j, q) == 1 {
+                benefit += view.net_cost(j);
+            }
         }
+        self.table[s * (self.k + 1) + self.k] = benefit;
+        self.part[s] = q;
         let w = view.weight(v);
         self.weights[p] -= w;
         self.weights[q] += w;
@@ -195,13 +450,29 @@ impl<V: LevelView> PartitionState<V> {
             row[p] -= l;
             row[q] += l;
         }
-        self.part[view.slot(v)] = q;
     }
 
-    /// True when moving `v` into `q` respects every auxiliary cap. A
-    /// no-op (empty loop, no float ops) when `targets` is scalar.
+    /// Stored vertex `v`'s table row with no entry marked — the one read
+    /// path of the table. A marked row is re-summed whole, in net order.
+    fn row(&mut self, v: usize) -> &[f64] {
+        let (k, s) = (self.k, self.view.slot(v));
+        let row = &mut self.table[s * (k + 1)..(s + 1) * (k + 1)];
+        let marked = row.iter().filter(|x| x.is_nan()).count();
+        if marked > 0 {
+            self.tally.resums += marked as u64;
+            sum_row(self.view, k, &self.sigma, self.part[s], v, row);
+        }
+        row
+    }
+
+    /// True when moving `v` (of weight `w`) into `q` respects the weight
+    /// cap and every auxiliary cap (the latter an empty loop, no float
+    /// ops, when `targets` is scalar).
     #[inline]
-    fn aux_fits(&self, v: usize, q: PartId, targets: &PartTargets) -> bool {
+    fn fits(&self, v: usize, w: f64, q: PartId, targets: &PartTargets) -> bool {
+        if self.weights[q] + w > targets.cap(q) {
+            return false;
+        }
         for (i, a) in targets.aux.iter().enumerate() {
             if self.aux_weights[i * self.k + q] + self.view.aux_load(v, i) > a.cap(q) {
                 return false;
@@ -230,24 +501,35 @@ impl<V: LevelView> PartitionState<V> {
     }
 
     /// The gain (cut decrease) of moving stored vertex `v` to `q` under
-    /// the k-1 metric. Exact on either storage form: every net of a
-    /// stored vertex has a row, and rows hold global counts.
-    fn gain(&self, v: usize, q: PartId) -> f64 {
-        let p = self.part_of(v);
+    /// the k-1 metric: `benefit(v) − (total(v) − present(v, q))`, the
+    /// formula `best_move` ranks targets by. Exact on either storage
+    /// form: every net of a stored vertex has a row, and rows hold
+    /// global counts.
+    fn gain(&mut self, v: usize, q: PartId) -> f64 {
+        let (k, p) = (self.k, self.part_of(v));
         if p == q {
             return 0.0;
         }
-        let mut g = 0.0;
-        for &j in self.view.nets_of(v) {
-            let c = self.view.net_cost(j);
-            if self.sigma(j, p) == 1 {
-                g += c;
-            }
-            if self.sigma(j, q) == 0 {
-                g -= c;
-            }
+        let row = self.row(v);
+        let gain = row[k] - (row[p] - row[q]);
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = vec![0.0; k + 1];
+            sum_row(self.view, k, &self.sigma, p, v, &mut fresh);
+            debug_assert_eq!(gain.to_bits(), (fresh[k] - (fresh[p] - fresh[q])).to_bits());
         }
-        g
+        gain
+    }
+
+    /// The most any move of stored vertex `v` can gain: its gain to the
+    /// part its nets touch most, cap or no cap (a part they do not touch
+    /// at all has `present` 0). Float rounding is monotone, so no
+    /// `gain(v, q)` exceeds it.
+    fn max_gain(&mut self, v: usize) -> f64 {
+        let (k, p) = (self.k, self.part_of(v));
+        let row = self.row(v);
+        let most = (0..k).filter(|&q| q != p).fold(0.0, |most, q| row[q].max(most));
+        row[k] - (row[p] - most)
     }
 
     /// Owned vertices on the cut boundary — incident to at least one net
@@ -255,35 +537,12 @@ impl<V: LevelView> PartitionState<V> {
     /// buffer (cleared first) so refinement passes can reuse the
     /// allocation. Every net of an owned vertex has a globally exact row
     /// here and lists the vertex among its stored pins, so none is missed
-    /// and none is spurious. The expensive per-net part scan runs chunked
-    /// over the nets; the cheap pin-marking pass stays serial, so the
-    /// result is order-identical at every thread count.
-    pub(crate) fn owned_boundary_into(&self, out: &mut Vec<usize>)
-    where
-        V: Sync,
-    {
+    /// and none is spurious.
+    pub(crate) fn owned_boundary_into(&self, out: &mut Vec<usize>) {
         let owned = self.view.owned();
-        let num_nets = self.view.num_nets();
-        // Cut-net flags straight into an arena-backed buffer: one write
-        // per net, no per-chunk vectors (the buffer itself is reused
-        // across passes on this thread).
-        let mut cut_net = parallel::scratch_vec_filled::<bool>(num_nets, false);
-        parallel::fill_chunks(
-            self.threads,
-            num_nets,
-            parallel::DEFAULT_CHUNK,
-            1,
-            &mut cut_net,
-            |_, range, window| {
-                for j in range.clone() {
-                    window[j - range.start] =
-                        (0..self.k).filter(|&p| self.sigma(j, p) > 0).count() > 1;
-                }
-            },
-        );
         let mut boundary = parallel::scratch_vec_filled::<bool>(owned.len(), false);
-        for (j, &is_cut) in cut_net.iter().enumerate() {
-            if is_cut {
+        for (j, &parts) in self.lambda.iter().enumerate() {
+            if parts > 1 {
                 for &v in self.view.pins(j) {
                     if owned.contains(&v) {
                         boundary[v - owned.start] = true;
@@ -300,13 +559,13 @@ impl<V: LevelView> PartitionState<V> {
     /// not there already, fits, and the move strictly improves the cut
     /// or, at zero gain, shifts weight from the heavier to the lighter
     /// side.
-    pub(crate) fn revalidates(&self, v: usize, to: PartId, targets: &PartTargets) -> bool {
+    pub(crate) fn revalidates(&mut self, v: usize, to: PartId, targets: &PartTargets) -> bool {
         let from = self.part_of(v);
         if self.view.fixed(v).is_some() || from == to {
             return false;
         }
         let w = self.view.weight(v);
-        if self.weights[to] + w > targets.cap(to) || !self.aux_fits(v, to, targets) {
+        if !self.fits(v, w, to, targets) {
             return false;
         }
         let gain = self.gain(v, to);
@@ -314,9 +573,69 @@ impl<V: LevelView> PartitionState<V> {
     }
 
     /// The best feasible move for `v`: the highest-gain target part among
-    /// the parts `v`'s nets already touch (ties → lighter part), subject
-    /// to the weight cap.
+    /// the parts `v`'s nets of non-zero cost already touch (ties →
+    /// lighter part), subject to the caps. Read from `v`'s table row in
+    /// O(k); the scan decides only when the row's answer would depend on
+    /// the order the scan meets the candidates in.
     pub(crate) fn best_move(
+        &mut self,
+        v: usize,
+        targets: &PartTargets,
+        scratch: &mut MoveScratch,
+    ) -> Option<(PartId, f64)> {
+        self.tally.evaluations += 1;
+        let best = match self.table_best_move(v, targets, scratch) {
+            Ok(best) => best,
+            Err(OrderDependent) => {
+                self.tally.scan_fallbacks += 1;
+                self.scan_best_move(v, targets, scratch)
+            }
+        };
+        debug_assert_eq!(
+            best.map(|(q, g)| (q, g.to_bits())),
+            self.scan_best_move(v, targets, scratch).map(|(q, g)| (q, g.to_bits())),
+            "table and scan disagree on vertex {v}"
+        );
+        best
+    }
+
+    /// [`Self::best_move`] from the table row alone, candidates in
+    /// ascending part order. `pick`'s winner is the same in every
+    /// candidate order exactly when it beats every other candidate; when
+    /// it does not (equal gain *and* equal part weight), only the scan
+    /// knows which of them it would have met first.
+    fn table_best_move(
+        &mut self,
+        v: usize,
+        targets: &PartTargets,
+        scratch: &mut MoveScratch,
+    ) -> Result<Option<(PartId, f64)>, OrderDependent> {
+        let (k, p, w) = (self.k, self.part_of(v), self.view.weight(v));
+        // Re-summed if marked; borrowed again, shared, beside the weights.
+        self.row(v);
+        let s = self.view.slot(v);
+        let row = &self.table[s * (k + 1)..(s + 1) * (k + 1)];
+        scratch.cands.clear();
+        scratch
+            .cands
+            .extend((0..k).filter(|&q| q != p && row[q] > 0.0 && self.fits(v, w, q, targets)));
+        let gain_to = |q: PartId| row[k] - (row[p] - row[q]);
+        let best = self.pick(&scratch.cands, gain_to);
+        if let Some(winner) = best {
+            let unbeaten =
+                |&q: &PartId| q != winner.0 && !self.beats(winner, (q, gain_to(q)));
+            if scratch.cands.iter().any(unbeaten) {
+                return Err(OrderDependent);
+            }
+        }
+        Ok(best)
+    }
+
+    /// [`Self::best_move`] by scanning all of `v`'s nets against all `k`
+    /// parts: candidates in the order the nets first reach them. The
+    /// resolver of order-dependent ties and, under `debug_assertions`,
+    /// the oracle of every table answer.
+    fn scan_best_move(
         &self,
         v: usize,
         targets: &PartTargets,
@@ -325,6 +644,7 @@ impl<V: LevelView> PartitionState<V> {
         let p = self.part_of(v);
         scratch.stamp += 1;
         let stamp = scratch.stamp;
+        scratch.cands.clear();
 
         let mut base = 0.0; // gain component from leaving p
         let mut total = 0.0;
@@ -334,9 +654,11 @@ impl<V: LevelView> PartitionState<V> {
             if self.sigma(j, p) == 1 {
                 base += c;
             }
-            // Candidate targets: parts with pins on v's nets.
+            // Candidate targets: parts with pins on v's nets. A net of
+            // zero cost makes no part one — moving along it gains what
+            // moving to a non-adjacent part does.
             for q in 0..self.k {
-                if q != p && self.sigma(j, q) > 0 {
+                if q != p && self.sigma(j, q) > 0 && c > 0.0 {
                     if scratch.mark[q] != stamp {
                         scratch.mark[q] = stamp;
                         scratch.present[q] = 0.0;
@@ -347,43 +669,62 @@ impl<V: LevelView> PartitionState<V> {
             }
         }
 
-        let gain_to = |q: PartId| base - (total - scratch.present[q]);
-        let best = self.best_feasible(v, targets, &scratch.cands, gain_to);
-        scratch.cands.clear();
-        best
+        let w = self.view.weight(v);
+        scratch.cands.retain(|&q| self.fits(v, w, q, targets));
+        self.pick(&scratch.cands, |q| base - (total - scratch.present[q]))
     }
 
-    /// Among `cands`, the part `v` fits into with the highest `gain_to`
-    /// (ties → lighter part).
+    /// Whether candidate `a` displaces incumbent `b`: a higher gain, or
+    /// an equal one into a lighter part.
     #[inline]
-    fn best_feasible(
-        &self,
-        v: usize,
-        targets: &PartTargets,
-        cands: &[PartId],
-        gain_to: impl Fn(PartId) -> f64,
-    ) -> Option<(PartId, f64)> {
-        let w = self.view.weight(v);
+    fn beats(&self, a: (PartId, f64), b: (PartId, f64)) -> bool {
+        a.1 > b.1 + 1e-12 || (a.1 > b.1 - 1e-12 && self.weights[a.0] < self.weights[b.0])
+    }
+
+    /// Folds the (feasible) `cands` in order, each displacing the
+    /// incumbent it [`beats`](Self::beats).
+    #[inline]
+    fn pick(&self, cands: &[PartId], gain_to: impl Fn(PartId) -> f64) -> Option<(PartId, f64)> {
         let mut best: Option<(PartId, f64)> = None;
         for &q in cands {
-            if self.weights[q] + w > targets.cap(q) || !self.aux_fits(v, q, targets) {
-                continue;
-            }
-            let gain = gain_to(q);
-            match best {
-                Some((bq, bg)) => {
-                    if gain > bg + 1e-12
-                        || (gain > bg - 1e-12 && self.weights[q] < self.weights[bq])
-                    {
-                        best = Some((q, gain));
-                    }
-                }
-                None => best = Some((q, gain)),
+            let cand = (q, gain_to(q));
+            if best.is_none_or(|b| self.beats(cand, b)) {
+                best = Some(cand);
             }
         }
         best
     }
 }
+
+/// Everything the move kernels can read of one owned vertex, bitwise:
+/// the vertex, its best move, and its gain to every part.
+#[cfg(test)]
+pub(crate) type VertexReads = (usize, Option<(PartId, u64)>, Vec<u64>);
+
+#[cfg(test)]
+impl<V: LevelView> PartitionState<V> {
+    /// The [`VertexReads`] of every owned vertex in ascending order, and
+    /// the owned boundary — what two states of one partition must agree
+    /// on whatever their histories and storage forms.
+    pub(crate) fn reads(&mut self, targets: &PartTargets) -> (Vec<VertexReads>, Vec<usize>) {
+        let mut scratch = MoveScratch::new(self.k);
+        let per_vertex = self
+            .view
+            .owned()
+            .map(|v| {
+                let best = self.best_move(v, targets, &mut scratch).map(|(q, g)| (q, g.to_bits()));
+                (v, best, (0..self.k).map(|q| self.gain(v, q).to_bits()).collect())
+            })
+            .collect();
+        let mut boundary = Vec::new();
+        self.owned_boundary_into(&mut boundary);
+        (per_vertex, boundary)
+    }
+}
+
+/// The table row cannot name the winner: two feasible targets tie on
+/// gain and part weight, and the scan's first-met one wins.
+struct OrderDependent;
 
 /// Reusable per-call scratch for [`PartitionState::best_move`].
 pub(crate) struct MoveScratch {
@@ -415,7 +756,8 @@ impl MoveScratch {
 }
 
 /// Allocation-reusing scratch for [`refine_threads`]: the move scratch,
-/// the candidate heap, and the per-pass vertex flag arrays. One instance
+/// the candidate heap, the per-pass vertex flag arrays, and the gain
+/// table's buffer (lent to each call's state and taken back). One instance
 /// serves every level of a multilevel V-cycle (and every bisection of a
 /// recursive-bisection tree), so the per-pass `O(n)` allocations of the
 /// original refiner are paid once per partitioner call instead of once
@@ -427,6 +769,7 @@ pub struct RefineScratch {
     queued: Vec<bool>,
     applied: Vec<(usize, PartId)>,
     boundary: Vec<usize>,
+    table: Vec<f64>,
 }
 
 impl RefineScratch {
@@ -439,6 +782,7 @@ impl RefineScratch {
             queued: Vec::new(),
             applied: Vec::new(),
             boundary: Vec::new(),
+            table: Vec::new(),
         }
     }
 
@@ -503,19 +847,24 @@ fn most_overweight(weights: &[f64], targets: &PartTargets) -> Option<PartId> {
         .max_by(|&a, &b| (weights[a] - targets.cap(a)).total_cmp(&(weights[b] - targets.cap(b))))
 }
 
-/// The cheapest vertex to evacuate from `p` among those this rank
-/// stores, as `(vertex, destination, gain)`: best gain to any part with
-/// spare capacity, falling back to the relatively lightest part; the
-/// lowest id among equals. `None` when only fixed vertices are left.
+/// The cheapest vertex to evacuate from `p` among `members` (the free
+/// vertices of `p` this rank stores, in any order), as its index in
+/// `members` and `(vertex, destination, gain)`: best gain to any part
+/// with spare capacity, falling back to the relatively lightest part;
+/// the lowest id among equals. `None` when `members` is empty.
 fn best_evacuation<V: LevelView>(
-    state: &PartitionState<V>,
+    state: &mut PartitionState<V>,
+    members: &[usize],
     p: PartId,
     targets: &PartTargets,
     scratch: &mut MoveScratch,
-) -> Option<(usize, PartId, f64)> {
-    let mut best: Option<(usize, PartId, f64)> = None;
-    for v in state.view.stored() {
-        if state.part_of(v) != p || state.view.fixed(v).is_some() {
+) -> Option<(usize, (usize, PartId, f64))> {
+    state.tally.rebalance_candidates += members.len() as u64;
+    let mut best: Option<(usize, (usize, PartId, f64))> = None;
+    for (i, &v) in members.iter().enumerate() {
+        debug_assert!(state.part_of(v) == p && state.view.fixed(v).is_none());
+        // Most members are interior and cannot reach the best so far.
+        if best.is_some_and(|(_, (_, _, bg))| state.max_gain(v) < bg) {
             continue;
         }
         let (q, g) = state.best_move(v, targets, scratch).unwrap_or_else(|| {
@@ -529,8 +878,8 @@ fn best_evacuation<V: LevelView>(
                 .expect("rebalancing needs a second part");
             (q, state.gain(v, q))
         });
-        if best.is_none_or(|(_, _, bg)| g > bg) {
-            best = Some((v, q, g));
+        if best.is_none_or(|(_, (bv, _, bg))| g > bg || (g == bg && v < bv)) {
+            best = Some((i, (v, q, g)));
         }
     }
     best
@@ -591,18 +940,35 @@ pub(crate) fn rebalance<V: LevelView>(
 ) {
     dlb_trace::count(dlb_trace::Counter::RebalanceInvocations, 1);
     let max_moves = 2 * state.view.num_vertices() + 16;
+    // The free stored vertices of each part — what an evacuation chooses
+    // among — listed when the first overweight part is found (usually
+    // none is) and kept current as this loop, the only mover, moves them.
+    let mut members: Vec<Vec<usize>> = Vec::new();
     for _ in 0..max_moves {
         let violation_before = total_violation(&state.weights, targets);
         let Some(p) = most_overweight(&state.weights, targets) else { return };
-        let local = best_evacuation(state, p, targets, scratch);
+        if members.is_empty() {
+            members.resize(state.k, Vec::new());
+            for v in state.view.stored().filter(|&v| state.view.fixed(v).is_none()) {
+                members[state.part_of(v)].push(v);
+            }
+        }
+        let local = best_evacuation(state, &members[p], p, targets, scratch);
         // Nothing made: only fixed vertices are left in `p`.
-        let Some(made) = commit.commit(state, p, local) else { return };
+        let Some(made) = commit.commit(state, p, local.map(|(_, mv)| mv)) else { return };
         // Keep only moves that strictly reduce total violation;
         // otherwise we are ping-ponging load between parts that can
         // never fit under their caps — undo and stop.
         if total_violation(&state.weights, targets) >= violation_before - 1e-12 {
             commit.revert(state, made);
             return;
+        }
+        // The move made was this rank's candidate iff that vertex left.
+        if let Some((i, (v, q, _))) = local {
+            if state.part_of(v) == q {
+                members[p].swap_remove(i);
+                members[q].push(v);
+            }
         }
     }
 }
@@ -890,33 +1256,14 @@ fn fm_pass(
     let mut boundary = std::mem::take(&mut scratch.boundary);
     state.owned_boundary_into(&mut boundary);
     boundary.shuffle(rng);
-    // Parallel gain seeding: the partition is frozen here, so
-    // `best_move` is a pure function of (state, v) — computing
-    // seeds across workers (per-worker MoveScratch) and pushing them in
-    // boundary order is bit-identical to the serial loop in both
-    // determinism modes.
-    let state_ref: &PartitionState<_> = state;
-    let seeds = parallel::map_chunks_with(
-        state_ref.threads,
-        boundary.len(),
-        SEED_CHUNK,
-        || MoveScratch::new(state_ref.k),
-        |mv, _, range| {
-            let mut out: Vec<(usize, PartId, f64)> = Vec::with_capacity(range.len());
-            for &v in &boundary[range] {
-                if fixed.is_fixed(v) {
-                    continue;
-                }
-                if let Some((to, gain)) = state_ref.best_move(v, targets, mv) {
-                    out.push((v, to, gain));
-                }
-            }
-            out
-        },
-    );
-    for (v, to, gain) in seeds.into_iter().flatten() {
-        scratch.heap.push(Cand { gain, v, to });
-        scratch.queued[v] = true;
+    for &v in &boundary {
+        if fixed.is_fixed(v) {
+            continue;
+        }
+        if let Some((to, gain)) = state.best_move(v, targets, &mut scratch.mv) {
+            scratch.heap.push(Cand { gain, v, to });
+            scratch.queued[v] = true;
+        }
     }
     scratch.boundary = boundary;
 
@@ -1031,7 +1378,8 @@ pub fn refine_threads(
         );
     }
     let view = Replicated::whole(h, fixed);
-    let mut state = PartitionState::new_threads(view, k, std::mem::take(part), threads);
+    let table = std::mem::take(&mut scratch.table);
+    let mut state = PartitionState::new_threads(view, k, std::mem::take(part), threads, table);
     scratch.mv.ensure(k);
 
     rebalance(&mut state, targets, &mut scratch.mv, &mut Lockstep);
@@ -1055,7 +1403,9 @@ pub fn refine_threads(
     if multi && !state.feasible(targets) && greedy_repair(&mut state, targets) > 0 {
         total += fm_pass(&mut state, targets, scratch, rng);
     }
+    state.tally.flush();
     *part = state.part;
+    scratch.table = state.table;
     total
 }
 
@@ -1063,7 +1413,7 @@ pub fn refine_threads(
 mod tests {
     use super::*;
     use dlb_hypergraph::metrics;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn uniform_targets(h: &Hypergraph, k: usize) -> PartTargets {
         PartTargets::uniform(h.total_vertex_weight(), k, 0.05)
@@ -1205,5 +1555,260 @@ mod tests {
         let fixed = FixedAssignment::free(9);
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng), 0.0);
+    }
+
+    /// A random hypergraph whose nets have 1–6 pins (a 1-in-8 net is a
+    /// single pin) and integer or `0.5..4.0` costs, about a quarter of
+    /// the vertices fixed where they start, and a random partition.
+    fn random_instance(
+        rng: &mut StdRng,
+        k: usize,
+        fractional: bool,
+    ) -> (Hypergraph, FixedAssignment, Vec<PartId>) {
+        let n = rng.gen_range(12usize..70);
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+        for _ in 0..rng.gen_range(n / 2..3 * n) {
+            let size = if rng.gen_bool(0.125) { 1 } else { rng.gen_range(2usize..7) };
+            let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
+            let cost =
+                if fractional { rng.gen_range(0.5f64..4.0) } else { rng.gen_range(1..5) as f64 };
+            b.add_net(cost, pins);
+        }
+        let part: Vec<PartId> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+        let fixed: Vec<Option<PartId>> =
+            part.iter().map(|&p| rng.gen_bool(0.25).then_some(p)).collect();
+        (b.build(), FixedAssignment::from_options(&fixed), part)
+    }
+
+    /// Applies `steps` random moves of free vertices to a state built on
+    /// `part`, then rolls the last half back in reverse; after every
+    /// step, everything readable of the state equals, bitwise, what a
+    /// state built from scratch on the current partition answers.
+    fn check_applies_against_fresh_builds(
+        h: &Hypergraph,
+        fixed: &FixedAssignment,
+        k: usize,
+        part: Vec<PartId>,
+        steps: usize,
+        rng: &mut StdRng,
+    ) {
+        let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.3);
+        let view = Replicated::whole(h, fixed);
+        let mut state = PartitionState::new(view, k, part);
+        let agrees = |state: &mut PartitionState<Replicated<'_>>, what: &str| {
+            let mut fresh = PartitionState::new(view, k, state.part.clone());
+            assert_eq!(state.sigma, fresh.sigma, "{what}");
+            assert_eq!(state.lambda, fresh.lambda, "{what}");
+            assert_eq!(state.reads(&targets), fresh.reads(&targets), "{what}");
+            // A private copy is a fresh build too.
+            let (w, aux) = fold_weights(h, k, &state.part, 1);
+            assert_eq!(state.private_copy(w, aux).reads(&targets), fresh.reads(&targets), "{what}");
+        };
+        agrees(&mut state, "at the build");
+        let free: Vec<usize> = (0..h.num_vertices()).filter(|&v| !fixed.is_fixed(v)).collect();
+        if free.is_empty() {
+            return;
+        }
+        let mut undo = Vec::new();
+        for step in 0..steps {
+            let v = free[rng.gen_range(0..free.len())];
+            undo.push((v, state.part[v]));
+            state.apply(v, rng.gen_range(0..k));
+            agrees(&mut state, &format!("after step {step}"));
+        }
+        for (v, from) in undo.into_iter().rev().take(steps / 2) {
+            state.apply(v, from);
+            agrees(&mut state, &format!("after rolling back vertex {v}"));
+        }
+    }
+
+    /// (a) The table stays the scan's cache under any move sequence, on
+    /// integer costs (updated in place) and fractional ones (marked and
+    /// re-summed) alike.
+    #[test]
+    fn table_equals_a_fresh_build_after_every_apply() {
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        for case in 0..24 {
+            let k = rng.gen_range(2usize..7);
+            let fractional = case % 2 == 1;
+            let (h, fixed, part) = random_instance(&mut rng, k, fractional);
+            let view = Replicated::whole(&h, &fixed);
+            assert_eq!(PartitionState::new(view, k, part.clone()).exact, !fractional);
+            check_applies_against_fresh_builds(&h, &fixed, k, part, 40, &mut rng);
+        }
+    }
+
+    /// (c) Two targets tie on gain and on part weight, and the nets meet
+    /// them in descending part order: the answer is the scan's (the
+    /// first met), not the lowest part.
+    #[test]
+    fn double_tie_goes_to_the_scan() {
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(3);
+        b.add_net(2.0, [0, 2]);
+        b.add_net(2.0, [0, 1]);
+        let h = b.build();
+        let fixed = FixedAssignment::free(3);
+        let targets = PartTargets::uniform(3.0, 3, 2.0);
+        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, vec![0, 1, 2]);
+        let best = state.best_move(0, &targets, &mut MoveScratch::new(3));
+        assert_eq!(best, Some((2, 2.0)));
+        assert_eq!(state.tally.scan_fallbacks, 1);
+        // A lighter part breaks the tie without the scan.
+        state.weights[1] -= 0.5;
+        assert_eq!(state.best_move(0, &targets, &mut MoveScratch::new(3)), Some((1, 2.0)));
+        assert_eq!(state.tally, GainTally { evaluations: 2, scan_fallbacks: 1, ..Default::default() });
+    }
+
+    /// [`Lockstep`], keeping the evacuations it makes.
+    struct Recording(Vec<(usize, PartId)>);
+
+    impl<V: LevelView> CommitMove<V> for Recording {
+        type Move = (usize, PartId);
+        fn commit(
+            &mut self,
+            state: &mut PartitionState<V>,
+            from: PartId,
+            local: Option<(usize, PartId, f64)>,
+        ) -> Option<(usize, PartId)> {
+            self.0.extend(local.map(|(v, q, _)| (v, q)));
+            Lockstep.commit(state, from, local)
+        }
+        fn revert(&mut self, state: &mut PartitionState<V>, made: (usize, PartId)) {
+            self.0.pop();
+            Lockstep.revert(state, made)
+        }
+    }
+
+    /// (d) `rebalance` choosing among the overweight part's member list
+    /// makes the evacuations a walk over every stored vertex would, with
+    /// fixed vertices in the overweight part and a second part that
+    /// becomes the most overweight on the way.
+    #[test]
+    fn rebalance_from_member_lists_matches_the_full_walk() {
+        let (n, k) = (90usize, 4usize);
+        let h = crate::tests::random_hypergraph(n, 200, 5, 17);
+        let mut fixed = FixedAssignment::free(n);
+        let part: Vec<PartId> = (0..n).map(|v| usize::from(v % 9 == 0)).collect();
+        for v in (0..n).step_by(4) {
+            fixed.fix(v, part[v]);
+        }
+        let targets = uniform_targets(&h, k);
+        let view = Replicated::whole(&h, &fixed);
+        let mut scratch = MoveScratch::new(k);
+
+        // The walk `best_evacuation` replaced: every stored vertex,
+        // ascending, first of the best gains.
+        let mut walked = PartitionState::new(view, k, part.clone());
+        let mut expected = Vec::new();
+        while let Some(p) = most_overweight(&walked.weights, &targets) {
+            let before = total_violation(&walked.weights, &targets);
+            let mut best: Option<(usize, PartId, f64)> = None;
+            for v in 0..n {
+                if walked.part[v] != p || fixed.is_fixed(v) {
+                    continue;
+                }
+                let (q, g) = walked.best_move(v, &targets, &mut scratch).unwrap_or_else(|| {
+                    let rel = |q: PartId| (walked.weights[q] + 1.0) / targets.target[q];
+                    let q = (0..k).filter(|&q| q != p).min_by(|&a, &b| rel(a).total_cmp(&rel(b)));
+                    (q.unwrap(), walked.gain(v, q.unwrap()))
+                });
+                if best.is_none_or(|(_, _, bg)| g > bg) {
+                    best = Some((v, q, g));
+                }
+            }
+            let Some((v, q, _)) = best else { break };
+            walked.apply(v, q);
+            if total_violation(&walked.weights, &targets) >= before - 1e-12 {
+                walked.apply(v, p);
+                break;
+            }
+            expected.push((v, q));
+        }
+        assert!(expected.len() > n / 2, "the instance must need many evacuations");
+
+        let mut state = PartitionState::new(view, k, part);
+        let mut recording = Recording(Vec::new());
+        rebalance(&mut state, &targets, &mut scratch, &mut recording);
+        assert_eq!(recording.0, expected);
+        assert_eq!(state.part, walked.part);
+        assert!(fixed.is_respected_by(&state.part));
+        // Each evacuation looked at its part's free members only.
+        assert!(state.tally.rebalance_candidates < (expected.len() * n) as u64 / 2);
+    }
+
+    /// (e) A part a vertex reaches only through zero-cost nets is no
+    /// candidate — for the table (`present` stays 0) and the scan alike.
+    #[test]
+    fn zero_cost_nets_make_no_candidates() {
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(4);
+        b.add_net(0.0, [0, 1]);
+        b.add_net(3.0, [0, 2]);
+        b.add_net(0.0, [3, 1]);
+        let h = b.build();
+        let fixed = FixedAssignment::free(4);
+        let targets = PartTargets::uniform(4.0, 3, 2.0);
+        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, vec![0, 1, 2, 0]);
+        let mut scratch = MoveScratch::new(3);
+        assert_eq!(state.best_move(0, &targets, &mut scratch), Some((2, 3.0)));
+        assert_eq!(state.scan_best_move(0, &targets, &mut scratch), Some((2, 3.0)));
+        // Vertex 3 touches part 1 through a free net only: nowhere to go,
+        // and the move there gains what a move to untouched part 2 does.
+        assert_eq!(state.best_move(3, &targets, &mut scratch), None);
+        assert_eq!(state.scan_best_move(3, &targets, &mut scratch), None);
+        assert_eq!(state.gain(3, 1), state.gain(3, 2));
+        let mut rng = StdRng::seed_from_u64(8);
+        check_applies_against_fresh_builds(&h, &fixed, 3, vec![0, 1, 2, 0], 30, &mut rng);
+    }
+
+    /// (e) Degenerate levels neither panic nor leave a stale entry:
+    /// single-pin and empty nets, fewer vertices than parts, every
+    /// vertex fixed, zero-weight vertices, a net wholly inside one part,
+    /// and a net too large for FM's neighbour re-queue.
+    #[test]
+    fn degenerate_levels_keep_the_table_exact() {
+        let mut rng = StdRng::seed_from_u64(0xDE6);
+        let run = |h: &Hypergraph, fixed: &FixedAssignment, k: usize, part: Vec<PartId>, rng: &mut StdRng| {
+            check_applies_against_fresh_builds(h, fixed, k, part.clone(), 24, rng);
+            let mut refined = part;
+            let targets = uniform_targets(h, k);
+            refine(h, &targets, fixed, &mut refined, &RefinementConfig::default(), rng);
+            assert!(fixed.is_respected_by(&refined) && refined.iter().all(|&p| p < k));
+        };
+
+        // Single-pin, empty and one-part nets among ordinary ones; two
+        // weightless vertices.
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(10);
+        b.add_net(2.0, [4]);
+        b.add_net(1.5, std::iter::empty());
+        b.add_net(3.0, [0, 1, 2]);
+        b.add_net(1.0, [2, 3, 5, 7]);
+        b.add_net(2.5, [6, 8, 9, 0]);
+        b.set_vertex_weight(5, 0.0);
+        b.set_vertex_weight(9, 0.0);
+        let h = b.build();
+        let part = vec![0, 0, 0, 1, 1, 2, 2, 1, 0, 2];
+        run(&h, &FixedAssignment::free(10), 3, part.clone(), &mut rng);
+
+        // Every vertex fixed: nothing may move, the build must still hold.
+        let opts: Vec<Option<PartId>> = part.iter().map(|&p| Some(p)).collect();
+        run(&h, &FixedAssignment::from_options(&opts), 3, part, &mut rng);
+
+        // Fewer vertices than parts.
+        let h = crate::tests::grid_hypergraph(2, 2);
+        run(&h, &FixedAssignment::free(4), 6, vec![0, 1, 5, 5], &mut rng);
+
+        // One net over the re-queue limit (plus small ones): its 0↔1
+        // transitions still reach every pin's row.
+        let n = MAX_NET_SIZE_FOR_UPDATES + 50;
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+        b.add_net(2.0, 0..n);
+        for v in (0..n - 1).step_by(3) {
+            b.add_net(1.0, [v, v + 1]);
+        }
+        let h = b.build();
+        // Part 2 holds two pins of the big net, part 1 one: moves in and
+        // out of them cross every transition.
+        let part: Vec<PartId> = (0..n).map(|v| [2, 2, 1].get(v).copied().unwrap_or(0)).collect();
+        run(&h, &FixedAssignment::free(n), 3, part, &mut rng);
     }
 }

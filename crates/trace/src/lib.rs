@@ -164,11 +164,27 @@ pub enum Counter {
     RepairInvocations,
     /// Vertex moves kept by the greedy repair pass.
     RepairMovesApplied,
+    /// `best_move` answers the serial/shared-memory refiner read from
+    /// the gain table (rebalance, FM seeds, pops and re-queues), flushed
+    /// once per `refine_threads` call. Like the three counters below it
+    /// is not counted by the SPMD passes, where a rank's share depends
+    /// on the storage form.
+    GainEvaluations,
+    /// Marked gain-table entries re-summed by a read (zero on a level
+    /// whose costs are integer-valued: transitions update in place).
+    GainResums,
+    /// Gain evaluations whose winner depended on candidate order (equal
+    /// gain and equal part weight) and were resolved by the scan.
+    GainScanFallbacks,
+    /// Vertices the serial/shared-memory rebalance evaluated as
+    /// evacuation candidates (members of the overweight part, per
+    /// evacuation).
+    RebalanceCandidatesScanned,
 }
 
 impl Counter {
     /// Every counter, in declaration (= export) order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 34] = [
         Counter::CoarsenLevels,
         Counter::CoarsenMatchesAccepted,
         Counter::CoarsenMatchesRefusedFixed,
@@ -199,6 +215,10 @@ impl Counter {
         Counter::ResizeChoseScratch,
         Counter::RepairInvocations,
         Counter::RepairMovesApplied,
+        Counter::GainEvaluations,
+        Counter::GainResums,
+        Counter::GainScanFallbacks,
+        Counter::RebalanceCandidatesScanned,
     ];
 
     /// Stable snake_case name used in exports.
@@ -234,6 +254,10 @@ impl Counter {
             Counter::ResizeChoseScratch => "resize_chose_scratch",
             Counter::RepairInvocations => "repair_invocations",
             Counter::RepairMovesApplied => "repair_moves_applied",
+            Counter::GainEvaluations => "gain_evaluations",
+            Counter::GainResums => "gain_resums",
+            Counter::GainScanFallbacks => "gain_scan_fallbacks",
+            Counter::RebalanceCandidatesScanned => "rebalance_candidates_scanned",
         }
     }
 }
