@@ -109,6 +109,10 @@ impl DistHypergraph {
         let mut shares = Vec::new();
         for j in 0..h.num_nets() {
             let net = h.net(j);
+            // A net without pins has no owner and no rank to hold it.
+            if net.is_empty() {
+                continue;
+            }
             // Owner = owner of the pin at position `id % size`; rotating
             // over pin positions balances ownership even when every
             // net's first pin falls in the same vertex block.
@@ -650,6 +654,20 @@ mod tests {
                         .collect();
                     assert_eq!(local, h.vertex_nets(v), "v={v} rank={rank}/{size}");
                 }
+            }
+        }
+    }
+
+    /// A net without pins is on no rank (it used to divide by its size).
+    #[test]
+    fn empty_nets_are_held_by_no_rank() {
+        let h = Hypergraph::from_nets_unit(4, &[vec![], vec![0, 3], vec![], vec![2]]);
+        for size in [1usize, 2, 5] {
+            for rank in 0..size {
+                let dh = DistHypergraph::from_replicated(&h, rank, size);
+                let held: Vec<usize> =
+                    (0..dh.num_local_nets()).map(|lj| dh.net_global_id(lj)).collect();
+                assert!(held.iter().all(|j| [1, 3].contains(j)), "rank {rank}/{size}: {held:?}");
             }
         }
     }

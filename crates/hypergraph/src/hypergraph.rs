@@ -61,6 +61,63 @@ impl Hypergraph {
         Self::from_nets(num_vertices, nets, vec![1.0; nets.len()])
     }
 
+    /// Builds a hypergraph from finished net → pins arrays, taking them
+    /// as they are: the pins of net `j` are `pins[xpins[j]..xpins[j+1]]`
+    /// with cost `ncost[j]`. This is the one place the pin transpose is
+    /// computed ([`HypergraphBuilder::build`] ends here too).
+    ///
+    /// The shape of the arrays is always checked, in `O(pins)`: an
+    /// `xpins` that does not start at 0, decreases, ends elsewhere than
+    /// `pins.len()` or has other than `ncost.len() + 1` entries, a pin
+    /// `>= num_vertices`, or load/size arrays of another length than
+    /// `num_vertices` is an error in [`Hypergraph::validate`]'s style.
+    /// Pins must be distinct within a net; that, like the value ranges
+    /// `validate` checks, is only debug-asserted.
+    pub fn from_csr(
+        num_vertices: usize,
+        xpins: Vec<usize>,
+        pins: Vec<usize>,
+        ncost: Vec<f64>,
+        loads: VertexLoads,
+        vsize: Vec<f64>,
+    ) -> Result<Hypergraph, String> {
+        if xpins.len() != ncost.len() + 1 {
+            return Err("xpins length must be num_nets + 1".into());
+        }
+        if xpins[0] != 0 || xpins[ncost.len()] != pins.len() {
+            return Err("xpins must start at 0 and end at the pin count".into());
+        }
+        if xpins.windows(2).any(|w| w[0] > w[1]) {
+            return Err("xpins must be non-decreasing".into());
+        }
+        if loads.len() != num_vertices || vsize.len() != num_vertices {
+            return Err("load/size arrays must have num_vertices entries".into());
+        }
+        // Build the transpose by counting sort over pins; the counting
+        // pass is also the range check.
+        let mut xnets = vec![0usize; num_vertices + 1];
+        for &p in &pins {
+            if p >= num_vertices {
+                return Err(format!("out-of-range pin {p}"));
+            }
+            xnets[p + 1] += 1;
+        }
+        for v in 0..num_vertices {
+            xnets[v + 1] += xnets[v];
+        }
+        let mut vnets = vec![0usize; pins.len()];
+        let mut cursor = xnets.clone();
+        for j in 0..ncost.len() {
+            for &p in &pins[xpins[j]..xpins[j + 1]] {
+                vnets[cursor[p]] = j;
+                cursor[p] += 1;
+            }
+        }
+        let h = Hypergraph { num_vertices, xpins, pins, xnets, vnets, loads, vsize, ncost };
+        debug_assert_eq!(h.validate(), Ok(()));
+        Ok(h)
+    }
+
     /// Number of vertices `|V|`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -358,43 +415,9 @@ impl HypergraphBuilder {
 
     /// Finalizes the hypergraph, computing the pin transpose.
     pub fn build(self) -> Hypergraph {
-        let HypergraphBuilder {
-            num_vertices,
-            xpins,
-            pins,
-            ncost,
-            loads,
-            vsize,
-            ..
-        } = self;
-
-        // Build the transpose by counting sort over pins.
-        let mut xnets = vec![0usize; num_vertices + 1];
-        for &p in &pins {
-            xnets[p + 1] += 1;
-        }
-        for v in 0..num_vertices {
-            xnets[v + 1] += xnets[v];
-        }
-        let mut vnets = vec![0usize; pins.len()];
-        let mut cursor = xnets.clone();
-        for j in 0..ncost.len() {
-            for &p in &pins[xpins[j]..xpins[j + 1]] {
-                vnets[cursor[p]] = j;
-                cursor[p] += 1;
-            }
-        }
-
-        Hypergraph {
-            num_vertices,
-            xpins,
-            pins,
-            xnets,
-            vnets,
-            loads,
-            vsize,
-            ncost,
-        }
+        let HypergraphBuilder { num_vertices, xpins, pins, ncost, loads, vsize, .. } = self;
+        Hypergraph::from_csr(num_vertices, xpins, pins, ncost, loads, vsize)
+            .expect("add_net and set_loads keep the arrays well-formed")
     }
 }
 
@@ -483,6 +506,56 @@ mod tests {
     fn out_of_range_pin_panics() {
         let mut b = HypergraphBuilder::new(2);
         b.add_net(1.0, [0, 5]);
+    }
+
+    #[test]
+    fn from_csr_equals_the_builder() {
+        let h = sample();
+        let (xpins, pins) = h.pin_csr();
+        let again = Hypergraph::from_csr(
+            5,
+            xpins.to_vec(),
+            pins.to_vec(),
+            h.net_costs().to_vec(),
+            h.loads().clone(),
+            h.vertex_sizes().to_vec(),
+        )
+        .unwrap();
+        assert!(again == h);
+        let empty =
+            Hypergraph::from_csr(0, vec![0], vec![], vec![], VertexLoads::ones(0), vec![]).unwrap();
+        assert!(empty == Hypergraph::from_nets_unit(0, &[]));
+    }
+
+    #[test]
+    fn from_csr_rejects_malformed_arrays() {
+        // Two nets {0,1} and {1,2} on three vertices, then one defect each.
+        let build = |n: usize, xpins: &[usize], pins: &[usize], costs: usize, attrs: usize| {
+            Hypergraph::from_csr(
+                n,
+                xpins.to_vec(),
+                pins.to_vec(),
+                vec![1.0; costs],
+                VertexLoads::ones(attrs),
+                vec![1.0; attrs],
+            )
+        };
+        build(3, &[0, 2, 4], &[0, 1, 1, 2], 2, 3).unwrap();
+        let bad = [
+            (build(3, &[0, 2, 4], &[0, 1, 1, 2], 3, 3), "num_nets + 1"),
+            (build(3, &[], &[], 0, 3), "num_nets + 1"),
+            (build(3, &[1, 2, 4], &[0, 1, 1, 2], 2, 3), "start at 0"),
+            (build(3, &[0, 2, 3], &[0, 1, 1, 2], 2, 3), "end at the pin count"),
+            (build(3, &[0, 2, 5], &[0, 1, 1, 2], 2, 3), "end at the pin count"),
+            (build(3, &[0, 3, 2, 4], &[0, 1, 1, 2], 3, 3), "non-decreasing"),
+            (build(3, &[0, 2, 4], &[0, 1, 1, 3], 2, 3), "out-of-range pin 3"),
+            (build(3, &[0, 2, 4], &[0, 1, 1, usize::MAX], 2, 3), "out-of-range pin"),
+            (build(3, &[0, 2, 4], &[0, 1, 1, 2], 2, 2), "num_vertices entries"),
+        ];
+        for (result, expected) in bad {
+            let err = result.expect_err(expected);
+            assert!(err.contains(expected), "{err:?} should mention {expected:?}");
+        }
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! reduced below two pins (they can never be cut), and collapse identical
 //! nets into one net with the summed cost — the standard multilevel
 //! hygiene that keeps coarse hypergraphs faithful *and* small.
+//!
+//! A level is contracted into flat arrays (`FlatNets`): no net is ever a
+//! heap object of its own. Identical nets are found by a fingerprint of
+//! the pin list with a full compare on fingerprint equality
+//! (`NetCollapser`), and the finished arrays go straight into
+//! [`Hypergraph::from_csr`] (DESIGN.md §7).
 
-use std::collections::HashMap;
-
-use dlb_hypergraph::{parallel, Hypergraph, HypergraphBuilder, PartId};
+use dlb_hypergraph::{parallel, Hypergraph, PartId, VertexLoads};
 use rand::rngs::StdRng;
 
 use crate::config::{CoarseningConfig, Determinism};
@@ -68,6 +72,199 @@ impl CoarseLevel {
     }
 }
 
+/// Nets in flat CSR form: the pins of net `j` are
+/// `pins[xpins[j]..xpins[j + 1]]`, ascending and without repeats, and
+/// `costs[j]` is its cost — the arrays [`Hypergraph::from_csr`] takes.
+#[derive(Debug, PartialEq)]
+pub(crate) struct FlatNets {
+    pub(crate) xpins: Vec<usize>,
+    pub(crate) pins: Vec<usize>,
+    pub(crate) costs: Vec<f64>,
+}
+
+impl FlatNets {
+    fn with_capacity(nets: usize, pins: usize) -> Self {
+        let mut xpins = Vec::with_capacity(nets + 1);
+        xpins.push(0);
+        FlatNets { xpins, pins: Vec::with_capacity(pins), costs: Vec::with_capacity(nets) }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.costs.len()
+    }
+
+    fn net(&self, j: usize) -> &[usize] {
+        &self.pins[self.xpins[j]..self.xpins[j + 1]]
+    }
+
+    /// `(cost, pins)` of every net, in net order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (f64, &[usize])> {
+        self.costs.iter().zip(self.xpins.windows(2)).map(|(&c, w)| (c, &self.pins[w[0]..w[1]]))
+    }
+
+    /// Start of the open tail: the pins behind the last committed net.
+    fn tail_start(&self) -> usize {
+        self.xpins[self.len()]
+    }
+
+    /// Writes `pins` (any order, repeats allowed) behind the last net and
+    /// sorts and dedups them there, in place. Fewer than two distinct
+    /// pins: the tail is removed again and `false` returned. Otherwise
+    /// it stays open until [`commit`](Self::commit) makes it a net or
+    /// [`discard`](Self::discard) drops it.
+    fn stage(&mut self, pins: impl IntoIterator<Item = usize>) -> bool {
+        let start = self.tail_start();
+        debug_assert_eq!(self.pins.len(), start, "a staged tail is still open");
+        self.pins.extend(pins);
+        self.pins[start..].sort_unstable();
+        let mut kept = start;
+        for read in start..self.pins.len() {
+            if kept == start || self.pins[kept - 1] != self.pins[read] {
+                self.pins[kept] = self.pins[read];
+                kept += 1;
+            }
+        }
+        self.pins.truncate(if kept - start < 2 { start } else { kept });
+        self.pins.len() > start
+    }
+
+    fn commit(&mut self, cost: f64) {
+        self.xpins.push(self.pins.len());
+        self.costs.push(cost);
+    }
+
+    fn discard(&mut self) {
+        let start = self.tail_start();
+        self.pins.truncate(start);
+    }
+}
+
+/// Fingerprint of an ascending pin list: a multiplicative fold of its
+/// length and pins. Fixed constants, no per-process seed, so a run
+/// probes the same slots every time. It only decides *where* the
+/// collapse looks; whether two nets are identical is always decided by
+/// comparing their pins.
+fn pin_fingerprint(pins: &[usize]) -> u64 {
+    // 2^64 / golden ratio, odd: a multiply by it spreads every input bit
+    // into the high bits, which is where `NetCollapser` takes its slot.
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+    pins.iter().fold(pins.len() as u64, |h, &p| {
+        (h.rotate_left(5) ^ p as u64).wrapping_mul(MULTIPLIER)
+    })
+}
+
+/// One slot of the collapse table: a kept net and the low half of its
+/// fingerprint (the high bits chose the slot), so a probe touches the
+/// net's pins only when the halves agree. Eight bytes, not sixteen: the
+/// table is what the collapse misses the cache on.
+#[derive(Clone, Copy)]
+struct Slot {
+    tag: u32,
+    net: u32,
+}
+
+/// The `net` of a slot nothing was stored in yet.
+const NO_NET: u32 = u32::MAX;
+
+/// Net index `net` as a slot stores it: a checked conversion, which
+/// panics sooner than truncate or collide with [`NO_NET`].
+fn slot_net(net: usize) -> u32 {
+    u32::try_from(net)
+        .ok()
+        .filter(|&stored| stored != NO_NET)
+        .expect("the collapse table indexes fewer than 2^32 - 1 nets")
+}
+
+/// Drops sub-2-pin nets and collapses identical ones, the one kernel
+/// behind serial, chunked and distributed contraction. Nets come out in
+/// first-occurrence order with ascending pins, and a collapsed net's
+/// cost is summed in push order — so feeding the same nets in the same
+/// order gives the same bits, however they were produced.
+///
+/// The table is open addressing with linear probing over net indices
+/// (32 bits behind [`slot_net`]'s check), sized once to at least twice
+/// the number of nets that can be pushed, so it never fills or grows.
+pub(crate) struct NetCollapser {
+    nets: FlatNets,
+    table: Vec<Slot>,
+    /// `fingerprint >> shift` is a slot index.
+    shift: u32,
+    fingerprint: fn(&[usize]) -> u64,
+}
+
+impl NetCollapser {
+    /// A collapser for at most `max_nets` pushes holding at most
+    /// `max_pins` pins at any time.
+    pub(crate) fn new(max_nets: usize, max_pins: usize) -> Self {
+        Self::with_fingerprint(max_nets, max_pins, pin_fingerprint)
+    }
+
+    fn with_fingerprint(
+        max_nets: usize,
+        max_pins: usize,
+        fingerprint: fn(&[usize]) -> u64,
+    ) -> Self {
+        let slots = (2 * max_nets).next_power_of_two().max(2);
+        NetCollapser {
+            nets: FlatNets::with_capacity(max_nets, max_pins),
+            table: vec![Slot { tag: 0, net: NO_NET }; slots],
+            shift: u64::BITS - slots.trailing_zeros(),
+            fingerprint,
+        }
+    }
+
+    /// Adds a net given by its pins in any order, repeats allowed.
+    /// Returns the index of the collapsed net it became or joined
+    /// (`index == len()` before the call means it is a new one), or
+    /// `None` if fewer than two distinct pins remain and it was dropped.
+    /// Already-normalised input — the chunk stage's, a shard's — costs
+    /// one linear pass more than a copy.
+    pub(crate) fn push(
+        &mut self,
+        cost: f64,
+        pins: impl IntoIterator<Item = usize>,
+    ) -> Option<usize> {
+        if !self.nets.stage(pins) {
+            return None;
+        }
+        let tail = &self.nets.pins[self.nets.tail_start()..];
+        let fingerprint = (self.fingerprint)(tail);
+        let tag = fingerprint as u32;
+        let mask = self.table.len() - 1;
+        let mut slot = (fingerprint >> self.shift) as usize;
+        loop {
+            let seen = self.table[slot];
+            if seen.net == NO_NET {
+                let net = self.nets.len();
+                assert!(2 * net < self.table.len(), "more nets pushed than the table is sized for");
+                self.table[slot] = Slot { tag, net: slot_net(net) };
+                self.nets.commit(cost);
+                return Some(net);
+            }
+            let net = seen.net as usize;
+            if seen.tag == tag && self.nets.net(net) == tail {
+                self.nets.costs[net] += cost;
+                self.nets.discard();
+                return Some(net);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.nets.len()
+    }
+
+    /// The collapsed nets, storage trimmed to what they occupy.
+    pub(crate) fn finish(self) -> FlatNets {
+        let mut nets = self.nets;
+        nets.xpins.shrink_to_fit();
+        nets.pins.shrink_to_fit();
+        nets.costs.shrink_to_fit();
+        nets
+    }
+}
+
 /// Contracts `h` along `matching`. With `threads > 1` the pin remapping
 /// (translate, sort, dedup per net) runs across workers over fixed net
 /// chunks; the duplicate-net merge then consumes the per-chunk results
@@ -78,6 +275,22 @@ pub fn contract_threads(
     matching: &Matching,
     fixed: &FixedAssignment,
     threads: usize,
+) -> CoarseLevel {
+    // Effective (not requested) concurrency: the chunked remap is
+    // result-identical to the serial loop, so on a host that can only
+    // run one thread the serial loop wins — no per-chunk result
+    // buffers, no pool dispatch.
+    let chunked = parallel::effective_concurrency(threads) > 1;
+    contract_with(h, matching, fixed, chunked.then_some(threads))
+}
+
+/// [`contract_threads`] with the path chosen by the caller: the chunked
+/// remap on `Some(threads)` workers, the serial loop on `None`.
+fn contract_with(
+    h: &Hypergraph,
+    matching: &Matching,
+    fixed: &FixedAssignment,
+    chunk_threads: Option<usize>,
 ) -> CoarseLevel {
     let n = h.num_vertices();
     debug_assert!(matching.validate(fixed).is_ok());
@@ -111,20 +324,14 @@ pub fn contract_threads(
             cfixed_opts[c] = Some(p);
         }
     }
-
-    // Translate nets, dropping sub-2-pin nets and collapsing duplicates.
-    let mut b = HypergraphBuilder::new(nc);
-    for (c, (&w, &s)) in cw.iter().zip(&cs).enumerate() {
-        b.set_vertex_weight(c, w);
-        b.set_vertex_size(c, s);
-    }
     // Auxiliary load constraints sum per coarse vertex in the same fine
-    // order as the primary column. The scalar pipeline (arity 1) never
-    // enters this block, so its coarse weights stay bit-identical.
+    // order as the primary column. The scalar pipeline (arity 1) wraps
+    // its weight column as it is, so its coarse weights stay
+    // bit-identical.
     let arity = h.load_arity();
-    if arity > 1 {
+    let loads = if arity > 1 {
         let mut columns = Vec::with_capacity(arity);
-        columns.push(cw.clone());
+        columns.push(cw);
         for c in 1..arity {
             let col = h.loads().constraint(c);
             let mut cc = vec![0.0f64; nc];
@@ -133,94 +340,59 @@ pub fn contract_threads(
             }
             columns.push(cc);
         }
-        b.set_loads(dlb_hypergraph::VertexLoads::from_columns(columns));
-    }
-    let mut dedup: HashMap<Box<[usize]>, usize> = HashMap::new();
-    let mut collapsed_costs: Vec<f64> = Vec::new();
-    let mut collapsed_pins: Vec<Box<[usize]>> = Vec::new();
-    // Effective (not requested) concurrency: the chunked remap is
-    // result-identical to the serial loop, so on a host that can only
-    // run one thread the serial loop wins — no per-chunk result
-    // buffers, no pool dispatch.
-    if parallel::effective_concurrency(threads) > 1 {
-        // Remap + sort + dedup each net's pins across workers, then merge
-        // the surviving nets into the dedup map in net order — the same
-        // insertion order as the serial loop, so collapsed net ids and
-        // summed costs come out identical.
-        let remapped = remap_nets_parallel(h, &fine_to_coarse, threads);
-        for (key, cost) in remapped.into_iter().flatten() {
-            match dedup.get(&key) {
-                Some(&idx) => collapsed_costs[idx] += cost,
-                None => {
-                    dedup.insert(key.clone(), collapsed_costs.len());
-                    collapsed_costs.push(cost);
-                    collapsed_pins.push(key);
-                }
-            }
-        }
+        VertexLoads::from_columns(columns)
     } else {
-        let mut pins: Vec<usize> = Vec::new();
-        for j in 0..h.num_nets() {
-            pins.clear();
-            pins.extend(h.net(j).iter().map(|&v| fine_to_coarse[v]));
-            pins.sort_unstable();
-            pins.dedup();
-            if pins.len() < 2 {
-                continue;
-            }
-            let key: Box<[usize]> = pins.as_slice().into();
-            match dedup.get(&key) {
-                Some(&idx) => collapsed_costs[idx] += h.net_cost(j),
-                None => {
-                    dedup.insert(key.clone(), collapsed_costs.len());
-                    collapsed_costs.push(h.net_cost(j));
-                    collapsed_pins.push(key);
+        VertexLoads::from_scalar(cw)
+    };
+
+    // Translate nets, dropping sub-2-pin nets and collapsing duplicates.
+    let mut nets = NetCollapser::new(h.num_nets(), h.num_pins());
+    match chunk_threads {
+        // Remap + sort + dedup each net's pins across workers, then push
+        // the surviving nets in net order — the order of the serial
+        // loop, so collapsed net ids and summed costs come out identical.
+        Some(threads) => {
+            for chunk in remap_nets_parallel(h, &fine_to_coarse, threads) {
+                for (cost, pins) in chunk.iter() {
+                    nets.push(cost, pins.iter().copied());
                 }
             }
         }
+        None => {
+            for j in 0..h.num_nets() {
+                nets.push(h.net_cost(j), h.net(j).iter().map(|&v| fine_to_coarse[v]));
+            }
+        }
     }
-    for (pins, cost) in collapsed_pins.iter().zip(&collapsed_costs) {
-        b.add_net(*cost, pins.iter().copied());
-    }
+    dlb_trace::count(dlb_trace::Counter::ContractNetsIn, h.num_nets() as u64);
+    dlb_trace::count(dlb_trace::Counter::ContractNetsOut, nets.len() as u64);
+    let FlatNets { xpins, pins, costs } = nets.finish();
 
     CoarseLevel {
-        coarse: b.build(),
+        coarse: Hypergraph::from_csr(nc, xpins, pins, costs, loads, cs)
+            .expect("collapsed nets are a well-formed CSR over the coarse ids"),
         fine_to_coarse,
         coarse_fixed: FixedAssignment::from_options(&cfixed_opts),
     }
 }
 
-/// The parallel remap stage of [`contract_threads`]: translate, sort,
+/// The parallel remap stage of [`contract_with`]: translate, sort,
 /// dedup each net's pins over fixed net chunks, dropping sub-2-pin
-/// nets. Chunk boundaries depend only on the net count and the caller
-/// consumes chunk results in net order, so the output is independent of
-/// the worker count.
-fn remap_nets_parallel(
-    h: &Hypergraph,
-    fine_to_coarse: &[usize],
-    threads: usize,
-) -> Vec<Vec<(Box<[usize]>, f64)>> {
-    parallel::map_chunks_with(
-        threads,
-        h.num_nets(),
-        parallel::DEFAULT_CHUNK,
-        // Arena-backed per-worker remap buffer (reused across calls
-        // and levels on persistent pool workers).
-        parallel::scratch_vec::<usize>,
-        |pins, _, range| {
-            let mut kept: Vec<(Box<[usize]>, f64)> = Vec::with_capacity(range.len());
-            for j in range {
-                pins.clear();
-                pins.extend(h.net(j).iter().map(|&v| fine_to_coarse[v]));
-                pins.sort_unstable();
-                pins.dedup();
-                if pins.len() >= 2 {
-                    kept.push((pins.as_slice().into(), h.net_cost(j)));
-                }
+/// nets; one [`FlatNets`] per chunk. Chunk boundaries depend only on
+/// the net count and the caller consumes chunk results in net order, so
+/// the output is independent of the worker count.
+fn remap_nets_parallel(h: &Hypergraph, fine_to_coarse: &[usize], threads: usize) -> Vec<FlatNets> {
+    let (xpins, _) = h.pin_csr();
+    parallel::map_chunks(threads, h.num_nets(), parallel::DEFAULT_CHUNK, |_, range| {
+        let mut kept =
+            FlatNets::with_capacity(range.len(), xpins[range.end] - xpins[range.start]);
+        for j in range {
+            if kept.stage(h.net(j).iter().map(|&v| fine_to_coarse[v])) {
+                kept.commit(h.net_cost(j));
             }
-            kept
-        },
-    )
+        }
+        kept
+    })
 }
 
 /// A full coarsening hierarchy, finest first. `levels[i]` maps level `i`'s
@@ -318,20 +490,26 @@ pub fn coarsen_to_mode(
             nets = current.num_nets(),
             pins = current.num_pins(),
         );
-        let matching = ipm_matching_mode(
-            current,
-            current_fixed,
-            restrict.as_deref(),
-            cfg,
-            rng,
-            threads,
-            determinism,
-        );
+        let matching = {
+            let _span = dlb_trace::span!("coarsen.match");
+            ipm_matching_mode(
+                current,
+                current_fixed,
+                restrict.as_deref(),
+                cfg,
+                rng,
+                threads,
+                determinism,
+            )
+        };
         let pairs = Some(matching.num_pairs);
         if coarsening_stops(hierarchy.levels.len(), before, target_vertices, pairs) {
             break;
         }
-        let level = contract_threads(current, &matching, current_fixed, threads);
+        let level = {
+            let _span = dlb_trace::span!("coarsen.contract");
+            contract_threads(current, &matching, current_fixed, threads)
+        };
         span.attr("matches", matching.num_pairs);
         span.attr("coarse_vertices", level.coarse.num_vertices());
         dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
@@ -344,9 +522,11 @@ pub fn coarsen_to_mode(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use dlb_hypergraph::HypergraphBuilder;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn pair_matching(n: usize, pairs: &[(usize, usize)]) -> Matching {
         let mut mate: Vec<usize> = (0..n).collect();
@@ -376,24 +556,310 @@ mod tests {
         let fixed = FixedAssignment::free(120);
         let lvl = contract_threads(&h, &m, &fixed, 1);
 
-        let mut serial: Vec<(Box<[usize]>, f64)> = Vec::new();
-        let mut pins: Vec<usize> = Vec::new();
+        let mut serial: Vec<(f64, Vec<usize>)> = Vec::new();
         for j in 0..h.num_nets() {
-            pins.clear();
-            pins.extend(h.net(j).iter().map(|&v| lvl.fine_to_coarse[v]));
+            let mut pins: Vec<usize> = h.net(j).iter().map(|&v| lvl.fine_to_coarse[v]).collect();
             pins.sort_unstable();
             pins.dedup();
             if pins.len() >= 2 {
-                serial.push((pins.as_slice().into(), h.net_cost(j)));
+                serial.push((h.net_cost(j), pins));
             }
         }
         for threads in [2usize, 4, 16] {
-            let par: Vec<(Box<[usize]>, f64)> =
-                remap_nets_parallel(&h, &lvl.fine_to_coarse, threads)
-                    .into_iter()
-                    .flatten()
-                    .collect();
+            let chunks = remap_nets_parallel(&h, &lvl.fine_to_coarse, threads);
+            let par: Vec<(f64, Vec<usize>)> =
+                chunks.iter().flat_map(FlatNets::iter).map(|(c, p)| (c, p.to_vec())).collect();
             assert_eq!(par, serial, "threads {threads}");
+        }
+    }
+
+    /// The construction this module had before the flat collapse — a
+    /// `HashMap` keyed by boxed pin lists feeding a `HypergraphBuilder` —
+    /// kept as the oracle the flat one must equal net for net.
+    fn contract_reference(
+        h: &Hypergraph,
+        matching: &Matching,
+        fixed: &FixedAssignment,
+    ) -> CoarseLevel {
+        let n = h.num_vertices();
+        let mut fine_to_coarse = vec![usize::MAX; n];
+        let mut nc = 0usize;
+        for v in 0..n {
+            let m = matching.mate[v];
+            if m >= v {
+                fine_to_coarse[v] = nc;
+                fine_to_coarse[m] = nc;
+                nc += 1;
+            }
+        }
+        let arity = h.load_arity();
+        let mut columns = vec![vec![0.0f64; nc]; arity];
+        let mut cs = vec![0.0f64; nc];
+        let mut cfixed_opts: Vec<Option<usize>> = vec![None; nc];
+        for v in 0..n {
+            let c = fine_to_coarse[v];
+            for (i, col) in columns.iter_mut().enumerate() {
+                col[c] += h.vertex_load(v, i);
+            }
+            cs[c] += h.vertex_size(v);
+            if let Some(p) = fixed.get(v) {
+                cfixed_opts[c] = Some(p);
+            }
+        }
+        let mut b = HypergraphBuilder::new(nc);
+        for (c, &s) in cs.iter().enumerate() {
+            b.set_vertex_size(c, s);
+        }
+        b.set_loads(VertexLoads::from_columns(columns));
+        let mut dedup: HashMap<Box<[usize]>, usize> = HashMap::new();
+        let mut collapsed_costs: Vec<f64> = Vec::new();
+        let mut collapsed_pins: Vec<Box<[usize]>> = Vec::new();
+        let mut pins: Vec<usize> = Vec::new();
+        for j in 0..h.num_nets() {
+            pins.clear();
+            pins.extend(h.net(j).iter().map(|&v| fine_to_coarse[v]));
+            pins.sort_unstable();
+            pins.dedup();
+            if pins.len() < 2 {
+                continue;
+            }
+            let key: Box<[usize]> = pins.as_slice().into();
+            match dedup.get(&key) {
+                Some(&idx) => collapsed_costs[idx] += h.net_cost(j),
+                None => {
+                    dedup.insert(key.clone(), collapsed_costs.len());
+                    collapsed_costs.push(h.net_cost(j));
+                    collapsed_pins.push(key);
+                }
+            }
+        }
+        for (pins, cost) in collapsed_pins.iter().zip(&collapsed_costs) {
+            b.add_net(*cost, pins.iter().copied());
+        }
+        CoarseLevel {
+            coarse: b.build(),
+            fine_to_coarse,
+            coarse_fixed: FixedAssignment::from_options(&cfixed_opts),
+        }
+    }
+
+    /// A level to contract.
+    pub(crate) struct Case {
+        pub(crate) name: String,
+        pub(crate) h: Hypergraph,
+        pub(crate) matching: Matching,
+        pub(crate) fixed: FixedAssignment,
+    }
+
+    fn case(name: &str, n: usize, nets: &[Vec<usize>], pairs: &[(usize, usize)]) -> Case {
+        Case {
+            name: name.into(),
+            h: Hypergraph::from_nets_unit(n, nets),
+            matching: pair_matching(n, pairs),
+            fixed: FixedAssignment::free(n),
+        }
+    }
+
+    /// A duplicate-heavy random level: few vertices under many small
+    /// nets (sizes 0..=`max_pins`, so empty and single-pin nets occur),
+    /// ~25 % of the vertices fixed among four parts, a random matching
+    /// that respects them, arity-2 loads, and net costs that are small
+    /// integers or — `fractional` — drawn from 0.5..4.0, where a sum
+    /// taken in another order differs in its last bits.
+    pub(crate) fn random_case(
+        seed: u64,
+        n: usize,
+        nets: usize,
+        max_pins: usize,
+        fractional: bool,
+    ) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = HypergraphBuilder::new(n);
+        for _ in 0..nets {
+            let size = rng.gen_range(0..=max_pins);
+            let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
+            let cost =
+                if fractional { rng.gen_range(0.5f64..4.0) } else { rng.gen_range(1..4) as f64 };
+            b.add_net(cost, pins);
+        }
+        b.set_loads(VertexLoads::from_columns(vec![
+            (0..n).map(|_| rng.gen_range(0.25f64..3.0)).collect(),
+            (0..n).map(|_| rng.gen_range(0..9) as f64).collect(),
+        ]));
+        for v in 0..n {
+            b.set_vertex_size(v, rng.gen_range(0.5f64..2.0));
+        }
+        let mut fixed = FixedAssignment::free(n);
+        for v in 0..n {
+            if rng.gen_bool(0.25) {
+                fixed.fix(v, rng.gen_range(0..4));
+            }
+        }
+        let mut mate: Vec<usize> = (0..n).collect();
+        let mut num_pairs = 0;
+        for _ in 0..n {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && mate[u] == u && mate[v] == v && fixed.compatible(u, v) {
+                mate[u] = v;
+                mate[v] = u;
+                num_pairs += 1;
+            }
+        }
+        Case {
+            name: format!("random seed {seed} n {n} nets {nets} fractional {fractional}"),
+            h: b.build(),
+            matching: Matching { mate, num_pairs },
+            fixed,
+        }
+    }
+
+    fn cases() -> Vec<Case> {
+        let mut cases = vec![
+            case("no nets", 6, &[], &[(0, 3), (1, 2)]),
+            case("no vertices", 0, &[], &[]),
+            case("empty and single-pin nets", 4, &[vec![], vec![2], vec![], vec![0]], &[(0, 1)]),
+            case("every net identical", 8, &vec![vec![6, 1, 4]; 40], &[(0, 1), (2, 3)]),
+            case(
+                "every net internal to a pair",
+                8,
+                &[vec![0, 1], vec![2, 3], vec![1, 0], vec![4, 5], vec![6, 7]],
+                &[(0, 1), (2, 3), (4, 5), (6, 7)],
+            ),
+            case("one net holds every vertex", 9, &[(0..9).collect()], &[(0, 8), (3, 4)]),
+            case(
+                "equal only after the remap",
+                6,
+                &[vec![0, 2], vec![1, 3], vec![4, 5], vec![3, 0], vec![2, 1, 0]],
+                &[(0, 1), (2, 3), (4, 5)],
+            ),
+        ];
+        // Fractional costs on the hand-made shapes too.
+        for c in &mut cases {
+            for j in 0..c.h.num_nets() {
+                c.h.set_net_cost(j, 0.1 + 0.7 * j as f64);
+            }
+        }
+        for seed in 0..6u64 {
+            cases.push(random_case(seed, 40, 400, 4, seed % 2 == 0));
+            cases.push(random_case(100 + seed, 150, 300, 7, seed % 2 == 1));
+        }
+        // More than two chunks of the remap stage, so identical nets meet
+        // across chunk boundaries.
+        cases.push(random_case(7, 300, 2 * parallel::DEFAULT_CHUNK + 500, 3, true));
+        cases
+    }
+
+    /// The flat collapse equals the map-based reference on the whole
+    /// `CoarseLevel` — coarse hypergraph (net order, pin order, loads,
+    /// sizes, and costs, which are positive and finite, so `==` on them
+    /// is equality of bits), `fine_to_coarse`, coarse fixed assignment —
+    /// through the serial loop and through the chunk stage + ordered
+    /// merge at every worker count.
+    #[test]
+    fn flat_collapse_equals_the_map_based_reference() {
+        let cases = cases();
+        for c in &cases {
+            c.matching.validate(&c.fixed).unwrap();
+            let want = contract_reference(&c.h, &c.matching, &c.fixed);
+            want.coarse.validate().unwrap();
+            for path in [None, Some(2usize), Some(4), Some(16)] {
+                let got = contract_with(&c.h, &c.matching, &c.fixed, path);
+                assert!(got.coarse == want.coarse, "{}: coarse differs via {path:?}", c.name);
+                assert_eq!(got.fine_to_coarse, want.fine_to_coarse, "{} via {path:?}", c.name);
+                assert_eq!(got.coarse_fixed, want.coarse_fixed, "{} via {path:?}", c.name);
+            }
+        }
+        // What the adversarial shapes are there to produce.
+        let by_name = |name: &str| {
+            let c = cases.iter().find(|c| c.name == name).unwrap();
+            contract_with(&c.h, &c.matching, &c.fixed, None).coarse
+        };
+        assert_eq!(by_name("every net identical").num_nets(), 1);
+        assert_eq!(by_name("every net internal to a pair").num_nets(), 0);
+        assert_eq!(by_name("empty and single-pin nets").num_nets(), 0);
+        assert_eq!(by_name("one net holds every vertex").net_size(0), 7);
+        let remapped = by_name("equal only after the remap");
+        assert_eq!((remapped.num_nets(), remapped.net(0)), (1, &[0usize, 1][..]));
+    }
+
+    /// Correctness never rests on the fingerprint: with every net
+    /// hashing to the same value (one probe chain through the whole
+    /// table, every comparison decided by the pins) the collapse is the
+    /// same, net for net, as with the real fingerprint.
+    #[test]
+    fn collapse_survives_a_constant_fingerprint() {
+        for c in cases().into_iter().filter(|c| c.h.num_nets() <= 400) {
+            let want = contract_reference(&c.h, &c.matching, &c.fixed);
+            let mut real = NetCollapser::new(c.h.num_nets(), c.h.num_pins());
+            let mut constant =
+                NetCollapser::with_fingerprint(c.h.num_nets(), c.h.num_pins(), |_| 0x5eed);
+            for j in 0..c.h.num_nets() {
+                let remapped = || c.h.net(j).iter().map(|&v| want.fine_to_coarse[v]);
+                assert_eq!(
+                    real.push(c.h.net_cost(j), remapped()),
+                    constant.push(c.h.net_cost(j), remapped()),
+                    "{}: net {j}",
+                    c.name
+                );
+            }
+            let (real, constant) = (real.finish(), constant.finish());
+            assert_eq!(constant, real, "{}", c.name);
+            let (xpins, pins) = want.coarse.pin_csr();
+            assert_eq!((&constant.xpins[..], &constant.pins[..]), (xpins, pins), "{}", c.name);
+            assert_eq!(constant.costs, want.coarse.net_costs(), "{}", c.name);
+        }
+    }
+
+    /// `push` says which collapsed net a net became or joined, in
+    /// first-occurrence order, and the table holds exactly the number of
+    /// nets it was sized for — also when that number is zero.
+    #[test]
+    fn collapser_indices_and_sizing() {
+        let mut c = NetCollapser::new(5, 16);
+        assert_eq!(c.push(1.0, [3, 1]), Some(0));
+        assert_eq!(c.push(1.0, [7, 7]), None, "one distinct pin");
+        assert_eq!(c.push(1.0, [1, 2, 3]), Some(1));
+        assert_eq!(c.push(0.5, [1, 3, 3, 1]), Some(0), "joins the first net");
+        assert_eq!(c.push(1.0, []), None);
+        assert_eq!(c.len(), 2);
+        let nets = c.finish();
+        let want = [(1.5, &[1usize, 3][..]), (1.0, &[1, 2, 3][..])];
+        assert_eq!(nets.iter().collect::<Vec<_>>(), want);
+
+        let mut none = NetCollapser::new(0, 0);
+        assert_eq!(none.push(1.0, [4]), None);
+        assert_eq!(none.finish().xpins, [0]);
+
+        for max_nets in [1usize, 2, 3, 4, 5, 8, 9] {
+            let mut c = NetCollapser::new(max_nets, 2 * max_nets);
+            for j in 0..max_nets {
+                assert_eq!(c.push(1.0, [j, j + 1]), Some(j), "sized for {max_nets}");
+            }
+            assert_eq!(c.push(1.0, [1, 0]), Some(0), "a duplicate needs no slot");
+        }
+    }
+
+    /// Net indices never truncate on their way into a 32-bit slot: the
+    /// largest storable one is just below the empty-slot mark, and
+    /// anything from the mark up panics.
+    #[test]
+    fn slot_indices_are_checked_at_the_32_bit_boundary() {
+        assert_eq!(slot_net(0), 0);
+        assert_eq!(slot_net(u32::MAX as usize - 1), u32::MAX - 1);
+        for too_big in [u32::MAX as usize, u32::MAX as usize + 1, usize::MAX] {
+            let refused = std::panic::catch_unwind(|| slot_net(too_big));
+            assert!(refused.is_err(), "{too_big} must not be stored");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sized for")]
+    fn collapser_refuses_more_nets_than_it_was_sized_for() {
+        // Sized for 2 nets the table has 4 slots; the third distinct net
+        // would take it past half full.
+        let mut c = NetCollapser::new(2, 16);
+        for j in 0..3 {
+            c.push(1.0, [j, j + 1]);
         }
     }
 

@@ -49,7 +49,6 @@
 //! one, so "replicated" is this driver with zero distributed levels.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use dlb_disthg::{DistHypergraph, GhostExchange, GhostHalo, NetShare};
 use dlb_hypergraph::{parallel, Hypergraph, PartId};
@@ -57,7 +56,7 @@ use dlb_mpisim::{BlockDist, Comm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coarsen::{coarsening_stops, contract_threads, CoarseLevel};
+use crate::coarsen::{coarsening_stops, contract_threads, CoarseLevel, NetCollapser};
 use crate::config::{CoarseningConfig, Config, PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
 use crate::initial::{initial_partition, score};
@@ -119,6 +118,9 @@ impl DistStats {
 #[derive(Clone)]
 struct DistLevel {
     dh: DistHypergraph,
+    /// Nets of the whole level, on all ranks together (no rank stores
+    /// them all; the count is what the contraction counters report).
+    global_nets: usize,
     /// First owned vertex (`dh.my_range().start`, which costs a division
     /// to recompute — too much for the per-pin kernels).
     start: usize,
@@ -136,6 +138,7 @@ impl DistLevel {
         let dh = DistHypergraph::from_replicated(h, rank, size);
         let my_range = dh.my_range();
         DistLevel {
+            global_nets: h.num_nets(),
             start: my_range.start,
             aux: (1..h.load_arity())
                 .map(|c| h.loads().constraint(c)[my_range.clone()].to_vec())
@@ -351,9 +354,12 @@ fn pin_owner_ranks(dh: &DistHypergraph, lj: usize, owners: &mut Vec<usize>) {
 /// 3. Each fine net's owner remaps, sorts and dedups its pins (ghost
 ///    pins through a one-shot f2c halo pull), drops sub-2-pin nets and
 ///    submits `(fine_id, cost, pins)` to the pin-set's shard rank.
-/// 4. The shard collapses duplicates in ascending fine-net order — the
-///    replicated fold — keyed by the group's first fine net; coarse net
-///    ids are the positions of those keys in globally sorted order.
+/// 4. The shard collapses duplicates in ascending fine-net order through
+///    the replicated contraction's own kernel
+///    ([`NetCollapser`](crate::coarsen::NetCollapser)), so group costs
+///    are summed in the replicated order; a group is keyed by its first
+///    fine net, and coarse net ids are the positions of those keys in
+///    globally sorted order.
 /// 5. Each surviving coarse net is routed owner-computes: the full pin
 ///    list to its owner rank, a stub (that rank's own pins, which form
 ///    one contiguous run of the sorted list) to every other pin-owning
@@ -463,31 +469,32 @@ fn dist_contract(comm: &mut Comm, d: &DistLevel, mate: &[usize]) -> (DistLevel, 
     // Ascending fine-net order = the replicated collapse order.
     submitted.sort_unstable_by_key(|&(j, _, _)| j);
 
-    // Collapse duplicates; a group is keyed by its first fine net id.
-    let mut dedup: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut groups: Vec<(usize, f64, Vec<usize>)> = Vec::new();
+    // Collapse duplicates with the kernel of the replicated contraction;
+    // a group is keyed by its first fine net id.
+    let mut groups =
+        NetCollapser::new(submitted.len(), submitted.iter().map(|(_, _, net)| net.len()).sum());
+    let mut my_keys: Vec<usize> = Vec::new();
     for (j, cost, net) in submitted {
-        match dedup.get(&net) {
-            Some(&idx) => groups[idx].1 += cost,
-            None => {
-                dedup.insert(net.clone(), groups.len());
-                groups.push((j, cost, net));
-            }
+        let group = groups.push(cost, net).expect("a submitted net has two or more pins");
+        if group == my_keys.len() {
+            my_keys.push(j);
         }
     }
+    let groups = groups.finish();
 
     // Global coarse net ids: the replicated construction appends a
     // group the first time its pin-set occurs while scanning fine nets
     // in order, so sorting the first-occurrence keys reproduces its ids.
-    let my_keys: Vec<usize> = groups.iter().map(|g| g.0).collect();
-    let mut all_keys: Vec<usize> = comm.allgather(my_keys).into_iter().flatten().collect();
+    let mut all_keys: Vec<usize> = comm.allgather(my_keys.clone()).into_iter().flatten().collect();
     all_keys.sort_unstable();
+    dlb_trace::count(dlb_trace::Counter::ContractNetsIn, d.global_nets as u64);
+    dlb_trace::count(dlb_trace::Counter::ContractNetsOut, all_keys.len() as u64);
 
     // --- Owner-computes share routing. The pin list is sorted, so
     // each rank's pins form one contiguous run. ---
     let mut routed: Vec<Vec<NetShare>> = (0..nranks).map(|_| Vec::new()).collect();
     let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-    for (min_j, cost, net) in groups {
+    for (min_j, (cost, net)) in my_keys.into_iter().zip(groups.iter()) {
         let cid = all_keys.binary_search(&min_j).expect("group key is present");
         runs.clear();
         let mut s = 0usize;
@@ -508,15 +515,21 @@ fn dist_contract(comm: &mut Comm, d: &DistLevel, mate: &[usize]) -> (DistLevel, 
         let owner = runs[cid % runs.len()].0;
         let global_size = net.len();
         for &(r, s, e) in &runs {
-            let share_pins = if r == owner { net.clone() } else { net[s..e].to_vec() };
+            let share_pins = if r == owner { net.to_vec() } else { net[s..e].to_vec() };
             routed[r].push(NetShare { gid: cid, cost, global_size, owner, pins: share_pins });
         }
     }
     let mut shares: Vec<NetShare> = comm.alltoallv(routed).into_iter().flatten().collect();
     shares.sort_unstable_by_key(|s| s.gid);
     let dh_coarse = DistHypergraph::from_local_nets(nc, comm.rank(), nranks, shares, cw);
-    let coarse =
-        DistLevel { dh: dh_coarse, start: crange.start, aux: caux, vsize: cs, fixed: cfixed };
+    let coarse = DistLevel {
+        dh: dh_coarse,
+        global_nets: all_keys.len(),
+        start: crange.start,
+        aux: caux,
+        vsize: cs,
+        fixed: cfixed,
+    };
     (coarse, f2c)
 }
 
@@ -1108,20 +1121,24 @@ pub fn dist_multilevel_stats(
                         Step::Gather(gh, gf, before)
                     }
                     View::Dist(d) => {
-                        let (mate, num_pairs) =
-                            dist_ipm_matching(comm, d, &cfg.coarsening, rng, threads);
+                        let (mate, num_pairs) = {
+                            let _span = dlb_trace::span!("coarsen.match");
+                            dist_ipm_matching(comm, d, &cfg.coarsening, rng, threads)
+                        };
                         if coarsening_stops(levels.len(), before, coarse_target, Some(num_pairs)) {
                             Step::Stop
                         } else {
+                            let _span = dlb_trace::span!("coarsen.contract");
                             let (coarse, fine_to_coarse) = dist_contract(comm, d, &mate);
                             stats.observe(&coarse);
                             Step::Push(Level::Dist(coarse, fine_to_coarse), num_pairs)
                         }
                     }
                     View::Repl(ch, cf) => {
-                        let matching = par_ipm_matching_threads(
-                            comm, ch, cf, &cfg.coarsening, rng, threads,
-                        );
+                        let matching = {
+                            let _span = dlb_trace::span!("coarsen.match");
+                            par_ipm_matching_threads(comm, ch, cf, &cfg.coarsening, rng, threads)
+                        };
                         let pairs = Some(matching.num_pairs);
                         if coarsening_stops(levels.len(), before, coarse_target, pairs) {
                             Step::Stop
@@ -1130,6 +1147,7 @@ pub fn dist_multilevel_stats(
                             // deterministic function of the (identical)
                             // matching, so every rank builds the same
                             // coarse hypergraph locally.
+                            let _span = dlb_trace::span!("coarsen.contract");
                             let level = contract_threads(ch, &matching, cf, threads);
                             Step::Push(Level::Repl(level), matching.num_pairs)
                         }
@@ -1342,6 +1360,44 @@ mod tests {
                 for ranks in [1usize, 2, 3, 4] {
                     check(&h, k, 0.03, dist_cfg(seed, 40), 5, ranks);
                 }
+            }
+        }
+    }
+
+    /// Distributed contraction against its replicated twin, directly (the
+    /// V-cycle oracles above only see it through the final partition):
+    /// on duplicate-heavy levels with fractional net costs, fixed
+    /// vertices and arity-2 loads, the gathered coarse level equals
+    /// [`contract_threads`] on the replicated level net for net — ids,
+    /// pin order, cost bits (costs are positive and finite, so `==` is
+    /// equality of bits) — with the same coarse loads, sizes and fixed
+    /// assignment, and each rank's `f2c` is its block of
+    /// `fine_to_coarse`. Ranks 1–4, and worlds where ranks own nothing.
+    #[test]
+    fn dist_contract_equals_replicated_contraction() {
+        use crate::coarsen::tests::random_case;
+        let worlds = [
+            (random_case(1, 30, 700, 3, true), vec![1usize, 2, 3, 4]),
+            (random_case(2, 41, 900, 3, true), vec![2, 3, 4]),
+            (random_case(3, 24, 300, 4, false), vec![1, 4]),
+            // Fewer vertices than ranks: the last ranks are empty.
+            (random_case(4, 3, 40, 3, true), vec![4, 7]),
+        ];
+        for (c, rank_counts) in &worlds {
+            let want = contract_threads(&c.h, &c.matching, &c.fixed, 1);
+            assert!(want.coarse.num_nets() < c.h.num_nets() / 2, "{}: few duplicates", c.name);
+            for &ranks in rank_counts {
+                run_spmd(ranks, |comm| {
+                    let level = DistLevel::from_replicated(&c.h, &c.fixed, comm.rank(), ranks);
+                    let owned = level.dh.my_range();
+                    let mate = &c.matching.mate[owned.clone()];
+                    let (coarse, f2c) = dist_contract(comm, &level, mate);
+                    assert_eq!(f2c, want.fine_to_coarse[owned], "{} ranks={ranks}", c.name);
+                    assert_eq!(coarse.global_nets, want.coarse.num_nets());
+                    let (gathered, gathered_fixed) = coarse.gather(comm);
+                    assert!(gathered == want.coarse, "{} ranks={ranks}: coarse differs", c.name);
+                    assert_eq!(gathered_fixed, want.coarse_fixed, "{} ranks={ranks}", c.name);
+                });
             }
         }
     }

@@ -180,11 +180,23 @@ pub enum Counter {
     /// evacuation candidates (members of the overweight part, per
     /// evacuation).
     RebalanceCandidatesScanned,
+    /// Nets of every hypergraph handed to contraction, summed over
+    /// levels — the *global* net count of the level, whichever way it is
+    /// stored, so the value is the same on serial, replicated and
+    /// distributed levels. The probes of the collapse table are
+    /// deliberately not counted: a distributed level collapses on one
+    /// shard table per rank, whose probe sequences differ from the
+    /// replicated table's.
+    ContractNetsIn,
+    /// Nets of every contracted (coarse) hypergraph, summed over levels
+    /// — global counts, as for `ContractNetsIn`. In minus out is what
+    /// contraction dropped below two pins or collapsed as identical.
+    ContractNetsOut,
 }
 
 impl Counter {
     /// Every counter, in declaration (= export) order.
-    pub const ALL: [Counter; 34] = [
+    pub const ALL: [Counter; 36] = [
         Counter::CoarsenLevels,
         Counter::CoarsenMatchesAccepted,
         Counter::CoarsenMatchesRefusedFixed,
@@ -219,6 +231,8 @@ impl Counter {
         Counter::GainResums,
         Counter::GainScanFallbacks,
         Counter::RebalanceCandidatesScanned,
+        Counter::ContractNetsIn,
+        Counter::ContractNetsOut,
     ];
 
     /// Stable snake_case name used in exports.
@@ -258,6 +272,8 @@ impl Counter {
             Counter::GainResums => "gain_resums",
             Counter::GainScanFallbacks => "gain_scan_fallbacks",
             Counter::RebalanceCandidatesScanned => "rebalance_candidates_scanned",
+            Counter::ContractNetsIn => "contract_nets_in",
+            Counter::ContractNetsOut => "contract_nets_out",
         }
     }
 }
