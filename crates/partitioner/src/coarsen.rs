@@ -16,9 +16,11 @@
 use dlb_hypergraph::{parallel, Hypergraph, PartId, VertexLoads};
 use rand::rngs::StdRng;
 
-use crate::config::{CoarseningConfig, Determinism};
+use crate::config::{CoarseningConfig, Config, PartTargets};
 use crate::fixed::FixedAssignment;
-use crate::matching::{ipm_matching_mode, Matching};
+use crate::matching::Matching;
+use crate::refine::RefineScratch;
+use crate::vcycle::{self, Cx, Held};
 
 /// Coarsening is unsuccessful — and stops — when a level shrinks the
 /// vertex count by less than this fraction (the paper's "typically 10%"
@@ -30,8 +32,8 @@ pub(crate) const MIN_REDUCTION: f64 = 0.10;
 /// input that fits in memory; the cap only bounds the loop.
 pub(crate) const MAX_LEVELS: usize = 40;
 
-/// The coarsening stop rule (Section 4.1), shared by the serial and the
-/// SPMD driver: no further level once the `before` vertices of the
+/// The coarsening stop rule (Section 4.1) of the one V-cycle
+/// (`vcycle::descend`): no further level once the `before` vertices of the
 /// current one are down to `target`, after [`MAX_LEVELS`] levels, or —
 /// asked again with the `matched_pairs` its matching found — when
 /// contracting them would shrink the level by less than
@@ -63,7 +65,7 @@ impl CoarseLevel {
     /// Pushes a partition of this level's fine vertices down to its
     /// coarse vertices (siblings must agree, as they do under a matching
     /// restricted to that partition).
-    fn coarsen_part(&self, fine_part: &[PartId]) -> Vec<PartId> {
+    pub(crate) fn coarsen_part(&self, fine_part: &[PartId]) -> Vec<PartId> {
         let mut coarse_part = vec![0usize; self.coarse.num_vertices()];
         for (v, &c) in self.fine_to_coarse.iter().enumerate() {
             coarse_part[c] = fine_part[v];
@@ -405,20 +407,6 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// The coarsest hypergraph and its fixed assignment: the last
-    /// level's, or the hierarchy's input `(h, fixed)` if no level was
-    /// built.
-    pub fn coarsest<'a>(
-        &'a self,
-        h: &'a Hypergraph,
-        fixed: &'a FixedAssignment,
-    ) -> (&'a Hypergraph, &'a FixedAssignment) {
-        match self.levels.last() {
-            Some(level) => (&level.coarse, &level.coarse_fixed),
-            None => (h, fixed),
-        }
-    }
-
     /// Projects a partition of the coarsest hypergraph up to the finest
     /// (original) vertices, without refinement.
     pub fn project_to_finest(&self, coarsest_part: &[usize]) -> Vec<usize> {
@@ -432,18 +420,12 @@ impl Hierarchy {
         }
         part
     }
-
-    /// Pushes a partition of the finest vertices down to the coarsest
-    /// hypergraph. Only meaningful for a hierarchy coarsened with that
-    /// partition as its `restrict` (siblings then always agree).
-    pub fn restrict_to_coarsest(&self, finest_part: &[usize]) -> Vec<usize> {
-        self.levels.iter().fold(finest_part.to_vec(), |part, level| level.coarsen_part(&part))
-    }
 }
 
 /// Repeatedly matches and contracts `h` until it has at most
 /// `target_vertices` vertices, a level shrinks by less than 10 %, or
-/// the level cap is hit (the stop rule, `coarsening_stops`).
+/// the level cap is hit (the stop rule, `coarsening_stops`): the
+/// descent of the serial V-cycle alone, on one thread.
 pub fn coarsen_to(
     h: &Hypergraph,
     fixed: &FixedAssignment,
@@ -451,74 +433,13 @@ pub fn coarsen_to(
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Hierarchy {
-    coarsen_to_mode(h, fixed, None, target_vertices, cfg, rng, 1, Determinism::Strict)
-}
-
-/// [`coarsen_to`] with an explicit worker-thread count and
-/// [`Determinism`] mode for matching and contraction, and an optional
-/// `restrict` partition: only vertices of the same part may match, so
-/// the partition stays exactly representable at every level (the
-/// iterated V-cycle). `Strict` keeps hierarchies bit-identical at any
-/// thread count; `Fast` (with `threads > 1`) matches concurrently, so
-/// the hierarchy depends on scheduling — contraction itself stays a
-/// deterministic function of whatever matching it is given.
-#[allow(clippy::too_many_arguments)]
-pub fn coarsen_to_mode(
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    restrict: Option<&[PartId]>,
-    target_vertices: usize,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-    threads: usize,
-    determinism: Determinism,
-) -> Hierarchy {
-    let mut hierarchy = Hierarchy::default();
-    // The restriction at the current (coarsest so far) level.
-    let mut restrict = restrict.map(<[PartId]>::to_vec);
-
-    loop {
-        let (current, current_fixed) = hierarchy.coarsest(h, fixed);
-        let before = current.num_vertices();
-        if coarsening_stops(hierarchy.levels.len(), before, target_vertices, None) {
-            break;
-        }
-        let span = dlb_trace::span!(
-            "coarsen.level",
-            level = hierarchy.levels.len(),
-            vertices = current.num_vertices(),
-            nets = current.num_nets(),
-            pins = current.num_pins(),
-        );
-        let matching = {
-            let _span = dlb_trace::span!("coarsen.match");
-            ipm_matching_mode(
-                current,
-                current_fixed,
-                restrict.as_deref(),
-                cfg,
-                rng,
-                threads,
-                determinism,
-            )
-        };
-        let pairs = Some(matching.num_pairs);
-        if coarsening_stops(hierarchy.levels.len(), before, target_vertices, pairs) {
-            break;
-        }
-        let level = {
-            let _span = dlb_trace::span!("coarsen.contract");
-            contract_threads(current, &matching, current_fixed, threads)
-        };
-        span.attr("matches", matching.num_pairs);
-        span.attr("coarse_vertices", level.coarse.num_vertices());
-        dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
-        if let Some(part) = restrict.as_mut() {
-            *part = level.coarsen_part(part);
-        }
-        hierarchy.levels.push(level);
-    }
-    hierarchy
+    let cfg = Config { coarsening: cfg.clone(), threads: 1, ..Config::default() };
+    // The descent balances nothing and refines nothing.
+    let (targets, mut scratch) = (PartTargets::uniform(0.0, 1, 0.0), RefineScratch::new());
+    let mut cx = Cx::new(None, &cfg, &targets, rng, &mut scratch);
+    cx.coarse_target = target_vertices;
+    let stack = vcycle::descend(Held::serial(h, fixed, None), &mut cx);
+    Hierarchy { levels: stack.into_iter().filter_map(Held::into_coarse).collect() }
 }
 
 #[cfg(test)]

@@ -1,155 +1,64 @@
-//! Direct k-way multilevel partitioning, and the shared V-cycle used by
-//! both k-way and recursive bisection.
+//! Direct k-way multilevel partitioning, and the serial entries into the
+//! V-cycle (`crate::vcycle`) used by both k-way and recursive
+//! bisection.
 //!
-//! The V-cycle is the classic multilevel scheme of Section 2.2: coarsen
-//! until the hypergraph is small (or coarsening stalls), partition the
-//! coarsest hypergraph, then project back level by level, refining at
-//! each level. Fixed-vertex constraints ride along the hierarchy via
+//! Fixed-vertex constraints ride along the levels via
 //! [`crate::coarsen::CoarseLevel::coarse_fixed`].
 
-use dlb_hypergraph::{metrics, parallel, Hypergraph, PartId};
+use dlb_hypergraph::{metrics, Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::coarsen::{coarsen_to_mode, CoarseLevel, Hierarchy};
-use crate::config::{Config, PartTargets};
+use crate::config::Config;
 use crate::fixed::FixedAssignment;
-use crate::initial::initial_partition;
-use crate::refine::{refine_threads, RefineScratch};
+use crate::refine::RefineScratch;
+use crate::vcycle::{self, Cx, Held};
 
-/// Runs one multilevel V-cycle on `h` for the given targets (any number
-/// of parts), honoring `fixed`. Returns a complete assignment.
-///
-/// `threads` is the worker count for the data-parallel kernels (already
-/// resolved by the caller); `scratch` is the refinement scratch reused
-/// across every level. Bit-identical at every thread count.
-pub(crate) fn multilevel(
-    h: &Hypergraph,
-    targets: &PartTargets,
-    fixed: &FixedAssignment,
-    cfg: &Config,
-    rng: &mut StdRng,
-    threads: usize,
-    scratch: &mut RefineScratch,
-) -> Vec<PartId> {
-    let k = targets.k();
-    if k == 1 {
+/// Runs one multilevel V-cycle on `h` for `cx.targets` (any number of
+/// parts), honoring `fixed`. Returns a complete assignment,
+/// bit-identical at every thread count.
+pub(crate) fn multilevel(h: &Hypergraph, fixed: &FixedAssignment, cx: &mut Cx) -> Vec<PartId> {
+    let k = cx.targets.k();
+    if k == 1 || h.num_vertices() == 0 {
         return vec![0; h.num_vertices()];
     }
-    if h.num_vertices() == 0 {
-        return Vec::new();
-    }
-    let ml_span = dlb_trace::span!("multilevel", vertices = h.num_vertices(), k = k);
-
-    let hierarchy = coarsen(h, targets, fixed, None, cfg, rng, threads);
-    ml_span.attr("levels", hierarchy.levels.len());
-
-    // Partition the coarsest hypergraph.
-    let (coarsest_h, coarsest_fixed) = hierarchy.coarsest(h, fixed);
-    dlb_trace::count(dlb_trace::Counter::CoarseVertices, coarsest_h.num_vertices() as u64);
-    dlb_trace::count(dlb_trace::Counter::CoarseNets, coarsest_h.num_nets() as u64);
-    dlb_trace::count(dlb_trace::Counter::CoarsePins, coarsest_h.num_pins() as u64);
-    let part = initial_partition(coarsest_h, targets, coarsest_fixed, &cfg.initial, rng);
-    uncoarsen(h, targets, fixed, hierarchy, part, cfg, rng, threads, scratch)
+    let _span = dlb_trace::span!("multilevel", vertices = h.num_vertices(), k = k);
+    vcycle::run(Held::serial(h, fixed, None), cx)
 }
 
 /// One *iterated* V-cycle: re-coarsens `h` with matching restricted to
-/// the current parts (so the partition stays exactly representable at
+/// the parts of `part` (so the partition stays exactly representable at
 /// every level), then refines the projection on the way back up.
 /// Returns the refined assignment; the caller decides whether to keep it.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn vcycle_refine(
     h: &Hypergraph,
-    targets: &PartTargets,
     fixed: &FixedAssignment,
     part: &[PartId],
-    cfg: &Config,
-    rng: &mut StdRng,
-    threads: usize,
-    scratch: &mut RefineScratch,
+    cx: &mut Cx,
 ) -> Vec<PartId> {
-    let hierarchy = coarsen(h, targets, fixed, Some(part), cfg, rng, threads);
-    let coarsest_part = hierarchy.restrict_to_coarsest(part);
-    uncoarsen(h, targets, fixed, hierarchy, coarsest_part, cfg, rng, threads, scratch)
-}
-
-/// The coarsening half of a V-cycle: down to `coarse_to_factor * k`
-/// vertices (but no fewer than `min_coarse_vertices`), matching only
-/// within the parts of `restrict` when one is given.
-fn coarsen(
-    h: &Hypergraph,
-    targets: &PartTargets,
-    fixed: &FixedAssignment,
-    restrict: Option<&[PartId]>,
-    cfg: &Config,
-    rng: &mut StdRng,
-    threads: usize,
-) -> Hierarchy {
-    let coarse_target =
-        (cfg.coarsening.coarse_to_factor * targets.k()).max(cfg.coarsening.min_coarse_vertices);
-    coarsen_to_mode(
-        h,
-        fixed,
-        restrict,
-        coarse_target,
-        &cfg.coarsening,
-        rng,
-        threads,
-        cfg.determinism,
-    )
-}
-
-/// The uncoarsening half of a V-cycle: refines `part` (a partition of
-/// the coarsest hypergraph) there, then projects it to each finer level
-/// and refines again. Consumes the hierarchy: a level's hypergraph is
-/// dropped as soon as its partition has been projected through its
-/// `fine_to_coarse`, so the finest refine — where the state is largest —
-/// holds no coarse level at all.
-#[allow(clippy::too_many_arguments)]
-fn uncoarsen(
-    h: &Hypergraph,
-    targets: &PartTargets,
-    fixed: &FixedAssignment,
-    mut hierarchy: Hierarchy,
-    mut part: Vec<PartId>,
-    cfg: &Config,
-    rng: &mut StdRng,
-    threads: usize,
-    scratch: &mut RefineScratch,
-) -> Vec<PartId> {
-    loop {
-        let _span = dlb_trace::span!("refine.level", level = hierarchy.levels.len());
-        let (level_h, level_fixed) = hierarchy.coarsest(h, fixed);
-        refine_threads(level_h, targets, level_fixed, &mut part, &cfg.refinement, rng, threads, scratch);
-        let Some(CoarseLevel { fine_to_coarse, .. }) = hierarchy.levels.pop() else { return part };
-        part = fine_to_coarse.iter().map(|&c| part[c]).collect();
-    }
+    vcycle::run(Held::serial(h, fixed, Some(part)), cx)
 }
 
 /// Runs the configured number of extra V-cycles on `part`, keeping each
 /// cycle's result only when it improves the k-1 cut without worsening
 /// balance beyond the cap.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn iterate_vcycles(
     h: &Hypergraph,
-    targets: &PartTargets,
     fixed: &FixedAssignment,
     mut part: Vec<PartId>,
-    cfg: &Config,
-    rng: &mut StdRng,
-    threads: usize,
-    scratch: &mut RefineScratch,
+    cx: &mut Cx,
 ) -> Vec<PartId> {
-    if cfg.num_vcycles <= 1 || h.num_vertices() == 0 || targets.k() < 2 {
+    let (targets, threads) = (cx.targets, cx.threads);
+    if cx.cfg.num_vcycles <= 1 || h.num_vertices() == 0 || targets.k() < 2 {
         return part;
     }
     let k = targets.k();
     let metric = dlb_hypergraph::metrics::CutMetric::Connectivity;
     let mut best_cut = metrics::cutsize_par(h, &part, k, metric, threads);
-    for _ in 1..cfg.num_vcycles {
+    for _ in 1..cx.cfg.num_vcycles {
         let span = dlb_trace::span!("vcycle.iterate");
         dlb_trace::count(dlb_trace::Counter::VcyclesRun, 1);
-        let candidate = vcycle_refine(h, targets, fixed, &part, cfg, rng, threads, scratch);
+        let candidate = vcycle_refine(h, fixed, &part, cx);
         let cut = {
             let _span = dlb_trace::span!("evaluate");
             metrics::cutsize_par(h, &candidate, k, metric, threads)
@@ -180,9 +89,8 @@ pub fn partition_kway(
 ) -> Vec<PartId> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let targets = crate::config::targets_for(h, k, cfg);
-    let threads = parallel::resolve_threads(cfg.threads);
     let mut scratch = RefineScratch::new();
-    multilevel(h, &targets, fixed, cfg, &mut rng, threads, &mut scratch)
+    multilevel(h, fixed, &mut Cx::new(None, cfg, &targets, &mut rng, &mut scratch))
 }
 
 #[cfg(test)]

@@ -57,6 +57,7 @@ pub mod matching;
 pub mod par;
 pub mod rb;
 pub mod refine;
+mod vcycle;
 mod view;
 
 pub use config::{
@@ -66,6 +67,8 @@ pub use config::{
 pub use fixed::FixedAssignment;
 
 use dlb_hypergraph::{metrics, Hypergraph, PartId};
+
+use vcycle::{Cx, Held};
 
 /// The outcome of a partitioning call.
 #[derive(Clone, Debug)]
@@ -134,10 +137,9 @@ pub fn partition_hypergraph_fixed(
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x5EED_C1C1E);
         let targets = config::targets_for(h, k, cfg);
-        let threads = dlb_hypergraph::parallel::resolve_threads(cfg.threads);
         let mut scratch = refine::RefineScratch::new();
-        let mut part =
-            kway::iterate_vcycles(h, &targets, fixed, part, cfg, &mut rng, threads, &mut scratch);
+        let mut cx = Cx::new(None, cfg, &targets, &mut rng, &mut scratch);
+        let mut part = kway::iterate_vcycles(h, fixed, part, &mut cx);
         // Composed bisections meet each auxiliary constraint per side but
         // can still overshoot a final part; one flat k-way pass lets the
         // repair step fix that globally, with FM recovering the cut.
@@ -146,16 +148,7 @@ pub fn partition_hypergraph_fixed(
             let w = metrics::part_weights(h, &part, k);
             let aux = metrics::aux_part_loads(h, &part, k);
             if !targets.feasible(&w, &aux) {
-                refine::refine_threads(
-                    h,
-                    &targets,
-                    fixed,
-                    &mut part,
-                    &cfg.refinement,
-                    &mut rng,
-                    threads,
-                    &mut scratch,
-                );
+                Held::serial(h, fixed, None).refine(&mut cx, 0, &mut part);
             }
         }
         part
@@ -242,17 +235,14 @@ pub fn refine_partition_fixed(
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x5EED_C1C1E);
     let targets = config::targets_for(h, k, cfg);
-    let threads = dlb_hypergraph::parallel::resolve_threads(cfg.threads);
     let mut scratch = refine::RefineScratch::new();
+    let mut cx = Cx::new(None, cfg, &targets, &mut rng, &mut scratch);
     // One flat FM pass first: restores balance (greedy rebalance runs
     // inside) and polishes the seed locally...
-    {
-        let _span = dlb_trace::span!("refine.level", level = 0usize);
-        refine::refine_threads(h, &targets, fixed, &mut part, &cfg.refinement, &mut rng, threads, &mut scratch);
-    }
+    Held::serial(h, fixed, None).refine(&mut cx, 0, &mut part);
     // ...then the part-restricted V-cycles of the iterated pipeline,
     // kept only when they improve the cut.
-    let part = kway::iterate_vcycles(h, &targets, fixed, part, cfg, &mut rng, threads, &mut scratch);
+    let part = kway::iterate_vcycles(h, fixed, part, &mut cx);
     debug_assert!(fixed.is_respected_by(&part));
     let result = {
         let _span = dlb_trace::span!("evaluate");

@@ -44,7 +44,9 @@ use crate::view::{LevelView, Replicated};
 const MAX_NET_SIZE_FOR_MATCHING: usize = 300;
 
 /// A matching: `mate[v] == v` for unmatched vertices, otherwise the
-/// partner (symmetric: `mate[mate[v]] == v`).
+/// partner (symmetric: `mate[mate[v]] == v`). A distributed level's
+/// matching holds, on each rank, the mates of the block it stores, with
+/// the pair count of the whole level.
 #[derive(Clone, Debug)]
 pub struct Matching {
     /// Partner per vertex (self for unmatched).

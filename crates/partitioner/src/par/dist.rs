@@ -1,5 +1,6 @@
-//! The SPMD V-cycle: memory-scalable distributed levels over
-//! [`dlb_disthg`], replicated levels once the hypergraph is small.
+//! Distributed levels of the V-cycle: memory-scalable storage over
+//! [`dlb_disthg`], its wire formats and its kernels, and the SPMD entry
+//! into the one V-cycle (`crate::vcycle`).
 //!
 //! A replicated level keeps the whole hypergraph on every rank; a
 //! distributed level runs the same V-cycle step with **owner-computes**
@@ -42,11 +43,11 @@
 //!   rank through the proposal payloads.
 //!
 //! Once the current level has at most `cfg.dist.gather_threshold`
-//! vertices it is gathered onto every rank and the remaining levels run
-//! the replicated code paths verbatim (coarse hypergraphs are tiny).
-//! With `cfg.dist.distributed` off nothing is ever distributed: the
-//! threshold is effectively infinite and every level is a replicated
-//! one, so "replicated" is this driver with zero distributed levels.
+//! vertices it is gathered onto every rank and the remaining levels are
+//! held replicated (coarse hypergraphs are tiny). With
+//! `cfg.dist.distributed` off nothing is ever distributed: every level
+//! is a replicated one, so "replicated" is the SPMD V-cycle with zero
+//! distributed levels.
 
 use std::borrow::Cow;
 
@@ -54,17 +55,15 @@ use dlb_disthg::{DistHypergraph, GhostExchange, GhostHalo, NetShare};
 use dlb_hypergraph::{parallel, Hypergraph, PartId};
 use dlb_mpisim::{BlockDist, Comm};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::coarsen::{coarsening_stops, contract_threads, CoarseLevel, NetCollapser};
+use crate::coarsen::NetCollapser;
 use crate::config::{CoarseningConfig, Config, PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
-use crate::initial::{initial_partition, score};
-use crate::par::matching::{candidate_matching, local_matching, par_ipm_matching_threads};
-use crate::par::refine::{par_refine, propose_moves};
-use crate::refine::{
-    rebalance, refine_threads, CommitMove, MoveScratch, PartitionState, RefineScratch,
-};
+use crate::matching::Matching;
+use crate::par::matching::{candidate_matching, local_matching};
+use crate::par::refine::propose_moves;
+use crate::refine::{rebalance, CommitMove, MoveScratch, PartitionState, RefineScratch};
+use crate::vcycle::{self, Cx, Held};
 use crate::view::LevelView;
 
 /// Per-rank memory/communication figures of one distributed V-cycle.
@@ -100,7 +99,7 @@ pub struct DistStats {
 }
 
 impl DistStats {
-    fn observe(&mut self, d: &DistLevel) {
+    pub(crate) fn observe(&mut self, d: &DistLevel) {
         self.dist_levels += 1;
         self.peak_local_pins = self.peak_local_pins.max(d.dh.local_pin_count());
         self.total_local_pins += d.dh.local_pin_count();
@@ -116,8 +115,8 @@ impl DistStats {
 /// this rank's *owned block* of every per-vertex attribute. Nothing in
 /// a `DistLevel` is proportional to the global vertex count.
 #[derive(Clone)]
-struct DistLevel {
-    dh: DistHypergraph,
+pub(crate) struct DistLevel {
+    pub(crate) dh: DistHypergraph,
     /// Nets of the whole level, on all ranks together (no rank stores
     /// them all; the count is what the contraction counters report).
     global_nets: usize,
@@ -134,7 +133,12 @@ struct DistLevel {
 }
 
 impl DistLevel {
-    fn from_replicated(h: &Hypergraph, fixed: &FixedAssignment, rank: usize, size: usize) -> Self {
+    pub(crate) fn from_replicated(
+        h: &Hypergraph,
+        fixed: &FixedAssignment,
+        rank: usize,
+        size: usize,
+    ) -> Self {
         let dh = DistHypergraph::from_replicated(h, rank, size);
         let my_range = dh.my_range();
         DistLevel {
@@ -175,7 +179,7 @@ impl DistLevel {
     }
 
     /// Gathers the full hypergraph onto every rank (collective).
-    fn gather(&self, comm: &mut Comm) -> (Hypergraph, FixedAssignment) {
+    pub(crate) fn gather(&self, comm: &mut Comm) -> (Hypergraph, FixedAssignment) {
         let mut gh = self.dh.gather_replicated(comm);
         let vsizes: Vec<f64> = comm.allgather(self.vsize.clone()).into_iter().flatten().collect();
         gh.set_vertex_sizes(vsizes);
@@ -253,21 +257,21 @@ impl LevelView for &DistLevel {
 type CandRecord = (usize, i64, Vec<usize>);
 
 /// One level of distributed matching (collective): the mates of this
-/// rank's owned vertices (global ids, self if unmatched) and the global
+/// rank's owned vertices (global ids, self if unmatched) with the global
 /// pair count. The same rounds as [`par_ipm_matching_threads`] run, over
 /// the owner-computes storage; with local IPM both endpoints of every
 /// pair are owned, so the only communication is the pair count.
-fn dist_ipm_matching(
+pub(crate) fn dist_ipm_matching(
     comm: &mut Comm,
     d: &DistLevel,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
     threads: usize,
-) -> (Vec<usize>, usize) {
+) -> Matching {
     if cfg.local_ipm {
         let mate = local_matching(comm.rank(), &d, cfg, rng);
         let my_pairs = d.dh.my_range().zip(&mate).filter(|&(v, &m)| m > v).count();
-        return (mate, comm.allreduce(my_pairs, |a, b| a + b));
+        return Matching { mate, num_pairs: comm.allreduce(my_pairs, |a, b| a + b) };
     }
     let dh = &d.dh;
     let start = dh.my_range().start;
@@ -364,7 +368,11 @@ fn pin_owner_ranks(dh: &DistHypergraph, lj: usize, owners: &mut Vec<usize>) {
 ///    list to its owner rank, a stub (that rank's own pins, which form
 ///    one contiguous run of the sorted list) to every other pin-owning
 ///    rank.
-fn dist_contract(comm: &mut Comm, d: &DistLevel, mate: &[usize]) -> (DistLevel, Vec<usize>) {
+pub(crate) fn dist_contract(
+    comm: &mut Comm,
+    d: &DistLevel,
+    mate: &[usize],
+) -> (DistLevel, Vec<usize>) {
     let dh = &d.dh;
     let my_range = dh.my_range();
     let start = my_range.start;
@@ -880,7 +888,7 @@ fn dist_pass(
 /// rebalance fallback destination, which is chosen on primary load
 /// alone; such a violation stays until a replicated level (or the
 /// caller's final repair) sees it.
-fn dist_refine(
+pub(crate) fn dist_refine(
     comm: &mut Comm,
     level: &DistLevel,
     targets: &PartTargets,
@@ -905,61 +913,11 @@ fn dist_refine(
     *part_owned = state.part;
 }
 
-enum Level {
-    Repl(CoarseLevel),
-    Dist(DistLevel, Vec<usize>),
-}
-
-/// Borrowed view of the current coarsest hypergraph.
-enum View<'a> {
-    Repl(&'a Hypergraph, &'a FixedAssignment),
-    Dist(&'a DistLevel),
-}
-
-impl View<'_> {
-    fn num_vertices(&self) -> usize {
-        match self {
-            View::Repl(h, _) => h.num_vertices(),
-            View::Dist(d) => d.dh.num_vertices(),
-        }
-    }
-}
-
-fn current_view<'a>(
-    h: &'a Hypergraph,
-    fixed: &'a FixedAssignment,
-    finest_dist: &'a Option<DistLevel>,
-    levels: &'a [Level],
-    gathered: &'a Option<(Hypergraph, FixedAssignment)>,
-) -> View<'a> {
-    if let Some((gh, gf)) = gathered {
-        return View::Repl(gh, gf);
-    }
-    match levels.last() {
-        Some(Level::Repl(l)) => View::Repl(&l.coarse, &l.coarse_fixed),
-        Some(Level::Dist(d, _)) => View::Dist(d),
-        None => match finest_dist {
-            Some(d) => View::Dist(d),
-            None => View::Repl(h, fixed),
-        },
-    }
-}
-
-/// The partition vector during uncoarsening: replicated (`Full`) above
-/// the gather point, owned-block only (`Owned`) on distributed levels.
-/// The level stack is always `[Dist.., Repl..]` bottom-up — a gather
-/// never un-happens — so uncoarsening (walked top-down) converts
-/// `Full → Owned` exactly once, at the first distributed level.
-enum PartRep {
-    Full(Vec<PartId>),
-    Owned(Vec<PartId>),
-}
-
 /// Projects an owned coarse partition slice through an owned
 /// fine→coarse map (collective): coarse parts of remotely owned coarse
 /// vertices are fetched with a one-shot pull. `PartId` rides the
 /// `usize` pull used for f2c ids.
-fn project_to_fine(
+pub(crate) fn project_to_fine(
     comm: &mut Comm,
     cdist: &BlockDist,
     coarse_owned: &[PartId],
@@ -981,57 +939,6 @@ fn project_to_fine(
             }
         })
         .collect()
-}
-
-/// Attaches this rank's [`CommStats`](dlb_mpisim::CommStats) deltas for
-/// a traced region to its span (inert off the recording rank). The
-/// ledger is rank 0's view.
-fn attr_comm_delta(
-    span: &dlb_trace::SpanGuard,
-    before: dlb_mpisim::CommStats,
-    after: dlb_mpisim::CommStats,
-) {
-    span.attr("msgs_sent", after.messages_sent - before.messages_sent);
-    span.attr("msgs_recv", after.messages_received - before.messages_received);
-    span.attr("bytes_sent", after.bytes_sent - before.bytes_sent);
-    span.attr("bytes_recv", after.bytes_received - before.bytes_received);
-}
-
-/// Records the number of vertices a replicated refinement level actually
-/// moved (an outcome diff, so the value is identical at any rank count —
-/// partitions are bit-identical) as both a span attribute and the
-/// [`ParRefineMovesCommitted`](dlb_trace::Counter) counter.
-fn record_committed_moves(
-    span: &dlb_trace::SpanGuard,
-    before: Option<&[PartId]>,
-    after: &[PartId],
-) {
-    let Some(before) = before else { return };
-    let moved = before
-        .iter()
-        .zip(after)
-        .filter(|(a, b)| a != b)
-        .count() as u64;
-    span.attr("moves_committed", moved);
-    dlb_trace::count(dlb_trace::Counter::ParRefineMovesCommitted, moved);
-}
-
-/// Distributed mirror of `record_committed_moves`: each rank diffs only
-/// its owned slice, so the global count is an allreduce sum
-/// (collective whenever a trace session is active anywhere in the
-/// process — gated on `dlb_trace::session_active()`, not the per-thread
-/// `enabled()`, so every rank participates or none does).
-fn record_committed_moves_owned(
-    comm: &mut Comm,
-    span: &dlb_trace::SpanGuard,
-    before: Option<&[PartId]>,
-    after: &[PartId],
-) {
-    let Some(before) = before else { return };
-    let local = before.iter().zip(after).filter(|(a, b)| a != b).count() as u64;
-    let moved = comm.allreduce(local, |a, b| a + b);
-    span.attr("moves_committed", moved);
-    dlb_trace::count(dlb_trace::Counter::ParRefineMovesCommitted, moved);
 }
 
 /// One SPMD multilevel V-cycle — the single entry point the
@@ -1060,257 +967,30 @@ pub fn dist_multilevel_stats(
     rng: &mut StdRng,
 ) -> (Vec<PartId>, DistStats) {
     let k = targets.k();
-    let mut stats = DistStats::default();
-    if k == 1 {
-        return (vec![0; h.num_vertices()], stats);
+    if k == 1 || h.num_vertices() == 0 {
+        return (vec![0; h.num_vertices()], DistStats::default());
     }
-    if h.num_vertices() == 0 {
-        return (Vec::new(), stats);
-    }
-    // The simulator runs every rank as its own OS thread, so the shared
-    // worker budget is split evenly across ranks: each rank gets
-    // `total / size` (at least 1) threads for its local kernels. The
-    // thread count never changes results, only timing.
-    let threads = (parallel::resolve_threads(cfg.threads) / comm.size()).max(1);
-    let mut scratch = RefineScratch::new();
-    let coarse_target =
-        (cfg.coarsening.coarse_to_factor * k).max(cfg.coarsening.min_coarse_vertices);
-    // Replicated execution is the distributed driver with nothing over
-    // the threshold: every level takes the `View::Repl` branches below.
-    let gather_threshold =
-        if cfg.dist.distributed { cfg.dist.gather_threshold } else { usize::MAX };
-    let ml_span = dlb_trace::span!(
+    let _span = dlb_trace::span!(
         "dist.multilevel",
         vertices = h.num_vertices(),
         k = k,
         ranks = comm.size(),
-        gather_threshold = gather_threshold,
+        distributed = cfg.dist.distributed,
+        gather_threshold = cfg.dist.gather_threshold,
     );
-
-    // --- Coarsening: distributed while large, replicated once small. ---
-    let finest_dist: Option<DistLevel> = if h.num_vertices() > gather_threshold {
-        let d = DistLevel::from_replicated(h, fixed, comm.rank(), comm.size());
-        stats.observe(&d);
-        Some(d)
-    } else {
-        None
-    };
-    let mut levels: Vec<Level> = Vec::new();
-    // A gathered replica of the current coarsest level, once it shrank
-    // under the threshold while still distributed.
-    let mut gathered: Option<(Hypergraph, FixedAssignment)> = None;
-
-    enum Step {
-        Gather(Hypergraph, FixedAssignment, usize),
-        /// A coarser level and the number of matched pairs behind it.
-        Push(Level, usize),
-        Stop,
-    }
-    loop {
-        let span = dlb_trace::span!("dist.coarsen.level", level = levels.len());
-        let stats_before = comm.stats();
-        let step = {
-            let view = current_view(h, fixed, &finest_dist, &levels, &gathered);
-            let before = view.num_vertices();
-            if coarsening_stops(levels.len(), before, coarse_target, None) {
-                Step::Stop
-            } else {
-                match view {
-                    View::Dist(d) if before <= gather_threshold => {
-                        let (gh, gf) = d.gather(comm);
-                        Step::Gather(gh, gf, before)
-                    }
-                    View::Dist(d) => {
-                        let (mate, num_pairs) = {
-                            let _span = dlb_trace::span!("coarsen.match");
-                            dist_ipm_matching(comm, d, &cfg.coarsening, rng, threads)
-                        };
-                        if coarsening_stops(levels.len(), before, coarse_target, Some(num_pairs)) {
-                            Step::Stop
-                        } else {
-                            let _span = dlb_trace::span!("coarsen.contract");
-                            let (coarse, fine_to_coarse) = dist_contract(comm, d, &mate);
-                            stats.observe(&coarse);
-                            Step::Push(Level::Dist(coarse, fine_to_coarse), num_pairs)
-                        }
-                    }
-                    View::Repl(ch, cf) => {
-                        let matching = {
-                            let _span = dlb_trace::span!("coarsen.match");
-                            par_ipm_matching_threads(comm, ch, cf, &cfg.coarsening, rng, threads)
-                        };
-                        let pairs = Some(matching.num_pairs);
-                        if coarsening_stops(levels.len(), before, coarse_target, pairs) {
-                            Step::Stop
-                        } else {
-                            // With the level replicated, contraction is a
-                            // deterministic function of the (identical)
-                            // matching, so every rank builds the same
-                            // coarse hypergraph locally.
-                            let _span = dlb_trace::span!("coarsen.contract");
-                            let level = contract_threads(ch, &matching, cf, threads);
-                            Step::Push(Level::Repl(level), matching.num_pairs)
-                        }
-                    }
-                }
-            }
-        };
-        attr_comm_delta(&span, stats_before, comm.stats());
-        match step {
-            Step::Gather(gh, gf, n) => {
-                span.attr("gathered", true);
-                stats.gathered_vertices = n;
-                gathered = Some((gh, gf));
-            }
-            Step::Push(level, matches) => {
-                span.attr("matches", matches);
-                dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
-                dlb_trace::count(dlb_trace::Counter::CoarsenMatchesAccepted, matches as u64);
-                gathered = None;
-                levels.push(level);
-            }
-            Step::Stop => break,
-        }
-    }
-
-    // The coarse solve needs a replicated coarsest; force the gather if
-    // coarsening stopped early while still distributed.
-    if gathered.is_none() {
-        if let View::Dist(d) = current_view(h, fixed, &finest_dist, &levels, &gathered) {
-            stats.gathered_vertices = d.dh.num_vertices();
-            gathered = Some(d.gather(comm));
-        }
-    }
-
-    // --- Coarse partitioning: one randomized attempt per rank (plus the
-    // configured serial attempts), globally best wins (Section 4.2). ---
-    let (coarsest_h, coarsest_fixed): (&Hypergraph, &FixedAssignment) =
-        match current_view(h, fixed, &finest_dist, &levels, &gathered) {
-            View::Repl(ch, cf) => (ch, cf),
-            View::Dist(_) => unreachable!("coarsest was gathered above"),
-        };
-    let init_span = dlb_trace::span!("dist.initial", vertices = coarsest_h.num_vertices());
-    let init_stats = comm.stats();
-    dlb_trace::count(dlb_trace::Counter::CoarseVertices, coarsest_h.num_vertices() as u64);
-    dlb_trace::count(dlb_trace::Counter::CoarseNets, coarsest_h.num_nets() as u64);
-    dlb_trace::count(dlb_trace::Counter::CoarsePins, coarsest_h.num_pins() as u64);
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng = StdRng::seed_from_u64(
-        shared_draw ^ (comm.rank() as u64).wrapping_mul(0x1357_9BDF_2468_ACE0),
-    );
-    let mut my_part =
-        initial_partition(coarsest_h, targets, coarsest_fixed, &cfg.initial, &mut my_rng);
-    refine_threads(
-        coarsest_h,
-        targets,
-        coarsest_fixed,
-        &mut my_part,
-        &cfg.refinement,
-        &mut my_rng,
-        threads,
-        &mut scratch,
-    );
-    let my_score = score(coarsest_h, &my_part, targets);
-    let (_, winner) = comm.allreduce((my_score, comm.rank()), |a, b| match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Less => a,
-        std::cmp::Ordering::Greater => b,
-        std::cmp::Ordering::Equal => {
-            if a.1 <= b.1 {
-                a
-            } else {
-                b
-            }
-        }
-    });
-    let mut part = PartRep::Full(comm.broadcast(winner, my_part));
-    attr_comm_delta(&init_span, init_stats, comm.stats());
-    drop(init_span);
-
-    // --- Uncoarsening: refine in whichever form each level is held. ---
-    // Levels are numbered with 0 = the original (finest) hypergraph. The
-    // partition stays replicated through the gathered/replicated levels
-    // and narrows to the owned slice at the first distributed level.
-    for (i, level) in levels.iter().enumerate().rev() {
-        let span = dlb_trace::span!("dist.refine.level", level = i + 1);
-        let stats_before = comm.stats();
-        match level {
-            Level::Repl(l) => {
-                let PartRep::Full(ref mut full) = part else {
-                    unreachable!("replicated levels sit above the gather point")
-                };
-                let before_part = dlb_trace::enabled().then(|| full.clone());
-                par_refine(comm, &l.coarse, targets, &l.coarse_fixed, full, &cfg.refinement, rng);
-                record_committed_moves(&span, before_part.as_deref(), full);
-                attr_comm_delta(&span, stats_before, comm.stats());
-                drop(span);
-                let mut finer = vec![0usize; l.fine_to_coarse.len()];
-                for (v, &c) in l.fine_to_coarse.iter().enumerate() {
-                    finer[v] = full[c];
-                }
-                part = PartRep::Full(finer);
-            }
-            Level::Dist(d, fine_to_coarse) => {
-                let mut owned_part =
-                    match std::mem::replace(&mut part, PartRep::Owned(Vec::new())) {
-                        PartRep::Full(full) => full[d.dh.my_range()].to_vec(),
-                        PartRep::Owned(p) => p,
-                    };
-                let before_part = dlb_trace::session_active().then(|| owned_part.clone());
-                dist_refine(comm, d, targets, &mut owned_part, &cfg.refinement, rng);
-                record_committed_moves_owned(comm, &span, before_part.as_deref(), &owned_part);
-                attr_comm_delta(&span, stats_before, comm.stats());
-                drop(span);
-                // `d` is the *coarse* level of this projection step:
-                // the finer level's owned f2c entries point into `d`'s
-                // vertex blocks.
-                part = PartRep::Owned(project_to_fine(
-                    comm,
-                    &d.dh.vertex_dist(),
-                    &owned_part,
-                    fine_to_coarse,
-                ));
-            }
-        }
-    }
-    // Final refinement at the finest level.
-    let full_part = {
-        let span = dlb_trace::span!("dist.refine.level", level = 0usize);
-        let stats_before = comm.stats();
-        match &finest_dist {
-            Some(d) => {
-                let mut owned_part = match part {
-                    PartRep::Full(full) => full[d.dh.my_range()].to_vec(),
-                    PartRep::Owned(p) => p,
-                };
-                let before_part = dlb_trace::session_active().then(|| owned_part.clone());
-                dist_refine(comm, d, targets, &mut owned_part, &cfg.refinement, rng);
-                record_committed_moves_owned(comm, &span, before_part.as_deref(), &owned_part);
-                attr_comm_delta(&span, stats_before, comm.stats());
-                // The public contract returns the full assignment on
-                // every rank.
-                comm.allgather(owned_part).into_iter().flatten().collect()
-            }
-            None => {
-                let PartRep::Full(mut full) = part else {
-                    unreachable!("never distributed, so the partition stayed replicated")
-                };
-                let before_part = dlb_trace::enabled().then(|| full.clone());
-                par_refine(comm, h, targets, fixed, &mut full, &cfg.refinement, rng);
-                record_committed_moves(&span, before_part.as_deref(), &full);
-                attr_comm_delta(&span, stats_before, comm.stats());
-                full
-            }
-        }
-    };
-    drop(ml_span);
-    (full_part, stats)
+    let mut scratch = RefineScratch::new();
+    let mut cx = Cx::new(Some(comm), cfg, targets, rng, &mut scratch);
+    let input = Held::spmd(h, fixed, &mut cx);
+    (vcycle::run(input, &mut cx), cx.stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::contract_threads;
     use crate::refine::VertexReads;
     use dlb_mpisim::run_spmd;
+    use rand::{Rng, SeedableRng};
 
     fn dist_cfg(seed: u64, gather_threshold: usize) -> Config {
         let mut cfg = Config::seeded(seed);

@@ -126,7 +126,7 @@ const CAND_CHUNK: usize = 64;
 /// Collective. `exchange` sends this rank's nominated vertices to every
 /// rank and returns all ranks' candidates in rank order. Returns the
 /// mates of the stored vertices (indexed by [`LevelView::slot`], self for
-/// unmatched) and the global pair count; every rank agrees on the mate of
+/// unmatched) with the global pair count; every rank agrees on the mate of
 /// every vertex it stores.
 ///
 /// The IPM score of a pair does not depend on the matching state, so with
@@ -142,7 +142,7 @@ pub(crate) fn candidate_matching<'v, V: LevelView + Sync>(
     rng: &mut StdRng,
     threads: usize,
     mut exchange: impl FnMut(&mut Comm, Vec<usize>) -> Vec<Candidate<'v>>,
-) -> (Vec<usize>, usize) {
+) -> Matching {
     let rank = comm.rank();
     let owned = view.owned();
     let stored = view.stored();
@@ -245,7 +245,7 @@ pub(crate) fn candidate_matching<'v, V: LevelView + Sync>(
         }
         num_pairs += newly.len() / 2;
     }
-    (mate, num_pairs)
+    Matching { mate, num_pairs }
 }
 
 /// Local IPM (the paper's proposed speedup, Section 5/6: "using local
@@ -304,10 +304,9 @@ pub fn par_ipm_matching_threads(
     let view = Replicated::block(h, fixed, comm.rank(), comm.size());
     if !cfg.local_ipm {
         let lookup = |u: usize| (u, view.fixed(u), Cow::Borrowed(view.nets_of(u)));
-        let (mate, num_pairs) = candidate_matching(comm, &view, cfg, rng, threads, |comm, mine| {
+        return candidate_matching(comm, &view, cfg, rng, threads, |comm, mine| {
             comm.allgather(mine).into_iter().flatten().map(lookup).collect()
         });
-        return Matching { mate, num_pairs };
     }
     // The disjoint per-rank matchings are merged with a single
     // all-gather: per-level communication drops from `O(rounds)`

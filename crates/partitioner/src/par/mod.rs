@@ -3,15 +3,16 @@
 //!
 //! Each rank owns a block of vertices (1D distribution — see DESIGN.md §4
 //! for why this simplification of Zoltan's 2D layout preserves the
-//! paper's algorithmic behaviour). One V-cycle driver ([`dist`]) runs
-//! every level either replicated (the hypergraph structure on every
-//! rank) or, with `cfg.dist.distributed`, block-distributed while it is
-//! large. Both forms run the same per-vertex kernels — written once over
-//! the crate's private storage view, together with the serial
-//! partitioner's (DESIGN.md §9) — and differ in the storage, in what
-//! travels on the wire, and in how the distributed form keeps its state
-//! exact. The three phases communicate exactly where the paper's
-//! implementation does:
+//! paper's algorithmic behaviour). The crate's one V-cycle (entered
+//! through [`dist::dist_multilevel`]) holds every level either
+//! replicated (the hypergraph structure on every rank) or, with
+//! `cfg.dist.distributed`, block-distributed while it is large. Both
+//! forms run the same per-vertex kernels — written once over the crate's
+//! private storage view, together with the serial partitioner's
+//! (DESIGN.md §9) — and differ in the storage, in what travels on the
+//! wire, and in how the distributed form keeps its state exact. The
+//! three phases communicate exactly where the paper's implementation
+//! does:
 //!
 //! * **Coarsening** ([`matching`]): IPM runs in *rounds*. Each round,
 //!   every rank selects candidate vertices among its owned unmatched
@@ -20,9 +21,9 @@
 //!   (scores for constraint-infeasible pairs are computed but discarded
 //!   at selection, as in Section 4.1); a global best match per candidate
 //!   is selected by an all-reduce.
-//! * **Coarse partitioning** ([`dist`]): the coarsest hypergraph is
-//!   replicated; each rank runs randomized greedy hypergraph growing
-//!   with a different seed and the best partition wins (Section 4.2).
+//! * **Coarse partitioning**: the coarsest hypergraph is replicated;
+//!   each rank runs randomized greedy hypergraph growing with a
+//!   different seed and the best partition wins (Section 4.2).
 //! * **Refinement** ([`refine`]): a localized FM — each rank proposes
 //!   moves for its owned boundary vertices against the current global
 //!   state; proposals are exchanged and applied deterministically, and
@@ -49,6 +50,13 @@ use crate::PartitionResult;
 /// Parallel k-way partitioning with fixed vertices via recursive
 /// bisection. Must be called collectively by every rank of `comm` with
 /// identical arguments; every rank returns the same result.
+///
+/// This entry always bisects recursively, runs one V-cycle per
+/// bisection and has no multi-constraint epilogue: it ignores
+/// [`Config::scheme`] and [`Config::num_vcycles`]. On one rank it is
+/// therefore a different pipeline from [`crate::partition_hypergraph_fixed`]
+/// under the same `cfg` (which may be direct k-way with extra cycles),
+/// not the same pipeline through a different driver.
 pub fn parallel_partition_fixed(
     comm: &mut Comm,
     h: &Hypergraph,
@@ -59,16 +67,15 @@ pub fn parallel_partition_fixed(
     assert!(k > 0, "k must be positive");
     assert_eq!(fixed.len(), h.num_vertices());
     let mut salt = 0u64;
-    let part =
-        recursive_bisection(h, &vec![1; k], fixed, cfg, false, &mut |h, targets, side_fixed| {
-            salt += 1;
-            // Every rank derives the same base seed for this bisection;
-            // ranks decorrelate internally where the algorithm calls for
-            // it.
-            let mut rng =
-                StdRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(salt)));
-            dist::dist_multilevel(comm, h, targets, side_fixed, cfg, &mut rng)
-        });
+    let part = recursive_bisection(h, k, fixed, cfg, &mut |h, targets, side_fixed| {
+        salt += 1;
+        // Every rank derives the same base seed for this bisection;
+        // ranks decorrelate internally where the algorithm calls for
+        // it.
+        let mut rng =
+            StdRng::seed_from_u64(cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(salt)));
+        dist::dist_multilevel(comm, h, targets, side_fixed, cfg, &mut rng)
+    });
     debug_assert!(fixed.is_respected_by(&part));
     PartitionResult::evaluate(h, part, k)
 }
@@ -121,20 +128,20 @@ mod tests {
         let fixed = FixedAssignment::free(144);
         let mut cfg = Config::seeded(13);
         cfg.part_capacities = Some(vec![vec![3.0], vec![1.0], vec![2.0], vec![2.0]]);
-        let shares = [1usize; 4];
         let side_caps = |t: &crate::PartTargets| [t.cap(0), t.cap(1)];
 
         let mut serial_caps = Vec::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut scratch = RefineScratch::new();
-        let serial = recursive_bisection(&h, &shares, &fixed, &cfg, false, &mut |h, t, f| {
+        let serial = recursive_bisection(&h, 4, &fixed, &cfg, &mut |h, t, f| {
             serial_caps.push(side_caps(t));
-            crate::kway::multilevel(h, t, f, &cfg, &mut rng, 1, &mut scratch)
+            let mut cx = crate::vcycle::Cx::new(None, &cfg, t, &mut rng, &mut scratch);
+            crate::kway::multilevel(h, f, &mut cx)
         });
         let (spmd_caps, spmd) = run_spmd(2, |comm| {
             let mut caps = Vec::new();
             let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let part = recursive_bisection(&h, &shares, &fixed, &cfg, false, &mut |h, t, f| {
+            let part = recursive_bisection(&h, 4, &fixed, &cfg, &mut |h, t, f| {
                 caps.push(side_caps(t));
                 dist::dist_multilevel(comm, h, t, f, &cfg, &mut rng)
             });

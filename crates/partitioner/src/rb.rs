@@ -10,7 +10,7 @@
 //! the final k-way partition meets the overall Eq. (1) bound.
 
 use dlb_hypergraph::subset::induced_subhypergraph;
-use dlb_hypergraph::{parallel, Hypergraph, PartId};
+use dlb_hypergraph::{Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,6 +18,7 @@ use crate::config::{AuxTargets, Config, PartTargets};
 use crate::fixed::FixedAssignment;
 use crate::kway::multilevel;
 use crate::refine::RefineScratch;
+use crate::vcycle::Cx;
 
 /// Per-bisection imbalance tolerance so that `depth` nested bisections
 /// compound to at most the overall `epsilon`.
@@ -28,9 +29,7 @@ fn per_level_epsilon(epsilon: f64, k: usize) -> f64 {
 
 /// Side-target context threaded through the bisection recursion:
 /// per-level tolerances for every constraint, plus the per-part
-/// capacity rows when the machine is heterogeneous. The scalar
-/// no-capacity case carries an empty `aux_eps` and `caps: None`, and
-/// `recurse` then computes exactly the targets it always has.
+/// capacity rows when the machine is heterogeneous.
 struct SideTargets<'a> {
     /// Per-bisection primary tolerance.
     eps: f64,
@@ -38,71 +37,52 @@ struct SideTargets<'a> {
     /// `c - 1`; constraints beyond the list fall back to `eps`.
     aux_eps: Vec<f64>,
     /// Capacity rows (`caps[p][c]`) of the final parts this subtree
-    /// will produce; `None` = homogeneous parts.
+    /// will produce; `None` = homogeneous parts, one share each.
     caps: Option<&'a [Vec<f64>]>,
 }
 
 /// Partitions `h` into `k` parts by recursive bisection, honoring
 /// `fixed`.
+///
+/// Part `p` targets the `1/k` share of the total weight, or — with
+/// [`Config::part_capacities`] (e.g. processor speeds on a heterogeneous
+/// machine) — the share its capacity row has of each constraint's
+/// column. Each bisection splits the rows, so the side targets compose
+/// correctly at every level. Auxiliary load constraints of `h` get
+/// their own side targets with per-level tolerances derived from
+/// [`Config::epsilon_for`].
 pub fn partition_recursive(
     h: &Hypergraph,
     k: usize,
     fixed: &FixedAssignment,
     cfg: &Config,
 ) -> Vec<PartId> {
-    partition_recursive_shares(h, &vec![1; k], fixed, cfg)
-}
-
-/// Recursive bisection toward *non-uniform* part sizes: part `p` targets
-/// `shares[p] / Σ shares` of the total weight (e.g. processor speeds on
-/// a heterogeneous machine). Each bisection splits the share vector, so
-/// the side targets compose correctly at every level.
-///
-/// When [`Config::part_capacities`] is set, the capacity rows override
-/// `shares` for the target computation (column `c` drives constraint
-/// `c`); the share vector then only fixes the part count. Auxiliary
-/// load constraints of `h` get their own side targets with per-level
-/// tolerances derived from [`Config::epsilon_for`].
-pub fn partition_recursive_shares(
-    h: &Hypergraph,
-    shares: &[usize],
-    fixed: &FixedAssignment,
-    cfg: &Config,
-) -> Vec<PartId> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let threads = parallel::resolve_threads(cfg.threads);
     let mut scratch = RefineScratch::new();
-    recursive_bisection(h, shares, fixed, cfg, true, &mut |h, targets, side_fixed| {
-        multilevel(h, targets, side_fixed, cfg, &mut rng, threads, &mut scratch)
+    recursive_bisection(h, k, fixed, cfg, &mut |h, targets, side_fixed| {
+        multilevel(h, side_fixed, &mut Cx::new(None, cfg, targets, &mut rng, &mut scratch))
     })
 }
 
 /// The recursion behind every recursive-bisection entry point, serial
-/// ([`partition_recursive_shares`]) and SPMD
+/// ([`partition_recursive`]) and SPMD
 /// ([`crate::par::parallel_partition_fixed`]): `bisect` runs one
 /// two-way multilevel V-cycle on a sub-hypergraph for the given side
 /// targets and side-fixed vertices; it is called once per bisection, in
-/// pre-order. Everything else — share/capacity side targets, per-level
+/// pre-order. Everything else — capacity side targets, per-level
 /// tolerances, the fixed-part relabeling, the split and the reassembly —
 /// is the same code on both paths.
-///
-/// `split_span` records an `rb.split` span around each split. The SPMD
-/// path turns it off: its traces (rank 0's) have never carried one, and
-/// span counts are compared exactly across commits.
 pub(crate) fn recursive_bisection<B>(
     h: &Hypergraph,
-    shares: &[usize],
+    k: usize,
     fixed: &FixedAssignment,
     cfg: &Config,
-    split_span: bool,
     bisect: &mut B,
 ) -> Vec<PartId>
 where
     B: FnMut(&Hypergraph, &PartTargets, &FixedAssignment) -> Vec<PartId>,
 {
-    let k = shares.len();
     assert!(k > 0, "need at least one part");
-    assert!(shares.iter().all(|&s| s > 0), "shares must be positive");
     let caps = cfg.part_capacities.as_deref();
     if let Some(c) = caps {
         assert_eq!(c.len(), k, "part_capacities must have one row per part");
@@ -114,21 +94,19 @@ where
             .collect(),
         caps,
     };
-    recurse(h, shares, fixed, &side, split_span, bisect)
+    recurse(h, k, fixed, &side, bisect)
 }
 
 fn recurse<B>(
     h: &Hypergraph,
-    shares: &[usize],
+    k: usize,
     fixed: &FixedAssignment,
     side: &SideTargets<'_>,
-    split_span: bool,
     bisect: &mut B,
 ) -> Vec<PartId>
 where
     B: FnMut(&Hypergraph, &PartTargets, &FixedAssignment) -> Vec<PartId>,
 {
-    let k = shares.len();
     if k == 1 {
         return vec![0; h.num_vertices()];
     }
@@ -138,35 +116,27 @@ where
 
     let k0 = k.div_ceil(2);
 
-    // Bisect with side targets proportional to the final part shares
-    // (or, on a heterogeneous machine, to the capacity column sums).
+    // Bisect with side targets proportional to the number of final parts
+    // each side receives (or, on a heterogeneous machine, to the
+    // capacity column sums).
     let side_fixed = fixed.bisection_sides(k0);
-    let share0: usize = shares[..k0].iter().sum();
-    let share1: usize = shares[k0..].iter().sum();
-    let cap_sums = |caps: &[Vec<f64>], c: usize| -> [f64; 2] {
+    let shares = |c: usize| -> [f64; 2] {
         let sum = |rows: &[Vec<f64>]| -> f64 {
             rows.iter().map(|row| row.get(c).copied().unwrap_or(row[0])).sum()
         };
-        [sum(&caps[..k0]), sum(&caps[k0..])]
+        match side.caps {
+            None => [k0 as f64, (k - k0) as f64],
+            Some(caps) => [sum(&caps[..k0]), sum(&caps[k0..])],
+        }
     };
-    let mut targets = match side.caps {
-        None => PartTargets::proportional(h.total_vertex_weight(), &[share0, share1], side.eps),
-        Some(caps) => PartTargets::proportional_f64(
-            h.total_vertex_weight(),
-            &cap_sums(caps, 0),
-            side.eps,
-        ),
-    };
+    let mut targets =
+        PartTargets::proportional_f64(h.total_vertex_weight(), &shares(0), side.eps);
     let arity = h.load_arity();
     if arity > 1 {
         let aux = (1..arity)
             .map(|c| {
                 let eps = side.aux_eps.get(c - 1).copied().unwrap_or(side.eps);
-                let sides = match side.caps {
-                    None => [share0 as f64, share1 as f64],
-                    Some(caps) => cap_sums(caps, c),
-                };
-                AuxTargets::proportional(h.total_load(c), &sides, eps)
+                AuxTargets::proportional(h.total_load(c), &shares(c), eps)
             })
             .collect();
         targets = targets.with_aux(aux);
@@ -177,8 +147,7 @@ where
     // Split into the two induced sub-hypergraphs. Cut nets survive on
     // each side restricted to that side's pins (if at least two remain),
     // the standard way recursive bisection keeps accounting for them.
-    let span = split_span
-        .then(|| dlb_trace::span!("rb.split", vertices = h.num_vertices(), k = k));
+    let span = dlb_trace::span!("rb.split", vertices = h.num_vertices(), k = k);
     let keep0: Vec<bool> = sides.iter().map(|&s| s == 0).collect();
     let keep1: Vec<bool> = sides.iter().map(|&s| s == 1).collect();
     let side0 = induced_subhypergraph(h, &keep0);
@@ -201,10 +170,8 @@ where
         aux_eps: side.aux_eps.clone(),
         caps: side.caps.map(|c| &c[lo..hi]),
     };
-    let part0 =
-        recurse(&side0.hypergraph, &shares[..k0], &fixed0, &sub(0, k0), split_span, bisect);
-    let part1 =
-        recurse(&side1.hypergraph, &shares[k0..], &fixed1, &sub(k0, k), split_span, bisect);
+    let part0 = recurse(&side0.hypergraph, k0, &fixed0, &sub(0, k0), bisect);
+    let part1 = recurse(&side1.hypergraph, k - k0, &fixed1, &sub(k0, k), bisect);
 
     let mut part = vec![0usize; h.num_vertices()];
     for (new_v, &old_v) in side0.to_base.iter().enumerate() {
@@ -270,7 +237,9 @@ mod tests {
         // A 3:1 machine: part 0 should carry ~3/4 of the weight.
         let h = crate::tests::grid_hypergraph(12, 12);
         let fixed = FixedAssignment::free(144);
-        let part = partition_recursive_shares(&h, &[3, 1], &fixed, &Config::seeded(13));
+        let mut cfg = Config::seeded(13);
+        cfg.part_capacities = Some(vec![vec![3.0], vec![1.0]]);
+        let part = partition_recursive(&h, 2, &fixed, &cfg);
         let w = metrics::part_weights(&h, &part, 2);
         assert!((w[0] - 108.0).abs() <= 10.0, "weights {w:?}");
         assert!((w[1] - 36.0).abs() <= 10.0, "weights {w:?}");
@@ -280,7 +249,9 @@ mod tests {
     fn rb_shares_with_three_unequal_parts() {
         let h = crate::tests::grid_hypergraph(10, 10);
         let fixed = FixedAssignment::free(100);
-        let part = partition_recursive_shares(&h, &[2, 1, 1], &fixed, &Config::seeded(14));
+        let mut cfg = Config::seeded(14);
+        cfg.part_capacities = Some(vec![vec![2.0], vec![1.0], vec![1.0]]);
+        let part = partition_recursive(&h, 3, &fixed, &cfg);
         let w = metrics::part_weights(&h, &part, 3);
         assert!((w[0] - 50.0).abs() <= 8.0, "weights {w:?}");
         assert!((w[1] - 25.0).abs() <= 8.0, "weights {w:?}");

@@ -32,6 +32,10 @@ thread_local! {
     static ADOPTED_PARENT: Cell<Option<usize>> = const { Cell::new(None) };
     /// Stack of open span indices on this thread.
     static STACK: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// Generation of the session this thread's world runs under: the
+    /// session's own thread and every rank — recording or muted — of a
+    /// world an enrolled thread forks; 0 otherwise.
+    static WORLD_GEN: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Recorder {
@@ -47,14 +51,17 @@ pub fn enabled() -> bool {
         && ENROLLED_GEN.with(|g| g.get()) == GENERATION.load(Ordering::Relaxed)
 }
 
-/// True when a session is active anywhere in the process, regardless of
-/// this thread's enrollment. SPMD code gating *collective* trace
-/// operations (where every rank must participate or none) must use this
-/// instead of [`enabled`], or muted ranks would skip the collective and
-/// deadlock the world.
+/// True on every rank of an SPMD world that runs under the active
+/// session — the recording rank and the muted ones alike — and on the
+/// session's own thread. SPMD code gating *collective* trace operations
+/// (where every rank must participate or none) must use this instead of
+/// [`enabled`], or muted ranks would skip the collective and deadlock
+/// the world. A world forked outside the session answers `false` on all
+/// its ranks however another thread's session comes and goes meanwhile.
 #[inline]
 pub fn session_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
+        && WORLD_GEN.with(|g| g.get()) == GENERATION.load(Ordering::Relaxed)
 }
 
 /// Adds `n` to a deterministic counter. No-op unless [`enabled`].
@@ -98,6 +105,7 @@ pub fn fork() -> ForkCtx {
 /// one rank of each SPMD world records). Spans opened while the local
 /// stack is empty attach under the forking thread's current span.
 pub fn adopt(ctx: ForkCtx, record: bool) {
+    WORLD_GEN.with(|g| g.set(if ctx.enrolled { ctx.generation } else { 0 }));
     if ctx.enrolled && record && GENERATION.load(Ordering::Relaxed) == ctx.generation {
         ENROLLED_GEN.with(|g| g.set(ctx.generation));
         ADOPTED_PARENT.with(|p| p.set(ctx.parent));
@@ -221,6 +229,7 @@ pub fn session() -> TraceSession {
         spans: Vec::new(),
     });
     ENROLLED_GEN.with(|g| g.set(generation));
+    WORLD_GEN.with(|g| g.set(generation));
     ADOPTED_PARENT.with(|p| p.set(None));
     STACK.with(|s| s.borrow_mut().clear());
     ACTIVE.store(true, Ordering::Relaxed);
@@ -338,6 +347,32 @@ mod tests {
         let names: Vec<&str> = report.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["root", "child"]);
         assert_eq!(report.spans[1].parent, Some(0));
+    }
+
+    /// `session_active` is a property of the world, not of the process:
+    /// both ranks of a world forked under the session see it — the muted
+    /// one too — and a world forked by a thread outside the session sees
+    /// none, while that session is open.
+    #[test]
+    fn session_active_is_the_same_on_every_rank_of_a_world() {
+        let outside = fork();
+        let session = session();
+        let inside = fork();
+        let seen = |ctx: ForkCtx, record: bool| {
+            std::thread::scope(|scope| {
+                let rank = scope.spawn(move || {
+                    adopt(ctx, record);
+                    session_active()
+                });
+                rank.join().unwrap()
+            })
+        };
+        assert!(session_active());
+        assert_eq!([seen(inside, true), seen(inside, false)], [true, true]);
+        assert_eq!([seen(outside, true), seen(outside, false)], [false, false]);
+        session.finish();
+        assert!(!session_active());
+        assert!(!seen(inside, false), "the session the world ran under is over");
     }
 
     #[test]
