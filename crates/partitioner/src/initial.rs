@@ -13,9 +13,6 @@
 //! Fixed coarse vertices are pre-assigned to their parts and never
 //! reconsidered.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use dlb_hypergraph::{metrics, Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,6 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{InitialConfig, PartTargets};
 use crate::fixed::FixedAssignment;
+use crate::heap::Heaps;
 
 const UNASSIGNED: usize = usize::MAX;
 
@@ -79,37 +77,11 @@ impl AuxTracker {
 
 /// Nets larger than this are ignored when computing growing affinities.
 /// A hub net's per-pin contribution (`cost / (s - 1)`) is noise, but its
-/// first scan would flood the frontier heap with thousands of
+/// first scan would flood the frontier with thousands of
 /// equal-affinity pins — power-law coarse levels keep multi-thousand-pin
 /// nets. The same reasoning caps FM delta updates
 /// (`refine::MAX_NET_SIZE_FOR_UPDATES`).
 const MAX_NET_SIZE_FOR_AFFINITY: usize = 400;
-
-/// A heap candidate ordered by affinity (then by vertex id for
-/// determinism).
-struct Cand {
-    affinity: f64,
-    v: usize,
-}
-
-impl PartialEq for Cand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.affinity
-            .total_cmp(&other.affinity)
-            .then_with(|| other.v.cmp(&self.v))
-    }
-}
 
 /// One GHG attempt. Returns a complete assignment.
 fn greedy_growing(
@@ -131,7 +103,11 @@ fn greedy_growing(
     }
 
     let mut aux = AuxTracker::new(h, targets, &part);
-    let mut affinity = vec![0.0f64; n];
+    // The frontier of the part being grown: the unassigned vertices its
+    // nets have reached, keyed by affinity (absent = affinity 0). Keys
+    // are raised in place, so the top is always the highest current
+    // affinity, the lowest id among equals.
+    let mut frontier = Heaps::new(1, n);
     let mut unassigned_order: Vec<usize> = (0..n).filter(|&v| part[v] == UNASSIGNED).collect();
     unassigned_order.shuffle(rng);
     let mut cursor = 0usize; // next random seed candidate
@@ -147,13 +123,11 @@ fn greedy_growing(
     // Grow parts 0..k-1; whatever remains lands in part k-1 (and, if that
     // would overflow, spills to the lightest part).
     for p in 0..k.saturating_sub(1) {
-        // Reset affinities from the previous part.
-        affinity.iter_mut().for_each(|a| *a = 0.0);
-        let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
+        // Affinities to the previous part are void.
+        frontier.clear(0);
 
         let bump_neighbors = |v: usize,
-                              affinity: &mut Vec<f64>,
-                              heap: &mut BinaryHeap<Cand>,
+                              frontier: &mut Heaps,
                               part: &Vec<usize>,
                               net_stamp: &mut Vec<usize>| {
             for &j in h.vertex_nets(v) {
@@ -168,8 +142,7 @@ fn greedy_growing(
                 let contrib = h.net_cost(j) / (size - 1) as f64;
                 for &w in h.net(j) {
                     if part[w] == UNASSIGNED {
-                        affinity[w] += contrib;
-                        heap.push(Cand { affinity: affinity[w], v: w });
+                        frontier.set(0, w, frontier.key(0, w).unwrap_or(0.0) + contrib);
                     }
                 }
             }
@@ -178,30 +151,13 @@ fn greedy_growing(
         // Seed from the part's fixed vertices (their neighborhoods).
         for v in 0..n {
             if fixed.get(v) == Some(p) {
-                bump_neighbors(v, &mut affinity, &mut heap, &part, &mut net_stamp);
+                bump_neighbors(v, &mut frontier, &part, &mut net_stamp);
             }
         }
 
         while weights[p] < targets.target[p] {
-            // Pop the best live candidate; entries are lazy, so skip
-            // assigned or stale ones.
-            let next = loop {
-                match heap.pop() {
-                    Some(c) => {
-                        if part[c.v] != UNASSIGNED {
-                            continue;
-                        }
-                        if (c.affinity - affinity[c.v]).abs() > 1e-12 {
-                            heap.push(Cand { affinity: affinity[c.v], v: c.v });
-                            continue;
-                        }
-                        break Some(c.v);
-                    }
-                    None => break None,
-                }
-            };
-            let v = match next {
-                Some(v) => v,
+            let v = match frontier.pop(0) {
+                Some((v, _)) => v,
                 None => {
                     // Frontier exhausted: restart from a random seed.
                     while cursor < unassigned_order.len()
@@ -218,7 +174,7 @@ fn greedy_growing(
             part[v] = p;
             weights[p] += h.vertex_weight(v);
             aux.add(h, v, p);
-            bump_neighbors(v, &mut affinity, &mut heap, &part, &mut net_stamp);
+            bump_neighbors(v, &mut frontier, &part, &mut net_stamp);
         }
     }
 
@@ -435,6 +391,8 @@ pub fn initial_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
     fn targets(h: &Hypergraph, k: usize) -> PartTargets {
         PartTargets::uniform(h.total_vertex_weight(), k, 0.05)
@@ -564,6 +522,227 @@ mod tests {
         let w = metrics::part_weights(&h, &part, 2);
         assert!(w[0] <= t.cap(0) + 1.0, "part 0 overfull: {w:?}");
         assert!(w[1] > 0.0, "spill must land somewhere: {w:?}");
+    }
+
+    /// A heap candidate ordered by affinity (then by vertex id for
+    /// determinism).
+    struct Cand {
+        affinity: f64,
+        v: usize,
+    }
+
+    impl PartialEq for Cand {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for Cand {}
+    impl PartialOrd for Cand {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Cand {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.affinity
+                .total_cmp(&other.affinity)
+                .then_with(|| other.v.cmp(&self.v))
+        }
+    }
+
+
+    /// [`greedy_growing`] as it was before the frontier became an addressable
+    /// heap, kept as its reference: a `BinaryHeap` that gets one more entry
+    /// for every affinity bump, and pops that skip assigned vertices and
+    /// re-push entries whose affinity has moved on.
+    fn greedy_growing_lazy(
+        h: &Hypergraph,
+        targets: &PartTargets,
+        fixed: &FixedAssignment,
+        rng: &mut StdRng,
+    ) -> Vec<PartId> {
+        let n = h.num_vertices();
+        let k = targets.k();
+        let mut part = vec![UNASSIGNED; n];
+        let mut weights = vec![0.0f64; k];
+        for v in 0..n {
+            if let Some(p) = fixed.get(v) {
+                part[v] = p;
+                weights[p] += h.vertex_weight(v);
+            }
+        }
+
+        let mut aux = AuxTracker::new(h, targets, &part);
+        let mut affinity = vec![0.0f64; n];
+        let mut unassigned_order: Vec<usize> = (0..n).filter(|&v| part[v] == UNASSIGNED).collect();
+        unassigned_order.shuffle(rng);
+        let mut cursor = 0usize; // next random seed candidate
+
+        // Each net distributes its affinity once per grown part, when its
+        // first pin is absorbed; absorbing further pins of the same net adds
+        // nothing. Rescanning on every absorption instead would cost
+        // `O(size^2)` per net and part — quadratic whenever coarsening
+        // stalls on a large power-law level. `net_stamp[j] == p` marks net
+        // `j` as spent for part `p`.
+        let mut net_stamp = vec![usize::MAX; h.num_nets()];
+
+        // Grow parts 0..k-1; whatever remains lands in part k-1 (and, if that
+        // would overflow, spills to the lightest part).
+        for p in 0..k.saturating_sub(1) {
+            // Reset affinities from the previous part.
+            affinity.iter_mut().for_each(|a| *a = 0.0);
+            let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
+
+            let bump_neighbors = |v: usize,
+                                  affinity: &mut Vec<f64>,
+                                  heap: &mut BinaryHeap<Cand>,
+                                  part: &Vec<usize>,
+                                  net_stamp: &mut Vec<usize>| {
+                for &j in h.vertex_nets(v) {
+                    if net_stamp[j] == p {
+                        continue;
+                    }
+                    net_stamp[j] = p;
+                    let size = h.net_size(j);
+                    if !(2..=MAX_NET_SIZE_FOR_AFFINITY).contains(&size) {
+                        continue;
+                    }
+                    let contrib = h.net_cost(j) / (size - 1) as f64;
+                    for &w in h.net(j) {
+                        if part[w] == UNASSIGNED {
+                            affinity[w] += contrib;
+                            heap.push(Cand { affinity: affinity[w], v: w });
+                        }
+                    }
+                }
+            };
+
+            // Seed from the part's fixed vertices (their neighborhoods).
+            for v in 0..n {
+                if fixed.get(v) == Some(p) {
+                    bump_neighbors(v, &mut affinity, &mut heap, &part, &mut net_stamp);
+                }
+            }
+
+            while weights[p] < targets.target[p] {
+                // Pop the best live candidate; entries are lazy, so skip
+                // assigned or stale ones.
+                let next = loop {
+                    match heap.pop() {
+                        Some(c) => {
+                            if part[c.v] != UNASSIGNED {
+                                continue;
+                            }
+                            if (c.affinity - affinity[c.v]).abs() > 1e-12 {
+                                heap.push(Cand { affinity: affinity[c.v], v: c.v });
+                                continue;
+                            }
+                            break Some(c.v);
+                        }
+                        None => break None,
+                    }
+                };
+                let v = match next {
+                    Some(v) => v,
+                    None => {
+                        // Frontier exhausted: restart from a random seed.
+                        while cursor < unassigned_order.len()
+                            && part[unassigned_order[cursor]] != UNASSIGNED
+                        {
+                            cursor += 1;
+                        }
+                        match unassigned_order.get(cursor) {
+                            Some(&v) => v,
+                            None => break, // nothing left anywhere
+                        }
+                    }
+                };
+                part[v] = p;
+                weights[p] += h.vertex_weight(v);
+                aux.add(h, v, p);
+                bump_neighbors(v, &mut affinity, &mut heap, &part, &mut net_stamp);
+            }
+        }
+
+        // Remainder goes to the last part unless that would bust its cap
+        // (on any constraint) and some lighter part can take it.
+        for v in 0..n {
+            if part[v] == UNASSIGNED {
+                let w = h.vertex_weight(v);
+                let last = k - 1;
+                let p = if weights[last] + w <= targets.cap(last) && aux.fits(h, targets, v, last) {
+                    last
+                } else {
+                    (0..k)
+                        .min_by(|&a, &b| {
+                            (weights[a] + w - targets.target[a])
+                                .total_cmp(&(weights[b] + w - targets.target[b]))
+                        })
+                        .unwrap()
+                };
+                part[v] = p;
+                weights[p] += w;
+                aux.add(h, v, p);
+            }
+        }
+        part
+    }
+
+    /// (d) The frontier with keys raised in place absorbs the vertices the
+    /// lazy heap did, in the same order: affinities only rise and every rise
+    /// pushed the risen key, so the first entry of a vertex to surface was
+    /// always its newest. Uniform and power-law instances (the latter with
+    /// nets above `MAX_NET_SIZE_FOR_AFFINITY`), zero-cost nets, about a
+    /// fifth of the vertices fixed, scalar and arity-2 loads, k 2–6.
+    #[test]
+    fn ghg_equals_the_lazy_heap_reference() {
+        let mut rng = StdRng::seed_from_u64(0x6846);
+        for case in 0..24 {
+            let power_law = case % 3 == 2;
+            let n = if power_law { rng.gen_range(450usize..700) } else { rng.gen_range(20usize..200) };
+            let k = rng.gen_range(2usize..7);
+            let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+            for _ in 0..rng.gen_range(n..3 * n) {
+                // Power law: a net's size is 2 / u for uniform u, capped at n
+                // — a few nets hold most of the vertices.
+                let size = if power_law {
+                    ((2.0 / rng.gen_range(0.0f64..1.0).max(1e-3)) as usize).min(n)
+                } else {
+                    rng.gen_range(2usize..6)
+                };
+                let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
+                let cost = if rng.gen_bool(0.1) { 0.0 } else { f64::from(rng.gen_range(1u32..5)) };
+                b.add_net(cost, pins);
+            }
+            if power_law {
+                // One hub no draw can miss.
+                b.add_net(3.0, (0..n).filter(|v| v % 10 != 0));
+            }
+            for v in 0..n {
+                b.set_vertex_weight(v, f64::from(rng.gen_range(1u32..4)));
+            }
+            let mut h = b.build();
+            if power_law {
+                let largest = (0..h.num_nets()).map(|j| h.net_size(j)).max().unwrap();
+                assert!(largest > MAX_NET_SIZE_FOR_AFFINITY, "case {case}: largest net {largest}");
+            }
+            let mut t = PartTargets::uniform(h.total_vertex_weight(), k, 0.05);
+            if case % 4 == 3 {
+                let second: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0u32..5))).collect();
+                let total = second.iter().sum();
+                let columns = vec![h.loads().scalar().to_vec(), second];
+                h.set_loads(dlb_hypergraph::VertexLoads::from_columns(columns));
+                t = t.with_aux(vec![dlb_hypergraph::AuxTargets::uniform(total, k, 0.2)]);
+            }
+            let opts: Vec<Option<PartId>> =
+                (0..n).map(|_| rng.gen_bool(0.2).then(|| rng.gen_range(0..k))).collect();
+            let fixed = FixedAssignment::from_options(&opts);
+            for attempt in 0..3u64 {
+                let grown = greedy_growing(&h, &t, &fixed, &mut StdRng::seed_from_u64(attempt));
+                let lazy = greedy_growing_lazy(&h, &t, &fixed, &mut StdRng::seed_from_u64(attempt));
+                assert_eq!(grown, lazy, "case {case} (n {n}, k {k}), attempt {attempt}");
+            }
+        }
     }
 
     #[test]

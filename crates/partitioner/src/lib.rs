@@ -51,6 +51,7 @@
 pub mod coarsen;
 pub mod config;
 pub mod fixed;
+mod heap;
 pub mod initial;
 pub mod kway;
 pub mod matching;

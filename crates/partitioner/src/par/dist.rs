@@ -756,24 +756,26 @@ fn apply_global(
 type MoveProp = (usize, PartId, PartId, f64, Vec<f64>);
 
 /// [`CommitMove`] for a distributed level: each rank's best evacuation
-/// covers only the block it stores (ascending, like the replicated
-/// scan), so the level-wide best is the allreduce maximum with the
-/// replicated tie-break (higher gain, then lower vertex id), applied
-/// collectively.
+/// covers only the block it stores, so the level-wide best is the
+/// allreduce maximum with the replicated tie-break (higher gain, then
+/// lower vertex id), applied collectively — through
+/// [`PartitionState::shift`] on every rank, which is how each rank's
+/// evacuation queues hear of a move another rank's candidate won.
 struct Collective<'c> {
     comm: &'c mut Comm,
     halo: &'c mut GhostHalo<PartId>,
 }
 
 impl<'a> CommitMove<&'a DistLevel> for Collective<'_> {
-    type Move = MoveProp;
+    /// The mover's weight and auxiliary loads, which only its owner holds.
+    type Undo = (f64, Vec<f64>);
 
     fn commit(
         &mut self,
         state: &mut DistState<'a>,
         from: PartId,
         local: Option<(usize, PartId, f64)>,
-    ) -> Option<MoveProp> {
+    ) -> Option<(usize, PartId, Self::Undo)> {
         let level = state.view;
         let entry: (f64, usize, usize, f64, Vec<f64>) = match local {
             Some((v, q, g)) => (g, v, q, level.weight(v), level.aux_of(v)),
@@ -798,10 +800,17 @@ impl<'a> CommitMove<&'a DistLevel> for Collective<'_> {
             return None;
         }
         apply_global(self.comm, state, self.halo, v, from, q, w, &aux_vals);
-        Some((v, from, q, w, aux_vals))
+        Some((v, q, (w, aux_vals)))
     }
 
-    fn revert(&mut self, state: &mut DistState<'a>, (v, from, to, w, aux_vals): MoveProp) {
+    fn revert(
+        &mut self,
+        state: &mut DistState<'a>,
+        v: usize,
+        from: PartId,
+        to: PartId,
+        (w, aux_vals): Self::Undo,
+    ) {
         apply_global(self.comm, state, self.halo, v, to, from, w, &aux_vals);
     }
 }
@@ -1249,6 +1258,224 @@ mod tests {
                 assert_eq!(gains_of_0, [3.0 + 1.0, 1.0]);
             }
         });
+    }
+
+    /// [`Collective`], keeping the evacuations it makes and counting the
+    /// ones won by a candidate this rank had popped for an earlier
+    /// evacuation and lost the all-reduce with.
+    struct Watching<'c> {
+        inner: Collective<'c>,
+        made: Vec<(usize, PartId)>,
+        lost: Vec<usize>,
+        won_after_losing: usize,
+    }
+
+    impl<'a> CommitMove<&'a DistLevel> for Watching<'_> {
+        type Undo = (f64, Vec<f64>);
+        fn commit(
+            &mut self,
+            state: &mut DistState<'a>,
+            from: PartId,
+            local: Option<(usize, PartId, f64)>,
+        ) -> Option<(usize, PartId, Self::Undo)> {
+            let made = self.inner.commit(state, from, local)?;
+            self.made.push((made.0, made.1));
+            match local {
+                Some((v, ..)) if v != made.0 => self.lost.push(v),
+                Some((v, ..)) => self.won_after_losing += usize::from(self.lost.contains(&v)),
+                None => {}
+            }
+            Some(made)
+        }
+        fn revert(
+            &mut self,
+            state: &mut DistState<'a>,
+            v: usize,
+            from: PartId,
+            to: PartId,
+            undo: Self::Undo,
+        ) {
+            self.made.pop();
+            self.inner.revert(state, v, from, to, undo)
+        }
+    }
+
+    /// `rebalance` on a distributed level makes the evacuations it makes
+    /// on a replicated one, in the same order, and leaves the same parts
+    /// and the same weight bits — ranks 1–4, on every row of
+    /// `refine::tests::rebalance_cases` (integer and fractional costs,
+    /// weights 1–16, fixed vertices, k 2–6, the fallback destination).
+    /// Each rank pops candidates from its own block only, so at two or
+    /// more ranks most evacuations are won by another rank's candidate
+    /// than the one a rank popped: it must be back in that rank's queue,
+    /// which shows when it wins a later evacuation.
+    #[test]
+    fn dist_rebalance_equals_replicated_rebalance() {
+        use crate::refine::tests::{rebalance_cases, Recording};
+        use crate::view::Replicated;
+        for case in rebalance_cases() {
+            let (h, fixed, targets) = (&case.h, &case.fixed, &case.targets);
+            let k = targets.k();
+            let whole = Replicated::whole(h, fixed);
+            let mut reference = PartitionState::<Replicated<'_>>::new(whole, k, case.part.clone());
+            let mut recording = Recording(Vec::new());
+            rebalance(&mut reference, targets, &mut MoveScratch::new(k), &mut recording);
+
+            for ranks in 1usize..=4 {
+                let per_rank = run_spmd(ranks, |comm| {
+                    let level = DistLevel::from_replicated(h, fixed, comm.rank(), ranks);
+                    let owned = level.dh.my_range();
+                    let mut halo = GhostHalo::new(GhostExchange::build(comm, &level.dh), owned.len());
+                    let mut state =
+                        DistState::new(comm, &mut halo, &level, k, case.part[owned].to_vec());
+                    let mut watching = Watching {
+                        inner: Collective { comm: &mut *comm, halo: &mut halo },
+                        made: Vec::new(),
+                        lost: Vec::new(),
+                        won_after_losing: 0,
+                    };
+                    rebalance(&mut state, targets, &mut MoveScratch::new(k), &mut watching);
+                    let Watching { made, won_after_losing, .. } = watching;
+                    (made, comm.allgather(state.part).concat(), state.weights, won_after_losing)
+                });
+                let mut won_after_losing = 0;
+                for (made, part, weights, won) in per_rank {
+                    assert_eq!(made, recording.0, "{} ranks={ranks}", case.name);
+                    assert_eq!(part, reference.part, "{} ranks={ranks}", case.name);
+                    assert_eq!(weights, reference.weights, "{} ranks={ranks}", case.name);
+                    won_after_losing += won;
+                }
+                if ranks > 1 && recording.0.len() >= 20 {
+                    assert!(won_after_losing > 0, "{} ranks={ranks}: no loser ever won", case.name);
+                }
+            }
+        }
+    }
+
+    /// `part` refined every way a level is: by the serial refiner, and by
+    /// `par_refine` and `dist_refine` on 2 and 4 ranks (every rank's
+    /// answer, a distributed one all-gathered).
+    fn refined_every_way(
+        h: &Hypergraph,
+        fixed: &FixedAssignment,
+        targets: &PartTargets,
+        part: &[PartId],
+    ) -> Vec<(String, Vec<PartId>)> {
+        let cfg = RefinementConfig::default();
+        let mut serial = part.to_vec();
+        crate::refine::refine(h, targets, fixed, &mut serial, &cfg, &mut StdRng::seed_from_u64(1));
+        let mut out = vec![("serial".to_string(), serial)];
+        for ranks in [2usize, 4] {
+            let replicated = run_spmd(ranks, |comm| {
+                let mut part = part.to_vec();
+                let mut rng = StdRng::seed_from_u64(1);
+                crate::par::refine::par_refine(comm, h, targets, fixed, &mut part, &cfg, &mut rng);
+                part
+            });
+            let distributed = run_spmd(ranks, |comm| {
+                let level = DistLevel::from_replicated(h, fixed, comm.rank(), ranks);
+                let mut mine = part[level.dh.my_range()].to_vec();
+                dist_refine(comm, &level, targets, &mut mine, &cfg, &mut StdRng::seed_from_u64(1));
+                comm.allgather(mine).concat()
+            });
+            for (form, answers) in [("replicated", replicated), ("distributed", distributed)] {
+                for (rank, part) in answers.into_iter().enumerate() {
+                    out.push((format!("{form}, rank {rank} of {ranks}"), part));
+                }
+            }
+        }
+        out
+    }
+
+    /// Part weights of `part`, and how far they are above the caps in
+    /// total.
+    fn weights_and_violation(h: &Hypergraph, targets: &PartTargets, part: &[PartId]) -> (Vec<f64>, f64) {
+        let weights = dlb_hypergraph::metrics::part_weights(h, part, targets.k());
+        let over = weights.iter().enumerate().map(|(p, &w)| (w - targets.cap(p)).max(0.0)).sum();
+        (weights, over)
+    }
+
+    /// A free vertex of weight zero is no evacuation candidate, however
+    /// good its gain: moving it relieves nothing, and picking it used to
+    /// end `rebalance` with the part still over its cap. Vertices 8 and 9
+    /// are weightless and have the best gain out of part 0 (their one net
+    /// goes to vertex 10, alone in part 1); the chain 0–7 can follow
+    /// vertex 7 across at no cost.
+    #[test]
+    fn rebalance_passes_over_weightless_vertices() {
+        let instance = |weight_of_10: f64| {
+            let mut b = dlb_hypergraph::HypergraphBuilder::new(11);
+            b.add_net(1.0, [8, 10]);
+            b.add_net(1.0, [9, 10]);
+            for v in 0..7 {
+                b.add_net(1.0, [v, v + 1]);
+            }
+            b.add_net(1.0, [7, 10]);
+            b.set_vertex_weight(8, 0.0);
+            b.set_vertex_weight(9, 0.0);
+            b.set_vertex_weight(10, weight_of_10);
+            b.build()
+        };
+        let part: Vec<PartId> = (0..11).map(|v| usize::from(v == 10)).collect();
+        let fixed = FixedAssignment::free(11);
+
+        // Total weight 10, caps 5.25: three of the chain leave and both
+        // parts end under their caps.
+        let h = instance(2.0);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), 2, 0.05);
+        for (how, refined) in refined_every_way(&h, &fixed, &targets, &part) {
+            let (weights, over) = weights_and_violation(&h, &targets, &refined);
+            assert_eq!(over, 0.0, "{how}: weights {weights:?}");
+        }
+        // Total weight 9, caps 4.725 (weights [8, 1] before the fix): no
+        // split of nine unit weights fits, five against four is the
+        // nearest, and it is reached.
+        let h = instance(1.0);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), 2, 0.05);
+        for (how, refined) in refined_every_way(&h, &fixed, &targets, &part) {
+            let (mut weights, _) = weights_and_violation(&h, &targets, &refined);
+            weights.sort_by(f64::total_cmp);
+            assert_eq!(weights, [4.0, 5.0], "{how}");
+        }
+    }
+
+    /// Inputs `rebalance` cannot make feasible — part of ROADMAP item
+    /// 5(b): it terminates without a panic, moves no fixed vertex and
+    /// never leaves the caps exceeded by more in total than it found
+    /// them, on every form.
+    #[test]
+    fn rebalance_survives_parts_it_cannot_relieve() {
+        let grid = crate::tests::grid_hypergraph(6, 6);
+        let mut cases: Vec<(&str, Hypergraph, FixedAssignment, Vec<PartId>, PartTargets)> = Vec::new();
+
+        // Every member of the overweight part is fixed there.
+        let part: Vec<PartId> = (0..36).map(|v| usize::from(v >= 27)).collect();
+        let mut fixed = FixedAssignment::free(36);
+        (0..27).for_each(|v| fixed.fix(v, 0));
+        cases.push(("all fixed", grid.clone(), fixed, part, PartTargets::uniform(36.0, 2, 0.05)));
+
+        // One vertex heavier than any cap.
+        let mut h = crate::tests::random_hypergraph(40, 80, 4, 13);
+        h.set_vertex_weight(7, 100.0);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), 3, 0.05);
+        let part: Vec<PartId> = (0..40).map(|v| v % 3).collect();
+        cases.push(("heavy vertex", h, FixedAssignment::free(40), part, targets));
+
+        // Both parts of a bisection above their caps: the targets cover
+        // 70 % of the weight.
+        let part: Vec<PartId> = (0..36).map(|v| usize::from(v >= 20)).collect();
+        let targets = PartTargets::uniform(0.7 * 36.0, 2, 0.05);
+        cases.push(("both over", grid, FixedAssignment::free(36), part, targets));
+
+        for (name, h, fixed, part, targets) in &cases {
+            let (_, before) = weights_and_violation(h, targets, part);
+            assert!(before > 0.0, "{name}: nothing to relieve");
+            for (how, refined) in refined_every_way(h, fixed, targets, part) {
+                let (weights, after) = weights_and_violation(h, targets, &refined);
+                assert!(after <= before + 1e-9, "{name}, {how}: {before} -> {after} ({weights:?})");
+                assert!(fixed.is_respected_by(&refined), "{name}, {how}");
+            }
+        }
     }
 
     /// Same check on an irregular hypergraph with fixed vertices and a

@@ -50,6 +50,12 @@
 //! (under 0.1 % of evaluations on the cage workload). And under
 //! `debug_assertions` every table answer is checked against it.
 //!
+//! **The row log.** `rebalance` keeps, per part it evacuates, a heap of
+//! candidates keyed by a bound read from their rows (`EvacuationQueues`),
+//! so it must hear of every row write: while it listens, `shift` appends
+//! the stored vertices whose row it writes to a log on the state. Nobody
+//! else listens; for them the log is one untaken branch.
+//!
 //! On a distributed level (`par::dist`) a rank keeps rows for the block
 //! it stores; `shift` runs for its own moves, for ghost movers on the
 //! nets it owns (halo triples) and for the stub events net owners send —
@@ -74,6 +80,7 @@ use rand::seq::SliceRandom;
 
 use crate::config::{PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
+use crate::heap::Heaps;
 use crate::view::{LevelView, Replicated};
 
 /// Nets larger than this do not trigger neighbor re-queues after a move;
@@ -129,6 +136,12 @@ pub(crate) struct PartitionState<V> {
     /// partial sum is an exactly represented integer whatever the order
     /// of the updates) instead of marking it.
     exact: bool,
+    /// While someone listens (`Some`): the stored vertices whose table
+    /// row [`Self::shift`] has written since the listener last drained
+    /// it, in write order, repeats included — what a structure keyed by
+    /// table rows has to re-read. [`rebalance`] listens for its queues;
+    /// for everyone else the log is the one `None` branch in `shift`.
+    row_log: Option<Vec<usize>>,
     /// Table work since the build, for whoever reports it.
     pub(crate) tally: GainTally,
 }
@@ -145,8 +158,10 @@ pub(crate) struct GainTally {
     /// Evaluations whose winner depended on candidate order and went to
     /// the scan.
     pub(crate) scan_fallbacks: u64,
-    /// Vertices `rebalance` evaluated as evacuation candidates.
+    /// Vertices `rebalance` popped and evaluated as evacuation candidates.
     pub(crate) rebalance_candidates: u64,
+    /// Evacuations `rebalance` committed and kept.
+    pub(crate) rebalance_moves: u64,
 }
 
 impl GainTally {
@@ -156,6 +171,7 @@ impl GainTally {
         dlb_trace::count(Counter::GainResums, self.resums);
         dlb_trace::count(Counter::GainScanFallbacks, self.scan_fallbacks);
         dlb_trace::count(Counter::RebalanceCandidatesScanned, self.rebalance_candidates);
+        dlb_trace::count(Counter::RebalanceMoves, self.rebalance_moves);
     }
 }
 
@@ -325,6 +341,7 @@ impl<V: LevelView> PartitionState<V> {
             part,
             table,
             exact,
+            row_log: None,
             tally: GainTally::default(),
         }
     }
@@ -365,7 +382,8 @@ impl<V: LevelView> PartitionState<V> {
     ///   `benefit -= c`.
     ///
     /// "`-=`/`+=`" is literal on a level with exact costs and a mark
-    /// otherwise. `mover` is the vertex whose pin moves if this rank
+    /// otherwise; either way the pin is appended to the row log if
+    /// someone listens. `mover` is the vertex whose pin moves if this rank
     /// stores it (any id it does not store otherwise): the last two
     /// rules single out a pin *other* than the mover, whose own benefit
     /// [`Self::apply`] re-sums. That pin may be a ghost here, or, under
@@ -402,6 +420,9 @@ impl<V: LevelView> PartitionState<V> {
                     bump(&mut row[to], c);
                 }
             }
+            if let Some(log) = &mut self.row_log {
+                log.extend(view.pins(j).iter().filter(|&u| stored.contains(u)));
+            }
         }
         let mut singled_out = u32::from(left == 1) + u32::from(arrived == 2);
         for &u in view.pins(j) {
@@ -418,6 +439,9 @@ impl<V: LevelView> PartitionState<V> {
                 _ => continue,
             };
             bump(&mut self.table[s * (k + 1) + k], delta);
+            if let Some(log) = &mut self.row_log {
+                log.push(u);
+            }
             singled_out -= 1;
         }
     }
@@ -847,42 +871,176 @@ fn most_overweight(weights: &[f64], targets: &PartTargets) -> Option<PartId> {
         .max_by(|&a, &b| (weights[a] - targets.cap(a)).total_cmp(&(weights[b] - targets.cap(b))))
 }
 
-/// The cheapest vertex to evacuate from `p` among `members` (the free
-/// vertices of `p` this rank stores, in any order), as its index in
-/// `members` and `(vertex, destination, gain)`: best gain to any part
-/// with spare capacity, falling back to the relatively lightest part;
-/// the lowest id among equals. `None` when `members` is empty.
-fn best_evacuation<V: LevelView>(
+/// Whether stored vertex `v` may be evacuated: free, and of positive
+/// weight — moving a weightless vertex relieves nothing, so picking one
+/// would only end the loop on its "no progress" test while heavier
+/// members could still leave.
+#[inline]
+fn evacuable<V: LevelView>(view: V, v: usize) -> bool {
+    view.fixed(v).is_none() && view.weight(v) > 0.0
+}
+
+/// What evacuating stored vertex `v` from `p` does, as `(destination,
+/// gain)`: its best move to a part with spare capacity, falling back to
+/// the relatively lightest part. Both depend on the part weights, so the
+/// value can rise or fall with no change to `v`'s table row.
+fn evacuation<V: LevelView>(
     state: &mut PartitionState<V>,
-    members: &[usize],
+    v: usize,
     p: PartId,
     targets: &PartTargets,
     scratch: &mut MoveScratch,
-) -> Option<(usize, (usize, PartId, f64))> {
-    state.tally.rebalance_candidates += members.len() as u64;
-    let mut best: Option<(usize, (usize, PartId, f64))> = None;
-    for (i, &v) in members.iter().enumerate() {
-        debug_assert!(state.part_of(v) == p && state.view.fixed(v).is_none());
-        // Most members are interior and cannot reach the best so far.
-        if best.is_some_and(|(_, (_, _, bg))| state.max_gain(v) < bg) {
-            continue;
-        }
-        let (q, g) = state.best_move(v, targets, scratch).unwrap_or_else(|| {
-            // No adjacent feasible part: move toward the part with the
-            // most spare relative capacity.
-            let w = state.view.weight(v);
-            let rel = |q: PartId| (state.weights[q] + w) / targets.target[q].max(1e-12);
-            let q = (0..state.k)
-                .filter(|&q| q != p)
-                .min_by(|&a, &b| rel(a).total_cmp(&rel(b)))
-                .expect("rebalancing needs a second part");
-            (q, state.gain(v, q))
-        });
-        if best.is_none_or(|(_, (bv, _, bg))| g > bg || (g == bg && v < bv)) {
-            best = Some((i, (v, q, g)));
+) -> (PartId, f64) {
+    state.best_move(v, targets, scratch).unwrap_or_else(|| {
+        // No adjacent feasible part: move toward the part with the
+        // most spare relative capacity.
+        let w = state.view.weight(v);
+        let rel = |q: PartId| (state.weights[q] + w) / targets.target[q].max(1e-12);
+        let q = (0..state.k)
+            .filter(|&q| q != p)
+            .min_by(|&a, &b| rel(a).total_cmp(&rel(b)))
+            .expect("rebalancing needs a second part");
+        (q, state.gain(v, q))
+    })
+}
+
+/// The cheapest vertex to evacuate from `p` by walking every stored
+/// vertex, as `(vertex, destination, gain)`: the highest
+/// [`evacuation`] gain, the lowest id among equals. What
+/// [`EvacuationQueues::best`] must answer — its oracle on every pick
+/// under `debug_assertions`, the role `scan_best_move` has for the
+/// table. Counts nothing. (Every row it reads the queues have re-read
+/// since it was last written, so it re-sums nothing either.)
+#[cfg(debug_assertions)]
+fn best_evacuation<V: LevelView>(
+    state: &mut PartitionState<V>,
+    p: PartId,
+    targets: &PartTargets,
+    scratch: &mut MoveScratch,
+) -> Option<(usize, PartId, f64)> {
+    let tally = state.tally;
+    let mut best: Option<(usize, PartId, f64)> = None;
+    for v in state.view.stored() {
+        if state.part_of(v) == p && evacuable(state.view, v) {
+            let (q, g) = evacuation(state, v, p, targets, scratch);
+            if best.is_none_or(|(_, _, bg)| g > bg) {
+                best = Some((v, q, g));
+            }
         }
     }
+    state.tally = tally;
     best
+}
+
+/// The evacuation candidates this rank stores, one max-heap per part,
+/// keyed by [`PartitionState::max_gain`] — an **upper bound** of the
+/// candidate's [`evacuation`] gain, not the gain. The gain cannot be the
+/// key: destination feasibility and the fallback destination move with
+/// the part weights, so a gain can rise while nothing tells the heap, and
+/// a stale entry would hide the vertex that has become the best. The
+/// bound reads the table row and the vertex's part only, both of which
+/// change in [`PartitionState::shift`] and `apply` alone; [`Self::follow`]
+/// re-keys from the row log after every move, so every key is exactly
+/// the current bound and popping in key order until the bound falls
+/// below the best gain found finds what walking the part would.
+struct EvacuationQueues {
+    /// Heap `p` holds, by slot, the [`evacuable`] stored vertices of part
+    /// `p` — once `built[p]`; empty until then.
+    heaps: Heaps,
+    /// Parts that have been the most overweight one. Only their heaps are
+    /// filled and followed: most parts never need evacuating.
+    built: Vec<bool>,
+    /// What one [`Self::best`] popped, until it puts them back.
+    examined: Vec<(usize, f64)>,
+}
+
+impl EvacuationQueues {
+    /// Empty queues for `state`, which logs its row writes from now on.
+    fn listen<V: LevelView>(state: &mut PartitionState<V>) -> Self {
+        state.row_log = Some(Vec::new());
+        EvacuationQueues {
+            heaps: Heaps::new(state.k, state.view.stored().len()),
+            built: vec![false; state.k],
+            examined: Vec::new(),
+        }
+    }
+
+    /// Fills part `p`'s heap the first time the part needs evacuating.
+    fn build<V: LevelView>(&mut self, state: &mut PartitionState<V>, p: PartId) {
+        if std::mem::replace(&mut self.built[p], true) {
+            return;
+        }
+        for v in state.view.stored() {
+            if state.part_of(v) == p && evacuable(state.view, v) {
+                self.heaps.set(p, state.view.slot(v), state.max_gain(v));
+            }
+        }
+    }
+
+    /// The cheapest vertex to evacuate from `p` among those this rank
+    /// stores, as `(vertex, destination, gain)`: the highest
+    /// [`evacuation`] gain, the lowest id among equals; `None` when the
+    /// rank stores no candidate. Pops while the top's bound can still
+    /// beat the best found — candidates surface by descending bound,
+    /// ascending id among equal bounds, so once the top cannot, nothing
+    /// under it can — and puts what it popped back: on a distributed
+    /// level another rank's candidate may be the one that moves.
+    fn best<V: LevelView>(
+        &mut self,
+        state: &mut PartitionState<V>,
+        p: PartId,
+        targets: &PartTargets,
+        scratch: &mut MoveScratch,
+    ) -> Option<(usize, PartId, f64)> {
+        let start = state.view.stored().start;
+        let mut best: Option<(usize, PartId, f64)> = None;
+        while let Some((slot, bound)) = self.heaps.peek(p) {
+            let v = start + slot;
+            if best.is_some_and(|(bv, _, bg)| bound < bg || (bound == bg && v > bv)) {
+                break;
+            }
+            self.heaps.pop(p);
+            self.examined.push((slot, bound));
+            state.tally.rebalance_candidates += 1;
+            let (q, g) = evacuation(state, v, p, targets, scratch);
+            debug_assert!(g <= bound, "vertex {v}: gain {g} above its bound {bound}");
+            if best.is_none_or(|(bv, _, bg)| g > bg || (g == bg && v < bv)) {
+                best = Some((v, q, g));
+            }
+        }
+        for (slot, bound) in self.examined.drain(..) {
+            self.heaps.set(p, slot, bound);
+        }
+        best
+    }
+
+    /// Carries the committed move of `v` from `from` to `to` (made here
+    /// or on another rank) into the queues: the mover changes heaps if
+    /// this rank stores it, and every queued vertex whose row the move
+    /// wrote is re-keyed (drains the row log; reading the bound re-sums a
+    /// row a non-integer level marked).
+    fn follow<V: LevelView>(
+        &mut self,
+        state: &mut PartitionState<V>,
+        v: usize,
+        from: PartId,
+        to: PartId,
+    ) {
+        let view = state.view;
+        if view.stored().contains(&v) && self.heaps.contains(view.slot(v)) {
+            self.heaps.remove(from, view.slot(v));
+            if self.built[to] {
+                self.heaps.set(to, view.slot(v), state.max_gain(v));
+            }
+        }
+        let mut log = state.row_log.take().expect("rebalance is listening");
+        for u in log.drain(..) {
+            if self.heaps.contains(view.slot(u)) {
+                self.heaps.set(state.part_of(u), view.slot(u), state.max_gain(u));
+            }
+        }
+        state.row_log = Some(log);
+    }
 }
 
 /// How a level makes the move a rebalance step chose — the one thing
@@ -891,36 +1049,44 @@ fn best_evacuation<V: LevelView>(
 /// move and applies it: [`Lockstep`]); on a distributed level the ranks'
 /// picks are reduced to one and the move is applied collectively.
 pub(crate) trait CommitMove<V> {
-    /// What `revert` needs to take a committed move back.
-    type Move;
+    /// What `revert` needs, besides the move, to take it back.
+    type Undo;
     /// Makes the level-wide best of the ranks' `local` evacuations out
-    /// of `from`; `None` (nothing made) when no rank has one.
+    /// of `from` and returns it as `(vertex, destination, undo)`; `None`
+    /// (nothing made) when no rank has one.
     fn commit(
         &mut self,
         state: &mut PartitionState<V>,
         from: PartId,
         local: Option<(usize, PartId, f64)>,
-    ) -> Option<Self::Move>;
-    /// Takes `made` back.
-    fn revert(&mut self, state: &mut PartitionState<V>, made: Self::Move);
+    ) -> Option<(usize, PartId, Self::Undo)>;
+    /// Takes `v`, which `commit` moved from `from` to `to`, back.
+    fn revert(
+        &mut self,
+        state: &mut PartitionState<V>,
+        v: usize,
+        from: PartId,
+        to: PartId,
+        undo: Self::Undo,
+    );
 }
 
 /// [`CommitMove`] for a level every rank stores whole.
 pub(crate) struct Lockstep;
 
 impl<V: LevelView> CommitMove<V> for Lockstep {
-    type Move = (usize, PartId);
+    type Undo = ();
     fn commit(
         &mut self,
         state: &mut PartitionState<V>,
-        from: PartId,
+        _from: PartId,
         local: Option<(usize, PartId, f64)>,
-    ) -> Option<(usize, PartId)> {
+    ) -> Option<(usize, PartId, ())> {
         let (v, q, _) = local?;
         state.apply(v, q);
-        Some((v, from))
+        Some((v, q, ()))
     }
-    fn revert(&mut self, state: &mut PartitionState<V>, (v, from): (usize, PartId)) {
+    fn revert(&mut self, state: &mut PartitionState<V>, v: usize, from: PartId, _to: PartId, _: ()) {
         state.apply(v, from);
     }
 }
@@ -932,6 +1098,11 @@ impl<V: LevelView> CommitMove<V> for Lockstep {
 /// Needed when projection or fixed-vertex constraints leave the coarse
 /// partition overweight; plain FM cannot fix imbalance because it only
 /// makes cap-respecting moves.
+///
+/// An evacuation is a few pops of the part's [`EvacuationQueues`] heap
+/// plus the re-keying of the vertices whose rows the move wrote — not a
+/// walk of the part. Nothing is built or logged until a part is found
+/// overweight (usually none is).
 pub(crate) fn rebalance<V: LevelView>(
     state: &mut PartitionState<V>,
     targets: &PartTargets,
@@ -940,37 +1111,32 @@ pub(crate) fn rebalance<V: LevelView>(
 ) {
     dlb_trace::count(dlb_trace::Counter::RebalanceInvocations, 1);
     let max_moves = 2 * state.view.num_vertices() + 16;
-    // The free stored vertices of each part — what an evacuation chooses
-    // among — listed when the first overweight part is found (usually
-    // none is) and kept current as this loop, the only mover, moves them.
-    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut queues: Option<EvacuationQueues> = None;
     for _ in 0..max_moves {
         let violation_before = total_violation(&state.weights, targets);
-        let Some(p) = most_overweight(&state.weights, targets) else { return };
-        if members.is_empty() {
-            members.resize(state.k, Vec::new());
-            for v in state.view.stored().filter(|&v| state.view.fixed(v).is_none()) {
-                members[state.part_of(v)].push(v);
-            }
+        let Some(p) = most_overweight(&state.weights, targets) else { break };
+        let queues = queues.get_or_insert_with(|| EvacuationQueues::listen(state));
+        queues.build(state, p);
+        let local = queues.best(state, p, targets, scratch);
+        #[cfg(debug_assertions)]
+        {
+            let bits = |(v, q, g): (usize, PartId, f64)| (v, q, g.to_bits());
+            let walked = best_evacuation(state, p, targets, scratch);
+            debug_assert_eq!(local.map(bits), walked.map(bits), "queue and walk disagree on part {p}");
         }
-        let local = best_evacuation(state, &members[p], p, targets, scratch);
-        // Nothing made: only fixed vertices are left in `p`.
-        let Some(made) = commit.commit(state, p, local.map(|(_, mv)| mv)) else { return };
+        // Nothing made: only fixed or weightless vertices are left in `p`.
+        let Some((v, to, undo)) = commit.commit(state, p, local) else { break };
         // Keep only moves that strictly reduce total violation;
         // otherwise we are ping-ponging load between parts that can
         // never fit under their caps — undo and stop.
         if total_violation(&state.weights, targets) >= violation_before - 1e-12 {
-            commit.revert(state, made);
-            return;
+            commit.revert(state, v, p, to, undo);
+            break;
         }
-        // The move made was this rank's candidate iff that vertex left.
-        if let Some((i, (v, q, _))) = local {
-            if state.part_of(v) == q {
-                members[p].swap_remove(i);
-                members[q].push(v);
-            }
-        }
+        state.tally.rebalance_moves += 1;
+        queues.follow(state, v, p, to);
     }
+    state.row_log = None;
 }
 
 /// Greedy rebalancing repair for multi-constraint feasibility (Maas et
@@ -1410,7 +1576,7 @@ pub fn refine_threads(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dlb_hypergraph::metrics;
     use rand::{Rng, SeedableRng};
@@ -1557,15 +1723,16 @@ mod tests {
         assert_eq!(refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng), 0.0);
     }
 
-    /// A random hypergraph whose nets have 1–6 pins (a 1-in-8 net is a
-    /// single pin) and integer or `0.5..4.0` costs, about a quarter of
-    /// the vertices fixed where they start, and a random partition.
+    /// A random hypergraph on `n` vertices whose nets have 1–6 pins (a
+    /// 1-in-8 net is a single pin) and integer or `0.5..4.0` costs, about
+    /// a quarter of the vertices fixed where they start, and a random
+    /// partition.
     fn random_instance(
         rng: &mut StdRng,
+        n: usize,
         k: usize,
         fractional: bool,
     ) -> (Hypergraph, FixedAssignment, Vec<PartId>) {
-        let n = rng.gen_range(12usize..70);
         let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
         for _ in 0..rng.gen_range(n / 2..3 * n) {
             let size = if rng.gen_bool(0.125) { 1 } else { rng.gen_range(2usize..7) };
@@ -1631,7 +1798,8 @@ mod tests {
         for case in 0..24 {
             let k = rng.gen_range(2usize..7);
             let fractional = case % 2 == 1;
-            let (h, fixed, part) = random_instance(&mut rng, k, fractional);
+            let n = rng.gen_range(12usize..70);
+            let (h, fixed, part) = random_instance(&mut rng, n, k, fractional);
             let view = Replicated::whole(&h, &fixed);
             assert_eq!(PartitionState::new(view, k, part.clone()).exact, !fractional);
             check_applies_against_fresh_builds(&h, &fixed, k, part, 40, &mut rng);
@@ -1660,31 +1828,53 @@ mod tests {
     }
 
     /// [`Lockstep`], keeping the evacuations it makes.
-    struct Recording(Vec<(usize, PartId)>);
+    pub(crate) struct Recording(pub(crate) Vec<(usize, PartId)>);
 
     impl<V: LevelView> CommitMove<V> for Recording {
-        type Move = (usize, PartId);
+        type Undo = ();
         fn commit(
             &mut self,
             state: &mut PartitionState<V>,
             from: PartId,
             local: Option<(usize, PartId, f64)>,
-        ) -> Option<(usize, PartId)> {
+        ) -> Option<(usize, PartId, ())> {
             self.0.extend(local.map(|(v, q, _)| (v, q)));
             Lockstep.commit(state, from, local)
         }
-        fn revert(&mut self, state: &mut PartitionState<V>, made: (usize, PartId)) {
+        fn revert(&mut self, state: &mut PartitionState<V>, v: usize, from: PartId, to: PartId, _: ()) {
             self.0.pop();
-            Lockstep.revert(state, made)
+            Lockstep.revert(state, v, from, to, ())
         }
     }
 
-    /// (d) `rebalance` choosing among the overweight part's member list
-    /// makes the evacuations a walk over every stored vertex would, with
-    /// fixed vertices in the overweight part and a second part that
-    /// becomes the most overweight on the way.
-    #[test]
-    fn rebalance_from_member_lists_matches_the_full_walk() {
+    /// One input of `rebalance`: a level and a partition of it with at
+    /// least one part above its cap.
+    pub(crate) struct RebalanceCase {
+        pub(crate) name: String,
+        pub(crate) h: Hypergraph,
+        pub(crate) fixed: FixedAssignment,
+        pub(crate) part: Vec<PartId>,
+        pub(crate) targets: PartTargets,
+        /// Evacuations the instance must need at least.
+        min_moves: usize,
+    }
+
+    /// The `rebalance` inputs its oracles run on, here and in
+    /// `par::dist::tests`:
+    ///
+    /// * `crowded` — unit weights and integer costs, nearly everything in
+    ///   part 0 of 4, a quarter of the vertices fixed, a second part that
+    ///   becomes the most overweight on the way;
+    /// * `random-*` — k in 2..6, weights 2^0..2^4, about a quarter of the
+    ///   vertices fixed, a partition skewed towards part 0; odd rows have
+    ///   costs in 0.5..4.0, so every row a move writes is marked and
+    ///   re-summed;
+    /// * `fallback` — the overweight part's nets reach only a part that
+    ///   is itself full, so no adjacent part fits and the relatively
+    ///   lightest part decides every destination at first.
+    pub(crate) fn rebalance_cases() -> Vec<RebalanceCase> {
+        let mut cases = Vec::new();
+
         let (n, k) = (90usize, 4usize);
         let h = crate::tests::random_hypergraph(n, 200, 5, 17);
         let mut fixed = FixedAssignment::free(n);
@@ -1693,22 +1883,63 @@ mod tests {
             fixed.fix(v, part[v]);
         }
         let targets = uniform_targets(&h, k);
-        let view = Replicated::whole(&h, &fixed);
-        let mut scratch = MoveScratch::new(k);
+        cases.push(RebalanceCase { name: "crowded".into(), h, fixed, part, targets, min_moves: n / 2 });
 
-        // The walk `best_evacuation` replaced: every stored vertex,
-        // ascending, first of the best gains.
-        let mut walked = PartitionState::new(view, k, part.clone());
-        let mut expected = Vec::new();
-        while let Some(p) = most_overweight(&walked.weights, &targets) {
-            let before = total_violation(&walked.weights, &targets);
+        let mut rng = StdRng::seed_from_u64(0xEBA1);
+        for row in 0..10 {
+            let k = rng.gen_range(2usize..7);
+            let n = rng.gen_range(60usize..140);
+            let (mut h, fixed, mut part) = random_instance(&mut rng, n, k, row % 2 == 1);
+            for v in 0..h.num_vertices() {
+                h.set_vertex_weight(v, f64::from(1u32 << rng.gen_range(0u32..5)));
+                if !fixed.is_fixed(v) && rng.gen_bool(0.6) {
+                    part[v] = 0;
+                }
+            }
+            let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.1);
+            cases.push(RebalanceCase { name: format!("random-{row}"), h, fixed, part, targets, min_moves: 1 });
+        }
+
+        // Parts 0 (vertices 0..15) and 1 (15..27) are both above their
+        // caps and every net joins the two; part 2 (27..30) has room and
+        // no net.
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(30);
+        for v in 0..15 {
+            b.add_net(1.0 + (v % 3) as f64, [v, 15 + v % 12]);
+            b.add_net(2.0, [v, (v + 1) % 15, 15 + (v * 5) % 12]);
+        }
+        let h = b.build();
+        let part: Vec<PartId> = (0..30).map(|v| usize::from(v >= 15) + usize::from(v >= 27)).collect();
+        let targets = uniform_targets(&h, 3);
+        let fixed = FixedAssignment::free(30);
+        cases.push(RebalanceCase { name: "fallback".into(), h, fixed, part, targets, min_moves: 4 });
+        cases
+    }
+
+    /// What `rebalance` must do on `case`, by the walk its queues
+    /// replaced: per evacuation every stored vertex, ascending, the first
+    /// of the best gains among the free members of positive weight. The
+    /// evacuations as `(vertex, destination)`, the state they leave, and
+    /// how many members the walk evaluated.
+    fn walk_rebalance(
+        case: &RebalanceCase,
+    ) -> (Vec<(usize, PartId)>, PartitionState<Replicated<'_>>, u64) {
+        let RebalanceCase { h, fixed, targets, .. } = case;
+        let k = targets.k();
+        let mut scratch = MoveScratch::new(k);
+        let mut walked = PartitionState::new(Replicated::whole(h, fixed), k, case.part.clone());
+        let (mut made, mut evaluated) = (Vec::new(), 0);
+        while let Some(p) = most_overweight(&walked.weights, targets) {
+            let before = total_violation(&walked.weights, targets);
             let mut best: Option<(usize, PartId, f64)> = None;
-            for v in 0..n {
-                if walked.part[v] != p || fixed.is_fixed(v) {
+            for v in 0..h.num_vertices() {
+                let w = h.vertex_weight(v);
+                if walked.part[v] != p || fixed.is_fixed(v) || w <= 0.0 {
                     continue;
                 }
-                let (q, g) = walked.best_move(v, &targets, &mut scratch).unwrap_or_else(|| {
-                    let rel = |q: PartId| (walked.weights[q] + 1.0) / targets.target[q];
+                evaluated += 1;
+                let (q, g) = walked.best_move(v, targets, &mut scratch).unwrap_or_else(|| {
+                    let rel = |q: PartId| (walked.weights[q] + w) / targets.target[q];
                     let q = (0..k).filter(|&q| q != p).min_by(|&a, &b| rel(a).total_cmp(&rel(b)));
                     (q.unwrap(), walked.gain(v, q.unwrap()))
                 });
@@ -1718,22 +1949,49 @@ mod tests {
             }
             let Some((v, q, _)) = best else { break };
             walked.apply(v, q);
-            if total_violation(&walked.weights, &targets) >= before - 1e-12 {
+            if total_violation(&walked.weights, targets) >= before - 1e-12 {
                 walked.apply(v, p);
                 break;
             }
-            expected.push((v, q));
+            made.push((v, q));
         }
-        assert!(expected.len() > n / 2, "the instance must need many evacuations");
+        assert!(made.len() >= case.min_moves, "{}: only {} evacuations", case.name, made.len());
+        (made, walked, evaluated)
+    }
 
-        let mut state = PartitionState::new(view, k, part);
-        let mut recording = Recording(Vec::new());
-        rebalance(&mut state, &targets, &mut scratch, &mut recording);
-        assert_eq!(recording.0, expected);
-        assert_eq!(state.part, walked.part);
-        assert!(fixed.is_respected_by(&state.part));
-        // Each evacuation looked at its part's free members only.
-        assert!(state.tally.rebalance_candidates < (expected.len() * n) as u64 / 2);
+    /// (d) `rebalance` popping its per-part queues makes the evacuations
+    /// a walk over every stored vertex would, on every row of
+    /// [`rebalance_cases`] — and looks at a handful of candidates per
+    /// evacuation, which no walk of the part's members could.
+    #[test]
+    fn rebalance_from_member_lists_matches_the_full_walk() {
+        for case in rebalance_cases() {
+            let RebalanceCase { name, h, fixed, targets, .. } = &case;
+            let (expected, walked, evaluated) = walk_rebalance(&case);
+            if name == "fallback" {
+                // No net reaches part 2: only the fallback sends anyone there.
+                assert_eq!(expected[0].1, 2, "{name}");
+            }
+
+            let view = Replicated::whole(h, fixed);
+            let mut state = PartitionState::new(view, targets.k(), case.part.clone());
+            let mut recording = Recording(Vec::new());
+            rebalance(&mut state, targets, &mut MoveScratch::new(targets.k()), &mut recording);
+            assert_eq!(recording.0, expected, "{name}");
+            assert_eq!(state.part, walked.part, "{name}");
+            assert_eq!(state.weights, walked.weights, "{name}");
+            assert!(fixed.is_respected_by(&state.part), "{name}");
+            assert!(state.row_log.is_none(), "{name}: still listening");
+            assert_eq!(state.tally.rebalance_moves, expected.len() as u64, "{name}");
+            // Where the bound is near the value, popping evaluates under a
+            // third of what walking the members does (measured: a seventh
+            // at most on the random rows, a quarter on `crowded`); where
+            // the fallback decides, every bound overshoots and nearly the
+            // whole part is popped — never more than the walk.
+            let popped = state.tally.rebalance_candidates;
+            let limit = if name == "fallback" { evaluated } else { evaluated / 3 };
+            assert!(popped < limit, "{name}: popped {popped}, the walk evaluates {evaluated}");
+        }
     }
 
     /// (e) A part a vertex reaches only through zero-cost nets is no

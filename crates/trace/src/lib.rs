@@ -166,7 +166,7 @@ pub enum Counter {
     RepairMovesApplied,
     /// `best_move` answers the serial/shared-memory refiner read from
     /// the gain table (rebalance, FM seeds, pops and re-queues), flushed
-    /// once per `refine_threads` call. Like the three counters below it
+    /// once per `refine_threads` call. Like the four counters below it
     /// is not counted by the SPMD passes, where a rank's share depends
     /// on the storage form.
     GainEvaluations,
@@ -176,10 +176,13 @@ pub enum Counter {
     /// Gain evaluations whose winner depended on candidate order (equal
     /// gain and equal part weight) and were resolved by the scan.
     GainScanFallbacks,
-    /// Vertices the serial/shared-memory rebalance evaluated as
-    /// evacuation candidates (members of the overweight part, per
-    /// evacuation).
+    /// Vertices the serial/shared-memory rebalance popped from the
+    /// overweight part's queue and evaluated as evacuation candidates,
+    /// summed over evacuations.
     RebalanceCandidatesScanned,
+    /// Evacuations the serial/shared-memory rebalance committed and kept
+    /// (the one it reverts before giving up is not counted).
+    RebalanceMoves,
     /// Nets of every hypergraph handed to contraction, summed over
     /// levels — the *global* net count of the level, whichever way it is
     /// stored, so the value is the same on serial, replicated and
@@ -196,7 +199,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (= export) order.
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 37] = [
         Counter::CoarsenLevels,
         Counter::CoarsenMatchesAccepted,
         Counter::CoarsenMatchesRefusedFixed,
@@ -231,6 +234,7 @@ impl Counter {
         Counter::GainResums,
         Counter::GainScanFallbacks,
         Counter::RebalanceCandidatesScanned,
+        Counter::RebalanceMoves,
         Counter::ContractNetsIn,
         Counter::ContractNetsOut,
     ];
@@ -272,6 +276,7 @@ impl Counter {
             Counter::GainResums => "gain_resums",
             Counter::GainScanFallbacks => "gain_scan_fallbacks",
             Counter::RebalanceCandidatesScanned => "rebalance_candidates_scanned",
+            Counter::RebalanceMoves => "rebalance_moves",
             Counter::ContractNetsIn => "contract_nets_in",
             Counter::ContractNetsOut => "contract_nets_out",
         }

@@ -5,7 +5,11 @@
 # them and the medians must differ by more than the spread of the
 # parent's own runs).
 #
-# Usage: scripts/ab_bench.sh PARENT_BIN HEAD_BIN WORKLOAD [PAIRS=10] [extra benchmark flags…]
+# Usage: scripts/ab_bench.sh PARENT_BIN HEAD_BIN WORKLOAD|all [PAIRS=10] [extra benchmark flags…]
+#
+# `all` runs every workload BENCHMARK.json names, in its order, one
+# table each — "no worse on the other four" is one command — and exits 1
+# if any of them did.
 #
 # Each run is `BIN --workload WORKLOAD --seed 42 --trace 0 [extra…]` (an
 # extra `--seed N` overrides the 42, `--quick` shrinks the run). Build
@@ -20,19 +24,27 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-  echo "usage: $0 PARENT_BIN HEAD_BIN WORKLOAD [PAIRS=10] [extra benchmark flags…]" >&2
+  echo "usage: $0 PARENT_BIN HEAD_BIN WORKLOAD|all [PAIRS=10] [extra benchmark flags…]" >&2
   exit 2
 fi
 PARENT=$1
 HEAD=$2
 WORKLOAD=$3
 shift 3
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$WORKLOAD" = all ]; then
+  status=0
+  for workload in $(python3 -c 'import json, sys; print(*[w["name"] for w in json.load(open(sys.argv[1]))["workloads"]])' "$ROOT/BENCHMARK.json"); do
+    "$0" "$PARENT" "$HEAD" "$workload" "$@" || status=1
+    echo
+  done
+  exit $status
+fi
 PAIRS=10
 if [ $# -gt 0 ] && [[ $1 =~ ^[0-9]+$ ]]; then
   PAIRS=$1
   shift
 fi
-ROOT=$(cd "$(dirname "$0")/.." && pwd)
 RUNS=$(mktemp)
 trap 'rm -f "$RUNS"' EXIT
 
