@@ -8,11 +8,14 @@
 //! once — in one heap, which the caller names on every call (it is a
 //! function of the id there: a vertex's part) — and [`Heaps::set`] can
 //! insert it, raise it or lower it in `O(log n)` without leaving a stale
-//! duplicate behind. That is what a `BinaryHeap` with lazy deletion
-//! cannot do, and what both users need: `refine::rebalance`, whose
+//! duplicate behind. That is what `std`'s heap with lazy deletion cannot
+//! do, and what two of the users need: `refine::rebalance`, whose
 //! per-part queues must hold exactly the current bound of every
 //! candidate, and `initial::greedy_growing`, whose frontier raises an
-//! affinity for every net it meets.
+//! affinity for every net it meets. The third, FM (`refine::fm_pass`),
+//! never changes a key — it wants the membership test and the same pop
+//! order, and so needs no second queue type. This is the crate's only
+//! priority queue.
 
 /// Position of an id no heap holds.
 const ABSENT: u32 = u32::MAX;
@@ -98,6 +101,16 @@ impl Heaps {
         let top = self.peek(h)?;
         self.remove(h, top.0);
         Some(top)
+    }
+
+    /// Empties every heap and makes the id space `0..n`, keeping the
+    /// allocations.
+    pub(crate) fn reset(&mut self, n: usize) {
+        assert!(n < ABSENT as usize, "heap positions are 32-bit");
+        for h in 0..self.heaps.len() {
+            self.clear(h);
+        }
+        self.pos.resize(n, ABSENT);
     }
 
     /// Empties heap `h`, in time proportional to what it holds.

@@ -62,7 +62,7 @@ use crate::fixed::FixedAssignment;
 use crate::matching::Matching;
 use crate::par::matching::{candidate_matching, local_matching};
 use crate::par::refine::propose_moves;
-use crate::refine::{rebalance, CommitMove, MoveScratch, PartitionState, RefineScratch};
+use crate::refine::{rebalance, CommitMove, PartitionState, RefineScratch};
 use crate::vcycle::{self, Cx, Held};
 use crate::view::LevelView;
 
@@ -912,7 +912,7 @@ pub(crate) fn dist_refine(
     let mut halo = GhostHalo::new(GhostExchange::build(comm, &level.dh), level.dh.my_range().len());
     let mut state = DistState::new(comm, &mut halo, level, k, std::mem::take(part_owned));
     let mut collective = Collective { comm: &mut *comm, halo: &mut halo };
-    rebalance(&mut state, targets, &mut MoveScratch::new(k), &mut collective);
+    rebalance(&mut state, targets, &mut collective);
     for _ in 0..cfg.max_passes {
         let moved = dist_pass(comm, &mut state, &mut halo, targets, rng);
         if moved == 0 {
@@ -1101,7 +1101,9 @@ mod tests {
     /// bitwise, both the replicated state that made the same moves and
     /// one built from scratch; so does a private copy. On integer costs
     /// (table entries updated in place) and fractional ones (marked and
-    /// re-summed), with fixed vertices present.
+    /// re-summed), with fixed vertices present — and on the double tie of
+    /// `refine::tests::double_tie_case`, where the owner's row read must
+    /// elect the lower part like everyone else's.
     #[test]
     fn dist_state_matches_replicated_state() {
         use crate::view::Replicated;
@@ -1120,29 +1122,40 @@ mod tests {
         for v in (4..n).step_by(9) {
             fixed.fix(v, part0[v]);
         }
-        // Three rounds of batches; a vertex moves again in each.
-        let moves = |round: usize| -> Vec<(usize, PartId)> {
-            (round..n).step_by(9 - 2 * round).map(|v| (v, (part0[v] + 1 + v % 3) % k)).collect()
-        };
+        let targets = PartTargets::uniform(integer.total_vertex_weight(), k, 0.25);
+        let (tied, tied_fixed, tied_part0, tied_targets) = crate::refine::tests::double_tie_case();
+        // The last one has three vertices: too few for every rank to
+        // hold a stub, or even a vertex.
+        let cases = [
+            (false, &integer, &fixed, &part0, &targets),
+            (false, &fractional, &fixed, &part0, &targets),
+            (true, &tied, &tied_fixed, &tied_part0, &tied_targets),
+        ];
 
-        for (h, ranks) in [&integer, &fractional]
-            .into_iter()
-            .flat_map(|h| [1usize, 2, 3, 4].map(|ranks| (h, ranks)))
+        for ((tiny, h, fixed, part0, targets), ranks) in
+            cases.into_iter().flat_map(|case| [1usize, 2, 3, 4].map(|ranks| (case, ranks)))
         {
-            let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.25);
+            let (n, k) = (h.num_vertices(), targets.k());
+            // Three rounds of batches; a vertex moves again in each.
+            let moves = |round: usize| -> Vec<(usize, PartId)> {
+                (round..n).step_by(9 - 2 * round).map(|v| (v, (part0[v] + 1 + v % 3) % k)).collect()
+            };
             run_spmd(ranks, |comm| {
-                let level = DistLevel::from_replicated(h, &fixed, comm.rank(), comm.size());
+                let level = DistLevel::from_replicated(h, fixed, comm.rank(), comm.size());
                 let dh = &level.dh;
                 let owned = dh.my_range();
-                if ranks > 1 {
+                if ranks > 1 && !tiny {
                     assert!((0..dh.num_local_nets()).any(|lj| !dh.owns_net(lj)), "no stub held");
                 }
-                let whole = Replicated::whole(h, &fixed);
+                let whole = Replicated::whole(h, fixed);
                 let mut reference =
                     PartitionState::<Replicated<'_>>::new(whole, k, part0.clone());
                 let mut halo = GhostHalo::new(GhostExchange::build(comm, dh), owned.len());
                 let mut state =
                     DistState::new(comm, &mut halo, &level, k, part0[owned.clone()].to_vec());
+                if tiny && owned.contains(&0) {
+                    assert_eq!(state.best_move(0, targets), Some((1, 2.0)), "ranks={ranks}");
+                }
 
                 let agree = |comm: &mut Comm,
                                  state: &mut DistState<'_>,
@@ -1164,17 +1177,17 @@ mod tests {
                             boundary.into_iter().filter(|v| owned.contains(v)).collect();
                         (per_vertex, boundary)
                     };
-                    let reads = state.reads(&targets);
-                    assert_eq!(reads, mine(reference.reads(&targets)), "ranks={ranks}");
+                    let reads = state.reads(targets);
+                    assert_eq!(reads, mine(reference.reads(targets)), "ranks={ranks}");
                     let mut fresh =
                         PartitionState::<Replicated<'_>>::new(whole, k, reference.part.clone());
-                    let fresh_reads = mine(fresh.reads(&targets));
+                    let fresh_reads = mine(fresh.reads(targets));
                     assert_eq!(reads, fresh_reads, "ranks={ranks}: stale entry");
                     // A private copy, given the folded weights a fresh
                     // build computes, reads like one.
                     let (weights, aux) = fold_part_weights(comm, &level, k, &state.part);
                     assert_eq!(weights, fresh.weights, "ranks={ranks}");
-                    assert_eq!(state.private_copy(weights, aux).reads(&targets), fresh_reads);
+                    assert_eq!(state.private_copy(weights, aux).reads(targets), fresh_reads);
                 };
                 agree(comm, &mut state, &mut reference);
 
@@ -1319,7 +1332,7 @@ mod tests {
             let whole = Replicated::whole(h, fixed);
             let mut reference = PartitionState::<Replicated<'_>>::new(whole, k, case.part.clone());
             let mut recording = Recording(Vec::new());
-            rebalance(&mut reference, targets, &mut MoveScratch::new(k), &mut recording);
+            rebalance(&mut reference, targets, &mut recording);
 
             for ranks in 1usize..=4 {
                 let per_rank = run_spmd(ranks, |comm| {
@@ -1334,7 +1347,7 @@ mod tests {
                         lost: Vec::new(),
                         won_after_losing: 0,
                     };
-                    rebalance(&mut state, targets, &mut MoveScratch::new(k), &mut watching);
+                    rebalance(&mut state, targets, &mut watching);
                     let Watching { made, won_after_losing, .. } = watching;
                     (made, comm.allgather(state.part).concat(), state.weights, won_after_losing)
                 });
@@ -1474,6 +1487,59 @@ mod tests {
                 let (weights, after) = weights_and_violation(h, targets, &refined);
                 assert!(after <= before + 1e-9, "{name}, {how}: {before} -> {after} ({weights:?})");
                 assert!(fixed.is_respected_by(&refined), "{name}, {how}");
+            }
+        }
+    }
+
+    /// All-tied levels — part of ROADMAP item 5(b): unit costs, unit
+    /// weights, eight equally heavy parts, and every vertex on the
+    /// boundary with the same gain into its two equally heavy neighbour
+    /// parts, so nothing but the lower part id tells any two candidates
+    /// apart. On a ring the gain is 1 (one ring net closed); with every
+    /// vertex also paired inside its part it is 0 (one in-part net
+    /// opened), the value refinement tests with `==`. Every form
+    /// terminates within the caps and no worse than it started, and a
+    /// level refines the same replicated and distributed, on every rank.
+    /// (The serial refiner is another algorithm — FM with rollback climbs
+    /// through the zero-gain plateau the localized passes stay on — so
+    /// its partition is held to the invariants, not to equality.)
+    #[test]
+    fn all_tied_levels_refine_the_same_replicated_and_distributed() {
+        let (n, k) = (64usize, 8usize);
+        let part: Vec<PartId> = (0..n).map(|v| v % k).collect();
+        let fixed = FixedAssignment::free(n);
+        for tied_gain in [1.0f64, 0.0] {
+            let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+            for v in 0..n {
+                b.add_net(1.0, [v, (v + 1) % n]);
+                if tied_gain == 0.0 && v & 8 == 0 {
+                    b.add_net(1.0, [v, v | 8]);
+                }
+            }
+            let h = b.build();
+            let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.15);
+            let whole = crate::view::Replicated::whole(&h, &fixed);
+            let mut state = PartitionState::<crate::view::Replicated<'_>>::new(whole, k, part.clone());
+            for (v, best, gains) in state.reads(&targets).0 {
+                let (below, above) = ((part[v] + k - 1) % k, (part[v] + 1) % k);
+                assert_eq!(best, Some((below.min(above), tied_gain.to_bits())), "vertex {v}");
+                assert_eq!(gains[below], gains[above], "vertex {v}");
+            }
+
+            let cut = |part: &[PartId]| dlb_hypergraph::metrics::cutsize_connectivity(&h, part, k);
+            let refined = refined_every_way(&h, &fixed, &targets, &part);
+            for (how, refined) in &refined {
+                let (weights, over) = weights_and_violation(&h, &targets, refined);
+                assert_eq!(over, 0.0, "gain {tied_gain}, {how}: weights {weights:?}");
+                assert!(cut(refined) <= cut(&part), "gain {tied_gain}, {how}");
+            }
+            // Per rank count: `ranks` replicated answers, then `ranks`
+            // distributed ones.
+            let (of_two, of_four) = refined[1..].split_at(4);
+            for answers in [of_two, of_four] {
+                for (how, refined) in answers {
+                    assert_eq!(refined, &answers[0].1, "gain {tied_gain}, {how}");
+                }
             }
         }
     }

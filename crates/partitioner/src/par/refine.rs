@@ -17,9 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
-use crate::refine::{
-    fold_weights, greedy_repair, rebalance, Lockstep, MoveScratch, PartitionState,
-};
+use crate::refine::{fold_weights, greedy_repair, rebalance, Lockstep, PartitionState};
 use crate::view::{LevelView, Replicated};
 
 /// One rank's proposed move.
@@ -39,7 +37,6 @@ pub(crate) fn propose_moves<V: LevelView>(
     let shared_draw: u64 = rng.gen();
     let mut my_rng =
         StdRng::seed_from_u64(shared_draw ^ (rank as u64).wrapping_mul(0xC0FF_EE00_1234_5678));
-    let mut scratch = MoveScratch::new(targets.k());
     let mut boundary = Vec::new();
     private.owned_boundary_into(&mut boundary);
     boundary.retain(|&v| private.view.fixed(v).is_none());
@@ -47,7 +44,7 @@ pub(crate) fn propose_moves<V: LevelView>(
 
     let mut moves = Vec::new();
     for v in boundary {
-        if let Some((to, gain)) = private.best_move(v, targets, &mut scratch) {
+        if let Some((to, gain)) = private.best_move(v, targets) {
             let from = private.part_of(v);
             if gain > 0.0 || (gain == 0.0 && private.weights[from] > targets.target[from]) {
                 private.apply(v, to);
@@ -109,7 +106,7 @@ pub fn par_refine(
     // Balance restoration is deterministic given identical state, so all
     // ranks perform it redundantly without communication (it is rare and
     // cheap relative to FM).
-    rebalance(&mut state, targets, &mut MoveScratch::new(k), &mut Lockstep);
+    rebalance(&mut state, targets, &mut Lockstep);
     // Auxiliary feasibility repair: deterministic given identical state,
     // so ranks run it redundantly in lockstep like `rebalance`. Never
     // reached at arity 1.

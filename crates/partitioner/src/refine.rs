@@ -41,14 +41,13 @@
 //! vertex's nets in net order — the scan's order, hence the scan's bits.
 //! There is one read path (`row`) and no choice between table and scan.
 //!
-//! **The scan** (`scan_best_move`) survives in two roles. It ranks
-//! candidate parts in the order the vertex's nets first reach them, and
-//! when two feasible targets tie on gain *and* part weight that order
-//! decides — which the table, ascending by part, cannot know. So the
-//! table's winner stands only if it beats every other candidate (then
-//! every order elects it); otherwise the evaluation goes to the scan
-//! (under 0.1 % of evaluations on the cage workload). And under
-//! `debug_assertions` every table answer is checked against it.
+//! **The scan** (`scan_best_move`) survives in one role: the oracle.
+//! It answers `best_move` from the sigma rows without the table, and
+//! under `debug_assertions` and in tests every table answer is compared
+//! with it bit for bit. It is compiled into no release build and decides
+//! nothing: the best move is defined on the row (`best_move`), and its
+//! one tie rule — equal gain into equally heavy parts goes to the lower
+//! part id — is stated at `PartitionState::beats`.
 //!
 //! **The row log.** `rebalance` keeps, per part it evacuates, a heap of
 //! candidates keyed by a bound read from their rows (`EvacuationQueues`),
@@ -70,9 +69,6 @@
 //! overshoot. At arity 1 neither the aux checks nor the repair pass
 //! execute a single floating-point operation, so scalar runs stay
 //! bitwise identical.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use dlb_hypergraph::{parallel, Hypergraph, PartId};
 use rand::rngs::StdRng;
@@ -155,9 +151,6 @@ pub(crate) struct GainTally {
     pub(crate) evaluations: u64,
     /// Marked entries re-summed by a read.
     pub(crate) resums: u64,
-    /// Evaluations whose winner depended on candidate order and went to
-    /// the scan.
-    pub(crate) scan_fallbacks: u64,
     /// Vertices `rebalance` popped and evaluated as evacuation candidates.
     pub(crate) rebalance_candidates: u64,
     /// Evacuations `rebalance` committed and kept.
@@ -169,7 +162,6 @@ impl GainTally {
         use dlb_trace::Counter;
         dlb_trace::count(Counter::GainEvaluations, self.evaluations);
         dlb_trace::count(Counter::GainResums, self.resums);
-        dlb_trace::count(Counter::GainScanFallbacks, self.scan_fallbacks);
         dlb_trace::count(Counter::RebalanceCandidatesScanned, self.rebalance_candidates);
         dlb_trace::count(Counter::RebalanceMoves, self.rebalance_moves);
     }
@@ -596,121 +588,76 @@ impl<V: LevelView> PartitionState<V> {
         gain > 0.0 || (gain == 0.0 && self.weights[from] > self.weights[to] + w)
     }
 
-    /// The best feasible move for `v`: the highest-gain target part among
-    /// the parts `v`'s nets of non-zero cost already touch (ties →
-    /// lighter part), subject to the caps. Read from `v`'s table row in
-    /// O(k); the scan decides only when the row's answer would depend on
-    /// the order the scan meets the candidates in.
-    pub(crate) fn best_move(
-        &mut self,
-        v: usize,
-        targets: &PartTargets,
-        scratch: &mut MoveScratch,
-    ) -> Option<(PartId, f64)> {
+    /// The best feasible move for `v`, read from its table row in O(k):
+    /// the parts `v`'s nets of non-zero cost already touch, within the
+    /// caps, folded in ascending part order through [`Self::beats`]. A
+    /// function of the row and the part weights alone, so the same on
+    /// every storage form and whatever order the input lists its nets in.
+    pub(crate) fn best_move(&mut self, v: usize, targets: &PartTargets) -> Option<(PartId, f64)> {
         self.tally.evaluations += 1;
-        let best = match self.table_best_move(v, targets, scratch) {
-            Ok(best) => best,
-            Err(OrderDependent) => {
-                self.tally.scan_fallbacks += 1;
-                self.scan_best_move(v, targets, scratch)
-            }
-        };
-        debug_assert_eq!(
-            best.map(|(q, g)| (q, g.to_bits())),
-            self.scan_best_move(v, targets, scratch).map(|(q, g)| (q, g.to_bits())),
-            "table and scan disagree on vertex {v}"
-        );
-        best
-    }
-
-    /// [`Self::best_move`] from the table row alone, candidates in
-    /// ascending part order. `pick`'s winner is the same in every
-    /// candidate order exactly when it beats every other candidate; when
-    /// it does not (equal gain *and* equal part weight), only the scan
-    /// knows which of them it would have met first.
-    fn table_best_move(
-        &mut self,
-        v: usize,
-        targets: &PartTargets,
-        scratch: &mut MoveScratch,
-    ) -> Result<Option<(PartId, f64)>, OrderDependent> {
         let (k, p, w) = (self.k, self.part_of(v), self.view.weight(v));
         // Re-summed if marked; borrowed again, shared, beside the weights.
         self.row(v);
         let s = self.view.slot(v);
         let row = &self.table[s * (k + 1)..(s + 1) * (k + 1)];
-        scratch.cands.clear();
-        scratch
-            .cands
-            .extend((0..k).filter(|&q| q != p && row[q] > 0.0 && self.fits(v, w, q, targets)));
-        let gain_to = |q: PartId| row[k] - (row[p] - row[q]);
-        let best = self.pick(&scratch.cands, gain_to);
-        if let Some(winner) = best {
-            let unbeaten =
-                |&q: &PartId| q != winner.0 && !self.beats(winner, (q, gain_to(q)));
-            if scratch.cands.iter().any(unbeaten) {
-                return Err(OrderDependent);
-            }
-        }
-        Ok(best)
+        let cands = (0..k).filter(|&q| q != p && row[q] > 0.0 && self.fits(v, w, q, targets));
+        let best = self.pick(cands, |q| row[k] - (row[p] - row[q]));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            best.map(|(q, g)| (q, g.to_bits())),
+            self.scan_best_move(v, targets).map(|(q, g)| (q, g.to_bits())),
+            "table and scan disagree on vertex {v}"
+        );
+        best
     }
 
-    /// [`Self::best_move`] by scanning all of `v`'s nets against all `k`
-    /// parts: candidates in the order the nets first reach them. The
-    /// resolver of order-dependent ties and, under `debug_assertions`,
-    /// the oracle of every table answer.
-    fn scan_best_move(
-        &self,
-        v: usize,
-        targets: &PartTargets,
-        scratch: &mut MoveScratch,
-    ) -> Option<(PartId, f64)> {
-        let p = self.part_of(v);
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.cands.clear();
-
+    /// [`Self::best_move`] without the table, by scanning all of `v`'s
+    /// nets against all `k` parts — what every table answer is checked
+    /// against under `debug_assertions` and in tests, and nothing else:
+    /// no release code path, no tie resolver.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_best_move(&self, v: usize, targets: &PartTargets) -> Option<(PartId, f64)> {
+        let (k, p, w) = (self.k, self.part_of(v), self.view.weight(v));
         let mut base = 0.0; // gain component from leaving p
         let mut total = 0.0;
+        // Per part, the cost of `v`'s nets with a pin there. A part is a
+        // candidate once that is positive: a net of zero cost makes none
+        // — moving along it gains what moving to a non-adjacent part does.
+        let mut present = vec![0.0; k];
         for &j in self.view.nets_of(v) {
             let c = self.view.net_cost(j);
             total += c;
             if self.sigma(j, p) == 1 {
                 base += c;
             }
-            // Candidate targets: parts with pins on v's nets. A net of
-            // zero cost makes no part one — moving along it gains what
-            // moving to a non-adjacent part does.
-            for q in 0..self.k {
-                if q != p && self.sigma(j, q) > 0 && c > 0.0 {
-                    if scratch.mark[q] != stamp {
-                        scratch.mark[q] = stamp;
-                        scratch.present[q] = 0.0;
-                        scratch.cands.push(q);
-                    }
-                    scratch.present[q] += c;
-                }
+            for q in (0..k).filter(|&q| self.sigma(j, q) > 0) {
+                present[q] += c;
             }
         }
-
-        let w = self.view.weight(v);
-        scratch.cands.retain(|&q| self.fits(v, w, q, targets));
-        self.pick(&scratch.cands, |q| base - (total - scratch.present[q]))
+        let cands = (0..k).filter(|&q| q != p && present[q] > 0.0 && self.fits(v, w, q, targets));
+        self.pick(cands, |q| base - (total - present[q]))
     }
 
     /// Whether candidate `a` displaces incumbent `b`: a higher gain, or
-    /// an equal one into a lighter part.
+    /// an equal one into a lighter part. Otherwise the incumbent stays —
+    /// and candidates are met in ascending part order, so **a tie on gain
+    /// and on part weight goes to the lower part id**. This is the whole
+    /// tie rule of a best move; nothing else breaks one.
     #[inline]
     fn beats(&self, a: (PartId, f64), b: (PartId, f64)) -> bool {
         a.1 > b.1 + 1e-12 || (a.1 > b.1 - 1e-12 && self.weights[a.0] < self.weights[b.0])
     }
 
-    /// Folds the (feasible) `cands` in order, each displacing the
+    /// Folds the (feasible) `cands`, ascending, each displacing the
     /// incumbent it [`beats`](Self::beats).
     #[inline]
-    fn pick(&self, cands: &[PartId], gain_to: impl Fn(PartId) -> f64) -> Option<(PartId, f64)> {
+    fn pick(
+        &self,
+        cands: impl Iterator<Item = PartId>,
+        gain_to: impl Fn(PartId) -> f64,
+    ) -> Option<(PartId, f64)> {
         let mut best: Option<(PartId, f64)> = None;
-        for &q in cands {
+        for q in cands {
             let cand = (q, gain_to(q));
             if best.is_none_or(|b| self.beats(cand, b)) {
                 best = Some(cand);
@@ -731,12 +678,11 @@ impl<V: LevelView> PartitionState<V> {
     /// the owned boundary — what two states of one partition must agree
     /// on whatever their histories and storage forms.
     pub(crate) fn reads(&mut self, targets: &PartTargets) -> (Vec<VertexReads>, Vec<usize>) {
-        let mut scratch = MoveScratch::new(self.k);
         let per_vertex = self
             .view
             .owned()
             .map(|v| {
-                let best = self.best_move(v, targets, &mut scratch).map(|(q, g)| (q, g.to_bits()));
+                let best = self.best_move(v, targets).map(|(q, g)| (q, g.to_bits()));
                 (v, best, (0..self.k).map(|q| self.gain(v, q).to_bits()).collect())
             })
             .collect();
@@ -746,51 +692,19 @@ impl<V: LevelView> PartitionState<V> {
     }
 }
 
-/// The table row cannot name the winner: two feasible targets tie on
-/// gain and part weight, and the scan's first-met one wins.
-struct OrderDependent;
-
-/// Reusable per-call scratch for [`PartitionState::best_move`].
-pub(crate) struct MoveScratch {
-    mark: Vec<u64>,
-    present: Vec<f64>,
-    cands: Vec<usize>,
-    stamp: u64,
-}
-
-impl MoveScratch {
-    /// Scratch for `k` parts.
-    pub(crate) fn new(k: usize) -> Self {
-        MoveScratch {
-            mark: vec![0; k],
-            present: vec![0.0; k],
-            cands: Vec::new(),
-            stamp: 0,
-        }
-    }
-
-    /// Grows the scratch to cover `k` parts (never shrinks; the stamp
-    /// counter survives, so stale marks are ignored automatically).
-    fn ensure(&mut self, k: usize) {
-        if self.mark.len() < k {
-            self.mark.resize(k, 0);
-            self.present.resize(k, 0.0);
-        }
-    }
-}
-
-/// Allocation-reusing scratch for [`refine_threads`]: the move scratch,
-/// the candidate heap, the per-pass vertex flag arrays, and the gain
-/// table's buffer (lent to each call's state and taken back). One instance
-/// serves every level of a multilevel V-cycle (and every bisection of a
-/// recursive-bisection tree), so the per-pass `O(n)` allocations of the
-/// original refiner are paid once per partitioner call instead of once
-/// per pass.
+/// Allocation-reusing scratch for [`refine_threads`]: the candidate
+/// queue, the per-pass vertex arrays, and the gain table's buffer (lent
+/// to each call's state and taken back). One instance serves every level
+/// of a multilevel V-cycle (and every bisection of a recursive-bisection
+/// tree), so the per-pass `O(n)` allocations of the original refiner are
+/// paid once per partitioner call instead of once per pass.
 pub struct RefineScratch {
-    mv: MoveScratch,
-    heap: BinaryHeap<Cand>,
+    /// FM's queue, heap 0 over the level's vertices: a vertex is keyed by
+    /// the gain of the move it entered the queue with, whose destination
+    /// is `to[v]`.
+    heap: Heaps,
+    to: Vec<PartId>,
     locked: Vec<bool>,
-    queued: Vec<bool>,
     applied: Vec<(usize, PartId)>,
     boundary: Vec<usize>,
     table: Vec<f64>,
@@ -800,57 +714,37 @@ impl RefineScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         RefineScratch {
-            mv: MoveScratch::new(0),
-            heap: BinaryHeap::new(),
+            heap: Heaps::new(1, 0),
+            to: Vec::new(),
             locked: Vec::new(),
-            queued: Vec::new(),
             applied: Vec::new(),
             boundary: Vec::new(),
             table: Vec::new(),
         }
     }
 
-    /// Prepares the scratch for one FM pass over `n` vertices and `k`
-    /// parts: clears (retaining capacity) and resizes the flag arrays.
-    fn prepare_pass(&mut self, k: usize, n: usize) {
-        self.mv.ensure(k);
-        self.heap.clear();
+    /// Prepares the scratch for one FM pass over `n` vertices: clears
+    /// (retaining capacity) and resizes the vertex arrays.
+    fn prepare_pass(&mut self, n: usize) {
+        self.heap.reset(n);
+        self.to.resize(n, 0);
         self.locked.clear();
         self.locked.resize(n, false);
-        self.queued.clear();
-        self.queued.resize(n, false);
         self.applied.clear();
+    }
+
+    /// Puts `v` in the queue with the move `(to, gain)`; it must not be
+    /// there already.
+    fn queue(&mut self, v: usize, (to, gain): (PartId, f64)) {
+        debug_assert!(!self.heap.contains(v), "vertex {v} is in the queue already");
+        self.heap.set(0, v, gain);
+        self.to[v] = to;
     }
 }
 
 impl Default for RefineScratch {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-struct Cand {
-    gain: f64,
-    v: usize,
-    to: PartId,
-}
-
-impl PartialEq for Cand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .total_cmp(&other.gain)
-            .then_with(|| other.v.cmp(&self.v))
     }
 }
 
@@ -889,9 +783,8 @@ fn evacuation<V: LevelView>(
     v: usize,
     p: PartId,
     targets: &PartTargets,
-    scratch: &mut MoveScratch,
 ) -> (PartId, f64) {
-    state.best_move(v, targets, scratch).unwrap_or_else(|| {
+    state.best_move(v, targets).unwrap_or_else(|| {
         // No adjacent feasible part: move toward the part with the
         // most spare relative capacity.
         let w = state.view.weight(v);
@@ -916,13 +809,12 @@ fn best_evacuation<V: LevelView>(
     state: &mut PartitionState<V>,
     p: PartId,
     targets: &PartTargets,
-    scratch: &mut MoveScratch,
 ) -> Option<(usize, PartId, f64)> {
     let tally = state.tally;
     let mut best: Option<(usize, PartId, f64)> = None;
     for v in state.view.stored() {
         if state.part_of(v) == p && evacuable(state.view, v) {
-            let (q, g) = evacuation(state, v, p, targets, scratch);
+            let (q, g) = evacuation(state, v, p, targets);
             if best.is_none_or(|(_, _, bg)| g > bg) {
                 best = Some((v, q, g));
             }
@@ -990,7 +882,6 @@ impl EvacuationQueues {
         state: &mut PartitionState<V>,
         p: PartId,
         targets: &PartTargets,
-        scratch: &mut MoveScratch,
     ) -> Option<(usize, PartId, f64)> {
         let start = state.view.stored().start;
         let mut best: Option<(usize, PartId, f64)> = None;
@@ -1002,7 +893,7 @@ impl EvacuationQueues {
             self.heaps.pop(p);
             self.examined.push((slot, bound));
             state.tally.rebalance_candidates += 1;
-            let (q, g) = evacuation(state, v, p, targets, scratch);
+            let (q, g) = evacuation(state, v, p, targets);
             debug_assert!(g <= bound, "vertex {v}: gain {g} above its bound {bound}");
             if best.is_none_or(|(bv, _, bg)| g > bg || (g == bg && v < bv)) {
                 best = Some((v, q, g));
@@ -1016,7 +907,7 @@ impl EvacuationQueues {
 
     /// Carries the committed move of `v` from `from` to `to` (made here
     /// or on another rank) into the queues: the mover changes heaps if
-    /// this rank stores it, and every queued vertex whose row the move
+    /// this rank stores it, and every held vertex whose row the move
     /// wrote is re-keyed (drains the row log; reading the bound re-sums a
     /// row a non-integer level marked).
     fn follow<V: LevelView>(
@@ -1106,7 +997,6 @@ impl<V: LevelView> CommitMove<V> for Lockstep {
 pub(crate) fn rebalance<V: LevelView>(
     state: &mut PartitionState<V>,
     targets: &PartTargets,
-    scratch: &mut MoveScratch,
     commit: &mut impl CommitMove<V>,
 ) {
     dlb_trace::count(dlb_trace::Counter::RebalanceInvocations, 1);
@@ -1117,11 +1007,11 @@ pub(crate) fn rebalance<V: LevelView>(
         let Some(p) = most_overweight(&state.weights, targets) else { break };
         let queues = queues.get_or_insert_with(|| EvacuationQueues::listen(state));
         queues.build(state, p);
-        let local = queues.best(state, p, targets, scratch);
+        let local = queues.best(state, p, targets);
         #[cfg(debug_assertions)]
         {
             let bits = |(v, q, g): (usize, PartId, f64)| (v, q, g.to_bits());
-            let walked = best_evacuation(state, p, targets, scratch);
+            let walked = best_evacuation(state, p, targets);
             debug_assert_eq!(local.map(bits), walked.map(bits), "queue and walk disagree on part {p}");
         }
         // Nothing made: only fixed or weightless vertices are left in `p`.
@@ -1183,28 +1073,8 @@ pub(crate) fn greedy_repair(
             state.aux_weight(c, p)
         }
     };
-    // Largest relative overshoot over all (constraint, part) pairs, with
-    // its argmax. Zero-capacity parts count as violated when loaded.
-    let max_violation = |state: &PartitionState<Replicated<'_>>| -> (f64, usize, usize) {
-        let mut best = (0.0, 0, 0);
-        for c in 0..arity {
-            for p in 0..k {
-                let cp = cap(c, p);
-                let w = load_of(state, c, p);
-                let over = if cp > 0.0 {
-                    w / cp - 1.0
-                } else if w > 0.0 {
-                    f64::INFINITY
-                } else {
-                    0.0
-                };
-                if over > best.0 {
-                    best = (over, c, p);
-                }
-            }
-        }
-        best
-    };
+    // Relative overshoot of load `w` under cap `cp`. Zero-capacity parts
+    // count as violated when loaded.
     let over_of = |w: f64, cp: f64| -> f64 {
         if cp > 0.0 {
             w / cp - 1.0
@@ -1239,17 +1109,29 @@ pub(crate) fn greedy_repair(
     let mut new_t = vec![0.0f64; 2 * arity];
     let mut moves = 0usize;
     let max_moves = 2 * n + 16;
+    // What a step is ranked by: the resulting global maximum violation,
+    // the maximum over the two parts it touches, and its cut gain.
+    type Score = (f64, f64, f64);
+    // Whether a step displaces the best one so far: a lower resulting
+    // global maximum, then touched parts that end lower, then the better
+    // cut gain.
+    let better = |(after, touched, g): Score, best: Option<Score>| {
+        best.is_none_or(|(ba, bt, bg)| {
+            after < ba - 1e-12
+                || (after < ba + 1e-12
+                    && (touched < bt - 1e-12 || (touched < bt + 1e-12 && g > bg + 1e-12)))
+        })
+    };
     while moves < max_moves {
-        let (viol, _, _) = max_violation(state);
-        if viol <= 1e-9 {
-            break; // feasible on every constraint
-        }
         // Violation matrix and, per constraint, the top-three violations
         // with their parts: a step only touches two parts, so the
         // resulting global maximum is O(arity) to evaluate from these.
         let over: Vec<Vec<f64>> = (0..arity)
             .map(|c| (0..k).map(|p| over_of(load_of(state, c, p), cap(c, p))).collect())
             .collect();
+        if over.iter().flatten().fold(0.0f64, |worst, &o| worst.max(o)) <= 1e-9 {
+            break; // feasible on every constraint
+        }
         let mut top3 = vec![[(f64::NEG_INFINITY, usize::MAX); 3]; arity];
         for (c, top) in top3.iter_mut().enumerate() {
             for (p, &o) in over[c].iter().enumerate() {
@@ -1273,62 +1155,58 @@ pub(crate) fn greedy_repair(
             }
             f64::NEG_INFINITY
         };
+        // What shifting `delta(c)` of every constraint `c`'s load from
+        // part `a` to part `q` does: `None` unless it makes lexicographic
+        // progress, else the resulting global maximum violation and the
+        // maximum over the two touched parts.
+        let mut step = |state: &PartitionState<Replicated<'_>>,
+                        a: PartId,
+                        q: PartId,
+                        delta: &dyn Fn(usize) -> f64| {
+            let mut after = 0.0f64;
+            let mut touched = f64::NEG_INFINITY;
+            for c in 0..arity {
+                let d = delta(c);
+                let from = over_of(load_of(state, c, a) - d, cap(c, a));
+                let to = over_of(load_of(state, c, q) + d, cap(c, q));
+                old_t[2 * c] = over[c][a];
+                old_t[2 * c + 1] = over[c][q];
+                new_t[2 * c] = from;
+                new_t[2 * c + 1] = to;
+                after = after.max(from).max(to).max(others_max(c, a, q));
+                touched = touched.max(from).max(to);
+            }
+            lex_improves(&mut old_t, &mut new_t).then_some((after, touched))
+        };
         // Anchor parts: every part violated on some constraint. A vertex
         // is a relocation candidate if it carries load on one of its
         // part's violated constraints.
         let violated: Vec<Vec<usize>> = (0..k)
             .map(|p| (0..arity).filter(|&c| over[c][p] > 1e-9).collect())
             .collect();
+        let relieves = |v: usize, a: PartId| violated[a].iter().any(|&c| h.vertex_load(v, c) > 0.0);
         // Over every movable vertex of a violated part and every
         // destination, the relocation that minimizes the resulting
         // global maximum violation, among those making lexicographic
         // progress; among equals, the one whose touched parts end
         // lowest, then the best cut gain.
-        let mut best: Option<(usize, PartId, f64, f64, f64)> = None;
+        let mut best: Option<((usize, PartId), Score)> = None;
         for v in 0..n {
             let a = state.part[v];
-            if violated[a].is_empty() || fixed.is_fixed(v) {
+            if fixed.is_fixed(v) || !relieves(v, a) {
                 continue;
             }
-            if !violated[a].iter().any(|&c| h.vertex_load(v, c) > 0.0) {
-                continue;
-            }
-            for q in 0..k {
-                if q == a {
+            for q in (0..k).filter(|&q| q != a) {
+                let Some((after, touched)) = step(state, a, q, &|c| h.vertex_load(v, c)) else {
                     continue;
-                }
-                let mut after = 0.0f64;
-                let mut touched = f64::NEG_INFINITY;
-                for c in 0..arity {
-                    let lv = h.vertex_load(v, c);
-                    let from = over_of(load_of(state, c, a) - lv, cap(c, a));
-                    let to = over_of(load_of(state, c, q) + lv, cap(c, q));
-                    old_t[2 * c] = over[c][a];
-                    old_t[2 * c + 1] = over[c][q];
-                    new_t[2 * c] = from;
-                    new_t[2 * c + 1] = to;
-                    after = after.max(from).max(to).max(others_max(c, a, q));
-                    touched = touched.max(from).max(to);
-                }
-                if !lex_improves(&mut old_t, &mut new_t) {
-                    continue;
-                }
-                let g = state.gain(v, q);
-                let better = match best {
-                    None => true,
-                    Some((_, _, ba, bt, bg)) => {
-                        after < ba - 1e-12
-                            || (after < ba + 1e-12
-                                && (touched < bt - 1e-12
-                                    || (touched < bt + 1e-12 && g > bg + 1e-12)))
-                    }
                 };
-                if better {
-                    best = Some((v, q, after, touched, g));
+                let score = (after, touched, state.gain(v, q));
+                if better(score, best.map(|(_, s)| s)) {
+                    best = Some(((v, q), score));
                 }
             }
         }
-        if let Some((v, q, _, _, _)) = best {
+        if let Some(((v, q), _)) = best {
             state.apply(v, q);
             moves += 1;
             continue;
@@ -1345,13 +1223,10 @@ pub(crate) fn greedy_repair(
             .collect();
         anchors.sort_unstable();
         anchors.dedup();
-        let mut best_swap: Option<(usize, usize, f64, f64, f64)> = None;
+        let mut best_swap: Option<((usize, usize), Score)> = None;
         for &a in &anchors {
             for v in 0..n {
-                if state.part[v] != a || fixed.is_fixed(v) {
-                    continue;
-                }
-                if !violated[a].iter().any(|&c| h.vertex_load(v, c) > 0.0) {
+                if state.part[v] != a || fixed.is_fixed(v) || !relieves(v, a) {
                     continue;
                 }
                 for u in 0..n {
@@ -1359,42 +1234,17 @@ pub(crate) fn greedy_repair(
                     if q == a || fixed.is_fixed(u) {
                         continue;
                     }
-                    let mut after = 0.0f64;
-                    let mut touched = f64::NEG_INFINITY;
-                    for c in 0..arity {
-                        let d = h.vertex_load(v, c) - h.vertex_load(u, c);
-                        let from = over_of(load_of(state, c, a) - d, cap(c, a));
-                        let to = over_of(load_of(state, c, q) + d, cap(c, q));
-                        old_t[2 * c] = over[c][a];
-                        old_t[2 * c + 1] = over[c][q];
-                        new_t[2 * c] = from;
-                        new_t[2 * c + 1] = to;
-                        after = after.max(from).max(to).max(others_max(c, a, q));
-                        touched = touched.max(from).max(to);
-                    }
-                    if !lex_improves(&mut old_t, &mut new_t) {
-                        continue;
-                    }
-                    let g = state.gain(v, q) + state.gain(u, a);
-                    let better = match best_swap {
-                        None => true,
-                        Some((_, _, ba, bt, bg)) => {
-                            after < ba - 1e-12
-                                || (after < ba + 1e-12
-                                    && (touched < bt - 1e-12
-                                        || (touched < bt + 1e-12 && g > bg + 1e-12)))
-                        }
-                    };
-                    if better {
-                        best_swap = Some((v, u, after, touched, g));
+                    let exchanged = |c: usize| h.vertex_load(v, c) - h.vertex_load(u, c);
+                    let Some((after, touched)) = step(state, a, q, &exchanged) else { continue };
+                    let score = (after, touched, state.gain(v, q) + state.gain(u, a));
+                    if better(score, best_swap.map(|(_, s)| s)) {
+                        best_swap = Some(((v, u), score));
                     }
                 }
             }
         }
-        let (v, u, _, _, _) = match best_swap {
-            Some(s) => s,
-            None => break, // no step makes progress — stop, stay deterministic
-        };
+        // No step makes progress — stop, stay deterministic.
+        let Some(((v, u), _)) = best_swap else { break };
         let a = state.part[v];
         let q = state.part[u];
         state.apply(v, q);
@@ -1414,10 +1264,10 @@ fn fm_pass(
 ) -> f64 {
     let Replicated { h, fixed, .. } = state.view;
     let n = h.num_vertices();
-    // At most one live heap entry per vertex: pops revalidate gains, so
-    // extra pushes only add churn. `queued` dedupes; it is cleared on pop
-    // so later gain changes can re-queue the vertex.
-    scratch.prepare_pass(state.k, n);
+    // A vertex is in the queue at most once, under the gain it had when
+    // it entered: pops revalidate, and an entry is never re-keyed — a
+    // stale key is part of what orders the pops.
+    scratch.prepare_pass(n);
 
     let mut boundary = std::mem::take(&mut scratch.boundary);
     state.owned_boundary_into(&mut boundary);
@@ -1426,9 +1276,8 @@ fn fm_pass(
         if fixed.is_fixed(v) {
             continue;
         }
-        if let Some((to, gain)) = state.best_move(v, targets, &mut scratch.mv) {
-            scratch.heap.push(Cand { gain, v, to });
-            scratch.queued[v] = true;
+        if let Some(mv) = state.best_move(v, targets) {
+            scratch.queue(v, mv);
         }
     }
     scratch.boundary = boundary;
@@ -1438,48 +1287,40 @@ fn fm_pass(
     let mut best_len = 0usize;
     let mut neg_streak = 0usize;
 
-    while let Some(c) = scratch.heap.pop() {
-        scratch.queued[c.v] = false;
-        if scratch.locked[c.v] || fixed.is_fixed(c.v) {
+    while let Some((v, key)) = scratch.heap.pop(0) {
+        if scratch.locked[v] || fixed.is_fixed(v) {
             continue;
         }
-        // Lazy revalidation: the stored move may be stale.
-        let current = state.best_move(c.v, targets, &mut scratch.mv);
-        match current {
-            None => continue,
-            Some((to, gain)) => {
-                if to != c.to || (gain - c.gain).abs() > 1e-9 {
-                    scratch.heap.push(Cand { gain, v: c.v, to });
-                    scratch.queued[c.v] = true;
-                    continue;
-                }
-                let from = state.part[c.v];
-                state.apply(c.v, to);
-                scratch.locked[c.v] = true;
-                scratch.applied.push((c.v, from));
-                cum += gain;
-                if cum > best_cum + 1e-12 {
-                    best_cum = cum;
-                    best_len = scratch.applied.len();
-                    neg_streak = 0;
-                } else {
-                    neg_streak += 1;
-                    if neg_streak >= MAX_NEGATIVE_STREAK {
-                        break;
-                    }
-                }
-                // Re-queue neighbors whose gains changed (deduped).
-                for &j in h.vertex_nets(c.v) {
-                    if h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
-                        continue;
-                    }
-                    for &w in h.net(j) {
-                        if !scratch.locked[w] && !scratch.queued[w] && !fixed.is_fixed(w) {
-                            if let Some((to, gain)) = state.best_move(w, targets, &mut scratch.mv) {
-                                scratch.heap.push(Cand { gain, v: w, to });
-                                scratch.queued[w] = true;
-                            }
-                        }
+        // Lazy revalidation: the move it entered with may be stale.
+        let Some((to, gain)) = state.best_move(v, targets) else { continue };
+        if to != scratch.to[v] || (gain - key).abs() > 1e-9 {
+            scratch.queue(v, (to, gain));
+            continue;
+        }
+        let from = state.part[v];
+        state.apply(v, to);
+        scratch.locked[v] = true;
+        scratch.applied.push((v, from));
+        cum += gain;
+        if cum > best_cum + 1e-12 {
+            best_cum = cum;
+            best_len = scratch.applied.len();
+            neg_streak = 0;
+        } else {
+            neg_streak += 1;
+            if neg_streak >= MAX_NEGATIVE_STREAK {
+                break;
+            }
+        }
+        // Queue the neighbors whose gains changed, unless they are in it.
+        for &j in h.vertex_nets(v) {
+            if h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
+                continue;
+            }
+            for &w in h.net(j) {
+                if !scratch.locked[w] && !scratch.heap.contains(w) && !fixed.is_fixed(w) {
+                    if let Some(mv) = state.best_move(w, targets) {
+                        scratch.queue(w, mv);
                     }
                 }
             }
@@ -1546,9 +1387,8 @@ pub fn refine_threads(
     let view = Replicated::whole(h, fixed);
     let table = std::mem::take(&mut scratch.table);
     let mut state = PartitionState::new_threads(view, k, std::mem::take(part), threads, table);
-    scratch.mv.ensure(k);
 
-    rebalance(&mut state, targets, &mut scratch.mv, &mut Lockstep);
+    rebalance(&mut state, targets, &mut Lockstep);
     // Primary-only rebalancing cannot see auxiliary violations; repair
     // them before FM so the pass starts from a feasible assignment.
     if multi && !state.feasible(targets) {
@@ -1806,25 +1646,203 @@ pub(crate) mod tests {
         }
     }
 
-    /// (c) Two targets tie on gain and on part weight, and the nets meet
-    /// them in descending part order: the answer is the scan's (the
-    /// first met), not the lowest part.
-    #[test]
-    fn double_tie_goes_to_the_scan() {
+    /// The instance of `a_double_tie_goes_to_the_lower_part`: vertex 0 of
+    /// part 0 reaches parts 1 and 2 through one net of cost 2 each —
+    /// equal gains into equally heavy parts — and the nets are listed so
+    /// that part 2's comes first.
+    pub(crate) fn double_tie_case() -> (Hypergraph, FixedAssignment, Vec<PartId>, PartTargets) {
         let mut b = dlb_hypergraph::HypergraphBuilder::new(3);
         b.add_net(2.0, [0, 2]);
         b.add_net(2.0, [0, 1]);
-        let h = b.build();
-        let fixed = FixedAssignment::free(3);
-        let targets = PartTargets::uniform(3.0, 3, 2.0);
-        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, vec![0, 1, 2]);
-        let best = state.best_move(0, &targets, &mut MoveScratch::new(3));
-        assert_eq!(best, Some((2, 2.0)));
-        assert_eq!(state.tally.scan_fallbacks, 1);
-        // A lighter part breaks the tie without the scan.
-        state.weights[1] -= 0.5;
-        assert_eq!(state.best_move(0, &targets, &mut MoveScratch::new(3)), Some((1, 2.0)));
-        assert_eq!(state.tally, GainTally { evaluations: 2, scan_fallbacks: 1, ..Default::default() });
+        (b.build(), FixedAssignment::free(3), vec![0, 1, 2], PartTargets::uniform(3.0, 3, 2.0))
+    }
+
+    /// (c) Two targets tie on gain and on part weight: the lower part id
+    /// wins, whatever order the nets meet them in, and a lighter part
+    /// wins before that.
+    #[test]
+    fn a_double_tie_goes_to_the_lower_part() {
+        let (h, fixed, part, targets) = double_tie_case();
+        let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, part);
+        assert_eq!(state.best_move(0, &targets), Some((1, 2.0)));
+        state.weights[2] -= 0.5;
+        assert_eq!(state.best_move(0, &targets), Some((2, 2.0)));
+        assert_eq!(state.tally, GainTally { evaluations: 2, ..Default::default() });
+    }
+
+    /// (a) Flat refinement on integer costs is a function of the
+    /// hypergraph, not of the order its nets are listed in: the same 150
+    /// unit nets added forwards and backwards refine to the same
+    /// partition. (When a double tie went to the part the vertex's nets
+    /// reached first, about half of these rows differed.)
+    #[test]
+    fn refine_ignores_the_order_of_the_nets() {
+        let (n, k) = (60usize, 4usize);
+        let mut rng = StdRng::seed_from_u64(0x0DE5);
+        let mut differing = 0;
+        for case in 0..40 {
+            let nets: Vec<Vec<usize>> = (0..150)
+                .map(|_| (0..rng.gen_range(2usize..5)).map(|_| rng.gen_range(0..n)).collect())
+                .collect();
+            let refined = |order: Vec<&Vec<usize>>| {
+                let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+                for pins in order {
+                    b.add_net(1.0, pins.iter().copied());
+                }
+                let h = b.build();
+                let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.1);
+                let mut part: Vec<PartId> = (0..n).map(|v| v % k).collect();
+                let fixed = FixedAssignment::free(n);
+                let mut rng = StdRng::seed_from_u64(case);
+                refine(&h, &targets, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+                part
+            };
+            differing += usize::from(refined(nets.iter().collect()) != refined(nets.iter().rev().collect()));
+        }
+        assert_eq!(differing, 0, "of 40 instances");
+    }
+
+    /// A move FM has queued, ordered as `BinaryHeap` pops it: the highest
+    /// gain, the lowest vertex among equal gains.
+    struct Cand {
+        gain: f64,
+        v: usize,
+        to: PartId,
+    }
+
+    impl PartialEq for Cand {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == std::cmp::Ordering::Equal
+        }
+    }
+    impl Eq for Cand {}
+    impl PartialOrd for Cand {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Cand {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.gain.total_cmp(&other.gain).then_with(|| other.v.cmp(&self.v))
+        }
+    }
+
+    /// [`fm_pass`] as it was before it queued on [`Heaps`]: a
+    /// `BinaryHeap<Cand>` with a `queued` flag per vertex beside it. The
+    /// reference of `fm_on_the_shared_heap_equals_the_binary_heap_reference`
+    /// (the role `greedy_growing_lazy` has for GHG). Returns the moves
+    /// applied as `(vertex, from)`, how many of them were kept, and the
+    /// gain kept.
+    fn fm_pass_binary_heap(
+        state: &mut PartitionState<Replicated<'_>>,
+        targets: &PartTargets,
+        rng: &mut StdRng,
+    ) -> (Vec<(usize, PartId)>, usize, f64) {
+        use std::collections::BinaryHeap;
+        let Replicated { h, fixed, .. } = state.view;
+        let mut heap = BinaryHeap::new();
+        let mut locked = vec![false; h.num_vertices()];
+        let mut queued = vec![false; h.num_vertices()];
+        let mut applied = Vec::new();
+
+        let mut boundary = Vec::new();
+        state.owned_boundary_into(&mut boundary);
+        boundary.shuffle(rng);
+        for &v in &boundary {
+            if fixed.is_fixed(v) {
+                continue;
+            }
+            if let Some((to, gain)) = state.best_move(v, targets) {
+                heap.push(Cand { gain, v, to });
+                queued[v] = true;
+            }
+        }
+
+        let (mut cum, mut best_cum, mut best_len, mut neg_streak) = (0.0, 0.0, 0usize, 0usize);
+        while let Some(c) = heap.pop() {
+            queued[c.v] = false;
+            if locked[c.v] || fixed.is_fixed(c.v) {
+                continue;
+            }
+            let Some((to, gain)) = state.best_move(c.v, targets) else { continue };
+            if to != c.to || (gain - c.gain).abs() > 1e-9 {
+                heap.push(Cand { gain, v: c.v, to });
+                queued[c.v] = true;
+                continue;
+            }
+            let from = state.part[c.v];
+            state.apply(c.v, to);
+            locked[c.v] = true;
+            applied.push((c.v, from));
+            cum += gain;
+            if cum > best_cum + 1e-12 {
+                best_cum = cum;
+                best_len = applied.len();
+                neg_streak = 0;
+            } else {
+                neg_streak += 1;
+                if neg_streak >= MAX_NEGATIVE_STREAK {
+                    break;
+                }
+            }
+            for &j in h.vertex_nets(c.v) {
+                if h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
+                    continue;
+                }
+                for &w in h.net(j) {
+                    if !locked[w] && !queued[w] && !fixed.is_fixed(w) {
+                        if let Some((to, gain)) = state.best_move(w, targets) {
+                            heap.push(Cand { gain, v: w, to });
+                            queued[w] = true;
+                        }
+                    }
+                }
+            }
+        }
+        for &(v, from) in applied[best_len..].iter().rev() {
+            state.apply(v, from);
+        }
+        (applied, best_len, best_cum)
+    }
+
+    /// (c) FM on the crate's addressable heap pops what the `BinaryHeap`
+    /// did — a vertex is queued at most once and never re-keyed, so the
+    /// pop sequence is a function of the queued set: same moves applied in
+    /// the same order, same prefix kept, same partition, pass after pass.
+    #[test]
+    fn fm_on_the_shared_heap_equals_the_binary_heap_reference() {
+        let mut rng = StdRng::seed_from_u64(0xF3A9);
+        let mut applied_total = 0;
+        for case in 0..24 {
+            let k = rng.gen_range(2usize..7);
+            let n = rng.gen_range(40usize..160);
+            let (h, fixed, part) = random_instance(&mut rng, n, k, case % 2 == 1);
+            let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.3);
+            let view = Replicated::whole(&h, &fixed);
+            let mut state = PartitionState::new(view, k, part.clone());
+            let mut reference = PartitionState::new(view, k, part);
+            let mut scratch = RefineScratch::new();
+            let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(case), StdRng::seed_from_u64(case));
+            // Several passes on one scratch: the queue a pass leaves behind
+            // (it may stop early) must not leak into the next.
+            for pass in 0..4 {
+                let start = state.part.clone();
+                let kept = fm_pass(&mut state, &targets, &mut scratch, &mut rng_a);
+                let (applied, best_len, best_cum) =
+                    fm_pass_binary_heap(&mut reference, &targets, &mut rng_b);
+                assert_eq!(scratch.applied, applied, "case {case} pass {pass}: applied sequence");
+                assert_eq!(kept.to_bits(), best_cum.to_bits(), "case {case} pass {pass}: gain kept");
+                assert_eq!(state.part, reference.part, "case {case} pass {pass}: partition");
+                let mut prefix = PartitionState::new(view, k, start);
+                for &(v, _) in &applied[..best_len] {
+                    let to = state.part[v];
+                    prefix.apply(v, to);
+                }
+                assert_eq!(state.part, prefix.part, "case {case} pass {pass}: kept prefix");
+                applied_total += applied.len();
+            }
+        }
+        assert!(applied_total > 500, "only {applied_total} moves: the rows exercise nothing");
     }
 
     /// [`Lockstep`], keeping the evacuations it makes.
@@ -1926,7 +1944,6 @@ pub(crate) mod tests {
     ) -> (Vec<(usize, PartId)>, PartitionState<Replicated<'_>>, u64) {
         let RebalanceCase { h, fixed, targets, .. } = case;
         let k = targets.k();
-        let mut scratch = MoveScratch::new(k);
         let mut walked = PartitionState::new(Replicated::whole(h, fixed), k, case.part.clone());
         let (mut made, mut evaluated) = (Vec::new(), 0);
         while let Some(p) = most_overweight(&walked.weights, targets) {
@@ -1938,7 +1955,7 @@ pub(crate) mod tests {
                     continue;
                 }
                 evaluated += 1;
-                let (q, g) = walked.best_move(v, targets, &mut scratch).unwrap_or_else(|| {
+                let (q, g) = walked.best_move(v, targets).unwrap_or_else(|| {
                     let rel = |q: PartId| (walked.weights[q] + w) / targets.target[q];
                     let q = (0..k).filter(|&q| q != p).min_by(|&a, &b| rel(a).total_cmp(&rel(b)));
                     (q.unwrap(), walked.gain(v, q.unwrap()))
@@ -1976,7 +1993,7 @@ pub(crate) mod tests {
             let view = Replicated::whole(h, fixed);
             let mut state = PartitionState::new(view, targets.k(), case.part.clone());
             let mut recording = Recording(Vec::new());
-            rebalance(&mut state, targets, &mut MoveScratch::new(targets.k()), &mut recording);
+            rebalance(&mut state, targets, &mut recording);
             assert_eq!(recording.0, expected, "{name}");
             assert_eq!(state.part, walked.part, "{name}");
             assert_eq!(state.weights, walked.weights, "{name}");
@@ -2006,13 +2023,12 @@ pub(crate) mod tests {
         let fixed = FixedAssignment::free(4);
         let targets = PartTargets::uniform(4.0, 3, 2.0);
         let mut state = PartitionState::new(Replicated::whole(&h, &fixed), 3, vec![0, 1, 2, 0]);
-        let mut scratch = MoveScratch::new(3);
-        assert_eq!(state.best_move(0, &targets, &mut scratch), Some((2, 3.0)));
-        assert_eq!(state.scan_best_move(0, &targets, &mut scratch), Some((2, 3.0)));
+        assert_eq!(state.best_move(0, &targets), Some((2, 3.0)));
+        assert_eq!(state.scan_best_move(0, &targets), Some((2, 3.0)));
         // Vertex 3 touches part 1 through a free net only: nowhere to go,
         // and the move there gains what a move to untouched part 2 does.
-        assert_eq!(state.best_move(3, &targets, &mut scratch), None);
-        assert_eq!(state.scan_best_move(3, &targets, &mut scratch), None);
+        assert_eq!(state.best_move(3, &targets), None);
+        assert_eq!(state.scan_best_move(3, &targets), None);
         assert_eq!(state.gain(3, 1), state.gain(3, 2));
         let mut rng = StdRng::seed_from_u64(8);
         check_applies_against_fresh_builds(&h, &fixed, 3, vec![0, 1, 2, 0], 30, &mut rng);

@@ -74,115 +74,135 @@ macro_rules! span {
     }};
 }
 
-/// The fixed vocabulary of deterministic counters.
-///
-/// Every variant is documented with *where* it is counted, because that
-/// placement is what makes the value invariant across thread and rank
-/// counts (DESIGN.md §11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares [`Counter`] from one table of `Variant => "export_name"` rows:
+/// the enum, [`Counter::ALL`] and [`Counter::name`] are all generated from
+/// it, so a counter cannot have a name without a slot or the reverse.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
+        /// The fixed vocabulary of deterministic counters.
+        ///
+        /// Every variant is documented with *where* it is counted, because that
+        /// placement is what makes the value invariant across thread and rank
+        /// counts (DESIGN.md §11).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in declaration (= export) order.
+            pub const ALL: [Counter; [$($name),+].len()] = [$(Counter::$variant),+];
+
+            /// Stable snake_case name used in exports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Coarsening levels built (one per contraction, all drivers).
-    CoarsenLevels,
+    CoarsenLevels => "coarsen_levels",
     /// Matched pairs accepted by IPM matching, summed over levels.
-    CoarsenMatchesAccepted,
+    CoarsenMatchesAccepted => "coarsen_matches_accepted",
     /// IPM candidates discarded because fixed-vertex assignments were
     /// incompatible (counted in the serial selection loop).
-    CoarsenMatchesRefusedFixed,
+    CoarsenMatchesRefusedFixed => "coarsen_matches_refused_fixed",
     /// Pins iterated while scoring vertices that the serial IPM
     /// selection loop actually visited unmatched.
-    CoarsenPinsScanned,
+    CoarsenPinsScanned => "coarsen_pins_scanned",
     /// Vertices of the coarsest hypergraph handed to the coarse solve.
-    CoarseVertices,
+    CoarseVertices => "coarse_vertices",
     /// Nets of the coarsest hypergraph handed to the coarse solve.
-    CoarseNets,
+    CoarseNets => "coarse_nets",
     /// Pins of the coarsest hypergraph handed to the coarse solve.
-    CoarsePins,
+    CoarsePins => "coarse_pins",
     /// Greedy-hypergraph-growing attempts executed (coarse-solve seeds).
-    InitialGhgSeeds,
+    InitialGhgSeeds => "initial_ghg_seeds",
     /// FM refinement passes run by the serial/shared-memory refiner.
-    FmPasses,
+    FmPasses => "fm_passes",
     /// FM moves applied during passes, before prefix rollback.
-    FmMovesAttempted,
+    FmMovesAttempted => "fm_moves_attempted",
     /// FM moves kept after rolling back to the best prefix.
-    FmMovesAccepted,
+    FmMovesAccepted => "fm_moves_accepted",
     /// FM moves undone by prefix rollback.
-    FmMovesRolledBack,
+    FmMovesRolledBack => "fm_moves_rolled_back",
     /// Invocations of the greedy rebalance fixer (serial and
     /// distributed variants).
-    RebalanceInvocations,
+    RebalanceInvocations => "rebalance_invocations",
     /// Vertices whose part changed during a parallel/distributed
     /// refinement level (outcome diff — invariant because partitions
     /// are bit-identical across rank counts).
-    ParRefineMovesCommitted,
+    ParRefineMovesCommitted => "par_refine_moves_committed",
     /// V-cycle iterations executed.
-    VcyclesRun,
+    VcyclesRun => "vcycles_run",
     /// V-cycle iterations whose result improved the cut and was kept.
-    VcyclesKept,
+    VcyclesKept => "vcycles_kept",
     /// Epochs executed by the simulation driver.
-    Epochs,
+    Epochs => "epochs",
     /// Items physically moved by measured migration (summed over the
     /// execution world's ranks from the returned per-rank stats).
-    MigrationItemsMoved,
+    MigrationItemsMoved => "migration_items_moved",
     /// Faults injected by an installed `FaultPlan`: one per scheduled
     /// rank failure consumed by the epoch driver, plus one per message
     /// drop/delay injected inside the measured execution world (counted
     /// on that world's enrolled rank 0, so the value is invariant
     /// across driver rank counts).
-    FaultsInjected,
+    FaultsInjected => "faults_injected",
     /// Recovery repartitions run after a rank failure (one per dead
     /// rank, counted in the epoch driver).
-    RecoveriesRun,
+    RecoveriesRun => "recoveries_run",
     /// Epochs served by the incremental path via a patched model with a
     /// warm-started (refine-only) repartition — counted in the epoch
     /// driver's drift policy.
-    DeltaEpochs,
+    DeltaEpochs => "delta_epochs",
     /// Epochs in an incremental run that fell back to a full V-cycle
     /// (drift at/above threshold, non-repartitioning algorithm, or a
     /// full-snapshot update) — counted in the epoch driver.
-    FullRebuilds,
+    FullRebuilds => "full_rebuilds",
     /// Cells touched by delta patching: removed + added + reweighted +
     /// survivors whose nets were spliced (counted in `ModelPatcher`).
-    CellsPatched,
+    CellsPatched => "cells_patched",
     /// Planned world resizes performed at epoch boundaries (one per
     /// epoch with a net `WorldPlan` change, counted in the epoch
     /// driver).
-    ResizesRun,
+    ResizesRun => "resizes_run",
     /// Ranks that joined the world through planned resizes.
-    RanksJoined,
+    RanksJoined => "ranks_joined",
     /// Ranks that departed the world through planned resizes (planned
     /// leaves only; failures count under `RecoveriesRun`).
-    RanksDeparted,
+    RanksDeparted => "ranks_departed",
     /// Resizes where the measured cost model picked the fixed-vertex
     /// repartition candidate (counted in the epoch driver's arbitration).
-    ResizeChoseRepart,
+    ResizeChoseRepart => "resize_chose_repart",
     /// Resizes where the measured cost model picked the scratch-partition
     /// + remap candidate.
-    ResizeChoseScratch,
+    ResizeChoseScratch => "resize_chose_scratch",
     /// Invocations of the multi-constraint greedy repair pass (serial
     /// refiner; never incremented by scalar arity-1 runs).
-    RepairInvocations,
+    RepairInvocations => "repair_invocations",
     /// Vertex moves kept by the greedy repair pass.
-    RepairMovesApplied,
+    RepairMovesApplied => "repair_moves_applied",
     /// `best_move` answers the serial/shared-memory refiner read from
     /// the gain table (rebalance, FM seeds, pops and re-queues), flushed
-    /// once per `refine_threads` call. Like the four counters below it
+    /// once per `refine_threads` call. Like the three counters below it
     /// is not counted by the SPMD passes, where a rank's share depends
     /// on the storage form.
-    GainEvaluations,
+    GainEvaluations => "gain_evaluations",
     /// Marked gain-table entries re-summed by a read (zero on a level
     /// whose costs are integer-valued: transitions update in place).
-    GainResums,
-    /// Gain evaluations whose winner depended on candidate order (equal
-    /// gain and equal part weight) and were resolved by the scan.
-    GainScanFallbacks,
+    GainResums => "gain_resums",
     /// Vertices the serial/shared-memory rebalance popped from the
     /// overweight part's queue and evaluated as evacuation candidates,
     /// summed over evacuations.
-    RebalanceCandidatesScanned,
+    RebalanceCandidatesScanned => "rebalance_candidates_scanned",
     /// Evacuations the serial/shared-memory rebalance committed and kept
     /// (the one it reverts before giving up is not counted).
-    RebalanceMoves,
+    RebalanceMoves => "rebalance_moves",
     /// Nets of every hypergraph handed to contraction, summed over
     /// levels — the *global* net count of the level, whichever way it is
     /// stored, so the value is the same on serial, replicated and
@@ -190,97 +210,11 @@ pub enum Counter {
     /// deliberately not counted: a distributed level collapses on one
     /// shard table per rank, whose probe sequences differ from the
     /// replicated table's.
-    ContractNetsIn,
+    ContractNetsIn => "contract_nets_in",
     /// Nets of every contracted (coarse) hypergraph, summed over levels
     /// — global counts, as for `ContractNetsIn`. In minus out is what
     /// contraction dropped below two pins or collapsed as identical.
-    ContractNetsOut,
-}
-
-impl Counter {
-    /// Every counter, in declaration (= export) order.
-    pub const ALL: [Counter; 37] = [
-        Counter::CoarsenLevels,
-        Counter::CoarsenMatchesAccepted,
-        Counter::CoarsenMatchesRefusedFixed,
-        Counter::CoarsenPinsScanned,
-        Counter::CoarseVertices,
-        Counter::CoarseNets,
-        Counter::CoarsePins,
-        Counter::InitialGhgSeeds,
-        Counter::FmPasses,
-        Counter::FmMovesAttempted,
-        Counter::FmMovesAccepted,
-        Counter::FmMovesRolledBack,
-        Counter::RebalanceInvocations,
-        Counter::ParRefineMovesCommitted,
-        Counter::VcyclesRun,
-        Counter::VcyclesKept,
-        Counter::Epochs,
-        Counter::MigrationItemsMoved,
-        Counter::FaultsInjected,
-        Counter::RecoveriesRun,
-        Counter::DeltaEpochs,
-        Counter::FullRebuilds,
-        Counter::CellsPatched,
-        Counter::ResizesRun,
-        Counter::RanksJoined,
-        Counter::RanksDeparted,
-        Counter::ResizeChoseRepart,
-        Counter::ResizeChoseScratch,
-        Counter::RepairInvocations,
-        Counter::RepairMovesApplied,
-        Counter::GainEvaluations,
-        Counter::GainResums,
-        Counter::GainScanFallbacks,
-        Counter::RebalanceCandidatesScanned,
-        Counter::RebalanceMoves,
-        Counter::ContractNetsIn,
-        Counter::ContractNetsOut,
-    ];
-
-    /// Stable snake_case name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::CoarsenLevels => "coarsen_levels",
-            Counter::CoarsenMatchesAccepted => "coarsen_matches_accepted",
-            Counter::CoarsenMatchesRefusedFixed => "coarsen_matches_refused_fixed",
-            Counter::CoarsenPinsScanned => "coarsen_pins_scanned",
-            Counter::CoarseVertices => "coarse_vertices",
-            Counter::CoarseNets => "coarse_nets",
-            Counter::CoarsePins => "coarse_pins",
-            Counter::InitialGhgSeeds => "initial_ghg_seeds",
-            Counter::FmPasses => "fm_passes",
-            Counter::FmMovesAttempted => "fm_moves_attempted",
-            Counter::FmMovesAccepted => "fm_moves_accepted",
-            Counter::FmMovesRolledBack => "fm_moves_rolled_back",
-            Counter::RebalanceInvocations => "rebalance_invocations",
-            Counter::ParRefineMovesCommitted => "par_refine_moves_committed",
-            Counter::VcyclesRun => "vcycles_run",
-            Counter::VcyclesKept => "vcycles_kept",
-            Counter::Epochs => "epochs",
-            Counter::MigrationItemsMoved => "migration_items_moved",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::RecoveriesRun => "recoveries_run",
-            Counter::DeltaEpochs => "delta_epochs",
-            Counter::FullRebuilds => "full_rebuilds",
-            Counter::CellsPatched => "cells_patched",
-            Counter::ResizesRun => "resizes_run",
-            Counter::RanksJoined => "ranks_joined",
-            Counter::RanksDeparted => "ranks_departed",
-            Counter::ResizeChoseRepart => "resize_chose_repart",
-            Counter::ResizeChoseScratch => "resize_chose_scratch",
-            Counter::RepairInvocations => "repair_invocations",
-            Counter::RepairMovesApplied => "repair_moves_applied",
-            Counter::GainEvaluations => "gain_evaluations",
-            Counter::GainResums => "gain_resums",
-            Counter::GainScanFallbacks => "gain_scan_fallbacks",
-            Counter::RebalanceCandidatesScanned => "rebalance_candidates_scanned",
-            Counter::RebalanceMoves => "rebalance_moves",
-            Counter::ContractNetsIn => "contract_nets_in",
-            Counter::ContractNetsOut => "contract_nets_out",
-        }
-    }
+    ContractNetsOut => "contract_nets_out",
 }
 
 /// Typed span attribute value.

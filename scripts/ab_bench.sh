@@ -19,7 +19,11 @@
 # and pass the paths of the two `release/benchmark` files. Prints, per
 # end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 # the pairs each side won, and whether the medians are further apart
-# than the parent's inter-quartile distance. Exits 1 only if a run
+# than the parent's inter-quartile distance; under that table, from the
+# `detail` line of each side's first run, whether the two binaries made
+# the same partitions (`partitions: identical`, or `n of m ops differ` by
+# fingerprint or cost, with the first such op and the exact cost per op
+# of both sides). Exits 1 only if a run
 # failed or reported an incorrect op; the verdict itself is for reading.
 set -euo pipefail
 
@@ -48,13 +52,14 @@ fi
 RUNS=$(mktemp)
 trap 'rm -f "$RUNS"' EXIT
 
-# One run: the benchmark's last stdout line is its result JSON.
+# One run: the benchmark's last stdout line is its result JSON, the
+# `detail` line before it lists every op's fingerprint and cost.
 run() {
-  local side=$1 bin=$2 result
+  local side=$1 bin=$2 output
   shift 2
-  # (pipefail + errexit: a run that exits non-zero ends the script.)
-  result=$("$bin" --workload "$WORKLOAD" --seed 42 --trace 0 "$@" | tail -n 1)
-  echo "$side $result" >> "$RUNS"
+  # (errexit: a run that exits non-zero ends the script.)
+  output=$("$bin" --workload "$WORKLOAD" --seed 42 --trace 0 "$@")
+  tail -n 2 <<<"$output" | sed "s/^/$side /" >> "$RUNS"
 }
 
 for pair in $(seq 1 "$PAIRS"); do
@@ -74,9 +79,13 @@ import sys
 
 runs_path, contract_path, workload = sys.argv[1:4]
 sides = {"parent": [], "head": []}
+details = {"parent": [], "head": []}
 for line in open(runs_path):
     side, result = line.split(" ", 1)
-    sides[side].append(json.loads(result))
+    if result.startswith("detail "):
+        details[side].append(json.loads(result.split(" ", 1)[1]))
+    else:
+        sides[side].append(json.loads(result))
 pairs = len(sides["parent"])
 bad = [(s, i + 1) for s, runs in sides.items() for i, r in enumerate(runs) if not r["correct"]]
 
@@ -118,6 +127,21 @@ widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
 for r in rows:
     print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 print("a gain is claimed only where head won >= 9/10 of the pairs and the last column says yes")
+
+
+def ops(detail):
+    """What each op of a run produced: (fingerprint, cost) by op id."""
+    return dict(zip(detail["op_ids"], zip(detail["fingerprints"], detail["costs"])))
+
+
+parent_ops, head_ops = ops(details["parent"][0]), ops(details["head"][0])
+differing = [op for op in parent_ops if parent_ops[op] != head_ops.get(op)]
+if differing:
+    before, after = (sum(cost for _, cost in side.values()) / len(side) for side in (parent_ops, head_ops))
+    print(f"partitions: {len(differing)} of {len(parent_ops)} ops differ (first: op {differing[0]}); "
+          f"cost per op {before:.2f} -> {after:.2f} ({(after - before) / before:+.3%})")
+else:
+    print(f"partitions: identical ({len(parent_ops)} ops, fingerprints and costs)")
 for side, pair in bad:
     print(f"INCORRECT: {side} run of pair {pair} reported failed ops")
 sys.exit(1 if bad else 0)

@@ -83,7 +83,9 @@
 //! next to measured makespans.
 //!
 //! Invalid parameter combinations (`-k 1`, `--ranks 0`, malformed
-//! numbers) are rejected up front with a message on stderr and exit
+//! numbers), a valued flag with no value after it, and a flag the
+//! subcommand does not read (`--out` on `simulate`, `--epochs` on
+//! `partition`) are rejected up front with a message on stderr and exit
 //! code 2, before any driver runs.
 
 use std::fs::File;
@@ -154,18 +156,41 @@ struct Cli {
     drift_threshold: Option<f64>,
 }
 
-fn parse_value<T: std::str::FromStr>(argv: &[String], i: usize, flag: &str) -> T {
-    argv.get(i + 1)
+/// The value of the valued flag `flag`, which `argv[*i]` must hold and
+/// parse as; moves `*i` past it. The one way a flag's value is read, so a
+/// missing value is as much an error for a path as for a number.
+fn parse_value<T: std::str::FromStr>(argv: &[String], i: &mut usize, flag: &str) -> T {
+    let value = argv
+        .get(*i)
         .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| fail(format!("{flag} expects a valid value")))
+        .unwrap_or_else(|| fail(format!("{flag} expects a valid value")));
+    *i += 1;
+    value
+}
+
+const COMMANDS: &[&str] = &["partition", "repartition", "simulate"];
+
+/// The subcommands that read `flag`. A flag given to any other one is an
+/// error, never silently ignored; an unknown flag prints the usage.
+fn read_by(flag: &str) -> &'static [&'static str] {
+    match flag {
+        "-k" | "--epsilon" | "--constraints" | "--seed" | "--ranks" | "--threads"
+        | "--determinism" | "--distributed" | "--trace" => COMMANDS,
+        "--out" => &["partition", "repartition"],
+        "--old" => &["repartition"],
+        "--alpha" | "--algorithm" => &["repartition", "simulate"],
+        "--workload" | "--epochs" | "--scale" | "--fault-plan" | "--world-plan"
+        | "--incremental" | "--drift-threshold" => &["simulate"],
+        _ => usage(),
+    }
 }
 
 fn parse_cli() -> Cli {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
+    let command = argv.first().cloned().unwrap_or_else(|| usage());
+    if !COMMANDS.contains(&command.as_str()) {
         usage();
     }
-    let command = argv[0].clone();
     let mut k = None;
     let mut alpha = 100.0;
     let mut algorithm = Algorithm::ZoltanRepart;
@@ -189,122 +214,70 @@ fn parse_cli() -> Cli {
     let mut drift_threshold = None;
     let mut i = 1;
     while i < argv.len() {
-        match argv[i].as_str() {
-            "-k" => {
-                k = Some(parse_value::<usize>(&argv, i, "-k"));
-                i += 2;
+        let flag = argv[i].as_str();
+        i += 1;
+        if !flag.starts_with('-') {
+            if command == "simulate" {
+                fail(format!("simulate generates its workload and reads no input file ({flag})"));
             }
-            "--alpha" => {
-                alpha = parse_value(&argv, i, "--alpha");
-                i += 2;
-            }
+            input = Some(flag.to_string());
+            continue;
+        }
+        let readers = read_by(flag);
+        if !readers.contains(&command.as_str()) {
+            fail(format!("{flag} applies to {} only, not {command}", readers.join(" and ")));
+        }
+        match flag {
+            "-k" => k = Some(parse_value(&argv, &mut i, flag)),
+            "--alpha" => alpha = parse_value(&argv, &mut i, flag),
             "--algorithm" => {
-                algorithm = match argv.get(i + 1).map(String::as_str) {
-                    Some("zoltan-repart") => Algorithm::ZoltanRepart,
-                    Some("zoltan-scratch") => Algorithm::ZoltanScratch,
-                    Some("parmetis-repart") => Algorithm::ParmetisRepart,
-                    Some("parmetis-scratch") => Algorithm::ParmetisScratch,
+                algorithm = match parse_value::<String>(&argv, &mut i, flag).as_str() {
+                    "zoltan-repart" => Algorithm::ZoltanRepart,
+                    "zoltan-scratch" => Algorithm::ZoltanScratch,
+                    "parmetis-repart" => Algorithm::ParmetisRepart,
+                    "parmetis-scratch" => Algorithm::ParmetisScratch,
                     other => fail(format!("unknown algorithm {other:?}")),
-                };
-                i += 2;
+                }
             }
-            "--epsilon" => {
-                epsilons.push(parse_value(&argv, i, "--epsilon"));
-                i += 2;
-            }
-            "--constraints" => {
-                constraints = parse_value(&argv, i, "--constraints");
-                i += 2;
-            }
-            "--seed" => {
-                seed = parse_value(&argv, i, "--seed");
-                i += 2;
-            }
+            "--epsilon" => epsilons.push(parse_value(&argv, &mut i, flag)),
+            "--constraints" => constraints = parse_value(&argv, &mut i, flag),
+            "--seed" => seed = parse_value(&argv, &mut i, flag),
             "--ranks" => {
-                ranks = parse_value(&argv, i, "--ranks");
+                ranks = parse_value(&argv, &mut i, flag);
                 if ranks == 0 {
                     fail("--ranks must be at least 1");
                 }
-                i += 2;
             }
-            "--threads" => {
-                threads = parse_value(&argv, i, "--threads");
-                i += 2;
-            }
+            "--threads" => threads = parse_value(&argv, &mut i, flag),
             "--determinism" => {
-                determinism = match argv.get(i + 1).map(String::as_str) {
-                    Some("strict") => Determinism::Strict,
-                    Some("fast") => Determinism::Fast,
-                    other => fail(format!(
-                        "--determinism expects strict or fast, got {other:?}"
-                    )),
-                };
-                i += 2;
-            }
-            "--distributed" => {
-                distributed = true;
-                i += 1;
-            }
-            "--trace" => {
-                trace = argv.get(i + 1).cloned();
-                if trace.is_none() {
-                    fail("--trace expects a file path");
+                determinism = match parse_value::<String>(&argv, &mut i, flag).as_str() {
+                    "strict" => Determinism::Strict,
+                    "fast" => Determinism::Fast,
+                    other => fail(format!("--determinism expects strict or fast, got {other:?}")),
                 }
-                i += 2;
             }
-            "--out" => {
-                out = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--old" => {
-                old = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--workload" => {
-                workload = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--epochs" => {
-                epochs = parse_value(&argv, i, "--epochs");
-                i += 2;
-            }
-            "--scale" => {
-                scale = Some(parse_value(&argv, i, "--scale"));
-                i += 2;
-            }
-            "--incremental" => {
-                incremental = true;
-                i += 1;
-            }
-            "--drift-threshold" => {
-                drift_threshold = Some(parse_value::<f64>(&argv, i, "--drift-threshold"));
-                i += 2;
-            }
+            "--distributed" => distributed = true,
+            "--trace" => trace = Some(parse_value(&argv, &mut i, flag)),
+            "--out" => out = Some(parse_value(&argv, &mut i, flag)),
+            "--old" => old = Some(parse_value(&argv, &mut i, flag)),
+            "--workload" => workload = Some(parse_value(&argv, &mut i, flag)),
+            "--epochs" => epochs = parse_value(&argv, &mut i, flag),
+            "--scale" => scale = Some(parse_value(&argv, &mut i, flag)),
+            "--incremental" => incremental = true,
+            "--drift-threshold" => drift_threshold = Some(parse_value(&argv, &mut i, flag)),
             "--fault-plan" => {
-                let spec = argv
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--fault-plan expects a SEED:spec value"));
+                let spec: String = parse_value(&argv, &mut i, flag);
                 fault_plan = Some(
-                    FaultPlan::parse(spec)
-                        .unwrap_or_else(|e| fail(format!("bad --fault-plan: {e}"))),
+                    FaultPlan::parse(&spec).unwrap_or_else(|e| fail(format!("bad --fault-plan: {e}"))),
                 );
-                i += 2;
             }
             "--world-plan" => {
-                let spec = argv
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--world-plan expects a SEED:spec value"));
+                let spec: String = parse_value(&argv, &mut i, flag);
                 world_plan = Some(
-                    WorldPlan::parse(spec)
-                        .unwrap_or_else(|e| fail(format!("bad --world-plan: {e}"))),
+                    WorldPlan::parse(&spec).unwrap_or_else(|e| fail(format!("bad --world-plan: {e}"))),
                 );
-                i += 2;
             }
-            arg if !arg.starts_with('-') => {
-                input = Some(arg.to_string());
-                i += 1;
-            }
-            _ => usage(),
+            _ => unreachable!("read_by admitted the flag {flag}"),
         }
     }
     Cli {
@@ -650,19 +623,6 @@ fn main() {
     if cli.constraints > 1 {
         fail("--constraints > 1 requires simulate --workload amr (file inputs are scalar)");
     }
-    // Simulate-only flags are rejected rather than silently ignored.
-    if cli.world_plan.is_some() {
-        fail(format!("--world-plan applies to simulate only, not {}", cli.command));
-    }
-    if cli.fault_plan.is_some() {
-        fail(format!("--fault-plan applies to simulate only, not {}", cli.command));
-    }
-    if cli.incremental {
-        fail(format!("--incremental applies to simulate only, not {}", cli.command));
-    }
-    if cli.workload.is_some() {
-        fail(format!("--workload applies to simulate only, not {}", cli.command));
-    }
     let input = cli.input.clone().unwrap_or_else(|| usage());
     let (hypergraph, graph) = load(&input);
     eprintln!(
@@ -732,6 +692,6 @@ fn main() {
             let _ = metrics::imbalance(&hypergraph, &r.new_part, cli.k);
             write_partition(&cli.out, &r.new_part);
         }
-        _ => usage(),
+        other => unreachable!("parse_cli admitted the command {other:?}"),
     }
 }

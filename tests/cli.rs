@@ -228,6 +228,38 @@ fn rejects_simulate_only_flags_on_file_commands() {
         &["partition", "-k", "2", "--workload", "amr", "x.mtx"],
         "--workload applies to simulate only",
     );
+    assert_rejected(
+        &["partition", "-k", "2", "x.mtx", "--drift-threshold", "0.3"],
+        "--drift-threshold applies to simulate only",
+    );
+    // Every flag the subcommand never reads is named, whichever comes first.
+    let unread = ["--epochs", "9", "--scale", "3", "--alpha", "7", "--old", "/tmp/none"];
+    for at in (0..unread.len()).step_by(2) {
+        let mut args = vec!["partition", "-k", "2", "x.mtx"];
+        args.extend(&unread[at..]);
+        args.extend(["--algorithm", "parmetis-scratch"]);
+        assert_rejected(&args, &format!("{} applies to", unread[at]));
+    }
+    assert_rejected(
+        &["partition", "-k", "2", "x.mtx", "--algorithm", "parmetis-scratch"],
+        "--algorithm applies to repartition and simulate only, not partition",
+    );
+    assert_rejected(
+        &["simulate", "-k", "2", "--workload", "amr", "--out", "p"],
+        "--out applies to partition and repartition only, not simulate",
+    );
+    assert_rejected(&["simulate", "-k", "2", "--workload", "amr", "x.mtx"], "reads no input file");
+}
+
+#[test]
+fn rejects_a_missing_value_for_every_kind_of_flag() {
+    // `--out` with nothing after it used to write the partition to stdout.
+    assert_rejected(&["partition", "-k", "2", "x.mtx", "--out"], "--out expects a valid value");
+    assert_rejected(&["repartition", "-k", "2", "x.mtx", "--old"], "--old expects a valid value");
+    assert_rejected(&["simulate", "-k", "2", "--workload"], "--workload expects a valid value");
+    assert_rejected(&["partition", "-k", "2", "x.mtx", "--trace"], "--trace expects a valid value");
+    assert_rejected(&["simulate", "-k", "2", "--fault-plan"], "--fault-plan expects a valid value");
+    assert_rejected(&["partition", "x.mtx", "-k"], "-k expects a valid value");
 }
 
 #[test]
