@@ -22,6 +22,8 @@
 //! all lowered weights are integer-valued `f64`s so cost sums are exact
 //! under any summation order.
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod feature;
 pub mod lower;

@@ -24,6 +24,8 @@
 //! (defaults: scale 0 = the default 16×16 base mesh, seed 42, epochs 4,
 //! trials 2; `--quick` shrinks the mesh for CI smoke runs).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use dlb_amr::AmrConfig;

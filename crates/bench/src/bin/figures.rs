@@ -20,6 +20,8 @@
 //! grid for smoke runs. Results print as ASCII charts and are written as
 //! CSV under `--out` (default `results/`).
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -14,6 +14,8 @@
 //!
 //! Usage: `scalability [--scale S] [--k K] [--ranks 1,2,4,8] [--local-ipm]`
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use dlb_bench::Flags;

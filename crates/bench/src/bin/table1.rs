@@ -7,6 +7,8 @@
 //!
 //! Usage: `table1 [--scale S] [--seed N]` (default scale 0.01).
 
+#![forbid(unsafe_code)]
+
 use dlb_bench::Flags;
 use dlb_workloads::{Dataset, DatasetKind};
 

@@ -25,6 +25,7 @@
 //! ranks on one host) — the *shapes* are the reproduction target; see
 //! EXPERIMENTS.md for the side-by-side reading.
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

@@ -36,6 +36,7 @@
 //! and [`epoch`] the multi-epoch simulation loop over
 //! [`dlb_workloads`] streams.
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

@@ -33,6 +33,7 @@
 //! hypergraph's order — both invariants are load-bearing for the
 //! bit-identical distributed V-cycle in `dlb-partitioner`.
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

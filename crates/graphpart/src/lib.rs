@@ -23,6 +23,7 @@
 //! rather than true communication volume, and its migration control is
 //! shallower.
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

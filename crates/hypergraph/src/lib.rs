@@ -35,6 +35,7 @@
 //! paper's weight-perturbation experiment scales them by factors drawn
 //! from `U(1.5, 7.5)`.
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

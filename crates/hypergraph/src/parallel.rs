@@ -1,10 +1,11 @@
-//! Persistent work-stealing pool with deterministic chunked reduction.
+//! Scoped-thread executor with deterministic chunked reduction.
 //!
-//! The multilevel pipeline's hot kernels (IPM candidate scoring, coarse
-//! pin remapping, sigma/cut evaluation) are data-parallel over index
-//! ranges. This module runs them over a fixed chunking of the index
-//! space and hands the per-chunk results back **in chunk order**, which
-//! gives the one property the partitioner needs from parallelism:
+//! The multilevel pipeline's parallel kernels (coarse pin remapping,
+//! sigma and gain-table builds, cut evaluation, CAS matching) are
+//! data-parallel over index ranges. This module runs them over a fixed
+//! chunking of the index space and hands the per-chunk results back **in
+//! chunk order**, which gives the one property the partitioner needs
+//! from parallelism:
 //!
 //! > **Chunked-reduction rule.** Chunk boundaries depend only on the
 //! > problem size, never on the thread count, and per-chunk results are
@@ -14,41 +15,35 @@
 //!
 //! # Execution model
 //!
-//! Kernels run on a process-wide **persistent pool**: worker threads are
-//! spawned lazily on first use and then parked between calls, so a
-//! kernel invocation costs a mutex/condvar wake instead of `threads`
-//! fresh `clone(2)` calls (the previous `std::thread::scope` executor
-//! paid thread spawn + join on *every* call, which made every kernel
-//! slower than serial on small inputs). The calling thread always
-//! participates as worker 0, so a kernel completes even if every pool
-//! worker is busy with other jobs — multiple jobs may be in flight at
-//! once (the SPMD drivers run each simulated rank on its own thread and
-//! all of them call kernels concurrently).
+//! Every entry point is one call to a private `run`: the caller plus
+//! `workers − 1` helpers from [`std::thread::scope`] claim the next item
+//! from one `Mutex`-guarded iterator, and each item is the disjoint
+//! `&mut` window its result goes into (a slot of the result vector, a
+//! strided window of a caller-owned buffer, or a per-chunk window). The
+//! claim order affects only *when* a chunk runs, never where its result
+//! lands, so it is invisible to the reduction. With one participant
+//! nothing is spawned and the chunks run on the caller, in chunk order —
+//! the same path at every thread count. Participants are capped at the
+//! host width ([`effective_concurrency`]), and several callers may run
+//! kernels at once (the SPMD drivers run each simulated rank on its own
+//! thread); each call owns its helpers.
 //!
-//! Within a job, each participant owns a deque holding a contiguous
-//! block of chunks: it pops from the front of its own deque and, when
-//! empty, **steals from the back** of the fullest other deque. The claim
-//! order affects only *when* a chunk runs, never how results are
-//! combined, so work stealing is invisible to the reduction.
+//! A panic in a chunk body stops further claims and its payload is
+//! re-raised unchanged on the caller once every helper has returned.
 //!
-//! Panics in a chunk body are caught per participant, poison the queue
-//! (so other participants stop claiming), and the first payload is
-//! re-raised on the calling thread.
+//! # Per-thread scratch
 //!
-//! # Per-worker scratch
-//!
-//! Pool workers are persistent threads, so buffers cached in
-//! thread-local storage survive across kernel calls. [`scratch_vec`]
-//! hands out reusable `Vec<T>` buffers from a per-thread arena; a kernel
-//! that routes its big per-worker accumulators through it allocates them
-//! once per worker per process instead of once per call.
+//! [`scratch_vec`] hands out reusable `Vec<T>` buffers from a per-thread
+//! arena. Helpers live for one call, so only the caller's arena outlives
+//! it: a kernel that routes its big buffers through the arena allocates
+//! them once per calling thread, not once per call.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut, Range};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, OnceLock};
 
 /// Default chunk size (in items) for the pipeline kernels: small enough
 /// to balance uneven nets, large enough to amortize the claim.
@@ -88,13 +83,12 @@ fn host_parallelism() -> usize {
     *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Effective participant count for one job: chunk boundaries and combine
+/// Effective participant count for one call: chunk boundaries and combine
 /// order never depend on it (only on the problem size), so running a
 /// `threads`-thread request on fewer physical participants is invisible
-/// to results — while *oversubscribing* the host only adds wake/handoff
-/// latency per kernel call (severe on small hosts: every extra
-/// participant is a context switch the caller may have to wait out).
-/// Cap at what the hardware can actually run.
+/// to results — while *oversubscribing* the host only adds spawn and
+/// handoff latency per kernel call. Cap at what the hardware can
+/// actually run, and at the number of chunks.
 #[inline]
 fn effective_workers(threads: usize, n_chunks: usize) -> usize {
     effective_concurrency(threads).min(n_chunks)
@@ -124,322 +118,63 @@ pub fn chunk_range(len: usize, chunk: usize, i: usize) -> Range<usize> {
     start..((start + chunk).min(len))
 }
 
-// ---------------------------------------------------------------------------
-// Chunk deques
-// ---------------------------------------------------------------------------
-
-/// Per-participant chunk deques for one job.
+/// Runs `work(state, item)` once for every item of `items` on the caller
+/// plus up to `workers − 1` scoped helpers (none for `workers <= 1`).
+/// Each participant builds its `state` with `init` once and then claims
+/// items one at a time from the shared iterator until it is exhausted.
 ///
-/// Participant `p` starts owning the contiguous block
-/// `[n·p/P, n·(p+1)/P)` of chunk indices, stored as a packed
-/// `(head << 32) | tail` word: the owner pops from the front, thieves
-/// steal from the back, both via CAS on the single word. Contiguous
-/// blocks keep each participant streaming through adjacent chunks
-/// (cache- and NUMA-friendlier than a shared counter) while steals
-/// still level uneven chunks.
-pub struct ChunkQueue {
-    deques: Vec<AtomicU64>,
-    poisoned: AtomicBool,
-}
-
-impl ChunkQueue {
-    fn new(n_chunks: usize, participants: usize) -> Self {
-        assert!(n_chunks <= u32::MAX as usize, "chunk count exceeds u32");
-        let deques = (0..participants)
-            .map(|p| {
-                let head = (n_chunks * p / participants) as u64;
-                let tail = (n_chunks * (p + 1) / participants) as u64;
-                AtomicU64::new(head << 32 | tail)
-            })
-            .collect();
-        ChunkQueue { deques, poisoned: AtomicBool::new(false) }
-    }
-
-    fn pop_front(&self, p: usize) -> Option<usize> {
-        let d = &self.deques[p];
-        let mut cur = d.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = (cur >> 32, cur & 0xFFFF_FFFF);
-            if head >= tail {
-                return None;
+/// A helper that fails to spawn just means fewer helpers. The first panic
+/// stops further claims and is re-raised, payload unchanged, on the
+/// caller after every helper has returned.
+fn run<It, S>(
+    workers: usize,
+    items: It,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, It::Item) + Sync,
+) where
+    It: Iterator + Send,
+{
+    // `None` once a participant has panicked: nobody claims after that.
+    // Neither lock is held across a call that can panic, so neither is
+    // ever poisoned.
+    const UNPOISONED: &str = "no panic while a run lock is held";
+    let queue = Mutex::new(Some(items));
+    let first_panic = Mutex::new(None);
+    let participate = || {
+        let body = || {
+            let mut state = init();
+            loop {
+                // Its own statement, so the lock is released before `work`.
+                let next = queue.lock().expect(UNPOISONED).as_mut().and_then(Iterator::next);
+                let Some(item) = next else { break };
+                work(&mut state, item);
             }
-            match d.compare_exchange_weak(
-                cur,
-                (head + 1) << 32 | tail,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(head as usize),
-                Err(actual) => cur = actual,
-            }
+        };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+            *queue.lock().expect(UNPOISONED) = None;
+            first_panic.lock().expect(UNPOISONED).get_or_insert(payload);
         }
-    }
-
-    fn steal_back(&self, victim: usize) -> Option<usize> {
-        let d = &self.deques[victim];
-        let mut cur = d.load(Ordering::Acquire);
-        loop {
-            let (head, tail) = (cur >> 32, cur & 0xFFFF_FFFF);
-            if head >= tail {
-                return None;
-            }
-            match d.compare_exchange_weak(
-                cur,
-                head << 32 | (tail - 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((tail - 1) as usize),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Claims the next chunk for participant `p`: its own deque first,
-    /// then — steal-on-empty — the back of the victim with the most
-    /// remaining chunks. Returns `None` when no work is left anywhere
-    /// (or the job is poisoned by a panic).
-    pub fn claim(&self, p: usize) -> Option<usize> {
-        if self.poisoned.load(Ordering::Relaxed) {
-            return None;
-        }
-        if let Some(i) = self.pop_front(p) {
-            return Some(i);
-        }
-        loop {
-            if self.poisoned.load(Ordering::Relaxed) {
-                return None;
-            }
-            let mut best: Option<(usize, u64)> = None;
-            for (q, d) in self.deques.iter().enumerate() {
-                if q == p {
-                    continue;
-                }
-                let cur = d.load(Ordering::Acquire);
-                let remaining = (cur & 0xFFFF_FFFF).saturating_sub(cur >> 32);
-                if remaining > 0 && best.is_none_or(|(_, r)| remaining > r) {
-                    best = Some((q, remaining));
-                }
-            }
-            match best {
-                None => return None,
-                // A steal can race to empty; rescan for another victim.
-                Some((victim, _)) => {
-                    if let Some(i) = self.steal_back(victim) {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The persistent pool
-// ---------------------------------------------------------------------------
-
-/// A job body: `(participant_slot, queue)`. Trait-object type behind the
-/// lifetime-erased pointer in [`JobCore`].
-type JobBody = dyn Fn(usize, &ChunkQueue) + Sync;
-
-/// One in-flight job. Shared between the caller and any pool workers
-/// that joined it.
-struct JobCore {
-    queue: ChunkQueue,
-    /// Lifetime-erased pointer to the caller's stack-held closure.
-    ///
-    /// Validity protocol: the caller keeps the closure alive until every
-    /// helper that registered on this job has deregistered (it delists
-    /// the job under the pool lock, then waits for `active == 0`), and
-    /// helpers only register *while the job is listed*, under the same
-    /// lock — so no helper can observe the pointer after it dies.
-    body: *const JobBody,
-    /// Next participant slot to hand to a joining helper; slot 0 is the
-    /// caller. Once `>= participants` no further helper joins.
-    next_slot: AtomicUsize,
-    participants: usize,
-    /// Helpers currently inside the body (registered under the pool
-    /// lock, deregistered when done).
-    active: Mutex<usize>,
-    done: Condvar,
-    /// First panic payload raised by any participant.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-// SAFETY: the raw body pointer is only dereferenced under the validity
-// protocol documented on `body`.
-unsafe impl Send for JobCore {}
-unsafe impl Sync for JobCore {}
-
-struct PoolInner {
-    /// Jobs that may still accept helpers.
-    jobs: Vec<Arc<JobCore>>,
-    spawned: usize,
-    idle: usize,
-}
-
-struct Pool {
-    inner: Mutex<PoolInner>,
-    work: Condvar,
-}
-
-/// Hard cap on pool threads; far above any sane `threads` setting, it
-/// only bounds pathological configs (the pool never shrinks).
-const MAX_WORKERS: usize = 96;
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        inner: Mutex::new(PoolInner { jobs: Vec::new(), spawned: 0, idle: 0 }),
-        work: Condvar::new(),
-    })
-}
-
-/// Runs the body for one participant slot, catching panics into the job.
-fn run_participant(job: &JobCore, slot: usize) {
-    // SAFETY: see the validity protocol on `JobCore::body`.
-    let body = unsafe { &*job.body };
-    if let Err(payload) =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(slot, &job.queue)))
-    {
-        job.queue.poisoned.store(true, Ordering::Relaxed);
-        let mut first = job.panic.lock().unwrap();
-        if first.is_none() {
-            *first = Some(payload);
-        }
-    }
-}
-
-fn worker_loop() {
-    let pool = pool();
-    let mut inner = pool.inner.lock().unwrap();
-    loop {
-        let job = inner
-            .jobs
-            .iter()
-            .find(|j| j.next_slot.load(Ordering::Relaxed) < j.participants)
-            .cloned();
-        match job {
-            Some(job) => {
-                let slot = job.next_slot.fetch_add(1, Ordering::Relaxed);
-                if slot >= job.participants {
-                    // Raced with another worker for the last slot; the
-                    // inflated counter just keeps further helpers away.
-                    continue;
-                }
-                // Register while holding the pool lock: the caller can
-                // only delist the job under this lock, and it waits for
-                // `active == 0` after delisting, so the body stays alive
-                // for the whole participation.
-                *job.active.lock().unwrap() += 1;
-                drop(inner);
-                run_participant(&job, slot);
-                {
-                    let mut active = job.active.lock().unwrap();
-                    *active -= 1;
-                    if *active == 0 {
-                        job.done.notify_all();
-                    }
-                }
-                inner = pool.inner.lock().unwrap();
-            }
-            None => {
-                inner.idle += 1;
-                inner = pool.work.wait(inner).unwrap();
-                inner.idle -= 1;
-            }
-        }
-    }
-}
-
-/// Runs `body` across up to `participants` threads (the caller plus
-/// pool workers) against a fresh [`ChunkQueue`] over `n_chunks` chunks.
-/// Returns once every chunk is done and every helper has left the body;
-/// re-raises the first panic any participant hit.
-fn run_job(participants: usize, n_chunks: usize, body: &(dyn Fn(usize, &ChunkQueue) + Sync)) {
-    debug_assert!(participants >= 2);
-    let job = Arc::new(JobCore {
-        queue: ChunkQueue::new(n_chunks, participants),
-        // SAFETY: erase the borrow lifetime; validity is upheld by the
-        // delist-then-quiesce protocol below (see `JobCore::body`).
-        body: unsafe {
-            std::mem::transmute::<*const (dyn Fn(usize, &ChunkQueue) + Sync), *const JobBody>(
-                body as *const (dyn Fn(usize, &ChunkQueue) + Sync),
-            )
-        },
-        next_slot: AtomicUsize::new(1),
-        participants,
-        active: Mutex::new(0),
-        done: Condvar::new(),
-        panic: Mutex::new(None),
-    });
-
-    {
-        let pool = pool();
-        let mut inner = pool.inner.lock().unwrap();
-        // Lazily grow the pool toward the helpers this job wants.
-        let deficit = (participants - 1).saturating_sub(inner.idle);
-        let spawnable = deficit.min(MAX_WORKERS.saturating_sub(inner.spawned));
-        for _ in 0..spawnable {
-            let name = format!("dlb-pool-{}", inner.spawned);
-            // A failed spawn just means fewer helpers; the caller still
-            // makes progress on its own.
-            if std::thread::Builder::new().name(name).spawn(worker_loop).is_ok() {
-                inner.spawned += 1;
-            } else {
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            if std::thread::Builder::new().spawn_scoped(scope, participate).is_err() {
                 break;
             }
         }
-        inner.jobs.push(job.clone());
-        drop(inner);
-        pool.work.notify_all();
-    }
-
-    // The caller is participant 0; its panic (if any) is captured like a
-    // helper's so the quiesce step below always runs.
-    run_participant(&job, 0);
-
-    // Retire: delist so no new helper can join, then wait out the ones
-    // that did. Only after this may `body` (a stack borrow) die.
-    {
-        let mut inner = pool().inner.lock().unwrap();
-        inner.jobs.retain(|j| !Arc::ptr_eq(j, &job));
-    }
-    {
-        let mut active = job.active.lock().unwrap();
-        while *active > 0 {
-            active = job.done.wait(active).unwrap();
-        }
-    }
-
-    let payload = job.panic.lock().unwrap().take();
-    if let Some(payload) = payload {
-        std::panic::resume_unwind(payload);
+        participate();
+    });
+    if let Some(payload) = first_panic.into_inner().expect(UNPOISONED) {
+        resume_unwind(payload);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Chunked mapping APIs
-// ---------------------------------------------------------------------------
-
-/// Send/Sync-asserting wrapper for a raw output pointer shared across
-/// participants; every write target is disjoint per chunk.
-struct SharedOut<T>(*mut T);
-unsafe impl<T: Send> Send for SharedOut<T> {}
-unsafe impl<T: Send> Sync for SharedOut<T> {}
 
 /// Maps `f` over the fixed chunking of `0..len` and returns the chunk
 /// results **in chunk order**, carrying a per-worker scratch state.
 ///
-/// `init` builds one scratch value per participant (per claim loop, not
-/// per chunk), so expensive per-thread buffers — an IPM score
-/// accumulator, a dedup map — are paid `threads` times, not
-/// `num_chunks` times. `f(state, i, range)` processes chunk `i` covering
-/// `range`.
-///
-/// With `threads <= 1` the chunks run inline on the caller's thread, in
-/// chunk order, through the identical chunking — so a single-threaded
-/// run is the reference ordering, not a special case.
+/// `init` builds one scratch value per participant (not per chunk), so
+/// expensive per-thread buffers — a score accumulator, a dedup map — are
+/// paid once per participant, not `num_chunks` times. `f(state, i,
+/// range)` processes chunk `i` covering `range`.
 ///
 /// # Panics
 /// Propagates any panic raised by `f`.
@@ -450,38 +185,11 @@ where
     F: Fn(&mut S, usize, Range<usize>) -> T + Sync,
 {
     let n_chunks = num_chunks(len, chunk);
-    if n_chunks == 0 {
-        return Vec::new();
-    }
-    let workers = effective_workers(threads, n_chunks);
-    if workers == 1 {
-        let mut state = init();
-        return (0..n_chunks)
-            .map(|i| f(&mut state, i, chunk_range(len, chunk, i)))
-            .collect();
-    }
-
     let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-    {
-        let out = SharedOut(slots.as_mut_ptr());
-        // Capture the Sync wrapper, not its raw-pointer field (2021
-        // closures capture disjoint fields by default).
-        let out = &out;
-        let body = |slot: usize, queue: &ChunkQueue| {
-            let mut state = init();
-            while let Some(i) = queue.claim(slot) {
-                let value = f(&mut state, i, chunk_range(len, chunk, i));
-                // SAFETY: the queue hands each chunk index to exactly one
-                // participant, and `slots` outlives the job (run_job does
-                // not return before all participants quiesce). Writing
-                // over the pre-placed `None` drops nothing.
-                unsafe { out.0.add(i).write(Some(value)) };
-            }
-        };
-        run_job(workers, n_chunks, &body);
-    }
-    // An unwinding participant leaves its unclaimed slots `None`, but
-    // run_job re-raises the panic before we get here.
+    let workers = effective_workers(threads, n_chunks);
+    run(workers, slots.iter_mut().enumerate(), init, |state, (i, slot)| {
+        *slot = Some(f(state, i, chunk_range(len, chunk, i)));
+    });
     slots.into_iter().map(Option::unwrap).collect()
 }
 
@@ -504,10 +212,11 @@ where
 /// Chunk boundaries depend only on `len`/`chunk`, and each window is
 /// written by whichever participant claims the chunk — the *values* are
 /// position-determined, so the result is bit-identical at every thread
-/// count (with `threads <= 1` the chunks run inline in order).
+/// count.
 ///
 /// # Panics
-/// Panics if `out.len() != len * stride`; propagates panics from `f`.
+/// Panics if `out.len() != len * stride` or `stride == 0`; propagates
+/// panics from `f`.
 pub fn fill_chunks_with<T, S, I, F>(
     threads: usize,
     len: usize,
@@ -522,39 +231,11 @@ pub fn fill_chunks_with<T, S, I, F>(
     F: Fn(&mut S, usize, Range<usize>, &mut [T]) + Sync,
 {
     assert_eq!(out.len(), len * stride, "output buffer must hold len*stride elements");
-    let n_chunks = num_chunks(len, chunk);
-    if n_chunks == 0 {
-        return;
-    }
-    let workers = effective_workers(threads, n_chunks);
-    if workers == 1 {
-        let mut state = init();
-        for i in 0..n_chunks {
-            let range = chunk_range(len, chunk, i);
-            let window = &mut out[range.start * stride..range.end * stride];
-            f(&mut state, i, range, window);
-        }
-        return;
-    }
-    let base = SharedOut(out.as_mut_ptr());
-    let base = &base; // capture the Sync wrapper, not the raw field
-    let body = |slot: usize, queue: &ChunkQueue| {
-        let mut state = init();
-        while let Some(i) = queue.claim(slot) {
-            let range = chunk_range(len, chunk, i);
-            // SAFETY: windows of distinct chunks are disjoint (chunks are
-            // disjoint item ranges scaled by a constant stride), each
-            // chunk is claimed exactly once, and `out` outlives the job.
-            let window = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.0.add(range.start * stride),
-                    (range.end - range.start) * stride,
-                )
-            };
-            f(&mut state, i, range, window);
-        }
-    };
-    run_job(workers, n_chunks, &body);
+    let chunk = chunk.max(1);
+    let workers = effective_workers(threads, num_chunks(len, chunk));
+    run(workers, out.chunks_mut(chunk * stride).enumerate(), init, |state, (i, window)| {
+        f(state, i, chunk_range(len, chunk, i), window)
+    });
 }
 
 /// [`fill_chunks_with`] without per-worker state.
@@ -572,7 +253,7 @@ where
 /// (`out[i*stride..(i+1)*stride]` for chunk `i`) — the chunk-indexed
 /// sibling of [`fill_chunks_with`], for per-chunk partial accumulators
 /// (e.g. per-chunk part-weight vectors) that the caller then folds in
-/// chunk order. `out.len()` must be `num_chunks * stride`.
+/// chunk order. `out.len()` must be `num_chunks * stride`, `stride > 0`.
 pub fn fill_per_chunk<T, F>(threads: usize, len: usize, chunk: usize, stride: usize, out: &mut [T], f: F)
 where
     T: Send,
@@ -580,37 +261,18 @@ where
 {
     let n_chunks = num_chunks(len, chunk);
     assert_eq!(out.len(), n_chunks * stride, "output buffer must hold num_chunks*stride elements");
-    if n_chunks == 0 {
-        return;
-    }
     let workers = effective_workers(threads, n_chunks);
-    if workers == 1 {
-        for i in 0..n_chunks {
-            f(i, chunk_range(len, chunk, i), &mut out[i * stride..(i + 1) * stride]);
-        }
-        return;
-    }
-    let base = SharedOut(out.as_mut_ptr());
-    let base = &base; // capture the Sync wrapper, not the raw field
-    let body = |slot: usize, queue: &ChunkQueue| {
-        while let Some(i) = queue.claim(slot) {
-            // SAFETY: chunk-indexed windows are disjoint; each chunk is
-            // claimed exactly once; `out` outlives the job.
-            let window =
-                unsafe { std::slice::from_raw_parts_mut(base.0.add(i * stride), stride) };
-            f(i, chunk_range(len, chunk, i), window);
-        }
-    };
-    run_job(workers, n_chunks, &body);
+    run(workers, out.chunks_mut(stride).enumerate(), || (), |(), (i, window)| {
+        f(i, chunk_range(len, chunk, i), window)
+    });
 }
 
 // ---------------------------------------------------------------------------
-// Per-worker scratch arenas
+// Per-thread scratch arenas
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-thread arena of reusable buffers, keyed by element type. Pool
-    /// workers are persistent, so entries survive across kernel calls.
+    /// Per-thread arena of reusable buffers, keyed by element type.
     static ARENA: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> = RefCell::new(HashMap::new());
 }
 
@@ -646,7 +308,9 @@ impl<T: 'static> Drop for ScratchVec<T> {
 /// Borrows an **empty** `Vec<T>` from the current thread's scratch
 /// arena, allocating one only if the arena has none of this type. The
 /// capacity of previous uses is retained, so resizing it to a working
-/// length is a fill, not an allocation, from the second call onward.
+/// length is a fill, not an allocation, from the second call onward on
+/// the same thread. Kernel helpers live for one call, so what they
+/// borrow is freed with them: only the caller's arena outlives a call.
 pub fn scratch_vec<T: 'static>() -> ScratchVec<T> {
     let vec = ARENA.with(|arena| {
         arena
@@ -669,6 +333,7 @@ pub fn scratch_vec_filled<T: Clone + 'static>(len: usize, value: T) -> ScratchVe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn chunking_is_exhaustive_and_disjoint() {
@@ -747,8 +412,7 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicked_job() {
-        // A panic must poison only its own job: subsequent jobs on the
-        // same persistent workers run normally.
+        // A panic must end only its own call: later calls run normally.
         let boom = std::panic::catch_unwind(|| {
             map_chunks(4, 100, 5, |i, _| {
                 if i == 7 {
@@ -805,62 +469,61 @@ mod tests {
         assert_eq!(parse_threads(""), None);
     }
 
+    /// Drives [`run`] directly with 4 participants: the public entry
+    /// points cap participants at the host width, so on a small host they
+    /// would never spawn the helpers this exercises.
     #[test]
-    fn chunk_queue_claims_each_chunk_once() {
-        let q = ChunkQueue::new(1000, 4);
-        let claimed: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|scope| {
-            for p in 0..4 {
-                let q = &q;
-                let claimed = &claimed;
-                scope.spawn(move || {
-                    while let Some(i) = q.claim(p) {
-                        claimed[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        for (i, c) in claimed.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "chunk {i}");
-        }
-    }
-
-    /// Drives the pool through [`run_job`] directly: the public entry
-    /// points cap participants at the host width, so on a single-core
-    /// machine they run inline and would never reach the pool, its
-    /// worker spawning, or its panic protocol.
-    #[test]
-    fn pool_run_job_covers_every_chunk_and_survives_panics() {
-        let n_chunks = 257;
-        let hits: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
-        run_job(4, n_chunks, &|slot, queue| {
-            while let Some(i) = queue.claim(slot) {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "chunk {i}");
+    fn run_with_helpers_covers_every_item_once_and_reraises_panics() {
+        // Every item exactly once, for each kind of window the entry
+        // points hand out: result slots, strided windows (7 items of
+        // stride 3) and per-chunk windows (stride 5).
+        let mut slots = vec![0usize; 1000];
+        run(4, slots.iter_mut().enumerate(), || (), |(), (i, slot)| *slot += i + 1);
+        assert!(slots.iter().enumerate().all(|(i, &s)| s == i + 1));
+        for window_len in [7 * 3, 5] {
+            let mut out = vec![0u8; 1000 * 3];
+            let calls = AtomicUsize::new(0);
+            run(4, out.chunks_mut(window_len), || (), |(), window| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                window.iter_mut().for_each(|x| *x += 1);
+            });
+            assert!(out.iter().all(|&x| x == 1), "window length {window_len}");
+            assert_eq!(calls.into_inner(), out.len().div_ceil(window_len));
         }
 
-        // A panicking participant poisons its own job, the payload is
-        // rethrown on the caller, and the pool serves later jobs.
-        let boom = std::panic::catch_unwind(|| {
-            run_job(3, 64, &|slot, queue| {
-                while let Some(i) = queue.claim(slot) {
-                    if i == 11 {
-                        panic!("chunk 11 exploded");
-                    }
+        // A panic reaches the caller as its own payload, not as "a scoped
+        // thread panicked", and the next call runs normally.
+        let payload = catch_unwind(|| {
+            run(4, 0..64, || (), |(), i| {
+                if i == 11 {
+                    panic!("item 11 exploded");
                 }
             })
-        });
-        assert!(boom.is_err());
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 11 exploded"));
         let total = AtomicUsize::new(0);
-        run_job(3, 64, &|slot, queue| {
-            while queue.claim(slot).is_some() {
-                total.fetch_add(1, Ordering::Relaxed);
-            }
+        run(4, 0..64, || (), |(), _| {
+            total.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
+        assert_eq!(total.into_inner(), 64);
+
+        // The chunked-reduction rule holds however many participants
+        // actually run.
+        let values: Vec<f64> = (0..50_000)
+            .map(|i| 1.0 / (i as f64 + 1.0) * if i % 3 == 0 { 1e10 } else { 1e-10 })
+            .collect();
+        let sum_at = |workers: usize| {
+            let mut partials = vec![0.0f64; num_chunks(values.len(), 1024)];
+            run(workers, partials.iter_mut().enumerate(), || (), |(), (i, p)| {
+                *p = values[chunk_range(values.len(), 1024, i)].iter().fold(0.0, |a, &x| a + x);
+            });
+            partials.into_iter().fold(0.0, |acc, x| acc + x)
+        };
+        let reference = sum_at(1);
+        for workers in [2, 3, 4, 8] {
+            assert_eq!(sum_at(workers).to_bits(), reference.to_bits(), "workers={workers}");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! assert_eq!(results, vec![6, 6, 6, 6]);
 //! ```
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

@@ -281,7 +281,7 @@ pub fn contract_threads(
     // Effective (not requested) concurrency: the chunked remap is
     // result-identical to the serial loop, so on a host that can only
     // run one thread the serial loop wins — no per-chunk result
-    // buffers, no pool dispatch.
+    // buffers, no helper threads.
     let chunked = parallel::effective_concurrency(threads) > 1;
     contract_with(h, matching, fixed, chunked.then_some(threads))
 }

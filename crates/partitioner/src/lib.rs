@@ -43,6 +43,7 @@
 //! assert_eq!(result.cut, 1.0); // only the joining net is cut
 //! ```
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

@@ -15,18 +15,15 @@
 //! scores including infeasible ones, select a feasible best" strategy
 //! (which it reports adds only insignificant overhead).
 //!
-//! # Parallel scoring
+//! # One Strict matcher
 //!
-//! The expensive part — accumulating inner products over shared nets —
-//! depends only on the hypergraph, never on the evolving matching state
-//! (the `mate` filter is applied when a vertex is *selected*, and a
-//! pair's score is a constant). [`ipm_matching_threads`] therefore
-//! precomputes every vertex's candidate list (partner, score) across
-//! worker threads in first-touch order, then runs the greedy selection
-//! serially over the shuffled visit order, skipping already-matched
-//! candidates. Because a filtered subsequence preserves order and scores
-//! are pair constants, the result is **bit-identical** to the serial
-//! matcher at any thread count.
+//! [`Determinism::Strict`] matching is this greedy loop at every thread
+//! count. Each selection depends on every earlier one, and a visit scores
+//! only still-unmatched partners; scoring every vertex's full candidate
+//! list on other threads first does the work this walk skips (over 3×
+//! slower at 2 threads than the walk at 1, EXPERIMENTS.md "One executor,
+//! one Strict matcher"). Fast mode with real concurrency runs the CAS
+//! matcher instead ([`ipm_matching_mode`]).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -143,46 +140,56 @@ pub fn ipm_matching(
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Matching {
-    ipm_matching_threads(h, fixed, None, cfg, rng, 1)
+    ipm_matching_mode(h, fixed, None, cfg, rng, 1, Determinism::Strict)
 }
 
-/// [`ipm_matching`] with an explicit worker-thread count and an
-/// optional part restriction: when `parts` is `Some`, two vertices may
-/// only match if they currently share a part. Used by V-cycle
+/// [`ipm_matching`] with an optional part restriction, a worker-thread
+/// count and a [`Determinism`] mode. When `parts` is `Some`, two vertices
+/// may only match if they currently share a part. Used by V-cycle
 /// iterations (re-coarsening must keep the current partition
 /// representable, exactly like adaptive graph coarsening).
 ///
-/// `threads == 1` runs the exact serial greedy matcher; `threads > 1`
-/// precomputes candidate scores in parallel and selects serially, which
-/// provably produces the same matching (see the module docs). The RNG is
-/// advanced identically on every path.
-pub fn ipm_matching_threads(
+/// `Strict` (or any run at one effective thread) is the serial greedy
+/// matcher, whatever `threads` is: bit-identical matchings at every
+/// thread count. `Fast` with more than one thread of *real* concurrency
+/// runs CAS-based concurrent matching (`ipm_matching_cas`) instead:
+/// vertices pair concurrently on a shared atomic mate array with
+/// candidates selected in `(score desc, id asc)` order — a deterministic
+/// *preference* order, though the realized matching still depends on
+/// thread interleaving. The Fast path does not consume `rng` (there is
+/// no visit-order shuffle), which is fine because Fast makes no
+/// reproducibility promise beyond its quality bounds.
+///
+/// Dispatch keys on [`parallel::effective_concurrency`], not the raw
+/// request: an 8-thread request on a 1-core host executes serially, and
+/// serial CAS matching is strictly worse than the Strict matcher (same
+/// work, plus atomics, minus the bitwise guarantee). So Fast on an
+/// oversubscribed host degrades gracefully to the Strict path — still
+/// within Fast's quality contract, since Strict *is* the quality
+/// reference.
+#[allow(clippy::too_many_arguments)]
+pub fn ipm_matching_mode(
     h: &Hypergraph,
     fixed: &FixedAssignment,
     parts: Option<&[usize]>,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
     threads: usize,
+    determinism: Determinism,
 ) -> Matching {
+    if determinism == Determinism::Fast && parallel::effective_concurrency(threads) > 1 {
+        return ipm_matching_cas(h, fixed, parts, cfg, threads);
+    }
     let n = h.num_vertices();
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
-
-    // Effective (not requested) concurrency: the parallel path is
-    // bit-identical but pays for materializing every vertex's candidate
-    // list — worth it only when the scoring pass actually runs on more
-    // than one core.
-    if parallel::effective_concurrency(threads) > 1 {
-        return ipm_matching_parallel(h, fixed, parts, cfg, &order, threads);
-    }
 
     let mut mate: Vec<usize> = (0..n).collect();
     let mut num_pairs = 0;
 
     // Deterministic trace tallies (emitted once at the end): pins walked
     // while scoring visited-unmatched vertices, and candidates refused
-    // for fixed-part incompatibility. Both are defined on the serial
-    // control flow, which the parallel path reproduces exactly.
+    // for fixed-part incompatibility.
     let mut pins_scanned = 0u64;
     let mut refused_fixed = 0u64;
 
@@ -235,143 +242,11 @@ pub fn ipm_matching_threads(
     Matching { mate, num_pairs }
 }
 
-/// Chunk size for parallel candidate scoring: scoring a vertex walks all
-/// of its nets' pins, so chunks are much smaller than the generic
-/// [`parallel::DEFAULT_CHUNK`] to keep worker load even.
+/// Chunk size for the CAS matcher's concurrent sweep, its only user:
+/// scoring a vertex walks all of its nets' pins, so chunks are much
+/// smaller than the generic [`parallel::DEFAULT_CHUNK`] to keep worker
+/// load even.
 const SCORE_CHUNK: usize = 256;
-
-/// Parallel path of [`ipm_matching_threads`]: score every vertex's
-/// candidates across workers (state-independent), then select serially.
-fn ipm_matching_parallel(
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    parts: Option<&[usize]>,
-    cfg: &CoarseningConfig,
-    order: &[usize],
-    threads: usize,
-) -> Matching {
-    let n = h.num_vertices();
-    let view = Replicated::whole(h, fixed);
-
-    // Per-vertex candidate lists (partner, inner-product score) in
-    // first-touch order — exactly the order the serial matcher's
-    // `touched` list would hold with no vertices matched yet — plus the
-    // pins each vertex's scoring pass walks (tallied only for vertices
-    // the selection loop visits unmatched, matching the serial count).
-    let per_chunk = parallel::map_chunks_with(
-        threads,
-        n,
-        SCORE_CHUNK,
-        // Arena-backed per-worker buffers: pool workers are persistent,
-        // so the O(n) score accumulator is allocated once per worker per
-        // process, not once per matching call.
-        || (parallel::scratch_vec_filled::<f64>(n, 0.0), parallel::scratch_vec::<usize>()),
-        |(scores, touched), _, range| {
-            let mut lists: Vec<(Vec<(usize, f64)>, u64)> = Vec::with_capacity(range.len());
-            for u in range {
-                let pins_u = accumulate_scores(
-                    &view,
-                    u,
-                    h.vertex_nets(u),
-                    cfg,
-                    |_| true,
-                    scores,
-                    touched,
-                );
-                let list: Vec<(usize, f64)> = touched.iter().map(|&w| {
-                    let s = scores[w];
-                    scores[w] = 0.0;
-                    (w, s)
-                }).collect();
-                lists.push((list, pins_u));
-            }
-            lists
-        },
-    );
-    let mut cands: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-    let mut scan: Vec<u64> = Vec::with_capacity(n);
-    for chunk in per_chunk {
-        for (list, pins_u) in chunk {
-            cands.push(list);
-            scan.push(pins_u);
-        }
-    }
-
-    // Serial greedy selection, identical to the serial matcher: skipping
-    // matched candidates here instead of at scoring time yields the same
-    // filtered subsequence in the same order with the same scores.
-    let mut mate: Vec<usize> = (0..n).collect();
-    let mut num_pairs = 0;
-    let mut pins_scanned = 0u64;
-    let mut refused_fixed = 0u64;
-    for &u in order {
-        if mate[u] != u {
-            continue;
-        }
-        pins_scanned += scan[u];
-        let mut best: Option<usize> = None;
-        let mut best_score = 0.0;
-        for &(w, s) in &cands[u] {
-            if mate[w] != w {
-                continue;
-            }
-            if !fixed.compatible(u, w) {
-                refused_fixed += 1;
-                continue;
-            }
-            if s > best_score && parts.is_none_or(|p| p[u] == p[w]) {
-                best_score = s;
-                best = Some(w);
-            }
-        }
-        if let Some(w) = best {
-            mate[u] = w;
-            mate[w] = u;
-            num_pairs += 1;
-        }
-    }
-
-    dlb_trace::count(dlb_trace::Counter::CoarsenPinsScanned, pins_scanned);
-    dlb_trace::count(dlb_trace::Counter::CoarsenMatchesRefusedFixed, refused_fixed);
-    dlb_trace::count(dlb_trace::Counter::CoarsenMatchesAccepted, num_pairs as u64);
-    Matching { mate, num_pairs }
-}
-
-/// [`ipm_matching_threads`] with an explicit [`Determinism`] mode.
-///
-/// `Strict` (or any run at one effective thread) is exactly
-/// [`ipm_matching_threads`]: bit-identical matchings at every thread
-/// count. `Fast` with more than one thread of *real* concurrency runs
-/// CAS-based concurrent matching (`ipm_matching_cas`) instead: vertices
-/// pair concurrently on a shared atomic mate array with candidates
-/// selected in `(score desc, id asc)` order — a deterministic
-/// *preference* order, though the realized matching still depends on
-/// thread interleaving. The Fast path does not consume `rng` (there is
-/// no visit-order shuffle), which is fine because Fast makes no
-/// reproducibility promise beyond its quality bounds.
-///
-/// Dispatch keys on [`parallel::effective_concurrency`], not the raw
-/// request: an 8-thread request on a 1-core host executes serially, and
-/// serial CAS matching is strictly worse than the Strict matcher (same
-/// work, plus atomics, minus the bitwise guarantee). So Fast on an
-/// oversubscribed host degrades gracefully to the Strict path — still
-/// within Fast's quality contract, since Strict *is* the quality
-/// reference.
-#[allow(clippy::too_many_arguments)]
-pub fn ipm_matching_mode(
-    h: &Hypergraph,
-    fixed: &FixedAssignment,
-    parts: Option<&[usize]>,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-    threads: usize,
-    determinism: Determinism,
-) -> Matching {
-    if determinism == Determinism::Fast && parallel::effective_concurrency(threads) > 1 {
-        return ipm_matching_cas(h, fixed, parts, cfg, threads);
-    }
-    ipm_matching_threads(h, fixed, parts, cfg, rng, threads)
-}
 
 /// Mate-array sentinel: vertex is unmatched and unclaimed.
 const FREE: usize = usize::MAX;
@@ -721,41 +596,5 @@ mod tests {
             &h, &fixed, None, &cfg(), &mut StdRng::seed_from_u64(3), 1, Determinism::Fast,
         );
         assert_eq!(fast.mate, strict.mate);
-    }
-
-    /// The parallel scoring path reproduces the serial matcher exactly —
-    /// same mate vector — at every thread count, with and without fixed
-    /// vertices and part restrictions. Calls [`ipm_matching_parallel`]
-    /// directly so the path is exercised even on hosts where
-    /// `effective_concurrency` would route the dispatch to serial.
-    #[test]
-    fn parallel_matching_identical_to_serial() {
-        use rand::Rng;
-        let h = crate::tests::random_hypergraph(300, 600, 6, 23);
-        let mut setup_rng = StdRng::seed_from_u64(99);
-        let mut fixed = FixedAssignment::free(300);
-        for v in 0..300 {
-            if setup_rng.gen_bool(0.2) {
-                fixed.fix(v, setup_rng.gen_range(0..4));
-            }
-        }
-        let parts: Vec<usize> = (0..300).map(|v| v % 4).collect();
-        for seed in 0..5u64 {
-            for restriction in [None, Some(parts.as_slice())] {
-                let serial = ipm_matching_threads(
-                    &h, &fixed, restriction, &cfg(), &mut StdRng::seed_from_u64(seed), 1,
-                );
-                serial.validate(&fixed).unwrap();
-                // The same shuffled visit order the dispatch would build.
-                let mut order: Vec<usize> = (0..300).collect();
-                order.shuffle(&mut StdRng::seed_from_u64(seed));
-                for threads in [2usize, 3, 8] {
-                    let par =
-                        ipm_matching_parallel(&h, &fixed, restriction, &cfg(), &order, threads);
-                    assert_eq!(par.mate, serial.mate, "seed {seed} threads {threads}");
-                    assert_eq!(par.num_pairs, serial.num_pairs);
-                }
-            }
-        }
     }
 }

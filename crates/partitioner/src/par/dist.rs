@@ -258,7 +258,7 @@ type CandRecord = (usize, i64, Vec<usize>);
 
 /// One level of distributed matching (collective): the mates of this
 /// rank's owned vertices (global ids, self if unmatched) with the global
-/// pair count. The same rounds as [`par_ipm_matching_threads`] run, over
+/// pair count. The same rounds as [`par_ipm_matching`] run, over
 /// the owner-computes storage; with local IPM both endpoints of every
 /// pair are owned, so the only communication is the pair count.
 pub(crate) fn dist_ipm_matching(

@@ -293,7 +293,7 @@ pub(crate) fn local_matching<V: LevelView>(
 /// on every rank. The candidate scoring stage runs over `threads`
 /// rank-local worker threads (each rank scores its share of
 /// candidates); the result is bit-identical at every thread count.
-pub fn par_ipm_matching_threads(
+pub fn par_ipm_matching(
     comm: &mut Comm,
     h: &Hypergraph,
     fixed: &FixedAssignment,
@@ -336,7 +336,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(4, |comm| {
             let mut rng = StdRng::seed_from_u64(7);
-            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1).mate
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1).mate
         });
         for r in &results[1..] {
             assert_eq!(*r, results[0]);
@@ -350,7 +350,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(3, |comm| {
             let mut rng = StdRng::seed_from_u64(9);
-            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1)
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1)
         });
         let m = &results[0];
         m.validate(&fixed).unwrap();
@@ -370,7 +370,7 @@ mod tests {
         let results = run_spmd(4, |comm| {
             let mut rng = StdRng::seed_from_u64(5);
             let dist = BlockDist::new(100, comm.size());
-            let m = par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1);
+            let m = par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1);
             (m, dist)
         });
         let (m, dist) = &results[0];
@@ -419,12 +419,12 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let reference = run_spmd(3, |comm| {
             let mut rng = StdRng::seed_from_u64(13);
-            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1).mate
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1).mate
         });
         for threads in [2, 4] {
             let threaded = run_spmd(3, |comm| {
                 let mut rng = StdRng::seed_from_u64(13);
-                par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, threads).mate
+                par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, threads).mate
             });
             assert_eq!(threaded, reference, "threads={threads}");
         }
@@ -441,7 +441,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(2, |comm| {
             let mut rng = StdRng::seed_from_u64(11);
-            par_ipm_matching_threads(comm, &h, &fixed, &cfg, &mut rng, 1)
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1)
         });
         results[0].validate(&fixed).unwrap();
     }

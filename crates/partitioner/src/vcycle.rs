@@ -33,7 +33,7 @@ use crate::matching::{ipm_matching_mode, Matching};
 use crate::par::dist::{
     dist_contract, dist_ipm_matching, dist_refine, project_to_fine, DistLevel, DistStats,
 };
-use crate::par::matching::par_ipm_matching_threads;
+use crate::par::matching::par_ipm_matching;
 use crate::par::refine::par_refine;
 use crate::refine::{refine_threads, RefineScratch};
 
@@ -227,13 +227,13 @@ impl<'a> Held<'a> {
             }
             Held::Replicated(at) => {
                 let (h, fixed) = at.get();
-                par_ipm_matching_threads(comm_of(&mut cx.comm), h, fixed, cfg, cx.rng, cx.threads)
+                par_ipm_matching(comm_of(&mut cx.comm), h, fixed, cfg, cx.rng, cx.threads)
             }
             Held::Distributed(d) => {
                 let comm = comm_of(&mut cx.comm);
                 match &d.replica {
                     Some((h, fixed)) => {
-                        par_ipm_matching_threads(comm, h, fixed, cfg, cx.rng, cx.threads)
+                        par_ipm_matching(comm, h, fixed, cfg, cx.rng, cx.threads)
                     }
                     None => dist_ipm_matching(comm, &d.level, cfg, cx.rng, cx.threads),
                 }

@@ -39,6 +39,7 @@
 //! guards and untraced runs (every benchmark workload's default) pay
 //! one load per span or counter.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

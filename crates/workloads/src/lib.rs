@@ -27,6 +27,7 @@
 //! (quadtree AMR, adapted by [`source::AmrSource`]) drive the same
 //! [`source::EpochSource`] protocol.
 
+#![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]

@@ -72,7 +72,9 @@
 //! The simulate options compose freely, with two exceptions (exit 2):
 //! --incremental with --ranks > 1 or --distributed (the SPMD partitioner
 //! has no warm start) and --incremental with --constraints > 1 (the
-//! delta patcher maintains scalar weights).
+//! delta patcher maintains scalar weights). On every subcommand,
+//! --determinism fast with --ranks > 1 or --distributed exits 2 too: the
+//! SPMD drivers always run Strict.
 //! ```
 //!
 //! `partition`/`repartition` write one part id per line, one line per
@@ -87,6 +89,8 @@
 //! subcommand does not read (`--out` on `simulate`, `--epochs` on
 //! `partition`) are rejected up front with a message on stderr and exit
 //! code 2, before any driver runs.
+
+#![forbid(unsafe_code)]
 
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -616,6 +620,12 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
 fn main() {
     let cli = parse_cli();
     let hg_cfg = validated_hg_config(&cli);
+    if cli.determinism == Determinism::Fast && (cli.ranks > 1 || cli.distributed) {
+        let spmd = if cli.distributed { "--distributed" } else { "--ranks > 1" };
+        fail(format!(
+            "--determinism fast does not apply with {spmd}: the SPMD drivers always run strict"
+        ));
+    }
     if cli.command == "simulate" {
         run_simulate(&cli, hg_cfg);
         return;

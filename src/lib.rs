@@ -12,6 +12,7 @@
 //! * [`amr`] — the quadtree AMR application simulator,
 //! * [`trace`] — phase-level tracing and deterministic metrics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dlb_amr as amr;

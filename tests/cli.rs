@@ -196,8 +196,7 @@ fn rejects_invalid_multi_constraint_flags_up_front() {
 
 #[test]
 fn rejects_distributed_flag_conflicts_up_front() {
-    // The one --distributed conflict left: warm starts have no SPMD
-    // counterpart. (World plans, fault plans and multi-constraint loads
+    // Warm starts have no SPMD counterpart. (World plans, fault plans and multi-constraint loads
     // run on the distributed path; their combined-path tests live in
     // tests/{elastic_worlds,fault_injection,multi_constraint}.rs.)
     assert_rejected(
@@ -206,6 +205,34 @@ fn rejects_distributed_flag_conflicts_up_front() {
             "--incremental",
         ],
         "incremental repartitioning is serial-only",
+    );
+    // The SPMD drivers always run Strict, so Fast there used to be
+    // silently ignored. One row per subcommand; `strict` stays accepted.
+    let input = write_toy_mtx(&tmpdir("strict-spmd"));
+    let status = dlb()
+        .args(["partition", "-k", "2", "--ranks", "2", "--determinism", "strict"])
+        .arg(&input)
+        .output()
+        .unwrap()
+        .status;
+    assert!(status.success());
+    assert_rejected(
+        &["partition", "-k", "2", "--ranks", "2", "--determinism", "fast", "x.mtx"],
+        "--determinism fast does not apply with --ranks > 1",
+    );
+    assert_rejected(
+        &[
+            "repartition", "-k", "2", "--distributed", "--determinism", "fast", "--old", "p",
+            "x.mtx",
+        ],
+        "--determinism fast does not apply with --distributed",
+    );
+    assert_rejected(
+        &[
+            "simulate", "-k", "2", "--workload", "structure", "--ranks", "2", "--determinism",
+            "fast", "--epochs", "1",
+        ],
+        "--determinism fast does not apply with --ranks > 1",
     );
 }
 
