@@ -206,10 +206,10 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Selects the shared-memory determinism contract for the epoch
-    /// partitioner: [`Determinism::Strict`] (the default) keeps results
-    /// bit-identical at every thread count, [`Determinism::Fast`] drops
-    /// the matching-order barrier for throughput. Multi-rank sessions
+    /// Selects the determinism contract for the epoch partitioner:
+    /// [`Determinism::Strict`] (the default) runs on one thread with
+    /// bit-identical results, [`Determinism::Fast`] matches concurrently
+    /// on the configured `hypergraph.threads`. Multi-rank sessions
     /// always run Strict regardless of this setting (the SPMD
     /// collectives require rank-identical state).
     pub fn determinism(mut self, determinism: Determinism) -> Self {

@@ -15,9 +15,21 @@ use std::io::{self, BufRead};
 
 use crate::{CsrGraph, GraphBuilder, Hypergraph, HypergraphBuilder};
 
-/// Reads a hypergraph in the PaToH-like text format.
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// A net cost, vertex weight or vertex size: a finite, non-negative number.
+fn amount(token: Option<&str>, what: &str) -> io::Result<f64> {
+    token
+        .and_then(|t| t.parse::<f64>().ok())
+        .filter(|x| x.is_finite() && *x >= 0.0)
+        .ok_or_else(|| bad(&format!("bad {what}: want a finite non-negative number")))
+}
+
+/// Reads a hypergraph in the PaToH-like text format. Costs, weights and
+/// sizes must be finite and non-negative.
 pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut lines = r.lines();
     let header = lines.next().ok_or_else(|| bad("missing header"))??;
     let mut it = header.split_whitespace();
@@ -34,10 +46,7 @@ pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
     for _ in 0..nn {
         let line = lines.next().ok_or_else(|| bad("missing net line"))??;
         let mut toks = line.split_whitespace();
-        let cost: f64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad net cost"))?;
+        let cost = amount(toks.next(), "net cost")?;
         let pins: Result<Vec<usize>, _> = toks.map(|t| t.parse::<usize>()).collect();
         let pins = pins.map_err(|_| bad("bad pin index"))?;
         if pins.iter().any(|&p| p >= nv) {
@@ -48,36 +57,29 @@ pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
     for v in 0..nv {
         let line = lines.next().ok_or_else(|| bad("missing vertex line"))??;
         let mut toks = line.split_whitespace();
-        let wgt: f64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad vertex weight"))?;
-        let size: f64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad vertex size"))?;
-        b.set_vertex_weight(v, wgt);
-        b.set_vertex_size(v, size);
+        b.set_vertex_weight(v, amount(toks.next(), "vertex weight")?);
+        b.set_vertex_size(v, amount(toks.next(), "vertex size")?);
     }
     Ok(b.build())
 }
 
 /// Reads a MatrixMarket `coordinate` file as an undirected graph.
 ///
-/// Both `pattern` and numeric value entries are accepted (values are used
-/// as edge weights; `pattern` entries get weight 1). Diagonal entries are
-/// dropped; the structure is symmetrized. Only square matrices are
-/// accepted, matching the paper's symmetric test problems.
+/// Both `pattern` and numeric value entries are accepted (the absolute
+/// values are used as edge weights and must be finite; `pattern` entries
+/// get weight 1). Diagonal entries are dropped; the structure is
+/// symmetrized. Only square matrices are accepted, matching the paper's
+/// symmetric test problems.
 pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut lines = r.lines().map_while(Result::ok);
+    let mut lines = r.lines();
     let mut header: Option<String> = None;
     for line in lines.by_ref() {
-        let t = line.trim().to_string();
+        let line = line?;
+        let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        header = Some(t);
+        header = Some(t.to_string());
         break;
     }
     let header = header.ok_or_else(|| bad("missing size line"))?;
@@ -96,6 +98,7 @@ pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
 
     let mut b = GraphBuilder::new(rows);
     for line in lines {
+        let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -109,15 +112,18 @@ pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
         if i == 0 || j == 0 || i > rows || j > cols {
             return Err(bad("indices must be 1-based and in range"));
         }
-        if i == j {
-            continue;
-        }
-        let w = if toks.len() >= 3 {
-            toks[2].parse::<f64>().map(f64::abs).unwrap_or(1.0)
-        } else {
-            1.0
+        let w = match toks.get(2) {
+            Some(value) => value
+                .parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| bad("bad entry value: want a finite number"))?
+                .abs(),
+            None => 1.0,
         };
-        b.add_edge(i - 1, j - 1, w);
+        if i != j {
+            b.add_edge(i - 1, j - 1, w);
+        }
     }
     Ok(b.build())
 }
@@ -198,5 +204,45 @@ mod tests {
     fn rejects_out_of_range_pin() {
         let text = "2 1 2\n1.0 0 5\n1 1\n1 1\n";
         assert!(read_hypergraph(Cursor::new(text)).is_err());
+    }
+
+    /// Every malformed amount is an `InvalidData` error, never a panic or
+    /// a value taken as read.
+    #[test]
+    fn rejects_malformed_hypergraph_amounts() {
+        for (case, text) in [
+            ("NaN vertex weight", "2 1 2\n1.0 0 1\nNaN 1\n1 1\n"),
+            ("negative vertex weight", "2 1 2\n1.0 0 1\n-1 1\n1 1\n"),
+            ("infinite vertex size", "2 1 2\n1.0 0 1\n1 1\n1 inf\n"),
+            ("negative vertex size", "2 1 2\n1.0 0 1\n1 1\n1 -2\n"),
+            ("negative net cost", "2 1 2\n-1.0 0 1\n1 1\n1 1\n"),
+            ("infinite net cost", "2 1 2\ninf 0 1\n1 1\n1 1\n"),
+            ("NaN net cost", "2 1 2\nNaN 0 1\n1 1\n1 1\n"),
+        ] {
+            let Err(err) = read_hypergraph(Cursor::new(text)) else { panic!("{case} accepted") };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_matrix_market_entries() {
+        for (case, text) in [
+            ("unparsable value", &b"4 4 2\n1 2\n3 4 abc\n"[..]),
+            ("infinite value", b"4 4 2\n1 2 1.0\n3 4 inf\n"),
+            ("NaN value", b"4 4 1\n1 2 NaN\n"),
+            ("unparsable diagonal value", b"4 4 1\n2 2 x\n"),
+        ] {
+            let Err(err) = read_matrix_market_graph(Cursor::new(text)) else {
+                panic!("{case} accepted")
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}");
+        }
+        // A line that is not UTF-8 ends the read with its error instead of
+        // silently dropping it and every entry after it.
+        let text = b"4 4 4\n1 2\n2 3\n\xff\xfe 4\n3 4\n";
+        let Err(err) = read_matrix_market_graph(Cursor::new(&text[..])) else {
+            panic!("non-UTF-8 line accepted")
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -6,8 +6,11 @@
 //! of a sparse-matrix computation this equals the application's true
 //! communication volume, which is why the paper prefers hypergraphs over
 //! graphs (whose edge cut only approximates volume).
+//!
+//! Every metric is one serial pass, summing in net or vertex order — the
+//! same functions report a result and decide whether an extra V-cycle is
+//! kept (`dlb_partitioner::kway`).
 
-use crate::parallel;
 use crate::{CsrGraph, Hypergraph, PartId};
 
 /// Per-part total vertex weight under `part`.
@@ -154,75 +157,6 @@ pub fn cutsize(h: &Hypergraph, part: &[PartId], k: usize, metric: CutMetric) -> 
 /// Connectivity-1 cut (Eq. (2)): the paper's communication-volume metric.
 pub fn cutsize_connectivity(h: &Hypergraph, part: &[PartId], k: usize) -> f64 {
     cutsize(h, part, k, CutMetric::Connectivity)
-}
-
-/// [`cutsize`] evaluated in parallel over net chunks with the
-/// deterministic chunked reduction of [`crate::parallel`]: bit-identical
-/// at every `threads` value, including `1`.
-pub fn cutsize_par(
-    h: &Hypergraph,
-    part: &[PartId],
-    k: usize,
-    metric: CutMetric,
-    threads: usize,
-) -> f64 {
-    assert_eq!(part.len(), h.num_vertices());
-    let partials = parallel::map_chunks_with(
-        threads,
-        h.num_nets(),
-        parallel::DEFAULT_CHUNK,
-        || vec![usize::MAX; k],
-        |mark, _, range| {
-            let mut cut = 0.0;
-            for j in range {
-                let mut lambda = 0usize;
-                for &v in h.net(j) {
-                    let p = part[v];
-                    assert!(p < k, "vertex {v} assigned to out-of-range part {p}");
-                    if mark[p] != j {
-                        mark[p] = j;
-                        lambda += 1;
-                    }
-                }
-                if lambda > 1 {
-                    cut += match metric {
-                        CutMetric::Connectivity => h.net_cost(j) * (lambda - 1) as f64,
-                        CutMetric::CutNet => h.net_cost(j),
-                    };
-                }
-            }
-            cut
-        },
-    );
-    partials.into_iter().fold(0.0, |acc, x| acc + x)
-}
-
-/// [`part_weights`] evaluated in parallel over vertex chunks; per-chunk
-/// weight vectors are combined in chunk order, so the result is
-/// bit-identical at every `threads` value.
-pub fn part_weights_par(h: &Hypergraph, part: &[PartId], k: usize, threads: usize) -> Vec<f64> {
-    assert_eq!(part.len(), h.num_vertices());
-    let partials = parallel::map_chunks(
-        threads,
-        part.len(),
-        parallel::DEFAULT_CHUNK,
-        |_, range| {
-            let mut w = vec![0.0; k];
-            for v in range {
-                let p = part[v];
-                assert!(p < k, "vertex {v} assigned to out-of-range part {p}");
-                w[p] += h.vertex_weight(v);
-            }
-            w
-        },
-    );
-    let mut w = vec![0.0; k];
-    for chunk_w in partials {
-        for (acc, x) in w.iter_mut().zip(chunk_w) {
-            *acc += x;
-        }
-    }
-    w
 }
 
 /// Weighted edge cut of a graph partition: the sum of weights of edges
@@ -391,41 +325,13 @@ mod tests {
         part_weights(&h, &[0, 5], 2);
     }
 
-    /// Serial and parallel cut evaluation agree exactly on every thread
-    /// count (the chunked-reduction rule) on a non-trivial instance.
-    #[test]
-    fn parallel_cut_matches_serial() {
-        let nets: Vec<Vec<usize>> = (0..500)
-            .map(|j| (0..(2 + j % 5)).map(|i| (j * 7 + i * 13) % 100).collect())
-            .collect();
-        let costs: Vec<f64> = (0..500).map(|j| 0.25 + (j % 9) as f64 * 0.5).collect();
-        let h = Hypergraph::from_nets(100, &nets, costs);
-        let part: Vec<usize> = (0..100).map(|v| (v * 31) % 4).collect();
-        for metric in [CutMetric::Connectivity, CutMetric::CutNet] {
-            let serial = cutsize(&h, &part, 4, metric);
-            for threads in [1usize, 2, 3, 8] {
-                let par = cutsize_par(&h, &part, 4, metric, threads);
-                assert_eq!(par.to_bits(), cutsize_par(&h, &part, 4, metric, 1).to_bits());
-                assert!((par - serial).abs() < 1e-9, "{metric:?} threads={threads}");
-            }
-        }
-        for threads in [1usize, 2, 8] {
-            assert_eq!(part_weights_par(&h, &part, 4, threads), part_weights(&h, &part, 4));
-        }
-    }
-
-    /// Empty nets (zero pins) have connectivity 0 and contribute nothing,
-    /// under both serial and parallel evaluation.
+    /// Empty nets (zero pins) have connectivity 0 and contribute nothing.
     #[test]
     fn empty_nets_contribute_nothing() {
         let h = Hypergraph::from_nets_unit(4, &[vec![], vec![0, 3], vec![]]);
         let part = vec![0, 0, 1, 1];
         assert_eq!(connectivities(&h, &part, 2), vec![0, 2, 0]);
         assert_eq!(cutsize_connectivity(&h, &part, 2), 1.0);
-        for threads in [1usize, 2, 4] {
-            assert_eq!(cutsize_par(&h, &part, 2, CutMetric::Connectivity, threads), 1.0);
-            assert_eq!(cutsize_par(&h, &part, 2, CutMetric::CutNet, threads), 1.0);
-        }
     }
 
     /// Single-pin nets can never be cut: connectivity 1, zero cut.
@@ -436,14 +342,9 @@ mod tests {
         assert_eq!(connectivities(&h, &part, 3), vec![1, 1, 1]);
         assert_eq!(cutsize_connectivity(&h, &part, 3), 0.0);
         assert_eq!(cutsize(&h, &part, 3, CutMetric::CutNet), 0.0);
-        for threads in [1usize, 2, 4] {
-            assert_eq!(cutsize_par(&h, &part, 3, CutMetric::Connectivity, threads), 0.0);
-            assert_eq!(cutsize_par(&h, &part, 3, CutMetric::CutNet, threads), 0.0);
-        }
     }
 
-    /// Zero total vertex weight: imbalance degrades gracefully to 1.0 and
-    /// parallel part weights still sum correctly.
+    /// Zero total vertex weight: imbalance degrades gracefully to 1.0.
     #[test]
     fn zero_total_weight_imbalance_is_one() {
         let mut h = Hypergraph::from_nets_unit(4, &[vec![0, 1], vec![1, 2, 3]]);
@@ -452,23 +353,13 @@ mod tests {
         }
         let part = vec![0, 1, 0, 1];
         assert_eq!(imbalance(&h, &part, 2), 1.0);
-        for threads in [1usize, 2, 4] {
-            let w = part_weights_par(&h, &part, 2, threads);
-            assert_eq!(w, vec![0.0, 0.0]);
-            assert_eq!(imbalance_of_weights(&w), 1.0);
-            // The cut is still well-defined with weightless vertices.
-            assert!(cutsize_par(&h, &part, 2, CutMetric::Connectivity, threads) > 0.0);
-        }
     }
 
-    /// A hypergraph with no nets at all: zero cut at any thread count.
+    /// A hypergraph with no nets at all: zero cut.
     #[test]
     fn netless_hypergraph_has_zero_cut() {
         let h = Hypergraph::from_nets_unit(5, &[]);
         let part = vec![0, 1, 0, 1, 0];
         assert_eq!(cutsize_connectivity(&h, &part, 2), 0.0);
-        for threads in [1usize, 2, 4] {
-            assert_eq!(cutsize_par(&h, &part, 2, CutMetric::Connectivity, threads), 0.0);
-        }
     }
 }

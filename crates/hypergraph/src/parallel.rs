@@ -1,11 +1,10 @@
 //! Scoped-thread executor with deterministic chunked reduction.
 //!
-//! The multilevel pipeline's parallel kernels (coarse pin remapping,
-//! sigma and gain-table builds, cut evaluation, CAS matching) are
-//! data-parallel over index ranges. This module runs them over a fixed
-//! chunking of the index space and hands the per-chunk results back **in
-//! chunk order**, which gives the one property the partitioner needs
-//! from parallelism:
+//! Two callers run work on more than one thread: the Fast/CAS matcher
+//! (`dlb_partitioner::matching`) and the bench sweep, whose cells are
+//! independent experiments. The Strict pipeline runs on one thread. This
+//! module runs a kernel over a fixed chunking of the index space and
+//! hands the per-chunk results back **in chunk order**:
 //!
 //! > **Chunked-reduction rule.** Chunk boundaries depend only on the
 //! > problem size, never on the thread count, and per-chunk results are
@@ -18,15 +17,14 @@
 //! Every entry point is one call to a private `run`: the caller plus
 //! `workers − 1` helpers from [`std::thread::scope`] claim the next item
 //! from one `Mutex`-guarded iterator, and each item is the disjoint
-//! `&mut` window its result goes into (a slot of the result vector, a
-//! strided window of a caller-owned buffer, or a per-chunk window). The
-//! claim order affects only *when* a chunk runs, never where its result
-//! lands, so it is invisible to the reduction. With one participant
-//! nothing is spawned and the chunks run on the caller, in chunk order —
-//! the same path at every thread count. Participants are capped at the
-//! host width ([`effective_concurrency`]), and several callers may run
-//! kernels at once (the SPMD drivers run each simulated rank on its own
-//! thread); each call owns its helpers.
+//! `&mut` slot of the result vector its result goes into. The claim
+//! order affects only *when* a chunk runs, never where its result lands,
+//! so it is invisible to the reduction. With one participant nothing is
+//! spawned and the chunks run on the caller, in chunk order — the same
+//! path at every thread count. Participants are capped at the host width
+//! ([`effective_concurrency`]), and several callers may run kernels at
+//! once (the SPMD drivers run each simulated rank on its own thread);
+//! each call owns its helpers.
 //!
 //! A panic in a chunk body stops further claims and its payload is
 //! re-raised unchanged on the caller once every helper has returned.
@@ -45,8 +43,10 @@ use std::ops::{Deref, DerefMut, Range};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 
-/// Default chunk size (in items) for the pipeline kernels: small enough
-/// to balance uneven nets, large enough to amortize the claim.
+/// The part-weight fold grid: replicated part weights sum per chunk of
+/// this many vertices and fold the chunk sums in chunk order
+/// (`dlb_partitioner::refine::fold_weights`), and the distributed fold
+/// follows the same grid, which keeps the two bitwise equal.
 pub const DEFAULT_CHUNK: usize = 4096;
 
 /// Parses a `DLB_THREADS`-style value: a positive integer, else `None`.
@@ -200,71 +200,6 @@ where
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
     map_chunks_with(threads, len, chunk, || (), |(), i, range| f(i, range))
-}
-
-/// Fills a caller-owned buffer in parallel: chunk `i` covering items
-/// `range` gets the exclusive window `out[range.start*stride ..
-/// range.end*stride]` — `stride` output elements per item. The windows
-/// tile `out` disjointly, so no per-chunk result vectors exist at all;
-/// kernels that used to build a `Vec` per chunk and concatenate write
-/// straight into their destination instead.
-///
-/// Chunk boundaries depend only on `len`/`chunk`, and each window is
-/// written by whichever participant claims the chunk — the *values* are
-/// position-determined, so the result is bit-identical at every thread
-/// count.
-///
-/// # Panics
-/// Panics if `out.len() != len * stride` or `stride == 0`; propagates
-/// panics from `f`.
-pub fn fill_chunks_with<T, S, I, F>(
-    threads: usize,
-    len: usize,
-    chunk: usize,
-    stride: usize,
-    out: &mut [T],
-    init: I,
-    f: F,
-) where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Range<usize>, &mut [T]) + Sync,
-{
-    assert_eq!(out.len(), len * stride, "output buffer must hold len*stride elements");
-    let chunk = chunk.max(1);
-    let workers = effective_workers(threads, num_chunks(len, chunk));
-    run(workers, out.chunks_mut(chunk * stride).enumerate(), init, |state, (i, window)| {
-        f(state, i, chunk_range(len, chunk, i), window)
-    });
-}
-
-/// [`fill_chunks_with`] without per-worker state.
-pub fn fill_chunks<T, F>(threads: usize, len: usize, chunk: usize, stride: usize, out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    fill_chunks_with(threads, len, chunk, stride, out, || (), |(), i, range, window| {
-        f(i, range, window)
-    })
-}
-
-/// Gives each **chunk** an exclusive `stride`-length window of `out`
-/// (`out[i*stride..(i+1)*stride]` for chunk `i`) — the chunk-indexed
-/// sibling of [`fill_chunks_with`], for per-chunk partial accumulators
-/// (e.g. per-chunk part-weight vectors) that the caller then folds in
-/// chunk order. `out.len()` must be `num_chunks * stride`, `stride > 0`.
-pub fn fill_per_chunk<T, F>(threads: usize, len: usize, chunk: usize, stride: usize, out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    let n_chunks = num_chunks(len, chunk);
-    assert_eq!(out.len(), n_chunks * stride, "output buffer must hold num_chunks*stride elements");
-    let workers = effective_workers(threads, n_chunks);
-    run(workers, out.chunks_mut(stride).enumerate(), || (), |(), (i, window)| {
-        f(i, chunk_range(len, chunk, i), window)
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -523,53 +458,6 @@ mod tests {
         let reference = sum_at(1);
         for workers in [2, 3, 4, 8] {
             assert_eq!(sum_at(workers).to_bits(), reference.to_bits(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn fill_chunks_strided_output() {
-        // stride-3 windows: each item writes its index into 3 slots.
-        let len = 2_000;
-        let mut out = vec![0usize; len * 3];
-        for threads in [1usize, 4] {
-            out.iter_mut().for_each(|x| *x = usize::MAX);
-            fill_chunks(threads, len, 64, 3, &mut out, |_, range, window| {
-                for (off, item) in range.clone().enumerate() {
-                    for s in 0..3 {
-                        window[off * 3 + s] = item * 10 + s;
-                    }
-                }
-            });
-            for item in 0..len {
-                for s in 0..3 {
-                    assert_eq!(out[item * 3 + s], item * 10 + s, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fill_per_chunk_partials_fold_identically() {
-        let values: Vec<f64> = (0..30_000).map(|i| (i as f64).sin() * 1e3).collect();
-        let total_at = |threads: usize| {
-            let n = num_chunks(values.len(), 512);
-            let mut partials = vec![0.0f64; n * 2];
-            fill_per_chunk(threads, values.len(), 512, 2, &mut partials, |_, range, window| {
-                for v in &values[range] {
-                    window[(*v >= 0.0) as usize] += v;
-                }
-            });
-            partials.chunks(2).fold([0.0f64; 2], |mut acc, w| {
-                acc[0] += w[0];
-                acc[1] += w[1];
-                acc
-            })
-        };
-        let reference = total_at(1);
-        for threads in [2, 4, 8] {
-            let got = total_at(threads);
-            assert_eq!(got[0].to_bits(), reference[0].to_bits());
-            assert_eq!(got[1].to_bits(), reference[1].to_bits());
         }
     }
 

@@ -11,9 +11,12 @@
 //! heap object of its own. Identical nets are found by a fingerprint of
 //! the pin list with a full compare on fingerprint equality
 //! (`NetCollapser`), and the finished arrays go straight into
-//! [`Hypergraph::from_csr`] (DESIGN.md §7).
+//! [`Hypergraph::from_csr`] (DESIGN.md §7). Contraction runs on one
+//! thread: [`contract`] is one serial pass, the same on a serial and a
+//! replicated level, and `par::dist` feeds the same collapser shard by
+//! shard on a distributed one.
 
-use dlb_hypergraph::{parallel, Hypergraph, PartId, VertexLoads};
+use dlb_hypergraph::{Hypergraph, PartId, VertexLoads};
 use rand::rngs::StdRng;
 
 use crate::config::{CoarseningConfig, Config, PartTargets};
@@ -178,7 +181,7 @@ fn slot_net(net: usize) -> u32 {
 }
 
 /// Drops sub-2-pin nets and collapses identical ones, the one kernel
-/// behind serial, chunked and distributed contraction. Nets come out in
+/// behind replicated and distributed contraction. Nets come out in
 /// first-occurrence order with ascending pins, and a collapsed net's
 /// cost is summed in push order — so feeding the same nets in the same
 /// order gives the same bits, however they were produced.
@@ -219,8 +222,8 @@ impl NetCollapser {
     /// Returns the index of the collapsed net it became or joined
     /// (`index == len()` before the call means it is a new one), or
     /// `None` if fewer than two distinct pins remain and it was dropped.
-    /// Already-normalised input — the chunk stage's, a shard's — costs
-    /// one linear pass more than a copy.
+    /// Already-normalised input — a shard's — costs one linear pass more
+    /// than a copy.
     pub(crate) fn push(
         &mut self,
         cost: f64,
@@ -267,33 +270,10 @@ impl NetCollapser {
     }
 }
 
-/// Contracts `h` along `matching`. With `threads > 1` the pin remapping
-/// (translate, sort, dedup per net) runs across workers over fixed net
-/// chunks; the duplicate-net merge then consumes the per-chunk results
-/// in net order, so the coarse hypergraph is identical to the serial
-/// construction at any thread count.
-pub fn contract_threads(
-    h: &Hypergraph,
-    matching: &Matching,
-    fixed: &FixedAssignment,
-    threads: usize,
-) -> CoarseLevel {
-    // Effective (not requested) concurrency: the chunked remap is
-    // result-identical to the serial loop, so on a host that can only
-    // run one thread the serial loop wins — no per-chunk result
-    // buffers, no helper threads.
-    let chunked = parallel::effective_concurrency(threads) > 1;
-    contract_with(h, matching, fixed, chunked.then_some(threads))
-}
-
-/// [`contract_threads`] with the path chosen by the caller: the chunked
-/// remap on `Some(threads)` workers, the serial loop on `None`.
-fn contract_with(
-    h: &Hypergraph,
-    matching: &Matching,
-    fixed: &FixedAssignment,
-    chunk_threads: Option<usize>,
-) -> CoarseLevel {
+/// Contracts `h` along `matching`: one pass over the fine vertices for
+/// the coarse ids and attributes, then every net remapped, in net order,
+/// through one `NetCollapser`.
+pub fn contract(h: &Hypergraph, matching: &Matching, fixed: &FixedAssignment) -> CoarseLevel {
     let n = h.num_vertices();
     debug_assert!(matching.validate(fixed).is_ok());
 
@@ -349,22 +329,8 @@ fn contract_with(
 
     // Translate nets, dropping sub-2-pin nets and collapsing duplicates.
     let mut nets = NetCollapser::new(h.num_nets(), h.num_pins());
-    match chunk_threads {
-        // Remap + sort + dedup each net's pins across workers, then push
-        // the surviving nets in net order — the order of the serial
-        // loop, so collapsed net ids and summed costs come out identical.
-        Some(threads) => {
-            for chunk in remap_nets_parallel(h, &fine_to_coarse, threads) {
-                for (cost, pins) in chunk.iter() {
-                    nets.push(cost, pins.iter().copied());
-                }
-            }
-        }
-        None => {
-            for j in 0..h.num_nets() {
-                nets.push(h.net_cost(j), h.net(j).iter().map(|&v| fine_to_coarse[v]));
-            }
-        }
+    for j in 0..h.num_nets() {
+        nets.push(h.net_cost(j), h.net(j).iter().map(|&v| fine_to_coarse[v]));
     }
     dlb_trace::count(dlb_trace::Counter::ContractNetsIn, h.num_nets() as u64);
     dlb_trace::count(dlb_trace::Counter::ContractNetsOut, nets.len() as u64);
@@ -376,25 +342,6 @@ fn contract_with(
         fine_to_coarse,
         coarse_fixed: FixedAssignment::from_options(&cfixed_opts),
     }
-}
-
-/// The parallel remap stage of [`contract_with`]: translate, sort,
-/// dedup each net's pins over fixed net chunks, dropping sub-2-pin
-/// nets; one [`FlatNets`] per chunk. Chunk boundaries depend only on
-/// the net count and the caller consumes chunk results in net order, so
-/// the output is independent of the worker count.
-fn remap_nets_parallel(h: &Hypergraph, fine_to_coarse: &[usize], threads: usize) -> Vec<FlatNets> {
-    let (xpins, _) = h.pin_csr();
-    parallel::map_chunks(threads, h.num_nets(), parallel::DEFAULT_CHUNK, |_, range| {
-        let mut kept =
-            FlatNets::with_capacity(range.len(), xpins[range.end] - xpins[range.start]);
-        for j in range {
-            if kept.stage(h.net(j).iter().map(|&v| fine_to_coarse[v])) {
-                kept.commit(h.net_cost(j));
-            }
-        }
-        kept
-    })
 }
 
 /// A full coarsening hierarchy, finest first. `levels[i]` maps level `i`'s
@@ -433,7 +380,7 @@ pub fn coarsen_to(
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Hierarchy {
-    let cfg = Config { coarsening: cfg.clone(), threads: 1, ..Config::default() };
+    let cfg = Config { coarsening: cfg.clone(), ..Config::default() };
     // The descent balances nothing and refines nothing.
     let (targets, mut scratch) = (PartTargets::uniform(0.0, 1, 0.0), RefineScratch::new());
     let mut cx = Cx::new(None, &cfg, &targets, rng, &mut scratch);
@@ -456,42 +403,6 @@ pub(crate) mod tests {
             mate[v] = u;
         }
         Matching { mate, num_pairs: pairs.len() }
-    }
-
-    /// The chunked remap stage yields exactly the serial translate /
-    /// sort / dedup / drop result in net order at every worker count —
-    /// exercised directly so it is covered even on hosts where
-    /// `effective_concurrency` routes [`contract_threads`] to the
-    /// serial loop.
-    #[test]
-    fn parallel_net_remap_matches_serial() {
-        let h = crate::tests::random_hypergraph(120, 300, 5, 77);
-        let m = {
-            let mut mate: Vec<usize> = (0..120).collect();
-            for v in (0..120).step_by(2) {
-                mate[v] = v + 1;
-                mate[v + 1] = v;
-            }
-            Matching { mate, num_pairs: 60 }
-        };
-        let fixed = FixedAssignment::free(120);
-        let lvl = contract_threads(&h, &m, &fixed, 1);
-
-        let mut serial: Vec<(f64, Vec<usize>)> = Vec::new();
-        for j in 0..h.num_nets() {
-            let mut pins: Vec<usize> = h.net(j).iter().map(|&v| lvl.fine_to_coarse[v]).collect();
-            pins.sort_unstable();
-            pins.dedup();
-            if pins.len() >= 2 {
-                serial.push((h.net_cost(j), pins));
-            }
-        }
-        for threads in [2usize, 4, 16] {
-            let chunks = remap_nets_parallel(&h, &lvl.fine_to_coarse, threads);
-            let par: Vec<(f64, Vec<usize>)> =
-                chunks.iter().flat_map(FlatNets::iter).map(|(c, p)| (c, p.to_vec())).collect();
-            assert_eq!(par, serial, "threads {threads}");
-        }
     }
 
     /// The construction this module had before the flat collapse — a
@@ -664,18 +575,16 @@ pub(crate) mod tests {
             cases.push(random_case(seed, 40, 400, 4, seed % 2 == 0));
             cases.push(random_case(100 + seed, 150, 300, 7, seed % 2 == 1));
         }
-        // More than two chunks of the remap stage, so identical nets meet
-        // across chunk boundaries.
-        cases.push(random_case(7, 300, 2 * parallel::DEFAULT_CHUNK + 500, 3, true));
+        // Thousands of nets over few vertices: duplicates far apart in net
+        // order.
+        cases.push(random_case(7, 300, 8_692, 3, true));
         cases
     }
 
     /// The flat collapse equals the map-based reference on the whole
     /// `CoarseLevel` — coarse hypergraph (net order, pin order, loads,
     /// sizes, and costs, which are positive and finite, so `==` on them
-    /// is equality of bits), `fine_to_coarse`, coarse fixed assignment —
-    /// through the serial loop and through the chunk stage + ordered
-    /// merge at every worker count.
+    /// is equality of bits), `fine_to_coarse`, coarse fixed assignment.
     #[test]
     fn flat_collapse_equals_the_map_based_reference() {
         let cases = cases();
@@ -683,17 +592,15 @@ pub(crate) mod tests {
             c.matching.validate(&c.fixed).unwrap();
             let want = contract_reference(&c.h, &c.matching, &c.fixed);
             want.coarse.validate().unwrap();
-            for path in [None, Some(2usize), Some(4), Some(16)] {
-                let got = contract_with(&c.h, &c.matching, &c.fixed, path);
-                assert!(got.coarse == want.coarse, "{}: coarse differs via {path:?}", c.name);
-                assert_eq!(got.fine_to_coarse, want.fine_to_coarse, "{} via {path:?}", c.name);
-                assert_eq!(got.coarse_fixed, want.coarse_fixed, "{} via {path:?}", c.name);
-            }
+            let got = contract(&c.h, &c.matching, &c.fixed);
+            assert!(got.coarse == want.coarse, "{}: coarse differs", c.name);
+            assert_eq!(got.fine_to_coarse, want.fine_to_coarse, "{}", c.name);
+            assert_eq!(got.coarse_fixed, want.coarse_fixed, "{}", c.name);
         }
         // What the adversarial shapes are there to produce.
         let by_name = |name: &str| {
             let c = cases.iter().find(|c| c.name == name).unwrap();
-            contract_with(&c.h, &c.matching, &c.fixed, None).coarse
+            contract(&c.h, &c.matching, &c.fixed).coarse
         };
         assert_eq!(by_name("every net identical").num_nets(), 1);
         assert_eq!(by_name("every net internal to a pair").num_nets(), 0);
@@ -791,7 +698,7 @@ pub(crate) mod tests {
         h.set_vertex_size(1, 3.0);
         let m = pair_matching(4, &[(0, 1), (2, 3)]);
         let fixed = FixedAssignment::free(4);
-        let lvl = contract_threads(&h, &m, &fixed, 1);
+        let lvl = contract(&h, &m, &fixed);
         assert_eq!(lvl.coarse.num_vertices(), 2);
         assert_eq!(lvl.coarse.vertex_weight(0), 3.0); // 2 + 1
         assert_eq!(lvl.coarse.vertex_size(0), 4.0); // 1 + 3
@@ -802,7 +709,7 @@ pub(crate) mod tests {
     fn contract_drops_internal_nets_and_keeps_cut_nets() {
         let h = Hypergraph::from_nets_unit(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
         let m = pair_matching(4, &[(0, 1), (2, 3)]);
-        let lvl = contract_threads(&h, &m, &FixedAssignment::free(4), 1);
+        let lvl = contract(&h, &m, &FixedAssignment::free(4));
         // Nets {0,1} and {2,3} become single-pin and vanish; {1,2} survives.
         assert_eq!(lvl.coarse.num_nets(), 1);
         assert_eq!(lvl.coarse.net(0), &[0, 1]);
@@ -817,7 +724,7 @@ pub(crate) mod tests {
         );
         // Merge 0+1 and 2+3: nets {0,2} and {1,3} both become {c0, c1}.
         let m = pair_matching(6, &[(0, 1), (2, 3)]);
-        let lvl = contract_threads(&h, &m, &FixedAssignment::free(6), 1);
+        let lvl = contract(&h, &m, &FixedAssignment::free(6));
         assert_eq!(lvl.coarse.num_nets(), 2);
         // The collapsed net carries the summed cost 3.0.
         let costs: Vec<f64> = (0..2).map(|j| lvl.coarse.net_cost(j)).collect();
@@ -831,7 +738,7 @@ pub(crate) mod tests {
         let mut fixed = FixedAssignment::free(4);
         fixed.fix(1, 2);
         let m = pair_matching(4, &[(0, 1)]);
-        let lvl = contract_threads(&h, &m, &fixed, 1);
+        let lvl = contract(&h, &m, &fixed);
         // Coarse vertex of {0,1} is fixed to 2; coarse singletons 2,3 free.
         let c01 = lvl.fine_to_coarse[0];
         assert_eq!(lvl.coarse_fixed.get(c01), Some(2));

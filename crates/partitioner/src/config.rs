@@ -11,14 +11,13 @@ pub enum Scheme {
     DirectKway,
 }
 
-/// Reproducibility contract of the shared-memory parallel kernels.
+/// Reproducibility contract of the serial partitioner's matcher.
 ///
-/// The pipeline's kernels are parallelized two ways. Under
-/// [`Determinism::Strict`] every reduction follows the chunked-reduction
-/// rule (per-chunk results combined in ascending chunk order) and every
-/// order-sensitive decision — greedy matching selection above all — runs
-/// serially, so the partition is **bit-identical at any thread count**.
-/// Under [`Determinism::Fast`] the matcher pairs vertices concurrently
+/// Under [`Determinism::Strict`] the whole pipeline runs on one thread —
+/// greedy matching selection, contraction, FM, the metrics — so the
+/// partition is **bit-identical run to run, whatever
+/// [`Config::threads`] says**. Under [`Determinism::Fast`] the matcher
+/// pairs vertices concurrently on [`Config::threads`] threads
 /// with CAS on a shared mate array (deterministic tie-breaking by vertex
 /// id within each candidate list), dropping the serial selection
 /// barrier; the outcome depends on thread scheduling, so runs are not
@@ -32,11 +31,11 @@ pub enum Scheme {
 /// collectives rely on rank-identical intermediate state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Determinism {
-    /// Bit-identical results at any thread count (the default).
+    /// One thread, bit-identical results (the default).
     #[default]
     Strict,
-    /// Scheduling-dependent results with bounded quality; faster at
-    /// high thread counts because matching runs fully concurrently.
+    /// Scheduling-dependent results with bounded quality: matching runs
+    /// concurrently on `Config::threads` threads.
     Fast,
 }
 
@@ -168,16 +167,16 @@ pub struct Config {
     /// the projection — PaToH/Zoltan's iterated-V-cycle quality knob.
     /// The result of an extra cycle is kept only if it improves the cut.
     pub num_vcycles: usize,
-    /// Shared-memory worker threads for the pipeline kernels. `0` means
-    /// auto: the `DLB_THREADS` environment variable if set, else
-    /// [`std::thread::available_parallelism`]. Any value produces
-    /// bit-identical partitions (deterministic chunked reduction); `1`
-    /// runs the exact serial code path.
+    /// Worker threads for the Fast matcher, the one kernel that runs on
+    /// more than one thread. `0` means auto: the `DLB_THREADS`
+    /// environment variable if set, else
+    /// [`std::thread::available_parallelism`]. Strict runs on one thread
+    /// whatever this is, so no Strict partition depends on it.
     pub threads: usize,
     /// Reproducibility contract for the shared-memory kernels (see
-    /// [`Determinism`]). `Strict` — the default — keeps results
-    /// bit-identical at any thread count; `Fast` trades that for
-    /// concurrent matching with quality bounds.
+    /// [`Determinism`]). `Strict` — the default — runs on one thread
+    /// with bit-identical results; `Fast` trades that for concurrent
+    /// matching on `threads` threads with quality bounds.
     pub determinism: Determinism,
     /// Allow [`crate::refine_partition_fixed`] to seed from a caller
     /// partition and run refine-only (part-restricted) V-cycles instead
@@ -308,7 +307,7 @@ impl std::error::Error for ConfigError {}
 /// Validating builder for [`Config`] (see [`Config::builder`]).
 ///
 /// Unifies the top-level knobs, the [`DistConfig`] sub-config, and the
-/// `threads`/`DLB_THREADS` worker-count resolution behind one checked
+/// Fast matcher's `threads`/`DLB_THREADS` worker count behind one checked
 /// constructor:
 ///
 /// ```
@@ -373,8 +372,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Shared-memory worker threads (`0` = auto: `DLB_THREADS`, then
-    /// [`std::thread::available_parallelism`]).
+    /// Worker threads for the Fast matcher ([`Config::threads`]; `0` =
+    /// auto: `DLB_THREADS`, then [`std::thread::available_parallelism`]).
+    /// Strict ignores it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads;
         self

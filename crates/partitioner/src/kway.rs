@@ -15,8 +15,7 @@ use crate::refine::RefineScratch;
 use crate::vcycle::{self, Cx, Held};
 
 /// Runs one multilevel V-cycle on `h` for `cx.targets` (any number of
-/// parts), honoring `fixed`. Returns a complete assignment,
-/// bit-identical at every thread count.
+/// parts), honoring `fixed`. Returns a complete assignment.
 pub(crate) fn multilevel(h: &Hypergraph, fixed: &FixedAssignment, cx: &mut Cx) -> Vec<PartId> {
     let k = cx.targets.k();
     if k == 1 || h.num_vertices() == 0 {
@@ -48,22 +47,21 @@ pub(crate) fn iterate_vcycles(
     mut part: Vec<PartId>,
     cx: &mut Cx,
 ) -> Vec<PartId> {
-    let (targets, threads) = (cx.targets, cx.threads);
+    let targets = cx.targets;
     if cx.cfg.num_vcycles <= 1 || h.num_vertices() == 0 || targets.k() < 2 {
         return part;
     }
     let k = targets.k();
-    let metric = dlb_hypergraph::metrics::CutMetric::Connectivity;
-    let mut best_cut = metrics::cutsize_par(h, &part, k, metric, threads);
+    let mut best_cut = metrics::cutsize_connectivity(h, &part, k);
     for _ in 1..cx.cfg.num_vcycles {
         let span = dlb_trace::span!("vcycle.iterate");
         dlb_trace::count(dlb_trace::Counter::VcyclesRun, 1);
         let candidate = vcycle_refine(h, fixed, &part, cx);
         let cut = {
             let _span = dlb_trace::span!("evaluate");
-            metrics::cutsize_par(h, &candidate, k, metric, threads)
+            metrics::cutsize_connectivity(h, &candidate, k)
         };
-        let w = metrics::part_weights_par(h, &candidate, k, threads);
+        let w = metrics::part_weights(h, &candidate, k);
         let mut feasible = (0..k).all(|p| w[p] <= targets.cap(p) + 1e-9);
         if feasible && !targets.aux.is_empty() {
             let aux_loads = metrics::aux_part_loads(h, &candidate, k);

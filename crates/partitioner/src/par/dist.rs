@@ -266,7 +266,6 @@ pub(crate) fn dist_ipm_matching(
     d: &DistLevel,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
-    threads: usize,
 ) -> Matching {
     if cfg.local_ipm {
         let mate = local_matching(comm.rank(), &d, cfg, rng);
@@ -285,7 +284,7 @@ pub(crate) fn dist_ipm_matching(
         nets.retain_mut(|g| dh.local_net_index(*g).map(|lj| *g = lj).is_some());
         (u, (u_fixed >= 0).then_some(u_fixed as PartId), Cow::Owned(nets))
     };
-    candidate_matching(comm, &d, cfg, rng, threads, |comm, mine| {
+    candidate_matching(comm, &d, cfg, rng, |comm, mine| {
         let records: Vec<CandRecord> = mine.into_iter().map(pack).collect();
         comm.allgather(records).into_iter().flatten().map(unpack).collect()
     })
@@ -345,7 +344,7 @@ fn pin_owner_ranks(dh: &DistHypergraph, lj: usize, owners: &mut Vec<usize>) {
 /// Distributed contraction: builds the coarse level without any rank
 /// materializing a replicated coarse hypergraph **or** a replicated
 /// fine→coarse map. The coarse hypergraph equals the replicated
-/// [`contract_threads`] output net-for-net:
+/// [`contract`](crate::coarsen::contract) output net-for-net:
 ///
 /// 1. Representatives (`mate >= self`) take coarse ids in ascending
 ///    fine order; per-rank representative counts are prefix-summed so
@@ -543,9 +542,8 @@ pub(crate) fn dist_contract(
 
 /// Replicated part-weight vectors from distributed per-vertex data
 /// (collective). The scalar column folds on the global `DEFAULT_CHUNK`
-/// grid — bitwise identical to `PartitionState::new`'s partial-then-
-/// fold — and each auxiliary column folds serially, matching the gated
-/// serial accumulation of `PartitionState::new_threads`.
+/// grid and each auxiliary column folds straight — bitwise identical to
+/// `refine::fold_weights` on the replicated level.
 fn fold_part_weights(
     comm: &mut Comm,
     level: &DistLevel,
@@ -623,7 +621,7 @@ impl<'a> DistState<'a> {
             }
         }
         let (weights, aux_weights) = fold_part_weights(comm, level, k, &part);
-        PartitionState::assemble(level, k, 1, sigma, weights, aux_weights, part, Vec::new())
+        PartitionState::assemble(level, k, sigma, weights, aux_weights, part, Vec::new())
     }
 
     /// Applies the replicated (O(k)) share of a remote vertex's move:
@@ -996,7 +994,7 @@ pub fn dist_multilevel_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarsen::contract_threads;
+    use crate::coarsen::contract;
     use crate::refine::VertexReads;
     use dlb_mpisim::run_spmd;
     use rand::{Rng, SeedableRng};
@@ -1057,7 +1055,7 @@ mod tests {
     /// V-cycle oracles above only see it through the final partition):
     /// on duplicate-heavy levels with fractional net costs, fixed
     /// vertices and arity-2 loads, the gathered coarse level equals
-    /// [`contract_threads`] on the replicated level net for net — ids,
+    /// [`contract`] on the replicated level net for net — ids,
     /// pin order, cost bits (costs are positive and finite, so `==` is
     /// equality of bits) — with the same coarse loads, sizes and fixed
     /// assignment, and each rank's `f2c` is its block of
@@ -1073,7 +1071,7 @@ mod tests {
             (random_case(4, 3, 40, 3, true), vec![4, 7]),
         ];
         for (c, rank_counts) in &worlds {
-            let want = contract_threads(&c.h, &c.matching, &c.fixed, 1);
+            let want = contract(&c.h, &c.matching, &c.fixed);
             assert!(want.coarse.num_nets() < c.h.num_nets() / 2, "{}: few duplicates", c.name);
             for &ranks in rank_counts {
                 run_spmd(ranks, |comm| {
@@ -1087,6 +1085,40 @@ mod tests {
                     assert!(gathered == want.coarse, "{} ranks={ranks}: coarse differs", c.name);
                     assert_eq!(gathered_fixed, want.coarse_fixed, "{} ranks={ranks}", c.name);
                 });
+            }
+        }
+    }
+
+    /// The one chunk grid the pipeline keeps: the distributed part-weight
+    /// fold equals `refine::fold_weights` bit for bit at ranks 1–4, on
+    /// more than three `DEFAULT_CHUNK`s of vertices whose weights
+    /// (1/1 … 1/7) round in every sum — where a straight sum, the grid
+    /// dropped, already differs — and on an auxiliary column.
+    #[test]
+    fn dist_weight_fold_matches_replicated_fold() {
+        use crate::refine::fold_weights;
+        use dlb_hypergraph::VertexLoads;
+        let (n, k) = (3 * parallel::DEFAULT_CHUNK + 17, 5usize);
+        let nets: Vec<Vec<usize>> = (1..n).map(|v| vec![v - 1, v]).collect();
+        let mut h = Hypergraph::from_nets_unit(n, &nets);
+        h.set_loads(VertexLoads::from_columns(vec![
+            (0..n).map(|v| 1.0 / (1 + v % 7) as f64).collect(),
+            (0..n).map(|v| 0.1 * (1 + v % 3) as f64).collect(),
+        ]));
+        let part: Vec<PartId> = (0..n).map(|v| (v * 7 + v / 5) % k).collect();
+        let want = fold_weights(&h, k, &part);
+        let straight = dlb_hypergraph::metrics::part_weights(&h, &part, k);
+        assert_ne!(straight, want.0, "the grid decides no bit of this input");
+        let fixed = FixedAssignment::free(n);
+        for ranks in 1..=4usize {
+            let got = run_spmd(ranks, |comm| {
+                let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), ranks);
+                fold_part_weights(comm, &level, k, &part[level.dh.my_range()])
+            });
+            for (weights, aux) in got {
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&weights), bits(&want.0), "ranks={ranks}");
+                assert_eq!(bits(&aux), bits(&want.1), "ranks={ranks}");
             }
         }
     }

@@ -9,11 +9,15 @@
 //! all-reduce picks each candidate's best partner. All ranks then apply
 //! the winning matches identically, so the coarse hypergraph is built
 //! consistently everywhere without further communication.
+//!
+//! The ranks are the parallelism, as in Zoltan: within a rank the
+//! candidates are scored one after another, each skipping the partners
+//! earlier candidates of the round have taken.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use dlb_hypergraph::{parallel, Hypergraph, PartId};
+use dlb_hypergraph::{Hypergraph, PartId};
 use dlb_mpisim::Comm;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -118,29 +122,17 @@ fn propose<V: LevelView>(
     }
 }
 
-/// Per-candidate chunk size for the parallel scoring stage: candidate
-/// scoring is heavier per item than vertex scoring, so chunks are small.
-const CAND_CHUNK: usize = 64;
-
 /// The candidate rounds of one matching level, on either storage form.
 /// Collective. `exchange` sends this rank's nominated vertices to every
 /// rank and returns all ranks' candidates in rank order. Returns the
 /// mates of the stored vertices (indexed by [`LevelView::slot`], self for
 /// unmatched) with the global pair count; every rank agrees on the mate of
 /// every vertex it stores.
-///
-/// The IPM score of a pair does not depend on the matching state, so with
-/// several `threads` every candidate's partners are scored concurrently
-/// against everything unmatched at round start, and the `taken` filter is
-/// applied at selection, in candidate order. Filtering a
-/// first-touch-ordered list preserves its order, so the proposals are the
-/// same at every thread count.
-pub(crate) fn candidate_matching<'v, V: LevelView + Sync>(
+pub(crate) fn candidate_matching<'v, V: LevelView>(
     comm: &mut Comm,
     view: &'v V,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
-    threads: usize,
     mut exchange: impl FnMut(&mut Comm, Vec<usize>) -> Vec<Candidate<'v>>,
 ) -> Matching {
     let rank = comm.rank();
@@ -173,47 +165,19 @@ pub(crate) fn candidate_matching<'v, V: LevelView + Sync>(
         // candidate cannot partner itself; candidates owned by this rank
         // may still be proposed as partners of others.
         // `taken` keeps one owned vertex from being proposed to two
-        // candidates in the same round. The serial path skips taken
-        // vertices while scoring; the threaded path scores every
-        // candidate before the first is taken, so there the filter acts
-        // at selection only.
+        // candidates in the same round; scoring skips taken vertices.
         let mut taken = vec![false; stored.len()];
-        let score = |c: &Candidate<'_>, taken: &[bool], scores: &mut [f64], touched: &mut _| {
-            let free = |w: usize| {
-                owned.contains(&w) && mate[view.slot(w)] == w && !taken[view.slot(w)]
-            };
-            accumulate_scores(view, c.0, &c.2, cfg, free, scores, touched);
-        };
-        let proposals: Vec<Proposal> = if threads > 1 {
-            let lists = parallel::map_chunks_with(
-                threads,
-                cands.len(),
-                CAND_CHUNK,
-                || (vec![0.0f64; stored.len()], Vec::<usize>::new()),
-                |(scores, touched), _, chunk| {
-                    chunk
-                        .map(|i| {
-                            score(&cands[i], &taken, scores, touched);
-                            drain_scores(view, scores, touched).collect::<Vec<_>>()
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-            cands
-                .iter()
-                .zip(lists.into_iter().flatten())
-                .map(|(c, list)| propose(view, rank, &ids, c, list.into_iter(), &mut taken))
-                .collect()
-        } else {
-            cands
-                .iter()
-                .map(|c| {
-                    score(c, &taken, &mut scores, &mut touched);
-                    let partners = drain_scores(view, &mut scores, &touched);
-                    propose(view, rank, &ids, c, partners, &mut taken)
-                })
-                .collect()
-        };
+        let proposals: Vec<Proposal> = cands
+            .iter()
+            .map(|c| {
+                let free = |w: usize| {
+                    owned.contains(&w) && mate[view.slot(w)] == w && !taken[view.slot(w)]
+                };
+                accumulate_scores(view, c.0, &c.2, cfg, free, &mut scores, &mut touched);
+                let partners = drain_scores(view, &mut scores, &touched);
+                propose(view, rank, &ids, c, partners, &mut taken)
+            })
+            .collect();
 
         // Global best proposal per candidate.
         let winners = comm.allreduce_vec(proposals, better_of);
@@ -290,21 +254,18 @@ pub(crate) fn local_matching<V: LevelView>(
 /// One level of parallel matching. Collective: all ranks must call with
 /// identical `h`, `fixed`, `cfg`; `rng` seeds may differ per rank only
 /// through `comm.rank()` (handled internally). Returns the same matching
-/// on every rank. The candidate scoring stage runs over `threads`
-/// rank-local worker threads (each rank scores its share of
-/// candidates); the result is bit-identical at every thread count.
+/// on every rank.
 pub fn par_ipm_matching(
     comm: &mut Comm,
     h: &Hypergraph,
     fixed: &FixedAssignment,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
-    threads: usize,
 ) -> Matching {
     let view = Replicated::block(h, fixed, comm.rank(), comm.size());
     if !cfg.local_ipm {
         let lookup = |u: usize| (u, view.fixed(u), Cow::Borrowed(view.nets_of(u)));
-        return candidate_matching(comm, &view, cfg, rng, threads, |comm, mine| {
+        return candidate_matching(comm, &view, cfg, rng, |comm, mine| {
             comm.allgather(mine).into_iter().flatten().map(lookup).collect()
         });
     }
@@ -336,7 +297,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(4, |comm| {
             let mut rng = StdRng::seed_from_u64(7);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1).mate
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng).mate
         });
         for r in &results[1..] {
             assert_eq!(*r, results[0]);
@@ -350,7 +311,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(3, |comm| {
             let mut rng = StdRng::seed_from_u64(9);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1)
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng)
         });
         let m = &results[0];
         m.validate(&fixed).unwrap();
@@ -370,7 +331,7 @@ mod tests {
         let results = run_spmd(4, |comm| {
             let mut rng = StdRng::seed_from_u64(5);
             let dist = BlockDist::new(100, comm.size());
-            let m = par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1);
+            let m = par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng);
             (m, dist)
         });
         let (m, dist) = &results[0];
@@ -408,29 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_scoring_matches_single_threaded() {
-        // The rank-local parallel scoring stage must reproduce the
-        // single-threaded matcher exactly, at every thread count.
-        let h = crate::tests::random_hypergraph(200, 400, 5, 41);
-        let mut fixed = FixedAssignment::free(200);
-        for v in (0..200).step_by(9) {
-            fixed.fix(v, v % 3);
-        }
-        let cfg = CoarseningConfig::default();
-        let reference = run_spmd(3, |comm| {
-            let mut rng = StdRng::seed_from_u64(13);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1).mate
-        });
-        for threads in [2, 4] {
-            let threaded = run_spmd(3, |comm| {
-                let mut rng = StdRng::seed_from_u64(13);
-                par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, threads).mate
-            });
-            assert_eq!(threaded, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parallel_matching_respects_fixed_constraint() {
         let h = crate::tests::grid_hypergraph(8, 8);
         let mut fixed = FixedAssignment::free(64);
@@ -441,7 +379,7 @@ mod tests {
         let cfg = CoarseningConfig::default();
         let results = run_spmd(2, |comm| {
             let mut rng = StdRng::seed_from_u64(11);
-            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng, 1)
+            par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng)
         });
         results[0].validate(&fixed).unwrap();
     }

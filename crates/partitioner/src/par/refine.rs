@@ -65,7 +65,7 @@ fn par_pass(
 ) -> usize {
     // The private state is the shared one with freshly folded weights —
     // what a state built from scratch on `state.part` would hold.
-    let (weights, aux_weights) = fold_weights(state.view.h, targets.k(), &state.part, 1);
+    let (weights, aux_weights) = fold_weights(state.view.h, targets.k(), &state.part);
     let mut private = state.private_copy(weights, aux_weights);
     let my_moves: Vec<Move> = propose_moves(comm.rank(), &mut private, targets, rng)
         .into_iter()

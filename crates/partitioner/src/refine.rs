@@ -55,6 +55,11 @@
 //! the stored vertices whose row it writes to a log on the state. Nobody
 //! else listens; for them the log is one untaken branch.
 //!
+//! **The build** runs on the calling thread, like every kernel here:
+//! sigma rows net by net, table rows vertex by vertex (`sum_row`), and
+//! the part weights on the `parallel::DEFAULT_CHUNK` grid
+//! (`fold_weights`) that a distributed level's fold shares.
+//!
 //! On a distributed level (`par::dist`) a rank keeps rows for the block
 //! it stores; `shift` runs for its own moves, for ghost movers on the
 //! nets it owns (halo triples) and for the stub events net owners send —
@@ -143,7 +148,7 @@ pub(crate) struct PartitionState<V> {
 }
 
 /// Exact work counts of one state's gain table. Kept on the state and
-/// flushed to `dlb_trace` once per [`refine_threads`] call — not by the
+/// flushed to `dlb_trace` once per [`refine_with`] call — not by the
 /// SPMD passes, where a rank's share depends on the storage form.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub(crate) struct GainTally {
@@ -167,34 +172,21 @@ impl GainTally {
     }
 }
 
-/// Part weights of `part` on a replicated level: per-chunk partial
-/// vectors (one arena-backed flat buffer, chunk `i` owns window `i`)
-/// folded in chunk order — bit-identical at every thread count — and
-/// the auxiliary columns accumulated serially (arity 1 skips them).
-pub(crate) fn fold_weights(
-    h: &Hypergraph,
-    k: usize,
-    part: &[PartId],
-    threads: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let n_chunks = parallel::num_chunks(h.num_vertices(), parallel::DEFAULT_CHUNK);
-    let mut partials = parallel::scratch_vec_filled::<f64>(n_chunks * k, 0.0);
-    parallel::fill_per_chunk(
-        threads,
-        h.num_vertices(),
-        parallel::DEFAULT_CHUNK,
-        k,
-        &mut partials,
-        |_, range, window| {
-            for v in range {
-                window[part[v]] += h.vertex_weight(v);
-            }
-        },
-    );
+/// Part weights of `part` on a replicated level: the primary column
+/// summed per chunk of [`parallel::DEFAULT_CHUNK`] vertices and the
+/// chunk sums folded in chunk order — the grid `par::dist` folds a
+/// distributed level on, which keeps the two bitwise equal — and the
+/// auxiliary columns accumulated straight (arity 1 skips them).
+pub(crate) fn fold_weights(h: &Hypergraph, k: usize, part: &[PartId]) -> (Vec<f64>, Vec<f64>) {
     let mut weights = vec![0.0f64; k];
-    for local in partials.chunks(k) {
+    let mut chunk_sum = vec![0.0f64; k];
+    for chunk in (0..h.num_vertices()).step_by(parallel::DEFAULT_CHUNK) {
+        chunk_sum.fill(0.0);
+        for v in chunk..(chunk + parallel::DEFAULT_CHUNK).min(h.num_vertices()) {
+            chunk_sum[part[v]] += h.vertex_weight(v);
+        }
         for p in 0..k {
-            weights[p] += local[p];
+            weights[p] += chunk_sum[p];
         }
     }
     let arity = h.load_arity();
@@ -212,45 +204,21 @@ pub(crate) fn fold_weights(
 impl<'a> PartitionState<Replicated<'a>> {
     /// Builds the state for `part` on a replicated level.
     pub(crate) fn new(view: Replicated<'a>, k: usize, part: Vec<PartId>) -> Self {
-        Self::new_threads(view, k, part, 1, Vec::new())
+        Self::with_table(view, k, part, Vec::new())
     }
 
-    /// [`Self::new`] with an explicit worker-thread count and a buffer
-    /// for the gain table to reuse. The sigma table is built per net
-    /// chunk in place and the part weights fold in chunk order, so the
-    /// state is bit-identical at every thread count.
-    fn new_threads(
-        view: Replicated<'a>,
-        k: usize,
-        part: Vec<PartId>,
-        threads: usize,
-        table: Vec<f64>,
-    ) -> Self {
+    /// [`Self::new`] building the gain table in `table`'s allocation.
+    fn with_table(view: Replicated<'a>, k: usize, part: Vec<PartId>, table: Vec<f64>) -> Self {
         let h = view.h;
         assert_eq!(part.len(), h.num_vertices());
-        let threads = threads.max(1);
-        // Each chunk of nets owns the `k`-strided window of the
-        // destination buffer directly — no per-chunk vectors, no
-        // concatenation pass.
         let mut sigma = vec![0u32; h.num_nets() * k];
-        let part_ref = &part;
-        parallel::fill_chunks(
-            threads,
-            h.num_nets(),
-            parallel::DEFAULT_CHUNK,
-            k,
-            &mut sigma,
-            |_, range, window| {
-                for j in range.clone() {
-                    let base = (j - range.start) * k;
-                    for &v in h.net(j) {
-                        window[base + part_ref[v]] += 1;
-                    }
-                }
-            },
-        );
-        let (weights, aux_weights) = fold_weights(h, k, &part, threads);
-        Self::assemble(view, k, threads, sigma, weights, aux_weights, part, table)
+        for (j, row) in sigma.chunks_exact_mut(k).enumerate() {
+            for &v in h.net(j) {
+                row[part[v]] += 1;
+            }
+        }
+        let (weights, aux_weights) = fold_weights(h, k, &part);
+        Self::assemble(view, k, sigma, weights, aux_weights, part, table)
     }
 
     /// Per-part load of auxiliary constraint `c` (1-based, `c ∈ 1..arity`).
@@ -282,41 +250,26 @@ fn sum_row<V: LevelView>(view: V, k: usize, sigma: &[u32], p: PartId, v: usize, 
 impl<V: LevelView> PartitionState<V> {
     /// Completes a state whose sigma rows and weights a builder has
     /// seeded: derives each net's connectivity and every stored vertex's
-    /// table row (chunked over the vertices into `table`, whose
-    /// allocation is reused), and decides once whether the level's costs
-    /// let transitions update entries in place.
-    #[allow(clippy::too_many_arguments)]
+    /// table row (into `table`, whose allocation is reused), and decides
+    /// once whether the level's costs let transitions update entries in
+    /// place.
     pub(crate) fn assemble(
         view: V,
         k: usize,
-        threads: usize,
         sigma: Vec<u32>,
         weights: Vec<f64>,
         aux_weights: Vec<f64>,
         part: Vec<PartId>,
         mut table: Vec<f64>,
-    ) -> Self
-    where
-        V: Sync,
-    {
+    ) -> Self {
         let lambda: Vec<u32> =
             sigma.chunks_exact(k).map(|row| row.iter().filter(|&&c| c > 0).count() as u32).collect();
         let stored = view.stored();
         table.clear();
         table.resize(stored.len() * (k + 1), 0.0);
-        let (sigma_ref, part_ref) = (&sigma, &part);
-        parallel::fill_chunks(
-            threads,
-            stored.len(),
-            parallel::DEFAULT_CHUNK,
-            k + 1,
-            &mut table,
-            |_, range, window| {
-                for (s, row) in range.zip(window.chunks_exact_mut(k + 1)) {
-                    sum_row(view, k, sigma_ref, part_ref[s], stored.start + s, row);
-                }
-            },
-        );
+        for (s, row) in table.chunks_exact_mut(k + 1).enumerate() {
+            sum_row(view, k, &sigma, part[s], stored.start + s, row);
+        }
         // A vertex's total is its `present` entry for its own part.
         let exact = (0..view.num_nets()).all(|j| view.net_cost(j).fract() == 0.0)
             && table
@@ -692,7 +645,7 @@ impl<V: LevelView> PartitionState<V> {
     }
 }
 
-/// Allocation-reusing scratch for [`refine_threads`]: the candidate
+/// Allocation-reusing scratch for [`refine`]: the candidate
 /// queue, the per-pass vertex arrays, and the gain table's buffer (lent
 /// to each call's state and taken back). One instance serves every level
 /// of a multilevel V-cycle (and every bisection of a recursive-bisection
@@ -1354,23 +1307,18 @@ pub fn refine(
     cfg: &RefinementConfig,
     rng: &mut StdRng,
 ) -> f64 {
-    let mut scratch = RefineScratch::new();
-    refine_threads(h, targets, fixed, part, cfg, rng, 1, &mut scratch)
+    refine_with(h, targets, fixed, part, cfg, rng, &mut RefineScratch::new())
 }
 
-/// [`refine`] with an explicit worker-thread count (state builds and
-/// boundary/cut scans) and a caller-owned [`RefineScratch`] reused across
-/// calls. Bit-identical to [`refine`] at every thread count: the FM move
-/// loop itself is serial; only whole-partition scans are chunked.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_threads(
+/// [`refine`] with a caller-owned [`RefineScratch`], reused across the
+/// levels and cycles of one partitioner call.
+pub(crate) fn refine_with(
     h: &Hypergraph,
     targets: &PartTargets,
     fixed: &FixedAssignment,
     part: &mut Vec<PartId>,
     cfg: &RefinementConfig,
     rng: &mut StdRng,
-    threads: usize,
     scratch: &mut RefineScratch,
 ) -> f64 {
     let k = targets.k();
@@ -1386,7 +1334,7 @@ pub fn refine_threads(
     }
     let view = Replicated::whole(h, fixed);
     let table = std::mem::take(&mut scratch.table);
-    let mut state = PartitionState::new_threads(view, k, std::mem::take(part), threads, table);
+    let mut state = PartitionState::with_table(view, k, std::mem::take(part), table);
 
     rebalance(&mut state, targets, &mut Lockstep);
     // Primary-only rebalancing cannot see auxiliary violations; repair
@@ -1608,7 +1556,7 @@ pub(crate) mod tests {
             assert_eq!(state.lambda, fresh.lambda, "{what}");
             assert_eq!(state.reads(&targets), fresh.reads(&targets), "{what}");
             // A private copy is a fresh build too.
-            let (w, aux) = fold_weights(h, k, &state.part, 1);
+            let (w, aux) = fold_weights(h, k, &state.part);
             assert_eq!(state.private_copy(w, aux).reads(&targets), fresh.reads(&targets), "{what}");
         };
         agrees(&mut state, "at the build");

@@ -25,7 +25,7 @@ use dlb_trace::{Counter, SpanGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coarsen::{coarsening_stops, contract_threads, CoarseLevel};
+use crate::coarsen::{coarsening_stops, contract, CoarseLevel};
 use crate::config::{Config, PartTargets};
 use crate::fixed::FixedAssignment;
 use crate::initial::{initial_partition, score};
@@ -35,7 +35,7 @@ use crate::par::dist::{
 };
 use crate::par::matching::par_ipm_matching;
 use crate::par::refine::par_refine;
-use crate::refine::{refine_threads, RefineScratch};
+use crate::refine::{refine_with, RefineScratch};
 
 /// What a V-cycle step needs besides the level it works on.
 pub(crate) struct Cx<'a> {
@@ -47,9 +47,6 @@ pub(crate) struct Cx<'a> {
     pub(crate) rng: &'a mut StdRng,
     /// Refinement scratch reused across levels (and cycles).
     pub(crate) scratch: &'a mut RefineScratch,
-    /// Worker threads for this caller's data-parallel kernels. The
-    /// thread count never changes results, only timing.
-    pub(crate) threads: usize,
     /// Coarsening stops at this many vertices.
     pub(crate) coarse_target: usize,
     /// This rank's memory figures for the distributed levels.
@@ -57,8 +54,8 @@ pub(crate) struct Cx<'a> {
 }
 
 impl<'a> Cx<'a> {
-    /// The simulator runs every rank as its own OS thread, so the ranks
-    /// of `comm` split the configured worker budget evenly.
+    /// The context of a V-cycle on `comm`'s ranks, or on the calling
+    /// thread alone without one.
     pub(crate) fn new(
         comm: Option<&'a mut Comm>,
         cfg: &'a Config,
@@ -66,14 +63,12 @@ impl<'a> Cx<'a> {
         rng: &'a mut StdRng,
         scratch: &'a mut RefineScratch,
     ) -> Self {
-        let ranks = comm.as_deref().map_or(1, Comm::size);
         Cx {
             comm,
             cfg,
             targets,
             rng,
             scratch,
-            threads: (parallel::resolve_threads(cfg.threads) / ranks).max(1),
             coarse_target: (cfg.coarsening.coarse_to_factor * targets.k())
                 .max(cfg.coarsening.min_coarse_vertices),
             stats: DistStats::default(),
@@ -223,19 +218,18 @@ impl<'a> Held<'a> {
             Held::Serial(at, restrict) => {
                 let (h, fixed) = at.get();
                 let parts = restrict.as_deref();
-                ipm_matching_mode(h, fixed, parts, cfg, cx.rng, cx.threads, cx.cfg.determinism)
+                let threads = parallel::resolve_threads(cx.cfg.threads);
+                ipm_matching_mode(h, fixed, parts, cfg, cx.rng, threads, cx.cfg.determinism)
             }
             Held::Replicated(at) => {
                 let (h, fixed) = at.get();
-                par_ipm_matching(comm_of(&mut cx.comm), h, fixed, cfg, cx.rng, cx.threads)
+                par_ipm_matching(comm_of(&mut cx.comm), h, fixed, cfg, cx.rng)
             }
             Held::Distributed(d) => {
                 let comm = comm_of(&mut cx.comm);
                 match &d.replica {
-                    Some((h, fixed)) => {
-                        par_ipm_matching(comm, h, fixed, cfg, cx.rng, cx.threads)
-                    }
-                    None => dist_ipm_matching(comm, &d.level, cfg, cx.rng, cx.threads),
+                    Some((h, fixed)) => par_ipm_matching(comm, h, fixed, cfg, cx.rng),
+                    None => dist_ipm_matching(comm, &d.level, cfg, cx.rng),
                 }
             }
         }
@@ -250,7 +244,7 @@ impl<'a> Held<'a> {
         match self {
             Held::Serial(at, restrict) => {
                 let (h, fixed) = at.get();
-                let coarse = contract_threads(h, matching, fixed, cx.threads);
+                let coarse = contract(h, matching, fixed);
                 let restrict = restrict.take().map(|part| coarse.coarsen_part(&part));
                 Held::Serial(Whole::Coarse(Box::new(coarse)), restrict)
             }
@@ -260,7 +254,7 @@ impl<'a> Held<'a> {
             Held::Replicated(at) => {
                 count_accepted();
                 let (h, fixed) = at.get();
-                let coarse = contract_threads(h, matching, fixed, cx.threads);
+                let coarse = contract(h, matching, fixed);
                 Held::Replicated(Whole::Coarse(Box::new(coarse)))
             }
             Held::Distributed(d) => {
@@ -274,7 +268,7 @@ impl<'a> Held<'a> {
                 };
                 // The partition narrows here: through the owned block of
                 // the map, the coarse level projects onto the block.
-                let mut coarse = contract_threads(&h, matching, &fixed, cx.threads);
+                let mut coarse = contract(&h, matching, &fixed);
                 coarse.fine_to_coarse = coarse.fine_to_coarse[d.level.dh.my_range()].to_vec();
                 Held::Replicated(Whole::Coarse(Box::new(coarse)))
             }
@@ -313,7 +307,7 @@ impl<'a> Held<'a> {
             Held::Serial(at, _) => {
                 let _span = dlb_trace::span!("refine.level", level = depth);
                 let (h, fixed) = at.get();
-                refine_threads(h, targets, fixed, part, cfg, cx.rng, cx.threads, cx.scratch);
+                refine_with(h, targets, fixed, part, cfg, cx.rng, cx.scratch);
             }
             Held::Replicated(at) => {
                 let (h, fixed) = at.get();
@@ -364,7 +358,7 @@ fn solve_replicated(cx: &mut Cx, h: &Hypergraph, fixed: &FixedAssignment) -> Vec
     );
     let mut mine = initial_partition(h, cx.targets, fixed, &cx.cfg.initial, &mut my_rng);
     let refinement = &cx.cfg.refinement;
-    refine_threads(h, cx.targets, fixed, &mut mine, refinement, &mut my_rng, cx.threads, cx.scratch);
+    refine_with(h, cx.targets, fixed, &mut mine, refinement, &mut my_rng, cx.scratch);
     let my_score = score(h, &mine, cx.targets);
     let (_, winner) = comm.allreduce((my_score, comm.rank()), |a, b| {
         if a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_le() {

@@ -188,9 +188,9 @@ counters! {
     RepairInvocations => "repair_invocations",
     /// Vertex moves kept by the greedy repair pass.
     RepairMovesApplied => "repair_moves_applied",
-    /// `best_move` answers the serial/shared-memory refiner read from
-    /// the gain table (rebalance, FM seeds, pops and re-queues), flushed
-    /// once per `refine_threads` call. Like the three counters below it
+    /// `best_move` answers the serial refiner read from the gain table
+    /// (rebalance, FM seeds, pops and re-queues), flushed once per
+    /// refinement level. Like the three counters below it
     /// is not counted by the SPMD passes, where a rank's share depends
     /// on the storage form.
     GainEvaluations => "gain_evaluations",

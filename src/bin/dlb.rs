@@ -26,9 +26,10 @@
 //!   --seed N          RNG seed (default 0)
 //!   --ranks N         run the SPMD parallel partitioner on N simulated
 //!                     ranks (default 1 = serial)
-//!   --threads N       shared-memory worker threads per rank (default 0 =
-//!                     auto: DLB_THREADS, then available parallelism; any
-//!                     value gives bit-identical partitions)
+//!   --threads N       with --determinism fast: the concurrent matcher's
+//!                     worker threads (default 0 = auto: DLB_THREADS, then
+//!                     available parallelism). Strict runs on one thread,
+//!                     so --threads without --determinism fast exits 2
 //!   --distributed     with --ranks: owner-computes pin storage and
 //!                     block-distributed per-vertex arrays across ranks
 //!                     (memory-scalable V-cycle; results are
@@ -74,7 +75,8 @@
 //! has no warm start) and --incremental with --constraints > 1 (the
 //! delta patcher maintains scalar weights). On every subcommand,
 //! --determinism fast with --ranks > 1 or --distributed exits 2 too: the
-//! SPMD drivers always run Strict.
+//! SPMD drivers always run Strict. So does --threads without
+//! --determinism fast.
 //! ```
 //!
 //! `partition`/`repartition` write one part id per line, one line per
@@ -85,7 +87,9 @@
 //! next to measured makespans.
 //!
 //! Invalid parameter combinations (`-k 1`, `--ranks 0`, malformed
-//! numbers), a valued flag with no value after it, and a flag the
+//! numbers, `--alpha 0`, `--epochs 0`, a `--scale` outside the
+//! workload's range, a negative or NaN `--drift-threshold`), a valued
+//! flag with no value after it, and a flag the
 //! subcommand does not read (`--out` on `simulate`, `--epochs` on
 //! `partition`) are rejected up front with a message on stderr and exit
 //! code 2, before any driver runs.
@@ -112,16 +116,16 @@ use dlb::workloads::{AmrSource, Dataset, DatasetKind, EpochSource, EpochStream, 
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dlb partition   -k K [--epsilon E] [--seed N] [--threads N] \
-         [--determinism strict|fast] \
+        "usage:\n  dlb partition   -k K [--epsilon E] [--seed N] \
+         [--determinism strict|fast [--threads N]] \
          [--ranks N [--distributed]] [--trace FILE] [--out FILE] INPUT\n  \
          dlb repartition -k K --old PARTFILE [--alpha A] [--algorithm NAME] \
-         [--epsilon E] [--seed N] [--threads N] [--determinism strict|fast] \
+         [--epsilon E] [--seed N] [--determinism strict|fast [--threads N]] \
          [--ranks N [--distributed]] \
          [--trace FILE] [--out FILE] INPUT\n  \
          dlb simulate    -k K --workload amr|structure|weights [--epochs E] [--alpha A] \
-         [--algorithm NAME] [--scale S] [--seed N] [--threads N] \
-         [--determinism strict|fast] \
+         [--algorithm NAME] [--scale S] [--seed N] \
+         [--determinism strict|fast [--threads N]] \
          [--constraints N [--epsilon E]...] \
          [--ranks N [--distributed]] [--fault-plan SPEC] [--world-plan SPEC] \
          [--incremental [--drift-threshold T]] [--trace FILE]"
@@ -145,7 +149,7 @@ struct Cli {
     constraints: usize,
     seed: u64,
     ranks: usize,
-    threads: usize,
+    threads: Option<usize>,
     determinism: Determinism,
     distributed: bool,
     trace: Option<String>,
@@ -202,7 +206,7 @@ fn parse_cli() -> Cli {
     let mut constraints = 1usize;
     let mut seed = 0u64;
     let mut ranks = 1usize;
-    let mut threads = 0usize;
+    let mut threads = None;
     let mut determinism = Determinism::Strict;
     let mut distributed = false;
     let mut trace = None;
@@ -252,7 +256,7 @@ fn parse_cli() -> Cli {
                     fail("--ranks must be at least 1");
                 }
             }
-            "--threads" => threads = parse_value(&argv, &mut i, flag),
+            "--threads" => threads = Some(parse_value(&argv, &mut i, flag)),
             "--determinism" => {
                 determinism = match parse_value::<String>(&argv, &mut i, flag).as_str() {
                     "strict" => Determinism::Strict,
@@ -342,11 +346,37 @@ fn validated_hg_config(cli: &Cli) -> HgConfig {
         .k(cli.k)
         .epsilons(&effective_epsilons(cli))
         .seed(cli.seed)
-        .threads(cli.threads)
+        .threads(cli.threads.unwrap_or(0))
         .determinism(cli.determinism)
         .distributed(cli.distributed)
         .build()
         .unwrap_or_else(|e| fail(e))
+}
+
+/// Rejects a numeric flag outside the range its reader accepts, with exit
+/// code 2 — the drivers would otherwise panic on it or silently coerce
+/// it. `--scale`'s range depends on the workload; an unknown workload is
+/// left for `make_sim_source` to report.
+fn validate_ranges(cli: &Cli) {
+    if !(cli.alpha > 0.0 && cli.alpha.is_finite()) {
+        fail(format!("--alpha must be positive and finite, got {}", cli.alpha));
+    }
+    if cli.epochs == 0 {
+        fail("--epochs must be at least 1");
+    }
+    if let Some(t) = cli.drift_threshold.filter(|t| !(t.is_finite() && *t >= 0.0)) {
+        fail(format!("--drift-threshold must be finite and non-negative, got {t}"));
+    }
+    let Some(scale) = cli.scale else { return };
+    match cli.workload.as_deref() {
+        Some("amr") if !(scale.fract() == 0.0 && (0.0..=8.0).contains(&scale)) => {
+            fail(format!("--scale for amr must be an integer in 0..=8, got {scale}"))
+        }
+        Some("structure" | "weights") if !(scale > 0.0 && scale <= 1.0) => {
+            fail(format!("--scale for structure/weights must be in (0, 1], got {scale}"))
+        }
+        _ => {}
+    }
 }
 
 /// Runs `f` inside a trace session when `--trace` was given, writing the
@@ -626,6 +656,10 @@ fn main() {
             "--determinism fast does not apply with {spmd}: the SPMD drivers always run strict"
         ));
     }
+    if cli.threads.is_some() && cli.determinism != Determinism::Fast {
+        fail("--threads applies with --determinism fast only: strict runs on one thread");
+    }
+    validate_ranges(&cli);
     if cli.command == "simulate" {
         run_simulate(&cli, hg_cfg);
         return;

@@ -237,6 +237,85 @@ fn rejects_distributed_flag_conflicts_up_front() {
 }
 
 #[test]
+fn threads_apply_with_determinism_fast_only() {
+    // Strict runs on one thread, so `--threads` alone would be a flag
+    // that changes nothing. One row per subcommand.
+    let needle = "--threads applies with --determinism fast only: strict runs on one thread";
+    assert_rejected(&["partition", "-k", "2", "--threads", "2", "x.mtx"], needle);
+    assert_rejected(
+        &[
+            "repartition", "-k", "2", "--threads", "1", "--determinism", "strict", "--old", "p",
+            "x.mtx",
+        ],
+        needle,
+    );
+    assert_rejected(&["simulate", "-k", "2", "--workload", "amr", "--threads", "2"], needle);
+    let input = write_toy_mtx(&tmpdir("threads-fast"));
+    let output = dlb()
+        .args(["partition", "-k", "2", "--threads", "2", "--determinism", "fast"])
+        .arg(&input)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+}
+
+#[test]
+fn rejects_numeric_flags_out_of_range_up_front() {
+    // Each of these used to panic (exit 101) or run on a coerced value.
+    let repartition =
+        |alpha| ["repartition", "-k", "2", "--old", "p.txt", "--alpha", alpha, "ok.mtx"];
+    for alpha in ["0", "-1", "NaN"] {
+        assert_rejected(&repartition(alpha), "--alpha must be positive and finite");
+    }
+    let simulate = |extra: &[&'static str]| {
+        let mut args = vec!["simulate", "-k", "2"];
+        args.extend(extra);
+        args
+    };
+    assert_rejected(
+        &simulate(&["--workload", "structure", "--alpha", "0"]),
+        "--alpha must be positive and finite",
+    );
+    assert_rejected(
+        &simulate(&["--workload", "amr", "--epochs", "0"]),
+        "--epochs must be at least 1",
+    );
+    for scale in ["0", "-0.5", "2"] {
+        assert_rejected(
+            &simulate(&["--workload", "structure", "--scale", scale]),
+            "--scale for structure/weights must be in (0, 1]",
+        );
+    }
+    for scale in ["2.7", "9"] {
+        assert_rejected(
+            &simulate(&["--workload", "amr", "--scale", scale]),
+            "--scale for amr must be an integer in 0..=8",
+        );
+    }
+    assert_rejected(
+        &simulate(&["--workload", "structure", "--incremental", "--drift-threshold", "NaN"]),
+        "--drift-threshold must be finite and non-negative",
+    );
+}
+
+#[test]
+fn malformed_input_files_end_with_a_parse_error() {
+    // A NaN vertex weight used to panic, an unparsable .mtx value to
+    // become weight 1.
+    let dir = tmpdir("malformed");
+    let hg = dir.join("nan.hg");
+    std::fs::write(&hg, "2 1 2\n1.0 0 1\nNaN 1\n1 1\n").unwrap();
+    let mtx = dir.join("abc.mtx");
+    std::fs::write(&mtx, "4 4 2\n1 2\n3 4 abc\n").unwrap();
+    for input in [hg, mtx] {
+        let output = dlb().args(["partition", "-k", "2"]).arg(&input).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{input:?} should exit 1");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("cannot parse"), "{input:?}: stderr {stderr:?}");
+    }
+}
+
+#[test]
 fn rejects_simulate_only_flags_on_file_commands() {
     // Previously these parsed fine and were silently ignored.
     assert_rejected(
