@@ -68,10 +68,6 @@ pub struct RepartProblem<'a> {
 /// Knobs shared by all four algorithms.
 #[derive(Clone, Debug)]
 pub struct RepartConfig {
-    /// Allowed imbalance ε (applied to both engines).
-    pub epsilon: f64,
-    /// RNG seed (applied to both engines).
-    pub seed: u64,
     /// Hypergraph-partitioner knobs.
     pub hypergraph: HgConfig,
     /// Graph-partitioner knobs.
@@ -102,12 +98,11 @@ impl RepartConfig {
         hypergraph.num_vcycles = 2;
         let mut graph = GraphConfig::seeded(seed);
         graph.epsilon = epsilon;
-        RepartConfig { epsilon, seed, hypergraph, graph }
+        RepartConfig { hypergraph, graph }
     }
 
     /// Sets ε on all engines.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
         self.hypergraph.epsilon = epsilon;
         self.graph.epsilon = epsilon;
         self
@@ -408,7 +403,7 @@ mod tests {
         // constraints, just from a warm seed.
         let w = repartition_on(None, &problem, Algorithm::ZoltanRepart, &cfg, prebuilt(true));
         assert!(w.new_part.iter().all(|&p| p < 4));
-        assert!(w.imbalance <= 1.0 + cfg.epsilon + 1e-9, "imbalance {}", w.imbalance);
+        assert!(w.imbalance <= 1.0 + cfg.hypergraph.epsilon + 1e-9, "imbalance {}", w.imbalance);
     }
 
     #[test]

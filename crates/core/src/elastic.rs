@@ -1,11 +1,12 @@
-//! Elastic worlds: planned grow/shrink of the rank set (DESIGN.md §15).
+//! Elastic worlds: every change of the rank set at an epoch boundary
+//! (DESIGN.md §15).
 //!
-//! Failure recovery (DESIGN.md §12) taught the epoch driver to shrink
-//! the world when a rank *dies*. This module makes resizing a
-//! first-class, *planned* scenario: a [`WorldPlan`] schedules rank
-//! arrivals (spares joining, rolling restarts returning) and departures
-//! (shrink under low load) per epoch, and the driver consumes it at
-//! epoch boundaries exactly where it consumes the fault plan.
+//! A [`WorldPlan`] schedules rank arrivals (spares joining, rolling
+//! restarts returning) and departures (shrink under low load) per epoch;
+//! a [`FaultPlan`] schedules rank failures. A failure is a departure the
+//! plan did not announce: at each boundary the driver takes the one net
+//! change of both plans (`boundary_change`) and applies it as one
+//! resize, the failed ranks among the leavers.
 //!
 //! A resize is posed as the repartitioning problem the model already
 //! solves, on three label spaces at once:
@@ -24,8 +25,8 @@
 //!
 //! * **repartition** — [`RepartitionHypergraph::build_partial`] with
 //!   the leavers' vertices free (their migration is unavoidable and
-//!   destination-independent, the same argument as recovery orphans)
-//!   and survivors tethered, solved with fixed vertices onto `k_after`;
+//!   destination-independent, whether the leaver departs or fails) and
+//!   survivors tethered, solved with fixed vertices onto `k_after`;
 //! * **scratch** — a free partition onto `k_after` parts, relabeled by
 //!   the maximal-matching heuristic against the surviving old labels
 //!   ([`crate::remap::remap_to_minimize_migration_partial`]).
@@ -194,9 +195,9 @@ impl WorldPlan {
 
     /// Fails fast if the composed schedule (this plan's resizes plus
     /// `faults`' rank failures) would ever empty the world within
-    /// `num_epochs` epochs of a `k0`-part launch. Joins of live ranks
-    /// and leaves of dead ranks are filtered exactly as the epoch
-    /// driver filters them, so this simulation is the driver's.
+    /// `num_epochs` epochs of a `k0`-part launch. Each boundary's net
+    /// change comes from the driver's own `boundary_change`, so a
+    /// failure that a join at the same boundary refills is accepted.
     pub fn validate(
         &self,
         k0: usize,
@@ -205,31 +206,40 @@ impl WorldPlan {
     ) -> Result<(), String> {
         let mut world = WorldMembership::launch(k0);
         for epoch in 1..=num_epochs {
-            if let Some(plan) = faults {
-                for r in plan.ranks_failing_at(epoch) {
-                    if world.is_live(r) {
-                        if world.k() == 1 {
-                            return Err(format!(
-                                "rank {r} failing at epoch {epoch} would empty the world"
-                            ));
-                        }
-                        world.remove(r);
+            let (failed, joined, departed) = boundary_change(&world, epoch, faults, Some(self));
+            if world.k() + joined.len() == failed.len() + departed.len() {
+                return Err(match failed.last() {
+                    Some(r) if joined.is_empty() && departed.is_empty() => {
+                        format!("rank {r} failing at epoch {epoch} would empty the world")
                     }
-                }
+                    _ => format!("world plan empties the world at epoch {epoch}"),
+                });
             }
-            let (mut joins, mut leaves) = self.resize_at(epoch);
-            joins.retain(|r| !world.is_live(*r));
-            leaves.retain(|r| world.is_live(*r));
-            if joins.is_empty() && leaves.is_empty() {
-                continue;
-            }
-            if world.k() + joins.len() == leaves.len() {
-                return Err(format!("world plan empties the world at epoch {epoch}"));
-            }
-            world.resize(&leaves, &joins);
+            let leaving: Vec<usize> = failed.iter().chain(&departed).copied().collect();
+            world.resize(&leaving, &joined);
         }
         Ok(())
     }
+}
+
+/// The net change of the rank set at the boundary of `epoch`:
+/// `(failed, joined, departed)` in original rank ids, each ascending.
+/// `failed` holds the live ranks `faults` kills; `joined` and `departed`
+/// the world plan's net joins of ranks not live (or failing right now)
+/// and net leaves of live ranks that do not fail. All three empty means
+/// the epoch has no boundary event.
+pub(crate) fn boundary_change(
+    membership: &WorldMembership,
+    epoch: usize,
+    faults: Option<&FaultPlan>,
+    world: Option<&WorldPlan>,
+) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let mut failed = faults.map_or_else(Vec::new, |plan| plan.ranks_failing_at(epoch));
+    failed.retain(|&r| membership.is_live(r));
+    let (mut joined, mut departed) = world.map_or_else(Default::default, |p| p.resize_at(epoch));
+    joined.retain(|r| !membership.is_live(*r) || failed.contains(r));
+    departed.retain(|r| membership.is_live(*r) && !failed.contains(r));
+    (failed, joined, departed)
 }
 
 /// Which candidate the per-resize arbitration picked.
@@ -251,14 +261,17 @@ impl ResizeChoice {
     }
 }
 
-/// One planned world resize performed at an epoch boundary.
+/// The one resize performed at an epoch boundary: rank failures and the
+/// world plan's net joins and leaves together.
 #[derive(Clone, Debug)]
 pub struct ResizeRecord {
     /// Epoch at whose boundary the resize applied (1-based).
     pub epoch: usize,
-    /// Original ids of the ranks that joined, ascending.
+    /// Original ids of the ranks that failed at this boundary, ascending.
+    pub failed: Vec<usize>,
+    /// Original ids of the ranks the world plan joined, ascending.
     pub joined: Vec<usize>,
-    /// Original ids of the ranks that departed, ascending.
+    /// Original ids of the ranks the world plan departed, ascending.
     pub departed: Vec<usize>,
     /// Live parts before the resize.
     pub k_before: usize,
@@ -273,7 +286,7 @@ pub struct ResizeRecord {
     /// Decision cost of the scratch candidate, same units.
     pub scratch_cost: f64,
     /// Model migration volume of the chosen move (union space,
-    /// including the departing ranks' evacuation).
+    /// including the departing and failed ranks' evacuation).
     pub migration: f64,
     /// Measured migration-phase makespan of the resize exchange in
     /// seconds (`0.0` when the trial runs without a network model).
@@ -300,6 +313,11 @@ pub(crate) struct ResizeOutcome {
     pub imbalance: f64,
     /// Vertices that changed parts (every leaver vertex moves).
     pub moved: usize,
+    /// `relabel[before] = post` for labels a source remembers of
+    /// vertices absent from this epoch: a survivor's compacted label; a
+    /// leaver's goes to the post label that received most of its
+    /// vertices (the lower on ties, label 0 if it held none).
+    pub relabel: Vec<PartId>,
     /// Measured execution of the chosen candidate on the union world
     /// (`None` without a network model).
     pub execution: Option<EpochExecution>,
@@ -311,13 +329,14 @@ pub(crate) struct ResizeOutcome {
     pub scratch_cost: f64,
 }
 
-/// Performs one planned resize: the `leaving_labels` (pre-resize
-/// compacted labels, sorted ascending) depart and `num_joining` fresh
-/// parts arrive. Solves both candidate partitions onto
-/// `k_after = k_before - #leaves + #joins` parts, arbitrates by the
+/// Performs one resize: the `leaving_labels` (pre-resize compacted
+/// labels of departing and failed ranks, sorted ascending) depart and
+/// `num_joining` fresh parts arrive. Solves both candidate partitions
+/// onto `k_after = k_before - #leaves + #joins` parts, arbitrates by the
 /// measured cost model (model costs when `network` is `None`), and
 /// returns the winner. With `comm` the candidate partitioners run
-/// collectively, exactly like [`crate::recover::recover_from_failure`].
+/// collectively (all driver ranks call this with identical inputs and
+/// agree on the result); without, serially.
 ///
 /// # Panics
 /// Panics if the resize leaves no parts, a leaving label is out of
@@ -414,6 +433,21 @@ pub(crate) fn perform_resize(
     };
     let imbalance = metrics::imbalance(h, &part, k_after);
     let moved = metrics::moved_vertex_count(old_part, &exec_part);
+    let relabel: Vec<PartId> = (0..k_before)
+        .map(|p| {
+            old_to_post[p].unwrap_or_else(|| {
+                let mut received = vec![0usize; k_after];
+                for (&o, &q) in old_part.iter().zip(&part) {
+                    if o == p {
+                        received[q] += 1;
+                    }
+                }
+                // `max_by_key` keeps the last maximum: scanning downwards
+                // makes that the lowest label.
+                (0..k_after).rev().max_by_key(|&q| received[q]).expect("k_after >= 1")
+            })
+        })
+        .collect();
 
     ResizeOutcome {
         part,
@@ -422,6 +456,7 @@ pub(crate) fn perform_resize(
         cost,
         imbalance,
         moved,
+        relabel,
         execution,
         choice,
         repart_cost,
@@ -527,6 +562,10 @@ impl<S: EpochSource> EpochSource for AuditedSource<S> {
 
     fn commit_assignment(&mut self, snapshot: &EpochSnapshot, part: &[PartId]) {
         self.inner.commit_assignment(snapshot, part);
+    }
+
+    fn relabel_parts(&mut self, map: &[PartId]) {
+        self.inner.relabel_parts(map);
     }
 }
 
@@ -710,6 +749,115 @@ mod tests {
         let e = measured.execution.expect("measured resize");
         assert_eq!(e.cost_volume(), modeled.cost.total());
         assert!(e.t_mig > 0.0, "the leaver's evacuation is physical");
+    }
+
+    /// The recovery the driver ran per failed rank before failures
+    /// joined the boundary resize, kept as the reference the repart
+    /// candidate must reproduce: the dead part's vertices free,
+    /// survivors tethered and compacted, one fixed-vertex solve onto
+    /// `k - 1` parts, costed after relabelling into the pre-failure
+    /// space (the dead label vacated).
+    fn recover_from_failure(
+        h: &Hypergraph,
+        old_part: &[PartId],
+        dead: PartId,
+        k: usize,
+        alpha: f64,
+        cfg: &RepartConfig,
+    ) -> (Vec<PartId>, CostBreakdown) {
+        let partial: Vec<Option<PartId>> = old_part
+            .iter()
+            .map(|&p| if p == dead { None } else { Some(if p > dead { p - 1 } else { p }) })
+            .collect();
+        let model = RepartitionHypergraph::build_partial(h, &partial, k - 1, alpha);
+        let part = model.solve(None, &cfg.hypergraph);
+        let exec_part: Vec<PartId> =
+            part.iter().map(|&q| if q >= dead { q + 1 } else { q }).collect();
+        let cost = CostBreakdown::measure(h, old_part, &exec_part, k, alpha);
+        (part, cost)
+    }
+
+    #[test]
+    fn a_failures_repart_candidate_is_the_recovery() {
+        let mut repart_won = 0;
+        for (rows, cols, k) in [(8, 8, 4), (6, 6, 3), (6, 10, 5)] {
+            let (h, old) = grid(rows, cols, k);
+            for dead in 0..k {
+                for alpha in [1.0, 10.0, 100.0] {
+                    let cfg = RepartConfig::seeded(dead as u64 + 1);
+                    let (part, cost) = recover_from_failure(&h, &old, dead, k, alpha, &cfg);
+                    let out =
+                        perform_resize(None, &h, &old, &[dead], 0, k, alpha, &cfg, None, None);
+                    let case = format!("{rows}x{cols} k={k} dead={dead} alpha={alpha}");
+                    assert_eq!(out.repart_cost.to_bits(), cost.total().to_bits(), "{case}");
+                    if out.choice == ResizeChoice::Repart {
+                        assert_eq!(out.part, part, "{case}");
+                        repart_won += 1;
+                    }
+                    // Survivors compact; the dead label follows most of
+                    // its vertices.
+                    for p in (0..k).filter(|&p| p != dead) {
+                        assert_eq!(out.relabel[p], if p > dead { p - 1 } else { p }, "{case}");
+                    }
+                    let mut received = vec![0usize; k - 1];
+                    for (&o, &q) in old.iter().zip(&out.part) {
+                        if o == dead {
+                            received[q] += 1;
+                        }
+                    }
+                    let most = *received.iter().max().unwrap();
+                    assert_eq!(received.iter().position(|&c| c == most), Some(out.relabel[dead]));
+                }
+            }
+        }
+        assert!(repart_won > 0, "no case compared the partitions");
+    }
+
+    fn weights_stream(k: usize, seed: u64) -> dlb_workloads::EpochStream {
+        use dlb_workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
+        let d = Dataset::generate(DatasetKind::Auto, 0.0005, seed);
+        let n = d.graph.num_vertices();
+        let init: Vec<usize> = (0..n).map(|v| v * k / n).collect();
+        EpochStream::new(d.graph, Perturbation::weights(), k, init, seed)
+    }
+
+    fn session<'a>(epochs: usize) -> crate::Session<'a> {
+        crate::Session::new(RepartConfig::seeded(21)).alpha(10.0).epochs(epochs)
+    }
+
+    #[test]
+    fn a_double_failure_is_one_resize() {
+        let mut stream = weights_stream(4, 21);
+        let s = session(3)
+            .fault_plan(FaultPlan::parse("3:rank3@2,rank1@2").unwrap())
+            .workload(&mut stream)
+            .run()
+            .unwrap();
+        let rec = s.reports[1].resize.as_ref().expect("epoch 2 resized");
+        assert_eq!(rec.failed, vec![1, 3]);
+        assert!(rec.joined.is_empty() && rec.departed.is_empty());
+        assert_eq!((rec.k_before, rec.k_after), (4, 2));
+        assert_eq!((s.total_resizes(), s.total_recoveries()), (1, 2));
+        assert_eq!(s.world_timeline(), vec![(1, 4), (2, 2), (3, 2)]);
+    }
+
+    #[test]
+    fn a_join_refills_a_world_its_failures_would_empty() {
+        let failures = || FaultPlan::parse("1:rank0@2,rank1@2").unwrap();
+        let mut stream = weights_stream(2, 22);
+        let s = session(3)
+            .fault_plan(failures())
+            .world_plan(WorldPlan::parse("1:join5@2").unwrap())
+            .workload(&mut stream)
+            .run()
+            .unwrap();
+        let rec = s.reports[1].resize.as_ref().expect("epoch 2 resized");
+        assert_eq!((rec.failed.as_slice(), rec.joined.as_slice()), (&[0, 1][..], &[5][..]));
+        assert_eq!(s.world_timeline(), vec![(1, 2), (2, 1), (3, 1)]);
+        // Without the join the failures empty the world.
+        let mut stream = weights_stream(2, 22);
+        let err = session(3).fault_plan(failures()).workload(&mut stream).run().unwrap_err();
+        assert!(matches!(err, crate::SessionError::InvalidPlan(_)), "{err}");
     }
 
     #[test]

@@ -21,9 +21,8 @@ use dlb_workloads::{EpochSource, EpochUpdate};
 use crate::cost::CostBreakdown;
 use crate::delta::ModelPatcher;
 use crate::driver::{repartition_on, Algorithm, Prebuilt, RepartConfig, RepartProblem};
-use crate::elastic::{perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
+use crate::elastic::{boundary_change, perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
 use crate::exec::{measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel};
-use crate::recover::recover_from_failure;
 use crate::session::SessionError;
 
 /// The per-epoch drift policy of an incremental run: epochs whose delta
@@ -36,30 +35,6 @@ use crate::session::SessionError;
 pub(crate) struct IncrementalPolicy {
     /// Warm-start when `touched_fraction < drift_threshold` (strict).
     pub drift_threshold: f64,
-}
-
-/// One rank-failure recovery performed at an epoch boundary
-/// (DESIGN.md §12).
-#[derive(Clone, Debug)]
-pub struct RecoveryRecord {
-    /// The failed rank's id in the *launch-time* `0..k` world (fault
-    /// plans always speak original ids, however many ranks have already
-    /// died).
-    pub failed_rank: usize,
-    /// Epoch at whose boundary the failure was detected (1-based).
-    pub epoch: usize,
-    /// Surviving parts before this recovery.
-    pub k_before: usize,
-    /// Surviving parts after (always `k_before - 1`).
-    pub k_after: usize,
-    /// Vertices orphaned by the failure.
-    pub orphans: usize,
-    /// Model migration volume of the recovery move, including the
-    /// orphan restore.
-    pub migration: f64,
-    /// Measured migration-phase makespan of the recovery exchange in
-    /// seconds (`0.0` when the trial runs without a network model).
-    pub t_mig: f64,
 }
 
 /// Per-epoch measurements.
@@ -80,16 +55,11 @@ pub struct EpochReport {
     /// Measured execution of the epoch (only under the `_measured`
     /// simulation variants).
     pub execution: Option<EpochExecution>,
-    /// Rank-failure recoveries performed at this epoch's boundary
-    /// (empty on fault-free epochs). When non-empty, the epoch's
-    /// repartition *was* the recovery chain: `cost.migration` and the
-    /// execution's `t_mig`/`mig_volume` fold in every step.
-    pub recoveries: Vec<RecoveryRecord>,
-    /// Planned world resizes performed at this epoch's boundary (at
-    /// most one — all net joins and leaves of the epoch apply in a
-    /// single repartition). Folds into the epoch's report exactly like
-    /// a recovery step.
-    pub resizes: Vec<ResizeRecord>,
+    /// The resize performed at this epoch's boundary, if the rank set
+    /// changed: every failure and every net planned join and leave of
+    /// the epoch apply in that one repartition, which *is* the epoch's
+    /// repartition (`cost`, `moved` and `execution` are the resize's).
+    pub resize: Option<ResizeRecord>,
     /// Parts alive after this epoch's boundary events (failures and
     /// planned resizes applied).
     pub world_k: usize,
@@ -105,7 +75,7 @@ pub struct SimulationSummary {
     /// Number of parts at launch. Rank failures and planned resizes
     /// move the live world away from this; see
     /// [`SimulationSummary::world_timeline`] and the per-epoch
-    /// [`EpochReport::recoveries`] / [`EpochReport::resizes`].
+    /// [`EpochReport::resize`].
     pub k: usize,
     /// Per-epoch reports, in order.
     pub reports: Vec<EpochReport>,
@@ -153,14 +123,15 @@ impl SimulationSummary {
         self.reports.iter().map(|r| r.imbalance).fold(1.0, f64::max)
     }
 
-    /// Rank-failure recoveries performed over the trial.
+    /// Ranks that failed (and were recovered from) over the trial.
     pub fn total_recoveries(&self) -> usize {
-        self.reports.iter().map(|r| r.recoveries.len()).sum()
+        self.reports.iter().filter_map(|r| r.resize.as_ref()).map(|r| r.failed.len()).sum()
     }
 
-    /// Planned world resizes performed over the trial.
+    /// Boundary resizes performed over the trial, failure-only ones
+    /// included.
     pub fn total_resizes(&self) -> usize {
-        self.reports.iter().map(|r| r.resizes.len()).sum()
+        self.reports.iter().filter(|r| r.resize.is_some()).count()
     }
 
     /// The per-epoch world-size timeline `(epoch, parts alive after its
@@ -232,11 +203,12 @@ pub(crate) struct EpochParams<'a> {
     pub cfg: &'a RepartConfig,
     /// Turns on the measured execution model.
     pub network: Option<&'a NetworkModel>,
-    /// Rank failures recovered at epoch boundaries, message drop/delay
-    /// injected into the measured migration world.
+    /// Rank failures, applied as unplanned departures at epoch
+    /// boundaries; message drop/delay injected into the measured
+    /// migration world.
     pub faults: Option<&'a FaultPlan>,
-    /// Planned rank arrivals and departures, applied as elastic resizes
-    /// at epoch boundaries, after any failures.
+    /// Planned rank arrivals and departures, applied in the same
+    /// boundary resize as the failures.
     pub world: Option<&'a WorldPlan>,
     /// Delta-driven model patching with warm starts (serial only).
     pub incremental: Option<IncrementalPolicy>,
@@ -251,10 +223,9 @@ pub(crate) struct EpochParams<'a> {
 /// of an SPMD world returns the same error before any collective.
 ///
 /// Failure detection is plan-driven: every driver rank consults the
-/// shared plan at the epoch boundary (a perfect failure detector), so
-/// no extra collectives run and fault-free trials stay bit-identical
-/// to a build without this feature. World plans are consumed the same
-/// way, so plan-free (and net-no-op) epochs are bitwise unaffected.
+/// shared plans at the epoch boundary (a perfect failure detector), so
+/// no extra collectives run, and an epoch whose rank set does not
+/// change is bitwise the epoch of a run without plans.
 pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     mut comm: Option<&mut Comm>,
     source: &mut S,
@@ -278,9 +249,12 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
             )));
         }
     }
-    if let Some(plan) = world {
-        plan.validate(k0, num_epochs, faults)
-            .map_err(|e| SessionError::InvalidPlan(format!("invalid world plan: {e}")))?;
+    if faults.is_some() || world.is_some() {
+        let (no_world, plan) = (WorldPlan::new(0), if world.is_some() { "world" } else { "fault" });
+        world
+            .unwrap_or(&no_world)
+            .validate(k0, num_epochs, faults)
+            .map_err(|e| SessionError::InvalidPlan(format!("invalid {plan} plan: {e}")))?;
     }
     // The membership of the live world: original rank ids (what the
     // plans speak) in current-label order (where the partitions live).
@@ -309,28 +283,8 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
             None => (source.next_epoch(), None),
         };
         span.attr("vertices", snapshot.graph.num_vertices());
-        let dying: Vec<usize> = match faults {
-            Some(plan) => plan
-                .ranks_failing_at(epoch)
-                .into_iter()
-                .filter(|&r| membership.is_live(r))
-                .collect(),
-            None => Vec::new(),
-        };
-        // The epoch's *net* planned resize, filtered exactly as
-        // `WorldPlan::validate` simulates it: joins of ranks that will
-        // still be live after this epoch's failures are dropped, as are
-        // leaves of ranks that are dead (or dying right now — the fault
-        // already removes them).
-        let planned: Option<(Vec<usize>, Vec<usize>)> = world
-            .map(|p| {
-                let (mut joins, mut leaves) = p.resize_at(epoch);
-                joins.retain(|r| !membership.is_live(*r) || dying.contains(r));
-                leaves.retain(|r| membership.is_live(*r) && !dying.contains(r));
-                (joins, leaves)
-            })
-            .filter(|(j, l)| !(j.is_empty() && l.is_empty()));
-        let report = if dying.is_empty() && planned.is_none() {
+        let (failed, joined, departed) = boundary_change(&membership, epoch, faults, world);
+        let report = if failed.is_empty() && joined.is_empty() && departed.is_empty() {
             let problem = RepartProblem {
                 hypergraph: &snapshot.hypergraph,
                 graph: &snapshot.graph,
@@ -387,163 +341,85 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 num_vertices: snapshot.graph.num_vertices(),
                 elapsed: result.elapsed,
                 execution,
-                recoveries: Vec::new(),
-                resizes: Vec::new(),
+                resize: None,
                 world_k: membership.k(),
             }
         } else {
-            // Boundary events replace the epoch's repartition. First
-            // the failure-recovery chain: each dead rank shrinks the
-            // world by one and repartitions from the failure-time
-            // assignment (its vertices free, survivors tethered —
-            // DESIGN.md §12). Then at most one planned elastic resize
-            // applies the epoch's net joins and leaves in a single
-            // repartition (DESIGN.md §15). Incremental runs discard
-            // any patched model here — these are full rebuilds by
-            // definition.
+            // A boundary event replaces the epoch's repartition: one
+            // resize applies the epoch's whole net change, the failed
+            // ranks leaving like planned departures (their vertices
+            // free, survivors tethered — DESIGN.md §15). Incremental
+            // runs discard any patched model here — a resize is a full
+            // rebuild by definition.
             if patcher.is_some() {
                 dlb_trace::count(dlb_trace::Counter::FullRebuilds, 1);
             }
             let start = Instant::now();
-            let mut old = snapshot.old_part.clone();
-            let mut recoveries = Vec::with_capacity(dying.len());
-            let mut resizes = Vec::new();
-            let mut steps: Vec<(CostBreakdown, f64, Option<EpochExecution>)> = Vec::new();
-            let mut moved = 0usize;
-            for &orig in &dying {
-                let k_before = membership.k();
-                let c = membership.label_of(orig).expect("filtered to live ranks");
-                let rspan = dlb_trace::span!(
-                    "recover.epoch",
-                    epoch = epoch,
-                    rank = orig,
-                    k_before = k_before
-                );
-                dlb_trace::count(dlb_trace::Counter::FaultsInjected, 1);
-                dlb_trace::count(dlb_trace::Counter::RecoveriesRun, 1);
-                let out = recover_from_failure(
-                    comm.as_deref_mut(),
-                    &snapshot.hypergraph,
-                    &old,
-                    c,
-                    k_before,
-                    alpha,
-                    cfg,
-                );
-                // The recovery exchange physically runs on the full
-                // pre-failure world: the dead rank ships all its data
-                // out, the simulation's stand-in for a checkpoint
-                // restore, so the recovery volume lands in t_mig.
-                let execution = network.map(|net| {
-                    measure_epoch_with_faults(
-                        &snapshot.hypergraph,
-                        &old,
-                        &out.exec_part,
-                        k_before,
-                        alpha,
-                        net,
-                        faults,
-                    )
-                });
-                rspan.attr("orphans", out.orphans);
-                rspan.attr("migration", out.cost.migration);
-                if let Some(e) = &execution {
-                    rspan.attr("t_mig", e.t_mig);
-                }
-                recoveries.push(RecoveryRecord {
-                    failed_rank: orig,
-                    epoch,
-                    k_before,
-                    k_after: k_before - 1,
-                    orphans: out.orphans,
-                    migration: out.cost.migration,
-                    t_mig: execution.as_ref().map_or(0.0, |e| e.t_mig),
-                });
-                membership.remove(orig);
-                moved += out.moved;
-                old = out.part;
-                steps.push((out.cost, out.imbalance, execution));
-            }
-            if let Some((joins, leaves)) = planned {
-                let k_before = membership.k();
-                let leave_labels = membership.resize(&leaves, &joins);
-                let k_after = membership.k();
-                let rspan = dlb_trace::span!(
-                    "resize.epoch",
-                    epoch = epoch,
-                    k_before = k_before,
-                    k_after = k_after
-                );
-                dlb_trace::count(dlb_trace::Counter::ResizesRun, 1);
-                dlb_trace::count(dlb_trace::Counter::RanksJoined, joins.len() as u64);
-                dlb_trace::count(dlb_trace::Counter::RanksDeparted, leaves.len() as u64);
-                let out = perform_resize(
-                    comm.as_deref_mut(),
-                    &snapshot.hypergraph,
-                    &old,
-                    &leave_labels,
-                    joins.len(),
-                    k_before,
-                    alpha,
-                    cfg,
-                    network,
-                    faults,
-                );
-                match out.choice {
-                    ResizeChoice::Repart => {
-                        dlb_trace::count(dlb_trace::Counter::ResizeChoseRepart, 1)
-                    }
-                    ResizeChoice::Scratch => {
-                        dlb_trace::count(dlb_trace::Counter::ResizeChoseScratch, 1)
-                    }
-                }
-                rspan.attr("migration", out.cost.migration);
-                rspan.attr("chose_scratch", (out.choice == ResizeChoice::Scratch) as usize);
-                resizes.push(ResizeRecord {
-                    epoch,
-                    joined: joins,
-                    departed: leaves,
-                    k_before,
-                    k_after,
-                    choice: out.choice,
-                    repart_cost: out.repart_cost,
-                    scratch_cost: out.scratch_cost,
-                    migration: out.cost.migration,
-                    t_mig: out.execution.as_ref().map_or(0.0, |e| e.t_mig),
-                });
-                moved += out.moved;
-                old = out.part;
-                steps.push((out.cost, out.imbalance, out.execution));
-            }
-            // The epoch's report is the final step's, with the earlier
-            // steps' migration charges folded in.
-            let (mut cost, imbalance, mut execution) =
-                steps.pop().expect("at least one boundary event");
-            for (step_cost, _, exec) in &steps {
-                cost.migration += step_cost.migration;
-                if let (Some(e), Some(se)) = (execution.as_mut(), exec.as_ref()) {
-                    e.t_mig += se.t_mig;
-                    e.mig_volume += se.mig_volume;
+            let k_before = membership.k();
+            let leaving: Vec<usize> = failed.iter().chain(&departed).copied().collect();
+            let leave_labels = membership.resize(&leaving, &joined);
+            let k_after = membership.k();
+            let rspan = dlb_trace::span!(
+                "resize.epoch",
+                epoch = epoch,
+                k_before = k_before,
+                k_after = k_after
+            );
+            dlb_trace::count(dlb_trace::Counter::FaultsInjected, failed.len() as u64);
+            dlb_trace::count(dlb_trace::Counter::RecoveriesRun, failed.len() as u64);
+            dlb_trace::count(dlb_trace::Counter::ResizesRun, 1);
+            dlb_trace::count(dlb_trace::Counter::RanksJoined, joined.len() as u64);
+            dlb_trace::count(dlb_trace::Counter::RanksDeparted, departed.len() as u64);
+            let out = perform_resize(
+                comm.as_deref_mut(),
+                &snapshot.hypergraph,
+                &snapshot.old_part,
+                &leave_labels,
+                joined.len(),
+                k_before,
+                alpha,
+                cfg,
+                network,
+                faults,
+            );
+            match out.choice {
+                ResizeChoice::Repart => dlb_trace::count(dlb_trace::Counter::ResizeChoseRepart, 1),
+                ResizeChoice::Scratch => {
+                    dlb_trace::count(dlb_trace::Counter::ResizeChoseScratch, 1)
                 }
             }
-            source.commit_assignment(&snapshot, &old);
+            rspan.attr("failed", failed.len());
+            rspan.attr("migration", out.cost.migration);
+            rspan.attr("chose_scratch", (out.choice == ResizeChoice::Scratch) as usize);
+            source.relabel_parts(&out.relabel);
+            source.commit_assignment(&snapshot, &out.part);
             if let Some(patcher) = patcher.as_mut() {
-                patcher.commit(&snapshot.to_base, &old);
+                patcher.commit(&snapshot.to_base, &out.part);
             }
-            span.attr("moved", moved);
-            span.attr("recoveries", recoveries.len());
-            span.attr("resizes", resizes.len());
+            span.attr("moved", out.moved);
+            let resize = ResizeRecord {
+                epoch,
+                failed,
+                joined,
+                departed,
+                k_before,
+                k_after,
+                choice: out.choice,
+                repart_cost: out.repart_cost,
+                scratch_cost: out.scratch_cost,
+                migration: out.cost.migration,
+                t_mig: out.execution.as_ref().map_or(0.0, |e| e.t_mig),
+            };
             EpochReport {
                 epoch,
-                cost,
-                imbalance,
-                moved,
+                cost: out.cost,
+                imbalance: out.imbalance,
+                moved: out.moved,
                 num_vertices: snapshot.graph.num_vertices(),
                 elapsed: start.elapsed(),
-                execution,
-                recoveries,
-                resizes,
-                world_k: membership.k(),
+                execution: out.execution,
+                resize: Some(resize),
+                world_k: k_after,
             }
         };
         reports.push(report);

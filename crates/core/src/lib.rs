@@ -50,7 +50,6 @@ pub mod epoch;
 pub mod exec;
 pub mod migrate;
 pub mod model;
-pub mod recover;
 pub mod remap;
 pub mod session;
 
@@ -62,14 +61,13 @@ pub use elastic::{
     science_fingerprint, AuditLedger, AuditedSource, ResizeChoice, ResizeRecord, WorldChange,
     WorldEvent, WorldPlan,
 };
-pub use epoch::{EpochReport, RecoveryRecord, SimulationSummary};
+pub use epoch::{EpochReport, SimulationSummary};
 pub use exec::{
     measure_epoch, measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel,
 };
 pub use session::{Session, SessionError, DEFAULT_DRIFT_THRESHOLD};
 pub use migrate::{migrate_items, scatter_initial, MigrationStats};
 pub use model::RepartitionHypergraph;
-pub use recover::{recover_from_failure, RecoveryOutcome};
 pub use remap::{remap_to_minimize_migration, remap_to_minimize_migration_partial};
 // Re-exported so `Session::fault_plan` callers need not depend on
 // `dlb_mpisim` directly.

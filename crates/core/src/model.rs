@@ -42,11 +42,12 @@ impl RepartitionHypergraph {
     /// [`RepartitionHypergraph::build`] for a *partial* old assignment:
     /// vertices with `None` get **no migration net** — they are free, to
     /// be placed wherever communication and balance dictate at zero
-    /// model-migration charge. This is how failure recovery poses its
-    /// problem (DESIGN.md §12): the dead rank's orphans are free, the
-    /// survivors stay tethered to their parts by ordinary migration
-    /// nets, and one fixed-vertex partitioning call onto the surviving
-    /// `k` parts is the whole recovery.
+    /// model-migration charge. This is how a resize poses its
+    /// repartition candidate (DESIGN.md §15): the leaving ranks'
+    /// vertices (departed or failed) are free, the survivors stay
+    /// tethered to their parts by ordinary migration nets, and one
+    /// fixed-vertex partitioning call onto the post-resize `k` parts
+    /// solves it.
     ///
     /// # Panics
     /// Panics if `old_part` has the wrong length or references a part
@@ -151,8 +152,8 @@ impl RepartitionHypergraph {
     /// vertices. With `comm` the partitioner runs collectively (every
     /// rank must call with identical inputs; all get the same answer),
     /// without it serially. Every epoch kind ends here: plain
-    /// repartitioning, failure recovery and elastic resizes differ only
-    /// in how they *build* the (partial) model.
+    /// repartitioning and boundary resizes (failures, joins, leaves)
+    /// differ only in how they *build* the (partial) model.
     pub fn solve(&self, comm: Option<&mut Comm>, cfg: &HgConfig) -> Vec<PartId> {
         let r = partition_fixed_on(comm, &self.augmented, self.k, &self.fixed, cfg);
         self.decode(&r.part)

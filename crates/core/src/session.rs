@@ -33,7 +33,7 @@
 //! [`run_traced`](Session::run_traced) wrap the run in a [`dlb_trace`]
 //! session.
 //!
-//! Every epoch kind — plain, recovery, resize — is one fixed-vertex
+//! Every epoch kind — plain or boundary resize — is one fixed-vertex
 //! solve of a (partial) repartitioning model on whichever execution
 //! context the session runs on, so the knobs compose freely: plans,
 //! multi-constraint loads and `dist.distributed` work at any rank
@@ -49,7 +49,6 @@ use std::fmt;
 use std::path::PathBuf;
 
 use dlb_mpisim::{run_spmd, Comm, FaultPlan};
-use dlb_partitioner::Determinism;
 use dlb_workloads::EpochSource;
 
 use crate::driver::{Algorithm, RepartConfig};
@@ -89,8 +88,8 @@ pub enum SessionError {
     IncrementalNeedsSerial,
     /// The [`fault_plan`](Session::fault_plan) names a rank outside the
     /// workload's world (and outside the world plan's joins), or the
-    /// [`world_plan`](Session::world_plan) does not validate against it
-    /// (e.g. it would empty the world). Carries the plan message;
+    /// failures and planned resizes together would empty the world at
+    /// some boundary. Carries the plan message;
     /// reported before the first epoch runs.
     InvalidPlan(String),
     /// Tracing was requested on [`Session::run_on`]; a per-rank trace
@@ -206,17 +205,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Selects the determinism contract for the epoch partitioner:
-    /// [`Determinism::Strict`] (the default) runs on one thread with
-    /// bit-identical results, [`Determinism::Fast`] matches concurrently
-    /// on the configured `hypergraph.threads`. Multi-rank sessions
-    /// always run Strict regardless of this setting (the SPMD
-    /// collectives require rank-identical state).
-    pub fn determinism(mut self, determinism: Determinism) -> Self {
-        self.cfg.hypergraph.determinism = determinism;
-        self
-    }
-
     /// Turns the measured execution model on (with
     /// [`NetworkModel::default`]) or off.
     pub fn measured(mut self, on: bool) -> Self {
@@ -241,7 +229,7 @@ impl<'a> Session<'a> {
     /// and warm-starts the partitioner when the epoch's drift is below
     /// the [`drift_threshold`](Session::drift_threshold). Sources
     /// without native delta support transparently fall back to full
-    /// snapshots. Epochs with a boundary event (a recovery or a resize)
+    /// snapshots. Epochs with a boundary event (a failure, join or leave)
     /// re-lower and solve cold; the patcher picks the new world size up
     /// at the next delta. Serial-only: the SPMD partitioner has no warm
     /// start.
@@ -259,10 +247,11 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Installs a deterministic [`FaultPlan`]: scheduled rank failures
-    /// are recovered at epoch boundaries by repartitioning onto the
-    /// survivors, and message drop/delay probabilities are injected
-    /// into the measured migration exchanges (DESIGN.md §12). Plan rank
+    /// Installs a deterministic [`FaultPlan`]: a scheduled rank failure
+    /// is a departure the plan did not announce, applied in its epoch
+    /// boundary's one resize, and message drop/delay probabilities are
+    /// injected into the measured migration exchanges (DESIGN.md §12,
+    /// §15). Plan rank
     /// ids refer to the workload's `k` logical parts, so results are
     /// identical at any [`ranks`](Session::ranks) setting.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {

@@ -154,8 +154,8 @@ counters! {
     /// on that world's enrolled rank 0, so the value is invariant
     /// across driver rank counts).
     FaultsInjected => "faults_injected",
-    /// Recovery repartitions run after a rank failure (one per dead
-    /// rank, counted in the epoch driver).
+    /// Failed ranks the epoch driver recovered from (one per dead rank,
+    /// each a departure in its boundary's resize).
     RecoveriesRun => "recoveries_run",
     /// Epochs served by the incremental path via a patched model with a
     /// warm-started (refine-only) repartition — counted in the epoch
@@ -168,9 +168,9 @@ counters! {
     /// Cells touched by delta patching: removed + added + reweighted +
     /// survivors whose nets were spliced (counted in `ModelPatcher`).
     CellsPatched => "cells_patched",
-    /// Planned world resizes performed at epoch boundaries (one per
-    /// epoch with a net `WorldPlan` change, counted in the epoch
-    /// driver).
+    /// World resizes performed at epoch boundaries (one per epoch whose
+    /// rank set changes — by failure or by a net `WorldPlan` change —
+    /// counted in the epoch driver).
     ResizesRun => "resizes_run",
     /// Ranks that joined the world through planned resizes.
     RanksJoined => "ranks_joined",

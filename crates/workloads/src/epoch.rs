@@ -112,6 +112,15 @@ impl EpochStream {
         }
     }
 
+    /// Maps the last-known part of every base vertex through `map`
+    /// (`map[old] = new`) when the world resizes, so a vertex absent
+    /// from the resize epoch comes back with a label of the new world.
+    pub fn relabel_parts(&mut self, map: &[PartId]) {
+        for p in &mut self.last_part {
+            *p = map[*p];
+        }
+    }
+
     /// Generates the next epoch.
     pub fn next_epoch(&mut self) -> EpochSnapshot {
         self.epochs_emitted += 1;

@@ -134,6 +134,18 @@ pub trait EpochSource {
     /// Records the assignment chosen for `snapshot` (which must be the
     /// most recently emitted epoch).
     fn commit_assignment(&mut self, snapshot: &EpochSnapshot, part: &[PartId]);
+
+    /// Moves every remembered part label into a resized world:
+    /// `map[old] = new` covers every label of the world before the
+    /// resize. The driver calls it once per resize, before committing
+    /// that epoch's assignment, so vertices absent from the epoch come
+    /// back with a label of the new world. The default does nothing —
+    /// right for sources that remember only the committed epoch's
+    /// vertices (an AMR cell re-created later takes a present parent's
+    /// part).
+    fn relabel_parts(&mut self, map: &[PartId]) {
+        let _ = map;
+    }
 }
 
 /// Boxed sources delegate, so factory-style callers (`rank -> Box<dyn
@@ -158,6 +170,10 @@ impl<S: EpochSource + ?Sized> EpochSource for Box<S> {
     fn commit_assignment(&mut self, snapshot: &EpochSnapshot, part: &[PartId]) {
         (**self).commit_assignment(snapshot, part)
     }
+
+    fn relabel_parts(&mut self, map: &[PartId]) {
+        (**self).relabel_parts(map)
+    }
 }
 
 impl EpochSource for EpochStream {
@@ -175,6 +191,10 @@ impl EpochSource for EpochStream {
 
     fn commit_assignment(&mut self, snapshot: &EpochSnapshot, part: &[PartId]) {
         EpochStream::commit_assignment(self, snapshot, part)
+    }
+
+    fn relabel_parts(&mut self, map: &[PartId]) {
+        EpochStream::relabel_parts(self, map)
     }
 }
 

@@ -47,8 +47,8 @@
 //!                     dataset scale in (0, 1] (default 0.001)
 //!   --fault-plan SPEC simulate only: deterministic fault injection,
 //!                     SPEC = "SEED:directive,..." with directives
-//!                     rankR@E (logical rank R dies at epoch E, recovered
-//!                     by repartitioning onto the survivors), dropP /
+//!                     rankR@E (logical rank R dies at epoch E and leaves
+//!                     in that boundary's resize), dropP /
 //!                     delayP (per-message drop/delay probability in the
 //!                     measured migration exchanges). Example:
 //!                     --fault-plan 7:rank2@2,drop0.05
@@ -530,24 +530,14 @@ fn print_simulation(summary: &SimulationSummary, alpha: f64) {
             alpha,
             e.t_mig * 1e3
         );
-        for rec in &r.recoveries {
+        if let Some(rec) = &r.resize {
             println!(
-                "       recovered rank {} ({} -> {} parts): {} orphans, migration {:.1}, t_mig {:.4} ms",
-                rec.failed_rank,
-                rec.k_before,
-                rec.k_after,
-                rec.orphans,
-                rec.migration,
-                rec.t_mig * 1e3
-            );
-        }
-        for rec in &r.resizes {
-            println!(
-                "       resized {} -> {} parts (+{:?} -{:?}) via {}: repart {:.1} vs scratch {:.1}, migration {:.1}, t_mig {:.4} ms",
+                "       resized {} -> {} parts (+{:?} -{:?} failed {:?}) via {}: repart {:.1} vs scratch {:.1}, migration {:.1}, t_mig {:.4} ms",
                 rec.k_before,
                 rec.k_after,
                 rec.joined,
                 rec.departed,
+                rec.failed,
                 rec.choice.name(),
                 rec.repart_cost,
                 rec.scratch_cost,

@@ -396,6 +396,22 @@ fn simulate_two_constraint_amr_runs() {
 }
 
 #[test]
+fn shrinking_a_structure_stream_runs_to_the_end() {
+    // Absent vertices used to keep their pre-shrink label and crash the
+    // next epoch (exit 101).
+    for plan in [["--world-plan", "1:leave1@2"], ["--fault-plan", "1:rank1@2"]] {
+        let output = dlb()
+            .args(["simulate", "-k", "4", "--workload", "structure", "--epochs", "4"])
+            .args(plan)
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{plan:?}: {}", String::from_utf8_lossy(&output.stderr));
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("resized 4 -> 3 parts"), "{plan:?}: {stdout}");
+    }
+}
+
+#[test]
 fn trace_flag_writes_chrome_json() {
     let dir = tmpdir("trace");
     let input = write_toy_mtx(&dir);

@@ -30,7 +30,10 @@ use dlb::core::{
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
-use dlb::workloads::{AmrSource, Dataset, DatasetKind, EpochStream, Perturbation};
+use dlb::hypergraph::PartId;
+use dlb::workloads::{
+    AmrSource, Dataset, DatasetKind, EpochSnapshot, EpochSource, EpochStream, Perturbation,
+};
 
 const ALPHA: f64 = 50.0;
 const SEED: u64 = 23;
@@ -103,8 +106,7 @@ fn planned_grow_populates_the_joiner() {
     assert_eq!(s.world_timeline(), vec![(1, 4), (2, 5), (3, 5), (4, 5)]);
 
     let r = &s.reports[1]; // epoch 2
-    assert_eq!(r.resizes.len(), 1);
-    let rec = &r.resizes[0];
+    let rec = r.resize.as_ref().expect("epoch 2 resized");
     assert_eq!(rec.epoch, 2);
     assert_eq!(rec.joined, vec![4]);
     assert!(rec.departed.is_empty());
@@ -115,7 +117,7 @@ fn planned_grow_populates_the_joiner() {
     assert!(rec.migration > 0.0, "vertices moved onto the joiner");
     assert_eq!(rec.t_mig, r.execution.as_ref().unwrap().t_mig, "single resize owns the t_mig");
     for other in [0usize, 2, 3] {
-        assert!(s.reports[other].resizes.is_empty());
+        assert!(s.reports[other].resize.is_none());
     }
 }
 
@@ -126,7 +128,7 @@ fn planned_shrink_evacuates_the_leaver() {
     assert_eq!(s.total_resizes(), 1);
     assert_eq!(s.surviving_k(), 3);
     assert_eq!(s.world_timeline(), vec![(1, 4), (2, 4), (3, 3), (4, 3)]);
-    let rec = &s.reports[2].resizes[0];
+    let rec = s.reports[2].resize.as_ref().unwrap();
     assert_eq!(rec.departed, vec![1]);
     assert_eq!((rec.k_before, rec.k_after), (4, 3));
     assert!(rec.migration > 0.0, "the leaver's vertices shipped out");
@@ -136,16 +138,17 @@ fn planned_shrink_evacuates_the_leaver() {
 
 #[test]
 fn faults_and_resizes_compose_at_one_boundary() {
-    // Rank 2 dies at epoch 2's boundary AND the plan grows by one: the
-    // recovery chain runs first, then the resize, in one epoch.
+    // Rank 2 dies at epoch 2's boundary AND the plan grows by one: one
+    // resize applies both, the failed rank among the leavers.
     let faults = FaultPlan::parse("5:rank2@2").unwrap();
     let world = WorldPlan::parse("5:join4@2").unwrap();
     let s = session(4, 3).fault_plan(faults).world_plan(world).run().unwrap();
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(s.total_resizes(), 1);
     let r = &s.reports[1];
-    assert_eq!(r.recoveries[0].k_after, 3);
-    assert_eq!((r.resizes[0].k_before, r.resizes[0].k_after), (3, 4));
+    let rec = r.resize.as_ref().unwrap();
+    assert_eq!((rec.failed.as_slice(), rec.joined.as_slice()), (&[2][..], &[4][..]));
+    assert_eq!((rec.k_before, rec.k_after), (4, 4));
     assert_eq!(r.world_k, 4);
     // A failed rank may be re-admitted by a later planned join.
     let faults = FaultPlan::parse("5:rank2@2").unwrap();
@@ -168,7 +171,7 @@ fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
         assert_eq!(a.total_resizes(), 3, "ranks = {ranks}");
         assert_eq!(a.world_timeline(), vec![(1, 4), (2, 3), (3, 5), (4, 4), (5, 4)]);
         for (ra, rb) in a.reports.iter().zip(&b.reports) {
-            for (x, y) in ra.resizes.iter().zip(&rb.resizes) {
+            for (x, y) in ra.resize.iter().zip(&rb.resize) {
                 assert_eq!(x.choice, y.choice, "ranks = {ranks}");
                 assert_eq!(x.repart_cost, y.repart_cost, "ranks = {ranks}");
                 assert_eq!(x.scratch_cost, y.scratch_cost, "ranks = {ranks}");
@@ -250,6 +253,60 @@ fn world_exhausting_plan_is_an_error_at_ranks_1_and_2() {
 fn world_exhausting_plan_panics_up_front() {
     let plan = WorldPlan::parse("3:leave0@1,leave1@2").unwrap();
     session(2, 3).world_plan(plan).run().unwrap();
+}
+
+/// Records the largest old-part label of every emitted epoch.
+struct LabelProbe {
+    inner: EpochStream,
+    max_label: Vec<usize>,
+}
+
+impl EpochSource for LabelProbe {
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn epochs_emitted(&self) -> usize {
+        self.inner.epochs_emitted()
+    }
+
+    fn next_epoch(&mut self) -> EpochSnapshot {
+        let snapshot = self.inner.next_epoch();
+        self.max_label.push(snapshot.old_part.iter().copied().max().unwrap_or(0));
+        snapshot
+    }
+
+    fn commit_assignment(&mut self, snapshot: &EpochSnapshot, part: &[PartId]) {
+        self.inner.commit_assignment(snapshot, part);
+    }
+
+    fn relabel_parts(&mut self, map: &[PartId]) {
+        self.inner.relabel_parts(map);
+    }
+}
+
+/// A structure stream remembers the last part of vertices absent from
+/// an epoch. After a shrink those labels must move into the new world:
+/// every emitted old part lives in the world its epoch starts in.
+#[test]
+fn shrinking_a_structure_stream_relabels_absent_vertices() {
+    let d = Dataset::generate(DatasetKind::Auto, 0.0008, SEED);
+    let init = partition_kway(&d.graph, 4, &GraphConfig::seeded(SEED)).part;
+    let inner = EpochStream::new(d.graph, Perturbation::structure(), 4, init, SEED);
+    let mut probe = LabelProbe { inner, max_label: Vec::new() };
+    let s = Session::new(RepartConfig::seeded(SEED))
+        .alpha(ALPHA)
+        .epochs(6)
+        .world_plan(WorldPlan::parse("1:leave1@2").unwrap())
+        .workload(&mut probe)
+        .run()
+        .unwrap();
+    assert_eq!(s.world_timeline(), vec![(1, 4), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3)]);
+    let mut k = 4;
+    for (r, &max_label) in s.reports.iter().zip(&probe.max_label) {
+        assert!(max_label < k, "epoch {}: old part {max_label} in a {k}-part world", r.epoch);
+        k = r.world_k;
+    }
 }
 
 // ---------------------------------------------------------------------

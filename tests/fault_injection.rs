@@ -5,9 +5,9 @@
 //! tests here pin down the subsystem's three contracts:
 //!
 //! 1. **Recovery works**: a rank failure mid-run shrinks the world to
-//!    `k − 1` via a forced repartition, the simulation completes, and
-//!    the recovery volume is visible in the measured `t_mig` and the
-//!    `RecoveriesRun` / `FaultsInjected` counters.
+//!    `k − 1` as a departure in that boundary's resize, the simulation
+//!    completes, and the recovery volume is visible in the measured
+//!    `t_mig` and the `RecoveriesRun` / `FaultsInjected` counters.
 //! 2. **Determinism**: at each driver rank count (2 and 4), the same
 //!    plan seed reproduces bit-identical recovered partitions and
 //!    makespans run to run (fault "ranks" live in the workload's
@@ -93,13 +93,12 @@ fn injected_failure_recovers_onto_survivors() {
     assert_eq!(s.surviving_k(), 3);
 
     let r = &s.reports[1]; // epoch 2
-    assert_eq!(r.recoveries.len(), 1);
-    let rec = &r.recoveries[0];
-    assert_eq!(rec.failed_rank, 2);
+    let rec = r.resize.as_ref().expect("epoch 2 resized");
+    assert_eq!(rec.failed, vec![2]);
     assert_eq!(rec.epoch, 2);
     assert_eq!(rec.k_before, 4);
     assert_eq!(rec.k_after, 3);
-    assert!(rec.orphans > 0, "the dead rank owned vertices");
+    assert!(r.moved > 0, "the dead rank owned vertices");
     assert!(rec.migration > 0.0);
     // The recovery exchange lands in the measured makespan.
     let e = r.execution.as_ref().unwrap();
@@ -111,7 +110,7 @@ fn injected_failure_recovers_onto_survivors() {
     );
     // Fault-free epochs report no recoveries.
     for other in [0usize, 2, 3] {
-        assert!(s.reports[other].recoveries.is_empty());
+        assert!(s.reports[other].resize.is_none());
     }
 }
 
@@ -121,9 +120,9 @@ fn two_failures_shrink_the_world_twice() {
     let s = session(4, 4).fault_plan(plan).run().unwrap();
     assert_eq!(s.total_recoveries(), 2);
     assert_eq!(s.surviving_k(), 2);
-    assert_eq!(s.reports[1].recoveries[0].k_after, 3);
-    let second = &s.reports[2].recoveries[0];
-    assert_eq!(second.failed_rank, 3);
+    assert_eq!(s.reports[1].resize.as_ref().unwrap().k_after, 3);
+    let second = s.reports[2].resize.as_ref().unwrap();
+    assert_eq!(second.failed, vec![3]);
     assert_eq!(second.k_before, 3);
     assert_eq!(second.k_after, 2);
     // A rank that already died is not recovered twice.
@@ -148,8 +147,8 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
         assert_eq!(fingerprint(&a), fingerprint(&b), "ranks = {ranks}");
         assert_eq!(a.total_recoveries(), 1, "ranks = {ranks}");
         assert_eq!(b.total_recoveries(), 1);
-        let (ra, rb) = (&a.reports[1].recoveries[0], &b.reports[1].recoveries[0]);
-        assert_eq!(ra.orphans, rb.orphans, "ranks = {ranks}");
+        let (ra, rb) = (a.reports[1].resize.as_ref().unwrap(), b.reports[1].resize.as_ref().unwrap());
+        assert_eq!(a.reports[1].moved, b.reports[1].moved, "ranks = {ranks}");
         assert_eq!(ra.migration, rb.migration, "ranks = {ranks}");
         assert_eq!(ra.t_mig, rb.t_mig, "ranks = {ranks}");
         assert_eq!((ra.k_before, ra.k_after), (4, 3));

@@ -120,7 +120,7 @@ fn world_plans_compose_with_incremental_sessions() {
 
         let warm = run_with_plan(seed, 2, Some(dlb::core::DEFAULT_DRIFT_THRESHOLD), plan());
         assert_eq!(warm.world_timeline(), timeline, "seed {seed}");
-        let epsilon = RepartConfig::seeded(seed).epsilon;
+        let epsilon = RepartConfig::seeded(seed).hypergraph.epsilon;
         for r in &warm.reports {
             assert!(
                 r.imbalance <= 1.0 + epsilon + 1e-9,
