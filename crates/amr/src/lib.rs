@@ -37,6 +37,11 @@ pub use mesh::QuadMesh;
 pub use stream::{AmrDelta, AmrDeltaCell, AmrEpoch, AmrStream};
 
 /// Parameters of the AMR simulation and its lowering.
+///
+/// The feature dynamics and the refinement thresholds are fixed
+/// (`stream.rs`: two features of width 0.08 moving 0.06 per epoch,
+/// refine above 0.4, coarsen below 0.1), and so is the 40-byte
+/// migration payload per cell (`lower.rs`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AmrConfig {
     /// Coarsest refinement level; the mesh never coarsens below the
@@ -44,21 +49,9 @@ pub struct AmrConfig {
     pub base_level: u8,
     /// Finest refinement level allowed.
     pub max_level: u8,
-    /// Number of moving Gaussian features.
-    pub num_features: usize,
-    /// Gaussian width of each feature.
-    pub sigma: f64,
-    /// Feature speed in domain units per epoch.
-    pub speed: f64,
-    /// Refine a leaf whose center indicator exceeds this.
-    pub refine_threshold: f64,
-    /// Coarsen a quartet whose centers are all below this.
-    pub coarsen_threshold: f64,
-    /// Migration payload per cell in bytes (vertex size and net cost).
-    pub state_bytes: f64,
     /// Emit two-constraint load vectors from [`lower()`]: constraint 0
     /// stays the sub-cycling flops weight `2^(level − base)`, constraint
-    /// 1 is the cell's resident state in bytes (`state_bytes`). Off by
+    /// 1 is the cell's resident state in bytes (its migration payload). Off by
     /// default — the scalar lowering is bitwise unchanged, and flops
     /// remain the only balance constraint.
     pub multi_constraint: bool,
@@ -69,12 +62,6 @@ impl Default for AmrConfig {
         AmrConfig {
             base_level: 4,
             max_level: 7,
-            num_features: 2,
-            sigma: 0.08,
-            speed: 0.06,
-            refine_threshold: 0.4,
-            coarsen_threshold: 0.1,
-            state_bytes: 40.0,
             multi_constraint: false,
         }
     }
@@ -108,32 +95,6 @@ impl AmrConfig {
         if self.max_level > 20 {
             return Err(format!("max_level {} exceeds addressable 20", self.max_level));
         }
-        if self.num_features == 0 {
-            return Err("num_features must be positive".into());
-        }
-        // NaN must fail every check, so each test names the accepting
-        // range and rejects its complement plus NaN explicitly.
-        if self.sigma <= 0.0 || self.sigma.is_nan() {
-            return Err(format!("sigma must be positive, got {}", self.sigma));
-        }
-        if self.speed < 0.0 || self.speed.is_nan() {
-            return Err(format!("speed must be non-negative, got {}", self.speed));
-        }
-        if self.refine_threshold <= self.coarsen_threshold
-            || self.refine_threshold.is_nan()
-            || self.coarsen_threshold.is_nan()
-        {
-            return Err(format!(
-                "refine_threshold {} must exceed coarsen_threshold {}",
-                self.refine_threshold, self.coarsen_threshold
-            ));
-        }
-        if self.state_bytes <= 0.0 || self.state_bytes.is_nan() || self.state_bytes.fract() != 0.0 {
-            return Err(format!(
-                "state_bytes must be a positive integer-valued f64, got {}",
-                self.state_bytes
-            ));
-        }
         Ok(())
     }
 }
@@ -153,11 +114,7 @@ mod tests {
     fn validate_rejects_bad_configs() {
         let bad = AmrConfig { base_level: 8, max_level: 5, ..AmrConfig::default() };
         assert!(bad.validate().is_err());
-        let bad = AmrConfig { refine_threshold: 0.1, coarsen_threshold: 0.4, ..AmrConfig::default() };
-        assert!(bad.validate().is_err());
-        let bad = AmrConfig { state_bytes: 40.5, ..AmrConfig::default() };
-        assert!(bad.validate().is_err());
-        let bad = AmrConfig { num_features: 0, ..AmrConfig::default() };
+        let bad = AmrConfig { base_level: 21, max_level: 21, ..AmrConfig::default() };
         assert!(bad.validate().is_err());
     }
 }

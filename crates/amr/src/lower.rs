@@ -6,12 +6,12 @@
 //!   `2^(ℓ − base)` sub-timesteps per epoch step (standard AMR time
 //!   sub-cycling), so finer cells are proportionally heavier.
 //! * **Vertex size** — migration payload: the cell's state vector in
-//!   bytes (`AmrConfig::state_bytes`), the volume `dlb_core`'s
+//!   bytes (`STATE_BYTES` = 40), the volume `dlb_core`'s
 //!   migration service moves when the cell changes owner.
 //! * **Graph edges** — one per face-adjacent leaf pair (the stencil
 //!   couplings a finite-volume scheme exchanges fluxes over).
 //! * **Nets** — the column-net model of that adjacency: net `v` pins
-//!   `{v} ∪ face-neighbors(v)` with cost `state_bytes`, so the k-1 cut
+//!   `{v} ∪ face-neighbors(v)` with cost `STATE_BYTES`, so the k-1 cut
 //!   is exactly the ghost-exchange volume per iteration in bytes.
 //!
 //! Weights, sizes, and net costs are all integer-valued `f64`s, which
@@ -23,7 +23,7 @@
 //! compute and memory footprint simultaneously. The two columns
 //! genuinely diverge on an adapted mesh: flops grow like
 //! `2^(ℓ − base)` with depth while every cell's state is the same
-//! `state_bytes`.
+//! `STATE_BYTES`.
 
 use dlb_hypergraph::convert::column_net_model;
 use dlb_hypergraph::{CsrGraph, GraphBuilder, Hypergraph};
@@ -31,6 +31,10 @@ use dlb_hypergraph::{CsrGraph, GraphBuilder, Hypergraph};
 use crate::cell::{Cell, Direction};
 use crate::mesh::QuadMesh;
 use crate::AmrConfig;
+
+/// Migration payload per cell in bytes: every cell's vertex size and
+/// the cost of its net. Integer-valued, like every lowered weight.
+pub(crate) const STATE_BYTES: f64 = 40.0;
 
 /// One epoch's mesh, lowered.
 #[derive(Clone, Debug)]
@@ -51,7 +55,7 @@ pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
     let mut b = GraphBuilder::new(cells.len());
     for (v, &c) in cells.iter().enumerate() {
         b.set_vertex_weight(v, (1u64 << (c.level - mesh.base_level())) as f64);
-        b.set_vertex_size(v, cfg.state_bytes);
+        b.set_vertex_size(v, STATE_BYTES);
         // Scanning only +x and +y discovers every face-adjacent pair
         // exactly once: for a pair split across a face, the west/south
         // cell sees the east/north cell regardless of which is finer.
@@ -68,7 +72,7 @@ pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
     // the multi-constraint hypergraph is bitwise the scalar lowering.
     if cfg.multi_constraint {
         let flops: Vec<f64> = (0..cells.len()).map(|v| graph.vertex_weight(v)).collect();
-        let bytes = vec![cfg.state_bytes; cells.len()];
+        let bytes = vec![STATE_BYTES; cells.len()];
         hypergraph.set_loads(dlb_hypergraph::VertexLoads::from_columns(vec![flops, bytes]));
     }
     LoweredMesh { graph, hypergraph, cells }
@@ -118,7 +122,7 @@ mod tests {
             expect.insert(v);
             let got: BTreeSet<usize> = low.hypergraph.net(v).iter().copied().collect();
             assert_eq!(got, expect, "net of cell {c:?}");
-            assert_eq!(low.hypergraph.net_cost(v), cfg.state_bytes);
+            assert_eq!(low.hypergraph.net_cost(v), STATE_BYTES);
         }
     }
 
@@ -140,7 +144,7 @@ mod tests {
                 low.hypergraph.vertex_load(v, 0),
                 (1u64 << (c.level - m.base_level())) as f64
             );
-            assert_eq!(low.hypergraph.vertex_load(v, 1), cfg.state_bytes);
+            assert_eq!(low.hypergraph.vertex_load(v, 1), STATE_BYTES);
         }
         // An adapted mesh has refined cells, so the columns are not
         // proportional: flops vary with level, bytes do not.

@@ -16,9 +16,29 @@ use dlb_hypergraph::{CsrGraph, Hypergraph, PartId};
 
 use crate::cell::{Cell, Direction};
 use crate::feature::{indicator, seeded_features, Feature};
-use crate::lower::{lower, LoweredMesh};
+use crate::lower::{lower, LoweredMesh, STATE_BYTES};
 use crate::mesh::QuadMesh;
 use crate::AmrConfig;
+
+/// Number of moving Gaussian features.
+const NUM_FEATURES: usize = 2;
+/// Gaussian width of each feature.
+const SIGMA: f64 = 0.08;
+/// Feature speed in domain units per epoch.
+const SPEED: f64 = 0.06;
+/// Refine a leaf whose center indicator exceeds this.
+const REFINE_THRESHOLD: f64 = 0.4;
+/// Coarsen a quartet whose centers are all below this.
+const COARSEN_THRESHOLD: f64 = 0.1;
+
+/// Re-adapts `mesh` to a fixed point around `features`.
+fn adapt(mesh: &mut QuadMesh, features: &[Feature]) {
+    mesh.adapt_to_stable(
+        |x, y| indicator(features, SIGMA, x, y),
+        REFINE_THRESHOLD,
+        COARSEN_THRESHOLD,
+    );
+}
 
 /// One epoch's AMR problem instance.
 #[derive(Clone, Debug)]
@@ -44,7 +64,7 @@ pub struct AmrDeltaCell {
     pub old_part: PartId,
     /// Subcycling weight, exactly as [`lower`] computes it.
     pub weight: f64,
-    /// Migration data size (`state_bytes`).
+    /// Migration data size (`STATE_BYTES`).
     pub size: f64,
 }
 
@@ -97,14 +117,8 @@ impl AmrStream {
         cfg.validate().expect("valid AMR configuration");
         assert!(k > 0, "k must be positive");
         let mut mesh = QuadMesh::uniform(cfg.base_level, cfg.max_level);
-        let features = seeded_features(cfg.num_features, cfg.speed, seed);
-        let sigma = cfg.sigma;
-        let fs = features.clone();
-        mesh.adapt_to_stable(
-            |x, y| indicator(&fs, sigma, x, y),
-            cfg.refine_threshold,
-            cfg.coarsen_threshold,
-        );
+        let features = seeded_features(NUM_FEATURES, SPEED, seed);
+        adapt(&mut mesh, &features);
         AmrStream {
             cfg,
             mesh,
@@ -160,13 +174,7 @@ impl AmrStream {
         for f in &mut self.features {
             f.advance();
         }
-        let sigma = self.cfg.sigma;
-        let fs = self.features.clone();
-        self.mesh.adapt_to_stable(
-            |x, y| indicator(&fs, sigma, x, y),
-            self.cfg.refine_threshold,
-            self.cfg.coarsen_threshold,
-        );
+        adapt(&mut self.mesh, &self.features);
         let low = lower(&self.mesh, &self.cfg);
         let old_part: Vec<PartId> =
             low.cells.iter().map(|&c| self.inherited_part(c)).collect();
@@ -200,13 +208,7 @@ impl AmrStream {
         for f in &mut self.features {
             f.advance();
         }
-        let sigma = self.cfg.sigma;
-        let fs = self.features.clone();
-        self.mesh.adapt_to_stable(
-            |x, y| indicator(&fs, sigma, x, y),
-            self.cfg.refine_threshold,
-            self.cfg.coarsen_threshold,
-        );
+        adapt(&mut self.mesh, &self.features);
         let after: BTreeSet<Cell> = self.mesh.leaves().collect();
 
         let removed: Vec<Cell> = before.difference(&after).copied().collect();
@@ -246,7 +248,7 @@ impl AmrStream {
                 old_part: self.inherited_part(c),
                 // Bitwise the same expressions `lower` uses.
                 weight: (1u64 << (c.level - base)) as f64,
-                size: self.cfg.state_bytes,
+                size: STATE_BYTES,
             })
             .collect();
 

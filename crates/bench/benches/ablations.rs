@@ -81,6 +81,6 @@ fn main() {
     for attempts in [1usize, 8] {
         let mut cfg = Config::seeded(1);
         cfg.initial.num_attempts = attempts;
-        ablate("initial_attempts", &format!("attempts_{attempts}"), &inst, &cfg);
+        ablate("num_attempts", &format!("attempts_{attempts}"), &inst, &cfg);
     }
 }

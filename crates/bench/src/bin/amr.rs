@@ -42,10 +42,11 @@ fn sum_over(rows: &[Row], k: usize, alg: Algorithm, f: impl Fn(&Row) -> f64) -> 
 fn main() {
     let mut flags =
         Flags::from_env("amr [--scale S] [--seed N] [--epochs E] [--trials T] [--quick]");
-    let scale: u8 = flags.value("--scale").unwrap_or(0);
+    // `dlb`'s range for the AMR workload: above 8 `for_scale` would clamp.
+    let scale: u8 = flags.value_in("--scale", 0..=8).unwrap_or(0);
     let seed: u64 = flags.value("--seed").unwrap_or(42);
-    let epochs: usize = flags.value("--epochs").unwrap_or(4);
-    let trials: usize = flags.value("--trials").unwrap_or(2);
+    let epochs: usize = flags.value_in("--epochs", 1..).unwrap_or(4);
+    let trials: usize = flags.value_in("--trials", 1..).unwrap_or(2);
     let quick = flags.switch("--quick");
     flags.finish();
 

@@ -23,9 +23,11 @@
 #![forbid(unsafe_code)]
 
 use std::fs;
+use std::ops::Bound;
 use std::path::PathBuf;
 
 use dlb_bench::chart::{render_cost_chart, render_runtime_chart, to_csv};
+use dlb_bench::flags::DATASET_SCALE;
 use dlb_bench::{run_sweep, Flags, Row, SweepConfig, TimingMode};
 use dlb_workloads::{DatasetKind, PerturbKind};
 
@@ -47,17 +49,17 @@ fn parse_args() -> Args {
         "figures --fig <2..8> [--scale S] [--trials T] [--epochs E] [--quick] [--ks ...] \
          [--alphas ...] [--out DIR] [--ranks R] [--seed N]",
     );
-    let Some(fig) = flags.value("--fig") else { flags.fail("--fig is required") };
+    let Some(fig) = flags.value_in("--fig", 2..=8) else { flags.fail("--fig is required") };
     let args = Args {
         fig,
-        scale: flags.value("--scale"),
-        trials: flags.value("--trials"),
-        epochs: flags.value("--epochs"),
-        ks: flags.list("--ks"),
-        alphas: flags.list("--alphas"),
+        scale: flags.value_in("--scale", DATASET_SCALE),
+        trials: flags.value_in("--trials", 1..),
+        epochs: flags.value_in("--epochs", 1..),
+        ks: flags.list("--ks", 2..),
+        alphas: flags.list("--alphas", (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY))),
         quick: flags.switch("--quick"),
         out: flags.value("--out").unwrap_or_else(|| PathBuf::from("results")),
-        ranks: flags.value("--ranks").unwrap_or(4),
+        ranks: flags.value_in("--ranks", 1..).unwrap_or(4),
         seed: flags.value("--seed").unwrap_or(42),
     };
     flags.finish();
@@ -88,10 +90,7 @@ fn figure_dataset(fig: u8) -> Vec<(DatasetKind, Vec<PerturbKind>)> {
             (DatasetKind::Lipid2D, vec![PerturbKind::Structure]),
             (DatasetKind::Auto, vec![PerturbKind::Structure]),
         ],
-        other => {
-            eprintln!("unknown figure {other}; expected 2..8");
-            std::process::exit(2);
-        }
+        other => unreachable!("--fig {other} passed the 2..=8 range check"),
     }
 }
 

@@ -9,12 +9,13 @@
 
 #![forbid(unsafe_code)]
 
+use dlb_bench::flags::DATASET_SCALE;
 use dlb_bench::Flags;
 use dlb_workloads::{Dataset, DatasetKind};
 
 fn main() {
     let mut flags = Flags::from_env("table1 [--scale S] [--seed N]");
-    let scale: f64 = flags.value("--scale").unwrap_or(0.01);
+    let scale: f64 = flags.value_in("--scale", DATASET_SCALE).unwrap_or(0.01);
     let seed: u64 = flags.value("--seed").unwrap_or(42);
     flags.finish();
 

@@ -28,6 +28,9 @@ fn unknown_flag_is_rejected() {
     let stderr = rejected(env!("CARGO_BIN_EXE_table1"), &["--bogus"]);
     assert!(stderr.contains("--bogus"), "stderr: {stderr}");
     rejected(env!("CARGO_BIN_EXE_amr"), &["--quick", "extra"]);
+    // The rank-local matcher this flag selected is gone.
+    let stderr = rejected(env!("CARGO_BIN_EXE_scalability"), &["--local-ipm"]);
+    assert!(stderr.contains("--local-ipm"), "stderr: {stderr}");
 }
 
 #[test]
@@ -35,6 +38,32 @@ fn bad_list_entry_is_rejected() {
     let stderr = rejected(env!("CARGO_BIN_EXE_figures"), &["--fig", "2", "--ks", "4,x"]);
     assert!(stderr.contains("--ks"), "stderr: {stderr}");
     rejected(env!("CARGO_BIN_EXE_scalability"), &["--ranks", "1,,2"]);
+}
+
+#[test]
+fn out_of_range_value_is_rejected() {
+    let (amr, figures) = (env!("CARGO_BIN_EXE_amr"), env!("CARGO_BIN_EXE_figures"));
+    let (scalability, table1) = (env!("CARGO_BIN_EXE_scalability"), env!("CARGO_BIN_EXE_table1"));
+    let rows: &[(&str, &[&str], &str)] = &[
+        (scalability, &["--ranks", "0"], "--ranks"),
+        (scalability, &["--k", "0"], "--k"),
+        (scalability, &["--scale", "0"], "--scale"),
+        (figures, &["--fig", "4", "--quick", "--ks", "0"], "--ks"),
+        (figures, &["--fig", "4", "--quick", "--alphas", "0"], "--alphas"),
+        (figures, &["--fig", "4", "--quick", "--trials", "0"], "--trials"),
+        (figures, &["--fig", "4", "--quick", "--epochs", "0"], "--epochs"),
+        (figures, &["--fig", "4", "--scale", "0"], "--scale"),
+        (table1, &["--scale", "0"], "--scale"),
+        (table1, &["--scale", "2"], "--scale"),
+        (amr, &["--epochs", "0", "--quick"], "--epochs"),
+        (amr, &["--trials", "0", "--quick"], "--trials"),
+        // `AmrConfig::for_scale` would clamp it to 8 without a word.
+        (amr, &["--scale", "9"], "--scale"),
+    ];
+    for &(bin, args, flag) in rows {
+        let stderr = rejected(bin, args);
+        assert!(stderr.contains(&format!("{flag} must be in")), "{args:?}: stderr: {stderr}");
+    }
 }
 
 #[test]

@@ -2,23 +2,23 @@
 
 /// Configuration for the ParMETIS-like graph partitioner.
 ///
-/// Coarsening limits and the FM pass cap are fixed (`coarsen_graph`'s
-/// constants and `refine::MAX_REFINE_PASSES`), at the values the
-/// hypergraph partitioner defaults to, so the two partitioners the
-/// experiments compare run the same multilevel schedule.
+/// Coarsening limits, the FM pass cap and the coarse partitioner's
+/// attempt count are fixed (`coarsen_graph`'s constants,
+/// `refine::MAX_REFINE_PASSES` and `kway::INITIAL_ATTEMPTS`), at the
+/// values the hypergraph partitioner defaults to, so the two
+/// partitioners the experiments compare run the same multilevel
+/// schedule.
 #[derive(Clone, Debug)]
 pub struct GraphConfig {
     /// Allowed imbalance ε: every part must satisfy `W_p ≤ (1+ε) W_avg`.
     pub epsilon: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Randomized greedy-graph-growing attempts for the coarse partition.
-    pub initial_attempts: usize,
 }
 
 impl Default for GraphConfig {
     fn default() -> Self {
-        GraphConfig { epsilon: 0.05, seed: 0, initial_attempts: 8 }
+        GraphConfig { epsilon: 0.05, seed: 0 }
     }
 }
 
@@ -37,6 +37,5 @@ mod tests {
     fn defaults_are_sane() {
         let c = GraphConfig::default();
         assert!(c.epsilon > 0.0 && c.epsilon < 1.0);
-        assert!(c.initial_attempts >= 1);
     }
 }

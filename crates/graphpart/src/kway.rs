@@ -13,13 +13,11 @@ use crate::initial::initial_graph_partition;
 use crate::refine::{refine_graph, Objective};
 use crate::GraphPartitionResult;
 
+/// Randomized greedy-graph-growing attempts for the coarse partition.
+const INITIAL_ATTEMPTS: usize = 8;
+
 /// One multilevel V-cycle on a graph (any number of parts in `targets`).
-pub(crate) fn multilevel_graph(
-    g: &CsrGraph,
-    targets: &PartTargets,
-    cfg: &GraphConfig,
-    rng: &mut StdRng,
-) -> Vec<PartId> {
+fn multilevel_graph(g: &CsrGraph, targets: &PartTargets, rng: &mut StdRng) -> Vec<PartId> {
     let k = targets.k();
     if k == 1 {
         return vec![0; g.num_vertices()];
@@ -32,7 +30,7 @@ pub(crate) fn multilevel_graph(
 
     // Coarse partition + refine.
     let coarsest: &CsrGraph = levels.last().map(|(l, _)| &l.coarse).unwrap_or(g);
-    let mut part = initial_graph_partition(coarsest, targets, cfg.initial_attempts, rng);
+    let mut part = initial_graph_partition(coarsest, targets, INITIAL_ATTEMPTS, rng);
     refine_graph(coarsest, targets, &Objective::CUT_ONLY, &mut part, rng);
 
     // Uncoarsen.
@@ -54,13 +52,7 @@ fn per_level_epsilon(epsilon: f64, k: usize) -> f64 {
     (1.0 + epsilon).powf(1.0 / depth) - 1.0
 }
 
-fn recurse(
-    g: &CsrGraph,
-    k: usize,
-    cfg: &GraphConfig,
-    eps: f64,
-    rng: &mut StdRng,
-) -> Vec<PartId> {
+fn recurse(g: &CsrGraph, k: usize, eps: f64, rng: &mut StdRng) -> Vec<PartId> {
     if k == 1 {
         return vec![0; g.num_vertices()];
     }
@@ -70,14 +62,14 @@ fn recurse(
     let k0 = k.div_ceil(2);
     let k1 = k - k0;
     let targets = PartTargets::proportional(g.total_vertex_weight(), &[k0, k1], eps);
-    let sides = multilevel_graph(g, &targets, cfg, rng);
+    let sides = multilevel_graph(g, &targets, rng);
 
     let keep0: Vec<bool> = sides.iter().map(|&s| s == 0).collect();
     let keep1: Vec<bool> = sides.iter().map(|&s| s == 1).collect();
     let side0 = induced_subgraph(g, &keep0);
     let side1 = induced_subgraph(g, &keep1);
-    let part0 = recurse(&side0.graph, k0, cfg, eps, rng);
-    let part1 = recurse(&side1.graph, k1, cfg, eps, rng);
+    let part0 = recurse(&side0.graph, k0, eps, rng);
+    let part1 = recurse(&side1.graph, k1, eps, rng);
 
     let mut part = vec![0usize; g.num_vertices()];
     for (new_v, &old_v) in side0.to_base.iter().enumerate() {
@@ -94,7 +86,7 @@ pub fn partition_kway(g: &CsrGraph, k: usize, cfg: &GraphConfig) -> GraphPartiti
     assert!(k > 0, "k must be positive");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let eps = per_level_epsilon(cfg.epsilon, k);
-    let part = recurse(g, k, cfg, eps, &mut rng);
+    let part = recurse(g, k, eps, &mut rng);
     GraphPartitionResult::evaluate(g, part, k)
 }
 

@@ -32,8 +32,9 @@ impl AuxTargets {
         AuxTargets { target: vec![total / k as f64; k], epsilon }
     }
 
-    /// Proportional targets from real-valued shares (e.g. per-part
-    /// capacities): `total * shares[p] / Σ shares`.
+    /// Proportional targets from real-valued shares (e.g. the part
+    /// counts of a recursive bisection's two sides): `total * shares[p]
+    /// / Σ shares`.
     pub fn proportional(total: f64, shares: &[f64], epsilon: f64) -> Self {
         let sum: f64 = shares.iter().sum();
         assert!(sum > 0.0, "shares must be positive");
@@ -94,18 +95,6 @@ impl PartTargets {
                 .iter()
                 .map(|&s| total * s as f64 / sum as f64)
                 .collect(),
-            epsilon,
-            aux: Vec::new(),
-        }
-    }
-
-    /// Proportional primary targets from real-valued shares (per-part
-    /// capacity vectors on heterogeneous machines).
-    pub fn proportional_f64(total: f64, shares: &[f64], epsilon: f64) -> Self {
-        let sum: f64 = shares.iter().sum();
-        assert!(sum > 0.0, "shares must be positive");
-        PartTargets {
-            target: shares.iter().map(|&s| total * s / sum).collect(),
             epsilon,
             aux: Vec::new(),
         }
@@ -189,12 +178,6 @@ mod tests {
     #[test]
     fn proportional_targets() {
         let t = PartTargets::proportional(90.0, &[2, 1], 0.1);
-        assert_eq!(t.target, vec![60.0, 30.0]);
-    }
-
-    #[test]
-    fn proportional_f64_targets() {
-        let t = PartTargets::proportional_f64(90.0, &[2.0, 1.0], 0.1);
         assert_eq!(t.target, vec![60.0, 30.0]);
     }
 

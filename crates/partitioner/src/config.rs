@@ -56,12 +56,6 @@ pub struct CoarseningConfig {
     /// Scale each net's contribution to the inner product by
     /// `1/(|n|-1)` (PaToH-style heavy connectivity). Ablation toggle.
     pub scaled_ipm: bool,
-    /// Parallel matching only: restrict each rank's candidates to
-    /// rank-local partners, skipping the global candidate broadcast and
-    /// best-match reduction. This is the speedup the paper proposes as
-    /// future work ("using local IPM instead of global IPM") — faster,
-    /// possibly slightly lower quality. Ignored by the serial matcher.
-    pub local_ipm: bool,
 }
 
 impl Default for CoarseningConfig {
@@ -70,7 +64,6 @@ impl Default for CoarseningConfig {
             coarse_to_factor: 20,
             min_coarse_vertices: 80,
             scaled_ipm: true,
-            local_ipm: false,
         }
     }
 }
@@ -145,12 +138,6 @@ pub struct Config {
     /// (`aux_epsilons[c-1]` for constraint `c`). Empty in the scalar
     /// pipeline. Constraints beyond this list fall back to `epsilon`.
     pub aux_epsilons: Vec<f64>,
-    /// Per-part capacity vectors for heterogeneous ranks:
-    /// `part_capacities[p][c]` is part `p`'s capacity share of
-    /// constraint `c`. Targets become proportional to the capacity
-    /// column instead of uniform. `None` (the default) keeps uniform
-    /// targets.
-    pub part_capacities: Option<Vec<Vec<f64>>>,
     /// RNG seed; equal seeds give identical partitions.
     pub seed: u64,
     /// K-way scheme.
@@ -193,7 +180,6 @@ impl Default for Config {
         Config {
             epsilon: 0.05,
             aux_epsilons: Vec::new(),
-            part_capacities: None,
             seed: 0,
             scheme: Scheme::default(),
             coarsening: CoarseningConfig::default(),
@@ -251,26 +237,6 @@ pub enum ConfigError {
     /// `num_vcycles == 0`: the first V-cycle builds the partition, so at
     /// least one is required.
     ZeroVcycles,
-    /// Constraint-arity mismatch: capacity rows disagree in length, or
-    /// the capacity row count does not match the part count `k`.
-    ArityMismatch {
-        /// The arity (or part count) the rest of the configuration
-        /// implies.
-        expected: usize,
-        /// The conflicting count actually supplied.
-        got: usize,
-    },
-    /// A per-part capacity entry is zero, negative, or non-finite — no
-    /// load could ever be placed under it.
-    NonPositiveCapacity(f64),
-    /// The number of epsilons (1 primary + auxiliaries) differs from the
-    /// constraint arity implied by the capacity vectors.
-    EpsilonCountMismatch {
-        /// Epsilons supplied (primary + auxiliary).
-        epsilons: usize,
-        /// Constraint arity of the capacity vectors.
-        arity: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -285,19 +251,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroAttempts => write!(f, "initial attempts must be at least 1"),
             ConfigError::ZeroVcycles => write!(f, "num_vcycles must be at least 1"),
-            ConfigError::ArityMismatch { expected, got } => {
-                write!(f, "constraint arity mismatch: expected {expected}, got {got}")
-            }
-            ConfigError::NonPositiveCapacity(c) => {
-                write!(f, "part capacities must be positive and finite, got {c}")
-            }
-            ConfigError::EpsilonCountMismatch { epsilons, arity } => {
-                write!(
-                    f,
-                    "epsilon count ({epsilons}) must equal the constraint arity ({arity}) \
-                     of the part capacities"
-                )
-            }
         }
     }
 }
@@ -350,13 +303,6 @@ impl ConfigBuilder {
             self.cfg.epsilon = first;
             self.cfg.aux_epsilons = rest.to_vec();
         }
-        self
-    }
-
-    /// Per-part capacity vectors (`capacities[p][c]`) for heterogeneous
-    /// ranks ([`Config::part_capacities`]).
-    pub fn part_capacities(mut self, capacities: Vec<Vec<f64>>) -> Self {
-        self.cfg.part_capacities = Some(capacities);
         self
     }
 
@@ -424,80 +370,22 @@ impl ConfigBuilder {
                 return Err(ConfigError::InvalidEpsilon(e));
             }
         }
-        if let Some(caps) = &self.cfg.part_capacities {
-            if caps.is_empty() {
-                return Err(ConfigError::ArityMismatch { expected: self.k.unwrap_or(2), got: 0 });
-            }
-            let arity = caps[0].len();
-            if arity == 0 {
-                return Err(ConfigError::ArityMismatch { expected: 1, got: 0 });
-            }
-            for row in caps {
-                if row.len() != arity {
-                    return Err(ConfigError::ArityMismatch { expected: arity, got: row.len() });
-                }
-                for &c in row {
-                    if !(c.is_finite() && c > 0.0) {
-                        return Err(ConfigError::NonPositiveCapacity(c));
-                    }
-                }
-            }
-            if let Some(k) = self.k {
-                if caps.len() != k {
-                    return Err(ConfigError::ArityMismatch { expected: k, got: caps.len() });
-                }
-            }
-            let epsilons = 1 + self.cfg.aux_epsilons.len();
-            if epsilons != arity {
-                return Err(ConfigError::EpsilonCountMismatch { epsilons, arity });
-            }
-        }
         Ok(self.cfg)
     }
 }
 
 pub use dlb_hypergraph::balance::{AuxTargets, PartTargets};
 
-/// Assembles the k-way balance targets `cfg` implies for `h`.
-///
-/// * Scalar hypergraph, no capacities: exactly
-///   `PartTargets::uniform(h.total_vertex_weight(), k, cfg.epsilon)` —
-///   the classic pipeline's targets, bit for bit.
-/// * Multi-constraint hypergraph: one [`AuxTargets`] per auxiliary load
-///   constraint of `h`, with tolerance [`Config::epsilon_for`].
-/// * With [`Config::part_capacities`]: targets become proportional to
-///   the capacity column of each constraint (`target_c[p] =
-///   total_c · caps[p][c] / Σ_q caps[q][c]`). A constraint beyond the
-///   capacity arity falls back to the primary capacity column.
-///
-/// # Panics
-/// Panics if capacities are present with a row count other than `k`
-/// (use [`Config::builder`] to surface this as a [`ConfigError`]).
+/// Assembles the k-way balance targets `cfg` implies for `h`: uniform
+/// primary targets at `cfg.epsilon` — for a scalar hypergraph exactly
+/// `PartTargets::uniform(h.total_vertex_weight(), k, cfg.epsilon)` —
+/// plus, on a multi-constraint hypergraph, uniform [`AuxTargets`] for
+/// each auxiliary load constraint at [`Config::epsilon_for`].
 pub fn targets_for(h: &dlb_hypergraph::Hypergraph, k: usize, cfg: &Config) -> PartTargets {
-    let arity = h.load_arity();
-    let col = |caps: &[Vec<f64>], c: usize| -> Vec<f64> {
-        caps.iter().map(|row| row.get(c).copied().unwrap_or(row[0])).collect()
-    };
-    let mut targets = match &cfg.part_capacities {
-        None => PartTargets::uniform(h.total_vertex_weight(), k, cfg.epsilon),
-        Some(caps) => {
-            assert_eq!(caps.len(), k, "part_capacities must have one row per part");
-            PartTargets::proportional_f64(h.total_vertex_weight(), &col(caps, 0), cfg.epsilon)
-        }
-    };
-    if arity > 1 {
-        let aux = (1..arity)
-            .map(|c| {
-                let eps = cfg.epsilon_for(c);
-                match &cfg.part_capacities {
-                    None => AuxTargets::uniform(h.total_load(c), k, eps),
-                    Some(caps) => AuxTargets::proportional(h.total_load(c), &col(caps, c), eps),
-                }
-            })
-            .collect();
-        targets = targets.with_aux(aux);
-    }
-    targets
+    let aux = (1..h.load_arity())
+        .map(|c| AuxTargets::uniform(h.total_load(c), k, cfg.epsilon_for(c)))
+        .collect();
+    PartTargets::uniform(h.total_vertex_weight(), k, cfg.epsilon).with_aux(aux)
 }
 
 #[cfg(test)]
@@ -567,59 +455,16 @@ mod tests {
 
     #[test]
     fn builder_accepts_multi_constraint_knobs() {
-        let c = Config::builder()
-            .k(2)
-            .epsilons(&[0.05, 0.10])
-            .part_capacities(vec![vec![2.0, 16.0], vec![1.0, 8.0]])
-            .build()
-            .unwrap();
+        let c = Config::builder().k(2).epsilons(&[0.05, 0.10]).build().unwrap();
         assert_eq!(c.epsilon, 0.05);
         assert_eq!(c.aux_epsilons, vec![0.10]);
         assert_eq!(c.epsilon_for(0), 0.05);
         assert_eq!(c.epsilon_for(1), 0.10);
         assert_eq!(c.epsilon_for(9), 0.05); // falls back to primary
-        assert_eq!(c.part_capacities.unwrap().len(), 2);
     }
 
     #[test]
     fn builder_rejects_multi_constraint_mismatches() {
-        // Ragged capacity rows.
-        assert_eq!(
-            Config::builder()
-                .epsilons(&[0.05, 0.05])
-                .part_capacities(vec![vec![1.0, 1.0], vec![1.0]])
-                .build()
-                .unwrap_err(),
-            ConfigError::ArityMismatch { expected: 2, got: 1 }
-        );
-        // Row count must match k.
-        assert_eq!(
-            Config::builder()
-                .k(3)
-                .part_capacities(vec![vec![1.0], vec![1.0]])
-                .build()
-                .unwrap_err(),
-            ConfigError::ArityMismatch { expected: 3, got: 2 }
-        );
-        // Non-positive capacity.
-        assert_eq!(
-            Config::builder()
-                .k(2)
-                .part_capacities(vec![vec![1.0], vec![0.0]])
-                .build()
-                .unwrap_err(),
-            ConfigError::NonPositiveCapacity(0.0)
-        );
-        // Epsilon count must equal capacity arity.
-        assert_eq!(
-            Config::builder()
-                .k(2)
-                .epsilons(&[0.05])
-                .part_capacities(vec![vec![1.0, 2.0], vec![1.0, 2.0]])
-                .build()
-                .unwrap_err(),
-            ConfigError::EpsilonCountMismatch { epsilons: 1, arity: 2 }
-        );
         // Bad auxiliary epsilon.
         assert_eq!(
             Config::builder().epsilons(&[0.05, -0.1]).build().unwrap_err(),

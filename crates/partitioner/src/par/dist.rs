@@ -60,7 +60,7 @@ use crate::coarsen::NetCollapser;
 use crate::config::{CoarseningConfig, Config, PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
 use crate::matching::Matching;
-use crate::par::matching::{candidate_matching, local_matching};
+use crate::par::matching::candidate_matching;
 use crate::par::refine::propose_moves;
 use crate::refine::{rebalance, CommitMove, PartitionState, RefineScratch};
 use crate::vcycle::{self, Cx, Held};
@@ -259,19 +259,13 @@ type CandRecord = (usize, i64, Vec<usize>);
 /// One level of distributed matching (collective): the mates of this
 /// rank's owned vertices (global ids, self if unmatched) with the global
 /// pair count. The same rounds as [`par_ipm_matching`] run, over
-/// the owner-computes storage; with local IPM both endpoints of every
-/// pair are owned, so the only communication is the pair count.
+/// the owner-computes storage.
 pub(crate) fn dist_ipm_matching(
     comm: &mut Comm,
     d: &DistLevel,
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Matching {
-    if cfg.local_ipm {
-        let mate = local_matching(comm.rank(), &d, cfg, rng);
-        let my_pairs = d.dh.my_range().zip(&mate).filter(|&(v, &m)| m > v).count();
-        return Matching { mate, num_pairs: comm.allreduce(my_pairs, |a, b| a + b) };
-    }
     let dh = &d.dh;
     let start = dh.my_range().start;
     let pack = |u: usize| -> CandRecord {
@@ -1577,30 +1571,27 @@ mod tests {
     }
 
     /// Same check on an irregular hypergraph with fixed vertices and a
-    /// non-uniform (proportional) target, plus local IPM.
+    /// non-uniform (proportional) target.
     #[test]
-    fn dist_multilevel_matches_with_fixed_and_local_ipm() {
+    fn dist_multilevel_matches_with_fixed_vertices() {
         let h = crate::tests::random_hypergraph(300, 600, 5, 29);
         let targets = PartTargets::proportional(h.total_vertex_weight(), &[2, 1], 0.06);
         let mut fixed = FixedAssignment::free(300);
         for v in (0..300).step_by(17) {
             fixed.fix(v, v % 2);
         }
-        for local_ipm in [false, true] {
-            for ranks in [1usize, 2, 3] {
-                let mut cfg = dist_cfg(7, 100);
-                cfg.coarsening.local_ipm = local_ipm;
-                let repl_cfg = replicated(&cfg);
-                let repl = run_spmd(ranks, |comm| {
-                    let mut rng = StdRng::seed_from_u64(5);
-                    dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
-                });
-                let dist = run_spmd(ranks, |comm| {
-                    let mut rng = StdRng::seed_from_u64(5);
-                    dist_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
-                });
-                assert_eq!(dist, repl, "ranks={ranks} local_ipm={local_ipm}");
-            }
+        let cfg = dist_cfg(7, 100);
+        let repl_cfg = replicated(&cfg);
+        for ranks in [1usize, 2, 3] {
+            let repl = run_spmd(ranks, |comm| {
+                let mut rng = StdRng::seed_from_u64(5);
+                dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
+            });
+            let dist = run_spmd(ranks, |comm| {
+                let mut rng = StdRng::seed_from_u64(5);
+                dist_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+            });
+            assert_eq!(dist, repl, "ranks={ranks}");
         }
     }
 

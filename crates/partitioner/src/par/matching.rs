@@ -84,27 +84,11 @@ fn drain_scores<'a, V: LevelView>(
     touched.iter().map(move |&w| (w, std::mem::take(&mut scores[view.slot(w)])))
 }
 
-/// The best-scoring of `partners` (first wins on ties) that is not
-/// `skip`ped and may merge with a vertex fixed to `u_fixed`. The
-/// feasibility check happens here, after scoring (Section 4.1).
-fn select_partner<V: LevelView>(
-    view: &V,
-    u_fixed: Option<PartId>,
-    partners: impl Iterator<Item = (usize, f64)>,
-    skip: impl Fn(usize) -> bool,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (w, s) in partners {
-        if !skip(w) && compatible_parts(u_fixed, view.fixed(w)) && best.is_none_or(|(_, bs)| s > bs) {
-            best = Some((w, s));
-        }
-    }
-    best
-}
-
-/// This rank's proposal for candidate `c` among its scored `partners`: the
-/// best one not yet `taken` this round, which it then takes. Of two
-/// candidates that prefer each other only the lower id proposes.
+/// This rank's proposal for candidate `c` among its scored `partners`:
+/// the best-scoring one (first wins on ties) not yet `taken` this round
+/// that may merge with `c` — the feasibility check happens here, after
+/// scoring (Section 4.1) — which it then takes. Of two candidates that
+/// prefer each other only the lower id proposes.
 fn propose<V: LevelView>(
     view: &V,
     rank: usize,
@@ -113,7 +97,14 @@ fn propose<V: LevelView>(
     partners: impl Iterator<Item = (usize, f64)>,
     taken: &mut [bool],
 ) -> Proposal {
-    match select_partner(view, c.1, partners, |w| taken[view.slot(w)]) {
+    let mut best: Option<(usize, f64)> = None;
+    for (w, s) in partners {
+        let free = !taken[view.slot(w)] && compatible_parts(c.1, view.fixed(w));
+        if free && best.is_none_or(|(_, bs)| s > bs) {
+            best = Some((w, s));
+        }
+    }
+    match best {
         Some((w, s)) if !ids.contains(&w) || w > c.0 => {
             taken[view.slot(w)] = true;
             (s, rank, w)
@@ -212,45 +203,6 @@ pub(crate) fn candidate_matching<'v, V: LevelView>(
     Matching { mate, num_pairs }
 }
 
-/// Local IPM (the paper's proposed speedup, Section 5/6: "using local
-/// IPM instead of global IPM"): a rank greedily matches its owned
-/// vertices against *owned* partners only — no candidate broadcast, no
-/// best-match reduction. Cross-rank pairs are lost (the quality trade).
-/// Purely local; returns the mates of the stored vertices (this rank's
-/// pairs only; self for unmatched).
-pub(crate) fn local_matching<V: LevelView>(
-    rank: usize,
-    view: &V,
-    cfg: &CoarseningConfig,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let owned = view.owned();
-    let stored = view.stored();
-    let shared_draw: u64 = rng.gen();
-    let mut my_rng =
-        StdRng::seed_from_u64(shared_draw ^ (rank as u64).wrapping_mul(0x0BAD_CAFE_F00D_BEEF));
-
-    let mut mate: Vec<usize> = stored.clone().collect();
-    let mut scores = vec![0.0f64; stored.len()];
-    let mut touched: Vec<usize> = Vec::new();
-
-    let mut order: Vec<usize> = owned.clone().collect();
-    order.shuffle(&mut my_rng);
-    for &u in &order {
-        if mate[view.slot(u)] != u {
-            continue;
-        }
-        let free = |w: usize| owned.contains(&w) && mate[view.slot(w)] == w;
-        accumulate_scores(view, u, view.nets_of(u), cfg, free, &mut scores, &mut touched);
-        let partners = drain_scores(view, &mut scores, &touched);
-        if let Some((w, _)) = select_partner(view, view.fixed(u), partners, |_| false) {
-            mate[view.slot(u)] = w;
-            mate[view.slot(w)] = u;
-        }
-    }
-    mate
-}
-
 /// One level of parallel matching. Collective: all ranks must call with
 /// identical `h`, `fixed`, `cfg`; `rng` seeds may differ per rank only
 /// through `comm.rank()` (handled internally). Returns the same matching
@@ -263,32 +215,16 @@ pub fn par_ipm_matching(
     rng: &mut StdRng,
 ) -> Matching {
     let view = Replicated::block(h, fixed, comm.rank(), comm.size());
-    if !cfg.local_ipm {
-        let lookup = |u: usize| (u, view.fixed(u), Cow::Borrowed(view.nets_of(u)));
-        return candidate_matching(comm, &view, cfg, rng, |comm, mine| {
-            comm.allgather(mine).into_iter().flatten().map(lookup).collect()
-        });
-    }
-    // The disjoint per-rank matchings are merged with a single
-    // all-gather: per-level communication drops from `O(rounds)`
-    // collectives to one.
-    let mine = local_matching(comm.rank(), &view, cfg, rng);
-    let my_pairs: Vec<(usize, usize)> =
-        view.owned().filter(|&v| mine[v] > v).map(|v| (v, mine[v])).collect();
-    let all_pairs: Vec<(usize, usize)> = comm.allgather(my_pairs).into_iter().flatten().collect();
-    let mut mate: Vec<usize> = (0..h.num_vertices()).collect();
-    for &(u, w) in &all_pairs {
-        debug_assert!(mate[u] == u && mate[w] == w, "ranks produced overlapping pairs");
-        mate[u] = w;
-        mate[w] = u;
-    }
-    Matching { mate, num_pairs: all_pairs.len() }
+    let lookup = |u: usize| (u, view.fixed(u), Cow::Borrowed(view.nets_of(u)));
+    candidate_matching(comm, &view, cfg, rng, |comm, mine| {
+        comm.allgather(mine).into_iter().flatten().map(lookup).collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_mpisim::{run_spmd, BlockDist};
+    use dlb_mpisim::run_spmd;
 
     #[test]
     fn all_ranks_agree_on_matching() {
@@ -321,51 +257,6 @@ mod tests {
             "only {} pairs matched",
             m.num_pairs
         );
-    }
-
-    #[test]
-    fn local_ipm_matches_only_within_blocks() {
-        let h = crate::tests::grid_hypergraph(10, 10);
-        let fixed = FixedAssignment::free(100);
-        let cfg = CoarseningConfig { local_ipm: true, ..Default::default() };
-        let results = run_spmd(4, |comm| {
-            let mut rng = StdRng::seed_from_u64(5);
-            let dist = BlockDist::new(100, comm.size());
-            let m = par_ipm_matching(comm, &h, &fixed, &cfg, &mut rng);
-            (m, dist)
-        });
-        let (m, dist) = &results[0];
-        m.validate(&fixed).unwrap();
-        assert!(m.num_pairs > 0, "local matching should find pairs");
-        for v in 0..100 {
-            let u = m.mate[v];
-            if u != v {
-                assert_eq!(
-                    dist.owner(v),
-                    dist.owner(u),
-                    "local IPM must not match across ranks ({v}-{u})"
-                );
-            }
-        }
-        // All ranks agree.
-        for r in &results[1..] {
-            assert_eq!(r.0.mate, m.mate);
-        }
-    }
-
-    #[test]
-    fn local_ipm_whole_partition_works() {
-        // End-to-end: the parallel partitioner with local IPM still
-        // produces a valid, reasonably balanced partition.
-        let h = crate::tests::grid_hypergraph(12, 12);
-        let mut cfg = crate::Config::seeded(3);
-        cfg.coarsening.local_ipm = true;
-        let results = run_spmd(3, |comm| {
-            crate::par::parallel_partition(comm, &h, 4, &cfg)
-        });
-        let r = &results[0];
-        assert!(r.part.iter().all(|&p| p < 4));
-        assert!(r.imbalance <= 1.12, "imbalance {}", r.imbalance);
     }
 
     #[test]

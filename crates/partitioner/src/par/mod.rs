@@ -117,58 +117,74 @@ mod tests {
         assert!(imb <= 1.0 + cfg.epsilon + 0.05, "imbalance {imb}");
     }
 
-    /// Per-part capacities reach the SPMD bisector through the shared
-    /// recursion exactly as they reach the serial one: the root
-    /// bisection is handed the same side caps on both paths, and every
-    /// final part lands under its capacity-proportional cap.
+    /// The serial and the SPMD recursion hand every bisection the same
+    /// side targets: on a two-constraint grid at odd k — unequal sides,
+    /// so both the primary and the auxiliary targets are proportional —
+    /// each bisection, in order, gets the same share of every
+    /// constraint's total and the same tolerances on both paths (the
+    /// root, which both run on the same hypergraph, the same caps bit for
+    /// bit), and every final part lands under `targets_for`'s caps.
     #[test]
-    fn part_capacities_steer_the_spmd_recursion_like_the_serial_one() {
+    fn spmd_recursion_hands_the_serial_side_targets() {
         use crate::refine::RefineScratch;
-        let h = crate::tests::grid_hypergraph(12, 12);
+        use crate::PartTargets;
+        use dlb_hypergraph::VertexLoads;
+        let mut h = crate::tests::grid_hypergraph(12, 12);
+        h.set_loads(VertexLoads::from_columns(vec![
+            vec![1.0; 144],
+            (0..144).map(|v| (1 + v % 3) as f64).collect(),
+        ]));
         let fixed = FixedAssignment::free(144);
-        let mut cfg = Config::seeded(13);
-        cfg.part_capacities = Some(vec![vec![3.0], vec![1.0], vec![2.0], vec![2.0]]);
-        let side_caps = |t: &crate::PartTargets| [t.cap(0), t.cap(1)];
-
-        let mut serial_caps = Vec::new();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut scratch = RefineScratch::new();
-        let serial = recursive_bisection(&h, 4, &fixed, &cfg, &mut |h, t, f| {
-            serial_caps.push(side_caps(t));
-            let mut cx = crate::vcycle::Cx::new(None, &cfg, t, &mut rng, &mut scratch);
-            crate::kway::multilevel(h, f, &mut cx)
-        });
-        let (spmd_caps, spmd) = run_spmd(2, |comm| {
-            let mut caps = Vec::new();
+        let cfg = Config::seeded(13);
+        // What one bisection is handed: both sides' caps, and what they
+        // are whatever sub-hypergraph the bisection got — each side's
+        // share of both totals and both tolerances.
+        let handed = |h: &Hypergraph, t: &PartTargets| {
+            let (w, b) = (h.total_vertex_weight(), h.total_load(1));
+            let caps: Vec<f64> = (0..2).flat_map(|p| [t.cap(p), t.aux_cap(1, p)]).collect();
+            let shares: Vec<f64> =
+                (0..2).flat_map(|p| [t.target[p] / w, t.aux[0].target[p] / b]).collect();
+            (caps, shares, [t.epsilon, t.aux[0].epsilon])
+        };
+        for k in [3usize, 5] {
+            let mut serial_seen = Vec::new();
             let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let part = recursive_bisection(&h, 4, &fixed, &cfg, &mut |h, t, f| {
-                caps.push(side_caps(t));
-                dist::dist_multilevel(comm, h, t, f, &cfg, &mut rng)
+            let mut scratch = RefineScratch::new();
+            let serial = recursive_bisection(&h, k, &fixed, &cfg, &mut |h, t, f| {
+                serial_seen.push(handed(h, t));
+                let mut cx = crate::vcycle::Cx::new(None, &cfg, t, &mut rng, &mut scratch);
+                crate::kway::multilevel(h, f, &mut cx)
             });
-            (caps, part)
-        })
-        .pop()
-        .unwrap();
-        // Parts {0, 1} vs {2, 3}: capacity 4 vs 4 of 8, so 72 each.
-        for cap in serial_caps[0] {
-            assert!((cap - 72.0 * 1.05f64.sqrt()).abs() < 1e-9, "root side cap {cap}");
-        }
-        assert_eq!(spmd_caps[0], serial_caps[0]);
-        assert_eq!(spmd_caps.len(), serial_caps.len());
-
-        let targets = crate::targets_for(&h, 4, &cfg);
-        for part in [&serial, &spmd] {
-            let w = metrics::part_weights(&h, part, 4);
-            for p in 0..4 {
-                assert!(w[p] <= targets.cap(p) + 1e-9, "part {p}: {w:?}");
+            let (spmd_seen, spmd) = run_spmd(2, |comm| {
+                let mut seen = Vec::new();
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
+                let part = recursive_bisection(&h, k, &fixed, &cfg, &mut |h, t, f| {
+                    seen.push(handed(h, t));
+                    dist::dist_multilevel(comm, h, t, f, &cfg, &mut rng)
+                });
+                (seen, part)
+            })
+            .pop()
+            .unwrap();
+            assert_eq!(serial_seen.len(), k - 1, "k = {k}: one bisection per split");
+            assert_eq!(spmd_seen.len(), serial_seen.len(), "k = {k}");
+            assert_eq!(spmd_seen[0].0, serial_seen[0].0, "k = {k}: root caps");
+            let root_share = k.div_ceil(2) as f64 / k as f64;
+            assert!((serial_seen[0].1[0] - root_share).abs() < 1e-12, "k = {k}");
+            for (i, (a, b)) in spmd_seen.iter().zip(&serial_seen).enumerate() {
+                assert_eq!(a.2, b.2, "k = {k}, bisection {i}: tolerances");
+                for (x, y) in a.1.iter().zip(&b.1) {
+                    assert!((x - y).abs() < 1e-12, "k = {k}, bisection {i}: {:?} {:?}", a.1, b.1);
+                }
             }
-            assert!(w[0] > 2.0 * w[1], "3:1 capacities ignored: {w:?}");
+
+            let targets = crate::targets_for(&h, k, &cfg);
+            for part in [&serial, &spmd] {
+                let w = metrics::part_weights(&h, part, k);
+                let aux = metrics::aux_part_loads(&h, part, k);
+                assert!(targets.feasible(&w, &aux), "k = {k}: {w:?} {aux:?}");
+            }
         }
-        // The public entry point goes through the same recursion.
-        let via_entry =
-            run_spmd(2, |comm| parallel_partition_fixed(comm, &h, 4, &fixed, &cfg)).pop().unwrap();
-        let w = metrics::part_weights(&h, &via_entry.part, 4);
-        assert!((0..4).all(|p| w[p] <= targets.cap(p) + 1e-9), "{w:?}");
     }
 
     #[test]

@@ -27,30 +27,23 @@ fn per_level_epsilon(epsilon: f64, k: usize) -> f64 {
     (1.0 + epsilon).powf(1.0 / depth) - 1.0
 }
 
-/// Side-target context threaded through the bisection recursion:
-/// per-level tolerances for every constraint, plus the per-part
-/// capacity rows when the machine is heterogeneous.
-struct SideTargets<'a> {
+/// The per-bisection tolerance of every constraint, the same at every
+/// bisection of the recursion.
+struct SideTargets {
     /// Per-bisection primary tolerance.
     eps: f64,
     /// Per-bisection tolerance of auxiliary constraint `c` at index
     /// `c - 1`; constraints beyond the list fall back to `eps`.
     aux_eps: Vec<f64>,
-    /// Capacity rows (`caps[p][c]`) of the final parts this subtree
-    /// will produce; `None` = homogeneous parts, one share each.
-    caps: Option<&'a [Vec<f64>]>,
 }
 
 /// Partitions `h` into `k` parts by recursive bisection, honoring
 /// `fixed`.
 ///
-/// Part `p` targets the `1/k` share of the total weight, or — with
-/// [`Config::part_capacities`] (e.g. processor speeds on a heterogeneous
-/// machine) — the share its capacity row has of each constraint's
-/// column. Each bisection splits the rows, so the side targets compose
-/// correctly at every level. Auxiliary load constraints of `h` get
-/// their own side targets with per-level tolerances derived from
-/// [`Config::epsilon_for`].
+/// Part `p` targets the `1/k` share of the total weight: each side of a
+/// bisection targets the share of the final parts it will receive.
+/// Auxiliary load constraints of `h` get their own side targets with
+/// per-level tolerances derived from [`Config::epsilon_for`].
 pub fn partition_recursive(
     h: &Hypergraph,
     k: usize,
@@ -69,9 +62,9 @@ pub fn partition_recursive(
 /// ([`crate::par::parallel_partition_fixed`]): `bisect` runs one
 /// two-way multilevel V-cycle on a sub-hypergraph for the given side
 /// targets and side-fixed vertices; it is called once per bisection, in
-/// pre-order. Everything else — capacity side targets, per-level
-/// tolerances, the fixed-part relabeling, the split and the reassembly —
-/// is the same code on both paths.
+/// pre-order. Everything else — side targets, per-level tolerances,
+/// the fixed-part relabeling, the split and the reassembly — is the
+/// same code on both paths.
 pub(crate) fn recursive_bisection<B>(
     h: &Hypergraph,
     k: usize,
@@ -83,16 +76,11 @@ where
     B: FnMut(&Hypergraph, &PartTargets, &FixedAssignment) -> Vec<PartId>,
 {
     assert!(k > 0, "need at least one part");
-    let caps = cfg.part_capacities.as_deref();
-    if let Some(c) = caps {
-        assert_eq!(c.len(), k, "part_capacities must have one row per part");
-    }
     let side = SideTargets {
         eps: per_level_epsilon(cfg.epsilon, k),
         aux_eps: (1..h.load_arity())
             .map(|c| per_level_epsilon(cfg.epsilon_for(c), k))
             .collect(),
-        caps,
     };
     recurse(h, k, fixed, &side, bisect)
 }
@@ -101,7 +89,7 @@ fn recurse<B>(
     h: &Hypergraph,
     k: usize,
     fixed: &FixedAssignment,
-    side: &SideTargets<'_>,
+    side: &SideTargets,
     bisect: &mut B,
 ) -> Vec<PartId>
 where
@@ -117,26 +105,16 @@ where
     let k0 = k.div_ceil(2);
 
     // Bisect with side targets proportional to the number of final parts
-    // each side receives (or, on a heterogeneous machine, to the
-    // capacity column sums).
+    // each side receives.
     let side_fixed = fixed.bisection_sides(k0);
-    let shares = |c: usize| -> [f64; 2] {
-        let sum = |rows: &[Vec<f64>]| -> f64 {
-            rows.iter().map(|row| row.get(c).copied().unwrap_or(row[0])).sum()
-        };
-        match side.caps {
-            None => [k0 as f64, (k - k0) as f64],
-            Some(caps) => [sum(&caps[..k0]), sum(&caps[k0..])],
-        }
-    };
-    let mut targets =
-        PartTargets::proportional_f64(h.total_vertex_weight(), &shares(0), side.eps);
+    let mut targets = PartTargets::proportional(h.total_vertex_weight(), &[k0, k - k0], side.eps);
     let arity = h.load_arity();
     if arity > 1 {
+        let shares = [k0 as f64, (k - k0) as f64];
         let aux = (1..arity)
             .map(|c| {
                 let eps = side.aux_eps.get(c - 1).copied().unwrap_or(side.eps);
-                AuxTargets::proportional(h.total_load(c), &shares(c), eps)
+                AuxTargets::proportional(h.total_load(c), &shares, eps)
             })
             .collect();
         targets = targets.with_aux(aux);
@@ -165,13 +143,8 @@ where
             .collect::<Vec<_>>(),
     );
 
-    let sub = |lo: usize, hi: usize| SideTargets {
-        eps: side.eps,
-        aux_eps: side.aux_eps.clone(),
-        caps: side.caps.map(|c| &c[lo..hi]),
-    };
-    let part0 = recurse(&side0.hypergraph, k0, &fixed0, &sub(0, k0), bisect);
-    let part1 = recurse(&side1.hypergraph, k - k0, &fixed1, &sub(k0, k), bisect);
+    let part0 = recurse(&side0.hypergraph, k0, &fixed0, side, bisect);
+    let part1 = recurse(&side1.hypergraph, k - k0, &fixed1, side, bisect);
 
     let mut part = vec![0usize; h.num_vertices()];
     for (new_v, &old_v) in side0.to_base.iter().enumerate() {
@@ -230,32 +203,6 @@ mod tests {
         let w = metrics::part_weights(&h, &part, 3);
         let imb = metrics::imbalance_of_weights(&w);
         assert!(imb <= 1.12, "imbalance {imb} for k=3: {w:?}");
-    }
-
-    #[test]
-    fn rb_heterogeneous_shares() {
-        // A 3:1 machine: part 0 should carry ~3/4 of the weight.
-        let h = crate::tests::grid_hypergraph(12, 12);
-        let fixed = FixedAssignment::free(144);
-        let mut cfg = Config::seeded(13);
-        cfg.part_capacities = Some(vec![vec![3.0], vec![1.0]]);
-        let part = partition_recursive(&h, 2, &fixed, &cfg);
-        let w = metrics::part_weights(&h, &part, 2);
-        assert!((w[0] - 108.0).abs() <= 10.0, "weights {w:?}");
-        assert!((w[1] - 36.0).abs() <= 10.0, "weights {w:?}");
-    }
-
-    #[test]
-    fn rb_shares_with_three_unequal_parts() {
-        let h = crate::tests::grid_hypergraph(10, 10);
-        let fixed = FixedAssignment::free(100);
-        let mut cfg = Config::seeded(14);
-        cfg.part_capacities = Some(vec![vec![2.0], vec![1.0], vec![1.0]]);
-        let part = partition_recursive(&h, 3, &fixed, &cfg);
-        let w = metrics::part_weights(&h, &part, 3);
-        assert!((w[0] - 50.0).abs() <= 8.0, "weights {w:?}");
-        assert!((w[1] - 25.0).abs() <= 8.0, "weights {w:?}");
-        assert!((w[2] - 25.0).abs() <= 8.0, "weights {w:?}");
     }
 
     #[test]

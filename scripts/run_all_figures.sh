@@ -1,7 +1,9 @@
 #!/bin/bash
 # Regenerates Table 1 and Figures 2-8 into results/.
 # Usage: scripts/run_all_figures.sh [TRIALS] [EPOCHS]
-set -u
+# Stops at the first step that fails (a figure's stderr is in
+# results/figureN.log).
+set -euo pipefail
 cd "$(dirname "$0")/.."
 TRIALS=${1:-2}
 EPOCHS=${2:-3}
@@ -21,5 +23,4 @@ for fig in 7 8; do
   echo "=== figure $fig done $(date +%T) ==="
 done
 target/release/table1 --scale 0.01 > results/table1.txt 2>&1
-python3 scripts/fill_experiments.py || true
 echo ALL-FIGURES-DONE

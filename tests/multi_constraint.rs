@@ -222,60 +222,6 @@ fn cold_pipeline_is_feasible_on_both_constraints() {
     }
 }
 
-/// Heterogeneous per-part capacity vectors steer both constraints: a
-/// 3:1 machine (on flops *and* bytes) must land each part within its
-/// own per-constraint caps, with part 0 visibly carrying the bulk of
-/// both loads.
-#[test]
-fn per_part_capacity_vectors_steer_recursive_bisection() {
-    let n = 120;
-    let mut rng = StdRng::seed_from_u64(0xCAFE);
-    let mut b = HypergraphBuilder::new(n);
-    for _ in 0..240 {
-        let s = rng.gen_range(2..5);
-        let pins: Vec<usize> = (0..s).map(|_| rng.gen_range(0..n)).collect();
-        b.add_net(1.0, pins);
-    }
-    let mut h = b.build();
-    // Two vertex species, interleaved: even vertices are compute-heavy
-    // (flops 2.0, bytes 0.2), odd vertices state-heavy (flops 0.5,
-    // bytes 2.3). Splitting each species 3:1 satisfies both capacity
-    // columns at once, so the instance is comfortably feasible.
-    let flops: Vec<f64> = (0..n).map(|v| if v % 2 == 0 { 2.0 } else { 0.5 }).collect();
-    let bytes: Vec<f64> = (0..n).map(|v| if v % 2 == 0 { 0.2 } else { 2.3 }).collect();
-    h.set_loads(VertexLoads::from_columns(vec![flops, bytes]));
-
-    let cfg = Config::builder()
-        .seed(5)
-        .epsilons(&[0.15, 0.15])
-        .part_capacities(vec![vec![3.0, 3.0], vec![1.0, 1.0]])
-        .build()
-        .unwrap();
-    let part = dlb::partitioner::partition_hypergraph_fixed(
-        &h,
-        2,
-        &FixedAssignment::free(n),
-        &cfg,
-    )
-    .part;
-    let targets = targets_for(&h, 2, &cfg);
-    let w = metrics::part_weights(&h, &part, 2);
-    let aux = metrics::aux_part_loads(&h, &part, 2);
-    assert!(
-        targets.feasible(&w, &aux),
-        "capacity-driven split infeasible: primary {w:?} caps [{}, {}], aux {aux:?}",
-        targets.cap(0),
-        targets.cap(1),
-    );
-    // The capacity asymmetry must actually bite on *both* constraints:
-    // part 0 carries roughly three quarters of each load column.
-    assert!(w[0] > 2.0 * w[1], "constraint-0 loads ignore the 3:1 capacities: {w:?}");
-    assert!(
-        aux[0][0] > 2.0 * aux[0][1],
-        "constraint-1 loads ignore the 3:1 capacities: {aux:?}"
-    );
-}
-
 /// The same two contracts on the real flops-vs-bytes divergence: the
 /// two-constraint AMR lowering (flops grow with the refinement level,
 /// bytes are uniform per cell). The cold pipeline must land feasible on
