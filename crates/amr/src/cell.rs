@@ -68,7 +68,10 @@ impl Cell {
     /// Panics if the coordinates are outside the level's grid.
     pub fn new(level: u8, x: u32, y: u32) -> Self {
         let side = 1u32 << level;
-        assert!(x < side && y < side, "cell ({x},{y}) outside level-{level} grid");
+        assert!(
+            x < side && y < side,
+            "cell ({x},{y}) outside level-{level} grid"
+        );
         Cell { level, x, y }
     }
 
@@ -91,7 +94,11 @@ impl Cell {
         if self.level == 0 {
             None
         } else {
-            Some(Cell { level: self.level - 1, x: self.x / 2, y: self.y / 2 })
+            Some(Cell {
+                level: self.level - 1,
+                x: self.x / 2,
+                y: self.y / 2,
+            })
         }
     }
 
@@ -103,9 +110,21 @@ impl Cell {
         let (l, x, y) = (self.level + 1, self.x * 2, self.y * 2);
         [
             Cell { level: l, x, y },
-            Cell { level: l, x: x + 1, y },
-            Cell { level: l, x, y: y + 1 },
-            Cell { level: l, x: x + 1, y: y + 1 },
+            Cell {
+                level: l,
+                x: x + 1,
+                y,
+            },
+            Cell {
+                level: l,
+                x,
+                y: y + 1,
+            },
+            Cell {
+                level: l,
+                x: x + 1,
+                y: y + 1,
+            },
         ]
     }
 
@@ -131,7 +150,11 @@ impl Cell {
                 (x, y + 1)
             }
         };
-        Some(Cell { level: self.level, x: nx, y: ny })
+        Some(Cell {
+            level: self.level,
+            x: nx,
+            y: ny,
+        })
     }
 
     /// The two children of `self` that touch the face in direction

@@ -63,7 +63,12 @@ pub fn seeded_features(count: usize, speed: f64, seed: u64) -> Vec<Feature> {
             let x = rng.gen_range(0.2f64..0.8);
             let y = rng.gen_range(0.2f64..0.8);
             let theta = rng.gen_range(0.0f64..std::f64::consts::TAU);
-            Feature { x, y, vx: theta.cos() * speed, vy: theta.sin() * speed }
+            Feature {
+                x,
+                y,
+                vx: theta.cos() * speed,
+                vy: theta.sin() * speed,
+            }
         })
         .collect()
 }
@@ -107,7 +112,12 @@ mod tests {
 
     #[test]
     fn indicator_peaks_at_the_feature() {
-        let fs = vec![Feature { x: 0.5, y: 0.5, vx: 0.0, vy: 0.0 }];
+        let fs = vec![Feature {
+            x: 0.5,
+            y: 0.5,
+            vx: 0.0,
+            vy: 0.0,
+        }];
         let at = |x, y| indicator(&fs, 0.1, x, y);
         assert!((at(0.5, 0.5) - 1.0).abs() < 1e-12);
         assert!(at(0.5, 0.5) > at(0.6, 0.5));

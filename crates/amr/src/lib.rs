@@ -70,7 +70,11 @@ impl Default for AmrConfig {
 impl AmrConfig {
     /// A smaller instance for quick tests and smoke runs.
     pub fn small() -> Self {
-        AmrConfig { base_level: 3, max_level: 5, ..Self::default() }
+        AmrConfig {
+            base_level: 3,
+            max_level: 5,
+            ..Self::default()
+        }
     }
 
     /// Scales the default mesh resolution: `scale` adds that many levels
@@ -93,7 +97,10 @@ impl AmrConfig {
             ));
         }
         if self.max_level > 20 {
-            return Err(format!("max_level {} exceeds addressable 20", self.max_level));
+            return Err(format!(
+                "max_level {} exceeds addressable 20",
+                self.max_level
+            ));
         }
         Ok(())
     }
@@ -112,9 +119,17 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_configs() {
-        let bad = AmrConfig { base_level: 8, max_level: 5, ..AmrConfig::default() };
+        let bad = AmrConfig {
+            base_level: 8,
+            max_level: 5,
+            ..AmrConfig::default()
+        };
         assert!(bad.validate().is_err());
-        let bad = AmrConfig { base_level: 21, max_level: 21, ..AmrConfig::default() };
+        let bad = AmrConfig {
+            base_level: 21,
+            max_level: 21,
+            ..AmrConfig::default()
+        };
         assert!(bad.validate().is_err());
     }
 }

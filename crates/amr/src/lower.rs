@@ -50,7 +50,11 @@ pub struct LoweredMesh {
 /// Lowers the current leaves of `mesh` under `cfg`'s work/payload model.
 pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
     let cells: Vec<Cell> = mesh.leaves().collect();
-    let index_of = |c: Cell| cells.binary_search(&c).expect("neighbor leaf not in leaf list");
+    let index_of = |c: Cell| {
+        cells
+            .binary_search(&c)
+            .expect("neighbor leaf not in leaf list")
+    };
 
     let mut b = GraphBuilder::new(cells.len());
     for (v, &c) in cells.iter().enumerate() {
@@ -73,9 +77,15 @@ pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
     if cfg.multi_constraint {
         let flops: Vec<f64> = (0..cells.len()).map(|v| graph.vertex_weight(v)).collect();
         let bytes = vec![STATE_BYTES; cells.len()];
-        hypergraph.set_loads(dlb_hypergraph::VertexLoads::from_columns(vec![flops, bytes]));
+        hypergraph.set_loads(dlb_hypergraph::VertexLoads::from_columns(vec![
+            flops, bytes,
+        ]));
     }
-    LoweredMesh { graph, hypergraph, cells }
+    LoweredMesh {
+        graph,
+        hypergraph,
+        cells,
+    }
 }
 
 #[cfg(test)]
@@ -129,7 +139,10 @@ mod tests {
     #[test]
     fn multi_constraint_lowering_diverges_bytes_from_flops() {
         let m = sample_mesh();
-        let cfg = AmrConfig { multi_constraint: true, ..AmrConfig::default() };
+        let cfg = AmrConfig {
+            multi_constraint: true,
+            ..AmrConfig::default()
+        };
         let low = lower(&m, &cfg);
         let scalar = lower(&m, &AmrConfig::default());
         assert_eq!(scalar.hypergraph.load_arity(), 1);

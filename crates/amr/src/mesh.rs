@@ -35,16 +35,27 @@ impl QuadMesh {
     /// (beyond which `u32` cell coordinates and `f64` geometry stop
     /// being comfortable).
     pub fn uniform(base_level: u8, max_level: u8) -> Self {
-        assert!(base_level <= max_level, "base_level must not exceed max_level");
+        assert!(
+            base_level <= max_level,
+            "base_level must not exceed max_level"
+        );
         assert!(max_level <= 20, "max_level too deep");
         let side = 1u32 << base_level;
         let mut leaves = BTreeSet::new();
         for y in 0..side {
             for x in 0..side {
-                leaves.insert(Cell { level: base_level, x, y });
+                leaves.insert(Cell {
+                    level: base_level,
+                    x,
+                    y,
+                });
             }
         }
-        QuadMesh { leaves, base_level, max_level }
+        QuadMesh {
+            leaves,
+            base_level,
+            max_level,
+        }
     }
 
     /// Number of leaf cells.
@@ -128,7 +139,10 @@ impl QuadMesh {
         refine_t: f64,
         coarsen_t: f64,
     ) -> bool {
-        assert!(refine_t > coarsen_t, "thresholds must leave a hysteresis band");
+        assert!(
+            refine_t > coarsen_t,
+            "thresholds must leave a hysteresis band"
+        );
         let mut changed = false;
 
         // --- Refinement marks, then 2:1 ripple propagation. ---
@@ -266,9 +280,7 @@ impl QuadMesh {
                 for n in self.neighbor_leaves(*c, dir) {
                     let diff = (n.level as i32 - c.level as i32).abs();
                     if diff > 1 {
-                        return Err(format!(
-                            "2:1 violated: {c:?} and {n:?} across dir {dir:?}"
-                        ));
+                        return Err(format!("2:1 violated: {c:?} and {n:?} across dir {dir:?}"));
                     }
                 }
             }

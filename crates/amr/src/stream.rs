@@ -147,7 +147,10 @@ impl AmrStream {
     /// Lowers the *initial* mesh (before the first epoch) so the caller
     /// can compute the static starting partition.
     pub fn initial_lowering(&self) -> LoweredMesh {
-        assert_eq!(self.epochs_emitted, 0, "initial lowering requested mid-stream");
+        assert_eq!(
+            self.epochs_emitted, 0,
+            "initial lowering requested mid-stream"
+        );
         lower(&self.mesh, &self.cfg)
     }
 
@@ -155,8 +158,15 @@ impl AmrStream {
     /// [`Self::initial_lowering`]'s cell order.
     pub fn set_initial_partition(&mut self, part: &[PartId]) {
         assert_eq!(self.epochs_emitted, 0, "initial partition set mid-stream");
-        assert_eq!(part.len(), self.mesh.num_leaves(), "partition length mismatch");
-        assert!(part.iter().all(|&p| p < self.k), "initial part out of range");
+        assert_eq!(
+            part.len(),
+            self.mesh.num_leaves(),
+            "partition length mismatch"
+        );
+        assert!(
+            part.iter().all(|&p| p < self.k),
+            "initial part out of range"
+        );
         self.last_part = self.mesh.leaves().zip(part.iter().copied()).collect();
     }
 
@@ -176,8 +186,7 @@ impl AmrStream {
         }
         adapt(&mut self.mesh, &self.features);
         let low = lower(&self.mesh, &self.cfg);
-        let old_part: Vec<PartId> =
-            low.cells.iter().map(|&c| self.inherited_part(c)).collect();
+        let old_part: Vec<PartId> = low.cells.iter().map(|&c| self.inherited_part(c)).collect();
         AmrEpoch {
             graph: low.graph,
             hypergraph: low.hypergraph,
@@ -334,7 +343,10 @@ mod tests {
             prev = e.cells.clone();
             s.commit_assignment(&e.cells, &e.old_part.clone());
         }
-        assert!(changed, "moving features must change the mesh within 6 epochs");
+        assert!(
+            changed,
+            "moving features must change the mesh within 6 epochs"
+        );
     }
 
     #[test]

@@ -144,10 +144,10 @@ fn sparse_circuit(n: usize, avg_deg: f64, hub_cap: usize, rng: &mut StdRng) -> C
     let mut pool: Vec<usize> = Vec::with_capacity((avg_deg as usize + 1) * n);
     let mut degree = vec![0usize; n];
     let connect = |b: &mut GraphBuilder,
-                       degree: &mut Vec<usize>,
-                       pool: &mut Vec<usize>,
-                       u: usize,
-                       v: usize| {
+                   degree: &mut Vec<usize>,
+                   pool: &mut Vec<usize>,
+                   u: usize,
+                   v: usize| {
         b.add_edge(u, v, 1.0);
         degree[u] += 1;
         degree[v] += 1;
@@ -240,7 +240,11 @@ fn geometric_torus(n: usize, dim: usize, avg_deg: f64, rng: &mut StdRng) -> CsrG
                 for dx in -reach..=reach {
                     let nx = (cx + dx).rem_euclid(m) as usize;
                     let ny = (cy + dy).rem_euclid(m) as usize;
-                    let nz = if dim == 3 { (cz + dz).rem_euclid(m) as usize } else { 0 };
+                    let nz = if dim == 3 {
+                        (cz + dz).rem_euclid(m) as usize
+                    } else {
+                        0
+                    };
                     let idx = (nz * cells_per_axis + ny) * cells_per_axis + nx;
                     for &u in &buckets[idx] {
                         if u > v && torus_d2(p, &points[u]) <= r2 {
@@ -373,7 +377,11 @@ mod tests {
         // MatrixMarket reader, tagged with the regime it stands in for.
         let graph =
             dlb_hypergraph::io::read_matrix_market_graph("3 3 2\n1 2\n2 3\n".as_bytes()).unwrap();
-        let d = Dataset { kind: DatasetKind::Auto, scale: 1.0, graph };
+        let d = Dataset {
+            kind: DatasetKind::Auto,
+            scale: 1.0,
+            graph,
+        };
         assert_eq!(d.graph.num_vertices(), 3);
         assert_eq!(d.graph.num_edges(), 2);
     }

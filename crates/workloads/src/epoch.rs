@@ -72,7 +72,10 @@ impl EpochStream {
         perturbation.validate().expect("valid perturbation");
         assert!(k > 0);
         assert_eq!(initial_part.len(), base.num_vertices());
-        assert!(initial_part.iter().all(|&p| p < k), "initial part out of range");
+        assert!(
+            initial_part.iter().all(|&p| p < k),
+            "initial part out of range"
+        );
         let original_weight = base.vertex_weights().to_vec();
         let original_size = base.vertex_sizes().to_vec();
         EpochStream {
@@ -155,7 +158,12 @@ impl EpochStream {
         }
         let old_part: Vec<PartId> = ind.to_base.iter().map(|&b| self.last_part[b]).collect();
         let hypergraph = column_net_model(&graph, |v| graph.vertex_size(v));
-        EpochSnapshot { graph, hypergraph, to_base: ind.to_base, old_part }
+        EpochSnapshot {
+            graph,
+            hypergraph,
+            to_base: ind.to_base,
+            old_part,
+        }
     }
 
     /// Weight perturbation: scale weight and size of every vertex in a
@@ -220,7 +228,10 @@ mod tests {
         // A different subset next epoch: deleted vertices can return.
         let e2 = stream.next_epoch();
         assert!(e2.graph.num_vertices() < n);
-        assert_ne!(e1.to_base, e2.to_base, "each epoch deletes a different subset");
+        assert_ne!(
+            e1.to_base, e2.to_base,
+            "each epoch deletes a different subset"
+        );
         e1.hypergraph.validate().unwrap();
     }
 

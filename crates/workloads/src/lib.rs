@@ -41,8 +41,8 @@ pub mod source;
 
 pub use datasets::{Dataset, DatasetKind};
 pub use epoch::{EpochSnapshot, EpochStream};
+pub use nonsymmetric::{directed_circuit, directed_comm_volume, NonsymmetricDataset};
+pub use perturb::{PerturbKind, Perturbation};
 pub use source::{
     AmrSource, DeltaNet, DeltaReweight, DeltaVertex, EpochDelta, EpochSource, EpochUpdate,
 };
-pub use nonsymmetric::{directed_circuit, directed_comm_volume, NonsymmetricDataset};
-pub use perturb::{PerturbKind, Perturbation};

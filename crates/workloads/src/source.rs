@@ -223,7 +223,11 @@ impl AmrSource {
     /// does not fit the initial mesh.
     pub fn new(mut stream: AmrStream, initial_part: &[PartId]) -> Self {
         stream.set_initial_partition(initial_part);
-        AmrSource { stream, base_id: BTreeMap::new(), id_cell: Vec::new() }
+        AmrSource {
+            stream,
+            base_id: BTreeMap::new(),
+            id_cell: Vec::new(),
+        }
     }
 
     /// The underlying AMR stream.
@@ -287,11 +291,7 @@ impl EpochSource for AmrSource {
         // Register the new mesh's cells first (newly refined cells get
         // their stable ids here) so every lookup below is infallible.
         let to_base: Vec<usize> = d.cells.iter().map(|&c| self.register(c)).collect();
-        let removed: Vec<usize> = d
-            .removed
-            .iter()
-            .map(|c| self.base_id[c])
-            .collect();
+        let removed: Vec<usize> = d.removed.iter().map(|c| self.base_id[c]).collect();
         let added: Vec<DeltaVertex> = d
             .added
             .iter()
@@ -322,8 +322,7 @@ impl EpochSource for AmrSource {
     }
 
     fn commit_assignment(&mut self, snapshot: &EpochSnapshot, part: &[PartId]) {
-        let cells: Vec<Cell> =
-            snapshot.to_base.iter().map(|&b| self.id_cell[b]).collect();
+        let cells: Vec<Cell> = snapshot.to_base.iter().map(|&b| self.id_cell[b]).collect();
         self.stream.commit_assignment(&cells, part);
     }
 }
