@@ -6,6 +6,13 @@
 //! first, then `y`, then `x`) fixes one canonical cell order used
 //! everywhere — leaf enumeration, vertex numbering, tie-breaking — so
 //! the whole AMR subsystem is deterministic by construction.
+//!
+//! Lookups by address go through [`CellMap`]/[`CellSet`], hashed by the
+//! crate's own [`CellHasher`]. Their iteration order never reaches an
+//! output: anything ordered is read from a sorted `Vec`.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A face direction of a cell.
 ///
@@ -51,7 +58,7 @@ impl Direction {
 /// One quadtree cell: refinement level plus grid coordinates at that
 /// level. Only cells stored in a [`crate::QuadMesh`]'s leaf set are part
 /// of the mesh; the type itself is a pure address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Cell {
     /// Refinement level (`0` = the whole domain as one cell).
     pub level: u8,
@@ -61,7 +68,57 @@ pub struct Cell {
     pub x: u32,
 }
 
+/// One `u64` per cell, so hashing a cell is one write.
+impl Hash for Cell {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.key());
+    }
+}
+
+/// A map keyed by [`Cell`] under [`CellHasher`].
+pub type CellMap<V> = HashMap<Cell, V, BuildHasherDefault<CellHasher>>;
+
+/// A set of [`Cell`]s under [`CellHasher`].
+pub type CellSet = HashSet<Cell, BuildHasherDefault<CellHasher>>;
+
+/// The hasher behind [`CellMap`] and [`CellSet`]: one multiply over a
+/// cell's packed `(level, y, x)` key. It holds no random state, so a
+/// table's layout is the same in every run; iteration order still
+/// never decides an output.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        // Fold the row and level bits down before the multiply and the
+        // product's high half down after it: tables index by low bits.
+        let k = self.0.rotate_left(5) ^ key;
+        let h = (k ^ (k >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+}
+
 impl Cell {
+    /// `(level, y, x)` packed into one `u64`; orders like the derived
+    /// `Ord` for every cell a mesh can hold (coordinates below `2^24`).
+    #[inline]
+    pub(crate) fn key(self) -> u64 {
+        (self.level as u64) << 48 | (self.y as u64) << 24 | self.x as u64
+    }
+
     /// The cell covering `[x/2^ℓ, (x+1)/2^ℓ] × [y/2^ℓ, (y+1)/2^ℓ]`.
     ///
     /// # Panics
@@ -259,6 +316,26 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn key_orders_like_cells() {
+        let mut cells = Vec::new();
+        for level in 0..=4u8 {
+            let side = 1u32 << level;
+            for y in 0..side {
+                for x in 0..side {
+                    cells.push(Cell::new(level, x, y));
+                }
+            }
+        }
+        cells.push(Cell::new(20, (1 << 20) - 1, 0));
+        cells.push(Cell::new(20, 0, (1 << 20) - 1));
+        for a in &cells {
+            for b in &cells {
+                assert_eq!(a.key().cmp(&b.key()), a.cmp(b), "{a:?} vs {b:?}");
             }
         }
     }

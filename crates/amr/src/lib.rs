@@ -18,8 +18,9 @@
 //!
 //! Everything is a deterministic function of ([`AmrConfig`], `k`,
 //! seed): feature trajectories are closed-form after one seeded draw,
-//! leaves live in a `BTreeSet` under a canonical [`Cell`] order, and
-//! all lowered weights are integer-valued `f64`s so cost sums are exact
+//! every ordered output follows the canonical [`Cell`] order (the
+//! hashed leaf index behind [`QuadMesh`] is only ever probed), and all
+//! lowered weights are integer-valued `f64`s so cost sums are exact
 //! under any summation order.
 
 #![forbid(unsafe_code)]
@@ -28,9 +29,11 @@ pub mod cell;
 pub mod feature;
 pub mod lower;
 pub mod mesh;
+#[cfg(test)]
+mod reference;
 pub mod stream;
 
-pub use cell::{Cell, Direction};
+pub use cell::{Cell, CellHasher, CellMap, CellSet, Direction};
 pub use feature::{indicator, seeded_features, Feature};
 pub use lower::{lower, LoweredMesh};
 pub use mesh::QuadMesh;

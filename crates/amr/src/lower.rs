@@ -48,14 +48,10 @@ pub struct LoweredMesh {
 }
 
 /// Lowers the current leaves of `mesh` under `cfg`'s work/payload model.
+/// Vertex `v` is `mesh.leaves()[v]`; neighbor vertices come straight
+/// from the mesh's leaf index.
 pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
-    let cells: Vec<Cell> = mesh.leaves().collect();
-    let index_of = |c: Cell| {
-        cells
-            .binary_search(&c)
-            .expect("neighbor leaf not in leaf list")
-    };
-
+    let cells = mesh.leaves().to_vec();
     let mut b = GraphBuilder::new(cells.len());
     for (v, &c) in cells.iter().enumerate() {
         b.set_vertex_weight(v, (1u64 << (c.level - mesh.base_level())) as f64);
@@ -64,9 +60,7 @@ pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
         // exactly once: for a pair split across a face, the west/south
         // cell sees the east/north cell regardless of which is finer.
         for dir in [Direction::East, Direction::North] {
-            for n in mesh.neighbor_leaves(c, dir) {
-                b.add_edge(v, index_of(n), 1.0);
-            }
+            mesh.for_each_neighbor_leaf(c, dir, |_, u| b.add_edge(v, u, 1.0));
         }
     }
     let graph = b.build();

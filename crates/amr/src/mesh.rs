@@ -9,22 +9,54 @@
 //! ripple propagation on refinement and an eligibility check on
 //! coarsening.
 //!
-//! Everything iterates in the canonical [`Cell`] order, so the mesh
-//! evolution is a pure function of the initial state and the indicator
-//! sequence: bit-identical on every rank, at every thread count.
+//! The leaves live in one hashed index, [`CellMap`], that maps each leaf
+//! to its position in the canonical [`Cell`] order — its vertex number
+//! once lowered. Adaptation probes that index; the canonical `Vec` of
+//! leaves is rebuilt once per adaptation call. No iteration over the
+//! index reaches an output: what a pass collects from it is either a
+//! set or sorted before use, so the mesh evolution is a pure function
+//! of the initial state and the indicator sequence — bit-identical on
+//! every rank, at every thread count.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use crate::cell::{Cell, Direction};
+use crate::cell::{Cell, CellMap, CellSet, Direction};
+
+/// The position of a leaf created inside an adaptation call, until the
+/// call renumbers.
+const UNNUMBERED: u32 = u32::MAX;
 
 /// The leaf set of an adaptive quadtree over `[0,1]²`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct QuadMesh {
-    leaves: BTreeSet<Cell>,
+    /// Every leaf, mapped to its index in `sorted`. Membership is exact
+    /// at all times; positions are exact between adaptation calls.
+    index: CellMap<u32>,
+    /// The leaves in canonical order.
+    sorted: Vec<Cell>,
     /// Coarsest level any leaf may reach (the initial uniform level).
     base_level: u8,
     /// Finest level any leaf may reach.
     max_level: u8,
+}
+
+impl PartialEq for QuadMesh {
+    fn eq(&self, other: &Self) -> bool {
+        (self.base_level, self.max_level) == (other.base_level, other.max_level)
+            && self.sorted == other.sorted
+    }
+}
+
+impl Eq for QuadMesh {}
+
+impl fmt::Debug for QuadMesh {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QuadMesh")
+            .field("leaves", &self.sorted)
+            .field("base_level", &self.base_level)
+            .field("max_level", &self.max_level)
+            .finish()
+    }
 }
 
 impl QuadMesh {
@@ -41,18 +73,20 @@ impl QuadMesh {
         );
         assert!(max_level <= 20, "max_level too deep");
         let side = 1u32 << base_level;
-        let mut leaves = BTreeSet::new();
-        for y in 0..side {
-            for x in 0..side {
-                leaves.insert(Cell {
+        // Row-major over one level is the canonical order.
+        let sorted: Vec<Cell> = (0..side)
+            .flat_map(|y| {
+                (0..side).map(move |x| Cell {
                     level: base_level,
                     x,
                     y,
-                });
-            }
-        }
+                })
+            })
+            .collect();
+        let index = sorted.iter().zip(0..).map(|(&c, v)| (c, v)).collect();
         QuadMesh {
-            leaves,
+            index,
+            sorted,
             base_level,
             max_level,
         }
@@ -60,7 +94,7 @@ impl QuadMesh {
 
     /// Number of leaf cells.
     pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
+        self.sorted.len()
     }
 
     /// The coarsest admissible level.
@@ -68,59 +102,55 @@ impl QuadMesh {
         self.base_level
     }
 
-    /// The leaves in canonical order (level-major, then row, column).
-    pub fn leaves(&self) -> impl Iterator<Item = Cell> + '_ {
-        self.leaves.iter().copied()
+    /// The leaves in canonical order (level-major, then row, column);
+    /// `leaves()[v]` is the cell [`crate::lower()`] numbers `v`.
+    pub fn leaves(&self) -> &[Cell] {
+        &self.sorted
     }
 
     /// True if `c` is a leaf of the mesh.
     pub fn is_leaf(&self, c: Cell) -> bool {
-        self.leaves.contains(&c)
+        self.index.contains_key(&c)
     }
 
-    /// The leaf equal to `c` or the nearest ancestor of `c` that is a
-    /// leaf, if any.
-    fn leaf_covering(&self, c: Cell) -> Option<Cell> {
-        let mut cur = Some(c);
-        while let Some(cell) = cur {
-            if self.leaves.contains(&cell) {
-                return Some(cell);
-            }
-            cur = cell.parent();
-        }
-        None
-    }
-
-    /// All leaves sharing the face of `c` in direction `dir`. `c` itself
-    /// need not be a leaf: for an interior (refined) cell this returns
-    /// the leaves adjacent to that side of `c`'s region, which is what
-    /// coarsening eligibility needs.
+    /// Calls `f(leaf, v)` for every leaf sharing the face of `c` in
+    /// direction `dir`, where `v` is the leaf's index in
+    /// [`Self::leaves`]. `c` itself need not be a leaf: for an interior
+    /// (refined) cell this visits the leaves adjacent to that side of
+    /// `c`'s region, which is what coarsening eligibility needs.
     ///
-    /// Returns at most one coarser/equal leaf, or the finer leaves along
-    /// the face (any number for a non-leaf query cell).
-    pub fn neighbor_leaves(&self, c: Cell, dir: Direction) -> Vec<Cell> {
+    /// Visits at most one coarser/equal leaf, or the finer leaves along
+    /// the face in depth-first face-child order (any number for a
+    /// non-leaf query cell).
+    pub fn for_each_neighbor_leaf(&self, c: Cell, dir: Direction, mut f: impl FnMut(Cell, usize)) {
         let Some(n) = c.neighbor(dir) else {
-            return Vec::new(); // domain boundary
+            return; // domain boundary
         };
-        if let Some(leaf) = self.leaf_covering(n) {
-            return vec![leaf];
+        // The leaf equal to `n` or the nearest leaf ancestor of it; no
+        // leaf is coarser than the base level.
+        let mut cur = n;
+        loop {
+            if let Some(&v) = self.index.get(&cur) {
+                return f(cur, v as usize);
+            }
+            match cur.parent() {
+                Some(p) if cur.level > self.base_level => cur = p,
+                _ => break,
+            }
         }
         // The neighbor region is refined: descend along the shared face.
-        let mut out = Vec::new();
-        self.collect_face_leaves(n, dir.opposite(), &mut out);
-        out
+        self.visit_face_leaves(n, dir.opposite(), &mut f);
     }
 
-    fn collect_face_leaves(&self, region: Cell, face: Direction, out: &mut Vec<Cell>) {
-        if self.leaves.contains(&region) {
-            out.push(region);
-            return;
+    fn visit_face_leaves(&self, region: Cell, face: Direction, f: &mut impl FnMut(Cell, usize)) {
+        if let Some(&v) = self.index.get(&region) {
+            return f(region, v as usize);
         }
         if region.level >= self.max_level {
             return;
         }
         for child in region.face_children(face) {
-            self.collect_face_leaves(child, face, out);
+            self.visit_face_leaves(child, face, f);
         }
     }
 
@@ -139,96 +169,18 @@ impl QuadMesh {
         refine_t: f64,
         coarsen_t: f64,
     ) -> bool {
-        assert!(
-            refine_t > coarsen_t,
-            "thresholds must leave a hysteresis band"
-        );
-        let mut changed = false;
-
-        // --- Refinement marks, then 2:1 ripple propagation. ---
-        let mut marked: BTreeSet<Cell> = self
-            .leaves
-            .iter()
-            .copied()
-            .filter(|c| {
-                let (cx, cy) = c.center();
-                c.level < self.max_level && indicator(cx, cy) > refine_t
-            })
-            .collect();
-        // Refining `c` puts children at level+1 next to every face
-        // neighbor; a neighbor more than one level coarser than the
-        // children (i.e. coarser than `c`) must refine too. Worklist in
-        // canonical order for determinism (the result is order-free —
-        // marking is monotone — but keep traversal canonical anyway).
-        let mut worklist: Vec<Cell> = marked.iter().copied().collect();
-        while let Some(c) = worklist.pop() {
-            for dir in Direction::ALL {
-                for n in self.neighbor_leaves(c, dir) {
-                    if n.level < c.level && marked.insert(n) {
-                        worklist.push(n);
-                    }
-                }
-            }
+        let changed = self.adapt_pass(&indicator, refine_t, coarsen_t);
+        if changed {
+            self.renumber();
         }
-        for c in &marked {
-            let removed = self.leaves.remove(c);
-            debug_assert!(removed, "marked cell was not a leaf");
-            for child in c.children() {
-                self.leaves.insert(child);
-            }
-            changed = true;
-        }
-
-        // --- Coarsening: sibling quartets, eligibility-checked. ---
-        // Group leaves by parent; a quartet merges when all four
-        // siblings are leaves not created by this call's refinement,
-        // every sibling's indicator is below the coarsen threshold, and
-        // no face-adjacent leaf of the parent region is finer than the
-        // siblings (which would break 2:1 after the merge). Applying
-        // merges in canonical order only ever *lowers* neighbor levels,
-        // so eligibility established against the pre-pass mesh stays
-        // valid as merges land.
-        let mut quartets: BTreeMap<Cell, usize> = BTreeMap::new();
-        for c in &self.leaves {
-            if c.level > self.base_level && !marked.contains(&c.parent().expect("level > 0")) {
-                *quartets.entry(c.parent().expect("level > 0")).or_insert(0) += 1;
-            }
-        }
-        for (parent, siblings) in quartets {
-            if siblings != 4 {
-                continue;
-            }
-            let quiet = parent.children().iter().all(|c| {
-                let (cx, cy) = c.center();
-                indicator(cx, cy) < coarsen_t
-            });
-            if !quiet {
-                continue;
-            }
-            let child_level = parent.level + 1;
-            let balanced = Direction::ALL.iter().all(|&dir| {
-                self.neighbor_leaves(parent, dir)
-                    .iter()
-                    .all(|n| n.level <= child_level)
-            });
-            if !balanced {
-                continue;
-            }
-            for c in parent.children() {
-                let removed = self.leaves.remove(&c);
-                debug_assert!(removed, "quartet sibling was not a leaf");
-            }
-            self.leaves.insert(parent);
-            changed = true;
-        }
-
         debug_assert_eq!(self.validate(), Ok(()));
         changed
     }
 
     /// Iterates [`Self::adapt`] until the mesh stops changing (bounded
     /// by the level range, plus slack for refinement ripples). Returns
-    /// the number of adaptation passes that changed the mesh.
+    /// the number of adaptation passes that changed the mesh. The
+    /// canonical leaf order is rebuilt once, after the last pass.
     pub fn adapt_to_stable(
         &mut self,
         indicator: impl Fn(f64, f64) -> f64,
@@ -237,23 +189,148 @@ impl QuadMesh {
     ) -> usize {
         let cap = (self.max_level - self.base_level) as usize * 2 + 2;
         let mut passes = 0;
-        while passes < cap && self.adapt(&indicator, refine_t, coarsen_t) {
+        while passes < cap && self.adapt_pass(&indicator, refine_t, coarsen_t) {
             passes += 1;
         }
+        if passes > 0 {
+            self.renumber();
+        }
+        debug_assert_eq!(self.validate(), Ok(()));
         passes
     }
 
-    /// Checks every structural invariant: leaves tile the domain exactly
-    /// (no gaps, no overlaps), levels lie in `[base_level, max_level]`,
-    /// and 2:1 face balance holds.
+    /// One pass of [`Self::adapt`] on the index alone: leaves it creates
+    /// stay [`UNNUMBERED`] and `sorted` goes stale until [`Self::renumber`].
+    fn adapt_pass(
+        &mut self,
+        indicator: &impl Fn(f64, f64) -> f64,
+        refine_t: f64,
+        coarsen_t: f64,
+    ) -> bool {
+        assert!(
+            refine_t > coarsen_t,
+            "thresholds must leave a hysteresis band"
+        );
+        let mut changed = false;
+
+        // --- Refinement marks, then 2:1 ripple propagation. ---
+        let mut marked: CellSet = self
+            .index
+            .keys()
+            .copied()
+            .filter(|c| {
+                let (cx, cy) = c.center();
+                c.level < self.max_level && indicator(cx, cy) > refine_t
+            })
+            .collect();
+        // Refining `c` puts children at level+1 next to every face
+        // neighbor; a neighbor more than one level coarser than the
+        // children (i.e. coarser than `c`) must refine too. Marking is
+        // monotone, so the marked set — the only thing this loop
+        // yields — is the same whatever order the index hands cells out.
+        let mut worklist: Vec<Cell> = marked.iter().copied().collect();
+        while let Some(c) = worklist.pop() {
+            for dir in Direction::ALL {
+                self.for_each_neighbor_leaf(c, dir, |n, _| {
+                    if n.level < c.level && marked.insert(n) {
+                        worklist.push(n);
+                    }
+                });
+            }
+        }
+        for c in &marked {
+            let removed = self.index.remove(c);
+            debug_assert!(removed.is_some(), "marked cell was not a leaf");
+            for child in c.children() {
+                self.index.insert(child, UNNUMBERED);
+            }
+            changed = true;
+        }
+
+        // --- Coarsening: sibling quartets, eligibility-checked. ---
+        // A quartet merges when all four siblings are leaves not created
+        // by this call's refinement, every sibling's indicator is below
+        // the coarsen threshold, and no face-adjacent leaf of the parent
+        // region is finer than the siblings (which would break 2:1 after
+        // the merge). The first two conditions hold or fail whatever
+        // merges land first, so each full quartet is found from its
+        // south-west child and its three siblings are probed. The last
+        // condition is checked against the live mesh, which makes the
+        // order decide: merges apply in canonical parent order.
+        let base_level = self.base_level;
+        let mut parents: Vec<Cell> = self
+            .index
+            .keys()
+            .filter(|c| c.level > base_level && c.x % 2 == 0 && c.y % 2 == 0)
+            .map(|c| c.parent().expect("level > 0"))
+            .filter(|p| {
+                let kids = p.children();
+                !marked.contains(p)
+                    && kids[1..].iter().all(|k| self.index.contains_key(k))
+                    && kids.iter().all(|k| {
+                        let (cx, cy) = k.center();
+                        indicator(cx, cy) < coarsen_t
+                    })
+            })
+            .collect();
+        parents.sort_unstable_by_key(|p| p.key());
+        for parent in parents {
+            let child_level = parent.level + 1;
+            let mut balanced = true;
+            for dir in Direction::ALL {
+                self.for_each_neighbor_leaf(parent, dir, |n, _| balanced &= n.level <= child_level);
+            }
+            if !balanced {
+                continue;
+            }
+            for c in parent.children() {
+                let removed = self.index.remove(&c);
+                debug_assert!(removed.is_some(), "quartet sibling was not a leaf");
+            }
+            self.index.insert(parent, UNNUMBERED);
+            changed = true;
+        }
+        changed
+    }
+
+    /// Rebuilds the canonical leaf order from the index and writes every
+    /// leaf's position back into it.
+    fn renumber(&mut self) {
+        self.sorted.clear();
+        self.sorted.extend(self.index.keys().copied());
+        self.sorted.sort_unstable_by_key(|c| c.key());
+        for (v, c) in self.sorted.iter().enumerate() {
+            *self.index.get_mut(c).expect("sorted cell is a leaf") = v as u32;
+        }
+    }
+
+    /// Checks every structural invariant: the index and the canonical
+    /// order agree, leaves tile the domain exactly (no gaps, no
+    /// overlaps), levels lie in `[base_level, max_level]`, and 2:1 face
+    /// balance holds.
     pub fn validate(&self) -> Result<(), String> {
+        if self.index.len() != self.sorted.len() {
+            return Err(format!(
+                "index holds {} leaves, canonical order {}",
+                self.index.len(),
+                self.sorted.len()
+            ));
+        }
+        for (v, c) in self.sorted.iter().enumerate() {
+            if self.index.get(c) != Some(&(v as u32)) {
+                return Err(format!("leaf {c:?} is not indexed at position {v}"));
+            }
+            if v > 0 && self.sorted[v - 1] >= *c {
+                return Err(format!("leaf {c:?} out of canonical order"));
+            }
+        }
         // Exact area accounting in integer units of the finest grid.
         let mut area: u64 = 0;
         let unit = |level: u8| -> u64 {
             let d = (self.max_level - level) as u32;
             1u64 << (2 * d)
         };
-        for c in &self.leaves {
+        for c in &self.sorted {
             if c.level < self.base_level || c.level > self.max_level {
                 return Err(format!("leaf {c:?} outside level range"));
             }
@@ -265,33 +342,45 @@ impl QuadMesh {
         }
         // Overlap: tiling + exact area already rules overlaps out only
         // if no leaf is an ancestor of another.
-        for c in &self.leaves {
+        for c in &self.sorted {
             let mut p = c.parent();
             while let Some(anc) = p {
-                if self.leaves.contains(&anc) {
+                if self.is_leaf(anc) {
                     return Err(format!("leaf {anc:?} is an ancestor of leaf {c:?}"));
                 }
                 p = anc.parent();
             }
         }
         // 2:1 face balance.
-        for c in &self.leaves {
+        for &c in &self.sorted {
             for dir in Direction::ALL {
-                for n in self.neighbor_leaves(*c, dir) {
-                    let diff = (n.level as i32 - c.level as i32).abs();
-                    if diff > 1 {
-                        return Err(format!("2:1 violated: {c:?} and {n:?} across dir {dir:?}"));
+                let mut violation = None;
+                self.for_each_neighbor_leaf(c, dir, |n, _| {
+                    if violation.is_none() && n.level.abs_diff(c.level) > 1 {
+                        violation = Some(n);
                     }
+                });
+                if let Some(n) = violation {
+                    return Err(format!("2:1 violated: {c:?} and {n:?} across dir {dir:?}"));
                 }
             }
         }
         Ok(())
+    }
+
+    /// The leaves [`Self::for_each_neighbor_leaf`] visits, collected.
+    #[cfg(test)]
+    pub(crate) fn neighbor_leaves(&self, c: Cell, dir: Direction) -> Vec<Cell> {
+        let mut out = Vec::new();
+        self.for_each_neighbor_leaf(c, dir, |n, _| out.push(n));
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn point_indicator(px: f64, py: f64, sigma: f64) -> impl Fn(f64, f64) -> f64 {
         move |x, y| {
@@ -316,11 +405,12 @@ mod tests {
         let ind = point_indicator(1.0 / 3.0, 1.0 / 3.0, 0.1);
         m.adapt_to_stable(&ind, 0.4, 0.1);
         m.validate().unwrap();
-        let finest = m.leaves().map(|c| c.level).max().unwrap();
+        let finest = m.leaves().iter().map(|c| c.level).max().unwrap();
         assert_eq!(finest, 6, "feature fully resolved");
         // The far corner stays coarse.
         let far = m
             .leaves()
+            .iter()
             .filter(|c| {
                 let (x, y) = c.center();
                 x > 0.75 && y > 0.75
@@ -383,7 +473,7 @@ mod tests {
         let ind = point_indicator(1.0 / 3.0, 1.0 / 3.0, 0.1);
         m.adapt_to_stable(&ind, 0.5, 0.1);
         m.validate().unwrap();
-        let levels: BTreeSet<u8> = m.leaves().map(|c| c.level).collect();
+        let levels: BTreeSet<u8> = m.leaves().iter().map(|c| c.level).collect();
         assert!(levels.contains(&6), "feature resolved to the finest level");
         for l in 3..=5 {
             assert!(levels.contains(&l), "ripple gradation missing level {l}");
@@ -399,7 +489,7 @@ mod tests {
                 let ind = point_indicator(0.2 + t, 0.8 - t, 0.04);
                 m.adapt(&ind, 0.45, 0.12);
             }
-            m.leaves().collect::<Vec<_>>()
+            m.leaves().to_vec()
         };
         assert_eq!(run(), run());
     }

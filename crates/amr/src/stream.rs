@@ -10,29 +10,28 @@
 //! (canonical-order) surviving descendant lived. That "previous or
 //! creation part" is exactly what the paper's migration nets attach to.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use dlb_hypergraph::{CsrGraph, Hypergraph, PartId};
 
-use crate::cell::{Cell, Direction};
+use crate::cell::{Cell, CellMap, Direction};
 use crate::feature::{indicator, seeded_features, Feature};
 use crate::lower::{lower, LoweredMesh, STATE_BYTES};
 use crate::mesh::QuadMesh;
 use crate::AmrConfig;
 
 /// Number of moving Gaussian features.
-const NUM_FEATURES: usize = 2;
+pub(crate) const NUM_FEATURES: usize = 2;
 /// Gaussian width of each feature.
-const SIGMA: f64 = 0.08;
+pub(crate) const SIGMA: f64 = 0.08;
 /// Feature speed in domain units per epoch.
-const SPEED: f64 = 0.06;
+pub(crate) const SPEED: f64 = 0.06;
 /// Refine a leaf whose center indicator exceeds this.
-const REFINE_THRESHOLD: f64 = 0.4;
+pub(crate) const REFINE_THRESHOLD: f64 = 0.4;
 /// Coarsen a quartet whose centers are all below this.
-const COARSEN_THRESHOLD: f64 = 0.1;
+pub(crate) const COARSEN_THRESHOLD: f64 = 0.1;
 
 /// Re-adapts `mesh` to a fixed point around `features`.
 fn adapt(mesh: &mut QuadMesh, features: &[Feature]) {
+    let _span = dlb_trace::span!("amr.adapt");
     mesh.adapt_to_stable(
         |x, y| indicator(features, SIGMA, x, y),
         REFINE_THRESHOLD,
@@ -101,7 +100,7 @@ pub struct AmrStream {
     k: usize,
     /// Last committed part per leaf cell (exactly the current leaves
     /// after a commit).
-    last_part: BTreeMap<Cell, PartId>,
+    last_part: CellMap<PartId>,
     epochs_emitted: usize,
 }
 
@@ -124,7 +123,7 @@ impl AmrStream {
             mesh,
             features,
             k,
-            last_part: BTreeMap::new(),
+            last_part: CellMap::default(),
             epochs_emitted: 0,
         }
     }
@@ -167,7 +166,13 @@ impl AmrStream {
             part.iter().all(|&p| p < self.k),
             "initial part out of range"
         );
-        self.last_part = self.mesh.leaves().zip(part.iter().copied()).collect();
+        self.last_part = self
+            .mesh
+            .leaves()
+            .iter()
+            .copied()
+            .zip(part.iter().copied())
+            .collect();
     }
 
     /// Generates the next epoch: features advance, the mesh re-adapts to
@@ -185,6 +190,7 @@ impl AmrStream {
             f.advance();
         }
         adapt(&mut self.mesh, &self.features);
+        let _span = dlb_trace::span!("amr.lower");
         let low = lower(&self.mesh, &self.cfg);
         let old_part: Vec<PartId> = low.cells.iter().map(|&c| self.inherited_part(c)).collect();
         AmrEpoch {
@@ -213,37 +219,37 @@ impl AmrStream {
             "set_initial_partition must be called before the first epoch"
         );
         self.epochs_emitted += 1;
-        let before: BTreeSet<Cell> = self.mesh.leaves().collect();
+        let before = self.mesh.leaves().to_vec();
         for f in &mut self.features {
             f.advance();
         }
         adapt(&mut self.mesh, &self.features);
-        let after: BTreeSet<Cell> = self.mesh.leaves().collect();
-
-        let removed: Vec<Cell> = before.difference(&after).copied().collect();
-        let added_cells: Vec<Cell> = after.difference(&before).copied().collect();
+        let _span = dlb_trace::span!("amr.delta");
+        let after = self.mesh.leaves();
+        let (removed, added_cells) = sorted_difference(&before, after);
 
         // Every new leaf needs its neighborhood; every survivor whose
         // neighborhood changed is face-adjacent to some added or
-        // removed cell's region, so scanning `neighbor_leaves` of the
-        // *new* mesh around each changed cell finds them all
-        // (`neighbor_leaves` accepts non-leaf query cells, which covers
-        // removed cells both finer and coarser than the current leaves).
-        let mut dirty: BTreeSet<Cell> = added_cells.iter().copied().collect();
+        // removed cell's region, so scanning the neighbor leaves of the
+        // *new* mesh around each changed cell finds them all (the scan
+        // accepts non-leaf query cells, which covers removed cells both
+        // finer and coarser than the current leaves).
+        let mut dirty = added_cells.clone();
         for &c in removed.iter().chain(added_cells.iter()) {
             for dir in Direction::ALL {
-                for n in self.mesh.neighbor_leaves(c, dir) {
-                    dirty.insert(n);
-                }
+                self.mesh
+                    .for_each_neighbor_leaf(c, dir, |n, _| dirty.push(n));
             }
         }
+        dirty.sort_unstable_by_key(|c| c.key());
+        dirty.dedup();
         let adjacency: Vec<(Cell, Vec<Cell>)> = dirty
-            .iter()
-            .map(|&c| {
+            .into_iter()
+            .map(|c| {
                 debug_assert!(self.mesh.is_leaf(c), "dirty cell {c:?} is not a leaf");
                 let mut ns = Vec::new();
                 for dir in Direction::ALL {
-                    ns.extend(self.mesh.neighbor_leaves(c, dir));
+                    self.mesh.for_each_neighbor_leaf(c, dir, |n, _| ns.push(n));
                 }
                 (c, ns)
             })
@@ -262,7 +268,7 @@ impl AmrStream {
             .collect();
 
         AmrDelta {
-            cells: after.iter().copied().collect(),
+            cells: after.to_vec(),
             removed,
             added,
             adjacency,
@@ -277,7 +283,9 @@ impl AmrStream {
         // Labels at or beyond the launch `k` are accepted: elastic
         // worlds grow the label space, and the mesh dynamics never
         // depend on the decomposition.
-        self.last_part = cells.iter().copied().zip(part.iter().copied()).collect();
+        self.last_part.clear();
+        self.last_part
+            .extend(cells.iter().copied().zip(part.iter().copied()));
     }
 
     /// The previous/creation part of leaf `c` against the last committed
@@ -311,6 +319,32 @@ impl AmrStream {
         }
         None
     }
+}
+
+/// The cells only in `before` and the cells only in `after`, both
+/// canonical-order slices, by one merge pass.
+fn sorted_difference(before: &[Cell], after: &[Cell]) -> (Vec<Cell>, Vec<Cell>) {
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while i < before.len() && j < after.len() {
+        match before[i].cmp(&after[j]) {
+            std::cmp::Ordering::Less => {
+                removed.push(before[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                added.push(after[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    removed.extend_from_slice(&before[i..]);
+    added.extend_from_slice(&after[j..]);
+    (removed, added)
 }
 
 #[cfg(test)]

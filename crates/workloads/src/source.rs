@@ -8,9 +8,7 @@
 //! `dlb_core::epoch` is generic over this trait, so every algorithm,
 //! the SPMD path included, runs unchanged against either dynamic.
 
-use std::collections::BTreeMap;
-
-use dlb_amr::{AmrStream, Cell};
+use dlb_amr::{AmrStream, Cell, CellMap};
 use dlb_hypergraph::PartId;
 
 use crate::epoch::{EpochSnapshot, EpochStream};
@@ -209,7 +207,7 @@ impl EpochSource for EpochStream {
 /// vertex reappearing in a structural [`EpochStream`].
 pub struct AmrSource {
     stream: AmrStream,
-    base_id: BTreeMap<Cell, usize>,
+    base_id: CellMap<usize>,
     id_cell: Vec<Cell>,
 }
 
@@ -225,7 +223,7 @@ impl AmrSource {
         stream.set_initial_partition(initial_part);
         AmrSource {
             stream,
-            base_id: BTreeMap::new(),
+            base_id: CellMap::default(),
             id_cell: Vec::new(),
         }
     }
@@ -249,12 +247,11 @@ impl AmrSource {
     }
 
     fn register(&mut self, c: Cell) -> usize {
-        if let Some(&id) = self.base_id.get(&c) {
-            return id;
+        let next = self.id_cell.len();
+        let id = *self.base_id.entry(c).or_insert(next);
+        if id == next {
+            self.id_cell.push(c);
         }
-        let id = self.id_cell.len();
-        self.base_id.insert(c, id);
-        self.id_cell.push(c);
         id
     }
 }
@@ -331,6 +328,7 @@ impl EpochSource for AmrSource {
 mod tests {
     use super::*;
     use dlb_amr::AmrConfig;
+    use std::collections::BTreeMap;
 
     fn amr_source(seed: u64) -> AmrSource {
         let stream = AmrStream::new(AmrConfig::small(), 4, seed);

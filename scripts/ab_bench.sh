@@ -20,10 +20,11 @@
 # end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 # the pairs each side won, and whether the medians are further apart
 # than the parent's inter-quartile distance; under that table, from the
-# `detail` line of each side's first run, whether the two binaries made
-# the same partitions (`partitions: identical`, or `n of m ops differ` by
-# fingerprint or cost, with the first such op and the exact cost per op
-# of both sides). Exits 1 only if a run
+# `detail` line of every run of both sides, whether each made the same
+# partitions as the parent's first run (`partitions: identical (N runs ×
+# M ops …)`, or the first run that differs by fingerprint or cost, its
+# first differing op, how many ops differ and the exact cost per op of
+# both runs). Exits 1 only if a run
 # failed or reported an incorrect op; the verdict itself is for reading.
 set -euo pipefail
 
@@ -134,14 +135,22 @@ def ops(detail):
     return dict(zip(detail["op_ids"], zip(detail["fingerprints"], detail["costs"])))
 
 
-parent_ops, head_ops = ops(details["parent"][0]), ops(details["head"][0])
-differing = [op for op in parent_ops if parent_ops[op] != head_ops.get(op)]
-if differing:
-    before, after = (sum(cost for _, cost in side.values()) / len(side) for side in (parent_ops, head_ops))
-    print(f"partitions: {len(differing)} of {len(parent_ops)} ops differ (first: op {differing[0]}); "
-          f"cost per op {before:.2f} -> {after:.2f} ({(after - before) / before:+.3%})")
+# Every run of both sides against the parent's first: a difference
+# between two runs of one binary (an order leak) shows as well as one
+# between the binaries.
+reference = ops(details["parent"][0])
+runs = [(side, i + 1, ops(d)) for side in ("parent", "head") for i, d in enumerate(details[side])]
+for side, run, got in runs:
+    order = list(reference) + [op for op in got if op not in reference]
+    differing = [op for op in order if reference.get(op) != got.get(op)]
+    if differing:
+        before, after = (sum(cost for _, cost in o.values()) / len(o) for o in (reference, got))
+        print(f"partitions: {side} run {run} differs from parent run 1 at op {differing[0]} "
+              f"({len(differing)} of {len(reference)} ops differ); "
+              f"cost per op {before:.2f} -> {after:.2f} ({(after - before) / before:+.3%})")
+        break
 else:
-    print(f"partitions: identical ({len(parent_ops)} ops, fingerprints and costs)")
+    print(f"partitions: identical ({len(runs)} runs × {len(reference)} ops, fingerprints and costs)")
 for side, pair in bad:
     print(f"INCORRECT: {side} run of pair {pair} reported failed ops")
 sys.exit(1 if bad else 0)
