@@ -80,7 +80,7 @@ impl Hash for Cell {
 pub type CellMap<V> = HashMap<Cell, V, BuildHasherDefault<CellHasher>>;
 
 /// A set of [`Cell`]s under [`CellHasher`].
-pub type CellSet = HashSet<Cell, BuildHasherDefault<CellHasher>>;
+pub(crate) type CellSet = HashSet<Cell, BuildHasherDefault<CellHasher>>;
 
 /// The hasher behind [`CellMap`] and [`CellSet`]: one multiply over a
 /// cell's packed `(level, y, x)` key. It holds no random state, so a

@@ -33,7 +33,7 @@ pub mod mesh;
 mod reference;
 pub mod stream;
 
-pub use cell::{Cell, CellHasher, CellMap, CellSet, Direction};
+pub use cell::{Cell, CellMap, Direction};
 pub use feature::{indicator, seeded_features, Feature};
 pub use lower::{lower, LoweredMesh};
 pub use mesh::QuadMesh;

@@ -40,15 +40,6 @@ pub struct QuadMesh {
     max_level: u8,
 }
 
-impl PartialEq for QuadMesh {
-    fn eq(&self, other: &Self) -> bool {
-        (self.base_level, self.max_level) == (other.base_level, other.max_level)
-            && self.sorted == other.sorted
-    }
-}
-
-impl Eq for QuadMesh {}
-
 impl fmt::Debug for QuadMesh {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QuadMesh")
@@ -83,7 +74,7 @@ impl QuadMesh {
                 })
             })
             .collect();
-        let index = sorted.iter().zip(0..).map(|(&c, v)| (c, v)).collect();
+        let index = sorted.iter().copied().zip(0..).collect();
         QuadMesh {
             index,
             sorted,
@@ -115,14 +106,21 @@ impl QuadMesh {
 
     /// Calls `f(leaf, v)` for every leaf sharing the face of `c` in
     /// direction `dir`, where `v` is the leaf's index in
-    /// [`Self::leaves`]. `c` itself need not be a leaf: for an interior
-    /// (refined) cell this visits the leaves adjacent to that side of
-    /// `c`'s region, which is what coarsening eligibility needs.
+    /// [`Self::leaves`] (inside an adaptation call, a leaf the call
+    /// created reads [`UNNUMBERED`]). `c` itself need not be a leaf:
+    /// for an interior (refined) cell this visits the leaves adjacent to
+    /// that side of `c`'s region, which is what coarsening eligibility
+    /// needs.
     ///
     /// Visits at most one coarser/equal leaf, or the finer leaves along
     /// the face in depth-first face-child order (any number for a
     /// non-leaf query cell).
-    pub fn for_each_neighbor_leaf(&self, c: Cell, dir: Direction, mut f: impl FnMut(Cell, usize)) {
+    pub(crate) fn for_each_neighbor_leaf(
+        &self,
+        c: Cell,
+        dir: Direction,
+        mut f: impl FnMut(Cell, usize),
+    ) {
         let Some(n) = c.neighbor(dir) else {
             return; // domain boundary
         };
@@ -296,6 +294,10 @@ impl QuadMesh {
     /// Rebuilds the canonical leaf order from the index and writes every
     /// leaf's position back into it.
     fn renumber(&mut self) {
+        assert!(
+            self.index.len() < UNNUMBERED as usize,
+            "leaf positions must fit in u32"
+        );
         self.sorted.clear();
         self.sorted.extend(self.index.keys().copied());
         self.sorted.sort_unstable_by_key(|c| c.key());

@@ -21,7 +21,6 @@ use crate::stream::{
 use crate::AmrConfig;
 
 /// The leaf set of an adaptive quadtree, in a `BTreeSet`.
-#[derive(Clone)]
 pub(crate) struct RefMesh {
     leaves: BTreeSet<Cell>,
     base_level: u8,

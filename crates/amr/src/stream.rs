@@ -74,9 +74,9 @@ pub struct AmrDeltaCell {
 /// face-neighbor set of every new leaf and of every surviving leaf
 /// whose neighborhood was altered by the step, and of no others. A
 /// survivor's neighborhood changes only when a leaf across one of its
-/// faces appears or disappears, so scanning the new mesh's
-/// `neighbor_leaves` around every added *and* removed cell's region
-/// finds each such survivor.
+/// faces appears or disappears, so scanning the new mesh's neighbor
+/// leaves around every added *and* removed cell's region finds each
+/// such survivor.
 #[derive(Clone, Debug)]
 pub struct AmrDelta {
     /// The new epoch's leaves, in canonical order.

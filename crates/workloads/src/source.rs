@@ -207,7 +207,10 @@ impl EpochSource for EpochStream {
 /// vertex reappearing in a structural [`EpochStream`].
 pub struct AmrSource {
     stream: AmrStream,
-    base_id: CellMap<usize>,
+    /// Every cell ever emitted, with its base id. Ids are stored as
+    /// `u32`: the registry only grows, and half-width values keep its
+    /// table from outgrowing the B-tree it replaced.
+    base_id: CellMap<u32>,
     id_cell: Vec<Cell>,
 }
 
@@ -238,7 +241,7 @@ impl AmrSource {
     /// epoch (full or delta) naming them is emitted, so deltas can
     /// reference them immediately.
     pub fn base_id_of(&self, c: Cell) -> Option<usize> {
-        self.base_id.get(&c).copied()
+        self.base_id.get(&c).map(|&id| id as usize)
     }
 
     /// The cell behind base id `base`, if one was ever registered.
@@ -246,13 +249,18 @@ impl AmrSource {
         self.id_cell.get(base).copied()
     }
 
+    /// The base id of a registered cell.
+    fn id(&self, c: &Cell) -> usize {
+        self.base_id[c] as usize
+    }
+
     fn register(&mut self, c: Cell) -> usize {
-        let next = self.id_cell.len();
+        let next = u32::try_from(self.id_cell.len()).expect("fewer than 2^32 cells registered");
         let id = *self.base_id.entry(c).or_insert(next);
         if id == next {
             self.id_cell.push(c);
         }
-        id
+        id as usize
     }
 }
 
@@ -288,12 +296,12 @@ impl EpochSource for AmrSource {
         // Register the new mesh's cells first (newly refined cells get
         // their stable ids here) so every lookup below is infallible.
         let to_base: Vec<usize> = d.cells.iter().map(|&c| self.register(c)).collect();
-        let removed: Vec<usize> = d.removed.iter().map(|c| self.base_id[c]).collect();
+        let removed: Vec<usize> = d.removed.iter().map(|c| self.id(c)).collect();
         let added: Vec<DeltaVertex> = d
             .added
             .iter()
             .map(|a| DeltaVertex {
-                base: self.base_id[&a.cell],
+                base: self.id(&a.cell),
                 weight: a.weight,
                 size: a.size,
                 old_part: a.old_part,
@@ -303,8 +311,8 @@ impl EpochSource for AmrSource {
             .adjacency
             .iter()
             .map(|(c, ns)| DeltaNet {
-                base: self.base_id[c],
-                neighbors: ns.iter().map(|n| self.base_id[n]).collect(),
+                base: self.id(c),
+                neighbors: ns.iter().map(|n| self.id(n)).collect(),
             })
             .collect();
         // AMR weights are a function of the (immutable) cell level and
@@ -368,7 +376,7 @@ mod tests {
                 }
                 seen.insert(b, cell);
                 // And the registry inverts correctly.
-                assert_eq!(s.base_id[&cell], b, "registry out of sync");
+                assert_eq!(s.id(&cell), b, "registry out of sync");
                 let _ = v;
             }
             let part = snap.old_part.clone();
