@@ -7,7 +7,7 @@
 //! everywhere — leaf enumeration, vertex numbering, tie-breaking — so
 //! the whole AMR subsystem is deterministic by construction.
 //!
-//! Lookups by address go through [`CellMap`]/[`CellSet`], hashed by the
+//! Lookups by address go through [`CellMap`] (and `CellSet`), hashed by the
 //! crate's own [`CellHasher`]. Their iteration order never reaches an
 //! output: anything ordered is read from a sorted `Vec`.
 
@@ -82,7 +82,7 @@ pub type CellMap<V> = HashMap<Cell, V, BuildHasherDefault<CellHasher>>;
 /// A set of [`Cell`]s under [`CellHasher`].
 pub(crate) type CellSet = HashSet<Cell, BuildHasherDefault<CellHasher>>;
 
-/// The hasher behind [`CellMap`] and [`CellSet`]: one multiply over a
+/// The hasher behind [`CellMap`] and `CellSet`: one multiply over a
 /// cell's packed `(level, y, x)` key. It holds no random state, so a
 /// table's layout is the same in every run; iteration order still
 /// never decides an output.

@@ -18,8 +18,6 @@
 //! of the initial state and the indicator sequence — bit-identical on
 //! every rank, at every thread count.
 
-use std::fmt;
-
 use crate::cell::{Cell, CellMap, CellSet, Direction};
 
 /// The position of a leaf created inside an adaptation call, until the
@@ -38,16 +36,6 @@ pub struct QuadMesh {
     base_level: u8,
     /// Finest level any leaf may reach.
     max_level: u8,
-}
-
-impl fmt::Debug for QuadMesh {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QuadMesh")
-            .field("leaves", &self.sorted)
-            .field("base_level", &self.base_level)
-            .field("max_level", &self.max_level)
-            .finish()
-    }
 }
 
 impl QuadMesh {

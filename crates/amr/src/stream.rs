@@ -99,8 +99,8 @@ pub struct AmrStream {
     features: Vec<Feature>,
     k: usize,
     /// Last committed part per leaf cell (exactly the current leaves
-    /// after a commit).
-    last_part: CellMap<PartId>,
+    /// after a commit), stored as `u32` to keep the table small.
+    last_part: CellMap<u32>,
     epochs_emitted: usize,
 }
 
@@ -166,13 +166,7 @@ impl AmrStream {
             part.iter().all(|&p| p < self.k),
             "initial part out of range"
         );
-        self.last_part = self
-            .mesh
-            .leaves()
-            .iter()
-            .copied()
-            .zip(part.iter().copied())
-            .collect();
+        record(&mut self.last_part, self.mesh.leaves(), part);
     }
 
     /// Generates the next epoch: features advance, the mesh re-adapts to
@@ -283,9 +277,7 @@ impl AmrStream {
         // Labels at or beyond the launch `k` are accepted: elastic
         // worlds grow the label space, and the mesh dynamics never
         // depend on the decomposition.
-        self.last_part.clear();
-        self.last_part
-            .extend(cells.iter().copied().zip(part.iter().copied()));
+        record(&mut self.last_part, cells, part);
     }
 
     /// The previous/creation part of leaf `c` against the last committed
@@ -297,7 +289,7 @@ impl AmrStream {
         let mut cur = Some(c);
         while let Some(cell) = cur {
             if let Some(&p) = self.last_part.get(&cell) {
-                return p;
+                return p as PartId;
             }
             cur = cell.parent();
         }
@@ -311,7 +303,7 @@ impl AmrStream {
         }
         for child in c.children() {
             if let Some(&p) = self.last_part.get(&child) {
-                return Some(p);
+                return Some(p as PartId);
             }
             if let Some(p) = self.first_descendant_part(child) {
                 return Some(p);
@@ -319,6 +311,17 @@ impl AmrStream {
         }
         None
     }
+}
+
+/// Replaces the contents of `last_part` with `cells[i] → part[i]`.
+fn record(last_part: &mut CellMap<u32>, cells: &[Cell], part: &[PartId]) {
+    last_part.clear();
+    last_part.extend(
+        cells
+            .iter()
+            .zip(part)
+            .map(|(&c, &p)| (c, u32::try_from(p).expect("part label fits in u32"))),
+    );
 }
 
 /// The cells only in `before` and the cells only in `after`, both
