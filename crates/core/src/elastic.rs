@@ -1,12 +1,12 @@
 //! Elastic worlds: every change of the rank set at an epoch boundary
 //! (DESIGN.md §15).
 //!
-//! A [`WorldPlan`] schedules rank arrivals (spares joining, rolling
-//! restarts returning) and departures (shrink under low load) per epoch;
-//! a [`FaultPlan`] schedules rank failures. A failure is a departure the
-//! plan did not announce: at each boundary the driver takes the one net
-//! change of both plans (`boundary_change`) and applies it as one
-//! resize, the failed ranks among the leavers.
+//! A [`WorldPlan`] is the one schedule of the rank set: rank arrivals
+//! (spares joining, rolling restarts returning), planned departures
+//! (shrink under low load) and rank failures, per epoch. A failure is a
+//! departure the user did not announce: at each boundary the driver
+//! takes the plan's one net change (`boundary_change`) and applies it as
+//! one resize, the failed ranks among the leavers.
 //!
 //! A resize is posed as the repartitioning problem the model already
 //! solves, on three label spaces at once:
@@ -41,18 +41,19 @@
 use std::sync::{Arc, Mutex};
 
 use dlb_hypergraph::{metrics, Hypergraph, PartId};
-use dlb_mpisim::{spec, Comm, FaultPlan, WorldMembership};
+use dlb_mpisim::{spec, Comm, FaultPlan};
 use dlb_partitioner::{partition_fixed_on, FixedAssignment};
 use dlb_workloads::{EpochSnapshot, EpochSource, EpochUpdate};
 
 use crate::cost::CostBreakdown;
 use crate::driver::RepartConfig;
 use crate::exec::{measure_epoch_with_faults, EpochExecution, NetworkModel};
+use crate::membership::WorldMembership;
 use crate::model::RepartitionHypergraph;
 use crate::remap::remap_to_minimize_migration_partial;
 
-/// One scheduled world change: rank `rank` joins or leaves at the
-/// boundary of `epoch` (1-based, like [`dlb_mpisim::RankFailure`]).
+/// One scheduled world change: rank `rank` joins, leaves or fails at the
+/// boundary of `epoch` (1-based, matching the driver's epoch numbering).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorldEvent {
     /// The original rank id (stable name; may exceed the launch `k`
@@ -60,20 +61,24 @@ pub struct WorldEvent {
     pub rank: usize,
     /// The 1-based epoch at whose boundary the change applies.
     pub epoch: usize,
-    /// Join or leave.
+    /// Join, leave or fail.
     pub change: WorldChange,
 }
 
-/// The direction of a [`WorldEvent`].
+/// The kind of a [`WorldEvent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorldChange {
     /// The rank arrives (a spare joins the world).
     Join,
     /// The rank departs (planned shrink; its vertices migrate out).
     Leave,
+    /// The rank dies: a departure nobody announced. Its vertices migrate
+    /// out like a leaver's, and the run counts a recovery.
+    Fail,
 }
 
-/// A seeded, declarative schedule of rank arrivals and departures.
+/// A seeded, declarative schedule of the rank set: arrivals, planned
+/// departures and failures.
 ///
 /// Build one programmatically with the builder methods or parse the CLI
 /// spec grammar with [`WorldPlan::parse`] — the same `SEED:SPEC` shape
@@ -83,6 +88,7 @@ pub enum WorldChange {
 /// SEED:directive(,directive)*
 ///   join<R>@<E>    rank R joins at epoch E       e.g. join4@3
 ///   leave<R>@<E>   rank R leaves at epoch E      e.g. leave0@5
+///   fail<R>@<E>    rank R fails at epoch E       e.g. fail2@2
 /// ```
 ///
 /// The seed is kept for grammar symmetry with the fault plan (and for
@@ -90,10 +96,11 @@ pub enum WorldChange {
 ///
 /// ```
 /// use dlb_core::elastic::WorldPlan;
-/// let plan = WorldPlan::parse("42:join4@3,leave0@5").unwrap();
+/// let plan = WorldPlan::parse("42:join4@3,leave0@5,fail2@5").unwrap();
 /// assert_eq!(plan.seed(), 42);
 /// assert_eq!(plan.resize_at(3), (vec![4], vec![]));
 /// assert_eq!(plan.resize_at(5), (vec![], vec![0]));
+/// assert!(plan.validate(4, 5).is_ok());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorldPlan {
@@ -107,20 +114,28 @@ impl WorldPlan {
         WorldPlan { seed, events: Vec::new() }
     }
 
+    fn event(mut self, rank: usize, epoch: usize, change: WorldChange) -> Self {
+        assert!(epoch >= 1, "epochs are 1-based");
+        self.events.push(WorldEvent { rank, epoch, change });
+        self
+    }
+
     /// Schedules rank `rank` to join at the boundary of `epoch`
     /// (1-based).
-    pub fn join(mut self, rank: usize, epoch: usize) -> Self {
-        assert!(epoch >= 1, "epochs are 1-based");
-        self.events.push(WorldEvent { rank, epoch, change: WorldChange::Join });
-        self
+    pub fn join(self, rank: usize, epoch: usize) -> Self {
+        self.event(rank, epoch, WorldChange::Join)
     }
 
     /// Schedules rank `rank` to leave at the boundary of `epoch`
     /// (1-based).
-    pub fn leave(mut self, rank: usize, epoch: usize) -> Self {
-        assert!(epoch >= 1, "epochs are 1-based");
-        self.events.push(WorldEvent { rank, epoch, change: WorldChange::Leave });
-        self
+    pub fn leave(self, rank: usize, epoch: usize) -> Self {
+        self.event(rank, epoch, WorldChange::Leave)
+    }
+
+    /// Schedules rank `rank` to fail at the boundary of `epoch`
+    /// (1-based).
+    pub fn fail(self, rank: usize, epoch: usize) -> Self {
+        self.event(rank, epoch, WorldChange::Fail)
     }
 
     /// Parses the `SEED:spec` grammar (see the type docs). Error
@@ -130,15 +145,20 @@ impl WorldPlan {
         let (seed, directives) = spec::split_seed_spec(s, "world", "42:join4@3,leave0@5")?;
         let mut plan = WorldPlan::new(seed);
         for directive in directives {
-            if let Some(rest) = directive.strip_prefix("join") {
-                let (rank, epoch) = spec::parse_rank_at_epoch(directive, rest)?;
-                plan.events.push(WorldEvent { rank, epoch, change: WorldChange::Join });
+            let (change, rest) = if let Some(rest) = directive.strip_prefix("join") {
+                (WorldChange::Join, rest)
             } else if let Some(rest) = directive.strip_prefix("leave") {
-                let (rank, epoch) = spec::parse_rank_at_epoch(directive, rest)?;
-                plan.events.push(WorldEvent { rank, epoch, change: WorldChange::Leave });
+                (WorldChange::Leave, rest)
+            } else if let Some(rest) = directive.strip_prefix("fail") {
+                (WorldChange::Fail, rest)
             } else {
-                return Err(spec::unknown_directive(directive, "join<R>@<E> or leave<R>@<E>"));
-            }
+                return Err(spec::unknown_directive(
+                    directive,
+                    "join<R>@<E>, leave<R>@<E> or fail<R>@<E>",
+                ));
+            };
+            let (rank, epoch) = parse_rank_at_epoch(directive, rest)?;
+            plan.events.push(WorldEvent { rank, epoch, change });
         }
         Ok(plan)
     }
@@ -153,14 +173,13 @@ impl WorldPlan {
         self.events.is_empty()
     }
 
-    /// Every rank id the plan ever joins (deduplicated, sorted) — the
-    /// ids beyond the launch world that a composed fault plan may
-    /// legitimately target.
-    pub fn join_ranks(&self) -> Vec<usize> {
+    /// The ranks with a `change` event at the boundary of `epoch`,
+    /// sorted and deduplicated.
+    fn ranks_at(&self, epoch: usize, change: WorldChange) -> Vec<usize> {
         let mut ranks: Vec<usize> = self
             .events
             .iter()
-            .filter(|e| e.change == WorldChange::Join)
+            .filter(|e| e.epoch == epoch && e.change == change)
             .map(|e| e.rank)
             .collect();
         ranks.sort_unstable();
@@ -168,24 +187,15 @@ impl WorldPlan {
         ranks
     }
 
-    /// The *net* resize at the boundary of `epoch`: `(joins, leaves)`,
-    /// each sorted and deduplicated, with a rank scheduled to both join
-    /// and leave at the same epoch cancelled out entirely. That folding
-    /// is what makes a grow-then-immediately-shrink plan a literal
-    /// no-op — bitwise equal to running with no plan at all.
+    /// The *net* planned resize at the boundary of `epoch`: `(joins,
+    /// leaves)`, each sorted and deduplicated, with a rank scheduled to
+    /// both join and leave at the same epoch cancelled out entirely.
+    /// That folding is what makes a grow-then-immediately-shrink plan a
+    /// literal no-op — bitwise equal to running with no plan at all.
+    /// Failures are not netted here: a join never cancels one.
     pub fn resize_at(&self, epoch: usize) -> (Vec<usize>, Vec<usize>) {
-        let mut joins = Vec::new();
-        let mut leaves = Vec::new();
-        for e in self.events.iter().filter(|e| e.epoch == epoch) {
-            match e.change {
-                WorldChange::Join => joins.push(e.rank),
-                WorldChange::Leave => leaves.push(e.rank),
-            }
-        }
-        joins.sort_unstable();
-        joins.dedup();
-        leaves.sort_unstable();
-        leaves.dedup();
+        let mut joins = self.ranks_at(epoch, WorldChange::Join);
+        let mut leaves = self.ranks_at(epoch, WorldChange::Leave);
         let cancelled: Vec<usize> =
             joins.iter().copied().filter(|r| leaves.contains(r)).collect();
         joins.retain(|r| !cancelled.contains(r));
@@ -193,20 +203,31 @@ impl WorldPlan {
         (joins, leaves)
     }
 
-    /// Fails fast if the composed schedule (this plan's resizes plus
-    /// `faults`' rank failures) would ever empty the world within
-    /// `num_epochs` epochs of a `k0`-part launch. Each boundary's net
-    /// change comes from the driver's own `boundary_change`, so a
-    /// failure that a join at the same boundary refills is accepted.
-    pub fn validate(
-        &self,
-        k0: usize,
-        num_epochs: usize,
-        faults: Option<&FaultPlan>,
-    ) -> Result<(), String> {
+    /// Fails fast if the schedule cannot run within `num_epochs` epochs
+    /// of a `k0`-part launch: a `fail` or `leave` names a rank that is
+    /// neither launched (`< k0`) nor joined anywhere in the plan, or some
+    /// boundary would empty the world. Each boundary's net change comes
+    /// from the driver's own `boundary_change`, so a failure that a join
+    /// at the same boundary refills is accepted.
+    pub fn validate(&self, k0: usize, num_epochs: usize) -> Result<(), String> {
+        let joins = |rank: usize| {
+            self.events.iter().any(|e| e.rank == rank && e.change == WorldChange::Join)
+        };
+        if let Some(e) = self
+            .events
+            .iter()
+            .find(|e| e.change != WorldChange::Join && e.rank >= k0 && !joins(e.rank))
+        {
+            let keyword = if e.change == WorldChange::Fail { "fail" } else { "leave" };
+            return Err(format!(
+                "rank {} out of range for k = {k0} ({keyword}{}@{} names a rank that is \
+                 never in the world)",
+                e.rank, e.rank, e.epoch
+            ));
+        }
         let mut world = WorldMembership::launch(k0);
         for epoch in 1..=num_epochs {
-            let (failed, joined, departed) = boundary_change(&world, epoch, faults, Some(self));
+            let (failed, joined, departed) = boundary_change(&world, epoch, self);
             if world.k() + joined.len() == failed.len() + departed.len() {
                 return Err(match failed.last() {
                     Some(r) if joined.is_empty() && departed.is_empty() => {
@@ -222,21 +243,40 @@ impl WorldPlan {
     }
 }
 
+/// Parses the `<R>@<E>` operand shape of every world-plan directive
+/// (`join4@3`, `leave0@7`, `fail2@2`): a rank id and a 1-based epoch.
+/// `directive` is the full directive text (for error messages); `rest`
+/// is the text after the keyword.
+fn parse_rank_at_epoch(directive: &str, rest: &str) -> Result<(usize, usize), String> {
+    let (rank_str, epoch_str) = rest
+        .split_once('@')
+        .ok_or_else(|| format!("'{directive}': expected <R>@<E>"))?;
+    let rank: usize = rank_str
+        .parse()
+        .map_err(|_| format!("'{directive}': rank '{rank_str}' is not a usize"))?;
+    let epoch: usize = epoch_str
+        .parse()
+        .map_err(|_| format!("'{directive}': epoch '{epoch_str}' is not a usize"))?;
+    if epoch == 0 {
+        return Err(format!("'{directive}': epochs are 1-based"));
+    }
+    Ok((rank, epoch))
+}
+
 /// The net change of the rank set at the boundary of `epoch`:
 /// `(failed, joined, departed)` in original rank ids, each ascending.
-/// `failed` holds the live ranks `faults` kills; `joined` and `departed`
-/// the world plan's net joins of ranks not live (or failing right now)
-/// and net leaves of live ranks that do not fail. All three empty means
-/// the epoch has no boundary event.
+/// `failed` holds the live ranks the plan fails; `joined` and `departed`
+/// its net joins of ranks not live (or failing right now) and net leaves
+/// of live ranks that do not fail. All three empty means the epoch has
+/// no boundary event.
 pub(crate) fn boundary_change(
     membership: &WorldMembership,
     epoch: usize,
-    faults: Option<&FaultPlan>,
-    world: Option<&WorldPlan>,
+    world: &WorldPlan,
 ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let mut failed = faults.map_or_else(Vec::new, |plan| plan.ranks_failing_at(epoch));
+    let mut failed = world.ranks_at(epoch, WorldChange::Fail);
     failed.retain(|&r| membership.is_live(r));
-    let (mut joined, mut departed) = world.map_or_else(Default::default, |p| p.resize_at(epoch));
+    let (mut joined, mut departed) = world.resize_at(epoch);
     joined.retain(|r| !membership.is_live(*r) || failed.contains(r));
     departed.retain(|r| membership.is_live(*r) && !failed.contains(r));
     (failed, joined, departed)
@@ -261,13 +301,13 @@ impl ResizeChoice {
     }
 }
 
-/// The one resize performed at an epoch boundary: rank failures and the
-/// world plan's net joins and leaves together.
+/// The one resize performed at an epoch boundary: the world plan's
+/// failures and net joins and leaves together.
 #[derive(Clone, Debug)]
 pub struct ResizeRecord {
     /// Epoch at whose boundary the resize applied (1-based).
     pub epoch: usize,
-    /// Original ids of the ranks that failed at this boundary, ascending.
+    /// Original ids of the ranks the world plan failed, ascending.
     pub failed: Vec<usize>,
     /// Original ids of the ranks the world plan joined, ascending.
     pub joined: Vec<usize>,
@@ -577,13 +617,13 @@ mod tests {
 
     #[test]
     fn parse_full_grammar() {
-        let plan = WorldPlan::parse("7:join4@2,leave1@2,leave0@5").unwrap();
+        let plan = WorldPlan::parse("7:join4@2,leave1@2,leave0@5,fail3@5").unwrap();
         assert_eq!(plan.seed(), 7);
-        assert_eq!(plan.events.len(), 3);
+        assert_eq!(plan.events.len(), 4);
         assert_eq!(plan.resize_at(2), (vec![4], vec![1]));
         assert_eq!(plan.resize_at(5), (vec![], vec![0]));
         assert_eq!(plan.resize_at(1), (vec![], vec![]));
-        assert_eq!(plan.join_ranks(), vec![4]);
+        assert_eq!(plan.ranks_at(5, WorldChange::Fail), vec![3]);
     }
 
     #[test]
@@ -602,6 +642,7 @@ mod tests {
             "1:join1@zero",
             "1:join1@0",
             "1:leave1",
+            "1:fail@2",
             "1:rank1@2",
             "1:explode",
         ] {
@@ -611,11 +652,34 @@ mod tests {
 
     #[test]
     fn error_wording_matches_the_fault_plan() {
-        // The satellite contract: one grammar module, uniform messages.
+        // One grammar module, uniform messages: every directive kind
+        // fails alike, and so does the seed of either plan.
         let w = WorldPlan::parse("1:join1@0").unwrap_err();
-        let f = FaultPlan::parse("1:rank1@0").unwrap_err();
+        let f = WorldPlan::parse("1:fail1@0").unwrap_err();
         assert_eq!(w, "'join1@0': epochs are 1-based");
-        assert_eq!(f, "'rank1@0': epochs are 1-based");
+        assert_eq!(f, "'fail1@0': epochs are 1-based");
+        let w = WorldPlan::parse("x:join1@2").unwrap_err();
+        let f = FaultPlan::parse("x:drop0.1").unwrap_err();
+        assert_eq!(w.replace("world", "fault"), f);
+    }
+
+    #[test]
+    fn rank_at_epoch_parses_and_rejects() {
+        assert_eq!(parse_rank_at_epoch("fail1@2", "1@2").unwrap(), (1, 2));
+        for (directive, rest) in
+            [("fail@2", "@2"), ("fail1@", "1@"), ("fail1@zero", "1@zero"), ("fail12", "12")]
+        {
+            let err = parse_rank_at_epoch(directive, rest).unwrap_err();
+            assert!(err.contains(directive), "error must cite '{directive}': {err}");
+        }
+        let err = parse_rank_at_epoch("leave3@0", "3@0").unwrap_err();
+        assert!(err.contains("1-based"), "{err}");
+    }
+
+    #[test]
+    fn failures_at_an_epoch_dedup_and_sort() {
+        let plan = WorldPlan::new(1).fail(3, 5).fail(1, 5).fail(3, 5);
+        assert_eq!(plan.ranks_at(5, WorldChange::Fail), vec![1, 3]);
     }
 
     #[test]
@@ -630,16 +694,31 @@ mod tests {
     #[test]
     fn validate_catches_world_exhaustion() {
         let plan = WorldPlan::new(0).leave(0, 1).leave(1, 2);
-        assert!(plan.validate(2, 1, None).is_ok(), "one leave of two is fine");
-        let err = plan.validate(2, 2, None).unwrap_err();
+        assert!(plan.validate(2, 1).is_ok(), "one leave of two is fine");
+        let err = plan.validate(2, 2).unwrap_err();
         assert!(err.contains("epoch 2"), "{err}");
         // A join rescues the same schedule.
         let rescued = plan.clone().join(7, 2);
-        assert!(rescued.validate(2, 2, None).is_ok());
-        // Composition with faults is simulated too.
-        let faults = FaultPlan::new(0).fail_rank(0, 1).fail_rank(1, 1);
-        let err = WorldPlan::new(0).validate(2, 2, Some(&faults)).unwrap_err();
+        assert!(rescued.validate(2, 2).is_ok());
+        // Failures are simulated too.
+        let failures = WorldPlan::new(0).fail(0, 1).fail(1, 1);
+        let err = failures.validate(2, 2).unwrap_err();
         assert!(err.contains("empty the world"), "{err}");
+    }
+
+    #[test]
+    fn validate_refuses_ranks_never_in_the_world() {
+        // A fail or leave must name a launched rank or one the plan
+        // joins; a leave used to be dropped silently.
+        for plan in [WorldPlan::new(0).fail(9, 1), WorldPlan::new(0).leave(9, 2)] {
+            let err = plan.validate(4, 2).unwrap_err();
+            assert!(err.contains("rank 9 out of range for k = 4"), "{err}");
+        }
+        let err = WorldPlan::new(0).leave(9, 2).validate(4, 2).unwrap_err();
+        assert!(err.contains("leave9@2"), "{err}");
+        // A spare the plan joins may fail or leave, even before it joins.
+        assert!(WorldPlan::new(0).join(9, 2).fail(9, 3).validate(4, 3).is_ok());
+        assert!(WorldPlan::new(0).leave(9, 1).join(9, 2).validate(4, 3).is_ok());
     }
 
     fn grid(rows: usize, cols: usize, k: usize) -> (Hypergraph, Vec<PartId>) {
@@ -829,7 +908,7 @@ mod tests {
     fn a_double_failure_is_one_resize() {
         let mut stream = weights_stream(4, 21);
         let s = session(3)
-            .fault_plan(FaultPlan::parse("3:rank3@2,rank1@2").unwrap())
+            .world_plan(WorldPlan::parse("3:fail3@2,fail1@2").unwrap())
             .workload(&mut stream)
             .run()
             .unwrap();
@@ -843,11 +922,9 @@ mod tests {
 
     #[test]
     fn a_join_refills_a_world_its_failures_would_empty() {
-        let failures = || FaultPlan::parse("1:rank0@2,rank1@2").unwrap();
         let mut stream = weights_stream(2, 22);
         let s = session(3)
-            .fault_plan(failures())
-            .world_plan(WorldPlan::parse("1:join5@2").unwrap())
+            .world_plan(WorldPlan::parse("1:fail0@2,fail1@2,join5@2").unwrap())
             .workload(&mut stream)
             .run()
             .unwrap();
@@ -856,7 +933,11 @@ mod tests {
         assert_eq!(s.world_timeline(), vec![(1, 2), (2, 1), (3, 1)]);
         // Without the join the failures empty the world.
         let mut stream = weights_stream(2, 22);
-        let err = session(3).fault_plan(failures()).workload(&mut stream).run().unwrap_err();
+        let err = session(3)
+            .world_plan(WorldPlan::parse("1:fail0@2,fail1@2").unwrap())
+            .workload(&mut stream)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, crate::SessionError::InvalidPlan(_)), "{err}");
     }
 

@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use dlb_mpisim::{Comm, FaultPlan, WorldMembership};
+use dlb_mpisim::{Comm, FaultPlan};
 use dlb_workloads::{EpochSource, EpochUpdate};
 
 use crate::cost::CostBreakdown;
@@ -23,6 +23,7 @@ use crate::delta::ModelPatcher;
 use crate::driver::{repartition_on, Algorithm, Prebuilt, RepartConfig, RepartProblem};
 use crate::elastic::{boundary_change, perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
 use crate::exec::{measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel};
+use crate::membership::WorldMembership;
 use crate::session::SessionError;
 
 /// The per-epoch drift policy of an incremental run: epochs whose delta
@@ -203,12 +204,10 @@ pub(crate) struct EpochParams<'a> {
     pub cfg: &'a RepartConfig,
     /// Turns on the measured execution model.
     pub network: Option<&'a NetworkModel>,
-    /// Rank failures, applied as unplanned departures at epoch
-    /// boundaries; message drop/delay injected into the measured
-    /// migration world.
+    /// Message drop/delay injected into the measured migration worlds.
     pub faults: Option<&'a FaultPlan>,
-    /// Planned rank arrivals and departures, applied in the same
-    /// boundary resize as the failures.
+    /// Rank arrivals, departures and failures, each boundary's net
+    /// change applied as one resize.
     pub world: Option<&'a WorldPlan>,
     /// Delta-driven model patching with warm starts (serial only).
     pub incremental: Option<IncrementalPolicy>,
@@ -217,15 +216,15 @@ pub(crate) struct EpochParams<'a> {
 /// The shared epoch loop: `comm` selects serial vs collective
 /// repartitioning. Public API: [`crate::session::Session`].
 ///
-/// A fault or world plan that cannot run on the source's `k`-part world
-/// is refused with [`SessionError::InvalidPlan`] before the first epoch:
-/// the check reads only the shared plans and `source.k()`, so every rank
+/// A world plan that cannot run on the source's `k`-part world is
+/// refused with [`SessionError::InvalidPlan`] before the first epoch:
+/// the check reads only the shared plan and `source.k()`, so every rank
 /// of an SPMD world returns the same error before any collective.
 ///
 /// Failure detection is plan-driven: every driver rank consults the
-/// shared plans at the epoch boundary (a perfect failure detector), so
-/// no extra collectives run, and an epoch whose rank set does not
-/// change is bitwise the epoch of a run without plans.
+/// shared world plan at the epoch boundary (a perfect failure detector),
+/// so no extra collectives run, and an epoch whose rank set does not
+/// change is bitwise the epoch of a run without a plan.
 pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     mut comm: Option<&mut Comm>,
     source: &mut S,
@@ -239,25 +238,12 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     );
     let mut patcher = incremental.map(|_| ModelPatcher::new());
     let k0 = source.k();
-    if let Some(plan) = faults {
-        let joinable = world.map(|w| w.join_ranks()).unwrap_or_default();
-        let out_of_range = |rank: usize| rank >= k0 && !joinable.contains(&rank);
-        if let Some(f) = plan.failures().iter().find(|f| out_of_range(f.rank)) {
-            return Err(SessionError::InvalidPlan(format!(
-                "fault plan rank {} out of range for k = {k0}",
-                f.rank
-            )));
-        }
-    }
-    if faults.is_some() || world.is_some() {
-        let (no_world, plan) = (WorldPlan::new(0), if world.is_some() { "world" } else { "fault" });
-        world
-            .unwrap_or(&no_world)
-            .validate(k0, num_epochs, faults)
-            .map_err(|e| SessionError::InvalidPlan(format!("invalid {plan} plan: {e}")))?;
+    if let Some(plan) = world {
+        plan.validate(k0, num_epochs)
+            .map_err(|e| SessionError::InvalidPlan(format!("invalid world plan: {e}")))?;
     }
     // The membership of the live world: original rank ids (what the
-    // plans speak) in current-label order (where the partitions live).
+    // plan speaks) in current-label order (where the partitions live).
     let mut membership = WorldMembership::launch(k0);
     let mut reports = Vec::with_capacity(num_epochs);
     for epoch in 1..=num_epochs {
@@ -283,7 +269,8 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
             None => (source.next_epoch(), None),
         };
         span.attr("vertices", snapshot.graph.num_vertices());
-        let (failed, joined, departed) = boundary_change(&membership, epoch, faults, world);
+        let (failed, joined, departed) =
+            world.map_or_else(Default::default, |plan| boundary_change(&membership, epoch, plan));
         let report = if failed.is_empty() && joined.is_empty() && departed.is_empty() {
             let problem = RepartProblem {
                 hypergraph: &snapshot.hypergraph,

@@ -48,6 +48,7 @@ pub mod driver;
 pub mod elastic;
 pub mod epoch;
 pub mod exec;
+mod membership;
 pub mod migrate;
 pub mod model;
 pub mod remap;

@@ -25,11 +25,12 @@
 //! identically seeded source, multi-rank sessions take a
 //! [`workload_factory`](Session::workload_factory) instead of a borrowed
 //! source. `.measured(true)` (or [`network`](Session::network)) turns on
-//! the measured execution model, [`fault_plan`](Session::fault_plan) and
-//! [`world_plan`](Session::world_plan) schedule rank failures and
-//! planned resizes, [`incremental`](Session::incremental) switches to
-//! delta-driven model patching with warm-started V-cycles (see
-//! [`crate::delta`]), and [`trace_to`](Session::trace_to) /
+//! the measured execution model, [`world_plan`](Session::world_plan)
+//! schedules rank joins, leaves and failures,
+//! [`fault_plan`](Session::fault_plan) injects message drops and delays
+//! into the measured exchanges, [`incremental`](Session::incremental)
+//! switches to delta-driven model patching with warm-started V-cycles
+//! (see [`crate::delta`]), and [`trace_to`](Session::trace_to) /
 //! [`run_traced`](Session::run_traced) wrap the run in a [`dlb_trace`]
 //! session.
 //!
@@ -41,8 +42,8 @@
 //! incremental × SPMD ([`SessionError::IncrementalNeedsSerial`]): the
 //! warm start is a serial refinement of the previous assignment, and
 //! the SPMD partitioner has no counterpart to seed. A plan that cannot
-//! run on the workload's world (a fault rank outside it, a world plan
-//! that would empty it) is an error too, not a panic:
+//! run on the workload's world (a failing or leaving rank that is never
+//! in it, a schedule that would empty it) is an error too, not a panic:
 //! [`SessionError::InvalidPlan`], returned before the first epoch.
 
 use std::fmt;
@@ -86,11 +87,11 @@ pub enum SessionError {
     /// partitioner has no warm start, so incremental sessions must run
     /// on one rank.
     IncrementalNeedsSerial,
-    /// The [`fault_plan`](Session::fault_plan) names a rank outside the
-    /// workload's world (and outside the world plan's joins), or the
-    /// failures and planned resizes together would empty the world at
-    /// some boundary. Carries the plan message;
-    /// reported before the first epoch runs.
+    /// The [`world_plan`](Session::world_plan) fails or departs a rank
+    /// that is neither in the workload's launch world nor joined by the
+    /// plan, or its failures and planned resizes together would empty
+    /// the world at some boundary. Carries the plan message; reported
+    /// before the first epoch runs.
     InvalidPlan(String),
     /// Tracing was requested on [`Session::run_on`]; a per-rank trace
     /// session would deadlock the collective, so open the trace around
@@ -247,25 +248,25 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Installs a deterministic [`FaultPlan`]: a scheduled rank failure
-    /// is a departure the plan did not announce, applied in its epoch
-    /// boundary's one resize, and message drop/delay probabilities are
-    /// injected into the measured migration exchanges (DESIGN.md §12,
-    /// §15). Plan rank
-    /// ids refer to the workload's `k` logical parts, so results are
-    /// identical at any [`ranks`](Session::ranks) setting.
+    /// Installs a deterministic [`FaultPlan`]: its message drop/delay
+    /// probabilities are injected into the measured migration exchanges
+    /// (DESIGN.md §12). Drops are retransmitted and delays slept
+    /// through, so every deterministic output is unchanged; rank
+    /// failures are [`WorldPlan::fail`] events.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
 
-    /// Installs a [`WorldPlan`]: scheduled rank arrivals and departures
-    /// are applied as elastic resizes at epoch boundaries — growing
-    /// onto the joining spares or shrinking onto the survivors via a
-    /// fixed-vertex repartition, with the cost model arbitrating
-    /// repartition-vs-scratch per resize (DESIGN.md §15). Like fault
-    /// plans, the schedule speaks logical part ids, so results are
-    /// identical at any [`ranks`](Session::ranks) setting.
+    /// Installs a [`WorldPlan`]: scheduled rank arrivals, departures and
+    /// failures are applied as elastic resizes at epoch boundaries —
+    /// growing onto the joining spares or shrinking onto the survivors
+    /// via a fixed-vertex repartition, with the cost model arbitrating
+    /// repartition-vs-scratch per resize (DESIGN.md §15). A failure is a
+    /// departure nobody announced: it leaves in its boundary's one
+    /// resize and counts as a recovery. The schedule speaks logical part
+    /// ids, so results are identical at any [`ranks`](Session::ranks)
+    /// setting.
     pub fn world_plan(mut self, plan: WorldPlan) -> Self {
         self.world = Some(plan);
         self

@@ -43,14 +43,12 @@
 mod comm;
 mod dist;
 pub mod fault;
-pub mod membership;
 pub mod plan;
 pub mod spec;
 mod world;
 
 pub use comm::{Comm, CommError, CommStats};
 pub use dist::BlockDist;
-pub use fault::{FaultPlan, FaultState, RankFailure};
-pub use membership::WorldMembership;
+pub use fault::{FaultPlan, FaultState};
 pub use plan::CommPlan;
 pub use world::{run_spmd, run_spmd_with_faults, RankPanic, SpmdError};

@@ -1,21 +1,21 @@
 //! The shared `SEED:SPEC` plan grammar.
 //!
 //! Both declarative schedules in this workspace — [`crate::FaultPlan`]
-//! (what goes *wrong*: rank failures, message drop/delay) and
-//! `dlb_core`'s `WorldPlan` (what is *planned*: rank arrivals and
-//! departures) — speak the same surface syntax:
+//! (what goes wrong on the wire: message drop/delay) and `dlb_core`'s
+//! `WorldPlan` (who is in the world: rank joins, leaves and failures) —
+//! speak the same surface syntax:
 //!
 //! ```text
 //! SEED:directive(,directive)*
 //! ```
 //!
 //! where `SEED` is a `u64` and each directive is a keyword immediately
-//! followed by its operands (`rank1@2`, `drop0.01`, `join4@3`, …).
-//! This module owns the grammar so the two plans parse and fail
-//! identically: the same split of seed from spec, the same trimming and
-//! empty-directive tolerance, and the same error wording — every error
-//! names the offending directive and what was expected, so a CLI typo
-//! in `--fault-plan` reads exactly like one in `--world-plan`.
+//! followed by its operands (`drop0.01`, `join4@3`, …). This module owns
+//! what the two grammars share, so they split and fail identically: the
+//! same split of seed from spec, the same trimming and empty-directive
+//! tolerance, and the same unknown-directive wording — a CLI typo in
+//! `--fault-plan` reads exactly like one in `--world-plan`. Each plan
+//! parses its own operands.
 
 /// Splits `s` into its seed and its (possibly empty) list of non-empty,
 /// trimmed directives. `what` names the plan kind for error messages
@@ -23,10 +23,10 @@
 ///
 /// ```
 /// use dlb_mpisim::spec::split_seed_spec;
-/// let (seed, ds) = split_seed_spec("42:rank1@2, drop0.01", "fault", "42:rank1@2").unwrap();
+/// let (seed, ds) = split_seed_spec("42:drop0.01, delay0.5", "fault", "42:drop0.01").unwrap();
 /// assert_eq!(seed, 42);
-/// assert_eq!(ds, vec!["rank1@2", "drop0.01"]);
-/// assert!(split_seed_spec("nocolon", "fault", "42:rank1@2").is_err());
+/// assert_eq!(ds, vec!["drop0.01", "delay0.5"]);
+/// assert!(split_seed_spec("nocolon", "fault", "42:drop0.01").is_err());
 /// ```
 pub fn split_seed_spec<'a>(
     s: &'a str,
@@ -42,43 +42,6 @@ pub fn split_seed_spec<'a>(
         .map_err(|_| format!("{what} plan seed '{seed_str}' is not a u64"))?;
     let directives = spec.split(',').map(str::trim).filter(|d| !d.is_empty()).collect();
     Ok((seed, directives))
-}
-
-/// Parses the `<R>@<E>` operand shape shared by every rank-scheduling
-/// directive (`rank1@2`, `join4@3`, `leave0@7`): a rank id and a
-/// 1-based epoch. `directive` is the full directive text (for error
-/// messages); `rest` is the text after the keyword.
-///
-/// ```
-/// use dlb_mpisim::spec::parse_rank_at_epoch;
-/// assert_eq!(parse_rank_at_epoch("join4@3", "4@3").unwrap(), (4, 3));
-/// assert!(parse_rank_at_epoch("join4@0", "4@0").is_err(), "epochs are 1-based");
-/// ```
-pub fn parse_rank_at_epoch(directive: &str, rest: &str) -> Result<(usize, usize), String> {
-    let (rank_str, epoch_str) = rest
-        .split_once('@')
-        .ok_or_else(|| format!("'{directive}': expected <R>@<E>"))?;
-    let rank: usize = rank_str
-        .parse()
-        .map_err(|_| format!("'{directive}': rank '{rank_str}' is not a usize"))?;
-    let epoch: usize = epoch_str
-        .parse()
-        .map_err(|_| format!("'{directive}': epoch '{epoch_str}' is not a usize"))?;
-    if epoch == 0 {
-        return Err(format!("'{directive}': epochs are 1-based"));
-    }
-    Ok((rank, epoch))
-}
-
-/// Parses a probability operand in `[0, 1]` (`drop0.01`, `delay0.5`).
-pub fn parse_prob(directive: &str, p_str: &str) -> Result<f64, String> {
-    let p: f64 = p_str
-        .parse()
-        .map_err(|_| format!("'{directive}': '{p_str}' is not a probability"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("'{directive}': probability {p} outside [0, 1]"));
-    }
-    Ok(p)
 }
 
 /// The uniform "unknown directive" error: names the directive and the
@@ -107,39 +70,16 @@ mod tests {
 
     #[test]
     fn split_errors_name_the_plan_kind() {
-        let err = split_seed_spec("nocolon", "fault", "42:rank1@2").unwrap_err();
+        let err = split_seed_spec("nocolon", "fault", "42:drop0.01").unwrap_err();
         assert!(err.contains("fault plan"), "{err}");
         assert!(err.contains("SEED:spec"), "{err}");
-        let err = split_seed_spec("x:rank1@2", "world", "1:join1@2").unwrap_err();
+        let err = split_seed_spec("x:join1@2", "world", "1:join1@2").unwrap_err();
         assert!(err.contains("world plan seed 'x'"), "{err}");
     }
 
     #[test]
-    fn rank_at_epoch_parses_and_rejects() {
-        assert_eq!(parse_rank_at_epoch("rank1@2", "1@2").unwrap(), (1, 2));
-        for (directive, rest) in
-            [("rank@2", "@2"), ("rank1@", "1@"), ("rank1@zero", "1@zero"), ("rank12", "12")]
-        {
-            let err = parse_rank_at_epoch(directive, rest).unwrap_err();
-            assert!(err.contains(directive), "error must cite '{directive}': {err}");
-        }
-        let err = parse_rank_at_epoch("leave3@0", "3@0").unwrap_err();
-        assert!(err.contains("1-based"), "{err}");
-    }
-
-    #[test]
-    fn prob_parses_and_rejects_out_of_range() {
-        assert_eq!(parse_prob("drop0.25", "0.25").unwrap(), 0.25);
-        assert_eq!(parse_prob("drop1", "1").unwrap(), 1.0);
-        for (directive, rest) in [("drop1.5", "1.5"), ("delay-0.1", "-0.1"), ("dropx", "x")] {
-            let err = parse_prob(directive, rest).unwrap_err();
-            assert!(err.contains(directive), "error must cite '{directive}': {err}");
-        }
-    }
-
-    #[test]
     fn unknown_directive_wording_is_uniform() {
-        let err = unknown_directive("explode", "rank<R>@<E>");
-        assert_eq!(err, "unknown directive 'explode' (expected rank<R>@<E>)");
+        let err = unknown_directive("explode", "join<R>@<E>");
+        assert_eq!(err, "unknown directive 'explode' (expected join<R>@<E>)");
     }
 }

@@ -210,16 +210,47 @@ impl Config {
         }
     }
 
-    /// A validating builder over the default configuration. Prefer this
-    /// at API boundaries (CLI, services): invalid knob combinations come
-    /// back as a [`ConfigError`] instead of a panic deep inside the
-    /// partitioning drivers.
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder { cfg: Config::default(), k: None }
+    /// Checks the knobs for use with `k` parts. Call it at API
+    /// boundaries (CLI, services): an invalid combination comes back as
+    /// a [`ConfigError`] instead of a panic deep inside the partitioning
+    /// drivers.
+    ///
+    /// ```
+    /// use dlb_partitioner::config::{Config, ConfigError};
+    ///
+    /// let mut cfg = Config { epsilon: 0.03, ..Config::default() };
+    /// cfg.dist.gather_threshold = 256;
+    /// assert_eq!(cfg.validate(4), Ok(()));
+    /// assert_eq!(cfg.validate(1), Err(ConfigError::InvalidK(1)));
+    /// cfg.dist.gather_threshold = 0;
+    /// assert_eq!(cfg.validate(4), Err(ConfigError::ZeroGatherThreshold));
+    /// ```
+    pub fn validate(&self, k: usize) -> Result<(), ConfigError> {
+        if k < 2 {
+            return Err(ConfigError::InvalidK(k));
+        }
+        if self.dist.gather_threshold == 0 {
+            return Err(ConfigError::ZeroGatherThreshold);
+        }
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+            return Err(ConfigError::InvalidEpsilon(self.epsilon));
+        }
+        if self.initial.num_attempts == 0 {
+            return Err(ConfigError::ZeroAttempts);
+        }
+        if self.num_vcycles == 0 {
+            return Err(ConfigError::ZeroVcycles);
+        }
+        for &e in &self.aux_epsilons {
+            if !(e.is_finite() && e > 0.0) {
+                return Err(ConfigError::InvalidEpsilon(e));
+            }
+        }
+        Ok(())
     }
 }
 
-/// A rejected [`ConfigBuilder`] knob combination.
+/// A knob combination [`Config::validate`] rejects.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// `k < 2`: partitioning into fewer than two parts is a no-op the
@@ -257,123 +288,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Validating builder for [`Config`] (see [`Config::builder`]).
-///
-/// Unifies the top-level knobs, the [`DistConfig`] sub-config, and the
-/// Fast matcher's `threads`/`DLB_THREADS` worker count behind one checked
-/// constructor:
-///
-/// ```
-/// use dlb_partitioner::config::{Config, ConfigError};
-///
-/// let cfg = Config::builder().k(4).epsilon(0.03).gather_threshold(256).build().unwrap();
-/// assert_eq!(cfg.dist.gather_threshold, 256);
-/// assert_eq!(Config::builder().k(1).build().unwrap_err(), ConfigError::InvalidK(1));
-/// assert_eq!(
-///     Config::builder().gather_threshold(0).build().unwrap_err(),
-///     ConfigError::ZeroGatherThreshold
-/// );
-/// ```
-#[derive(Clone, Debug)]
-pub struct ConfigBuilder {
-    cfg: Config,
-    k: Option<usize>,
-}
-
-impl ConfigBuilder {
-    /// Part count this configuration will be used with; validated
-    /// (`k >= 2`) but not stored — the partitioning calls still take `k`
-    /// explicitly.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = Some(k);
-        self
-    }
-
-    /// Allowed imbalance ε.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.cfg.epsilon = epsilon;
-        self
-    }
-
-    /// Per-constraint imbalance tolerances: `epsilons[0]` is the primary
-    /// ε, the rest become [`Config::aux_epsilons`]. An empty slice
-    /// leaves the configuration unchanged.
-    pub fn epsilons(mut self, epsilons: &[f64]) -> Self {
-        if let Some((&first, rest)) = epsilons.split_first() {
-            self.cfg.epsilon = first;
-            self.cfg.aux_epsilons = rest.to_vec();
-        }
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Total V-cycles (see [`Config::num_vcycles`]).
-    pub fn num_vcycles(mut self, num_vcycles: usize) -> Self {
-        self.cfg.num_vcycles = num_vcycles;
-        self
-    }
-
-    /// Worker threads for the Fast matcher ([`Config::threads`]; `0` =
-    /// auto: `DLB_THREADS`, then [`std::thread::available_parallelism`]).
-    /// Strict ignores it.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Reproducibility contract ([`Config::determinism`]).
-    pub fn determinism(mut self, determinism: Determinism) -> Self {
-        self.cfg.determinism = determinism;
-        self
-    }
-
-    /// Route through the memory-scalable distributed driver
-    /// ([`DistConfig::distributed`]).
-    pub fn distributed(mut self, on: bool) -> Self {
-        self.cfg.dist.distributed = on;
-        self
-    }
-
-    /// Replication threshold of the distributed driver
-    /// ([`DistConfig::gather_threshold`]).
-    pub fn gather_threshold(mut self, gather_threshold: usize) -> Self {
-        self.cfg.dist.gather_threshold = gather_threshold;
-        self
-    }
-
-    /// Validates the assembled configuration.
-    pub fn build(self) -> Result<Config, ConfigError> {
-        if let Some(k) = self.k {
-            if k < 2 {
-                return Err(ConfigError::InvalidK(k));
-            }
-        }
-        if self.cfg.dist.gather_threshold == 0 {
-            return Err(ConfigError::ZeroGatherThreshold);
-        }
-        if !(self.cfg.epsilon.is_finite() && self.cfg.epsilon > 0.0) {
-            return Err(ConfigError::InvalidEpsilon(self.cfg.epsilon));
-        }
-        if self.cfg.initial.num_attempts == 0 {
-            return Err(ConfigError::ZeroAttempts);
-        }
-        if self.cfg.num_vcycles == 0 {
-            return Err(ConfigError::ZeroVcycles);
-        }
-        for &e in &self.cfg.aux_epsilons {
-            if !(e.is_finite() && e > 0.0) {
-                return Err(ConfigError::InvalidEpsilon(e));
-            }
-        }
-        Ok(self.cfg)
-    }
-}
-
 pub use dlb_hypergraph::balance::{AuxTargets, PartTargets};
 
 /// Assembles the k-way balance targets `cfg` implies for `h`: uniform
@@ -409,55 +323,42 @@ mod tests {
 
     #[test]
     fn builder_accepts_valid_combinations() {
-        let c = Config::builder()
-            .k(8)
-            .epsilon(0.03)
-            .seed(7)
-            .threads(2)
-            .distributed(true)
-            .gather_threshold(256)
-            .build()
-            .unwrap();
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.threads, 2);
-        assert!(c.dist.distributed);
-        assert_eq!(c.dist.gather_threshold, 256);
+        let mut c = Config { epsilon: 0.03, seed: 7, threads: 2, ..Config::default() };
+        c.dist.distributed = true;
+        c.dist.gather_threshold = 256;
+        assert_eq!(c.validate(8), Ok(()));
     }
 
     #[test]
     fn builder_rejects_invalid_knobs() {
-        assert_eq!(Config::builder().k(0).build().unwrap_err(), ConfigError::InvalidK(0));
-        assert_eq!(Config::builder().k(1).build().unwrap_err(), ConfigError::InvalidK(1));
-        assert_eq!(
-            Config::builder().gather_threshold(0).build().unwrap_err(),
-            ConfigError::ZeroGatherThreshold
-        );
-        assert_eq!(
-            Config::builder().epsilon(0.0).build().unwrap_err(),
-            ConfigError::InvalidEpsilon(0.0)
-        );
-        assert!(matches!(
-            Config::builder().epsilon(f64::NAN).build().unwrap_err(),
-            ConfigError::InvalidEpsilon(e) if e.is_nan()
-        ));
-        assert_eq!(
-            Config::builder().num_vcycles(0).build().unwrap_err(),
-            ConfigError::ZeroVcycles
-        );
+        let ok = Config::default();
+        assert_eq!(ok.validate(0), Err(ConfigError::InvalidK(0)));
+        assert_eq!(ok.validate(1), Err(ConfigError::InvalidK(1)));
+        let mut c = Config::default();
+        c.dist.gather_threshold = 0;
+        assert_eq!(c.validate(2), Err(ConfigError::ZeroGatherThreshold));
+        let c = Config { epsilon: 0.0, ..Config::default() };
+        assert_eq!(c.validate(2), Err(ConfigError::InvalidEpsilon(0.0)));
+        let c = Config { epsilon: f64::NAN, ..Config::default() };
+        assert!(matches!(c.validate(2), Err(ConfigError::InvalidEpsilon(e)) if e.is_nan()));
+        let c = Config { num_vcycles: 0, ..Config::default() };
+        assert_eq!(c.validate(2), Err(ConfigError::ZeroVcycles));
+        let mut c = Config::default();
+        c.initial.num_attempts = 0;
+        assert_eq!(c.validate(2), Err(ConfigError::ZeroAttempts));
     }
 
     #[test]
     fn determinism_defaults_to_strict() {
         assert_eq!(Config::default().determinism, Determinism::Strict);
-        let c = Config::builder().determinism(Determinism::Fast).build().unwrap();
-        assert_eq!(c.determinism, Determinism::Fast);
+        let c = Config { determinism: Determinism::Fast, ..Config::default() };
+        assert_eq!(c.validate(2), Ok(()));
     }
 
     #[test]
     fn builder_accepts_multi_constraint_knobs() {
-        let c = Config::builder().k(2).epsilons(&[0.05, 0.10]).build().unwrap();
-        assert_eq!(c.epsilon, 0.05);
-        assert_eq!(c.aux_epsilons, vec![0.10]);
+        let c = Config { epsilon: 0.05, aux_epsilons: vec![0.10], ..Config::default() };
+        assert_eq!(c.validate(2), Ok(()));
         assert_eq!(c.epsilon_for(0), 0.05);
         assert_eq!(c.epsilon_for(1), 0.10);
         assert_eq!(c.epsilon_for(9), 0.05); // falls back to primary
@@ -466,10 +367,8 @@ mod tests {
     #[test]
     fn builder_rejects_multi_constraint_mismatches() {
         // Bad auxiliary epsilon.
-        assert_eq!(
-            Config::builder().epsilons(&[0.05, -0.1]).build().unwrap_err(),
-            ConfigError::InvalidEpsilon(-0.1)
-        );
+        let c = Config { aux_epsilons: vec![-0.1], ..Config::default() };
+        assert_eq!(c.validate(2), Err(ConfigError::InvalidEpsilon(-0.1)));
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod vcycle;
 mod view;
 
 pub use config::{
-    targets_for, AuxTargets, CoarseningConfig, Config, ConfigBuilder, ConfigError, Determinism,
+    targets_for, AuxTargets, CoarseningConfig, Config, ConfigError, Determinism,
     DistConfig, InitialConfig, PartTargets, RefinementConfig, Scheme,
 };
 pub use fixed::FixedAssignment;

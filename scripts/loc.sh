@@ -7,6 +7,8 @@
 # `#[cfg(test)]`-attributed `mod tests` (the whole file if it has none),
 # and how many of them are code — non-blank and not starting with `//`
 # (so doc and line comments are out, a comment behind code is not).
+# A file its parent declares under `#[cfg(test)]` (`#[cfg(test)] mod x;`)
+# is test code as a whole, and so is everything below it: it is left out.
 # Run it on two checkouts and compare the totals.
 set -euo pipefail
 
@@ -15,7 +17,31 @@ if [ $# -eq 0 ]; then
   set -- crates/*/src src
 fi
 
-find "$@" -name '*.rs' | LC_ALL=C sort | xargs awk '
+files=$(find "$@" -name '*.rs' | LC_ALL=C sort)
+# The paths of test-only modules: `x.rs` and the directory `x/` next to
+# a `lib.rs`/`main.rs`/`mod.rs` parent, under `parent/` for any other.
+test_only=$(echo "$files" | xargs awk '
+  FNR == 1 { prev = "" }
+  prev ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/ && $0 ~ /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ {
+    name = $0
+    sub(/^[ \t]*(pub(\([a-z]+\))? )?mod /, "", name)
+    sub(/;.*/, "", name)
+    dir = FILENAME
+    sub(/[^\/]*$/, "", dir)
+    base = substr(FILENAME, length(dir) + 1)
+    if (base != "lib.rs" && base != "main.rs" && base != "mod.rs")
+      dir = dir substr(base, 1, length(base) - 3) "/"
+    print dir name ".rs"
+    print dir name "/"
+  }
+  { prev = $0 }
+')
+
+if [ -n "$test_only" ]; then
+  files=$(echo "$files" | grep -v -F "$test_only")
+fi
+
+echo "$files" | xargs awk '
   # Closes the current file: cut it at the last `#[cfg(test)]` that is
   # directly followed by a `mod tests`, then count what is before the cut.
   function close_file(    i, cut, lines, code) {

@@ -45,21 +45,21 @@
 //!   --scale S         simulate only: amr — levels added to the default
 //!                     mesh (integer, default 0); structure/weights —
 //!                     dataset scale in (0, 1] (default 0.001)
-//!   --fault-plan SPEC simulate only: deterministic fault injection,
+//!   --fault-plan SPEC simulate only: deterministic message faults,
 //!                     SPEC = "SEED:directive,..." with directives
-//!                     rankR@E (logical rank R dies at epoch E and leaves
-//!                     in that boundary's resize), dropP /
-//!                     delayP (per-message drop/delay probability in the
-//!                     measured migration exchanges). Example:
-//!                     --fault-plan 7:rank2@2,drop0.05
-//!   --world-plan SPEC simulate only: planned elastic resizes of the
-//!                     rank set, SPEC = "SEED:directive,..." with
-//!                     directives joinR@E (rank R joins at epoch E) and
-//!                     leaveR@E (rank R departs; its vertices migrate
-//!                     out). Each resize repartitions onto the new
-//!                     world, with the measured cost model choosing
+//!                     dropP / delayP (per-message drop/delay
+//!                     probability in the measured migration
+//!                     exchanges). Example: --fault-plan 7:drop0.05
+//!   --world-plan SPEC simulate only: the schedule of the rank set,
+//!                     SPEC = "SEED:directive,..." with directives
+//!                     joinR@E (rank R joins at epoch E), leaveR@E
+//!                     (rank R departs; its vertices migrate out) and
+//!                     failR@E (rank R dies: an unannounced departure,
+//!                     counted as a recovery). Each boundary's net
+//!                     change is one resize onto the new world, with
+//!                     the measured cost model choosing
 //!                     repartition-vs-scratch per resize. Example:
-//!                     --world-plan 42:join4@2,leave0@3
+//!                     --world-plan 42:join4@2,leave0@3,fail1@3
 //!   --incremental     simulate only: pull structural deltas from the
 //!                     workload, patch the repartitioning model in
 //!                     place, and warm-start the partitioner on
@@ -108,7 +108,7 @@ use dlb::core::{
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::hypergraph::convert::{clique_expansion, column_net_model};
 use dlb::hypergraph::io::{read_hypergraph, read_matrix_market_graph};
-use dlb::hypergraph::{metrics, CsrGraph, Hypergraph};
+use dlb::hypergraph::{CsrGraph, Hypergraph};
 use dlb::mpisim::run_spmd;
 use dlb::partitioner::par::parallel_partition;
 use dlb::partitioner::{Config as HgConfig, Determinism};
@@ -337,20 +337,35 @@ fn effective_epsilons(cli: &Cli) -> Vec<f64> {
     eps
 }
 
-/// Validates the numeric knobs through the partitioner's checked builder
-/// and returns the assembled config. Rejects `k < 2`, bad ε, etc. with
-/// exit code 2 *before* any driver runs (the drivers would otherwise
-/// panic deep inside the SPMD machinery).
+/// Assembles the partitioner config from the flags and checks it with
+/// [`HgConfig::validate`]. Rejects `k < 2`, bad ε, etc. with exit code 2
+/// *before* any driver runs (the drivers would otherwise panic deep
+/// inside the SPMD machinery).
 fn validated_hg_config(cli: &Cli) -> HgConfig {
-    HgConfig::builder()
-        .k(cli.k)
-        .epsilons(&effective_epsilons(cli))
-        .seed(cli.seed)
-        .threads(cli.threads.unwrap_or(0))
-        .determinism(cli.determinism)
-        .distributed(cli.distributed)
-        .build()
-        .unwrap_or_else(|e| fail(e))
+    let epsilons = effective_epsilons(cli);
+    let mut cfg = HgConfig {
+        epsilon: epsilons[0],
+        aux_epsilons: epsilons[1..].to_vec(),
+        seed: cli.seed,
+        threads: cli.threads.unwrap_or(0),
+        determinism: cli.determinism,
+        ..HgConfig::default()
+    };
+    cfg.dist.distributed = cli.distributed;
+    cfg.validate(cli.k).unwrap_or_else(|e| fail(e));
+    cfg
+}
+
+/// The repartitioner's config for the validated partitioner knobs: the
+/// seeded repartitioning defaults with `hg`'s tolerances, threads,
+/// determinism and distribution.
+fn repart_config(hg: HgConfig) -> RepartConfig {
+    let mut cfg = RepartConfig::seeded(hg.seed).with_epsilon(hg.epsilon);
+    cfg.hypergraph.aux_epsilons = hg.aux_epsilons;
+    cfg.hypergraph.threads = hg.threads;
+    cfg.hypergraph.determinism = hg.determinism;
+    cfg.hypergraph.dist = hg.dist;
+    cfg
 }
 
 /// Rejects a numeric flag outside the range its reader accepts, with exit
@@ -558,7 +573,7 @@ fn print_simulation(summary: &SimulationSummary, alpha: f64) {
     );
 }
 
-fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
+fn run_simulate(cli: &Cli, cfg: RepartConfig) {
     if cli.constraints > 1 {
         match cli.workload.as_deref() {
             Some("amr") if cli.constraints == 2 => {}
@@ -577,10 +592,6 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
     if cli.drift_threshold.is_some() && !cli.incremental {
         fail("--drift-threshold requires --incremental");
     }
-    let mut cfg = RepartConfig::seeded(cli.seed).with_epsilons(&effective_epsilons(cli));
-    cfg.hypergraph.threads = hg_cfg.threads;
-    cfg.hypergraph.determinism = hg_cfg.determinism;
-    cfg.hypergraph.dist = hg_cfg.dist;
     let build = |incremental: bool| {
         let mut session = Session::new(cfg.clone())
             .algorithm(cli.algorithm)
@@ -651,7 +662,7 @@ fn main() {
     }
     validate_ranges(&cli);
     if cli.command == "simulate" {
-        run_simulate(&cli, hg_cfg);
+        run_simulate(&cli, repart_config(hg_cfg));
         return;
     }
     if cli.constraints > 1 {
@@ -698,10 +709,7 @@ fn main() {
                 k: cli.k,
                 alpha: cli.alpha,
             };
-            let mut cfg = RepartConfig::seeded(cli.seed).with_epsilons(&effective_epsilons(&cli));
-            cfg.hypergraph.threads = hg_cfg.threads;
-            cfg.hypergraph.determinism = hg_cfg.determinism;
-            cfg.hypergraph.dist = hg_cfg.dist;
+            let cfg = repart_config(hg_cfg);
             let r = with_trace(cli.trace.as_deref(), || {
                 if cli.ranks > 1 || cli.distributed {
                     run_spmd(cli.ranks, |comm| {
@@ -723,7 +731,6 @@ fn main() {
                 r.moved,
                 r.imbalance
             );
-            let _ = metrics::imbalance(&hypergraph, &r.new_part, cli.k);
             write_partition(&cli.out, &r.new_part);
         }
         other => unreachable!("parse_cli admitted the command {other:?}"),

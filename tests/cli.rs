@@ -296,6 +296,17 @@ fn rejects_numeric_flags_out_of_range_up_front() {
         &simulate(&["--workload", "structure", "--incremental", "--drift-threshold", "NaN"]),
         "--drift-threshold must be finite and non-negative",
     );
+    // Rank failures are world-plan events; the fault plan says so.
+    assert_rejected(
+        &["simulate", "-k", "8", "--workload", "amr", "--fault-plan", "7:rank2@2"],
+        "rank failures are the world plan's fail<R>@<E>",
+    );
+    // A departure of a rank that is never in the world used to be
+    // dropped silently.
+    assert_rejected(
+        &["simulate", "-k", "8", "--workload", "amr", "--world-plan", "7:leave9@2"],
+        "rank 9 out of range for k = 8",
+    );
 }
 
 #[test]
@@ -323,7 +334,7 @@ fn rejects_simulate_only_flags_on_file_commands() {
         "--world-plan applies to simulate only",
     );
     assert_rejected(
-        &["partition", "-k", "2", "--fault-plan", "7:rank0@1", "x.mtx"],
+        &["partition", "-k", "2", "--fault-plan", "7:drop0.1", "x.mtx"],
         "--fault-plan applies to simulate only",
     );
     assert_rejected(
@@ -399,7 +410,11 @@ fn simulate_two_constraint_amr_runs() {
 fn shrinking_a_structure_stream_runs_to_the_end() {
     // Absent vertices used to keep their pre-shrink label and crash the
     // next epoch (exit 101).
-    for plan in [["--world-plan", "1:leave1@2"], ["--fault-plan", "1:rank1@2"]] {
+    for plan in [
+        ["--world-plan", "1:leave1@2"],
+        ["--world-plan", "1:fail1@2"],
+        ["--world-plan", "7:fail2@2"],
+    ] {
         let output = dlb()
             .args(["simulate", "-k", "4", "--workload", "structure", "--epochs", "4"])
             .args(plan)

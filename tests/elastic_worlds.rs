@@ -14,8 +14,8 @@
 //!    block-distributed.
 //! 3. **Plan-free purity**: an empty plan — and a plan whose every
 //!    epoch nets to no change — is bitwise identical to no plan at all.
-//! 4. **Chaos-soak determinism**: composing a WorldPlan with a
-//!    FaultPlan over hundreds of epochs of the AMR workload leaves the
+//! 4. **Chaos-soak determinism**: planned churn, hard failures and
+//!    message faults over hundreds of epochs of the AMR workload leave the
 //!    delivered science (per-epoch mesh fingerprints, partition
 //!    excluded) bit-identical to a churn-free run, at driver ranks
 //!    {2, 4} × threads {1, 2}.
@@ -140,9 +140,8 @@ fn planned_shrink_evacuates_the_leaver() {
 fn faults_and_resizes_compose_at_one_boundary() {
     // Rank 2 dies at epoch 2's boundary AND the plan grows by one: one
     // resize applies both, the failed rank among the leavers.
-    let faults = FaultPlan::parse("5:rank2@2").unwrap();
-    let world = WorldPlan::parse("5:join4@2").unwrap();
-    let s = session(4, 3).fault_plan(faults).world_plan(world).run().unwrap();
+    let world = WorldPlan::parse("5:fail2@2,join4@2").unwrap();
+    let s = session(4, 3).world_plan(world).run().unwrap();
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(s.total_resizes(), 1);
     let r = &s.reports[1];
@@ -151,10 +150,56 @@ fn faults_and_resizes_compose_at_one_boundary() {
     assert_eq!((rec.k_before, rec.k_after), (4, 4));
     assert_eq!(r.world_k, 4);
     // A failed rank may be re-admitted by a later planned join.
-    let faults = FaultPlan::parse("5:rank2@2").unwrap();
-    let world = WorldPlan::parse("5:join2@3").unwrap();
-    let s = session(4, 4).fault_plan(faults).world_plan(world).run().unwrap();
+    let world = WorldPlan::parse("5:fail2@2,join2@3").unwrap();
+    let s = session(4, 4).world_plan(world).run().unwrap();
     assert_eq!(s.world_timeline(), vec![(1, 4), (2, 3), (3, 4), (4, 4)]);
+}
+
+/// The claim the design rests on: a failure is a departure nobody
+/// announced. `fail2@2` and `leave2@2` on the same stream run bit for bit
+/// alike at driver ranks 1 and 2 — costs, imbalance, movement,
+/// makespans, the world timeline and every resize figure. They differ
+/// only in which list of the resize record names rank 2 and in the
+/// counters that tell a recovery from a planned departure.
+#[test]
+fn a_failure_runs_exactly_like_a_departure_at_ranks_1_and_2() {
+    use dlb::trace::Counter;
+    let run = |ranks: usize, spec: &str| {
+        let plan = WorldPlan::parse(spec).unwrap();
+        session(4, 3).ranks(ranks).world_plan(plan).run_traced().unwrap()
+    };
+    let imbalances =
+        |s: &SimulationSummary| s.reports.iter().map(|r| r.imbalance.to_bits()).collect::<Vec<_>>();
+    for ranks in [1usize, 2] {
+        let (failed, mut fail_trace) = run(ranks, "7:fail2@2");
+        let (departed, mut leave_trace) = run(ranks, "7:leave2@2");
+        assert_eq!(fingerprint(&failed), fingerprint(&departed), "ranks = {ranks}");
+        assert_eq!(imbalances(&failed), imbalances(&departed), "ranks = {ranks}");
+        assert_eq!(failed.world_timeline(), vec![(1, 4), (2, 3), (3, 3)]);
+        assert_eq!(failed.world_timeline(), departed.world_timeline());
+        // The records match once rank 2 moves from `failed` to `departed`
+        // (`Debug` prints every f64 exactly, so equal text is equal bits).
+        let mut rec = failed.reports[1].resize.clone().expect("epoch 2 resized");
+        let other = departed.reports[1].resize.as_ref().expect("epoch 2 resized");
+        assert_eq!((rec.failed.as_slice(), other.failed.as_slice()), (&[2][..], &[][..]));
+        rec.departed = std::mem::take(&mut rec.failed);
+        assert_eq!(format!("{rec:?}"), format!("{other:?}"), "ranks = {ranks}");
+        // A failure counts as a fault and a recovery, a leave as a
+        // departure; every other counter agrees.
+        let counts = |trace: &dlb::trace::TraceReport| {
+            [Counter::FaultsInjected, Counter::RecoveriesRun, Counter::RanksDeparted]
+                .map(|c| trace.counter(c))
+        };
+        let recoveries = fail_trace.counter(Counter::RecoveriesRun);
+        assert!(recoveries > 0, "ranks = {ranks}");
+        assert_eq!(counts(&fail_trace), [recoveries, recoveries, 0], "ranks = {ranks}");
+        assert_eq!(counts(&leave_trace), [0, 0, recoveries], "ranks = {ranks}");
+        for c in [Counter::FaultsInjected, Counter::RecoveriesRun, Counter::RanksDeparted] {
+            fail_trace.counters.remove(c.name());
+            leave_trace.counters.remove(c.name());
+        }
+        assert_eq!(fail_trace.counters, leave_trace.counters, "ranks = {ranks}");
+    }
 }
 
 /// Acceptance criterion: a chained shrink→grow→shrink schedule is
@@ -338,14 +383,14 @@ fn soak_world_plan() -> WorldPlan {
             .join(1, base + 15)
             .leave(5, base + 18);
     }
-    // Failed ranks get re-admitted mid-soak (see soak_fault_plan).
-    plan.join(2, 60).join(0, 120)
+    // Two hard failures on top of the planned churn; the failed ranks
+    // get re-admitted mid-soak.
+    plan.fail(2, 41).join(2, 60).fail(0, 101).join(0, 120)
 }
 
-/// Two hard failures composed on top of the planned churn, plus message
-/// drop/delay noise in every measured migration exchange.
+/// Message drop/delay noise in every measured migration exchange.
 fn soak_fault_plan() -> FaultPlan {
-    FaultPlan::parse("77:rank2@41,rank0@101,drop0.1,delay0.05").unwrap()
+    FaultPlan::parse("77:drop0.1,delay0.05").unwrap()
 }
 
 fn soak_config(threads: usize) -> RepartConfig {
@@ -373,8 +418,9 @@ fn baseline_ledger() -> Vec<u64> {
     digests
 }
 
-/// One churned soak run: WorldPlan × FaultPlan over the same workload,
-/// with every driver rank's emitted epochs audited into its own ledger.
+/// One churned soak run: the world plan and the message faults over the
+/// same workload, with every driver rank's emitted epochs audited into
+/// its own ledger.
 fn churned_ledgers(ranks: usize, threads: usize) -> (SimulationSummary, BTreeMap<usize, Vec<u64>>) {
     let ledgers: Arc<Mutex<BTreeMap<usize, AuditLedger>>> =
         Arc::new(Mutex::new(BTreeMap::new()));

@@ -1,15 +1,16 @@
 //! Fault-injection and recovery end-to-end (DESIGN.md §12).
 //!
-//! A [`FaultPlan`] schedules logical-rank failures at epoch boundaries
-//! and message drop/delay inside the measured migration exchanges. The
-//! tests here pin down the subsystem's three contracts:
+//! A [`WorldPlan`]'s `fail` events schedule logical-rank failures at
+//! epoch boundaries; a [`FaultPlan`] schedules message drop/delay inside
+//! the measured migration exchanges. The tests here pin down the
+//! subsystem's three contracts:
 //!
 //! 1. **Recovery works**: a rank failure mid-run shrinks the world to
 //!    `k − 1` as a departure in that boundary's resize, the simulation
 //!    completes, and the recovery volume is visible in the measured
 //!    `t_mig` and the `RecoveriesRun` / `FaultsInjected` counters.
 //! 2. **Determinism**: at each driver rank count (2 and 4), the same
-//!    plan seed reproduces bit-identical recovered partitions and
+//!    plan reproduces bit-identical recovered partitions and
 //!    makespans run to run (fault "ranks" live in the workload's
 //!    logical `k`-part world, so the plan means the same thing at any
 //!    driver world size), whether or not the SPMD V-cycle holds its
@@ -18,7 +19,9 @@
 //!    for the deterministic outputs — is bit-identical to no plan at
 //!    all. No extra collectives, no RNG draws on the fast path.
 
-use dlb::core::{Algorithm, FaultPlan, RepartConfig, Session, SessionError, SimulationSummary};
+use dlb::core::{
+    Algorithm, FaultPlan, RepartConfig, Session, SessionError, SimulationSummary, WorldPlan,
+};
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
 use dlb::workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
@@ -86,8 +89,8 @@ fn fingerprint(s: &SimulationSummary) -> Vec<(f64, f64, usize, f64)> {
 
 #[test]
 fn injected_failure_recovers_onto_survivors() {
-    let plan = FaultPlan::parse("7:rank2@2").unwrap();
-    let s = session(4, 4).fault_plan(plan).run().unwrap();
+    let plan = WorldPlan::parse("7:fail2@2").unwrap();
+    let s = session(4, 4).world_plan(plan).run().unwrap();
     assert_eq!(s.reports.len(), 4, "simulation completes past the failure");
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(s.surviving_k(), 3);
@@ -116,8 +119,8 @@ fn injected_failure_recovers_onto_survivors() {
 
 #[test]
 fn two_failures_shrink_the_world_twice() {
-    let plan = FaultPlan::parse("11:rank0@2,rank3@3").unwrap();
-    let s = session(4, 4).fault_plan(plan).run().unwrap();
+    let plan = WorldPlan::parse("11:fail0@2,fail3@3").unwrap();
+    let s = session(4, 4).world_plan(plan).run().unwrap();
     assert_eq!(s.total_recoveries(), 2);
     assert_eq!(s.surviving_k(), 2);
     assert_eq!(s.reports[1].resize.as_ref().unwrap().k_after, 3);
@@ -126,21 +129,21 @@ fn two_failures_shrink_the_world_twice() {
     assert_eq!(second.k_before, 3);
     assert_eq!(second.k_after, 2);
     // A rank that already died is not recovered twice.
-    let again = FaultPlan::parse("11:rank1@1,rank1@2").unwrap();
-    let s = session(3, 3).fault_plan(again).run().unwrap();
+    let again = WorldPlan::parse("11:fail1@1,fail1@2").unwrap();
+    let s = session(3, 3).world_plan(again).run().unwrap();
     assert_eq!(s.total_recoveries(), 1);
 }
 
 /// Acceptance criterion: at each driver rank count (2 and 4), the same
-/// FaultPlan seed reproduces bit-identical recovered partitions,
+/// plan reproduces bit-identical recovered partitions,
 /// recovery records, and makespans run to run. (Different rank counts
 /// legitimately choose different partitions — the repo-wide rule — so
 /// determinism is per configuration; failure detection itself is
 /// plan-driven and adds no collectives at any rank count.)
 #[test]
 fn recovery_is_reproducible_at_ranks_2_and_4() {
-    let plan = || FaultPlan::parse("7:rank1@2").unwrap();
-    let run = |ranks: usize| session(4, 3).ranks(ranks).fault_plan(plan()).run().unwrap();
+    let plan = || WorldPlan::parse("7:fail1@2").unwrap();
+    let run = |ranks: usize| session(4, 3).ranks(ranks).world_plan(plan()).run().unwrap();
     for ranks in [2usize, 4] {
         let a = run(ranks);
         let b = run(ranks);
@@ -160,7 +163,7 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
     for ranks in [1usize, 2, 4] {
         let [replicated, distributed] = [false, true].map(|on| {
             run_on_world(ranks, 4, |source| {
-                session_with(dist_config(on), 4, 3).fault_plan(plan()).workload(source)
+                session_with(dist_config(on), 4, 3).world_plan(plan()).workload(source)
             })
         });
         assert_eq!(fingerprint(&distributed), fingerprint(&replicated), "ranks = {ranks}");
@@ -203,8 +206,10 @@ fn message_faults_never_change_deterministic_outputs() {
 /// `RecoveriesRun`; a fault-free run records neither.
 #[test]
 fn fault_counters_reflect_the_plan() {
-    let plan = FaultPlan::parse("13:rank1@2,drop0.3").unwrap();
-    let (s, report) = session(3, 3).fault_plan(plan).run_traced().unwrap();
+    let faults = FaultPlan::parse("13:drop0.3").unwrap();
+    let world = WorldPlan::parse("13:fail1@2").unwrap();
+    let (s, report) =
+        session(3, 3).fault_plan(faults).world_plan(world).run_traced().unwrap();
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(report.counter(dlb::trace::Counter::RecoveriesRun), 1);
     // One scheduled failure, plus every injected drop/delay in the
@@ -216,15 +221,16 @@ fn fault_counters_reflect_the_plan() {
     assert_eq!(clean.counter(dlb::trace::Counter::FaultsInjected), 0);
 }
 
-/// A plan naming a rank outside the workload's `0..k` world is rejected
-/// up front, not discovered mid-run: the session returns the error (the
-/// library used to panic here, through `run_spmd` at ranks > 1, while
-/// the CLI re-implemented the check to exit 2).
+/// A plan failing a rank outside the workload's `0..k` world (that it
+/// never joins) is rejected up front, not discovered mid-run: the
+/// session returns the error (the library used to panic here, through
+/// `run_spmd` at ranks > 1, while the CLI re-implemented the check to
+/// exit 2).
 #[test]
 fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
     for ranks in [1usize, 2] {
-        let plan = FaultPlan::parse("3:rank9@1").unwrap();
-        let err = session(4, 2).ranks(ranks).fault_plan(plan).run().unwrap_err();
+        let plan = WorldPlan::parse("3:fail9@1").unwrap();
+        let err = session(4, 2).ranks(ranks).world_plan(plan).run().unwrap_err();
         assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
         assert!(err.to_string().contains("rank 9 out of range for k = 4"), "ranks={ranks}: {err}");
     }
@@ -234,6 +240,6 @@ fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn out_of_range_plan_rank_panics_up_front() {
-    let plan = FaultPlan::parse("3:rank9@1").unwrap();
-    session(4, 2).fault_plan(plan).run().unwrap();
+    let plan = WorldPlan::parse("3:fail9@1").unwrap();
+    session(4, 2).world_plan(plan).run().unwrap();
 }

@@ -149,7 +149,7 @@ fn fm_stall_instance() -> Hypergraph {
 /// the only fix is a heavy-for-light *swap*, which single-move descent
 /// cannot express.
 fn fm_stall_config(seed: u64) -> Config {
-    Config::builder().seed(seed).epsilons(&[0.5, 0.05]).build().unwrap()
+    Config { epsilon: 0.5, aux_epsilons: vec![0.05], ..Config::seeded(seed) }
 }
 
 /// With only the primary constraint, the clique-split seed is already
@@ -237,8 +237,7 @@ fn amr_two_constraint_lowering_is_feasible_cold_and_after_a_skewed_warm_start() 
     let h = AmrStream::new(amr_cfg, K, SEED).initial_lowering().hypergraph;
     assert_eq!(h.load_arity(), 2);
     let n = h.num_vertices();
-    let mut cfg = Config::builder().seed(SEED).epsilons(&[0.05, 0.10]).build().unwrap();
-    cfg.threads = 1;
+    let mut cfg = Config { aux_epsilons: vec![0.10], threads: 1, ..Config::seeded(SEED) };
     let targets = targets_for(&h, K, &cfg);
     let feasible = |part: &[usize]| {
         targets.feasible(
