@@ -19,7 +19,7 @@ const MARGIN: f64 = 0.08;
 
 /// One moving Gaussian feature.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Feature {
+pub(crate) struct Feature {
     /// Current center.
     pub x: f64,
     /// Current center.
@@ -32,7 +32,7 @@ pub struct Feature {
 
 impl Feature {
     /// Advances one epoch, reflecting off the walls of the bounce box.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         self.x += self.vx;
         self.y += self.vy;
         let lo = MARGIN;
@@ -56,7 +56,7 @@ impl Feature {
 
 /// Draws `count` features with random positions and headings (speed
 /// fixed) from a seeded RNG.
-pub fn seeded_features(count: usize, speed: f64, seed: u64) -> Vec<Feature> {
+pub(crate) fn seeded_features(count: usize, speed: f64, seed: u64) -> Vec<Feature> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|_| {
@@ -75,7 +75,7 @@ pub fn seeded_features(count: usize, speed: f64, seed: u64) -> Vec<Feature> {
 
 /// The error indicator at `(x, y)`: the sum of unit-amplitude Gaussians
 /// of width `sigma` centered on the features.
-pub fn indicator(features: &[Feature], sigma: f64, x: f64, y: f64) -> f64 {
+pub(crate) fn indicator(features: &[Feature], sigma: f64, x: f64, y: f64) -> f64 {
     let inv = 1.0 / (2.0 * sigma * sigma);
     features
         .iter()

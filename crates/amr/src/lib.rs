@@ -6,10 +6,10 @@
 //! computation whose mesh changes every epoch.
 //!
 //! It simulates a deterministic 2D quadtree AMR mesh on the unit
-//! square. Moving Gaussian [`Feature`]s drive an error indicator; each
+//! square. Moving Gaussian `Feature`s drive an error indicator; each
 //! epoch the mesh refines where the indicator is high and coarsens
 //! where it has dropped, always restoring the standard 2:1 face-balance
-//! invariant. Each epoch's leaf set is lowered ([`lower()`]) to the face
+//! invariant. Each epoch's leaf set is lowered (`lower()`) to the face
 //! adjacency graph and its column-net hypergraph — vertex weight = time
 //! sub-cycling work `2^(level − base)`, vertex size = migration payload
 //! in bytes, net cost = ghost-exchange volume — and emitted through
@@ -19,25 +19,23 @@
 //! Everything is a deterministic function of ([`AmrConfig`], `k`,
 //! seed): feature trajectories are closed-form after one seeded draw,
 //! every ordered output follows the canonical [`Cell`] order (the
-//! hashed leaf index behind [`QuadMesh`] is only ever probed), and all
+//! hashed leaf index behind `QuadMesh` is only ever probed), and all
 //! lowered weights are integer-valued `f64`s so cost sums are exact
 //! under any summation order.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod cell;
-pub mod feature;
-pub mod lower;
-pub mod mesh;
+mod cell;
+mod feature;
+mod lower;
+mod mesh;
 #[cfg(test)]
 mod reference;
-pub mod stream;
+mod stream;
 
-pub use cell::{Cell, CellMap, Direction};
-pub use feature::{indicator, seeded_features, Feature};
-pub use lower::{lower, LoweredMesh};
-pub use mesh::QuadMesh;
-pub use stream::{AmrDelta, AmrDeltaCell, AmrEpoch, AmrStream};
+pub use cell::{Cell, CellMap};
+pub use stream::AmrStream;
 
 /// Parameters of the AMR simulation and its lowering.
 ///
@@ -52,7 +50,7 @@ pub struct AmrConfig {
     pub base_level: u8,
     /// Finest refinement level allowed.
     pub max_level: u8,
-    /// Emit two-constraint load vectors from [`lower()`]: constraint 0
+    /// Emit two-constraint load vectors from `lower()`: constraint 0
     /// stays the sub-cycling flops weight `2^(level − base)`, constraint
     /// 1 is the cell's resident state in bytes (its migration payload). Off by
     /// default — the scalar lowering is bitwise unchanged, and flops

@@ -50,7 +50,7 @@ pub struct LoweredMesh {
 /// Lowers the current leaves of `mesh` under `cfg`'s work/payload model.
 /// Vertex `v` is `mesh.leaves()[v]`; neighbor vertices come straight
 /// from the mesh's leaf index.
-pub fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
+pub(crate) fn lower(mesh: &QuadMesh, cfg: &AmrConfig) -> LoweredMesh {
     let cells = mesh.leaves().to_vec();
     let mut b = GraphBuilder::new(cells.len());
     for (v, &c) in cells.iter().enumerate() {

@@ -26,7 +26,7 @@ const UNNUMBERED: u32 = u32::MAX;
 
 /// The leaf set of an adaptive quadtree over `[0,1]²`.
 #[derive(Clone)]
-pub struct QuadMesh {
+pub(crate) struct QuadMesh {
     /// Every leaf, mapped to its index in `sorted`. Membership is exact
     /// at all times; positions are exact between adaptation calls.
     index: CellMap<u32>,
@@ -45,7 +45,7 @@ impl QuadMesh {
     /// Panics if `max_level < base_level` or `max_level` exceeds 20
     /// (beyond which `u32` cell coordinates and `f64` geometry stop
     /// being comfortable).
-    pub fn uniform(base_level: u8, max_level: u8) -> Self {
+    pub(crate) fn uniform(base_level: u8, max_level: u8) -> Self {
         assert!(
             base_level <= max_level,
             "base_level must not exceed max_level"
@@ -72,23 +72,23 @@ impl QuadMesh {
     }
 
     /// Number of leaf cells.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         self.sorted.len()
     }
 
     /// The coarsest admissible level.
-    pub fn base_level(&self) -> u8 {
+    pub(crate) fn base_level(&self) -> u8 {
         self.base_level
     }
 
     /// The leaves in canonical order (level-major, then row, column);
     /// `leaves()[v]` is the cell [`crate::lower()`] numbers `v`.
-    pub fn leaves(&self) -> &[Cell] {
+    pub(crate) fn leaves(&self) -> &[Cell] {
         &self.sorted
     }
 
     /// True if `c` is a leaf of the mesh.
-    pub fn is_leaf(&self, c: Cell) -> bool {
+    pub(crate) fn is_leaf(&self, c: Cell) -> bool {
         self.index.contains_key(&c)
     }
 
@@ -148,8 +148,10 @@ impl QuadMesh {
     ///
     /// Refinement moves a cell at most one level per call, so a feature
     /// appearing over a coarse region takes several calls to resolve
-    /// fully; [`Self::adapt_to_stable`] iterates to the fixed point.
-    pub fn adapt(
+    /// fully; [`Self::adapt_to_stable`] iterates to the fixed point. Only
+    /// the tests and the B-tree oracle take single steps.
+    #[cfg(test)]
+    pub(crate) fn adapt(
         &mut self,
         indicator: impl Fn(f64, f64) -> f64,
         refine_t: f64,
@@ -163,11 +165,11 @@ impl QuadMesh {
         changed
     }
 
-    /// Iterates [`Self::adapt`] until the mesh stops changing (bounded
+    /// Iterates `adapt` until the mesh stops changing (bounded
     /// by the level range, plus slack for refinement ripples). Returns
     /// the number of adaptation passes that changed the mesh. The
     /// canonical leaf order is rebuilt once, after the last pass.
-    pub fn adapt_to_stable(
+    pub(crate) fn adapt_to_stable(
         &mut self,
         indicator: impl Fn(f64, f64) -> f64,
         refine_t: f64,
@@ -298,7 +300,7 @@ impl QuadMesh {
     /// order agree, leaves tile the domain exactly (no gaps, no
     /// overlaps), levels lie in `[base_level, max_level]`, and 2:1 face
     /// balance holds.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.index.len() != self.sorted.len() {
             return Err(format!(
                 "index holds {} leaves, canonical order {}",

@@ -139,7 +139,8 @@ impl AmrStream {
     }
 
     /// The current mesh (epoch `j`'s leaves once epoch `j` is emitted).
-    pub fn mesh(&self) -> &QuadMesh {
+    #[cfg(test)]
+    pub(crate) fn mesh(&self) -> &QuadMesh {
         &self.mesh
     }
 
@@ -270,7 +271,7 @@ impl AmrStream {
     }
 
     /// Records the assignment the load balancer chose for the epoch
-    /// whose vertices are `cells` (an [`AmrEpoch`]'s cell list), so the
+    /// whose vertices are `cells` (an `AmrEpoch`'s cell list), so the
     /// next epoch's old parts see it.
     pub fn commit_assignment(&mut self, cells: &[Cell], part: &[PartId]) {
         assert_eq!(part.len(), cells.len(), "assignment length mismatch");

@@ -27,7 +27,7 @@ use std::ops::Bound;
 use std::path::PathBuf;
 
 use dlb_bench::chart::{render_cost_chart, render_runtime_chart, to_csv};
-use dlb_bench::flags::DATASET_SCALE;
+use dlb_bench::DATASET_SCALE;
 use dlb_bench::{run_sweep, Flags, Row, SweepConfig, TimingMode};
 use dlb_workloads::{DatasetKind, PerturbKind};
 

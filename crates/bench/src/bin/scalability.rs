@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use dlb_bench::flags::DATASET_SCALE;
+use dlb_bench::DATASET_SCALE;
 use dlb_bench::Flags;
 use dlb_core::{repartition_parallel, Algorithm, RepartConfig, RepartProblem};
 use dlb_graphpart::{partition_kway, GraphConfig};

@@ -9,7 +9,7 @@
 
 #![forbid(unsafe_code)]
 
-use dlb_bench::flags::DATASET_SCALE;
+use dlb_bench::DATASET_SCALE;
 use dlb_bench::Flags;
 use dlb_workloads::{Dataset, DatasetKind};
 

@@ -118,13 +118,13 @@ pub fn render_makespan_chart(title: &str, rows: &[Row]) -> String {
 }
 
 /// CSV header matching [`to_csv_line`].
-pub fn csv_header() -> &'static str {
+pub(crate) fn csv_header() -> &'static str {
     "dataset,perturb,k,alpha,algorithm,comm,mig_norm,total_norm,time_ms,max_imbalance,\
      msgs_per_epoch,bytes_per_epoch,makespan_ms,comp_ms,comm_ms,mig_ms"
 }
 
 /// One CSV line per row.
-pub fn to_csv_line(row: &Row) -> String {
+pub(crate) fn to_csv_line(row: &Row) -> String {
     format!(
         "{},{},{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.1},{:.1},{:.6},{:.6},{:.6},{:.6}",
         row.dataset,

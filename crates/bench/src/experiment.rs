@@ -42,7 +42,7 @@ pub enum Workload {
 
 impl Workload {
     /// The `dataset` column value for this workload's rows.
-    pub fn dataset_name(&self) -> &'static str {
+    pub(crate) fn dataset_name(&self) -> &'static str {
         match self {
             Workload::Perturbed { dataset, .. } => dataset.name(),
             Workload::Amr(_) => "amr",
@@ -50,7 +50,7 @@ impl Workload {
     }
 
     /// The `perturb` column value for this workload's rows.
-    pub fn perturb_name(&self) -> &'static str {
+    pub(crate) fn perturb_name(&self) -> &'static str {
         match self {
             Workload::Perturbed { perturb, .. } => perturb_name(*perturb),
             Workload::Amr(_) => "adaptive",
@@ -71,7 +71,7 @@ pub struct SweepConfig {
     pub trials: usize,
     /// Epochs simulated per trial.
     pub epochs: usize,
-    /// Dataset scale in `(0, 1]` ([`Workload::Perturbed`] only — the AMR
+    /// Dataset scale in `(0, 1]` (`Workload::Perturbed` only — the AMR
     /// workload sizes itself through its [`AmrConfig`]).
     pub scale: f64,
     /// Base RNG seed.
@@ -86,7 +86,7 @@ pub struct SweepConfig {
     /// `time_ms`.
     pub threads: usize,
     /// When set, every epoch's partition is *executed* under this
-    /// machine model ([`dlb_core::exec`]) and rows carry measured
+    /// machine model ([`dlb_core::NetworkModel`]) and rows carry measured
     /// makespans; `None` keeps the model-cost-only sweep.
     pub network: Option<NetworkModel>,
 }

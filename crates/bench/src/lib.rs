@@ -1,15 +1,15 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (Section 5).
 //!
-//! * [`experiment`] — the parameter-sweep runner behind Figures 2–8:
+//! * [`run_sweep`] — the parameter-sweep runner behind Figures 2–8:
 //!   datasets × perturbations × k × α × the four algorithms, averaged
 //!   over trials.
 //! * [`chart`] — text renderers: the paper's grouped stacked bars
 //!   (communication bottom, migration top) as horizontal ASCII bars, and
 //!   CSV output for downstream plotting.
-//! * [`rmat`] — the power-law RMAT hypergraph generator the repo
+//! * [`rmat_hypergraph`] — the power-law RMAT hypergraph generator the repo
 //!   benchmark's `rmat_static` workload partitions.
-//! * [`flags`] — the strict flag parser the binaries share (bad input
+//! * [`Flags`] — the strict flag parser the binaries share (bad input
 //!   exits 2).
 //! * Binaries: `table1` prints Table 1 (paper values vs generated
 //!   datasets); `figures` regenerates any of Figures 2–8; `amr` runs the
@@ -30,12 +30,13 @@
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod chart;
-pub mod experiment;
-pub mod flags;
-pub mod rmat;
+mod experiment;
+mod flags;
+mod rmat;
 
-pub use experiment::{run_sweep, Row, SweepConfig, TimingMode, Workload};
-pub use flags::Flags;
+pub use experiment::{run_sweep, Row, SweepConfig, TimingMode};
+pub use flags::{Flags, DATASET_SCALE};
 pub use rmat::rmat_hypergraph;

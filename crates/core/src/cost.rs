@@ -43,13 +43,13 @@ impl CostBreakdown {
 
     /// Normalized total cost `comm + migration/α`, the quantity plotted
     /// in Figures 2–6.
-    pub fn normalized_total(&self) -> f64 {
+    pub(crate) fn normalized_total(&self) -> f64 {
         self.comm + self.migration / self.alpha
     }
 
     /// The migration component of the normalized total (`migration/α`,
     /// the top bar segment).
-    pub fn normalized_migration(&self) -> f64 {
+    pub(crate) fn normalized_migration(&self) -> f64 {
         self.migration / self.alpha
     }
 }

@@ -45,7 +45,7 @@ impl Algorithm {
     }
 
     /// True for the hypergraph-based methods.
-    pub fn is_hypergraph(self) -> bool {
+    pub(crate) fn is_hypergraph(self) -> bool {
         matches!(self, Algorithm::ZoltanRepart | Algorithm::ZoltanScratch)
     }
 }

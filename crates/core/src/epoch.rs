@@ -76,7 +76,7 @@ pub struct SimulationSummary {
     /// Number of parts at launch. Rank failures and planned resizes
     /// move the live world away from this; see
     /// [`SimulationSummary::world_timeline`] and the per-epoch
-    /// [`EpochReport::resize`].
+    /// `EpochReport::resize`.
     pub k: usize,
     /// Per-epoch reports, in order.
     pub reports: Vec<EpochReport>,
@@ -105,7 +105,7 @@ impl SimulationSummary {
     }
 
     /// Total repartitioning wall-clock across epochs.
-    pub fn total_elapsed(&self) -> Duration {
+    pub(crate) fn total_elapsed(&self) -> Duration {
         self.reports.iter().map(|r| r.elapsed).sum()
     }
 
@@ -173,7 +173,7 @@ impl SimulationSummary {
         Some(mean(self.reports.iter().map(|r| f(r.execution.as_ref().unwrap()))))
     }
 
-    /// The online [`CompetitiveRatio`] of this (policy) run against a
+    /// The online `CompetitiveRatio` of this (policy) run against a
     /// `baseline` run of the same measured workload. `None` unless both
     /// runs are measured over the same number of epochs.
     pub fn competitive_ratio_vs(&self, baseline: &SimulationSummary) -> Option<CompetitiveRatio> {

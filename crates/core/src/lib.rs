@@ -23,54 +23,49 @@
 //! migration net uncut (cost 0); a vertex that moves cuts it with
 //! connectivity 2 (cost = its data size). So the k-1 cut of the
 //! augmented hypergraph is **exactly** `α·(communication volume) +
-//! (migration volume)` — see [`model::RepartitionHypergraph`] and the
+//! (migration volume)` — see [`RepartitionHypergraph`] and the
 //! identity test that reproduces the paper's worked example (cost 26).
 //!
 //! # The harness
 //!
-//! [`driver`] runs the four algorithms compared in Section 5
+//! [`repartition`] runs the four algorithms compared in Section 5
 //! (Zoltan-repart, Zoltan-scratch, ParMETIS-repart, ParMETIS-scratch —
 //! the latter two via the reimplemented graph partitioner in
-//! [`dlb_graphpart`]), [`remap`] provides the maximal-matching part
-//! relabeling used by the scratch methods, [`cost`] the cost accounting,
-//! and [`epoch`] the multi-epoch simulation loop over
-//! [`dlb_workloads`] streams.
+//! [`dlb_graphpart`]), [`remap_to_minimize_migration`] provides the
+//! maximal-matching part relabeling used by the scratch methods,
+//! [`CostBreakdown`] the cost accounting, and [`Session`] the
+//! multi-epoch simulation loop over [`dlb_workloads`] streams.
 
 #![forbid(unsafe_code)]
 // Index-heavy kernels iterate several parallel arrays at once; classic
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cost;
-pub mod delta;
-pub mod driver;
-pub mod elastic;
-pub mod epoch;
-pub mod exec;
+mod cost;
+mod delta;
+mod driver;
+mod elastic;
+mod epoch;
+mod exec;
 mod membership;
-pub mod migrate;
-pub mod model;
-pub mod remap;
-pub mod session;
+mod migrate;
+mod model;
+mod remap;
+mod session;
 
 pub use cost::CostBreakdown;
-pub use delta::{ModelPatcher, PatchedEpoch};
+pub use delta::ModelPatcher;
 pub use driver::{repartition, Algorithm, RepartConfig, RepartProblem, RepartResult};
 pub use driver::repartition_parallel;
-pub use elastic::{
-    science_fingerprint, AuditLedger, AuditedSource, ResizeChoice, ResizeRecord, WorldChange,
-    WorldEvent, WorldPlan,
-};
-pub use epoch::{EpochReport, SimulationSummary};
-pub use exec::{
-    measure_epoch, measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel,
-};
+pub use elastic::{AuditLedger, AuditedSource, WorldPlan};
+pub use epoch::SimulationSummary;
+pub use exec::{measure_epoch, NetworkModel};
 pub use session::{Session, SessionError, DEFAULT_DRIFT_THRESHOLD};
-pub use migrate::{migrate_items, scatter_initial, MigrationStats};
+pub use migrate::{migrate_items, scatter_initial};
 pub use model::RepartitionHypergraph;
-pub use remap::{remap_to_minimize_migration, remap_to_minimize_migration_partial};
+pub use remap::remap_to_minimize_migration;
 // Re-exported so `Session::fault_plan` callers need not depend on
 // `dlb_mpisim` directly.
 pub use dlb_mpisim::FaultPlan;
-pub use dlb_partitioner::Determinism;

@@ -18,11 +18,11 @@ use dlb_hypergraph::PartId;
 use dlb_mpisim::Comm;
 
 /// One migratable item: a global vertex id and its payload.
-pub type Item<T> = (usize, T);
+pub(crate) type Item<T> = (usize, T);
 
 /// Maps a part to the rank that hosts it.
 #[inline]
-pub fn rank_of_part(part: PartId, nranks: usize) -> usize {
+pub(crate) fn rank_of_part(part: PartId, nranks: usize) -> usize {
     part % nranks
 }
 
@@ -45,7 +45,7 @@ impl MigrationStats {
     /// phase's wall-clock in a synchronous application.
     ///
     /// Returns the default (all-zero) statistics for an empty slice.
-    pub fn max_over_ranks(stats: &[MigrationStats]) -> MigrationStats {
+    pub(crate) fn max_over_ranks(stats: &[MigrationStats]) -> MigrationStats {
         let mut max = MigrationStats::default();
         for s in stats {
             max.items_sent = max.items_sent.max(s.items_sent);

@@ -37,7 +37,7 @@ pub fn remap_to_minimize_migration(
 ///
 /// # Panics
 /// Panics on length mismatches or labels `>= k`.
-pub fn remap_to_minimize_migration_partial(
+pub(crate) fn remap_to_minimize_migration_partial(
     new_part: &[PartId],
     old_part: &[Option<PartId>],
     sizes: &[f64],

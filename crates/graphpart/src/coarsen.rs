@@ -18,7 +18,7 @@ const MAX_LEVELS: usize = 40;
 
 /// One graph coarsening level.
 #[derive(Clone, Debug)]
-pub struct GraphLevel {
+pub(crate) struct GraphLevel {
     /// The coarse graph.
     pub coarse: CsrGraph,
     /// `fine_to_coarse[fine_v] = coarse_v`.
@@ -28,7 +28,7 @@ pub struct GraphLevel {
 /// Contracts `g` along `matching`. Vertex weights and sizes sum; edges
 /// between merged endpoints vanish; parallel coarse edges merge with
 /// summed weights (handled by [`GraphBuilder`]).
-pub fn contract_graph(g: &CsrGraph, matching: &GraphMatching) -> GraphLevel {
+pub(crate) fn contract_graph(g: &CsrGraph, matching: &GraphMatching) -> GraphLevel {
     let n = g.num_vertices();
     let mut fine_to_coarse = vec![usize::MAX; n];
     let mut next = 0usize;
@@ -104,7 +104,7 @@ pub(crate) fn coarsen_graph(
 /// Projects per-fine-vertex labels onto the coarse graph (all fine
 /// vertices of a coarse vertex must agree — guaranteed under local
 /// matching).
-pub fn project_labels_to_coarse(level: &GraphLevel, labels: &[usize]) -> Vec<usize> {
+pub(crate) fn project_labels_to_coarse(level: &GraphLevel, labels: &[usize]) -> Vec<usize> {
     let mut coarse = vec![usize::MAX; level.coarse.num_vertices()];
     for (v, &c) in level.fine_to_coarse.iter().enumerate() {
         if coarse[c] == usize::MAX {

@@ -118,7 +118,7 @@ fn score(g: &CsrGraph, part: &[PartId], targets: &PartTargets) -> f64 {
 }
 
 /// Best-of-N greedy graph growing.
-pub fn initial_graph_partition(
+pub(crate) fn initial_graph_partition(
     g: &CsrGraph,
     targets: &PartTargets,
     attempts: usize,

@@ -13,7 +13,7 @@ use rand::seq::SliceRandom;
 
 /// A graph matching: `mate[v] == v` when unmatched.
 #[derive(Clone, Debug)]
-pub struct GraphMatching {
+pub(crate) struct GraphMatching {
     /// Partner per vertex (self if unmatched).
     pub mate: Vec<usize>,
     /// Matched pair count.
@@ -22,7 +22,7 @@ pub struct GraphMatching {
 
 impl GraphMatching {
     /// Number of coarse vertices the matching produces.
-    pub fn coarse_count(&self) -> usize {
+    pub(crate) fn coarse_count(&self) -> usize {
         self.mate.len() - self.num_pairs
     }
 }
@@ -30,7 +30,7 @@ impl GraphMatching {
 /// Heavy-edge matching. When `same_part_only` is `Some(part)`, vertices
 /// may only match within the same part label (local matching for
 /// adaptive repartitioning).
-pub fn heavy_edge_matching(
+pub(crate) fn heavy_edge_matching(
     g: &CsrGraph,
     same_part_only: Option<&[usize]>,
     rng: &mut StdRng,

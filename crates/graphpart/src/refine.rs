@@ -17,7 +17,7 @@ use rand::seq::SliceRandom;
 
 /// What the refiner optimizes.
 #[derive(Clone, Copy, Debug)]
-pub struct Objective<'a> {
+pub(crate) struct Objective<'a> {
     /// Weight of the edge-cut term (the paper's α / ParMETIS's ITR).
     pub alpha: f64,
     /// Previous-epoch assignment; when present, the migration term
@@ -27,11 +27,11 @@ pub struct Objective<'a> {
 
 impl Objective<'_> {
     /// Pure edge-cut objective (scratch partitioning).
-    pub const CUT_ONLY: Objective<'static> = Objective { alpha: 1.0, old_part: None };
+    pub(crate) const CUT_ONLY: Objective<'static> = Objective { alpha: 1.0, old_part: None };
 }
 
 /// Incrementally maintained graph partition state.
-pub struct GraphState<'a> {
+pub(crate) struct GraphState<'a> {
     g: &'a CsrGraph,
     k: usize,
     /// Current assignment.
@@ -42,7 +42,7 @@ pub struct GraphState<'a> {
 
 impl<'a> GraphState<'a> {
     /// Builds state for `part` on `g`.
-    pub fn new(g: &'a CsrGraph, k: usize, part: Vec<PartId>) -> Self {
+    pub(crate) fn new(g: &'a CsrGraph, k: usize, part: Vec<PartId>) -> Self {
         assert_eq!(part.len(), g.num_vertices());
         let mut weights = vec![0.0f64; k];
         for (v, &p) in part.iter().enumerate() {
@@ -52,7 +52,7 @@ impl<'a> GraphState<'a> {
     }
 
     /// Moves `v` to `q`.
-    pub fn apply(&mut self, v: usize, q: PartId) {
+    pub(crate) fn apply(&mut self, v: usize, q: PartId) {
         let p = self.part[v];
         if p == q {
             return;
@@ -64,7 +64,7 @@ impl<'a> GraphState<'a> {
     }
 
     /// Objective gain (decrease) of moving `v` to `q`.
-    pub fn gain(&self, v: usize, q: PartId, obj: &Objective) -> f64 {
+    pub(crate) fn gain(&self, v: usize, q: PartId, obj: &Objective) -> f64 {
         let p = self.part[v];
         if p == q {
             return 0.0;
@@ -93,7 +93,7 @@ impl<'a> GraphState<'a> {
 
     /// Best feasible move for `v` among parts its neighbors occupy (and,
     /// under the adaptive objective, its old part).
-    pub fn best_move(
+    pub(crate) fn best_move(
         &self,
         v: usize,
         targets: &PartTargets,
@@ -140,7 +140,7 @@ impl<'a> GraphState<'a> {
     }
 
     /// Vertices with a neighbor in another part.
-    pub fn boundary_vertices(&self) -> Vec<usize> {
+    pub(crate) fn boundary_vertices(&self) -> Vec<usize> {
         (0..self.g.num_vertices())
             .filter(|&v| {
                 let p = self.part[v];
@@ -151,7 +151,7 @@ impl<'a> GraphState<'a> {
 }
 
 /// Reusable scratch for [`GraphState::best_move`].
-pub struct GraphMoveScratch {
+pub(crate) struct GraphMoveScratch {
     mark: Vec<u64>,
     cands: Vec<usize>,
     stamp: u64,
@@ -159,7 +159,7 @@ pub struct GraphMoveScratch {
 
 impl GraphMoveScratch {
     /// Scratch for `k` parts.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         GraphMoveScratch { mark: vec![0; k], cands: Vec::new(), stamp: 0 }
     }
 }
@@ -189,7 +189,7 @@ impl Ord for Cand {
 
 /// Greedy diffusion-style rebalance: drain overweight parts into the
 /// relatively lightest feasible parts, cheapest moves first.
-pub fn rebalance_graph(
+pub(crate) fn rebalance_graph(
     state: &mut GraphState,
     targets: &PartTargets,
     obj: &Objective,
@@ -332,7 +332,7 @@ const MAX_REFINE_PASSES: usize = 4;
 /// Refines `part` in place: rebalance, then FM passes until no
 /// improvement (or `MAX_REFINE_PASSES`). Returns total objective
 /// improvement.
-pub fn refine_graph(
+pub(crate) fn refine_graph(
     g: &CsrGraph,
     targets: &PartTargets,
     obj: &Objective,

@@ -65,7 +65,7 @@ impl CsrGraph {
 
     /// Degree of `v`.
     #[inline]
-    pub fn degree(&self, v: usize) -> usize {
+    pub(crate) fn degree(&self, v: usize) -> usize {
         self.xadj[v + 1] - self.xadj[v]
     }
 

@@ -13,7 +13,7 @@
 //!   net), and per-net *costs* (communication data volume, the k-1 cut
 //!   coefficient) — plus the pin transpose needed by partitioners. A
 //!   k-way partition is *feasible* only when **every** load constraint is
-//!   within its imbalance tolerance ([`balance::PartTargets`]); arity 1
+//!   within its imbalance tolerance ([`PartTargets`]); arity 1
 //!   reduces bitwise to the classic scalar-weight pipeline.
 //! * [`CsrGraph`] — a symmetric weighted graph in compressed sparse row
 //!   form, used by the ParMETIS-like baseline partitioner.
@@ -40,19 +40,20 @@
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod balance;
+mod balance;
 pub mod convert;
-pub mod graph;
-pub mod hypergraph;
+mod graph;
+mod hypergraph;
 pub mod io;
-pub mod loads;
+mod loads;
 pub mod metrics;
 pub mod parallel;
 pub mod subset;
 
 pub use balance::{AuxTargets, PartTargets};
-pub use graph::{CsrGraph, DegreeStats, GraphBuilder};
+pub use graph::{CsrGraph, GraphBuilder};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};
 pub use loads::VertexLoads;
 

@@ -106,13 +106,13 @@ pub fn effective_concurrency(threads: usize) -> usize {
 
 /// Number of chunks covering `len` items at `chunk` items each.
 #[inline]
-pub fn num_chunks(len: usize, chunk: usize) -> usize {
+pub(crate) fn num_chunks(len: usize, chunk: usize) -> usize {
     len.div_ceil(chunk.max(1))
 }
 
 /// The half-open item range of chunk `i`.
 #[inline]
-pub fn chunk_range(len: usize, chunk: usize, i: usize) -> Range<usize> {
+pub(crate) fn chunk_range(len: usize, chunk: usize, i: usize) -> Range<usize> {
     let chunk = chunk.max(1);
     let start = i * chunk;
     start..((start + chunk).min(len))

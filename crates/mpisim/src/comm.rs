@@ -38,7 +38,7 @@ pub(crate) struct Envelope {
 
 /// Why a fallible point-to-point operation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommError {
+pub(crate) enum CommError {
     /// No matching message arrived within the receive timeout — with
     /// well-formed SPMD programs this means a mismatched send/recv pair
     /// (a deadlock), or a peer that died without sending.
@@ -202,7 +202,7 @@ impl Comm {
     /// eager protocol for small messages.
     ///
     /// # Panics
-    /// Panics with the [`CommError`] if the send fails.
+    /// Panics with the `CommError` if the send fails.
     pub fn send<T: Send + 'static>(&mut self, to: usize, tag: u64, value: T) {
         assert!(tag < COLL_TAG_BASE, "user tags must be below 2^48");
         self.send_raw(to, tag, value);
@@ -382,7 +382,7 @@ impl Comm {
 
     /// Reduces one value per rank at `root` with associative `op`;
     /// returns `Some(result)` on the root.
-    pub fn reduce<T, F>(&mut self, root: usize, value: T, op: F) -> Option<T>
+    pub(crate) fn reduce<T, F>(&mut self, root: usize, value: T, op: F) -> Option<T>
     where
         T: Send + 'static,
         F: Fn(T, T) -> T,
@@ -758,7 +758,7 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(crate::CommError::Timeout { rank: 0, from: 1, tag: 5 }));
+        assert_eq!(results[0], Some(super::CommError::Timeout { rank: 0, from: 1, tag: 5 }));
     }
 
     #[test]
@@ -771,12 +771,13 @@ mod tests {
                 comm.try_recv_raw::<String>(0, 2).err()
             }
         });
-        assert_eq!(results[1], Some(crate::CommError::TypeMismatch { rank: 1, from: 0, tag: 2 }));
+        assert_eq!(results[1], Some(super::CommError::TypeMismatch { rank: 1, from: 0, tag: 2 }));
     }
 
     #[test]
     fn certain_drop_exhausts_retransmit_budget() {
-        use crate::{run_spmd_with_faults, CommError, FaultPlan};
+        use super::CommError;
+        use crate::{run_spmd_with_faults, FaultPlan};
         let plan = FaultPlan::parse("3:drop1.0").unwrap();
         let results = run_spmd_with_faults(2, Some(&plan), |comm| {
             if comm.rank() == 0 {

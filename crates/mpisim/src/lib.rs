@@ -16,11 +16,11 @@
 //! runtime comparisons between the hypergraph and graph partitioners
 //! remain meaningful.
 //!
-//! Repeated sparse exchanges reuse a prebuilt [`plan::CommPlan`]; its
+//! Repeated sparse exchanges reuse a prebuilt [`CommPlan`]; its
 //! `send_counts`/`send_positions` accessors additionally support the
 //! *incremental* idiom (ship only a dirty subset of the planned items
 //! per round) that the distributed hypergraph's ghost halos are built
-//! on — see `dlb-disthg` and DESIGN.md §17.
+//! on — see `par::disthg` in `dlb-partitioner` and DESIGN.md §17.
 //!
 //! # Example
 //!
@@ -39,16 +39,17 @@
 // indexed loops read better there than zipped iterator chains.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod comm;
 mod dist;
-pub mod fault;
-pub mod plan;
+mod fault;
+mod plan;
 pub mod spec;
 mod world;
 
-pub use comm::{Comm, CommError, CommStats};
+pub use comm::{Comm, CommStats};
 pub use dist::BlockDist;
-pub use fault::{FaultPlan, FaultState};
+pub use fault::FaultPlan;
 pub use plan::CommPlan;
-pub use world::{run_spmd, run_spmd_with_faults, RankPanic, SpmdError};
+pub use world::{run_spmd, run_spmd_with_faults};

@@ -70,7 +70,7 @@ impl CommPlan {
     }
 
     /// Total items this rank will receive.
-    pub fn num_receives(&self) -> usize {
+    pub(crate) fn num_receives(&self) -> usize {
         self.recv_counts.iter().sum()
     }
 

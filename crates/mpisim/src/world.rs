@@ -11,7 +11,7 @@ use crate::fault::FaultPlan;
 
 /// One rank's captured panic.
 #[derive(Clone, Debug)]
-pub struct RankPanic {
+pub(crate) struct RankPanic {
     /// The rank whose closure panicked.
     pub rank: usize,
     /// The panic payload rendered as a string.
@@ -28,7 +28,7 @@ pub struct RankPanic {
 /// and the earliest panic that is not a recognizable comm cascade
 /// ("deadlock waiting" / "peer rank hung up") is reported as the origin.
 #[derive(Clone, Debug)]
-pub struct SpmdError {
+pub(crate) struct SpmdError {
     /// The root-cause failure.
     pub origin: RankPanic,
     /// Secondary failures attributed to the origin, in panic order.
@@ -55,7 +55,7 @@ impl std::error::Error for SpmdError {}
 /// Every rank runs on its own OS thread (oversubscription is fine — the
 /// per-rank work in the partitioners is modest, mirroring strong scaling
 /// on the paper's cluster). A panic on any rank propagates to the
-/// caller, attributed to the originating rank (see [`SpmdError`]).
+/// caller, attributed to the originating rank (see `SpmdError`).
 ///
 /// # Panics
 /// Panics if `nranks == 0` or if any rank's closure panics.

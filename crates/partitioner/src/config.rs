@@ -87,8 +87,7 @@ impl Default for InitialConfig {
 ///
 /// FM optimizes the connectivity-1 objective of Eq. (2) — the paper's
 /// communication volume — and only that: the gains are written for it.
-/// (`dlb_hypergraph::metrics::CutMetric` remains as an *evaluation*
-/// metric.) A pass ends after `refine::MAX_NEGATIVE_STREAK` consecutive
+/// A pass ends after `refine::MAX_NEGATIVE_STREAK` consecutive
 /// non-improving moves.
 #[derive(Clone, Debug)]
 pub struct RefinementConfig {
@@ -202,7 +201,7 @@ impl Config {
 
     /// The tolerance of constraint `c` (0 = primary). Constraints with
     /// no explicit auxiliary epsilon inherit the primary `epsilon`.
-    pub fn epsilon_for(&self, c: usize) -> f64 {
+    pub(crate) fn epsilon_for(&self, c: usize) -> f64 {
         if c == 0 {
             self.epsilon
         } else {
@@ -216,7 +215,7 @@ impl Config {
     /// drivers.
     ///
     /// ```
-    /// use dlb_partitioner::config::{Config, ConfigError};
+    /// use dlb_partitioner::{Config, ConfigError};
     ///
     /// let mut cfg = Config { epsilon: 0.03, ..Config::default() };
     /// cfg.dist.gather_threshold = 256;
@@ -288,13 +287,13 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-pub use dlb_hypergraph::balance::{AuxTargets, PartTargets};
+pub(crate) use dlb_hypergraph::{AuxTargets, PartTargets};
 
 /// Assembles the k-way balance targets `cfg` implies for `h`: uniform
 /// primary targets at `cfg.epsilon` — for a scalar hypergraph exactly
 /// `PartTargets::uniform(h.total_vertex_weight(), k, cfg.epsilon)` —
 /// plus, on a multi-constraint hypergraph, uniform [`AuxTargets`] for
-/// each auxiliary load constraint at [`Config::epsilon_for`].
+/// each auxiliary load constraint at `Config::epsilon_for`.
 pub fn targets_for(h: &dlb_hypergraph::Hypergraph, k: usize, cfg: &Config) -> PartTargets {
     let aux = (1..h.load_arity())
         .map(|c| AuxTargets::uniform(h.total_load(c), k, cfg.epsilon_for(c)))

@@ -79,7 +79,7 @@ pub(crate) fn iterate_vcycles(
 }
 
 /// Direct k-way multilevel partitioning with fixed vertices.
-pub fn partition_kway(
+pub(crate) fn partition_kway(
     h: &Hypergraph,
     k: usize,
     fixed: &FixedAssignment,

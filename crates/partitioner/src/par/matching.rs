@@ -207,7 +207,7 @@ pub(crate) fn candidate_matching<'v, V: LevelView>(
 /// identical `h`, `fixed`, `cfg`; `rng` seeds may differ per rank only
 /// through `comm.rank()` (handled internally). Returns the same matching
 /// on every rank.
-pub fn par_ipm_matching(
+pub(crate) fn par_ipm_matching(
     comm: &mut Comm,
     h: &Hypergraph,
     fixed: &FixedAssignment,

@@ -87,7 +87,7 @@ fn par_pass(
 /// Parallel refinement: greedily restores balance (collectively, using
 /// the same deterministic logic on every rank), then runs localized FM
 /// pass-pairs until a pass applies no moves.
-pub fn par_refine(
+pub(crate) fn par_refine(
     comm: &mut Comm,
     h: &Hypergraph,
     targets: &PartTargets,

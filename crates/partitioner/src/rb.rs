@@ -44,7 +44,7 @@ struct SideTargets {
 /// bisection targets the share of the final parts it will receive.
 /// Auxiliary load constraints of `h` get their own side targets with
 /// per-level tolerances derived from [`Config::epsilon_for`].
-pub fn partition_recursive(
+pub(crate) fn partition_recursive(
     h: &Hypergraph,
     k: usize,
     fixed: &FixedAssignment,

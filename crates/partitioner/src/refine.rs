@@ -651,7 +651,7 @@ impl<V: LevelView> PartitionState<V> {
 /// of a multilevel V-cycle (and every bisection of a recursive-bisection
 /// tree), so the per-pass `O(n)` allocations of the original refiner are
 /// paid once per partitioner call instead of once per pass.
-pub struct RefineScratch {
+pub(crate) struct RefineScratch {
     /// FM's queue, heap 0 over the level's vertices: a vertex is keyed by
     /// the gain of the move it entered the queue with, whose destination
     /// is `to[v]`.
@@ -665,7 +665,7 @@ pub struct RefineScratch {
 
 impl RefineScratch {
     /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RefineScratch {
             heap: Heaps::new(1, 0),
             to: Vec::new(),

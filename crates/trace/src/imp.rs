@@ -46,7 +46,7 @@ struct Recorder {
 /// True when a session is active *and* the current thread is enrolled
 /// in it. Gates every record operation.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed)
         && ENROLLED_GEN.with(|g| g.get()) == GENERATION.load(Ordering::Relaxed)
 }
@@ -55,7 +55,7 @@ pub fn enabled() -> bool {
 /// session — the recording rank and the muted ones alike — and on the
 /// session's own thread. SPMD code gating *collective* trace operations
 /// (where every rank must participate or none) must use this instead of
-/// [`enabled`], or muted ranks would skip the collective and deadlock
+/// `enabled`, or muted ranks would skip the collective and deadlock
 /// the world. A world forked outside the session answers `false` on all
 /// its ranks however another thread's session comes and goes meanwhile.
 #[inline]
@@ -64,7 +64,7 @@ pub fn session_active() -> bool {
         && WORLD_GEN.with(|g| g.get()) == GENERATION.load(Ordering::Relaxed)
 }
 
-/// Adds `n` to a deterministic counter. No-op unless [`enabled`].
+/// Adds `n` to a deterministic counter. No-op unless `enabled`.
 #[inline]
 pub fn count(c: Counter, n: u64) {
     if n > 0 && enabled() {

@@ -96,7 +96,8 @@ fn distributed_scratch_matches_replicated() {
 #[test]
 fn distributed_direct_kway_matches_replicated() {
     use dlb::partitioner::par::dist::dist_multilevel;
-    use dlb::partitioner::{Config, FixedAssignment, PartTargets};
+    use dlb::hypergraph::PartTargets;
+    use dlb::partitioner::{Config, FixedAssignment};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -146,7 +147,8 @@ fn distributed_repart_is_reproducible_run_to_run() {
 fn over_budget_instance_fits_every_rank_at_16_and_64_ranks() {
     use dlb::hypergraph::convert::column_net_model_unit;
     use dlb::partitioner::par::dist::dist_multilevel_stats;
-    use dlb::partitioner::{Config, FixedAssignment, PartTargets};
+    use dlb::hypergraph::PartTargets;
+    use dlb::partitioner::{Config, FixedAssignment};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
