@@ -44,7 +44,8 @@ impl BlockDist {
     }
 
     /// Number of items owned by `rank`.
-    pub fn count(&self, rank: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count(&self, rank: usize) -> usize {
         self.range(rank).len()
     }
 

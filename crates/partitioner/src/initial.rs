@@ -330,7 +330,7 @@ fn random_balanced(
 /// balance caps — on any constraint — so a feasible worse-cut solution
 /// beats an infeasible better-cut one. The auxiliary term is gated, so
 /// scalar scores are bit-identical to the single-constraint formula.
-pub fn score(h: &Hypergraph, part: &[PartId], targets: &PartTargets) -> f64 {
+pub(crate) fn score(h: &Hypergraph, part: &[PartId], targets: &PartTargets) -> f64 {
     let k = targets.k();
     let cut = metrics::cutsize_connectivity(h, part, k);
     let weights = metrics::part_weights(h, part, k);

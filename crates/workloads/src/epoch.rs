@@ -93,12 +93,12 @@ impl EpochStream {
     }
 
     /// Number of parts in the decomposition.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// Number of epochs emitted so far.
-    pub fn epochs_emitted(&self) -> usize {
+    pub(crate) fn epochs_emitted(&self) -> usize {
         self.epochs_emitted
     }
 
@@ -118,7 +118,7 @@ impl EpochStream {
     /// Maps the last-known part of every base vertex through `map`
     /// (`map[old] = new`) when the world resizes, so a vertex absent
     /// from the resize epoch comes back with a label of the new world.
-    pub fn relabel_parts(&mut self, map: &[PartId]) {
+    pub(crate) fn relabel_parts(&mut self, map: &[PartId]) {
         for p in &mut self.last_part {
             *p = map[*p];
         }

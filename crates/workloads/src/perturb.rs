@@ -60,7 +60,7 @@ impl Perturbation {
     }
 
     /// Validates parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.delete_fraction) {
             return Err("delete_fraction must be in [0, 1)".into());
         }
