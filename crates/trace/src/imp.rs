@@ -285,10 +285,7 @@ mod tests {
         assert_eq!(report.spans[0].children, vec![1, 2]);
         assert_eq!(report.spans[1].parent, Some(0));
         assert_eq!(report.counter(Counter::FmPasses), 2);
-        assert_eq!(
-            report.spans[0].attrs,
-            vec![("k", AttrValue::Int(4))]
-        );
+        assert_eq!(report.spans[0].attrs, vec![("k", AttrValue::Int(4))]);
     }
 
     #[test]
@@ -372,7 +369,10 @@ mod tests {
         assert_eq!([seen(outside, true), seen(outside, false)], [false, false]);
         session.finish();
         assert!(!session_active());
-        assert!(!seen(inside, false), "the session the world ran under is over");
+        assert!(
+            !seen(inside, false),
+            "the session the world ran under is over"
+        );
     }
 
     #[test]
@@ -389,10 +389,7 @@ mod tests {
         let report = session.finish();
         let cov = report.leaf_coverage("partition").unwrap();
         assert!(cov > 0.0 && cov <= 1.0, "coverage {cov}");
-        assert_eq!(
-            report.structure_signature(),
-            "partition\n  coarsen.level\n"
-        );
+        assert_eq!(report.structure_signature(), "partition\n  coarsen.level\n");
         let json = report.to_chrome_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"coarsen.level\""));

@@ -390,7 +390,11 @@ impl TraceReport {
                 s.dur_ns as f64 / 1e3,
                 args
             );
-            out.push_str(if i + 1 < self.spans.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.spans.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ],\n  \"counters\": {\n");
         let n = self.counters.len();

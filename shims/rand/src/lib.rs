@@ -120,7 +120,11 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
     // Largest multiple of `span` that fits in u64; values at or above it
     // would bias the modulus and are rejected.
-    let zone = u64::MAX - u64::MAX.wrapping_rem(span).wrapping_add(1).wrapping_rem(span);
+    let zone = u64::MAX
+        - u64::MAX
+            .wrapping_rem(span)
+            .wrapping_add(1)
+            .wrapping_rem(span);
     loop {
         let x = rng.next_u64();
         if x <= zone {
@@ -192,7 +196,10 @@ pub trait Rng: RngCore {
     /// Returns `true` with probability `p`.
     #[inline]
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability {p} out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability {p} out of range"
+        );
         <f64 as Standard>::sample(self) < p
     }
 }
@@ -278,6 +285,10 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left slice untouched");
+        assert_ne!(
+            v,
+            (0..50).collect::<Vec<_>>(),
+            "shuffle left slice untouched"
+        );
     }
 }
