@@ -2,9 +2,8 @@
 //! measured-makespan sweep (`BENCH_amr.json`).
 
 use dlb_amr::{AmrConfig, AmrStream};
-use dlb_core::{Algorithm, NetworkModel, RepartConfig, Session, SimulationSummary};
+use dlb_core::{Algorithm, RepartConfig, Session, SimulationSummary};
 use dlb_graphpart::{partition_kway, GraphConfig};
-use dlb_hypergraph::parallel;
 use dlb_mpisim::{run_spmd, CommStats};
 use dlb_workloads::{
     AmrSource, Dataset, DatasetKind, EpochSource, EpochStream, PerturbKind, Perturbation,
@@ -78,17 +77,10 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Serial or SPMD execution.
     pub timing: TimingMode,
-    /// Worker threads for running independent sweep cells concurrently
-    /// (`0` = auto via `DLB_THREADS` / available parallelism). Every cell
-    /// derives its RNG stream from the cell's own trial seeds, so results
-    /// are identical at any thread count. Use `1` when per-row wall-clock
-    /// timings matter — concurrent cells share cores and inflate
-    /// `time_ms`.
-    pub threads: usize,
-    /// When set, every epoch's partition is *executed* under this
+    /// When set, every epoch's partition is *executed* under the default
     /// machine model ([`dlb_core::NetworkModel`]) and rows carry measured
-    /// makespans; `None` keeps the model-cost-only sweep.
-    pub network: Option<NetworkModel>,
+    /// makespans; `false` keeps the model-cost-only sweep.
+    pub measured: bool,
 }
 
 impl SweepConfig {
@@ -104,8 +96,7 @@ impl SweepConfig {
             scale,
             seed: 42,
             timing: TimingMode::Serial,
-            threads: 1,
-            network: None,
+            measured: false,
         }
     }
 
@@ -122,7 +113,7 @@ impl SweepConfig {
 
     /// The AMR measured-makespan sweep: the quadtree mesh at `amr`'s
     /// scale, k ∈ {4, 8}, the paper's α grid, every epoch executed under
-    /// the default [`NetworkModel`].
+    /// the default [`dlb_core::NetworkModel`].
     pub fn amr(amr: AmrConfig) -> Self {
         SweepConfig {
             workload: Workload::Amr(amr),
@@ -133,8 +124,7 @@ impl SweepConfig {
             scale: 1.0,
             seed: 42,
             timing: TimingMode::Serial,
-            threads: 1,
-            network: Some(NetworkModel::default()),
+            measured: true,
         }
     }
 }
@@ -236,29 +226,28 @@ fn run_trial(
     match cfg.timing {
         TimingMode::Serial => {
             let mut source = make_source(cfg, k, trial_seed);
-            let mut session = Session::new(repart_cfg)
+            let summary = Session::new(repart_cfg)
                 .algorithm(algorithm)
                 .alpha(alpha)
                 .epochs(cfg.epochs)
-                .workload(&mut source);
-            if let Some(net) = &cfg.network {
-                session = session.network(*net);
-            }
-            (session.run().expect("valid sweep session"), CommStats::default())
+                .measured(cfg.measured)
+                .workload(&mut source)
+                .run()
+                .expect("valid sweep session");
+            (summary, CommStats::default())
         }
         TimingMode::Parallel { max_ranks } => {
             let ranks = k.min(max_ranks).max(1);
             let results = run_spmd(ranks, |comm| {
                 let mut source = make_source(cfg, k, trial_seed);
-                let mut session = Session::new(repart_cfg.clone())
+                let summary = Session::new(repart_cfg.clone())
                     .algorithm(algorithm)
                     .alpha(alpha)
                     .epochs(cfg.epochs)
-                    .workload(&mut source);
-                if let Some(net) = &cfg.network {
-                    session = session.network(*net);
-                }
-                let summary = session.run_on(comm).expect("valid sweep session");
+                    .measured(cfg.measured)
+                    .workload(&mut source)
+                    .run_on(comm)
+                    .expect("valid sweep session");
                 (summary, comm.stats())
             });
             let mut traffic = CommStats::default();
@@ -327,29 +316,18 @@ fn run_cell(cfg: &SweepConfig, k: usize, alpha: f64, algorithm: Algorithm) -> Ro
     }
 }
 
-/// Runs the full sweep, invoking `progress` once per completed bar.
-///
-/// Cells (k × α × algorithm bars) are independent — each trial seeds its
-/// own RNG stream — so with `cfg.threads > 1` they run concurrently, one
-/// cell per chunk. Rows are collected and reported in the grid's
-/// deterministic order regardless of the thread count (`progress` fires
-/// after a cell and all its predecessors have completed).
+/// Runs the full sweep, k → α → algorithm, invoking `progress` as each
+/// bar completes.
 pub fn run_sweep(cfg: &SweepConfig, mut progress: impl FnMut(&Row)) -> Vec<Row> {
-    let mut cells: Vec<(usize, f64, Algorithm)> = Vec::new();
+    let mut rows = Vec::new();
     for &k in &cfg.ks {
         for &alpha in &cfg.alphas {
             for algorithm in Algorithm::ALL {
-                cells.push((k, alpha, algorithm));
+                let row = run_cell(cfg, k, alpha, algorithm);
+                progress(&row);
+                rows.push(row);
             }
         }
-    }
-    let threads = parallel::resolve_threads(cfg.threads);
-    let rows: Vec<Row> = parallel::map_chunks(threads, cells.len(), 1, |i, _| {
-        let (k, alpha, algorithm) = cells[i];
-        run_cell(cfg, k, alpha, algorithm)
-    });
-    for row in &rows {
-        progress(row);
     }
     rows
 }
@@ -422,26 +400,9 @@ mod tests {
             );
         }
         // Unmeasured sweeps report zero makespans.
-        cfg.network = None;
+        cfg.measured = false;
         let rows = run_sweep(&cfg, |_| {});
         assert!(rows.iter().all(|r| r.makespan_ms == 0.0 && r.comp_ms == 0.0));
-    }
-
-    #[test]
-    fn amr_sweep_is_deterministic_across_threads() {
-        let mut cfg = SweepConfig::amr(AmrConfig::small());
-        cfg.ks = vec![4];
-        cfg.alphas = vec![1.0, 100.0];
-        cfg.trials = 1;
-        cfg.epochs = 2;
-        let one = run_sweep(&cfg, |_| {});
-        cfg.threads = 4;
-        let four = run_sweep(&cfg, |_| {});
-        assert_eq!(one.len(), four.len());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.total_norm, b.total_norm);
-            assert_eq!(a.makespan_ms, b.makespan_ms);
-        }
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //! simulated SPMD world; because each rank must then drive its own
 //! identically seeded source, multi-rank sessions take a
 //! [`workload_factory`](Session::workload_factory) instead of a borrowed
-//! source. `.measured(true)` (or [`network`](Session::network)) turns on
-//! the measured execution model, [`world_plan`](Session::world_plan)
+//! source. `.measured(true)` turns on the measured execution model
+//! (under [`NetworkModel::default`]), [`world_plan`](Session::world_plan)
 //! schedules rank joins, leaves and failures,
 //! [`fault_plan`](Session::fault_plan) injects message drops and delays
 //! into the measured exchanges, [`incremental`](Session::incremental)
 //! switches to delta-driven model patching with warm-started V-cycles
 //! (see [`ModelPatcher`](crate::ModelPatcher)), and
-//! [`trace_to`](Session::trace_to) / [`run_traced`](Session::run_traced)
-//! wrap the run in a [`dlb_trace`] session.
+//! [`run_traced`](Session::run_traced) wraps the run in a [`dlb_trace`]
+//! session. To trace an SPMD caller, open the [`dlb_trace`] session
+//! around the whole world instead.
 //!
 //! Every epoch kind — plain or boundary resize — is one fixed-vertex
 //! solve of a (partial) repartitioning model on whichever execution
@@ -44,10 +45,10 @@
 //! the SPMD partitioner has no counterpart to seed. A plan that cannot
 //! run on the workload's world (a failing or leaving rank that is never
 //! in it, a schedule that would empty it) is an error too, not a panic:
-//! [`SessionError::InvalidPlan`], returned before the first epoch.
+//! [`SessionError::InvalidPlan`], returned before the first epoch. So
+//! is an α that is not positive and finite ([`SessionError::InvalidAlpha`]).
 
 use std::fmt;
-use std::path::PathBuf;
 
 use dlb_mpisim::{run_spmd, Comm, FaultPlan};
 use dlb_workloads::EpochSource;
@@ -93,17 +94,10 @@ pub enum SessionError {
     /// the world at some boundary. Carries the plan message; reported
     /// before the first epoch runs.
     InvalidPlan(String),
-    /// Tracing was requested on [`Session::run_on`]; a per-rank trace
-    /// session would deadlock the collective, so open the trace around
-    /// the whole SPMD world instead (e.g. via [`Session::ranks`]).
-    TraceInsideSpmd,
-    /// The trace file could not be written.
-    TraceIo {
-        /// Destination path.
-        path: PathBuf,
-        /// The underlying I/O error.
-        error: std::io::Error,
-    },
+    /// [`Session::alpha`] is not positive and finite: α is the number of
+    /// iterations per epoch, the weight of communication against
+    /// migration. Reported before the first epoch runs.
+    InvalidAlpha(f64),
 }
 
 impl fmt::Display for SessionError {
@@ -123,12 +117,8 @@ impl fmt::Display for SessionError {
                  drop .ranks()/.run_on() or .incremental()"
             ),
             SessionError::InvalidPlan(message) => write!(f, "{message}"),
-            SessionError::TraceInsideSpmd => write!(
-                f,
-                "cannot open a trace session per rank; trace the world opener instead"
-            ),
-            SessionError::TraceIo { path, error } => {
-                write!(f, "cannot write trace to {}: {error}", path.display())
+            SessionError::InvalidAlpha(alpha) => {
+                write!(f, "alpha must be positive and finite, got {alpha}")
             }
         }
     }
@@ -143,8 +133,8 @@ type SourceFactory<'a> = Box<dyn Fn(usize) -> Box<dyn EpochSource + 'a> + Sync +
 
 /// Builder for one multi-epoch simulation run: the entry point into
 /// the epoch loop. A session is serial unless given ranks; plans,
-/// faults, measured execution, incremental patching and tracing are
-/// its setters below.
+/// faults, measured execution and incremental patching are its setters
+/// below.
 pub struct Session<'a> {
     cfg: RepartConfig,
     algorithm: Algorithm,
@@ -158,7 +148,6 @@ pub struct Session<'a> {
     drift_threshold: f64,
     source: Option<&'a mut dyn EpochSource>,
     factory: Option<SourceFactory<'a>>,
-    trace_path: Option<PathBuf>,
 }
 
 impl<'a> Session<'a> {
@@ -178,7 +167,6 @@ impl<'a> Session<'a> {
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             source: None,
             factory: None,
-            trace_path: None,
         }
     }
 
@@ -211,18 +199,7 @@ impl<'a> Session<'a> {
     /// Turns the measured execution model on (with
     /// [`NetworkModel::default`]) or off.
     pub fn measured(mut self, on: bool) -> Self {
-        self.network = if on {
-            Some(self.network.unwrap_or_default())
-        } else {
-            None
-        };
-        self
-    }
-
-    /// Measures every epoch under a specific machine model (implies
-    /// `measured(true)`).
-    pub fn network(mut self, net: NetworkModel) -> Self {
-        self.network = Some(net);
+        self.network = on.then(NetworkModel::default);
         self
     }
 
@@ -294,45 +271,26 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Wraps the run in a [`dlb_trace`] session and writes the report in
-    /// chrome://tracing format to `path` when the run finishes.
-    pub fn trace_to(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trace_path = Some(path.into());
-        self
-    }
-
     /// Runs the session.
     pub fn run(self) -> Result<SimulationSummary, SessionError> {
-        if self.trace_path.is_some() {
-            return Ok(self.run_traced()?.0);
-        }
         self.validate()?.execute()
     }
 
     /// Runs the session inside a fresh [`dlb_trace`] session and returns
-    /// the report alongside the summary (writing it to the
-    /// [`trace_to`](Session::trace_to) path, if one was set).
+    /// the report alongside the summary.
     pub fn run_traced(self) -> Result<(SimulationSummary, dlb_trace::TraceReport), SessionError> {
-        let mut session = self.validate()?;
-        let trace_path = session.trace_path.take();
+        let session = self.validate()?;
         let trace = dlb_trace::session();
         let outcome = session.execute();
         let report = trace.finish();
-        let summary = outcome?;
-        if let Some(path) = trace_path {
-            std::fs::write(&path, report.to_chrome_json())
-                .map_err(|error| SessionError::TraceIo { path, error })?;
-        }
-        Ok((summary, report))
+        Ok((outcome?, report))
     }
 
     /// Runs the session collectively on an existing communicator (for
     /// callers already inside an SPMD world). Requires a borrowed
     /// [`workload`](Session::workload); `ranks` is taken from `comm`.
     pub fn run_on(mut self, comm: &mut Comm) -> Result<SimulationSummary, SessionError> {
-        if self.trace_path.is_some() {
-            return Err(SessionError::TraceInsideSpmd);
-        }
+        self.check_alpha()?;
         if self.incremental {
             return Err(SessionError::IncrementalNeedsSerial);
         }
@@ -340,7 +298,16 @@ impl<'a> Session<'a> {
         run_epochs(Some(comm), source, &self.params())
     }
 
+    fn check_alpha(&self) -> Result<(), SessionError> {
+        if self.alpha > 0.0 && self.alpha.is_finite() {
+            Ok(())
+        } else {
+            Err(SessionError::InvalidAlpha(self.alpha))
+        }
+    }
+
     fn validate(self) -> Result<Self, SessionError> {
+        self.check_alpha()?;
         if self.ranks == 0 {
             return Err(SessionError::ZeroRanks);
         }
@@ -474,6 +441,41 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SessionError::ZeroRanks), "{err}");
+    }
+
+    #[test]
+    fn invalid_alpha_is_an_error_before_the_first_epoch() {
+        let is_invalid_alpha = |err: SessionError, alpha: f64| {
+            matches!(err, SessionError::InvalidAlpha(a) if a.to_bits() == alpha.to_bits())
+        };
+        for alpha in [0.0, f64::NAN, f64::INFINITY] {
+            let mut stream = make_stream(2, 6);
+            let err = Session::new(RepartConfig::seeded(6))
+                .alpha(alpha)
+                .workload(&mut stream)
+                .run()
+                .unwrap_err();
+            assert!(is_invalid_alpha(err, alpha), "alpha {alpha}");
+            let err = Session::new(RepartConfig::seeded(6))
+                .alpha(alpha)
+                .ranks(2)
+                .workload_factory(|_| make_stream(2, 6))
+                .run()
+                .unwrap_err();
+            assert!(is_invalid_alpha(err, alpha), "alpha {alpha}, 2 ranks");
+            for ranks in [1, 2] {
+                for err in run_spmd(ranks, |comm| {
+                    let mut stream = make_stream(2, 6);
+                    Session::new(RepartConfig::seeded(6))
+                        .alpha(alpha)
+                        .workload(&mut stream)
+                        .run_on(comm)
+                        .unwrap_err()
+                }) {
+                    assert!(is_invalid_alpha(err, alpha), "alpha {alpha}, run_on at {ranks} ranks");
+                }
+            }
+        }
     }
 
     #[test]

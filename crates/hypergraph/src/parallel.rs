@@ -1,9 +1,8 @@
 //! Scoped-thread executor with deterministic chunked reduction.
 //!
-//! Two callers run work on more than one thread: the Fast/CAS matcher
-//! (`dlb_partitioner::matching`) and the bench sweep, whose cells are
-//! independent experiments. The Strict pipeline runs on one thread. This
-//! module runs a kernel over a fixed chunking of the index space and
+//! One caller runs work on more than one thread: the Fast/CAS matcher
+//! (`dlb_partitioner::matching`). The Strict pipeline runs on one thread.
+//! This module runs a kernel over a fixed chunking of the index space and
 //! hands the per-chunk results back **in chunk order**:
 //!
 //! > **Chunked-reduction rule.** Chunk boundaries depend only on the
@@ -49,31 +48,15 @@ use std::sync::{Mutex, OnceLock};
 /// follows the same grid, which keeps the two bitwise equal.
 pub const DEFAULT_CHUNK: usize = 4096;
 
-/// Parses a `DLB_THREADS`-style value: a positive integer, else `None`.
-fn parse_threads(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// The `DLB_THREADS` environment variable, read **once** per process and
-/// cached: `resolve_threads` sits on hot paths (per level, per epoch),
-/// and `std::env::var` takes a process-global lock on some platforms.
-fn env_threads() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| std::env::var("DLB_THREADS").ok().as_deref().and_then(parse_threads))
-}
-
-/// Resolves an effective worker count: `requested` if positive, else the
-/// `DLB_THREADS` environment variable if set to a positive integer, else
-/// [`std::thread::available_parallelism`]. The environment variable and
-/// the hardware parallelism are each read once per process and cached.
+/// Resolves an effective worker count: `requested` if positive, else
+/// [`std::thread::available_parallelism`], read once per process and
+/// cached.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
-        return requested;
+        requested
+    } else {
+        host_parallelism()
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    host_parallelism()
 }
 
 /// Cached [`std::thread::available_parallelism`]: the number of threads
@@ -194,7 +177,8 @@ where
 }
 
 /// [`map_chunks_with`] without per-worker state.
-pub fn map_chunks<T, F>(threads: usize, len: usize, chunk: usize, f: F) -> Vec<T>
+#[cfg(test)]
+fn map_chunks<T, F>(threads: usize, len: usize, chunk: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
@@ -380,28 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_prefers_request_then_cached_env() {
-        // An explicit request always wins.
+    fn resolve_threads_prefers_request_then_host() {
+        // An explicit request always wins, even above the host width.
         assert_eq!(resolve_threads(5), 5);
-        // The env fallback is read once per process and cached, so the
-        // resolved auto value is stable for the process lifetime even if
-        // the variable changes later.
-        let auto = resolve_threads(0);
-        assert!(auto >= 1);
-        std::env::set_var("DLB_THREADS", "77");
-        assert_eq!(resolve_threads(0), auto, "cached resolution must not re-read the env");
-        std::env::remove_var("DLB_THREADS");
-        assert_eq!(resolve_threads(0), auto);
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        // The parse logic itself (cache aside): positive integers only.
-        assert_eq!(parse_threads("3"), Some(3));
-        assert_eq!(parse_threads(" 12 "), Some(12));
-        assert_eq!(parse_threads("0"), None);
-        assert_eq!(parse_threads("not-a-number"), None);
-        assert_eq!(parse_threads(""), None);
+        assert_eq!(resolve_threads(1), 1);
+        // Auto is the host's parallelism.
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), host);
     }
 
     /// Drives [`run`] directly with 4 participants: the public entry

@@ -154,8 +154,7 @@ pub struct Config {
     /// The result of an extra cycle is kept only if it improves the cut.
     pub num_vcycles: usize,
     /// Worker threads for the Fast matcher, the one kernel that runs on
-    /// more than one thread. `0` means auto: the `DLB_THREADS`
-    /// environment variable if set, else
+    /// more than one thread. `0` means auto:
     /// [`std::thread::available_parallelism`]. Strict runs on one thread
     /// whatever this is, so no Strict partition depends on it.
     pub threads: usize,

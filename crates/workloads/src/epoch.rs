@@ -18,7 +18,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::perturb::{PerturbKind, Perturbation};
+use crate::perturb::{
+    PerturbKind, Perturbation, DELETE_FRACTION, FACTOR_RANGE, STRUCTURE_PARTS_FRACTION,
+    WEIGHT_PARTS_FRACTION,
+};
 
 /// One epoch's problem instance.
 #[derive(Clone, Debug)]
@@ -60,8 +63,7 @@ impl EpochStream {
     /// (per base vertex).
     ///
     /// # Panics
-    /// Panics on invalid perturbation parameters or a wrong-length /
-    /// out-of-range initial partition.
+    /// Panics on a wrong-length or out-of-range initial partition.
     pub fn new(
         base: CsrGraph,
         perturbation: Perturbation,
@@ -69,7 +71,6 @@ impl EpochStream {
         initial_part: Vec<PartId>,
         seed: u64,
     ) -> Self {
-        perturbation.validate().expect("valid perturbation");
         assert!(k > 0);
         assert_eq!(initial_part.len(), base.num_vertices());
         assert!(
@@ -137,13 +138,12 @@ impl EpochStream {
     /// vertices, drawn from a random half of the parts.
     fn structural_epoch(&mut self) -> EpochSnapshot {
         let n = self.base.num_vertices();
-        let affected = self.pick_parts(self.perturbation.structure_parts_fraction);
+        let affected = self.pick_parts(STRUCTURE_PARTS_FRACTION);
         let mut candidates: Vec<usize> = (0..n)
             .filter(|&v| affected.get(self.last_part[v]).copied().unwrap_or(false))
             .collect();
         candidates.shuffle(&mut self.rng);
-        let quota = ((n as f64 * self.perturbation.delete_fraction) as usize)
-            .min(candidates.len().saturating_sub(1));
+        let quota = ((n as f64 * DELETE_FRACTION) as usize).min(candidates.len().saturating_sub(1));
         let mut keep = vec![true; n];
         for &v in &candidates[..quota] {
             keep[v] = false;
@@ -170,8 +170,8 @@ impl EpochStream {
     /// random fraction of the parts to `U(lo, hi)` × original.
     fn weight_epoch(&mut self) -> EpochSnapshot {
         let n = self.base.num_vertices();
-        let affected = self.pick_parts(self.perturbation.weight_parts_fraction);
-        let (lo, hi) = self.perturbation.factor_range;
+        let affected = self.pick_parts(WEIGHT_PARTS_FRACTION);
+        let (lo, hi) = FACTOR_RANGE;
         for v in 0..n {
             if affected.get(self.last_part[v]).copied().unwrap_or(false) {
                 let f = self.rng.gen_range(lo..hi);

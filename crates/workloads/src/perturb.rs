@@ -19,24 +19,23 @@ pub enum PerturbKind {
     Weights,
 }
 
-/// Perturbation parameters. Defaults are the headline configuration the
-/// paper reports: structure — half the parts lose/gain 25% of the total
+/// Structure: fraction of the *total* vertex count deleted each epoch
+/// (paper: 0.25).
+pub(crate) const DELETE_FRACTION: f64 = 0.25;
+/// Structure: fraction of parts the deletions are drawn from (paper: 0.5).
+pub(crate) const STRUCTURE_PARTS_FRACTION: f64 = 0.5;
+/// Weights: fraction of parts refined each epoch (paper: 0.1).
+pub(crate) const WEIGHT_PARTS_FRACTION: f64 = 0.1;
+/// Weights: scaling factor range relative to original (paper: 1.5..7.5).
+pub(crate) const FACTOR_RANGE: (f64, f64) = (1.5, 7.5);
+
+/// One of the paper's two dynamics at the headline configuration it
+/// reports: structure — half the parts lose/gain 25% of the total
 /// vertices; weights — 10% of parts scaled into `[1.5, 7.5]`.
 #[derive(Clone, Debug)]
 pub struct Perturbation {
     /// Which dynamic.
     pub kind: PerturbKind,
-    /// Structure: fraction of the *total* vertex count deleted each
-    /// epoch (paper: 0.25).
-    pub delete_fraction: f64,
-    /// Structure: fraction of parts the deletions are drawn from
-    /// (paper: 0.5).
-    pub structure_parts_fraction: f64,
-    /// Weights: fraction of parts refined each epoch (paper: 0.1).
-    pub weight_parts_fraction: f64,
-    /// Weights: scaling factor range relative to original (paper:
-    /// 1.5..7.5).
-    pub factor_range: (f64, f64),
 }
 
 impl Perturbation {
@@ -44,10 +43,6 @@ impl Perturbation {
     pub fn structure() -> Self {
         Perturbation {
             kind: PerturbKind::Structure,
-            delete_fraction: 0.25,
-            structure_parts_fraction: 0.5,
-            weight_parts_fraction: 0.1,
-            factor_range: (1.5, 7.5),
         }
     }
 
@@ -55,24 +50,7 @@ impl Perturbation {
     pub fn weights() -> Self {
         Perturbation {
             kind: PerturbKind::Weights,
-            ..Perturbation::structure()
         }
-    }
-
-    /// Validates parameter ranges.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(0.0..1.0).contains(&self.delete_fraction) {
-            return Err("delete_fraction must be in [0, 1)".into());
-        }
-        if !(0.0..=1.0).contains(&self.structure_parts_fraction)
-            || !(0.0..=1.0).contains(&self.weight_parts_fraction)
-        {
-            return Err("parts fractions must be in [0, 1]".into());
-        }
-        if self.factor_range.0 > self.factor_range.1 || self.factor_range.0 <= 0.0 {
-            return Err("factor_range must be a positive, ordered interval".into());
-        }
-        Ok(())
     }
 }
 
@@ -82,25 +60,11 @@ mod tests {
 
     #[test]
     fn paper_defaults() {
-        let s = Perturbation::structure();
-        assert_eq!(s.kind, PerturbKind::Structure);
-        assert_eq!(s.delete_fraction, 0.25);
-        assert_eq!(s.structure_parts_fraction, 0.5);
-        let w = Perturbation::weights();
-        assert_eq!(w.kind, PerturbKind::Weights);
-        assert_eq!(w.weight_parts_fraction, 0.1);
-        assert_eq!(w.factor_range, (1.5, 7.5));
-        s.validate().unwrap();
-        w.validate().unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_bad_ranges() {
-        let mut p = Perturbation::structure();
-        p.delete_fraction = 1.5;
-        assert!(p.validate().is_err());
-        let mut p = Perturbation::weights();
-        p.factor_range = (2.0, 1.0);
-        assert!(p.validate().is_err());
+        assert_eq!(Perturbation::structure().kind, PerturbKind::Structure);
+        assert_eq!(Perturbation::weights().kind, PerturbKind::Weights);
+        assert_eq!(DELETE_FRACTION, 0.25);
+        assert_eq!(STRUCTURE_PARTS_FRACTION, 0.5);
+        assert_eq!(WEIGHT_PARTS_FRACTION, 0.1);
+        assert_eq!(FACTOR_RANGE, (1.5, 7.5));
     }
 }

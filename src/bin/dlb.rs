@@ -26,10 +26,6 @@
 //!   --seed N          RNG seed (default 0)
 //!   --ranks N         run the SPMD parallel partitioner on N simulated
 //!                     ranks (default 1 = serial)
-//!   --threads N       with --determinism fast: the concurrent matcher's
-//!                     worker threads (default 0 = auto: DLB_THREADS, then
-//!                     available parallelism). Strict runs on one thread,
-//!                     so --threads without --determinism fast exits 2
 //!   --distributed     with --ranks: owner-computes pin storage and
 //!                     block-distributed per-vertex arrays across ranks
 //!                     (memory-scalable V-cycle; results are
@@ -73,10 +69,7 @@
 //! The simulate options compose freely, with two exceptions (exit 2):
 //! --incremental with --ranks > 1 or --distributed (the SPMD partitioner
 //! has no warm start) and --incremental with --constraints > 1 (the
-//! delta patcher maintains scalar weights). On every subcommand,
-//! --determinism fast with --ranks > 1 or --distributed exits 2 too: the
-//! SPMD drivers always run Strict. So does --threads without
-//! --determinism fast.
+//! delta patcher maintains scalar weights).
 //! ```
 //!
 //! `partition`/`repartition` write one part id per line, one line per
@@ -111,21 +104,18 @@ use dlb::hypergraph::io::{read_hypergraph, read_matrix_market_graph};
 use dlb::hypergraph::{CsrGraph, Hypergraph};
 use dlb::mpisim::run_spmd;
 use dlb::partitioner::par::parallel_partition;
-use dlb::partitioner::{Config as HgConfig, Determinism};
+use dlb::partitioner::Config as HgConfig;
 use dlb::workloads::{AmrSource, Dataset, DatasetKind, EpochSource, EpochStream, Perturbation};
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  dlb partition   -k K [--epsilon E] [--seed N] \
-         [--determinism strict|fast [--threads N]] \
          [--ranks N [--distributed]] [--trace FILE] [--out FILE] INPUT\n  \
          dlb repartition -k K --old PARTFILE [--alpha A] [--algorithm NAME] \
-         [--epsilon E] [--seed N] [--determinism strict|fast [--threads N]] \
-         [--ranks N [--distributed]] \
+         [--epsilon E] [--seed N] [--ranks N [--distributed]] \
          [--trace FILE] [--out FILE] INPUT\n  \
          dlb simulate    -k K --workload amr|structure|weights [--epochs E] [--alpha A] \
          [--algorithm NAME] [--scale S] [--seed N] \
-         [--determinism strict|fast [--threads N]] \
          [--constraints N [--epsilon E]...] \
          [--ranks N [--distributed]] [--fault-plan SPEC] [--world-plan SPEC] \
          [--incremental [--drift-threshold T]] [--trace FILE]"
@@ -149,8 +139,6 @@ struct Cli {
     constraints: usize,
     seed: u64,
     ranks: usize,
-    threads: Option<usize>,
-    determinism: Determinism,
     distributed: bool,
     trace: Option<String>,
     out: Option<String>,
@@ -182,8 +170,8 @@ const COMMANDS: &[&str] = &["partition", "repartition", "simulate"];
 /// error, never silently ignored; an unknown flag prints the usage.
 fn read_by(flag: &str) -> &'static [&'static str] {
     match flag {
-        "-k" | "--epsilon" | "--constraints" | "--seed" | "--ranks" | "--threads"
-        | "--determinism" | "--distributed" | "--trace" => COMMANDS,
+        "-k" | "--epsilon" | "--constraints" | "--seed" | "--ranks" | "--distributed"
+        | "--trace" => COMMANDS,
         "--out" => &["partition", "repartition"],
         "--old" => &["repartition"],
         "--alpha" | "--algorithm" => &["repartition", "simulate"],
@@ -206,8 +194,6 @@ fn parse_cli() -> Cli {
     let mut constraints = 1usize;
     let mut seed = 0u64;
     let mut ranks = 1usize;
-    let mut threads = None;
-    let mut determinism = Determinism::Strict;
     let mut distributed = false;
     let mut trace = None;
     let mut out = None;
@@ -256,14 +242,6 @@ fn parse_cli() -> Cli {
                     fail("--ranks must be at least 1");
                 }
             }
-            "--threads" => threads = Some(parse_value(&argv, &mut i, flag)),
-            "--determinism" => {
-                determinism = match parse_value::<String>(&argv, &mut i, flag).as_str() {
-                    "strict" => Determinism::Strict,
-                    "fast" => Determinism::Fast,
-                    other => fail(format!("--determinism expects strict or fast, got {other:?}")),
-                }
-            }
             "--distributed" => distributed = true,
             "--trace" => trace = Some(parse_value(&argv, &mut i, flag)),
             "--out" => out = Some(parse_value(&argv, &mut i, flag)),
@@ -298,8 +276,6 @@ fn parse_cli() -> Cli {
         constraints,
         seed,
         ranks,
-        threads,
-        determinism,
         distributed,
         trace,
         out,
@@ -347,8 +323,6 @@ fn validated_hg_config(cli: &Cli) -> HgConfig {
         epsilon: epsilons[0],
         aux_epsilons: epsilons[1..].to_vec(),
         seed: cli.seed,
-        threads: cli.threads.unwrap_or(0),
-        determinism: cli.determinism,
         ..HgConfig::default()
     };
     cfg.dist.distributed = cli.distributed;
@@ -357,13 +331,11 @@ fn validated_hg_config(cli: &Cli) -> HgConfig {
 }
 
 /// The repartitioner's config for the validated partitioner knobs: the
-/// seeded repartitioning defaults with `hg`'s tolerances, threads,
-/// determinism and distribution.
+/// seeded repartitioning defaults with `hg`'s tolerances and
+/// distribution.
 fn repart_config(hg: HgConfig) -> RepartConfig {
-    let mut cfg = RepartConfig::seeded(hg.seed).with_epsilon(hg.epsilon);
-    cfg.hypergraph.aux_epsilons = hg.aux_epsilons;
-    cfg.hypergraph.threads = hg.threads;
-    cfg.hypergraph.determinism = hg.determinism;
+    let epsilons: Vec<f64> = std::iter::once(hg.epsilon).chain(hg.aux_epsilons).collect();
+    let mut cfg = RepartConfig::seeded(hg.seed).with_epsilons(&epsilons);
     cfg.hypergraph.dist = hg.dist;
     cfg
 }
@@ -613,11 +585,8 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
         }
         session
     };
-    let mut session = build(cli.incremental);
-    if let Some(path) = &cli.trace {
-        session = session.trace_to(path);
-    }
-    let summary = session.run().unwrap_or_else(|e| fail(e));
+    let summary = with_trace(cli.trace.as_deref(), || build(cli.incremental).run())
+        .unwrap_or_else(|e| fail(e));
     eprintln!(
         "{}{} on {} epochs, k={}, alpha={}",
         cli.algorithm.name(),
@@ -651,15 +620,6 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
 fn main() {
     let cli = parse_cli();
     let hg_cfg = validated_hg_config(&cli);
-    if cli.determinism == Determinism::Fast && (cli.ranks > 1 || cli.distributed) {
-        let spmd = if cli.distributed { "--distributed" } else { "--ranks > 1" };
-        fail(format!(
-            "--determinism fast does not apply with {spmd}: the SPMD drivers always run strict"
-        ));
-    }
-    if cli.threads.is_some() && cli.determinism != Determinism::Fast {
-        fail("--threads applies with --determinism fast only: strict runs on one thread");
-    }
     validate_ranges(&cli);
     if cli.command == "simulate" {
         run_simulate(&cli, repart_config(hg_cfg));

@@ -120,6 +120,10 @@ fn rejects_bad_arguments() {
     // Missing input file.
     let status = dlb().args(["partition", "-k", "2", "/nonexistent.mtx"]).status().unwrap();
     assert!(!status.success());
+    // Unknown flags print the usage; Strict, the one determinism mode the
+    // CLI runs, takes no thread count.
+    assert_rejected(&["partition", "-k", "2", "--threads", "2", "x.mtx"], "usage:");
+    assert_rejected(&["partition", "-k", "2", "--determinism", "fast", "x.mtx"], "usage:");
 }
 
 /// Runs `dlb` with `args` and asserts it exits with code 2 and prints a
@@ -144,7 +148,7 @@ fn rejects_invalid_k_up_front() {
 }
 
 #[test]
-fn rejects_invalid_ranks_and_threads_up_front() {
+fn rejects_invalid_ranks_up_front() {
     assert_rejected(&["partition", "-k", "2", "--ranks", "0", "x.mtx"], "--ranks must be at least 1");
     assert_rejected(
         &["repartition", "-k", "2", "--ranks", "0", "--old", "p", "x.mtx"],
@@ -153,10 +157,6 @@ fn rejects_invalid_ranks_and_threads_up_front() {
     assert_rejected(
         &["partition", "-k", "2", "--ranks", "-3", "x.mtx"],
         "--ranks expects a valid value",
-    );
-    assert_rejected(
-        &["partition", "-k", "2", "--threads", "many", "x.mtx"],
-        "--threads expects a valid value",
     );
     assert_rejected(
         &["repartition", "-k", "2", "--epsilon", "-0.5", "--old", "p", "x.mtx"],
@@ -206,57 +206,15 @@ fn rejects_distributed_flag_conflicts_up_front() {
         ],
         "incremental repartitioning is serial-only",
     );
-    // The SPMD drivers always run Strict, so Fast there used to be
-    // silently ignored. One row per subcommand; `strict` stays accepted.
-    let input = write_toy_mtx(&tmpdir("strict-spmd"));
+    // Partitioning itself runs on the SPMD drivers.
+    let input = write_toy_mtx(&tmpdir("spmd"));
     let status = dlb()
-        .args(["partition", "-k", "2", "--ranks", "2", "--determinism", "strict"])
+        .args(["partition", "-k", "2", "--ranks", "2"])
         .arg(&input)
         .output()
         .unwrap()
         .status;
     assert!(status.success());
-    assert_rejected(
-        &["partition", "-k", "2", "--ranks", "2", "--determinism", "fast", "x.mtx"],
-        "--determinism fast does not apply with --ranks > 1",
-    );
-    assert_rejected(
-        &[
-            "repartition", "-k", "2", "--distributed", "--determinism", "fast", "--old", "p",
-            "x.mtx",
-        ],
-        "--determinism fast does not apply with --distributed",
-    );
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "structure", "--ranks", "2", "--determinism",
-            "fast", "--epochs", "1",
-        ],
-        "--determinism fast does not apply with --ranks > 1",
-    );
-}
-
-#[test]
-fn threads_apply_with_determinism_fast_only() {
-    // Strict runs on one thread, so `--threads` alone would be a flag
-    // that changes nothing. One row per subcommand.
-    let needle = "--threads applies with --determinism fast only: strict runs on one thread";
-    assert_rejected(&["partition", "-k", "2", "--threads", "2", "x.mtx"], needle);
-    assert_rejected(
-        &[
-            "repartition", "-k", "2", "--threads", "1", "--determinism", "strict", "--old", "p",
-            "x.mtx",
-        ],
-        needle,
-    );
-    assert_rejected(&["simulate", "-k", "2", "--workload", "amr", "--threads", "2"], needle);
-    let input = write_toy_mtx(&tmpdir("threads-fast"));
-    let output = dlb()
-        .args(["partition", "-k", "2", "--threads", "2", "--determinism", "fast"])
-        .arg(&input)
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 }
 
 #[test]
@@ -448,29 +406,28 @@ fn trace_flag_writes_chrome_json() {
 #[test]
 fn simulate_runs_with_session_and_trace() {
     let dir = tmpdir("sim");
-    let trace = dir.join("sim-trace.json");
-    let output = dlb()
-        .args([
-            "simulate",
-            "-k",
-            "4",
-            "--workload",
-            "amr",
-            "--epochs",
-            "2",
-            "--alpha",
-            "10",
-            "--trace",
-        ])
-        .arg(&trace)
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("makespan"), "stdout: {stdout}");
-    let text = std::fs::read_to_string(&trace).unwrap();
-    assert!(text.contains("\"traceEvents\""));
-    assert!(text.contains("epoch"), "missing epoch spans: {text}");
+    for ranks in ["1", "2"] {
+        let trace = dir.join(format!("sim-trace-{ranks}.json"));
+        let output = dlb()
+            .args(["simulate", "-k", "4", "--workload", "amr", "--epochs", "2", "--alpha", "10"])
+            .args(["--ranks", ranks, "--trace"])
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("makespan"), "stdout: {stdout}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("trace: "), "ranks {ranks}: stderr {stderr}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        assert!(text.contains("\"traceEvents\""));
+        assert!(text.contains("epoch"), "missing epoch spans: {text}");
+        // The trace opened around the SPMD world records rank 0's
+        // distributed V-cycle.
+        if ranks == "2" {
+            assert!(text.contains("\"dist.refine.level\""), "missing rank-0 spans: {text}");
+        }
+    }
 }
 
 #[test]
