@@ -49,7 +49,11 @@ impl CommPlan {
         }
         // Discover receive counts: transpose the count matrix.
         let recv_counts = comm.alltoall(send_counts.clone());
-        CommPlan { send_counts, recv_counts, send_order }
+        CommPlan {
+            send_counts,
+            recv_counts,
+            send_order,
+        }
     }
 
     /// Items sent to each destination rank (`send_counts()[r]` items go
@@ -105,7 +109,11 @@ impl CommPlan {
         }
         let incoming = comm.alltoallv(outgoing);
         for (r, batch) in incoming.iter().enumerate() {
-            assert_eq!(batch.len(), self.recv_counts[r], "plan receive count mismatch");
+            assert_eq!(
+                batch.len(),
+                self.recv_counts[r],
+                "plan receive count mismatch"
+            );
         }
         incoming.into_iter().flatten().collect()
     }
@@ -225,10 +233,12 @@ mod tests {
                 // Item i asks rank (rank + i) % size to multiply it by 10;
                 // destinations interleave self and remote ranks.
                 let n_items = 2 * comm.size() + 1;
-                let destinations: Vec<usize> =
-                    (0..n_items).map(|i| (comm.rank() + i) % comm.size()).collect();
-                let queries: Vec<u64> =
-                    (0..n_items).map(|i| (comm.rank() * 100 + i) as u64).collect();
+                let destinations: Vec<usize> = (0..n_items)
+                    .map(|i| (comm.rank() + i) % comm.size())
+                    .collect();
+                let queries: Vec<u64> = (0..n_items)
+                    .map(|i| (comm.rank() * 100 + i) as u64)
+                    .collect();
                 let plan = CommPlan::build(comm, &destinations);
                 let received = plan.execute(comm, &queries);
                 let replies: Vec<u64> = received.iter().map(|q| q * 10).collect();
@@ -261,10 +271,12 @@ mod tests {
         for ranks in [1usize, 2, 4] {
             let results = run_spmd(ranks, |comm| {
                 let n_items = 2 * comm.size() + 3;
-                let destinations: Vec<usize> =
-                    (0..n_items).map(|i| (comm.rank() + i) % comm.size()).collect();
-                let mut items: Vec<u64> =
-                    (0..n_items).map(|i| (comm.rank() * 100 + i) as u64).collect();
+                let destinations: Vec<usize> = (0..n_items)
+                    .map(|i| (comm.rank() + i) % comm.size())
+                    .collect();
+                let mut items: Vec<u64> = (0..n_items)
+                    .map(|i| (comm.rank() * 100 + i) as u64)
+                    .collect();
                 let plan = CommPlan::build(comm, &destinations);
                 let mut mirror = plan.execute(comm, &items); // initial full exchange
 
@@ -336,7 +348,11 @@ mod tests {
                 let plan = CommPlan::build(comm, &[]);
                 let inverse = plan.invert();
                 let out = inverse.execute(comm, &Vec::<u8>::new());
-                (plan.num_receives(), inverse.send_positions().len(), out.len())
+                (
+                    plan.num_receives(),
+                    inverse.send_positions().len(),
+                    out.len(),
+                )
             });
             assert_eq!(results, vec![(0, 0, 0); ranks]);
 
