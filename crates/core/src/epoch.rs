@@ -15,14 +15,14 @@
 
 use std::time::{Duration, Instant};
 
-use dlb_mpisim::{Comm, FaultPlan};
+use dlb_mpisim::Comm;
 use dlb_workloads::{EpochSource, EpochUpdate};
 
 use crate::cost::CostBreakdown;
 use crate::delta::ModelPatcher;
 use crate::driver::{repartition_on, Algorithm, Prebuilt, RepartConfig, RepartProblem};
 use crate::elastic::{boundary_change, perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
-use crate::exec::{measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel};
+use crate::exec::{measure_epoch, CompetitiveRatio, EpochExecution, NetworkModel};
 use crate::membership::WorldMembership;
 use crate::session::SessionError;
 
@@ -204,8 +204,6 @@ pub(crate) struct EpochParams<'a> {
     pub cfg: &'a RepartConfig,
     /// Turns on the measured execution model.
     pub network: Option<&'a NetworkModel>,
-    /// Message drop/delay injected into the measured migration worlds.
-    pub faults: Option<&'a FaultPlan>,
     /// Rank arrivals, departures and failures, each boundary's net
     /// change applied as one resize.
     pub world: Option<&'a WorldPlan>,
@@ -230,7 +228,7 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     source: &mut S,
     params: &EpochParams<'_>,
 ) -> Result<SimulationSummary, SessionError> {
-    let &EpochParams { num_epochs, algorithm, alpha, cfg, network, faults, world, incremental } =
+    let &EpochParams { num_epochs, algorithm, alpha, cfg, network, world, incremental } =
         params;
     assert!(
         incremental.is_none() || comm.is_none(),
@@ -305,14 +303,13 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
             };
             let result = repartition_on(comm.as_deref_mut(), &problem, algorithm, cfg, prebuilt);
             let execution = network.map(|net| {
-                measure_epoch_with_faults(
+                measure_epoch(
                     &snapshot.hypergraph,
                     &snapshot.old_part,
                     &result.new_part,
                     cur_k,
                     alpha,
                     net,
-                    faults,
                 )
             });
             source.commit_assignment(&snapshot, &result.new_part);
@@ -352,7 +349,6 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 k_before = k_before,
                 k_after = k_after
             );
-            dlb_trace::count(dlb_trace::Counter::FaultsInjected, failed.len() as u64);
             dlb_trace::count(dlb_trace::Counter::RecoveriesRun, failed.len() as u64);
             dlb_trace::count(dlb_trace::Counter::ResizesRun, 1);
             dlb_trace::count(dlb_trace::Counter::RanksJoined, joined.len() as u64);
@@ -367,7 +363,6 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 alpha,
                 cfg,
                 network,
-                faults,
             );
             match out.choice {
                 ResizeChoice::Repart => dlb_trace::count(dlb_trace::Counter::ResizeChoseRepart, 1),

@@ -29,7 +29,7 @@
 //! within tolerance — `tests/amr_end_to_end.rs` asserts them with `==`.
 
 use dlb_hypergraph::{Hypergraph, PartId};
-use dlb_mpisim::{run_spmd_with_faults, FaultPlan};
+use dlb_mpisim::run_spmd;
 
 use crate::migrate::{migrate_items, scatter_initial, MigrationStats};
 
@@ -168,32 +168,6 @@ pub fn measure_epoch(
     alpha: f64,
     net: &NetworkModel,
 ) -> EpochExecution {
-    measure_epoch_with_faults(h, old_part, new_part, k, alpha, net, None)
-}
-
-/// [`measure_epoch`] with an optional [`FaultPlan`] installed on the
-/// migration world, so injected message drops/delays exercise the comm
-/// layer's retransmit path during the physical exchange.
-///
-/// With `faults == None` this *is* `measure_epoch` — no extra
-/// collectives, no RNG draws, bit-identical results. Injected drops are
-/// retransmitted by the comm layer, so [`MigrationStats`] (and therefore
-/// every measured time and volume here) stay deterministic under any
-/// plan; only the world's `CommStats` and the `FaultsInjected` counter
-/// reflect the injected faults.
-///
-/// # Panics
-/// Panics on length mismatches, out-of-range parts, or if an injected
-/// drop exhausts the retransmit budget.
-pub(crate) fn measure_epoch_with_faults(
-    h: &Hypergraph,
-    old_part: &[PartId],
-    new_part: &[PartId],
-    k: usize,
-    alpha: f64,
-    net: &NetworkModel,
-    faults: Option<&FaultPlan>,
-) -> EpochExecution {
     let n = h.num_vertices();
     assert_eq!(old_part.len(), n, "old_part length mismatch");
     assert_eq!(new_part.len(), n, "new_part length mismatch");
@@ -255,7 +229,7 @@ pub(crate) fn measure_epoch_with_faults(
 
     // --- Migration: actually move the payloads, one part per rank. ---
     let sizes = h.vertex_sizes();
-    let per_rank: Vec<MigrationStats> = run_spmd_with_faults(k, faults, |comm| {
+    let per_rank: Vec<MigrationStats> = run_spmd(k, |comm| {
         let items = scatter_initial(comm.rank(), comm.size(), old_part, |v| sizes[v]);
         migrate_items(comm, items, old_part, new_part, |s| *s).1
     });

@@ -27,8 +27,7 @@
 //! source. `.measured(true)` turns on the measured execution model
 //! (under [`NetworkModel::default`]), [`world_plan`](Session::world_plan)
 //! schedules rank joins, leaves and failures,
-//! [`fault_plan`](Session::fault_plan) injects message drops and delays
-//! into the measured exchanges, [`incremental`](Session::incremental)
+//! [`incremental`](Session::incremental)
 //! switches to delta-driven model patching with warm-started V-cycles
 //! (see [`ModelPatcher`](crate::ModelPatcher)), and
 //! [`run_traced`](Session::run_traced) wraps the run in a [`dlb_trace`]
@@ -44,13 +43,14 @@
 //! warm start is a serial refinement of the previous assignment, and
 //! the SPMD partitioner has no counterpart to seed. A plan that cannot
 //! run on the workload's world (a failing or leaving rank that is never
-//! in it, a schedule that would empty it) is an error too, not a panic:
+//! in it, an event after the last epoch, a schedule that would empty
+//! it) is an error too, not a panic:
 //! [`SessionError::InvalidPlan`], returned before the first epoch. So
 //! is an α that is not positive and finite ([`SessionError::InvalidAlpha`]).
 
 use std::fmt;
 
-use dlb_mpisim::{run_spmd, Comm, FaultPlan};
+use dlb_mpisim::{run_spmd, Comm};
 use dlb_workloads::EpochSource;
 
 use crate::driver::{Algorithm, RepartConfig};
@@ -90,9 +90,10 @@ pub enum SessionError {
     IncrementalNeedsSerial,
     /// The [`world_plan`](Session::world_plan) fails or departs a rank
     /// that is neither in the workload's launch world nor joined by the
-    /// plan, or its failures and planned resizes together would empty
-    /// the world at some boundary. Carries the plan message; reported
-    /// before the first epoch runs.
+    /// plan, schedules an event after the last epoch, or its failures
+    /// and planned resizes together would empty the world at some
+    /// boundary. Carries the plan message; reported before the first
+    /// epoch runs.
     InvalidPlan(String),
     /// [`Session::alpha`] is not positive and finite: α is the number of
     /// iterations per epoch, the weight of communication against
@@ -132,8 +133,8 @@ impl std::error::Error for SessionError {}
 type SourceFactory<'a> = Box<dyn Fn(usize) -> Box<dyn EpochSource + 'a> + Sync + 'a>;
 
 /// Builder for one multi-epoch simulation run: the entry point into
-/// the epoch loop. A session is serial unless given ranks; plans,
-/// faults, measured execution and incremental patching are its setters
+/// the epoch loop. A session is serial unless given ranks; the world
+/// plan, measured execution and incremental patching are its setters
 /// below.
 pub struct Session<'a> {
     cfg: RepartConfig,
@@ -142,7 +143,6 @@ pub struct Session<'a> {
     epochs: usize,
     ranks: usize,
     network: Option<NetworkModel>,
-    faults: Option<FaultPlan>,
     world: Option<WorldPlan>,
     incremental: bool,
     drift_threshold: f64,
@@ -161,7 +161,6 @@ impl<'a> Session<'a> {
             epochs: 1,
             ranks: 1,
             network: None,
-            faults: None,
             world: None,
             incremental: false,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
@@ -225,16 +224,6 @@ impl<'a> Session<'a> {
     /// `0.0` reproduces the full-rebuild pipeline's outputs exactly.
     pub fn drift_threshold(mut self, threshold: f64) -> Self {
         self.drift_threshold = threshold;
-        self
-    }
-
-    /// Installs a deterministic [`FaultPlan`]: its message drop/delay
-    /// probabilities are injected into the measured migration exchanges
-    /// (DESIGN.md §12). Drops are retransmitted and delays slept
-    /// through, so every deterministic output is unchanged; rank
-    /// failures are [`WorldPlan::fail`] events.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -330,7 +319,6 @@ impl<'a> Session<'a> {
             alpha: self.alpha,
             cfg: &self.cfg,
             network: self.network.as_ref(),
-            faults: self.faults.as_ref(),
             world: self.world.as_ref(),
             incremental: self
                 .incremental

@@ -6,7 +6,9 @@
 //! thread, point-to-point messages travel over typed channels, and the
 //! usual collectives (barrier, broadcast, gather, all-gather, reduce,
 //! all-reduce, scan, all-to-all) are built on top of the point-to-point
-//! layer exactly as an MPI implementation would build them.
+//! layer exactly as an MPI implementation would build them. As with
+//! MPI's point-to-point delivery, every message arrives: the channels
+//! never drop or delay one, so there is no retransmit path.
 //!
 //! The substitution preserves what matters for reproducing the paper: the
 //! partitioning algorithms are rank-symmetric SPMD programs whose quality
@@ -43,13 +45,10 @@
 
 mod comm;
 mod dist;
-mod fault;
 mod plan;
-pub mod spec;
 mod world;
 
 pub use comm::{Comm, CommStats};
 pub use dist::BlockDist;
-pub use fault::FaultPlan;
 pub use plan::CommPlan;
-pub use world::{run_spmd, run_spmd_with_faults};
+pub use world::run_spmd;

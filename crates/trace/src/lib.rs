@@ -146,12 +146,6 @@ counters! {
     /// Items physically moved by measured migration (summed over the
     /// execution world's ranks from the returned per-rank stats).
     MigrationItemsMoved => "migration_items_moved",
-    /// Faults injected: one per world-plan rank failure consumed by the
-    /// epoch driver, plus one per `FaultPlan` message drop/delay
-    /// injected inside the measured execution world (counted
-    /// on that world's enrolled rank 0, so the value is invariant
-    /// across driver rank counts).
-    FaultsInjected => "faults_injected",
     /// Failed ranks the epoch driver recovered from (one per dead rank,
     /// each a departure in its boundary's resize).
     RecoveriesRun => "recoveries_run",

@@ -41,13 +41,8 @@
 //!   --scale S         simulate only: amr — levels added to the default
 //!                     mesh (integer, default 0); structure/weights —
 //!                     dataset scale in (0, 1] (default 0.001)
-//!   --fault-plan SPEC simulate only: deterministic message faults,
-//!                     SPEC = "SEED:directive,..." with directives
-//!                     dropP / delayP (per-message drop/delay
-//!                     probability in the measured migration
-//!                     exchanges). Example: --fault-plan 7:drop0.05
 //!   --world-plan SPEC simulate only: the schedule of the rank set,
-//!                     SPEC = "SEED:directive,..." with directives
+//!                     SPEC = "directive,..." with directives
 //!                     joinR@E (rank R joins at epoch E), leaveR@E
 //!                     (rank R departs; its vertices migrate out) and
 //!                     failR@E (rank R dies: an unannounced departure,
@@ -55,7 +50,7 @@
 //!                     change is one resize onto the new world, with
 //!                     the measured cost model choosing
 //!                     repartition-vs-scratch per resize. Example:
-//!                     --world-plan 42:join4@2,leave0@3,fail1@3
+//!                     --world-plan join4@2,leave0@3,fail1@3
 //!   --incremental     simulate only: pull structural deltas from the
 //!                     workload, patch the repartitioning model in
 //!                     place, and warm-start the partitioner on
@@ -95,8 +90,8 @@ use std::process::exit;
 
 use dlb::amr::{AmrConfig, AmrStream};
 use dlb::core::{
-    repartition, repartition_parallel, Algorithm, FaultPlan, RepartConfig, RepartProblem,
-    Session, SimulationSummary, WorldPlan, DEFAULT_DRIFT_THRESHOLD,
+    repartition, repartition_parallel, Algorithm, RepartConfig, RepartProblem, Session,
+    SimulationSummary, WorldPlan, DEFAULT_DRIFT_THRESHOLD,
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::hypergraph::convert::{clique_expansion, column_net_model};
@@ -117,7 +112,7 @@ fn usage() -> ! {
          dlb simulate    -k K --workload amr|structure|weights [--epochs E] [--alpha A] \
          [--algorithm NAME] [--scale S] [--seed N] \
          [--constraints N [--epsilon E]...] \
-         [--ranks N [--distributed]] [--fault-plan SPEC] [--world-plan SPEC] \
+         [--ranks N [--distributed]] [--world-plan SPEC] \
          [--incremental [--drift-threshold T]] [--trace FILE]"
     );
     exit(2);
@@ -146,7 +141,6 @@ struct Cli {
     workload: Option<String>,
     epochs: usize,
     scale: Option<f64>,
-    fault_plan: Option<FaultPlan>,
     world_plan: Option<WorldPlan>,
     incremental: bool,
     drift_threshold: Option<f64>,
@@ -175,8 +169,8 @@ fn read_by(flag: &str) -> &'static [&'static str] {
         "--out" => &["partition", "repartition"],
         "--old" => &["repartition"],
         "--alpha" | "--algorithm" => &["repartition", "simulate"],
-        "--workload" | "--epochs" | "--scale" | "--fault-plan" | "--world-plan"
-        | "--incremental" | "--drift-threshold" => &["simulate"],
+        "--workload" | "--epochs" | "--scale" | "--world-plan" | "--incremental"
+        | "--drift-threshold" => &["simulate"],
         _ => usage(),
     }
 }
@@ -202,7 +196,6 @@ fn parse_cli() -> Cli {
     let mut workload = None;
     let mut epochs = 4usize;
     let mut scale = None;
-    let mut fault_plan = None;
     let mut world_plan = None;
     let mut incremental = false;
     let mut drift_threshold = None;
@@ -251,12 +244,6 @@ fn parse_cli() -> Cli {
             "--scale" => scale = Some(parse_value(&argv, &mut i, flag)),
             "--incremental" => incremental = true,
             "--drift-threshold" => drift_threshold = Some(parse_value(&argv, &mut i, flag)),
-            "--fault-plan" => {
-                let spec: String = parse_value(&argv, &mut i, flag);
-                fault_plan = Some(
-                    FaultPlan::parse(&spec).unwrap_or_else(|e| fail(format!("bad --fault-plan: {e}"))),
-                );
-            }
             "--world-plan" => {
                 let spec: String = parse_value(&argv, &mut i, flag);
                 world_plan = Some(
@@ -283,7 +270,6 @@ fn parse_cli() -> Cli {
         workload,
         epochs,
         scale,
-        fault_plan,
         world_plan,
         incremental,
         drift_threshold,
@@ -576,9 +562,6 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
             session = session
                 .incremental(true)
                 .drift_threshold(cli.drift_threshold.unwrap_or(DEFAULT_DRIFT_THRESHOLD));
-        }
-        if let Some(plan) = &cli.fault_plan {
-            session = session.fault_plan(plan.clone());
         }
         if let Some(plan) = &cli.world_plan {
             session = session.world_plan(plan.clone());

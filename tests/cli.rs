@@ -124,6 +124,11 @@ fn rejects_bad_arguments() {
     // CLI runs, takes no thread count.
     assert_rejected(&["partition", "-k", "2", "--threads", "2", "x.mtx"], "usage:");
     assert_rejected(&["partition", "-k", "2", "--determinism", "fast", "x.mtx"], "usage:");
+    // Messages always arrive: there is no message-fault plan to set.
+    assert_rejected(
+        &["simulate", "-k", "8", "--workload", "amr", "--fault-plan", "7:drop0.05"],
+        "usage:",
+    );
 }
 
 /// Runs `dlb` with `args` and asserts it exits with code 2 and prints a
@@ -196,7 +201,7 @@ fn rejects_invalid_multi_constraint_flags_up_front() {
 
 #[test]
 fn rejects_distributed_flag_conflicts_up_front() {
-    // Warm starts have no SPMD counterpart. (World plans, fault plans and multi-constraint loads
+    // Warm starts have no SPMD counterpart. (World plans and multi-constraint loads
     // run on the distributed path; their combined-path tests live in
     // tests/{elastic_worlds,fault_injection,multi_constraint}.rs.)
     assert_rejected(
@@ -254,16 +259,24 @@ fn rejects_numeric_flags_out_of_range_up_front() {
         &simulate(&["--workload", "structure", "--incremental", "--drift-threshold", "NaN"]),
         "--drift-threshold must be finite and non-negative",
     );
-    // Rank failures are world-plan events; the fault plan says so.
-    assert_rejected(
-        &["simulate", "-k", "8", "--workload", "amr", "--fault-plan", "7:rank2@2"],
-        "rank failures are the world plan's fail<R>@<E>",
-    );
     // A departure of a rank that is never in the world used to be
     // dropped silently.
     assert_rejected(
-        &["simulate", "-k", "8", "--workload", "amr", "--world-plan", "7:leave9@2"],
+        &["simulate", "-k", "8", "--workload", "amr", "--world-plan", "leave9@2"],
         "rank 9 out of range for k = 8",
+    );
+    // An event after the last epoch used to be dropped silently.
+    assert_rejected(
+        &[
+            "simulate", "-k", "4", "--workload", "structure", "--epochs", "2", "--world-plan",
+            "fail2@5",
+        ],
+        "fail2@5 falls after the run's last epoch (2)",
+    );
+    // The seed prefix of the old `SEED:spec` grammar is not a directive.
+    assert_rejected(
+        &["simulate", "-k", "8", "--workload", "amr", "--world-plan", "7:fail2@2"],
+        "unknown directive '7:fail2@2'",
     );
 }
 
@@ -288,12 +301,8 @@ fn malformed_input_files_end_with_a_parse_error() {
 fn rejects_simulate_only_flags_on_file_commands() {
     // Previously these parsed fine and were silently ignored.
     assert_rejected(
-        &["partition", "-k", "2", "--world-plan", "42:join4@2", "x.mtx"],
+        &["partition", "-k", "2", "--world-plan", "join4@2", "x.mtx"],
         "--world-plan applies to simulate only",
-    );
-    assert_rejected(
-        &["partition", "-k", "2", "--fault-plan", "7:drop0.1", "x.mtx"],
-        "--fault-plan applies to simulate only",
     );
     assert_rejected(
         &["repartition", "-k", "2", "--old", "p", "--incremental", "x.mtx"],
@@ -333,7 +342,7 @@ fn rejects_a_missing_value_for_every_kind_of_flag() {
     assert_rejected(&["repartition", "-k", "2", "x.mtx", "--old"], "--old expects a valid value");
     assert_rejected(&["simulate", "-k", "2", "--workload"], "--workload expects a valid value");
     assert_rejected(&["partition", "-k", "2", "x.mtx", "--trace"], "--trace expects a valid value");
-    assert_rejected(&["simulate", "-k", "2", "--fault-plan"], "--fault-plan expects a valid value");
+    assert_rejected(&["simulate", "-k", "2", "--world-plan"], "--world-plan expects a valid value");
     assert_rejected(&["partition", "x.mtx", "-k"], "-k expects a valid value");
 }
 
@@ -369,9 +378,9 @@ fn shrinking_a_structure_stream_runs_to_the_end() {
     // Absent vertices used to keep their pre-shrink label and crash the
     // next epoch (exit 101).
     for plan in [
-        ["--world-plan", "1:leave1@2"],
-        ["--world-plan", "1:fail1@2"],
-        ["--world-plan", "7:fail2@2"],
+        ["--world-plan", "leave1@2"],
+        ["--world-plan", "fail1@2"],
+        ["--world-plan", "fail2@2"],
     ] {
         let output = dlb()
             .args(["simulate", "-k", "4", "--workload", "structure", "--epochs", "4"])

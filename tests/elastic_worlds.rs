@@ -14,8 +14,8 @@
 //!    block-distributed.
 //! 3. **Plan-free purity**: an empty plan — and a plan whose every
 //!    epoch nets to no change — is bitwise identical to no plan at all.
-//! 4. **Chaos-soak determinism**: planned churn, hard failures and
-//!    message faults over hundreds of epochs of the AMR workload leave the
+//! 4. **Chaos-soak determinism**: planned churn and hard failures over
+//!    hundreds of epochs of the AMR workload leave the
 //!    delivered science (per-epoch mesh fingerprints, partition
 //!    excluded) bit-identical to a churn-free run, at driver ranks
 //!    {2, 4} × threads {1, 2}.
@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex};
 
 use dlb::amr::{AmrConfig, AmrStream};
 use dlb::core::{
-    Algorithm, AuditLedger, AuditedSource, FaultPlan, RepartConfig, Session, SessionError,
-    SimulationSummary, WorldPlan,
+    Algorithm, AuditLedger, AuditedSource, RepartConfig, Session, SessionError, SimulationSummary,
+    WorldPlan,
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
@@ -98,7 +98,7 @@ fn fingerprint(s: &SimulationSummary) -> Vec<(f64, f64, usize, usize, f64)> {
 
 #[test]
 fn planned_grow_populates_the_joiner() {
-    let plan = WorldPlan::parse("7:join4@2").unwrap();
+    let plan = WorldPlan::parse("join4@2").unwrap();
     let s = session(4, 4).world_plan(plan).run().unwrap();
     assert_eq!(s.reports.len(), 4);
     assert_eq!(s.total_resizes(), 1);
@@ -123,7 +123,7 @@ fn planned_grow_populates_the_joiner() {
 
 #[test]
 fn planned_shrink_evacuates_the_leaver() {
-    let plan = WorldPlan::parse("7:leave1@3").unwrap();
+    let plan = WorldPlan::parse("leave1@3").unwrap();
     let s = session(4, 4).world_plan(plan).run().unwrap();
     assert_eq!(s.total_resizes(), 1);
     assert_eq!(s.surviving_k(), 3);
@@ -140,7 +140,7 @@ fn planned_shrink_evacuates_the_leaver() {
 fn faults_and_resizes_compose_at_one_boundary() {
     // Rank 2 dies at epoch 2's boundary AND the plan grows by one: one
     // resize applies both, the failed rank among the leavers.
-    let world = WorldPlan::parse("5:fail2@2,join4@2").unwrap();
+    let world = WorldPlan::parse("fail2@2,join4@2").unwrap();
     let s = session(4, 3).world_plan(world).run().unwrap();
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(s.total_resizes(), 1);
@@ -150,7 +150,7 @@ fn faults_and_resizes_compose_at_one_boundary() {
     assert_eq!((rec.k_before, rec.k_after), (4, 4));
     assert_eq!(r.world_k, 4);
     // A failed rank may be re-admitted by a later planned join.
-    let world = WorldPlan::parse("5:fail2@2,join2@3").unwrap();
+    let world = WorldPlan::parse("fail2@2,join2@3").unwrap();
     let s = session(4, 4).world_plan(world).run().unwrap();
     assert_eq!(s.world_timeline(), vec![(1, 4), (2, 3), (3, 4), (4, 4)]);
 }
@@ -171,8 +171,8 @@ fn a_failure_runs_exactly_like_a_departure_at_ranks_1_and_2() {
     let imbalances =
         |s: &SimulationSummary| s.reports.iter().map(|r| r.imbalance.to_bits()).collect::<Vec<_>>();
     for ranks in [1usize, 2] {
-        let (failed, mut fail_trace) = run(ranks, "7:fail2@2");
-        let (departed, mut leave_trace) = run(ranks, "7:leave2@2");
+        let (failed, mut fail_trace) = run(ranks, "fail2@2");
+        let (departed, mut leave_trace) = run(ranks, "leave2@2");
         assert_eq!(fingerprint(&failed), fingerprint(&departed), "ranks = {ranks}");
         assert_eq!(imbalances(&failed), imbalances(&departed), "ranks = {ranks}");
         assert_eq!(failed.world_timeline(), vec![(1, 4), (2, 3), (3, 3)]);
@@ -184,17 +184,16 @@ fn a_failure_runs_exactly_like_a_departure_at_ranks_1_and_2() {
         assert_eq!((rec.failed.as_slice(), other.failed.as_slice()), (&[2][..], &[][..]));
         rec.departed = std::mem::take(&mut rec.failed);
         assert_eq!(format!("{rec:?}"), format!("{other:?}"), "ranks = {ranks}");
-        // A failure counts as a fault and a recovery, a leave as a
-        // departure; every other counter agrees.
+        // A failure counts as a recovery, a leave as a departure; every
+        // other counter agrees.
         let counts = |trace: &dlb::trace::TraceReport| {
-            [Counter::FaultsInjected, Counter::RecoveriesRun, Counter::RanksDeparted]
-                .map(|c| trace.counter(c))
+            [Counter::RecoveriesRun, Counter::RanksDeparted].map(|c| trace.counter(c))
         };
         let recoveries = fail_trace.counter(Counter::RecoveriesRun);
         assert!(recoveries > 0, "ranks = {ranks}");
-        assert_eq!(counts(&fail_trace), [recoveries, recoveries, 0], "ranks = {ranks}");
-        assert_eq!(counts(&leave_trace), [0, 0, recoveries], "ranks = {ranks}");
-        for c in [Counter::FaultsInjected, Counter::RecoveriesRun, Counter::RanksDeparted] {
+        assert_eq!(counts(&fail_trace), [recoveries, 0], "ranks = {ranks}");
+        assert_eq!(counts(&leave_trace), [0, recoveries], "ranks = {ranks}");
+        for c in [Counter::RecoveriesRun, Counter::RanksDeparted] {
             fail_trace.counters.remove(c.name());
             leave_trace.counters.remove(c.name());
         }
@@ -206,7 +205,7 @@ fn a_failure_runs_exactly_like_a_departure_at_ranks_1_and_2() {
 /// bit-identical run to run at each driver rank count in {1, 2, 4}.
 #[test]
 fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
-    let plan = || WorldPlan::parse("9:leave2@2,join4@3,join5@3,leave0@4").unwrap();
+    let plan = || WorldPlan::parse("leave2@2,join4@3,join5@3,leave0@4").unwrap();
     let run = |ranks: usize| session(4, 5).ranks(ranks).world_plan(plan()).run().unwrap();
     assert!(make_stream(4).next_epoch().graph.num_vertices() > 64, "nothing would be distributed");
     for ranks in [1usize, 2, 4] {
@@ -245,12 +244,12 @@ fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
 #[test]
 fn noop_plans_are_bit_identical_to_no_plan() {
     let without = session(4, 3).run().unwrap();
-    let empty = WorldPlan::parse("5:").unwrap();
+    let empty = WorldPlan::parse("").unwrap();
     let with_empty = session(4, 3).world_plan(empty).run().unwrap();
     assert_eq!(fingerprint(&without), fingerprint(&with_empty));
     assert_eq!(with_empty.total_resizes(), 0);
 
-    let cancelled = WorldPlan::parse("5:join7@2,leave7@2").unwrap();
+    let cancelled = WorldPlan::parse("join7@2,leave7@2").unwrap();
     let with_cancelled = session(4, 3).world_plan(cancelled).run().unwrap();
     assert_eq!(fingerprint(&without), fingerprint(&with_cancelled));
     assert_eq!(with_cancelled.total_resizes(), 0);
@@ -261,7 +260,7 @@ fn noop_plans_are_bit_identical_to_no_plan() {
 #[test]
 fn resize_counters_reflect_the_plan() {
     use dlb::trace::Counter;
-    let plan = WorldPlan::parse("3:join4@2,leave0@3").unwrap();
+    let plan = WorldPlan::parse("join4@2,leave0@3").unwrap();
     let (s, report) = session(4, 3).world_plan(plan).run_traced().unwrap();
     assert_eq!(s.total_resizes(), 2);
     assert_eq!(report.counter(Counter::ResizesRun), 2);
@@ -285,7 +284,7 @@ fn resize_counters_reflect_the_plan() {
 #[test]
 fn world_exhausting_plan_is_an_error_at_ranks_1_and_2() {
     for ranks in [1usize, 2] {
-        let plan = WorldPlan::parse("3:leave0@1,leave1@2").unwrap();
+        let plan = WorldPlan::parse("leave0@1,leave1@2").unwrap();
         let err = session(2, 3).ranks(ranks).world_plan(plan).run().unwrap_err();
         assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
         assert!(err.to_string().contains("empties the world"), "ranks={ranks}: {err}");
@@ -296,7 +295,7 @@ fn world_exhausting_plan_is_an_error_at_ranks_1_and_2() {
 #[test]
 #[should_panic(expected = "empties the world")]
 fn world_exhausting_plan_panics_up_front() {
-    let plan = WorldPlan::parse("3:leave0@1,leave1@2").unwrap();
+    let plan = WorldPlan::parse("leave0@1,leave1@2").unwrap();
     session(2, 3).world_plan(plan).run().unwrap();
 }
 
@@ -342,7 +341,7 @@ fn shrinking_a_structure_stream_relabels_absent_vertices() {
     let s = Session::new(RepartConfig::seeded(SEED))
         .alpha(ALPHA)
         .epochs(6)
-        .world_plan(WorldPlan::parse("1:leave1@2").unwrap())
+        .world_plan(WorldPlan::parse("leave1@2").unwrap())
         .workload(&mut probe)
         .run()
         .unwrap();
@@ -372,7 +371,7 @@ fn soak_source() -> AmrSource {
 /// A 20-epoch churn cycle repeated over the soak: the world breathes
 /// 4 → 5 → 6 → 5 → 4 → 5 → 4, with ranks departing and rejoining.
 fn soak_world_plan() -> WorldPlan {
-    let mut plan = WorldPlan::new(SOAK_SEED);
+    let mut plan = WorldPlan::default();
     for cycle in 0..SOAK_EPOCHS / 20 {
         let base = cycle * 20;
         plan = plan
@@ -386,11 +385,6 @@ fn soak_world_plan() -> WorldPlan {
     // Two hard failures on top of the planned churn; the failed ranks
     // get re-admitted mid-soak.
     plan.fail(2, 41).join(2, 60).fail(0, 101).join(0, 120)
-}
-
-/// Message drop/delay noise in every measured migration exchange.
-fn soak_fault_plan() -> FaultPlan {
-    FaultPlan::parse("77:drop0.1,delay0.05").unwrap()
 }
 
 fn soak_config(threads: usize) -> RepartConfig {
@@ -418,8 +412,7 @@ fn baseline_ledger() -> Vec<u64> {
     digests
 }
 
-/// One churned soak run: the world plan and the message faults over the
-/// same workload, with every driver rank's emitted epochs audited into
+/// One churned soak run: the world plan over the same workload, with every driver rank's emitted epochs audited into
 /// its own ledger.
 fn churned_ledgers(ranks: usize, threads: usize) -> (SimulationSummary, BTreeMap<usize, Vec<u64>>) {
     let ledgers: Arc<Mutex<BTreeMap<usize, AuditLedger>>> =
@@ -431,7 +424,6 @@ fn churned_ledgers(ranks: usize, threads: usize) -> (SimulationSummary, BTreeMap
         .epochs(SOAK_EPOCHS)
         .ranks(ranks)
         .measured(true)
-        .fault_plan(soak_fault_plan())
         .world_plan(soak_world_plan())
         .workload_factory(move |rank| {
             let ledger: AuditLedger = Arc::new(Mutex::new(Vec::new()));

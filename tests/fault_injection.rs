@@ -1,27 +1,25 @@
-//! Fault-injection and recovery end-to-end (DESIGN.md §12).
+//! Rank failures and recovery end-to-end (DESIGN.md §12).
 //!
 //! A [`WorldPlan`]'s `fail` events schedule logical-rank failures at
-//! epoch boundaries; a [`FaultPlan`] schedules message drop/delay inside
-//! the measured migration exchanges. The tests here pin down the
-//! subsystem's three contracts:
+//! epoch boundaries. The tests here pin down the subsystem's three
+//! contracts:
 //!
 //! 1. **Recovery works**: a rank failure mid-run shrinks the world to
 //!    `k − 1` as a departure in that boundary's resize, the simulation
 //!    completes, and the recovery volume is visible in the measured
-//!    `t_mig` and the `RecoveriesRun` / `FaultsInjected` counters.
+//!    `t_mig` and the `RecoveriesRun` counter.
 //! 2. **Determinism**: at each driver rank count (2 and 4), the same
 //!    plan reproduces bit-identical recovered partitions and
 //!    makespans run to run (fault "ranks" live in the workload's
 //!    logical `k`-part world, so the plan means the same thing at any
 //!    driver world size), whether or not the SPMD V-cycle holds its
 //!    large levels block-distributed.
-//! 3. **Fault-free purity**: an empty plan — and a drop/delay-only plan,
-//!    for the deterministic outputs — is bit-identical to no plan at
-//!    all. No extra collectives, no RNG draws on the fast path.
+//! 3. **Plans are checked up front**: a plan that names a rank never in
+//!    the world, or an event after the run's last epoch, is a
+//!    [`SessionError::InvalidPlan`] before the first epoch, at any rank
+//!    count.
 
-use dlb::core::{
-    Algorithm, FaultPlan, RepartConfig, Session, SessionError, SimulationSummary, WorldPlan,
-};
+use dlb::core::{Algorithm, RepartConfig, Session, SessionError, SimulationSummary, WorldPlan};
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
 use dlb::workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
@@ -89,7 +87,7 @@ fn fingerprint(s: &SimulationSummary) -> Vec<(f64, f64, usize, f64)> {
 
 #[test]
 fn injected_failure_recovers_onto_survivors() {
-    let plan = WorldPlan::parse("7:fail2@2").unwrap();
+    let plan = WorldPlan::parse("fail2@2").unwrap();
     let s = session(4, 4).world_plan(plan).run().unwrap();
     assert_eq!(s.reports.len(), 4, "simulation completes past the failure");
     assert_eq!(s.total_recoveries(), 1);
@@ -119,7 +117,7 @@ fn injected_failure_recovers_onto_survivors() {
 
 #[test]
 fn two_failures_shrink_the_world_twice() {
-    let plan = WorldPlan::parse("11:fail0@2,fail3@3").unwrap();
+    let plan = WorldPlan::parse("fail0@2,fail3@3").unwrap();
     let s = session(4, 4).world_plan(plan).run().unwrap();
     assert_eq!(s.total_recoveries(), 2);
     assert_eq!(s.surviving_k(), 2);
@@ -129,7 +127,7 @@ fn two_failures_shrink_the_world_twice() {
     assert_eq!(second.k_before, 3);
     assert_eq!(second.k_after, 2);
     // A rank that already died is not recovered twice.
-    let again = WorldPlan::parse("11:fail1@1,fail1@2").unwrap();
+    let again = WorldPlan::parse("fail1@1,fail1@2").unwrap();
     let s = session(3, 3).world_plan(again).run().unwrap();
     assert_eq!(s.total_recoveries(), 1);
 }
@@ -142,7 +140,7 @@ fn two_failures_shrink_the_world_twice() {
 /// plan-driven and adds no collectives at any rank count.)
 #[test]
 fn recovery_is_reproducible_at_ranks_2_and_4() {
-    let plan = || WorldPlan::parse("7:fail1@2").unwrap();
+    let plan = || WorldPlan::parse("fail1@2").unwrap();
     let run = |ranks: usize| session(4, 3).ranks(ranks).world_plan(plan()).run().unwrap();
     for ranks in [2usize, 4] {
         let a = run(ranks);
@@ -174,51 +172,17 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
     }
 }
 
-/// Fault-free purity: a session with an *empty* plan (no failures, zero
-/// probabilities) is bitwise identical to a session with no plan.
-#[test]
-fn empty_plan_is_bit_identical_to_no_plan() {
-    let without = session(4, 3).run().unwrap();
-    let empty = FaultPlan::parse("5:").unwrap();
-    let with_empty = session(4, 3).fault_plan(empty).run().unwrap();
-    assert_eq!(fingerprint(&without), fingerprint(&with_empty));
-    assert_eq!(with_empty.total_recoveries(), 0);
-
-    let zero = FaultPlan::parse("5:drop0,delay0").unwrap();
-    let with_zero = session(4, 3).fault_plan(zero).run().unwrap();
-    assert_eq!(fingerprint(&without), fingerprint(&with_zero));
-}
-
-/// Message drops and delays are absorbed by the comm layer's
-/// retransmit/backoff, so every deterministic output — partitions,
-/// model costs, measured volumes and makespans — is unchanged; only the
-/// fault counters see the injections.
-#[test]
-fn message_faults_never_change_deterministic_outputs() {
-    let clean = session(4, 3).run().unwrap();
-    let noisy_plan = FaultPlan::parse("9:drop0.2,delay0.05").unwrap();
-    let noisy = session(4, 3).fault_plan(noisy_plan).run().unwrap();
-    assert_eq!(fingerprint(&clean), fingerprint(&noisy));
-    assert_eq!(noisy.total_recoveries(), 0);
-}
-
-/// Trace counters: a plan with a failure records `FaultsInjected` and
-/// `RecoveriesRun`; a fault-free run records neither.
+/// Trace counters: a plan with a failure records one `RecoveriesRun`
+/// per failed rank; a failure-free run records none.
 #[test]
 fn fault_counters_reflect_the_plan() {
-    let faults = FaultPlan::parse("13:drop0.3").unwrap();
-    let world = WorldPlan::parse("13:fail1@2").unwrap();
-    let (s, report) =
-        session(3, 3).fault_plan(faults).world_plan(world).run_traced().unwrap();
+    let world = WorldPlan::parse("fail1@2").unwrap();
+    let (s, report) = session(3, 3).world_plan(world).run_traced().unwrap();
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(report.counter(dlb::trace::Counter::RecoveriesRun), 1);
-    // One scheduled failure, plus every injected drop/delay in the
-    // measured migration worlds.
-    assert!(report.counter(dlb::trace::Counter::FaultsInjected) >= 1);
 
     let (_, clean) = session(3, 3).run_traced().unwrap();
     assert_eq!(clean.counter(dlb::trace::Counter::RecoveriesRun), 0);
-    assert_eq!(clean.counter(dlb::trace::Counter::FaultsInjected), 0);
 }
 
 /// A plan failing a rank outside the workload's `0..k` world (that it
@@ -229,10 +193,26 @@ fn fault_counters_reflect_the_plan() {
 #[test]
 fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
     for ranks in [1usize, 2] {
-        let plan = WorldPlan::parse("3:fail9@1").unwrap();
+        let plan = WorldPlan::parse("fail9@1").unwrap();
         let err = session(4, 2).ranks(ranks).world_plan(plan).run().unwrap_err();
         assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
         assert!(err.to_string().contains("rank 9 out of range for k = 4"), "ranks={ranks}: {err}");
+    }
+}
+
+/// An event after the run's last epoch would never apply; the session
+/// refuses the plan instead of dropping the event silently.
+#[test]
+fn plan_event_after_the_last_epoch_is_an_error_at_ranks_1_and_2() {
+    for ranks in [1usize, 2] {
+        let plan = WorldPlan::parse("fail2@5").unwrap();
+        let err = session(4, 2).ranks(ranks).world_plan(plan).run().unwrap_err();
+        assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
+        assert_eq!(
+            err.to_string(),
+            "invalid world plan: fail2@5 falls after the run's last epoch (2)",
+            "ranks={ranks}"
+        );
     }
 }
 
@@ -240,6 +220,6 @@ fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn out_of_range_plan_rank_panics_up_front() {
-    let plan = WorldPlan::parse("3:fail9@1").unwrap();
+    let plan = WorldPlan::parse("fail9@1").unwrap();
     session(4, 2).world_plan(plan).run().unwrap();
 }

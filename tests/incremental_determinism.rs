@@ -109,7 +109,7 @@ fn zero_threshold_reproduces_full_rebuilds() {
 /// still lands within ε on the planned world timeline.
 #[test]
 fn world_plans_compose_with_incremental_sessions() {
-    let plan = || Some(WorldPlan::parse("5:join4@2,leave0@3").unwrap());
+    let plan = || Some(WorldPlan::parse("join4@2,leave0@3").unwrap());
     let timeline = vec![(1, K), (2, K + 1), (3, K), (4, K)];
     for seed in [7u64, 23] {
         let scratch = run_with_plan(seed, 2, None, plan());
