@@ -28,16 +28,15 @@ pub struct FixedAssignment {
 impl FixedAssignment {
     /// All `n` vertices free.
     pub fn free(n: usize) -> Self {
-        FixedAssignment { fixed: vec![FREE; n] }
+        FixedAssignment {
+            fixed: vec![FREE; n],
+        }
     }
 
     /// Builds from per-vertex options.
     pub fn from_options(opts: &[Option<PartId>]) -> Self {
         FixedAssignment {
-            fixed: opts
-                .iter()
-                .map(|o| o.map_or(FREE, |p| p as i64))
-                .collect(),
+            fixed: opts.iter().map(|o| o.map_or(FREE, |p| p as i64)).collect(),
         }
     }
 
@@ -71,7 +70,11 @@ impl FixedAssignment {
 
     /// Largest fixed part id, if any vertex is fixed.
     pub(crate) fn max_part(&self) -> Option<PartId> {
-        self.fixed.iter().filter(|&&f| f >= 0).max().map(|&f| f as PartId)
+        self.fixed
+            .iter()
+            .filter(|&&f| f >= 0)
+            .max()
+            .map(|&f| f as PartId)
     }
 
     /// The matching constraint of Section 4.1: two vertices may merge

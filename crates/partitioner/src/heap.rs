@@ -39,7 +39,10 @@ impl Heaps {
     /// `count` empty heaps over the ids `0..n`.
     pub(crate) fn new(count: usize, n: usize) -> Self {
         assert!(n < ABSENT as usize, "heap positions are 32-bit");
-        Heaps { heaps: vec![Vec::new(); count], pos: vec![ABSENT; n] }
+        Heaps {
+            heaps: vec![Vec::new(); count],
+            pos: vec![ABSENT; n],
+        }
     }
 
     /// Whether any of the heaps holds `id`.
@@ -54,7 +57,10 @@ impl Heaps {
     pub(crate) fn key(&self, h: usize, id: usize) -> Option<f64> {
         let at = self.pos[id];
         (at != ABSENT).then(|| {
-            debug_assert_eq!(self.heaps[h][at as usize].1, id, "id {id} is in another heap");
+            debug_assert_eq!(
+                self.heaps[h][at as usize].1, id,
+                "id {id} is in another heap"
+            );
             self.heaps[h][at as usize].0
         })
     }
@@ -81,7 +87,10 @@ impl Heaps {
     pub(crate) fn remove(&mut self, h: usize, id: usize) {
         let heap = &mut self.heaps[h];
         let at = self.pos[id] as usize;
-        debug_assert!(self.pos[id] != ABSENT && heap[at].1 == id, "id {id} is not in heap {h}");
+        debug_assert!(
+            self.pos[id] != ABSENT && heap[at].1 == id,
+            "id {id} is not in heap {h}"
+        );
         self.pos[id] = ABSENT;
         let last = heap.pop().expect("the heap holds the id");
         // The last entry takes the hole.
@@ -131,7 +140,12 @@ fn settle(heap: &mut [(f64, usize)], pos: &mut [u32], at: usize, entry: (f64, us
 
 /// Settles `entry` at `at` or above: parents it pops before move down
 /// into the hole. Returns where it landed.
-fn sift_up(heap: &mut [(f64, usize)], pos: &mut [u32], mut at: usize, entry: (f64, usize)) -> usize {
+fn sift_up(
+    heap: &mut [(f64, usize)],
+    pos: &mut [u32],
+    mut at: usize,
+    entry: (f64, usize),
+) -> usize {
     while at > 0 {
         let parent = (at - 1) / 2;
         if !before(entry, heap[parent]) {
@@ -211,7 +225,8 @@ mod tests {
                     // Insert, raise or lower; few distinct keys, so ties
                     // are common. Odd rounds also draw negative keys.
                     0..=2 => {
-                        let key = f64::from(rng.gen_range(0i32..8) - if round % 2 == 1 { 4 } else { 0 });
+                        let key =
+                            f64::from(rng.gen_range(0i32..8) - if round % 2 == 1 { 4 } else { 0 });
                         heaps.set(0, id, key);
                         match held {
                             Some(i) => model[i].0 = key,
@@ -253,7 +268,9 @@ mod tests {
         heaps.set(0, 30, 2.5);
         heaps.set(0, 8, 9.0);
         heaps.set(0, 8, 2.5);
-        let ids: Vec<usize> = std::iter::from_fn(|| heaps.pop(0)).map(|(id, _)| id).collect();
+        let ids: Vec<usize> = std::iter::from_fn(|| heaps.pop(0))
+            .map(|(id, _)| id)
+            .collect();
         assert_eq!(ids, [0, 3, 8, 11, 17, 29, 30, 42, 49, 5]);
     }
 

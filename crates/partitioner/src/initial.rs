@@ -126,27 +126,25 @@ fn greedy_growing(
         // Affinities to the previous part are void.
         frontier.clear(0);
 
-        let bump_neighbors = |v: usize,
-                              frontier: &mut Heaps,
-                              part: &Vec<usize>,
-                              net_stamp: &mut Vec<usize>| {
-            for &j in h.vertex_nets(v) {
-                if net_stamp[j] == p {
-                    continue;
-                }
-                net_stamp[j] = p;
-                let size = h.net_size(j);
-                if !(2..=MAX_NET_SIZE_FOR_AFFINITY).contains(&size) {
-                    continue;
-                }
-                let contrib = h.net_cost(j) / (size - 1) as f64;
-                for &w in h.net(j) {
-                    if part[w] == UNASSIGNED {
-                        frontier.set(0, w, frontier.key(0, w).unwrap_or(0.0) + contrib);
+        let bump_neighbors =
+            |v: usize, frontier: &mut Heaps, part: &Vec<usize>, net_stamp: &mut Vec<usize>| {
+                for &j in h.vertex_nets(v) {
+                    if net_stamp[j] == p {
+                        continue;
+                    }
+                    net_stamp[j] = p;
+                    let size = h.net_size(j);
+                    if !(2..=MAX_NET_SIZE_FOR_AFFINITY).contains(&size) {
+                        continue;
+                    }
+                    let contrib = h.net_cost(j) / (size - 1) as f64;
+                    for &w in h.net(j) {
+                        if part[w] == UNASSIGNED {
+                            frontier.set(0, w, frontier.key(0, w).unwrap_or(0.0) + contrib);
+                        }
                     }
                 }
-            }
-        };
+            };
 
         // Seed from the part's fixed vertices (their neighborhoods).
         for v in 0..n {
@@ -283,7 +281,8 @@ fn fixed_affinity(
         let w = h.vertex_weight(v);
         let p = (0..k)
             .min_by(|&a, &b| {
-                (weights[a] + w - targets.target[a]).total_cmp(&(weights[b] + w - targets.target[b]))
+                (weights[a] + w - targets.target[a])
+                    .total_cmp(&(weights[b] + w - targets.target[b]))
             })
             .unwrap();
         part[v] = p;
@@ -550,7 +549,6 @@ mod tests {
         }
     }
 
-
     /// [`greedy_growing`] as it was before the frontier became an addressable
     /// heap, kept as its reference: a `BinaryHeap` that gets one more entry
     /// for every affinity bump, and pops that skip assigned vertices and
@@ -611,7 +609,10 @@ mod tests {
                     for &w in h.net(j) {
                         if part[w] == UNASSIGNED {
                             affinity[w] += contrib;
-                            heap.push(Cand { affinity: affinity[w], v: w });
+                            heap.push(Cand {
+                                affinity: affinity[w],
+                                v: w,
+                            });
                         }
                     }
                 }
@@ -634,7 +635,10 @@ mod tests {
                                 continue;
                             }
                             if (c.affinity - affinity[c.v]).abs() > 1e-12 {
-                                heap.push(Cand { affinity: affinity[c.v], v: c.v });
+                                heap.push(Cand {
+                                    affinity: affinity[c.v],
+                                    v: c.v,
+                                });
                                 continue;
                             }
                             break Some(c.v);
@@ -699,7 +703,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x6846);
         for case in 0..24 {
             let power_law = case % 3 == 2;
-            let n = if power_law { rng.gen_range(450usize..700) } else { rng.gen_range(20usize..200) };
+            let n = if power_law {
+                rng.gen_range(450usize..700)
+            } else {
+                rng.gen_range(20usize..200)
+            };
             let k = rng.gen_range(2usize..7);
             let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
             for _ in 0..rng.gen_range(n..3 * n) {
@@ -711,7 +719,11 @@ mod tests {
                     rng.gen_range(2usize..6)
                 };
                 let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
-                let cost = if rng.gen_bool(0.1) { 0.0 } else { f64::from(rng.gen_range(1u32..5)) };
+                let cost = if rng.gen_bool(0.1) {
+                    0.0
+                } else {
+                    f64::from(rng.gen_range(1u32..5))
+                };
                 b.add_net(cost, pins);
             }
             if power_law {
@@ -724,7 +736,10 @@ mod tests {
             let mut h = b.build();
             if power_law {
                 let largest = (0..h.num_nets()).map(|j| h.net_size(j)).max().unwrap();
-                assert!(largest > MAX_NET_SIZE_FOR_AFFINITY, "case {case}: largest net {largest}");
+                assert!(
+                    largest > MAX_NET_SIZE_FOR_AFFINITY,
+                    "case {case}: largest net {largest}"
+                );
             }
             let mut t = PartTargets::uniform(h.total_vertex_weight(), k, 0.05);
             if case % 4 == 3 {
@@ -734,8 +749,9 @@ mod tests {
                 h.set_loads(dlb_hypergraph::VertexLoads::from_columns(columns));
                 t = t.with_aux(vec![dlb_hypergraph::AuxTargets::uniform(total, k, 0.2)]);
             }
-            let opts: Vec<Option<PartId>> =
-                (0..n).map(|_| rng.gen_bool(0.2).then(|| rng.gen_range(0..k))).collect();
+            let opts: Vec<Option<PartId>> = (0..n)
+                .map(|_| rng.gen_bool(0.2).then(|| rng.gen_range(0..k)))
+                .collect();
             let fixed = FixedAssignment::from_options(&opts);
             for attempt in 0..3u64 {
                 let grown = greedy_growing(&h, &t, &fixed, &mut StdRng::seed_from_u64(attempt));

@@ -237,7 +237,10 @@ pub(crate) fn ipm_matching_mode(
     }
 
     dlb_trace::count(dlb_trace::Counter::CoarsenPinsScanned, pins_scanned);
-    dlb_trace::count(dlb_trace::Counter::CoarsenMatchesRefusedFixed, refused_fixed);
+    dlb_trace::count(
+        dlb_trace::Counter::CoarsenMatchesRefusedFixed,
+        refused_fixed,
+    );
     dlb_trace::count(dlb_trace::Counter::CoarsenMatchesAccepted, num_pairs as u64);
     Matching { mate, num_pairs }
 }
@@ -283,7 +286,13 @@ fn mark_consumed(cands: &mut [(usize, f64)], w: usize) {
 /// pair. Either lock failing releases everything acquired.
 fn try_lock_pair(slots: &[AtomicUsize], u: usize, w: usize) -> PairAttempt {
     let (a, b) = if u < w { (u, w) } else { (w, u) };
-    let taken = |x: usize| if x == u { PairAttempt::SelfTaken } else { PairAttempt::PartnerTaken };
+    let taken = |x: usize| {
+        if x == u {
+            PairAttempt::SelfTaken
+        } else {
+            PairAttempt::PartnerTaken
+        }
+    };
 
     let mut spins = 0;
     loop {
@@ -441,8 +450,14 @@ fn ipm_matching_cas(
         .collect();
     let num_pairs = mate.iter().enumerate().filter(|&(v, &m)| v < m).count();
 
-    dlb_trace::count(dlb_trace::Counter::CoarsenPinsScanned, pins_scanned.into_inner());
-    dlb_trace::count(dlb_trace::Counter::CoarsenMatchesRefusedFixed, refused_fixed.into_inner());
+    dlb_trace::count(
+        dlb_trace::Counter::CoarsenPinsScanned,
+        pins_scanned.into_inner(),
+    );
+    dlb_trace::count(
+        dlb_trace::Counter::CoarsenMatchesRefusedFixed,
+        refused_fixed.into_inner(),
+    );
     dlb_trace::count(dlb_trace::Counter::CoarsenMatchesAccepted, num_pairs as u64);
     let matching = Matching { mate, num_pairs };
     debug_assert!(matching.validate(fixed).is_ok());
@@ -525,7 +540,10 @@ mod tests {
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = ipm_matching(&h, &fixed, &c, &mut rng);
-            assert_eq!(m.mate[0], 1, "seed {seed}: scaled IPM should pick the 2-pin net");
+            assert_eq!(
+                m.mate[0], 1,
+                "seed {seed}: scaled IPM should pick the 2-pin net"
+            );
             assert_eq!(m.mate[2], 3, "seed {seed}");
         }
     }
@@ -542,10 +560,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_same_seed() {
-        let h = Hypergraph::from_nets_unit(
-            6,
-            &[vec![0, 1, 2], vec![2, 3], vec![3, 4, 5], vec![1, 4]],
-        );
+        let h =
+            Hypergraph::from_nets_unit(6, &[vec![0, 1, 2], vec![2, 3], vec![3, 4, 5], vec![1, 4]]);
         let fixed = FixedAssignment::free(6);
         let a = ipm_matching(&h, &fixed, &cfg(), &mut StdRng::seed_from_u64(7));
         let b = ipm_matching(&h, &fixed, &cfg(), &mut StdRng::seed_from_u64(7));
@@ -578,7 +594,11 @@ mod tests {
                         assert_eq!(p[v], p[mv], "cross-part match under restriction");
                     }
                 }
-                assert!(m.num_pairs > 50, "round {round}: only {} pairs", m.num_pairs);
+                assert!(
+                    m.num_pairs > 50,
+                    "round {round}: only {} pairs",
+                    m.num_pairs
+                );
             }
         }
     }
@@ -590,10 +610,22 @@ mod tests {
         let h = crate::tests::random_hypergraph(200, 400, 5, 13);
         let fixed = FixedAssignment::free(200);
         let strict = ipm_matching_mode(
-            &h, &fixed, None, &cfg(), &mut StdRng::seed_from_u64(3), 1, Determinism::Strict,
+            &h,
+            &fixed,
+            None,
+            &cfg(),
+            &mut StdRng::seed_from_u64(3),
+            1,
+            Determinism::Strict,
         );
         let fast = ipm_matching_mode(
-            &h, &fixed, None, &cfg(), &mut StdRng::seed_from_u64(3), 1, Determinism::Fast,
+            &h,
+            &fixed,
+            None,
+            &cfg(),
+            &mut StdRng::seed_from_u64(3),
+            1,
+            Determinism::Fast,
         );
         assert_eq!(fast.mate, strict.mate);
     }

@@ -113,7 +113,10 @@ impl DistHypergraph {
             let pins: Vec<usize> = if owner == rank {
                 net.to_vec()
             } else {
-                net.iter().copied().filter(|v| my_range.contains(v)).collect()
+                net.iter()
+                    .copied()
+                    .filter(|v| my_range.contains(v))
+                    .collect()
             };
             if pins.is_empty() {
                 continue;
@@ -143,7 +146,10 @@ impl DistHypergraph {
         owned_wgt: Vec<f64>,
     ) -> Self {
         let vdist = BlockDist::new(num_vertices, size);
-        assert!(shares.windows(2).all(|w| w[0].gid < w[1].gid), "net ids must be ascending");
+        assert!(
+            shares.windows(2).all(|w| w[0].gid < w[1].gid),
+            "net ids must be ascending"
+        );
         let mut net_ids = Vec::with_capacity(shares.len());
         let mut owned = Vec::with_capacity(shares.len());
         let mut gsize = Vec::with_capacity(shares.len());
@@ -173,7 +179,10 @@ impl DistHypergraph {
         for lj in 0..net_ids.len() {
             if owned[lj] {
                 ghosts.extend(
-                    pins[xpins[lj]..xpins[lj + 1]].iter().copied().filter(|v| !my_range.contains(v)),
+                    pins[xpins[lj]..xpins[lj + 1]]
+                        .iter()
+                        .copied()
+                        .filter(|v| !my_range.contains(v)),
                 );
             }
         }
@@ -341,8 +350,7 @@ impl DistHypergraph {
             + self.xslot.len() * size_of::<usize>()
             + self.ghosts.len() * size_of::<usize>()
             + self.owned_wgt.len() * size_of::<f64>()
-            + self.net_ids.len()
-                * (2 * size_of::<usize>() + size_of::<f64>() + size_of::<bool>())
+            + self.net_ids.len() * (2 * size_of::<usize>() + size_of::<f64>() + size_of::<bool>())
     }
 
     /// The storage slot of global vertex `v` — owned offset for owned
@@ -354,7 +362,10 @@ impl DistHypergraph {
         if my_range.contains(&v) {
             Some(v - my_range.start)
         } else {
-            self.ghosts.binary_search(&v).ok().map(|i| my_range.len() + i)
+            self.ghosts
+                .binary_search(&v)
+                .ok()
+                .map(|i| my_range.len() + i)
         }
     }
 
@@ -383,8 +394,11 @@ impl DistHypergraph {
         let mut all: Vec<(usize, f64, Vec<usize>)> =
             comm.allgather(mine).into_iter().flatten().collect();
         all.sort_unstable_by_key(|&(id, _, _)| id);
-        let weights: Vec<f64> =
-            comm.allgather(self.owned_wgt.clone()).into_iter().flatten().collect();
+        let weights: Vec<f64> = comm
+            .allgather(self.owned_wgt.clone())
+            .into_iter()
+            .flatten()
+            .collect();
         let mut b = dlb_hypergraph::HypergraphBuilder::new(self.num_vertices());
         for (v, &w) in weights.iter().enumerate() {
             b.set_vertex_weight(v, w);
@@ -434,7 +448,10 @@ impl GhostExchange {
         let serve: Vec<usize> = queried
             .iter()
             .map(|&g| {
-                assert!(owner_range.contains(&g), "ghost query reached the wrong owner");
+                assert!(
+                    owner_range.contains(&g),
+                    "ghost query reached the wrong owner"
+                );
                 g - owner_range.start
             })
             .collect();
@@ -456,7 +473,9 @@ impl GhostExchange {
         for (j, &pos) in self.positions.iter().enumerate() {
             out[pos] = Some(back[j].clone());
         }
-        out.into_iter().map(|v| v.expect("every ghost answered")).collect()
+        out.into_iter()
+            .map(|v| v.expect("every ghost answered"))
+            .collect()
     }
 
     /// Incremental halo update (collective): pushes `owned[offset]` to
@@ -564,7 +583,8 @@ impl<T: Clone + Send + 'static> GhostHalo<T> {
             self.synced = true;
             Vec::new()
         } else {
-            self.exch.push_dirty(comm, owned, &self.dirty, &mut self.cache)
+            self.exch
+                .push_dirty(comm, owned, &self.dirty, &mut self.cache)
         };
         if self.any_dirty {
             self.dirty.iter_mut().for_each(|d| *d = false);
@@ -614,7 +634,11 @@ mod tests {
                 .iter()
                 .map(|&v| {
                     let s = dh.slot(v).expect("pin has a slot");
-                    if s < owned { owned_part[s] } else { ghost_part[s - owned] }
+                    if s < owned {
+                        owned_part[s]
+                    } else {
+                        ghost_part[s - owned]
+                    }
                 })
                 .collect();
             parts.sort_unstable();
@@ -649,9 +673,13 @@ mod tests {
         for size in [1usize, 2, 5] {
             for rank in 0..size {
                 let dh = DistHypergraph::from_replicated(&h, rank, size);
-                let held: Vec<usize> =
-                    (0..dh.num_local_nets()).map(|lj| dh.net_global_id(lj)).collect();
-                assert!(held.iter().all(|j| [1, 3].contains(j)), "rank {rank}/{size}: {held:?}");
+                let held: Vec<usize> = (0..dh.num_local_nets())
+                    .map(|lj| dh.net_global_id(lj))
+                    .collect();
+                assert!(
+                    held.iter().all(|j| [1, 3].contains(j)),
+                    "rank {rank}/{size}: {held:?}"
+                );
             }
         }
     }
@@ -660,8 +688,9 @@ mod tests {
     fn pin_storage_partitions_and_nets_have_one_owner() {
         let h = sample(37);
         for size in [1usize, 2, 4] {
-            let shares: Vec<DistHypergraph> =
-                (0..size).map(|r| DistHypergraph::from_replicated(&h, r, size)).collect();
+            let shares: Vec<DistHypergraph> = (0..size)
+                .map(|r| DistHypergraph::from_replicated(&h, r, size))
+                .collect();
             let mut owner_count = vec![0usize; h.num_nets()];
             for dh in &shares {
                 assert!(dh.local_pin_count() <= h.num_pins());
@@ -785,8 +814,9 @@ mod tests {
                 let dist = BlockDist::new(n, comm.size());
                 let range = dist.range(comm.rank());
                 // Ask for a scattered set of remote ids.
-                let ids: Vec<usize> =
-                    (0..n).filter(|v| v % 7 == comm.rank() % 7 && !range.contains(v)).collect();
+                let ids: Vec<usize> = (0..n)
+                    .filter(|v| v % 7 == comm.rank() % 7 && !range.contains(v))
+                    .collect();
                 let exch = GhostExchange::build_for_ids(comm, &dist, &ids);
                 let owned: Vec<usize> = range.map(|v| v * 3).collect();
                 let vals = exch.pull(comm, &owned);

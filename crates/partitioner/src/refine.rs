@@ -167,7 +167,10 @@ impl GainTally {
         use dlb_trace::Counter;
         dlb_trace::count(Counter::GainEvaluations, self.evaluations);
         dlb_trace::count(Counter::GainResums, self.resums);
-        dlb_trace::count(Counter::RebalanceCandidatesScanned, self.rebalance_candidates);
+        dlb_trace::count(
+            Counter::RebalanceCandidatesScanned,
+            self.rebalance_candidates,
+        );
         dlb_trace::count(Counter::RebalanceMoves, self.rebalance_moves);
     }
 }
@@ -262,8 +265,10 @@ impl<V: LevelView> PartitionState<V> {
         part: Vec<PartId>,
         mut table: Vec<f64>,
     ) -> Self {
-        let lambda: Vec<u32> =
-            sigma.chunks_exact(k).map(|row| row.iter().filter(|&&c| c > 0).count() as u32).collect();
+        let lambda: Vec<u32> = sigma
+            .chunks_exact(k)
+            .map(|row| row.iter().filter(|&&c| c > 0).count() as u32)
+            .collect();
         let stored = view.stored();
         table.clear();
         table.resize(stored.len() * (k + 1), 0.0);
@@ -297,7 +302,12 @@ impl<V: LevelView> PartitionState<V> {
     /// an entry is exact or marked, so every read of the copy returns
     /// the bits a state built from scratch on `part` would.
     pub(crate) fn private_copy(&self, weights: Vec<f64>, aux_weights: Vec<f64>) -> Self {
-        PartitionState { weights, aux_weights, tally: GainTally::default(), ..self.clone() }
+        PartitionState {
+            weights,
+            aux_weights,
+            tally: GainTally::default(),
+            ..self.clone()
+        }
     }
 
     #[inline]
@@ -497,7 +507,9 @@ impl<V: LevelView> PartitionState<V> {
     fn max_gain(&mut self, v: usize) -> f64 {
         let (k, p) = (self.k, self.part_of(v));
         let row = self.row(v);
-        let most = (0..k).filter(|&q| q != p).fold(0.0, |most, q| row[q].max(most));
+        let most = (0..k)
+            .filter(|&q| q != p)
+            .fold(0.0, |most, q| row[q].max(most));
         row[k] - (row[p] - most)
     }
 
@@ -558,7 +570,8 @@ impl<V: LevelView> PartitionState<V> {
         #[cfg(debug_assertions)]
         assert_eq!(
             best.map(|(q, g)| (q, g.to_bits())),
-            self.scan_best_move(v, targets).map(|(q, g)| (q, g.to_bits())),
+            self.scan_best_move(v, targets)
+                .map(|(q, g)| (q, g.to_bits())),
             "table and scan disagree on vertex {v}"
         );
         best
@@ -636,7 +649,11 @@ impl<V: LevelView> PartitionState<V> {
             .owned()
             .map(|v| {
                 let best = self.best_move(v, targets).map(|(q, g)| (q, g.to_bits()));
-                (v, best, (0..self.k).map(|q| self.gain(v, q).to_bits()).collect())
+                (
+                    v,
+                    best,
+                    (0..self.k).map(|q| self.gain(v, q).to_bits()).collect(),
+                )
             })
             .collect();
         let mut boundary = Vec::new();
@@ -880,7 +897,8 @@ impl EvacuationQueues {
         let mut log = state.row_log.take().expect("rebalance is listening");
         for u in log.drain(..) {
             if self.heaps.contains(view.slot(u)) {
-                self.heaps.set(state.part_of(u), view.slot(u), state.max_gain(u));
+                self.heaps
+                    .set(state.part_of(u), view.slot(u), state.max_gain(u));
             }
         }
         state.row_log = Some(log);
@@ -930,7 +948,14 @@ impl<V: LevelView> CommitMove<V> for Lockstep {
         state.apply(v, q);
         Some((v, q, ()))
     }
-    fn revert(&mut self, state: &mut PartitionState<V>, v: usize, from: PartId, _to: PartId, _: ()) {
+    fn revert(
+        &mut self,
+        state: &mut PartitionState<V>,
+        v: usize,
+        from: PartId,
+        _to: PartId,
+        _: (),
+    ) {
         state.apply(v, from);
     }
 }
@@ -957,7 +982,9 @@ pub(crate) fn rebalance<V: LevelView>(
     let mut queues: Option<EvacuationQueues> = None;
     for _ in 0..max_moves {
         let violation_before = total_violation(&state.weights, targets);
-        let Some(p) = most_overweight(&state.weights, targets) else { break };
+        let Some(p) = most_overweight(&state.weights, targets) else {
+            break;
+        };
         let queues = queues.get_or_insert_with(|| EvacuationQueues::listen(state));
         queues.build(state, p);
         let local = queues.best(state, p, targets);
@@ -965,10 +992,16 @@ pub(crate) fn rebalance<V: LevelView>(
         {
             let bits = |(v, q, g): (usize, PartId, f64)| (v, q, g.to_bits());
             let walked = best_evacuation(state, p, targets);
-            debug_assert_eq!(local.map(bits), walked.map(bits), "queue and walk disagree on part {p}");
+            debug_assert_eq!(
+                local.map(bits),
+                walked.map(bits),
+                "queue and walk disagree on part {p}"
+            );
         }
         // Nothing made: only fixed or weightless vertices are left in `p`.
-        let Some((v, to, undo)) = commit.commit(state, p, local) else { break };
+        let Some((v, to, undo)) = commit.commit(state, p, local) else {
+            break;
+        };
         // Keep only moves that strictly reduce total violation;
         // otherwise we are ping-ponging load between parts that can
         // never fit under their caps — undo and stop.
@@ -1080,7 +1113,11 @@ pub(crate) fn greedy_repair(
         // with their parts: a step only touches two parts, so the
         // resulting global maximum is O(arity) to evaluate from these.
         let over: Vec<Vec<f64>> = (0..arity)
-            .map(|c| (0..k).map(|p| over_of(load_of(state, c, p), cap(c, p))).collect())
+            .map(|c| {
+                (0..k)
+                    .map(|p| over_of(load_of(state, c, p), cap(c, p)))
+                    .collect()
+            })
             .collect();
         if over.iter().flatten().fold(0.0f64, |worst, &o| worst.max(o)) <= 1e-9 {
             break; // feasible on every constraint
@@ -1188,7 +1225,9 @@ pub(crate) fn greedy_repair(
                         continue;
                     }
                     let exchanged = |c: usize| h.vertex_load(v, c) - h.vertex_load(u, c);
-                    let Some((after, touched)) = step(state, a, q, &exchanged) else { continue };
+                    let Some((after, touched)) = step(state, a, q, &exchanged) else {
+                        continue;
+                    };
                     let score = (after, touched, state.gain(v, q) + state.gain(u, a));
                     if better(score, best_swap.map(|(_, s)| s)) {
                         best_swap = Some(((v, u), score));
@@ -1245,7 +1284,9 @@ fn fm_pass(
             continue;
         }
         // Lazy revalidation: the move it entered with may be stale.
-        let Some((to, gain)) = state.best_move(v, targets) else { continue };
+        let Some((to, gain)) = state.best_move(v, targets) else {
+            continue;
+        };
         if to != scratch.to[v] || (gain - key).abs() > 1e-9 {
             scratch.queue(v, (to, gain));
             continue;
@@ -1424,7 +1465,14 @@ pub(crate) mod tests {
         let t = uniform_targets(&h, 2);
         let fixed = FixedAssignment::free(64);
         let mut rng = StdRng::seed_from_u64(0);
-        let gain = refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+        let gain = refine(
+            &h,
+            &t,
+            &fixed,
+            &mut part,
+            &RefinementConfig::default(),
+            &mut rng,
+        );
         let after = metrics::cutsize_connectivity(&h, &part, 2);
         assert!((before - after - gain).abs() < 1e-9);
         assert!(after < before / 2.0, "cut {before} -> {after}");
@@ -1441,7 +1489,14 @@ pub(crate) mod tests {
         }
         let t = uniform_targets(&h, 2);
         let mut rng = StdRng::seed_from_u64(1);
-        refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+        refine(
+            &h,
+            &t,
+            &fixed,
+            &mut part,
+            &RefinementConfig::default(),
+            &mut rng,
+        );
         for v in (0..64).step_by(7) {
             assert_eq!(part[v], v % 2, "fixed vertex {v} moved");
         }
@@ -1454,10 +1509,22 @@ pub(crate) mod tests {
         let t = uniform_targets(&h, 4);
         let fixed = FixedAssignment::free(80);
         let mut rng = StdRng::seed_from_u64(2);
-        refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+        refine(
+            &h,
+            &t,
+            &fixed,
+            &mut part,
+            &RefinementConfig::default(),
+            &mut rng,
+        );
         let w = metrics::part_weights(&h, &part, 4);
         for p in 0..4 {
-            assert!(w[p] <= t.cap(p) + 1e-9, "part {p} weight {} > cap {}", w[p], t.cap(p));
+            assert!(
+                w[p] <= t.cap(p) + 1e-9,
+                "part {p} weight {} > cap {}",
+                w[p],
+                t.cap(p)
+            );
         }
     }
 
@@ -1469,7 +1536,14 @@ pub(crate) mod tests {
         let t = uniform_targets(&h, 2);
         let fixed = FixedAssignment::free(64);
         let mut rng = StdRng::seed_from_u64(3);
-        refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+        refine(
+            &h,
+            &t,
+            &fixed,
+            &mut part,
+            &RefinementConfig::default(),
+            &mut rng,
+        );
         let imb = metrics::imbalance(&h, &part, 2);
         assert!(imb <= 1.05 + 1e-9, "imbalance {imb} after rebalance+refine");
     }
@@ -1496,7 +1570,14 @@ pub(crate) mod tests {
         let fixed = FixedAssignment::from_options(&opts);
         let t = uniform_targets(&h, 2);
         let mut rng = StdRng::seed_from_u64(4);
-        let gain = refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+        let gain = refine(
+            &h,
+            &t,
+            &fixed,
+            &mut part,
+            &RefinementConfig::default(),
+            &mut rng,
+        );
         assert_eq!(part, orig);
         assert_eq!(gain, 0.0);
     }
@@ -1508,7 +1589,17 @@ pub(crate) mod tests {
         let t = uniform_targets(&h, 1);
         let fixed = FixedAssignment::free(9);
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(refine(&h, &t, &fixed, &mut part, &RefinementConfig::default(), &mut rng), 0.0);
+        assert_eq!(
+            refine(
+                &h,
+                &t,
+                &fixed,
+                &mut part,
+                &RefinementConfig::default(),
+                &mut rng
+            ),
+            0.0
+        );
     }
 
     /// A random hypergraph on `n` vertices whose nets have 1–6 pins (a
@@ -1523,15 +1614,24 @@ pub(crate) mod tests {
     ) -> (Hypergraph, FixedAssignment, Vec<PartId>) {
         let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
         for _ in 0..rng.gen_range(n / 2..3 * n) {
-            let size = if rng.gen_bool(0.125) { 1 } else { rng.gen_range(2usize..7) };
+            let size = if rng.gen_bool(0.125) {
+                1
+            } else {
+                rng.gen_range(2usize..7)
+            };
             let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
-            let cost =
-                if fractional { rng.gen_range(0.5f64..4.0) } else { rng.gen_range(1..5) as f64 };
+            let cost = if fractional {
+                rng.gen_range(0.5f64..4.0)
+            } else {
+                rng.gen_range(1..5) as f64
+            };
             b.add_net(cost, pins);
         }
         let part: Vec<PartId> = (0..n).map(|_| rng.gen_range(0..k)).collect();
-        let fixed: Vec<Option<PartId>> =
-            part.iter().map(|&p| rng.gen_bool(0.25).then_some(p)).collect();
+        let fixed: Vec<Option<PartId>> = part
+            .iter()
+            .map(|&p| rng.gen_bool(0.25).then_some(p))
+            .collect();
         (b.build(), FixedAssignment::from_options(&fixed), part)
     }
 
@@ -1557,10 +1657,16 @@ pub(crate) mod tests {
             assert_eq!(state.reads(&targets), fresh.reads(&targets), "{what}");
             // A private copy is a fresh build too.
             let (w, aux) = fold_weights(h, k, &state.part);
-            assert_eq!(state.private_copy(w, aux).reads(&targets), fresh.reads(&targets), "{what}");
+            assert_eq!(
+                state.private_copy(w, aux).reads(&targets),
+                fresh.reads(&targets),
+                "{what}"
+            );
         };
         agrees(&mut state, "at the build");
-        let free: Vec<usize> = (0..h.num_vertices()).filter(|&v| !fixed.is_fixed(v)).collect();
+        let free: Vec<usize> = (0..h.num_vertices())
+            .filter(|&v| !fixed.is_fixed(v))
+            .collect();
         if free.is_empty() {
             return;
         }
@@ -1589,7 +1695,10 @@ pub(crate) mod tests {
             let n = rng.gen_range(12usize..70);
             let (h, fixed, part) = random_instance(&mut rng, n, k, fractional);
             let view = Replicated::whole(&h, &fixed);
-            assert_eq!(PartitionState::new(view, k, part.clone()).exact, !fractional);
+            assert_eq!(
+                PartitionState::new(view, k, part.clone()).exact,
+                !fractional
+            );
             check_applies_against_fresh_builds(&h, &fixed, k, part, 40, &mut rng);
         }
     }
@@ -1602,7 +1711,12 @@ pub(crate) mod tests {
         let mut b = dlb_hypergraph::HypergraphBuilder::new(3);
         b.add_net(2.0, [0, 2]);
         b.add_net(2.0, [0, 1]);
-        (b.build(), FixedAssignment::free(3), vec![0, 1, 2], PartTargets::uniform(3.0, 3, 2.0))
+        (
+            b.build(),
+            FixedAssignment::free(3),
+            vec![0, 1, 2],
+            PartTargets::uniform(3.0, 3, 2.0),
+        )
     }
 
     /// (c) Two targets tie on gain and on part weight: the lower part id
@@ -1615,7 +1729,13 @@ pub(crate) mod tests {
         assert_eq!(state.best_move(0, &targets), Some((1, 2.0)));
         state.weights[2] -= 0.5;
         assert_eq!(state.best_move(0, &targets), Some((2, 2.0)));
-        assert_eq!(state.tally, GainTally { evaluations: 2, ..Default::default() });
+        assert_eq!(
+            state.tally,
+            GainTally {
+                evaluations: 2,
+                ..Default::default()
+            }
+        );
     }
 
     /// (a) Flat refinement on integer costs is a function of the
@@ -1630,7 +1750,11 @@ pub(crate) mod tests {
         let mut differing = 0;
         for case in 0..40 {
             let nets: Vec<Vec<usize>> = (0..150)
-                .map(|_| (0..rng.gen_range(2usize..5)).map(|_| rng.gen_range(0..n)).collect())
+                .map(|_| {
+                    (0..rng.gen_range(2usize..5))
+                        .map(|_| rng.gen_range(0..n))
+                        .collect()
+                })
                 .collect();
             let refined = |order: Vec<&Vec<usize>>| {
                 let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
@@ -1642,10 +1766,18 @@ pub(crate) mod tests {
                 let mut part: Vec<PartId> = (0..n).map(|v| v % k).collect();
                 let fixed = FixedAssignment::free(n);
                 let mut rng = StdRng::seed_from_u64(case);
-                refine(&h, &targets, &fixed, &mut part, &RefinementConfig::default(), &mut rng);
+                refine(
+                    &h,
+                    &targets,
+                    &fixed,
+                    &mut part,
+                    &RefinementConfig::default(),
+                    &mut rng,
+                );
                 part
             };
-            differing += usize::from(refined(nets.iter().collect()) != refined(nets.iter().rev().collect()));
+            differing +=
+                usize::from(refined(nets.iter().collect()) != refined(nets.iter().rev().collect()));
         }
         assert_eq!(differing, 0, "of 40 instances");
     }
@@ -1671,7 +1803,9 @@ pub(crate) mod tests {
     }
     impl Ord for Cand {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.gain.total_cmp(&other.gain).then_with(|| other.v.cmp(&self.v))
+            self.gain
+                .total_cmp(&other.gain)
+                .then_with(|| other.v.cmp(&self.v))
         }
     }
 
@@ -1712,7 +1846,9 @@ pub(crate) mod tests {
             if locked[c.v] || fixed.is_fixed(c.v) {
                 continue;
             }
-            let Some((to, gain)) = state.best_move(c.v, targets) else { continue };
+            let Some((to, gain)) = state.best_move(c.v, targets) else {
+                continue;
+            };
             if to != c.to || (gain - c.gain).abs() > 1e-9 {
                 heap.push(Cand { gain, v: c.v, to });
                 queued[c.v] = true;
@@ -1778,19 +1914,35 @@ pub(crate) mod tests {
                 let kept = fm_pass(&mut state, &targets, &mut scratch, &mut rng_a);
                 let (applied, best_len, best_cum) =
                     fm_pass_binary_heap(&mut reference, &targets, &mut rng_b);
-                assert_eq!(scratch.applied, applied, "case {case} pass {pass}: applied sequence");
-                assert_eq!(kept.to_bits(), best_cum.to_bits(), "case {case} pass {pass}: gain kept");
-                assert_eq!(state.part, reference.part, "case {case} pass {pass}: partition");
+                assert_eq!(
+                    scratch.applied, applied,
+                    "case {case} pass {pass}: applied sequence"
+                );
+                assert_eq!(
+                    kept.to_bits(),
+                    best_cum.to_bits(),
+                    "case {case} pass {pass}: gain kept"
+                );
+                assert_eq!(
+                    state.part, reference.part,
+                    "case {case} pass {pass}: partition"
+                );
                 let mut prefix = PartitionState::new(view, k, start);
                 for &(v, _) in &applied[..best_len] {
                     let to = state.part[v];
                     prefix.apply(v, to);
                 }
-                assert_eq!(state.part, prefix.part, "case {case} pass {pass}: kept prefix");
+                assert_eq!(
+                    state.part, prefix.part,
+                    "case {case} pass {pass}: kept prefix"
+                );
                 applied_total += applied.len();
             }
         }
-        assert!(applied_total > 500, "only {applied_total} moves: the rows exercise nothing");
+        assert!(
+            applied_total > 500,
+            "only {applied_total} moves: the rows exercise nothing"
+        );
     }
 
     /// [`Lockstep`], keeping the evacuations it makes.
@@ -1807,7 +1959,14 @@ pub(crate) mod tests {
             self.0.extend(local.map(|(v, q, _)| (v, q)));
             Lockstep.commit(state, from, local)
         }
-        fn revert(&mut self, state: &mut PartitionState<V>, v: usize, from: PartId, to: PartId, _: ()) {
+        fn revert(
+            &mut self,
+            state: &mut PartitionState<V>,
+            v: usize,
+            from: PartId,
+            to: PartId,
+            _: (),
+        ) {
             self.0.pop();
             Lockstep.revert(state, v, from, to, ())
         }
@@ -1849,7 +2008,14 @@ pub(crate) mod tests {
             fixed.fix(v, part[v]);
         }
         let targets = uniform_targets(&h, k);
-        cases.push(RebalanceCase { name: "crowded".into(), h, fixed, part, targets, min_moves: n / 2 });
+        cases.push(RebalanceCase {
+            name: "crowded".into(),
+            h,
+            fixed,
+            part,
+            targets,
+            min_moves: n / 2,
+        });
 
         let mut rng = StdRng::seed_from_u64(0xEBA1);
         for row in 0..10 {
@@ -1863,7 +2029,14 @@ pub(crate) mod tests {
                 }
             }
             let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.1);
-            cases.push(RebalanceCase { name: format!("random-{row}"), h, fixed, part, targets, min_moves: 1 });
+            cases.push(RebalanceCase {
+                name: format!("random-{row}"),
+                h,
+                fixed,
+                part,
+                targets,
+                min_moves: 1,
+            });
         }
 
         // Parts 0 (vertices 0..15) and 1 (15..27) are both above their
@@ -1875,10 +2048,19 @@ pub(crate) mod tests {
             b.add_net(2.0, [v, (v + 1) % 15, 15 + (v * 5) % 12]);
         }
         let h = b.build();
-        let part: Vec<PartId> = (0..30).map(|v| usize::from(v >= 15) + usize::from(v >= 27)).collect();
+        let part: Vec<PartId> = (0..30)
+            .map(|v| usize::from(v >= 15) + usize::from(v >= 27))
+            .collect();
         let targets = uniform_targets(&h, 3);
         let fixed = FixedAssignment::free(30);
-        cases.push(RebalanceCase { name: "fallback".into(), h, fixed, part, targets, min_moves: 4 });
+        cases.push(RebalanceCase {
+            name: "fallback".into(),
+            h,
+            fixed,
+            part,
+            targets,
+            min_moves: 4,
+        });
         cases
     }
 
@@ -1890,7 +2072,9 @@ pub(crate) mod tests {
     fn walk_rebalance(
         case: &RebalanceCase,
     ) -> (Vec<(usize, PartId)>, PartitionState<Replicated<'_>>, u64) {
-        let RebalanceCase { h, fixed, targets, .. } = case;
+        let RebalanceCase {
+            h, fixed, targets, ..
+        } = case;
         let k = targets.k();
         let mut walked = PartitionState::new(Replicated::whole(h, fixed), k, case.part.clone());
         let (mut made, mut evaluated) = (Vec::new(), 0);
@@ -1905,7 +2089,9 @@ pub(crate) mod tests {
                 evaluated += 1;
                 let (q, g) = walked.best_move(v, targets).unwrap_or_else(|| {
                     let rel = |q: PartId| (walked.weights[q] + w) / targets.target[q];
-                    let q = (0..k).filter(|&q| q != p).min_by(|&a, &b| rel(a).total_cmp(&rel(b)));
+                    let q = (0..k)
+                        .filter(|&q| q != p)
+                        .min_by(|&a, &b| rel(a).total_cmp(&rel(b)));
                     (q.unwrap(), walked.gain(v, q.unwrap()))
                 });
                 if best.is_none_or(|(_, _, bg)| g > bg) {
@@ -1920,7 +2106,12 @@ pub(crate) mod tests {
             }
             made.push((v, q));
         }
-        assert!(made.len() >= case.min_moves, "{}: only {} evacuations", case.name, made.len());
+        assert!(
+            made.len() >= case.min_moves,
+            "{}: only {} evacuations",
+            case.name,
+            made.len()
+        );
         (made, walked, evaluated)
     }
 
@@ -1931,7 +2122,13 @@ pub(crate) mod tests {
     #[test]
     fn rebalance_from_member_lists_matches_the_full_walk() {
         for case in rebalance_cases() {
-            let RebalanceCase { name, h, fixed, targets, .. } = &case;
+            let RebalanceCase {
+                name,
+                h,
+                fixed,
+                targets,
+                ..
+            } = &case;
             let (expected, walked, evaluated) = walk_rebalance(&case);
             if name == "fallback" {
                 // No net reaches part 2: only the fallback sends anyone there.
@@ -1954,8 +2151,15 @@ pub(crate) mod tests {
             // the fallback decides, every bound overshoots and nearly the
             // whole part is popped — never more than the walk.
             let popped = state.tally.rebalance_candidates;
-            let limit = if name == "fallback" { evaluated } else { evaluated / 3 };
-            assert!(popped < limit, "{name}: popped {popped}, the walk evaluates {evaluated}");
+            let limit = if name == "fallback" {
+                evaluated
+            } else {
+                evaluated / 3
+            };
+            assert!(
+                popped < limit,
+                "{name}: popped {popped}, the walk evaluates {evaluated}"
+            );
         }
     }
 
@@ -1989,11 +2193,22 @@ pub(crate) mod tests {
     #[test]
     fn degenerate_levels_keep_the_table_exact() {
         let mut rng = StdRng::seed_from_u64(0xDE6);
-        let run = |h: &Hypergraph, fixed: &FixedAssignment, k: usize, part: Vec<PartId>, rng: &mut StdRng| {
+        let run = |h: &Hypergraph,
+                   fixed: &FixedAssignment,
+                   k: usize,
+                   part: Vec<PartId>,
+                   rng: &mut StdRng| {
             check_applies_against_fresh_builds(h, fixed, k, part.clone(), 24, rng);
             let mut refined = part;
             let targets = uniform_targets(h, k);
-            refine(h, &targets, fixed, &mut refined, &RefinementConfig::default(), rng);
+            refine(
+                h,
+                &targets,
+                fixed,
+                &mut refined,
+                &RefinementConfig::default(),
+                rng,
+            );
             assert!(fixed.is_respected_by(&refined) && refined.iter().all(|&p| p < k));
         };
 
@@ -2030,7 +2245,9 @@ pub(crate) mod tests {
         let h = b.build();
         // Part 2 holds two pins of the big net, part 1 one: moves in and
         // out of them cross every transition.
-        let part: Vec<PartId> = (0..n).map(|v| [2, 2, 1].get(v).copied().unwrap_or(0)).collect();
+        let part: Vec<PartId> = (0..n)
+            .map(|v| [2, 2, 1].get(v).copied().unwrap_or(0))
+            .collect();
         run(&h, &FixedAssignment::free(n), 3, part, &mut rng);
     }
 }

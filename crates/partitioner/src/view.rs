@@ -67,7 +67,12 @@ pub(crate) struct Replicated<'a> {
 impl<'a> Replicated<'a> {
     /// The serial case: one rank owning every vertex.
     pub(crate) fn whole(h: &'a Hypergraph, fixed: &'a FixedAssignment) -> Self {
-        Replicated { h, fixed, owned_start: 0, owned_end: h.num_vertices() }
+        Replicated {
+            h,
+            fixed,
+            owned_start: 0,
+            owned_end: h.num_vertices(),
+        }
     }
 
     /// Rank `rank`'s block of a level replicated on `size` ranks.
@@ -78,7 +83,12 @@ impl<'a> Replicated<'a> {
         size: usize,
     ) -> Self {
         let owned = BlockDist::new(h.num_vertices(), size).range(rank);
-        Replicated { h, fixed, owned_start: owned.start, owned_end: owned.end }
+        Replicated {
+            h,
+            fixed,
+            owned_start: owned.start,
+            owned_end: owned.end,
+        }
     }
 }
 
