@@ -187,8 +187,7 @@ pub(crate) struct Prebuilt<'a> {
     pub model: &'a RepartitionHypergraph,
     /// Seed the partitioner from the previous assignment
     /// ([`RepartitionHypergraph::solve_warm`]) instead of running the
-    /// full pipeline on the model. Serial only: there is no SPMD warm
-    /// start.
+    /// full pipeline on the model.
     pub warm: bool,
 }
 
@@ -235,8 +234,7 @@ pub(crate) fn repartition_on(
             assert_eq!(model.num_computation_vertices, problem.hypergraph.num_vertices());
             assert_eq!(model.k, problem.k);
             if prebuilt.is_some_and(|p| p.warm) {
-                assert!(comm.is_none(), "warm starts are serial-only");
-                model.solve_warm(problem.old_part, &cfg.hypergraph)
+                model.solve_warm(comm.as_deref_mut(), problem.old_part, &cfg.hypergraph)
             } else {
                 model.solve(comm.as_deref_mut(), &cfg.hypergraph)
             }
@@ -248,6 +246,7 @@ pub(crate) fn repartition_on(
                 problem.hypergraph,
                 problem.k,
                 &free,
+                None,
                 &cfg.hypergraph,
             );
             remap_to_minimize_migration(

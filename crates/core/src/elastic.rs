@@ -433,7 +433,7 @@ pub(crate) fn perform_resize(
     // Candidate 2: scratch partition + maximal-matching remap against
     // the surviving old labels.
     let free = FixedAssignment::free(h.num_vertices());
-    let scratch = partition_fixed_on(comm, h, k_after, &free, &cfg.hypergraph);
+    let scratch = partition_fixed_on(comm, h, k_after, &free, None, &cfg.hypergraph);
     let part_scratch =
         remap_to_minimize_migration_partial(&scratch.part, &partial, h.vertex_sizes(), k_after);
 

@@ -230,10 +230,6 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
 ) -> Result<SimulationSummary, SessionError> {
     let &EpochParams { num_epochs, algorithm, alpha, cfg, network, world, incremental } =
         params;
-    assert!(
-        incremental.is_none() || comm.is_none(),
-        "incremental repartitioning has no SPMD warm start (Session validates this)"
-    );
     let mut patcher = incremental.map(|_| ModelPatcher::new());
     let k0 = source.k();
     if let Some(plan) = world {

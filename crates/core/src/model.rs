@@ -2,9 +2,7 @@
 
 use dlb_hypergraph::{metrics, Hypergraph, HypergraphBuilder, PartId};
 use dlb_mpisim::Comm;
-use dlb_partitioner::{
-    partition_fixed_on, refine_partition_fixed, Config as HgConfig, FixedAssignment,
-};
+use dlb_partitioner::{partition_fixed_on, Config as HgConfig, FixedAssignment};
 
 /// The augmented hypergraph `H̄^j`: the epoch hypergraph `H^j` with its
 /// communication nets scaled by `α`, plus `k` fixed partition vertices
@@ -155,16 +153,20 @@ impl RepartitionHypergraph {
     /// repartitioning and boundary resizes (failures, joins, leaves)
     /// differ only in how they *build* the (partial) model.
     pub(crate) fn solve(&self, comm: Option<&mut Comm>, cfg: &HgConfig) -> Vec<PartId> {
-        let r = partition_fixed_on(comm, &self.augmented, self.k, &self.fixed, cfg);
+        let r = partition_fixed_on(comm, &self.augmented, self.k, &self.fixed, None, cfg);
         self.decode(&r.part)
     }
 
     /// [`solve`](Self::solve) seeded from `old_part` instead of from
-    /// scratch: [`dlb_partitioner::refine_partition_fixed`] rebalances
-    /// and refines the previous assignment and runs part-restricted
-    /// V-cycles, with no from-scratch coarsening. Serial only — the SPMD
-    /// partitioner has no warm start.
-    pub(crate) fn solve_warm(&self, old_part: &[PartId], cfg: &HgConfig) -> Vec<PartId> {
+    /// scratch, on the same execution context: the partitioner's warm
+    /// start rebalances and refines the previous assignment and runs
+    /// part-restricted V-cycles, with no from-scratch coarsening.
+    pub(crate) fn solve_warm(
+        &self,
+        comm: Option<&mut Comm>,
+        old_part: &[PartId],
+        cfg: &HgConfig,
+    ) -> Vec<PartId> {
         let mut cfg = cfg.clone();
         cfg.warm_start = true;
         // At least one part-restricted keep-if-better V-cycle after the
@@ -172,7 +174,7 @@ impl RepartitionHypergraph {
         // escape the previous epoch's basin.
         cfg.num_vcycles = cfg.num_vcycles.max(2);
         let seed = self.extend_assignment(old_part);
-        let r = refine_partition_fixed(&self.augmented, self.k, &self.fixed, &seed, &cfg);
+        let r = partition_fixed_on(comm, &self.augmented, self.k, &self.fixed, Some(&seed), &cfg);
         self.decode(&r.part)
     }
 

@@ -61,10 +61,9 @@
 //!                     every epoch on the full-rebuild path, which
 //!                     reproduces the non-incremental outputs exactly)
 //!
-//! The simulate options compose freely, with two exceptions (exit 2):
-//! --incremental with --ranks > 1 or --distributed (the SPMD partitioner
-//! has no warm start) and --incremental with --constraints > 1 (the
-//! delta patcher maintains scalar weights).
+//! The simulate options compose freely, with one exception (exit 2):
+//! --incremental with --constraints > 1 (the delta patcher maintains
+//! scalar weights).
 //! ```
 //!
 //! `partition`/`repartition` write one part id per line, one line per
@@ -98,8 +97,7 @@ use dlb::hypergraph::convert::{clique_expansion, column_net_model};
 use dlb::hypergraph::io::{read_hypergraph, read_matrix_market_graph};
 use dlb::hypergraph::{CsrGraph, Hypergraph};
 use dlb::mpisim::run_spmd;
-use dlb::partitioner::par::parallel_partition;
-use dlb::partitioner::Config as HgConfig;
+use dlb::partitioner::{partition_fixed_on, Config as HgConfig, FixedAssignment};
 use dlb::workloads::{AmrSource, Dataset, DatasetKind, EpochSource, EpochStream, Perturbation};
 
 fn usage() -> ! {
@@ -624,13 +622,15 @@ fn main() {
     match cli.command.as_str() {
         "partition" => {
             let cfg = hg_cfg;
+            let free = FixedAssignment::free(hypergraph.num_vertices());
+            let solve = |comm: Option<&mut dlb::mpisim::Comm>| {
+                partition_fixed_on(comm, &hypergraph, cli.k, &free, None, &cfg)
+            };
             let r = with_trace(cli.trace.as_deref(), || {
                 if cli.ranks > 1 || cli.distributed {
-                    run_spmd(cli.ranks, |comm| parallel_partition(comm, &hypergraph, cli.k, &cfg))
-                        .pop()
-                        .expect("at least one rank")
+                    run_spmd(cli.ranks, |comm| solve(Some(comm))).pop().expect("at least one rank")
                 } else {
-                    dlb::partitioner::partition_hypergraph(&hypergraph, cli.k, &cfg)
+                    solve(None)
                 }
             });
             eprintln!(

@@ -201,16 +201,21 @@ fn rejects_invalid_multi_constraint_flags_up_front() {
 
 #[test]
 fn rejects_distributed_flag_conflicts_up_front() {
-    // Warm starts have no SPMD counterpart. (World plans and multi-constraint loads
-    // run on the distributed path; their combined-path tests live in
+    // No SPMD flag conflicts with another: incremental runs warm-start on
+    // the SPMD path too. (World plans and multi-constraint loads run on
+    // it as well; their combined-path tests live in
     // tests/{elastic_worlds,fault_injection,multi_constraint}.rs.)
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "structure", "--distributed",
-            "--incremental",
-        ],
-        "incremental repartitioning is serial-only",
-    );
+    for spmd in [&["--distributed"][..], &["--ranks", "2"]] {
+        let output = dlb()
+            .args(["simulate", "-k", "2", "--workload", "structure", "--epochs", "2"])
+            .args(spmd)
+            .arg("--incremental")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(output.status.success(), "{spmd:?}: {output:?}");
+        assert!(stdout.contains("competitive ratio"), "{spmd:?}: {stdout}");
+    }
     // Partitioning itself runs on the SPMD drivers.
     let input = write_toy_mtx(&tmpdir("spmd"));
     let status = dlb()

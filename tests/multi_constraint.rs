@@ -22,9 +22,9 @@
 
 use dlb::hypergraph::{metrics, Hypergraph, HypergraphBuilder, VertexLoads};
 use dlb::mpisim::run_spmd;
-use dlb::partitioner::par::parallel_partition;
 use dlb::partitioner::{
-    partition_hypergraph, refine_partition_fixed, targets_for, Config, FixedAssignment, Scheme,
+    partition_fixed_on, partition_hypergraph, refine_partition_fixed, targets_for, Config,
+    FixedAssignment, Scheme,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,7 +108,10 @@ fn arity1_vertex_loads_are_bitwise_identical_under_spmd() {
     let cfg = Config::seeded(11);
     for ranks in [1usize, 2, 4] {
         let run = |h: &Hypergraph| {
-            run_spmd(ranks, |comm| parallel_partition(comm, h, 4, &cfg)).pop().unwrap()
+            let free = FixedAssignment::free(h.num_vertices());
+            run_spmd(ranks, |comm| partition_fixed_on(Some(comm), h, 4, &free, None, &cfg))
+                .pop()
+                .unwrap()
         };
         let a = run(&scalar);
         let b = run(&typed);

@@ -8,8 +8,7 @@ use std::collections::BTreeMap;
 use dlb::hypergraph::convert::column_net_model_unit;
 use dlb::hypergraph::Hypergraph;
 use dlb::mpisim::run_spmd;
-use dlb::partitioner::par::parallel_partition;
-use dlb::partitioner::{partition_hypergraph, Config};
+use dlb::partitioner::{partition_fixed_on, partition_hypergraph, Config, FixedAssignment};
 use dlb::trace::TraceReport;
 use dlb::workloads::{Dataset, DatasetKind};
 
@@ -76,7 +75,10 @@ fn spmd_counters_reproduce_at_every_rank_count() {
         // Low threshold keeps several levels distributed at this scale.
         cfg.dist.gather_threshold = 256;
         let session = dlb::trace::session();
-        let parts = run_spmd(ranks, |comm| parallel_partition(comm, &h, K, &cfg).part);
+        let free = FixedAssignment::free(h.num_vertices());
+        let parts = run_spmd(ranks, |comm| {
+            partition_fixed_on(Some(comm), &h, K, &free, None, &cfg).part
+        });
         (session.finish(), parts)
     };
     for ranks in [1usize, 2, 4] {
