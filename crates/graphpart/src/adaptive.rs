@@ -19,7 +19,7 @@
 //! fixed-vertex hypergraph model — the behaviour the paper's experiments
 //! surface as growing migration cost at large `k`.
 
-use dlb_hypergraph::{CsrGraph, PartTargets, PartId};
+use dlb_hypergraph::{CsrGraph, PartId, PartTargets};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,7 +42,10 @@ impl AdaptiveConfig {
     /// Adaptive configuration with the given α and seed, default base
     /// knobs otherwise.
     pub fn seeded(alpha: f64, seed: u64) -> Self {
-        AdaptiveConfig { base: GraphConfig::seeded(seed), alpha }
+        AdaptiveConfig {
+            base: GraphConfig::seeded(seed),
+            alpha,
+        }
     }
 }
 
@@ -58,8 +61,15 @@ pub fn adaptive_repart(
     cfg: &AdaptiveConfig,
 ) -> GraphPartitionResult {
     assert!(k > 0, "k must be positive");
-    assert_eq!(old_part.len(), g.num_vertices(), "old partition length mismatch");
-    assert!(old_part.iter().all(|&p| p < k), "old partition references part >= k");
+    assert_eq!(
+        old_part.len(),
+        g.num_vertices(),
+        "old partition length mismatch"
+    );
+    assert!(
+        old_part.iter().all(|&p| p < k),
+        "old partition references part >= k"
+    );
 
     let mut rng = StdRng::seed_from_u64(cfg.base.seed);
     let targets = PartTargets::uniform(g.total_vertex_weight(), k, cfg.base.epsilon);
@@ -73,7 +83,10 @@ pub fn adaptive_repart(
         Some((l, o)) => (&l.coarse, o),
         None => (g, old_part),
     };
-    let obj = Objective { alpha: cfg.alpha, old_part: Some(coarsest_old) };
+    let obj = Objective {
+        alpha: cfg.alpha,
+        old_part: Some(coarsest_old),
+    };
     let mut part = coarsest_old.to_vec();
     refine_graph(coarsest, &targets, &obj, &mut part, &mut rng);
 
@@ -89,7 +102,10 @@ pub fn adaptive_repart(
         for (v, &c) in level.fine_to_coarse.iter().enumerate() {
             finer_part[v] = part[c];
         }
-        let obj = Objective { alpha: cfg.alpha, old_part: Some(finer_old) };
+        let obj = Objective {
+            alpha: cfg.alpha,
+            old_part: Some(finer_old),
+        };
         refine_graph(finer, &targets, &obj, &mut finer_part, &mut rng);
         part = finer_part;
     }
@@ -127,7 +143,11 @@ mod tests {
         }
         let cfg = AdaptiveConfig::seeded(10.0, 4);
         let r = adaptive_repart(&g, 2, &old, &cfg);
-        assert!(r.imbalance <= 1.0 + cfg.base.epsilon + 0.05, "imbalance {}", r.imbalance);
+        assert!(
+            r.imbalance <= 1.0 + cfg.base.epsilon + 0.05,
+            "imbalance {}",
+            r.imbalance
+        );
         // Migration should be moderate: far fewer than half the vertices.
         let moved = metrics::moved_vertex_count(&old, &r.part);
         assert!(moved < 32, "{moved} moved");

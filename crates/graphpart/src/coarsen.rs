@@ -67,7 +67,10 @@ pub(crate) fn contract_graph(g: &CsrGraph, matching: &GraphMatching) -> GraphLev
             }
         }
     }
-    GraphLevel { coarse: b.build(), fine_to_coarse }
+    GraphLevel {
+        coarse: b.build(),
+        fine_to_coarse,
+    }
 }
 
 /// The coarsening half of a V-cycle for `k` parts: heavy-edge matching
@@ -126,7 +129,10 @@ mod tests {
             mate[u] = v;
             mate[v] = u;
         }
-        GraphMatching { mate, num_pairs: pairs.len() }
+        GraphMatching {
+            mate,
+            num_pairs: pairs.len(),
+        }
     }
 
     #[test]
@@ -134,7 +140,13 @@ mod tests {
         // Square 0-1-2-3-0 with an extra 0-2 diagonal.
         let g = CsrGraph::from_edges(
             4,
-            &[(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 0, 4.0), (0, 2, 5.0)],
+            &[
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (2, 3, 3.0),
+                (3, 0, 4.0),
+                (0, 2, 5.0),
+            ],
         );
         let lvl = contract_graph(&g, &pair_matching(4, &[(0, 1), (2, 3)]));
         assert_eq!(lvl.coarse.num_vertices(), 2);

@@ -18,14 +18,20 @@ pub struct GraphConfig {
 
 impl Default for GraphConfig {
     fn default() -> Self {
-        GraphConfig { epsilon: 0.05, seed: 0 }
+        GraphConfig {
+            epsilon: 0.05,
+            seed: 0,
+        }
     }
 }
 
 impl GraphConfig {
     /// Default configuration with a specific seed.
     pub fn seeded(seed: u64) -> Self {
-        GraphConfig { seed, ..GraphConfig::default() }
+        GraphConfig {
+            seed,
+            ..GraphConfig::default()
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dlb_hypergraph::{metrics, CsrGraph, PartTargets, PartId};
+use dlb_hypergraph::{metrics, CsrGraph, PartId, PartTargets};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -28,7 +28,9 @@ impl PartialOrd for Cand {
 }
 impl Ord for Cand {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.affinity.total_cmp(&other.affinity).then_with(|| other.v.cmp(&self.v))
+        self.affinity
+            .total_cmp(&other.affinity)
+            .then_with(|| other.v.cmp(&self.v))
     }
 }
 
@@ -54,7 +56,10 @@ fn greedy_growing(g: &CsrGraph, targets: &PartTargets, rng: &mut StdRng) -> Vec<
                             continue;
                         }
                         if (c.affinity - affinity[c.v]).abs() > 1e-12 {
-                            heap.push(Cand { affinity: affinity[c.v], v: c.v });
+                            heap.push(Cand {
+                                affinity: affinity[c.v],
+                                v: c.v,
+                            });
                             continue;
                         }
                         break Some(c.v);
@@ -79,7 +84,10 @@ fn greedy_growing(g: &CsrGraph, targets: &PartTargets, rng: &mut StdRng) -> Vec<
             for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
                 if part[u] == UNASSIGNED {
                     affinity[u] += w;
-                    heap.push(Cand { affinity: affinity[u], v: u });
+                    heap.push(Cand {
+                        affinity: affinity[u],
+                        v: u,
+                    });
                 }
             }
         }

@@ -3,7 +3,7 @@
 //! growing, and boundary FM on the edge cut.
 
 use dlb_hypergraph::subset::induced_subgraph;
-use dlb_hypergraph::{CsrGraph, PartTargets, PartId};
+use dlb_hypergraph::{CsrGraph, PartId, PartTargets};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -101,7 +101,11 @@ mod tests {
         let cfg = GraphConfig::seeded(3);
         let r = partition_kway(&g, 8, &cfg);
         assert!(r.part.iter().all(|&p| p < 8));
-        assert!(r.imbalance <= 1.0 + cfg.epsilon + 0.02, "imbalance {}", r.imbalance);
+        assert!(
+            r.imbalance <= 1.0 + cfg.epsilon + 0.02,
+            "imbalance {}",
+            r.imbalance
+        );
         let w = metrics::graph_part_weights(&g, &r.part, 8);
         assert!(w.iter().all(|&x| x > 0.0), "empty part: {w:?}");
     }

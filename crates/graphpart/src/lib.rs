@@ -60,7 +60,11 @@ impl GraphPartitionResult {
     pub(crate) fn evaluate(g: &CsrGraph, part: Vec<PartId>, k: usize) -> Self {
         let edge_cut = metrics::edge_cut(g, &part, k);
         let imbalance = metrics::graph_imbalance(g, &part, k);
-        GraphPartitionResult { part, edge_cut, imbalance }
+        GraphPartitionResult {
+            part,
+            edge_cut,
+            imbalance,
+        }
     }
 }
 
@@ -107,7 +111,11 @@ pub(crate) mod tests {
         let g = grid_graph(16, 16);
         let cfg = GraphConfig::seeded(1);
         let r = partition_kway(&g, 4, &cfg);
-        assert!(r.imbalance <= 1.0 + cfg.epsilon + 0.02, "imbalance {}", r.imbalance);
+        assert!(
+            r.imbalance <= 1.0 + cfg.epsilon + 0.02,
+            "imbalance {}",
+            r.imbalance
+        );
         assert!(r.edge_cut <= 64.0, "edge cut {}", r.edge_cut);
     }
 

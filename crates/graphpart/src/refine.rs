@@ -11,7 +11,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dlb_hypergraph::{CsrGraph, PartTargets, PartId};
+use dlb_hypergraph::{CsrGraph, PartId, PartTargets};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -27,7 +27,10 @@ pub(crate) struct Objective<'a> {
 
 impl Objective<'_> {
     /// Pure edge-cut objective (scratch partitioning).
-    pub(crate) const CUT_ONLY: Objective<'static> = Objective { alpha: 1.0, old_part: None };
+    pub(crate) const CUT_ONLY: Objective<'static> = Objective {
+        alpha: 1.0,
+        old_part: None,
+    };
 }
 
 /// Incrementally maintained graph partition state.
@@ -48,7 +51,12 @@ impl<'a> GraphState<'a> {
         for (v, &p) in part.iter().enumerate() {
             weights[p] += g.vertex_weight(v);
         }
-        GraphState { g, k, part, weights }
+        GraphState {
+            g,
+            k,
+            part,
+            weights,
+        }
     }
 
     /// Moves `v` to `q`.
@@ -160,7 +168,11 @@ pub(crate) struct GraphMoveScratch {
 impl GraphMoveScratch {
     /// Scratch for `k` parts.
     pub(crate) fn new(k: usize) -> Self {
-        GraphMoveScratch { mark: vec![0; k], cands: Vec::new(), stamp: 0 }
+        GraphMoveScratch {
+            mark: vec![0; k],
+            cands: Vec::new(),
+            stamp: 0,
+        }
     }
 }
 
@@ -183,7 +195,9 @@ impl PartialOrd for Cand {
 }
 impl Ord for Cand {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.gain.total_cmp(&other.gain).then_with(|| other.v.cmp(&self.v))
+        self.gain
+            .total_cmp(&other.gain)
+            .then_with(|| other.v.cmp(&self.v))
     }
 }
 
@@ -394,7 +408,10 @@ mod tests {
         let state = GraphState::new(&g, 2, part);
         // alpha tiny: migration dominates; moving 0 to part 1 costs its
         // size with no migration benefit.
-        let obj = Objective { alpha: 1e-6, old_part: Some(&old) };
+        let obj = Objective {
+            alpha: 1e-6,
+            old_part: Some(&old),
+        };
         assert!(state.gain(0, 1, &obj) < 0.0);
     }
 
@@ -405,7 +422,10 @@ mod tests {
         let mut part = old.clone();
         part[0] = 1; // strayed
         let state = GraphState::new(&g, 2, part);
-        let obj = Objective { alpha: 1e-6, old_part: Some(&old) };
+        let obj = Objective {
+            alpha: 1e-6,
+            old_part: Some(&old),
+        };
         assert!(state.gain(0, 0, &obj) > 0.0);
     }
 
