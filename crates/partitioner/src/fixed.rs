@@ -81,8 +81,13 @@ impl FixedAssignment {
     /// unless they are fixed to different parts.
     #[inline]
     pub(crate) fn compatible(&self, u: usize, v: usize) -> bool {
-        let (fu, fv) = (self.fixed[u], self.fixed[v]);
-        fu < 0 || fv < 0 || fu == fv
+        // `v`'s entry is read only when `u` is fixed: a free vertex's
+        // scan of its candidates reads nothing per candidate.
+        let fu = self.fixed[u];
+        fu < 0 || {
+            let fv = self.fixed[v];
+            fv < 0 || fu == fv
+        }
     }
 
     /// The fixed part of a coarse vertex formed by merging `u` and `v`

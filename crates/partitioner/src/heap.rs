@@ -13,9 +13,9 @@
 //! per-part queues must hold exactly the current bound of every
 //! candidate, and `initial::greedy_growing`, whose frontier raises an
 //! affinity for every net it meets. The third, FM (`refine::fm_pass`),
-//! never changes a key — it wants the membership test and the same pop
-//! order, and so needs no second queue type. This is the crate's only
-//! priority queue.
+//! never changes a key — it wants the membership test, the same pop
+//! order and [`Heaps::fill`], which seeds a heap in one heapify, and so
+//! needs no second queue type. This is the crate's only priority queue.
 
 /// Position of an id no heap holds.
 const ABSENT: u32 = u32::MAX;
@@ -83,6 +83,27 @@ impl Heaps {
         settle(heap, &mut self.pos, at, (key, id));
     }
 
+    /// Fills the empty heap `h` with `entries`, `(id, key)` pairs of ids
+    /// no heap holds, in one bottom-up heapify: `O(len)` where a `set`
+    /// per entry is `O(len log len)`. What pops afterwards does not
+    /// depend on the order of `entries`: the top is always the first
+    /// held entry in pop order, and no two entries tie (ids differ), so
+    /// the pops are those of a `set` per entry in any order.
+    pub(crate) fn fill(&mut self, h: usize, entries: impl IntoIterator<Item = (usize, f64)>) {
+        let heap = &mut self.heaps[h];
+        debug_assert!(heap.is_empty(), "heap {h} is not empty");
+        for (id, key) in entries {
+            debug_assert!(!key.is_nan(), "NaN key for id {id}");
+            debug_assert_eq!(self.pos[id], ABSENT, "id {id} is held already");
+            self.pos[id] = heap.len() as u32;
+            heap.push((key, id));
+        }
+        for at in (0..heap.len() / 2).rev() {
+            let entry = heap[at];
+            sift_down(heap, &mut self.pos, at, entry);
+        }
+    }
+
     /// Takes `id` out of heap `h`, which must hold it.
     pub(crate) fn remove(&mut self, h: usize, id: usize) {
         let heap = &mut self.heaps[h];
@@ -110,6 +131,12 @@ impl Heaps {
         let top = self.peek(h)?;
         self.remove(h, top.0);
         Some(top)
+    }
+
+    /// Number of entries heap `h` holds.
+    #[inline]
+    pub(crate) fn len(&self, h: usize) -> usize {
+        self.heaps[h].len()
     }
 
     /// Empties every heap and makes the id space `0..n`, keeping the
@@ -272,6 +299,43 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert_eq!(ids, [0, 3, 8, 11, 17, 29, 30, 42, 49, 5]);
+    }
+
+    /// `fill` then pops equals a `set` per entry in shuffled order then
+    /// pops, ties on the key included, and leaves a heap the other
+    /// operations keep working on.
+    #[test]
+    fn fill_pops_what_sets_pop() {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(0xF111);
+        for round in 0..60 {
+            let n = rng.gen_range(1usize..80);
+            let mut entries: Vec<(usize, f64)> = Vec::new();
+            for id in 0..n {
+                if rng.gen_bool(0.7) {
+                    entries.push((id, f64::from(rng.gen_range(-3i32..4))));
+                }
+            }
+            let mut filled = Heaps::new(2, n);
+            filled.fill(1, entries.iter().copied());
+            check(&filled);
+            entries.shuffle(&mut rng);
+            let mut set = Heaps::new(2, n);
+            for &(id, key) in &entries {
+                set.set(1, id, key);
+            }
+            if round % 2 == 1 && !entries.is_empty() {
+                // Keep using the filled heap: re-key, remove, insert.
+                let (id, _) = entries[0];
+                for heaps in [&mut filled, &mut set] {
+                    heaps.set(1, id, 10.0);
+                    heaps.remove(1, entries[entries.len() / 2].0);
+                }
+                check(&filled);
+            }
+            let pops = |heaps: &mut Heaps| std::iter::from_fn(|| heaps.pop(1)).collect::<Vec<_>>();
+            assert_eq!(pops(&mut filled), pops(&mut set), "round {round}");
+        }
     }
 
     /// Heaps sharing the position array: an id is in the heap it was put

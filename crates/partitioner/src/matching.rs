@@ -80,55 +80,206 @@ impl Matching {
     }
 }
 
-/// The IPM scoring kernel, the one copy every matcher runs: accumulates
-/// `u`'s inner products over `nets` against the stored pins `admit` lets
-/// through, into `scores` (indexed by [`LevelView::slot`], all-zero on
-/// entry and wherever `touched` does not list). `touched` receives the
-/// scored vertices in first-touch order; the caller reads their scores
-/// and resets them to zero. Returns the pins walked.
+/// What net `j` of `view` adds to the score of each pair of its pins, or
+/// `None` for a net scoring skips: one outside
+/// `2..=MAX_NET_SIZE_FOR_MATCHING` pins or one whose contribution is not
+/// positive. The one definition of both, for every [`PinSource`].
+#[inline]
+fn contribution<V: LevelView>(view: &V, j: usize, cfg: &CoarseningConfig) -> Option<f64> {
+    let size = view.net_size(j);
+    if !(2..=MAX_NET_SIZE_FOR_MATCHING).contains(&size) {
+        return None;
+    }
+    let contrib = if cfg.scaled_ipm {
+        view.net_cost(j) / (size - 1) as f64
+    } else {
+        view.net_cost(j)
+    };
+    (contrib > 0.0).then_some(contrib)
+}
+
+/// Where [`accumulate_scores`] reads a net from.
+pub(crate) trait PinSource {
+    /// The net's [`contribution`].
+    fn contribution(&self, j: usize) -> Option<f64>;
+    /// Calls `visit` on every pin of net `j` that `admit` lets through,
+    /// in stored order, and returns the pins walked.
+    fn walk(&mut self, j: usize, admit: impl FnMut(usize) -> bool, visit: impl FnMut(usize))
+        -> u64;
+}
+
+/// A view's own pin lists, walked whole: for the SPMD rounds, whose
+/// admit test is per round (a pin refused in one round may be admitted
+/// in the next), and for the CAS matcher, whose admit test races.
+#[derive(Clone, Copy)]
+pub(crate) struct StoredPins<'a, V> {
+    pub(crate) view: &'a V,
+    pub(crate) cfg: &'a CoarseningConfig,
+}
+
+impl<V: LevelView> PinSource for StoredPins<'_, V> {
+    #[inline]
+    fn contribution(&self, j: usize) -> Option<f64> {
+        contribution(self.view, j, self.cfg)
+    }
+
+    #[inline]
+    fn walk(
+        &mut self,
+        j: usize,
+        mut admit: impl FnMut(usize) -> bool,
+        mut visit: impl FnMut(usize),
+    ) -> u64 {
+        let pins = self.view.pins(j);
+        for &w in pins {
+            if admit(w) {
+                visit(w);
+            }
+        }
+        pins.len() as u64
+    }
+}
+
+/// The serial matcher's live pins: a per-call `u32` copy of the nets
+/// [`contribution`] scores, each holding first the pins still unmatched
+/// when it was last walked, in stored order.
 ///
-/// Net order and pin order are the storage's, and a distributed level
-/// stores a rank's own pins in net order, so restricted to the vertices
-/// a rank stores the float accumulation and the first-touch order are
-/// the same on both storage forms.
+/// A matched vertex stays matched, so a walk drops every pin `admit`
+/// refuses by a stable in-place compaction: the pins it keeps are the
+/// ones the full list would have admitted, in the same order, so every
+/// score sums the same terms in the same order and the first-touch order
+/// is unchanged. The walk costs the net's live pins, not its stored ones,
+/// and a net's contribution is read from the same record as its pins.
+struct LivePins {
+    nets: Vec<LiveNet>,
+    pins: Vec<u32>,
+}
+
+/// One net of [`LivePins`].
+#[derive(Clone, Copy)]
+struct LiveNet {
+    /// The net's contribution, 0 for a net scoring skips (whose copy is
+    /// empty).
+    contrib: f64,
+    /// Where the net's copy starts in `pins`.
+    from: u32,
+    /// How many of the copied pins are live.
+    len: u32,
+}
+
+impl LivePins {
+    fn new(view: &Replicated<'_>, cfg: &CoarseningConfig) -> Self {
+        let h = view.h;
+        // Every pin is a vertex id below `n`, so once `n` fits, each
+        // `as u32` below is exact.
+        u32::try_from(h.num_vertices()).expect("live pins are 32-bit vertex ids");
+        let (xpins, all) = h.pin_csr();
+        let offset = |at: usize| u32::try_from(at).expect("live pins hold under 2^32 pins");
+        // Sized first, then filled: one allocation of the exact size.
+        let mut copied = 0;
+        let nets: Vec<LiveNet> = (0..h.num_nets())
+            .map(|j| {
+                let from = offset(copied);
+                let contrib = contribution(view, j, cfg).unwrap_or(0.0);
+                if contrib > 0.0 {
+                    copied += xpins[j + 1] - xpins[j];
+                }
+                LiveNet {
+                    contrib,
+                    from,
+                    len: offset(copied) - from,
+                }
+            })
+            .collect();
+        let mut pins = Vec::with_capacity(copied);
+        for (j, net) in nets.iter().enumerate() {
+            if net.len > 0 {
+                pins.extend(all[xpins[j]..xpins[j + 1]].iter().map(|&w| w as u32));
+            }
+        }
+        LivePins { nets, pins }
+    }
+}
+
+impl PinSource for &mut LivePins {
+    #[inline]
+    fn contribution(&self, j: usize) -> Option<f64> {
+        let contrib = self.nets[j].contrib;
+        (contrib > 0.0).then_some(contrib)
+    }
+
+    #[inline]
+    fn walk(
+        &mut self,
+        j: usize,
+        mut admit: impl FnMut(usize) -> bool,
+        mut visit: impl FnMut(usize),
+    ) -> u64 {
+        let LiveNet { from, len, .. } = self.nets[j];
+        let live = &mut self.pins[from as usize..][..len as usize];
+        let mut kept = 0;
+        for at in 0..live.len() {
+            let w = live[at];
+            if admit(w as usize) {
+                // Only what moves is written: until a pin is dropped,
+                // the walk leaves the copy as it was.
+                if kept != at {
+                    live[kept] = w;
+                }
+                kept += 1;
+                visit(w as usize);
+            }
+        }
+        if kept != live.len() {
+            self.nets[j].len = kept as u32;
+        }
+        u64::from(len)
+    }
+}
+
+/// The IPM scoring kernel, the one copy every matcher runs: accumulates
+/// `u`'s inner products over `nets` against the pins of `pins` that
+/// `admit` lets through, into `scores` (indexed by [`LevelView::slot`],
+/// all-zero on entry and wherever `touched` does not list). `touched`
+/// receives the scored vertices in first-touch order; the caller reads
+/// their scores and resets them to zero. Returns the pins walked.
+///
+/// `pins` is the serial matcher's [`LivePins`], which walk only the pins
+/// still unmatched, or the view's own lists ([`StoredPins`]: SPMD
+/// rounds, the CAS matcher). Either way the admitted pins are met in
+/// stored order, so the float accumulation and the first-touch order are
+/// the same. Net order and pin order are the storage's, and a
+/// distributed level stores a rank's own pins in net order, so
+/// restricted to the vertices a rank stores they are also the same on
+/// both storage forms.
 #[inline]
 pub(crate) fn accumulate_scores<V: LevelView>(
     view: &V,
+    mut pins: impl PinSource,
     u: usize,
     nets: &[usize],
-    cfg: &CoarseningConfig,
     mut admit: impl FnMut(usize) -> bool,
     scores: &mut [f64],
     touched: &mut Vec<usize>,
 ) -> u64 {
     touched.clear();
-    let mut pins_scanned = 0u64;
+    let mut pins_walked = 0u64;
     for &j in nets {
-        let size = view.net_size(j);
-        if !(2..=MAX_NET_SIZE_FOR_MATCHING).contains(&size) {
+        let Some(contrib) = pins.contribution(j) else {
             continue;
-        }
-        let contrib = if cfg.scaled_ipm {
-            view.net_cost(j) / (size - 1) as f64
-        } else {
-            view.net_cost(j)
         };
-        if contrib <= 0.0 {
-            continue;
-        }
-        pins_scanned += size as u64;
-        for &w in view.pins(j) {
-            if w == u || !admit(w) {
-                continue;
+        pins_walked += pins.walk(j, &mut admit, |w| {
+            if w == u {
+                return;
             }
             let s = view.slot(w);
             if scores[s] == 0.0 {
                 touched.push(w);
             }
             scores[s] += contrib;
-        }
+        });
     }
-    pins_scanned
+    pins_walked
 }
 
 /// Computes a greedy first-choice IPM matching of `h` honoring `fixed`.
@@ -185,11 +336,14 @@ pub(crate) fn ipm_matching_mode(
     order.shuffle(rng);
 
     let mut mate: Vec<usize> = (0..n).collect();
+    // `mate[v] != v` as one byte per vertex: the test every live pin
+    // meets, on an array an eighth the size of `mate`.
+    let mut matched = vec![false; n];
     let mut num_pairs = 0;
 
-    // Deterministic trace tallies (emitted once at the end): pins walked
-    // while scoring visited-unmatched vertices, and candidates refused
-    // for fixed-part incompatibility.
+    // Deterministic trace tallies (emitted once at the end): live pins
+    // walked while scoring visited-unmatched vertices, and candidates
+    // refused for fixed-part incompatibility.
     let mut pins_scanned = 0u64;
     let mut refused_fixed = 0u64;
 
@@ -200,16 +354,18 @@ pub(crate) fn ipm_matching_mode(
     let mut touched = parallel::scratch_vec::<usize>();
 
     let view = Replicated::whole(h, fixed);
+    // Freed on return: one copy per call, sized to this level.
+    let mut live = LivePins::new(&view, cfg);
     for &u in &order {
-        if mate[u] != u {
+        if matched[u] {
             continue;
         }
         pins_scanned += accumulate_scores(
             &view,
+            &mut live,
             u,
             h.vertex_nets(u),
-            cfg,
-            |w| mate[w] == w,
+            |w| !matched[w],
             &mut scores,
             &mut touched,
         );
@@ -232,6 +388,7 @@ pub(crate) fn ipm_matching_mode(
         if let Some(w) = best {
             mate[u] = w;
             mate[w] = u;
+            (matched[u], matched[w]) = (true, true);
             num_pairs += 1;
         }
     }
@@ -382,9 +539,9 @@ fn ipm_matching_cas(
                 // attempt below.
                 local_pins += accumulate_scores(
                     &view,
+                    StoredPins { view: &view, cfg },
                     u,
                     h.vertex_nets(u),
-                    cfg,
                     |w| slots[w].load(Ordering::Relaxed) >= HELD,
                     scores,
                     touched,
@@ -601,6 +758,150 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The serial matcher as it was before [`LivePins`]: every visit
+    /// walks the view's whole pin lists. The reference of
+    /// `live_pins_match_the_full_walk` (the role `contract_reference` has
+    /// for contraction). Returns the matching, the pins walked and the
+    /// candidates refused for fixed-part incompatibility.
+    fn ipm_matching_reference(
+        h: &Hypergraph,
+        fixed: &FixedAssignment,
+        parts: Option<&[usize]>,
+        cfg: &CoarseningConfig,
+        rng: &mut StdRng,
+    ) -> (Matching, u64, u64) {
+        let n = h.num_vertices();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(rng);
+        let mut mate: Vec<usize> = (0..n).collect();
+        let (mut num_pairs, mut pins_scanned, mut refused_fixed) = (0, 0u64, 0u64);
+        let mut scores = vec![0.0f64; n];
+        let mut touched = Vec::new();
+        let view = Replicated::whole(h, fixed);
+        for &u in &order {
+            if mate[u] != u {
+                continue;
+            }
+            pins_scanned += accumulate_scores(
+                &view,
+                StoredPins { view: &view, cfg },
+                u,
+                h.vertex_nets(u),
+                |w| mate[w] == w,
+                &mut scores,
+                &mut touched,
+            );
+            let mut best: Option<usize> = None;
+            let mut best_score = 0.0;
+            for &w in touched.iter() {
+                let s = scores[w];
+                scores[w] = 0.0;
+                if !fixed.compatible(u, w) {
+                    refused_fixed += 1;
+                    continue;
+                }
+                if s > best_score && parts.is_none_or(|p| p[u] == p[w]) {
+                    best_score = s;
+                    best = Some(w);
+                }
+            }
+            if let Some(w) = best {
+                mate[u] = w;
+                mate[w] = u;
+                num_pairs += 1;
+            }
+        }
+        (Matching { mate, num_pairs }, pins_scanned, refused_fixed)
+    }
+
+    /// A random level for the matcher: nets of 0, 1, 2–7 and 301–340
+    /// pins, a few of zero cost, the rest integer or (`fractional`)
+    /// `0.1..3.0`; about a fifth of the vertices fixed to one of 4 parts,
+    /// and a 4-part restriction.
+    fn random_level(
+        rng: &mut StdRng,
+        fractional: bool,
+    ) -> (Hypergraph, FixedAssignment, Vec<usize>) {
+        use rand::Rng;
+        let n = rng.gen_range(350usize..600);
+        let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
+        for _ in 0..rng.gen_range(n..3 * n) {
+            let size = match rng.gen_range(0..40) {
+                0 => 0,
+                1..=3 => 1,
+                4 => rng.gen_range(MAX_NET_SIZE_FOR_MATCHING + 1..=340),
+                _ => rng.gen_range(2usize..8),
+            };
+            let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
+            let cost = match rng.gen_range(0..10) {
+                0 => 0.0,
+                _ if fractional => rng.gen_range(0.1f64..3.0),
+                _ => rng.gen_range(1..4) as f64,
+            };
+            b.add_net(cost, pins);
+        }
+        let fixed: Vec<Option<usize>> = (0..n)
+            .map(|_| rng.gen_bool(0.2).then(|| rng.gen_range(0..4)))
+            .collect();
+        let parts = (0..n).map(|_| rng.gen_range(0..4)).collect();
+        (b.build(), FixedAssignment::from_options(&fixed), parts)
+    }
+
+    /// Live-pin scoring picks the mates the full walk picks — same
+    /// matching, same RNG draws, same fixed-part refusals — with and
+    /// without a part restriction, scaled and unscaled, on integer and
+    /// fractional costs, and walks fewer pins doing it.
+    #[test]
+    fn live_pins_match_the_full_walk() {
+        let mut rng = StdRng::seed_from_u64(0x11FE);
+        let (mut live_total, mut full_total) = (0u64, 0u64);
+        for case in 0..16u64 {
+            let (h, fixed, parts) = random_level(&mut rng, case % 2 == 1);
+            let mut c = cfg();
+            c.scaled_ipm = case % 4 < 2;
+            for restriction in [None, Some(parts.as_slice())] {
+                let (want, full, refused) = ipm_matching_reference(
+                    &h,
+                    &fixed,
+                    restriction,
+                    &c,
+                    &mut StdRng::seed_from_u64(case),
+                );
+                let session = dlb_trace::session();
+                let got = ipm_matching_mode(
+                    &h,
+                    &fixed,
+                    restriction,
+                    &c,
+                    &mut StdRng::seed_from_u64(case),
+                    1,
+                    Determinism::Strict,
+                );
+                let report = session.finish();
+                let what = format!("case {case}, restricted {}", restriction.is_some());
+                assert_eq!(got.mate, want.mate, "{what}");
+                assert_eq!(got.num_pairs, want.num_pairs, "{what}");
+                assert!(got.num_pairs > 0, "{what}: nothing matched");
+                use dlb_trace::Counter;
+                assert_eq!(
+                    report.counter(Counter::CoarsenMatchesRefusedFixed),
+                    refused,
+                    "{what}"
+                );
+                let live = report.counter(Counter::CoarsenPinsScanned);
+                assert!(
+                    live <= full,
+                    "{what}: {live} live pins walked, {full} in all"
+                );
+                (live_total, full_total) = (live_total + live, full_total + full);
+            }
+        }
+        assert!(
+            3 * live_total < 2 * full_total,
+            "{live_total} live pins walked of {full_total}"
+        );
     }
 
     /// Fast at one effective thread dispatches to the exact Strict

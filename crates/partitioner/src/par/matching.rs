@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::CoarseningConfig;
 use crate::fixed::{compatible_parts, FixedAssignment};
-use crate::matching::{accumulate_scores, Matching};
+use crate::matching::{accumulate_scores, Matching, StoredPins};
 use crate::view::{LevelView, Replicated};
 
 /// Fraction of a rank's unmatched owned vertices nominated per round.
@@ -173,7 +173,8 @@ pub(crate) fn candidate_matching<'v, V: LevelView>(
                 let free = |w: usize| {
                     owned.contains(&w) && mate[view.slot(w)] == w && !taken[view.slot(w)]
                 };
-                accumulate_scores(view, c.0, &c.3, cfg, free, &mut scores, &mut touched);
+                let pins = StoredPins { view, cfg };
+                accumulate_scores(view, pins, c.0, &c.3, free, &mut scores, &mut touched);
                 let partners = drain_scores(view, &mut scores, &touched);
                 propose(view, rank, &ids, c, parts, partners, &mut taken)
             })

@@ -1248,6 +1248,17 @@ pub(crate) fn greedy_repair(
 }
 
 /// One FM pass with rollback. Returns the cut improvement kept.
+///
+/// The queue is seeded with every free boundary vertex that has a move,
+/// in one [`Heaps::fill`]; pops are a function of the queued `(gain,
+/// id)` entries, not of the order they entered in. After each applied
+/// move the pass walks the mover's nets (up to
+/// [`MAX_NET_SIZE_FOR_UPDATES`] pins) and queues every free vertex that
+/// is neither locked nor queued — an *idle* one. It keeps the number of
+/// idle vertices, and the walk stops as soon as none is left: every pin
+/// after that would be skipped anyway, so the moves, the prefix kept and
+/// the `best_move` evaluations are those of the full walk, and only
+/// `fm_pins_touched` (the pins the walk visits) tells them apart.
 fn fm_pass(
     state: &mut PartitionState<Replicated<'_>>,
     targets: &PartTargets,
@@ -1263,17 +1274,29 @@ fn fm_pass(
 
     let mut boundary = std::mem::take(&mut scratch.boundary);
     state.owned_boundary_into(&mut boundary);
+    let to = &mut scratch.to;
+    scratch.heap.fill(
+        0,
+        boundary
+            .iter()
+            .filter(|&&v| !fixed.is_fixed(v))
+            .filter_map(|&v| {
+                let (q, gain) = state.best_move(v, targets)?;
+                to[v] = q;
+                Some((v, gain))
+            }),
+    );
+    // The pop order does not depend on the seeding order, so this
+    // shuffle decides nothing in this pass. It stays because later
+    // passes and levels draw from the RNG stream after it: dropping it
+    // would move every later draw.
     boundary.shuffle(rng);
-    for &v in &boundary {
-        if fixed.is_fixed(v) {
-            continue;
-        }
-        if let Some(mv) = state.best_move(v, targets) {
-            scratch.queue(v, mv);
-        }
-    }
     scratch.boundary = boundary;
 
+    // Free vertices neither locked nor queued: the ones a neighbour walk
+    // can still queue.
+    let mut idle = n - fixed.num_fixed() - scratch.heap.len(0);
+    let mut pins_touched = 0u64;
     let mut cum = 0.0;
     let mut best_cum = 0.0;
     let mut best_len = 0usize;
@@ -1283,17 +1306,20 @@ fn fm_pass(
         if scratch.locked[v] || fixed.is_fixed(v) {
             continue;
         }
+        idle += 1;
         // Lazy revalidation: the move it entered with may be stale.
         let Some((to, gain)) = state.best_move(v, targets) else {
             continue;
         };
         if to != scratch.to[v] || (gain - key).abs() > 1e-9 {
             scratch.queue(v, (to, gain));
+            idle -= 1;
             continue;
         }
         let from = state.part[v];
         state.apply(v, to);
         scratch.locked[v] = true;
+        idle -= 1;
         scratch.applied.push((v, from));
         cum += gain;
         if cum > best_cum + 1e-12 {
@@ -1306,20 +1332,36 @@ fn fm_pass(
                 break;
             }
         }
-        // Queue the neighbors whose gains changed, unless they are in it.
-        for &j in h.vertex_nets(v) {
+        // Queue the neighbors whose gains changed, unless they are in it,
+        // while any vertex is left to queue.
+        'walk: for &j in h.vertex_nets(v) {
+            if idle == 0 {
+                break;
+            }
             if h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
                 continue;
             }
             for &w in h.net(j) {
+                pins_touched += 1;
                 if !scratch.locked[w] && !scratch.heap.contains(w) && !fixed.is_fixed(w) {
                     if let Some(mv) = state.best_move(w, targets) {
                         scratch.queue(w, mv);
+                        idle -= 1;
+                        if idle == 0 {
+                            break 'walk;
+                        }
                     }
                 }
             }
         }
     }
+    debug_assert_eq!(
+        idle,
+        (0..n)
+            .filter(|&w| !scratch.locked[w] && !scratch.heap.contains(w) && !fixed.is_fixed(w))
+            .count(),
+        "idle count drifted"
+    );
 
     // Roll back past the best prefix.
     for &(v, from) in scratch.applied[best_len..].iter().rev() {
@@ -1334,6 +1376,7 @@ fn fm_pass(
         dlb_trace::Counter::FmMovesRolledBack,
         attempted - best_len as u64,
     );
+    dlb_trace::count(dlb_trace::Counter::FmPinsTouched, pins_touched);
     best_cum
 }
 
@@ -1810,22 +1853,25 @@ pub(crate) mod tests {
     }
 
     /// [`fm_pass`] as it was before it queued on [`Heaps`]: a
-    /// `BinaryHeap<Cand>` with a `queued` flag per vertex beside it. The
-    /// reference of `fm_on_the_shared_heap_equals_the_binary_heap_reference`
-    /// (the role `greedy_growing_lazy` has for GHG). Returns the moves
-    /// applied as `(vertex, from)`, how many of them were kept, and the
-    /// gain kept.
+    /// `BinaryHeap<Cand>` with a `queued` flag per vertex beside it,
+    /// seeded one push at a time in shuffled order, and a neighbour walk
+    /// over every pin of the mover's nets. The reference of
+    /// `fm_on_the_shared_heap_equals_the_binary_heap_reference` (the role
+    /// `greedy_growing_lazy` has for GHG). Returns the moves applied as
+    /// `(vertex, from)`, how many of them were kept, the gain kept and
+    /// the pins the neighbour walks visited.
     fn fm_pass_binary_heap(
         state: &mut PartitionState<Replicated<'_>>,
         targets: &PartTargets,
         rng: &mut StdRng,
-    ) -> (Vec<(usize, PartId)>, usize, f64) {
+    ) -> (Vec<(usize, PartId)>, usize, f64, u64) {
         use std::collections::BinaryHeap;
         let Replicated { h, fixed, .. } = state.view;
         let mut heap = BinaryHeap::new();
         let mut locked = vec![false; h.num_vertices()];
         let mut queued = vec![false; h.num_vertices()];
         let mut applied = Vec::new();
+        let mut pins_touched = 0u64;
 
         let mut boundary = Vec::new();
         state.owned_boundary_into(&mut boundary);
@@ -1874,6 +1920,7 @@ pub(crate) mod tests {
                     continue;
                 }
                 for &w in h.net(j) {
+                    pins_touched += 1;
                     if !locked[w] && !queued[w] && !fixed.is_fixed(w) {
                         if let Some((to, gain)) = state.best_move(w, targets) {
                             heap.push(Cand { gain, v: w, to });
@@ -1886,17 +1933,21 @@ pub(crate) mod tests {
         for &(v, from) in applied[best_len..].iter().rev() {
             state.apply(v, from);
         }
-        (applied, best_len, best_cum)
+        (applied, best_len, best_cum, pins_touched)
     }
 
     /// (c) FM on the crate's addressable heap pops what the `BinaryHeap`
     /// did — a vertex is queued at most once and never re-keyed, so the
-    /// pop sequence is a function of the queued set: same moves applied in
-    /// the same order, same prefix kept, same partition, pass after pass.
+    /// pop sequence is a function of the queued set, whatever order the
+    /// seeds went in: same moves applied in the same order, same prefix
+    /// kept, same partition, same `best_move` evaluations, pass after
+    /// pass — while the neighbour walks, stopping once no vertex is idle,
+    /// visit fewer pins than the full walks.
     #[test]
     fn fm_on_the_shared_heap_equals_the_binary_heap_reference() {
         let mut rng = StdRng::seed_from_u64(0xF3A9);
         let mut applied_total = 0;
+        let (mut touched, mut touched_full) = (0u64, 0u64);
         for case in 0..24 {
             let k = rng.gen_range(2usize..7);
             let n = rng.gen_range(40usize..160);
@@ -1911,9 +1962,18 @@ pub(crate) mod tests {
             // (it may stop early) must not leak into the next.
             for pass in 0..4 {
                 let start = state.part.clone();
+                let session = dlb_trace::session();
                 let kept = fm_pass(&mut state, &targets, &mut scratch, &mut rng_a);
-                let (applied, best_len, best_cum) =
+                let report = session.finish();
+                let (applied, best_len, best_cum, full) =
                     fm_pass_binary_heap(&mut reference, &targets, &mut rng_b);
+                assert_eq!(
+                    state.tally.evaluations, reference.tally.evaluations,
+                    "case {case} pass {pass}: gain evaluations"
+                );
+                let walked = report.counter(dlb_trace::Counter::FmPinsTouched);
+                assert!(walked <= full, "case {case} pass {pass}: pins touched");
+                (touched, touched_full) = (touched + walked, touched_full + full);
                 assert_eq!(
                     scratch.applied, applied,
                     "case {case} pass {pass}: applied sequence"
@@ -1942,6 +2002,10 @@ pub(crate) mod tests {
         assert!(
             applied_total > 500,
             "only {applied_total} moves: the rows exercise nothing"
+        );
+        assert!(
+            touched < touched_full,
+            "the walks never stopped early: {touched} of {touched_full} pins"
         );
     }
 

@@ -187,7 +187,10 @@ impl<'a> Held<'a> {
         if !(cx.cfg.dist.distributed && h.num_vertices() > cx.cfg.dist.gather_threshold) {
             return Held::Replicated(whole, restrict.map(<[PartId]>::to_vec));
         }
-        let level = DistLevel::from_replicated(h, fixed, comm.rank(), comm.size());
+        let level = {
+            let _span = dlb_trace::span!("dist.input");
+            DistLevel::from_replicated(h, fixed, comm.rank(), comm.size())
+        };
         cx.stats.observe(&level);
         let restrict = restrict.map(|part| part[level.dh.my_range()].to_vec());
         let held = Distributed {
@@ -236,6 +239,7 @@ impl<'a> Held<'a> {
         if let Held::Distributed(d, restrict) = self {
             let n = d.level.dh.num_vertices();
             if d.replica.is_none() && n <= cx.cfg.dist.gather_threshold {
+                let _gather = dlb_trace::span!("dist.gather");
                 span.attr("gathered", true);
                 cx.stats.gathered_vertices = n;
                 let comm = comm_of(&mut cx.comm);
@@ -419,15 +423,21 @@ fn solve_replicated(cx: &mut Cx, h: &Hypergraph, fixed: &FixedAssignment) -> Vec
     );
     let mut mine = initial_partition(h, cx.targets, fixed, &cx.cfg.initial, &mut my_rng);
     let refinement = &cx.cfg.refinement;
-    refine_with(
-        h,
-        cx.targets,
-        fixed,
-        &mut mine,
-        refinement,
-        &mut my_rng,
-        cx.scratch,
-    );
+    {
+        let _span = dlb_trace::span!("dist.initial.refine");
+        refine_with(
+            h,
+            cx.targets,
+            fixed,
+            &mut mine,
+            refinement,
+            &mut my_rng,
+            cx.scratch,
+        );
+    }
+    // Scoring this rank's solve, then the all-reduce and the broadcast,
+    // which wait for the slowest rank's.
+    let select = dlb_trace::span!("dist.initial.select");
     let my_score = score(h, &mine, cx.targets);
     let (_, winner) = comm.allreduce((my_score, comm.rank()), |a, b| {
         if a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_le() {
@@ -437,6 +447,7 @@ fn solve_replicated(cx: &mut Cx, h: &Hypergraph, fixed: &FixedAssignment) -> Vec
         }
     });
     let part = comm.broadcast(winner, mine);
+    drop(select);
     cx.attr_comm_delta(&span, before);
     part
 }
@@ -539,6 +550,8 @@ pub(crate) fn run(input: Held<'_>, cx: &mut Cx) -> Vec<PartId> {
         .solve(cx);
     while let Some(level) = stack.pop() {
         level.refine(cx, stack.len(), &mut part);
+        // Dropping the level is part of the projection's time.
+        let _span = dlb_trace::span!("project.level", level = stack.len());
         part = level.project(cx, part);
     }
     part

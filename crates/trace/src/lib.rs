@@ -111,8 +111,9 @@ counters! {
     /// IPM candidates discarded because fixed-vertex assignments were
     /// incompatible (counted in the serial selection loop).
     CoarsenMatchesRefusedFixed => "coarsen_matches_refused_fixed",
-    /// Pins iterated while scoring vertices that the serial IPM
-    /// selection loop actually visited unmatched.
+    /// Pins the serial IPM selection loop walked while scoring the
+    /// vertices it visited unmatched: live pins only, since a walk drops
+    /// the pins of matched vertices from its net's copy.
     CoarsenPinsScanned => "coarsen_pins_scanned",
     /// Vertices of the coarsest hypergraph handed to the coarse solve.
     CoarseVertices => "coarse_vertices",
@@ -130,6 +131,10 @@ counters! {
     FmMovesAccepted => "fm_moves_accepted",
     /// FM moves undone by prefix rollback.
     FmMovesRolledBack => "fm_moves_rolled_back",
+    /// Pins the FM neighbour re-queue walk visited after each applied
+    /// move (the walk stops once no free vertex is left outside the queue
+    /// and unlocked), flushed once per pass.
+    FmPinsTouched => "fm_pins_touched",
     /// Invocations of the greedy rebalance fixer (serial and
     /// distributed variants).
     RebalanceInvocations => "rebalance_invocations",

@@ -86,6 +86,7 @@
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::exit;
+use std::sync::Once;
 
 use dlb::amr::{AmrConfig, AmrStream};
 use dlb::core::{
@@ -439,8 +440,10 @@ fn write_partition(out: &Option<String>, part: &[usize]) {
 
 /// Builds the simulate subcommand's epoch source: the workload's base
 /// problem plus the static initial partition. Deterministic in the CLI
-/// parameters, so every SPMD rank builds an identical copy.
-fn make_sim_source(cli: &Cli) -> Box<dyn EpochSource> {
+/// parameters, so every SPMD rank builds an identical copy, and the
+/// workload banner goes to stderr through `banner` — once per command,
+/// however many ranks and runs build a copy.
+fn make_sim_source(cli: &Cli, banner: &Once) -> Box<dyn EpochSource> {
     match cli.workload.as_deref() {
         Some("amr") => {
             let mut amr_cfg = AmrConfig::for_scale(cli.scale.unwrap_or(0.0) as u8);
@@ -451,12 +454,14 @@ fn make_sim_source(cli: &Cli) -> Box<dyn EpochSource> {
             }
             let stream = AmrStream::new(amr_cfg, cli.k, cli.seed);
             let low = stream.initial_lowering();
-            eprintln!(
-                "amr: base {}..{} mesh, {} initial cells",
-                amr_cfg.base_level,
-                amr_cfg.max_level,
-                low.cells.len()
-            );
+            banner.call_once(|| {
+                eprintln!(
+                    "amr: base {}..{} mesh, {} initial cells",
+                    amr_cfg.base_level,
+                    amr_cfg.max_level,
+                    low.cells.len()
+                )
+            });
             let init = partition_kway(&low.graph, cli.k, &GraphConfig::seeded(cli.seed)).part;
             Box::new(AmrSource::new(stream, &init))
         }
@@ -468,7 +473,9 @@ fn make_sim_source(cli: &Cli) -> Box<dyn EpochSource> {
             };
             let dataset =
                 Dataset::generate(DatasetKind::Auto, cli.scale.unwrap_or(0.001), cli.seed);
-            eprintln!("{name}: auto dataset, {} vertices", dataset.graph.num_vertices());
+            banner.call_once(|| {
+                eprintln!("{name}: auto dataset, {} vertices", dataset.graph.num_vertices())
+            });
             let init =
                 partition_kway(&dataset.graph, cli.k, &GraphConfig::seeded(cli.seed)).part;
             Box::new(EpochStream::new(dataset.graph, perturbation, cli.k, init, cli.seed))
@@ -548,6 +555,7 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
     if cli.drift_threshold.is_some() && !cli.incremental {
         fail("--drift-threshold requires --incremental");
     }
+    let banner = Once::new();
     let build = |incremental: bool| {
         let mut session = Session::new(cfg.clone())
             .algorithm(cli.algorithm)
@@ -555,7 +563,7 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
             .epochs(cli.epochs)
             .ranks(cli.ranks)
             .measured(true)
-            .workload_factory(|_rank| make_sim_source(cli));
+            .workload_factory(|_rank| make_sim_source(cli, &banner));
         if incremental {
             session = session
                 .incremental(true)

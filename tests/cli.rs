@@ -379,6 +379,23 @@ fn simulate_two_constraint_amr_runs() {
 }
 
 #[test]
+fn simulate_prints_the_workload_banner_once() {
+    // Every rank builds its own copy of the source, and an incremental
+    // run builds them again for its baseline; the banner comes once.
+    for (workload, banner) in [("amr", "amr: base"), ("structure", "structure: auto dataset")] {
+        let output = dlb()
+            .args(["simulate", "-k", "4", "--workload", workload, "--epochs", "2"])
+            .args(["--ranks", "4", "--incremental"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{workload}: {stderr}");
+        let lines = stderr.lines().filter(|l| l.starts_with(banner)).count();
+        assert_eq!(lines, 1, "{workload}: {stderr}");
+    }
+}
+
+#[test]
 fn shrinking_a_structure_stream_runs_to_the_end() {
     // Absent vertices used to keep their pre-shrink label and crash the
     // next epoch (exit 101).
