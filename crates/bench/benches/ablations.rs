@@ -29,13 +29,7 @@ fn instance() -> Instance {
     let dataset = Dataset::generate(DatasetKind::Auto, 0.002, seed);
     let k = 8;
     let initial = partition_kway(&dataset.graph, k, &GraphConfig::seeded(seed)).part;
-    let mut stream = EpochStream::new(
-        dataset.graph,
-        Perturbation::structure(),
-        k,
-        initial,
-        seed,
-    );
+    let mut stream = EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
     let snapshot = stream.next_epoch();
     let model = RepartitionHypergraph::build(&snapshot.hypergraph, &snapshot.old_part, k, 10.0);
     Instance { model, k }
@@ -49,7 +43,10 @@ fn ablate(group: &str, label: &str, inst: &Instance, cfg: &Config) {
     let run = || partition_hypergraph_fixed(&inst.model.augmented, inst.k, &inst.model.fixed, cfg);
     let r = run();
     let obj = inst.model.objective(&inst.model.decode(&r.part));
-    eprintln!("[ablation quality] {label}: objective {obj:.1}, imbalance {:.3}", r.imbalance);
+    eprintln!(
+        "[ablation quality] {label}: objective {obj:.1}, imbalance {:.3}",
+        r.imbalance
+    );
     let samples: Vec<Duration> = (0..SAMPLES)
         .map(|_| {
             let start = Instant::now();

@@ -36,7 +36,10 @@ use dlb_workloads::{DatasetKind, PerturbKind};
 
 /// Sum of `f` over the rows (one per α) of one algorithm at one k.
 fn sum_over(rows: &[Row], k: usize, alg: Algorithm, f: impl Fn(&Row) -> f64) -> f64 {
-    rows.iter().filter(|r| r.k == k && r.algorithm == alg).map(f).sum()
+    rows.iter()
+        .filter(|r| r.k == k && r.algorithm == alg)
+        .map(f)
+        .sum()
 }
 
 fn main() {
@@ -50,7 +53,11 @@ fn main() {
     let quick = flags.switch("--quick");
     flags.finish();
 
-    let amr_cfg = if quick { AmrConfig::small() } else { AmrConfig::for_scale(scale) };
+    let amr_cfg = if quick {
+        AmrConfig::small()
+    } else {
+        AmrConfig::for_scale(scale)
+    };
     let mut cfg = SweepConfig::amr(amr_cfg);
     cfg.seed = seed;
     cfg.epochs = epochs;
@@ -85,7 +92,10 @@ fn main() {
         baseline_rows.extend(run_sweep(&bcfg, |_| {}));
     }
 
-    print!("{}", render_makespan_chart("AMR measured makespan", &amr_rows));
+    print!(
+        "{}",
+        render_makespan_chart("AMR measured makespan", &amr_rows)
+    );
 
     let mut all_rows = amr_rows.clone();
     all_rows.extend(baseline_rows.iter().cloned());
@@ -152,7 +162,10 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"repart_no_worse_in_normalised_total\": {repart_wins}");
+    let _ = writeln!(
+        json,
+        "  \"repart_no_worse_in_normalised_total\": {repart_wins}"
+    );
     json.push_str("}\n");
 
     std::fs::write("BENCH_amr.json", &json).expect("write BENCH_amr.json");

@@ -49,16 +49,23 @@ fn parse_args() -> Args {
         "figures --fig <2..8> [--scale S] [--trials T] [--epochs E] [--quick] [--ks ...] \
          [--alphas ...] [--out DIR] [--ranks R] [--seed N]",
     );
-    let Some(fig) = flags.value_in("--fig", 2..=8) else { flags.fail("--fig is required") };
+    let Some(fig) = flags.value_in("--fig", 2..=8) else {
+        flags.fail("--fig is required")
+    };
     let args = Args {
         fig,
         scale: flags.value_in("--scale", DATASET_SCALE),
         trials: flags.value_in("--trials", 1..),
         epochs: flags.value_in("--epochs", 1..),
         ks: flags.list("--ks", 2..),
-        alphas: flags.list("--alphas", (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY))),
+        alphas: flags.list(
+            "--alphas",
+            (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY)),
+        ),
         quick: flags.switch("--quick"),
-        out: flags.value("--out").unwrap_or_else(|| PathBuf::from("results")),
+        out: flags
+            .value("--out")
+            .unwrap_or_else(|| PathBuf::from("results")),
         ranks: flags.value_in("--ranks", 1..).unwrap_or(4),
         seed: flags.value("--seed").unwrap_or(42),
     };
@@ -70,21 +77,36 @@ fn parse_args() -> Args {
 /// host while preserving each dataset's regime.
 fn default_scale(kind: DatasetKind) -> f64 {
     match kind {
-        DatasetKind::Xyce680s => 0.01,  // ~6.8k vertices, sparse
-        DatasetKind::Lipid2D => 0.15,   // ~0.7k vertices, dense (29% density)
-        DatasetKind::Auto => 0.01,      // ~4.5k vertices, mesh
-        DatasetKind::Apoa1_10 => 0.01,  // ~0.9k vertices, high valence
-        DatasetKind::Cage14 => 0.003,   // ~4.5k vertices
+        DatasetKind::Xyce680s => 0.01, // ~6.8k vertices, sparse
+        DatasetKind::Lipid2D => 0.15,  // ~0.7k vertices, dense (29% density)
+        DatasetKind::Auto => 0.01,     // ~4.5k vertices, mesh
+        DatasetKind::Apoa1_10 => 0.01, // ~0.9k vertices, high valence
+        DatasetKind::Cage14 => 0.003,  // ~4.5k vertices
     }
 }
 
 fn figure_dataset(fig: u8) -> Vec<(DatasetKind, Vec<PerturbKind>)> {
     match fig {
-        2 => vec![(DatasetKind::Xyce680s, vec![PerturbKind::Structure, PerturbKind::Weights])],
-        3 => vec![(DatasetKind::Lipid2D, vec![PerturbKind::Structure, PerturbKind::Weights])],
-        4 => vec![(DatasetKind::Auto, vec![PerturbKind::Structure, PerturbKind::Weights])],
-        5 => vec![(DatasetKind::Apoa1_10, vec![PerturbKind::Structure, PerturbKind::Weights])],
-        6 => vec![(DatasetKind::Cage14, vec![PerturbKind::Structure, PerturbKind::Weights])],
+        2 => vec![(
+            DatasetKind::Xyce680s,
+            vec![PerturbKind::Structure, PerturbKind::Weights],
+        )],
+        3 => vec![(
+            DatasetKind::Lipid2D,
+            vec![PerturbKind::Structure, PerturbKind::Weights],
+        )],
+        4 => vec![(
+            DatasetKind::Auto,
+            vec![PerturbKind::Structure, PerturbKind::Weights],
+        )],
+        5 => vec![(
+            DatasetKind::Apoa1_10,
+            vec![PerturbKind::Structure, PerturbKind::Weights],
+        )],
+        6 => vec![(
+            DatasetKind::Cage14,
+            vec![PerturbKind::Structure, PerturbKind::Weights],
+        )],
         7 => vec![(DatasetKind::Xyce680s, vec![PerturbKind::Structure])],
         8 => vec![
             (DatasetKind::Lipid2D, vec![PerturbKind::Structure]),
@@ -123,7 +145,9 @@ fn main() {
                 cfg.alphas = alphas.clone();
             }
             if runtime_figure {
-                cfg.timing = TimingMode::Parallel { max_ranks: args.ranks };
+                cfg.timing = TimingMode::Parallel {
+                    max_ranks: args.ranks,
+                };
                 // Runtime figures fix alpha (cost is not the point).
                 if args.alphas.is_none() {
                     cfg.alphas = vec![100.0];

@@ -21,8 +21,8 @@
 
 use std::time::Instant;
 
-use dlb_bench::DATASET_SCALE;
 use dlb_bench::Flags;
+use dlb_bench::DATASET_SCALE;
 use dlb_core::{repartition_parallel, Algorithm, RepartConfig, RepartProblem};
 use dlb_graphpart::{partition_kway, GraphConfig};
 use dlb_mpisim::run_spmd;
@@ -32,14 +32,15 @@ fn main() {
     let mut flags = Flags::from_env("scalability [--scale S] [--k K] [--ranks 1,2,4,8]");
     let scale: f64 = flags.value_in("--scale", DATASET_SCALE).unwrap_or(0.005);
     let k: usize = flags.value_in("--k", 2..).unwrap_or(8);
-    let ranks_list: Vec<usize> = flags.list("--ranks", 1..).unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let ranks_list: Vec<usize> = flags
+        .list("--ranks", 1..)
+        .unwrap_or_else(|| vec![1, 2, 4, 8]);
     flags.finish();
     let seed = 42;
 
     let dataset = Dataset::generate(DatasetKind::Auto, scale, seed);
     let initial = partition_kway(&dataset.graph, k, &GraphConfig::seeded(seed)).part;
-    let mut stream =
-        EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
+    let mut stream = EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
     let snapshot = stream.next_epoch();
     println!(
         "scalability: auto-like, {} vertices, k={k}",
@@ -80,7 +81,11 @@ fn main() {
         );
         // The quality varies with the world size; its validity must
         // not: every rank count produces a legal, balanced partition.
-        assert!(r.imbalance <= 1.2, "ranks={ranks}: imbalance {}", r.imbalance);
+        assert!(
+            r.imbalance <= 1.2,
+            "ranks={ranks}: imbalance {}",
+            r.imbalance
+        );
     }
     println!("\nnote: single-host simulation — wall-clock shows protocol overhead,");
     println!("message counts show the communication scaling of the algorithm.");

@@ -9,8 +9,8 @@
 
 #![forbid(unsafe_code)]
 
-use dlb_bench::DATASET_SCALE;
 use dlb_bench::Flags;
+use dlb_bench::DATASET_SCALE;
 use dlb_workloads::{Dataset, DatasetKind};
 
 fn main() {
@@ -26,7 +26,9 @@ fn main() {
     );
     println!(
         "{:<10} | {:>44} | {:>44} | ",
-        "", "-- generated ----------------------------", "-- paper (Table 1) ----------------------"
+        "",
+        "-- generated ----------------------------",
+        "-- paper (Table 1) ----------------------"
     );
     // Paper's min/max degrees at full scale, for the reference columns.
     let paper_min_max = [(1, 209), (396, 1984), (4, 37), (54, 503), (3, 41)];

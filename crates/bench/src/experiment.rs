@@ -191,8 +191,7 @@ fn make_source(cfg: &SweepConfig, k: usize, trial_seed: u64) -> Box<dyn EpochSou
     match cfg.workload {
         Workload::Perturbed { dataset, perturb } => {
             let dataset = Dataset::generate(dataset, cfg.scale, trial_seed);
-            let initial =
-                partition_kway(&dataset.graph, k, &GraphConfig::seeded(trial_seed)).part;
+            let initial = partition_kway(&dataset.graph, k, &GraphConfig::seeded(trial_seed)).part;
             Box::new(EpochStream::new(
                 dataset.graph,
                 perturbation(perturb),
@@ -402,7 +401,9 @@ mod tests {
         // Unmeasured sweeps report zero makespans.
         cfg.measured = false;
         let rows = run_sweep(&cfg, |_| {});
-        assert!(rows.iter().all(|r| r.makespan_ms == 0.0 && r.comp_ms == 0.0));
+        assert!(rows
+            .iter()
+            .all(|r| r.makespan_ms == 0.0 && r.comp_ms == 0.0));
     }
 
     #[test]

@@ -37,7 +37,10 @@ impl Flags {
     /// The process's arguments (program name dropped). `usage` is
     /// printed with every error.
     pub fn from_env(usage: &'static str) -> Self {
-        Flags { usage, args: std::env::args().skip(1).collect() }
+        Flags {
+            usage,
+            args: std::env::args().skip(1).collect(),
+        }
     }
 
     /// Rejects the command line: `msg` and the usage on stderr, exit 2.
@@ -58,9 +61,9 @@ impl Flags {
     }
 
     fn parse<T: FromStr>(&self, flag: &str, token: &str) -> T {
-        token
-            .parse()
-            .unwrap_or_else(|_| self.fail(format_args!("{flag} expects a valid value, got {token:?}")))
+        token.parse().unwrap_or_else(|_| {
+            self.fail(format_args!("{flag} expects a valid value, got {token:?}"))
+        })
     }
 
     /// [`Self::parse`], then rejects a value outside `range`.
@@ -71,7 +74,10 @@ impl Flags {
     {
         let value = self.parse(flag, token);
         if !range.contains(&value) {
-            self.fail(format_args!("{flag} must be in {}, got {value}", interval(range)));
+            self.fail(format_args!(
+                "{flag} must be in {}, got {value}",
+                interval(range)
+            ));
         }
         value
     }
@@ -101,7 +107,12 @@ impl Flags {
         R: RangeBounds<T>,
     {
         let token = self.take(flag)?;
-        Some(token.split(',').map(|t| self.parse_in(flag, t, &range)).collect())
+        Some(
+            token
+                .split(',')
+                .map(|t| self.parse_in(flag, t, &range))
+                .collect(),
+        )
     }
 
     /// Whether the valueless `--flag` was given.

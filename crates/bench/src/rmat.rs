@@ -35,7 +35,10 @@ const RMAT_C: f64 = 0.19;
 /// edges are deduplicated per net, and vertices without out-edges emit
 /// no net, so `num_nets() <= num_vertices()`.
 pub fn rmat_hypergraph(scale: u32, edge_factor: usize, seed: u64) -> Hypergraph {
-    assert!((1..usize::BITS).contains(&scale), "scale {scale} out of range");
+    assert!(
+        (1..usize::BITS).contains(&scale),
+        "scale {scale} out of range"
+    );
     let n: usize = 1 << scale;
     let num_edges = n * edge_factor;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -112,7 +115,10 @@ mod tests {
     fn same_seed_is_bit_identical() {
         let a = rmat_hypergraph(10, 8, 42);
         let b = rmat_hypergraph(10, 8, 42);
-        assert!(a == b, "same (scale, edge_factor, seed) must reproduce the hypergraph");
+        assert!(
+            a == b,
+            "same (scale, edge_factor, seed) must reproduce the hypergraph"
+        );
         a.validate().expect("valid hypergraph");
     }
 
@@ -131,7 +137,12 @@ mod tests {
         assert_eq!(h.num_vertices(), n);
         // Not every vertex has out-edges under skewed quadrants, but
         // most of the graph must participate.
-        assert!(h.num_nets() > n / 4, "only {} nets for {} vertices", h.num_nets(), n);
+        assert!(
+            h.num_nets() > n / 4,
+            "only {} nets for {} vertices",
+            h.num_nets(),
+            n
+        );
         assert!(h.num_nets() <= n);
 
         // Heavy tail: the largest net must dwarf the mean net size, and

@@ -10,16 +10,29 @@ use std::process::Command;
 fn rejected(bin: &str, args: &[&str]) -> String {
     let output = Command::new(bin).args(args).output().unwrap();
     let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
-    assert_eq!(output.status.code(), Some(2), "{bin} {args:?}: stderr: {stderr}");
-    assert!(output.stdout.is_empty(), "{bin} {args:?} started running before rejecting");
-    assert!(stderr.contains("usage:"), "{bin} {args:?}: stderr: {stderr}");
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{bin} {args:?}: stderr: {stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "{bin} {args:?} started running before rejecting"
+    );
+    assert!(
+        stderr.contains("usage:"),
+        "{bin} {args:?}: stderr: {stderr}"
+    );
     stderr
 }
 
 #[test]
 fn unparsable_value_is_rejected() {
     let stderr = rejected(env!("CARGO_BIN_EXE_amr"), &["--scale", "abc"]);
-    assert!(stderr.contains("--scale") && stderr.contains("abc"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--scale") && stderr.contains("abc"),
+        "stderr: {stderr}"
+    );
     rejected(env!("CARGO_BIN_EXE_scalability"), &["--k", "eight"]);
 }
 
@@ -35,7 +48,10 @@ fn unknown_flag_is_rejected() {
 
 #[test]
 fn bad_list_entry_is_rejected() {
-    let stderr = rejected(env!("CARGO_BIN_EXE_figures"), &["--fig", "2", "--ks", "4,x"]);
+    let stderr = rejected(
+        env!("CARGO_BIN_EXE_figures"),
+        &["--fig", "2", "--ks", "4,x"],
+    );
     assert!(stderr.contains("--ks"), "stderr: {stderr}");
     rejected(env!("CARGO_BIN_EXE_scalability"), &["--ranks", "1,,2"]);
 }
@@ -43,15 +59,30 @@ fn bad_list_entry_is_rejected() {
 #[test]
 fn out_of_range_value_is_rejected() {
     let (amr, figures) = (env!("CARGO_BIN_EXE_amr"), env!("CARGO_BIN_EXE_figures"));
-    let (scalability, table1) = (env!("CARGO_BIN_EXE_scalability"), env!("CARGO_BIN_EXE_table1"));
+    let (scalability, table1) = (
+        env!("CARGO_BIN_EXE_scalability"),
+        env!("CARGO_BIN_EXE_table1"),
+    );
     let rows: &[(&str, &[&str], &str)] = &[
         (scalability, &["--ranks", "0"], "--ranks"),
         (scalability, &["--k", "0"], "--k"),
         (scalability, &["--scale", "0"], "--scale"),
         (figures, &["--fig", "4", "--quick", "--ks", "0"], "--ks"),
-        (figures, &["--fig", "4", "--quick", "--alphas", "0"], "--alphas"),
-        (figures, &["--fig", "4", "--quick", "--trials", "0"], "--trials"),
-        (figures, &["--fig", "4", "--quick", "--epochs", "0"], "--epochs"),
+        (
+            figures,
+            &["--fig", "4", "--quick", "--alphas", "0"],
+            "--alphas",
+        ),
+        (
+            figures,
+            &["--fig", "4", "--quick", "--trials", "0"],
+            "--trials",
+        ),
+        (
+            figures,
+            &["--fig", "4", "--quick", "--epochs", "0"],
+            "--epochs",
+        ),
         (figures, &["--fig", "4", "--scale", "0"], "--scale"),
         (table1, &["--scale", "0"], "--scale"),
         (table1, &["--scale", "2"], "--scale"),
@@ -62,7 +93,10 @@ fn out_of_range_value_is_rejected() {
     ];
     for &(bin, args, flag) in rows {
         let stderr = rejected(bin, args);
-        assert!(stderr.contains(&format!("{flag} must be in")), "{args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} must be in")),
+            "{args:?}: stderr: {stderr}"
+        );
     }
 }
 
@@ -79,6 +113,10 @@ fn valid_flags_still_run() {
         .args(["--scale", "0.001", "--seed", "7"])
         .output()
         .unwrap();
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     assert!(String::from_utf8_lossy(&output.stdout).contains("Table 1"));
 }

@@ -29,7 +29,10 @@ pub struct AuxTargets {
 impl AuxTargets {
     /// Uniform targets: `total / k` per part.
     pub fn uniform(total: f64, k: usize, epsilon: f64) -> Self {
-        AuxTargets { target: vec![total / k as f64; k], epsilon }
+        AuxTargets {
+            target: vec![total / k as f64; k],
+            epsilon,
+        }
     }
 
     /// Proportional targets from real-valued shares (e.g. the part
@@ -103,7 +106,11 @@ impl PartTargets {
     /// Attaches auxiliary constraint targets (builder style).
     pub fn with_aux(mut self, aux: Vec<AuxTargets>) -> Self {
         for a in &aux {
-            assert_eq!(a.target.len(), self.target.len(), "aux targets must cover every part");
+            assert_eq!(
+                a.target.len(),
+                self.target.len(),
+                "aux targets must cover every part"
+            );
         }
         self.aux = aux;
         self
@@ -147,9 +154,17 @@ impl PartTargets {
     /// `weights` holds the primary part weights, `aux_weights[c-1]` the
     /// part loads of auxiliary constraint `c` (same layout as `aux`).
     pub fn feasible(&self, weights: &[f64], aux_weights: &[Vec<f64>]) -> bool {
-        assert_eq!(aux_weights.len(), self.aux.len(), "one weight row per aux constraint");
+        assert_eq!(
+            aux_weights.len(),
+            self.aux.len(),
+            "one weight row per aux constraint"
+        );
         let slack = 1e-9;
-        if weights.iter().enumerate().any(|(p, &w)| w > self.cap(p) + slack) {
+        if weights
+            .iter()
+            .enumerate()
+            .any(|(p, &w)| w > self.cap(p) + slack)
+        {
             return false;
         }
         for (a, ws) in self.aux.iter().zip(aux_weights) {

@@ -33,8 +33,7 @@ impl CsrGraph {
 
     /// Builds a graph from an unweighted undirected edge list.
     pub fn from_edges_unit(num_vertices: usize, edges: &[(usize, usize)]) -> Self {
-        let weighted: Vec<(usize, usize, f64)> =
-            edges.iter().map(|&(u, v)| (u, v, 1.0)).collect();
+        let weighted: Vec<(usize, usize, f64)> = edges.iter().map(|&(u, v)| (u, v, 1.0)).collect();
         Self::from_edges(num_vertices, &weighted)
     }
 
@@ -126,7 +125,11 @@ impl CsrGraph {
     pub fn degree_stats(&self) -> DegreeStats {
         let n = self.num_vertices();
         if n == 0 {
-            return DegreeStats { min: 0, max: 0, avg: 0.0 };
+            return DegreeStats {
+                min: 0,
+                max: 0,
+                avg: 0.0,
+            };
         }
         let mut min = usize::MAX;
         let mut max = 0usize;
@@ -226,7 +229,10 @@ impl GraphBuilder {
     /// # Panics
     /// Panics on out-of-range endpoints or negative weight.
     pub fn add_edge(&mut self, u: usize, v: usize, w: f64) {
-        assert!(u < self.num_vertices && v < self.num_vertices, "edge endpoint out of range");
+        assert!(
+            u < self.num_vertices && v < self.num_vertices,
+            "edge endpoint out of range"
+        );
         assert!(w >= 0.0, "edge weight must be non-negative");
         if u != v {
             self.edges.push((u.min(v), u.max(v), w));

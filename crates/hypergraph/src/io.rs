@@ -219,7 +219,9 @@ mod tests {
             ("infinite net cost", "2 1 2\ninf 0 1\n1 1\n1 1\n"),
             ("NaN net cost", "2 1 2\nNaN 0 1\n1 1\n1 1\n"),
         ] {
-            let Err(err) = read_hypergraph(Cursor::new(text)) else { panic!("{case} accepted") };
+            let Err(err) = read_hypergraph(Cursor::new(text)) else {
+                panic!("{case} accepted")
+            };
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}");
         }
     }

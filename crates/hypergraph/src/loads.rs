@@ -28,7 +28,11 @@ pub struct VertexLoads {
 impl VertexLoads {
     /// Arity-1 loads of `1.0` for every vertex (the default weights).
     pub(crate) fn ones(n: usize) -> Self {
-        VertexLoads { arity: 1, n, data: vec![1.0; n] }
+        VertexLoads {
+            arity: 1,
+            n,
+            data: vec![1.0; n],
+        }
     }
 
     /// Wraps a scalar weight vector as arity-1 loads (zero-copy).
@@ -41,7 +45,11 @@ impl VertexLoads {
             "loads must be finite and non-negative"
         );
         let n = weights.len();
-        VertexLoads { arity: 1, n, data: weights }
+        VertexLoads {
+            arity: 1,
+            n,
+            data: weights,
+        }
     }
 
     /// Builds loads from one column per constraint (`columns[c][v]`).
@@ -52,7 +60,10 @@ impl VertexLoads {
     pub fn from_columns(columns: Vec<Vec<f64>>) -> Self {
         assert!(!columns.is_empty(), "need at least one constraint column");
         let n = columns[0].len();
-        assert!(columns.iter().all(|c| c.len() == n), "constraint columns must agree in length");
+        assert!(
+            columns.iter().all(|c| c.len() == n),
+            "constraint columns must agree in length"
+        );
         let arity = columns.len();
         let mut data = Vec::with_capacity(arity * n);
         for col in columns {
@@ -89,7 +100,10 @@ impl VertexLoads {
     /// Panics on a negative or non-finite value.
     #[inline]
     pub(crate) fn set(&mut self, v: usize, c: usize, w: f64) {
-        assert!(w.is_finite() && w >= 0.0, "loads must be finite and non-negative");
+        assert!(
+            w.is_finite() && w >= 0.0,
+            "loads must be finite and non-negative"
+        );
         self.data[c * self.n + v] = w;
     }
 

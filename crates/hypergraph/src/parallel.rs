@@ -128,7 +128,11 @@ fn run<It, S>(
             let mut state = init();
             loop {
                 // Its own statement, so the lock is released before `work`.
-                let next = queue.lock().expect(UNPOISONED).as_mut().and_then(Iterator::next);
+                let next = queue
+                    .lock()
+                    .expect(UNPOISONED)
+                    .as_mut()
+                    .and_then(Iterator::next);
                 let Some(item) = next else { break };
                 work(&mut state, item);
             }
@@ -140,7 +144,10 @@ fn run<It, S>(
     };
     std::thread::scope(|scope| {
         for _ in 1..workers {
-            if std::thread::Builder::new().spawn_scoped(scope, participate).is_err() {
+            if std::thread::Builder::new()
+                .spawn_scoped(scope, participate)
+                .is_err()
+            {
                 break;
             }
         }
@@ -161,7 +168,13 @@ fn run<It, S>(
 ///
 /// # Panics
 /// Propagates any panic raised by `f`.
-pub fn map_chunks_with<S, T, I, F>(threads: usize, len: usize, chunk: usize, init: I, f: F) -> Vec<T>
+pub fn map_chunks_with<S, T, I, F>(
+    threads: usize,
+    len: usize,
+    chunk: usize,
+    init: I,
+    f: F,
+) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
@@ -170,9 +183,14 @@ where
     let n_chunks = num_chunks(len, chunk);
     let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
     let workers = effective_workers(threads, n_chunks);
-    run(workers, slots.iter_mut().enumerate(), init, |state, (i, slot)| {
-        *slot = Some(f(state, i, chunk_range(len, chunk, i)));
-    });
+    run(
+        workers,
+        slots.iter_mut().enumerate(),
+        init,
+        |state, (i, slot)| {
+            *slot = Some(f(state, i, chunk_range(len, chunk, i)));
+        },
+    );
     slots.into_iter().map(Option::unwrap).collect()
 }
 
@@ -219,7 +237,11 @@ impl<T: 'static> Drop for ScratchVec<T> {
         let mut vec = self.vec.take().unwrap();
         vec.clear();
         let _ = ARENA.try_with(|arena| {
-            arena.borrow_mut().entry(TypeId::of::<T>()).or_default().push(Box::new(vec));
+            arena
+                .borrow_mut()
+                .entry(TypeId::of::<T>())
+                .or_default()
+                .push(Box::new(vec));
         });
     }
 }
@@ -236,9 +258,15 @@ pub fn scratch_vec<T: 'static>() -> ScratchVec<T> {
             .borrow_mut()
             .get_mut(&TypeId::of::<T>())
             .and_then(|stack| stack.pop())
-            .map(|boxed| *boxed.downcast::<Vec<T>>().expect("arena entry keyed by wrong type"))
+            .map(|boxed| {
+                *boxed
+                    .downcast::<Vec<T>>()
+                    .expect("arena entry keyed by wrong type")
+            })
     });
-    ScratchVec { vec: Some(vec.unwrap_or_default()) }
+    ScratchVec {
+        vec: Some(vec.unwrap_or_default()),
+    }
 }
 
 /// [`scratch_vec`] pre-sized to `len` elements, every one reset to
@@ -285,7 +313,11 @@ mod tests {
         };
         let reference = sum_at(1);
         for threads in [2, 3, 4, 8] {
-            assert_eq!(sum_at(threads).to_bits(), reference.to_bits(), "threads={threads}");
+            assert_eq!(
+                sum_at(threads).to_bits(),
+                reference.to_bits(),
+                "threads={threads}"
+            );
         }
     }
 
@@ -382,15 +414,25 @@ mod tests {
         // points hand out: result slots, strided windows (7 items of
         // stride 3) and per-chunk windows (stride 5).
         let mut slots = vec![0usize; 1000];
-        run(4, slots.iter_mut().enumerate(), || (), |(), (i, slot)| *slot += i + 1);
+        run(
+            4,
+            slots.iter_mut().enumerate(),
+            || (),
+            |(), (i, slot)| *slot += i + 1,
+        );
         assert!(slots.iter().enumerate().all(|(i, &s)| s == i + 1));
         for window_len in [7 * 3, 5] {
             let mut out = vec![0u8; 1000 * 3];
             let calls = AtomicUsize::new(0);
-            run(4, out.chunks_mut(window_len), || (), |(), window| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                window.iter_mut().for_each(|x| *x += 1);
-            });
+            run(
+                4,
+                out.chunks_mut(window_len),
+                || (),
+                |(), window| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    window.iter_mut().for_each(|x| *x += 1);
+                },
+            );
             assert!(out.iter().all(|&x| x == 1), "window length {window_len}");
             assert_eq!(calls.into_inner(), out.len().div_ceil(window_len));
         }
@@ -398,18 +440,28 @@ mod tests {
         // A panic reaches the caller as its own payload, not as "a scoped
         // thread panicked", and the next call runs normally.
         let payload = catch_unwind(|| {
-            run(4, 0..64, || (), |(), i| {
-                if i == 11 {
-                    panic!("item 11 exploded");
-                }
-            })
+            run(
+                4,
+                0..64,
+                || (),
+                |(), i| {
+                    if i == 11 {
+                        panic!("item 11 exploded");
+                    }
+                },
+            )
         })
         .unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 11 exploded"));
         let total = AtomicUsize::new(0);
-        run(4, 0..64, || (), |(), _| {
-            total.fetch_add(1, Ordering::Relaxed);
-        });
+        run(
+            4,
+            0..64,
+            || (),
+            |(), _| {
+                total.fetch_add(1, Ordering::Relaxed);
+            },
+        );
         assert_eq!(total.into_inner(), 64);
 
         // The chunked-reduction rule holds however many participants
@@ -419,14 +471,25 @@ mod tests {
             .collect();
         let sum_at = |workers: usize| {
             let mut partials = vec![0.0f64; num_chunks(values.len(), 1024)];
-            run(workers, partials.iter_mut().enumerate(), || (), |(), (i, p)| {
-                *p = values[chunk_range(values.len(), 1024, i)].iter().fold(0.0, |a, &x| a + x);
-            });
+            run(
+                workers,
+                partials.iter_mut().enumerate(),
+                || (),
+                |(), (i, p)| {
+                    *p = values[chunk_range(values.len(), 1024, i)]
+                        .iter()
+                        .fold(0.0, |a, &x| a + x);
+                },
+            );
             partials.into_iter().fold(0.0, |acc, x| acc + x)
         };
         let reference = sum_at(1);
         for workers in [2, 3, 4, 8] {
-            assert_eq!(sum_at(workers).to_bits(), reference.to_bits(), "workers={workers}");
+            assert_eq!(
+                sum_at(workers).to_bits(),
+                reference.to_bits(),
+                "workers={workers}"
+            );
         }
     }
 
