@@ -124,7 +124,7 @@ mod tests {
                 .map(|n| low.cells.binary_search(&n).unwrap())
                 .collect();
             expect.insert(v);
-            let got: BTreeSet<usize> = low.hypergraph.net(v).iter().copied().collect();
+            let got: BTreeSet<usize> = low.hypergraph.net(v).iter().map(|&u| u as usize).collect();
             assert_eq!(got, expect, "net of cell {c:?}");
             assert_eq!(low.hypergraph.net_cost(v), STATE_BYTES);
         }

@@ -128,7 +128,7 @@ impl ModelPatcher {
         );
         for v in 0..n {
             let pins = h.net(v);
-            assert_eq!(pins[0], v, "column-net {v} does not lead with its owner");
+            assert_eq!(pins[0] as usize, v, "column-net {v} does not lead with its owner");
             let base = snapshot.to_base[v];
             self.ensure(base);
             assert!(!self.alive[base], "duplicate base id {base} in snapshot");
@@ -137,7 +137,7 @@ impl ModelPatcher {
             self.size[base] = h.vertex_size(v);
             self.net_cost[base] = h.net_cost(v);
             self.neighbors[base] =
-                pins[1..].iter().map(|&u| snapshot.to_base[u]).collect();
+                pins[1..].iter().map(|&u| snapshot.to_base[u as usize]).collect();
             self.part[base] = snapshot.old_part[v];
         }
         self.num_alive = n;

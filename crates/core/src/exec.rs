@@ -197,10 +197,10 @@ pub fn measure_epoch(
     for j in 0..h.num_nets() {
         let pins = h.net(j);
         let Some(&first) = pins.first() else { continue };
-        let source = new_part[first];
+        let source = new_part[first as usize];
         connected.clear();
         for &v in pins {
-            let p = new_part[v];
+            let p = new_part[v as usize];
             if !touched[p] {
                 touched[p] = true;
                 connected.push(p);

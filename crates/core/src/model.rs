@@ -93,7 +93,7 @@ impl RepartitionHypergraph {
         }
         // Communication nets, scaled by α.
         for j in 0..h.num_nets() {
-            b.add_net(h.net_cost(j) * alpha, h.net(j).iter().copied());
+            b.add_net(h.net_cost(j) * alpha, h.net(j).iter().map(|&v| v as usize));
         }
         // Migration nets: {v, u_old(v)} with cost = size of v's data.
         // Free vertices (no old home) get none.

@@ -54,7 +54,7 @@ pub fn clique_expansion(h: &Hypergraph) -> CsrGraph {
         let w = h.net_cost(j) / (s - 1) as f64;
         for a in 0..s {
             for b in a + 1..s {
-                edges.push((pins[a], pins[b], w));
+                edges.push((pins[a] as usize, pins[b] as usize, w));
             }
         }
     }

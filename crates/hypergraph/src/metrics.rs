@@ -110,7 +110,7 @@ pub(crate) fn connectivities(h: &Hypergraph, part: &[PartId], k: usize) -> Vec<u
     for j in 0..h.num_nets() {
         let mut count = 0;
         for &v in h.net(j) {
-            let p = part[v];
+            let p = part[v as usize];
             assert!(p < k);
             if mark[p] != j {
                 mark[p] = j;

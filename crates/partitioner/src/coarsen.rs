@@ -83,7 +83,7 @@ impl CoarseLevel {
 #[derive(Debug, PartialEq)]
 pub(crate) struct FlatNets {
     pub(crate) xpins: Vec<usize>,
-    pub(crate) pins: Vec<usize>,
+    pub(crate) pins: Vec<u32>,
     pub(crate) costs: Vec<f64>,
 }
 
@@ -102,12 +102,12 @@ impl FlatNets {
         self.costs.len()
     }
 
-    fn net(&self, j: usize) -> &[usize] {
+    fn net(&self, j: usize) -> &[u32] {
         &self.pins[self.xpins[j]..self.xpins[j + 1]]
     }
 
     /// `(cost, pins)` of every net, in net order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (f64, &[usize])> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (f64, &[u32])> {
         self.costs
             .iter()
             .zip(self.xpins.windows(2))
@@ -124,7 +124,7 @@ impl FlatNets {
     /// pins: the tail is removed again and `false` returned. Otherwise
     /// it stays open until [`commit`](Self::commit) makes it a net or
     /// [`discard`](Self::discard) drops it.
-    fn stage(&mut self, pins: impl IntoIterator<Item = usize>) -> bool {
+    fn stage(&mut self, pins: impl IntoIterator<Item = u32>) -> bool {
         let start = self.tail_start();
         debug_assert_eq!(self.pins.len(), start, "a staged tail is still open");
         self.pins.extend(pins);
@@ -157,7 +157,7 @@ impl FlatNets {
 /// probes the same slots every time. It only decides *where* the
 /// collapse looks; whether two nets are identical is always decided by
 /// comparing their pins.
-fn pin_fingerprint(pins: &[usize]) -> u64 {
+fn pin_fingerprint(pins: &[u32]) -> u64 {
     // 2^64 / golden ratio, odd: a multiply by it spreads every input bit
     // into the high bits, which is where `NetCollapser` takes its slot.
     const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -202,7 +202,7 @@ pub(crate) struct NetCollapser {
     table: Vec<Slot>,
     /// `fingerprint >> shift` is a slot index.
     shift: u32,
-    fingerprint: fn(&[usize]) -> u64,
+    fingerprint: fn(&[u32]) -> u64,
 }
 
 impl NetCollapser {
@@ -212,11 +212,7 @@ impl NetCollapser {
         Self::with_fingerprint(max_nets, max_pins, pin_fingerprint)
     }
 
-    fn with_fingerprint(
-        max_nets: usize,
-        max_pins: usize,
-        fingerprint: fn(&[usize]) -> u64,
-    ) -> Self {
+    fn with_fingerprint(max_nets: usize, max_pins: usize, fingerprint: fn(&[u32]) -> u64) -> Self {
         let slots = (2 * max_nets).next_power_of_two().max(2);
         NetCollapser {
             nets: FlatNets::with_capacity(max_nets, max_pins),
@@ -238,11 +234,7 @@ impl NetCollapser {
     /// `None` if fewer than two distinct pins remain and it was dropped.
     /// Already-normalised input — a shard's — costs one linear pass more
     /// than a copy.
-    pub(crate) fn push(
-        &mut self,
-        cost: f64,
-        pins: impl IntoIterator<Item = usize>,
-    ) -> Option<usize> {
+    pub(crate) fn push(&mut self, cost: f64, pins: impl IntoIterator<Item = u32>) -> Option<usize> {
         if !self.nets.stage(pins) {
             return None;
         }
@@ -352,9 +344,14 @@ pub(crate) fn contract(
     };
 
     // Translate nets, dropping sub-2-pin nets and collapsing duplicates.
+    // A coarse id is below `nc <= n`, which `h` holds as 32-bit ids, so
+    // each `as u32` is exact.
     let mut nets = NetCollapser::new(h.num_nets(), h.num_pins());
     for j in 0..h.num_nets() {
-        nets.push(h.net_cost(j), h.net(j).iter().map(|&v| fine_to_coarse[v]));
+        nets.push(
+            h.net_cost(j),
+            h.net(j).iter().map(|&v| fine_to_coarse[v as usize] as u32),
+        );
     }
     dlb_trace::count(dlb_trace::Counter::ContractNetsIn, h.num_nets() as u64);
     dlb_trace::count(dlb_trace::Counter::ContractNetsOut, nets.len() as u64);
@@ -481,7 +478,7 @@ pub(crate) mod tests {
         let mut pins: Vec<usize> = Vec::new();
         for j in 0..h.num_nets() {
             pins.clear();
-            pins.extend(h.net(j).iter().map(|&v| fine_to_coarse[v]));
+            pins.extend(h.net(j).iter().map(|&v| fine_to_coarse[v as usize]));
             pins.sort_unstable();
             pins.dedup();
             if pins.len() < 2 {
@@ -663,10 +660,7 @@ pub(crate) mod tests {
         assert_eq!(by_name("empty and single-pin nets").num_nets(), 0);
         assert_eq!(by_name("one net holds every vertex").net_size(0), 7);
         let remapped = by_name("equal only after the remap");
-        assert_eq!(
-            (remapped.num_nets(), remapped.net(0)),
-            (1, &[0usize, 1][..])
-        );
+        assert_eq!((remapped.num_nets(), remapped.net(0)), (1, &[0u32, 1][..]));
     }
 
     /// Correctness never rests on the fingerprint: with every net
@@ -681,7 +675,11 @@ pub(crate) mod tests {
             let mut constant =
                 NetCollapser::with_fingerprint(c.h.num_nets(), c.h.num_pins(), |_| 0x5eed);
             for j in 0..c.h.num_nets() {
-                let remapped = || c.h.net(j).iter().map(|&v| want.fine_to_coarse[v]);
+                let remapped = || {
+                    c.h.net(j)
+                        .iter()
+                        .map(|&v| want.fine_to_coarse[v as usize] as u32)
+                };
                 assert_eq!(
                     real.push(c.h.net_cost(j), remapped()),
                     constant.push(c.h.net_cost(j), remapped()),
@@ -715,7 +713,7 @@ pub(crate) mod tests {
         assert_eq!(c.push(1.0, []), None);
         assert_eq!(c.len(), 2);
         let nets = c.finish();
-        let want = [(1.5, &[1usize, 3][..]), (1.0, &[1, 2, 3][..])];
+        let want = [(1.5, &[1u32, 3][..]), (1.0, &[1, 2, 3][..])];
         assert_eq!(nets.iter().collect::<Vec<_>>(), want);
 
         let mut none = NetCollapser::new(0, 0);
@@ -724,8 +722,12 @@ pub(crate) mod tests {
 
         for max_nets in [1usize, 2, 3, 4, 5, 8, 9] {
             let mut c = NetCollapser::new(max_nets, 2 * max_nets);
-            for j in 0..max_nets {
-                assert_eq!(c.push(1.0, [j, j + 1]), Some(j), "sized for {max_nets}");
+            for j in 0..max_nets as u32 {
+                assert_eq!(
+                    c.push(1.0, [j, j + 1]),
+                    Some(j as usize),
+                    "sized for {max_nets}"
+                );
             }
             assert_eq!(c.push(1.0, [1, 0]), Some(0), "a duplicate needs no slot");
         }

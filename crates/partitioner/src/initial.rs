@@ -129,6 +129,7 @@ fn greedy_growing(
         let bump_neighbors =
             |v: usize, frontier: &mut Heaps, part: &Vec<usize>, net_stamp: &mut Vec<usize>| {
                 for &j in h.vertex_nets(v) {
+                    let j = j as usize;
                     if net_stamp[j] == p {
                         continue;
                     }
@@ -139,6 +140,7 @@ fn greedy_growing(
                     }
                     let contrib = h.net_cost(j) / (size - 1) as f64;
                     for &w in h.net(j) {
+                        let w = w as usize;
                         if part[w] == UNASSIGNED {
                             frontier.set(0, w, frontier.key(0, w).unwrap_or(0.0) + contrib);
                         }
@@ -239,8 +241,9 @@ fn fixed_affinity(
         let contrib = h.net_cost(j) / (size - 1) as f64;
         // Parts of the fixed pins of this net.
         for &u in h.net(j) {
-            if let Some(p) = fixed.get(u) {
+            if let Some(p) = fixed.get(u as usize) {
                 for &v in h.net(j) {
+                    let v = v as usize;
                     if fixed.get(v).is_none() {
                         affinity[v * k + p] += contrib;
                     }
@@ -597,6 +600,7 @@ mod tests {
                                   part: &Vec<usize>,
                                   net_stamp: &mut Vec<usize>| {
                 for &j in h.vertex_nets(v) {
+                    let j = j as usize;
                     if net_stamp[j] == p {
                         continue;
                     }
@@ -607,6 +611,7 @@ mod tests {
                     }
                     let contrib = h.net_cost(j) / (size - 1) as f64;
                     for &w in h.net(j) {
+                        let w = w as usize;
                         if part[w] == UNASSIGNED {
                             affinity[w] += contrib;
                             heap.push(Cand {

@@ -132,6 +132,7 @@ impl<V: LevelView> PinSource for StoredPins<'_, V> {
     ) -> u64 {
         let pins = self.view.pins(j);
         for &w in pins {
+            let w = w as usize;
             if admit(w) {
                 visit(w);
             }
@@ -140,9 +141,9 @@ impl<V: LevelView> PinSource for StoredPins<'_, V> {
     }
 }
 
-/// The serial matcher's live pins: a per-call `u32` copy of the nets
-/// [`contribution`] scores, each holding first the pins still unmatched
-/// when it was last walked, in stored order.
+/// The serial matcher's live pins: a per-call copy of the 32-bit pin
+/// lists of the nets [`contribution`] scores, each holding first the
+/// pins still unmatched when it was last walked, in stored order.
 ///
 /// A matched vertex stays matched, so a walk drops every pin `admit`
 /// refuses by a stable in-place compaction: the pins it keeps are the
@@ -170,9 +171,6 @@ struct LiveNet {
 impl LivePins {
     fn new(view: &Replicated<'_>, cfg: &CoarseningConfig) -> Self {
         let h = view.h;
-        // Every pin is a vertex id below `n`, so once `n` fits, each
-        // `as u32` below is exact.
-        u32::try_from(h.num_vertices()).expect("live pins are 32-bit vertex ids");
         let (xpins, all) = h.pin_csr();
         let offset = |at: usize| u32::try_from(at).expect("live pins hold under 2^32 pins");
         // Sized first, then filled: one allocation of the exact size.
@@ -194,7 +192,7 @@ impl LivePins {
         let mut pins = Vec::with_capacity(copied);
         for (j, net) in nets.iter().enumerate() {
             if net.len > 0 {
-                pins.extend(all[xpins[j]..xpins[j + 1]].iter().map(|&w| w as u32));
+                pins.extend_from_slice(&all[xpins[j]..xpins[j + 1]]);
             }
         }
         LivePins { nets, pins }
@@ -257,7 +255,7 @@ pub(crate) fn accumulate_scores<V: LevelView>(
     view: &V,
     mut pins: impl PinSource,
     u: usize,
-    nets: &[usize],
+    nets: &[u32],
     mut admit: impl FnMut(usize) -> bool,
     scores: &mut [f64],
     touched: &mut Vec<usize>,
@@ -265,6 +263,7 @@ pub(crate) fn accumulate_scores<V: LevelView>(
     touched.clear();
     let mut pins_walked = 0u64;
     for &j in nets {
+        let j = j as usize;
         let Some(contrib) = pins.contribution(j) else {
             continue;
         };

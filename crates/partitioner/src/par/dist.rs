@@ -164,12 +164,17 @@ impl DistLevel {
     /// carries (vertex size, fixed flag, partition slice, fine→coarse
     /// map entry, auxiliary columns) and the ghost-part cache.
     fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
+        // The driver's arrays are not held here: a `PartId` and a coarse
+        // id per owned vertex, and a ghost-part cache as wide as `ghosts`.
         let owned = self.dh.my_range().len();
+        let aux: usize = self.aux.iter().map(|col| size_of_val(col.as_slice())).sum();
         self.dh.resident_bytes()
-            + owned * (size_of::<f64>() + size_of::<Option<PartId>>() + 2 * size_of::<usize>())
-            + self.aux.len() * owned * size_of::<f64>()
-            + std::mem::size_of_val(self.dh.ghosts())
+            + size_of_val(self.vsize.as_slice())
+            + size_of_val(self.fixed.as_slice())
+            + aux
+            + owned * (size_of::<PartId>() + size_of::<usize>())
+            + size_of_val(self.dh.ghosts())
     }
 
     /// Gathers the full hypergraph onto every rank (collective).
@@ -222,11 +227,11 @@ impl LevelView for &DistLevel {
         self.dh.num_local_nets()
     }
     #[inline]
-    fn nets_of(&self, v: usize) -> &[usize] {
+    fn nets_of(&self, v: usize) -> &[u32] {
         self.dh.vertex_local_nets(v)
     }
     #[inline]
-    fn pins(&self, j: usize) -> &[usize] {
+    fn pins(&self, j: usize) -> &[u32] {
         self.dh.net_pins(j)
     }
     #[inline]
@@ -280,21 +285,33 @@ pub(crate) fn dist_ipm_matching(
     rng: &mut StdRng,
 ) -> Matching {
     let dh = &d.dh;
-    let start = dh.my_range().start;
+    let mine = dh.my_range();
+    let start = mine.start;
     let pack = |u: usize| -> CandRecord {
         let gids = dh
             .vertex_local_nets(u)
             .iter()
-            .map(|&lj| dh.net_global_id(lj))
+            .map(|&lj| dh.net_global_id(lj as usize))
             .collect();
         let (fixed, part) = (d.fixed[u - start], parts.map(|p| p[u - start]));
         (u, to_wire(fixed), to_wire(part), gids)
     };
     // A net this rank cannot see contains none of its owned vertices, so
-    // dropping it leaves this rank's proposals unchanged.
-    let unpack = |(u, fixed, part, mut nets): CandRecord| {
-        nets.retain_mut(|g| dh.local_net_index(*g).map(|lj| *g = lj).is_some());
-        (u, from_wire(fixed), from_wire(part), Cow::Owned(nets))
+    // dropping it leaves this rank's proposals unchanged. This rank's own
+    // candidates were packed from their stored incidence lists, which
+    // are complete, so they borrow those instead of a translated copy.
+    let unpack = |(u, fixed, part, nets): CandRecord| {
+        let local = if mine.contains(&u) {
+            Cow::Borrowed(dh.vertex_local_nets(u))
+        } else {
+            let mut local = Vec::with_capacity(nets.len());
+            local.extend(
+                nets.iter()
+                    .filter_map(|&g| dh.local_net_index(g).map(|lj| lj as u32)),
+            );
+            Cow::Owned(local)
+        };
+        (u, from_wire(fixed), from_wire(part), local)
     };
     candidate_matching(comm, &d, parts, cfg, rng, |comm, mine| {
         let records: Vec<CandRecord> = mine.into_iter().map(pack).collect();
@@ -309,7 +326,7 @@ pub(crate) fn dist_ipm_matching(
 /// Deterministic shard rank for a coarse pin-set: every copy of an
 /// identical pin-set lands on the same rank, which performs the
 /// duplicate collapse for that set (FNV-1a over the pins).
-fn pinset_shard(pins: &[usize], nranks: usize) -> usize {
+fn pinset_shard(pins: &[u32], nranks: usize) -> usize {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &v in pins {
         hash ^= v as u64;
@@ -352,7 +369,7 @@ fn pin_owner_ranks(dh: &DistHypergraph, lj: usize, owners: &mut Vec<usize>) {
     debug_assert!(dh.owns_net(lj));
     let vdist = dh.vertex_dist();
     owners.clear();
-    owners.extend(dh.net_pins(lj).iter().map(|&w| vdist.owner(w)));
+    owners.extend(dh.net_pins(lj).iter().map(|&w| vdist.owner(w as usize)));
     owners.sort_unstable();
     owners.dedup();
 }
@@ -480,21 +497,23 @@ pub(crate) fn dist_contract(
     // --- Net remap and shard submission. ---
     let exch = GhostExchange::build(comm, dh);
     let ghost_f2c = exch.pull(comm, &f2c);
-    let mut outgoing: Vec<Vec<(usize, f64, Vec<usize>)>> =
-        (0..nranks).map(|_| Vec::new()).collect();
-    let mut pins: Vec<usize> = Vec::new();
+    // A coarse id is below `nc`, at most the fine level's vertex count,
+    // which its 32-bit pins already hold: each `as u32` is exact.
+    let mut outgoing: Vec<Vec<(usize, f64, Vec<u32>)>> = (0..nranks).map(|_| Vec::new()).collect();
+    let mut pins: Vec<u32> = Vec::new();
     for lj in 0..dh.num_local_nets() {
         if !dh.owns_net(lj) {
             continue;
         }
         pins.clear();
         for &v in dh.net_pins(lj) {
-            let s = dh.slot(v).expect("pin has a slot");
-            pins.push(if s < owned {
+            let s = dh.slot(v as usize).expect("pin has a slot");
+            let c = if s < owned {
                 f2c[s]
             } else {
                 ghost_f2c[s - owned]
-            });
+            };
+            pins.push(c as u32);
         }
         pins.sort_unstable();
         pins.dedup();
@@ -504,7 +523,7 @@ pub(crate) fn dist_contract(
         let shard = pinset_shard(&pins, nranks);
         outgoing[shard].push((dh.net_global_id(lj), dh.net_cost(lj), pins.clone()));
     }
-    let mut submitted: Vec<(usize, f64, Vec<usize>)> =
+    let mut submitted: Vec<(usize, f64, Vec<u32>)> =
         comm.alltoallv(outgoing).into_iter().flatten().collect();
     // Ascending fine-net order = the replicated collapse order.
     submitted.sort_unstable_by_key(|&(j, _, _)| j);
@@ -549,9 +568,9 @@ pub(crate) fn dist_contract(
         runs.clear();
         let mut s = 0usize;
         while s < net.len() {
-            let r = cdist.owner(net[s]);
+            let r = cdist.owner(net[s] as usize);
             let mut e = s + 1;
-            while e < net.len() && cdist.owner(net[e]) == r {
+            while e < net.len() && cdist.owner(net[e] as usize) == r {
                 e += 1;
             }
             runs.push((r, s, e));
@@ -659,7 +678,7 @@ impl<'a> DistState<'a> {
                 continue;
             }
             for &v in dh.net_pins(lj) {
-                let s = dh.slot(v).expect("pin has a slot");
+                let s = dh.slot(v as usize).expect("pin has a slot");
                 let p = if s < owned {
                     part[s]
                 } else {
@@ -741,6 +760,7 @@ fn sync_moves(
         // A ghost's local incidence list holds exactly the owned nets
         // that pin it, so these are all owned-net rows.
         for &lj in dh.vertex_local_nets(v) {
+            let lj = lj as usize;
             state.shift(lj, old, new, v);
             stub_events(
                 dh,
@@ -756,6 +776,7 @@ fn sync_moves(
     }
     for &(v, from, to) in own_moves {
         for &lj in dh.vertex_local_nets(v) {
+            let lj = lj as usize;
             if dh.owns_net(lj) {
                 stub_events(dh, lj, from, to, me, me, &mut outgoing, &mut owners);
             }
@@ -1129,14 +1150,14 @@ mod tests {
             let n = base.num_vertices();
             let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
             for j in 0..base.num_nets() {
-                b.add_net(base.net_cost(j), base.net(j).iter().copied());
+                b.add_net(base.net_cost(j), base.net(j).iter().map(|&v| v as usize));
             }
             for v in (0..n).step_by(17) {
                 b.add_net(2.0, [v]);
             }
             b.add_net(1.0, []);
             for _ in 0..20 {
-                b.add_net(1.0, base.net(0).iter().copied());
+                b.add_net(1.0, base.net(0).iter().map(|&v| v as usize));
             }
             b.add_net(1.0, 0..n);
             for v in (0..n).step_by(11) {
@@ -1262,7 +1283,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(77);
             let mut b = dlb_hypergraph::HypergraphBuilder::new(n);
             for j in 0..integer.num_nets() {
-                b.add_net(rng.gen_range(0.5f64..4.0), integer.net(j).iter().copied());
+                b.add_net(
+                    rng.gen_range(0.5f64..4.0),
+                    integer.net(j).iter().map(|&v| v as usize),
+                );
             }
             b.build()
         };

@@ -49,9 +49,10 @@ pub(crate) struct NetShare {
     pub(crate) global_size: usize,
     /// The rank that stores the full pin list.
     pub(crate) owner: usize,
-    /// Pins carried by this share: the full list when `owner` is the
-    /// receiving rank, otherwise the receiver's own pins in net order.
-    pub(crate) pins: Vec<usize>,
+    /// Pins carried by this share (32-bit global vertex ids): the full
+    /// list when `owner` is the receiving rank, otherwise the receiver's
+    /// own pins in net order.
+    pub(crate) pins: Vec<u32>,
 }
 
 /// One rank's share of a block-distributed hypergraph.
@@ -73,9 +74,9 @@ pub(crate) struct DistHypergraph {
     gsize: Vec<usize>,
     /// CSR offsets into `pins`, one slot per local net.
     xpins: Vec<usize>,
-    /// Global vertex ids: the full pin list for owned nets, this rank's
-    /// own pins (in net order) for stubs.
-    pins: Vec<usize>,
+    /// Global vertex ids, 32-bit as in [`Hypergraph`]: the full pin list
+    /// for owned nets, this rank's own pins (in net order) for stubs.
+    pins: Vec<u32>,
     /// Cost per local net.
     cost: Vec<f64>,
     /// Remote pins of *owned* nets, sorted ascending (stub pins are
@@ -84,9 +85,9 @@ pub(crate) struct DistHypergraph {
     /// Weight per owned vertex (indexed by `v - my_range().start`).
     owned_wgt: Vec<f64>,
     /// Transpose CSR: slot (owned offset, then ghost offset) → indices
-    /// of local nets containing that vertex, ascending.
+    /// of local nets containing that vertex, ascending, as 32-bit ids.
     xslot: Vec<usize>,
-    slot_nets: Vec<usize>,
+    slot_nets: Vec<u32>,
 }
 
 impl DistHypergraph {
@@ -109,13 +110,13 @@ impl DistHypergraph {
             // Owner = owner of the pin at position `id % size`; rotating
             // over pin positions balances ownership even when every
             // net's first pin falls in the same vertex block.
-            let owner = vdist.owner(net[j % net.len()]);
-            let pins: Vec<usize> = if owner == rank {
+            let owner = vdist.owner(net[j % net.len()] as usize);
+            let pins: Vec<u32> = if owner == rank {
                 net.to_vec()
             } else {
                 net.iter()
                     .copied()
-                    .filter(|v| my_range.contains(v))
+                    .filter(|&v| my_range.contains(&(v as usize)))
                     .collect()
             };
             if pins.is_empty() {
@@ -181,7 +182,7 @@ impl DistHypergraph {
                 ghosts.extend(
                     pins[xpins[lj]..xpins[lj + 1]]
                         .iter()
-                        .copied()
+                        .map(|&v| v as usize)
                         .filter(|v| !my_range.contains(v)),
                 );
             }
@@ -210,10 +211,17 @@ impl DistHypergraph {
     /// over nets in ascending order so every per-vertex net list comes
     /// out ascending (mirroring `Hypergraph::vertex_nets`).
     fn build_transpose(&mut self) {
+        // Local nets are a subset of a level's nets, and every level has
+        // at most as many nets as the `Hypergraph` it descends from, so
+        // this holds unless a share was built by hand.
+        assert!(
+            u32::try_from(self.net_ids.len()).is_ok(),
+            "local net indices are 32-bit"
+        );
         let nslots = self.my_range().len() + self.ghosts.len();
         let mut counts = vec![0usize; nslots];
         for &v in &self.pins {
-            counts[self.slot(v).expect("pin has a slot")] += 1;
+            counts[self.slot(v as usize).expect("pin has a slot")] += 1;
         }
         let mut xslot = Vec::with_capacity(nslots + 1);
         xslot.push(0);
@@ -221,11 +229,11 @@ impl DistHypergraph {
             xslot.push(xslot[s] + counts[s]);
         }
         let mut cursor = xslot.clone();
-        let mut slot_nets = vec![0usize; self.pins.len()];
+        let mut slot_nets = vec![0u32; self.pins.len()];
         for lj in 0..self.net_ids.len() {
             for p in self.xpins[lj]..self.xpins[lj + 1] {
-                let s = self.slot(self.pins[p]).expect("pin has a slot");
-                slot_nets[cursor[s]] = lj;
+                let s = self.slot(self.pins[p] as usize).expect("pin has a slot");
+                slot_nets[cursor[s]] = lj as u32;
                 cursor[s] += 1;
             }
         }
@@ -281,7 +289,7 @@ impl DistHypergraph {
     /// list in replicated order when this rank owns the net, otherwise
     /// the stub — this rank's own pins in net order.
     #[inline]
-    pub(crate) fn net_pins(&self, lj: usize) -> &[usize] {
+    pub(crate) fn net_pins(&self, lj: usize) -> &[u32] {
         &self.pins[self.xpins[lj]..self.xpins[lj + 1]]
     }
 
@@ -343,14 +351,17 @@ impl DistHypergraph {
     /// here is `O((|pins| + nets + n)/p + halo)` — no term is
     /// proportional to the global instance.
     pub(crate) fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.pins.len() * size_of::<usize>()
-            + self.slot_nets.len() * size_of::<usize>()
-            + self.xpins.len() * size_of::<usize>()
-            + self.xslot.len() * size_of::<usize>()
-            + self.ghosts.len() * size_of::<usize>()
-            + self.owned_wgt.len() * size_of::<f64>()
-            + self.net_ids.len() * (2 * size_of::<usize>() + size_of::<f64>() + size_of::<bool>())
+        use std::mem::size_of_val;
+        size_of_val(self.pins.as_slice())
+            + size_of_val(self.slot_nets.as_slice())
+            + size_of_val(self.xpins.as_slice())
+            + size_of_val(self.xslot.as_slice())
+            + size_of_val(self.ghosts.as_slice())
+            + size_of_val(self.owned_wgt.as_slice())
+            + size_of_val(self.net_ids.as_slice())
+            + size_of_val(self.gsize.as_slice())
+            + size_of_val(self.cost.as_slice())
+            + size_of_val(self.owned.as_slice())
     }
 
     /// The storage slot of global vertex `v` — owned offset for owned
@@ -374,7 +385,7 @@ impl DistHypergraph {
     /// an owned vertex is local — as an owned net or a stub — by
     /// construction); for a ghost it is the owned nets listing it.
     /// Unknown vertices get `&[]`.
-    pub(crate) fn vertex_local_nets(&self, v: usize) -> &[usize] {
+    pub(crate) fn vertex_local_nets(&self, v: usize) -> &[u32] {
         match self.slot(v) {
             Some(s) => &self.slot_nets[self.xslot[s]..self.xslot[s + 1]],
             None => &[],
@@ -387,11 +398,11 @@ impl DistHypergraph {
     /// weights come from an allgather of the owned blocks. Ranks that
     /// own nothing contribute empty batches.
     pub(crate) fn gather_replicated(&self, comm: &mut Comm) -> Hypergraph {
-        let mine: Vec<(usize, f64, Vec<usize>)> = (0..self.num_local_nets())
+        let mine: Vec<(usize, f64, Vec<u32>)> = (0..self.num_local_nets())
             .filter(|&lj| self.owned[lj])
             .map(|lj| (self.net_ids[lj], self.cost[lj], self.net_pins(lj).to_vec()))
             .collect();
-        let mut all: Vec<(usize, f64, Vec<usize>)> =
+        let mut all: Vec<(usize, f64, Vec<u32>)> =
             comm.allgather(mine).into_iter().flatten().collect();
         all.sort_unstable_by_key(|&(id, _, _)| id);
         let weights: Vec<f64> = comm
@@ -404,7 +415,7 @@ impl DistHypergraph {
             b.set_vertex_weight(v, w);
         }
         for (id, cost, pins) in all {
-            let j = b.add_net(cost, pins);
+            let j = b.add_net(cost, pins.into_iter().map(|v| v as usize));
             debug_assert_eq!(j, id, "gathered nets must arrive densely in id order");
         }
         b.build()
@@ -633,7 +644,7 @@ mod tests {
                 .net_pins(lj)
                 .iter()
                 .map(|&v| {
-                    let s = dh.slot(v).expect("pin has a slot");
+                    let s = dh.slot(v as usize).expect("pin has a slot");
                     if s < owned {
                         owned_part[s]
                     } else {
@@ -655,10 +666,10 @@ mod tests {
             for rank in 0..size {
                 let dh = DistHypergraph::from_replicated(&h, rank, size);
                 for v in dh.my_range() {
-                    let local: Vec<usize> = dh
+                    let local: Vec<u32> = dh
                         .vertex_local_nets(v)
                         .iter()
-                        .map(|&lj| dh.net_global_id(lj))
+                        .map(|&lj| dh.net_global_id(lj as usize) as u32)
                         .collect();
                     assert_eq!(local, h.vertex_nets(v), "v={v} rank={rank}/{size}");
                 }
@@ -704,11 +715,11 @@ mod tests {
                         owner_count[j] += 1;
                     } else {
                         // Stub: exactly this rank's own pins, net order.
-                        let expect: Vec<usize> = h
+                        let expect: Vec<u32> = h
                             .net(j)
                             .iter()
                             .copied()
-                            .filter(|v| my_range.contains(v))
+                            .filter(|&v| my_range.contains(&(v as usize)))
                             .collect();
                         assert_eq!(dh.net_pins(lj), expect, "stub pins, net {j}");
                         assert!(!expect.is_empty());

@@ -61,7 +61,7 @@ fn better_of(a: &Proposal, b: &Proposal) -> Proposal {
 /// rank stores (ascending). How it got there is the level's wire format:
 /// a replicated level ships the bare id — every rank can look the vertex
 /// up — while a distributed level ships what only the owner holds.
-pub(crate) type Candidate<'v> = (usize, Option<PartId>, Option<PartId>, Cow<'v, [usize]>);
+pub(crate) type Candidate<'v> = (usize, Option<PartId>, Option<PartId>, Cow<'v, [u32]>);
 
 /// Draws this round's candidate subset from a rank's unmatched owned
 /// vertices: shuffle with the rank-decorrelated stream, keep the ceil

@@ -217,7 +217,7 @@ impl<'a> PartitionState<Replicated<'a>> {
         let mut sigma = vec![0u32; h.num_nets() * k];
         for (j, row) in sigma.chunks_exact_mut(k).enumerate() {
             for &v in h.net(j) {
-                row[part[v]] += 1;
+                row[part[v as usize]] += 1;
             }
         }
         let (weights, aux_weights) = fold_weights(h, k, &part);
@@ -238,6 +238,7 @@ impl<'a> PartitionState<Replicated<'a>> {
 fn sum_row<V: LevelView>(view: V, k: usize, sigma: &[u32], p: PartId, v: usize, row: &mut [f64]) {
     row.fill(0.0);
     for &j in view.nets_of(v) {
+        let j = j as usize;
         let c = view.net_cost(j);
         let counts = &sigma[j * k..(j + 1) * k];
         // Branch-free: `x + 0.0` is `x` bit for bit (no sum here is -0.0).
@@ -364,6 +365,7 @@ impl<V: LevelView> PartitionState<V> {
         };
         if left == 0 || arrived == 1 {
             for &u in view.pins(j) {
+                let u = u as usize;
                 if !stored.contains(&u) {
                     continue;
                 }
@@ -376,11 +378,17 @@ impl<V: LevelView> PartitionState<V> {
                 }
             }
             if let Some(log) = &mut self.row_log {
-                log.extend(view.pins(j).iter().filter(|&u| stored.contains(u)));
+                log.extend(
+                    view.pins(j)
+                        .iter()
+                        .map(|&u| u as usize)
+                        .filter(|u| stored.contains(u)),
+                );
             }
         }
         let mut singled_out = u32::from(left == 1) + u32::from(arrived == 2);
         for &u in view.pins(j) {
+            let u = u as usize;
             if singled_out == 0 {
                 break;
             }
@@ -414,6 +422,7 @@ impl<V: LevelView> PartitionState<V> {
         // The mover's benefit in its new part, summed in net order.
         let mut benefit = 0.0;
         for &j in view.nets_of(v) {
+            let j = j as usize;
             self.shift(j, p, q, v);
             if self.sigma(j, q) == 1 {
                 benefit += view.net_cost(j);
@@ -525,6 +534,7 @@ impl<V: LevelView> PartitionState<V> {
         for (j, &parts) in self.lambda.iter().enumerate() {
             if parts > 1 {
                 for &v in self.view.pins(j) {
+                    let v = v as usize;
                     if owned.contains(&v) {
                         boundary[v - owned.start] = true;
                     }
@@ -591,6 +601,7 @@ impl<V: LevelView> PartitionState<V> {
         // — moving along it gains what moving to a non-adjacent part does.
         let mut present = vec![0.0; k];
         for &j in self.view.nets_of(v) {
+            let j = j as usize;
             let c = self.view.net_cost(j);
             total += c;
             if self.sigma(j, p) == 1 {
@@ -1335,6 +1346,7 @@ fn fm_pass(
         // Queue the neighbors whose gains changed, unless they are in it,
         // while any vertex is left to queue.
         'walk: for &j in h.vertex_nets(v) {
+            let j = j as usize;
             if idle == 0 {
                 break;
             }
@@ -1342,6 +1354,7 @@ fn fm_pass(
                 continue;
             }
             for &w in h.net(j) {
+                let w = w as usize;
                 pins_touched += 1;
                 if !scratch.locked[w] && !scratch.heap.contains(w) && !fixed.is_fixed(w) {
                     if let Some(mv) = state.best_move(w, targets) {
@@ -1916,10 +1929,12 @@ pub(crate) mod tests {
                 }
             }
             for &j in h.vertex_nets(c.v) {
+                let j = j as usize;
                 if h.net_size(j) > MAX_NET_SIZE_FOR_UPDATES {
                     continue;
                 }
                 for &w in h.net(j) {
+                    let w = w as usize;
                     pins_touched += 1;
                     if !locked[w] && !queued[w] && !fixed.is_fixed(w) {
                         if let Some((to, gain)) = state.best_move(w, targets) {

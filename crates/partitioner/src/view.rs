@@ -9,7 +9,11 @@
 //! generic and monomorphized, so the serial hot loops pay nothing for it.
 //!
 //! Vertices are named by global id, nets by the index the form stores
-//! them under (global when replicated, local when distributed).
+//! them under (global when replicated, local when distributed). Both
+//! come out of [`LevelView::pins`] and [`LevelView::nets_of`] as the
+//! 32-bit ids the storage holds (see `dlb_hypergraph`'s storage docs);
+//! a kernel widens one with `as usize` where it indexes, and everything
+//! it indexes — slots, parts, per-vertex state — stays `usize`.
 //! Per-vertex kernel state covers [`LevelView::stored`], indexed through
 //! [`LevelView::slot`].
 
@@ -31,11 +35,11 @@ pub(crate) trait LevelView: Copy {
     /// Number of nets this rank sees (indices `0..num_nets()`).
     fn num_nets(&self) -> usize;
     /// Nets of stored vertex `v`, ascending; complete for a stored vertex.
-    fn nets_of(&self, v: usize) -> &[usize];
+    fn nets_of(&self, v: usize) -> &[u32];
     /// The pins of net `j` this rank holds, in net order: every stored
     /// pin of the net, and possibly pins of vertices it does not store
     /// (filter through `stored`/`owned` before indexing per-vertex state).
-    fn pins(&self, j: usize) -> &[usize];
+    fn pins(&self, j: usize) -> &[u32];
     /// Global pin count of net `j`.
     fn net_size(&self, j: usize) -> usize;
     /// Cost of net `j`.
@@ -110,11 +114,11 @@ impl LevelView for Replicated<'_> {
         self.h.num_nets()
     }
     #[inline]
-    fn nets_of(&self, v: usize) -> &[usize] {
+    fn nets_of(&self, v: usize) -> &[u32] {
         self.h.vertex_nets(v)
     }
     #[inline]
-    fn pins(&self, j: usize) -> &[usize] {
+    fn pins(&self, j: usize) -> &[u32] {
         self.h.net(j)
     }
     #[inline]

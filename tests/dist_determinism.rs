@@ -137,7 +137,7 @@ fn distributed_repart_is_reproducible_run_to_run() {
 }
 
 /// The capability replicated levels cannot offer at any rank count: an
-/// instance whose single-rank residency exceeds an 8 MiB budget is
+/// instance whose single-rank residency exceeds a 4.5 MiB budget is
 /// partitioned at 16 and 64 simulated ranks with every rank's total
 /// residency (pins + metadata + per-vertex arrays) under the budget,
 /// strictly less at 64 ranks than at 16. Minutes in release on one
@@ -152,7 +152,10 @@ fn over_budget_instance_fits_every_rank_at_16_and_64_ranks() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const BUDGET_BYTES: usize = 8 << 20;
+    // 4.5 MiB: the instance holds its pins and incidence lists as
+    // 32-bit ids, 5 053 118 B at one rank and 4 333 986 B on the
+    // largest of 16 ranks.
+    const BUDGET_BYTES: usize = 9 << 19;
     const SEED: u64 = 42;
     let h = column_net_model_unit(&Dataset::generate(DatasetKind::Cage14, 0.003, SEED).graph);
     let fixed = FixedAssignment::free(h.num_vertices());
