@@ -60,7 +60,11 @@ mod tests {
 
     #[test]
     fn totals() {
-        let c = CostBreakdown { comm: 4.0, migration: 6.0, alpha: 5.0 };
+        let c = CostBreakdown {
+            comm: 4.0,
+            migration: 6.0,
+            alpha: 5.0,
+        };
         assert_eq!(c.total(), 26.0);
         assert_eq!(c.normalized_total(), 4.0 + 1.2);
         assert_eq!(c.normalized_migration(), 1.2);

@@ -120,7 +120,11 @@ impl ModelPatcher {
 
         let h = &snapshot.hypergraph;
         let n = snapshot.to_base.len();
-        assert_eq!(h.num_vertices(), n, "snapshot hypergraph/to_base length mismatch");
+        assert_eq!(
+            h.num_vertices(),
+            n,
+            "snapshot hypergraph/to_base length mismatch"
+        );
         assert_eq!(
             h.num_nets(),
             n,
@@ -128,7 +132,10 @@ impl ModelPatcher {
         );
         for v in 0..n {
             let pins = h.net(v);
-            assert_eq!(pins[0] as usize, v, "column-net {v} does not lead with its owner");
+            assert_eq!(
+                pins[0] as usize, v,
+                "column-net {v} does not lead with its owner"
+            );
             let base = snapshot.to_base[v];
             self.ensure(base);
             assert!(!self.alive[base], "duplicate base id {base} in snapshot");
@@ -136,8 +143,10 @@ impl ModelPatcher {
             self.weight[base] = h.vertex_weight(v);
             self.size[base] = h.vertex_size(v);
             self.net_cost[base] = h.net_cost(v);
-            self.neighbors[base] =
-                pins[1..].iter().map(|&u| snapshot.to_base[u as usize]).collect();
+            self.neighbors[base] = pins[1..]
+                .iter()
+                .map(|&u| snapshot.to_base[u as usize])
+                .collect();
             self.part[base] = snapshot.old_part[v];
         }
         self.num_alive = n;
@@ -165,7 +174,10 @@ impl ModelPatcher {
         );
 
         for &b in &delta.removed {
-            assert!(b < self.alive.len() && self.alive[b], "delta removes dead base id {b}");
+            assert!(
+                b < self.alive.len() && self.alive[b],
+                "delta removes dead base id {b}"
+            );
             self.alive[b] = false;
             self.num_alive -= 1;
         }
@@ -210,11 +222,21 @@ impl ModelPatcher {
         // Rematerialize the CSR structures along the delta's canonical
         // vertex order. Base → epoch-vertex index first.
         let n = delta.to_base.len();
-        assert_eq!(n, self.num_alive, "delta vertex list does not cover every live cell");
+        assert_eq!(
+            n, self.num_alive,
+            "delta vertex list does not cover every live cell"
+        );
         let mut index = vec![usize::MAX; self.alive.len()];
         for (v, &b) in delta.to_base.iter().enumerate() {
-            assert!(b < self.alive.len() && self.alive[b], "delta lists dead base id {b}");
-            assert_eq!(index[b], usize::MAX, "duplicate base id {b} in delta vertex list");
+            assert!(
+                b < self.alive.len() && self.alive[b],
+                "delta lists dead base id {b}"
+            );
+            assert_eq!(
+                index[b],
+                usize::MAX,
+                "duplicate base id {b} in delta vertex list"
+            );
             index[b] = v;
         }
 
@@ -294,7 +316,10 @@ impl ModelPatcher {
     pub fn commit(&mut self, to_base: &[usize], part: &[PartId]) {
         assert_eq!(to_base.len(), part.len(), "commit length mismatch");
         for (&b, &p) in to_base.iter().zip(part) {
-            assert!(b < self.alive.len() && self.alive[b], "commit names dead base id {b}");
+            assert!(
+                b < self.alive.len() && self.alive[b],
+                "commit names dead base id {b}"
+            );
             self.part[b] = p;
         }
     }
@@ -305,7 +330,9 @@ mod tests {
     use super::*;
     use dlb_hypergraph::convert::column_net_model;
     use dlb_hypergraph::CsrGraph;
-    use dlb_workloads::{AmrSource, DeltaNet, DeltaReweight, DeltaVertex, EpochSource, EpochUpdate};
+    use dlb_workloads::{
+        AmrSource, DeltaNet, DeltaReweight, DeltaVertex, EpochSource, EpochUpdate,
+    };
 
     fn snapshot_from_graph(g: &CsrGraph, old_part: Vec<PartId>) -> EpochSnapshot {
         let h = column_net_model(g, |v| g.vertex_size(v));
@@ -360,12 +387,30 @@ mod tests {
         let delta = EpochDelta {
             to_base: vec![0, 1, 2, 4],
             removed: vec![3],
-            added: vec![DeltaVertex { base: 4, weight: 2.0, size: 3.0, old_part: 1 }],
-            reweighted: vec![DeltaReweight { base: 1, weight: 5.0, size: 7.0 }],
+            added: vec![DeltaVertex {
+                base: 4,
+                weight: 2.0,
+                size: 3.0,
+                old_part: 1,
+            }],
+            reweighted: vec![DeltaReweight {
+                base: 1,
+                weight: 5.0,
+                size: 7.0,
+            }],
             nets: vec![
-                DeltaNet { base: 4, neighbors: vec![0, 2] },
-                DeltaNet { base: 0, neighbors: vec![1, 4] },
-                DeltaNet { base: 2, neighbors: vec![1, 4] },
+                DeltaNet {
+                    base: 4,
+                    neighbors: vec![0, 2],
+                },
+                DeltaNet {
+                    base: 0,
+                    neighbors: vec![1, 4],
+                },
+                DeltaNet {
+                    base: 2,
+                    neighbors: vec![1, 4],
+                },
             ],
         };
         let out = p.apply(&delta, 2, 8.0);
@@ -431,8 +476,7 @@ mod tests {
         let stream_a = dlb_amr::AmrStream::new(cfg, k, 97);
         let stream_b = dlb_amr::AmrStream::new(cfg, k, 97);
         let init_low = stream_a.initial_lowering();
-        let init: Vec<PartId> =
-            (0..init_low.graph.num_vertices()).map(|v| v % k).collect();
+        let init: Vec<PartId> = (0..init_low.graph.num_vertices()).map(|v| v % k).collect();
         let mut a = AmrSource::new(stream_a, &init);
         let mut b = AmrSource::new(stream_b, &init);
 
@@ -451,12 +495,25 @@ mod tests {
                 }
             };
             assert_eq!(patched.graph, fresh.graph, "epoch {epoch} graph mismatch");
-            assert_eq!(patched.hypergraph, fresh.hypergraph, "epoch {epoch} hypergraph mismatch");
-            assert_eq!(patched.to_base, fresh.to_base, "epoch {epoch} to_base mismatch");
-            assert_eq!(patched.old_part, fresh.old_part, "epoch {epoch} old_part mismatch");
+            assert_eq!(
+                patched.hypergraph, fresh.hypergraph,
+                "epoch {epoch} hypergraph mismatch"
+            );
+            assert_eq!(
+                patched.to_base, fresh.to_base,
+                "epoch {epoch} to_base mismatch"
+            );
+            assert_eq!(
+                patched.old_part, fresh.old_part,
+                "epoch {epoch} old_part mismatch"
+            );
 
-            let part: Vec<PartId> =
-                patched.old_part.iter().enumerate().map(|(v, &p)| (p + v) % k).collect();
+            let part: Vec<PartId> = patched
+                .old_part
+                .iter()
+                .enumerate()
+                .map(|(v, &p)| (p + v) % k)
+                .collect();
             a.commit_assignment(&patched, &part);
             b.commit_assignment(&fresh, &part);
             patcher.commit(&patched.to_base, &part);

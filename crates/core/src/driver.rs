@@ -149,7 +149,13 @@ fn finish(problem: &RepartProblem, new_part: Vec<PartId>, start: Instant) -> Rep
     );
     let imbalance = metrics::imbalance(problem.hypergraph, &new_part, problem.k);
     let moved = metrics::moved_vertex_count(problem.old_part, &new_part);
-    RepartResult { new_part, cost, imbalance, moved, elapsed }
+    RepartResult {
+        new_part,
+        cost,
+        imbalance,
+        moved,
+        elapsed,
+    }
 }
 
 /// Runs one of the four algorithms on `problem` (serial).
@@ -231,7 +237,10 @@ pub(crate) fn repartition_on(
                     &built
                 }
             };
-            assert_eq!(model.num_computation_vertices, problem.hypergraph.num_vertices());
+            assert_eq!(
+                model.num_computation_vertices,
+                problem.hypergraph.num_vertices()
+            );
             assert_eq!(model.k, problem.k);
             if prebuilt.is_some_and(|p| p.warm) {
                 model.solve_warm(comm.as_deref_mut(), problem.old_part, &cfg.hypergraph)
@@ -257,7 +266,10 @@ pub(crate) fn repartition_on(
             )
         }
         Algorithm::ParmetisRepart => {
-            let acfg = AdaptiveConfig { base: cfg.graph.clone(), alpha: problem.alpha };
+            let acfg = AdaptiveConfig {
+                base: cfg.graph.clone(),
+                alpha: problem.alpha,
+            };
             adaptive_repart(problem.graph, problem.k, problem.old_part, &acfg).part
         }
         Algorithm::ParmetisScratch => {
@@ -281,7 +293,10 @@ pub(crate) fn repartition_on(
 fn validate(problem: &RepartProblem) {
     assert!(problem.k > 0, "k must be positive");
     assert!(problem.alpha > 0.0, "alpha must be positive");
-    assert_eq!(problem.hypergraph.num_vertices(), problem.graph.num_vertices());
+    assert_eq!(
+        problem.hypergraph.num_vertices(),
+        problem.graph.num_vertices()
+    );
     assert_eq!(problem.old_part.len(), problem.hypergraph.num_vertices());
     assert!(problem.old_part.iter().all(|&p| p < problem.k));
 }
@@ -316,13 +331,24 @@ mod tests {
     #[test]
     fn all_four_algorithms_produce_valid_results() {
         let (g, h, old) = grid_problem(10, 10, 4);
-        let problem = RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 4, alpha: 10.0 };
+        let problem = RepartProblem {
+            hypergraph: &h,
+            graph: &g,
+            old_part: &old,
+            k: 4,
+            alpha: 10.0,
+        };
         let cfg = RepartConfig::seeded(1);
         for alg in Algorithm::ALL {
             let r = repartition(&problem, alg, &cfg);
             assert_eq!(r.new_part.len(), 100, "{}", alg.name());
             assert!(r.new_part.iter().all(|&p| p < 4));
-            assert!(r.imbalance <= 1.2, "{}: imbalance {}", alg.name(), r.imbalance);
+            assert!(
+                r.imbalance <= 1.2,
+                "{}: imbalance {}",
+                alg.name(),
+                r.imbalance
+            );
             assert!(r.cost.comm > 0.0, "{}: a grid always has cut", alg.name());
         }
     }
@@ -330,7 +356,13 @@ mod tests {
     #[test]
     fn repart_methods_migrate_less_at_small_alpha() {
         let (g, h, old) = grid_problem(12, 12, 4);
-        let problem = RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 4, alpha: 1.0 };
+        let problem = RepartProblem {
+            hypergraph: &h,
+            graph: &g,
+            old_part: &old,
+            k: 4,
+            alpha: 1.0,
+        };
         let cfg = RepartConfig::seeded(2);
         let zr = repartition(&problem, Algorithm::ZoltanRepart, &cfg);
         let zs = repartition(&problem, Algorithm::ZoltanScratch, &cfg);
@@ -345,7 +377,13 @@ mod tests {
     #[test]
     fn zoltan_repart_total_cost_beats_naive_scratch_at_alpha_one() {
         let (g, h, old) = grid_problem(12, 12, 4);
-        let problem = RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 4, alpha: 1.0 };
+        let problem = RepartProblem {
+            hypergraph: &h,
+            graph: &g,
+            old_part: &old,
+            k: 4,
+            alpha: 1.0,
+        };
         let cfg = RepartConfig::seeded(3);
         let zr = repartition(&problem, Algorithm::ZoltanRepart, &cfg);
         let zs = repartition(&problem, Algorithm::ZoltanScratch, &cfg);
@@ -362,12 +400,24 @@ mod tests {
         let (g, h, old) = grid_problem(12, 12, 4);
         let cfg = RepartConfig::seeded(4);
         let lo = repartition(
-            &RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 4, alpha: 1.0 },
+            &RepartProblem {
+                hypergraph: &h,
+                graph: &g,
+                old_part: &old,
+                k: 4,
+                alpha: 1.0,
+            },
             Algorithm::ZoltanRepart,
             &cfg,
         );
         let hi = repartition(
-            &RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 4, alpha: 1000.0 },
+            &RepartProblem {
+                hypergraph: &h,
+                graph: &g,
+                old_part: &old,
+                k: 4,
+                alpha: 1000.0,
+            },
             Algorithm::ZoltanRepart,
             &cfg,
         );
@@ -382,7 +432,13 @@ mod tests {
     #[test]
     fn moved_counts_are_consistent() {
         let (g, h, old) = grid_problem(8, 8, 2);
-        let problem = RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 2, alpha: 5.0 };
+        let problem = RepartProblem {
+            hypergraph: &h,
+            graph: &g,
+            old_part: &old,
+            k: 2,
+            alpha: 5.0,
+        };
         let r = repartition(&problem, Algorithm::ZoltanRepart, &RepartConfig::seeded(5));
         let recount = old.iter().zip(&r.new_part).filter(|(a, b)| a != b).count();
         assert_eq!(r.moved, recount);
@@ -391,18 +447,48 @@ mod tests {
     #[test]
     fn patched_cold_path_matches_repartition() {
         let (g, h, old) = grid_problem(10, 10, 4);
-        let problem = RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 4, alpha: 10.0 };
+        let problem = RepartProblem {
+            hypergraph: &h,
+            graph: &g,
+            old_part: &old,
+            k: 4,
+            alpha: 10.0,
+        };
         let cfg = RepartConfig::seeded(7);
         let model = RepartitionHypergraph::build(&h, &old, 4, 10.0);
         let a = repartition(&problem, Algorithm::ZoltanRepart, &cfg);
-        let prebuilt = |warm| Some(Prebuilt { model: &model, warm });
-        let b = repartition_on(None, &problem, Algorithm::ZoltanRepart, &cfg, prebuilt(false));
-        assert_eq!(a.new_part, b.new_part, "cold patched path must equal the standard driver");
+        let prebuilt = |warm| {
+            Some(Prebuilt {
+                model: &model,
+                warm,
+            })
+        };
+        let b = repartition_on(
+            None,
+            &problem,
+            Algorithm::ZoltanRepart,
+            &cfg,
+            prebuilt(false),
+        );
+        assert_eq!(
+            a.new_part, b.new_part,
+            "cold patched path must equal the standard driver"
+        );
         // The warm path optimizes the same objective under the same
         // constraints, just from a warm seed.
-        let w = repartition_on(None, &problem, Algorithm::ZoltanRepart, &cfg, prebuilt(true));
+        let w = repartition_on(
+            None,
+            &problem,
+            Algorithm::ZoltanRepart,
+            &cfg,
+            prebuilt(true),
+        );
         assert!(w.new_part.iter().all(|&p| p < 4));
-        assert!(w.imbalance <= 1.0 + cfg.hypergraph.epsilon + 1e-9, "imbalance {}", w.imbalance);
+        assert!(
+            w.imbalance <= 1.0 + cfg.hypergraph.epsilon + 1e-9,
+            "imbalance {}",
+            w.imbalance
+        );
     }
 
     #[test]
@@ -411,8 +497,13 @@ mod tests {
         let (g, h, old) = grid_problem(8, 8, 2);
         let cfg = RepartConfig::seeded(6);
         let results = run_spmd(3, |comm| {
-            let problem =
-                RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 2, alpha: 10.0 };
+            let problem = RepartProblem {
+                hypergraph: &h,
+                graph: &g,
+                old_part: &old,
+                k: 2,
+                alpha: 10.0,
+            };
             let r = repartition_parallel(comm, &problem, Algorithm::ZoltanRepart, &cfg);
             r.new_part
         });
@@ -424,7 +515,13 @@ mod tests {
     #[should_panic(expected = "alpha must be positive")]
     fn rejects_nonpositive_alpha() {
         let (g, h, old) = grid_problem(4, 4, 2);
-        let problem = RepartProblem { hypergraph: &h, graph: &g, old_part: &old, k: 2, alpha: 0.0 };
+        let problem = RepartProblem {
+            hypergraph: &h,
+            graph: &g,
+            old_part: &old,
+            k: 2,
+            alpha: 0.0,
+        };
         let _ = repartition(&problem, Algorithm::ZoltanRepart, &RepartConfig::default());
     }
 }

@@ -121,7 +121,11 @@ pub struct WorldPlan {
 impl WorldPlan {
     fn event(mut self, rank: usize, epoch: usize, change: WorldChange) -> Self {
         assert!(epoch >= 1, "epochs are 1-based");
-        self.events.push(WorldEvent { rank, epoch, change });
+        self.events.push(WorldEvent {
+            rank,
+            epoch,
+            change,
+        });
         self
     }
 
@@ -162,7 +166,11 @@ impl WorldPlan {
                 ));
             };
             let (rank, epoch) = parse_rank_at_epoch(directive, rest)?;
-            plan.events.push(WorldEvent { rank, epoch, change });
+            plan.events.push(WorldEvent {
+                rank,
+                epoch,
+                change,
+            });
         }
         Ok(plan)
     }
@@ -190,8 +198,11 @@ impl WorldPlan {
     pub fn resize_at(&self, epoch: usize) -> (Vec<usize>, Vec<usize>) {
         let mut joins = self.ranks_at(epoch, WorldChange::Join);
         let mut leaves = self.ranks_at(epoch, WorldChange::Leave);
-        let cancelled: Vec<usize> =
-            joins.iter().copied().filter(|r| leaves.contains(r)).collect();
+        let cancelled: Vec<usize> = joins
+            .iter()
+            .copied()
+            .filter(|r| leaves.contains(r))
+            .collect();
         joins.retain(|r| !cancelled.contains(r));
         leaves.retain(|r| !cancelled.contains(r));
         (joins, leaves)
@@ -206,7 +217,9 @@ impl WorldPlan {
     /// at the same boundary refills is accepted.
     pub fn validate(&self, k0: usize, num_epochs: usize) -> Result<(), String> {
         let joins = |rank: usize| {
-            self.events.iter().any(|e| e.rank == rank && e.change == WorldChange::Join)
+            self.events
+                .iter()
+                .any(|e| e.rank == rank && e.change == WorldChange::Join)
         };
         if let Some(e) = self
             .events
@@ -219,7 +232,9 @@ impl WorldPlan {
             ));
         }
         if let Some(e) = self.events.iter().find(|e| e.epoch > num_epochs) {
-            return Err(format!("{e} falls after the run's last epoch ({num_epochs})"));
+            return Err(format!(
+                "{e} falls after the run's last epoch ({num_epochs})"
+            ));
         }
         let mut world = WorldMembership::launch(k0);
         for epoch in 1..=num_epochs {
@@ -389,9 +404,19 @@ pub(crate) fn perform_resize(
     cfg: &RepartConfig,
     network: Option<&NetworkModel>,
 ) -> ResizeOutcome {
-    assert_eq!(old_part.len(), h.num_vertices(), "old partition length mismatch");
-    assert!(leaving_labels.iter().all(|&p| p < k_before), "leaving label out of range");
-    assert!(leaving_labels.windows(2).all(|w| w[0] < w[1]), "leaving labels must be sorted");
+    assert_eq!(
+        old_part.len(),
+        h.num_vertices(),
+        "old partition length mismatch"
+    );
+    assert!(
+        leaving_labels.iter().all(|&p| p < k_before),
+        "leaving label out of range"
+    );
+    assert!(
+        leaving_labels.windows(2).all(|w| w[0] < w[1]),
+        "leaving labels must be sorted"
+    );
     let survivors = k_before - leaving_labels.len();
     let k_after = survivors + num_joining;
     let k_union = k_before + num_joining;
@@ -451,8 +476,22 @@ pub(crate) fn perform_resize(
     // integer-valued workloads. Ties go to the repartitioner.
     let (meas_repart, meas_scratch) = match network {
         Some(net) => (
-            Some(measure_epoch(h, old_part, &exec_repart, k_union, alpha, net)),
-            Some(measure_epoch(h, old_part, &exec_scratch, k_union, alpha, net)),
+            Some(measure_epoch(
+                h,
+                old_part,
+                &exec_repart,
+                k_union,
+                alpha,
+                net,
+            )),
+            Some(measure_epoch(
+                h,
+                old_part,
+                &exec_scratch,
+                k_union,
+                alpha,
+                net,
+            )),
         ),
         None => (None, None),
     };
@@ -460,8 +499,11 @@ pub(crate) fn perform_resize(
         (Some(a), Some(b)) => (a.cost_volume(), b.cost_volume()),
         _ => (cost_repart.total(), cost_scratch.total()),
     };
-    let choice =
-        if repart_cost <= scratch_cost { ResizeChoice::Repart } else { ResizeChoice::Scratch };
+    let choice = if repart_cost <= scratch_cost {
+        ResizeChoice::Repart
+    } else {
+        ResizeChoice::Scratch
+    };
     let (part, exec_part, cost, execution) = match choice {
         ResizeChoice::Repart => (part_repart, exec_repart, cost_repart, meas_repart),
         ResizeChoice::Scratch => (part_scratch, exec_scratch, cost_scratch, meas_scratch),
@@ -479,7 +521,10 @@ pub(crate) fn perform_resize(
                 }
                 // `max_by_key` keeps the last maximum: scanning downwards
                 // makes that the lowest label.
-                (0..k_after).rev().max_by_key(|&q| received[q]).expect("k_after >= 1")
+                (0..k_after)
+                    .rev()
+                    .max_by_key(|&q| received[q])
+                    .expect("k_after >= 1")
             })
         })
         .collect();
@@ -557,7 +602,10 @@ pub struct AuditedSource<S> {
 impl<S: EpochSource> AuditedSource<S> {
     /// Wraps `inner` with a fresh ledger.
     pub fn new(inner: S) -> Self {
-        AuditedSource { inner, ledger: Arc::new(Mutex::new(Vec::new())) }
+        AuditedSource {
+            inner,
+            ledger: Arc::new(Mutex::new(Vec::new())),
+        }
     }
 
     /// Wraps `inner`, appending to an existing ledger (per-rank ledgers
@@ -583,14 +631,20 @@ impl<S: EpochSource> EpochSource for AuditedSource<S> {
 
     fn next_epoch(&mut self) -> EpochSnapshot {
         let snapshot = self.inner.next_epoch();
-        self.ledger.lock().unwrap().push(science_fingerprint(&snapshot));
+        self.ledger
+            .lock()
+            .unwrap()
+            .push(science_fingerprint(&snapshot));
         snapshot
     }
 
     fn next_delta(&mut self) -> EpochUpdate {
         let update = self.inner.next_delta();
         if let EpochUpdate::Full(snapshot) = &update {
-            self.ledger.lock().unwrap().push(science_fingerprint(snapshot));
+            self.ledger
+                .lock()
+                .unwrap()
+                .push(science_fingerprint(snapshot));
         }
         update
     }
@@ -626,7 +680,11 @@ mod tests {
     #[test]
     fn parse_empty_spec_is_no_changes() {
         for spec in ["", " ", ",", " , "] {
-            assert_eq!(WorldPlan::parse(spec).unwrap(), WorldPlan::default(), "'{spec}'");
+            assert_eq!(
+                WorldPlan::parse(spec).unwrap(),
+                WorldPlan::default(),
+                "'{spec}'"
+            );
         }
     }
 
@@ -667,11 +725,17 @@ mod tests {
     #[test]
     fn rank_at_epoch_parses_and_rejects() {
         assert_eq!(parse_rank_at_epoch("fail1@2", "1@2").unwrap(), (1, 2));
-        for (directive, rest) in
-            [("fail@2", "@2"), ("fail1@", "1@"), ("fail1@zero", "1@zero"), ("fail12", "12")]
-        {
+        for (directive, rest) in [
+            ("fail@2", "@2"),
+            ("fail1@", "1@"),
+            ("fail1@zero", "1@zero"),
+            ("fail12", "12"),
+        ] {
             let err = parse_rank_at_epoch(directive, rest).unwrap_err();
-            assert!(err.contains(directive), "error must cite '{directive}': {err}");
+            assert!(
+                err.contains(directive),
+                "error must cite '{directive}': {err}"
+            );
         }
         let err = parse_rank_at_epoch("leave3@0", "3@0").unwrap_err();
         assert!(err.contains("1-based"), "{err}");
@@ -694,7 +758,10 @@ mod tests {
 
     #[test]
     fn validate_catches_world_exhaustion() {
-        assert!(WorldPlan::default().leave(0, 1).validate(2, 1).is_ok(), "one leave of two is fine");
+        assert!(
+            WorldPlan::default().leave(0, 1).validate(2, 1).is_ok(),
+            "one leave of two is fine"
+        );
         let plan = WorldPlan::default().leave(0, 1).leave(1, 2);
         // Its leave at epoch 2 would never apply in a one-epoch run.
         let err = plan.validate(2, 1).unwrap_err();
@@ -714,15 +781,26 @@ mod tests {
     fn validate_refuses_ranks_never_in_the_world() {
         // A fail or leave must name a launched rank or one the plan
         // joins; a leave used to be dropped silently.
-        for plan in [WorldPlan::default().fail(9, 1), WorldPlan::default().leave(9, 2)] {
+        for plan in [
+            WorldPlan::default().fail(9, 1),
+            WorldPlan::default().leave(9, 2),
+        ] {
             let err = plan.validate(4, 2).unwrap_err();
             assert!(err.contains("rank 9 out of range for k = 4"), "{err}");
         }
         let err = WorldPlan::default().leave(9, 2).validate(4, 2).unwrap_err();
         assert!(err.contains("leave9@2"), "{err}");
         // A spare the plan joins may fail or leave, even before it joins.
-        assert!(WorldPlan::default().join(9, 2).fail(9, 3).validate(4, 3).is_ok());
-        assert!(WorldPlan::default().leave(9, 1).join(9, 2).validate(4, 3).is_ok());
+        assert!(WorldPlan::default()
+            .join(9, 2)
+            .fail(9, 3)
+            .validate(4, 3)
+            .is_ok());
+        assert!(WorldPlan::default()
+            .leave(9, 1)
+            .join(9, 2)
+            .validate(4, 3)
+            .is_ok());
     }
 
     fn grid(rows: usize, cols: usize, k: usize) -> (Hypergraph, Vec<PartId>) {
@@ -822,8 +900,7 @@ mod tests {
         let (h, old) = grid(6, 6, 3);
         let cfg = RepartConfig::seeded(5);
         let net = NetworkModel::default();
-        let measured =
-            perform_resize(None, &h, &old, &[0], 1, 3, 10.0, &cfg, Some(&net));
+        let measured = perform_resize(None, &h, &old, &[0], 1, 3, 10.0, &cfg, Some(&net));
         let modeled = perform_resize(None, &h, &old, &[0], 1, 3, 10.0, &cfg, None);
         // Same candidates, and on integer-valued inputs the measured
         // volumes equal the model costs bitwise — so the same winner.
@@ -850,12 +927,20 @@ mod tests {
     ) -> (Vec<PartId>, CostBreakdown) {
         let partial: Vec<Option<PartId>> = old_part
             .iter()
-            .map(|&p| if p == dead { None } else { Some(if p > dead { p - 1 } else { p }) })
+            .map(|&p| {
+                if p == dead {
+                    None
+                } else {
+                    Some(if p > dead { p - 1 } else { p })
+                }
+            })
             .collect();
         let model = RepartitionHypergraph::build_partial(h, &partial, k - 1, alpha);
         let part = model.solve(None, &cfg.hypergraph);
-        let exec_part: Vec<PartId> =
-            part.iter().map(|&q| if q >= dead { q + 1 } else { q }).collect();
+        let exec_part: Vec<PartId> = part
+            .iter()
+            .map(|&q| if q >= dead { q + 1 } else { q })
+            .collect();
         let cost = CostBreakdown::measure(h, old_part, &exec_part, k, alpha);
         (part, cost)
     }
@@ -869,8 +954,7 @@ mod tests {
                 for alpha in [1.0, 10.0, 100.0] {
                     let cfg = RepartConfig::seeded(dead as u64 + 1);
                     let (part, cost) = recover_from_failure(&h, &old, dead, k, alpha, &cfg);
-                    let out =
-                        perform_resize(None, &h, &old, &[dead], 0, k, alpha, &cfg, None);
+                    let out = perform_resize(None, &h, &old, &[dead], 0, k, alpha, &cfg, None);
                     let case = format!("{rows}x{cols} k={k} dead={dead} alpha={alpha}");
                     assert_eq!(out.repart_cost.to_bits(), cost.total().to_bits(), "{case}");
                     if out.choice == ResizeChoice::Repart {
@@ -889,7 +973,10 @@ mod tests {
                         }
                     }
                     let most = *received.iter().max().unwrap();
-                    assert_eq!(received.iter().position(|&c| c == most), Some(out.relabel[dead]));
+                    assert_eq!(
+                        received.iter().position(|&c| c == most),
+                        Some(out.relabel[dead])
+                    );
                 }
             }
         }
@@ -905,7 +992,9 @@ mod tests {
     }
 
     fn session<'a>(epochs: usize) -> crate::Session<'a> {
-        crate::Session::new(RepartConfig::seeded(21)).alpha(10.0).epochs(epochs)
+        crate::Session::new(RepartConfig::seeded(21))
+            .alpha(10.0)
+            .epochs(epochs)
     }
 
     #[test]
@@ -933,7 +1022,10 @@ mod tests {
             .run()
             .unwrap();
         let rec = s.reports[1].resize.as_ref().expect("epoch 2 resized");
-        assert_eq!((rec.failed.as_slice(), rec.joined.as_slice()), (&[0, 1][..], &[5][..]));
+        assert_eq!(
+            (rec.failed.as_slice(), rec.joined.as_slice()),
+            (&[0, 1][..], &[5][..])
+        );
         assert_eq!(s.world_timeline(), vec![(1, 2), (2, 1), (3, 1)]);
         // Without the join the failures empty the world.
         let mut stream = weights_stream(2, 22);

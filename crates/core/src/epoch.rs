@@ -126,7 +126,11 @@ impl SimulationSummary {
 
     /// Ranks that failed (and were recovered from) over the trial.
     pub fn total_recoveries(&self) -> usize {
-        self.reports.iter().filter_map(|r| r.resize.as_ref()).map(|r| r.failed.len()).sum()
+        self.reports
+            .iter()
+            .filter_map(|r| r.resize.as_ref())
+            .map(|r| r.failed.len())
+            .sum()
     }
 
     /// Boundary resizes performed over the trial, failure-only ones
@@ -170,7 +174,11 @@ impl SimulationSummary {
         if self.reports.is_empty() || self.reports.iter().any(|r| r.execution.is_none()) {
             return None;
         }
-        Some(mean(self.reports.iter().map(|r| f(r.execution.as_ref().unwrap()))))
+        Some(mean(
+            self.reports
+                .iter()
+                .map(|r| f(r.execution.as_ref().unwrap())),
+        ))
     }
 
     /// The online `CompetitiveRatio` of this (policy) run against a
@@ -228,8 +236,15 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
     source: &mut S,
     params: &EpochParams<'_>,
 ) -> Result<SimulationSummary, SessionError> {
-    let &EpochParams { num_epochs, algorithm, alpha, cfg, network, world, incremental } =
-        params;
+    let &EpochParams {
+        num_epochs,
+        algorithm,
+        alpha,
+        cfg,
+        network,
+        world,
+        incremental,
+    } = params;
     let mut patcher = incremental.map(|_| ModelPatcher::new());
     let k0 = source.k();
     if let Some(plan) = world {
@@ -263,8 +278,9 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
             None => (source.next_epoch(), None),
         };
         span.attr("vertices", snapshot.graph.num_vertices());
-        let (failed, joined, departed) =
-            world.map_or_else(Default::default, |plan| boundary_change(&membership, epoch, plan));
+        let (failed, joined, departed) = world.map_or_else(Default::default, |plan| {
+            boundary_change(&membership, epoch, plan)
+        });
         let report = if failed.is_empty() && joined.is_empty() && departed.is_empty() {
             let problem = RepartProblem {
                 hypergraph: &snapshot.hypergraph,
@@ -368,7 +384,10 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
             }
             rspan.attr("failed", failed.len());
             rspan.attr("migration", out.cost.migration);
-            rspan.attr("chose_scratch", (out.choice == ResizeChoice::Scratch) as usize);
+            rspan.attr(
+                "chose_scratch",
+                (out.choice == ResizeChoice::Scratch) as usize,
+            );
             source.relabel_parts(&out.relabel);
             source.commit_assignment(&snapshot, &out.part);
             if let Some(patcher) = patcher.as_mut() {
@@ -402,7 +421,12 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
         };
         reports.push(report);
     }
-    Ok(SimulationSummary { algorithm, alpha, k: k0, reports })
+    Ok(SimulationSummary {
+        algorithm,
+        alpha,
+        k: k0,
+        reports,
+    })
 }
 
 #[cfg(test)]
@@ -412,7 +436,12 @@ mod tests {
     use dlb_graphpart::{partition_kway, GraphConfig};
     use dlb_workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
 
-    fn make_stream(kind: DatasetKind, k: usize, perturbation: Perturbation, seed: u64) -> EpochStream {
+    fn make_stream(
+        kind: DatasetKind,
+        k: usize,
+        perturbation: Perturbation,
+        seed: u64,
+    ) -> EpochStream {
         let d = Dataset::generate(kind, 0.0005, seed);
         let init = partition_kway(&d.graph, k, &GraphConfig::seeded(seed)).part;
         EpochStream::new(d.graph, perturbation, k, init, seed)
@@ -448,11 +477,20 @@ mod tests {
     #[test]
     fn weight_perturbation_simulation() {
         let mut stream = make_stream(DatasetKind::Cage14, 4, Perturbation::weights(), 5);
-        let summary =
-            run(&mut stream, 3, Algorithm::ZoltanRepart, 100.0, &RepartConfig::seeded(5));
+        let summary = run(
+            &mut stream,
+            3,
+            Algorithm::ZoltanRepart,
+            100.0,
+            &RepartConfig::seeded(5),
+        );
         assert_eq!(summary.reports.len(), 3);
         // Weight growth must be rebalanced.
-        assert!(summary.max_imbalance() <= 1.3, "imbalance {}", summary.max_imbalance());
+        assert!(
+            summary.max_imbalance() <= 1.3,
+            "imbalance {}",
+            summary.max_imbalance()
+        );
     }
 
     #[test]
@@ -464,11 +502,21 @@ mod tests {
         let mut scratch_total = 0.0;
         for seed in 11..16 {
             let mut s1 = make_stream(DatasetKind::Auto, 4, Perturbation::structure(), seed);
-            let repart =
-                run(&mut s1, 3, Algorithm::ZoltanRepart, 1.0, &RepartConfig::seeded(seed));
+            let repart = run(
+                &mut s1,
+                3,
+                Algorithm::ZoltanRepart,
+                1.0,
+                &RepartConfig::seeded(seed),
+            );
             let mut s2 = make_stream(DatasetKind::Auto, 4, Perturbation::structure(), seed);
-            let scratch =
-                run(&mut s2, 3, Algorithm::ZoltanScratch, 1.0, &RepartConfig::seeded(seed));
+            let scratch = run(
+                &mut s2,
+                3,
+                Algorithm::ZoltanScratch,
+                1.0,
+                &RepartConfig::seeded(seed),
+            );
             repart_total += repart.mean_normalized_total();
             scratch_total += scratch.mean_normalized_total();
         }
@@ -513,7 +561,13 @@ mod tests {
         assert!((makespan - (10.0 * (comp + comm) + mig)).abs() < 1e-12);
         // The unmeasured path reports no execution.
         let mut stream = make_stream(DatasetKind::Auto, 2, Perturbation::weights(), 9);
-        let s = run(&mut stream, 2, Algorithm::ZoltanRepart, 10.0, &RepartConfig::seeded(9));
+        let s = run(
+            &mut stream,
+            2,
+            Algorithm::ZoltanRepart,
+            10.0,
+            &RepartConfig::seeded(9),
+        );
         assert!(s.reports.iter().all(|r| r.execution.is_none()));
         assert_eq!(s.mean_makespan(), None);
         assert_eq!(s.mean_phase_times(), None);
@@ -522,9 +576,19 @@ mod tests {
     #[test]
     fn summary_statistics_are_consistent() {
         let mut stream = make_stream(DatasetKind::Auto, 2, Perturbation::structure(), 7);
-        let s = run(&mut stream, 4, Algorithm::ParmetisRepart, 10.0, &RepartConfig::seeded(7));
-        let manual: f64 =
-            s.reports.iter().map(|r| r.cost.normalized_total()).sum::<f64>() / 4.0;
+        let s = run(
+            &mut stream,
+            4,
+            Algorithm::ParmetisRepart,
+            10.0,
+            &RepartConfig::seeded(7),
+        );
+        let manual: f64 = s
+            .reports
+            .iter()
+            .map(|r| r.cost.normalized_total())
+            .sum::<f64>()
+            / 4.0;
         assert!((s.mean_normalized_total() - manual).abs() < 1e-12);
         assert!(s.total_elapsed() >= s.mean_elapsed());
     }
@@ -570,7 +634,10 @@ mod tests {
             assert_eq!(i.cost.migration, f.cost.migration);
             assert_eq!(i.moved, f.moved);
             assert_eq!(i.num_vertices, f.num_vertices);
-            assert_eq!(i.execution.unwrap().cost_volume(), f.execution.unwrap().cost_volume());
+            assert_eq!(
+                i.execution.unwrap().cost_volume(),
+                f.execution.unwrap().cost_volume()
+            );
         }
         let cr = inc.competitive_ratio_vs(&full).expect("both measured");
         assert_eq!(cr.ratio(), Some(1.0), "identical runs have ratio exactly 1");

@@ -49,7 +49,11 @@ impl Default for NetworkModel {
     /// latency, 1 GB/s effective bandwidth. Chosen so that at the AMR
     /// workload's scale none of the three phases is negligible.
     fn default() -> Self {
-        NetworkModel { sec_per_work: 1e-6, latency: 1e-5, sec_per_byte: 1e-9 }
+        NetworkModel {
+            sec_per_work: 1e-6,
+            latency: 1e-5,
+            sec_per_byte: 1e-9,
+        }
     }
 }
 
@@ -172,7 +176,10 @@ pub fn measure_epoch(
     assert_eq!(old_part.len(), n, "old_part length mismatch");
     assert_eq!(new_part.len(), n, "new_part length mismatch");
     assert!(k > 0, "k must be positive");
-    assert!(new_part.iter().chain(old_part).all(|&p| p < k), "part out of range");
+    assert!(
+        new_part.iter().chain(old_part).all(|&p| p < k),
+        "part out of range"
+    );
 
     let span = dlb_trace::span!("exec.measure", vertices = n, k = k, alpha = alpha);
 
@@ -342,7 +349,10 @@ mod tests {
         // More iterations, longer epoch.
         let e2 = measure_epoch(&h, &old, &new, 2, 100.0, &net);
         assert!(e2.makespan() > e.makespan());
-        assert_eq!(e2.t_mig, e.t_mig, "migration is per-epoch, not per-iteration");
+        assert_eq!(
+            e2.t_mig, e.t_mig,
+            "migration is per-epoch, not per-iteration"
+        );
     }
 
     #[test]

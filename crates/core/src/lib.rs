@@ -58,12 +58,12 @@ mod spec;
 
 pub use cost::CostBreakdown;
 pub use delta::ModelPatcher;
-pub use driver::{repartition, Algorithm, RepartConfig, RepartProblem, RepartResult};
 pub use driver::repartition_parallel;
+pub use driver::{repartition, Algorithm, RepartConfig, RepartProblem, RepartResult};
 pub use elastic::{AuditLedger, AuditedSource, WorldPlan};
 pub use epoch::SimulationSummary;
 pub use exec::{measure_epoch, NetworkModel};
-pub use session::{Session, SessionError, DEFAULT_DRIFT_THRESHOLD};
 pub use migrate::{migrate_items, scatter_initial};
 pub use model::RepartitionHypergraph;
 pub use remap::remap_to_minimize_migration;
+pub use session::{Session, SessionError, DEFAULT_DRIFT_THRESHOLD};

@@ -17,7 +17,9 @@ pub(crate) struct WorldMembership {
 impl WorldMembership {
     /// A fresh world of `k` ranks with original ids `0..k`.
     pub(crate) fn launch(k: usize) -> Self {
-        WorldMembership { members: (0..k).collect() }
+        WorldMembership {
+            members: (0..k).collect(),
+        }
     }
 
     /// Number of ranks currently alive.
@@ -65,12 +67,17 @@ impl WorldMembership {
             .iter()
             .map(|&orig| {
                 self.label_of(orig).unwrap_or_else(|| {
-                    panic!("departing rank {orig} is not in the world {:?}", self.members)
+                    panic!(
+                        "departing rank {orig} is not in the world {:?}",
+                        self.members
+                    )
                 })
             })
             .collect();
         left_labels.sort_unstable();
-        left_labels.windows(2).for_each(|w| assert_ne!(w[0], w[1], "duplicate departure"));
+        left_labels
+            .windows(2)
+            .for_each(|w| assert_ne!(w[0], w[1], "duplicate departure"));
         // Retain survivors in order (one-pass compaction), then append
         // the joiners.
         self.members.retain(|m| !leaving.contains(m));

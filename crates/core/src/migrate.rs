@@ -202,7 +202,10 @@ mod tests {
         let new = vec![2, 3, 0, 1]; // each vertex moves part but not rank
         let results = exchange(2, old, new);
         for (_, stats) in &results {
-            assert_eq!(stats.items_sent, 0, "part changes within a rank move no data");
+            assert_eq!(
+                stats.items_sent, 0,
+                "part changes within a rank move no data"
+            );
         }
     }
 
@@ -216,8 +219,7 @@ mod tests {
         let sizes: Vec<f64> = (0..9).map(|v| 3.0 + v as f64).collect();
         for nranks in [2usize, 3] {
             let results = run_spmd(nranks, |comm| {
-                let items =
-                    scatter_initial(comm.rank(), comm.size(), &old, |v| sizes[v]);
+                let items = scatter_initial(comm.rank(), comm.size(), &old, |v| sizes[v]);
                 migrate_items(comm, items, &old, &new, |s| *s).1
             });
             let sent: usize = results.iter().map(|s| s.items_sent).sum();
@@ -249,7 +251,10 @@ mod tests {
         assert_eq!(m.items_received, 4);
         assert_eq!(m.volume_sent, 10.0);
         assert_eq!(m.volume_received, 9.0);
-        assert_eq!(MigrationStats::max_over_ranks(&[]), MigrationStats::default());
+        assert_eq!(
+            MigrationStats::max_over_ranks(&[]),
+            MigrationStats::default()
+        );
     }
 
     /// Physical migration volume equals the model's migration accounting.
@@ -267,6 +272,9 @@ mod tests {
         });
         let physical: f64 = results.iter().map(|(_, s)| s.volume_sent).sum();
         let model = migration_volume(&sizes, &old, &new);
-        assert!((physical - model).abs() < 1e-9, "physical {physical} vs model {model}");
+        assert!(
+            (physical - model).abs() < 1e-9,
+            "physical {physical} vs model {model}"
+        );
     }
 }

@@ -174,7 +174,14 @@ impl RepartitionHypergraph {
         // escape the previous epoch's basin.
         cfg.num_vcycles = cfg.num_vcycles.max(2);
         let seed = self.extend_assignment(old_part);
-        let r = partition_fixed_on(comm, &self.augmented, self.k, &self.fixed, Some(&seed), &cfg);
+        let r = partition_fixed_on(
+            comm,
+            &self.augmented,
+            self.k,
+            &self.fixed,
+            Some(&seed),
+            &cfg,
+        );
         self.decode(&r.part)
     }
 
@@ -328,7 +335,10 @@ mod tests {
         assert_eq!(model.objective(&[0, 0, 1]), model.objective(&[0, 1, 1]));
         // The anchored model charges v1's size (7) for the same move.
         let anchored = RepartitionHypergraph::build(&h, &[0, 0, 1], 2, 2.0);
-        assert_eq!(anchored.objective(&[0, 1, 1]) - anchored.objective(&[0, 0, 1]), 7.0);
+        assert_eq!(
+            anchored.objective(&[0, 1, 1]) - anchored.objective(&[0, 0, 1]),
+            7.0
+        );
     }
 
     #[test]

@@ -65,7 +65,10 @@ pub(crate) fn remap_to_minimize_migration_partial(
             }
         }
     }
-    entries.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| (a.1, a.2).cmp(&(b.1, b.2))));
+    entries.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+    });
 
     let mut new_to_old: Vec<Option<PartId>> = vec![None; k];
     let mut old_taken = vec![false; k];
@@ -146,7 +149,10 @@ mod tests {
             let before = migration_volume(&sizes, &old, &new);
             let remapped = remap_to_minimize_migration(&new, &old, &sizes, k);
             let after = migration_volume(&sizes, &old, &remapped);
-            assert!(after <= before + 1e-9, "remap made migration worse: {before} -> {after}");
+            assert!(
+                after <= before + 1e-9,
+                "remap made migration worse: {before} -> {after}"
+            );
         }
     }
 
@@ -189,7 +195,10 @@ mod tests {
         let new = vec![0, 0, 1];
         let sizes = vec![10.0, 9.0, 8.0];
         let remapped = remap_to_minimize_migration(&new, &old, &sizes, 2);
-        assert_eq!(remapped, new, "guard must fall back to the delivered labels");
+        assert_eq!(
+            remapped, new,
+            "guard must fall back to the delivered labels"
+        );
         assert_eq!(migration_volume(&sizes, &old, &remapped), 10.0);
     }
 

@@ -97,7 +97,10 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionError::NoWorkload => {
-                write!(f, "session has no workload (call .workload() or .workload_factory())")
+                write!(
+                    f,
+                    "session has no workload (call .workload() or .workload_factory())"
+                )
             }
             SessionError::RanksNeedFactory { ranks } => write!(
                 f,
@@ -302,9 +305,9 @@ impl<'a> Session<'a> {
             cfg: &self.cfg,
             network: self.network.as_ref(),
             world: self.world.as_ref(),
-            incremental: self
-                .incremental
-                .then_some(IncrementalPolicy { drift_threshold: self.drift_threshold }),
+            incremental: self.incremental.then_some(IncrementalPolicy {
+                drift_threshold: self.drift_threshold,
+            }),
         }
     }
 
@@ -403,7 +406,10 @@ mod tests {
             .workload(&mut stream)
             .run()
             .unwrap_err();
-        assert!(matches!(err, SessionError::RanksNeedFactory { ranks: 2 }), "{err}");
+        assert!(
+            matches!(err, SessionError::RanksNeedFactory { ranks: 2 }),
+            "{err}"
+        );
 
         let err = Session::new(RepartConfig::default())
             .ranks(0)
@@ -415,9 +421,7 @@ mod tests {
 
     #[test]
     fn invalid_alpha_is_an_error_before_the_first_epoch() {
-        let is_invalid_alpha = |err: SessionError, alpha: f64| {
-            matches!(err, SessionError::InvalidAlpha(a) if a.to_bits() == alpha.to_bits())
-        };
+        let is_invalid_alpha = |err: SessionError, alpha: f64| matches!(err, SessionError::InvalidAlpha(a) if a.to_bits() == alpha.to_bits());
         for alpha in [0.0, f64::NAN, f64::INFINITY] {
             let mut stream = make_stream(2, 6);
             let err = Session::new(RepartConfig::seeded(6))
@@ -442,7 +446,10 @@ mod tests {
                         .run_on(comm)
                         .unwrap_err()
                 }) {
-                    assert!(is_invalid_alpha(err, alpha), "alpha {alpha}, run_on at {ranks} ranks");
+                    assert!(
+                        is_invalid_alpha(err, alpha),
+                        "alpha {alpha}, run_on at {ranks} ranks"
+                    );
                 }
             }
         }
@@ -472,9 +479,16 @@ mod tests {
                 })
                 .run_traced()
                 .unwrap();
-            assert_eq!(report.counter(dlb_trace::Counter::DeltaEpochs), 2, "ranks {ranks}");
-            let epochs: Vec<_> =
-                s.reports.iter().map(|r| (r.cost, r.imbalance.to_bits(), r.moved)).collect();
+            assert_eq!(
+                report.counter(dlb_trace::Counter::DeltaEpochs),
+                2,
+                "ranks {ranks}"
+            );
+            let epochs: Vec<_> = s
+                .reports
+                .iter()
+                .map(|r| (r.cost, r.imbalance.to_bits(), r.moved))
+                .collect();
             assert_eq!(epochs.len(), 3);
             epochs
         };

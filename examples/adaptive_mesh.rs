@@ -30,8 +30,7 @@ fn main() {
         // same initial partition, same refinement sequence.
         let dataset = Dataset::generate(DatasetKind::Auto, 0.005, seed);
         let initial = partition_kway(&dataset.graph, k, &GraphConfig::seeded(seed)).part;
-        let mut stream =
-            EpochStream::new(dataset.graph, Perturbation::weights(), k, initial, seed);
+        let mut stream = EpochStream::new(dataset.graph, Perturbation::weights(), k, initial, seed);
         let summary = Session::new(RepartConfig::seeded(seed))
             .algorithm(alg)
             .alpha(alpha)

@@ -135,8 +135,7 @@ fn main() {
             let decision = repartition(&problem, Algorithm::ZoltanRepart, &cfg);
 
             // --- Migrate cell state to the new owners. ---
-            let (new_owned, stats) =
-                migrate_items(comm, owned, &part, &decision.new_part, |_| 1.0);
+            let (new_owned, stats) = migrate_items(comm, owned, &part, &decision.new_part, |_| 1.0);
             owned = new_owned;
             part = decision.new_part.clone();
 
@@ -175,12 +174,7 @@ fn main() {
                     visible[v] = t;
                 }
                 let cells: Vec<usize> = owned.iter().map(|(v, _)| *v).collect();
-                let updated = jacobi_step(
-                    &g,
-                    &|u| visible[u],
-                    &|u| hot_region(epoch, u),
-                    &cells,
-                );
+                let updated = jacobi_step(&g, &|u| visible[u], &|u| hot_region(epoch, u), &cells);
                 for (slot, (_, t)) in owned.iter_mut().zip(&updated) {
                     slot.1 = *t;
                 }
@@ -216,9 +210,14 @@ fn main() {
         .zip(&final_temps)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
-    assert!(max_err < 1e-9, "distributed result diverged: max err {max_err}");
+    assert!(
+        max_err < 1e-9,
+        "distributed result diverged: max err {max_err}"
+    );
 
-    println!("heat simulation: {ROWS}x{COLS} grid, k={K}, {EPOCHS} epochs x {ITERS_PER_EPOCH} iters");
+    println!(
+        "heat simulation: {ROWS}x{COLS} grid, k={K}, {EPOCHS} epochs x {ITERS_PER_EPOCH} iters"
+    );
     println!("distributed result matches the serial reference (max err {max_err:.2e})\n");
     println!(
         "{:>6} {:>12} {:>14} {:>12} {:>11}",

@@ -24,8 +24,7 @@ fn main() {
 
     let dataset = Dataset::generate(DatasetKind::Cage14, 0.001, seed);
     let initial = partition_kway(&dataset.graph, k, &GraphConfig::seeded(seed)).part;
-    let mut stream =
-        EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
+    let mut stream = EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
     let snapshot = stream.next_epoch();
     let n = snapshot.graph.num_vertices();
     println!("epoch: {n} vertices, k={k}, {ranks} simulated ranks\n");

@@ -21,8 +21,7 @@ fn main() {
 
     let dataset = Dataset::generate(DatasetKind::Xyce680s, 0.005, seed);
     let initial = partition_kway(&dataset.graph, k, &GraphConfig::seeded(seed)).part;
-    let mut stream =
-        EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
+    let mut stream = EpochStream::new(dataset.graph, Perturbation::structure(), k, initial, seed);
     let snapshot = stream.next_epoch();
     println!(
         "epoch problem: {} vertices, {} nets; k={k} on {ranks} simulated ranks",

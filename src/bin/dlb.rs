@@ -204,14 +204,19 @@ fn parse_cli() -> Cli {
         i += 1;
         if !flag.starts_with('-') {
             if command == "simulate" {
-                fail(format!("simulate generates its workload and reads no input file ({flag})"));
+                fail(format!(
+                    "simulate generates its workload and reads no input file ({flag})"
+                ));
             }
             input = Some(flag.to_string());
             continue;
         }
         let readers = read_by(flag);
         if !readers.contains(&command.as_str()) {
-            fail(format!("{flag} applies to {} only, not {command}", readers.join(" and ")));
+            fail(format!(
+                "{flag} applies to {} only, not {command}",
+                readers.join(" and ")
+            ));
         }
         match flag {
             "-k" => k = Some(parse_value(&argv, &mut i, flag)),
@@ -246,7 +251,8 @@ fn parse_cli() -> Cli {
             "--world-plan" => {
                 let spec: String = parse_value(&argv, &mut i, flag);
                 world_plan = Some(
-                    WorldPlan::parse(&spec).unwrap_or_else(|e| fail(format!("bad --world-plan: {e}"))),
+                    WorldPlan::parse(&spec)
+                        .unwrap_or_else(|e| fail(format!("bad --world-plan: {e}"))),
                 );
             }
             _ => unreachable!("read_by admitted the flag {flag}"),
@@ -331,22 +337,30 @@ fn repart_config(hg: HgConfig) -> RepartConfig {
 /// left for `make_sim_source` to report.
 fn validate_ranges(cli: &Cli) {
     if !(cli.alpha > 0.0 && cli.alpha.is_finite()) {
-        fail(format!("--alpha must be positive and finite, got {}", cli.alpha));
+        fail(format!(
+            "--alpha must be positive and finite, got {}",
+            cli.alpha
+        ));
     }
     if cli.epochs == 0 {
         fail("--epochs must be at least 1");
     }
-    if let Some(t) = cli.drift_threshold.filter(|t| !(t.is_finite() && *t >= 0.0)) {
-        fail(format!("--drift-threshold must be finite and non-negative, got {t}"));
+    if let Some(t) = cli
+        .drift_threshold
+        .filter(|t| !(t.is_finite() && *t >= 0.0))
+    {
+        fail(format!(
+            "--drift-threshold must be finite and non-negative, got {t}"
+        ));
     }
     let Some(scale) = cli.scale else { return };
     match cli.workload.as_deref() {
-        Some("amr") if !(scale.fract() == 0.0 && (0.0..=8.0).contains(&scale)) => {
-            fail(format!("--scale for amr must be an integer in 0..=8, got {scale}"))
-        }
-        Some("structure" | "weights") if !(scale > 0.0 && scale <= 1.0) => {
-            fail(format!("--scale for structure/weights must be in (0, 1], got {scale}"))
-        }
+        Some("amr") if !(scale.fract() == 0.0 && (0.0..=8.0).contains(&scale)) => fail(format!(
+            "--scale for amr must be an integer in 0..=8, got {scale}"
+        )),
+        Some("structure" | "weights") if !(scale > 0.0 && scale <= 1.0) => fail(format!(
+            "--scale for structure/weights must be in (0, 1], got {scale}"
+        )),
         _ => {}
     }
 }
@@ -474,11 +488,19 @@ fn make_sim_source(cli: &Cli, banner: &Once) -> Box<dyn EpochSource> {
             let dataset =
                 Dataset::generate(DatasetKind::Auto, cli.scale.unwrap_or(0.001), cli.seed);
             banner.call_once(|| {
-                eprintln!("{name}: auto dataset, {} vertices", dataset.graph.num_vertices())
+                eprintln!(
+                    "{name}: auto dataset, {} vertices",
+                    dataset.graph.num_vertices()
+                )
             });
-            let init =
-                partition_kway(&dataset.graph, cli.k, &GraphConfig::seeded(cli.seed)).part;
-            Box::new(EpochStream::new(dataset.graph, perturbation, cli.k, init, cli.seed))
+            let init = partition_kway(&dataset.graph, cli.k, &GraphConfig::seeded(cli.seed)).part;
+            Box::new(EpochStream::new(
+                dataset.graph,
+                perturbation,
+                cli.k,
+                init,
+                cli.seed,
+            ))
         }
         other => {
             eprintln!("simulate requires --workload amr|structure|weights, got {other:?}");
@@ -548,8 +570,10 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
             _ => fail("--constraints > 1 requires --workload amr"),
         }
         if cli.incremental {
-            fail("--constraints > 1 is not supported with --incremental \
-                  (the delta patcher maintains scalar weights)");
+            fail(
+                "--constraints > 1 is not supported with --incremental \
+                  (the delta patcher maintains scalar weights)",
+            );
         }
     }
     if cli.drift_threshold.is_some() && !cli.incremental {
@@ -579,7 +603,11 @@ fn run_simulate(cli: &Cli, cfg: RepartConfig) {
     eprintln!(
         "{}{} on {} epochs, k={}, alpha={}",
         cli.algorithm.name(),
-        if cli.incremental { " (incremental)" } else { "" },
+        if cli.incremental {
+            " (incremental)"
+        } else {
+            ""
+        },
         summary.reports.len(),
         cli.k,
         cli.alpha
@@ -636,7 +664,9 @@ fn main() {
             };
             let r = with_trace(cli.trace.as_deref(), || {
                 if cli.ranks > 1 || cli.distributed {
-                    run_spmd(cli.ranks, |comm| solve(Some(comm))).pop().expect("at least one rank")
+                    run_spmd(cli.ranks, |comm| solve(Some(comm)))
+                        .pop()
+                        .expect("at least one rank")
                 } else {
                     solve(None)
                 }

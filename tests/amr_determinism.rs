@@ -26,7 +26,14 @@ fn fingerprint(s: &SimulationSummary) -> Vec<(usize, usize, f64, f64, f64, f64)>
         .iter()
         .map(|r| {
             let e = r.execution.expect("measured simulation");
-            (r.num_vertices, r.moved, r.cost.comm, r.cost.migration, r.imbalance, e.makespan())
+            (
+                r.num_vertices,
+                r.moved,
+                r.cost.comm,
+                r.cost.migration,
+                r.imbalance,
+                e.makespan(),
+            )
         })
         .collect()
 }
@@ -102,7 +109,11 @@ fn ranks_agree_and_reproduce() {
         }
         let again = parallel_run(17, ranks, false);
         for (rank, s) in again.iter().enumerate() {
-            assert_eq!(fingerprint(s), reference, "rerun rank {rank}/{ranks} diverged");
+            assert_eq!(
+                fingerprint(s),
+                reference,
+                "rerun rank {rank}/{ranks} diverged"
+            );
         }
     }
 }

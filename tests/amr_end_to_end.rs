@@ -79,7 +79,11 @@ fn all_algorithms_balance_the_adaptive_mesh() {
         for r in &summary.reports {
             let e = r.execution.expect("measured simulation");
             assert!(e.t_comp > 0.0, "{}", algorithm.name());
-            assert!(e.makespan() >= 100.0 * (e.t_comp + e.t_comm), "{}", algorithm.name());
+            assert!(
+                e.makespan() >= 100.0 * (e.t_comp + e.t_comm),
+                "{}",
+                algorithm.name()
+            );
             assert!(r.num_vertices > 0);
         }
     }

@@ -12,8 +12,18 @@ fn write_toy_mtx(dir: &std::path::Path) -> std::path::PathBuf {
     let mut f = std::fs::File::create(&path).unwrap();
     writeln!(f, "%%MatrixMarket matrix coordinate pattern symmetric").unwrap();
     writeln!(f, "8 8 10").unwrap();
-    for (u, v) in [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (7, 8), (5, 8), (4, 5), (1, 8)]
-    {
+    for (u, v) in [
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (1, 4),
+        (5, 6),
+        (6, 7),
+        (7, 8),
+        (5, 8),
+        (4, 5),
+        (1, 8),
+    ] {
         writeln!(f, "{u} {v}").unwrap();
     }
     path
@@ -77,7 +87,11 @@ fn repartition_uses_old_partition() {
         .arg(&input)
         .output()
         .unwrap();
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     let part: Vec<usize> = std::fs::read_to_string(&out)
         .unwrap()
         .split_whitespace()
@@ -109,7 +123,10 @@ fn partition_hypergraph_input() {
 #[test]
 fn rejects_bad_arguments() {
     // Missing -k.
-    let status = dlb().args(["partition", "/nonexistent.mtx"]).status().unwrap();
+    let status = dlb()
+        .args(["partition", "/nonexistent.mtx"])
+        .status()
+        .unwrap();
     assert!(!status.success());
     // Unknown algorithm.
     let status = dlb()
@@ -118,15 +135,32 @@ fn rejects_bad_arguments() {
         .unwrap();
     assert!(!status.success());
     // Missing input file.
-    let status = dlb().args(["partition", "-k", "2", "/nonexistent.mtx"]).status().unwrap();
+    let status = dlb()
+        .args(["partition", "-k", "2", "/nonexistent.mtx"])
+        .status()
+        .unwrap();
     assert!(!status.success());
     // Unknown flags print the usage; Strict, the one determinism mode the
     // CLI runs, takes no thread count.
-    assert_rejected(&["partition", "-k", "2", "--threads", "2", "x.mtx"], "usage:");
-    assert_rejected(&["partition", "-k", "2", "--determinism", "fast", "x.mtx"], "usage:");
+    assert_rejected(
+        &["partition", "-k", "2", "--threads", "2", "x.mtx"],
+        "usage:",
+    );
+    assert_rejected(
+        &["partition", "-k", "2", "--determinism", "fast", "x.mtx"],
+        "usage:",
+    );
     // Messages always arrive: there is no message-fault plan to set.
     assert_rejected(
-        &["simulate", "-k", "8", "--workload", "amr", "--fault-plan", "7:drop0.05"],
+        &[
+            "simulate",
+            "-k",
+            "8",
+            "--workload",
+            "amr",
+            "--fault-plan",
+            "7:drop0.05",
+        ],
         "usage:",
     );
 }
@@ -138,14 +172,20 @@ fn assert_rejected(args: &[&str], needle: &str) {
     let output = dlb().args(args).output().unwrap();
     assert_eq!(output.status.code(), Some(2), "args {args:?} should exit 2");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains(needle), "args {args:?}: stderr {stderr:?} lacks {needle:?}");
+    assert!(
+        stderr.contains(needle),
+        "args {args:?}: stderr {stderr:?} lacks {needle:?}"
+    );
 }
 
 #[test]
 fn rejects_invalid_k_up_front() {
     assert_rejected(&["partition", "-k", "0", "x.mtx"], "k must be at least 2");
     assert_rejected(&["partition", "-k", "1", "x.mtx"], "k must be at least 2");
-    assert_rejected(&["partition", "-k", "two", "x.mtx"], "-k expects a valid value");
+    assert_rejected(
+        &["partition", "-k", "two", "x.mtx"],
+        "-k expects a valid value",
+    );
     assert_rejected(
         &["simulate", "-k", "1", "--workload", "amr"],
         "k must be at least 2",
@@ -154,9 +194,21 @@ fn rejects_invalid_k_up_front() {
 
 #[test]
 fn rejects_invalid_ranks_up_front() {
-    assert_rejected(&["partition", "-k", "2", "--ranks", "0", "x.mtx"], "--ranks must be at least 1");
     assert_rejected(
-        &["repartition", "-k", "2", "--ranks", "0", "--old", "p", "x.mtx"],
+        &["partition", "-k", "2", "--ranks", "0", "x.mtx"],
+        "--ranks must be at least 1",
+    );
+    assert_rejected(
+        &[
+            "repartition",
+            "-k",
+            "2",
+            "--ranks",
+            "0",
+            "--old",
+            "p",
+            "x.mtx",
+        ],
         "--ranks must be at least 1",
     );
     assert_rejected(
@@ -164,7 +216,16 @@ fn rejects_invalid_ranks_up_front() {
         "--ranks expects a valid value",
     );
     assert_rejected(
-        &["repartition", "-k", "2", "--epsilon", "-0.5", "--old", "p", "x.mtx"],
+        &[
+            "repartition",
+            "-k",
+            "2",
+            "--epsilon",
+            "-0.5",
+            "--old",
+            "p",
+            "x.mtx",
+        ],
         "epsilon",
     );
 }
@@ -172,24 +233,59 @@ fn rejects_invalid_ranks_up_front() {
 #[test]
 fn rejects_invalid_multi_constraint_flags_up_front() {
     assert_rejected(
-        &["simulate", "-k", "2", "--workload", "amr", "--constraints", "0"],
+        &[
+            "simulate",
+            "-k",
+            "2",
+            "--workload",
+            "amr",
+            "--constraints",
+            "0",
+        ],
         "--constraints must be at least 1",
     );
     // More --epsilon flags than declared constraints.
     assert_rejected(
         &[
-            "simulate", "-k", "2", "--workload", "amr", "--constraints", "2", "--epsilon",
-            "0.05", "--epsilon", "0.1", "--epsilon", "0.2",
+            "simulate",
+            "-k",
+            "2",
+            "--workload",
+            "amr",
+            "--constraints",
+            "2",
+            "--epsilon",
+            "0.05",
+            "--epsilon",
+            "0.1",
+            "--epsilon",
+            "0.2",
         ],
         "--epsilon flags for",
     );
     // Multi-constraint runs need the AMR workload's two-constraint lowering.
     assert_rejected(
-        &["simulate", "-k", "2", "--workload", "structure", "--constraints", "2"],
+        &[
+            "simulate",
+            "-k",
+            "2",
+            "--workload",
+            "structure",
+            "--constraints",
+            "2",
+        ],
         "requires --workload amr",
     );
     assert_rejected(
-        &["simulate", "-k", "2", "--workload", "amr", "--constraints", "3"],
+        &[
+            "simulate",
+            "-k",
+            "2",
+            "--workload",
+            "amr",
+            "--constraints",
+            "3",
+        ],
         "exactly 2 constraints",
     );
     // File inputs carry scalar weights only.
@@ -207,7 +303,15 @@ fn rejects_distributed_flag_conflicts_up_front() {
     // tests/{elastic_worlds,fault_injection,multi_constraint}.rs.)
     for spmd in [&["--distributed"][..], &["--ranks", "2"]] {
         let output = dlb()
-            .args(["simulate", "-k", "2", "--workload", "structure", "--epochs", "2"])
+            .args([
+                "simulate",
+                "-k",
+                "2",
+                "--workload",
+                "structure",
+                "--epochs",
+                "2",
+            ])
             .args(spmd)
             .arg("--incremental")
             .output()
@@ -230,8 +334,18 @@ fn rejects_distributed_flag_conflicts_up_front() {
 #[test]
 fn rejects_numeric_flags_out_of_range_up_front() {
     // Each of these used to panic (exit 101) or run on a coerced value.
-    let repartition =
-        |alpha| ["repartition", "-k", "2", "--old", "p.txt", "--alpha", alpha, "ok.mtx"];
+    let repartition = |alpha| {
+        [
+            "repartition",
+            "-k",
+            "2",
+            "--old",
+            "p.txt",
+            "--alpha",
+            alpha,
+            "ok.mtx",
+        ]
+    };
     for alpha in ["0", "-1", "NaN"] {
         assert_rejected(&repartition(alpha), "--alpha must be positive and finite");
     }
@@ -261,26 +375,55 @@ fn rejects_numeric_flags_out_of_range_up_front() {
         );
     }
     assert_rejected(
-        &simulate(&["--workload", "structure", "--incremental", "--drift-threshold", "NaN"]),
+        &simulate(&[
+            "--workload",
+            "structure",
+            "--incremental",
+            "--drift-threshold",
+            "NaN",
+        ]),
         "--drift-threshold must be finite and non-negative",
     );
     // A departure of a rank that is never in the world used to be
     // dropped silently.
     assert_rejected(
-        &["simulate", "-k", "8", "--workload", "amr", "--world-plan", "leave9@2"],
+        &[
+            "simulate",
+            "-k",
+            "8",
+            "--workload",
+            "amr",
+            "--world-plan",
+            "leave9@2",
+        ],
         "rank 9 out of range for k = 8",
     );
     // An event after the last epoch used to be dropped silently.
     assert_rejected(
         &[
-            "simulate", "-k", "4", "--workload", "structure", "--epochs", "2", "--world-plan",
+            "simulate",
+            "-k",
+            "4",
+            "--workload",
+            "structure",
+            "--epochs",
+            "2",
+            "--world-plan",
             "fail2@5",
         ],
         "fail2@5 falls after the run's last epoch (2)",
     );
     // The seed prefix of the old `SEED:spec` grammar is not a directive.
     assert_rejected(
-        &["simulate", "-k", "8", "--workload", "amr", "--world-plan", "7:fail2@2"],
+        &[
+            "simulate",
+            "-k",
+            "8",
+            "--workload",
+            "amr",
+            "--world-plan",
+            "7:fail2@2",
+        ],
         "unknown directive '7:fail2@2'",
     );
 }
@@ -295,10 +438,17 @@ fn malformed_input_files_end_with_a_parse_error() {
     let mtx = dir.join("abc.mtx");
     std::fs::write(&mtx, "4 4 2\n1 2\n3 4 abc\n").unwrap();
     for input in [hg, mtx] {
-        let output = dlb().args(["partition", "-k", "2"]).arg(&input).output().unwrap();
+        let output = dlb()
+            .args(["partition", "-k", "2"])
+            .arg(&input)
+            .output()
+            .unwrap();
         assert_eq!(output.status.code(), Some(1), "{input:?} should exit 1");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(stderr.contains("cannot parse"), "{input:?}: stderr {stderr:?}");
+        assert!(
+            stderr.contains("cannot parse"),
+            "{input:?}: stderr {stderr:?}"
+        );
     }
 }
 
@@ -310,7 +460,15 @@ fn rejects_simulate_only_flags_on_file_commands() {
         "--world-plan applies to simulate only",
     );
     assert_rejected(
-        &["repartition", "-k", "2", "--old", "p", "--incremental", "x.mtx"],
+        &[
+            "repartition",
+            "-k",
+            "2",
+            "--old",
+            "p",
+            "--incremental",
+            "x.mtx",
+        ],
         "--incremental applies to simulate only",
     );
     assert_rejected(
@@ -322,7 +480,16 @@ fn rejects_simulate_only_flags_on_file_commands() {
         "--drift-threshold applies to simulate only",
     );
     // Every flag the subcommand never reads is named, whichever comes first.
-    let unread = ["--epochs", "9", "--scale", "3", "--alpha", "7", "--old", "/tmp/none"];
+    let unread = [
+        "--epochs",
+        "9",
+        "--scale",
+        "3",
+        "--alpha",
+        "7",
+        "--old",
+        "/tmp/none",
+    ];
     for at in (0..unread.len()).step_by(2) {
         let mut args = vec!["partition", "-k", "2", "x.mtx"];
         args.extend(&unread[at..]);
@@ -330,24 +497,49 @@ fn rejects_simulate_only_flags_on_file_commands() {
         assert_rejected(&args, &format!("{} applies to", unread[at]));
     }
     assert_rejected(
-        &["partition", "-k", "2", "x.mtx", "--algorithm", "parmetis-scratch"],
+        &[
+            "partition",
+            "-k",
+            "2",
+            "x.mtx",
+            "--algorithm",
+            "parmetis-scratch",
+        ],
         "--algorithm applies to repartition and simulate only, not partition",
     );
     assert_rejected(
         &["simulate", "-k", "2", "--workload", "amr", "--out", "p"],
         "--out applies to partition and repartition only, not simulate",
     );
-    assert_rejected(&["simulate", "-k", "2", "--workload", "amr", "x.mtx"], "reads no input file");
+    assert_rejected(
+        &["simulate", "-k", "2", "--workload", "amr", "x.mtx"],
+        "reads no input file",
+    );
 }
 
 #[test]
 fn rejects_a_missing_value_for_every_kind_of_flag() {
     // `--out` with nothing after it used to write the partition to stdout.
-    assert_rejected(&["partition", "-k", "2", "x.mtx", "--out"], "--out expects a valid value");
-    assert_rejected(&["repartition", "-k", "2", "x.mtx", "--old"], "--old expects a valid value");
-    assert_rejected(&["simulate", "-k", "2", "--workload"], "--workload expects a valid value");
-    assert_rejected(&["partition", "-k", "2", "x.mtx", "--trace"], "--trace expects a valid value");
-    assert_rejected(&["simulate", "-k", "2", "--world-plan"], "--world-plan expects a valid value");
+    assert_rejected(
+        &["partition", "-k", "2", "x.mtx", "--out"],
+        "--out expects a valid value",
+    );
+    assert_rejected(
+        &["repartition", "-k", "2", "x.mtx", "--old"],
+        "--old expects a valid value",
+    );
+    assert_rejected(
+        &["simulate", "-k", "2", "--workload"],
+        "--workload expects a valid value",
+    );
+    assert_rejected(
+        &["partition", "-k", "2", "x.mtx", "--trace"],
+        "--trace expects a valid value",
+    );
+    assert_rejected(
+        &["simulate", "-k", "2", "--world-plan"],
+        "--world-plan expects a valid value",
+    );
     assert_rejected(&["partition", "x.mtx", "-k"], "-k expects a valid value");
 }
 
@@ -373,7 +565,11 @@ fn simulate_two_constraint_amr_runs() {
         ])
         .output()
         .unwrap();
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("makespan"), "stdout: {stdout}");
 }
@@ -382,9 +578,20 @@ fn simulate_two_constraint_amr_runs() {
 fn simulate_prints_the_workload_banner_once() {
     // Every rank builds its own copy of the source, and an incremental
     // run builds them again for its baseline; the banner comes once.
-    for (workload, banner) in [("amr", "amr: base"), ("structure", "structure: auto dataset")] {
+    for (workload, banner) in [
+        ("amr", "amr: base"),
+        ("structure", "structure: auto dataset"),
+    ] {
         let output = dlb()
-            .args(["simulate", "-k", "4", "--workload", workload, "--epochs", "2"])
+            .args([
+                "simulate",
+                "-k",
+                "4",
+                "--workload",
+                workload,
+                "--epochs",
+                "2",
+            ])
             .args(["--ranks", "4", "--incremental"])
             .output()
             .unwrap();
@@ -405,13 +612,28 @@ fn shrinking_a_structure_stream_runs_to_the_end() {
         ["--world-plan", "fail2@2"],
     ] {
         let output = dlb()
-            .args(["simulate", "-k", "4", "--workload", "structure", "--epochs", "4"])
+            .args([
+                "simulate",
+                "-k",
+                "4",
+                "--workload",
+                "structure",
+                "--epochs",
+                "4",
+            ])
             .args(plan)
             .output()
             .unwrap();
-        assert!(output.status.success(), "{plan:?}: {}", String::from_utf8_lossy(&output.stderr));
+        assert!(
+            output.status.success(),
+            "{plan:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
         let stdout = String::from_utf8_lossy(&output.stdout);
-        assert!(stdout.contains("resized 4 -> 3 parts"), "{plan:?}: {stdout}");
+        assert!(
+            stdout.contains("resized 4 -> 3 parts"),
+            "{plan:?}: {stdout}"
+        );
     }
 }
 
@@ -426,9 +648,16 @@ fn trace_flag_writes_chrome_json() {
         .arg(&input)
         .output()
         .unwrap();
-    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     let text = std::fs::read_to_string(&trace).unwrap();
-    assert!(text.contains("\"traceEvents\""), "not chrome trace JSON: {text}");
+    assert!(
+        text.contains("\"traceEvents\""),
+        "not chrome trace JSON: {text}"
+    );
     // The partitioner's root span must be present when tracing is
     // compiled in (the default build).
     assert!(text.contains("partition"), "missing root span: {text}");
@@ -440,12 +669,26 @@ fn simulate_runs_with_session_and_trace() {
     for ranks in ["1", "2"] {
         let trace = dir.join(format!("sim-trace-{ranks}.json"));
         let output = dlb()
-            .args(["simulate", "-k", "4", "--workload", "amr", "--epochs", "2", "--alpha", "10"])
+            .args([
+                "simulate",
+                "-k",
+                "4",
+                "--workload",
+                "amr",
+                "--epochs",
+                "2",
+                "--alpha",
+                "10",
+            ])
             .args(["--ranks", ranks, "--trace"])
             .arg(&trace)
             .output()
             .unwrap();
-        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(stdout.contains("makespan"), "stdout: {stdout}");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -456,7 +699,10 @@ fn simulate_runs_with_session_and_trace() {
         // The trace opened around the SPMD world records rank 0's
         // distributed V-cycle.
         if ranks == "2" {
-            assert!(text.contains("\"dist.refine.level\""), "missing rank-0 spans: {text}");
+            assert!(
+                text.contains("\"dist.refine.level\""),
+                "missing rank-0 spans: {text}"
+            );
         }
     }
 }

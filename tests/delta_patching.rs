@@ -106,7 +106,12 @@ impl GroundTruth {
         let graph = gb.build();
         let hypergraph = column_net_model(&graph, |v| graph.vertex_size(v));
         let old_part = to_base.iter().map(|b| self.part[b]).collect();
-        EpochSnapshot { graph, hypergraph, to_base, old_part }
+        EpochSnapshot {
+            graph,
+            hypergraph,
+            to_base,
+            old_part,
+        }
     }
 
     /// One epoch of random churn: coarsen (remove) a few cells, refine
@@ -157,7 +162,12 @@ impl GroundTruth {
                 dirty.insert(nb);
             }
             dirty.insert(b);
-            added.push(DeltaVertex { base: b, weight: w, size: s, old_part: p });
+            added.push(DeltaVertex {
+                base: b,
+                weight: w,
+                size: s,
+                old_part: p,
+            });
         }
 
         // Reweight: in the weighted scheme, redraw a few survivors.
@@ -186,9 +196,18 @@ impl GroundTruth {
 
         let nets = dirty
             .iter()
-            .map(|&b| DeltaNet { base: b, neighbors: self.adj[&b].iter().copied().collect() })
+            .map(|&b| DeltaNet {
+                base: b,
+                neighbors: self.adj[&b].iter().copied().collect(),
+            })
             .collect();
-        EpochDelta { to_base: self.alive(), removed, added, reweighted, nets }
+        EpochDelta {
+            to_base: self.alive(),
+            removed,
+            added,
+            reweighted,
+            nets,
+        }
     }
 
     /// Commits a decided assignment, mirroring `commit_assignment`.
@@ -202,7 +221,10 @@ impl GroundTruth {
 fn assert_bitwise(epoch: usize, patched: &EpochSnapshot, fresh: &EpochSnapshot) {
     assert_eq!(patched.to_base, fresh.to_base, "epoch {epoch}: to_base");
     assert_eq!(patched.graph, fresh.graph, "epoch {epoch}: graph");
-    assert_eq!(patched.hypergraph, fresh.hypergraph, "epoch {epoch}: hypergraph");
+    assert_eq!(
+        patched.hypergraph, fresh.hypergraph,
+        "epoch {epoch}: hypergraph"
+    );
     assert_eq!(patched.old_part, fresh.old_part, "epoch {epoch}: old_part");
 }
 
@@ -271,17 +293,19 @@ fn amr_native_deltas_match_scratch_lowering_bitwise() {
                 EpochUpdate::Delta(d) => patcher.apply(&d, K, ALPHA).snapshot,
             };
             assert_bitwise(epoch, &patched, &fresh);
-            let model =
-                RepartitionHypergraph::build(&fresh.hypergraph, &fresh.old_part, K, ALPHA);
-            let repatched = RepartitionHypergraph::build(
-                &patched.hypergraph,
-                &patched.old_part,
-                K,
-                ALPHA,
+            let model = RepartitionHypergraph::build(&fresh.hypergraph, &fresh.old_part, K, ALPHA);
+            let repatched =
+                RepartitionHypergraph::build(&patched.hypergraph, &patched.old_part, K, ALPHA);
+            assert_eq!(
+                repatched.augmented, model.augmented,
+                "seed {seed} epoch {epoch}"
             );
-            assert_eq!(repatched.augmented, model.augmented, "seed {seed} epoch {epoch}");
-            let part: Vec<PartId> =
-                fresh.old_part.iter().enumerate().map(|(v, &p)| (p + v) % K).collect();
+            let part: Vec<PartId> = fresh
+                .old_part
+                .iter()
+                .enumerate()
+                .map(|(v, &p)| (p + v) % K)
+                .collect();
             delta_source.commit_assignment(&patched, &part);
             scratch_source.commit_assignment(&fresh, &part);
             patcher.commit(&patched.to_base, &part);
@@ -313,14 +337,19 @@ fn amr_base_ids_stay_stable_for_refined_cells() {
             EpochUpdate::Full(_) => unreachable!("AMR emits native deltas after epoch 0"),
         };
         for a in &delta.added {
-            let cell = source.cell_of(a.base).expect("added cells get registered ids");
+            let cell = source
+                .cell_of(a.base)
+                .expect("added cells get registered ids");
             assert_eq!(source.base_id_of(cell), Some(a.base), "registry round-trip");
             known.insert(a.base, cell);
         }
         for b in &delta.to_base {
             let cell = source.cell_of(*b).expect("listed ids resolve");
             if let Some(prev) = known.get(b) {
-                assert_eq!(*prev, cell, "base id {b} was reassigned to a different cell");
+                assert_eq!(
+                    *prev, cell,
+                    "base id {b} was reassigned to a different cell"
+                );
             }
         }
         // commit_assignment only reads `to_base`, so an empty lowering

@@ -11,9 +11,7 @@
 //!   path, so it *is* bit-identical to Strict there.
 
 use dlb_hypergraph::{metrics, Hypergraph, HypergraphBuilder};
-use dlb_partitioner::{
-    partition_hypergraph_fixed, Config, Determinism, FixedAssignment, Scheme,
-};
+use dlb_partitioner::{partition_hypergraph_fixed, Config, Determinism, FixedAssignment, Scheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,8 +90,7 @@ fn fast_meets_the_quality_contract_across_seeds() {
     for seed in [1u64, 2, 3, 4, 5] {
         let (h, fixed) = workload(seed);
         let strict = partition_at(1, Scheme::DirectKway, Determinism::Strict, &h, &fixed);
-        let strict_cut =
-            metrics::cutsize_connectivity(&h, &strict, K);
+        let strict_cut = metrics::cutsize_connectivity(&h, &strict, K);
         for threads in [2, 4, 8] {
             let part = partition_at(threads, Scheme::DirectKway, Determinism::Fast, &h, &fixed);
             let cut = metrics::cutsize_connectivity(&h, &part, K);

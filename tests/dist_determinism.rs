@@ -24,7 +24,13 @@ fn snapshot(k: usize, perturbation: Perturbation, seed: u64) -> EpochSnapshot {
 
 /// Runs `algorithm` collectively on `ranks` simulated ranks, with the
 /// distributed driver on or off, and returns rank 0's result.
-fn run(snapshot: &EpochSnapshot, k: usize, algorithm: Algorithm, ranks: usize, distributed: bool) -> RepartResult {
+fn run(
+    snapshot: &EpochSnapshot,
+    k: usize,
+    algorithm: Algorithm,
+    ranks: usize,
+    distributed: bool,
+) -> RepartResult {
     let problem = RepartProblem {
         hypergraph: &snapshot.hypergraph,
         graph: &snapshot.graph,
@@ -46,16 +52,29 @@ fn run(snapshot: &EpochSnapshot, k: usize, algorithm: Algorithm, ranks: usize, d
 }
 
 fn assert_equivalent(dist: &RepartResult, repl: &RepartResult, context: &str) {
-    assert_eq!(dist.new_part, repl.new_part, "partition diverged: {context}");
+    assert_eq!(
+        dist.new_part, repl.new_part,
+        "partition diverged: {context}"
+    );
     // Identical partitions must yield bit-identical cost-model values.
-    assert_eq!(dist.cost.comm, repl.cost.comm, "comm cost diverged: {context}");
+    assert_eq!(
+        dist.cost.comm, repl.cost.comm,
+        "comm cost diverged: {context}"
+    );
     assert_eq!(
         dist.cost.migration, repl.cost.migration,
         "migration cost diverged: {context}"
     );
-    assert_eq!(dist.cost.total(), repl.cost.total(), "total cost diverged: {context}");
+    assert_eq!(
+        dist.cost.total(),
+        repl.cost.total(),
+        "total cost diverged: {context}"
+    );
     assert_eq!(dist.moved, repl.moved, "move count diverged: {context}");
-    assert_eq!(dist.imbalance, repl.imbalance, "imbalance diverged: {context}");
+    assert_eq!(
+        dist.imbalance, repl.imbalance,
+        "imbalance diverged: {context}"
+    );
 }
 
 #[test]
@@ -69,11 +88,7 @@ fn distributed_repart_matches_replicated_for_both_dynamics() {
             for ranks in RANK_COUNTS {
                 let dist = run(&snap, k, Algorithm::ZoltanRepart, ranks, true);
                 let repl = run(&snap, k, Algorithm::ZoltanRepart, ranks, false);
-                assert_equivalent(
-                    &dist,
-                    &repl,
-                    &format!("dynamic={name} k={k} ranks={ranks}"),
-                );
+                assert_equivalent(&dist, &repl, &format!("dynamic={name} k={k} ranks={ranks}"));
             }
         }
     }
@@ -95,8 +110,8 @@ fn distributed_scratch_matches_replicated() {
 /// overweight parts, ties included, identically on both storage forms.
 #[test]
 fn distributed_direct_kway_matches_replicated() {
-    use dlb::partitioner::par::dist::dist_multilevel;
     use dlb::hypergraph::PartTargets;
+    use dlb::partitioner::par::dist::dist_multilevel;
     use dlb::partitioner::{Config, FixedAssignment};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -118,7 +133,11 @@ fn distributed_direct_kway_matches_replicated() {
                 dist_multilevel(comm, h, &targets, &fixed, &cfg, &mut rng)
             })
         };
-        assert_eq!(run(true), run(false), "direct k-way diverged: ranks={ranks}");
+        assert_eq!(
+            run(true),
+            run(false),
+            "direct k-way diverged: ranks={ranks}"
+        );
     }
 }
 
@@ -146,8 +165,8 @@ fn distributed_repart_is_reproducible_run_to_run() {
 #[ignore = "64 simulated ranks; run in release"]
 fn over_budget_instance_fits_every_rank_at_16_and_64_ranks() {
     use dlb::hypergraph::convert::column_net_model_unit;
-    use dlb::partitioner::par::dist::dist_multilevel_stats;
     use dlb::hypergraph::PartTargets;
+    use dlb::partitioner::par::dist::dist_multilevel_stats;
     use dlb::partitioner::{Config, FixedAssignment};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -180,16 +199,32 @@ fn over_budget_instance_fits_every_rank_at_16_and_64_ranks() {
         });
         for (part, stats) in &results {
             assert_eq!(*part, results[0].0, "ranks={ranks}: ranks disagree");
-            assert!(stats.dist_levels > 0, "ranks={ranks}: nothing was distributed");
+            assert!(
+                stats.dist_levels > 0,
+                "ranks={ranks}: nothing was distributed"
+            );
         }
-        results.iter().map(|(_, s)| s.total_resident_bytes).max().unwrap()
+        results
+            .iter()
+            .map(|(_, s)| s.total_resident_bytes)
+            .max()
+            .unwrap()
     };
 
     // At one rank, owner-computes storage *is* the whole instance: its
     // residency is what every rank of a replicated run would hold.
     let replicated = max_rank_bytes(1);
-    assert!(replicated > BUDGET_BYTES, "instance ({replicated} B) is not over the budget");
+    assert!(
+        replicated > BUDGET_BYTES,
+        "instance ({replicated} B) is not over the budget"
+    );
     let (at16, at64) = (max_rank_bytes(16), max_rank_bytes(64));
-    assert!(at16 <= BUDGET_BYTES, "16 ranks: {at16} B per rank exceeds the budget");
-    assert!(at64 < at16, "residency must shrink with the rank count: {at16} -> {at64}");
+    assert!(
+        at16 <= BUDGET_BYTES,
+        "16 ranks: {at16} B per rank exceeds the budget"
+    );
+    assert!(
+        at64 < at16,
+        "residency must shrink with the rank count: {at16} -> {at64}"
+    );
 }

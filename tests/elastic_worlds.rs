@@ -29,8 +29,8 @@ use dlb::core::{
     WorldPlan,
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
-use dlb::mpisim::run_spmd;
 use dlb::hypergraph::PartId;
+use dlb::mpisim::run_spmd;
 use dlb::workloads::{
     AmrSource, Dataset, DatasetKind, EpochSnapshot, EpochSource, EpochStream, Perturbation,
 };
@@ -76,7 +76,11 @@ fn run_on_world(
     k: usize,
     session: impl for<'a> Fn(&'a mut EpochStream) -> Session<'a> + Sync,
 ) -> SimulationSummary {
-    run_spmd(ranks, |comm| session(&mut make_stream(k)).run_on(comm).unwrap()).pop().unwrap()
+    run_spmd(ranks, |comm| {
+        session(&mut make_stream(k)).run_on(comm).unwrap()
+    })
+    .pop()
+    .unwrap()
 }
 
 /// The deterministic fingerprint of a run: per-epoch model costs,
@@ -111,11 +115,18 @@ fn planned_grow_populates_the_joiner() {
     assert_eq!(rec.joined, vec![4]);
     assert!(rec.departed.is_empty());
     assert_eq!((rec.k_before, rec.k_after), (4, 5));
-    assert!(rec.repart_cost > 0.0 && rec.scratch_cost > 0.0, "both candidates were priced");
+    assert!(
+        rec.repart_cost > 0.0 && rec.scratch_cost > 0.0,
+        "both candidates were priced"
+    );
     // Growth must actually use the spare: the next epoch's commit ran
     // on 5 parts, so balance over 5 pulls migration onto the joiner.
     assert!(rec.migration > 0.0, "vertices moved onto the joiner");
-    assert_eq!(rec.t_mig, r.execution.as_ref().unwrap().t_mig, "single resize owns the t_mig");
+    assert_eq!(
+        rec.t_mig,
+        r.execution.as_ref().unwrap().t_mig,
+        "single resize owns the t_mig"
+    );
     for other in [0usize, 2, 3] {
         assert!(s.reports[other].resize.is_none());
     }
@@ -146,7 +157,10 @@ fn faults_and_resizes_compose_at_one_boundary() {
     assert_eq!(s.total_resizes(), 1);
     let r = &s.reports[1];
     let rec = r.resize.as_ref().unwrap();
-    assert_eq!((rec.failed.as_slice(), rec.joined.as_slice()), (&[2][..], &[4][..]));
+    assert_eq!(
+        (rec.failed.as_slice(), rec.joined.as_slice()),
+        (&[2][..], &[4][..])
+    );
     assert_eq!((rec.k_before, rec.k_after), (4, 4));
     assert_eq!(r.world_k, 4);
     // A failed rank may be re-admitted by a later planned join.
@@ -166,22 +180,44 @@ fn a_failure_runs_exactly_like_a_departure_at_ranks_1_and_2() {
     use dlb::trace::Counter;
     let run = |ranks: usize, spec: &str| {
         let plan = WorldPlan::parse(spec).unwrap();
-        session(4, 3).ranks(ranks).world_plan(plan).run_traced().unwrap()
+        session(4, 3)
+            .ranks(ranks)
+            .world_plan(plan)
+            .run_traced()
+            .unwrap()
     };
-    let imbalances =
-        |s: &SimulationSummary| s.reports.iter().map(|r| r.imbalance.to_bits()).collect::<Vec<_>>();
+    let imbalances = |s: &SimulationSummary| {
+        s.reports
+            .iter()
+            .map(|r| r.imbalance.to_bits())
+            .collect::<Vec<_>>()
+    };
     for ranks in [1usize, 2] {
         let (failed, mut fail_trace) = run(ranks, "fail2@2");
         let (departed, mut leave_trace) = run(ranks, "leave2@2");
-        assert_eq!(fingerprint(&failed), fingerprint(&departed), "ranks = {ranks}");
-        assert_eq!(imbalances(&failed), imbalances(&departed), "ranks = {ranks}");
+        assert_eq!(
+            fingerprint(&failed),
+            fingerprint(&departed),
+            "ranks = {ranks}"
+        );
+        assert_eq!(
+            imbalances(&failed),
+            imbalances(&departed),
+            "ranks = {ranks}"
+        );
         assert_eq!(failed.world_timeline(), vec![(1, 4), (2, 3), (3, 3)]);
         assert_eq!(failed.world_timeline(), departed.world_timeline());
         // The records match once rank 2 moves from `failed` to `departed`
         // (`Debug` prints every f64 exactly, so equal text is equal bits).
         let mut rec = failed.reports[1].resize.clone().expect("epoch 2 resized");
-        let other = departed.reports[1].resize.as_ref().expect("epoch 2 resized");
-        assert_eq!((rec.failed.as_slice(), other.failed.as_slice()), (&[2][..], &[][..]));
+        let other = departed.reports[1]
+            .resize
+            .as_ref()
+            .expect("epoch 2 resized");
+        assert_eq!(
+            (rec.failed.as_slice(), other.failed.as_slice()),
+            (&[2][..], &[][..])
+        );
         rec.departed = std::mem::take(&mut rec.failed);
         assert_eq!(format!("{rec:?}"), format!("{other:?}"), "ranks = {ranks}");
         // A failure counts as a recovery, a leave as a departure; every
@@ -207,13 +243,19 @@ fn a_failure_runs_exactly_like_a_departure_at_ranks_1_and_2() {
 fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
     let plan = || WorldPlan::parse("leave2@2,join4@3,join5@3,leave0@4").unwrap();
     let run = |ranks: usize| session(4, 5).ranks(ranks).world_plan(plan()).run().unwrap();
-    assert!(make_stream(4).next_epoch().graph.num_vertices() > 64, "nothing would be distributed");
+    assert!(
+        make_stream(4).next_epoch().graph.num_vertices() > 64,
+        "nothing would be distributed"
+    );
     for ranks in [1usize, 2, 4] {
         let a = run(ranks);
         let b = run(ranks);
         assert_eq!(fingerprint(&a), fingerprint(&b), "ranks = {ranks}");
         assert_eq!(a.total_resizes(), 3, "ranks = {ranks}");
-        assert_eq!(a.world_timeline(), vec![(1, 4), (2, 3), (3, 5), (4, 4), (5, 4)]);
+        assert_eq!(
+            a.world_timeline(),
+            vec![(1, 4), (2, 3), (3, 5), (4, 4), (5, 4)]
+        );
         for (ra, rb) in a.reports.iter().zip(&b.reports) {
             for (x, y) in ra.resize.iter().zip(&rb.resize) {
                 assert_eq!(x.choice, y.choice, "ranks = {ranks}");
@@ -227,10 +269,16 @@ fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
         // changes where the pins live and nothing in the reports.
         let [replicated, distributed] = [false, true].map(|on| {
             run_on_world(ranks, 4, |source| {
-                session_with(dist_config(on), 4, 5).world_plan(plan()).workload(source)
+                session_with(dist_config(on), 4, 5)
+                    .world_plan(plan())
+                    .workload(source)
             })
         });
-        assert_eq!(fingerprint(&distributed), fingerprint(&replicated), "ranks = {ranks}");
+        assert_eq!(
+            fingerprint(&distributed),
+            fingerprint(&replicated),
+            "ranks = {ranks}"
+        );
         assert_eq!(distributed.total_resizes(), 3, "ranks = {ranks}");
         if ranks > 1 {
             assert_eq!(fingerprint(&replicated), fingerprint(&a), "ranks = {ranks}");
@@ -267,8 +315,7 @@ fn resize_counters_reflect_the_plan() {
     assert_eq!(report.counter(Counter::RanksJoined), 1);
     assert_eq!(report.counter(Counter::RanksDeparted), 1);
     assert_eq!(
-        report.counter(Counter::ResizeChoseRepart)
-            + report.counter(Counter::ResizeChoseScratch),
+        report.counter(Counter::ResizeChoseRepart) + report.counter(Counter::ResizeChoseScratch),
         2,
         "every resize records its arbitration"
     );
@@ -285,9 +332,19 @@ fn resize_counters_reflect_the_plan() {
 fn world_exhausting_plan_is_an_error_at_ranks_1_and_2() {
     for ranks in [1usize, 2] {
         let plan = WorldPlan::parse("leave0@1,leave1@2").unwrap();
-        let err = session(2, 3).ranks(ranks).world_plan(plan).run().unwrap_err();
-        assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
-        assert!(err.to_string().contains("empties the world"), "ranks={ranks}: {err}");
+        let err = session(2, 3)
+            .ranks(ranks)
+            .world_plan(plan)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SessionError::InvalidPlan(_)),
+            "ranks={ranks}: {err:?}"
+        );
+        assert!(
+            err.to_string().contains("empties the world"),
+            "ranks={ranks}: {err}"
+        );
     }
 }
 
@@ -316,7 +373,8 @@ impl EpochSource for LabelProbe {
 
     fn next_epoch(&mut self) -> EpochSnapshot {
         let snapshot = self.inner.next_epoch();
-        self.max_label.push(snapshot.old_part.iter().copied().max().unwrap_or(0));
+        self.max_label
+            .push(snapshot.old_part.iter().copied().max().unwrap_or(0));
         snapshot
     }
 
@@ -337,7 +395,10 @@ fn shrinking_a_structure_stream_relabels_absent_vertices() {
     let d = Dataset::generate(DatasetKind::Auto, 0.0008, SEED);
     let init = partition_kway(&d.graph, 4, &GraphConfig::seeded(SEED)).part;
     let inner = EpochStream::new(d.graph, Perturbation::structure(), 4, init, SEED);
-    let mut probe = LabelProbe { inner, max_label: Vec::new() };
+    let mut probe = LabelProbe {
+        inner,
+        max_label: Vec::new(),
+    };
     let s = Session::new(RepartConfig::seeded(SEED))
         .alpha(ALPHA)
         .epochs(6)
@@ -345,10 +406,17 @@ fn shrinking_a_structure_stream_relabels_absent_vertices() {
         .workload(&mut probe)
         .run()
         .unwrap();
-    assert_eq!(s.world_timeline(), vec![(1, 4), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3)]);
+    assert_eq!(
+        s.world_timeline(),
+        vec![(1, 4), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3)]
+    );
     let mut k = 4;
     for (r, &max_label) in s.reports.iter().zip(&probe.max_label) {
-        assert!(max_label < k, "epoch {}: old part {max_label} in a {k}-part world", r.epoch);
+        assert!(
+            max_label < k,
+            "epoch {}: old part {max_label} in a {k}-part world",
+            r.epoch
+        );
         k = r.world_k;
     }
 }
@@ -415,8 +483,7 @@ fn baseline_ledger() -> Vec<u64> {
 /// One churned soak run: the world plan over the same workload, with every driver rank's emitted epochs audited into
 /// its own ledger.
 fn churned_ledgers(ranks: usize, threads: usize) -> (SimulationSummary, BTreeMap<usize, Vec<u64>>) {
-    let ledgers: Arc<Mutex<BTreeMap<usize, AuditLedger>>> =
-        Arc::new(Mutex::new(BTreeMap::new()));
+    let ledgers: Arc<Mutex<BTreeMap<usize, AuditLedger>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let registry = Arc::clone(&ledgers);
     let summary = Session::new(soak_config(threads))
         .algorithm(Algorithm::ZoltanRepart)
@@ -452,14 +519,26 @@ fn chaos_soak_is_bit_identical_to_churn_free_run() {
     for ranks in [2usize, 4] {
         for threads in [1usize, 2] {
             let (summary, ledgers) = churned_ledgers(ranks, threads);
-            assert_eq!(summary.reports.len(), SOAK_EPOCHS, "ranks={ranks} threads={threads}");
+            assert_eq!(
+                summary.reports.len(),
+                SOAK_EPOCHS,
+                "ranks={ranks} threads={threads}"
+            );
             assert!(
                 summary.total_resizes() >= 50,
                 "the soak must churn: {} resizes at ranks={ranks} threads={threads}",
                 summary.total_resizes()
             );
-            assert_eq!(summary.total_recoveries(), 2, "ranks={ranks} threads={threads}");
-            assert_eq!(summary.surviving_k(), SOAK_K, "every cycle returns to the launch world");
+            assert_eq!(
+                summary.total_recoveries(),
+                2,
+                "ranks={ranks} threads={threads}"
+            );
+            assert_eq!(
+                summary.surviving_k(),
+                SOAK_K,
+                "every cycle returns to the launch world"
+            );
             assert_eq!(ledgers.len(), ranks, "every driver rank audited its source");
             for (rank, digests) in &ledgers {
                 assert_eq!(
@@ -475,11 +554,27 @@ fn chaos_soak_is_bit_identical_to_churn_free_run() {
     // thread settings must agree bitwise — and so must a repeat run.
     for ranks in [2usize, 4] {
         let at = |t: usize| {
-            &fingerprints.iter().find(|((r, th), _)| *r == ranks && *th == t).unwrap().1
+            &fingerprints
+                .iter()
+                .find(|((r, th), _)| *r == ranks && *th == t)
+                .unwrap()
+                .1
         };
-        assert_eq!(at(1), at(2), "thread count changed outputs at ranks={ranks}");
+        assert_eq!(
+            at(1),
+            at(2),
+            "thread count changed outputs at ranks={ranks}"
+        );
     }
     let (repeat, _) = churned_ledgers(2, 2);
-    let first = &fingerprints.iter().find(|((r, t), _)| (*r, *t) == (2, 2)).unwrap().1;
-    assert_eq!(first, &fingerprint(&repeat), "chaos soak must be reproducible run to run");
+    let first = &fingerprints
+        .iter()
+        .find(|((r, t), _)| (*r, *t) == (2, 2))
+        .unwrap()
+        .1;
+    assert_eq!(
+        first,
+        &fingerprint(&repeat),
+        "chaos soak must be reproducible run to run"
+    );
 }

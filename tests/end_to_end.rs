@@ -31,7 +31,12 @@ fn every_algorithm_survives_a_structural_epoch() {
         };
         let r = repartition(&problem, alg, &RepartConfig::seeded(9));
         // Assignment is complete and in range.
-        assert_eq!(r.new_part.len(), snapshot.graph.num_vertices(), "{}", alg.name());
+        assert_eq!(
+            r.new_part.len(),
+            snapshot.graph.num_vertices(),
+            "{}",
+            alg.name()
+        );
         assert!(r.new_part.iter().all(|&p| p < k), "{}", alg.name());
         // Cost accounting is self-consistent.
         let comm = metrics::cutsize_connectivity(&snapshot.hypergraph, &r.new_part, k);
@@ -43,7 +48,12 @@ fn every_algorithm_survives_a_structural_epoch() {
         );
         assert!((r.cost.migration - mig).abs() < 1e-9, "{}", alg.name());
         // Balance within a sane envelope.
-        assert!(r.imbalance <= 1.25, "{}: imbalance {}", alg.name(), r.imbalance);
+        assert!(
+            r.imbalance <= 1.25,
+            "{}: imbalance {}",
+            alg.name(),
+            r.imbalance
+        );
     }
 }
 
@@ -116,7 +126,12 @@ fn all_five_datasets_flow_through_the_pipeline() {
             .run()
             .unwrap();
         assert_eq!(s.reports.len(), 2, "{}", kind.name());
-        assert!(s.max_imbalance() <= 1.35, "{}: {}", kind.name(), s.max_imbalance());
+        assert!(
+            s.max_imbalance() <= 1.35,
+            "{}: {}",
+            kind.name(),
+            s.max_imbalance()
+        );
     }
 }
 

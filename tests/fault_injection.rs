@@ -65,7 +65,11 @@ fn run_on_world(
     k: usize,
     session: impl for<'a> Fn(&'a mut EpochStream) -> Session<'a> + Sync,
 ) -> SimulationSummary {
-    run_spmd(ranks, |comm| session(&mut make_stream(k)).run_on(comm).unwrap()).pop().unwrap()
+    run_spmd(ranks, |comm| {
+        session(&mut make_stream(k)).run_on(comm).unwrap()
+    })
+    .pop()
+    .unwrap()
 }
 
 /// The deterministic fingerprint of a run: per-epoch model costs and
@@ -104,7 +108,10 @@ fn injected_failure_recovers_onto_survivors() {
     // The recovery exchange lands in the measured makespan.
     let e = r.execution.as_ref().unwrap();
     assert!(e.t_mig > 0.0);
-    assert_eq!(rec.t_mig, e.t_mig, "single recovery: the epoch's t_mig is the recovery's");
+    assert_eq!(
+        rec.t_mig, e.t_mig,
+        "single recovery: the epoch's t_mig is the recovery's"
+    );
     assert!(
         r.cost.migration >= rec.migration,
         "epoch migration charge includes the recovery"
@@ -148,7 +155,10 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
         assert_eq!(fingerprint(&a), fingerprint(&b), "ranks = {ranks}");
         assert_eq!(a.total_recoveries(), 1, "ranks = {ranks}");
         assert_eq!(b.total_recoveries(), 1);
-        let (ra, rb) = (a.reports[1].resize.as_ref().unwrap(), b.reports[1].resize.as_ref().unwrap());
+        let (ra, rb) = (
+            a.reports[1].resize.as_ref().unwrap(),
+            b.reports[1].resize.as_ref().unwrap(),
+        );
         assert_eq!(a.reports[1].moved, b.reports[1].moved, "ranks = {ranks}");
         assert_eq!(ra.migration, rb.migration, "ranks = {ranks}");
         assert_eq!(ra.t_mig, rb.t_mig, "ranks = {ranks}");
@@ -157,17 +167,30 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
     // One epoch path: a recovery solves on whatever execution context
     // the session has, so block-distributing the large levels changes
     // where the pins live and nothing in the reports — at one rank too.
-    assert!(make_stream(4).next_epoch().graph.num_vertices() > 64, "nothing would be distributed");
+    assert!(
+        make_stream(4).next_epoch().graph.num_vertices() > 64,
+        "nothing would be distributed"
+    );
     for ranks in [1usize, 2, 4] {
         let [replicated, distributed] = [false, true].map(|on| {
             run_on_world(ranks, 4, |source| {
-                session_with(dist_config(on), 4, 3).world_plan(plan()).workload(source)
+                session_with(dist_config(on), 4, 3)
+                    .world_plan(plan())
+                    .workload(source)
             })
         });
-        assert_eq!(fingerprint(&distributed), fingerprint(&replicated), "ranks = {ranks}");
+        assert_eq!(
+            fingerprint(&distributed),
+            fingerprint(&replicated),
+            "ranks = {ranks}"
+        );
         assert_eq!(distributed.total_recoveries(), 1, "ranks = {ranks}");
         if ranks > 1 {
-            assert_eq!(fingerprint(&replicated), fingerprint(&run(ranks)), "ranks = {ranks}");
+            assert_eq!(
+                fingerprint(&replicated),
+                fingerprint(&run(ranks)),
+                "ranks = {ranks}"
+            );
         }
     }
 }
@@ -194,9 +217,19 @@ fn fault_counters_reflect_the_plan() {
 fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
     for ranks in [1usize, 2] {
         let plan = WorldPlan::parse("fail9@1").unwrap();
-        let err = session(4, 2).ranks(ranks).world_plan(plan).run().unwrap_err();
-        assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
-        assert!(err.to_string().contains("rank 9 out of range for k = 4"), "ranks={ranks}: {err}");
+        let err = session(4, 2)
+            .ranks(ranks)
+            .world_plan(plan)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SessionError::InvalidPlan(_)),
+            "ranks={ranks}: {err:?}"
+        );
+        assert!(
+            err.to_string().contains("rank 9 out of range for k = 4"),
+            "ranks={ranks}: {err}"
+        );
     }
 }
 
@@ -206,8 +239,15 @@ fn out_of_range_plan_rank_is_an_error_at_ranks_1_and_2() {
 fn plan_event_after_the_last_epoch_is_an_error_at_ranks_1_and_2() {
     for ranks in [1usize, 2] {
         let plan = WorldPlan::parse("fail2@5").unwrap();
-        let err = session(4, 2).ranks(ranks).world_plan(plan).run().unwrap_err();
-        assert!(matches!(err, SessionError::InvalidPlan(_)), "ranks={ranks}: {err:?}");
+        let err = session(4, 2)
+            .ranks(ranks)
+            .world_plan(plan)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SessionError::InvalidPlan(_)),
+            "ranks={ranks}: {err:?}"
+        );
         assert_eq!(
             err.to_string(),
             "invalid world plan: fail2@5 falls after the run's last epoch (2)",

@@ -68,11 +68,7 @@ fn adaptive_contract() {
         assert!(r.part.iter().all(|&p| p < k), "case {case}");
         // Unit weights, perfectly balanced old partition, negligible
         // edge-cut reward: nothing should move.
-        assert_eq!(
-            metrics::moved_vertex_count(&old, &r.part),
-            0,
-            "case {case}"
-        );
+        assert_eq!(metrics::moved_vertex_count(&old, &r.part), 0, "case {case}");
     }
 }
 

@@ -26,7 +26,14 @@ fn fingerprint(s: &SimulationSummary) -> Vec<(usize, usize, f64, f64, f64, f64)>
         .iter()
         .map(|r| {
             let e = r.execution.expect("measured simulation");
-            (r.num_vertices, r.moved, r.cost.comm, r.cost.migration, r.imbalance, e.makespan())
+            (
+                r.num_vertices,
+                r.moved,
+                r.cost.comm,
+                r.cost.migration,
+                r.imbalance,
+                e.makespan(),
+            )
         })
         .collect()
 }

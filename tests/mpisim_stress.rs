@@ -24,7 +24,9 @@ fn randomized_collective_schedules_agree() {
                         }
                         1 => {
                             let all = comm.allgather(acc);
-                            acc = all.iter().fold(0u64, |x, y| x.wrapping_mul(31).wrapping_add(*y));
+                            acc = all
+                                .iter()
+                                .fold(0u64, |x, y| x.wrapping_mul(31).wrapping_add(*y));
                             digest.push(acc);
                         }
                         2 => {

@@ -70,8 +70,9 @@ fn arity1_vertex_loads_are_bitwise_identical_to_scalar_weights() {
                     let r = if warm {
                         // Warm path: seed from a deliberately skewed
                         // block partition both runs share.
-                        let seed_part: Vec<usize> =
-                            (0..h.num_vertices()).map(|v| usize::from(v >= 60)).collect();
+                        let seed_part: Vec<usize> = (0..h.num_vertices())
+                            .map(|v| usize::from(v >= 60))
+                            .collect();
                         let fixed = FixedAssignment::free(h.num_vertices());
                         refine_partition_fixed(h, 2, &fixed, &seed_part, &cfg)
                     } else {
@@ -109,14 +110,20 @@ fn arity1_vertex_loads_are_bitwise_identical_under_spmd() {
     for ranks in [1usize, 2, 4] {
         let run = |h: &Hypergraph| {
             let free = FixedAssignment::free(h.num_vertices());
-            run_spmd(ranks, |comm| partition_fixed_on(Some(comm), h, 4, &free, None, &cfg))
-                .pop()
-                .unwrap()
+            run_spmd(ranks, |comm| {
+                partition_fixed_on(Some(comm), h, 4, &free, None, &cfg)
+            })
+            .pop()
+            .unwrap()
         };
         let a = run(&scalar);
         let b = run(&typed);
         assert_eq!(a.part, b.part, "SPMD partition diverged at ranks={ranks}");
-        assert_eq!(a.cut.to_bits(), b.cut.to_bits(), "SPMD cut diverged at ranks={ranks}");
+        assert_eq!(
+            a.cut.to_bits(),
+            b.cut.to_bits(),
+            "SPMD cut diverged at ranks={ranks}"
+        );
     }
 }
 
@@ -152,7 +159,11 @@ fn fm_stall_instance() -> Hypergraph {
 /// the only fix is a heavy-for-light *swap*, which single-move descent
 /// cannot express.
 fn fm_stall_config(seed: u64) -> Config {
-    Config { epsilon: 0.5, aux_epsilons: vec![0.05], ..Config::seeded(seed) }
+    Config {
+        epsilon: 0.5,
+        aux_epsilons: vec![0.05],
+        ..Config::seeded(seed)
+    }
 }
 
 /// With only the primary constraint, the clique-split seed is already
@@ -168,7 +179,10 @@ fn fm_alone_keeps_the_aux_infeasible_clique_split() {
     let seed_part: Vec<usize> = (0..8).map(|v| usize::from(v >= 4)).collect();
     let fixed = FixedAssignment::free(8);
     let r = refine_partition_fixed(&scalar, 2, &fixed, &seed_part, &cfg);
-    assert_eq!(r.part, seed_part, "scalar FM should not move off the optimal split");
+    assert_eq!(
+        r.part, seed_part,
+        "scalar FM should not move off the optimal split"
+    );
 }
 
 /// The same seed under the two-constraint loads: FM cannot fix the
@@ -236,11 +250,20 @@ fn amr_two_constraint_lowering_is_feasible_cold_and_after_a_skewed_warm_start() 
     use dlb::amr::{AmrConfig, AmrStream};
     const K: usize = 8;
     const SEED: u64 = 42;
-    let amr_cfg = AmrConfig { multi_constraint: true, ..AmrConfig::default() };
-    let h = AmrStream::new(amr_cfg, K, SEED).initial_lowering().hypergraph;
+    let amr_cfg = AmrConfig {
+        multi_constraint: true,
+        ..AmrConfig::default()
+    };
+    let h = AmrStream::new(amr_cfg, K, SEED)
+        .initial_lowering()
+        .hypergraph;
     assert_eq!(h.load_arity(), 2);
     let n = h.num_vertices();
-    let mut cfg = Config { aux_epsilons: vec![0.10], threads: 1, ..Config::seeded(SEED) };
+    let mut cfg = Config {
+        aux_epsilons: vec![0.10],
+        threads: 1,
+        ..Config::seeded(SEED)
+    };
     let targets = targets_for(&h, K, &cfg);
     let feasible = |part: &[usize]| {
         targets.feasible(
@@ -257,12 +280,20 @@ fn amr_two_constraint_lowering_is_feasible_cold_and_after_a_skewed_warm_start() 
     );
 
     cfg.warm_start = true;
-    let seed_part: Vec<usize> = (0..n).map(|v| if v < n / 2 { 0 } else { v * K / n }).collect();
-    assert!(!feasible(&seed_part), "the skewed seed must start infeasible");
+    let seed_part: Vec<usize> = (0..n)
+        .map(|v| if v < n / 2 { 0 } else { v * K / n })
+        .collect();
+    assert!(
+        !feasible(&seed_part),
+        "the skewed seed must start infeasible"
+    );
     let session = dlb::trace::session();
     let warm = refine_partition_fixed(&h, K, &FixedAssignment::free(n), &seed_part, &cfg);
     let report = session.finish();
-    assert!(feasible(&warm.part), "warm-started refinement left a constraint violated");
+    assert!(
+        feasible(&warm.part),
+        "warm-started refinement left a constraint violated"
+    );
     assert!(
         report.counter(dlb::trace::Counter::RepairInvocations) >= 1,
         "aux-skewed warm start never engaged the repair pass"
@@ -286,11 +317,17 @@ fn two_constraint_amr_session_is_identical_distributed_and_replicated() {
     const SEED: u64 = 42;
     const GATHER_THRESHOLD: usize = 64;
     let source = || {
-        let amr_cfg = AmrConfig { multi_constraint: true, ..AmrConfig::small() };
+        let amr_cfg = AmrConfig {
+            multi_constraint: true,
+            ..AmrConfig::small()
+        };
         let stream = AmrStream::new(amr_cfg, K, SEED);
         let low = stream.initial_lowering();
         assert_eq!(low.hypergraph.load_arity(), 2);
-        assert!(low.hypergraph.num_vertices() > GATHER_THRESHOLD, "nothing would be distributed");
+        assert!(
+            low.hypergraph.num_vertices() > GATHER_THRESHOLD,
+            "nothing would be distributed"
+        );
         let init: Vec<usize> = (0..low.graph.num_vertices()).map(|v| v % K).collect();
         AmrSource::new(stream, &init)
     };
@@ -317,7 +354,13 @@ fn two_constraint_amr_session_is_identical_distributed_and_replicated() {
                 .iter()
                 .map(|r| {
                     let makespan = r.execution.as_ref().expect("measured run").makespan();
-                    (r.cost.comm, r.cost.migration, r.moved, r.imbalance, makespan)
+                    (
+                        r.cost.comm,
+                        r.cost.migration,
+                        r.moved,
+                        r.imbalance,
+                        makespan,
+                    )
                 })
                 .collect::<Vec<_>>()
         });

@@ -135,8 +135,7 @@ fn repartitioners_restore_balance_under_refinement() {
         for seed in SEEDS {
             let d = Dataset::generate(DatasetKind::Cage14, 0.0005, seed);
             let initial = partition_kway(&d.graph, 4, &GraphConfig::seeded(seed)).part;
-            let mut stream =
-                EpochStream::new(d.graph, Perturbation::weights(), 4, initial, seed);
+            let mut stream = EpochStream::new(d.graph, Perturbation::weights(), 4, initial, seed);
             let s = simulate(&mut stream, 3, alg, 10.0, seed);
             assert!(
                 s.max_imbalance() <= 1.25,
@@ -158,8 +157,7 @@ fn comm_improves_with_alpha() {
         for &seed in &SEEDS {
             let d = Dataset::generate(DatasetKind::Auto, 0.001, seed);
             let initial = partition_kway(&d.graph, 4, &GraphConfig::seeded(seed)).part;
-            let mut stream =
-                EpochStream::new(d.graph, Perturbation::structure(), 4, initial, seed);
+            let mut stream = EpochStream::new(d.graph, Perturbation::structure(), 4, initial, seed);
             let s = simulate(&mut stream, 3, Algorithm::ZoltanRepart, alpha, seed);
             comm += s.mean_comm();
         }

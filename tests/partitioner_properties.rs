@@ -156,10 +156,7 @@ mod refinement {
             }
             for v in 0..n {
                 if fixed.is_fixed(v) {
-                    assert_eq!(
-                        part[v], snapshot[v],
-                        "case {case}: fixed vertex {v} moved"
-                    );
+                    assert_eq!(part[v], snapshot[v], "case {case}: fixed vertex {v} moved");
                 }
             }
         }

@@ -26,7 +26,12 @@ fn workload(seed: u64) -> (dlb_hypergraph::Hypergraph, FixedAssignment) {
     (h, fixed)
 }
 
-fn partition_at(threads: usize, scheme: Scheme, h: &dlb_hypergraph::Hypergraph, fixed: &FixedAssignment) -> Vec<usize> {
+fn partition_at(
+    threads: usize,
+    scheme: Scheme,
+    h: &dlb_hypergraph::Hypergraph,
+    fixed: &FixedAssignment,
+) -> Vec<usize> {
     let mut cfg = Config::seeded(7);
     cfg.scheme = scheme;
     cfg.num_vcycles = 2; // exercise the iterated V-cycle path too

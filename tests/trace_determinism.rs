@@ -38,7 +38,10 @@ fn counters_invariant_across_thread_counts() {
         (session.finish(), r.part)
     };
     let (base_report, base_part) = run(1);
-    assert!(!base_report.spans.is_empty(), "instrumented run recorded no spans");
+    assert!(
+        !base_report.spans.is_empty(),
+        "instrumented run recorded no spans"
+    );
     assert!(base_report.counter(dlb::trace::Counter::CoarsenLevels) > 0);
     for threads in [2usize, 8] {
         let (report, part) = run(threads);
@@ -90,7 +93,10 @@ fn spmd_counters_reproduce_at_every_rank_count() {
         }
         // Rerunning reproduces counters and span structure bit-for-bit.
         let (again_report, again_parts) = run(ranks, false);
-        assert_eq!(again_parts, repl_parts, "ranks={ranks} rerun changed the partition");
+        assert_eq!(
+            again_parts, repl_parts,
+            "ranks={ranks} rerun changed the partition"
+        );
         assert_eq!(
             counters(&again_report),
             counters(&repl_report),
@@ -173,8 +179,14 @@ fn no_session_means_no_recording() {
     // A fresh session must not see any of it.
     let session = dlb::trace::session();
     let report = session.finish();
-    assert!(report.spans.is_empty(), "stale spans leaked into a new session");
-    assert!(report.counters.is_empty(), "stale counters leaked into a new session");
+    assert!(
+        report.spans.is_empty(),
+        "stale spans leaked into a new session"
+    );
+    assert!(
+        report.counters.is_empty(),
+        "stale counters leaked into a new session"
+    );
 }
 
 /// Threads spawned outside the session's enrollment chain stay muted
@@ -196,7 +208,10 @@ fn unenrolled_threads_stay_muted() {
     });
     let report = session.finish();
     assert!(report.spans.is_empty(), "unenrolled thread recorded spans");
-    assert!(report.counters.is_empty(), "unenrolled thread recorded counters");
+    assert!(
+        report.counters.is_empty(),
+        "unenrolled thread recorded counters"
+    );
 }
 
 /// The attribution invariant (DESIGN.md §11): the leaf spans of a
@@ -213,7 +228,9 @@ fn leaf_spans_cover_the_partition_wall() {
     let r = partition_hypergraph(&h, 8, &cfg);
     let report = session.finish();
     assert!(r.cut >= 0.0);
-    let coverage = report.leaf_coverage("partition").expect("a root partition span");
+    let coverage = report
+        .leaf_coverage("partition")
+        .expect("a root partition span");
     assert!(
         coverage >= 0.95,
         "leaf spans cover only {:.1}% of the partition wall",
@@ -245,16 +262,23 @@ fn leaf_spans_cover_the_warm_partition_wall() {
         .workload(&mut source)
         .run_traced()
         .unwrap();
-    let warm: Vec<usize> =
-        (0..report.spans.len()).filter(|&i| report.spans[i].name == "partition.warm").collect();
+    let warm: Vec<usize> = (0..report.spans.len())
+        .filter(|&i| report.spans[i].name == "partition.warm")
+        .collect();
     assert_eq!(warm.len(), 2, "epochs 2 and 3 warm-start from their deltas");
     for i in warm {
         let span = &report.spans[i];
         assert!(
-            span.children.iter().any(|&c| report.spans[c].name == "refine.level"),
+            span.children
+                .iter()
+                .any(|&c| report.spans[c].name == "refine.level"),
             "partition.warm has no refine.level child"
         );
         let coverage = report.leaf_duration_ns(i) as f64 / span.dur_ns as f64;
-        assert!(coverage >= 0.9, "leaf spans cover only {:.1}% of the warm wall", coverage * 1e2);
+        assert!(
+            coverage >= 0.9,
+            "leaf spans cover only {:.1}% of the warm wall",
+            coverage * 1e2
+        );
     }
 }
