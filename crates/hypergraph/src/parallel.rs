@@ -27,18 +27,8 @@
 //!
 //! A panic in a chunk body stops further claims and its payload is
 //! re-raised unchanged on the caller once every helper has returned.
-//!
-//! # Per-thread scratch
-//!
-//! [`scratch_vec`] hands out reusable `Vec<T>` buffers from a per-thread
-//! arena. Helpers live for one call, so only the caller's arena outlives
-//! it: a kernel that routes its big buffers through the arena allocates
-//! them once per calling thread, not once per call.
 
-use std::any::{Any, TypeId};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 
@@ -202,79 +192,6 @@ where
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
     map_chunks_with(threads, len, chunk, || (), |(), i, range| f(i, range))
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread scratch arenas
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Per-thread arena of reusable buffers, keyed by element type.
-    static ARENA: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> = RefCell::new(HashMap::new());
-}
-
-/// A `Vec<T>` borrowed from the current thread's scratch arena; handed
-/// back (emptied) on drop. Dereferences to `Vec<T>`.
-pub struct ScratchVec<T: 'static> {
-    vec: Option<Vec<T>>,
-}
-
-impl<T: 'static> Deref for ScratchVec<T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        self.vec.as_ref().unwrap()
-    }
-}
-
-impl<T: 'static> DerefMut for ScratchVec<T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        self.vec.as_mut().unwrap()
-    }
-}
-
-impl<T: 'static> Drop for ScratchVec<T> {
-    fn drop(&mut self) {
-        let mut vec = self.vec.take().unwrap();
-        vec.clear();
-        let _ = ARENA.try_with(|arena| {
-            arena
-                .borrow_mut()
-                .entry(TypeId::of::<T>())
-                .or_default()
-                .push(Box::new(vec));
-        });
-    }
-}
-
-/// Borrows an **empty** `Vec<T>` from the current thread's scratch
-/// arena, allocating one only if the arena has none of this type. The
-/// capacity of previous uses is retained, so resizing it to a working
-/// length is a fill, not an allocation, from the second call onward on
-/// the same thread. Kernel helpers live for one call, so what they
-/// borrow is freed with them: only the caller's arena outlives a call.
-pub fn scratch_vec<T: 'static>() -> ScratchVec<T> {
-    let vec = ARENA.with(|arena| {
-        arena
-            .borrow_mut()
-            .get_mut(&TypeId::of::<T>())
-            .and_then(|stack| stack.pop())
-            .map(|boxed| {
-                *boxed
-                    .downcast::<Vec<T>>()
-                    .expect("arena entry keyed by wrong type")
-            })
-    });
-    ScratchVec {
-        vec: Some(vec.unwrap_or_default()),
-    }
-}
-
-/// [`scratch_vec`] pre-sized to `len` elements, every one reset to
-/// `value` (the buffer arrives cleared, so no stale data survives).
-pub fn scratch_vec_filled<T: Clone + 'static>(len: usize, value: T) -> ScratchVec<T> {
-    let mut sv = scratch_vec::<T>();
-    sv.resize(len, value);
-    sv
 }
 
 #[cfg(test)]
@@ -491,19 +408,5 @@ mod tests {
                 "workers={workers}"
             );
         }
-    }
-
-    #[test]
-    fn scratch_vec_retains_capacity_per_thread() {
-        let cap = {
-            let mut sv = scratch_vec::<u64>();
-            sv.resize(10_000, 0);
-            sv.capacity()
-        };
-        let sv = scratch_vec::<u64>();
-        assert!(sv.is_empty(), "arena must hand back cleared buffers");
-        assert!(sv.capacity() >= cap, "capacity must survive the round-trip");
-        let filled = scratch_vec_filled::<u64>(100, 7);
-        assert!(filled.iter().all(|&x| x == 7));
     }
 }

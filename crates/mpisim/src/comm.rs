@@ -2,7 +2,6 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -23,59 +22,6 @@ pub(crate) struct Envelope {
     pub bytes: u64,
     pub payload: Box<dyn Any + Send>,
 }
-
-/// Why a fallible point-to-point operation failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum CommError {
-    /// No matching message arrived within the receive timeout — with
-    /// well-formed SPMD programs this means a mismatched send/recv pair
-    /// (a deadlock), or a peer that died without sending.
-    Timeout {
-        /// The receiving rank.
-        rank: usize,
-        /// The rank the message was expected from.
-        from: usize,
-        /// The expected tag.
-        tag: u64,
-    },
-    /// The peer's channel endpoint is gone (its thread exited).
-    PeerDead {
-        /// The rank that observed the dead peer.
-        rank: usize,
-        /// The dead peer.
-        peer: usize,
-    },
-    /// A matching message arrived but its payload had a different type.
-    /// The message is consumed.
-    TypeMismatch {
-        /// The receiving rank.
-        rank: usize,
-        /// The sender.
-        from: usize,
-        /// The tag.
-        tag: u64,
-    },
-}
-
-impl fmt::Display for CommError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            CommError::Timeout { rank, from, tag } => write!(
-                f,
-                "rank {rank}: deadlock waiting for message from {from} tag {tag}"
-            ),
-            CommError::PeerDead { rank, peer } => {
-                write!(f, "rank {rank}: peer rank hung up (rank {peer})")
-            }
-            CommError::TypeMismatch { rank, from, tag } => write!(
-                f,
-                "rank {rank}: message from {from} tag {tag} has unexpected payload type"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CommError {}
 
 /// Message counters for one rank, useful for asserting communication
 /// patterns in tests and for reporting experiment statistics.
@@ -165,7 +111,7 @@ impl Comm {
     /// eager protocol for small messages.
     ///
     /// # Panics
-    /// Panics with the `CommError` if the send fails.
+    /// Panics if rank `to`'s thread has exited (its receiver is gone).
     pub fn send<T: Send + 'static>(&mut self, to: usize, tag: u64, value: T) {
         assert!(tag < COLL_TAG_BASE, "user tags must be below 2^48");
         self.send_raw(to, tag, value);
@@ -176,36 +122,22 @@ impl Comm {
         self.send_raw_sized(to, tag, value, bytes);
     }
 
-    fn send_raw_sized<T: Send + 'static>(&mut self, to: usize, tag: u64, value: T, bytes: u64) {
-        if let Err(e) = self.try_send_raw_sized(to, tag, value, bytes) {
-            panic!("{e}");
-        }
-    }
-
     /// The single send path. `bytes` is the payload size charged to
     /// [`CommStats`] and carried on the envelope; plain sends pass the
     /// shallow `size_of::<T>()`, batch calls pass deep item bytes.
-    fn try_send_raw_sized<T: Send + 'static>(
-        &mut self,
-        to: usize,
-        tag: u64,
-        value: T,
-        bytes: u64,
-    ) -> Result<(), CommError> {
+    fn send_raw_sized<T: Send + 'static>(&mut self, to: usize, tag: u64, value: T, bytes: u64) {
         assert!(to < self.size, "destination rank {to} out of range");
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += bytes;
-        self.txs[to]
-            .send(Envelope {
-                from: self.rank,
-                tag,
-                bytes,
-                payload: Box::new(value),
-            })
-            .map_err(|_| CommError::PeerDead {
-                rank: self.rank,
-                peer: to,
-            })
+        let envelope = Envelope {
+            from: self.rank,
+            tag,
+            bytes,
+            payload: Box::new(value),
+        };
+        if self.txs[to].send(envelope).is_err() {
+            panic!("rank {}: peer rank hung up (rank {to})", self.rank);
+        }
     }
 
     /// Receives a `T` sent by rank `from` with `tag`, blocking until it
@@ -217,26 +149,19 @@ impl Comm {
     }
 
     fn recv_raw<T: Send + 'static>(&mut self, from: usize, tag: u64) -> T {
-        self.try_recv_raw(from, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_recv_raw<T: Send + 'static>(&mut self, from: usize, tag: u64) -> Result<T, CommError> {
+        let rank = self.rank;
         let key = (from, tag);
         let deadline = Instant::now() + self.recv_timeout;
         loop {
-            if let Some(queue) = self.stash.get_mut(&key) {
-                if let Some((bytes, payload)) = queue.pop_front() {
-                    self.stats.messages_received += 1;
-                    self.stats.bytes_received += bytes;
-                    return payload.downcast::<T>().map(|b| *b).map_err(|_| {
-                        CommError::TypeMismatch {
-                            rank: self.rank,
-                            from,
-                            tag,
-                        }
-                    });
-                }
+            if let Some((bytes, payload)) = self.stash.get_mut(&key).and_then(VecDeque::pop_front) {
+                self.stats.messages_received += 1;
+                self.stats.bytes_received += bytes;
+                return match payload.downcast::<T>() {
+                    Ok(value) => *value,
+                    Err(_) => panic!(
+                        "rank {rank}: message from {from} tag {tag} has unexpected payload type"
+                    ),
+                };
             }
             let wait = deadline.saturating_duration_since(Instant::now());
             match self.rx.recv_timeout(wait) {
@@ -247,17 +172,10 @@ impl Comm {
                         .push_back((env.bytes, env.payload));
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::Timeout {
-                        rank: self.rank,
-                        from,
-                        tag,
-                    });
+                    panic!("rank {rank}: deadlock waiting for message from {from} tag {tag}")
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerDead {
-                        rank: self.rank,
-                        peer: from,
-                    });
+                    panic!("rank {rank}: peer rank hung up (rank {from})")
                 }
             }
         }
@@ -701,43 +619,26 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_times_out_with_short_timeout() {
-        let results = run_spmd(2, |comm| {
+    #[should_panic(expected = "rank 0: deadlock waiting for message from 1 tag 5")]
+    fn recv_times_out_with_short_timeout() {
+        run_spmd(2, |comm| {
             if comm.rank() == 0 {
                 comm.set_recv_timeout(std::time::Duration::from_millis(20));
-                comm.try_recv_raw::<u8>(1, 5).err()
-            } else {
-                None
+                comm.recv::<u8>(1, 5);
             }
         });
-        assert_eq!(
-            results[0],
-            Some(super::CommError::Timeout {
-                rank: 0,
-                from: 1,
-                tag: 5
-            })
-        );
     }
 
     #[test]
-    fn try_recv_reports_type_mismatch() {
-        let results = run_spmd(2, |comm| {
+    #[should_panic(expected = "rank 1: message from 0 tag 2 has unexpected payload type")]
+    fn recv_reports_type_mismatch() {
+        run_spmd(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 2, 42u32);
-                None
             } else {
-                comm.try_recv_raw::<String>(0, 2).err()
+                comm.recv::<String>(0, 2);
             }
         });
-        assert_eq!(
-            results[1],
-            Some(super::CommError::TypeMismatch {
-                rank: 1,
-                from: 0,
-                tag: 2
-            })
-        );
     }
 
     /// `fold_blocked` with a chunk grid must reproduce the serial

@@ -347,10 +347,9 @@ pub(crate) fn ipm_matching_mode(
     let mut refused_fixed = 0u64;
 
     // Sparse score accumulator: scores[w] for candidate partners w of the
-    // current vertex, reset via the touched list. Arena-backed: the
-    // O(n) buffer is reused across matching calls on this thread.
-    let mut scores = parallel::scratch_vec_filled::<f64>(n, 0.0);
-    let mut touched = parallel::scratch_vec::<usize>();
+    // current vertex, reset via the touched list.
+    let mut scores = vec![0.0; n];
+    let mut touched = Vec::new();
 
     let view = Replicated::whole(h, fixed);
     // Freed on return: one copy per call, sized to this level.
@@ -509,13 +508,7 @@ fn ipm_matching_cas(
         threads,
         n,
         SCORE_CHUNK,
-        || {
-            (
-                parallel::scratch_vec_filled::<f64>(n, 0.0),
-                parallel::scratch_vec::<usize>(),
-                parallel::scratch_vec::<(usize, f64)>(),
-            )
-        },
+        || (vec![0.0; n], Vec::new(), Vec::new()),
         |(scores, touched, cands), _, range| {
             let mut local_pins = 0u64;
             let mut local_refused = 0u64;

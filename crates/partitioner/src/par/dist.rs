@@ -72,8 +72,6 @@ use crate::view::LevelView;
 pub struct DistStats {
     /// Number of levels (including the finest) held in distributed form.
     pub dist_levels: usize,
-    /// Largest local pin count of any single distributed level.
-    pub peak_local_pins: usize,
     /// Sum of local pin counts over all simultaneously-alive
     /// distributed levels — the rank's peak pin storage for the cycle,
     /// including stub copies of its own pins under remote nets.
@@ -92,8 +90,6 @@ pub struct DistStats {
     /// end-to-end memory-scaling figure of merit: it must shrink with
     /// the rank count on any input, localized or not.
     pub total_resident_bytes: usize,
-    /// Largest per-level resident byte count (same accounting).
-    pub peak_resident_bytes: usize,
     /// Vertex count at which the hypergraph was gathered (0 = the input
     /// was already at or below the threshold; never distributed).
     pub gathered_vertices: usize,
@@ -102,13 +98,10 @@ pub struct DistStats {
 impl DistStats {
     pub(crate) fn observe(&mut self, d: &DistLevel) {
         self.dist_levels += 1;
-        self.peak_local_pins = self.peak_local_pins.max(d.dh.local_pin_count());
         self.total_local_pins += d.dh.local_pin_count();
         self.total_owned_pins += d.dh.owned_pin_count();
         self.peak_ghosts = self.peak_ghosts.max(d.dh.ghosts().len());
-        let bytes = d.resident_bytes();
-        self.total_resident_bytes += bytes;
-        self.peak_resident_bytes = self.peak_resident_bytes.max(bytes);
+        self.total_resident_bytes += d.resident_bytes();
     }
 }
 

@@ -530,7 +530,7 @@ impl<V: LevelView> PartitionState<V> {
     /// and none is spurious.
     pub(crate) fn owned_boundary_into(&self, out: &mut Vec<usize>) {
         let owned = self.view.owned();
-        let mut boundary = parallel::scratch_vec_filled::<bool>(owned.len(), false);
+        let mut boundary = vec![false; owned.len()];
         for (j, &parts) in self.lambda.iter().enumerate() {
             if parts > 1 {
                 for &v in self.view.pins(j) {
