@@ -44,7 +44,9 @@
 //! never in it, an event after the last epoch, a schedule that would
 //! empty it) is an error, not a panic:
 //! [`SessionError::InvalidPlan`], returned before the first epoch. So
-//! is an α that is not positive and finite ([`SessionError::InvalidAlpha`]).
+//! is an α that is not positive and finite ([`SessionError::InvalidAlpha`])
+//! and a drift threshold that is not finite and non-negative
+//! ([`SessionError::InvalidDriftThreshold`]).
 
 use std::fmt;
 
@@ -91,6 +93,10 @@ pub enum SessionError {
     /// iterations per epoch, the weight of communication against
     /// migration. Reported before the first epoch runs.
     InvalidAlpha(f64),
+    /// [`Session::drift_threshold`] is not finite and non-negative: a NaN
+    /// or negative threshold would run every epoch cold, an infinite one
+    /// warm-start every epoch. Reported before the first epoch runs.
+    InvalidDriftThreshold(f64),
 }
 
 impl fmt::Display for SessionError {
@@ -111,6 +117,10 @@ impl fmt::Display for SessionError {
             SessionError::InvalidAlpha(alpha) => {
                 write!(f, "alpha must be positive and finite, got {alpha}")
             }
+            SessionError::InvalidDriftThreshold(threshold) => write!(
+                f,
+                "drift threshold must be finite and non-negative, got {threshold}"
+            ),
         }
     }
 }
@@ -212,7 +222,9 @@ impl<'a> Session<'a> {
     /// Sets the drift threshold for [`incremental`](Session::incremental)
     /// sessions (default [`DEFAULT_DRIFT_THRESHOLD`]). An epoch
     /// warm-starts when its touched fraction is strictly below this, so
-    /// `0.0` reproduces the full-rebuild pipeline's outputs exactly.
+    /// `0.0` reproduces the full-rebuild pipeline's outputs exactly. A
+    /// threshold that is not finite and non-negative is
+    /// [`SessionError::InvalidDriftThreshold`] when the session runs.
     pub fn drift_threshold(mut self, threshold: f64) -> Self {
         self.drift_threshold = threshold;
         self
@@ -270,21 +282,23 @@ impl<'a> Session<'a> {
     /// callers already inside an SPMD world). Requires a borrowed
     /// [`workload`](Session::workload); `ranks` is taken from `comm`.
     pub fn run_on(mut self, comm: &mut Comm) -> Result<SimulationSummary, SessionError> {
-        self.check_alpha()?;
+        self.check_values()?;
         let source = self.source.take().ok_or(SessionError::NoWorkload)?;
         run_epochs(Some(comm), source, &self.params())
     }
 
-    fn check_alpha(&self) -> Result<(), SessionError> {
-        if self.alpha > 0.0 && self.alpha.is_finite() {
-            Ok(())
-        } else {
-            Err(SessionError::InvalidAlpha(self.alpha))
+    fn check_values(&self) -> Result<(), SessionError> {
+        if !(self.alpha > 0.0 && self.alpha.is_finite()) {
+            return Err(SessionError::InvalidAlpha(self.alpha));
         }
+        if !(self.drift_threshold >= 0.0 && self.drift_threshold.is_finite()) {
+            return Err(SessionError::InvalidDriftThreshold(self.drift_threshold));
+        }
+        Ok(())
     }
 
     fn validate(self) -> Result<Self, SessionError> {
-        self.check_alpha()?;
+        self.check_values()?;
         if self.ranks == 0 {
             return Err(SessionError::ZeroRanks);
         }
@@ -453,6 +467,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A NaN or negative threshold would run every epoch cold and an
+    /// infinite one warm-start every epoch, with no error either way:
+    /// all three are refused before the first epoch, on every entry
+    /// point, and a threshold of zero runs.
+    #[test]
+    fn invalid_drift_threshold_is_an_error_before_the_first_epoch() {
+        fn session<'a>(threshold: f64) -> Session<'a> {
+            Session::new(RepartConfig::seeded(6))
+                .alpha(10.0)
+                .incremental(true)
+                .drift_threshold(threshold)
+        }
+        let is_invalid = |err: SessionError, threshold: f64| matches!(err, SessionError::InvalidDriftThreshold(t) if t.to_bits() == threshold.to_bits());
+        for threshold in [f64::NAN, -0.1, f64::INFINITY] {
+            let mut stream = make_stream(2, 6);
+            let err = session(threshold).workload(&mut stream).run().unwrap_err();
+            assert!(is_invalid(err, threshold), "threshold {threshold}");
+            let mut stream = make_stream(2, 6);
+            let err = session(threshold)
+                .workload(&mut stream)
+                .run_traced()
+                .unwrap_err();
+            assert!(is_invalid(err, threshold), "threshold {threshold}, traced");
+            let err = session(threshold)
+                .ranks(2)
+                .workload_factory(|_| make_stream(2, 6))
+                .run()
+                .unwrap_err();
+            assert!(is_invalid(err, threshold), "threshold {threshold}, 2 ranks");
+            for ranks in [1, 2] {
+                for err in run_spmd(ranks, |comm| {
+                    let mut stream = make_stream(2, 6);
+                    session(threshold)
+                        .workload(&mut stream)
+                        .run_on(comm)
+                        .unwrap_err()
+                }) {
+                    assert!(
+                        is_invalid(err, threshold),
+                        "threshold {threshold}, run_on at {ranks} ranks"
+                    );
+                }
+            }
+        }
+        let mut stream = make_stream(2, 6);
+        let summary = session(0.0).epochs(2).workload(&mut stream).run();
+        assert!(summary.is_ok(), "threshold 0.0 refused");
     }
 
     /// An incremental session warm-starts at every rank count, and

@@ -1,6 +1,8 @@
-//! Distributed levels of the V-cycle: memory-scalable storage over the
-//! crate-private `par::disthg`, its wire formats and its kernels, and
-//! [`dist_multilevel`], one V-cycle (`crate::vcycle`) on a communicator.
+//! The kernels that step a distributed level of the V-cycle — matching,
+//! contraction, the partition state, refinement and projection — with
+//! their wire formats, and [`dist_multilevel`], one V-cycle
+//! (`crate::vcycle`) on a communicator. The level itself, storage and
+//! gather, is `par::disthg::DistLevel`.
 //!
 //! A replicated level keeps the whole hypergraph on every rank; a
 //! distributed level runs the same V-cycle step with **owner-computes**
@@ -8,7 +10,8 @@
 //! other pin-owning ranks hold compact stubs, and every per-vertex
 //! array — partition vector, primary and auxiliary loads, vertex sizes,
 //! fixed assignments, and the fine→coarse projection maps — is
-//! block-distributed alongside the vertex blocks (see DESIGN.md §9). Remote state crosses the wire only
+//! block-distributed alongside the vertex blocks (see DESIGN.md §9).
+//! Remote state crosses the wire only
 //! through explicit ghost halos (`disthg::GhostExchange`), and
 //! after the first full pull each FM round pushes only the vertices
 //! that actually moved (the dirty-bitmap incremental exchange of
@@ -18,7 +21,7 @@
 //! Both kinds of level run the same per-vertex kernels (IPM scoring,
 //! candidate rounds, move gains, FM proposals, the rebalance step),
 //! written once over the crate's storage view; this module supplies the
-//! distributed storage, its wire formats, and what keeps its state exact.
+//! distributed steps, their wire formats, and what keeps the state exact.
 //! Bit-identity with the replicated levels is preserved:
 //!
 //! * **Matching** — a stub stores this rank's own pins *in net order*,
@@ -55,7 +58,7 @@ use dlb_hypergraph::{parallel, Hypergraph, PartId};
 use dlb_mpisim::{BlockDist, Comm};
 use rand::rngs::StdRng;
 
-use super::disthg::{DistHypergraph, GhostExchange, GhostHalo, NetShare};
+use super::disthg::{DistLevel, GhostExchange, GhostHalo, NetShare};
 use crate::coarsen::NetCollapser;
 use crate::config::{CoarseningConfig, Config, PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
@@ -89,6 +92,14 @@ pub struct DistStats {
     /// fine→coarse map, and the ghost-part cache). This is the
     /// end-to-end memory-scaling figure of merit: it must shrink with
     /// the rank count on any input, localized or not.
+    ///
+    /// It counts distributed levels only: levels are observed where they
+    /// are built distributed (the input and each distributed
+    /// contraction), so the level gathered whole onto every rank and
+    /// every level coarsened from that replica are in no figure. Two
+    /// rank counts can therefore compare hierarchies of different
+    /// depths — on the cage14 instance of the memory-budget test, 2
+    /// distributed levels at 64 ranks against 11 at 16.
     pub total_resident_bytes: usize,
     /// Vertex count at which the hypergraph was gathered (0 = the input
     /// was already at or below the threshold; never distributed).
@@ -98,154 +109,10 @@ pub struct DistStats {
 impl DistStats {
     pub(crate) fn observe(&mut self, d: &DistLevel) {
         self.dist_levels += 1;
-        self.total_local_pins += d.dh.local_pin_count();
-        self.total_owned_pins += d.dh.owned_pin_count();
-        self.peak_ghosts = self.peak_ghosts.max(d.dh.ghosts().len());
+        self.total_local_pins += d.local_pin_count();
+        self.total_owned_pins += d.owned_pin_count();
+        self.peak_ghosts = self.peak_ghosts.max(d.ghosts().len());
         self.total_resident_bytes += d.resident_bytes();
-    }
-}
-
-/// One level held in distributed form: owner-computes pin storage plus
-/// this rank's *owned block* of every per-vertex attribute. Nothing in
-/// a `DistLevel` is proportional to the global vertex count.
-#[derive(Clone)]
-pub(crate) struct DistLevel {
-    pub(crate) dh: DistHypergraph,
-    /// Nets of the whole level, on all ranks together (no rank stores
-    /// them all; the count is what the contraction counters report).
-    global_nets: usize,
-    /// First owned vertex (`dh.my_range().start`, which costs a division
-    /// to recompute — too much for the per-pin kernels).
-    start: usize,
-    /// Owned auxiliary load columns (`aux[c-1][off]` is constraint `c`
-    /// of owned vertex `start + off`); empty in the scalar pipeline.
-    aux: Vec<Vec<f64>>,
-    /// Owned vertex sizes (data-migration volumes).
-    vsize: Vec<f64>,
-    /// Owned fixed-vertex constraints.
-    fixed: Vec<Option<PartId>>,
-}
-
-impl DistLevel {
-    pub(crate) fn from_replicated(
-        h: &Hypergraph,
-        fixed: &FixedAssignment,
-        rank: usize,
-        size: usize,
-    ) -> Self {
-        let dh = DistHypergraph::from_replicated(h, rank, size);
-        let my_range = dh.my_range();
-        DistLevel {
-            global_nets: h.num_nets(),
-            start: my_range.start,
-            aux: (1..h.load_arity())
-                .map(|c| h.loads().constraint(c)[my_range.clone()].to_vec())
-                .collect(),
-            vsize: h.vertex_sizes()[my_range.clone()].to_vec(),
-            fixed: my_range.clone().map(|v| fixed.get(v)).collect(),
-            dh,
-        }
-    }
-
-    /// Auxiliary loads of owned vertex `v`, one per auxiliary column.
-    fn aux_of(&self, v: usize) -> Vec<f64> {
-        self.aux.iter().map(|col| col[v - self.start]).collect()
-    }
-
-    /// Total bytes this rank keeps resident for the level: the
-    /// hypergraph share plus the owned per-vertex blocks the driver
-    /// carries (vertex size, fixed flag, partition slice, fine→coarse
-    /// map entry, auxiliary columns) and the ghost-part cache.
-    fn resident_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        // The driver's arrays are not held here: a `PartId` and a coarse
-        // id per owned vertex, and a ghost-part cache as wide as `ghosts`.
-        let owned = self.dh.my_range().len();
-        let aux: usize = self.aux.iter().map(|col| size_of_val(col.as_slice())).sum();
-        self.dh.resident_bytes()
-            + size_of_val(self.vsize.as_slice())
-            + size_of_val(self.fixed.as_slice())
-            + aux
-            + owned * (size_of::<PartId>() + size_of::<usize>())
-            + size_of_val(self.dh.ghosts())
-    }
-
-    /// Gathers the full hypergraph onto every rank (collective).
-    pub(crate) fn gather(&self, comm: &mut Comm) -> (Hypergraph, FixedAssignment) {
-        let mut gh = self.dh.gather_replicated(comm);
-        let vsizes: Vec<f64> = comm
-            .allgather(self.vsize.clone())
-            .into_iter()
-            .flatten()
-            .collect();
-        gh.set_vertex_sizes(vsizes);
-        if !self.aux.is_empty() {
-            // The gathered replica only carries the scalar column;
-            // restore the full load vectors so the replicated coarse
-            // solve sees every constraint.
-            let mut columns = Vec::with_capacity(1 + self.aux.len());
-            columns.push(gh.loads().scalar().to_vec());
-            for col in &self.aux {
-                columns.push(comm.allgather(col.clone()).into_iter().flatten().collect());
-            }
-            gh.set_loads(dlb_hypergraph::VertexLoads::from_columns(columns));
-        }
-        let fixed_opts: Vec<Option<PartId>> = comm
-            .allgather(self.fixed.clone())
-            .into_iter()
-            .flatten()
-            .collect();
-        (gh, FixedAssignment::from_options(&fixed_opts))
-    }
-}
-
-/// A distributed level as the shared kernels see it: a rank stores
-/// exactly the vertex block it owns, and a net's locally stored pins are
-/// the full list on its owner and this rank's own pins elsewhere.
-impl LevelView for &DistLevel {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.dh.num_vertices()
-    }
-    #[inline]
-    fn stored(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.fixed.len()
-    }
-    #[inline]
-    fn owned(&self) -> std::ops::Range<usize> {
-        self.stored()
-    }
-    #[inline]
-    fn num_nets(&self) -> usize {
-        self.dh.num_local_nets()
-    }
-    #[inline]
-    fn nets_of(&self, v: usize) -> &[u32] {
-        self.dh.vertex_local_nets(v)
-    }
-    #[inline]
-    fn pins(&self, j: usize) -> &[u32] {
-        self.dh.net_pins(j)
-    }
-    #[inline]
-    fn net_size(&self, j: usize) -> usize {
-        self.dh.net_size(j)
-    }
-    #[inline]
-    fn net_cost(&self, j: usize) -> f64 {
-        self.dh.net_cost(j)
-    }
-    #[inline]
-    fn weight(&self, v: usize) -> f64 {
-        self.dh.owned_weights()[self.slot(v)]
-    }
-    #[inline]
-    fn aux_load(&self, v: usize, i: usize) -> f64 {
-        self.aux[i][self.slot(v)]
-    }
-    #[inline]
-    fn fixed(&self, v: usize) -> Option<PartId> {
-        self.fixed[self.slot(v)]
     }
 }
 
@@ -277,16 +144,15 @@ pub(crate) fn dist_ipm_matching(
     cfg: &CoarseningConfig,
     rng: &mut StdRng,
 ) -> Matching {
-    let dh = &d.dh;
-    let mine = dh.my_range();
+    let mine = d.owned();
     let start = mine.start;
     let pack = |u: usize| -> CandRecord {
-        let gids = dh
-            .vertex_local_nets(u)
+        let gids = d
+            .nets_of(u)
             .iter()
-            .map(|&lj| dh.net_global_id(lj as usize))
+            .map(|&lj| d.net_global_id(lj as usize))
             .collect();
-        let (fixed, part) = (d.fixed[u - start], parts.map(|p| p[u - start]));
+        let (fixed, part) = (d.fixed(u), parts.map(|p| p[u - start]));
         (u, to_wire(fixed), to_wire(part), gids)
     };
     // A net this rank cannot see contains none of its owned vertices, so
@@ -295,12 +161,12 @@ pub(crate) fn dist_ipm_matching(
     // are complete, so they borrow those instead of a translated copy.
     let unpack = |(u, fixed, part, nets): CandRecord| {
         let local = if mine.contains(&u) {
-            Cow::Borrowed(dh.vertex_local_nets(u))
+            Cow::Borrowed(d.nets_of(u))
         } else {
             let mut local = Vec::with_capacity(nets.len());
             local.extend(
                 nets.iter()
-                    .filter_map(|&g| dh.local_net_index(g).map(|lj| lj as u32)),
+                    .filter_map(|&g| d.local_net_index(g).map(|lj| lj as u32)),
             );
             Cow::Owned(local)
         };
@@ -358,11 +224,11 @@ fn pull_remote(
 
 /// Distinct owner ranks of local net `lj`'s pins, ascending. Only
 /// meaningful on the net's owner (which stores the full pin list).
-fn pin_owner_ranks(dh: &DistHypergraph, lj: usize, owners: &mut Vec<usize>) {
-    debug_assert!(dh.owns_net(lj));
-    let vdist = dh.vertex_dist();
+fn pin_owner_ranks(d: &DistLevel, lj: usize, owners: &mut Vec<usize>) {
+    debug_assert!(d.owns_net(lj));
+    let vdist = d.vertex_dist();
     owners.clear();
-    owners.extend(dh.net_pins(lj).iter().map(|&w| vdist.owner(w as usize)));
+    owners.extend(d.pins(lj).iter().map(|&w| vdist.owner(w as usize)));
     owners.sort_unstable();
     owners.dedup();
 }
@@ -400,12 +266,11 @@ pub(crate) fn dist_contract(
     mate: &[usize],
     part: Option<&[PartId]>,
 ) -> (DistLevel, Vec<usize>, Option<Vec<PartId>>) {
-    let dh = &d.dh;
-    let my_range = dh.my_range();
+    let my_range = d.owned();
     let start = my_range.start;
     let owned = my_range.len();
     let nranks = comm.size();
-    let vdist = dh.vertex_dist();
+    let vdist = d.vertex_dist();
 
     // --- Global coarse numbering. ---
     let my_reps = (0..owned).filter(|&i| mate[i] >= start + i).count();
@@ -444,7 +309,6 @@ pub(crate) fn dist_contract(
     // owner in ascending fine order. ---
     let cdist = BlockDist::new(nc, nranks);
     let crange = cdist.range(comm.rank());
-    let vwgt = dh.owned_weights();
     // (coarse id, fine id, weight, size, fixed, part under the
     // restriction, aux values).
     type CoarseContribution = (usize, usize, f64, f64, i64, i64, Vec<f64>);
@@ -454,9 +318,9 @@ pub(crate) fn dist_contract(
         contrib[cdist.owner(c)].push((
             c,
             start + i,
-            vwgt[i],
+            d.weight(start + i),
             d.vsize[i],
-            to_wire(d.fixed[i]),
+            to_wire(d.fixed(start + i)),
             to_wire(part.map(|p| p[i])),
             d.aux_of(start + i),
         ));
@@ -488,19 +352,19 @@ pub(crate) fn dist_contract(
     }
 
     // --- Net remap and shard submission. ---
-    let exch = GhostExchange::build(comm, dh);
+    let exch = GhostExchange::build(comm, d);
     let ghost_f2c = exch.pull(comm, &f2c);
     // A coarse id is below `nc`, at most the fine level's vertex count,
     // which its 32-bit pins already hold: each `as u32` is exact.
     let mut outgoing: Vec<Vec<(usize, f64, Vec<u32>)>> = (0..nranks).map(|_| Vec::new()).collect();
     let mut pins: Vec<u32> = Vec::new();
-    for lj in 0..dh.num_local_nets() {
-        if !dh.owns_net(lj) {
+    for lj in 0..d.num_nets() {
+        if !d.owns_net(lj) {
             continue;
         }
         pins.clear();
-        for &v in dh.net_pins(lj) {
-            let s = dh.slot(v as usize).expect("pin has a slot");
+        for &v in d.pins(lj) {
+            let s = d.halo_slot(v as usize).expect("pin has a slot");
             let c = if s < owned {
                 f2c[s]
             } else {
@@ -514,7 +378,7 @@ pub(crate) fn dist_contract(
             continue;
         }
         let shard = pinset_shard(&pins, nranks);
-        outgoing[shard].push((dh.net_global_id(lj), dh.net_cost(lj), pins.clone()));
+        outgoing[shard].push((d.net_global_id(lj), d.net_cost(lj), pins.clone()));
     }
     let mut submitted: Vec<(usize, f64, Vec<u32>)> =
         comm.alltoallv(outgoing).into_iter().flatten().collect();
@@ -593,15 +457,16 @@ pub(crate) fn dist_contract(
     }
     let mut shares: Vec<NetShare> = comm.alltoallv(routed).into_iter().flatten().collect();
     shares.sort_unstable_by_key(|s| s.gid);
-    let dh_coarse = DistHypergraph::from_local_nets(nc, comm.rank(), nranks, shares, cw);
-    let coarse = DistLevel {
-        dh: dh_coarse,
-        global_nets: all_keys.len(),
-        start: crange.start,
-        aux: caux,
-        vsize: cs,
-        fixed: cfixed,
-    };
+    let coarse = DistLevel::from_local_nets(
+        cdist,
+        comm.rank(),
+        all_keys.len(),
+        shares,
+        cw,
+        cs,
+        caux,
+        cfixed,
+    );
     (coarse, f2c, cpart)
 }
 
@@ -615,15 +480,14 @@ fn fold_part_weights(
     k: usize,
     part: &[PartId],
 ) -> (Vec<f64>, Vec<f64>) {
-    let start = level.dh.my_range().start;
-    let vwgt = level.dh.owned_weights();
+    let start = level.owned().start;
     let weights = comm.fold_blocked(
         k,
         start,
         part.len(),
         Some(parallel::DEFAULT_CHUNK),
         |v, acc| {
-            acc[part[v - start]] += vwgt[v - start];
+            acc[part[v - start]] += level.weight(v);
         },
     );
     let mut aux_weights = Vec::new();
@@ -658,20 +522,19 @@ impl<'a> DistState<'a> {
         k: usize,
         part: Vec<PartId>,
     ) -> Self {
-        let dh = &level.dh;
-        let owned = dh.my_range().len();
+        let owned = level.owned().len();
         assert_eq!(part.len(), owned);
         let ghost_part: Vec<PartId> = halo.sync(comm, &part).to_vec();
-        let mut sigma = vec![0u32; dh.num_local_nets() * k];
+        let mut sigma = vec![0u32; level.num_nets() * k];
         let mut row_msgs: Vec<Vec<(usize, Vec<u32>)>> =
             (0..comm.size()).map(|_| Vec::new()).collect();
         let mut owners: Vec<usize> = Vec::new();
-        for lj in 0..dh.num_local_nets() {
-            if !dh.owns_net(lj) {
+        for lj in 0..level.num_nets() {
+            if !level.owns_net(lj) {
                 continue;
             }
-            for &v in dh.net_pins(lj) {
-                let s = dh.slot(v as usize).expect("pin has a slot");
+            for &v in level.pins(lj) {
+                let s = level.halo_slot(v as usize).expect("pin has a slot");
                 let p = if s < owned {
                     part[s]
                 } else {
@@ -679,20 +542,20 @@ impl<'a> DistState<'a> {
                 };
                 sigma[lj * k + p] += 1;
             }
-            pin_owner_ranks(dh, lj, &mut owners);
-            let gid = dh.net_global_id(lj);
+            pin_owner_ranks(level, lj, &mut owners);
+            let gid = level.net_global_id(lj);
             for &r in owners.iter() {
-                if r != dh.rank() {
+                if r != level.rank() {
                     row_msgs[r].push((gid, sigma[lj * k..(lj + 1) * k].to_vec()));
                 }
             }
         }
         for batch in comm.alltoallv(row_msgs) {
             for (gid, row) in batch {
-                let lj = dh
+                let lj = level
                     .local_net_index(gid)
                     .expect("sigma row for a non-local net");
-                debug_assert!(!dh.owns_net(lj));
+                debug_assert!(!level.owns_net(lj));
                 sigma[lj * k..(lj + 1) * k].copy_from_slice(&row);
             }
         }
@@ -741,22 +604,21 @@ fn sync_moves(
     own_moves: &[(usize, PartId, PartId)],
 ) {
     let level = state.view;
-    let dh = &level.dh;
-    let me = dh.rank();
-    let vdist = dh.vertex_dist();
+    let me = level.rank();
+    let vdist = level.vertex_dist();
     let mut outgoing: Vec<Vec<(usize, u32, u32)>> = (0..comm.size()).map(|_| Vec::new()).collect();
     let mut owners: Vec<usize> = Vec::new();
 
     let triples = halo.sync_updates(comm, &state.part);
     for (slot, old, new) in triples {
-        let v = dh.ghosts()[slot];
+        let v = level.ghosts()[slot];
         // A ghost's local incidence list holds exactly the owned nets
         // that pin it, so these are all owned-net rows.
-        for &lj in dh.vertex_local_nets(v) {
+        for &lj in level.nets_of(v) {
             let lj = lj as usize;
             state.shift(lj, old, new, v);
             stub_events(
-                dh,
+                level,
                 lj,
                 old,
                 new,
@@ -768,19 +630,19 @@ fn sync_moves(
         }
     }
     for &(v, from, to) in own_moves {
-        for &lj in dh.vertex_local_nets(v) {
+        for &lj in level.nets_of(v) {
             let lj = lj as usize;
-            if dh.owns_net(lj) {
-                stub_events(dh, lj, from, to, me, me, &mut outgoing, &mut owners);
+            if level.owns_net(lj) {
+                stub_events(level, lj, from, to, me, me, &mut outgoing, &mut owners);
             }
         }
     }
     for batch in comm.alltoallv(outgoing) {
         for (gid, from, to) in batch {
-            let lj = dh
+            let lj = level
                 .local_net_index(gid)
                 .expect("stub event for a non-local net");
-            debug_assert!(!dh.owns_net(lj));
+            debug_assert!(!level.owns_net(lj));
             // The mover lives on another rank (its owner is skipped).
             state.shift(lj, from as usize, to as usize, usize::MAX);
         }
@@ -792,7 +654,7 @@ fn sync_moves(
 /// exact.
 #[allow(clippy::too_many_arguments)]
 fn stub_events(
-    dh: &DistHypergraph,
+    level: &DistLevel,
     lj: usize,
     from: PartId,
     to: PartId,
@@ -801,8 +663,8 @@ fn stub_events(
     outgoing: &mut [Vec<(usize, u32, u32)>],
     owners: &mut Vec<usize>,
 ) {
-    pin_owner_ranks(dh, lj, owners);
-    let gid = dh.net_global_id(lj);
+    pin_owner_ranks(level, lj, owners);
+    let gid = level.net_global_id(lj);
     for &r in owners.iter() {
         if r != me && r != skip {
             outgoing[r].push((gid, from as u32, to as u32));
@@ -825,7 +687,7 @@ fn apply_global(
     w: f64,
     aux_vals: &[f64],
 ) {
-    let range = state.view.dh.my_range();
+    let range = state.view.owned();
     if range.contains(&v) {
         debug_assert_eq!(state.part_of(v), from);
         state.apply(v, to);
@@ -918,7 +780,7 @@ fn dist_pass(
     rng: &mut StdRng,
 ) -> usize {
     let level = state.view;
-    let start = level.dh.my_range().start;
+    let start = level.owned().start;
     let my_moves: Vec<MoveProp> = {
         // The replicated reference folds its private weights from the
         // part vector each pass, so these must be fresh folds too, not
@@ -993,13 +855,10 @@ pub(crate) fn dist_refine(
     rng: &mut StdRng,
 ) {
     let k = targets.k();
-    if k < 2 || level.dh.num_vertices() == 0 {
+    if k < 2 || level.num_vertices() == 0 {
         return;
     }
-    let mut halo = GhostHalo::new(
-        GhostExchange::build(comm, &level.dh),
-        level.dh.my_range().len(),
-    );
+    let mut halo = GhostHalo::new(GhostExchange::build(comm, level), level.owned().len());
     let mut state = DistState::new(comm, &mut halo, level, k, std::mem::take(part_owned));
     let mut collective = Collective {
         comm: &mut *comm,
@@ -1198,10 +1057,10 @@ mod tests {
             );
             for &ranks in rank_counts {
                 run_spmd(ranks, |comm| {
-                    let level = DistLevel::from_replicated(&c.h, &c.fixed, comm.rank(), ranks);
-                    let owned = level.dh.my_range();
+                    let level = &DistLevel::from_replicated(&c.h, &c.fixed, comm.rank(), ranks);
+                    let owned = level.owned();
                     let mate = &c.matching.mate[owned.clone()];
-                    let (coarse, f2c, _) = dist_contract(comm, &level, mate, None);
+                    let (coarse, f2c, _) = dist_contract(comm, level, mate, None);
                     assert_eq!(f2c, want.fine_to_coarse[owned], "{} ranks={ranks}", c.name);
                     assert_eq!(coarse.global_nets, want.coarse.num_nets());
                     let (gathered, gathered_fixed) = coarse.gather(comm);
@@ -1243,8 +1102,8 @@ mod tests {
         let fixed = FixedAssignment::free(n);
         for ranks in 1..=4usize {
             let got = run_spmd(ranks, |comm| {
-                let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), ranks);
-                fold_part_weights(comm, &level, k, &part[level.dh.my_range()])
+                let level = &DistLevel::from_replicated(&h, &fixed, comm.rank(), ranks);
+                fold_part_weights(comm, level, k, &part[level.owned()])
             });
             for (weights, aux) in got {
                 let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1311,20 +1170,19 @@ mod tests {
                     .collect()
             };
             run_spmd(ranks, |comm| {
-                let level = DistLevel::from_replicated(h, fixed, comm.rank(), comm.size());
-                let dh = &level.dh;
-                let owned = dh.my_range();
+                let level = &DistLevel::from_replicated(h, fixed, comm.rank(), comm.size());
+                let owned = level.owned();
                 if ranks > 1 && !tiny {
                     assert!(
-                        (0..dh.num_local_nets()).any(|lj| !dh.owns_net(lj)),
+                        (0..level.num_nets()).any(|lj| !level.owns_net(lj)),
                         "no stub held"
                     );
                 }
                 let whole = Replicated::whole(h, fixed);
                 let mut reference = PartitionState::<Replicated<'_>>::new(whole, k, part0.clone());
-                let mut halo = GhostHalo::new(GhostExchange::build(comm, dh), owned.len());
+                let mut halo = GhostHalo::new(GhostExchange::build(comm, level), owned.len());
                 let mut state =
-                    DistState::new(comm, &mut halo, &level, k, part0[owned.clone()].to_vec());
+                    DistState::new(comm, &mut halo, level, k, part0[owned.clone()].to_vec());
                 if tiny && owned.contains(&0) {
                     assert_eq!(state.best_move(0, targets), Some((1, 2.0)), "ranks={ranks}");
                 }
@@ -1333,13 +1191,13 @@ mod tests {
                     |comm: &mut Comm,
                      state: &mut DistState<'_>,
                      reference: &mut PartitionState<Replicated<'_>>| {
-                        for lj in 0..dh.num_local_nets() {
-                            let j = dh.net_global_id(lj);
+                        for lj in 0..level.num_nets() {
+                            let j = level.net_global_id(lj);
                             assert_eq!(
                                 state.sigma[lj * k..(lj + 1) * k],
                                 reference.sigma[j * k..(j + 1) * k],
                                 "ranks={ranks} net {j} (owned: {})",
-                                dh.owns_net(lj)
+                                level.owns_net(lj)
                             );
                         }
                         assert_eq!(state.weights, reference.weights, "ranks={ranks}");
@@ -1360,7 +1218,7 @@ mod tests {
                         assert_eq!(reads, fresh_reads, "ranks={ranks}: stale entry");
                         // A private copy, given the folded weights a fresh
                         // build computes, reads like one.
-                        let (weights, aux) = fold_part_weights(comm, &level, k, &state.part);
+                        let (weights, aux) = fold_part_weights(comm, level, k, &state.part);
                         assert_eq!(weights, fresh.weights, "ranks={ranks}");
                         assert_eq!(state.private_copy(weights, aux).reads(targets), fresh_reads);
                     };
@@ -1370,7 +1228,7 @@ mod tests {
                 // cadence of `dist_pass`.
                 for round in 0..3 {
                     for r in 0..comm.size() {
-                        let batch = dh.vertex_dist().range(r);
+                        let batch = level.vertex_dist().range(r);
                         let mut own: Vec<(usize, PartId, PartId)> = Vec::new();
                         for (v, to) in moves(round) {
                             let from = reference.part[v];
@@ -1412,12 +1270,12 @@ mod tests {
         let targets = PartTargets::uniform(4.0, 2, 1.0);
         let part0: Vec<PartId> = vec![0, 1, 0, 1];
         run_spmd(2, |comm| {
-            let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), 2);
-            let owned = level.dh.my_range();
+            let level = &DistLevel::from_replicated(&h, &fixed, comm.rank(), 2);
+            let owned = level.owned();
             assert_eq!(owned, 2 * comm.rank()..2 * comm.rank() + 2);
-            let mut halo = GhostHalo::new(GhostExchange::build(comm, &level.dh), 2);
+            let mut halo = GhostHalo::new(GhostExchange::build(comm, level), 2);
             let mut state =
-                DistState::new(comm, &mut halo, &level, 2, part0[owned.clone()].to_vec());
+                DistState::new(comm, &mut halo, level, 2, part0[owned.clone()].to_vec());
             let mut part = part0.clone();
             let mut gains_of_0 = Vec::new();
             for to in [1usize, 0] {
@@ -1512,12 +1370,11 @@ mod tests {
 
             for ranks in 1usize..=4 {
                 let per_rank = run_spmd(ranks, |comm| {
-                    let level = DistLevel::from_replicated(h, fixed, comm.rank(), ranks);
-                    let owned = level.dh.my_range();
-                    let mut halo =
-                        GhostHalo::new(GhostExchange::build(comm, &level.dh), owned.len());
+                    let level = &DistLevel::from_replicated(h, fixed, comm.rank(), ranks);
+                    let owned = level.owned();
+                    let mut halo = GhostHalo::new(GhostExchange::build(comm, level), owned.len());
                     let mut state =
-                        DistState::new(comm, &mut halo, &level, k, case.part[owned].to_vec());
+                        DistState::new(comm, &mut halo, level, k, case.part[owned].to_vec());
                     let mut watching = Watching {
                         inner: Collective {
                             comm: &mut *comm,
@@ -1586,11 +1443,11 @@ mod tests {
                 part
             });
             let distributed = run_spmd(ranks, |comm| {
-                let level = DistLevel::from_replicated(h, fixed, comm.rank(), ranks);
-                let mut mine = part[level.dh.my_range()].to_vec();
+                let level = &DistLevel::from_replicated(h, fixed, comm.rank(), ranks);
+                let mut mine = part[level.owned()].to_vec();
                 dist_refine(
                     comm,
-                    &level,
+                    level,
                     targets,
                     &mut mine,
                     &cfg,

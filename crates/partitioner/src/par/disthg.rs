@@ -1,13 +1,15 @@
-//! Block-distributed hypergraph storage (owner-computes nets + ghost
-//! pin halos).
+//! One distributed level of the V-cycle: block-distributed hypergraph
+//! storage (owner-computes nets + ghost pin halos) and this rank's owned
+//! block of every per-vertex attribute, in one type, [`DistLevel`].
 //!
 //! The paper's parallel refinement lives inside Zoltan's PHG, where the
 //! hypergraph is *distributed*: no rank holds the whole structure, so
 //! per-rank memory scales as `O((|pins| + n)/p + halo)` instead of
-//! `O(|pins| + n)`. This module provides that storage layer for the
-//! simulated SPMD machine in `dlb-mpisim`:
+//! `O(|pins| + n)`. This module provides that storage for the simulated
+//! SPMD machine in `dlb-mpisim`; the kernels that step a level (matching,
+//! contraction, state, refinement, projection) are in [`super::dist`].
 //!
-//! * [`DistHypergraph`] — vertices block-distributed via [`BlockDist`];
+//! * [`DistLevel`] — vertices block-distributed via [`BlockDist`];
 //!   each net's **full pin list lives only on its owner rank**. Every
 //!   other rank that owns at least one of the net's pins holds a compact
 //!   *stub*: the net's global id, cost, global size and only this
@@ -15,7 +17,8 @@
 //!   and FM kernels read locally. Remote pins of *owned* nets
 //!   become ghost vertices; stub pins are owned by construction, so the
 //!   ghost list stays proportional to the owned-net halo rather than to
-//!   every net the rank touches.
+//!   every net the rank touches. Weights, sizes, auxiliary load columns
+//!   and fixed parts are held for the owned block only.
 //! * [`GhostExchange`] — a reusable [`CommPlan`]-based halo update that
 //!   pulls per-vertex data (parts, weights, match targets) from owner
 //!   ranks into ghost-aligned buffers, plus an **incremental** push path
@@ -25,16 +28,21 @@
 //!   not to the halo (PMondriaan-style dirty push; the delta bytes are
 //!   charged to `CommStats` like any other exchange).
 //!
-//! Per-vertex state in the algorithms above (part vector, loads, sizes,
-//! fixed assignments, contraction maps) is block-distributed alongside
-//! the vertices and accessed through the halo; see DESIGN.md §9 and
-//! §17. Local nets are kept sorted by global net id, and pin order
-//! within a net (full list or stub) preserves the replicated
-//! hypergraph's order — both invariants are load-bearing for the
-//! bit-identical distributed V-cycle in [`super::dist`].
+//! The driver's own per-vertex state (the part vector, the fine→coarse
+//! map) is block-distributed alongside the vertices and reaches remote
+//! vertices through the halo; see DESIGN.md §9 and §17. Local nets are
+//! kept sorted by global net id, and pin order within a net (full list
+//! or stub) preserves the replicated hypergraph's order — both
+//! invariants are load-bearing for the bit-identical distributed
+//! V-cycle in [`super::dist`].
 
-use dlb_hypergraph::Hypergraph;
+use std::ops::Range;
+
+use dlb_hypergraph::{Hypergraph, HypergraphBuilder, PartId, VertexLoads};
 use dlb_mpisim::{BlockDist, Comm, CommPlan};
+
+use crate::fixed::FixedAssignment;
+use crate::view::LevelView;
 
 /// One rank's share of one net, as routed during distributed
 /// contraction: either the full pin list (for the owner) or the stub
@@ -55,17 +63,26 @@ pub(crate) struct NetShare {
     pub(crate) pins: Vec<u32>,
 }
 
-/// One rank's share of a block-distributed hypergraph.
+/// One level held in distributed form: one rank's share of a
+/// block-distributed hypergraph plus its *owned block* of every
+/// per-vertex attribute. Nothing in a `DistLevel` is proportional to
+/// the global vertex count.
 ///
 /// Vertices are owned by contiguous blocks ([`BlockDist`]). A net is
 /// *local* to every rank owning at least one of its pins; the net's
 /// **owner** rank stores the full pin list, every other local rank
 /// stores a stub with only its own pins. Local nets are sorted by
-/// global net id and pin order follows the replicated hypergraph.
-#[derive(Clone, Debug)]
-pub(crate) struct DistHypergraph {
+/// global net id and pin order follows the replicated hypergraph. The
+/// kernels read it through [`LevelView`], with local net indices.
+pub(crate) struct DistLevel {
     rank: usize,
     vdist: BlockDist,
+    /// First owned vertex (`vdist.range(rank).start`, which costs a
+    /// division to recompute — too much for the per-pin kernels).
+    start: usize,
+    /// Nets of the whole level, on all ranks together (no rank stores
+    /// them all; the count is what the contraction counters report).
+    pub(super) global_nets: usize,
     /// Global ids of local nets, strictly ascending.
     net_ids: Vec<usize>,
     /// Per local net: does this rank store the full pin list?
@@ -82,24 +99,37 @@ pub(crate) struct DistHypergraph {
     /// Remote pins of *owned* nets, sorted ascending (stub pins are
     /// owned, so these are the only non-owned vertices stored).
     ghosts: Vec<usize>,
-    /// Weight per owned vertex (indexed by `v - my_range().start`).
-    owned_wgt: Vec<f64>,
     /// Transpose CSR: slot (owned offset, then ghost offset) → indices
     /// of local nets containing that vertex, ascending, as 32-bit ids.
     xslot: Vec<usize>,
     slot_nets: Vec<u32>,
+    /// Owned vertex weights (primary loads); this and the blocks below
+    /// are indexed by `v - start`.
+    wgt: Vec<f64>,
+    /// Owned vertex sizes (data-migration volumes).
+    pub(super) vsize: Vec<f64>,
+    /// Owned auxiliary load columns (`aux[c-1][off]` is constraint `c`
+    /// of owned vertex `start + off`); empty in the scalar pipeline.
+    pub(super) aux: Vec<Vec<f64>>,
+    /// Owned fixed-vertex constraints.
+    fixed: Vec<Option<PartId>>,
 }
 
-impl DistHypergraph {
-    /// Builds rank `rank`'s share of `h` under a `size`-rank block
-    /// distribution. Purely local — every rank derives its share from
-    /// the replicated input without communication (the simulation
-    /// analogue of reading a pre-distributed file in parallel). Ranks
-    /// that own no vertices (more ranks than vertices) get an empty but
-    /// fully valid share.
-    pub(crate) fn from_replicated(h: &Hypergraph, rank: usize, size: usize) -> Self {
+impl DistLevel {
+    /// Builds rank `rank`'s share of `h` (with its fixed assignment)
+    /// under a `size`-rank block distribution. Purely local — every rank
+    /// derives its share from the replicated input without communication
+    /// (the simulation analogue of reading a pre-distributed file in
+    /// parallel). Ranks that own no vertices (more ranks than vertices)
+    /// get an empty but fully valid share.
+    pub(crate) fn from_replicated(
+        h: &Hypergraph,
+        fixed: &FixedAssignment,
+        rank: usize,
+        size: usize,
+    ) -> Self {
         let vdist = BlockDist::new(h.num_vertices(), size);
-        let my_range = vdist.range(rank);
+        let mine = vdist.range(rank);
         let mut shares = Vec::new();
         for j in 0..h.num_nets() {
             let net = h.net(j);
@@ -116,7 +146,7 @@ impl DistHypergraph {
             } else {
                 net.iter()
                     .copied()
-                    .filter(|&v| my_range.contains(&(v as usize)))
+                    .filter(|&v| mine.contains(&(v as usize)))
                     .collect()
             };
             if pins.is_empty() {
@@ -130,26 +160,48 @@ impl DistHypergraph {
                 pins,
             });
         }
-        let owned_wgt = h.loads().scalar()[my_range].to_vec();
-        Self::from_local_nets(h.num_vertices(), rank, size, shares, owned_wgt)
+        Self::from_local_nets(
+            vdist,
+            rank,
+            h.num_nets(),
+            shares,
+            h.loads().scalar()[mine.clone()].to_vec(),
+            h.vertex_sizes()[mine.clone()].to_vec(),
+            (1..h.load_arity())
+                .map(|c| h.loads().constraint(c)[mine.clone()].to_vec())
+                .collect(),
+            mine.map(|v| fixed.get(v)).collect(),
+        )
     }
 
-    /// Builds a rank's share directly from its net shares — used by
-    /// distributed contraction, where no rank ever materializes the
-    /// replicated coarse hypergraph. `shares` must be sorted strictly
-    /// ascending by `gid`; the owner share must carry the full pin
-    /// list, stubs only the receiver's own pins in net order.
+    /// Builds a rank's share directly from its net shares and owned
+    /// blocks — used by distributed contraction, where no rank ever
+    /// materializes the replicated coarse hypergraph. `shares` must be
+    /// sorted strictly ascending by `gid`; the owner share must carry
+    /// the full pin list, stubs only the receiver's own pins in net
+    /// order. Every block covers exactly this rank's vertex block.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_local_nets(
-        num_vertices: usize,
+        vdist: BlockDist,
         rank: usize,
-        size: usize,
+        global_nets: usize,
         shares: Vec<NetShare>,
-        owned_wgt: Vec<f64>,
+        wgt: Vec<f64>,
+        vsize: Vec<f64>,
+        aux: Vec<Vec<f64>>,
+        fixed: Vec<Option<PartId>>,
     ) -> Self {
-        let vdist = BlockDist::new(num_vertices, size);
         assert!(
             shares.windows(2).all(|w| w[0].gid < w[1].gid),
             "net ids must be ascending"
+        );
+        let mine = vdist.range(rank);
+        assert!(
+            [wgt.len(), vsize.len(), fixed.len()]
+                .into_iter()
+                .chain(aux.iter().map(Vec::len))
+                .all(|len| len == mine.len()),
+            "every owned block covers the rank's vertices"
         );
         let mut net_ids = Vec::with_capacity(shares.len());
         let mut owned = Vec::with_capacity(shares.len());
@@ -172,8 +224,6 @@ impl DistHypergraph {
             pins.extend_from_slice(&s.pins);
             xpins.push(pins.len());
         }
-        let my_range = vdist.range(rank);
-        assert_eq!(owned_wgt.len(), my_range.len());
         // Ghost list: sorted distinct remote pins of owned nets. Stub
         // pins are owned by construction and need no ghost slots.
         let mut ghosts: Vec<usize> = Vec::new();
@@ -183,15 +233,17 @@ impl DistHypergraph {
                     pins[xpins[lj]..xpins[lj + 1]]
                         .iter()
                         .map(|&v| v as usize)
-                        .filter(|v| !my_range.contains(v)),
+                        .filter(|v| !mine.contains(v)),
                 );
             }
         }
         ghosts.sort_unstable();
         ghosts.dedup();
-        let mut dh = DistHypergraph {
+        let mut level = DistLevel {
             rank,
             vdist,
+            start: mine.start,
+            global_nets,
             net_ids,
             owned,
             gsize,
@@ -199,12 +251,15 @@ impl DistHypergraph {
             pins,
             cost,
             ghosts,
-            owned_wgt,
             xslot: Vec::new(),
             slot_nets: Vec::new(),
+            wgt,
+            vsize,
+            aux,
+            fixed,
         };
-        dh.build_transpose();
-        dh
+        level.build_transpose();
+        level
     }
 
     /// Transpose the local pin lists: slot → local nets, counting-sorted
@@ -218,10 +273,10 @@ impl DistHypergraph {
             u32::try_from(self.net_ids.len()).is_ok(),
             "local net indices are 32-bit"
         );
-        let nslots = self.my_range().len() + self.ghosts.len();
+        let nslots = self.wgt.len() + self.ghosts.len();
         let mut counts = vec![0usize; nslots];
         for &v in &self.pins {
-            counts[self.slot(v as usize).expect("pin has a slot")] += 1;
+            counts[self.halo_slot(v as usize).expect("pin has a slot")] += 1;
         }
         let mut xslot = Vec::with_capacity(nslots + 1);
         xslot.push(0);
@@ -232,19 +287,15 @@ impl DistHypergraph {
         let mut slot_nets = vec![0u32; self.pins.len()];
         for lj in 0..self.net_ids.len() {
             for p in self.xpins[lj]..self.xpins[lj + 1] {
-                let s = self.slot(self.pins[p] as usize).expect("pin has a slot");
+                let s = self
+                    .halo_slot(self.pins[p] as usize)
+                    .expect("pin has a slot");
                 slot_nets[cursor[s]] = lj as u32;
                 cursor[s] += 1;
             }
         }
         self.xslot = xslot;
         self.slot_nets = slot_nets;
-    }
-
-    /// Global vertex count.
-    #[inline]
-    pub(crate) fn num_vertices(&self) -> usize {
-        self.vdist.len()
     }
 
     /// This rank.
@@ -259,18 +310,6 @@ impl DistHypergraph {
         self.vdist
     }
 
-    /// The contiguous global vertex range owned by this rank.
-    #[inline]
-    pub(crate) fn my_range(&self) -> std::ops::Range<usize> {
-        self.vdist.range(self.rank)
-    }
-
-    /// Number of local (visible) nets: owned nets plus stubs.
-    #[inline]
-    pub(crate) fn num_local_nets(&self) -> usize {
-        self.net_ids.len()
-    }
-
     /// Global id of local net `lj`.
     #[inline]
     pub(crate) fn net_global_id(&self, lj: usize) -> usize {
@@ -283,27 +322,6 @@ impl DistHypergraph {
     #[inline]
     pub(crate) fn local_net_index(&self, gid: usize) -> Option<usize> {
         self.net_ids.binary_search(&gid).ok()
-    }
-
-    /// Locally stored pins of net `lj` (global vertex ids): the full
-    /// list in replicated order when this rank owns the net, otherwise
-    /// the stub — this rank's own pins in net order.
-    #[inline]
-    pub(crate) fn net_pins(&self, lj: usize) -> &[u32] {
-        &self.pins[self.xpins[lj]..self.xpins[lj + 1]]
-    }
-
-    /// Cost of local net `lj`.
-    #[inline]
-    pub(crate) fn net_cost(&self, lj: usize) -> f64 {
-        self.cost[lj]
-    }
-
-    /// Global pin count of local net `lj` (stubs carry the true global
-    /// size even though they store fewer pins).
-    #[inline]
-    pub(crate) fn net_size(&self, lj: usize) -> usize {
-        self.gsize[lj]
     }
 
     /// True if this rank stores the full pin list of local net `lj`.
@@ -325,7 +343,7 @@ impl DistHypergraph {
     /// global pin storage, with each net counted exactly once (at its
     /// owner). Sums to the hypergraph's total pin count across ranks.
     pub(crate) fn owned_pin_count(&self) -> usize {
-        (0..self.num_local_nets())
+        (0..self.net_ids.len())
             .filter(|&lj| self.owned[lj])
             .map(|lj| self.xpins[lj + 1] - self.xpins[lj])
             .sum()
@@ -338,93 +356,154 @@ impl DistHypergraph {
         &self.ghosts
     }
 
-    /// Weights of owned vertices, indexed by owned offset.
-    #[inline]
-    pub(crate) fn owned_weights(&self) -> &[f64] {
-        &self.owned_wgt
+    /// Auxiliary loads of owned vertex `v`, one per auxiliary column.
+    pub(crate) fn aux_of(&self, v: usize) -> Vec<f64> {
+        self.aux.iter().map(|col| col[v - self.start]).collect()
     }
 
-    /// Resident bytes of this rank's share of the *hypergraph* itself:
-    /// pin entries (owned full lists + stubs) with their transpose,
-    /// ghost ids, per-net metadata, and the owned weight block. The
-    /// driver adds its own per-vertex working arrays on top; everything
-    /// here is `O((|pins| + nets + n)/p + halo)` — no term is
-    /// proportional to the global instance.
+    /// Total bytes this rank keeps resident for the level: pin entries
+    /// (owned full lists + stubs) with their transpose, ghost ids,
+    /// per-net metadata, the owned blocks (weight, size, fixed part,
+    /// auxiliary columns), and the driver's per-vertex arrays, which
+    /// are not held here — a partition entry and a fine→coarse map
+    /// entry per owned vertex, and a ghost-part cache as wide as
+    /// `ghosts`. Every term is `O((|pins| + nets + n)/p + halo)`; none
+    /// is proportional to the global instance. This is a distributed
+    /// level's figure only: a level gathered whole onto every rank, and
+    /// the levels coarsened from it, are in no `resident_bytes`.
     pub(crate) fn resident_bytes(&self) -> usize {
-        use std::mem::size_of_val;
+        use std::mem::{size_of, size_of_val};
+        let aux: usize = self.aux.iter().map(|col| size_of_val(col.as_slice())).sum();
+        let driver = self.wgt.len() * (size_of::<PartId>() + size_of::<usize>())
+            + size_of_val(self.ghosts.as_slice());
         size_of_val(self.pins.as_slice())
             + size_of_val(self.slot_nets.as_slice())
             + size_of_val(self.xpins.as_slice())
             + size_of_val(self.xslot.as_slice())
             + size_of_val(self.ghosts.as_slice())
-            + size_of_val(self.owned_wgt.as_slice())
+            + size_of_val(self.wgt.as_slice())
             + size_of_val(self.net_ids.as_slice())
             + size_of_val(self.gsize.as_slice())
             + size_of_val(self.cost.as_slice())
             + size_of_val(self.owned.as_slice())
+            + size_of_val(self.vsize.as_slice())
+            + size_of_val(self.fixed.as_slice())
+            + aux
+            + driver
     }
 
     /// The storage slot of global vertex `v` — owned offset for owned
     /// vertices, `owned + ghost_index` for ghosts, `None` if `v` is
-    /// neither owned nor a ghost of an owned net.
+    /// neither owned nor a ghost of an owned net. Unlike
+    /// [`LevelView::slot`], it answers for ghosts too.
     #[inline]
-    pub(crate) fn slot(&self, v: usize) -> Option<usize> {
-        let my_range = self.my_range();
-        if my_range.contains(&v) {
-            Some(v - my_range.start)
+    pub(crate) fn halo_slot(&self, v: usize) -> Option<usize> {
+        let owned = self.wgt.len();
+        if v >= self.start && v - self.start < owned {
+            Some(v - self.start)
         } else {
-            self.ghosts
-                .binary_search(&v)
-                .ok()
-                .map(|i| my_range.len() + i)
+            self.ghosts.binary_search(&v).ok().map(|i| owned + i)
         }
     }
 
-    /// Indices of local nets containing vertex `v`, ascending. For an
-    /// owned vertex this is its complete incidence list (every net of
-    /// an owned vertex is local — as an owned net or a stub — by
-    /// construction); for a ghost it is the owned nets listing it.
-    /// Unknown vertices get `&[]`.
-    pub(crate) fn vertex_local_nets(&self, v: usize) -> &[u32] {
-        match self.slot(v) {
+    /// Gathers the whole level onto every rank (collective): owner ranks
+    /// contribute their nets, and each rank rebuilds the replicated
+    /// hypergraph with nets in global-id order, then the owned blocks —
+    /// weights, sizes, each auxiliary column, fixed parts — are
+    /// all-gathered in that order. Ranks that own nothing contribute
+    /// empty batches.
+    pub(crate) fn gather(&self, comm: &mut Comm) -> (Hypergraph, FixedAssignment) {
+        let mine: Vec<(usize, f64, Vec<u32>)> = (0..self.net_ids.len())
+            .filter(|&lj| self.owned[lj])
+            .map(|lj| (self.net_ids[lj], self.cost[lj], self.pins(lj).to_vec()))
+            .collect();
+        let mut nets: Vec<(usize, f64, Vec<u32>)> =
+            comm.allgather(mine).into_iter().flatten().collect();
+        nets.sort_unstable_by_key(|&(id, _, _)| id);
+        let mut whole = |block: &Vec<f64>| -> Vec<f64> {
+            comm.allgather(block.clone())
+                .into_iter()
+                .flatten()
+                .collect()
+        };
+        let mut columns = vec![whole(&self.wgt)];
+        let vsize = whole(&self.vsize);
+        columns.extend(self.aux.iter().map(&mut whole));
+        let fixed: Vec<Option<PartId>> = comm
+            .allgather(self.fixed.clone())
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut b = HypergraphBuilder::new(self.vdist.len());
+        b.set_loads(VertexLoads::from_columns(columns));
+        for (id, cost, pins) in nets {
+            let j = b.add_net(cost, pins.into_iter().map(|v| v as usize));
+            debug_assert_eq!(j, id, "gathered nets must arrive densely in id order");
+        }
+        let mut h = b.build();
+        h.set_vertex_sizes(vsize);
+        (h, FixedAssignment::from_options(&fixed))
+    }
+}
+
+/// A distributed level as the shared kernels see it: a rank stores
+/// exactly the vertex block it owns, and a net's locally stored pins are
+/// the full list on its owner and this rank's own pins elsewhere. Nets
+/// are named by local index; `nets_of` also answers for a ghost, with
+/// the owned nets that pin it.
+impl LevelView for &DistLevel {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.vdist.len()
+    }
+    #[inline]
+    fn stored(&self) -> Range<usize> {
+        self.start..self.start + self.wgt.len()
+    }
+    #[inline]
+    fn owned(&self) -> Range<usize> {
+        self.stored()
+    }
+    #[inline]
+    fn num_nets(&self) -> usize {
+        self.net_ids.len()
+    }
+    #[inline]
+    fn nets_of(&self, v: usize) -> &[u32] {
+        match self.halo_slot(v) {
             Some(s) => &self.slot_nets[self.xslot[s]..self.xslot[s + 1]],
             None => &[],
         }
     }
-
-    /// Gathers the full hypergraph onto every rank (collective):
-    /// owner ranks contribute their nets, and each rank rebuilds the
-    /// replicated structure with nets in global-id order. Vertex
-    /// weights come from an allgather of the owned blocks. Ranks that
-    /// own nothing contribute empty batches.
-    pub(crate) fn gather_replicated(&self, comm: &mut Comm) -> Hypergraph {
-        let mine: Vec<(usize, f64, Vec<u32>)> = (0..self.num_local_nets())
-            .filter(|&lj| self.owned[lj])
-            .map(|lj| (self.net_ids[lj], self.cost[lj], self.net_pins(lj).to_vec()))
-            .collect();
-        let mut all: Vec<(usize, f64, Vec<u32>)> =
-            comm.allgather(mine).into_iter().flatten().collect();
-        all.sort_unstable_by_key(|&(id, _, _)| id);
-        let weights: Vec<f64> = comm
-            .allgather(self.owned_wgt.clone())
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut b = dlb_hypergraph::HypergraphBuilder::new(self.num_vertices());
-        for (v, &w) in weights.iter().enumerate() {
-            b.set_vertex_weight(v, w);
-        }
-        for (id, cost, pins) in all {
-            let j = b.add_net(cost, pins.into_iter().map(|v| v as usize));
-            debug_assert_eq!(j, id, "gathered nets must arrive densely in id order");
-        }
-        b.build()
+    #[inline]
+    fn pins(&self, j: usize) -> &[u32] {
+        &self.pins[self.xpins[j]..self.xpins[j + 1]]
+    }
+    #[inline]
+    fn net_size(&self, j: usize) -> usize {
+        self.gsize[j]
+    }
+    #[inline]
+    fn net_cost(&self, j: usize) -> f64 {
+        self.cost[j]
+    }
+    #[inline]
+    fn weight(&self, v: usize) -> f64 {
+        self.wgt[self.slot(v)]
+    }
+    #[inline]
+    fn aux_load(&self, v: usize, i: usize) -> f64 {
+        self.aux[i][self.slot(v)]
+    }
+    #[inline]
+    fn fixed(&self, v: usize) -> Option<PartId> {
+        self.fixed[self.slot(v)]
     }
 }
 
 /// A reusable halo update: pulls per-vertex values from owner ranks
 /// into buffers aligned with a ghost id list (by default
-/// [`DistHypergraph::ghosts`]).
+/// [`DistLevel::ghosts`]).
 ///
 /// Built once per distribution (collective); each [`GhostExchange::pull`]
 /// is then a single plan execution carrying only the requested values,
@@ -441,9 +520,9 @@ pub(crate) struct GhostExchange {
 }
 
 impl GhostExchange {
-    /// Builds the exchange for `dh`'s ghost list (collective).
-    pub(crate) fn build(comm: &mut Comm, dh: &DistHypergraph) -> Self {
-        Self::build_for_ids(comm, &dh.vdist, &dh.ghosts)
+    /// Builds the exchange for `level`'s ghost list (collective).
+    pub(crate) fn build(comm: &mut Comm, level: &DistLevel) -> Self {
+        Self::build_for_ids(comm, &level.vdist, &level.ghosts)
     }
 
     /// Builds an exchange for an arbitrary list of remote vertex ids
@@ -608,7 +687,7 @@ impl<T: Clone + Send + 'static> GhostHalo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_hypergraph::{metrics, HypergraphBuilder, PartId};
+    use dlb_hypergraph::metrics;
     use dlb_mpisim::run_spmd;
 
     /// A small deterministic hypergraph with cross-rank nets.
@@ -626,25 +705,30 @@ mod tests {
         b.build()
     }
 
+    /// Rank `rank`'s share of `h` with no vertex fixed.
+    fn share(h: &Hypergraph, rank: usize, size: usize) -> DistLevel {
+        DistLevel::from_replicated(h, &FixedAssignment::free(h.num_vertices()), rank, size)
+    }
+
     /// Distributed connectivity−1 cut (collective): each net is counted
     /// once, by its owner (which stores its full pin list), with ghost
     /// parts pulled through `exch` — exercises the owner/stub layout
     /// and the halo together.
     fn cut_k1(
-        dh: &DistHypergraph,
+        level: &DistLevel,
         comm: &mut Comm,
         exch: &GhostExchange,
         owned_part: &[PartId],
     ) -> f64 {
         let ghost_part = exch.pull(comm, owned_part);
-        let owned = dh.my_range().len();
+        let owned = level.owned().len();
         let mut local = 0.0;
-        for lj in (0..dh.num_local_nets()).filter(|&lj| dh.owns_net(lj)) {
-            let mut parts: Vec<PartId> = dh
-                .net_pins(lj)
+        for lj in (0..level.num_nets()).filter(|&lj| level.owns_net(lj)) {
+            let mut parts: Vec<PartId> = level
+                .pins(lj)
                 .iter()
                 .map(|&v| {
-                    let s = dh.slot(v as usize).expect("pin has a slot");
+                    let s = level.halo_slot(v as usize).expect("pin has a slot");
                     if s < owned {
                         owned_part[s]
                     } else {
@@ -654,7 +738,7 @@ mod tests {
                 .collect();
             parts.sort_unstable();
             parts.dedup();
-            local += dh.net_cost(lj) * (parts.len() - 1) as f64;
+            local += level.net_cost(lj) * (parts.len() - 1) as f64;
         }
         comm.allreduce_sum(local)
     }
@@ -664,12 +748,12 @@ mod tests {
         let h = sample(23);
         for size in [1usize, 2, 4] {
             for rank in 0..size {
-                let dh = DistHypergraph::from_replicated(&h, rank, size);
-                for v in dh.my_range() {
-                    let local: Vec<u32> = dh
-                        .vertex_local_nets(v)
+                let level = &share(&h, rank, size);
+                for v in level.owned() {
+                    let local: Vec<u32> = level
+                        .nets_of(v)
                         .iter()
-                        .map(|&lj| dh.net_global_id(lj as usize) as u32)
+                        .map(|&lj| level.net_global_id(lj as usize) as u32)
                         .collect();
                     assert_eq!(local, h.vertex_nets(v), "v={v} rank={rank}/{size}");
                 }
@@ -683,9 +767,9 @@ mod tests {
         let h = Hypergraph::from_nets_unit(4, &[vec![], vec![0, 3], vec![], vec![2]]);
         for size in [1usize, 2, 5] {
             for rank in 0..size {
-                let dh = DistHypergraph::from_replicated(&h, rank, size);
-                let held: Vec<usize> = (0..dh.num_local_nets())
-                    .map(|lj| dh.net_global_id(lj))
+                let level = &share(&h, rank, size);
+                let held: Vec<usize> = (0..level.num_nets())
+                    .map(|lj| level.net_global_id(lj))
                     .collect();
                 assert!(
                     held.iter().all(|j| [1, 3].contains(j)),
@@ -699,19 +783,17 @@ mod tests {
     fn pin_storage_partitions_and_nets_have_one_owner() {
         let h = sample(37);
         for size in [1usize, 2, 4] {
-            let shares: Vec<DistHypergraph> = (0..size)
-                .map(|r| DistHypergraph::from_replicated(&h, r, size))
-                .collect();
+            let shares: Vec<DistLevel> = (0..size).map(|r| share(&h, r, size)).collect();
             let mut owner_count = vec![0usize; h.num_nets()];
-            for dh in &shares {
-                assert!(dh.local_pin_count() <= h.num_pins());
-                let my_range = dh.my_range();
-                for lj in 0..dh.num_local_nets() {
-                    let j = dh.net_global_id(lj);
+            for level in &shares {
+                assert!(level.local_pin_count() <= h.num_pins());
+                let my_range = level.owned();
+                for lj in 0..level.num_nets() {
+                    let j = level.net_global_id(lj);
                     // Stubs still report the global size.
-                    assert_eq!(dh.net_size(lj), h.net(j).len());
-                    if dh.owns_net(lj) {
-                        assert_eq!(dh.net_pins(lj), h.net(j));
+                    assert_eq!(level.net_size(lj), h.net(j).len());
+                    if level.owns_net(lj) {
+                        assert_eq!(level.pins(lj), h.net(j));
                         owner_count[j] += 1;
                     } else {
                         // Stub: exactly this rank's own pins, net order.
@@ -721,19 +803,19 @@ mod tests {
                             .copied()
                             .filter(|&v| my_range.contains(&(v as usize)))
                             .collect();
-                        assert_eq!(dh.net_pins(lj), expect, "stub pins, net {j}");
+                        assert_eq!(level.pins(lj), expect, "stub pins, net {j}");
                         assert!(!expect.is_empty());
                     }
                 }
                 // Ghosts are exactly the remote pins of owned nets.
-                for &g in dh.ghosts() {
+                for &g in level.ghosts() {
                     assert!(!my_range.contains(&g));
                 }
-                assert!(dh.owned_pin_count() <= dh.local_pin_count());
+                assert!(level.owned_pin_count() <= level.local_pin_count());
             }
             assert_eq!(owner_count, vec![1; h.num_nets()], "size={size}");
             // Owned (canonical) pin storage partitions the global pins.
-            let owned_total: usize = shares.iter().map(|dh| dh.owned_pin_count()).sum();
+            let owned_total: usize = shares.iter().map(|level| level.owned_pin_count()).sum();
             assert_eq!(owned_total, h.num_pins(), "size={size}");
             if size == 1 {
                 assert_eq!(shares[0].local_pin_count(), h.num_pins());
@@ -752,7 +834,7 @@ mod tests {
         let mut prev = usize::MAX;
         for size in [1usize, 2, 4, 8] {
             let peak = (0..size)
-                .map(|r| DistHypergraph::from_replicated(&h, r, size).resident_bytes())
+                .map(|r| share(&h, r, size).resident_bytes())
                 .max()
                 .unwrap();
             assert!(peak < prev, "size={size}: {peak} !< {prev}");
@@ -765,14 +847,14 @@ mod tests {
         let h = sample(29);
         for size in [1usize, 2, 4] {
             let results = run_spmd(size, |comm| {
-                let dh = DistHypergraph::from_replicated(&h, comm.rank(), comm.size());
-                let exch = GhostExchange::build(comm, &dh);
+                let level = &share(&h, comm.rank(), comm.size());
+                let exch = GhostExchange::build(comm, level);
                 // Owner value of vertex v is v * 10 + 1.
-                let owned: Vec<usize> = dh.my_range().map(|v| v * 10 + 1).collect();
+                let owned: Vec<usize> = level.owned().map(|v| v * 10 + 1).collect();
                 let ghost_vals = exch.pull(comm, &owned);
                 ghost_vals
                     .iter()
-                    .zip(dh.ghosts())
+                    .zip(level.ghosts())
                     .all(|(&got, &g)| got == g * 10 + 1)
             });
             assert!(results.into_iter().all(|ok| ok), "size={size}");
@@ -787,10 +869,11 @@ mod tests {
         let h = sample(41);
         for size in [1usize, 2, 3, 4] {
             let results = run_spmd(size, |comm| {
-                let dh = DistHypergraph::from_replicated(&h, comm.rank(), comm.size());
-                let exch = GhostExchange::build(comm, &dh);
-                let mut halo = GhostHalo::new(GhostExchange::build(comm, &dh), dh.my_range().len());
-                let mut owned: Vec<u64> = dh.my_range().map(|v| v as u64).collect();
+                let level = &share(&h, comm.rank(), comm.size());
+                let exch = GhostExchange::build(comm, level);
+                let mut halo =
+                    GhostHalo::new(GhostExchange::build(comm, level), level.owned().len());
+                let mut owned: Vec<u64> = level.owned().map(|v| v as u64).collect();
                 halo.sync(comm, &owned);
                 let quiet_before = comm.stats().bytes_sent;
                 // Quiet round: nothing dirty, nothing moves.
@@ -845,10 +928,10 @@ mod tests {
         let expect_cut = metrics::cutsize_connectivity(&h, &part, k);
         for size in [1usize, 2, 3] {
             let results = run_spmd(size, |comm| {
-                let dh = DistHypergraph::from_replicated(&h, comm.rank(), comm.size());
-                let exch = GhostExchange::build(comm, &dh);
-                let owned: Vec<usize> = part[dh.my_range()].to_vec();
-                cut_k1(&dh, comm, &exch, &owned)
+                let level = &share(&h, comm.rank(), comm.size());
+                let exch = GhostExchange::build(comm, level);
+                let owned: Vec<usize> = part[level.owned()].to_vec();
+                cut_k1(level, comm, &exch, &owned)
             });
             for cut in results {
                 assert!((cut - expect_cut).abs() < 1e-9, "size={size}");
@@ -856,22 +939,40 @@ mod tests {
         }
     }
 
+    /// `sample(n)` with a second load column, vertex sizes that differ
+    /// from the default, and every third vertex fixed.
+    fn two_constraint_sample(n: usize) -> (Hypergraph, FixedAssignment) {
+        let mut h = sample(n);
+        h.set_loads(VertexLoads::from_columns(vec![
+            h.loads().scalar().to_vec(),
+            (0..n).map(|v| 0.5 + (v % 4) as f64).collect(),
+        ]));
+        h.set_vertex_sizes((0..n).map(|v| 2.0 + (v % 5) as f64).collect());
+        let mut fixed = FixedAssignment::free(n);
+        for v in (1..n).step_by(3) {
+            fixed.fix(v, v % 2);
+        }
+        (h, fixed)
+    }
+
+    /// The gathered level is the input, whole: the hypergraph equals it
+    /// with `==` (nets, costs, sizes and every load column), and so does
+    /// the fixed assignment — on two constraints with fixed vertices, at
+    /// ranks 1, 2 and 4, and in a world with empty ranks (7 on 5).
     #[test]
     fn gather_replicated_rebuilds_the_input() {
-        let h = sample(19);
-        for size in [1usize, 2, 4] {
-            let results = run_spmd(size, |comm| {
-                let dh = DistHypergraph::from_replicated(&h, comm.rank(), comm.size());
-                dh.gather_replicated(comm)
-            });
-            for g in results {
-                assert_eq!(g.num_vertices(), h.num_vertices());
-                assert_eq!(g.num_nets(), h.num_nets());
-                for j in 0..h.num_nets() {
-                    assert_eq!(g.net(j), h.net(j), "size={size} net={j}");
-                    assert_eq!(g.net_cost(j), h.net_cost(j));
+        for (n, sizes) in [(19usize, &[1usize, 2, 4][..]), (5, &[7][..])] {
+            let (h, fixed) = two_constraint_sample(n);
+            assert_eq!(h.load_arity(), 2);
+            assert!(fixed.num_fixed() > 0);
+            for &size in sizes {
+                let results = run_spmd(size, |comm| {
+                    DistLevel::from_replicated(&h, &fixed, comm.rank(), comm.size()).gather(comm)
+                });
+                for (rank, (g, g_fixed)) in results.into_iter().enumerate() {
+                    assert!(g == h, "n={n} size={size} rank={rank}: hypergraph differs");
+                    assert_eq!(g_fixed, fixed, "n={n} size={size} rank={rank}");
                 }
-                assert_eq!(g.loads().scalar(), h.loads().scalar());
             }
         }
     }
@@ -887,16 +988,16 @@ mod tests {
         let expect_cut = metrics::cutsize_connectivity(&h, &part, k);
         for size in [7usize, 9] {
             let results = run_spmd(size, |comm| {
-                let dh = DistHypergraph::from_replicated(&h, comm.rank(), comm.size());
-                let exch = GhostExchange::build(comm, &dh);
-                let owned: Vec<usize> = part[dh.my_range()].to_vec();
-                let mut halo = GhostHalo::new(GhostExchange::build(comm, &dh), owned.len());
+                let level = &share(&h, comm.rank(), comm.size());
+                let exch = GhostExchange::build(comm, level);
+                let owned: Vec<usize> = part[level.owned()].to_vec();
+                let mut halo = GhostHalo::new(GhostExchange::build(comm, level), owned.len());
                 halo.sync(comm, &owned);
                 // Dirty-push round on a world with empty ranks.
                 halo.sync(comm, &owned);
-                let cut = cut_k1(&dh, comm, &exch, &owned);
-                let g = dh.gather_replicated(comm);
-                (dh.my_range().len(), cut, g.num_nets(), g.num_pins())
+                let cut = cut_k1(level, comm, &exch, &owned);
+                let (g, _) = level.gather(comm);
+                (level.owned().len(), cut, g.num_nets(), g.num_pins())
             });
             let mut owned_total = 0usize;
             for (owned, cut, nets, pins) in results {

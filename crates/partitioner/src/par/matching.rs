@@ -300,7 +300,8 @@ mod tests {
     /// return exactly the owned block of the replicated ones.
     #[test]
     fn restricted_matching_stays_inside_parts() {
-        use crate::par::dist::{dist_ipm_matching, DistLevel};
+        use crate::par::dist::dist_ipm_matching;
+        use crate::par::disthg::DistLevel;
         let h = crate::tests::grid_hypergraph(12, 12);
         let fixed = FixedAssignment::free(144);
         let parts: Vec<PartId> = (0..144).map(|v| v % 3).collect();
@@ -309,11 +310,11 @@ mod tests {
             let results = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(13);
                 let repl = par_ipm_matching(comm, &h, &fixed, Some(&parts), &cfg, &mut rng);
-                let level = DistLevel::from_replicated(&h, &fixed, comm.rank(), comm.size());
-                let block = level.dh.my_range();
+                let level = &DistLevel::from_replicated(&h, &fixed, comm.rank(), comm.size());
+                let block = level.owned();
                 let mut rng = StdRng::seed_from_u64(13);
                 let owned = Some(&parts[block.clone()]);
-                let dist = dist_ipm_matching(comm, &level, owned, &cfg, &mut rng);
+                let dist = dist_ipm_matching(comm, level, owned, &cfg, &mut rng);
                 (repl, block, dist)
             });
             for (repl, block, dist) in &results {

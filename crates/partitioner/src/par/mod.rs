@@ -37,7 +37,7 @@
 //! ranks return the identical partition vector.
 
 pub mod dist;
-mod disthg;
+pub(crate) mod disthg;
 pub(crate) mod matching;
 pub(crate) mod refine;
 

@@ -32,12 +32,12 @@ use crate::config::{Config, PartTargets};
 use crate::fixed::FixedAssignment;
 use crate::initial::{initial_partition, score};
 use crate::matching::{ipm_matching_mode, Matching};
-use crate::par::dist::{
-    dist_contract, dist_ipm_matching, dist_refine, project_to_fine, DistLevel, DistStats,
-};
+use crate::par::dist::{dist_contract, dist_ipm_matching, dist_refine, project_to_fine, DistStats};
+use crate::par::disthg::DistLevel;
 use crate::par::matching::par_ipm_matching;
 use crate::par::refine::par_refine;
 use crate::refine::{refine_with, RefineScratch};
+use crate::view::LevelView;
 
 /// What a V-cycle step needs besides the level it works on.
 pub(crate) struct Cx<'a> {
@@ -192,7 +192,7 @@ impl<'a> Held<'a> {
             DistLevel::from_replicated(h, fixed, comm.rank(), comm.size())
         };
         cx.stats.observe(&level);
-        let restrict = restrict.map(|part| part[level.dh.my_range()].to_vec());
+        let restrict = restrict.map(|part| part[(&level).owned()].to_vec());
         let held = Distributed {
             level,
             f2c: None,
@@ -212,7 +212,7 @@ impl<'a> Held<'a> {
     fn num_vertices(&self) -> usize {
         match self {
             Held::Serial(at, _) | Held::Replicated(at, _) => at.get().0.num_vertices(),
-            Held::Distributed(d, _) => d.level.dh.num_vertices(),
+            Held::Distributed(d, _) => (&d.level).num_vertices(),
         }
     }
 
@@ -237,7 +237,7 @@ impl<'a> Held<'a> {
     /// gathered first (inside `span`, the level the gather enables).
     fn matching(&mut self, cx: &mut Cx, span: &SpanGuard) -> Matching {
         if let Held::Distributed(d, restrict) = self {
-            let n = d.level.dh.num_vertices();
+            let n = (&d.level).num_vertices();
             if d.replica.is_none() && n <= cx.cfg.dist.gather_threshold {
                 let _gather = dlb_trace::span!("dist.gather");
                 span.attr("gathered", true);
@@ -308,7 +308,7 @@ impl<'a> Held<'a> {
                 };
                 // The partition narrows here: through the owned block of
                 // the map, the coarse level projects onto the block.
-                let block = Some(d.level.dh.my_range());
+                let block = Some((&d.level).owned());
                 let (coarse, restrict) = contract_whole((&h, &fixed), restrict, matching, block);
                 Held::Replicated(coarse, restrict)
             }
@@ -331,7 +331,7 @@ impl<'a> Held<'a> {
             // The coarse solve needs the level whole: the replica
             // coarsening stopped on, or a gather forced now.
             Held::Distributed(d, restrict) => {
-                let block = d.level.dh.my_range();
+                let block = (&d.level).owned();
                 if let Some(part) = restrict.take() {
                     return match d.replica {
                         Some(_) => part[block].to_vec(),
@@ -339,7 +339,7 @@ impl<'a> Held<'a> {
                     };
                 }
                 let (h, fixed) = d.replica.take().unwrap_or_else(|| {
-                    cx.stats.gathered_vertices = d.level.dh.num_vertices();
+                    cx.stats.gathered_vertices = (&d.level).num_vertices();
                     d.level.gather(comm_of(&mut cx.comm))
                 });
                 solve_replicated(cx, &h, &fixed)[block].to_vec()
@@ -378,7 +378,7 @@ impl<'a> Held<'a> {
             Held::Distributed(d, _) => {
                 let comm = comm_of(&mut cx.comm);
                 match d.f2c {
-                    Some(f2c) => project_to_fine(comm, &d.level.dh.vertex_dist(), &part, &f2c),
+                    Some(f2c) => project_to_fine(comm, &d.level.vertex_dist(), &part, &f2c),
                     None => comm.allgather(part).into_iter().flatten().collect(),
                 }
             }
@@ -531,7 +531,7 @@ pub(crate) fn refine_input(
 ) -> Vec<PartId> {
     let input = Held::input(h, fixed, None, cx);
     if let Held::Distributed(d, _) = &input {
-        part = part[d.level.dh.my_range()].to_vec();
+        part = part[(&d.level).owned()].to_vec();
     }
     input.refine(cx, 0, &mut part);
     input.project(cx, part)

@@ -3,8 +3,8 @@
 //! A level is held **replicated** — the whole hypergraph and fixed
 //! assignment on every rank, of which a rank *owns* (computes for) a
 //! block, or everything in the serial partitioner — or **distributed**
-//! (`par::dist`): a rank stores exactly the block it owns plus the nets
-//! touching it. The per-vertex kernels (IPM scoring, move gains, the
+//! (`par::disthg::DistLevel`): a rank stores exactly the block it owns
+//! plus the nets touching it. The per-vertex kernels (IPM scoring, move gains, the
 //! rebalance step, FM proposals) are written once over [`LevelView`],
 //! generic and monomorphized, so the serial hot loops pay nothing for it.
 //!

@@ -24,8 +24,12 @@
 # partitions as the parent's first run (`partitions: identical (N runs ×
 # M ops …)`, or the first run that differs by fingerprint or cost, its
 # first differing op, how many ops differ and the exact cost per op of
-# both runs). Exits 1 only if a run
-# failed or reported an incorrect op; the verdict itself is for reading.
+# both runs). Each workload ends with one `--trace 1` run per side;
+# every per-layer row whose unit is `count`, `bytes`, `MB` or `cost`
+# (the deterministic figures: counters, wire bytes, residency, gains)
+# and whose value differs between the two is printed, or
+# `per-layer counters: identical`. Exits 1 only if a run failed or
+# reported an incorrect op; the verdict itself is for reading.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -51,7 +55,8 @@ if [ $# -gt 0 ] && [[ $1 =~ ^[0-9]+$ ]]; then
   shift
 fi
 RUNS=$(mktemp)
-trap 'rm -f "$RUNS"' EXIT
+TRACED=$(mktemp)
+trap 'rm -f "$RUNS" "$TRACED"' EXIT
 
 # One run: the benchmark's last stdout line is its result JSON, the
 # `detail` line before it lists every op's fingerprint and cost.
@@ -73,12 +78,18 @@ for pair in $(seq 1 "$PAIRS"); do
   fi
   echo "pair $pair/$PAIRS done" >&2
 done
+# One traced run per side: its result line carries the per-layer rows.
+for side in parent head; do
+  if [ "$side" = parent ]; then bin=$PARENT; else bin=$HEAD; fi
+  output=$("$bin" --workload "$WORKLOAD" --seed 42 --trace 1 "$@")
+  tail -n 1 <<<"$output" | sed "s/^/$side /" >> "$TRACED"
+done
 
-python3 - "$RUNS" "$ROOT/BENCHMARK.json" "$WORKLOAD" <<'EOF'
+python3 - "$RUNS" "$ROOT/BENCHMARK.json" "$WORKLOAD" "$TRACED" <<'EOF'
 import json
 import sys
 
-runs_path, contract_path, workload = sys.argv[1:4]
+runs_path, contract_path, workload, traced_path = sys.argv[1:5]
 sides = {"parent": [], "head": []}
 details = {"parent": [], "head": []}
 for line in open(runs_path):
@@ -151,6 +162,20 @@ for side, run, got in runs:
         break
 else:
     print(f"partitions: identical ({len(runs)} runs × {len(reference)} ops, fingerprints and costs)")
+
+# The traced runs' exact rows, parent against head.
+traced = {}
+for line in open(traced_path):
+    side, result = line.split(" ", 1)
+    traced[side] = json.loads(result)["metrics"]
+exact_units = ("count", "bytes", "MB", "cost")
+rows = [(name, m["unit"], m["value"], traced["head"][name]["value"])
+        for name, m in traced["parent"].items() if m["unit"] in exact_units]
+differing = [row for row in rows if row[2] != row[3]]
+for name, unit, before, after in differing:
+    print(f"per-layer {name} ({unit}): parent {before:.6g}, head {after:.6g}")
+if not differing:
+    print(f"per-layer counters: identical ({len(rows)} rows in {', '.join(exact_units)})")
 for side, pair in bad:
     print(f"INCORRECT: {side} run of pair {pair} reported failed ops")
 sys.exit(1 if bad else 0)

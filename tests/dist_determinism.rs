@@ -161,6 +161,12 @@ fn distributed_repart_is_reproducible_run_to_run() {
 /// residency (pins + metadata + per-vertex arrays) under the budget,
 /// strictly less at 64 ranks than at 16. Minutes in release on one
 /// core, so CI runs it with `--release -- --ignored`.
+///
+/// The residency read is `DistStats::total_resident_bytes`, which
+/// counts distributed levels only: the level gathered whole onto every
+/// rank and the levels coarsened from it are in no figure. At 64 ranks
+/// coarsening stalls after two distributed levels and a 3985-vertex
+/// level is gathered, so "64 below 16" compares 2 levels with 11.
 #[test]
 #[ignore = "64 simulated ranks; run in release"]
 fn over_budget_instance_fits_every_rank_at_16_and_64_ranks() {
