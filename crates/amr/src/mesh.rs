@@ -82,7 +82,7 @@ impl QuadMesh {
     }
 
     /// The leaves in canonical order (level-major, then row, column);
-    /// `leaves()[v]` is the cell [`crate::lower()`] numbers `v`.
+    /// `leaves()[v]` is the cell [`lower`](crate::lower::lower) numbers `v`.
     pub(crate) fn leaves(&self) -> &[Cell] {
         &self.sorted
     }
@@ -187,8 +187,9 @@ impl QuadMesh {
         passes
     }
 
-    /// One pass of [`Self::adapt`] on the index alone: leaves it creates
-    /// stay [`UNNUMBERED`] and `sorted` goes stale until [`Self::renumber`].
+    /// One adaptation pass on the index alone (a step of
+    /// [`Self::adapt_to_stable`]): leaves it creates stay [`UNNUMBERED`]
+    /// and `sorted` goes stale until [`Self::renumber`].
     fn adapt_pass(
         &mut self,
         indicator: &impl Fn(f64, f64) -> f64,

@@ -73,7 +73,9 @@ impl Default for CoarseningConfig {
 pub struct InitialConfig {
     /// Number of randomized greedy-hypergraph-growing attempts; the best
     /// (by cut, tie-broken by balance) wins. The parallel partitioner
-    /// uses one attempt per rank instead.
+    /// runs all of them on every rank, each rank from its own
+    /// rank-salted stream, refines each rank's best with heap FM, and
+    /// keeps the best rank's by all-reduce.
     pub num_attempts: usize,
 }
 
@@ -112,11 +114,13 @@ pub struct DistConfig {
     /// (an infinite threshold). Results are bit-identical either way at
     /// any rank count.
     pub distributed: bool,
-    /// Once the (distributed) hypergraph has at most this many
-    /// vertices, it is gathered onto every rank and the remaining
-    /// levels run the replicated code paths. Coarse hypergraphs are
-    /// small, so this trades negligible memory for cheaper, local
-    /// coarse-level work.
+    /// A level of the parallel V-cycle with at most this many vertices
+    /// is held whole on every rank: the distributed contraction that
+    /// shrinks a level to it gathers the result, and the remaining
+    /// levels run the replicated code paths (a level coarsening stops
+    /// on above it is gathered for the coarse solve). Coarse
+    /// hypergraphs are small, so this trades negligible memory for
+    /// cheaper, local coarse-level work.
     pub gather_threshold: usize,
 }
 

@@ -45,8 +45,10 @@
 //!   *weights* (an O(k) vector, not O(n)) update in lockstep on every
 //!   rank through the proposal payloads.
 //!
-//! Once the current level has at most `cfg.dist.gather_threshold`
-//! vertices it is gathered onto every rank and the remaining levels are
+//! A level is distributed exactly while `cfg.dist.distributed` holds and
+//! it has more than `cfg.dist.gather_threshold` vertices: the
+//! `dist_contract` that shrinks a level to the threshold is the last,
+//! its result is gathered onto every rank, and the remaining levels are
 //! held replicated (coarse hypergraphs are tiny). With
 //! `cfg.dist.distributed` off nothing is ever distributed: every level
 //! is a replicated one, so "replicated" is the SPMD V-cycle with zero
@@ -95,14 +97,17 @@ pub struct DistStats {
     ///
     /// It counts distributed levels only: levels are observed where they
     /// are built distributed (the input and each distributed
-    /// contraction), so the level gathered whole onto every rank and
-    /// every level coarsened from that replica are in no figure. Two
-    /// rank counts can therefore compare hierarchies of different
-    /// depths — on the cage14 instance of the memory-budget test, 2
-    /// distributed levels at 64 ranks against 11 at 16.
+    /// contraction, the one whose result is gathered included), so the
+    /// gathered copy and every level coarsened from it are in no
+    /// figure. Two rank counts can therefore compare hierarchies of
+    /// different depths — on the cage14 instance of the memory-budget
+    /// test, 2 distributed levels at 64 ranks against 11 at 16.
     pub total_resident_bytes: usize,
-    /// Vertex count at which the hypergraph was gathered (0 = the input
-    /// was already at or below the threshold; never distributed).
+    /// Vertex count of the level gathered onto every rank: the first
+    /// contraction at or under the threshold, or the level coarsening
+    /// stopped on above it, for the solve. 0 when nothing was gathered:
+    /// the input was at or under the threshold, or a restricted cycle
+    /// stopped above it (its restriction stands in for the solve).
     pub gathered_vertices: usize,
 }
 
@@ -136,7 +141,8 @@ type CandRecord = (usize, i64, i64, Vec<usize>);
 /// parts of `parts` (this rank's owned block of the restriction) if
 /// given: the mates of this rank's owned vertices (global ids, self if
 /// unmatched) with the global pair count. The same rounds as
-/// [`par_ipm_matching`] run, over the owner-computes storage.
+/// [`par_ipm_matching`](crate::par::matching::par_ipm_matching) run,
+/// over the owner-computes storage.
 pub(crate) fn dist_ipm_matching(
     comm: &mut Comm,
     d: &DistLevel,
@@ -251,11 +257,10 @@ fn pin_owner_ranks(d: &DistLevel, lj: usize, owners: &mut Vec<usize>) {
 ///    pins through a one-shot f2c halo pull), drops sub-2-pin nets and
 ///    submits `(fine_id, cost, pins)` to the pin-set's shard rank.
 /// 4. The shard collapses duplicates in ascending fine-net order through
-///    the replicated contraction's own kernel
-///    ([`NetCollapser`](crate::coarsen::NetCollapser)), so group costs
-///    are summed in the replicated order; a group is keyed by its first
-///    fine net, and coarse net ids are the positions of those keys in
-///    globally sorted order.
+///    the replicated contraction's own kernel ([`NetCollapser`]), so
+///    group costs are summed in the replicated order; a group is keyed
+///    by its first fine net, and coarse net ids are the positions of
+///    those keys in globally sorted order.
 /// 5. Each surviving coarse net is routed owner-computes: the full pin
 ///    list to its owner rank, a stub (that rank's own pins, which form
 ///    one contiguous run of the sorted list) to every other pin-owning

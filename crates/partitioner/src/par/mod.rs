@@ -23,8 +23,9 @@
 //!   at selection, as in Section 4.1); a global best match per candidate
 //!   is selected by an all-reduce.
 //! * **Coarse partitioning**: the coarsest hypergraph is replicated;
-//!   each rank runs randomized greedy hypergraph growing with a
-//!   different seed and the best partition wins (Section 4.2).
+//!   each rank runs the best-of-`num_attempts` randomized greedy
+//!   hypergraph growing from its own seed and refines it, and the best
+//!   rank's partition wins (Section 4.2).
 //! * **Refinement** (`par::refine`): a localized FM — each rank proposes
 //!   moves for its owned boundary vertices against the current global
 //!   state; proposals are exchanged and applied deterministically, and

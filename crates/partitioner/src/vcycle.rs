@@ -10,13 +10,20 @@
 //! project); the loop is the same and never asks which one it holds.
 //! What a step needs besides the level travels in [`Cx`].
 //!
+//! On a communicator, a level is distributed exactly while
+//! `cfg.dist.distributed` holds and it has more than
+//! `cfg.dist.gather_threshold` vertices ([`distributes`]): the
+//! contraction that shrinks a distributed level to the threshold gathers
+//! its result onto every rank ([`Held::contract`]). The one other gather
+//! is the solve of a distributed level coarsening stopped on
+//! ([`Held::solve`]).
+//!
 //! The partition vector is always *in the representation of the level it
 //! belongs to*: whole for a whole level, this rank's owned block for a
-//! distributed one. It narrows from whole to owned block where a
-//! distributed level meets its gathered replica — in
-//! [`Held::contract`] (the replica's coarse level keeps only the owned
-//! block of the fine→coarse map, so projecting through it lands on the
-//! block) and in [`Held::solve`] — and widens again only in the
+//! distributed one. It narrows from whole to owned block at a gather —
+//! the gathered level's fine→coarse map is this rank's owned block of the
+//! finer level's, so projecting through it lands on the block, and the
+//! solve keeps the block of its winner — and widens again only in the
 //! [`Held::project`] of a distributed input level. [`refine_input`],
 //! which refines an input level with no cycle around it, narrows and
 //! widens in one step.
@@ -110,6 +117,12 @@ impl<'a> Cx<'a> {
     }
 }
 
+/// The placement rule: on a communicator, an `n`-vertex level is held
+/// distributed exactly when this holds, and replicated otherwise.
+fn distributes(cfg: &Config, n: usize) -> bool {
+    cfg.dist.distributed && n > cfg.dist.gather_threshold
+}
+
 /// The communicator of a replicated or distributed level's step.
 fn comm_of<'c>(comm: &'c mut Option<&mut Comm>) -> &'c mut Comm {
     comm.as_deref_mut()
@@ -145,35 +158,32 @@ pub(crate) struct Distributed {
     /// This rank's owned block of the finer level's fine→coarse map;
     /// `None` at the input level.
     f2c: Option<Vec<usize>>,
-    /// The level gathered whole onto every rank, once it has shrunk to
-    /// `cfg.dist.gather_threshold` vertices: the next coarser level and
-    /// the coarse solve work on the replica.
-    replica: Option<(Hypergraph, FixedAssignment)>,
 }
 
 /// One level of the V-cycle, in one of the three ways to hold it, with
 /// the partition a restricted cycle refines: matching then stays inside
 /// its parts, and the coarsest level's restriction stands in for the
 /// solve. The restriction is in the level's representation — whole, or
-/// this rank's owned block of a distributed level until that level is
-/// gathered.
+/// this rank's owned block of a distributed level.
 pub(crate) enum Held<'a> {
     /// Whole on the calling thread: greedy IPM, best-of-N coarse solve,
     /// heap FM.
     Serial(Whole<'a>, Option<Vec<PartId>>),
-    /// Whole on every rank: candidate-round IPM, one coarse attempt per
-    /// rank, proposal-pass FM.
+    /// Whole on every rank: candidate-round IPM, a best-of-N solve per
+    /// rank, proposal-pass FM. Every level on a communicator with at
+    /// most `cfg.dist.gather_threshold` vertices, and every level with
+    /// `cfg.dist.distributed` off.
     Replicated(Whole<'a>, Option<Vec<PartId>>),
-    /// The same kernels as `Replicated`, over owner-computes storage.
+    /// The same kernels as `Replicated`, over owner-computes storage:
+    /// every level on a communicator above the threshold, with
+    /// `cfg.dist.distributed` on.
     Distributed(Box<Distributed>, Option<Vec<PartId>>),
 }
 
 impl<'a> Held<'a> {
     /// The input level of a V-cycle on `cx`'s execution context; with
     /// `restrict`, of one that refines that partition. Serial without a
-    /// communicator; on one, distributed when `cfg.dist.distributed` and
-    /// larger than the gather threshold, replicated otherwise — with the
-    /// flag off no level is ever distributed.
+    /// communicator; on one, held as [`distributes`] says.
     pub(crate) fn input(
         h: &'a Hypergraph,
         fixed: &'a FixedAssignment,
@@ -184,7 +194,7 @@ impl<'a> Held<'a> {
         let Some(comm) = cx.comm.as_deref() else {
             return Held::Serial(whole, restrict.map(<[PartId]>::to_vec));
         };
-        if !(cx.cfg.dist.distributed && h.num_vertices() > cx.cfg.dist.gather_threshold) {
+        if !distributes(cx.cfg, h.num_vertices()) {
             return Held::Replicated(whole, restrict.map(<[PartId]>::to_vec));
         }
         let level = {
@@ -193,11 +203,7 @@ impl<'a> Held<'a> {
         };
         cx.stats.observe(&level);
         let restrict = restrict.map(|part| part[(&level).owned()].to_vec());
-        let held = Distributed {
-            level,
-            f2c: None,
-            replica: None,
-        };
+        let held = Distributed { level, f2c: None };
         Held::Distributed(Box::new(held), restrict)
     }
 
@@ -233,22 +239,8 @@ impl<'a> Held<'a> {
 
     /// Matches the level's vertices pairwise. A distributed level's
     /// mates are those of this rank's owned block, with the level-wide
-    /// pair count; one that has shrunk to the gather threshold is
-    /// gathered first (inside `span`, the level the gather enables).
-    fn matching(&mut self, cx: &mut Cx, span: &SpanGuard) -> Matching {
-        if let Held::Distributed(d, restrict) = self {
-            let n = (&d.level).num_vertices();
-            if d.replica.is_none() && n <= cx.cfg.dist.gather_threshold {
-                let _gather = dlb_trace::span!("dist.gather");
-                span.attr("gathered", true);
-                cx.stats.gathered_vertices = n;
-                let comm = comm_of(&mut cx.comm);
-                d.replica = Some(d.level.gather(comm));
-                *restrict = restrict
-                    .take()
-                    .map(|part| comm.allgather(part).into_iter().flatten().collect());
-            }
-        }
+    /// pair count.
+    fn matching(&mut self, cx: &mut Cx) -> Matching {
         let _span = dlb_trace::span!("coarsen.match");
         let cfg = &cx.cfg.coarsening;
         match self {
@@ -264,16 +256,14 @@ impl<'a> Held<'a> {
                 par_ipm_matching(comm, h, fixed, restrict.as_deref(), cfg, cx.rng)
             }
             Held::Distributed(d, restrict) => {
-                let (comm, parts) = (comm_of(&mut cx.comm), restrict.as_deref());
-                match &d.replica {
-                    Some((h, fixed)) => par_ipm_matching(comm, h, fixed, parts, cfg, cx.rng),
-                    None => dist_ipm_matching(comm, &d.level, parts, cfg, cx.rng),
-                }
+                let comm = comm_of(&mut cx.comm);
+                dist_ipm_matching(comm, &d.level, restrict.as_deref(), cfg, cx.rng)
             }
         }
     }
 
-    /// Contracts the level along `matching` into the next coarser one.
+    /// Contracts the level along `matching` into the next coarser one,
+    /// gathered onto every rank once it has shrunk to the threshold.
     fn contract(&mut self, cx: &mut Cx, matching: &Matching) -> Held<'static> {
         // The serial matcher counts its pairs itself; the SPMD ones leave
         // it to the level that accepts them.
@@ -281,7 +271,7 @@ impl<'a> Held<'a> {
             || dlb_trace::count(Counter::CoarsenMatchesAccepted, matching.num_pairs as u64);
         match self {
             Held::Serial(at, restrict) => {
-                let (coarse, restrict) = contract_whole(at.get(), restrict, matching, None);
+                let (coarse, restrict) = contract_whole(at.get(), restrict, matching);
                 Held::Serial(coarse, restrict)
             }
             // With the level whole on every rank, contraction is a
@@ -289,28 +279,37 @@ impl<'a> Held<'a> {
             // every rank builds the same coarse hypergraph locally.
             Held::Replicated(at, restrict) => {
                 count_accepted();
-                let (coarse, restrict) = contract_whole(at.get(), restrict, matching, None);
+                let (coarse, restrict) = contract_whole(at.get(), restrict, matching);
                 Held::Replicated(coarse, restrict)
             }
             Held::Distributed(d, restrict) => {
                 count_accepted();
-                let Some((h, fixed)) = d.replica.take() else {
-                    let comm = comm_of(&mut cx.comm);
-                    let (level, f2c, restrict) =
-                        dist_contract(comm, &d.level, &matching.mate, restrict.as_deref());
-                    cx.stats.observe(&level);
+                let comm = comm_of(&mut cx.comm);
+                let (level, f2c, restrict) =
+                    dist_contract(comm, &d.level, &matching.mate, restrict.as_deref());
+                cx.stats.observe(&level);
+                let n = (&level).num_vertices();
+                if distributes(cx.cfg, n) {
                     let held = Distributed {
                         level,
                         f2c: Some(f2c),
-                        replica: None,
                     };
                     return Held::Distributed(Box::new(held), restrict);
+                }
+                // The partition narrows here: the gathered level keeps
+                // this rank's owned block of the map, so it projects onto
+                // the block.
+                let _span = dlb_trace::span!("dist.gather");
+                cx.stats.gathered_vertices = n;
+                let (coarse, coarse_fixed) = level.gather(comm);
+                let restrict =
+                    restrict.map(|part| comm.allgather(part).into_iter().flatten().collect());
+                let coarse = CoarseLevel {
+                    coarse,
+                    coarse_fixed,
+                    fine_to_coarse: f2c,
                 };
-                // The partition narrows here: through the owned block of
-                // the map, the coarse level projects onto the block.
-                let block = Some((&d.level).owned());
-                let (coarse, restrict) = contract_whole((&h, &fixed), restrict, matching, block);
-                Held::Replicated(coarse, restrict)
+                Held::Replicated(Whole::Coarse(Box::new(coarse)), restrict)
             }
         }
     }
@@ -328,22 +327,13 @@ impl<'a> Held<'a> {
                 let (h, fixed) = at.get();
                 solve_replicated(cx, h, fixed)
             }),
-            // The coarse solve needs the level whole: the replica
-            // coarsening stopped on, or a gather forced now.
-            Held::Distributed(d, restrict) => {
-                let block = (&d.level).owned();
-                if let Some(part) = restrict.take() {
-                    return match d.replica {
-                        Some(_) => part[block].to_vec(),
-                        None => part,
-                    };
-                }
-                let (h, fixed) = d.replica.take().unwrap_or_else(|| {
-                    cx.stats.gathered_vertices = (&d.level).num_vertices();
-                    d.level.gather(comm_of(&mut cx.comm))
-                });
-                solve_replicated(cx, &h, &fixed)[block].to_vec()
-            }
+            // Coarsening stopped above the threshold, and the coarse
+            // solve needs the level whole.
+            Held::Distributed(d, restrict) => restrict.take().unwrap_or_else(|| {
+                cx.stats.gathered_vertices = (&d.level).num_vertices();
+                let (h, fixed) = d.level.gather(comm_of(&mut cx.comm));
+                solve_replicated(cx, &h, &fixed)[(&d.level).owned()].to_vec()
+            }),
         }
     }
 
@@ -387,19 +377,14 @@ impl<'a> Held<'a> {
 }
 
 /// Contracts a whole level along `matching`, pushing the restriction
-/// down with it; with `block`, the coarse level keeps only that block of
-/// the fine→coarse map.
+/// down with it.
 fn contract_whole(
     (h, fixed): (&Hypergraph, &FixedAssignment),
     restrict: &mut Option<Vec<PartId>>,
     matching: &Matching,
-    block: Option<std::ops::Range<usize>>,
 ) -> (Whole<'static>, Option<Vec<PartId>>) {
-    let mut coarse = contract(h, matching, fixed);
+    let coarse = contract(h, matching, fixed);
     let restrict = restrict.take().map(|part| coarse.coarsen_part(&part));
-    if let Some(block) = block {
-        coarse.fine_to_coarse = coarse.fine_to_coarse[block].to_vec();
-    }
     (Whole::Coarse(Box::new(coarse)), restrict)
 }
 
@@ -410,8 +395,9 @@ fn count_coarsest(h: &Hypergraph) {
 }
 
 /// The SPMD coarse solve on a level whole on every rank (collective):
-/// one randomized attempt per rank, refined, and the globally best wins
-/// (Section 4.2), lowest rank on ties.
+/// each rank runs all `initial.num_attempts` attempts from a rank-salted
+/// stream and refines its best with heap FM, and the globally best wins
+/// by all-reduce (Section 4.2), lowest rank on ties.
 fn solve_replicated(cx: &mut Cx, h: &Hypergraph, fixed: &FixedAssignment) -> Vec<PartId> {
     let span = dlb_trace::span!("dist.initial", vertices = h.num_vertices());
     let before = cx.comm_stats();
@@ -503,7 +489,7 @@ pub(crate) fn descend<'a>(input: Held<'a>, cx: &mut Cx) -> Vec<Held<'a>> {
         }
         let span = top.coarsen_span(depth);
         let stats_before = cx.comm_stats();
-        let matching = top.matching(cx, &span);
+        let matching = top.matching(cx);
         let pairs = matching.num_pairs;
         let stalled = coarsening_stops(depth, before, cx.coarse_target, Some(pairs));
         let coarse = (!stalled).then(|| {
@@ -634,6 +620,18 @@ mod tests {
             edge("at the threshold", random(), 4, 200, None, &[]),
             // (d) More ranks than vertices, at the default coarse target.
             edge("fewer vertices than ranks", grid(2, 3), 2, 2, Some(0), &[7]),
+            // (e) One contraction from above the threshold straight to
+            // the coarse target: a restricted cycle gathers the coarsest
+            // level in that contraction, though its solve needs nothing
+            // gathered.
+            edge(
+                "straight to the coarse target",
+                grid(10, 10),
+                4,
+                90,
+                Some(1),
+                &[],
+            ),
         ]
     }
 
@@ -668,7 +666,10 @@ mod tests {
     /// every rank returns the same vector, holding levels distributed
     /// changes no bit of it, fixed vertices stay and free rows end under
     /// every cap; serially, a restricted cycle over zero levels never
-    /// raises the cut of a feasible partition.
+    /// raises the cut of a feasible partition. On ranks, a restricted
+    /// cycle of the serial partition is the same both ways too, and
+    /// distributed it gathers the first level of its descent at or under
+    /// the threshold.
     #[test]
     fn edge_cases_on_every_way_to_hold_a_level() {
         for e in edges() {
@@ -710,6 +711,42 @@ mod tests {
                     for part in replicated.iter().chain(&distributed) {
                         assert_eq!(part, &replicated[0], "{}: {how} disagree", e.name);
                     }
+
+                    let cycle = |distributed: bool| {
+                        let mut cfg = cfg.clone();
+                        cfg.dist.distributed = distributed;
+                        run_spmd(ranks, |comm| {
+                            let mut rng = StdRng::seed_from_u64(5);
+                            let mut scratch = RefineScratch::new();
+                            let mut cx =
+                                Cx::new(Some(comm), &cfg, &targets, &mut rng, &mut scratch);
+                            let part = vcycle_refine(&e.h, &fixed, &serial, &mut cx);
+                            (part, cx.stats)
+                        })
+                    };
+                    let sizes = run_spmd(ranks, |comm| {
+                        let mut rng = StdRng::seed_from_u64(5);
+                        let mut scratch = RefineScratch::new();
+                        let mut cx = Cx::new(Some(comm), &cfg, &targets, &mut rng, &mut scratch);
+                        let input = Held::input(&e.h, &fixed, Some(&serial), &mut cx);
+                        let stack = descend(input, &mut cx);
+                        stack.iter().map(Held::num_vertices).collect::<Vec<_>>()
+                    })
+                    .swap_remove(0);
+                    // The first level at or under the threshold, unless
+                    // that is the input.
+                    let gathered = match sizes.iter().position(|&n| n <= e.gather_threshold) {
+                        Some(i) if i > 0 => sizes[i],
+                        _ => 0,
+                    };
+                    let (replicated, distributed) = (cycle(false), cycle(true));
+                    for (part, _) in replicated.iter().chain(&distributed) {
+                        assert_eq!(part, &replicated[0].0, "{}: {how} cycles", e.name);
+                    }
+                    for (_, stats) in &distributed {
+                        let name = e.name;
+                        assert_eq!(stats.gathered_vertices, gathered, "{name}: {how} {sizes:?}");
+                    }
                 }
             }
         }
@@ -717,9 +754,9 @@ mod tests {
 
     /// What the edge rows are there to reach, seen from the stack: at
     /// the coarse target the distributed input level is solved on a
-    /// forced replica with no coarsening span; the netless one records
-    /// the one level it stalled on; and the gather sits in the span of
-    /// the level it enables.
+    /// forced gather with no coarsening span; the netless one records
+    /// the one level it stalled on; and the gather sits in the
+    /// contraction that shrinks a level to the threshold.
     #[test]
     fn edge_cases_reach_the_steps_they_are_for() {
         let traced = |e: &Edge| {
@@ -768,15 +805,17 @@ mod tests {
             stats.dist_levels, 2,
             "the input and the level under the threshold"
         );
-        let gathered: Vec<bool> = report
-            .spans
-            .iter()
-            .filter(|s| s.name == "dist.coarsen.level")
-            .map(|s| s.attrs.iter().any(|(key, _)| *key == "gathered"))
-            .collect();
-        assert_eq!(gathered[..2], [false, true]);
-        assert_eq!(gathered.iter().filter(|&&g| g).count(), 1);
-        assert_eq!(count(&report, "coarsen.match"), gathered.len() as u64);
+        let spans = &report.spans;
+        let gathers: Vec<_> = spans.iter().filter(|s| s.name == "dist.gather").collect();
+        assert_eq!(gathers.len(), 1);
+        let contract = gathers[0].parent.expect("the gather has a parent span");
+        assert_eq!(spans[contract].name, "coarsen.contract");
+        let first_level = spans.iter().position(|s| s.name == "dist.coarsen.level");
+        assert_eq!(spans[contract].parent, first_level);
+        assert_eq!(
+            count(&report, "coarsen.match"),
+            count(&report, "dist.coarsen.level")
+        );
 
         let (_, stats) = traced(&edges[3]);
         assert_eq!(stats.dist_levels, 0);

@@ -300,7 +300,7 @@ fn rejects_distributed_flag_conflicts_up_front() {
     // No SPMD flag conflicts with another: incremental runs warm-start on
     // the SPMD path too. (World plans and multi-constraint loads run on
     // it as well; their combined-path tests live in
-    // tests/{elastic_worlds,fault_injection,multi_constraint}.rs.)
+    // tests/{elastic_worlds,rank_failures,multi_constraint}.rs.)
     for spmd in [&["--distributed"][..], &["--ranks", "2"]] {
         let output = dlb()
             .args([
